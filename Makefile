@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-fast check check-fix-dry bench bench-quick chaos-quick examples experiments clean
+.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke chaos-quick examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -69,6 +69,12 @@ bench-quick: check
 	PYTHONPATH=src python -m repro report --metrics bench-metrics.json \
 		--telemetry bench-telemetry --bench bench-quick.json \
 		--profile bench-profile --check --out bench-report.md
+
+# The reference benchmark's <30 s self-test: all four workloads, the
+# per-layer trace, output checks and harness self-checks (see
+# perfbench/README.md; BENCHMARK.json declares what the driver measures).
+perf-smoke:
+	PYTHONPATH=src python -m perfbench run --smoke
 
 # Bounded chaos pass: hypothesis-drawn Byzantine schedules and network
 # fault plans at a few examples per property (the full depth runs in

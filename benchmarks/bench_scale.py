@@ -11,11 +11,8 @@ simulation of these protocols is *fast*, not just feasible.  Two sweeps
 * n-sweep at κ = 8: message count is Θ(κ n²), so wall-time grows
   quadratically in n; n = 31 (t = 10) completes comfortably.
 
-Plus the hot-path ledger: SCALE (c) times the same workload on the
-pre-optimization metrics/crypto path (reference signature walk per
-message, tag memoization off) vs the current one, recording the measured
-speedup from the ``count_signatures``/verify caching of this engine's
-introduction.
+Plus the hot-path ledger: SCALE (c) times the n = 10 workload and pins
+that tag memoization leaves the execution unchanged.
 """
 
 from __future__ import annotations
@@ -41,9 +38,9 @@ def _spec(n, t, kappa, session, collect_signatures=True):
     )
 
 
-def _run_once(n, t, kappa, session, legacy_metrics=False):
+def _run_once(n, t, kappa, session):
     started = time.perf_counter()
-    res = run_trial(_spec(n, t, kappa, session), legacy_metrics=legacy_metrics)
+    res = run_trial(_spec(n, t, kappa, session))
     elapsed = time.perf_counter() - started
     assert res.honest_agree()
     return elapsed, res.metrics
@@ -83,45 +80,35 @@ def test_n_scaling(benchmark, report_sink):
 
 
 def test_hot_path_caching_speedup(benchmark, report_sink):
-    """The count_signatures/verify caching must beat the legacy path.
+    """Times the cached hot path at n=10 and pins that caching is inert.
 
-    Times repeated n=10 runs on the pre-optimization path (reference
-    per-message signature walk, tag memoization disabled) vs the current
-    cached path — same seeds, same executions, identical metrics — and
-    records the measured ratio.  The assertion is deliberately loose
-    (> 1.05x) to stay robust on noisy CI machines; locally the ratio is
-    ~2x (see BENCH_engine.json for the error-sweep figure).
+    Tag memoization off must reproduce the same execution, tallies
+    included (the per-message reference signature walk is pinned against
+    every protocol x adversary pair in tests/engine/test_transport.py).
+    The pre-optimization path this test once raced is gone; its measured
+    ratio is recorded in docs/performance.md.
     """
     repeats = 12
 
-    def timed(legacy):
+    def timed():
         started = time.perf_counter()
         for i in range(repeats):
-            run_trial(_spec(10, 3, 8, f"hc{i}"), legacy_metrics=legacy)
+            run_trial(_spec(10, 3, 8, f"hc{i}"))
         return time.perf_counter() - started
 
-    timed(legacy=False)  # warm suite cache / allocator
-    cached_elapsed = timed(legacy=False)
-    previous = set_tag_memoization(False)
-    try:
-        legacy_elapsed = timed(legacy=True)
-    finally:
-        set_tag_memoization(previous)
+    timed()  # warm suite cache / allocator
+    cached_elapsed = timed()
 
-    # Same executions, same tallies — caching must not change results.
     fresh = run_trial(_spec(10, 3, 8, "hceq"))
     previous = set_tag_memoization(False)
     try:
-        reference = run_trial(_spec(10, 3, 8, "hceq"), legacy_metrics=True)
+        reference = run_trial(_spec(10, 3, 8, "hceq"))
     finally:
         set_tag_memoization(previous)
     assert fresh == reference
 
-    ratio = legacy_elapsed / cached_elapsed
-    assert ratio > 1.05, (legacy_elapsed, cached_elapsed)
     report_sink.append(
-        "SCALE (c)  hot-path caching (n=10, kappa=8, "
-        f"{repeats} runs): legacy {legacy_elapsed * 1e3:.0f}ms -> "
-        f"cached {cached_elapsed * 1e3:.0f}ms ({ratio:.2f}x)"
+        "SCALE (c)  hot path (n=10, kappa=8, "
+        f"{repeats} runs): {cached_elapsed * 1e3:.0f}ms"
     )
     benchmark(lambda: run_trial(_spec(10, 3, 8, "hcb")))

@@ -43,7 +43,7 @@ def main() -> None:
         crypto=CryptoSuite.ideal(5, 2, random.Random(42)),
         seed=4,
         session="traced",
-        tracer=tracer,
+        observers=(tracer,),
     )
     result = simulator.run(iteration_program, inputs)
 

@@ -22,8 +22,8 @@ Subcommands
 ``bench``
     The same sweep through the parallel experiment engine: runs it
     serially and with ``--workers`` processes, checks the two are
-    bit-identical, reports wall times (optionally vs the pre-optimization
-    baseline) and writes a machine-readable ``BENCH_engine.json``.
+    bit-identical, reports wall times and writes a machine-readable
+    ``BENCH_engine.json``.
     ``--adaptive`` adds the early-stopping leg: the sweep re-run under
     :class:`repro.engine.AdaptiveRunner` with a total budget equal to the
     fixed run, verdict-checked against it config for config.
@@ -205,7 +205,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         adversary=adversary,
         seed=args.seed,
         session=f"cli{args.seed}",
-        tracer=tracer,
+        observers=() if tracer is None else (tracer,),
         faults=faults,
     )
     try:
@@ -796,7 +796,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .crypto.ideal import set_tag_memoization
     from .engine import ParallelRunner, clamp_workers
 
     plan = _build_sweep_plan(args)
@@ -853,16 +852,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print("DETERMINISM VIOLATION: vector results differ from object")
             return 2
 
-    baseline = None
-    if args.compare_baseline:
-        # Pre-optimization reference: legacy per-message signature walk,
-        # tag memoization off — what every run cost before the engine.
-        previous = set_tag_memoization(False)
-        try:
-            baseline = ParallelRunner(workers=1, legacy_metrics=True).run(plan)
-        finally:
-            set_tag_memoization(previous)
-
     metrics_leg = None
     if args.metrics:
         # Dedicated serial collection leg: metrics hooks are opt-in and
@@ -916,8 +905,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     if vector is not None:
         timings.append(("engine vector (1 worker)", vector.wall_seconds))
-    if baseline is not None:
-        timings.insert(0, ("pre-engine baseline (serial)", baseline.wall_seconds))
     print()
     for label, seconds in timings:
         print(f"{label:32s}: {seconds:8.3f}s")
@@ -932,9 +919,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{serial.wall_seconds / vector.wall_seconds:8.2f}x"
         )
         print(f"{'vector == object':32s}:       OK (bit-identical)")
-    if baseline is not None:
-        best = min(serial.wall_seconds, parallel.wall_seconds if parallel else serial.wall_seconds)
-        print(f"{'best vs baseline':32s}: {baseline.wall_seconds / best:8.2f}x")
     if parallel is not None and parallel.results == serial.results:
         print(f"{'serial == parallel':32s}:       OK (bit-identical)")
     if setup_timing is not None:
@@ -1061,21 +1045,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ),
             "identical_vector_object": (
                 vector.results == serial.results if vector else None
-            ),
-            "baseline_seconds": (
-                round(baseline.wall_seconds, 4) if baseline else None
-            ),
-            "speedup_vs_baseline": (
-                round(
-                    baseline.wall_seconds
-                    / min(
-                        serial.wall_seconds,
-                        parallel.wall_seconds if parallel else serial.wall_seconds,
-                    ),
-                    3,
-                )
-                if baseline
-                else None
             ),
             "identical_serial_parallel": (
                 parallel.results == serial.results if parallel else None
@@ -1496,11 +1465,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="write machine-readable timings/rates (BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
-        "--compare-baseline", action="store_true",
-        help="also time the pre-optimization serial path "
-        "(reference signature walk, tag memoization off)",
     )
     bench_parser.add_argument(
         "--adaptive", action="store_true",

@@ -43,7 +43,7 @@ def _tag(key: bytes, *parts: Term) -> bytes:
 # parties, and every combine re-verifies its inputs — so each scheme
 # instance memoizes tags it has already derived.  The memo is an
 # implementation detail: results are bit-identical with it disabled
-# (`set_tag_memoization(False)`, used by `repro bench --compare-baseline`).
+# (`set_tag_memoization(False)`, pinned by `tests/crypto/test_tag_memo.py`).
 _MEMO_ENABLED = True
 _MEMO_LIMIT = 1 << 14  # per scheme instance; cleared wholesale when full
 

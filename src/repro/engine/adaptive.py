@@ -32,10 +32,9 @@ by ``tests/engine/test_adaptive.py``).
 
 from __future__ import annotations
 
-import pickle
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -54,15 +53,7 @@ from ..network.simulator import ExecutionResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import TelemetryWriter
 from .plan import TrialPlan, TrialSpec
-from .runner import (
-    _run_chunk,
-    _run_chunk_timed,
-    _seed_suite_cache,
-    predeal_suites,
-    run_measured_trial,
-    run_trial,
-)
-from .vectorized import execute_chunk
+from .runner import ParallelRunner, _iter_chunk
 
 __all__ = ["AdaptiveRunner", "AdaptiveResult", "ConfigOutcome"]
 
@@ -176,11 +167,6 @@ class AdaptiveRunner:
         ``False`` disables the separation predicate entirely: every
         config runs until its cap or the budget, which (budget
         permitting) reproduces ``ParallelRunner`` byte-for-byte.
-    transport:
-        What pool workers send back: ``"compact"`` (default) ships one
-        packed :class:`~repro.engine.transport.ChunkSummary` per batch,
-        rebuilt losslessly on the parent side; ``"pickle"`` ships the
-        full ``ExecutionResult`` trees (legacy payload, benchmarking).
     telemetry:
         Optional :class:`~repro.obs.TelemetryWriter`.  When set, every
         allocation round emits an ``adaptive_round`` record (which
@@ -209,27 +195,18 @@ class AdaptiveRunner:
         min_hits: int = 5,
         precision: Optional[float] = None,
         z: float = _Z995,
-        transport: str = "compact",
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
         metrics: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if transport not in ("compact", "pickle"):
-            raise ValueError(
-                f"transport must be 'compact' or 'pickle', got {transport!r}"
-            )
-        if backend not in ("object", "vector"):
-            raise ValueError(
-                f"backend must be 'object' or 'vector', got {backend!r}"
-            )
-        if metrics and transport == "pickle":
-            raise ValueError(
-                "metrics collection requires the compact transport"
-            )
+        # Batches execute through ParallelRunner's chunk machinery (pool
+        # set-up, dispatch, telemetry spans, unpacking), which also
+        # validates workers and backend.
+        self._runner = ParallelRunner(
+            workers=workers, telemetry=telemetry, backend=backend, metrics=metrics
+        )
         self.workers = workers
         self.batch_size = batch_size
         self.early_stop = early_stop
@@ -237,7 +214,6 @@ class AdaptiveRunner:
         self.min_hits = min_hits
         self.precision = precision
         self.z = z
-        self.transport = transport
         self.telemetry = telemetry
         # Same semantics as ParallelRunner: "vector" batches each
         # allocation-round batch through the lockstep executor (per-spec
@@ -302,20 +278,7 @@ class AdaptiveRunner:
 
         pool: Optional[ProcessPoolExecutor] = None
         if self.workers > 1:
-            # Pre-deal real-backend suites once and broadcast them, so
-            # pool workers never repeat threshold-RSA setup per process.
-            predeal_started = time.perf_counter()
-            dealt = predeal_suites(plan, self.workers)
-            if tele is not None and dealt:
-                tele.emit(
-                    "predeal", suites=len(dealt),
-                    seconds=round(time.perf_counter() - predeal_started, 6),
-                )
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_seed_suite_cache,
-                initargs=(dealt,),
-            )
+            pool = self._runner._open_pool(plan)
         try:
             while True:
                 allocations = self._allocate(
@@ -342,7 +305,7 @@ class AdaptiveRunner:
                     [(index, plan.trials[index]) for index in indices]
                     for _name, indices in allocations
                 ]
-                for index, result in self._execute(batches, pool, sink):
+                for index, result in self._execute(plan, batches, pool, sink):
                     results[index] = result
                     outcomes[owner[index]].estimate.observe(event(result))
                 spent += sum(len(batch) for batch in batches)
@@ -443,74 +406,20 @@ class AdaptiveRunner:
 
     def _execute(
         self,
+        plan: TrialPlan,
         batches: Sequence[Sequence[Tuple[int, TrialSpec]]],
         pool: Optional[ProcessPoolExecutor],
         sink: Optional[Dict[int, MetricsRegistry]] = None,
     ) -> Iterator[Tuple[int, ExecutionResult]]:
         """Run one round's batches; stream results as batches complete."""
         if pool is None:
-            if self.backend == "vector":
-                tele = self.telemetry
-                for batch in batches:
-                    pairs, stats = execute_chunk(
-                        list(batch), False, None, metrics=sink
-                    )
-                    if tele is not None:
-                        tele.emit(
-                            "probe_cache",
-                            hits=stats.get("cache_hits", 0),
-                            misses=stats.get("cache_misses", 0),
-                        )
-                    yield from pairs
-                return
             for batch in batches:
-                for index, spec in batch:
-                    if sink is not None:
-                        result, registry = run_measured_trial(spec, None, index)
-                        sink[index] = registry
-                        yield index, result
-                    else:
-                        yield index, run_trial(spec)
-            return
-        compact = self.transport == "compact"
-        tele = self.telemetry
-        entry = _run_chunk if tele is None else _run_chunk_timed
-        specs = {index: spec for batch in batches for index, spec in batch}
-        futures = []
-        dispatched = {}
-        for batch in batches:
-            future = pool.submit(
-                entry, list(batch), False, compact, None, self.backend,
-                sink is not None,
-            )
-            futures.append(future)
-            if tele is not None:
-                number = self._chunk_seq
-                self._chunk_seq += 1
-                dispatched[future] = (number, tele.elapsed())
-                tele.emit(
-                    "chunk_dispatch", chunk=number, trials=len(batch),
-                    first_index=batch[0][0],
+                yield from _iter_chunk(
+                    batch, None, self.backend, sink, self.telemetry, plan.name
                 )
-        try:
-            for future in as_completed(futures):
-                payload = future.result()
-                if tele is not None:
-                    seconds, payload = payload
-                    number, opened = dispatched[future]
-                    tele.emit(
-                        "chunk_complete", chunk=number, seconds=seconds,
-                        span=round(tele.elapsed() - opened, 6),
-                        payload_bytes=len(pickle.dumps(payload)),
-                    )
-                if compact:
-                    if sink is not None:
-                        sink.update(payload.unpack_metrics())
-                    yield from payload.unpack(specs)
-                else:
-                    for index, result in payload:
-                        yield index, result
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+            return
+        first_number = self._chunk_seq
+        self._chunk_seq += len(batches)
+        yield from self._runner._stream_chunks(
+            pool, batches, plan.trials, sink, first_number
+        )

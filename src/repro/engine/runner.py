@@ -23,8 +23,7 @@ Two overheads are kept off the critical path:
 * **IPC**: workers return one compact
   :class:`~repro.engine.transport.ChunkSummary` per chunk (varint-packed
   tallies and decisions) instead of pickled ``ExecutionResult`` trees;
-  the parent rebuilds the dataclasses losslessly
-  (``transport="pickle"`` restores the legacy payload for benchmarking).
+  the parent rebuilds the dataclasses losslessly.
 * **Setup**: for ``backend="real"`` plans the parent pre-deals each
   distinct ``suite_key`` once — fanning distinct keys across a dealing
   pool when there are several — and broadcasts the dealt suites to
@@ -35,8 +34,7 @@ Dispatch is chunked: contiguous runs of trials ship as one task so the
 per-task pickling/IPC overhead amortizes, with enough chunks per worker
 (4 by default) to keep the pool load-balanced when trial durations vary.
 
-``workers=1`` (the default) executes inline — no pool, no pickling — and
-is exactly the legacy serial harness.
+``workers=1`` (the default) executes inline — no pool, no pickling.
 
 Observability is opt-in and off the results path: ``trace_dir`` streams
 one bounded-memory JSONL trace per trial (:mod:`repro.obs`) straight
@@ -55,7 +53,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto.keys import CryptoSuite
 from ..network.metrics import RunMetrics
@@ -224,13 +222,12 @@ def predeal_suites(
     return [(key, suite) for key, suite in dealt.items()]
 
 
-def run_trial(
-    spec: TrialSpec,
-    legacy_metrics: bool = False,
-    tracer: Optional[Tracer] = None,
-    collector: Optional[MetricsRegistry] = None,
-) -> ExecutionResult:
-    """Execute one trial in this process (suite cached per-process)."""
+def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult:
+    """Execute one trial in this process (suite cached per-process).
+
+    The only engine function that builds a trial's simulator;
+    ``observers`` go to :class:`SyncSimulator` unchanged.
+    """
     factory = build_protocol_factory(spec.protocol, spec.param_dict)
     adversary = build_adversary(spec.adversary, spec.adversary_param_dict, factory)
     simulator = SyncSimulator(
@@ -241,144 +238,163 @@ def run_trial(
         seed=spec.seed,
         session=spec.session,
         max_rounds=spec.max_rounds,
+        observers=observers,
         collect_signatures=spec.collect_signatures,
-        legacy_metrics=legacy_metrics,
-        tracer=tracer,
         faults=build_fault_plan(spec.faults, spec.fault_param_dict),
-        collector=collector,
     )
     return simulator.run(factory, list(spec.inputs))
 
 
-def run_traced_trial(
-    spec: TrialSpec,
-    trace_dir: str,
+def _run_indexed_trial(
     index: int,
-    legacy_metrics: bool = False,
-    collector: Optional[MetricsRegistry] = None,
+    spec: TrialSpec,
+    trace_dir: Optional[str],
+    registries: Optional[Dict[int, MetricsRegistry]],
 ) -> ExecutionResult:
-    """Run one trial with a streaming per-trial trace attached.
+    """Run plan trial ``index`` with the observers the run asked for.
 
-    The trace lands in ``trace_dir`` under :func:`trace_filename`
-    (``trial-00042.trace.jsonl``), headed with enough metadata to
-    identify the spec.  Memory stays bounded — records stream straight
-    to disk — and the file content is a pure function of the spec, so
-    serial and pooled runs write byte-identical traces.
+    The one place that decides which observers a trial gets — every
+    execution path (pool worker, inline, adaptive, vector fallback)
+    comes through here.
 
-    If the trial raises, the half-written trace file is removed before
-    the exception propagates: a truncated JSONL file fails
+    ``trace_dir`` streams a per-trial JSONL trace there under
+    :func:`trace_filename` (``trial-00042.trace.jsonl``), headed with
+    enough metadata to identify the spec.  Memory stays bounded —
+    records stream straight to disk — and the file content is a pure
+    function of the spec, so serial and pooled runs write byte-identical
+    traces.  If the trial raises, the half-written trace file is removed
+    before the exception propagates: a truncated JSONL file fails
     :func:`repro.obs.replay.load_trace` anyway, and leaving it in
     ``trace_dir`` would make a failed pooled chunk litter the directory
     with orphans indistinguishable (by name) from good traces.  Trials
     that completed before the failure keep their complete files.
+
+    ``registries`` (a mutable index → registry mapping) gets the trial's
+    finalized :class:`~repro.obs.metrics.MetricsRegistry`.
     """
-    meta = {
-        "index": index,
-        "protocol": spec.protocol,
-        "adversary": spec.adversary,
-        "n": spec.num_parties,
-        "t": spec.max_faulty,
-        "seed": spec.seed,
-        "session": spec.session,
-    }
-    if spec.faults is not None:
-        meta["faults"] = spec.faults
-    sink = JsonlTraceSink(os.path.join(trace_dir, trace_filename(index)), meta=meta)
-    tracer = Tracer(sink)
+    tracer = None
+    registry = None
+    observers: List[Any] = []
+    if trace_dir is not None:
+        meta = {
+            "index": index,
+            "protocol": spec.protocol,
+            "adversary": spec.adversary,
+            "n": spec.num_parties,
+            "t": spec.max_faulty,
+            "seed": spec.seed,
+            "session": spec.session,
+        }
+        if spec.faults is not None:
+            meta["faults"] = spec.faults
+        tracer = Tracer(
+            JsonlTraceSink(os.path.join(trace_dir, trace_filename(index)), meta=meta)
+        )
+        observers.append(tracer)
+    if registries is not None:
+        registry = MetricsRegistry()
+        observers.append(registry)
     try:
-        result = run_trial(spec, legacy_metrics, tracer=tracer, collector=collector)
+        result = run_trial(spec, observers)
     except BaseException:
-        tracer.close()
-        try:
-            os.remove(sink.path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+        if tracer is not None:
+            tracer.close()
+            try:
+                os.remove(tracer.sink.path)
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
         raise
-    tracer.close()
+    if tracer is not None:
+        tracer.close()
+    if registry is not None:
+        registry.finalize_trial(result)
+        registries[index] = registry
     return result
 
 
+def run_traced_trial(spec: TrialSpec, trace_dir: str, index: int) -> ExecutionResult:
+    """Run one trial with a streaming per-trial trace in ``trace_dir``."""
+    return _run_indexed_trial(index, spec, trace_dir, None)
+
+
 def run_measured_trial(
-    spec: TrialSpec,
-    trace_dir: Optional[str] = None,
-    index: int = 0,
-    legacy_metrics: bool = False,
+    spec: TrialSpec, trace_dir: Optional[str] = None, index: int = 0
 ) -> Tuple[ExecutionResult, MetricsRegistry]:
-    """Run one trial with a fresh metrics collector attached.
+    """Run one trial with a fresh metrics registry attached.
 
     Returns the execution result plus its finalized per-trial
-    :class:`~repro.obs.metrics.MetricsRegistry`.  The collector hook
-    never consumes randomness, so the result is bit-identical to
+    :class:`~repro.obs.metrics.MetricsRegistry`.  Observers never
+    consume randomness, so the result is bit-identical to
     :func:`run_trial` for the same spec.
     """
-    registry = MetricsRegistry()
-    if trace_dir is not None:
-        result = run_traced_trial(
-            spec, trace_dir, index, legacy_metrics, collector=registry
+    registries: Dict[int, MetricsRegistry] = {}
+    result = _run_indexed_trial(index, spec, trace_dir, registries)
+    return result, registries[index]
+
+
+def _iter_chunk(
+    chunk: Sequence[Tuple[int, TrialSpec]],
+    trace_dir: Optional[str],
+    backend: str,
+    registries: Optional[Dict[int, MetricsRegistry]],
+    tele: Optional[TelemetryWriter] = None,
+    label: str = "",
+) -> Iterator[Tuple[int, ExecutionResult]]:
+    """Run ``(index, spec)`` pairs in this process, in order.
+
+    ``backend="vector"`` runs the chunk through the batch-vectorized
+    executor in one go (unsupported specs fall back per-spec to the
+    object simulator inside it) and emits one ``vector_batch`` and one
+    ``probe_cache`` telemetry span describing the batching; results are
+    bit-identical either way.
+    """
+    if backend != "vector":
+        for index, spec in chunk:
+            yield index, _run_indexed_trial(index, spec, trace_dir, registries)
+        return
+    started = time.perf_counter()
+    pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
+    if tele is not None:
+        tele.emit(
+            "vector_batch", label=label,
+            batched=stats["batched"], fallback=stats["fallback"],
+            batches=len(stats["batches"]),
+            seconds=round(time.perf_counter() - started, 6),
+            fallback_reasons=stats["fallback_reasons"],
         )
-    else:
-        result = run_trial(spec, legacy_metrics, collector=registry)
-    registry.finalize_trial(result)
-    return result, registry
+        tele.emit(
+            "probe_cache", label=label,
+            hits=stats["cache_hits"], misses=stats["cache_misses"],
+        )
+    yield from pairs
 
 
 def _run_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool,
-    compact: bool = False,
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
-) -> Union[List[Tuple[int, ExecutionResult]], ChunkSummary]:
+) -> ChunkSummary:
     """Worker entry point: run a contiguous slice of the plan.
 
-    With ``compact`` the whole chunk returns as one packed
-    :class:`ChunkSummary` — the parent rebuilds the ``ExecutionResult``
-    trees from the specs it already holds, so only tallies and decisions
-    cross the pipe.  With ``trace_dir`` each trial streams a per-trial
-    JSONL trace into that directory as it runs (traces never ride the
-    result pipe).  ``backend="vector"`` routes the chunk through the
-    batch-vectorized executor (unsupported specs fall back per-spec to
-    the object simulator inside the chunk); results and packing are
-    bit-identical either way.  With ``metrics`` each trial collects a
-    per-trial registry, packed into the summary's ``metrics`` field
-    (metrics runs require the compact transport — enforced upstream).
+    The whole chunk returns as one packed :class:`ChunkSummary` — the
+    parent rebuilds the ``ExecutionResult`` trees from the specs it
+    already holds, so only tallies and decisions cross the pipe (traces
+    never ride the result pipe).  With ``metrics`` each trial's registry
+    is packed into the summary's ``metrics`` field.
     """
-    registries: Dict[int, MetricsRegistry] = {}
-    if backend == "vector":
-        pairs, _ = execute_chunk(
-            chunk, legacy_metrics, trace_dir,
-            metrics=registries if metrics else None,
-        )
-    elif metrics:
-        pairs = []
-        for index, spec in chunk:
-            result, registry = run_measured_trial(
-                spec, trace_dir, index, legacy_metrics
-            )
-            registries[index] = registry
-            pairs.append((index, result))
-    elif trace_dir is None:
-        pairs = [(index, run_trial(spec, legacy_metrics)) for index, spec in chunk]
-    else:
-        pairs = [
-            (index, run_traced_trial(spec, trace_dir, index, legacy_metrics))
-            for index, spec in chunk
-        ]
-    if compact:
-        return ChunkSummary.pack(pairs, metrics=registries if metrics else None)
-    return pairs
+    registries: Optional[Dict[int, MetricsRegistry]] = {} if metrics else None
+    pairs = list(_iter_chunk(chunk, trace_dir, backend, registries))
+    return ChunkSummary.pack(pairs, metrics=registries)
 
 
 def _run_chunk_timed(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool,
-    compact: bool = False,
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
     profile_path: Optional[str] = None,
-) -> Tuple[float, Union[List[Tuple[int, ExecutionResult]], ChunkSummary]]:
+) -> Tuple[float, ChunkSummary]:
     """Worker entry point for telemetry runs: payload plus in-worker
     execution seconds.  Timed *inside* the worker because the parent only
     sees dispatch→completion spans, which include queue wait — summing
@@ -395,9 +411,7 @@ def _run_chunk_timed(
         started = time.perf_counter()
         profiler.enable()
         try:
-            payload = _run_chunk(
-                chunk, legacy_metrics, compact, trace_dir, backend, metrics
-            )
+            payload = _run_chunk(chunk, trace_dir, backend, metrics)
         finally:
             profiler.disable()
         # The timed region is exactly the profiled region — the stats
@@ -407,9 +421,7 @@ def _run_chunk_timed(
         profiler.dump_stats(profile_path)
         return seconds, payload
     started = time.perf_counter()
-    payload = _run_chunk(
-        chunk, legacy_metrics, compact, trace_dir, backend, metrics
-    )
+    payload = _run_chunk(chunk, trace_dir, backend, metrics)
     return round(time.perf_counter() - started, 6), payload
 
 
@@ -436,7 +448,6 @@ class PlanResult:
     workers: int
     wall_seconds: float
     chunk_size: int = 1
-    transport: str = "compact"
     trace_dir: Optional[str] = None
     # Per-trial metrics registries in plan order, present iff the runner
     # was built with metrics=True.  Deterministic for a given (seed,
@@ -515,20 +526,15 @@ class ParallelRunner:
     """Runs :class:`TrialPlan`s, serially or across worker processes.
 
     ``workers=1`` executes inline; ``workers>1`` fans chunks out over a
-    ``ProcessPoolExecutor``.  ``transport`` selects what workers send
-    back: ``"compact"`` (default) ships one packed :class:`ChunkSummary`
-    per chunk, rebuilt losslessly on the parent side; ``"pickle"`` ships
-    the full ``ExecutionResult`` trees (the legacy payload, kept for
-    benchmarking the difference).  ``legacy_metrics=True`` selects the
-    pre-optimization simulator metrics path (baseline benchmarking only).
+    ``ProcessPoolExecutor`` whose workers each ship one packed
+    :class:`ChunkSummary` per chunk, rebuilt losslessly on the parent
+    side.
     """
 
     def __init__(
         self,
         workers: int = 1,
         chunk_size: Optional[int] = None,
-        legacy_metrics: bool = False,
-        transport: str = "compact",
         trace_dir: Optional[str] = None,
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
@@ -539,33 +545,19 @@ class ParallelRunner:
             raise ValueError("need at least one worker")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if transport not in ("compact", "pickle"):
-            raise ValueError(
-                f"transport must be 'compact' or 'pickle', got {transport!r}"
-            )
         if backend not in ("object", "vector"):
             raise ValueError(
                 f"backend must be 'object' or 'vector', got {backend!r}"
             )
-        if metrics and legacy_metrics:
-            raise ValueError(
-                "metrics collection does not support the legacy baseline"
-            )
-        if metrics and transport == "pickle":
-            raise ValueError(
-                "metrics collection requires the compact transport"
-            )
         self.workers = workers
         self.chunk_size = chunk_size
-        self.legacy_metrics = legacy_metrics
-        self.transport = transport
         self.trace_dir = trace_dir
         self.telemetry = telemetry
         # backend="vector" batches same-config supported trials through
         # repro.engine.vectorized; everything else (and every trial, with
         # "object") takes the reference simulator.  Bit-identical results.
         self.backend = backend
-        # metrics=True attaches a per-trial MetricsRegistry collector to
+        # metrics=True attaches a per-trial MetricsRegistry observer to
         # every simulator (repro.obs.metrics); registries ride back on
         # the compact transport and land on PlanResult.trial_metrics.
         self.metrics = metrics
@@ -573,14 +565,6 @@ class ParallelRunner:
         # and dumps one .pstats file per chunk there (repro bench
         # --profile); profiling never touches what the trials compute.
         self.profile_dir = profile_dir
-
-    def _run_one(self, index: int, spec: TrialSpec) -> ExecutionResult:
-        """One inline trial, traced iff the runner collects traces."""
-        if self.trace_dir is not None:
-            return run_traced_trial(
-                spec, self.trace_dir, index, self.legacy_metrics
-            )
-        return run_trial(spec, self.legacy_metrics)
 
     def _prepare_trace_dir(self) -> None:
         if self.trace_dir is not None:
@@ -619,7 +603,7 @@ class ParallelRunner:
                 profiler.enable()
             try:
                 results = [
-                    result for _, result in self._run_inline(plan, tele, sink)
+                    result for _, result in self._run_inline(plan, sink)
                 ]
             finally:
                 if profiler is not None:
@@ -641,7 +625,6 @@ class ParallelRunner:
                 results=results,
                 workers=1,
                 wall_seconds=time.perf_counter() - started,
-                transport=self.transport,
                 trace_dir=self.trace_dir,
                 trial_metrics=self._trial_metrics_list(sink, len(plan)),
             )
@@ -659,7 +642,6 @@ class ParallelRunner:
             workers=self.workers,
             wall_seconds=time.perf_counter() - started,
             chunk_size=chunk_size,
-            transport=self.transport,
             trace_dir=self.trace_dir,
             trial_metrics=self._trial_metrics_list(sink, len(plan)),
         )
@@ -700,7 +682,7 @@ class ParallelRunner:
                     workers=1, trials=len(plan), backend=self.backend,
                     **_fault_field(plan),
                 )
-            yield from self._run_inline(plan, tele, sink)
+            yield from self._run_inline(plan, sink)
             if tele is not None:
                 tele.emit("run_complete", label=plan.name, trials=len(plan))
             return
@@ -710,46 +692,35 @@ class ParallelRunner:
     def _run_inline(
         self,
         plan: TrialPlan,
-        tele: Optional[TelemetryWriter],
         sink: Optional[Dict[int, MetricsRegistry]] = None,
     ) -> Iterator[Tuple[int, ExecutionResult]]:
         """Inline (no-pool) execution, in plan order.
 
-        The vector backend runs the whole plan as one chunk — that is
-        what lets a serial ``repro bench --vector`` batch each
-        configuration's trials in lockstep — and emits one
-        ``vector_batch`` telemetry span describing the batching.
+        The whole plan is one chunk — that is what lets a serial
+        ``repro bench --vector`` batch each configuration's trials in
+        lockstep.
         """
-        if self.backend == "vector":
-            started = time.perf_counter()
-            pairs, stats = execute_chunk(
-                list(enumerate(plan.trials)), self.legacy_metrics, self.trace_dir,
-                metrics=sink,
+        return _iter_chunk(
+            list(enumerate(plan.trials)), self.trace_dir, self.backend,
+            sink, self.telemetry, plan.name,
+        )
+
+    def _open_pool(self, plan: TrialPlan) -> ProcessPoolExecutor:
+        """A worker pool with the plan's real-backend suites pre-dealt
+        once and broadcast, so workers never repeat threshold-RSA setup."""
+        tele = self.telemetry
+        predeal_started = time.perf_counter()
+        dealt = predeal_suites(plan, self.workers)
+        if tele is not None and dealt:
+            tele.emit(
+                "predeal", suites=len(dealt),
+                seconds=round(time.perf_counter() - predeal_started, 6),
             )
-            if tele is not None:
-                tele.emit(
-                    "vector_batch", label=plan.name,
-                    batched=stats["batched"], fallback=stats["fallback"],
-                    batches=len(stats["batches"]),
-                    seconds=round(time.perf_counter() - started, 6),
-                    fallback_reasons=stats.get("fallback_reasons", {}),
-                )
-                tele.emit(
-                    "probe_cache", label=plan.name,
-                    hits=stats.get("cache_hits", 0),
-                    misses=stats.get("cache_misses", 0),
-                )
-            yield from pairs
-            return
-        for index, spec in enumerate(plan.trials):
-            if sink is not None:
-                result, registry = run_measured_trial(
-                    spec, self.trace_dir, index, self.legacy_metrics
-                )
-                sink[index] = registry
-                yield index, result
-            else:
-                yield index, self._run_one(index, spec)
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_seed_suite_cache,
+            initargs=(dealt,),
+        )
 
     def _iter_pooled(
         self,
@@ -763,32 +734,41 @@ class ParallelRunner:
             indexed[start : start + chunk_size]
             for start in range(0, len(indexed), chunk_size)
         ]
-        compact = self.transport == "compact"
         tele = self.telemetry
         if tele is not None:
             tele.emit(
                 "run_start", label=plan.name, mode="pool",
                 workers=self.workers, trials=len(plan),
                 chunks=len(chunks), chunk_size=chunk_size,
-                transport=self.transport, **_fault_field(plan),
+                **_fault_field(plan),
             )
-        predeal_started = time.perf_counter()
-        dealt = predeal_suites(plan, self.workers)
-        if tele is not None and dealt:
-            tele.emit(
-                "predeal", suites=len(dealt),
-                seconds=round(time.perf_counter() - predeal_started, 6),
-            )
-        pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_seed_suite_cache,
-            initargs=(dealt,),
-        )
+        pool = self._open_pool(plan)
+        try:
+            yield from self._stream_chunks(pool, chunks, plan.trials, sink)
+            if tele is not None:
+                tele.emit("run_complete", label=plan.name, trials=len(plan))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _stream_chunks(
+        self,
+        pool: ProcessPoolExecutor,
+        chunks: Sequence[Sequence[Tuple[int, TrialSpec]]],
+        specs: Sequence[TrialSpec],
+        sink: Optional[Dict[int, MetricsRegistry]],
+        first_number: int = 0,
+    ) -> Iterator[Tuple[int, ExecutionResult]]:
+        """Submit chunks to ``pool``; yield results as chunks complete.
+
+        ``specs`` is the plan's trial list the summaries are rebuilt
+        against; telemetry numbers the chunks from ``first_number``.
+        """
+        tele = self.telemetry
         timed = tele is not None or self.profile_dir is not None
         futures = []
         dispatched = {}
         profile_paths = {}
-        for number, chunk in enumerate(chunks):
+        for number, chunk in enumerate(chunks, start=first_number):
             if timed:
                 profile_path = None
                 if self.profile_dir is not None:
@@ -796,14 +776,13 @@ class ParallelRunner:
                         self.profile_dir, f"chunk-{number:05d}.pstats"
                     )
                 future = pool.submit(
-                    _run_chunk_timed, chunk, self.legacy_metrics, compact,
-                    self.trace_dir, self.backend, self.metrics, profile_path,
+                    _run_chunk_timed, chunk, self.trace_dir, self.backend,
+                    self.metrics, profile_path,
                 )
                 profile_paths[future] = profile_path
             else:
                 future = pool.submit(
-                    _run_chunk, chunk, self.legacy_metrics, compact,
-                    self.trace_dir, self.backend, self.metrics,
+                    _run_chunk, chunk, self.trace_dir, self.backend, self.metrics
                 )
             futures.append(future)
             dispatched[future] = (number, tele.elapsed() if tele else 0.0)
@@ -832,19 +811,12 @@ class ParallelRunner:
                                 "profile", chunk=number, path=profile_path,
                                 seconds=seconds,
                             )
-                if compact:
-                    if sink is not None:
-                        sink.update(payload.unpack_metrics())
-                    yield from payload.unpack(plan.trials)
-                else:
-                    for index, result in payload:
-                        yield index, result
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(plan))
+                if sink is not None:
+                    sink.update(payload.unpack_metrics())
+                yield from payload.unpack(specs)
         finally:
             for future in futures:
                 future.cancel()
-            pool.shutdown(wait=True, cancel_futures=True)
 
     def _auto_chunk_size(self, total: int) -> int:
         """~4 chunks per worker: amortizes IPC, keeps the pool balanced."""

@@ -24,9 +24,9 @@ What makes the format small:
 Losslessness is the load-bearing property: ``unpack(pack(result), spec)``
 compares equal to ``result`` field for field, for every registered
 protocol × adversary combination (pinned by
-``tests/engine/test_transport.py``), which is what lets
-``ParallelRunner`` and ``AdaptiveRunner`` switch transports without
-changing a single measured number.
+``tests/engine/test_transport.py``), which is what lets pooled
+``ParallelRunner`` and ``AdaptiveRunner`` runs equal inline ones
+number for number.
 """
 
 from __future__ import annotations
@@ -309,16 +309,16 @@ def measure_payload_bytes(
     indexed_results: Sequence[Tuple[int, ExecutionResult]],
     chunk_size: Optional[int] = None,
 ) -> Tuple[int, int]:
-    """Pickled bytes of one result batch under both transports.
+    """Pickled bytes of one result batch, as object trees and compact.
 
-    Returns ``(full_bytes, compact_bytes)`` — the size of the legacy
-    payload (``(index, ExecutionResult)`` pairs, exactly what
-    ``transport="pickle"`` ships) versus the compact payload (one
+    Returns ``(full_bytes, compact_bytes)`` — the size of pickled
+    ``(index, ExecutionResult)`` pairs (what workers shipped before
+    this module) versus the compact payload they ship (one
     :class:`ChunkSummary` per chunk).  ``chunk_size`` mirrors the
     runner's chunked dispatch (default: the whole batch as one chunk);
-    both transports are summed over the same chunking, so the comparison
-    is what actually crosses the pipe.  Used by ``repro bench`` to
-    record ``payload_bytes_full`` / ``payload_bytes_compact``.
+    both encodings are summed over the same chunking.  Used by
+    ``repro bench`` to record ``payload_bytes_full`` /
+    ``payload_bytes_compact``.
     """
     indexed = list(indexed_results)
     size = chunk_size or max(1, len(indexed))

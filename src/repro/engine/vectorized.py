@@ -30,8 +30,8 @@ the coin derivation above and :func:`repro.core.extraction.extract`'s
 closed form, both covered by the equivalence suite in
 ``tests/engine/test_vectorized.py``.
 
-Anything the model cannot express — the real-RSA backend, trace
-collection, legacy metrics, protocols or adversaries without a registered
+Anything the model cannot express — the real-RSA backend, trace or
+metrics collection, protocols or adversaries without a registered
 vector model, non-bit inputs, exotic adversary parameters — falls back
 per-spec to :func:`repro.engine.runner.run_trial`, which is the same code
 path ``backend="object"`` uses, so results are identical either way.
@@ -252,7 +252,6 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
 
 def execute_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
-    legacy_metrics: bool = False,
     trace_dir: Optional[str] = None,
     metrics: Optional[Dict[int, Any]] = None,
 ) -> Tuple[List[Tuple[int, ExecutionResult]], Dict[str, Any]]:
@@ -275,22 +274,7 @@ def execute_chunk(
     requested"`` fallback reason.  Results stay bit-identical; that is
     what makes vector-with-metrics artifacts equal serial/pooled ones.
     """
-    from .runner import (  # circular at import time
-        run_measured_trial,
-        run_traced_trial,
-        run_trial,
-    )
-
-    def object_path(index: int, spec: TrialSpec) -> ExecutionResult:
-        if metrics is not None:
-            result, registry = run_measured_trial(
-                spec, trace_dir, index, legacy_metrics
-            )
-            metrics[index] = registry
-            return result
-        if trace_dir is not None:
-            return run_traced_trial(spec, trace_dir, index, legacy_metrics)
-        return run_trial(spec, legacy_metrics=legacy_metrics)
+    from .runner import _run_indexed_trial  # circular at import time
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
@@ -298,10 +282,6 @@ def execute_chunk(
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     for index, spec in chunk:
-        if legacy_metrics:
-            reasons["legacy metrics requested"] += 1
-            fallback.append((index, spec))
-            continue
         if metrics is not None:
             reasons["metrics collection requested"] += 1
             fallback.append((index, spec))
@@ -336,7 +316,7 @@ def execute_chunk(
             {"config": specs[0].config_key, "size": len(members)}
         )
     for index, spec in fallback:
-        results[index] = object_path(index, spec)
+        results[index] = _run_indexed_trial(index, spec, trace_dir, metrics)
     cache_after = probe_cache_stats()
     stats["cache_hits"] = cache_after["hits"] - cache_before["hits"]
     stats["cache_misses"] = cache_after["misses"] - cache_before["misses"]

@@ -22,9 +22,8 @@ from ..crypto.keys import CryptoSuite
 from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
 from .faults import FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
-from .metrics import RunMetrics, count_signatures, count_signatures_reference
+from .metrics import RunMetrics, count_signatures
 from .party import Context, ProgramFactory
-from .trace import Tracer
 
 __all__ = ["ExecutionResult", "SyncSimulator", "run_protocol"]
 
@@ -85,11 +84,9 @@ class SyncSimulator:
         seed: int = 0,
         session: str = "run",
         max_rounds: int = 4096,
-        tracer: Optional[Tracer] = None,
+        observers: Sequence[Any] = (),
         collect_signatures: bool = True,
-        legacy_metrics: bool = False,
         faults: Optional[FaultPlan] = None,
-        collector: Optional[Any] = None,
     ) -> None:
         if crypto.num_parties != num_parties:
             raise SimulationError(
@@ -105,38 +102,23 @@ class SyncSimulator:
         self.seed = seed
         self.session = session
         self.max_rounds = max_rounds
-        self.tracer = tracer
+        # Delivery observers, called in order: on_corruptions(round,
+        # corrupted) once per round, on_message(round, sender, recipient,
+        # payload, sender_honest) per message that arrives, on_fault(round,
+        # kind, sender, recipient, detail) per message the fault layer
+        # suppresses or delays.  Duck-typed because network must not
+        # import obs: Tracer and repro.obs.metrics.MetricsRegistry both
+        # implement it.
+        self.observers = tuple(observers)
         # collect_signatures=False skips the per-payload signature walk
         # entirely (message/round tallies stay exact, signature tallies
         # read 0) — the right setting for agreement-rate sweeps, where
-        # the walk is pure overhead.  legacy_metrics=True restores the
-        # pre-optimization per-message reference walk; it exists solely
-        # so `repro bench --compare-baseline` can measure the win.
+        # the walk is pure overhead.
         self.collect_signatures = collect_signatures
-        self.legacy_metrics = legacy_metrics
         # Fault injection (repro.network.faults): loss/delay/partition/
         # crash/membership faults applied at delivery time.  None keeps
-        # the delivery path byte-identical to the pre-fault-layer code;
-        # the legacy baseline predates faults and must stay a pure
-        # measurement control, so combining them is an error.
-        if faults is not None and legacy_metrics:
-            raise SimulationError(
-                "legacy_metrics is a benchmark baseline; it does not "
-                "support fault injection"
-            )
+        # the delivery path byte-identical to the pre-fault-layer code.
         self.faults = faults
-        # Protocol-metrics collector (repro.obs.metrics.MetricsRegistry,
-        # duck-typed here because network must not import obs): gets
-        # on_message()/on_fault() callbacks from the delivery path, same
-        # seam as the tracer.  collector=None keeps delivery byte-identical
-        # to the pre-metrics code; the legacy baseline predates the seam
-        # and must stay a pure measurement control.
-        if collector is not None and legacy_metrics:
-            raise SimulationError(
-                "legacy_metrics is a benchmark baseline; it does not "
-                "support metrics collection"
-            )
-        self.collector = collector
         # Per-run injection tallies of the most recent run() with faults.
         self.last_fault_counts: Optional[FaultCounts] = None
 
@@ -225,16 +207,14 @@ class SyncSimulator:
                 )
             )
             corrupted = self._apply_decision(decision, corrupted, normalized)
-            if self.tracer is not None:
-                self.tracer.record_corruptions(round_index, corrupted)
+            for observer in self.observers:
+                observer.on_corruptions(round_index, corrupted)
 
             inboxes: Dict[int, Dict[int, Any]] = {pid: {} for pid in range(n)}
             if injector is not None:
                 self._deliver_faulty(
                     round_index, normalized, corrupted, inboxes, metrics, injector
                 )
-            elif self.legacy_metrics:
-                self._deliver_legacy(round_index, normalized, corrupted, inboxes, metrics)
             else:
                 self._deliver(round_index, normalized, corrupted, inboxes, metrics)
 
@@ -277,15 +257,15 @@ class SyncSimulator:
     ) -> None:
         """Deliver one round's messages and tally metrics (the hot loop).
 
-        Restructured for throughput: the round's tally object is fetched
-        once, the tracer check is hoisted out of the per-message loop, and
+        Structured for throughput: the round's tally object is fetched
+        once, observers run outside the per-message tally loop, and
         the signature walk runs once per distinct payload *object* per
         sender — a sender multicasting one payload to n recipients costs
-        one walk, not n.  Tallies are bit-identical to the legacy
-        per-message path (``legacy_metrics=True``).
+        one walk, not n.  Tallies equal a per-message
+        ``count_signatures_reference`` walk (pinned by
+        ``tests/engine/test_transport.py``).
         """
-        tracer = self.tracer
-        collector = self.collector
+        observers = self.observers
         collect = self.collect_signatures
         stats = None
         for sender in range(self.num_parties):
@@ -319,14 +299,9 @@ class SyncSimulator:
             else:
                 stats.corrupt_messages += messages
                 stats.corrupt_signatures += signatures
-            if tracer is not None:
+            for observer in observers:
                 for recipient, payload in outbox.items():
-                    tracer.record_message(
-                        round_index, sender, recipient, payload, sender_honest
-                    )
-            if collector is not None:
-                for recipient, payload in outbox.items():
-                    collector.on_message(
+                    observer.on_message(
                         round_index, sender, recipient, payload, sender_honest
                     )
 
@@ -349,8 +324,7 @@ class SyncSimulator:
         without consuming randomness, so tallies match :meth:`_deliver`
         exactly — pinned by ``tests/chaos/test_faults.py``.
         """
-        tracer = self.tracer
-        collector = self.collector
+        observers = self.observers
         collect = self.collect_signatures
         counts = injector.counts
         offline = injector.offline(round_index)
@@ -377,12 +351,8 @@ class SyncSimulator:
                         if count is None:
                             count = walked[key] = count_signatures(payload)
                         signatures += count
-                    if tracer is not None:
-                        tracer.record_message(
-                            round_index, sender, recipient, payload, sender_honest
-                        )
-                    if collector is not None:
-                        collector.on_message(
+                    for observer in observers:
+                        observer.on_message(
                             round_index, sender, recipient, payload, sender_honest
                         )
                     continue
@@ -397,13 +367,11 @@ class SyncSimulator:
                     counts.partitioned += 1
                 else:
                     counts.offline += 1
-                if tracer is not None:
-                    tracer.record_fault(
+                for observer in observers:
+                    observer.on_fault(
                         round_index, kind, sender, recipient,
                         delay if kind == "delay" else None,
                     )
-                if collector is not None:
-                    collector.on_fault(round_index, kind)
             if sender_honest:
                 stats.honest_messages += messages
                 stats.honest_signatures += signatures
@@ -430,12 +398,10 @@ class SyncSimulator:
                     counts.partitioned += 1
                 else:
                     counts.stale += 1
-                if tracer is not None:
-                    tracer.record_fault(
+                for observer in observers:
+                    observer.on_fault(
                         round_index, kind, entry.sender, entry.recipient, None
                     )
-                if collector is not None:
-                    collector.on_fault(round_index, kind)
                 continue
             inboxes[entry.recipient][entry.sender] = entry.payload
             counts.delivered_late += 1
@@ -450,42 +416,11 @@ class SyncSimulator:
             else:
                 stats.corrupt_messages += 1
                 stats.corrupt_signatures += signature_count
-            if tracer is not None:
-                tracer.record_message(
+            for observer in observers:
+                observer.on_message(
                     round_index, entry.sender, entry.recipient, entry.payload,
                     entry.sender_honest,
                 )
-            if collector is not None:
-                collector.on_message(
-                    round_index, entry.sender, entry.recipient, entry.payload,
-                    entry.sender_honest,
-                )
-
-    def _deliver_legacy(
-        self,
-        round_index: int,
-        normalized: Dict[int, Dict[int, Any]],
-        corrupted: Set[int],
-        inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-    ) -> None:
-        """Pre-optimization delivery: reference walk on every message.
-
-        Benchmark baseline only (`repro bench --compare-baseline`); must
-        stay behaviorally identical to :meth:`_deliver` with
-        ``collect_signatures=True``.
-        """
-        for sender in range(self.num_parties):
-            sender_honest = sender not in corrupted
-            for recipient, payload in normalized[sender].items():
-                inboxes[recipient][sender] = payload
-                metrics.record(
-                    round_index, sender_honest, count_signatures_reference(payload)
-                )
-                if self.tracer is not None:
-                    self.tracer.record_message(
-                        round_index, sender, recipient, payload, sender_honest
-                    )
 
     def _honest_unfinished(self, outputs: Dict[int, Any], corrupted: Set[int]) -> bool:
         return any(
@@ -538,7 +473,7 @@ def run_protocol(
     crypto: Optional[CryptoSuite] = None,
     max_rounds: int = 4096,
     faults: Optional[FaultPlan] = None,
-    collector: Optional[Any] = None,
+    observers: Sequence[Any] = (),
 ) -> ExecutionResult:
     """One-call convenience wrapper: deal ideal keys, build a simulator, run.
 
@@ -560,6 +495,6 @@ def run_protocol(
         session=session,
         max_rounds=max_rounds,
         faults=faults,
-        collector=collector,
+        observers=observers,
     )
     return simulator.run(factory, inputs)

@@ -1,8 +1,9 @@
 """Execution tracing: record and render full message transcripts.
 
-A :class:`Tracer` attached to :class:`~repro.network.simulator.SyncSimulator`
-records every delivered message (round, sender, recipient, payload, sender
-honesty at send time) plus corruption events.  Transcripts render as a
+A :class:`Tracer` among the ``observers`` of a
+:class:`~repro.network.simulator.SyncSimulator` records every delivered
+message (round, sender, recipient, payload, sender honesty at send time)
+plus corruption events.  Transcripts render as a
 round-by-round ASCII timeline — handy for debugging a protocol, teaching
 the FM iteration structure, or eyeballing what an adversary actually did.
 
@@ -242,7 +243,7 @@ class Tracer:
         self.sink: TraceSink = MemoryTraceSink() if sink is None else sink
         self._known_corrupted: Set[int] = set()
 
-    def record_message(
+    def on_message(
         self, round_index: int, sender: int, recipient: int, payload: Any,
         sender_honest: bool,
     ) -> None:
@@ -258,12 +259,12 @@ class Tracer:
             )
         )
 
-    def record_corruptions(self, round_index: int, corrupted: Set[int]) -> None:
+    def on_corruptions(self, round_index: int, corrupted: Set[int]) -> None:
         for pid in sorted(corrupted - self._known_corrupted):
             self.sink.record_corruption(round_index, pid)
             self._known_corrupted.add(pid)
 
-    def record_fault(
+    def on_fault(
         self, round_index: int, kind: str, sender: int, recipient: int,
         detail: Optional[int] = None,
     ) -> None:

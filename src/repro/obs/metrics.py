@@ -9,11 +9,11 @@ registries collected by any number of workers in any completion order
 fold to the same totals, and a canonical **varint pack/unpack** so
 packed registries ride the engine's compact ``ChunkSummary`` transport.
 
-Collection happens inside the simulator's delivery seam — the same hook
-pattern as ``Tracer`` / ``FaultInjector``: ``SyncSimulator(collector=…)``
-calls :meth:`MetricsRegistry.on_message` / :meth:`~MetricsRegistry.on_fault`
-per delivered message / injected fault, and ``collector=None`` leaves the
-delivery path byte-identical to the pre-metrics code.  Everything a
+Collection happens inside the simulator's delivery seam — a registry is
+one of ``SyncSimulator(observers=…)``, the interface ``Tracer`` shares:
+the simulator calls :meth:`MetricsRegistry.on_message` /
+:meth:`~MetricsRegistry.on_fault` per delivered message / injected fault,
+and with no observers delivery does nothing extra.  Everything a
 delivered message contributes is derived from its *trace summary* (the
 ``summarize_payload`` string and ``count_signatures`` tally already
 stamped on every :class:`~repro.network.trace.TraceEvent`), so the same
@@ -352,8 +352,9 @@ class Histogram:
 class MetricsRegistry:
     """Deterministic counters + histograms over one or many trials.
 
-    The simulator-facing hooks (:meth:`on_message`, :meth:`on_fault`)
-    mirror the ``Tracer`` seam; the engine calls :meth:`finalize_trial`
+    The simulator-facing hooks (:meth:`on_corruptions`,
+    :meth:`on_message`, :meth:`on_fault`) are the observer interface
+    ``Tracer`` also implements; the engine calls :meth:`finalize_trial`
     once per execution to fold per-trial transients (coin rounds,
     message/signature totals) and run-level outcomes (rounds to
     decision, agreement, decided values) into the registry.  ``merge``
@@ -405,7 +406,10 @@ class MetricsRegistry:
             hist = self.histograms[name] = Histogram(buckets)
         hist.observe(value)
 
-    # ── simulator delivery seam (Tracer-shaped hooks) ─────────────────
+    # ── simulator observer interface (shared with Tracer) ─────────────
+
+    def on_corruptions(self, round_index: int, corrupted: Set[int]) -> None:
+        """No-op: no metric in the vocabulary counts corruptions."""
 
     def on_message(
         self,
@@ -447,7 +451,10 @@ class MetricsRegistry:
             if "Signature" in class_name and "Share" not in class_name:
                 self.inc("sig_combine_ops", class_name, count)
 
-    def on_fault(self, round_index: int, kind: str) -> None:
+    def on_fault(
+        self, round_index: int, kind: str, sender: int, recipient: int,
+        detail: Optional[int] = None,
+    ) -> None:
         self.inc("fault_hits", kind)
 
     def observe_delivery(
@@ -697,7 +704,10 @@ def metrics_from_trace(
             event.round_index, event.summary, event.signatures, event.sender_honest
         )
     for fault in faults:
-        registry.on_fault(fault.round_index, fault.kind)
+        registry.on_fault(
+            fault.round_index, fault.kind, fault.sender, fault.recipient,
+            fault.detail,
+        )
     registry.finalize_delivery()
     return registry
 

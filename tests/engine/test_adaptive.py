@@ -198,3 +198,23 @@ class TestResultSurface:
         assert all(
             outcome.bound == 0.999 for outcome in adaptive.configs.values()
         )
+
+
+class TestVectorFallbackTelemetry:
+    def test_inline_vector_fallbacks_reach_the_rollup(self, tmp_path):
+        """adaptive + vector + metrics falls back on every trial; the
+        ``vector_batch`` spans must carry that into ``fallback_reasons``."""
+        from repro.obs import TelemetryWriter, summarize_telemetry
+
+        plan = _sweep_plan(kappas=(1,), trials=12)
+        path = str(tmp_path / "adaptive-vector.jsonl")
+        with TelemetryWriter(path) as telemetry:
+            adaptive = AdaptiveRunner(
+                workers=1, batch_size=4, early_stop=False, backend="vector",
+                metrics=True, telemetry=telemetry,
+            ).run(plan, 0.5)
+        assert adaptive.spent == len(plan)
+        summary = summarize_telemetry(path)
+        assert summary["fallback_reasons"] == {
+            "metrics collection requested": len(plan)
+        }

@@ -89,14 +89,6 @@ class TestBackendIdentity:
 
 
 class TestRunnerValidation:
-    def test_metrics_rejects_legacy_baseline(self):
-        with pytest.raises(ValueError, match="legacy"):
-            ParallelRunner(workers=1, metrics=True, legacy_metrics=True)
-
-    def test_metrics_requires_compact_transport(self):
-        with pytest.raises(ValueError, match="compact"):
-            ParallelRunner(workers=1, metrics=True, transport="pickle")
-
     def test_run_iter_requires_a_sink_when_collecting(self):
         runner = ParallelRunner(workers=1, metrics=True)
         with pytest.raises(ValueError, match="sink"):
@@ -159,10 +151,6 @@ class TestAdaptiveMetrics:
         # so its merge must equal the fixed runner's.
         fixed = ParallelRunner(workers=1, metrics=True).run(plan)
         assert merged_serial == fixed.metrics_registry()
-
-    def test_metrics_requires_compact_transport(self):
-        with pytest.raises(ValueError, match="compact"):
-            AdaptiveRunner(workers=1, metrics=True, transport="pickle")
 
 
 class TestProfiling:

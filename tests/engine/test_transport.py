@@ -1,21 +1,25 @@
 """The compact wire format is lossless — and actually smaller.
 
-Three regression suites:
+Four regression suites:
 
 * ``TrialSummary``/``ChunkSummary`` pack→unpack round-trips equal the
   original ``ExecutionResult`` field for field, for **every** registered
   protocol × adversary combination (incompatible combos must fail
   identically on both paths, i.e. before packing is ever reached);
-* ``transport="compact"`` and ``transport="pickle"`` produce identical
-  results through both runners, any worker count;
+* pooled results (rebuilt from ``ChunkSummary``) equal serial ones
+  through both runners, including the pickled fallback lane;
 * the compact payload is ≥5x smaller than the full pickle on a
   signature-heavy plan, and non-terminating parties stay *absent* from
-  ``finish_rounds`` (never ``None``) through the compact path.
+  ``finish_rounds`` (never ``None``) through the compact path;
+* the tallies being shipped equal a per-message
+  ``count_signatures_reference`` walk done by an observer, on both
+  delivery loops (clean and faulted).
 """
 
 import pytest
 
 from ..conftest import PROTOCOL_SHAPES
+from repro.network.metrics import RunMetrics, count_signatures_reference
 from repro.engine import (
     AdaptiveRunner,
     ChunkSummary,
@@ -62,7 +66,7 @@ def _adversary_params(adversary, max_faulty, num_parties):
     return {"victims": victims}
 
 
-def _spec(protocol, adversary, seed=3):
+def _spec(protocol, adversary, seed=3, **overrides):
     inputs, max_faulty, params = _PROTOCOL_SHAPES[protocol]
     return TrialSpec(
         protocol=protocol,
@@ -78,6 +82,7 @@ def _spec(protocol, adversary, seed=3):
         seed=seed,
         session=f"wire-{protocol}-{adversary}",
         max_rounds=64,
+        **overrides,
     )
 
 
@@ -173,31 +178,19 @@ def _mixed_plan(trials=4):
 
 
 class TestTransportEquivalence:
-    def test_compact_equals_pickle_equals_serial(self):
+    def test_compact_equals_serial(self):
         plan = _mixed_plan()
         serial = ParallelRunner(workers=1).run(plan)
         compact = ParallelRunner(workers=2, chunk_size=3).run(plan)
-        full = ParallelRunner(
-            workers=2, chunk_size=3, transport="pickle"
-        ).run(plan)
         assert compact.results == serial.results
-        assert full.results == serial.results
-        assert compact.transport == "compact"
-        assert full.transport == "pickle"
 
-    def test_adaptive_compact_equals_pickle(self):
+    def test_adaptive_compact_equals_serial(self):
         plan = _mixed_plan()
-        kwargs = dict(workers=2, batch_size=3, early_stop=False)
-        compact = AdaptiveRunner(**kwargs).run(plan, 0.5)
-        full = AdaptiveRunner(transport="pickle", **kwargs).run(plan, 0.5)
-        assert compact.results == full.results
-        assert [r is not None for r in compact.results] == [True] * len(plan)
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError, match="transport"):
-            ParallelRunner(transport="msgpack")
-        with pytest.raises(ValueError, match="transport"):
-            AdaptiveRunner(transport="json")
+        serial = ParallelRunner(workers=1).run(plan)
+        compact = AdaptiveRunner(
+            workers=2, batch_size=3, early_stop=False
+        ).run(plan, 0.5)
+        assert compact.results == serial.results
 
 
 class TestPayloadReduction:
@@ -224,7 +217,7 @@ class TestPayloadReduction:
 class TestNonTerminatingFinishRounds:
     """Satellite regression: a party that never finishes is *absent*
     from ``finish_rounds`` — never mapped to ``None`` — and the compact
-    path preserves that exactly, on both metrics code paths."""
+    path preserves that exactly."""
 
     def _stuck_spec(self):
         return TrialSpec(
@@ -238,22 +231,66 @@ class TestNonTerminatingFinishRounds:
             max_rounds=64,
         )
 
-    def test_compact_and_legacy_agree_on_absent_parties(self):
+    def test_absent_parties_stay_absent(self):
         spec = self._stuck_spec()
-        modern = run_trial(spec)
-        legacy = run_trial(spec, legacy_metrics=True)
-        assert 3 in modern.corrupted
-        for result in (modern, legacy):
-            assert 3 not in result.finish_rounds
-            assert 3 not in result.outputs
-            assert None not in result.finish_rounds.values()
-            assert sorted(result.finish_rounds) == [0, 1, 2]
-        assert modern.finish_rounds == legacy.finish_rounds
-        for result in (modern, legacy):
-            rebuilt = TrialSummary.pack(result).unpack(spec)
-            assert rebuilt == result
-            assert 3 not in rebuilt.finish_rounds
-            assert None not in rebuilt.finish_rounds.values()
+        result = run_trial(spec)
+        assert 3 in result.corrupted
+        assert 3 not in result.finish_rounds
+        assert 3 not in result.outputs
+        assert None not in result.finish_rounds.values()
+        assert sorted(result.finish_rounds) == [0, 1, 2]
+        rebuilt = TrialSummary.pack(result).unpack(spec)
+        assert rebuilt == result
+        assert 3 not in rebuilt.finish_rounds
+        assert None not in rebuilt.finish_rounds.values()
+
+
+class _ReferenceTally:
+    """Observer that re-tallies every delivery with the reference walk."""
+
+    def __init__(self):
+        self.metrics = RunMetrics()
+
+    def on_corruptions(self, round_index, corrupted):
+        pass
+
+    def on_message(self, round_index, sender, recipient, payload, sender_honest):
+        self.metrics.record(
+            round_index, sender_honest, count_signatures_reference(payload)
+        )
+
+    def on_fault(self, round_index, kind, sender, recipient, detail=None):
+        pass
+
+
+class TestReferenceTallies:
+    """Both delivery loops tally exactly what a per-message reference
+    walk over the delivered messages tallies — the deduplicated cached
+    walk is an optimization, never a different count."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {},
+            {"faults": "lossy", "fault_params": {"rate": 0.0}},  # no-op plan
+            {"faults": "degraded", "fault_params": {"rate": 0.2}},
+        ],
+        ids=["clean", "noop-plan", "lossy-delaying"],
+    )
+    def test_every_pair_matches_the_reference_walk(self, faults):
+        survived = 0
+        for protocol in _PROTOCOL_SHAPES:
+            for adversary in [None] + adversary_names():
+                spec = _spec(protocol, adversary, **faults)
+                reference = _ReferenceTally()
+                try:
+                    result = run_trial(spec, observers=(reference,))
+                except Exception:
+                    continue  # incompatible combo, or broken by the faults
+                reference.metrics.rounds = result.metrics.rounds
+                assert reference.metrics == result.metrics, (protocol, adversary)
+                survived += 1
+        assert survived >= len(_PROTOCOL_SHAPES)
 
 
 class TestTruncatedPayloads:

@@ -327,7 +327,7 @@ class TestFallback:
         )
         plan = TrialPlan.concat("mix", [vec_plan, obj_plan])
         chunk = list(enumerate(plan.trials))
-        pairs, stats = execute_chunk(chunk, False, None)
+        pairs, stats = execute_chunk(chunk)
         assert [index for index, _ in pairs] == list(range(len(plan)))
         assert stats["batched"] == 3
         assert stats["fallback"] == 2

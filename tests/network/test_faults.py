@@ -25,7 +25,7 @@ from repro.network.faults import (
     FaultPlan,
     Partition,
 )
-from repro.network.simulator import SimulationError, SyncSimulator
+from repro.network.simulator import SyncSimulator
 
 from ..conftest import ideal_suite
 
@@ -200,12 +200,3 @@ class TestSimulatorIntegration:
         # only the honest majority's messages).
         assert set(result.outputs.values()) == {1}
 
-    def test_legacy_metrics_refuses_faults(self):
-        with pytest.raises(SimulationError, match="legacy_metrics"):
-            SyncSimulator(
-                num_parties=4,
-                max_faulty=1,
-                crypto=ideal_suite(4, 1),
-                legacy_metrics=True,
-                faults=FaultPlan(loss=0.1),
-            )

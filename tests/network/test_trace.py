@@ -19,7 +19,7 @@ def traced_run(factory, inputs, max_faulty, adversary=None, seed=0):
         adversary=adversary,
         seed=seed,
         session="tr",
-        tracer=tracer,
+        observers=(tracer,),
     )
     result = simulator.run(factory, inputs)
     return result, tracer

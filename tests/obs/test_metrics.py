@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import TrialPlan, run_trial
+from repro.engine import TrialPlan, run_measured_trial, run_traced_trial, run_trial
 from repro.network.trace import Tracer
 from repro.obs import (
     DELIVERY_METRIC_NAMES,
@@ -33,6 +33,7 @@ from repro.obs import (
     build_metrics_payload,
     load_metrics_artifact,
     metrics_from_trace,
+    trace_filename,
     validate_metrics_payload,
     write_metrics_artifact,
 )
@@ -238,7 +239,7 @@ class TestLiveEqualsReplayed:
         for spec in _grid_specs(entry):
             tracer = Tracer()
             collector = MetricsRegistry()
-            result = run_trial(spec, tracer=tracer, collector=collector)
+            result = run_trial(spec, observers=(tracer, collector))
             collector.finalize_trial(result)
             replayed = metrics_from_trace(tracer.events, tracer.faults)
             assert collector.delivery_view() == replayed
@@ -247,13 +248,31 @@ class TestLiveEqualsReplayed:
         spec = _grid_specs(_GRID[0], trials=1)[0]
         bare = run_trial(spec)
         collector = MetricsRegistry()
-        observed = run_trial(spec, collector=collector)
+        observed = run_trial(spec, observers=(collector,))
         assert observed == bare
         assert collector.counter_total("messages") > 0
 
+    @pytest.mark.parametrize("entry", [_GRID[0], _GRID[-1]], ids=["clean", "faulted"])
+    def test_tracer_and_registry_together_equal_each_alone(self, entry, tmp_path):
+        """Observers share one seam but not each other's state: attached
+        together, the trace file and the packed registry are the bytes
+        each produces attached alone."""
+        spec = _grid_specs(entry, trials=1)[0]
+        alone, both = tmp_path / "alone", tmp_path / "both"
+        alone.mkdir()
+        both.mkdir()
+        run_traced_trial(spec, str(alone), 0)
+        _, registry_alone = run_measured_trial(spec)
+        _, registry_both = run_measured_trial(spec, str(both), 0)
+        name = trace_filename(0)
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
+        assert registry_both.pack() == registry_alone.pack()
+
     def test_round_message_labels_use_known_kinds(self):
         collector = MetricsRegistry()
-        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], collector=collector)
+        result = run_trial(
+            _grid_specs(_GRID[0], trials=1)[0], observers=(collector,)
+        )
         collector.finalize_trial(result)
         labels = collector.labels("round_messages")
         assert labels
@@ -264,7 +283,9 @@ class TestLiveEqualsReplayed:
 
     def test_finalize_trial_rolls_up_outcomes(self):
         collector = MetricsRegistry()
-        result = run_trial(_grid_specs(_GRID[0], trials=1)[0], collector=collector)
+        result = run_trial(
+            _grid_specs(_GRID[0], trials=1)[0], observers=(collector,)
+        )
         collector.finalize_trial(result)
         assert collector.counter_total("trials") == 1
         rounds = collector.histograms["rounds_to_decision"]
@@ -278,7 +299,7 @@ class TestLiveEqualsReplayed:
         total = MetricsRegistry()
         for spec in _grid_specs(faulted, trials=4):
             collector = MetricsRegistry()
-            result = run_trial(spec, collector=collector)
+            result = run_trial(spec, observers=(collector,))
             collector.finalize_trial(result)
             total.merge(collector)
         assert total.counter_total("fault_hits") > 0

@@ -70,7 +70,7 @@ class TestRoundTripProperty:
                 jsonl = JsonlTraceSink(path)
                 tracer = Tracer(FanoutSink([memory, jsonl]))
                 try:
-                    run_trial(spec, tracer=tracer)
+                    run_trial(spec, observers=(tracer,))
                 except Exception:
                     tracer.close()
                     continue  # incompatible combo — nothing to compare
@@ -91,7 +91,7 @@ class TestRoundTripProperty:
         spec = _spec("ba_one_third", "straddle13")
         path = str(tmp_path / "stats.jsonl")
         tracer = Tracer(JsonlTraceSink(path))
-        result = run_trial(spec, tracer=tracer)
+        result = run_trial(spec, observers=(tracer,))
         tracer.close()
         replayed = trace_metrics(load_trace(path).tracer)
         live = result.metrics
@@ -159,7 +159,7 @@ class TestStrictRejection:
         with JsonlTraceSink(full) as sink:
             tracer = Tracer(sink)
             for i in range(5):
-                tracer.record_message(1, 0, i, {"v": i}, True)
+                tracer.on_message(1, 0, i, {"v": i}, True)
         lines = open(full, encoding="utf-8").read().splitlines()
         for keep in range(1, len(lines)):
             path = _write_lines(tmp_path, f"cut{keep}.jsonl", lines[:keep])
@@ -212,11 +212,11 @@ class TestStrictRejection:
 
 def _toy_tracer():
     tracer = Tracer(MemoryTraceSink())
-    tracer.record_message(1, 0, 1, {"v": 1}, True)
-    tracer.record_message(1, 3, 0, {"v": 9}, False)
-    tracer.record_message(2, 1, 2, {"v": 2}, True)
-    tracer.record_message(2, 0, 3, {"v": 2}, True)
-    tracer.record_corruptions(1, {3})
+    tracer.on_message(1, 0, 1, {"v": 1}, True)
+    tracer.on_message(1, 3, 0, {"v": 9}, False)
+    tracer.on_message(2, 1, 2, {"v": 2}, True)
+    tracer.on_message(2, 0, 3, {"v": 2}, True)
+    tracer.on_corruptions(1, {3})
     return tracer
 
 
@@ -262,7 +262,7 @@ class TestFaultRecords:
             crypto=ideal_suite(5, 1),
             seed=9,
             session="fault-trace",
-            tracer=tracer,
+            observers=(tracer,),
             faults=FaultPlan(loss=0.25, delay=0.25, max_delay=2),
         )
         simulator.run(
@@ -283,7 +283,7 @@ class TestFaultRecords:
         # writes exactly the old footer shape.
         path = str(tmp_path / "clean.jsonl")
         with JsonlTraceSink(path) as sink:
-            Tracer(sink).record_message(1, 0, 1, {"v": 1}, True)
+            Tracer(sink).on_message(1, 0, 1, {"v": 1}, True)
         footer = open(path, encoding="utf-8").read().splitlines()[-1]
         assert "faults" not in json.loads(footer)
 

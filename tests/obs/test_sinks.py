@@ -108,9 +108,9 @@ class TestFanout:
         memory = MemoryTraceSink()
         jsonl = JsonlTraceSink(path)
         tracer = Tracer(FanoutSink([memory, jsonl]))
-        tracer.record_message(1, 0, 1, {"v": 1}, True)
-        tracer.record_message(1, 0, 2, {"v": 1}, True)
-        tracer.record_corruptions(1, {3})
+        tracer.on_message(1, 0, 1, {"v": 1}, True)
+        tracer.on_message(1, 0, 2, {"v": 1}, True)
+        tracer.on_corruptions(1, {3})
         tracer.close()
 
         assert len(memory.events) == 2 and memory.corruptions == [(1, 3)]
@@ -133,7 +133,7 @@ class TestBoundedMemory:
 
     def test_streaming_tracer_refuses_transcript_accessors(self, tmp_path):
         tracer = Tracer(JsonlTraceSink(str(tmp_path / "t.jsonl")))
-        tracer.record_message(1, 0, 1, {"v": 1}, True)
+        tracer.on_message(1, 0, 1, {"v": 1}, True)
         with pytest.raises(AttributeError):
             tracer.events
         with pytest.raises(AttributeError):

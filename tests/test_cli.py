@@ -361,16 +361,6 @@ class TestBench:
         assert summary["consistent"] is True
         assert summary["adaptive_rounds"] >= 1
 
-    def test_compare_baseline_reports_speedup(self, capsys):
-        code = main(
-            ["bench", "--protocol", "one_third", "--kappas", "1",
-             "--trials", "6", "--workers", "1", "--compare-baseline"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "pre-engine baseline" in out
-        assert "best vs baseline" in out
-
     def test_metrics_and_profile_artifacts_written(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         profile_dir = tmp_path / "prof"
