@@ -724,6 +724,39 @@ def _run_figures_leg(args: argparse.Namespace) -> dict:
     return {"figures": figures, "failed": failed}
 
 
+def _run_metrics_leg(plan, backend: str):
+    """The ``--metrics`` leg of `bench`: one collecting run on ``backend``.
+
+    Returns the run plus the fallbacks the vector backend should not
+    have taken — reason → trials beyond those ``unsupported_reason``
+    predicts (the rule ``--figures`` applies): metrics are vector-native,
+    so a supported spec on the object path is a regression, not a cost.
+    """
+    import os
+    import tempfile
+    from collections import Counter
+
+    from .engine import ParallelRunner
+    from .engine.vectorized import unsupported_reason
+    from .obs import TelemetryWriter, summarize_telemetry
+
+    if backend != "vector":
+        return ParallelRunner(workers=1, metrics=True).run(plan), {}
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "metrics-leg.jsonl")
+        with TelemetryWriter(path) as telemetry:
+            run = ParallelRunner(
+                workers=1, backend="vector", metrics=True, telemetry=telemetry
+            ).run(plan)
+        counted = Counter(summarize_telemetry(path)["fallback_reasons"])
+    predicted = Counter(
+        reason
+        for reason in (unsupported_reason(spec) for spec in plan.trials)
+        if reason is not None
+    )
+    return run, dict(counted - predicted)
+
+
 def _measure_real_setup(plan, workers: int) -> Optional[dict]:
     """Time threshold-RSA dealing for a real-backend plan, two ways.
 
@@ -854,15 +887,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     metrics_leg = None
     if args.metrics:
-        # Dedicated serial collection leg: metrics hooks are opt-in and
-        # not free, so they never run inside the timed legs above — the
-        # serial/parallel/vector rates stay comparable across runs with
-        # and without --metrics.
+        # A collection leg of its own, on the backend the command
+        # selected: collection is not free, so it never runs inside the
+        # timed legs above — the serial/parallel/vector rates stay
+        # comparable across runs with and without --metrics.
         from .obs import write_metrics_artifact
 
-        metrics_leg = ParallelRunner(workers=1, metrics=True).run(plan)
+        metrics_leg, demoted = _run_metrics_leg(
+            plan, "vector" if args.vector else "object"
+        )
         if metrics_leg.results != serial.results:
             print("DETERMINISM VIOLATION: metrics leg differs from serial")
+            return 2
+        if demoted:
+            for reason, count in sorted(demoted.items()):
+                print(f"METRICS LEG REGRESSION: {count} supported trials "
+                      f"fell back: {reason}")
             return 2
         write_metrics_artifact(args.metrics, metrics_leg.metrics_payload())
 
@@ -1513,9 +1553,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
-        help="run a dedicated serial metrics-collection leg (never timed "
-        "into the serial rate) and write the repro-metrics/1 artifact to "
-        "PATH; digest with `repro report --metrics PATH`",
+        help="run a metrics-collection leg (on the vector backend with "
+        "--vector; never timed into the rates) and write the "
+        "repro-metrics/1 artifact to PATH; digest with `repro report "
+        "--metrics PATH`",
     )
     bench_parser.add_argument(
         "--profile", default=None, metavar="DIR",

@@ -46,6 +46,7 @@ function of the spec, so serial and pooled runs write identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import pickle
@@ -404,25 +405,20 @@ def _run_chunk_timed(
     and dumps its stats there — the profiled region is exactly the timed
     region, so profile seconds attribute directly to the chunk's
     ``chunk_complete`` telemetry span."""
+    profiler = None
     if profile_path is not None:
         import cProfile
 
         profiler = cProfile.Profile()
-        started = time.perf_counter()
-        profiler.enable()
-        try:
-            payload = _run_chunk(chunk, trace_dir, backend, metrics)
-        finally:
-            profiler.disable()
-        # The timed region is exactly the profiled region — the stats
-        # dump stays outside it so profile seconds attribute cleanly to
-        # the chunk's telemetry span.
-        seconds = round(time.perf_counter() - started, 6)
-        profiler.dump_stats(profile_path)
-        return seconds, payload
     started = time.perf_counter()
-    payload = _run_chunk(chunk, trace_dir, backend, metrics)
-    return round(time.perf_counter() - started, 6), payload
+    with profiler if profiler is not None else contextlib.nullcontext():
+        payload = _run_chunk(chunk, trace_dir, backend, metrics)
+    seconds = round(time.perf_counter() - started, 6)
+    if profiler is not None:
+        # Dumped outside the timed region, so profile seconds attribute
+        # cleanly to the chunk's telemetry span.
+        profiler.dump_stats(profile_path)
+    return seconds, payload
 
 
 def _safe_label(name: str) -> str:
@@ -451,8 +447,9 @@ class PlanResult:
     trace_dir: Optional[str] = None
     # Per-trial metrics registries in plan order, present iff the runner
     # was built with metrics=True.  Deterministic for a given (seed,
-    # plan): serial, pooled and vector-fallback runs all produce equal
-    # registries (pinned by tests/engine/test_metrics_engine.py).
+    # plan): serial, pooled and vector runs all produce equal registries
+    # (pinned by tests/engine/test_metrics_engine.py and the
+    # tests/engine/test_vectorized.py grid).
     trial_metrics: Optional[List[MetricsRegistry]] = None
 
     def __len__(self) -> int:
@@ -557,9 +554,10 @@ class ParallelRunner:
         # repro.engine.vectorized; everything else (and every trial, with
         # "object") takes the reference simulator.  Bit-identical results.
         self.backend = backend
-        # metrics=True attaches a per-trial MetricsRegistry observer to
-        # every simulator (repro.obs.metrics); registries ride back on
-        # the compact transport and land on PlanResult.trial_metrics.
+        # metrics=True yields one MetricsRegistry per trial (repro.obs.
+        # metrics) — observed on the object path, composed from probe
+        # deliveries on the vector path; registries ride back on the
+        # compact transport and land on PlanResult.trial_metrics.
         self.metrics = metrics
         # profile_dir wraps worker chunks (or the inline run) in cProfile
         # and dumps one .pstats file per chunk there (repro bench

@@ -30,11 +30,21 @@ the coin derivation above and :func:`repro.core.extraction.extract`'s
 closed form, both covered by the equivalence suite in
 ``tests/engine/test_vectorized.py``.
 
-Anything the model cannot express — the real-RSA backend, trace or
-metrics collection, protocols or adversaries without a registered
-vector model, non-bit inputs, exotic adversary parameters — falls back
-per-spec to :func:`repro.engine.runner.run_trial`, which is the same code
-path ``backend="object"`` uses, so results are identical either way.
+Metrics are native to this path.  Every probe runs with a
+:class:`~repro.obs.metrics.MetricsRegistry` attached and keeps its frozen
+delivery contribution beside its tallies; each model reports the
+``(probe delivery, round offset)`` path every trial walked, and a
+trial's registry is the round-shifted sum of the contributions on its
+path plus ``finalize_trial`` of its result — equal, counter for counter,
+to a registry observing the object simulator.  All label arithmetic stays
+in ``repro.obs.metrics``; this module only names which probes ran when.
+
+Anything the model cannot express — the real-RSA backend, trace
+collection, protocols or adversaries without a registered vector model,
+non-bit inputs, exotic adversary parameters — falls back per-spec to
+:func:`repro.engine.runner.run_trial`, which is the same code path
+``backend="object"`` uses, so results (and registries) are identical
+either way.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from ..network.messages import get_field
 from ..network.metrics import RunMetrics
 from ..network.party import resume_with, run_parallel
 from ..network.simulator import ExecutionResult, SyncSimulator
+from ..obs.metrics import DeliveryContribution, MetricsRegistry
 from ..proxcensus.linear_half import prox_linear_half_program
 from ..proxcensus.one_third import prox_one_third_program
 from .plan import TrialSpec
@@ -126,6 +137,57 @@ def clear_probe_cache() -> None:
     _PROBE_CACHE_MISSES = 0
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Delivery:
+    """What one probe execution put on the wire, in both metric vocabularies.
+
+    ``tallies`` are the ``RunMetrics`` rows in execution order;
+    ``contribution`` is the un-finalised ``MetricsRegistry`` snapshot of
+    the same deliveries.  Compared and hashed by identity, because a
+    trial's *path* — the ``(delivery, round_offset)`` sequence its model
+    walked — keys the registry classes in :func:`_compose_registries`.
+    """
+
+    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    contribution: DeliveryContribution
+
+
+#: One trial's walk through cached probes: each delivery replayed
+#: ``round_offset`` rounds after the trial's start.
+_Path = Tuple[Tuple[_Delivery, int], ...]
+
+
+def _freeze_delivery(result: ExecutionResult, registry: MetricsRegistry) -> _Delivery:
+    """Freeze what ``registry`` and ``result.metrics`` saw of one probe run."""
+    tallies = tuple(
+        (
+            round_index,
+            stats.honest_messages,
+            stats.corrupt_messages,
+            stats.honest_signatures,
+            stats.corrupt_signatures,
+        )
+        for round_index, stats in result.metrics.per_round.items()
+    )
+    return _Delivery(tallies=tallies, contribution=registry.freeze_delivery())
+
+
+def _path_metrics(rounds: int, path: _Path) -> RunMetrics:
+    """The ``RunMetrics`` of a trial that walked ``path`` in ``rounds`` rounds.
+
+    For the iterated models; a one-probe trial's rows are the probe's
+    ``tallies`` as they stand.
+    """
+    return RunMetrics.from_round_tallies(
+        rounds,
+        (
+            (round_index + offset, hm, cm, hs, cs)
+            for delivery, offset in path
+            for round_index, hm, cm, hs, cs in delivery.tallies
+        ),
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class _IterationProbe:
     """The batch-invariant outcome of one iteration for one configuration.
@@ -133,14 +195,14 @@ class _IterationProbe:
     ``values``/``grades`` are the per-party Proxcensus outputs (already
     passed through ``Π_iter``'s non-bit guard), ``coin_ok`` whether each
     party's coin combine succeeds (a structural fact: share counts),
-    ``tallies`` the iteration's per-round metric rows in execution order,
-    and ``corrupted`` the corruption set after the iteration.
+    ``delivery`` what the iteration's rounds put on the wire, and
+    ``corrupted`` the corruption set after the iteration.
     """
 
     values: Tuple[int, ...]
     grades: Tuple[int, ...]
     coin_ok: Tuple[bool, ...]
-    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    delivery: _Delivery
     corrupted: frozenset
 
 
@@ -235,9 +297,15 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     results come back in spec order and are bit-identical to
     ``run_trial`` on each spec.
     """
-    specs = list(specs)
+    return _run_batch(list(specs))[0]
+
+
+def _run_batch(
+    specs: List[TrialSpec],
+) -> Tuple[List[ExecutionResult], List[_Path]]:
+    """:func:`run_vector_batch` plus each trial's path through the probes."""
     if not specs:
-        return []
+        return [], []
     first = specs[0]
     key = batch_key(first)
     for spec in specs[1:]:
@@ -248,6 +316,37 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
         raise VectorModelError(f"unsupported spec in vector batch: {reason}")
     model = vector_model_for(first.protocol, first.adversary)
     return model.run_batch(specs)
+
+
+def _compose_registries(
+    members: Sequence[Tuple[int, TrialSpec]],
+    outcomes: Sequence[ExecutionResult],
+    paths: Sequence[_Path],
+    metrics: Dict[int, Any],
+) -> None:
+    """Fill ``metrics`` with one registry per batched trial.
+
+    A trial's registry is the round-shifted sum of the probe deliveries
+    on its path, finalized with its own result — exactly what a registry
+    observing the object simulator would hold.  Trials sharing a path
+    and an outcome share that registry's *value*, so each such class is
+    composed once and every trial receives an independent copy.
+    """
+    classes: Dict[Any, MetricsRegistry] = {}
+    for (index, _), result, path in zip(members, outcomes, paths):
+        key = (
+            path,
+            tuple(result.outputs.items()),
+            tuple(result.finish_rounds.items()),
+            frozenset(result.corrupted),
+        )
+        registry = classes.get(key)
+        if registry is None:
+            registry = classes[key] = MetricsRegistry.from_deliveries(
+                (delivery.contribution, offset) for delivery, offset in path
+            )
+            registry.finalize_trial(result)
+        metrics[index] = registry.copy()
 
 
 def execute_chunk(
@@ -267,12 +366,15 @@ def execute_chunk(
     makes a silent fallback visible in ``repro bench --telemetry``.
 
     ``metrics`` (a mutable index → registry mapping, filled in place)
-    requests per-trial metrics collection.  The lockstep models compute
-    decisions without materializing per-message deliveries, so metrics
-    collection — like tracing — forces every spec through the object
-    simulator, accounted per-spec under the ``"metrics collection
-    requested"`` fallback reason.  Results stay bit-identical; that is
-    what makes vector-with-metrics artifacts equal serial/pooled ones.
+    requests per-trial metrics collection, and costs no fallback: every
+    probe runs with a registry attached, each model reports the probes a
+    trial walked, and :func:`_compose_registries` sums them into the
+    registry the object simulator would have produced — equal counter
+    for counter, which is what makes vector-with-metrics artifacts
+    byte-identical to serial/pooled ones.  Specs that fall back for
+    another reason collect their registry on the object path.  Tracing
+    needs the per-message deliveries themselves, so ``trace_dir`` still
+    sends every spec to the object simulator.
     """
     from .runner import _run_indexed_trial  # circular at import time
 
@@ -282,10 +384,6 @@ def execute_chunk(
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     for index, spec in chunk:
-        if metrics is not None:
-            reasons["metrics collection requested"] += 1
-            fallback.append((index, spec))
-            continue
         if trace_dir is not None:
             reasons["trace collection requested"] += 1
             fallback.append((index, spec))
@@ -301,7 +399,7 @@ def execute_chunk(
     for members in batches.values():
         specs = [spec for _, spec in members]
         try:
-            outcomes = run_vector_batch(specs)
+            outcomes, paths = _run_batch(specs)
         except VectorModelError as exc:
             # A probe invariant failed — the conservative answer is the
             # reference simulator, which is always correct.
@@ -311,6 +409,8 @@ def execute_chunk(
             continue
         for (index, _), result in zip(members, outcomes):
             results[index] = result
+        if metrics is not None:
+            _compose_registries(members, outcomes, paths, metrics)
         stats["batched"] += len(members)
         stats["batches"].append(
             {"config": specs[0].config_key, "size": len(members)}
@@ -354,6 +454,31 @@ def _extract_array(values, grades_arr, coins, slots: int):
     return _np.where(values == 1, hit_one, hit_zero).astype(_np.int64)
 
 
+def _simulate_probe(
+    spec: TrialSpec, factory, inputs: Sequence[Any], adversary=None
+) -> Tuple[ExecutionResult, _Delivery]:
+    """Run a probe program on the object simulator, metrics attached.
+
+    Fixed seed and session (see :func:`_run_probe`).  Every probe carries
+    a registry: probes are cached, so the collector's cost is paid once
+    per configuration and metrics need no second kind of probe.
+    """
+    registry = MetricsRegistry()
+    simulator = SyncSimulator(
+        num_parties=spec.num_parties,
+        max_faulty=spec.max_faulty,
+        crypto=_suite(spec),
+        adversary=adversary,
+        seed=0,
+        session=_PROBE_SESSION,
+        max_rounds=spec.max_rounds,
+        observers=(registry,),
+        collect_signatures=spec.collect_signatures,
+    )
+    result = simulator.run(factory, list(inputs))
+    return result, _freeze_delivery(result, registry)
+
+
 def _run_probe(
     spec: TrialSpec,
     bits: Tuple[int, ...],
@@ -381,17 +506,7 @@ def _execute_probe(
     iteration_rounds: int,
 ) -> _IterationProbe:
     adversary = build_adversary(spec.adversary, spec.adversary_param_dict, None)
-    simulator = SyncSimulator(
-        num_parties=spec.num_parties,
-        max_faulty=spec.max_faulty,
-        crypto=_suite(spec),
-        adversary=adversary,
-        seed=0,
-        session=_PROBE_SESSION,
-        max_rounds=spec.max_rounds,
-        collect_signatures=spec.collect_signatures,
-    )
-    result = simulator.run(factory, list(bits))
+    result, delivery = _simulate_probe(spec, factory, bits, adversary)
 
     n = spec.num_parties
     values: List[int] = []
@@ -413,21 +528,11 @@ def _execute_probe(
         coin_ok.append(coin is not None)
     if result.metrics.rounds != iteration_rounds:
         raise VectorModelError("probe round count mismatch")
-    tallies = tuple(
-        (
-            round_index,
-            stats.honest_messages,
-            stats.corrupt_messages,
-            stats.honest_signatures,
-            stats.corrupt_signatures,
-        )
-        for round_index, stats in result.metrics.per_round.items()
-    )
     return _IterationProbe(
         values=tuple(values),
         grades=tuple(grades),
         coin_ok=tuple(coin_ok),
-        tallies=tallies,
+        delivery=delivery,
         corrupted=frozenset(result.corrupted),
     )
 
@@ -448,36 +553,39 @@ class _ReplayProbe:
     finish: Tuple[Tuple[int, int], ...]
     corrupted: frozenset
     rounds: int
-    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    delivery: _Delivery
 
-    def replicate(self, inputs: Sequence[Any]) -> ExecutionResult:
-        """A fresh :class:`ExecutionResult` carrying this probe's outcome."""
+    @property
+    def path(self) -> _Path:
+        return ((self.delivery, 0),)
+
+    def replicate(
+        self, outputs: Dict[int, Any], inputs: Sequence[Any]
+    ) -> ExecutionResult:
+        """A fresh :class:`ExecutionResult` with this probe's wire outcome."""
         return ExecutionResult(
-            outputs={pid: value for pid, value in self.outputs},
+            outputs=outputs,
             corrupted=set(self.corrupted),
-            metrics=RunMetrics.from_round_tallies(self.rounds, self.tallies),
+            metrics=RunMetrics.from_round_tallies(
+                self.rounds, self.delivery.tallies
+            ),
             inputs=dict(enumerate(inputs)),
-            finish_rounds={pid: r for pid, r in self.finish},
+            finish_rounds=dict(self.finish),
         )
 
 
-def _freeze_result(result: ExecutionResult) -> _ReplayProbe:
-    tallies = tuple(
-        (
-            round_index,
-            stats.honest_messages,
-            stats.corrupt_messages,
-            stats.honest_signatures,
-            stats.corrupt_signatures,
-        )
-        for round_index, stats in result.metrics.per_round.items()
-    )
+def _replay_trial(spec: TrialSpec) -> _ReplayProbe:
+    """One real ``run_trial`` on ``spec`` (metrics attached), frozen."""
+    from .runner import run_trial  # circular at import time
+
+    registry = MetricsRegistry()
+    result = run_trial(spec, (registry,))
     return _ReplayProbe(
         outputs=tuple(result.outputs.items()),
         finish=tuple(result.finish_rounds.items()),
         corrupted=frozenset(result.corrupted),
         rounds=result.metrics.rounds,
-        tallies=tallies,
+        delivery=_freeze_delivery(result, registry),
     )
 
 
@@ -491,10 +599,8 @@ def _run_replay_probe(spec: TrialSpec, token: Any) -> _ReplayProbe:
     session-invariance argument of the module docstring, pinned by the
     equivalence grid.
     """
-    from .runner import run_trial  # circular at import time
-
     memo_key = (batch_key(spec), token)
-    return _probe_cached(memo_key, lambda: _freeze_result(run_trial(spec)))
+    return _probe_cached(memo_key, lambda: _replay_trial(spec))
 
 
 def _bit_input_reason(spec: TrialSpec) -> Optional[str]:
@@ -584,7 +690,9 @@ class _BaOneThirdModel:
         return factory
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
@@ -620,13 +728,13 @@ class _BaOneThirdModel:
                     outputs={pid: int(out_bits[row, pid]) for pid in range(n)},
                     corrupted=set(probe.corrupted),
                     metrics=RunMetrics.from_round_tallies(
-                        rounds_total, probe.tallies
+                        rounds_total, probe.delivery.tallies
                     ),
                     inputs=dict(inputs_map),
                     finish_rounds={pid: rounds_total for pid in range(n)},
                 )
             )
-        return results
+        return results, [((probe.delivery, 0),)] * batch
 
 
 # ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
@@ -695,7 +803,9 @@ class _BaOneHalfModel:
         return factory
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
@@ -706,9 +816,7 @@ class _BaOneHalfModel:
 
         batch = len(specs)
         bits = _np.tile(_np.array(first.inputs, dtype=_np.int64), (batch, 1))
-        rows_per_trial: List[List[Tuple[int, int, int, int, int]]] = [
-            [] for _ in range(batch)
-        ]
+        walked: List[List[Tuple[_Delivery, int]]] = [[] for _ in range(batch)]
         corrupted: frozenset = frozenset()
 
         for iteration in range(iterations):
@@ -755,27 +863,24 @@ class _BaOneHalfModel:
             )
 
             offset = cls.ITERATION_ROUNDS * iteration
-            for row in range(batch):
-                rows_per_trial[row].extend(
-                    (r + offset, hm, cm, hs, cs)
-                    for r, hm, cm, hs, cs in probes[inverse[row]].tallies
-                )
+            steps = [(probe.delivery, offset) for probe in probes]
+            for row, group in enumerate(inverse.tolist()):
+                walked[row].append(steps[group])
 
         inputs_map = dict(enumerate(first.inputs))
+        paths = [tuple(walk) for walk in walked]
         results = []
-        for row, spec in enumerate(specs):
+        for row in range(batch):
             results.append(
                 ExecutionResult(
                     outputs={pid: int(bits[row, pid]) for pid in range(n)},
                     corrupted=set(corrupted),
-                    metrics=RunMetrics.from_round_tallies(
-                        rounds_total, rows_per_trial[row]
-                    ),
+                    metrics=_path_metrics(rounds_total, paths[row]),
                     inputs=dict(inputs_map),
                     finish_rounds={pid: rounds_total for pid in range(n)},
                 )
             )
-        return results
+        return results, paths
 
 
 # ── fm_probabilistic: per-iteration lockstep with halting parties ───────
@@ -790,13 +895,13 @@ class _FmIterationProbe:
     """One fm iteration's transition for a (bit/halted) token configuration.
 
     Halted parties hold ``None`` values/grades (they sent nothing); the
-    tallies cover the remaining active parties' three rounds.
+    delivery covers the remaining active parties' three rounds.
     """
 
     values: Tuple[Optional[int], ...]
     grades: Tuple[Optional[int], ...]
     coin_ok: Tuple[bool, ...]
-    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    delivery: _Delivery
 
 
 def _fm_probe_factory():
@@ -824,17 +929,7 @@ def _run_fm_probe(spec: TrialSpec, tokens: Tuple[Any, ...]) -> _FmIterationProbe
 
 
 def _execute_fm_probe(spec: TrialSpec, tokens: Tuple[Any, ...]) -> _FmIterationProbe:
-    simulator = SyncSimulator(
-        num_parties=spec.num_parties,
-        max_faulty=spec.max_faulty,
-        crypto=_suite(spec),
-        adversary=None,
-        seed=0,
-        session=_PROBE_SESSION,
-        max_rounds=spec.max_rounds,
-        collect_signatures=spec.collect_signatures,
-    )
-    result = simulator.run(_fm_probe_factory(), list(tokens))
+    result, delivery = _simulate_probe(spec, _fm_probe_factory(), tokens)
     rounds = 3
     values: List[Optional[int]] = []
     grades: List[Optional[int]] = []
@@ -860,21 +955,11 @@ def _execute_fm_probe(spec: TrialSpec, tokens: Tuple[Any, ...]) -> _FmIterationP
         coin_ok.append(coin is not None)
     if result.metrics.rounds != rounds:
         raise VectorModelError("fm probe round count mismatch")
-    tallies = tuple(
-        (
-            round_index,
-            stats.honest_messages,
-            stats.corrupt_messages,
-            stats.honest_signatures,
-            stats.corrupt_signatures,
-        )
-        for round_index, stats in result.metrics.per_round.items()
-    )
     return _FmIterationProbe(
         values=tuple(values),
         grades=tuple(grades),
         coin_ok=tuple(coin_ok),
-        tallies=tallies,
+        delivery=delivery,
     )
 
 
@@ -910,20 +995,23 @@ class _FmProbabilisticModel:
         return None
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         n = first.num_parties
         inputs_map = dict(enumerate(first.inputs))
 
         results = []
+        paths: List[_Path] = []
         for spec in specs:
             bits = [int(b) for b in first.inputs]
             decided: Dict[int, Tuple[int, int]] = {}  # pid -> (value, iteration)
             halted: set = set()
             outputs: Dict[int, ProbTermOutput] = {}
             finish: Dict[int, int] = {}
-            rows: List[Tuple[int, int, int, int, int]] = []
+            walked: List[Tuple[_Delivery, int]] = []
             rounds_total = 0
             for iteration in range(1, _FM_MAX_ITERATIONS + 1):
                 if len(halted) == n:
@@ -939,10 +1027,8 @@ class _FmProbabilisticModel:
                     1,
                     4,
                 )
-                offset = cls.ITERATION_ROUNDS * (iteration - 1)
-                rows.extend(
-                    (r + offset, hm, cm, hs, cs)
-                    for r, hm, cm, hs, cs in probe.tallies
+                walked.append(
+                    (probe.delivery, cls.ITERATION_ROUNDS * (iteration - 1))
                 )
                 rounds_total = cls.ITERATION_ROUNDS * iteration
                 for pid in range(n):
@@ -974,16 +1060,18 @@ class _FmProbabilisticModel:
                             finish[pid] = rounds_total
                             halted.add(pid)
             order = sorted(range(n), key=lambda pid: (finish[pid], pid))
+            path = tuple(walked)
+            paths.append(path)
             results.append(
                 ExecutionResult(
                     outputs={pid: outputs[pid] for pid in order},
                     corrupted=set(),
-                    metrics=RunMetrics.from_round_tallies(rounds_total, rows),
+                    metrics=_path_metrics(rounds_total, path),
                     inputs=dict(inputs_map),
                     finish_rounds={pid: finish[pid] for pid in order},
                 )
             )
-        return results
+        return results, paths
 
 
 # ── turpin_coan_classic / multivalued_ba: deterministic + one inner coin ─
@@ -997,7 +1085,7 @@ class _LiftProbe:
     values: Tuple[int, ...]
     grades: Tuple[int, ...]
     coin_ok: Tuple[bool, ...]
-    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    delivery: _Delivery
     corrupted: frozenset
 
 
@@ -1011,17 +1099,7 @@ def _run_lift_probe(
 
 
 def _execute_lift_probe(spec: TrialSpec, factory, total_rounds: int) -> _LiftProbe:
-    simulator = SyncSimulator(
-        num_parties=spec.num_parties,
-        max_faulty=spec.max_faulty,
-        crypto=_suite(spec),
-        adversary=None,
-        seed=0,
-        session=_PROBE_SESSION,
-        max_rounds=spec.max_rounds,
-        collect_signatures=spec.collect_signatures,
-    )
-    result = simulator.run(factory, list(spec.inputs))
+    result, delivery = _simulate_probe(spec, factory, spec.inputs)
     candidates: List[Any] = []
     values: List[int] = []
     grades: List[int] = []
@@ -1043,22 +1121,12 @@ def _execute_lift_probe(spec: TrialSpec, factory, total_rounds: int) -> _LiftPro
         coin_ok.append(coin is not None)
     if result.metrics.rounds != total_rounds:
         raise VectorModelError("lift probe round count mismatch")
-    tallies = tuple(
-        (
-            round_index,
-            stats.honest_messages,
-            stats.corrupt_messages,
-            stats.honest_signatures,
-            stats.corrupt_signatures,
-        )
-        for round_index, stats in result.metrics.per_round.items()
-    )
     return _LiftProbe(
         candidates=tuple(candidates),
         values=tuple(values),
         grades=tuple(grades),
         coin_ok=tuple(coin_ok),
-        tallies=tallies,
+        delivery=delivery,
         corrupted=frozenset(result.corrupted),
     )
 
@@ -1156,7 +1224,9 @@ class _TurpinCoanModel:
         return factory
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
@@ -1230,7 +1300,9 @@ class _MultivaluedBaModel:
         return factory
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
@@ -1269,7 +1341,7 @@ def _finish_lift_batch(
     default: Any,
     inputs,
     tally_is_candidate: bool,
-) -> List[ExecutionResult]:
+) -> Tuple[List[ExecutionResult], List[_Path]]:
     """Apply the per-trial coin + extraction to a multivalued-lift probe.
 
     ``tally_is_candidate`` distinguishes Turpin–Coan (a ``None``
@@ -1309,12 +1381,14 @@ def _finish_lift_batch(
             ExecutionResult(
                 outputs=outputs,
                 corrupted=set(probe.corrupted),
-                metrics=RunMetrics.from_round_tallies(rounds_total, probe.tallies),
+                metrics=RunMetrics.from_round_tallies(
+                    rounds_total, probe.delivery.tallies
+                ),
                 inputs=dict(inputs_map),
                 finish_rounds={pid: rounds_total for pid in range(n)},
             )
         )
-    return results
+    return results, [((probe.delivery, 0),)] * batch
 
 
 # ── coin protocols: one round, value is a pure function of the keys ─────
@@ -1366,15 +1440,15 @@ class _ThresholdCoinModel:
         return _victims_reason(spec, _WITHHOLD_PARAMS)
 
     @staticmethod
-    def run_batch(specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        specs: List[TrialSpec],
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         index, low, high = _coin_protocol_params(first)
 
         def build() -> _ReplayProbe:
-            from .runner import run_trial
-
-            frozen = _freeze_result(run_trial(first))
+            frozen = _replay_trial(first)
             expected = _coin_value(suite, first.session, index, low, high)
             ok: List[Tuple[int, Any]] = []
             for pid, output in frozen.outputs:
@@ -1392,19 +1466,12 @@ class _ThresholdCoinModel:
         for spec in specs:
             value = _coin_value(suite, spec.session, index, low, high)
             results.append(
-                ExecutionResult(
-                    outputs={
-                        pid: (value if ok else None) for pid, ok in probe.outputs
-                    },
-                    corrupted=set(probe.corrupted),
-                    metrics=RunMetrics.from_round_tallies(
-                        probe.rounds, probe.tallies
-                    ),
-                    inputs=dict(enumerate(spec.inputs)),
-                    finish_rounds=dict(probe.finish),
+                probe.replicate(
+                    {pid: (value if ok else None) for pid, ok in probe.outputs},
+                    spec.inputs,
                 )
             )
-        return results
+        return results, [probe.path] * len(specs)
 
 
 class _VrfCoinModel:
@@ -1446,7 +1513,9 @@ class _VrfCoinModel:
         return None
 
     @classmethod
-    def run_batch(cls, specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
         scheme = suite.plain
@@ -1505,9 +1574,7 @@ class _VrfCoinModel:
 
         def probe_for(spec: TrialSpec, reveal_count: int) -> _ReplayProbe:
             def build() -> _ReplayProbe:
-                from .runner import run_trial
-
-                frozen = _freeze_result(run_trial(spec))
+                frozen = _replay_trial(spec)
                 _reveal, predicted = outcome(spec)
                 for pid, output in frozen.outputs:
                     if output != predicted:
@@ -1526,6 +1593,7 @@ class _VrfCoinModel:
             return _probe_cached(memo_key, build)
 
         results = []
+        paths: List[_Path] = []
         probes: Dict[int, _ReplayProbe] = {}
         for spec, (reveal, coin) in zip(specs, outcomes):
             reveal_count = len(reveal)
@@ -1533,17 +1601,12 @@ class _VrfCoinModel:
                 probes[reveal_count] = probe_for(spec, reveal_count)
             probe = probes[reveal_count]
             results.append(
-                ExecutionResult(
-                    outputs={pid: coin for pid, _none in probe.outputs},
-                    corrupted=set(probe.corrupted),
-                    metrics=RunMetrics.from_round_tallies(
-                        probe.rounds, probe.tallies
-                    ),
-                    inputs=dict(enumerate(spec.inputs)),
-                    finish_rounds=dict(probe.finish),
+                probe.replicate(
+                    {pid: coin for pid, _none in probe.outputs}, spec.inputs
                 )
             )
-        return results
+            paths.append(probe.path)
+        return results, paths
 
 
 # ── deterministic protocols: whole-run replay ───────────────────────────
@@ -1580,9 +1643,14 @@ class _StaticReplayModel:
         return _victims_reason(spec, allowed)
 
     @staticmethod
-    def run_batch(specs: List[TrialSpec]) -> List[ExecutionResult]:
+    def run_batch(
+        specs: List[TrialSpec],
+    ) -> Tuple[List[ExecutionResult], List[_Path]]:
         probe = _run_replay_probe(specs[0], "replay")
-        return [probe.replicate(spec.inputs) for spec in specs]
+        results = [
+            probe.replicate(dict(probe.outputs), spec.inputs) for spec in specs
+        ]
+        return results, [probe.path] * len(specs)
 
 
 register_vector_model("ba_one_third", None, _BaOneThirdModel)

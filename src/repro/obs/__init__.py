@@ -25,6 +25,7 @@ from .metrics import (
     MESSAGE_KINDS,
     METRIC_NAMES,
     METRICS_SCHEMA,
+    DeliveryContribution,
     Histogram,
     MetricsRegistry,
     build_metrics_payload,
@@ -66,6 +67,7 @@ from .telemetry import (
 
 __all__ = [
     "DELIVERY_METRIC_NAMES",
+    "DeliveryContribution",
     "HISTOGRAM_BUCKETS",
     "MESSAGE_KINDS",
     "METRICS_SCHEMA",

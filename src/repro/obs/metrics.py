@@ -32,6 +32,7 @@ with per-config registries plus merged totals, deterministic for a given
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from bisect import bisect_left
 from typing import (
@@ -46,6 +47,7 @@ from typing import (
     Tuple,
 )
 
+from ..network.metrics import count_signatures
 from ..network.trace import FaultEvent, TraceEvent, summarize_payload
 from .sinks import ObsFormatError
 
@@ -55,6 +57,7 @@ __all__ = [
     "MESSAGE_KINDS",
     "METRICS_SCHEMA",
     "METRIC_NAMES",
+    "DeliveryContribution",
     "Histogram",
     "MetricsRegistry",
     "build_metrics_payload",
@@ -300,8 +303,15 @@ class Histogram:
         return self.maximum
 
     def copy(self) -> "Histogram":
-        dup = Histogram(self.buckets)
-        dup.merge(self)
+        # Field-for-field: the buckets were validated when the source was
+        # built, and per-trial registry copies are a vector-path hot spot.
+        dup = Histogram.__new__(Histogram)
+        dup.buckets = self.buckets
+        dup.counts = list(self.counts)
+        dup.count = self.count
+        dup.total = self.total
+        dup.minimum = self.minimum
+        dup.maximum = self.maximum
         return dup
 
     def __eq__(self, other: object) -> bool:
@@ -347,6 +357,38 @@ class Histogram:
         hist.minimum = payload.get("min")
         hist.maximum = payload.get("max")
         return hist
+
+
+def _round_label(round_index: int, kind: str) -> str:
+    """The ``round_messages`` label: zero-padded so labels sort by round."""
+    return f"{round_index:04d}/{kind}"
+
+
+def _split_round_label(label: str) -> Tuple[int, str]:
+    """Inverse of :func:`_round_label`."""
+    round_text, kind = label.split("/", 1)
+    return int(round_text), kind
+
+
+@dataclasses.dataclass(frozen=True)
+class DeliveryContribution:
+    """What one execution segment delivered, frozen before finalization.
+
+    The vector backend runs each cached probe with a registry attached
+    and keeps this snapshot of it (:meth:`MetricsRegistry.freeze_delivery`);
+    a trial's registry is then the round-shifted sum of the segments it
+    walked (:meth:`MetricsRegistry.from_deliveries`) plus the usual
+    :meth:`~MetricsRegistry.finalize_trial`.  ``round_messages`` and
+    ``coin_rounds`` keep their round indices as integers so a segment can
+    be replayed at any round offset; everything else is round-free.
+    """
+
+    counters: Tuple[Tuple[Tuple[str, str], int], ...]
+    round_messages: Tuple[Tuple[int, str, int], ...]
+    histograms: Tuple[Tuple[str, Histogram], ...]
+    coin_rounds: Tuple[int, ...]
+    messages: int
+    signatures: int
 
 
 class MetricsRegistry:
@@ -431,8 +473,6 @@ class MetricsRegistry:
             self._memo_round = round_index
         cached = self._memo.get(id(payload))
         if cached is None:
-            from ..network.metrics import count_signatures
-
             slots = len(payload) if isinstance(payload, dict) else -1
             cached = self._memo[id(payload)] = (
                 summarize_payload(payload),
@@ -463,7 +503,7 @@ class MetricsRegistry:
         """Tally one delivery from its trace summary (shared live/replay path)."""
         kind = summary_kind(summary)
         self.inc("messages", kind)
-        self.inc("round_messages", f"{round_index:04d}/{kind}")
+        self.inc("round_messages", _round_label(round_index, kind))
         if sender_honest:
             self.inc("messages_honest", kind)
             self.inc("signatures_honest", "", signatures)
@@ -501,6 +541,57 @@ class MetricsRegistry:
         for pid in sorted(outputs):
             self.inc("decisions", summarize_payload(outputs[pid]))
 
+    # ── frozen delivery segments (the vector backend's probes) ────────
+
+    def freeze_delivery(self) -> DeliveryContribution:
+        """Snapshot this *un-finalised* registry's delivery tallies."""
+        counters = []
+        round_messages = []
+        for (name, label) in sorted(self.counters):
+            value = self.counters[(name, label)]
+            if name == "round_messages":
+                round_messages.append((*_split_round_label(label), value))
+            else:
+                counters.append(((name, label), value))
+        return DeliveryContribution(
+            counters=tuple(counters),
+            round_messages=tuple(round_messages),
+            histograms=tuple(
+                (name, self.histograms[name].copy())
+                for name in sorted(self.histograms)
+            ),
+            coin_rounds=tuple(sorted(self._coin_rounds)),
+            messages=self._trial_messages,
+            signatures=self._trial_signatures,
+        )
+
+    @classmethod
+    def from_deliveries(
+        cls, parts: Iterable[Tuple[DeliveryContribution, int]]
+    ) -> "MetricsRegistry":
+        """The un-finalised registry of an execution made of ``parts``.
+
+        Each part is ``(contribution, round_offset)``: a frozen segment
+        replayed ``round_offset`` rounds later.  Equal to what one
+        registry observing the whole execution would hold before
+        :meth:`finalize_trial`, provided the shifted segments cover
+        disjoint rounds.
+        """
+        registry = cls()
+        counters = registry.counters
+        for part, offset in parts:
+            for key, value in part.counters:
+                counters[key] = counters.get(key, 0) + value
+            for round_index, kind, value in part.round_messages:
+                key = ("round_messages", _round_label(round_index + offset, kind))
+                counters[key] = counters.get(key, 0) + value
+            for name, hist in part.histograms:
+                registry._add_histogram(name, hist)
+            registry._coin_rounds.update(r + offset for r in part.coin_rounds)
+            registry._trial_messages += part.messages
+            registry._trial_signatures += part.signatures
+        return registry
+
     # ── merge / views ─────────────────────────────────────────────────
 
     def merge(self, other: "MetricsRegistry") -> None:
@@ -508,11 +599,14 @@ class MetricsRegistry:
         for key, value in other.counters.items():
             self.counters[key] = self.counters.get(key, 0) + value
         for name, hist in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = hist.copy()
-            else:
-                mine.merge(hist)
+            self._add_histogram(name, hist)
+
+    def _add_histogram(self, name: str, hist: Histogram) -> None:
+        mine = self.histograms.get(name)
+        if mine is None:
+            self.histograms[name] = hist.copy()
+        else:
+            mine.merge(hist)
 
     @classmethod
     def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
@@ -522,7 +616,13 @@ class MetricsRegistry:
         return total
 
     def copy(self) -> "MetricsRegistry":
-        return MetricsRegistry.merged([self])
+        """An independent registry with the same counters and histograms."""
+        dup = MetricsRegistry()
+        dup.counters = dict(self.counters)
+        dup.histograms = {
+            name: hist.copy() for name, hist in self.histograms.items()
+        }
+        return dup
 
     def delivery_view(self) -> "MetricsRegistry":
         """Restrict to :data:`DELIVERY_METRIC_NAMES` (the trace-recoverable
@@ -665,8 +765,6 @@ def _crypto_class_counts(payload: Any) -> Tuple[Tuple[str, int], ...]:
     memo-friendly.  Class names are surfaced the way trace summaries
     spell them (leading underscores stripped).
     """
-    import dataclasses
-
     counts: Dict[str, int] = {}
     stack = [payload]
     while stack:

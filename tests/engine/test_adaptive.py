@@ -202,11 +202,20 @@ class TestResultSurface:
 
 class TestVectorFallbackTelemetry:
     def test_inline_vector_fallbacks_reach_the_rollup(self, tmp_path):
-        """adaptive + vector + metrics falls back on every trial; the
-        ``vector_batch`` spans must carry that into ``fallback_reasons``."""
+        """adaptive + vector + metrics batches every supported trial —
+        metrics are no fallback reason — and the ``vector_batch`` spans
+        carry the genuine fallbacks into ``fallback_reasons``."""
+        import json
+
         from repro.obs import TelemetryWriter, summarize_telemetry
 
-        plan = _sweep_plan(kappas=(1,), trials=12)
+        opted_out = TrialPlan.monte_carlo(
+            name="opted-out", protocol="ba_one_third", inputs=(0, 0, 1, 1),
+            max_faulty=1, trials=4, params={"kappa": 1}, seed=9,
+            vectorizable=False,
+        )
+        supported = _sweep_plan(kappas=(1,), trials=12)
+        plan = TrialPlan.concat("adaptive-vector", [supported, opted_out])
         path = str(tmp_path / "adaptive-vector.jsonl")
         with TelemetryWriter(path) as telemetry:
             adaptive = AdaptiveRunner(
@@ -216,5 +225,12 @@ class TestVectorFallbackTelemetry:
         assert adaptive.spent == len(plan)
         summary = summarize_telemetry(path)
         assert summary["fallback_reasons"] == {
-            "metrics collection requested": len(plan)
+            "spec opted out (vectorizable=False)": len(opted_out)
         }
+        spans = [
+            json.loads(line)
+            for line in open(path, encoding="utf-8")
+            if '"vector_batch"' in line
+        ]
+        assert sum(span["batched"] for span in spans) == len(supported)
+        assert sum(span["fallback"] for span in spans) == len(opted_out)

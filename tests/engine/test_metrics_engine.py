@@ -2,8 +2,8 @@
 
 The acceptance contract: for the same ``(seed, plan)`` the metrics
 artifact is byte-identical whether trials ran serially, pooled across
-workers, or on the vector backend (which falls back per-spec, audited
-under the ``"metrics collection requested"`` reason) — and turning
+workers, or on the vector backend (which composes each trial's registry
+from its cached probes' deliveries — no fallback) — and turning
 collection *off* leaves execution byte-identical to a runner that never
 heard of metrics.  Profiling rides the same seam: per-chunk ``cProfile``
 dumps must attribute at least 90% of telemetry busy seconds.
@@ -19,6 +19,8 @@ from repro.engine import (
     ChunkSummary,
     ParallelRunner,
     TrialPlan,
+    clear_probe_cache,
+    probe_cache_stats,
     run_measured_trial,
 )
 from repro.engine.vectorized import execute_chunk
@@ -95,20 +97,121 @@ class TestRunnerValidation:
             next(runner.run_iter(_plan(trials=2)))
 
 
-class TestVectorFallbackAccounting:
-    def test_metrics_forces_object_fallback_with_reason(self):
+class TestVectorNativeMetrics:
+    def test_metrics_batch_without_fallback(self):
         chunk = list(enumerate(_plan(trials=3).trials))
         sink = {}
         results, stats = execute_chunk(chunk, metrics=sink)
         assert len(results) == len(chunk)
-        assert stats["batched"] == 0
-        assert stats["fallback"] == len(chunk)
-        assert stats["fallback_reasons"] == {
-            "metrics collection requested": len(chunk)
-        }
+        assert stats["batched"] == len(chunk)
+        assert stats["fallback"] == 0
+        assert stats["fallback_reasons"] == {}
         assert sorted(sink) == [0, 1, 2]
         bare, _ = execute_chunk(chunk)
         assert [r for _, r in bare] == [r for _, r in results]
+
+    def test_pooled_vector_artifact_bytes_equal_serial_object(self):
+        plan = TrialPlan.concat(
+            "pooled-vector-metrics",
+            [
+                _plan(trials=7, name="k2"),
+                TrialPlan.monte_carlo(
+                    "half", "ba_one_half", (0, 0, 1, 1, 1), 2, trials=9,
+                    params={"kappa": 4}, adversary="straddle12",
+                    adversary_params={"victims": (3, 4)}, seed=5,
+                ),
+            ],
+        )
+        serial = ParallelRunner(workers=1, metrics=True).run(plan)
+        pooled = ParallelRunner(
+            workers=2, chunk_size=4, backend="vector", metrics=True
+        ).run(plan)
+        assert _artifact_bytes(pooled) == _artifact_bytes(serial)
+        assert pooled.trial_metrics == serial.trial_metrics
+
+    def test_trial_registries_are_independent_copies(self):
+        clear_probe_cache()
+        plan = _plan(trials=6)
+        chunk = list(enumerate(plan.trials))
+        reference = {}
+        execute_chunk(chunk, metrics=reference)
+        sink = {}
+        execute_chunk(chunk, metrics=sink)
+        # Same (path, outcome) class ⇒ equal registries, never shared.
+        twins = [i for i in sink if sink[i] == sink[0]]
+        assert len(twins) > 1
+        sink[0].inc("messages", "bool", 1000)
+        sink[0].observe("slot_occupancy", 7)
+        sink[0].observe("rounds_to_decision", 99)
+        for index in range(1, len(chunk)):
+            assert sink[index] == reference[index]
+        # ...and the cached probes did not see the mutation either.
+        again = {}
+        execute_chunk(chunk, metrics=again)
+        assert again == reference
+
+    def test_vector_model_error_collects_on_the_object_path(self, monkeypatch):
+        from repro.engine.registry import vector_model_for
+        from repro.engine.vectorized import VectorModelError
+
+        plan = _plan(trials=4)
+        model = vector_model_for("ba_one_third", "straddle13")
+
+        def broken(specs):
+            raise VectorModelError("probe invariant failed")
+
+        monkeypatch.setattr(model, "run_batch", broken)
+        chunk = list(enumerate(plan.trials))
+        sink = {}
+        results, stats = execute_chunk(chunk, metrics=sink)
+        assert stats["batched"] == 0 and stats["fallback"] == len(chunk)
+        assert stats["fallback_reasons"] == {
+            "vector model error: probe invariant failed": len(chunk)
+        }
+        for index, spec in chunk:
+            result, registry = run_measured_trial(spec)
+            assert results[index] == (index, result)
+            assert sink[index] == registry
+
+    def test_trace_dir_collects_on_the_object_path(self, tmp_path):
+        plan = _plan(trials=3)
+        chunk = list(enumerate(plan.trials))
+        sink = {}
+        _, stats = execute_chunk(chunk, str(tmp_path), metrics=sink)
+        assert stats["fallback_reasons"] == {
+            "trace collection requested": len(chunk)
+        }
+        assert len(os.listdir(tmp_path)) == len(chunk)
+        for index, spec in chunk:
+            assert sink[index] == run_measured_trial(spec)[1]
+
+    def test_evicted_probe_reruns_to_the_same_contribution(self, monkeypatch):
+        from repro.engine import vectorized
+
+        plan = _plan(trials=3)
+        chunk = list(enumerate(plan.trials))
+
+        def contributions():
+            return [
+                probe.delivery.contribution
+                for probe in vectorized._PROBE_CACHE.values()
+            ]
+
+        clear_probe_cache()
+        first = {}
+        execute_chunk(chunk, metrics=first)
+        before = contributions()
+        # A one-entry LRU: a different configuration evicts the probe.
+        monkeypatch.setattr(vectorized, "_PROBE_CACHE_LIMIT", 1)
+        execute_chunk(list(enumerate(_plan(trials=2, kappa=3).trials)))
+        assert contributions() != before
+        misses = probe_cache_stats()["misses"]
+        second = {}
+        execute_chunk(chunk, metrics=second)
+        assert probe_cache_stats()["misses"] == misses + 1
+        assert contributions() == before
+        assert second == first
+        clear_probe_cache()
 
 
 class TestChunkSummaryTransport:

@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.engine import (
+    ChunkSummary,
     ParallelRunner,
     TrialPlan,
     TrialSpec,
@@ -52,13 +53,35 @@ def canon(result):
     )
 
 
+def packed(run):
+    """A run's results and registries as one chunk's wire bytes."""
+    return ChunkSummary.pack(
+        list(enumerate(run.results)),
+        metrics=dict(enumerate(run.trial_metrics)),
+    )
+
+
 def assert_equivalent(plan):
-    """Both backends, serially, trial for trial."""
-    obj = ParallelRunner(workers=1, backend="object").run(plan).results
-    vec = ParallelRunner(workers=1, backend="vector").run(plan).results
+    """Both backends, serially, trial for trial — metrics included.
+
+    Collecting runs pin vector-native registries (composed from probe
+    deliveries) to the object simulator's live ones, registry for
+    registry and byte for byte on the wire; a plain vector run pins that
+    collecting changed nothing.
+    """
+    obj_run = ParallelRunner(workers=1, backend="object", metrics=True).run(plan)
+    vec_run = ParallelRunner(workers=1, backend="vector", metrics=True).run(plan)
+    obj, vec = obj_run.results, vec_run.results
     assert len(obj) == len(vec) == len(plan)
     for index, (a, b) in enumerate(zip(obj, vec)):
         assert canon(a) == canon(b), f"trial {index} diverged"
+    for index, (a, b) in enumerate(
+        zip(obj_run.trial_metrics, vec_run.trial_metrics)
+    ):
+        assert a == b, f"trial {index} registry diverged"
+    assert packed(obj_run) == packed(vec_run)
+    plain = ParallelRunner(workers=1, backend="vector").run(plan).results
+    assert [canon(r) for r in plain] == [canon(r) for r in vec]
     return obj
 
 

@@ -306,6 +306,63 @@ class TestLiveEqualsReplayed:
         assert all(kind for kind in total.labels("fault_hits"))
 
 
+class TestFrozenDeliveries:
+    """freeze_delivery / from_deliveries: the vector backend's composition."""
+
+    @pytest.mark.parametrize(
+        "entry", _GRID, ids=[f"{e[0]}-{e[4]}-{e[6]}" for e in _GRID]
+    )
+    def test_one_segment_at_offset_zero_is_the_live_registry(self, entry):
+        spec = _grid_specs(entry, trials=1)[0]
+        live = MetricsRegistry()
+        result = run_trial(spec, observers=(live,))
+        rebuilt = MetricsRegistry.from_deliveries([(live.freeze_delivery(), 0)])
+        live.finalize_trial(result)
+        rebuilt.finalize_trial(result)
+        assert rebuilt == live
+        assert rebuilt.pack() == live.pack()
+
+    def test_shifted_segments_equal_one_observer(self):
+        def segment(registry, first_round, coin):
+            registry.observe_delivery(first_round, "int(1)", 0, True)
+            registry.observe_delivery(first_round, "<Share>", 2, False)
+            registry.observe_delivery(
+                first_round + 1, "{coin_share: <Share>}" if coin else "∅", 1, True
+            )
+            registry.observe("slot_occupancy", 3 if coin else 1)
+
+        whole = MetricsRegistry()
+        segment(whole, 1, coin=True)
+        segment(whole, 4, coin=False)
+        segment(whole, 7, coin=True)
+        with_coin, without = MetricsRegistry(), MetricsRegistry()
+        segment(with_coin, 1, coin=True)
+        segment(without, 1, coin=False)
+        a, b = with_coin.freeze_delivery(), without.freeze_delivery()
+        composed = MetricsRegistry.from_deliveries([(a, 0), (b, 3), (a, 6)])
+        for registry in (whole, composed):
+            registry.finalize_delivery()
+        assert composed == whole
+        assert whole.counter_total("coin_flip_rounds") == 2
+        assert "0008/collection" in whole.labels("round_messages")
+
+    def test_composition_never_aliases_the_frozen_segment(self):
+        source = MetricsRegistry()
+        source.observe_delivery(1, "int(1)", 0, True)
+        source.observe("slot_occupancy", 2)
+        frozen = source.freeze_delivery()
+        source.observe("slot_occupancy", 9)  # after the freeze: not seen
+        first = MetricsRegistry.from_deliveries([(frozen, 0)])
+        first.observe("slot_occupancy", 5)
+        first.inc("messages", "int", 10)
+        second = MetricsRegistry.from_deliveries([(frozen, 0)])
+        assert second.histograms["slot_occupancy"].count == 1
+        assert second.labels("messages") == {"int": 1}
+        twin = second.copy()
+        twin.observe("slot_occupancy", 5)
+        assert second.histograms["slot_occupancy"].count == 1
+
+
 class TestArtifact:
     def _payload(self):
         registry = _build(

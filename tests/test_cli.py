@@ -386,6 +386,37 @@ class TestBench:
         assert dumps
 
 
+    def test_metrics_leg_runs_on_the_selected_backend(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        base = ["bench", "--kappas", "1,2", "--trials", "6", "--workers", "1"]
+        object_path = tmp_path / "object.json"
+        vector_path = tmp_path / "vector.json"
+        assert main(base + ["--metrics", str(object_path)]) == 0
+        assert main(base + ["--vector", "--metrics", str(vector_path)]) == 0
+        assert vector_path.read_bytes() == object_path.read_bytes()
+        capsys.readouterr()
+
+        # A supported spec that lands on the object path fails the leg.
+        from repro.engine.registry import vector_model_for
+        from repro.engine.vectorized import VectorModelError
+
+        def broken(specs):
+            raise VectorModelError("injected")
+
+        # The timed vector leg only checks identity (the fallback is
+        # bit-identical); the metrics leg audits the fallback count.
+        monkeypatch.setattr(
+            vector_model_for("ba_one_half", None), "run_batch", broken
+        )
+        broken_path = tmp_path / "broken.json"
+        code = main(base + ["--vector", "--metrics", str(broken_path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "METRICS LEG REGRESSION" in out and "injected" in out
+        assert not broken_path.exists()
+
+
 class TestReport:
     FIXTURES = os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "obs", "fixtures"
