@@ -21,7 +21,8 @@ check.  Rule families:
 * **API** — registry and adversary-hook contract coherence.
 * **VEC** — vector-model contracts: registrations resolve to real
   registry entries, model bodies stay pure, fallback reasons stay in
-  the engine vocabulary, ``batch_key`` strips per-trial identity.
+  the engine vocabulary, ``batch_key`` leaves out the fields named in
+  ``PER_TRIAL_FIELDS``, ``seed`` and ``session`` among them.
 * **OBS** — trace/telemetry string literals pinned to the schema
   vocabularies exported by ``repro.obs``.
 * **SUP** — meta: stale ``# repro: noqa[...]`` suppressions.

@@ -318,20 +318,54 @@ class FallbackVocabularyRule(_IndexedRule):
                     )
 
 
+#: ``batch_key``'s module declares the fields it leaves out of the key
+#: in this module-level literal.
+_PER_TRIAL_LITERAL = "PER_TRIAL_FIELDS"
+_PER_TRIAL_REQUIRED = frozenset({"seed", "session"})
+
+
+def _field_read(node: ast.AST, spec: Optional[str]) -> Optional[str]:
+    """The field name ``node`` reads off ``spec``: ``spec.f`` or
+    ``getattr(spec, "f")``; ``None`` for anything else."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == spec
+    ):
+        return node.attr
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) >= 2
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == spec
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, str)
+    ):
+        return node.args[1].value
+    return None
+
+
 @register_rule
 class ProbeKeySeedStripRule(_IndexedRule):
     """Probe/batch cache keys must erase per-trial identity.
 
     The cross-batch probe cache is keyed by ``batch_key(spec)``; if that
     key ever carries ``seed`` or ``session``, cache hits stop happening
-    (worst case) or two *different* sessions share a probe (worse).  A
-    ``batch_key`` function must return ``dataclasses.replace(spec, ...)``
-    neutralizing both fields explicitly.
+    (worst case) or two *different* sessions share a probe (worse).  The
+    key is every spec field except those named in the module-level
+    ``PER_TRIAL_FIELDS`` literal beside ``batch_key``, so that literal
+    must name both fields, and ``batch_key`` itself must read neither
+    off the spec.
     """
 
     id = "VEC504"
     title = "batch_key does not strip seed/session from the spec"
-    hint = "return dataclasses.replace(spec, seed=0, session=\"\", ...) — both fields, explicitly"
+    hint = (
+        'name both in PER_TRIAL_FIELDS = ("seed", "session", ...) beside '
+        "batch_key, and read neither field inside it"
+    )
 
     def finalize(self) -> Iterator[Finding]:
         index = self.index
@@ -340,34 +374,28 @@ class ProbeKeySeedStripRule(_IndexedRule):
         for module, func in index.iter_functions(top="engine"):
             if func.name != "batch_key":
                 continue
-            returns = [
-                node
-                for node in ast.walk(func)
-                if isinstance(node, ast.Return) and node.value is not None
-            ]
-            stripped = False
-            for stmt in returns:
-                value = stmt.value
-                if not isinstance(value, ast.Call):
-                    continue
-                target = module.resolve_call_target(value.func)
-                if target is None or target.rsplit(".", 1)[-1] != "replace":
-                    continue
-                keywords = {kw.arg for kw in value.keywords}
-                if {"seed", "session"} <= keywords:
-                    stripped = True
-                else:
-                    missing = sorted({"seed", "session"} - keywords)
-                    yield self.finding(
-                        module,
-                        stmt,
-                        f"replace(...) does not neutralize {missing}",
-                    )
-                    stripped = True  # reported precisely; skip the fallback
-            if not stripped:
+            symbols = index.symbols[module.name]
+            excluded = symbols.constants.get(_PER_TRIAL_LITERAL)
+            if not isinstance(excluded, (tuple, list, set, frozenset)):
                 yield self.finding(
                     module,
                     func,
-                    "batch_key has no dataclasses.replace(...) return "
-                    "stripping seed/session",
+                    f"no literal {_PER_TRIAL_LITERAL} beside batch_key "
+                    "declaring the fields it strips",
                 )
+            elif not _PER_TRIAL_REQUIRED <= set(excluded):
+                missing = sorted(_PER_TRIAL_REQUIRED - set(excluded))
+                yield self.finding(
+                    module,
+                    symbols.assignments[_PER_TRIAL_LITERAL],
+                    f"{_PER_TRIAL_LITERAL} does not exclude {missing}",
+                )
+            spec = func.args.args[0].arg if func.args.args else None
+            for node in ast.walk(func):
+                field = _field_read(node, spec)
+                if field in _PER_TRIAL_REQUIRED:
+                    yield self.finding(
+                        module,
+                        node,
+                        f"batch_key reads {field!r} off the spec",
+                    )

@@ -6,6 +6,7 @@ details and the DESIGN.md substitution notes (ideal vs real backends).
 
 from .coin import (
     IdealCoin,
+    coin_evaluator,
     coin_message_tag,
     coin_value_from_signature,
     ideal_coin_program,
@@ -16,7 +17,13 @@ from .ideal import IdealSignatureScheme, IdealThresholdScheme
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .keys import CryptoSuite
 from .primes import generate_prime, generate_safe_prime, is_probable_prime
-from .random_oracle import encode_term, hash_to_int, hash_to_range, oracle_digest
+from .random_oracle import (
+    encode_term,
+    encode_tuple,
+    hash_to_int,
+    hash_to_range,
+    oracle_digest,
+)
 from .rsa import RsaSignatureScheme, generate_rsa_keypair
 from .shamir import Share, ShamirError, reconstruct_secret, split_secret
 from .threshold_rsa import ThresholdRsaScheme, generate_threshold_rsa
@@ -41,9 +48,11 @@ __all__ = [
     "SignatureScheme",
     "ThresholdRsaScheme",
     "ThresholdSignatureScheme",
+    "coin_evaluator",
     "coin_message_tag",
     "coin_value_from_signature",
     "encode_term",
+    "encode_tuple",
     "generate_prime",
     "generate_rsa_keypair",
     "generate_safe_prime",

@@ -22,10 +22,20 @@ counts match the paper:
 from __future__ import annotations
 
 import random
+from typing import Callable
+
+from .ideal import IdealThresholdScheme
 from .interfaces import ThresholdSignatureScheme
-from .random_oracle import Term, hash_to_range
+from .random_oracle import (
+    Term,
+    encode_term,
+    encode_tuple,
+    hash_to_range,
+    hash_to_range_encoded,
+)
 
 __all__ = [
+    "coin_evaluator",
     "coin_message_tag",
     "coin_value_from_signature",
     "threshold_coin_program",
@@ -34,9 +44,24 @@ __all__ = [
 ]
 
 
+_COIN_FLIP = "coin-flip"
+
+
 def coin_message_tag(session: str, index: Term) -> Term:
     """The message all parties threshold-sign for coin ``index``."""
-    return ("coin-flip", session, index)
+    return (_COIN_FLIP, session, index)
+
+
+def _extract_coin(
+    encoded_session: bytes, encoded_index: bytes, signature: bytes, low: int, high: int
+) -> int:
+    """Hash ``(session, index, signature bytes)`` into ``[low, high]``."""
+    return hash_to_range_encoded(
+        "coin-extract",
+        encode_tuple((encoded_session, encoded_index, encode_term(signature))),
+        low,
+        high,
+    )
 
 
 def coin_value_from_signature(
@@ -48,12 +73,45 @@ def coin_value_from_signature(
     high: int,
 ) -> int:
     """Hash the unique combined signature into ``[low, high]``."""
-    return hash_to_range(
-        "coin-extract",
-        (session, index, scheme.signature_bytes(signature)),
+    return _extract_coin(
+        encode_term(session),
+        encode_term(index),
+        scheme.signature_bytes(signature),
         low,
         high,
     )
+
+
+def coin_evaluator(
+    scheme: IdealThresholdScheme, index: Term, low: int, high: int
+) -> Callable[[str], int]:
+    """``session -> value`` of coin ``index``, without materializing shares.
+
+    Combined ideal signatures are unique per (key, message), so whenever
+    a quorum of valid shares exists the coin is a pure function of the
+    session, equal to::
+
+        coin_value_from_signature(
+            scheme, scheme.combine(quorum, coin_message_tag(session, index)),
+            session, index, low, high)
+
+    This is for a caller — the vector engine backend — that has *proven*
+    the combine succeeds and evaluates one coin over many sessions:
+    everything but the session is encoded once, here, and each
+    evaluation computes its tag afresh, leaving the scheme's tag memo
+    alone.  An empty range raises on evaluation, as
+    :func:`~repro.crypto.random_oracle.hash_to_range` does.
+    """
+    flip = encode_term(_COIN_FLIP)
+    encoded_index = encode_term(index)
+    combined_bytes = scheme.combined_bytes_encoded
+
+    def evaluate(session: str) -> int:
+        encoded_session = encode_term(session)
+        tag = combined_bytes(encode_tuple((flip, encoded_session, encoded_index)))
+        return _extract_coin(encoded_session, encoded_index, tag, low, high)
+
+    return evaluate
 
 
 def threshold_coin_program(ctx, index: Term, low: int, high: int):

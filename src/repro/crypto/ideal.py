@@ -21,20 +21,27 @@ signatures without ``threshold`` distinct shares.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
-from .random_oracle import Term, encode_term
+from .random_oracle import Term, encode_term, encode_tuple
 
 __all__ = ["IdealSignatureScheme", "IdealThresholdScheme", "set_tag_memoization"]
 
 
+def _tag_encoded(key: bytes, parts: Sequence[bytes]) -> bytes:
+    """HMAC tag over the tuple whose elements encode to ``parts``."""
+    return hmac.digest(key, encode_tuple(parts), "sha256")
+
+
 def _tag(key: bytes, *parts: Term) -> bytes:
-    return hmac.new(key, encode_term(tuple(parts)), hashlib.sha256).digest()
+    return _tag_encoded(key, [encode_term(part) for part in parts])
+
+
+_COMBINED = encode_term("combined")
 
 
 # Tag memoization.  Signing and verifying are pure functions of
@@ -249,11 +256,20 @@ class IdealThresholdScheme(ThresholdSignatureScheme):
         """Bytes of the (unique) combined signature on ``message``.
 
         Combined ideal signatures depend only on the registry key and the
-        message — not on which shares produced them — so callers that can
-        *prove* a combine would succeed (e.g. the vector engine backend,
-        which counts honest shares arithmetically) may derive the
-        signature bytes directly without materializing share objects.
-        Equal to ``signature_bytes(combine(shares, message))`` for any
-        valid quorum of shares.
+        message — not on which shares produced them — so a caller that
+        can *prove* a combine would succeed may derive the signature
+        bytes directly without materializing share objects.  Equal to
+        ``signature_bytes(combine(shares, message))`` for any valid
+        quorum of shares.
         """
         return self._tags.combined_tag("combined", message)
+
+    def combined_bytes_encoded(self, encoded_message: bytes) -> bytes:
+        """:meth:`combined_bytes` of the message whose encoding is
+        ``encoded_message``, computed afresh.
+
+        For :func:`repro.crypto.coin.coin_evaluator`, which sweeps one
+        coin over many sessions: it pre-encodes what the messages share,
+        and its one-off tags would only crowd the memo.
+        """
+        return _tag_encoded(self._key, (_COMBINED, encoded_message))

@@ -10,9 +10,16 @@ hashing, which would be Python-version dependent).
 from __future__ import annotations
 
 import hashlib
-from typing import Tuple, Union
+from typing import Sequence, Tuple, Union
 
-__all__ = ["encode_term", "oracle_digest", "hash_to_int", "hash_to_range"]
+__all__ = [
+    "encode_term",
+    "encode_tuple",
+    "oracle_digest",
+    "hash_to_int",
+    "hash_to_range",
+    "hash_to_range_encoded",
+]
 
 Term = Union[int, str, bytes, bool, None, Tuple["Term", ...]]
 
@@ -36,31 +43,54 @@ def encode_term(term: Term) -> bytes:
     if isinstance(term, bytes):
         return b"Y" + len(term).to_bytes(4, "big") + term
     if isinstance(term, tuple):
-        parts = [encode_term(part) for part in term]
-        body = b"".join(parts)
-        return b"T" + len(parts).to_bytes(4, "big") + body
+        return encode_tuple([encode_term(part) for part in term])
     raise TypeError(f"cannot canonically encode {type(term).__name__}")
+
+
+def encode_tuple(parts: Sequence[bytes]) -> bytes:
+    """Encoding of the tuple whose elements encode to ``parts``.
+
+    ``encode_term(t) == encode_tuple([encode_term(p) for p in t])`` for
+    every tuple term ``t``: a caller that hashes many terms differing in
+    one element encodes the fixed elements once and joins per term.
+    """
+    return b"T" + len(parts).to_bytes(4, "big") + b"".join(parts)
+
+
+def _digest_encoded(domain: str, encoded: bytes) -> bytes:
+    return hashlib.sha256(domain.encode("utf-8") + b"\x00" + encoded).digest()
 
 
 def oracle_digest(domain: str, term: Term) -> bytes:
     """SHA-256 digest of ``term`` under domain-separation tag ``domain``."""
-    h = hashlib.sha256()
-    h.update(domain.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(encode_term(term))
-    return h.digest()
+    return _digest_encoded(domain, encode_term(term))
 
 
-def hash_to_int(domain: str, term: Term, bits: int = 256) -> int:
-    """Hash into a ``bits``-bit integer (counter-mode expansion for > 256)."""
+def _hash_to_int_encoded(domain: str, encoded: bytes, bits: int) -> int:
     if bits <= 0:
         raise ValueError("bits must be positive")
     output = b""
     counter = 0
     while len(output) * 8 < bits:
-        output += oracle_digest(domain, (counter, term))
+        output += _digest_encoded(
+            domain, encode_tuple((encode_term(counter), encoded))
+        )
         counter += 1
     return int.from_bytes(output, "big") % (1 << bits)
+
+
+def hash_to_int(domain: str, term: Term, bits: int = 256) -> int:
+    """Hash into a ``bits``-bit integer (counter-mode expansion for > 256)."""
+    return _hash_to_int_encoded(domain, encode_term(term), bits)
+
+
+def hash_to_range_encoded(domain: str, encoded: bytes, low: int, high: int) -> int:
+    """:func:`hash_to_range` of the term whose encoding is ``encoded``."""
+    if high < low:
+        raise ValueError(f"empty range [{low}, {high}]")
+    span = high - low + 1
+    bits = span.bit_length() + 128
+    return low + _hash_to_int_encoded(domain, encoded, bits) % span
 
 
 def hash_to_range(domain: str, term: Term, low: int, high: int) -> int:
@@ -69,8 +99,4 @@ def hash_to_range(domain: str, term: Term, low: int, high: int) -> int:
     Uses 128 bits of slack beyond the range size, so the modular bias is
     below ``2^-128`` — negligible next to the protocol's own error terms.
     """
-    if high < low:
-        raise ValueError(f"empty range [{low}, {high}]")
-    span = high - low + 1
-    bits = span.bit_length() + 128
-    return low + hash_to_int(domain, term, bits) % span
+    return hash_to_range_encoded(domain, encode_term(term), low, high)

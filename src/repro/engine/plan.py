@@ -30,7 +30,7 @@ worker or 16 yields byte-identical results (see
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -216,6 +216,18 @@ class TrialSpec:
         return key
 
 
+def _stamp_trial(template: TrialSpec, seed: int, session: str) -> TrialSpec:
+    """``replace(template, seed=seed, session=session)`` without re-validating.
+
+    ``__post_init__`` inspects neither field, so a copy of the
+    already-validated template with the two stamped on equals (and
+    hashes and pickles like) the spec ``TrialSpec(...)`` would build.
+    """
+    spec = object.__new__(TrialSpec)
+    vars(spec).update(vars(template), seed=seed, session=session)
+    return spec
+
+
 @dataclass(frozen=True)
 class TrialPlan:
     """An ordered, immutable batch of independent trials."""
@@ -282,10 +294,10 @@ class TrialPlan:
         return cls(
             name=name,
             trials=tuple(
-                replace(
+                _stamp_trial(
                     template,
-                    seed=derive_trial_seed(seed, index),
-                    session=derive_trial_session(seed, index),
+                    derive_trial_seed(seed, index),
+                    derive_trial_session(seed, index),
                 )
                 for index in range(trials)
             ),

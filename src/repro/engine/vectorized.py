@@ -7,10 +7,10 @@ by the paper's protocols, and the session string only enters HMAC tag
 *bytes* — never the validity structure of shares and quorums.  One round of
 a supported protocol therefore evolves identically across the whole batch
 except for the coin values, and a coin value is a pure function of the
-dealt coin key and the trial session:
-
-    tag = HMAC(coin_key, encode(("combined", ("coin-flip", session, index))))
-    c   = hash_to_range("coin-extract", (session, index, tag), low, high)
+dealt coin key and the trial session —
+:func:`repro.crypto.coin.coin_evaluator`, which a model builds once per
+batch and coin index and calls once per trial.  The crypto layer owns the
+formula and every encoded byte of it; this module only supplies sessions.
 
 This module exploits that structure.  Per-party bits live in a ``(B, n)``
 numpy array; each iteration groups rows by bit configuration, resolves the
@@ -21,12 +21,18 @@ vectorized array expression over the batch's coin column.  Signature counts
 come out of the per-configuration tallies arithmetically — no signature,
 share or message object is ever materialized per trial.
 
+What a trial costs is therefore its coin and its row of array
+arithmetic.  Nothing per trial constructs a ``TrialSpec``: the chunk
+executor keys each spec once with :func:`batch_key` — a plain tuple of
+the fields that are *not* per-trial identity — groups on it, and asks
+:func:`unsupported_reason` once per group.
+
 The transition itself is not re-derived by hand: it is obtained by running
 the *object simulator* once per configuration on a single-iteration probe
 program (the exact wire behavior of one ``Π_iter`` segment, including the
 real adversary instance).  That makes the vector backend bit-identical to
 the reference by construction — the only arithmetic this module trusts is
-the coin derivation above and :func:`repro.core.extraction.extract`'s
+the coin evaluator and :func:`repro.core.extraction.extract`'s
 closed form, both covered by the equivalence suite in
 ``tests/engine/test_vectorized.py``.
 
@@ -50,6 +56,7 @@ either way.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import Counter, OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,8 +67,7 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 
 from ..core.extraction import extract
 from ..core.probabilistic import ProbTermOutput
-from ..crypto.coin import coin_message_tag, threshold_coin_program
-from ..crypto.random_oracle import hash_to_range
+from ..crypto.coin import coin_evaluator, threshold_coin_program
 from ..crypto.vrf_coin import vrf_coin_from_evaluations, vrf_evaluate
 from ..network.messages import get_field
 from ..network.metrics import RunMetrics
@@ -206,14 +212,30 @@ class _IterationProbe:
     corrupted: frozenset
 
 
-def batch_key(spec: TrialSpec) -> TrialSpec:
-    """The spec with per-trial identity erased: equal keys ⇒ one batch.
+#: The fields that tell one trial of a configuration from the next.
+#: Every other ``TrialSpec`` field — including any added later — is part
+#: of the batch key.  ``repro check`` (VEC504) pins ``seed`` and
+#: ``session`` to this literal.
+PER_TRIAL_FIELDS = ("seed", "session", "config")
 
-    Trials agreeing on everything but ``(seed, session, config)`` share
+_batch_fields = operator.attrgetter(
+    *(
+        field.name
+        for field in dataclasses.fields(TrialSpec)
+        if field.name not in PER_TRIAL_FIELDS
+    )
+)
+
+
+def batch_key(spec: TrialSpec) -> Tuple[Any, ...]:
+    """The spec's fields minus per-trial identity: equal keys ⇒ one batch.
+
+    Trials agreeing on everything but :data:`PER_TRIAL_FIELDS` share
     dynamics (the module-docstring invariant), so the chunk executor
-    groups by this key and the probe memo is keyed by it.
+    groups by this key and the probe memo is keyed by it.  A plain
+    tuple, read off the spec — building one constructs no ``TrialSpec``.
     """
-    return dataclasses.replace(spec, seed=0, session="", config="")
+    return _batch_fields(spec)
 
 
 #: The complete vocabulary of exact fallback-reason strings the
@@ -297,25 +319,17 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     results come back in spec order and are bit-identical to
     ``run_trial`` on each spec.
     """
-    return _run_batch(list(specs))[0]
-
-
-def _run_batch(
-    specs: List[TrialSpec],
-) -> Tuple[List[ExecutionResult], List[_Path]]:
-    """:func:`run_vector_batch` plus each trial's path through the probes."""
+    specs = list(specs)
     if not specs:
-        return [], []
+        return []
     first = specs[0]
     key = batch_key(first)
-    for spec in specs[1:]:
-        if batch_key(spec) != key:
-            raise VectorModelError("batch mixes configurations")
+    if any(batch_key(spec) != key for spec in specs):
+        raise VectorModelError("batch mixes configurations")
     reason = unsupported_reason(first)
     if reason is not None:
         raise VectorModelError(f"unsupported spec in vector batch: {reason}")
-    model = vector_model_for(first.protocol, first.adversary)
-    return model.run_batch(specs)
+    return vector_model_for(first.protocol, first.adversary).run_batch(specs)[0]
 
 
 def _compose_registries(
@@ -380,47 +394,68 @@ def execute_chunk(
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
-    batches: Dict[TrialSpec, List[Tuple[int, TrialSpec]]] = {}
+    groups: Dict[Tuple[Any, ...], List[Tuple[int, TrialSpec]]] = {}
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
-    for index, spec in chunk:
+    # Grouping by key is the proof that no batch mixes configurations,
+    # and unsupported_reason reads no per-trial field: one key per spec,
+    # one reason per group.
+    for member in chunk:
+        spec = member[1]
         if trace_dir is not None:
             reasons["trace collection requested"] += 1
-            fallback.append((index, spec))
+            fallback.append(member)
             continue
-        reason = unsupported_reason(spec)
-        if reason is not None:
-            reasons[reason] += 1
-            fallback.append((index, spec))
-        else:
-            batches.setdefault(batch_key(spec), []).append((index, spec))
-
-    stats: Dict[str, Any] = {"batched": 0, "fallback": len(fallback), "batches": []}
-    for members in batches.values():
-        specs = [spec for _, spec in members]
+        key = batch_key(spec)
         try:
-            outcomes, paths = _run_batch(specs)
-        except VectorModelError as exc:
-            # A probe invariant failed — the conservative answer is the
-            # reference simulator, which is always correct.
-            reasons[f"vector model error: {exc}"] += len(members)
+            members = groups.get(key)
+        except TypeError:
+            # An unhashable field value cannot key a group; such a spec
+            # keeps its named per-spec fallback.
+            reason = unsupported_reason(spec)
+            if reason is None:
+                raise
+            reasons[reason] += 1
+            fallback.append(member)
+            continue
+        if members is None:
+            members = groups[key] = []
+        members.append(member)
+
+    batches: List[Dict[str, Any]] = []
+    for members in groups.values():
+        specs = [spec for _, spec in members]
+        first = specs[0]
+        reason = unsupported_reason(first)
+        if reason is None:
+            try:
+                outcomes, paths = vector_model_for(
+                    first.protocol, first.adversary
+                ).run_batch(specs)
+            except VectorModelError as exc:
+                # A probe invariant failed — the conservative answer is
+                # the reference simulator, which is always correct.
+                reason = f"vector model error: {exc}"
+        if reason is not None:
+            reasons[reason] += len(members)
             fallback.extend(members)
-            stats["fallback"] += len(members)
             continue
         for (index, _), result in zip(members, outcomes):
             results[index] = result
         if metrics is not None:
             _compose_registries(members, outcomes, paths, metrics)
-        stats["batched"] += len(members)
-        stats["batches"].append(
-            {"config": specs[0].config_key, "size": len(members)}
-        )
+        batches.append({"config": first.config_key, "size": len(members)})
     for index, spec in fallback:
         results[index] = _run_indexed_trial(index, spec, trace_dir, metrics)
     cache_after = probe_cache_stats()
-    stats["cache_hits"] = cache_after["hits"] - cache_before["hits"]
-    stats["cache_misses"] = cache_after["misses"] - cache_before["misses"]
-    stats["fallback_reasons"] = dict(reasons)
+    stats = {
+        "batched": len(chunk) - len(fallback),
+        "fallback": len(fallback),
+        "batches": batches,
+        "cache_hits": cache_after["hits"] - cache_before["hits"],
+        "cache_misses": cache_after["misses"] - cache_before["misses"],
+        "fallback_reasons": dict(reasons),
+    }
     return [(index, results[index]) for index, _ in chunk], stats
 
 
@@ -431,18 +466,6 @@ def _suite(spec: TrialSpec):
     from .runner import _suite_for  # circular at import time
 
     return _suite_for(spec)
-
-
-def _coin_value(suite, session: str, index: Any, low: int, high: int) -> int:
-    """The trial's coin value, derived without materializing shares.
-
-    Mirrors ``threshold_coin_program`` + ``coin_value_from_signature``:
-    combined ideal signatures are unique per (key, message), so when the
-    probe proves the combine succeeds the value is this pure function.
-    """
-    message = coin_message_tag(session, index)
-    tag = suite.coin.combined_bytes(message)
-    return hash_to_range("coin-extract", (session, index, tag), low, high)
 
 
 def _extract_array(values, grades_arr, coins, slots: int):
@@ -487,11 +510,13 @@ def _run_probe(
 ) -> _IterationProbe:
     """One object-simulator execution of a single-iteration probe program.
 
-    Memoized on ``(batch_key(spec), bits)``.  The probe runs under a fixed
-    session and seed — legitimate because supported protocols never
-    consume party/adversary RNG streams and signature *structure* is
-    session-independent; only coin values differ, and those are computed
-    per trial by :func:`_coin_value`.
+    Memoized on ``(batch_key(spec), bits)`` — the key tuple, so two specs
+    differing only in per-trial identity share the probe.  The probe runs
+    under a fixed session and seed — legitimate because supported
+    protocols never consume party/adversary RNG streams and signature
+    *structure* is session-independent; only coin values differ, and
+    those are computed per trial by the batch's
+    :func:`~repro.crypto.coin.coin_evaluator`.
     """
     memo_key = (batch_key(spec), bits)
     return _probe_cached(
@@ -706,13 +731,9 @@ class _BaOneThirdModel:
         )
 
         batch = len(specs)
+        coin = coin_evaluator(suite.coin, ("ba13", kappa), low, high)
         coins = _np.fromiter(
-            (
-                _coin_value(suite, spec.session, ("ba13", kappa), low, high)
-                for spec in specs
-            ),
-            dtype=_np.int64,
-            count=batch,
+            (coin(spec.session) for spec in specs), dtype=_np.int64, count=batch
         )
         values = _np.array(probe.values, dtype=_np.int64)[None, :]
         grades = _np.array(probe.grades, dtype=_np.int64)[None, :]
@@ -840,17 +861,9 @@ class _BaOneHalfModel:
                 inverse[row] = group
             corrupted = probes[0].corrupted
 
+            coin = coin_evaluator(suite.coin, ("ba12", iteration), 1, 4)
             coins = _np.fromiter(
-                (
-                    _coin_value(
-                        suite,
-                        f"{spec.session}/iter{iteration}",
-                        ("ba12", iteration),
-                        1,
-                        4,
-                    )
-                    for spec in specs
-                ),
+                (coin(f"{spec.session}/iter{iteration}") for spec in specs),
                 dtype=_np.int64,
                 count=batch,
             )
@@ -1002,6 +1015,7 @@ class _FmProbabilisticModel:
         suite = _suite(first)
         n = first.num_parties
         inputs_map = dict(enumerate(first.inputs))
+        coins: List[Any] = []  # coins[i]: iteration i + 1's evaluator
 
         results = []
         paths: List[_Path] = []
@@ -1020,13 +1034,9 @@ class _FmProbabilisticModel:
                     _FM_HALTED if pid in halted else bits[pid] for pid in range(n)
                 )
                 probe = _run_fm_probe(first, tokens)
-                coin = _coin_value(
-                    suite,
-                    f"{spec.session}/pt{iteration}",
-                    ("pt", iteration),
-                    1,
-                    4,
-                )
+                if iteration > len(coins):
+                    coins.append(coin_evaluator(suite.coin, ("pt", iteration), 1, 4))
+                coin = coins[iteration - 1](f"{spec.session}/pt{iteration}")
                 walked.append(
                     (probe.delivery, cls.ITERATION_ROUNDS * (iteration - 1))
                 )
@@ -1351,13 +1361,9 @@ def _finish_lift_batch(
     """
     low, high = 1, slots - 1
     batch = len(specs)
+    coin = coin_evaluator(suite.coin, coin_index, low, high)
     coins = _np.fromiter(
-        (
-            _coin_value(suite, coin_session(spec), coin_index, low, high)
-            for spec in specs
-        ),
-        dtype=_np.int64,
-        count=batch,
+        (coin(coin_session(spec)) for spec in specs), dtype=_np.int64, count=batch
     )
     values = _np.array(probe.values, dtype=_np.int64)[None, :]
     grades = _np.array(probe.grades, dtype=_np.int64)[None, :]
@@ -1445,11 +1451,11 @@ class _ThresholdCoinModel:
     ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
         suite = _suite(first)
-        index, low, high = _coin_protocol_params(first)
+        coin = coin_evaluator(suite.coin, *_coin_protocol_params(first))
 
         def build() -> _ReplayProbe:
             frozen = _replay_trial(first)
-            expected = _coin_value(suite, first.session, index, low, high)
+            expected = coin(first.session)
             ok: List[Tuple[int, Any]] = []
             for pid, output in frozen.outputs:
                 if output is not None and output != expected:
@@ -1464,7 +1470,7 @@ class _ThresholdCoinModel:
         probe = _probe_cached((batch_key(first), "coin-ok"), build)
         results = []
         for spec in specs:
-            value = _coin_value(suite, spec.session, index, low, high)
+            value = coin(spec.session)
             results.append(
                 probe.replicate(
                     {pid: (value if ok else None) for pid, ok in probe.outputs},

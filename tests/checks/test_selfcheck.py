@@ -143,8 +143,10 @@ class TestSeededNewFamilies:
         root = _copy_tree(tmp_path)
         vectorized = root / "engine" / "vectorized.py"
         text = vectorized.read_text()
-        assert 'seed=0, session=""' in text
-        vectorized.write_text(text.replace('seed=0, session=""', "seed=0"))
+        assert '("seed", "session", "config")' in text
+        vectorized.write_text(
+            text.replace('("seed", "session", "config")', '("seed", "config")')
+        )
         assert main(["check", str(root)]) == 1
         assert "VEC504" in capsys.readouterr().out
 

@@ -215,37 +215,56 @@ class TestVec503FallbackVocabulary:
 
 
 class TestVec504BatchKey:
-    def test_replace_stripping_both_fields_passes(self, tree):
+    def test_literal_excluding_both_fields_passes(self, tree):
+        report = _tree(tree, """
+            import operator
+
+            PER_TRIAL_FIELDS = ("seed", "session", "config")
+            _fields = operator.attrgetter("protocol", "adversary")
+
+            def batch_key(spec):
+                return _fields(spec)
+        """, ["VEC504"])
+        assert report.findings == []
+
+    def test_literal_missing_session_is_flagged(self, tree):
+        report = _tree(tree, """
+            PER_TRIAL_FIELDS = ("seed", "config")
+
+            def batch_key(spec):
+                return (spec.protocol, spec.adversary)
+        """, ["VEC504"])
+        assert rule_ids(report) == ["VEC504"]
+        assert "session" in report.findings[0].message
+
+    def test_no_literal_at_all_is_flagged(self, tree):
         report = _tree(tree, """
             import dataclasses
 
             def batch_key(spec):
                 return dataclasses.replace(spec, seed=0, session="")
         """, ["VEC504"])
-        assert report.findings == []
+        assert rule_ids(report) == ["VEC504"]
+        assert "PER_TRIAL_FIELDS" in report.findings[0].message
 
-    def test_replace_missing_session_is_flagged(self, tree):
+    def test_reading_a_per_trial_field_is_flagged(self, tree):
         report = _tree(tree, """
-            import dataclasses
+            PER_TRIAL_FIELDS = ("seed", "session")
 
             def batch_key(spec):
-                return dataclasses.replace(spec, seed=0)
+                return (spec.protocol, spec.seed, getattr(spec, "session"))
         """, ["VEC504"])
         assert rule_ids(report) == ["VEC504"]
-        assert "session" in report.findings[0].message
-
-    def test_no_replace_at_all_is_flagged(self, tree):
-        report = _tree(tree, """
-            def batch_key(spec):
-                return (spec.protocol, spec.adversary)
-        """, ["VEC504"])
-        assert rule_ids(report) == ["VEC504"]
+        assert sorted(f.message for f in report.findings) == [
+            "batch_key reads 'seed' off the spec",
+            "batch_key reads 'session' off the spec",
+        ]
 
     def test_noqa_suppresses(self, tree):
         report = _tree(tree, """
-            import dataclasses
+            PER_TRIAL_FIELDS = ("seed",)  # repro: noqa[VEC504] fixture
 
             def batch_key(spec):
-                return dataclasses.replace(spec, seed=0)  # repro: noqa[VEC504] fixture
+                return (spec.protocol, spec.adversary)
         """, ["VEC504"])
         assert report.findings == [] and report.suppressed == 1

@@ -3,15 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.coin import (
     IdealCoin,
+    coin_evaluator,
     coin_message_tag,
     coin_value_from_signature,
     ideal_coin_program,
     threshold_coin_program,
 )
-from repro.crypto.ideal import IdealThresholdScheme
+from repro.crypto.ideal import IdealThresholdScheme, set_tag_memoization
 
 from ..conftest import ideal_suite, run
 
@@ -117,3 +120,75 @@ class TestIdealCoin:
             counts[coin.value(index, 0, 3)] += 1
         for c in counts:
             assert abs(c - 100) < 45
+
+
+# Coin indices as the protocols spell them: ints, tags, nested tuples.
+coin_indices = st.recursive(
+    st.one_of(st.integers(-5, 2 ** 70), st.text(max_size=8), st.none()),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def coin_from_shares(scheme, session, index, low, high):
+    """The coin the long way: t+1 real share objects, combined, hashed."""
+    message = coin_message_tag(session, index)
+    shares = [
+        (signer, scheme.sign_share(signer, message))
+        for signer in range(scheme.threshold)
+    ]
+    return coin_value_from_signature(
+        scheme, scheme.combine(shares, message), session, index, low, high
+    )
+
+
+class TestCoinEvaluator:
+    @given(
+        sessions=st.lists(st.text(max_size=24), min_size=1, max_size=4),
+        index=coin_indices,
+        low=st.integers(-(2 ** 20), 2 ** 20),
+        span=st.one_of(st.integers(0, 64), st.integers(2 ** 128, 2 ** 300)),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_equals_combining_real_shares(self, sessions, index, low, span):
+        # st.text draws non-ASCII sessions; spans beyond 2^128 need more
+        # than one SHA-256 block of expansion.
+        scheme = IdealThresholdScheme(4, 2, random.Random(5))
+        coin = coin_evaluator(scheme, index, low, low + span)
+        for session in sessions:
+            assert coin(session) == coin_from_shares(
+                scheme, session, index, low, low + span
+            )
+
+    def test_non_ascii_session_and_the_vector_models_indices(self):
+        scheme = IdealThresholdScheme(5, 3, random.Random(6))
+        for session in ("exp3/17/iter2", "séance-Ω/пт1", ""):
+            for index in (0, ("ba13", 4), ("pt", 64), (("a", (1,)), None)):
+                assert coin_evaluator(scheme, index, 1, 16)(
+                    session
+                ) == coin_from_shares(scheme, session, index, 1, 16)
+
+    def test_empty_range_raises_as_the_share_path_does(self):
+        scheme = IdealThresholdScheme(4, 2, random.Random(5))
+        with pytest.raises(ValueError) as from_shares:
+            coin_from_shares(scheme, "s", 0, 5, 4)
+        with pytest.raises(ValueError) as from_evaluator:
+            coin_evaluator(scheme, 0, 5, 4)("s")
+        assert str(from_evaluator.value) == str(from_shares.value)
+
+    def test_leaves_the_tag_memo_alone_and_ignores_its_switch(self):
+        scheme = IdealThresholdScheme(4, 2, random.Random(5))
+        coin = coin_evaluator(scheme, ("ba12", 1), 1, 4)
+        sessions = [f"exp1/{trial}/iter1" for trial in range(50)]
+        warm = [coin(session) for session in sessions]
+        assert len(scheme._tags._memo) == 0
+        previous = set_tag_memoization(False)
+        try:
+            assert [coin(session) for session in sessions] == warm
+            assert warm == [
+                coin_from_shares(scheme, session, ("ba12", 1), 1, 4)
+                for session in sessions
+            ]
+        finally:
+            set_tag_memoization(previous)
+        assert set(warm) == {1, 2, 3, 4}

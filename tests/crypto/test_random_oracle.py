@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from repro.crypto.random_oracle import (
     encode_term,
+    encode_tuple,
     hash_to_int,
     hash_to_range,
+    hash_to_range_encoded,
     oracle_digest,
 )
 
@@ -55,6 +57,13 @@ class TestEncodeTerm:
         assert encode_term((1, (2, 3))) != encode_term((1, 2, 3))
         assert encode_term(((1,), 2)) != encode_term((1, (2,)))
 
+    @given(parts=st.lists(terms, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_tuple_encoding_is_the_join_of_its_parts(self, parts):
+        encoded = [encode_term(part) for part in parts]
+        assert encode_term(tuple(parts)) == encode_tuple(encoded)
+        assert encode_term(tuple(parts)) == encode_tuple(tuple(encoded))
+
     def test_unencodable_raises(self):
         with pytest.raises(TypeError):
             encode_term([1, 2])  # lists are not canonical terms
@@ -88,6 +97,18 @@ class TestOracle:
     def test_hash_to_range_bounds(self, low, span, term):
         value = hash_to_range("t", term, low, low + span)
         assert low <= value <= low + span
+
+    @given(
+        term=terms,
+        low=st.integers(-(2 ** 20), 2 ** 20),
+        span=st.one_of(st.integers(0, 50), st.integers(2 ** 128, 2 ** 400)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_hash_to_range_encoded_is_hash_to_range(self, term, low, span):
+        # Spans beyond 2^128 need more than one SHA-256 block.
+        assert hash_to_range_encoded(
+            "t", encode_term(term), low, low + span
+        ) == hash_to_range("t", term, low, low + span)
 
     def test_hash_to_range_empty_rejected(self):
         with pytest.raises(ValueError):

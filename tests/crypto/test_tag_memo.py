@@ -16,6 +16,7 @@ from repro.crypto.ideal import (
     set_tag_memoization,
 )
 from repro.crypto.ideal import _memo_key
+from repro.crypto.random_oracle import encode_term
 
 
 @pytest.fixture
@@ -42,12 +43,19 @@ class TestMemoTransparency:
         try:
             cold_plain = [plain.sign(1, m).tag for m in messages]
             cold_share = [threshold.sign_share(2, m).tag for m in messages]
+            cold_combined = [threshold.combined_bytes(m) for m in messages]
         finally:
             set_tag_memoization(previous)
         warm_plain = [plain.sign(1, m).tag for m in messages]
         warm_share = [threshold.sign_share(2, m).tag for m in messages]
+        warm_combined = [threshold.combined_bytes(m) for m in messages]
         assert warm_plain == cold_plain
         assert warm_share == cold_share
+        assert warm_combined == cold_combined
+        # The memo-free entry point on pre-encoded messages: same bytes.
+        assert cold_combined == [
+            threshold.combined_bytes_encoded(encode_term(m)) for m in messages
+        ]
 
     def test_repeat_sign_hits_memo_and_stays_stable(self, plain):
         message = ("echo", 4, (0, 1))

@@ -139,6 +139,40 @@ class TestTrialPlan:
         plan = self._plan(trials=1, params={"kappa": 2})
         assert plan.trials[0].params == (("kappa", 2),)
 
+    def test_monte_carlo_specs_are_the_directly_built_ones(self):
+        # The plan validates its template once and stamps seed/session
+        # onto copies; every copy must be indistinguishable from the
+        # spec TrialSpec(...) validates from scratch.  Lists in the
+        # params exercise the deep-freeze the copies skip.
+        plan = self._plan(
+            trials=6, seed=9, adversary_params={"victims": [3]},
+            faults="lossy", fault_params={"drop": 0.1},
+        )
+        for index, spec in enumerate(plan):
+            direct = TrialSpec(
+                protocol="ba_one_third", inputs=(0, 0, 1, 1), max_faulty=1,
+                params={"kappa": 2}, adversary="straddle13",
+                adversary_params={"victims": [3]},
+                seed=derive_trial_seed(9, index),
+                session=derive_trial_session(9, index), config="p",
+                faults="lossy", fault_params={"drop": 0.1},
+            )
+            assert spec == direct and hash(spec) == hash(direct)
+            assert pickle.dumps(spec) == pickle.dumps(direct)
+            assert not spec.vectorizable  # __post_init__'s doing, inherited
+
+    def test_monte_carlo_validates_user_values_once(self, monkeypatch):
+        calls = []
+        post_init = TrialSpec.__post_init__
+        monkeypatch.setattr(
+            TrialSpec, "__post_init__",
+            lambda spec: (calls.append(1), post_init(spec))[1],
+        )
+        self._plan(trials=50)
+        assert len(calls) == 1
+        with pytest.raises(ValueError, match="0 <= t < n"):
+            self._plan(max_faulty=4)
+
     def test_monte_carlo_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="at least one"):
             self._plan(trials=0)

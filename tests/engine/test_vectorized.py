@@ -9,9 +9,12 @@ object path inside the same run, so the guarantee holds for arbitrary
 mixed plans.
 """
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     ChunkSummary,
@@ -22,7 +25,15 @@ from repro.engine import (
     vector_supports,
     vector_unsupported_reason,
 )
-from repro.engine.vectorized import execute_chunk
+from repro.engine.registry import vector_model_for
+from repro.engine.runner import _suite_for
+from repro.engine.vectorized import (
+    PER_TRIAL_FIELDS,
+    batch_key,
+    clear_probe_cache,
+    execute_chunk,
+    run_vector_batch,
+)
 from tests.conftest import PROTOCOL_SHAPES
 
 
@@ -339,6 +350,27 @@ class TestFallback:
         reason = vector_unsupported_reason(spec)
         assert reason is not None and "bit" in reason
 
+    def test_unhashable_inputs_keep_their_named_fallback(self):
+        # A list inside the inputs tuple cannot be hashed, so such a
+        # spec cannot key a batch group; it must still fall back by
+        # name, counted per trial, not surface the TypeError.
+        plan = TrialPlan.monte_carlo(
+            "unhashable", "turpin_coan_classic", ([1], [1], [1], [1]), 1,
+            trials=3, params={"kappa": 2}, seed=4,
+        )
+        assert vector_unsupported_reason(plan.trials[0]) == "unhashable inputs"
+        batched = TrialPlan.monte_carlo(
+            "hashable", "ba_one_third", (0, 0, 1, 1), 1,
+            trials=2, params={"kappa": 2}, seed=4,
+        )
+        chunk = list(enumerate(batched.trials + plan.trials))
+        pairs, stats = execute_chunk(chunk)
+        assert stats["fallback_reasons"] == {"unhashable inputs": 3}
+        assert (stats["batched"], stats["fallback"]) == (2, 3)
+        reference = ParallelRunner(workers=1).run(plan).results
+        for (_, got), expected in zip(pairs[2:], reference):
+            assert canon(got) == canon(expected)
+
     def test_mixed_chunk_groups_and_falls_back_per_spec(self):
         vec_plan = TrialPlan.monte_carlo(
             "mix-vec", "ba_one_third", (0, 0, 1, 1), 1,
@@ -361,6 +393,147 @@ class TestFallback:
         reference = ParallelRunner(workers=1).run(plan).results
         for (_, got), expected in zip(pairs, reference):
             assert canon(got) == canon(expected)
+
+
+#: One strategy per TrialSpec field, over domains small enough that two
+#: draws often agree.  A new field must be added here — the exhaustive
+#: test below fails until it is.
+SPEC_FIELDS = {
+    "protocol": st.sampled_from(["ba_one_third", "ba_one_half"]),
+    "inputs": st.sampled_from([(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1, 1)]),
+    "max_faulty": st.integers(0, 1),
+    "params": st.sampled_from([(), {"kappa": 1}, {"kappa": 2}]),
+    "adversary": st.sampled_from([None, "straddle13"]),
+    "adversary_params": st.sampled_from([(), {"victims": (3,)}]),
+    "seed": st.integers(0, 3),
+    "session": st.text(max_size=3),
+    "setup_seed": st.integers(0, 1),
+    "backend": st.sampled_from(["ideal", "real"]),
+    "max_rounds": st.sampled_from([12, 4096]),
+    "collect_signatures": st.booleans(),
+    "config": st.text(max_size=3),
+    "rsa_bits": st.sampled_from([128, 256]),
+    "vectorizable": st.booleans(),
+    "faults": st.sampled_from([None, "lossy", "crash_recover"]),
+    "fault_params": st.sampled_from([(), {"drop": 0.5}]),
+}
+
+
+def _identity_erased(spec):
+    return dataclasses.replace(spec, seed=0, session="", config="")
+
+
+class TestBatchKey:
+    def test_every_field_is_in_the_key_or_declared_per_trial(self):
+        names = [field.name for field in dataclasses.fields(TrialSpec)]
+        assert sorted(names) == sorted(SPEC_FIELDS)
+        assert set(PER_TRIAL_FIELDS) == {"seed", "session", "config"}
+        spec = TrialSpec("ba_one_third", (0, 0, 1, 1), 1)
+        keyed = [name for name in names if name not in PER_TRIAL_FIELDS]
+        assert batch_key(spec) == tuple(getattr(spec, name) for name in keyed)
+
+    @given(
+        fields=st.fixed_dictionaries(SPEC_FIELDS),
+        changes=st.fixed_dictionaries({}, optional=SPEC_FIELDS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equal_keys_iff_equal_up_to_trial_identity(self, fields, changes):
+        try:
+            a = TrialSpec(**fields)
+            b = dataclasses.replace(a, **changes)
+        except ValueError:  # fault_params without a faults scenario
+            reject()
+        assert (batch_key(a) == batch_key(b)) == (
+            _identity_erased(a) == _identity_erased(b)
+        )
+        assert batch_key(a) == batch_key(_identity_erased(a))
+        assert hash(batch_key(a)) == hash(batch_key(_identity_erased(a)))
+
+    def test_public_batch_entry_still_rejects_a_mixed_batch(self):
+        from repro.engine.vectorized import VectorModelError
+
+        one = TrialPlan.monte_carlo(
+            "k2", "ba_one_third", (0, 0, 1, 1), 1, trials=2, params={"kappa": 2}
+        )
+        other = TrialPlan.monte_carlo(
+            "k3", "ba_one_third", (0, 0, 1, 1), 1, trials=2, params={"kappa": 3}
+        )
+        assert len(run_vector_batch(one.trials)) == 2
+        with pytest.raises(VectorModelError, match="mixes configurations"):
+            run_vector_batch(one.trials + other.trials)
+
+
+class TestHotPathCounts:
+    """What one chunk does per trial, pinned by count rather than by clock."""
+
+    CONFIGS = (
+        ("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 3},
+         "straddle13", {"victims": (3,)}),
+        ("ba_one_half", (0, 0, 1, 1, 1), 2, {"kappa": 2},
+         "straddle12", {"victims": (3, 4)}),
+        ("threshold_coin", (None,) * 4, 1, {"low": 1, "high": 8}, None, None),
+    )
+
+    def _plan(self, seed, trials=70):
+        return TrialPlan.concat(
+            "hot",
+            [
+                TrialPlan.monte_carlo(
+                    f"hot-{protocol}", protocol, inputs, max_faulty,
+                    trials=trials, params=params, adversary=adversary,
+                    adversary_params=adversary_params, seed=seed,
+                )
+                for protocol, inputs, max_faulty, params, adversary,
+                adversary_params in self.CONFIGS
+            ],
+        )
+
+    def test_chunk_builds_no_specs_asks_once_per_config_and_spares_the_memo(
+        self, monkeypatch
+    ):
+        clear_probe_cache()
+        execute_chunk(list(enumerate(self._plan(seed=1).trials)))  # warm probes
+        plan = self._plan(seed=2)
+        chunk = list(enumerate(plan.trials))
+        assert len(chunk) >= 200
+        # Interleave the configs: grouping, not plan order, makes batches.
+        random.Random(0).shuffle(chunk)
+
+        built, asked = [], []
+        post_init = TrialSpec.__post_init__
+        monkeypatch.setattr(
+            TrialSpec, "__post_init__",
+            lambda spec: (built.append(spec), post_init(spec))[1],
+        )
+        for protocol, _, _, _, adversary, _ in self.CONFIGS:
+            model = vector_model_for(protocol, adversary)
+            reason = model.unsupported_reason
+            monkeypatch.setattr(
+                model, "unsupported_reason",
+                staticmethod(
+                    lambda spec, reason=reason: (asked.append(spec), reason(spec))[1]
+                ),
+            )
+        memos = [
+            _suite_for(plan.trials[first]).coin._tags._memo
+            for first in (0, 70, 140)
+        ]
+        sizes = [len(memo) for memo in memos]
+
+        pairs, stats = execute_chunk(chunk)
+
+        assert (stats["batched"], stats["fallback"]) == (len(chunk), 0)
+        assert stats["cache_misses"] == 0
+        assert built == []
+        assert sorted(spec.protocol for spec in asked) == sorted(
+            config[0] for config in self.CONFIGS
+        )
+        assert [len(memo) for memo in memos] == sizes
+        assert [index for index, _ in pairs] == [index for index, _ in chunk]
+        monkeypatch.undo()
+        reference = ParallelRunner(workers=1).run(plan).results
+        for index, got in pairs:
+            assert canon(got) == canon(reference[index])
 
 
 class TestProbeCache:
