@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke chaos-quick examples experiments clean
+.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke perf-pair chaos-quick examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -75,6 +75,14 @@ bench-quick: check
 # perfbench/README.md; BENCHMARK.json declares what the driver measures).
 perf-smoke:
 	PYTHONPATH=src python -m perfbench run --smoke
+
+# Before/after on one perfbench workload: REF in a temporary worktree
+# against the working tree, PAIRS alternating pairs, a fresh seed each
+# (`make perf-pair REF=HEAD~1 WORKLOAD=object-sweep`).  A gain needs the
+# tree to win nine tenths of the pairs and the medians to differ by more
+# than the distance between REF's quartiles.
+perf-pair:
+	scripts/perf_pair.sh $${REF:?set REF} $${WORKLOAD:?set WORKLOAD} $${PAIRS:-10}
 
 # Bounded chaos pass: hypothesis-drawn Byzantine schedules and network
 # fault plans at a few examples per property (the full depth runs in

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hmac
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .random_oracle import Term, encode_term, encode_tuple
@@ -47,12 +47,13 @@ _COMBINED = encode_term("combined")
 # Tag memoization.  Signing and verifying are pure functions of
 # (registry key, domain, signer, message); in a simulated run the same
 # few tags are recomputed constantly — every share is verified by all n
-# parties, and every combine re-verifies its inputs — so each scheme
-# instance memoizes tags it has already derived.  The memo is an
-# implementation detail: results are bit-identical with it disabled
+# parties, all n signers sign the same message — so each scheme instance
+# keeps one record per message it has seen: the message's encoding and
+# every tag derived from it.  The memo is an implementation detail:
+# results are bit-identical with it disabled
 # (`set_tag_memoization(False)`, pinned by `tests/crypto/test_tag_memo.py`).
 _MEMO_ENABLED = True
-_MEMO_LIMIT = 1 << 14  # per scheme instance; cleared wholesale when full
+_MEMO_LIMIT = 1 << 14  # tags held per scheme instance; cleared wholesale when full
 
 
 def set_tag_memoization(enabled: bool) -> bool:
@@ -84,60 +85,115 @@ def _memo_key(term):
 class _TagMemo:
     """Bounded memo of HMAC tags for one registry key.
 
-    Two layers: a structural memo (term key → tag bytes) shared by all
-    callers, and an identity cache (id of a live message object → its
-    structural key) so call sites that reuse one message object across
-    many sign/verify calls pay the key walk once.  The identity cache
-    holds strong references to its messages, which is what keeps the
-    ``id()`` keys valid.
+    One record per signed message: ``(encoded message, {slot: tag})``.
+    The encoding is computed once, when the record is made; a slot is
+    ``(domain, signer, signer.__class__)`` for shares and plain
+    signatures and the bare ``domain`` for combined signatures, so the
+    signer is keyed as type-exactly as :func:`_memo_key` keys the
+    message (``1``/``True`` sign different bytes).
+
+    Two layers resolve a message to its record: an identity cache (id
+    of a live message object → ``(message, record)``) for call sites
+    that reuse one message object across many sign/verify calls, and
+    the structural table (:func:`_memo_key` → record) behind it.  The
+    identity cache holds strong references to its messages, which is
+    what keeps the ``id()`` keys valid.
+
+    The bound is on tags held (``len(memo)``), the thing a record grows
+    by: at ``_MEMO_LIMIT`` both layers are dropped wholesale.
     """
 
-    __slots__ = ("_key", "_memo", "_message_keys")
+    __slots__ = ("_key", "_records", "_by_id", "_prefixes", "_held")
 
-    _MESSAGE_KEY_LIMIT = 512
+    _IDENTITY_LIMIT = 512
 
     def __init__(self, key: bytes) -> None:
         self._key = key
-        self._memo: dict = {}
-        self._message_keys: dict = {}
+        self._records: dict = {}
+        self._by_id: dict = {}
+        # slot → encoding of everything a tag's input puts before the
+        # message.  Signers are range-checked by the schemes, so this
+        # stays a handful of entries per domain.
+        self._prefixes: dict = {}
+        self._held = 0
 
-    def _message_key(self, message: Term):
-        cache = self._message_keys
-        entry = cache.get(id(message))
+    def __len__(self) -> int:
+        """Tags currently held."""
+        return self._held
+
+    def _record(self, message: Term):
+        """The record of ``message``; ``None`` if a part is unhashable.
+
+        Raises ``TypeError`` (and stores nothing) for a hashable
+        non-``Term``.
+        """
+        by_id = self._by_id
+        entry = by_id.get(id(message))
         if entry is not None and entry[0] is message:
             return entry[1]
         key = _memo_key(message)
-        if len(cache) >= self._MESSAGE_KEY_LIMIT:
-            cache.clear()
-        cache[id(message)] = (message, key)
-        return key
-
-    def _lookup(self, key, *parts: Term) -> bytes:
-        memo = self._memo
         try:
-            cached = memo.get(key)
-        except TypeError:  # unhashable part: compute directly (and let
-            return _tag(self._key, *parts)  # encode_term raise if non-Term)
-        if cached is None:
-            cached = _tag(self._key, *parts)
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = cached
-        return cached
+            record = self._records.get(key)
+        except TypeError:
+            return None
+        if record is None:
+            encoded = encode_term(message)
+            # Every record gains a tag as soon as it is made, so records
+            # never outnumber tags — unless the signer turns out not to
+            # be a Term, which is the misuse this check bounds.
+            if len(self._records) >= _MEMO_LIMIT:
+                self._clear()
+            record = self._records[key] = (encoded, {})
+        if len(by_id) >= self._IDENTITY_LIMIT:
+            by_id.clear()
+        by_id[id(message)] = (message, record)
+        return record
+
+    def _derive(self, record, slot, *before: Term) -> bytes:
+        """Compute, and hold, the tag over ``(*before, message)``."""
+        prefix = self._prefixes.get(slot)
+        if prefix is None:
+            # encode_tuple is a header plus the joined parts, so the
+            # encoding of a tuple ending in the message is this prefix
+            # followed by the message's encoding.
+            prefix = self._prefixes[slot] = encode_tuple(
+                [encode_term(part) for part in before] + [b""]
+            )
+        tag = hmac.digest(self._key, prefix + record[0], "sha256")
+        if self._held >= _MEMO_LIMIT:
+            self._clear()  # ``record`` goes with the rest
+        else:
+            record[1][slot] = tag
+            self._held += 1
+        return tag
+
+    def _clear(self) -> None:
+        self._records.clear()
+        self._by_id.clear()
+        self._held = 0
 
     def signer_tag(self, domain: str, signer, message: Term) -> bytes:
         """Tag over (domain, signer, message) — plain signatures and shares."""
-        if not _MEMO_ENABLED:
-            return _tag(self._key, domain, signer, message)
-        key = (domain, signer.__class__, signer, self._message_key(message))
-        return self._lookup(key, domain, signer, message)
+        if _MEMO_ENABLED:
+            record = self._record(message)
+            if record is not None:
+                slot = (domain, signer, signer.__class__)
+                tag = record[1].get(slot)
+                if tag is None:
+                    tag = self._derive(record, slot, domain, signer)
+                return tag
+        return _tag(self._key, domain, signer, message)
 
     def combined_tag(self, domain: str, message: Term) -> bytes:
         """Tag over (domain, message) — combined threshold signatures."""
-        if not _MEMO_ENABLED:
-            return _tag(self._key, domain, message)
-        key = (domain, self._message_key(message))
-        return self._lookup(key, domain, message)
+        if _MEMO_ENABLED:
+            record = self._record(message)
+            if record is not None:
+                tag = record[1].get(domain)
+                if tag is None:
+                    tag = self._derive(record, domain, domain)
+                return tag
+        return _tag(self._key, domain, message)
 
 
 @dataclass(frozen=True)
@@ -235,6 +291,27 @@ class IdealThresholdScheme(ThresholdSignatureScheme):
             raise CryptoError(
                 f"need {self._threshold} distinct valid shares, got {len(distinct)}"
             )
+        return _IdealSignature(self._tags.combined_tag("combined", message))
+
+    def try_combine(self, indexed_shares: Iterable, message: Term):
+        """The inherited best-effort combine in one pass over the shares.
+
+        The combined signature is unique per (registry, message), so
+        once ``threshold`` distinct signers have verified there is
+        nothing left to decide: no quorum to re-verify in
+        :meth:`combine`, no fresh signature to check with
+        :meth:`verify`.  Same rejections, same result as
+        :meth:`ThresholdSignatureScheme.try_combine`.
+        """
+        valid = set()
+        for signer, share in indexed_shares:
+            if not isinstance(signer, int) or not (0 <= signer < self._n):
+                continue
+            if signer not in valid and self.verify_share(signer, share, message):
+                valid.add(signer)
+        if len(valid) < self._threshold:
+            return None
+        # A share verified, so every part of ``message`` is a Term.
         return _IdealSignature(self._tags.combined_tag("combined", message))
 
     def verify(self, signature, message: Term) -> bool:

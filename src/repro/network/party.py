@@ -20,33 +20,79 @@ generator (whose next outbox is already in hand) into that combinator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable
+from typing import Any, Callable, Dict, Generator, Iterable, Optional, Union
 
 from ..crypto.keys import CryptoSuite
 from .messages import PARALLEL_KEY, Broadcast, Inbox, Outbox, normalize_outbox
 
-__all__ = ["Context", "ProgramFactory", "run_parallel", "resume_with"]
+__all__ = ["Context", "LazyRandom", "ProgramFactory", "run_parallel", "resume_with"]
 
 Program = Generator[Outbox, Inbox, Any]
 ProgramFactory = Callable[["Context", Any], Program]
 
 
-@dataclass
+class LazyRandom:
+    """``random.Random(seed)``, built when first asked for.
+
+    Seeding a Mersenne Twister costs microseconds and most party
+    programs never draw, so the simulator hands every party its seed in
+    one of these instead of a constructed generator.
+    """
+
+    __slots__ = ("_seed", "_random")
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._random: Optional[random.Random] = None
+
+    def get(self) -> random.Random:
+        if self._random is None:
+            self._random = random.Random(self._seed)
+        return self._random
+
+
 class Context:
     """Per-party execution context handed to every program.
 
     ``rng`` is party-local and seeded by the simulator, so executions are
     reproducible; ``session`` domain-separates signatures across protocol
     instances (two BA runs never share coin values or signed messages).
+    The ``rng`` argument is a ``random.Random`` or a :class:`LazyRandom`;
+    the attribute is always the generator itself.
     """
 
-    party_id: int
-    num_parties: int
-    max_faulty: int
-    session: str
-    crypto: CryptoSuite
-    rng: random.Random
+    __slots__ = (
+        "party_id", "num_parties", "max_faulty", "session", "crypto", "_rng",
+    )
+
+    def __init__(
+        self,
+        party_id: int,
+        num_parties: int,
+        max_faulty: int,
+        session: str,
+        crypto: CryptoSuite,
+        rng: Union[random.Random, LazyRandom],
+    ) -> None:
+        self.party_id = party_id
+        self.num_parties = num_parties
+        self.max_faulty = max_faulty
+        self.session = session
+        self.crypto = crypto
+        self._rng = rng
+
+    def __repr__(self) -> str:
+        return (
+            f"Context(party_id={self.party_id!r}, num_parties={self.num_parties!r}, "
+            f"max_faulty={self.max_faulty!r}, session={self.session!r})"
+        )
+
+    @property
+    def rng(self) -> random.Random:
+        """This party's random stream (one stream per party: a
+        :meth:`subsession` continues it)."""
+        rng = self._rng
+        return rng.get() if rng.__class__ is LazyRandom else rng
 
     @property
     def quorum_size(self) -> int:
@@ -69,12 +115,12 @@ class Context:
         signed messages from colliding between sub-instances.
         """
         return Context(
-            party_id=self.party_id,
-            num_parties=self.num_parties,
-            max_faulty=self.max_faulty,
-            session=f"{self.session}/{label}",
-            crypto=self.crypto,
-            rng=self.rng,
+            self.party_id,
+            self.num_parties,
+            self.max_faulty,
+            f"{self.session}/{label}",
+            self.crypto,
+            self._rng,
         )
 
 

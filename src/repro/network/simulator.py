@@ -23,7 +23,7 @@ from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
 from .faults import FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
 from .metrics import RunMetrics, count_signatures
-from .party import Context, ProgramFactory
+from .party import Context, LazyRandom, ProgramFactory
 
 __all__ = ["ExecutionResult", "SyncSimulator", "run_protocol"]
 
@@ -162,7 +162,7 @@ class SyncSimulator:
                 max_faulty=self.max_faulty,
                 session=self.session,
                 crypto=self.crypto,
-                rng=random.Random(party_seeds[i]),
+                rng=LazyRandom(party_seeds[i]),
             )
             for i in range(n)
         ]

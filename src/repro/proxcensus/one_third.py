@@ -20,8 +20,7 @@ up); a full quorum on the top grade ``G`` gives the new maximal grade.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from ..network.messages import get_field
 from ..network.party import Context
@@ -92,7 +91,7 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
     inbox = yield ctx.broadcast({_MESSAGE_KEY: (value, grade)})
 
     # Tally echoes defensively: one (z, h) pair per sender, h in [0, G].
-    by_grade: Dict[int, Counter] = {}
+    tally: Dict[Tuple[int, Any], int] = {}  # (grade, value key) → echoes
     grade_zero = 0
     for payload in inbox.values():
         pair = get_field(payload, _MESSAGE_KEY)
@@ -103,16 +102,13 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
             continue
         if h == 0:
             grade_zero += 1
-        by_grade.setdefault(h, Counter())[_key(z)] += 1
+        echoed = (h, _key(z))
+        tally[echoed] = tally.get(echoed, 0) + 1
 
     def votes(z_key, h: int) -> int:
-        counter = by_grade.get(h)
-        return counter[z_key] if counter is not None else 0
+        return tally.get((h, z_key), 0)
 
-    candidates = sorted(
-        {z_key for counter in by_grade.values() for z_key in counter},
-        key=repr,
-    )
+    candidates = sorted({z_key for _, z_key in tally}, key=repr)
 
     new_value: Any = 0
     new_grade = 0
@@ -131,7 +127,7 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
     # exponential — iterate the (at most 2 honest + t Byzantine) observed ones.
     observed_bands = sorted(
         band
-        for h in by_grade
+        for h, _ in tally
         for band in (h - 1, h)
         if parity <= band < grades
     )

@@ -181,7 +181,7 @@ class TestCoinEvaluator:
         coin = coin_evaluator(scheme, ("ba12", 1), 1, 4)
         sessions = [f"exp1/{trial}/iter1" for trial in range(50)]
         warm = [coin(session) for session in sessions]
-        assert len(scheme._tags._memo) == 0
+        assert len(scheme._tags) == 0
         previous = set_tag_memoization(False)
         try:
             assert [coin(session) for session in sessions] == warm

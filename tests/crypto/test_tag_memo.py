@@ -15,7 +15,9 @@ from repro.crypto.ideal import (
     IdealThresholdScheme,
     set_tag_memoization,
 )
+from repro.crypto import ideal
 from repro.crypto.ideal import _memo_key
+from repro.crypto.interfaces import ThresholdSignatureScheme
 from repro.crypto.random_oracle import encode_term
 
 
@@ -114,3 +116,166 @@ class TestCombinedMemo:
         assert threshold.verify(combined, message)
         assert threshold.combine(shares, message) == combined
         assert not threshold.verify(combined, ("decide", 0))
+
+
+def unmemoized(call):
+    previous = set_tag_memoization(False)
+    try:
+        return call()
+    finally:
+        set_tag_memoization(previous)
+
+
+class TestMemoBound:
+    """The memo is bounded by tags held, whatever the tags-per-message ratio."""
+
+    def test_held_tags_never_exceed_the_limit_and_a_clear_changes_no_tag(self):
+        scheme = IdealThresholdScheme(3, 2, random.Random(8))
+        memo = scheme._tags
+        clears = 0
+        index = 0
+        # Three tags per message: a bound on records would hold 3x too many.
+        while clears < 2:
+            message = ("bound", index)
+            index += 1
+            for signer in range(3):
+                before = len(memo)
+                share = scheme.sign_share(signer, message)
+                assert len(memo) <= ideal._MEMO_LIMIT
+                clears += len(memo) < before
+                assert share.tag == unmemoized(
+                    lambda: scheme.sign_share(signer, message).tag
+                )
+        assert 3 * index > ideal._MEMO_LIMIT
+        # Both layers went: a message signed before the clear resolves
+        # afresh, to the same bytes.
+        assert scheme.sign_share(0, ("bound", 0)).tag == unmemoized(
+            lambda: scheme.sign_share(0, ("bound", 0)).tag
+        )
+
+    def test_len_counts_tags_not_messages(self, threshold):
+        memo = threshold._tags
+        assert len(memo) == 0
+        threshold.sign_share(0, "m")
+        threshold.sign_share(1, "m")
+        threshold.combined_bytes("m")
+        assert len(memo) == 3
+        threshold.sign_share(1, "m")
+        assert threshold.verify_share(0, threshold.sign_share(0, "m"), "m")
+        assert len(memo) == 3
+
+    def test_a_signer_that_is_no_term_cannot_grow_the_memo_unbounded(
+        self, threshold, monkeypatch
+    ):
+        # 1.0 passes the range check, fails encoding: the message's
+        # record is made, no tag ever joins it.
+        monkeypatch.setattr(ideal, "_MEMO_LIMIT", 32)
+        for index in range(200):
+            with pytest.raises(TypeError):
+                threshold.sign_share(1.0, ("float-signer", index))
+            assert len(threshold._tags._records) <= 32
+        assert len(threshold._tags) == 0
+
+
+class TestIdentityLayer:
+    def test_a_reused_id_never_returns_the_old_record(self, threshold):
+        """A dead message's ``id()`` is handed to the next tuple of its
+        size.  The identity layer keeps its messages alive, so that only
+        happens once it has let go of the entry (it drops everything
+        every 512 resolutions); either way the next message gets its own
+        tag."""
+        for index in range(600):
+            message = ("id-reuse", index)
+            tag = threshold.sign_share(1, message).tag
+            del message
+            other = ("reused-id", index)  # takes the freed slot if it can
+            assert threshold.sign_share(1, other).tag != tag
+            assert threshold.sign_share(1, other).tag == unmemoized(
+                lambda: threshold.sign_share(1, other).tag
+            )
+
+    def test_equal_messages_in_distinct_objects_share_one_record(self, threshold):
+        first, second = (tuple(["same", 1, ("x", 2)]) for _ in range(2))
+        assert first is not second
+        threshold.sign_share(0, first)
+        held = len(threshold._tags)
+        assert threshold.sign_share(0, second) == threshold.sign_share(0, first)
+        assert len(threshold._tags) == held
+
+
+def garbage_grid(scheme, foreign):
+    """(label, indexed shares, message) cases for ``try_combine``."""
+    message = ("grid", "session", 7)
+    n, threshold = scheme.num_parties, scheme.threshold
+    good = [(i, scheme.sign_share(i, message)) for i in range(n)]
+    other_message = [(i, scheme.sign_share(i, ("grid", "session", 8))) for i in range(n)]
+    foreign_shares = [(i, foreign.sign_share(i, message)) for i in range(n)]
+    bool_share = (True, scheme.sign_share(True, message))
+    return [
+        ("all valid", good, message),
+        ("exactly threshold", good[:threshold], message),
+        ("threshold - 1", good[: threshold - 1], message),
+        ("empty", [], message),
+        ("duplicates of one signer", [good[0]] * n, message),
+        ("duplicates then enough", [good[0], good[0]] + good[1:threshold], message),
+        ("True minted for True", [bool_share] + good[2:], message),
+        ("True minted for True, 1 present", [bool_share] + good[1:], message),
+        ("True claims 1's share", [(True, good[1][1])] + good[2:], message),
+        ("1 claims True's share", [(1, bool_share[1])] + good[2:], message),
+        ("out of range", [(n, good[0][1]), (-1, good[1][1])] + good[2:], message),
+        ("non-int signers", [("0", good[0][1]), (0.0, good[0][1]), (None, good[1][1])]
+         + good[2:], message),
+        ("wrong message", other_message, message),
+        ("wrong message mixed", other_message[:2] + good[2:], message),
+        ("foreign scheme", foreign_shares, message),
+        ("foreign mixed", foreign_shares[:1] + good[1:], message),
+        ("None shares", [(i, None) for i in range(n)], message),
+        ("None mixed", [(0, None)] + good[1:], message),
+        ("swapped signers", [(1, good[0][1]), (0, good[1][1])] + good[2:], message),
+        ("garbage share types", [(0, b"tag"), (1, "share"), (2, 3)] + good[3:], message),
+        ("unhashable message", good, ("grid", ["session"], 7)),
+        ("non-Term message", good, ("grid", 7.5)),
+    ]
+
+
+class TestSinglePassCombine:
+    """``IdealThresholdScheme.try_combine`` is the inherited helper, faster."""
+
+    @pytest.mark.parametrize("memo", [True, False])
+    @pytest.mark.parametrize("n,threshold", [(5, 3), (4, 2), (3, 3), (2, 1)])
+    def test_equals_the_generic_helper_over_a_garbage_grid(self, n, threshold, memo):
+        scheme = IdealThresholdScheme(n, threshold, random.Random(21))
+        foreign = IdealThresholdScheme(n, threshold, random.Random(22))
+        previous = set_tag_memoization(memo)
+        try:
+            for label, indexed, message in garbage_grid(scheme, foreign):
+                own = scheme.try_combine(indexed, message)
+                generic = ThresholdSignatureScheme.try_combine(scheme, indexed, message)
+                if generic is None:
+                    assert own is None, label
+                else:
+                    assert scheme.signature_bytes(own) == scheme.signature_bytes(
+                        generic
+                    ), label
+                    assert scheme.verify(own, message), label
+        finally:
+            set_tag_memoization(previous)
+
+    def test_the_grid_reaches_both_outcomes(self):
+        scheme = IdealThresholdScheme(5, 3, random.Random(21))
+        foreign = IdealThresholdScheme(5, 3, random.Random(22))
+        outcomes = {
+            label: scheme.try_combine(indexed, message) is not None
+            for label, indexed, message in garbage_grid(scheme, foreign)
+        }
+        assert outcomes["all valid"] and outcomes["exactly threshold"]
+        assert outcomes["None mixed"] and outcomes["duplicates then enough"]
+        assert not outcomes["threshold - 1"]
+        assert not outcomes["duplicates of one signer"]
+        assert not outcomes["unhashable message"]
+        assert not outcomes["foreign scheme"]
+
+    def test_accepts_any_iterable_of_pairs(self, threshold):
+        message = ("iter", 1)
+        pairs = ((i, threshold.sign_share(i, message)) for i in range(3))
+        assert threshold.verify(threshold.try_combine(pairs, message), message)

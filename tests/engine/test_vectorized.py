@@ -515,7 +515,7 @@ class TestHotPathCounts:
                 ),
             )
         memos = [
-            _suite_for(plan.trials[first]).coin._tags._memo
+            _suite_for(plan.trials[first]).coin._tags
             for first in (0, 70, 140)
         ]
         sizes = [len(memo) for memo in memos]
