@@ -76,11 +76,13 @@ bench-quick: check
 perf-smoke:
 	PYTHONPATH=src python -m perfbench run --smoke
 
-# Before/after on one perfbench workload: REF in a temporary worktree
+# Before/after on perfbench workloads: REF in one temporary worktree
 # against the working tree, PAIRS alternating pairs, a fresh seed each
-# (`make perf-pair REF=HEAD~1 WORKLOAD=object-sweep`).  A gain needs the
-# tree to win nine tenths of the pairs and the medians to differ by more
-# than the distance between REF's quartiles.
+# (`make perf-pair REF=HEAD~1 WORKLOAD=object-sweep`; WORKLOAD also takes
+# a comma-separated list or `all`, and prints one row per workload x
+# metric at the end).  A gain needs the tree to win nine tenths of the
+# pairs and the medians to differ by more than the distance between
+# REF's quartiles.
 perf-pair:
 	scripts/perf_pair.sh $${REF:?set REF} $${WORKLOAD:?set WORKLOAD} $${PAIRS:-10}
 

@@ -132,7 +132,36 @@ def _build_adversary(name: str, victims: List[int], factory) -> Optional[Adversa
     raise argparse.ArgumentTypeError(f"unknown adversary {name!r}")
 
 
+def _replay_spec(text: str) -> int:
+    """``repro run --spec``: one engine trial, exactly as a sweep ran it."""
+    from .engine import TrialSpec, run_trial
+
+    try:
+        spec = TrialSpec.from_json(text)
+    except (TypeError, ValueError) as error:
+        print(f"repro run: --spec is not a trial spec: {error}", file=sys.stderr)
+        return 2
+    result = run_trial(spec)
+    print(f"protocol   : {spec.protocol} {spec.param_dict or ''}".rstrip())
+    print(f"adversary  : {spec.adversary or '-'}")
+    print(f"session    : {spec.session} (seed {spec.seed}, {spec.backend})")
+    _print_outcome(spec.inputs, result)
+    return 0 if result.honest_agree() else 1
+
+
+def _print_outcome(inputs, result) -> None:
+    print(f"inputs     : {list(inputs)}")
+    print(f"corrupted  : {sorted(result.corrupted) or '-'}")
+    print(f"outputs    : {result.outputs}")
+    print(f"agreement  : {result.honest_agree()}")
+    print(f"rounds     : {result.metrics.rounds}")
+    print(f"messages   : {result.metrics.total_messages}")
+    print(f"signatures : {result.metrics.total_signatures}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.spec is not None:
+        return _replay_spec(args.spec)
     if args.protocol == "dolev_strong":
         factory = lambda ctx, v: dolev_strong_ba_program(ctx, v)
     else:
@@ -214,13 +243,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if tracer is not None:
             tracer.close()
     print(f"protocol   : {args.protocol} (kappa={args.kappa})")
-    print(f"inputs     : {inputs}")
-    print(f"corrupted  : {sorted(result.corrupted) or '-'}")
-    print(f"outputs    : {result.outputs}")
-    print(f"agreement  : {result.honest_agree()}")
-    print(f"rounds     : {result.metrics.rounds}")
-    print(f"messages   : {result.metrics.total_messages}")
-    print(f"signatures : {result.metrics.total_signatures}")
+    _print_outcome(inputs, result)
     if faults is not None and simulator.last_fault_counts is not None:
         counts = simulator.last_fault_counts
         print(
@@ -1408,6 +1431,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--fault-params", default=None, metavar="JSON",
         help='scenario params as JSON, e.g. \'{"rate": 0.2}\'',
+    )
+    run_parser.add_argument(
+        "--spec", default=None, metavar="JSON",
+        help="replay one engine trial instead: the spec a "
+        "TrialExecutionError printed (every other option is ignored)",
     )
     run_parser.add_argument("--trace", action="store_true")
     run_parser.add_argument(

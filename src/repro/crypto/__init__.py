@@ -31,6 +31,7 @@ from .vrf_coin import (
     vrf_coin_from_evaluations,
     vrf_coin_program,
     vrf_evaluate,
+    vrf_evaluator,
     vrf_verify,
 )
 
@@ -69,5 +70,6 @@ __all__ = [
     "vrf_coin_from_evaluations",
     "vrf_coin_program",
     "vrf_evaluate",
+    "vrf_evaluator",
     "vrf_verify",
 ]

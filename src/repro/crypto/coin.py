@@ -21,6 +21,7 @@ counts match the paper:
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import Callable
 
@@ -28,8 +29,10 @@ from .ideal import IdealThresholdScheme
 from .interfaces import ThresholdSignatureScheme
 from .random_oracle import (
     Term,
+    encode_str,
     encode_term,
     encode_tuple,
+    first_digest_parts,
     hash_to_range,
     hash_to_range_encoded,
 )
@@ -96,20 +99,38 @@ def coin_evaluator(
             session, index, low, high)
 
     This is for a caller — the vector engine backend — that has *proven*
-    the combine succeeds and evaluates one coin over many sessions:
-    everything but the session is encoded once, here, and each
-    evaluation computes its tag afresh, leaving the scheme's tag memo
-    alone.  An empty range raises on evaluation, as
+    the combine succeeds and evaluates one coin over many sessions.
+    Every constant byte is joined once, here, so an evaluation is the
+    session's encoding, one HMAC computed afresh (the scheme's tag memo
+    is left alone) and, while the range fits one digest (``span`` below
+    ``2**128``), one SHA-256; wider ranges take the counter-mode
+    expansion.  An empty range raises on evaluation, as
     :func:`~repro.crypto.random_oracle.hash_to_range` does.
     """
-    flip = encode_term(_COIN_FLIP)
     encoded_index = encode_term(index)
-    combined_bytes = scheme.combined_bytes_encoded
+    tag = scheme.fresh_combined_tagger(
+        encode_tuple((encode_term(_COIN_FLIP), b"", b"")), encoded_index
+    )
+    span = high - low + 1
+    bits = span.bit_length() + 128
+    if span < 1 or bits > 256:
+
+        def evaluate(session: str) -> int:
+            encoded_session = encode_str(session)
+            return _extract_coin(
+                encoded_session, encoded_index, tag(encoded_session), low, high
+            )
+
+        return evaluate
+
+    head, tail = first_digest_parts("coin-extract", (), (encoded_index,))
+    mask = (1 << bits) - 1
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
 
     def evaluate(session: str) -> int:
-        encoded_session = encode_term(session)
-        tag = combined_bytes(encode_tuple((flip, encoded_session, encoded_index)))
-        return _extract_coin(encoded_session, encoded_index, tag, low, high)
+        middle = encode_str(session)
+        digest = sha256(head + middle + tail + tag(middle)).digest()
+        return low + (from_bytes(digest, "big") & mask) % span
 
     return evaluate
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hmac
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .random_oracle import Term, encode_term, encode_tuple
@@ -32,16 +32,36 @@ from .random_oracle import Term, encode_term, encode_tuple
 __all__ = ["IdealSignatureScheme", "IdealThresholdScheme", "set_tag_memoization"]
 
 
-def _tag_encoded(key: bytes, parts: Sequence[bytes]) -> bytes:
-    """HMAC tag over the tuple whose elements encode to ``parts``."""
-    return hmac.digest(key, encode_tuple(parts), "sha256")
-
-
 def _tag(key: bytes, *parts: Term) -> bytes:
-    return _tag_encoded(key, [encode_term(part) for part in parts])
+    """HMAC tag over the tuple ``parts``."""
+    return hmac.digest(
+        key, encode_tuple([encode_term(part) for part in parts]), "sha256"
+    )
 
 
-_COMBINED = encode_term("combined")
+def _message_prefix(before: Sequence[Term]) -> bytes:
+    """What the encoding of ``(*before, message)`` puts before the
+    message's own: ``encode_tuple`` is a header plus the joined parts."""
+    return encode_tuple([encode_term(part) for part in before] + [b""])
+
+
+def _fresh_tagger(
+    key: bytes, before: Sequence[Term], head: bytes, tail: bytes
+) -> Callable[[bytes], bytes]:
+    """``middle -> _tag(key, *before, message)``, computed afresh each call.
+
+    ``message`` is the term encoding to ``head + middle + tail``.  For
+    evaluators that sweep one message shape over many sessions: they
+    encode what the messages share once, their one-off tags never touch
+    a :class:`_TagMemo`, and the key stays in this closure.
+    """
+    head = _message_prefix(before) + head
+    digest = hmac.digest
+
+    def tag(middle: bytes) -> bytes:
+        return digest(key, head + middle + tail, "sha256")
+
+    return tag
 
 
 # Tag memoization.  Signing and verifying are pure functions of
@@ -153,12 +173,7 @@ class _TagMemo:
         """Compute, and hold, the tag over ``(*before, message)``."""
         prefix = self._prefixes.get(slot)
         if prefix is None:
-            # encode_tuple is a header plus the joined parts, so the
-            # encoding of a tuple ending in the message is this prefix
-            # followed by the message's encoding.
-            prefix = self._prefixes[slot] = encode_tuple(
-                [encode_term(part) for part in before] + [b""]
-            )
+            prefix = self._prefixes[slot] = _message_prefix(before)
         tag = hmac.digest(self._key, prefix + record[0], "sha256")
         if self._held >= _MEMO_LIMIT:
             self._clear()  # ``record`` goes with the rest
@@ -235,6 +250,15 @@ class IdealSignatureScheme(SignatureScheme):
         except TypeError:
             return False
         return hmac.compare_digest(signature.tag, expected)
+
+    def fresh_tagger(
+        self, signer: int, head: bytes, tail: bytes
+    ) -> Callable[[bytes], bytes]:
+        """``middle -> sign(signer, message).tag`` for the messages
+        encoding to ``head + middle + tail``, computed afresh (memo
+        untouched) — for :func:`repro.crypto.vrf_coin.vrf_evaluator`."""
+        self._check_signer(signer)
+        return _fresh_tagger(self._key, ("plain", signer), head, tail)
 
     def _check_signer(self, signer: int) -> None:
         if not (0 <= signer < self._n):
@@ -341,12 +365,14 @@ class IdealThresholdScheme(ThresholdSignatureScheme):
         """
         return self._tags.combined_tag("combined", message)
 
-    def combined_bytes_encoded(self, encoded_message: bytes) -> bytes:
-        """:meth:`combined_bytes` of the message whose encoding is
-        ``encoded_message``, computed afresh.
+    def fresh_combined_tagger(
+        self, head: bytes, tail: bytes
+    ) -> Callable[[bytes], bytes]:
+        """``middle -> combined_bytes(message)`` for the messages encoding
+        to ``head + middle + tail``, computed afresh (memo untouched).
 
         For :func:`repro.crypto.coin.coin_evaluator`, which sweeps one
-        coin over many sessions: it pre-encodes what the messages share,
-        and its one-off tags would only crowd the memo.
+        coin over many sessions and whose one-off tags would only crowd
+        the memo.
         """
-        return _tag_encoded(self._key, (_COMBINED, encoded_message))
+        return _fresh_tagger(self._key, ("combined",), head, tail)

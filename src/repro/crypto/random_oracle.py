@@ -13,8 +13,10 @@ import hashlib
 from typing import Sequence, Tuple, Union
 
 __all__ = [
+    "encode_str",
     "encode_term",
     "encode_tuple",
+    "first_digest_parts",
     "oracle_digest",
     "hash_to_int",
     "hash_to_range",
@@ -57,6 +59,12 @@ def encode_tuple(parts: Sequence[bytes]) -> bytes:
     return b"T" + len(parts).to_bytes(4, "big") + b"".join(parts)
 
 
+def encode_str(text: str) -> bytes:
+    """``encode_term(text)`` for a caller that knows ``text`` is a ``str``."""
+    raw = text.encode("utf-8")
+    return b"S" + len(raw).to_bytes(4, "big") + raw
+
+
 def _digest_encoded(domain: str, encoded: bytes) -> bytes:
     return hashlib.sha256(domain.encode("utf-8") + b"\x00" + encoded).digest()
 
@@ -77,6 +85,32 @@ def _hash_to_int_encoded(domain: str, encoded: bytes, bits: int) -> int:
         )
         counter += 1
     return int.from_bytes(output, "big") % (1 << bits)
+
+
+def first_digest_parts(
+    domain: str, before: Sequence[bytes], after: Sequence[bytes]
+) -> Tuple[bytes, bytes]:
+    """``(head, tail)`` of the first SHA-256 input of :func:`hash_to_int`.
+
+    For a tuple term whose elements encode to ``(*before, middle,
+    *after, encode_term(tag))`` with ``tag`` 32 bytes — a signature tag
+    hashed beside what it signs — ``head + middle + tail + tag`` is what
+    counter 0 of the expansion digests, and that is the whole expansion
+    while ``bits <= 256``::
+
+        hash_to_int(domain, term, bits) == int.from_bytes(
+            sha256(head + middle + tail + tag).digest(), "big") % 2**bits
+
+    An evaluator sweeping ``middle`` builds the two constants once.
+    """
+    slots = len(before) + len(after) + 2
+    head = (
+        domain.encode("utf-8")
+        + b"\x00"
+        + encode_tuple((encode_term(0), b""))
+        + encode_tuple(tuple(before) + (b"",) * (slots - len(before)))
+    )
+    return head, b"".join(after) + encode_term(bytes(32))[:-32]
 
 
 def hash_to_int(domain: str, term: Term, bits: int = 256) -> int:

@@ -25,24 +25,36 @@ steer it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+import hashlib
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .ideal import IdealSignatureScheme
 from .interfaces import SignatureScheme
-from .random_oracle import Term, hash_to_int, hash_to_range
+from .random_oracle import (
+    Term,
+    encode_str,
+    encode_term,
+    encode_tuple,
+    first_digest_parts,
+    hash_to_int,
+    hash_to_range,
+)
 
 __all__ = [
     "vrf_evaluate",
+    "vrf_evaluator",
     "vrf_verify",
     "vrf_coin_from_evaluations",
     "vrf_coin_program",
 ]
 
 _EVALUATION_BITS = 128
+_VRF_COIN = "vrf-coin"
 
 
 def vrf_message(session: str, index: Term) -> Term:
     """The message every party signs for this coin instance."""
-    return ("vrf-coin", session, index)
+    return (_VRF_COIN, session, index)
 
 
 def vrf_evaluate(
@@ -58,6 +70,41 @@ def vrf_evaluate(
     value = hash_to_int("vrf-value", ("out", session, index, _proof_term(proof)),
                         _EVALUATION_BITS)
     return value, proof
+
+
+def vrf_evaluator(
+    scheme: IdealSignatureScheme, index: Term
+) -> Callable[[str], List[int]]:
+    """``session -> [every party's evaluation value]`` at coin ``index``.
+
+    Entry ``signer`` equals ``vrf_evaluate(scheme, signer, session,
+    index)[0]``.  For a caller — the vector engine backend — that needs
+    all parties' values over many sessions and no proof objects: every
+    constant byte is joined once, here, so a session costs its encoding
+    plus one HMAC (computed afresh — the scheme's tag memo is left
+    alone) and one SHA-256 per party, each evaluation made once.
+    """
+    encoded_index = encode_term(index)
+    message_head = encode_tuple((encode_term(_VRF_COIN), b"", b""))
+    taggers = [
+        scheme.fresh_tagger(signer, message_head, encoded_index)
+        for signer in range(scheme.num_parties)
+    ]
+    head, tail = first_digest_parts(
+        "vrf-value", (encode_term("out"),), (encoded_index,)
+    )
+    mask = (1 << _EVALUATION_BITS) - 1
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+
+    def evaluate(session: str) -> List[int]:
+        middle = encode_str(session)
+        prefix = head + middle + tail
+        return [
+            from_bytes(sha256(prefix + tag(middle)).digest(), "big") & mask
+            for tag in taggers
+        ]
+
+    return evaluate
 
 
 def vrf_verify(

@@ -25,6 +25,7 @@ from .registry import (
 from .runner import (
     ParallelRunner,
     PlanResult,
+    TrialExecutionError,
     clamp_workers,
     clear_suite_cache,
     deal_suite,
@@ -57,6 +58,7 @@ __all__ = [
     "ParallelRunner",
     "PlanResult",
     "TransportError",
+    "TrialExecutionError",
     "TrialPlan",
     "TrialSpec",
     "TrialSummary",

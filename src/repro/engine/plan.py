@@ -29,6 +29,8 @@ worker or 16 yields byte-identical results (see
 
 from __future__ import annotations
 
+import dataclasses
+import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -214,6 +216,31 @@ class TrialSpec:
         if self.faults is not None:
             key += f"|{self.faults}{dict(self.fault_params)}"
         return key
+
+    def to_json(self) -> str:
+        """The fields that differ from their defaults, as one JSON object.
+
+        What ``repro run --spec`` takes to run this one trial again;
+        :meth:`from_json` inverts it for specs made of JSON's own types
+        and tuples.  Raises ``TypeError`` for anything else (``bytes``
+        inputs, say).
+        """
+        document = {}
+        for spec_field in dataclasses.fields(self):
+            name, value = spec_field.name, getattr(self, spec_field.name)
+            if value != spec_field.default:  # required fields have none
+                document[name] = dict(value) if name.endswith("params") else value
+        return json.dumps(document, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str) -> "TrialSpec":
+        """The spec :meth:`to_json` wrote (JSON lists become tuples)."""
+        document = json.loads(text)
+        if not isinstance(document, dict):
+            raise ValueError("a trial spec is a JSON object")
+        if "inputs" in document:
+            document["inputs"] = _freeze_value(document["inputs"])
+        return cls(**document)
 
 
 def _stamp_trial(template: TrialSpec, seed: int, session: str) -> TrialSpec:

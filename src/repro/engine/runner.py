@@ -50,6 +50,7 @@ import contextlib
 import logging
 import os
 import pickle
+import shlex
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -71,6 +72,7 @@ from .vectorized import execute_chunk
 __all__ = [
     "ParallelRunner",
     "PlanResult",
+    "TrialExecutionError",
     "run_trial",
     "run_traced_trial",
     "run_measured_trial",
@@ -223,6 +225,45 @@ def predeal_suites(
     return [(key, suite) for key, suite in dealt.items()]
 
 
+class TrialExecutionError(RuntimeError):
+    """A trial raised: which one, and the command that runs it again alone.
+
+    Raised ``from`` the original exception by :func:`_run_indexed_trial`,
+    the one function every execution path runs a trial through, so
+    inline, pooled, adaptive and vector-fallback runs fail alike.
+    ``index`` is the trial's place in its plan and ``cause`` the
+    original's ``Type: message``; the spec's identifying fields are
+    attributes too.  Picklable — it crosses the pool's result pipe
+    intact — and its message ends with the ``repro run`` line.
+    """
+
+    def __init__(self, index: int, spec: TrialSpec, cause: str) -> None:
+        super().__init__(index, spec, cause)
+        self.index = index
+        self.spec = spec
+        self.cause = cause
+        self.config_key = spec.config_key
+        for name in ("protocol", "adversary", "seed", "session", "backend"):
+            setattr(self, name, getattr(spec, name))
+
+    @property
+    def replay_command(self) -> str:
+        """The shell line that replays this one trial."""
+        try:
+            return f"repro run --spec {shlex.quote(self.spec.to_json())}"
+        except TypeError as error:
+            return f"(no replay line: the spec is not JSON — {error})"
+
+    def __str__(self) -> str:
+        return (
+            f"trial {self.index} of {self.config_key!r} failed "
+            f"(protocol={self.protocol}, adversary={self.adversary}, "
+            f"seed={self.seed}, session={self.session!r}, "
+            f"backend={self.backend}): {self.cause}\n"
+            f"replay it alone with:\n{self.replay_command}"
+        )
+
+
 def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult:
     """Execute one trial in this process (suite cached per-process).
 
@@ -272,6 +313,9 @@ def _run_indexed_trial(
 
     ``registries`` (a mutable index → registry mapping) gets the trial's
     finalized :class:`~repro.obs.metrics.MetricsRegistry`.
+
+    An exception the trial raises leaves as a
+    :class:`TrialExecutionError` chained from it (interrupts pass bare).
     """
     tracer = None
     registry = None
@@ -297,13 +341,17 @@ def _run_indexed_trial(
         observers.append(registry)
     try:
         result = run_trial(spec, observers)
-    except BaseException:
+    except BaseException as error:
         if tracer is not None:
             tracer.close()
             try:
                 os.remove(tracer.sink.path)
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
+        if isinstance(error, Exception):
+            raise TrialExecutionError(
+                index, spec, f"{type(error).__name__}: {error}"
+            ) from error
         raise
     if tracer is not None:
         tracer.close()
@@ -659,9 +707,10 @@ class ParallelRunner:
         buffer reproduces :meth:`run` exactly; that is how :meth:`run`
         is implemented.
 
-        A worker exception is re-raised at the first completed failure
-        and outstanding work is cancelled — late chunks cannot hide an
-        early crash behind hours of remaining work.
+        A failing trial surfaces as a :class:`TrialExecutionError` at
+        the first completed failure and outstanding work is cancelled —
+        late chunks cannot hide an early crash behind hours of
+        remaining work.
 
         With ``metrics=True`` pass ``metrics_sink``: per-trial registries
         land there keyed by plan index as their chunks complete.

@@ -21,11 +21,15 @@ vectorized array expression over the batch's coin column.  Signature counts
 come out of the per-configuration tallies arithmetically — no signature,
 share or message object is ever materialized per trial.
 
-What a trial costs is therefore its coin and its row of array
-arithmetic.  Nothing per trial constructs a ``TrialSpec``: the chunk
-executor keys each spec once with :func:`batch_key` — a plain tuple of
-the fields that are *not* per-trial identity — groups on it, and asks
-:func:`unsupported_reason` once per group.
+What a trial costs is therefore its coin, its row of array arithmetic
+and the result record it hands back.  Nothing per trial constructs a
+``TrialSpec``: the chunk executor keys each spec once with
+:func:`batch_key` — a plain tuple of the fields that are *not*
+per-trial identity — groups on it, and asks :func:`unsupported_reason`
+once per group.  Every model builds its results in one place,
+:func:`_materialize`, which derives each distinct path's round count and
+tally rows once per batch and stamps every trial on it with the same
+frozen rows.
 
 The transition itself is not re-derived by hand: it is obtained by running
 the *object simulator* once per configuration on a single-iteration probe
@@ -68,7 +72,7 @@ except ImportError:  # pragma: no cover - the toolchain ships numpy
 from ..core.extraction import extract
 from ..core.probabilistic import ProbTermOutput
 from ..crypto.coin import coin_evaluator, threshold_coin_program
-from ..crypto.vrf_coin import vrf_coin_from_evaluations, vrf_evaluate
+from ..crypto.vrf_coin import vrf_coin_from_evaluations, vrf_evaluator
 from ..network.messages import get_field
 from ..network.metrics import RunMetrics
 from ..network.party import resume_with, run_parallel
@@ -147,13 +151,15 @@ def clear_probe_cache() -> None:
 class _Delivery:
     """What one probe execution put on the wire, in both metric vocabularies.
 
-    ``tallies`` are the ``RunMetrics`` rows in execution order;
-    ``contribution`` is the un-finalised ``MetricsRegistry`` snapshot of
-    the same deliveries.  Compared and hashed by identity, because a
-    trial's *path* — the ``(delivery, round_offset)`` sequence its model
-    walked — keys the registry classes in :func:`_compose_registries`.
+    ``tallies`` are the ``RunMetrics`` rows of its ``rounds`` rounds in
+    execution order; ``contribution`` is the un-finalised
+    ``MetricsRegistry`` snapshot of the same deliveries.  Compared and
+    hashed by identity, because a trial's *path* — the ``(delivery,
+    round_offset)`` sequence its model walked — keys the registry
+    classes in :func:`_compose_registries`.
     """
 
+    rounds: int
     tallies: Tuple[Tuple[int, int, int, int, int], ...]
     contribution: DeliveryContribution
 
@@ -165,33 +171,65 @@ _Path = Tuple[Tuple[_Delivery, int], ...]
 
 def _freeze_delivery(result: ExecutionResult, registry: MetricsRegistry) -> _Delivery:
     """Freeze what ``registry`` and ``result.metrics`` saw of one probe run."""
-    tallies = tuple(
-        (
-            round_index,
-            stats.honest_messages,
-            stats.corrupt_messages,
-            stats.honest_signatures,
-            stats.corrupt_signatures,
-        )
-        for round_index, stats in result.metrics.per_round.items()
+    return _Delivery(
+        rounds=result.metrics.rounds,
+        tallies=result.metrics.round_tallies(),
+        contribution=registry.freeze_delivery(),
     )
-    return _Delivery(tallies=tallies, contribution=registry.freeze_delivery())
 
 
-def _path_metrics(rounds: int, path: _Path) -> RunMetrics:
-    """The ``RunMetrics`` of a trial that walked ``path`` in ``rounds`` rounds.
+def _materialize(
+    outputs: Any,
+    paths: Sequence[_Path],
+    inputs: Sequence[Any],
+    corrupted: frozenset = frozenset(),
+    finish: Optional[List[Dict[int, int]]] = None,
+) -> Tuple[List[ExecutionResult], Sequence[_Path]]:
+    """One ``ExecutionResult`` per trial of a batch, plus ``paths``.
 
-    For the iterated models; a one-probe trial's rows are the probe's
-    ``tallies`` as they stand.
+    Every model's ``run_batch`` ends here.  ``outputs`` is the batch's
+    ``(B, n)`` array of output bits (converted with one ``tolist``) or a
+    list of ready ``{pid: output}`` dicts; ``finish`` lists each trial's
+    ready ``{pid: round}`` dict, ``None`` meaning every party returns in
+    its trial's last round.  A trial's round count and tally rows follow
+    from its path, so they are derived once per *distinct* path and
+    every trial on it is stamped with the same frozen rows, which
+    ``RunMetrics`` holds as given.
     """
-    return RunMetrics.from_round_tallies(
-        rounds,
-        (
-            (round_index + offset, hm, cm, hs, cs)
-            for delivery, offset in path
-            for round_index, hm, cm, hs, cs in delivery.tallies
-        ),
-    )
+    if not isinstance(outputs, list):
+        outputs = [dict(enumerate(row)) for row in outputs.tolist()]
+    inputs_map = dict(enumerate(inputs))
+    stamps: Dict[_Path, Tuple[int, tuple]] = {}
+    path = None
+    results = []
+    for row, trial_outputs in enumerate(outputs):
+        if paths[row] is not path:
+            path = paths[row]
+            stamp = stamps.get(path)
+            if stamp is None:
+                stamp = stamps[path] = (
+                    max((at + step.rounds for step, at in path), default=0),
+                    tuple(
+                        (at + round_index, hm, cm, hs, cs)
+                        for step, at in path
+                        for round_index, hm, cm, hs, cs in step.tallies
+                    ),
+                )
+            rounds, tallies = stamp
+        results.append(
+            ExecutionResult(
+                outputs=trial_outputs,
+                corrupted=set(corrupted),
+                metrics=RunMetrics.from_round_tallies(rounds, tallies),
+                inputs=inputs_map.copy(),
+                finish_rounds=(
+                    dict.fromkeys(trial_outputs, rounds)
+                    if finish is None
+                    else finish[row]
+                ),
+            )
+        )
+    return results, paths
 
 
 @dataclasses.dataclass(frozen=True)
@@ -577,25 +615,18 @@ class _ReplayProbe:
     outputs: Tuple[Tuple[int, Any], ...]
     finish: Tuple[Tuple[int, int], ...]
     corrupted: frozenset
-    rounds: int
     delivery: _Delivery
 
-    @property
-    def path(self) -> _Path:
-        return ((self.delivery, 0),)
-
     def replicate(
-        self, outputs: Dict[int, Any], inputs: Sequence[Any]
-    ) -> ExecutionResult:
-        """A fresh :class:`ExecutionResult` with this probe's wire outcome."""
-        return ExecutionResult(
-            outputs=outputs,
-            corrupted=set(self.corrupted),
-            metrics=RunMetrics.from_round_tallies(
-                self.rounds, self.delivery.tallies
-            ),
-            inputs=dict(enumerate(inputs)),
-            finish_rounds=dict(self.finish),
+        self, outputs: List[Dict[int, Any]], inputs: Sequence[Any]
+    ) -> Tuple[List[ExecutionResult], Sequence[_Path]]:
+        """One result per ``outputs`` dict, each with this probe's wire outcome."""
+        return _materialize(
+            outputs,
+            [((self.delivery, 0),)] * len(outputs),
+            inputs,
+            self.corrupted,
+            [dict(self.finish) for _ in outputs],
         )
 
 
@@ -609,7 +640,6 @@ def _replay_trial(spec: TrialSpec) -> _ReplayProbe:
         outputs=tuple(result.outputs.items()),
         finish=tuple(result.finish_rounds.items()),
         corrupted=frozenset(result.corrupted),
-        rounds=result.metrics.rounds,
         delivery=_freeze_delivery(result, registry),
     )
 
@@ -721,13 +751,11 @@ class _BaOneThirdModel:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
-        n = first.num_parties
-        rounds_total = kappa + 1
         slots = 2 ** kappa + 1
         low, high = 1, slots - 1
 
         probe = _run_probe(
-            first, tuple(first.inputs), cls._probe_factory(kappa), rounds_total
+            first, tuple(first.inputs), cls._probe_factory(kappa), kappa + 1
         )
 
         batch = len(specs)
@@ -741,21 +769,9 @@ class _BaOneThirdModel:
         coin_matrix = _np.where(ok, coins[:, None], low)
         out_bits = _extract_array(values, grades, coin_matrix, slots)
 
-        inputs_map = dict(enumerate(first.inputs))
-        results = []
-        for row in range(batch):
-            results.append(
-                ExecutionResult(
-                    outputs={pid: int(out_bits[row, pid]) for pid in range(n)},
-                    corrupted=set(probe.corrupted),
-                    metrics=RunMetrics.from_round_tallies(
-                        rounds_total, probe.delivery.tallies
-                    ),
-                    inputs=dict(inputs_map),
-                    finish_rounds={pid: rounds_total for pid in range(n)},
-                )
-            )
-        return results, [((probe.delivery, 0),)] * batch
+        return _materialize(
+            out_bits, [((probe.delivery, 0),)] * batch, first.inputs, probe.corrupted
+        )
 
 
 # ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
@@ -830,9 +846,7 @@ class _BaOneHalfModel:
         first = specs[0]
         suite = _suite(first)
         kappa = first.param_dict["kappa"]
-        n = first.num_parties
         iterations = -(-kappa // 2)
-        rounds_total = cls.ITERATION_ROUNDS * iterations
         factory = cls._probe_factory()
 
         batch = len(specs)
@@ -880,20 +894,9 @@ class _BaOneHalfModel:
             for row, group in enumerate(inverse.tolist()):
                 walked[row].append(steps[group])
 
-        inputs_map = dict(enumerate(first.inputs))
-        paths = [tuple(walk) for walk in walked]
-        results = []
-        for row in range(batch):
-            results.append(
-                ExecutionResult(
-                    outputs={pid: int(bits[row, pid]) for pid in range(n)},
-                    corrupted=set(corrupted),
-                    metrics=_path_metrics(rounds_total, paths[row]),
-                    inputs=dict(inputs_map),
-                    finish_rounds={pid: rounds_total for pid in range(n)},
-                )
-            )
-        return results, paths
+        return _materialize(
+            bits, [tuple(walk) for walk in walked], first.inputs, corrupted
+        )
 
 
 # ── fm_probabilistic: per-iteration lockstep with halting parties ───────
@@ -1014,10 +1017,10 @@ class _FmProbabilisticModel:
         first = specs[0]
         suite = _suite(first)
         n = first.num_parties
-        inputs_map = dict(enumerate(first.inputs))
         coins: List[Any] = []  # coins[i]: iteration i + 1's evaluator
 
-        results = []
+        outputs_of: List[Dict[int, ProbTermOutput]] = []
+        finish_of: List[Dict[int, int]] = []
         paths: List[_Path] = []
         for spec in specs:
             bits = [int(b) for b in first.inputs]
@@ -1026,7 +1029,6 @@ class _FmProbabilisticModel:
             outputs: Dict[int, ProbTermOutput] = {}
             finish: Dict[int, int] = {}
             walked: List[Tuple[_Delivery, int]] = []
-            rounds_total = 0
             for iteration in range(1, _FM_MAX_ITERATIONS + 1):
                 if len(halted) == n:
                     break
@@ -1070,18 +1072,10 @@ class _FmProbabilisticModel:
                             finish[pid] = rounds_total
                             halted.add(pid)
             order = sorted(range(n), key=lambda pid: (finish[pid], pid))
-            path = tuple(walked)
-            paths.append(path)
-            results.append(
-                ExecutionResult(
-                    outputs={pid: outputs[pid] for pid in order},
-                    corrupted=set(),
-                    metrics=_path_metrics(rounds_total, path),
-                    inputs=dict(inputs_map),
-                    finish_rounds={pid: finish[pid] for pid in order},
-                )
-            )
-        return results, paths
+            paths.append(tuple(walked))
+            outputs_of.append({pid: outputs[pid] for pid in order})
+            finish_of.append({pid: finish[pid] for pid in order})
+        return _materialize(outputs_of, paths, first.inputs, finish=finish_of)
 
 
 # ── turpin_coan_classic / multivalued_ba: deterministic + one inner coin ─
@@ -1238,29 +1232,11 @@ class _TurpinCoanModel:
         cls, specs: List[TrialSpec]
     ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
-        suite = _suite(first)
         kappa = first.param_dict["kappa"]
-        default = first.param_dict.get("default", "∅")
-        n = first.num_parties
-        rounds_total = kappa + 3
-        slots = 2 ** kappa + 1
-
         probe = _run_lift_probe(
-            first, "tc", cls._probe_factory(kappa), rounds_total
+            first, "tc", cls._probe_factory(kappa), kappa + 3
         )
-        return _finish_lift_batch(
-            specs,
-            probe,
-            suite,
-            coin_session=lambda spec: f"{spec.session}/tc-ba",
-            coin_index=("ba13", kappa),
-            slots=slots,
-            rounds_total=rounds_total,
-            n=n,
-            default=default,
-            inputs=first.inputs,
-            tally_is_candidate=True,
-        )
+        return _finish_lift_batch(specs, probe, "tc-ba", tally_is_candidate=True)
 
 
 class _MultivaluedBaModel:
@@ -1314,56 +1290,35 @@ class _MultivaluedBaModel:
         cls, specs: List[TrialSpec]
     ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
-        suite = _suite(first)
         kappa = first.param_dict["kappa"]
-        default = first.param_dict.get("default", "∅")
-        n = first.num_parties
-        rounds_total = kappa + 3
-        slots = 2 ** kappa + 1
-
         probe = _run_lift_probe(
-            first, "mv", cls._probe_factory(kappa), rounds_total
+            first, "mv", cls._probe_factory(kappa), kappa + 3
         )
-        return _finish_lift_batch(
-            specs,
-            probe,
-            suite,
-            coin_session=lambda spec: f"{spec.session}/mv-ba",
-            coin_index=("ba13", kappa),
-            slots=slots,
-            rounds_total=rounds_total,
-            n=n,
-            default=default,
-            inputs=first.inputs,
-            tally_is_candidate=False,
-        )
+        return _finish_lift_batch(specs, probe, "mv-ba", tally_is_candidate=False)
 
 
 def _finish_lift_batch(
-    specs,
-    probe: _LiftProbe,
-    suite,
-    coin_session,
-    coin_index,
-    slots: int,
-    rounds_total: int,
-    n: int,
-    default: Any,
-    inputs,
-    tally_is_candidate: bool,
+    specs, probe: _LiftProbe, subsession: str, tally_is_candidate: bool
 ) -> Tuple[List[ExecutionResult], List[_Path]]:
     """Apply the per-trial coin + extraction to a multivalued-lift probe.
 
-    ``tally_is_candidate`` distinguishes Turpin–Coan (a ``None``
-    candidate means the echo tally was empty, so the *default* is the
-    candidate too) from the Proxcensus lift (the candidate is the
-    party's graded value, never substituted).
+    The inner BA runs under ``subsession``.  ``tally_is_candidate``
+    distinguishes Turpin–Coan (a ``None`` candidate means the echo tally
+    was empty, so the *default* is the candidate too) from the
+    Proxcensus lift (the candidate is the party's graded value, never
+    substituted).
     """
+    first = specs[0]
+    kappa = first.param_dict["kappa"]
+    default = first.param_dict.get("default", "∅")
+    slots = 2 ** kappa + 1
     low, high = 1, slots - 1
     batch = len(specs)
-    coin = coin_evaluator(suite.coin, coin_index, low, high)
+    coin = coin_evaluator(_suite(first).coin, ("ba13", kappa), low, high)
     coins = _np.fromiter(
-        (coin(coin_session(spec)) for spec in specs), dtype=_np.int64, count=batch
+        (coin(f"{spec.session}/{subsession}") for spec in specs),
+        dtype=_np.int64,
+        count=batch,
     )
     values = _np.array(probe.values, dtype=_np.int64)[None, :]
     grades = _np.array(probe.grades, dtype=_np.int64)[None, :]
@@ -1371,30 +1326,18 @@ def _finish_lift_batch(
     coin_matrix = _np.where(ok, coins[:, None], low)
     decisions = _extract_array(values, grades, coin_matrix, slots)
 
-    inputs_map = dict(enumerate(inputs))
-    results = []
-    for row in range(batch):
-        outputs = {}
-        for pid in range(n):
-            if decisions[row, pid] == 1:
-                candidate = probe.candidates[pid]
-                if tally_is_candidate and candidate is None:
-                    candidate = default
-                outputs[pid] = candidate
-            else:
-                outputs[pid] = default
-        results.append(
-            ExecutionResult(
-                outputs=outputs,
-                corrupted=set(probe.corrupted),
-                metrics=RunMetrics.from_round_tallies(
-                    rounds_total, probe.delivery.tallies
-                ),
-                inputs=dict(inputs_map),
-                finish_rounds={pid: rounds_total for pid in range(n)},
-            )
-        )
-    return results, [((probe.delivery, 0),)] * batch
+    # Per party: what it outputs on decision 0 and on decision 1.
+    choices = [
+        (default, default if tally_is_candidate and candidate is None else candidate)
+        for candidate in probe.candidates
+    ]
+    outputs = [
+        {pid: choices[pid][bit] for pid, bit in enumerate(row)}
+        for row in decisions.tolist()
+    ]
+    return _materialize(
+        outputs, [((probe.delivery, 0),)] * batch, first.inputs, probe.corrupted
+    )
 
 
 # ── coin protocols: one round, value is a pure function of the keys ─────
@@ -1468,16 +1411,14 @@ class _ThresholdCoinModel:
             return dataclasses.replace(frozen, outputs=tuple(ok))
 
         probe = _probe_cached((batch_key(first), "coin-ok"), build)
-        results = []
-        for spec in specs:
-            value = coin(spec.session)
-            results.append(
-                probe.replicate(
-                    {pid: (value if ok else None) for pid, ok in probe.outputs},
-                    spec.inputs,
-                )
-            )
-        return results, [probe.path] * len(specs)
+        values = [coin(spec.session) for spec in specs]
+        return probe.replicate(
+            [
+                {pid: value if ok else None for pid, ok in probe.outputs}
+                for value in values
+            ],
+            first.inputs,
+        )
 
 
 class _VrfCoinModel:
@@ -1523,65 +1464,40 @@ class _VrfCoinModel:
         cls, specs: List[TrialSpec]
     ) -> Tuple[List[ExecutionResult], List[_Path]]:
         first = specs[0]
-        suite = _suite(first)
-        scheme = suite.plain
         n = first.num_parties
         index, low, high = _coin_protocol_params(first)
         adversary = first.adversary_param_dict if first.adversary else {}
         victims = tuple(dict.fromkeys(adversary.get("victims", ())))
-        corrupted = frozenset(victims)
-        honest = [pid for pid in range(n) if pid not in corrupted]
+        honest = [pid for pid in range(n) if pid not in victims]
+        # The reveal scan uses the adversary's own range and preference.
+        adv_range = adversary.get("low", 0), adversary.get("high", 1)
+        preferred = adversary.get("preferred", 1)
+        evaluate = vrf_evaluator(_suite(first).plain, index)
 
-        def outcome(spec: TrialSpec) -> Tuple[Tuple[int, ...], Optional[int]]:
-            """(revealed victims, coin value) for one trial's session."""
-            session = spec.session
-            honest_evals = {
-                pid: vrf_evaluate(scheme, pid, session, index)[0]
-                for pid in honest
-            }
-            reveal: Tuple[int, ...] = ()
-            if first.adversary is not None and honest_evals:
-                # Mirror WithholdingCoinAdversary.decide: the reveal scan
-                # uses the adversary's own range/preference parameters.
-                adv_low = adversary.get("low", 0)
-                adv_high = adversary.get("high", 1)
-                preferred = adversary.get("preferred", 1)
-                corrupt_evals = {
-                    pid: vrf_evaluate(scheme, pid, session, index)
-                    for pid in victims
-                }
-                baseline = vrf_coin_from_evaluations(
-                    dict(honest_evals), session, index, adv_low, adv_high
-                )
-                if baseline != preferred:
-                    for pid, (value, _proof) in sorted(
-                        corrupt_evals.items(), key=lambda kv: kv[1][0]
+        def outcome(session: str) -> Tuple[int, Optional[int]]:
+            """(victims revealed, coin value) for one trial's session."""
+            values = evaluate(session)  # every party's evaluation, once
+            valid = {pid: values[pid] for pid in honest}
+            revealed = 0
+            if victims and valid and preferred != vrf_coin_from_evaluations(
+                valid, session, index, *adv_range
+            ):
+                # Mirror WithholdingCoinAdversary.decide: smallest
+                # evaluation first, reveal the first that steers.
+                for pid in sorted(victims, key=values.__getitem__):
+                    candidate = {**valid, pid: values[pid]}
+                    if preferred == vrf_coin_from_evaluations(
+                        candidate, session, index, *adv_range
                     ):
-                        candidate = vrf_coin_from_evaluations(
-                            {**honest_evals, pid: value},
-                            session, index, adv_low, adv_high,
-                        )
-                        if candidate == preferred:
-                            reveal = (pid,)
-                            break
-            valid = dict(honest_evals)
-            for pid in reveal:
-                valid[pid] = vrf_evaluate(scheme, pid, session, index)[0]
-            if first.adversary is None:
-                valid = {
-                    pid: vrf_evaluate(scheme, pid, session, index)[0]
-                    for pid in range(n)
-                }
-            return reveal, vrf_coin_from_evaluations(
+                        valid, revealed = candidate, 1
+                        break
+            return revealed, vrf_coin_from_evaluations(
                 valid, session, index, low, high
             )
 
-        outcomes = [outcome(spec) for spec in specs]
-
-        def probe_for(spec: TrialSpec, reveal_count: int) -> _ReplayProbe:
+        def probe_for(spec: TrialSpec, revealed: int, predicted) -> _ReplayProbe:
             def build() -> _ReplayProbe:
                 frozen = _replay_trial(spec)
-                _reveal, predicted = outcome(spec)
                 for pid, output in frozen.outputs:
                     if output != predicted:
                         raise VectorModelError(
@@ -1595,23 +1511,26 @@ class _VrfCoinModel:
                     outputs=tuple((pid, None) for pid, _out in frozen.outputs),
                 )
 
-            memo_key = (batch_key(spec), ("vrf-reveal", reveal_count))
+            memo_key = (batch_key(spec), ("vrf-reveal", revealed))
             return _probe_cached(memo_key, build)
 
-        results = []
-        paths: List[_Path] = []
-        probes: Dict[int, _ReplayProbe] = {}
-        for spec, (reveal, coin) in zip(specs, outcomes):
-            reveal_count = len(reveal)
-            if reveal_count not in probes:
-                probes[reveal_count] = probe_for(spec, reveal_count)
-            probe = probes[reveal_count]
-            results.append(
-                probe.replicate(
-                    {pid: coin for pid, _none in probe.outputs}, spec.inputs
-                )
+        # One probe per reveal count; each stamps its own trials.
+        rows_of: Dict[int, List[int]] = {}
+        coins = []
+        for row, spec in enumerate(specs):
+            revealed, coin = outcome(spec.session)
+            rows_of.setdefault(revealed, []).append(row)
+            coins.append(coin)
+        results: List[Any] = [None] * len(specs)
+        paths: List[Any] = [None] * len(specs)
+        for revealed, rows in rows_of.items():
+            probe = probe_for(specs[rows[0]], revealed, coins[rows[0]])
+            pids = [pid for pid, _none in probe.outputs]
+            stamped = probe.replicate(
+                [dict.fromkeys(pids, coins[row]) for row in rows], first.inputs
             )
-            paths.append(probe.path)
+            for row, result, path in zip(rows, *stamped):
+                results[row], paths[row] = result, path
         return results, paths
 
 
@@ -1653,10 +1572,9 @@ class _StaticReplayModel:
         specs: List[TrialSpec],
     ) -> Tuple[List[ExecutionResult], List[_Path]]:
         probe = _run_replay_probe(specs[0], "replay")
-        results = [
-            probe.replicate(dict(probe.outputs), spec.inputs) for spec in specs
-        ]
-        return results, [probe.path] * len(specs)
+        return probe.replicate(
+            [dict(probe.outputs) for _ in specs], specs[0].inputs
+        )
 
 
 register_vector_model("ba_one_third", None, _BaOneThirdModel)

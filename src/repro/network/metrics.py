@@ -28,8 +28,9 @@ recognized containers (all in-tree protocols are).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "RoundStats",
@@ -134,12 +135,56 @@ class RoundStats:
         self.corrupt_signatures += other.corrupt_signatures
 
 
-@dataclass
-class RunMetrics:
-    """Aggregated measurements for one simulated execution."""
+_Row = Tuple[int, int, int, int, int]
 
-    rounds: int = 0
-    per_round: Dict[int, RoundStats] = field(default_factory=dict)
+
+class RunMetrics:
+    """Aggregated measurements for one simulated execution.
+
+    ``per_round`` maps a round index to its :class:`RoundStats`, in
+    execution order.  The tallies are held either as that dict or as the
+    frozen row tuple :meth:`from_round_tallies` was given — **never
+    both**: the first touch of ``per_round`` builds the dict from the
+    rows and drops them.  Many results can therefore be stamped from
+    one shared row tuple at the cost of a pointer each, and mutating one
+    of them (``round_stats(r).honest_messages += 1``) can never show in
+    another.  Equality, ``repr``, pickling and the tally round-trip do
+    not tell the two states apart.
+    """
+
+    __slots__ = ("rounds", "_rows", "_per_round")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(
+        self, rounds: int = 0, per_round: Optional[Dict[int, RoundStats]] = None
+    ) -> None:
+        self.rounds = rounds
+        self._rows: Optional[Tuple[_Row, ...]] = None
+        self._per_round = {} if per_round is None else per_round
+
+    @property
+    def per_round(self) -> Dict[int, RoundStats]:
+        per_round = self._per_round
+        if per_round is None:
+            per_round = self._per_round = {
+                row[0]: RoundStats(*row[1:]) for row in self._rows
+            }
+            self._rows = None
+        return per_round
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rounds == other.rounds and self.per_round == other.per_round
+
+    def __repr__(self) -> str:
+        return f"RunMetrics(rounds={self.rounds!r}, per_round={self.per_round!r})"
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"rounds": self.rounds, "per_round": self.per_round}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__init__(**state)
 
     def round_stats(self, round_index: int) -> RoundStats:
         """The (created-on-demand) tally object for one round.
@@ -148,9 +193,10 @@ class RunMetrics:
         fields directly — the hot delivery loop must not pay a dict
         lookup per message.
         """
-        stats = self.per_round.get(round_index)
+        per_round = self.per_round
+        stats = per_round.get(round_index)
         if stats is None:
-            stats = self.per_round[round_index] = RoundStats()
+            stats = per_round[round_index] = RoundStats()
         return stats
 
     def record(self, round_index: int, honest: bool, signature_count: int) -> None:
@@ -163,6 +209,25 @@ class RunMetrics:
             stats.corrupt_messages += 1
             stats.corrupt_signatures += signature_count
 
+    def round_tallies(self) -> Tuple[_Row, ...]:
+        """One ``(round_index, honest_messages, corrupt_messages,
+        honest_signatures, corrupt_signatures)`` row per tallied round,
+        in execution order — what :meth:`from_round_tallies` accepts.
+        Reads the held rows as they stand; builds no ``per_round``."""
+        rows = self._rows
+        if rows is None:
+            rows = tuple(
+                (
+                    round_index,
+                    stats.honest_messages,
+                    stats.corrupt_messages,
+                    stats.honest_signatures,
+                    stats.corrupt_signatures,
+                )
+                for round_index, stats in self._per_round.items()
+            )
+        return rows
+
     def merge(self, other: "RunMetrics") -> None:
         """Fold another execution's metrics into this aggregate.
 
@@ -171,8 +236,16 @@ class RunMetrics:
         per-round shapes stay meaningful for same-protocol trials.
         """
         self.rounds += other.rounds
-        for round_index, stats in other.per_round.items():
-            self.round_stats(round_index).add(stats)
+        per_round = self.per_round
+        for round_index, hm, cm, hs, cs in other.round_tallies():
+            stats = per_round.get(round_index)
+            if stats is None:
+                per_round[round_index] = RoundStats(hm, cm, hs, cs)
+            else:
+                stats.honest_messages += hm
+                stats.corrupt_messages += cm
+                stats.honest_signatures += hs
+                stats.corrupt_signatures += cs
 
     @classmethod
     def merged(cls, metrics_list) -> "RunMetrics":
@@ -194,40 +267,26 @@ class RunMetrics:
         boundaries as packed ints instead of pickled dataclass trees.
         :meth:`from_tallies` inverts it exactly.
         """
-        flat: list = []
-        extend = flat.extend
-        for round_index, stats in self.per_round.items():
-            extend(
-                (
-                    round_index,
-                    stats.honest_messages,
-                    stats.corrupt_messages,
-                    stats.honest_signatures,
-                    stats.corrupt_signatures,
-                )
-            )
-        return tuple(flat)
+        return tuple(chain.from_iterable(self.round_tallies()))
 
     @classmethod
     def from_round_tallies(cls, rounds, rows) -> "RunMetrics":
         """Build a ``RunMetrics`` from structured per-round rows.
 
         ``rows`` is an iterable of ``(round_index, honest_messages,
-        corrupt_messages, honest_signatures, corrupt_signatures)`` tuples;
-        entries are inserted in iteration order, so callers that replay an
-        execution's tally sequence (the vector engine backend assembling
-        per-trial metrics from memoized batch tallies) reproduce the
-        object simulator's ``per_round`` layout exactly.
+        corrupt_messages, honest_signatures, corrupt_signatures)`` tuples
+        in execution order, so callers that replay an execution's tally
+        sequence (the vector engine backend stamping per-trial metrics
+        from memoized batch tallies) reproduce the object simulator's
+        ``per_round`` layout exactly.  A tuple is kept as given — no
+        ``RoundStats`` is built until ``per_round`` is first touched —
+        so a caller stamping many results passes the same tuple to all.
         """
-        per_round: Dict[int, RoundStats] = {}
-        for round_index, hm, cm, hs, cs in rows:
-            per_round[round_index] = RoundStats(
-                honest_messages=hm,
-                corrupt_messages=cm,
-                honest_signatures=hs,
-                corrupt_signatures=cs,
-            )
-        return cls(rounds=rounds, per_round=per_round)
+        metrics = cls.__new__(cls)
+        metrics.rounds = rounds
+        metrics._rows = rows if rows.__class__ is tuple else tuple(rows)
+        metrics._per_round = None
+        return metrics
 
     @classmethod
     def from_tallies(cls, rounds: int, tallies: Sequence[int]) -> "RunMetrics":

@@ -67,9 +67,20 @@ class ExecutionResult:
         }
 
     def honest_agree(self) -> bool:
-        """Did all honest parties produce the same output?"""
-        values = list(self.honest_outputs.values())
-        return all(value == values[0] for value in values) if values else True
+        """Did all honest parties produce the same output?
+
+        One pass over ``outputs``: nothing is sorted, hashed or copied
+        (outputs may be unhashable).
+        """
+        inputs, corrupted = self.inputs, self.corrupted
+        first = unset = object()
+        for pid, value in self.outputs.items():
+            if pid in inputs and pid not in corrupted:
+                if first is unset:
+                    first = value
+                if not value == first:
+                    return False
+        return True
 
 
 class SyncSimulator:

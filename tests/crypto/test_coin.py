@@ -147,18 +147,34 @@ class TestCoinEvaluator:
         sessions=st.lists(st.text(max_size=24), min_size=1, max_size=4),
         index=coin_indices,
         low=st.integers(-(2 ** 20), 2 ** 20),
-        span=st.one_of(st.integers(0, 64), st.integers(2 ** 128, 2 ** 300)),
+        span=st.one_of(
+            st.integers(0, 64),
+            st.integers(2 ** 128, 2 ** 300),
+            # high - low: the last range one digest covers holds
+            # 2^128 - 1 values; the next ones take the counter mode.
+            st.sampled_from([2 ** 128 - 3, 2 ** 128 - 2, 2 ** 128 - 1, 2 ** 300]),
+        ),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=160, deadline=None)
     def test_equals_combining_real_shares(self, sessions, index, low, span):
-        # st.text draws non-ASCII sessions; spans beyond 2^128 need more
-        # than one SHA-256 block of expansion.
+        # st.text draws empty and non-ASCII sessions; 2^128 values or
+        # more need more than one SHA-256 block of expansion.
         scheme = IdealThresholdScheme(4, 2, random.Random(5))
         coin = coin_evaluator(scheme, index, low, low + span)
         for session in sessions:
             assert coin(session) == coin_from_shares(
                 scheme, session, index, low, low + span
             )
+
+    def test_both_sides_of_the_single_digest_boundary(self):
+        scheme = IdealThresholdScheme(4, 2, random.Random(9))
+        for session in ("", "exp3/17", "séance-Ω/пт1"):
+            for low in (-7, 0, 1):
+                for values in (1, 2 ** 128 - 1, 2 ** 128, 2 ** 128 + 1, 2 ** 300):
+                    high = low + values - 1
+                    assert coin_evaluator(scheme, ("ba13", 2), low, high)(
+                        session
+                    ) == coin_from_shares(scheme, session, ("ba13", 2), low, high)
 
     def test_non_ascii_session_and_the_vector_models_indices(self):
         scheme = IdealThresholdScheme(5, 3, random.Random(6))

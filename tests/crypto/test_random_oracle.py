@@ -1,12 +1,16 @@
 """Tests for the canonical term encoding and hash-to-range helpers."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.random_oracle import (
+    encode_str,
     encode_term,
     encode_tuple,
+    first_digest_parts,
     hash_to_int,
     hash_to_range,
     hash_to_range_encoded,
@@ -64,6 +68,10 @@ class TestEncodeTerm:
         assert encode_term(tuple(parts)) == encode_tuple(encoded)
         assert encode_term(tuple(parts)) == encode_tuple(tuple(encoded))
 
+    @given(text=st.text(max_size=40))
+    def test_encode_str_is_the_str_case(self, text):
+        assert encode_str(text) == encode_term(text)
+
     def test_unencodable_raises(self):
         with pytest.raises(TypeError):
             encode_term([1, 2])  # lists are not canonical terms
@@ -109,6 +117,24 @@ class TestOracle:
         assert hash_to_range_encoded(
             "t", encode_term(term), low, low + span
         ) == hash_to_range("t", term, low, low + span)
+
+    @given(
+        before=st.lists(terms, max_size=2),
+        middle=terms,
+        after=st.lists(terms, max_size=2),
+        tag=st.binary(min_size=32, max_size=32),
+        bits=st.integers(1, 256),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_first_digest_parts_rebuild_the_single_digest(
+        self, before, middle, after, tag, bits
+    ):
+        head, tail = first_digest_parts(
+            "t", [encode_term(t) for t in before], [encode_term(t) for t in after]
+        )
+        digest = hashlib.sha256(head + encode_term(middle) + tail + tag).digest()
+        term = (*before, middle, *after, tag)
+        assert hash_to_int("t", term, bits) == int.from_bytes(digest, "big") % 2 ** bits
 
     def test_hash_to_range_empty_rejected(self):
         with pytest.raises(ValueError):

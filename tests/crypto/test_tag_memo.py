@@ -54,10 +54,23 @@ class TestMemoTransparency:
         assert warm_plain == cold_plain
         assert warm_share == cold_share
         assert warm_combined == cold_combined
-        # The memo-free entry point on pre-encoded messages: same bytes.
-        assert cold_combined == [
-            threshold.combined_bytes_encoded(encode_term(m)) for m in messages
-        ]
+        # The memo-free taggers on pre-encoded messages, however the
+        # encoding is split into head + middle + tail: same bytes.
+        held = len(threshold._tags), len(plain._tags)
+        for cut in (0, 1, 3):
+            split = [
+                (e[:cut], e[cut:-1], e[max(cut, len(e) - 1):])
+                for e in map(encode_term, messages)
+            ]
+            assert cold_combined == [
+                threshold.fresh_combined_tagger(head, tail)(middle)
+                for head, middle, tail in split
+            ]
+            assert cold_plain == [
+                plain.fresh_tagger(1, head, tail)(middle)
+                for head, middle, tail in split
+            ]
+        assert (len(threshold._tags), len(plain._tags)) == held
 
     def test_repeat_sign_hits_memo_and_stays_stable(self, plain):
         message = ("echo", 4, (0, 1))

@@ -4,18 +4,23 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.coin_bias import WithholdingCoinAdversary
 from repro.adversary.strategies import CrashAdversary
+from repro.crypto.ideal import set_tag_memoization
 from repro.crypto.rsa import RsaSignatureScheme
 from repro.crypto.vrf_coin import (
     vrf_coin_from_evaluations,
     vrf_coin_program,
     vrf_evaluate,
+    vrf_evaluator,
     vrf_verify,
 )
 
 from ..conftest import ideal_suite, run
+from .test_coin import coin_indices
 
 
 def coin_factory(index=0, low=0, high=1):
@@ -56,6 +61,45 @@ class TestVrfPrimitive:
         assert 0 <= coin <= 7
         # the minimum (party 1, value 3) decides, independent of others
         assert coin == vrf_coin_from_evaluations({1: 3, 2: 9}, "s", 0, 0, 7)
+
+
+class TestVrfEvaluator:
+    """The closed form the vector backend sweeps == the reference pair."""
+
+    @given(
+        sessions=st.lists(st.text(max_size=24), min_size=1, max_size=4),
+        index=coin_indices,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_evaluate_and_verifies(self, sessions, index):
+        # st.text draws empty and non-ASCII sessions, coin_indices nested
+        # tuples.
+        scheme = ideal_suite(5, 2).plain
+        evaluate = vrf_evaluator(scheme, index)
+        for session in sessions:
+            values = evaluate(session)
+            assert len(values) == scheme.num_parties
+            for signer, value in enumerate(values):
+                reference, proof = vrf_evaluate(scheme, signer, session, index)
+                assert value == reference
+                assert vrf_verify(scheme, signer, value, proof, session, index)
+
+    def test_leaves_the_tag_memo_alone_and_ignores_its_switch(self):
+        scheme = ideal_suite(4, 1).plain
+        evaluate = vrf_evaluator(scheme, ("round", 3))
+        sessions = ["", "exp1/7", "séance-Ω/пт1"]
+        held = len(scheme._tags)
+        warm = [evaluate(session) for session in sessions]
+        assert len(scheme._tags) == held
+        previous = set_tag_memoization(False)
+        try:
+            assert [evaluate(session) for session in sessions] == warm
+        finally:
+            set_tag_memoization(previous)
+        assert warm == [
+            [vrf_evaluate(scheme, pid, session, ("round", 3))[0] for pid in range(4)]
+            for session in sessions
+        ]
 
 
 class TestVrfCoinProtocol:

@@ -1,5 +1,7 @@
 """ParallelRunner mechanics: chunking, streaming, aggregation, suite reuse."""
 
+import pickle
+import shlex
 from dataclasses import replace
 
 import pytest
@@ -8,7 +10,9 @@ from repro.core.ba import ba_one_third_program
 from repro.engine import (
     ParallelRunner,
     PlanResult,
+    TrialExecutionError,
     TrialPlan,
+    TrialSpec,
     clear_suite_cache,
     default_workers,
     register_protocol,
@@ -186,8 +190,55 @@ class TestStreamingAndFailures:
         # must surface it, not swallow it behind missing results.
         bad = replace(_plan(trials=1).trials[0], protocol="no_such_protocol")
         plan = TrialPlan(name="poisoned", trials=(bad,) * 4)
-        with pytest.raises(KeyError, match="no_such_protocol"):
+        with pytest.raises(TrialExecutionError, match="no_such_protocol"):
             ParallelRunner(workers=2, chunk_size=1).run(plan)
+
+    @pytest.mark.parametrize(
+        "runner",
+        [
+            ParallelRunner(workers=1),
+            ParallelRunner(workers=2, chunk_size=1),
+            ParallelRunner(workers=1, backend="vector"),
+            ParallelRunner(workers=1, backend="vector", metrics=True),
+        ],
+        ids=["inline", "pooled", "vector-fallback", "vector-fallback-metrics"],
+    )
+    def test_failure_names_the_trial_and_how_to_replay_it(self, runner):
+        good = _plan(trials=3).trials
+        bad = replace(good[1], protocol="no_such_protocol")
+        plan = TrialPlan(name="poisoned", trials=(good[0], bad, good[2]))
+        with pytest.raises(TrialExecutionError) as raised:
+            runner.run(plan)
+        error = raised.value
+        assert (error.index, error.spec) == (1, bad)
+        assert (
+            error.config_key, error.protocol, error.adversary,
+            error.seed, error.session, error.backend,
+        ) == (
+            "runner-test", "no_such_protocol", "straddle13",
+            bad.seed, bad.session, "ideal",
+        )
+        assert error.cause.startswith("KeyError: ")
+        # Chained from the original — across the pool's pipe that is the
+        # worker's formatted traceback, which still names it.
+        assert isinstance(error.__cause__, KeyError) or "KeyError" in str(
+            error.__cause__
+        )
+        # The message ends with the line that replays that one trial.
+        command = shlex.split(str(error).splitlines()[-1])
+        assert command[:3] == ["repro", "run", "--spec"]
+        assert TrialSpec.from_json(command[3]) == bad
+        copy = pickle.loads(pickle.dumps(error))
+        assert (str(copy), copy.args) == (str(error), error.args)
+
+    def test_interrupts_are_not_wrapped(self):
+        def interrupt(**_params):
+            raise KeyboardInterrupt
+
+        register_protocol("test_interrupting", interrupt)
+        spec = replace(_plan(trials=1).trials[0], protocol="test_interrupting")
+        with pytest.raises(KeyboardInterrupt):
+            ParallelRunner(workers=1).run(TrialPlan(name="stop", trials=(spec,)))
 
     def test_early_failure_cancels_outstanding_chunks(self, tmp_path):
         # The failing chunk is FIRST; every later chunk is slow and
@@ -203,8 +254,9 @@ class TestStreamingAndFailures:
         )
         bad = replace(good, protocol="no_such_protocol", params={})
         plan = TrialPlan(name="fail-fast", trials=(bad,) + (good,) * 40)
-        with pytest.raises(KeyError, match="no_such_protocol"):
+        with pytest.raises(TrialExecutionError, match="no_such_protocol") as raised:
             ParallelRunner(workers=2, chunk_size=1).run(plan)
+        assert (raised.value.index, raised.value.spec) == (0, bad)
         # At most the chunks already in flight when the failure landed
         # ran; the other ~40 were cancelled on the spot.
         markers = list(tmp_path.iterdir())

@@ -10,7 +10,10 @@ mixed plans.
 """
 
 import dataclasses
+import hashlib
+import hmac
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, reject, settings
@@ -472,6 +475,8 @@ class TestHotPathCounts:
         ("ba_one_half", (0, 0, 1, 1, 1), 2, {"kappa": 2},
          "straddle12", {"victims": (3, 4)}),
         ("threshold_coin", (None,) * 4, 1, {"low": 1, "high": 8}, None, None),
+        ("vrf_coin", (None,) * 4, 1, {"index": 1}, "withhold_coin",
+         {"victims": (3,), "index": 1, "preferred": 1}),
     )
 
     def _plan(self, seed, trials=70):
@@ -514,10 +519,12 @@ class TestHotPathCounts:
                     lambda spec, reason=reason: (asked.append(spec), reason(spec))[1]
                 ),
             )
+        # The coin evaluators leave the threshold scheme's memo alone,
+        # the VRF evaluator the plain scheme's.
         memos = [
             _suite_for(plan.trials[first]).coin._tags
             for first in (0, 70, 140)
-        ]
+        ] + [_suite_for(plan.trials[210]).plain._tags]
         sizes = [len(memo) for memo in memos]
 
         pairs, stats = execute_chunk(chunk)
@@ -534,6 +541,41 @@ class TestHotPathCounts:
         reference = ParallelRunner(workers=1).run(plan).results
         for index, got in pairs:
             assert canon(got) == canon(reference[index])
+
+    def test_a_trial_costs_its_coin_bytes(self, monkeypatch):
+        """Primitive calls per trial, probes warm: one HMAC and one
+        SHA-256 per coin, one of each per VRF evaluation plus the
+        extractions the reveal scan makes."""
+        clear_probe_cache()
+        execute_chunk(list(enumerate(self._plan(seed=3).trials)))  # warm probes
+        calls = Counter()
+        for module, name in ((hmac, "digest"), (hashlib, "sha256")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name,
+                lambda *args, _real=real, _name=name: (
+                    calls.update([_name]), _real(*args)
+                )[1],
+            )
+        trials = 70
+        plan = self._plan(seed=4, trials=trials)
+        per_config = {}
+        for at, config in enumerate(self.CONFIGS):
+            calls.clear()
+            chunk = list(enumerate(plan.trials))[at * trials:(at + 1) * trials]
+            _, stats = execute_chunk(chunk)
+            assert (stats["batched"], stats["cache_misses"]) == (trials, 0)
+            per_config[config[0]] = (calls["digest"], calls["sha256"])
+        n, victims = 4, 1
+        assert per_config["ba_one_third"] == (trials, trials)
+        # ⌈κ/2⌉ coins per ba_one_half trial: one at κ = 2.
+        assert per_config["ba_one_half"] == (trials, trials)
+        assert per_config["threshold_coin"] == (trials, trials)
+        vrf_hmacs, vrf_hashes = per_config["vrf_coin"]
+        assert vrf_hmacs == n * trials
+        # n evaluations, then baseline, at most one candidate per
+        # victim, and the trial's coin.
+        assert (n + 2) * trials <= vrf_hashes <= (n + 2 + victims) * trials
 
 
 class TestProbeCache:

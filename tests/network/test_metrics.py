@@ -1,5 +1,6 @@
 """Tests for execution metrics and signature counting."""
 
+import pickle
 import random
 from dataclasses import dataclass
 
@@ -247,3 +248,71 @@ class TestTallyRoundTrip:
 
         with pytest.raises(ValueError, match="multiple of 5"):
             RunMetrics.from_tallies(1, (1, 2, 3))
+
+
+def _view(shape) -> RunMetrics:
+    """``_build(shape)``, row-held: stamped from a frozen row tuple."""
+    entries, rounds = shape
+    return RunMetrics.from_round_tallies(rounds, tuple(entries))
+
+
+class TestRowsOrDict:
+    """``from_round_tallies`` keeps its rows until ``per_round`` is first
+    touched; nothing observable tells the two states apart, and no two
+    objects stamped from one tuple share mutable state."""
+
+    @given(_metrics_shape)
+    def test_view_equals_the_eagerly_built_object(self, shape):
+        eager = _build(shape)
+        assert _view(shape) == eager and eager == _view(shape)
+        assert repr(_view(shape)) == repr(eager)
+        assert pickle.dumps(_view(shape)) == pickle.dumps(eager)
+        assert pickle.loads(pickle.dumps(_view(shape))) == eager
+        assert _view(shape).as_tallies() == eager.as_tallies()
+        assert _view(shape).round_tallies() == eager.round_tallies()
+        assert list(_view(shape).per_round) == list(eager.per_round)
+        for name in (
+            "honest_messages", "corrupt_messages", "total_messages",
+            "honest_signatures", "total_signatures",
+        ):
+            assert getattr(_view(shape), name) == getattr(eager, name)
+        assert _view(shape) != RunMetrics(rounds=eager.rounds + 1)
+
+    def test_rows_are_held_as_given_until_per_round_is_touched(self):
+        rows = ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
+        metrics = RunMetrics.from_round_tallies(2, rows)
+        assert metrics.round_tallies() is rows  # reading copies nothing
+        assert metrics.as_tallies() == (1, 4, 0, 8, 0, 2, 3, 1, 6, 2)
+        assert metrics.round_tallies() is rows
+        metrics.per_round  # first touch: rows become the dict ...
+        assert metrics.round_tallies() == rows
+        assert metrics.round_tallies() is not rows  # ... and are dropped
+        # Any iterable of rows is accepted; a non-tuple is frozen once.
+        assert RunMetrics.from_round_tallies(2, iter(rows)) == metrics
+
+    def test_two_results_stamped_from_one_path_stay_independent(self):
+        rows = ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
+        first = RunMetrics.from_round_tallies(2, rows)
+        second = RunMetrics.from_round_tallies(2, rows)
+        first.round_stats(2).honest_messages += 1
+        first.record(3, honest=False, signature_count=5)
+        assert first.as_tallies() == (1, 4, 0, 8, 0, 2, 4, 1, 6, 2, 3, 0, 1, 0, 5)
+        assert second.as_tallies() == (1, 4, 0, 8, 0, 2, 3, 1, 6, 2)
+        assert second == RunMetrics.from_round_tallies(2, rows) != first
+        assert rows == ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
+
+    @given(st.lists(st.tuples(_metrics_shape, st.booleans()), max_size=5))
+    def test_merged_over_mixed_row_held_and_dict_held_inputs(self, shapes):
+        mixed = [_view(shape) if held else _build(shape) for shape, held in shapes]
+        merged = RunMetrics.merged(mixed)
+        assert merged == RunMetrics.merged(_build(shape) for shape, _ in shapes)
+        # Merging reads; it must not change (or materialise) its inputs.
+        for metrics, (shape, held) in zip(mixed, shapes):
+            assert metrics == _build(shape)
+        # A row-held aggregate target materialises and accumulates.
+        for shape, _ in shapes[:1]:
+            target = _view(shape)
+            target.merge(_view(shape))
+            doubled = _build(shape)
+            doubled.merge(_build(shape))
+            assert target == doubled

@@ -11,7 +11,8 @@ from repro.network.errors import (
     RoundLimitError,
     SimulationError,
 )
-from repro.network.simulator import SyncSimulator, run_protocol
+from repro.network.metrics import RunMetrics
+from repro.network.simulator import ExecutionResult, SyncSimulator, run_protocol
 
 from ..conftest import ideal_suite, run
 
@@ -199,6 +200,44 @@ class TestAdversaryInterposition:
 
         res = run(fragile, [1, 2, 3], max_faulty=1, adversary=Corruptor())
         assert res.outputs[0] is True and res.outputs[1] is True
+
+
+class TestHonestAgree:
+    """The one-pass ``honest_agree`` == the definition it replaced."""
+
+    @staticmethod
+    def reference(result):
+        values = list(result.honest_outputs.values())
+        return all(value == values[0] for value in values) if values else True
+
+    def test_equals_the_definition_over_a_grid(self):
+        n = 4
+        # Hashable and unhashable outputs, equal across types, and one
+        # that is not even equal to itself.
+        values = (0, 1, True, "a", [1], [1, 2], {"k": [0]}, None, float("nan"))
+        orders = ([0, 1, 2, 3], [3, 1, 0, 2])  # fm-style finish order
+        checked = 0
+        for corrupted in (set(), {3}, {0}, {0, 1, 2}, {0, 1, 2, 3}):
+            for unfinished in (set(), {1}, {0, 3}, {0, 1, 2, 3}):
+                for order in orders:
+                    for a in values:
+                        for b in values:
+                            outputs = {
+                                pid: (a if pid % 2 else b)
+                                for pid in order
+                                if pid not in unfinished
+                            }
+                            outputs[7] = "stray"  # not a party: no input
+                            result = ExecutionResult(
+                                outputs=outputs,
+                                corrupted=set(corrupted),
+                                metrics=RunMetrics(),
+                                inputs=dict(enumerate([0] * n)),
+                                finish_rounds=dict.fromkeys(outputs, 1),
+                            )
+                            assert result.honest_agree() is self.reference(result)
+                            checked += 1
+        assert checked == 5 * 4 * 2 * 9 * 9
 
 
 class TestRunProtocolHelper:

@@ -19,7 +19,13 @@ import os
 
 import pytest
 
-from repro.engine import ParallelRunner, TrialPlan, register_protocol, run_traced_trial
+from repro.engine import (
+    ParallelRunner,
+    TrialExecutionError,
+    TrialPlan,
+    register_protocol,
+    run_traced_trial,
+)
 from repro.network.trace import MemoryTraceSink, TraceEvent, Tracer
 from repro.obs import (
     TRACE_SCHEMA,
@@ -199,8 +205,9 @@ class TestEngineStreaming:
 
         spec = _echo_plan(1).trials[0]
         bad = dataclasses.replace(spec, protocol="_no_such_protocol")
-        with pytest.raises(KeyError):
+        with pytest.raises(TrialExecutionError) as raised:
             run_traced_trial(bad, str(tmp_path), 0)
+        assert isinstance(raised.value.__cause__, KeyError)
         # The sink was closed AND the half-written file was removed: a
         # failed trial must not leave an orphaned, footer-less JSONL
         # behind for `repro trace` to choke on.
@@ -224,8 +231,9 @@ class TestEngineStreaming:
         runner = ParallelRunner(
             workers=workers, chunk_size=3, trace_dir=trace_dir
         )
-        with pytest.raises(KeyError):
+        with pytest.raises(TrialExecutionError) as raised:
             runner.run(broken)
+        assert (raised.value.index, raised.value.spec) == (2, trials[2])
         survivors = sorted(os.listdir(trace_dir))
         assert trace_filename(2) not in survivors
         for name in survivors:
