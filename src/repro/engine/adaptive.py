@@ -412,14 +412,15 @@ class AdaptiveRunner:
         sink: Optional[Dict[int, MetricsRegistry]] = None,
     ) -> Iterator[Tuple[int, ExecutionResult]]:
         """Run one round's batches; stream results as batches complete."""
-        if pool is None:
-            for batch in batches:
-                yield from _iter_chunk(
-                    batch, None, self.backend, sink, self.telemetry, plan.name
-                )
-            return
         first_number = self._chunk_seq
         self._chunk_seq += len(batches)
+        if pool is None:
+            for number, batch in enumerate(batches, start=first_number):
+                yield from _iter_chunk(
+                    batch, None, self.backend, sink, self.telemetry,
+                    plan.name, number,
+                )
+            return
         yield from self._runner._stream_chunks(
             pool, batches, plan.trials, sink, first_number
         )

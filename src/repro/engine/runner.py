@@ -230,7 +230,8 @@ class TrialExecutionError(RuntimeError):
 
     Raised ``from`` the original exception by :func:`_run_indexed_trial`,
     the one function every execution path runs a trial through, so
-    inline, pooled, adaptive and vector-fallback runs fail alike.
+    inline, pooled, adaptive and vector-fallback runs fail alike — and
+    by ``execute_chunk`` for a vector batch, named by its first member.
     ``index`` is the trial's place in its plan and ``cause`` the
     original's ``Type: message``; the spec's identifying fields are
     attributes too.  Picklable — it crosses the pool's result pipe
@@ -388,6 +389,7 @@ def _iter_chunk(
     registries: Optional[Dict[int, MetricsRegistry]],
     tele: Optional[TelemetryWriter] = None,
     label: str = "",
+    number: int = 0,
 ) -> Iterator[Tuple[int, ExecutionResult]]:
     """Run ``(index, spec)`` pairs in this process, in order.
 
@@ -396,26 +398,40 @@ def _iter_chunk(
     object simulator inside it) and emits one ``vector_batch`` and one
     ``probe_cache`` telemetry span describing the batching; results are
     bit-identical either way.
+
+    With ``tele`` the chunk is also one ``chunk_dispatch`` /
+    ``chunk_complete`` pair numbered ``number`` (the pooled vocabulary;
+    ``seconds`` is the time spent executing trials here), so an inline
+    run reports its busy time like a pooled one.
     """
+    if tele is not None:
+        tele.emit("chunk_dispatch", chunk=number, trials=len(chunk))
+    busy = 0.0
     if backend != "vector":
         for index, spec in chunk:
-            yield index, _run_indexed_trial(index, spec, trace_dir, registries)
-        return
-    started = time.perf_counter()
-    pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
+            started = time.perf_counter()
+            result = _run_indexed_trial(index, spec, trace_dir, registries)
+            busy += time.perf_counter() - started
+            yield index, result
+    else:
+        started = time.perf_counter()
+        pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
+        busy = time.perf_counter() - started
+        if tele is not None:
+            tele.emit(
+                "vector_batch", label=label,
+                batched=stats["batched"], fallback=stats["fallback"],
+                batches=len(stats["batches"]),
+                seconds=round(busy, 6),
+                fallback_reasons=stats["fallback_reasons"],
+            )
+            tele.emit(
+                "probe_cache", label=label,
+                hits=stats["cache_hits"], misses=stats["cache_misses"],
+            )
+        yield from pairs
     if tele is not None:
-        tele.emit(
-            "vector_batch", label=label,
-            batched=stats["batched"], fallback=stats["fallback"],
-            batches=len(stats["batches"]),
-            seconds=round(time.perf_counter() - started, 6),
-            fallback_reasons=stats["fallback_reasons"],
-        )
-        tele.emit(
-            "probe_cache", label=label,
-            hits=stats["cache_hits"], misses=stats["cache_misses"],
-        )
-    yield from pairs
+        tele.emit("chunk_complete", chunk=number, seconds=round(busy, 6))
 
 
 def _run_chunk(

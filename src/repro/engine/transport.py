@@ -297,12 +297,16 @@ class ChunkSummary(NamedTuple):
         return pairs
 
     def unpack_metrics(self) -> Dict[int, Any]:
-        """Rebuild the chunk's plan index → ``MetricsRegistry`` mapping."""
+        """Rebuild the chunk's plan index → ``MetricsRegistry`` mapping.
+
+        Each distinct blob is decoded once and its trials stamped from
+        it, so the parent merges a pooled run by outcome class too.
+        """
         from ..obs.metrics import MetricsRegistry
 
-        return {
-            index: MetricsRegistry.unpack(blob) for index, blob in self.metrics
-        }
+        distinct = {blob for _, blob in self.metrics}
+        decoded = {blob: MetricsRegistry.unpack(blob) for blob in distinct}
+        return {index: decoded[blob].stamp() for index, blob in self.metrics}
 
 
 def measure_payload_bytes(

@@ -140,9 +140,10 @@ def probe_cache_stats() -> Dict[str, int]:
 
 
 def clear_probe_cache() -> None:
-    """Drop all cached probes and reset the hit/miss counters."""
+    """Drop all cached probes and registry classes; reset the hit/miss counters."""
     global _PROBE_CACHE_HITS, _PROBE_CACHE_MISSES
     _PROBE_CACHE.clear()
+    _CLASS_CACHE.clear()
     _PROBE_CACHE_HITS = 0
     _PROBE_CACHE_MISSES = 0
 
@@ -370,6 +371,14 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     return vector_model_for(first.protocol, first.adversary).run_batch(specs)[0]
 
 
+# (path, outputs, finish rounds, corrupted set) → the finalized registry
+# of that outcome class.  An LRU beside the probe cache and cleared with
+# it; a key holds its path's ``_Delivery`` objects, so a probe evicted
+# and re-run gets a new key and can only miss, never alias.
+_CLASS_CACHE: "OrderedDict[Any, MetricsRegistry]" = OrderedDict()
+_CLASS_CACHE_LIMIT = 1024
+
+
 def _compose_registries(
     members: Sequence[Tuple[int, TrialSpec]],
     outcomes: Sequence[ExecutionResult],
@@ -382,9 +391,10 @@ def _compose_registries(
     on its path, finalized with its own result — exactly what a registry
     observing the object simulator would hold.  Trials sharing a path
     and an outcome share that registry's *value*, so each such class is
-    composed once and every trial receives an independent copy.
+    composed once per process and every trial is stamped from it: a
+    pointer to the shared snapshot, copied only if someone touches it.
     """
-    classes: Dict[Any, MetricsRegistry] = {}
+    classes: Dict[Any, MetricsRegistry] = {}  # this batch's: one LRU touch each
     for (index, _), result, path in zip(members, outcomes, paths):
         key = (
             path,
@@ -394,11 +404,18 @@ def _compose_registries(
         )
         registry = classes.get(key)
         if registry is None:
-            registry = classes[key] = MetricsRegistry.from_deliveries(
-                (delivery.contribution, offset) for delivery, offset in path
-            )
-            registry.finalize_trial(result)
-        metrics[index] = registry.copy()
+            registry = _CLASS_CACHE.get(key)
+            if registry is None:
+                registry = _CLASS_CACHE[key] = MetricsRegistry.from_deliveries(
+                    (delivery.contribution, offset) for delivery, offset in path
+                )
+                registry.finalize_trial(result)
+                while len(_CLASS_CACHE) > _CLASS_CACHE_LIMIT:
+                    _CLASS_CACHE.popitem(last=False)
+            else:
+                _CLASS_CACHE.move_to_end(key)
+            classes[key] = registry
+        metrics[index] = registry.stamp()
 
 
 def execute_chunk(
@@ -428,7 +445,7 @@ def execute_chunk(
     needs the per-message deliveries themselves, so ``trace_dir`` still
     sends every spec to the object simulator.
     """
-    from .runner import _run_indexed_trial  # circular at import time
+    from .runner import TrialExecutionError, _run_indexed_trial  # circular
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
@@ -474,6 +491,12 @@ def execute_chunk(
                 # A probe invariant failed — the conservative answer is
                 # the reference simulator, which is always correct.
                 reason = f"vector model error: {exc}"
+            except Exception as error:
+                # A bug in the model or its probe: name the batch's first
+                # member, whose spec replays it.
+                original = f"{type(error).__name__}: {error}"
+                cause = f"vector batch of {len(members)} trials: {original}"
+                raise TrialExecutionError(*members[0], cause) from error
         if reason is not None:
             reasons[reason] += len(members)
             fallback.extend(members)

@@ -236,23 +236,41 @@ class RunMetrics:
         per-round shapes stay meaningful for same-protocol trials.
         """
         self.rounds += other.rounds
+        self._add_rows(other.round_tallies())
+
+    def _add_rows(self, rows: Tuple[_Row, ...], times: int = 1) -> None:
         per_round = self.per_round
-        for round_index, hm, cm, hs, cs in other.round_tallies():
+        for round_index, hm, cm, hs, cs in rows:
             stats = per_round.get(round_index)
             if stats is None:
-                per_round[round_index] = RoundStats(hm, cm, hs, cs)
-            else:
-                stats.honest_messages += hm
-                stats.corrupt_messages += cm
-                stats.honest_signatures += hs
-                stats.corrupt_signatures += cs
+                stats = per_round[round_index] = RoundStats()
+            stats.honest_messages += hm * times
+            stats.corrupt_messages += cm * times
+            stats.honest_signatures += hs * times
+            stats.corrupt_signatures += cs * times
 
     @classmethod
     def merged(cls, metrics_list) -> "RunMetrics":
-        """Aggregate many executions' metrics into one (see :meth:`merge`)."""
+        """Aggregate many executions' metrics into one (see :meth:`merge`).
+
+        Inputs holding one row tuple (by identity: the results of one
+        vector path) are merged once, then counted, and the remaining
+        multiples added at the end — rounds still enter ``per_round``
+        where the plain fold meets them, so :meth:`as_tallies` is the same.
+        """
         total = cls()
+        repeats: Dict[int, list] = {}  # id(rows) → [rows, sightings after the first]
         for metrics in metrics_list:
+            seen = repeats.get(id(metrics._rows))
+            if seen is not None:
+                total.rounds += metrics.rounds
+                seen[1] += 1
+                continue
             total.merge(metrics)
+            if metrics._rows is not None:
+                repeats[id(metrics._rows)] = [metrics._rows, 0]
+        for rows, times in repeats.values():
+            total._add_rows(rows, times)
         return total
 
     def as_tallies(self) -> Tuple[int, ...]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 from bisect import bisect_left
 from typing import (
     Any,
@@ -260,13 +261,14 @@ class Histogram:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    def merge(self, other: "Histogram") -> None:
+    def merge(self, other: "Histogram", times: int = 1) -> None:
+        """Fold ``other`` in ``times`` times over (min/max are idempotent)."""
         if self.buckets != other.buckets:
             raise ValueError("cannot merge histograms with different buckets")
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.count += other.count
-        self.total += other.total
+        theirs = other.counts if times == 1 else [n * times for n in other.counts]
+        self.counts = list(map(operator.add, self.counts, theirs))
+        self.count += other.count * times
+        self.total += other.total * times
         for bound in (other.minimum, other.maximum):
             if bound is None:
                 continue
@@ -303,8 +305,7 @@ class Histogram:
         return self.maximum
 
     def copy(self) -> "Histogram":
-        # Field-for-field: the buckets were validated when the source was
-        # built, and per-trial registry copies are a vector-path hot spot.
+        # Field-for-field: the buckets were validated when the source was built.
         dup = Histogram.__new__(Histogram)
         dup.buckets = self.buckets
         dup.counts = list(self.counts)
@@ -391,6 +392,24 @@ class DeliveryContribution:
     signatures: int
 
 
+@dataclasses.dataclass(eq=False)
+class _State:
+    """A registry's counters and histograms.  Once ``shared`` (see
+    :meth:`MetricsRegistry.stamp`) a state is never mutated again, which
+    is what lets ``blob`` cache its canonical packing."""
+
+    counters: Dict[Tuple[str, str], int]
+    histograms: Dict[str, Histogram]
+    shared: bool = False
+    blob: Optional[bytes] = None
+
+    def copy(self) -> "_State":
+        return _State(
+            dict(self.counters),
+            {name: hist.copy() for name, hist in self.histograms.items()},
+        )
+
+
 class MetricsRegistry:
     """Deterministic counters + histograms over one or many trials.
 
@@ -403,11 +422,20 @@ class MetricsRegistry:
     is commutative and associative over finalized registries, and
     ``pack``/``unpack`` round-trip losslessly — both pinned by
     hypothesis property tests.
+
+    The state is either this registry's own ``counters`` / ``histograms``
+    or a snapshot shared with the registries :meth:`stamp` made from it
+    — **never both**, and a shared snapshot is never mutated: the first
+    mutation, or the first outside touch of ``counters`` /
+    ``histograms``, copies it into private dicts and lets go of it.
+    Trials of one outcome class therefore cost a pointer each,
+    :meth:`merged` adds each snapshot once, scaled by how many inputs
+    still share it, and ``==``, ``repr``, :meth:`pack` bytes,
+    :meth:`copy` and pickling do not tell the two apart.
     """
 
     __slots__ = (
-        "counters",
-        "histograms",
+        "_state",
         "_coin_rounds",
         "_trial_messages",
         "_trial_signatures",
@@ -416,16 +444,50 @@ class MetricsRegistry:
     )
 
     def __init__(self) -> None:
-        #: (name, label) → count.  Labels refine a metric (message kind,
-        #: fault kind, crypto class, decided value); unlabelled metrics
-        #: use the empty string.
-        self.counters: Dict[Tuple[str, str], int] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self._coin_rounds: Set[int] = set()
+        self._state = _State({}, {})
+        self._reset_trial()
+
+    def _reset_trial(self) -> None:
+        # Allocates nothing: a stamped twin pays five stores for these.
+        self._coin_rounds: frozenset = frozenset()
         self._trial_messages = 0
         self._trial_signatures = 0
-        self._memo_round = -1
-        self._memo: Dict[int, Tuple[str, int, Tuple[Tuple[str, int], ...], int]] = {}
+        self._memo_round = -1  # no round yet: the first message makes the memo
+        self._memo: Optional[Dict[int, tuple]] = None
+
+    # ── snapshot-or-own state ─────────────────────────────────────────
+
+    @property
+    def counters(self) -> Dict[Tuple[str, str], int]:
+        """(name, label) → count, private to this registry.  Labels
+        refine a metric (message kind, fault kind, crypto class, decided
+        value); unlabelled metrics use the empty string."""
+        return self._own().counters
+
+    @property
+    def histograms(self) -> Dict[str, Histogram]:
+        """Histogram name → :class:`Histogram`, private to this registry."""
+        return self._own().histograms
+
+    def _own(self) -> _State:
+        """This registry's private state — a copy, if it was shared."""
+        state = self._state
+        if state.shared:
+            state = self._state = state.copy()
+        return state
+
+    def stamp(self) -> "MetricsRegistry":
+        """A registry equal to this finalized one, at pointer cost.
+
+        Both hold this registry's state, from now on a shared snapshot;
+        either copies it on its first touch, so a change to one can
+        never show in the other.
+        """
+        self._state.shared = True
+        twin = MetricsRegistry.__new__(MetricsRegistry)
+        twin._state = self._state
+        twin._reset_trial()
+        return twin
 
     # ── core mutation API (name vocabulary enforced) ──────────────────
 
@@ -436,16 +498,19 @@ class MetricsRegistry:
             raise ValueError(f"counter increments must be >= 0, got {by}")
         if not by:
             return
+        # _own(), inlined: every delivered message comes through here.
+        counters = (self._own() if self._state.shared else self._state).counters
         key = (name, label)
-        self.counters[key] = self.counters.get(key, 0) + by
+        counters[key] = counters.get(key, 0) + by
 
     def observe(self, name: str, value: int) -> None:
         buckets = HISTOGRAM_BUCKETS.get(name)
         if buckets is None:
             raise ValueError(f"unknown histogram metric {name!r}")
-        hist = self.histograms.get(name)
+        histograms = (self._own() if self._state.shared else self._state).histograms
+        hist = histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = Histogram(buckets)
+            hist = histograms[name] = Histogram(buckets)
         hist.observe(value)
 
     # ── simulator observer interface (shared with Tracer) ─────────────
@@ -469,7 +534,7 @@ class MetricsRegistry:
         signature dedup.
         """
         if round_index != self._memo_round:
-            self._memo.clear()
+            self._memo = {}
             self._memo_round = round_index
         cached = self._memo.get(id(payload))
         if cached is None:
@@ -513,7 +578,7 @@ class MetricsRegistry:
         self.inc("sig_verify_ops", "", signatures)
         if "coin_share" in summary:
             self.inc("coin_share_msgs")
-            self._coin_rounds.add(round_index)
+            self._coin_rounds |= {round_index}
         self._trial_messages += 1
         self._trial_signatures += signatures
 
@@ -522,11 +587,7 @@ class MetricsRegistry:
         self.inc("coin_flip_rounds", "", len(self._coin_rounds))
         self.observe("trial_messages", self._trial_messages)
         self.observe("trial_signatures", self._trial_signatures)
-        self._coin_rounds = set()
-        self._trial_messages = 0
-        self._trial_signatures = 0
-        self._memo_round = -1
-        self._memo = {}
+        self._reset_trial()
 
     def finalize_trial(self, result: Any) -> None:
         """Fold one finished ``ExecutionResult`` into run-level metrics."""
@@ -578,7 +639,7 @@ class MetricsRegistry:
         disjoint rounds.
         """
         registry = cls()
-        counters = registry.counters
+        counters = registry._state.counters
         for part, offset in parts:
             for key, value in part.counters:
                 counters[key] = counters.get(key, 0) + value
@@ -587,7 +648,7 @@ class MetricsRegistry:
                 counters[key] = counters.get(key, 0) + value
             for name, hist in part.histograms:
                 registry._add_histogram(name, hist)
-            registry._coin_rounds.update(r + offset for r in part.coin_rounds)
+            registry._coin_rounds |= {r + offset for r in part.coin_rounds}
             registry._trial_messages += part.messages
             registry._trial_signatures += part.signatures
         return registry
@@ -596,90 +657,107 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry (element-wise addition)."""
-        for key, value in other.counters.items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for name, hist in other.histograms.items():
-            self._add_histogram(name, hist)
+        self._add(other._state)
 
-    def _add_histogram(self, name: str, hist: Histogram) -> None:
-        mine = self.histograms.get(name)
+    def _add(self, state: _State, times: int = 1) -> None:
+        counters = self._own().counters
+        for key, value in state.counters.items():
+            counters[key] = counters.get(key, 0) + value * times
+        for name, hist in state.histograms.items():
+            self._add_histogram(name, hist, times)
+
+    def _add_histogram(self, name: str, hist: Histogram, times: int = 1) -> None:
+        mine = self._state.histograms.get(name)
         if mine is None:
-            self.histograms[name] = hist.copy()
-        else:
-            mine.merge(hist)
+            mine = self._state.histograms[name] = hist.copy()
+            times -= 1
+        if times:
+            mine.merge(hist, times)
 
     @classmethod
     def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
+        """The left fold of :meth:`merge`, priced by distinct snapshots.
+
+        Inputs still on a shared snapshot are counted and the snapshot
+        is added once, scaled: every field is an integer sum or an
+        idempotent min/max, so the result is exactly the fold's.
+        """
         total = cls()
+        shared: Dict[_State, int] = {}
         for registry in registries:
-            total.merge(registry)
+            state = registry._state
+            if state.shared:
+                shared[state] = shared.get(state, 0) + 1
+            else:
+                total._add(state)
+        for state, times in shared.items():
+            total._add(state, times)
         return total
 
     def copy(self) -> "MetricsRegistry":
         """An independent registry with the same counters and histograms."""
-        dup = MetricsRegistry()
-        dup.counters = dict(self.counters)
-        dup.histograms = {
-            name: hist.copy() for name, hist in self.histograms.items()
-        }
-        return dup
+        twin = MetricsRegistry()
+        twin._state = self._state.copy()
+        return twin
 
     def delivery_view(self) -> "MetricsRegistry":
         """Restrict to :data:`DELIVERY_METRIC_NAMES` (the trace-recoverable
         subset used by the live-vs-replayed equivalence tests)."""
         view = MetricsRegistry()
-        view.counters = {
-            key: value
-            for key, value in self.counters.items()
-            if key[0] in DELIVERY_METRIC_NAMES
-        }
-        view.histograms = {
-            name: hist.copy()
-            for name, hist in self.histograms.items()
-            if name in DELIVERY_METRIC_NAMES
-        }
+        for key, value in self._state.counters.items():
+            if key[0] in DELIVERY_METRIC_NAMES:
+                view._state.counters[key] = value
+        for name, hist in self._state.histograms.items():
+            if name in DELIVERY_METRIC_NAMES:
+                view._state.histograms[name] = hist.copy()
         return view
 
     def counter_total(self, name: str) -> int:
-        return sum(
-            value for (metric, _), value in self.counters.items() if metric == name
-        )
+        counters = self._state.counters
+        return sum(value for (metric, _), value in counters.items() if metric == name)
 
     def labels(self, name: str) -> Dict[str, int]:
         """Sorted label → count mapping for one counter metric."""
+        counters = self._state.counters
         return {
-            label: self.counters[(metric, label)]
-            for metric, label in sorted(self.counters)
+            label: counters[(metric, label)]
+            for metric, label in sorted(counters)
             if metric == name
         }
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsRegistry):
             return NotImplemented
-        return (
-            self.counters == other.counters and self.histograms == other.histograms
-        )
+        mine, theirs = self._state, other._state
+        return mine.counters == theirs.counters and mine.histograms == theirs.histograms
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(counters={len(self.counters)}, "
-            f"histograms={len(self.histograms)})"
+            f"MetricsRegistry(counters={len(self._state.counters)}, "
+            f"histograms={len(self._state.histograms)})"
         )
+
+    def __reduce__(self):
+        # The finalized state as its canonical bytes, shared or own.
+        return type(self).unpack, (self.pack(),)
 
     # ── canonical wire form (ChunkSummary transport) ──────────────────
 
     def pack(self) -> bytes:
         """Canonical varint encoding: equal registries pack identically."""
+        state = self._state
+        if state.blob is not None:
+            return state.blob
         buf = bytearray()
         _write_varint(buf, _PACK_VERSION)
-        _write_varint(buf, len(self.counters))
-        for (name, label) in sorted(self.counters):
+        _write_varint(buf, len(state.counters))
+        for (name, label) in sorted(state.counters):
             _write_str(buf, name)
             _write_str(buf, label)
-            _write_varint(buf, self.counters[(name, label)])
-        _write_varint(buf, len(self.histograms))
-        for name in sorted(self.histograms):
-            hist = self.histograms[name]
+            _write_varint(buf, state.counters[(name, label)])
+        _write_varint(buf, len(state.histograms))
+        for name in sorted(state.histograms):
+            hist = state.histograms[name]
             _write_str(buf, name)
             _write_varint(buf, len(hist.buckets))
             for bound in hist.buckets:
@@ -691,11 +769,15 @@ class MetricsRegistry:
             if hist.count:
                 _write_varint(buf, hist.minimum or 0)
                 _write_varint(buf, hist.maximum or 0)
-        return bytes(buf)
+        blob = bytes(buf)
+        if state.shared:
+            state.blob = blob
+        return blob
 
     @classmethod
     def unpack(cls, blob: bytes) -> "MetricsRegistry":
         registry = cls()
+        state = registry._state
         version, at = _read_varint(blob, 0)
         if version != _PACK_VERSION:
             raise ObsFormatError(f"unknown metrics pack version {version}")
@@ -704,7 +786,7 @@ class MetricsRegistry:
             name, at = _read_str(blob, at)
             label, at = _read_str(blob, at)
             value, at = _read_varint(blob, at)
-            registry.counters[(name, label)] = value
+            state.counters[(name, label)] = value
         n_hists, at = _read_varint(blob, at)
         for _ in range(n_hists):
             name, at = _read_str(blob, at)
@@ -724,7 +806,7 @@ class MetricsRegistry:
             if hist.count:
                 hist.minimum, at = _read_varint(blob, at)
                 hist.maximum, at = _read_varint(blob, at)
-            registry.histograms[name] = hist
+            state.histograms[name] = hist
         if at != len(blob):
             raise ObsFormatError(
                 f"metrics blob has {len(blob) - at} trailing bytes"
@@ -734,14 +816,15 @@ class MetricsRegistry:
     # ── JSON artifact form ────────────────────────────────────────────
 
     def as_payload(self) -> Dict[str, Any]:
+        state = self._state
         counters: Dict[str, Dict[str, int]] = {}
-        for (name, label) in sorted(self.counters):
-            counters.setdefault(name, {})[label] = self.counters[(name, label)]
+        for (name, label) in sorted(state.counters):
+            counters.setdefault(name, {})[label] = state.counters[(name, label)]
         return {
             "counters": counters,
             "histograms": {
-                name: self.histograms[name].as_payload()
-                for name in sorted(self.histograms)
+                name: state.histograms[name].as_payload()
+                for name in sorted(state.histograms)
             },
         }
 

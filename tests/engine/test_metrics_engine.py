@@ -130,25 +130,35 @@ class TestVectorNativeMetrics:
         assert pooled.trial_metrics == serial.trial_metrics
 
     def test_trial_registries_are_independent_copies(self):
+        """The reference is the object path, never another vector run:
+        comparing against one lets a registry aliased through a trial,
+        through the class cache or through blob interning — the same
+        corrupted object on both sides — pass."""
         clear_probe_cache()
         plan = _plan(trials=6)
         chunk = list(enumerate(plan.trials))
-        reference = {}
-        execute_chunk(chunk, metrics=reference)
+        reference = [run_measured_trial(spec)[1] for spec in plan.trials]
         sink = {}
-        execute_chunk(chunk, metrics=sink)
+        pairs, _ = execute_chunk(chunk, metrics=sink)
+        pooled = ChunkSummary.pack(pairs, metrics=sink).unpack_metrics()
         # Same (path, outcome) class ⇒ equal registries, never shared.
-        twins = [i for i in sink if sink[i] == sink[0]]
-        assert len(twins) > 1
-        sink[0].inc("messages", "bool", 1000)
-        sink[0].observe("slot_occupancy", 7)
-        sink[0].observe("rounds_to_decision", 99)
-        for index in range(1, len(chunk)):
-            assert sink[index] == reference[index]
-        # ...and the cached probes did not see the mutation either.
+        for twins in (sink, pooled):
+            assert sum(twins[i] == twins[0] for i in twins) > 1
+            twins[0].inc("messages", "bool", 1000)
+            twins[0].observe("slot_occupancy", 7)
+            twins[0].observe("rounds_to_decision", 99)
+            twins[0].counters["trials", ""] += 1
+            assert twins[0] != reference[0]
+            for index in range(1, len(chunk)):
+                assert twins[index] == reference[index]
+        # ...and neither the cached probes nor the cached classes saw it.
         again = {}
         execute_chunk(chunk, metrics=again)
-        assert again == reference
+        assert [again[index] for index in range(len(chunk))] == reference
+        packed = ChunkSummary.pack(pairs, metrics=again)
+        assert [blob for _, blob in packed.metrics] == [
+            registry.pack() for registry in reference
+        ]
 
     def test_vector_model_error_collects_on_the_object_path(self, monkeypatch):
         from repro.engine.registry import vector_model_for

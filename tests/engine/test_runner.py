@@ -1,6 +1,7 @@
 """ParallelRunner mechanics: chunking, streaming, aggregation, suite reuse."""
 
 import pickle
+import re
 import shlex
 from dataclasses import replace
 
@@ -8,15 +9,19 @@ import pytest
 
 from repro.core.ba import ba_one_third_program
 from repro.engine import (
+    AdaptiveRunner,
     ParallelRunner,
     PlanResult,
     TrialExecutionError,
     TrialPlan,
     TrialSpec,
+    clear_probe_cache,
     clear_suite_cache,
     default_workers,
     register_protocol,
+    vectorized,
 )
+from repro.engine.registry import vector_model_for
 from repro.engine.runner import _SUITE_CACHE, _SUITE_CACHE_MAX, _suite_for
 
 
@@ -230,6 +235,60 @@ class TestStreamingAndFailures:
         assert TrialSpec.from_json(command[3]) == bad
         copy = pickle.loads(pickle.dumps(error))
         assert (str(copy), copy.args) == (str(error), error.args)
+
+    @pytest.mark.parametrize("where", ["probe", "run_batch"])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda plan: ParallelRunner(workers=1, backend="vector").run(plan),
+            lambda plan: ParallelRunner(
+                workers=2, chunk_size=2, backend="vector", metrics=True
+            ).run(plan),
+            lambda plan: AdaptiveRunner(
+                workers=1, backend="vector", batch_size=4
+            ).run(plan, 0.25),
+        ],
+        ids=["inline", "pooled", "adaptive"],
+    )
+    def test_vector_model_failure_names_its_batch(self, monkeypatch, run, where):
+        """A bug inside a vector model — not the audited VectorModelError
+        fallback — ends like any failing trial: named, chained, replayable."""
+
+        def broken(*_args, **_kwargs):
+            raise ZeroDivisionError("model bug")
+
+        if where == "probe":
+            monkeypatch.setattr(vectorized, "_simulate_probe", broken)
+        else:
+            model = vector_model_for("ba_one_third", "straddle13")
+            monkeypatch.setattr(model, "run_batch", broken)
+        clear_probe_cache()  # pool workers fork with the patch and no probes
+        plan = _plan(trials=6)
+        with pytest.raises(TrialExecutionError) as raised:
+            run(plan)
+        error = raised.value
+        assert error.spec == plan.trials[error.index]
+        assert error.index % 2 == 0  # its batch's first member
+        assert (error.config_key, error.seed) == ("runner-test", error.spec.seed)
+        assert re.fullmatch(
+            r"vector batch of [246] trials: ZeroDivisionError: model bug",
+            error.cause,
+        )
+        assert isinstance(error.__cause__, ZeroDivisionError) or (
+            "ZeroDivisionError" in str(error.__cause__)
+        )
+        command = shlex.split(str(error).splitlines()[-1])
+        assert command[:3] == ["repro", "run", "--spec"]
+        assert TrialSpec.from_json(command[3]) == error.spec
+
+    def test_vector_model_interrupt_is_not_wrapped(self, monkeypatch):
+        def interrupt(_specs):
+            raise KeyboardInterrupt
+
+        model = vector_model_for("ba_one_third", "straddle13")
+        monkeypatch.setattr(model, "run_batch", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            ParallelRunner(workers=1, backend="vector").run(_plan(trials=2))
 
     def test_interrupts_are_not_wrapped(self):
         def interrupt(**_params):

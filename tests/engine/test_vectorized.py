@@ -24,6 +24,7 @@ from repro.engine import (
     ParallelRunner,
     TrialPlan,
     TrialSpec,
+    run_measured_trial,
     vector_model_pairs,
     vector_supports,
     vector_unsupported_reason,
@@ -37,6 +38,7 @@ from repro.engine.vectorized import (
     execute_chunk,
     run_vector_batch,
 )
+from repro.obs import MetricsRegistry
 from tests.conftest import PROTOCOL_SHAPES
 
 
@@ -576,6 +578,93 @@ class TestHotPathCounts:
         # n evaluations, then baseline, at most one candidate per
         # victim, and the trial's coin.
         assert (n + 2) * trials <= vrf_hashes <= (n + 2 + victims) * trials
+
+
+    def _counted(self, monkeypatch, calls, owner, name, wrap=lambda f: f):
+        real = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name,
+            wrap(lambda *args, **kw: (calls.update([name]), real(*args, **kw))[1]),
+        )
+
+    def test_metrics_cost_their_classes_not_their_trials(self, monkeypatch):
+        """2 000 trials of one config: registries are composed, folded,
+        encoded and decoded once per outcome class — and a class seen in
+        one chunk is not composed again in the next."""
+        trials = 2000
+        plans = [
+            TrialPlan.monte_carlo(
+                "classes", *self.CONFIGS[0][:3], trials=trials,
+                params=self.CONFIGS[0][3], adversary=self.CONFIGS[0][4],
+                adversary_params=self.CONFIGS[0][5], seed=seed,
+            )
+            for seed in (11, 12)
+        ]
+        calls = Counter()
+        # Called on the class only: a plain function serves for both.
+        self._counted(monkeypatch, calls, MetricsRegistry, "from_deliveries",
+                      staticmethod)
+        self._counted(monkeypatch, calls, MetricsRegistry, "unpack", staticmethod)
+        self._counted(monkeypatch, calls, MetricsRegistry, "finalize_trial")
+        self._counted(monkeypatch, calls, MetricsRegistry, "_add")
+        clear_probe_cache()
+        runner = ParallelRunner(workers=1, backend="vector", metrics=True)
+        cold = runner.run(plans[0])
+        summary = packed(cold)
+        blobs = [blob for _, blob in summary.metrics]
+        # One bytes object per class: a second encoding would be a second object.
+        classes = len({id(blob) for blob in blobs})
+        assert (len(blobs), len(set(blobs))) == (trials, classes)
+        assert 1 < classes <= 8
+        assert calls["from_deliveries"] == calls["finalize_trial"] == classes
+        assert calls["_add"] == 0
+
+        # Per config, one fold per class; the totals fold the one config.
+        cold.metrics_payload()
+        assert calls["_add"] == classes + 1
+        # The pooled parent decodes by class and so merges by class too.
+        rebuilt = summary.unpack_metrics()
+        assert calls["unpack"] == classes
+        assert [rebuilt[index] for index in range(trials)] == cold.trial_metrics
+        calls.clear()
+        assert MetricsRegistry.merged(rebuilt.values()) == cold.metrics_registry()
+        assert calls["_add"] == 2 * classes
+
+        # Fresh seeds, classes warm: nothing is composed, encoded or copied.
+        calls.clear()
+        warm = runner.run(plans[1])
+        assert set(blob for _, blob in packed(warm).metrics) == set(blobs)
+        assert {id(blob) for _, blob in packed(warm).metrics} == {
+            id(blob) for blob in blobs
+        }
+        assert calls["from_deliveries"] == calls["finalize_trial"] == 0
+        monkeypatch.undo()
+        for index in (0, 1, trials - 1):
+            assert warm.trial_metrics[index] == run_measured_trial(
+                plans[1].trials[index]
+            )[1]
+
+    def test_class_cache_is_bounded_evicts_to_a_miss_and_clears(self, monkeypatch):
+        from repro.engine import vectorized
+
+        bound = 3
+        monkeypatch.setattr(vectorized, "_CLASS_CACHE_LIMIT", bound)
+        clear_probe_cache()
+        seen = set()
+        for seed in (1, 2):  # the second sweep recomposes what the first evicted
+            plan = self._plan(seed=seed, trials=40)
+            for at in range(len(self.CONFIGS)):
+                chunk = list(enumerate(plan.trials))[at * 40:(at + 1) * 40]
+                sink = {}
+                execute_chunk(chunk, metrics=sink)
+                assert len(vectorized._CLASS_CACHE) <= bound
+                seen.update(registry.pack() for registry in sink.values())
+                for index, spec in chunk[:3]:
+                    assert sink[index] == run_measured_trial(spec)[1]
+        assert len(seen) > bound
+        assert len(vectorized._CLASS_CACHE) == bound
+        clear_probe_cache()
+        assert len(vectorized._CLASS_CACHE) == 0
 
 
 class TestProbeCache:

@@ -316,3 +316,48 @@ class TestRowsOrDict:
             doubled = _build(shape)
             doubled.merge(_build(shape))
             assert target == doubled
+
+    #: Few round indices, so drawn inputs overlap in differing orders.
+    _rows = st.lists(
+        st.tuples(st.integers(0, 5), _count, _count, _count, _count),
+        max_size=5, unique_by=lambda row: row[0],
+    ).map(tuple)
+
+    @given(
+        st.lists(_rows, min_size=1, max_size=4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["shared", "equal", "touched", "dict"]),
+                st.integers(0, 64),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_merged_adds_each_shared_row_tuple_once_scaled(self, bases, picks):
+        """``merged`` equals the left fold of ``merge`` — value, ``rounds``
+        and first-seen round order — however its inputs hold their rows."""
+        inputs = []
+        for at, kind, rounds in picks:
+            rows = bases[at % len(bases)]
+            if kind == "dict":
+                inputs.append(RunMetrics.from_tallies(rounds, sum(rows, ())))
+                continue
+            # "equal" rows are a distinct tuple object: nothing is shared.
+            metrics = RunMetrics.from_round_tallies(
+                rounds, rows if kind != "equal" else tuple(list(rows))
+            )
+            if kind == "touched":
+                metrics.per_round
+            inputs.append(metrics)
+        before = [(metrics.rounds, metrics.as_tallies()) for metrics in inputs]
+        fold = RunMetrics()
+        for metrics in inputs:
+            fold.merge(metrics)
+        for merged in (RunMetrics.merged(inputs), RunMetrics.merged(iter(inputs))):
+            assert merged == fold
+            assert merged.rounds == fold.rounds
+            assert merged.as_tallies() == fold.as_tallies()
+            assert list(merged.per_round) == list(fold.per_round)
+        assert [(m.rounds, m.as_tallies()) for m in inputs] == before
+

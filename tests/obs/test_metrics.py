@@ -13,7 +13,9 @@ Three layers of guarantees:
   deterministically and survives a disk round trip.
 """
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,114 @@ class TestMergeAlgebra:
         merged = registry.copy()
         merged.merge(MetricsRegistry())
         assert merged == registry
+
+
+def _apply(registry: MetricsRegistry, shape) -> MetricsRegistry:
+    counters, observations = shape
+    for name, label, by in counters:
+        registry.inc(name, label, by=by)
+    for name, value in observations:
+        registry.observe(name, value)
+    return registry
+
+
+class TestSharedSnapshots:
+    """Snapshot-or-own state: a stamped registry is a pointer to a shared
+    snapshot until touched, and nothing observable says which."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(_registry_shape, min_size=1, max_size=4),
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["same", "stamped", "touched", "mutated", "own"]),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_merged_equals_the_left_fold_of_merge(self, shapes, picks):
+        bases = [_build(shape) for shape in shapes]
+        inputs = []
+        for at, kind in picks:
+            at %= len(bases)
+            if kind == "same":  # the very object again, however it holds
+                inputs.append(bases[at])
+            elif kind == "own":
+                inputs.append(_build(shapes[at]))
+            else:
+                twin = bases[at].stamp()
+                if kind == "touched":
+                    twin.histograms
+                elif kind == "mutated":
+                    twin.inc("trials")
+                    twin.observe("slot_occupancy", 5)
+                inputs.append(twin)
+        before = [registry.as_payload() for registry in inputs]
+        fold = MetricsRegistry()
+        for registry in inputs:
+            fold.merge(registry)
+        for merged in (
+            MetricsRegistry.merged(inputs), MetricsRegistry.merged(iter(inputs))
+        ):
+            assert merged == fold
+            assert merged.pack() == fold.pack()
+            assert merged.as_payload() == fold.as_payload()
+            # The total is private: growing it reaches no snapshot.
+            merged.inc("trials", by=3)
+            merged.observe("trial_messages", 1)
+        assert [registry.as_payload() for registry in inputs] == before
+
+    @settings(deadline=None)
+    @given(_registry_shape, _registry_shape, st.booleans())
+    def test_stamped_twin_is_a_copy_until_touched_and_independent_after(
+        self, shape, bump, touch_source
+    ):
+        source = _build(shape)
+        reference = source.copy()
+        twin = source.stamp()
+        for held in (source, twin, twin.stamp()):
+            assert held == reference and reference == held
+            assert repr(held) == repr(reference)
+            assert held.pack() == reference.pack()
+            assert held.as_payload() == reference.as_payload()
+            assert pickle.dumps(held) == pickle.dumps(reference)
+            assert pickle.loads(pickle.dumps(held)) == reference
+            assert held.copy() == reference
+            assert held.delivery_view() == reference.delivery_view()
+            assert held.labels("messages") == reference.labels("messages")
+            assert held.counter_total("trials") == reference.counter_total("trials")
+        touched, other = (source, twin) if touch_source else (twin, source)
+        _apply(touched, bump)
+        touched.counters["trials", "direct"] = 1
+        touched.histograms["rounds_to_decision"] = Histogram((1, 2))
+        expected = _apply(_build(shape), bump)
+        expected.counters["trials", "direct"] = 1
+        expected.histograms["rounds_to_decision"] = Histogram((1, 2))
+        assert touched == expected and touched.pack() == expected.pack()
+        for held in (other, other.stamp(), pickle.loads(pickle.dumps(other))):
+            assert held == reference and held.pack() == reference.pack()
+
+    def test_a_stamped_twin_collects_like_a_copy(self):
+        """Made to observe, a twin collects exactly as a fresh copy would
+        (its per-trial transients start out empty, like a new registry's)."""
+        source = _build(([("messages", "", 7)], [("slot_occupancy", 3)]))
+        reference, twin = source.copy(), source.stamp()
+        for registry in (reference, twin):
+            registry.observe_delivery(2, "<coin_share 1>", 3, sender_honest=True)
+            registry.on_message(3, 0, 1, {"slot": 1}, sender_honest=False)
+            registry.finalize_delivery()
+        assert twin == reference and twin.pack() == reference.pack()
+        assert twin.counter_total("coin_flip_rounds") == 1
+        assert source == _build(([("messages", "", 7)], [("slot_occupancy", 3)]))
+
+    def test_copies_of_a_stamped_registry_are_deep(self):
+        twin = _build(([("messages", "", 7)], [("slot_occupancy", 3)])).stamp()
+        reference = twin.copy()
+        for dup in (twin.copy(), copy.copy(twin), copy.deepcopy(twin)):
+            dup.inc("messages", by=1)
+            dup.histograms["slot_occupancy"].observe(9)
+            assert twin == reference
 
 
 class TestWireForm:

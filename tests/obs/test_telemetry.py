@@ -186,6 +186,56 @@ class TestRunnerTelemetry:
         start = next(r for r in _records(path) if r["t"] == "run_start")
         assert start["mode"] == "inline"
 
+    @pytest.mark.parametrize("backend", ["object", "vector"])
+    @pytest.mark.parametrize("streamed", [False, True], ids=["run", "run_iter"])
+    def test_inline_run_is_one_chunk_span(self, tmp_path, backend, streamed):
+        """The pooled span vocabulary on the inline path: one dispatch /
+        complete pair, busy seconds measured in-process, no payload."""
+        path = str(tmp_path / "inline.jsonl")
+        plan = _plan(trials=40)
+        with TelemetryWriter(path) as tele:
+            runner = ParallelRunner(workers=1, backend=backend, telemetry=tele)
+            if streamed:
+                assert len(list(runner.run_iter(plan))) == len(plan)
+            else:
+                runner.run(plan)
+        records = _records(path)
+        kinds = [r["t"] for r in records[1:-1]]
+        assert (kinds[:2], kinds[-2:]) == (
+            ["run_start", "chunk_dispatch"], ["chunk_complete", "run_complete"],
+        )
+        # Two emits per run, nothing per trial.
+        assert len(kinds) == (6 if backend == "vector" else 4)
+        dispatch, complete = records[2], records[-3]
+        assert (dispatch["chunk"], dispatch["trials"]) == (0, len(plan))
+        assert complete["chunk"] == 0 and "payload_bytes" not in complete
+        summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert (summary["chunks"], summary["trials"]) == (1, len(plan))
+        assert summary["payload_bytes"] == 0 and summary["pooled_runs"] == 0
+        run = summary["runs"][0]
+        assert (run["mode"], run["chunks"]) == ("inline", 1)
+        assert 0 < summary["busy_seconds"] <= run["wall_seconds"]
+        assert "utilization" not in run  # the capacity check is pool-only
+
+    def test_adaptive_inline_batches_are_numbered_chunk_spans(self, tmp_path):
+        path = str(tmp_path / "adaptive-inline.jsonl")
+        plan = _plan(trials=12)
+        with TelemetryWriter(path) as tele:
+            AdaptiveRunner(
+                workers=1, batch_size=4, early_stop=False, telemetry=tele
+            ).run(plan, 0.5)
+        records = _records(path)
+        dispatched = [r for r in records if r["t"] == "chunk_dispatch"]
+        completed = [r for r in records if r["t"] == "chunk_complete"]
+        assert [r["chunk"] for r in dispatched] == [0, 1, 2]
+        assert [r["chunk"] for r in completed] == [0, 1, 2]
+        assert [r["trials"] for r in dispatched] == [4, 4, 4]
+        summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert (summary["chunks"], summary["trials"]) == (3, 12)
+        assert summary["busy_seconds"] > 0
+
     def test_adaptive_run_emits_allocation_audit_trail(self, tmp_path):
         path = str(tmp_path / "adaptive.jsonl")
         plan = _plan(trials=12)
