@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke perf-pair chaos-quick examples experiments clean
+.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke perf-pair perf-gate chaos-quick examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -31,35 +31,34 @@ check-fix-dry:
 bench:
 	pytest benchmarks/ --benchmark-only -s
 
-# Fast engine sanity sweep: serial-vs-parallel AND vector-vs-object
-# bit-identity, timings, and the adaptive leg (early-stopping verdicts
-# checked against the fixed run; nonzero exit on mismatch).  Engine
-# telemetry streams to bench-telemetry/telemetry.jsonl and the spans are
-# cross-checked against wall time (nonzero exit on mismatch; see
-# docs/observability.md).  REPRO_BENCH_WORKERS overrides the worker
-# count (default 2; clamped to the CPUs present).  The `--figures` leg
-# times one representative vector-modeled plan per migrated benchmark
-# and exits nonzero if any of them reports a fallback or diverges from
-# the object path.  The second line is
-# the real-backend smoke: one tiny threshold-RSA sweep (small modulus)
-# exercising pre-dealt key broadcast end to end; the third is the
-# fault-tolerance smoke (6 trials/cell — far below the 120 that rewrite
-# BENCH_faults.json, so the committed curves are safe); the fourth runs
-# the whole benchmark suite on the vector backend, so a model regression
-# that silently demotes a figure to the object simulator fails fast.
-# `check` runs first:
-# benchmark numbers from a tree that violates the determinism rules are
-# not comparable run to run, so don't produce them.  The first bench
-# also captures the repro-metrics/1 artifact and per-chunk profiles;
-# the final step fuses everything into bench-report.md via
-# `repro report --check`, which exits 2 if any artifact fails its
-# schema gate or the telemetry spans are inconsistent.
+# Fast engine sanity sweep (correctness and observability, no stopwatch:
+# speeds are perfbench's job, see perf-pair / perf-gate below).  The
+# first line runs the error sweep pooled on the vector backend — exit 2
+# if a supported spec falls back to the object simulator — then again
+# under AdaptiveRunner (early-stopping verdicts checked against the
+# fixed run), with telemetry streamed to bench-telemetry/telemetry.jsonl
+# and cross-checked against wall time, the repro-metrics/1 artifact and
+# per-chunk profiles all collected from that one run.
+# REPRO_BENCH_WORKERS overrides the worker count (default 2; clamped to
+# the CPUs present).  The second line is the real-backend smoke: one
+# tiny threshold-RSA sweep (small modulus) exercising pre-dealt key
+# broadcast end to end; the third is the fault-tolerance smoke
+# (6 trials/cell — far below the 120 that rewrite BENCH_faults.json, so
+# the committed curves are safe); the fourth runs the whole benchmark
+# suite on the vector backend, so a model regression that silently
+# demotes a figure to the object simulator fails fast.  `check` runs
+# first: numbers from a tree that violates the determinism rules are
+# not comparable run to run, so don't produce them.  The final step
+# fuses the artifacts into bench-report.md via `repro report --check`,
+# which exits 2 if any artifact fails its schema gate or the telemetry
+# spans are inconsistent.
 bench-quick: check
-	PYTHONPATH=src python -m repro bench --kappas 1,2 --trials 40 \
-		--workers $${REPRO_BENCH_WORKERS:-2} --adaptive --vector --figures \
+	PYTHONPATH=src python -m repro error-sweep --protocol both \
+		--kappas 1,2 --trials 40 \
+		--workers $${REPRO_BENCH_WORKERS:-2} --adaptive --vector \
 		--telemetry bench-telemetry --metrics bench-metrics.json \
-		--profile bench-profile --json bench-quick.json
-	PYTHONPATH=src python -m repro bench --backend real --rsa-bits 64 \
+		--profile bench-profile
+	PYTHONPATH=src python -m repro error-sweep --backend real --rsa-bits 64 \
 		--kappas 1 --trials 3 --protocol one_third \
 		--workers $${REPRO_BENCH_WORKERS:-2}
 	REPRO_BENCH_FAULT_TRIALS=$${REPRO_BENCH_FAULT_TRIALS:-6} PYTHONPATH=src \
@@ -67,7 +66,7 @@ bench-quick: check
 	REPRO_BENCH_BACKEND=vector REPRO_BENCH_FAULT_TRIALS=6 PYTHONPATH=src \
 		pytest benchmarks/ --benchmark-disable -q
 	PYTHONPATH=src python -m repro report --metrics bench-metrics.json \
-		--telemetry bench-telemetry --bench bench-quick.json \
+		--telemetry bench-telemetry \
 		--profile bench-profile --check --out bench-report.md
 
 # The reference benchmark's <30 s self-test: all four workloads, the
@@ -85,6 +84,14 @@ perf-smoke:
 # REF's quartiles.
 perf-pair:
 	scripts/perf_pair.sh $${REF:?set REF} $${WORKLOAD:?set WORKLOAD} $${PAIRS:-10}
+
+# The perf-regression gate: three pairs of the two sweep workloads
+# against REF (CI passes the PR's base commit).  perf_pair.sh exits 1,
+# naming each `REGRESSION <workload> <metric> x<ratio>`, when the tree's
+# median is worse than REF's by more than the metric's bound in
+# BENCHMARK.json and the tree lost every pair.
+perf-gate:
+	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,object-sweep 3
 
 # Bounded chaos pass: hypothesis-drawn Byzantine schedules and network
 # fault plans at a few examples per property (the full depth runs in
@@ -104,5 +111,5 @@ experiments:
 clean:
 	rm -rf .pytest_cache .benchmarks src/repro.egg-info bench-telemetry \
 		bench-profile
-	rm -f bench-metrics.json bench-quick.json bench-report.md
+	rm -f bench-metrics.json bench-report.md
 	find . -name __pycache__ -type d -exec rm -rf {} +

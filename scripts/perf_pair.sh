@@ -14,6 +14,12 @@
 # tree wins at least nine tenths of the pairs and the medians differ by
 # more than the distance between REF's own quartiles.  Each side runs
 # the perfbench/ of its own checkout.
+#
+# The exit status is the regression gate (`make perf-gate`): 1, after one
+# `REGRESSION <workload> <metric> x<ratio>` line each, when the tree's
+# median is worse than REF's by more than the metric's `bound` in
+# BENCHMARK.json and the tree loses at least nine tenths of the pairs,
+# or when more of the tree's operations failed than REF's; 0 otherwise.
 set -euo pipefail
 
 usage="usage: scripts/perf_pair.sh REF WORKLOAD[,WORKLOAD...|all] [PAIRS=10]"
@@ -66,7 +72,7 @@ import sys
 
 benchmark, tmp, ref_name, *workloads = sys.argv[1:]
 with open(benchmark) as handle:
-    better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+    end_to_end = json.load(handle)["end_to_end"]
 
 
 def load(path):
@@ -81,6 +87,7 @@ def quartiles(values):
 
 
 summary = []
+regressions = []
 for workload in workloads:
     ref_runs = load(f"{tmp}/{workload}.ref.jsonl")
     tree_runs = load(f"{tmp}/{workload}.tree.jsonl")
@@ -90,7 +97,10 @@ for workload in workloads:
     ]
     print(f"\n== {workload}: failed/attempted {ref_name} "
           f"{failed[0]}/{attempted[0]}, tree {failed[1]}/{attempted[1]}")
-    for name, direction in better.items():
+    if failed[1] > failed[0]:
+        regressions.append(f"{workload} failed {failed[0]} -> {failed[1]}")
+    for metric in end_to_end:
+        name, direction = metric["name"], metric["better"]
         ref = [run["metrics"][name]["value"] for run in ref_runs]
         tree = [run["metrics"][name]["value"] for run in tree_runs]
         unit = ref_runs[0]["metrics"][name]["unit"]
@@ -111,14 +121,21 @@ for workload in workloads:
         print(f"  medians differ by {abs(tree_median - ref_median):.4f} "
               f"(x{tree_median / ref_median:.3f}); {ref_name} quartile distance "
               f"{ref_q3 - ref_q1:.4f}")
+        ratio = tree_median / ref_median
         summary.append((
-            workload, name, ref_median, tree_median, tree_median / ref_median,
+            workload, name, ref_median, tree_median, ratio,
             f"{wins}/{len(ref)}", abs(tree_median - ref_median), ref_q3 - ref_q1,
         ))
+        worse = 1.0 - ratio if direction == "higher" else ratio - 1.0
+        if worse > metric["bound"] and 10 * losses >= 9 * len(ref):
+            regressions.append(f"{workload} {name} x{ratio:.3f}")
 
 print(f"\n{'workload':<16s} {'metric':<17s} {ref_name:>10s} {'tree':>10s} "
       f"{'ratio':>7s} {'wins':>6s} {'|gap|':>10s} {'ref q3-q1':>10s}")
 for workload, name, ref, tree, ratio, wins, gap, spread in summary:
     print(f"{workload:<16s} {name:<17s} {ref:10.4f} {tree:10.4f} "
           f"x{ratio:<6.3f} {wins:>6s} {gap:10.4f} {spread:10.4f}")
+for regression in regressions:
+    print(f"REGRESSION {regression}")
+sys.exit(1 if regressions else 0)
 EOF

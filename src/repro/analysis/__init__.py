@@ -7,12 +7,6 @@ from .experiments import (
     run_trials,
     slot_occupancy,
 )
-from .benchdiff import (
-    compare_benchmarks,
-    diff_bench_files,
-    format_bench_report,
-    load_bench,
-)
 from .curves import bar_chart, log_sparkline, sparkline
 from .report import format_matrix, format_table
 from .stats import (
@@ -49,11 +43,7 @@ __all__ = [
     "sparkline",
     "ProtocolTheory",
     "binary_slot_labels",
-    "compare_benchmarks",
-    "diff_bench_files",
     "disagreement_rate",
-    "format_bench_report",
-    "load_bench",
     "efficiency_comparison_rows",
     "error_for_rounds",
     "fig2_expansion_conditions",

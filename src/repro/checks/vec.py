@@ -227,9 +227,10 @@ def _constant_str_returns(
 class FallbackVocabularyRule(_IndexedRule):
     """Fallback reasons must come from the exported vocabulary.
 
-    The per-reason fallback tallies (``repro bench --figures``,
-    ``scripts/bench_diff.py``) and the docs treat reason strings as a
-    closed vocabulary; an ``unsupported_reason`` branch that invents a
+    The per-reason fallback tallies (telemetry's ``fallback_reasons``,
+    the ``repro error-sweep --vector`` audit, perfbench's
+    ``engine.vectorized.fallback_trials``) and the docs treat reason
+    strings as a closed vocabulary; an ``unsupported_reason`` branch that invents a
     new spelling silently escapes every tally.  The engine exports
     ``FALLBACK_REASONS`` (exact strings) and ``FALLBACK_REASON_PREFIXES``
     (for parameterized f-string reasons); every constant return in a

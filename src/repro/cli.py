@@ -18,19 +18,16 @@ Subcommands
     Regenerate the paper's condition tables / extraction figure.
 ``error-sweep``
     Monte-Carlo disagreement rates vs the 2^-κ bound under the worst-case
-    straddle adversaries.
-``bench``
-    The same sweep through the parallel experiment engine: runs it
-    serially and with ``--workers`` processes, checks the two are
-    bit-identical, reports wall times and writes a machine-readable
-    ``BENCH_engine.json``.
-    ``--adaptive`` adds the early-stopping leg: the sweep re-run under
+    straddle adversaries: one engine plan, run once on the executor the
+    flags select (``--workers`` processes, ``--vector`` for the numpy
+    backend) — every executor prints the same rates.
+    ``--adaptive`` re-runs the sweep under
     :class:`repro.engine.AdaptiveRunner` with a total budget equal to the
     fixed run, verdict-checked against it config for config.
-    ``--telemetry DIR`` streams engine scheduling spans (chunk dispatch,
-    worker busy time, setup, adaptive allocations) to
-    ``DIR/telemetry.jsonl`` and fails if they don't sum consistently
-    with the reported wall times.
+    ``--metrics PATH`` / ``--telemetry DIR`` / ``--profile DIR`` collect
+    the ``repro-metrics/1`` artifact, engine scheduling spans
+    (``DIR/telemetry.jsonl``, checked for consistency) and per-chunk
+    ``cProfile`` dumps from that same run; ``repro report`` fuses them.
 ``check``
     Two-phase whole-program static analysis enforcing the repo's
     determinism, layering, serialization and observability invariants
@@ -53,8 +50,9 @@ Examples::
     python -m repro compare --kappas 4,8,16,32
     python -m repro tables --which table2
     python -m repro error-sweep --protocol one_half --kappas 1,2,4 --trials 200
-    python -m repro bench --workers 4 --trials 300 --json BENCH_engine.json
-    python -m repro bench --adaptive --max-trials 600 --trials 300
+    python -m repro error-sweep --protocol both --workers 4 --vector \\
+        --metrics metrics.json --telemetry tele/
+    python -m repro error-sweep --adaptive --max-trials 600 --trials 300
     python -m repro check --json check-report.json --sarif check-report.sarif
     python -m repro check --select DET,LAY src/repro
     python -m repro check --fix
@@ -77,7 +75,7 @@ from .adversary.strategies import (
     MalformedAdversary,
     TwoFaceAdversary,
 )
-from .analysis.experiments import ExperimentSetup, disagreement_rate, run_trials
+from .analysis.experiments import disagreement_rate
 from .analysis.report import format_table
 from .analysis.tables import render_fig3, render_table1, render_table2
 from .analysis.theory import rounds_for_error
@@ -106,14 +104,41 @@ def _parse_int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _kappa_list(text: str) -> List[int]:
+    kappas = _parse_int_list(text)
+    if not kappas or min(kappas) < 1:
+        raise argparse.ArgumentTypeError(
+            f"need at least one kappa, each >= 1, got {text!r}"
+        )
+    return kappas
+
+
+def _sweep_bound(text: str) -> Optional[float]:
+    """``--bound``: ``None`` for the paper's per-config ``2**-k``, or a float."""
+    if text.replace("^", "**") in ("2**-k", "2**-kappa"):
+        return None
     try:
-        value = int(text)
+        return float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"must be '2**-k' or a float, got {text!r}"
+        )
 
 
 def _build_adversary(name: str, victims: List[int], factory) -> Optional[Adversary]:
@@ -412,46 +437,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_error_sweep(args: argparse.Namespace) -> int:
-    if args.protocol == "one_third":
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        inputs = [0, 0, 1, 1]
-        adversary_factory = lambda: OneThirdStraddleAdversary([3])
-        program = ba_one_third_program
-    else:
-        setup = ExperimentSetup(num_parties=5, max_faulty=2)
-        inputs = [0, 0, 1, 1, 1]
-        adversary_factory = lambda: LinearHalfStraddleAdversary([3, 4])
-        program = ba_one_half_program
-    rows = []
-    for kappa in args.kappas:
-        factory = lambda c, b, k=kappa: program(c, b, k)
-        rate = disagreement_rate(
-            run_trials(
-                setup, factory, inputs, trials=args.trials,
-                adversary_factory=adversary_factory, seed=args.seed + kappa,
-            )
-        )
-        rows.append([kappa, f"{2.0 ** -kappa:.4f}", f"{rate:.4f}"])
-    print(
-        f"{args.protocol}: disagreement under worst-case straddle attack "
-        f"({args.trials} trials)\n"
-    )
-    print(format_table(["kappa", "bound 2^-k", "measured"], rows))
-    return 0
+def _build_sweep_plan(args: argparse.Namespace, trials: Optional[int] = None):
+    """The error-probability sweep as one engine plan, κ-major per protocol.
 
-
-def _build_sweep_plan(
-    args: argparse.Namespace,
-    trials: Optional[int] = None,
-    kappas: Optional[List[int]] = None,
-    collect_signatures: bool = False,
-):
-    """The error-probability sweep as one engine plan (see `bench`).
-
-    ``collect_signatures`` defaults off — disagreement rates don't need
-    signature tallies, so the per-payload walk stays off the hot path —
-    and is flipped on for the signature-heavy payload-measurement slice.
+    Signature collection stays off: disagreement rates don't need the
+    tallies, so the per-payload walk is kept off the hot path.
     """
     from .engine import TrialPlan
 
@@ -466,7 +456,7 @@ def _build_sweep_plan(
         )
     plans = []
     for protocol, inputs, max_faulty, adversary, adversary_params in configs:
-        for kappa in kappas if kappas is not None else args.kappas:
+        for kappa in args.kappas:
             plans.append(
                 TrialPlan.monte_carlo(
                     name=f"{protocol}-k{kappa}",
@@ -480,87 +470,64 @@ def _build_sweep_plan(
                     seed=args.seed + kappa,
                     backend=args.backend,
                     rsa_bits=args.rsa_bits,
-                    collect_signatures=collect_signatures,
+                    collect_signatures=False,
                 )
             )
     return TrialPlan.concat(f"error-sweep-{args.protocol}", plans)
 
 
-def _sweep_bounds(plan, expression: str) -> dict:
-    """Per-config target bounds for an error sweep.
-
-    ``expression`` is either the default ``"2**-k"`` / ``"2^-k"`` — the
-    paper's Corollary 2 bound, evaluated per config from its κ — or a
-    literal float applied to every config.
-    """
-    bounds = {}
-    if expression.replace("^", "**") in ("2**-k", "2**-kappa"):
-        for name, indices in plan.configs().items():
-            kappa = plan.trials[indices[0]].param_dict["kappa"]
-            bounds[name] = 2.0 ** -kappa
-        return bounds
-    try:
-        value = float(expression)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--bound must be '2**-k' or a float, got {expression!r}"
-        )
-    return {name: value for name in plan.configs()}
-
-
 def _run_adaptive_leg(
-    args: argparse.Namespace, serial, workers: int, telemetry=None
-) -> dict:
-    """The ``--adaptive`` leg of `bench`: early-stopping vs fixed budget.
+    args: argparse.Namespace, fixed, workers: int, backend: str, telemetry
+) -> bool:
+    """``error-sweep --adaptive``: early stopping vs the fixed budget.
 
     Runs the same sweep through :class:`AdaptiveRunner` with a total
     budget equal to the fixed run's trial count (per-config cap
-    ``--max-trials``), checks the accept/reject verdicts agree with the
-    fixed-budget run config for config, and returns the JSON payload.
+    ``--max-trials``), prints the allocation, and returns whether the
+    accept/reject verdicts agree with the fixed run config for config.
     """
-    from .analysis.stats import format_rate
     from .engine import AdaptiveRunner
 
     cap = args.max_trials or args.trials
     plan = _build_sweep_plan(args, trials=cap)
-    bounds = _sweep_bounds(plan, args.bound)
-    budget = args.trials * len(plan.configs())
+    # --bound parses to None for the paper's Corollary 2 bound, which
+    # each config evaluates from its own κ.
+    bounds = {
+        name: (
+            args.bound
+            if args.bound is not None
+            else 2.0 ** -plan.trials[indices[0]].param_dict["kappa"]
+        )
+        for name, indices in plan.configs().items()
+    }
+    budget = args.trials * len(bounds)
     runner = AdaptiveRunner(
-        workers=workers, batch_size=args.batch, telemetry=telemetry
+        workers=workers, batch_size=args.batch, telemetry=telemetry,
+        backend=backend,
     )
     adaptive = runner.run(plan, bounds, budget=budget)
 
     # Fixed-budget verdicts: the same classifier fed the full counts.
-    fixed_groups = serial.plan.configs()
+    fixed_groups = fixed.plan.configs()
     rows = []
     matches = True
     for name, outcome in adaptive.configs.items():
-        fixed_indices = fixed_groups[name]
-        fixed_estimate = runner.estimate_for(name, bounds)
-        fixed_hits = sum(
-            1
-            for index in fixed_indices
-            if not serial.results[index].honest_agree()
+        indices = fixed_groups[name]
+        estimate = runner.estimate_for(name, bounds)
+        estimate.update(
+            sum(1 for index in indices if not fixed.results[index].honest_agree()),
+            len(indices),
         )
-        fixed_estimate.update(fixed_hits, len(fixed_indices))
-        matches = matches and (outcome.accepted == fixed_estimate.accepted)
+        matches = matches and outcome.accepted == estimate.accepted
         rows.append(
-            {
-                "config": name,
-                "bound": outcome.bound,
-                "fixed_trials": len(fixed_indices),
-                "fixed_rate": format_rate(fixed_hits, len(fixed_indices)),
-                "fixed_accepted": fixed_estimate.accepted,
-                "adaptive_trials": outcome.executed,
-                "adaptive_rate": (
-                    format_rate(outcome.hits, outcome.executed)
-                    if outcome.executed
-                    else None
-                ),
-                "adaptive_status": outcome.status,
-                "adaptive_accepted": outcome.accepted,
-                "stopped_early": outcome.stopped_early,
-            }
+            [
+                name,
+                f"{outcome.bound:.4f}",
+                len(indices),
+                outcome.executed,
+                outcome.status,
+                "yes" if outcome.stopped_early else "-",
+            ]
         )
 
     print(
@@ -569,643 +536,171 @@ def _run_adaptive_leg(
     )
     print(
         format_table(
-            ["config", "bound", "fixed n", "adaptive n", "status", "early"],
-            [
-                [
-                    row["config"],
-                    f"{row['bound']:.4f}",
-                    row["fixed_trials"],
-                    row["adaptive_trials"],
-                    row["adaptive_status"],
-                    "yes" if row["stopped_early"] else "-",
-                ]
-                for row in rows
-            ],
+            ["config", "bound", "fixed n", "adaptive n", "status", "early"], rows
         )
     )
-    fixed_total = sum(row["fixed_trials"] for row in rows)
+    saved = len(fixed.plan) - adaptive.spent
     print()
-    print(f"{'adaptive trials spent':32s}: {adaptive.spent:8d} / {fixed_total}")
-    print(
-        f"{'trials saved':32s}: {fixed_total - adaptive.spent:8d} "
-        f"({(fixed_total - adaptive.spent) / fixed_total:.1%})"
-    )
-    print(
-        f"{'adaptive wall time':32s}: {adaptive.wall_seconds:8.3f}s"
-    )
+    print(f"{'adaptive trials spent':32s}: {adaptive.spent:8d} / {len(fixed.plan)}")
+    print(f"{'trials saved':32s}: {saved:8d} ({saved / len(fixed.plan):.1%})")
     print(
         f"{'verdicts match fixed run':32s}: "
         f"{'      OK' if matches else '    MISMATCH'}"
     )
-    return {
-        "budget": budget,
-        "per_config_cap": cap,
-        "batch_size": args.batch,
-        "spent": adaptive.spent,
-        "fixed_total": fixed_total,
-        "saved": fixed_total - adaptive.spent,
-        "saved_fraction": round((fixed_total - adaptive.spent) / fixed_total, 4),
-        "wall_seconds": round(adaptive.wall_seconds, 4),
-        "verdicts_match_fixed": matches,
-        "configs": rows,
-    }
+    return matches
 
 
-#: One representative vector-modeled Monte-Carlo plan per migrated
-#: benchmark: (figure, protocol, inputs, t, params, adversary,
-#: adversary_params).  Every entry must be vector-supported — the
-#: ``--figures`` leg exits nonzero if any spec reports a fallback, so a
-#: model regression cannot silently demote a published figure to the
-#: object simulator.
-_FIGURE_PLANS = (
-    ("fig1_slot_structure", "prox_one_third", (0, 0, 1, 1), 1,
-     {"rounds": 3}, "straddle13", {"victims": (3,)}),
-    ("fig2_expansion", "prox_one_third", (0, 0, 1, 1), 1,
-     {"rounds": 4}, "two_face", {"victims": (3,)}),
-    ("table1_prox5", "prox_linear_half", (1, 0, 1, 0, 1), 2,
-     {"rounds": 3}, "bare_straddle12", {"victims": (3, 4)}),
-    ("table2_fm_probabilistic", "fm_probabilistic", (1, 0, 1, 0), 1,
-     None, None, None),
-    ("mv_turpin_coan", "turpin_coan_classic", ("a", "b", "a", "a"), 1,
-     {"kappa": 3}, None, None),
-    ("mv_multivalued_ba", "multivalued_ba", ("a", "b", "a", "a"), 1,
-     {"kappa": 3}, None, None),
-    ("coin_threshold_withhold", "threshold_coin", (None,) * 4, 1,
-     {"index": 1, "low": 0, "high": 1}, "withhold_coin",
-     {"victims": (3,), "index": 1, "low": 0, "high": 1, "preferred": 1}),
-    ("coin_vrf_withhold", "vrf_coin", (None,) * 4, 1,
-     {"index": 1, "low": 0, "high": 1}, "withhold_coin",
-     {"victims": (3,), "index": 1, "low": 0, "high": 1, "preferred": 1}),
-    ("gradecast_substitution", "proxcast", ("v",) * 9, 4,
-     {"slots": 4, "dealer": 0}, None, None),
-    ("slot_growth", "prox_quadratic_half", (1,) * 5, 2,
-     {"rounds": 4}, None, None),
-    ("crypto_backends", "ba_one_half", (1, 0, 1, 0, 1), 2,
-     {"kappa": 4}, None, None),
-)
-
-
-def _run_figures_leg(args: argparse.Namespace) -> dict:
-    """The ``--figures`` leg of `bench`: per-benchmark vector speedups.
-
-    Each migrated benchmark contributes one representative Monte-Carlo
-    plan (a newly vector-modeled protocol × adversary pair where one
-    exists).  The plan runs through both executors; results must be
-    bit-identical, no spec may fall back, and the measured object/vector
-    wall-time ratio is recorded per figure for ``BENCH_engine.json``.
-    """
-    from .engine import (
-        ParallelRunner,
-        TrialPlan,
-        TrialSpec,
-        clear_probe_cache,
-        derive_trial_seed,
-        derive_trial_session,
-        probe_cache_stats,
-    )
-    from .engine.vectorized import unsupported_reason
-
-    trials = min(args.trials, 120)
-    figures: dict = {}
-    rows = []
-    for name, protocol, inputs, t, params, adversary, adv_params in _FIGURE_PLANS:
-        specs = tuple(
-            TrialSpec(
-                protocol=protocol,
-                inputs=inputs,
-                max_faulty=t,
-                params=params,
-                adversary=adversary,
-                adversary_params=adv_params,
-                seed=derive_trial_seed(args.seed, trial),
-                session=derive_trial_session(args.seed, trial),
-            )
-            for trial in range(trials)
-        )
-        fallback_reasons = sorted(
-            {
-                reason
-                for reason in (unsupported_reason(spec) for spec in specs)
-                if reason is not None
-            }
-        )
-        plan = TrialPlan(name=f"figure-{name}", trials=specs)
-        object_run = ParallelRunner(workers=1).run(plan)
-        clear_probe_cache()
-        before = probe_cache_stats()
-        vector_run = ParallelRunner(workers=1, backend="vector").run(plan)
-        after = probe_cache_stats()
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        identical = vector_run.results == object_run.results
-        speedup = (
-            object_run.wall_seconds / vector_run.wall_seconds
-            if vector_run.wall_seconds > 0
-            else float("inf")
-        )
-        figures[name] = {
-            "protocol": protocol,
-            "adversary": adversary,
-            "trials": trials,
-            "object_seconds": round(object_run.wall_seconds, 4),
-            "vector_seconds": round(vector_run.wall_seconds, 4),
-            "speedup_vector_vs_object": round(speedup, 3),
-            "identical": identical,
-            "fallback": len(fallback_reasons),
-            "fallback_reasons": fallback_reasons,
-            "probe_cache_hits": hits,
-            "probe_cache_misses": misses,
-        }
-        rows.append(
-            [
-                name,
-                f"{protocol} × {adversary or '-'}",
-                f"{object_run.wall_seconds:.3f}s",
-                f"{vector_run.wall_seconds:.3f}s",
-                f"{speedup:.1f}x",
-                "OK" if identical else "DIFF",
-                len(fallback_reasons) or "-",
-            ]
-        )
-    print(f"\nper-benchmark vector figures ({trials} trials each)\n")
+def _print_telemetry_digest(path: str, summary: dict) -> None:
+    print()
     print(
-        format_table(
-            ["figure", "pair", "object", "vector", "speedup", "ident", "fb"],
-            rows,
+        f"{'telemetry':32s}: {path} ({summary['records']} records, "
+        f"{summary['chunks']} chunk spans)"
+    )
+    for run in summary["runs"]:
+        if run.get("utilization") is not None:
+            print(
+                f"{'  ' + run['label'][:28] + ' util':32s}: "
+                f"{run['utilization']:8.0%} ({run['chunks']} chunks, "
+                f"busy {run['busy_seconds']:.3f}s / "
+                f"wall {run['wall_seconds']:.3f}s x {run['workers']} workers)"
+            )
+    hits, misses = summary["probe_cache_hits"], summary["probe_cache_misses"]
+    if hits or misses:
+        print(
+            f"{'probe cache':32s}: {hits:8d} hits / {misses} misses "
+            f"({hits / (hits + misses):.0%} hit rate)"
         )
+    for reason, count in sorted(summary["fallback_reasons"].items()):
+        print(f"{'  vector fallback':32s}: {count:8d} x {reason}")
+    print(
+        f"{'telemetry spans consistent':32s}: "
+        f"{'      OK' if summary['consistent'] else '    MISMATCH'}"
     )
-    failed = sorted(
-        name
-        for name, entry in figures.items()
-        if entry["fallback"] or not entry["identical"]
-    )
-    if failed:
-        for name in failed:
-            entry = figures[name]
-            reasons = "; ".join(entry["fallback_reasons"]) or "results differ"
-            print(f"FIGURE REGRESSION: {name}: {reasons}")
-    return {"figures": figures, "failed": failed}
 
 
-def _run_metrics_leg(plan, backend: str):
-    """The ``--metrics`` leg of `bench`: one collecting run on ``backend``.
+def _discard_if_empty(path: str) -> None:
+    import os
 
-    Returns the run plus the fallbacks the vector backend should not
-    have taken — reason → trials beyond those ``unsupported_reason``
-    predicts (the rule ``--figures`` applies): metrics are vector-native,
-    so a supported spec on the object path is a regression, not a cost.
-    """
+    if os.path.getsize(path) == 0:
+        os.remove(path)
+
+
+def _cmd_error_sweep(args: argparse.Namespace) -> int:
+    import contextlib
     import os
     import tempfile
-    from collections import Counter
 
-    from .engine import ParallelRunner
-    from .engine.vectorized import unsupported_reason
-    from .obs import TelemetryWriter, summarize_telemetry
-
-    if backend != "vector":
-        return ParallelRunner(workers=1, metrics=True).run(plan), {}
-    with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "metrics-leg.jsonl")
-        with TelemetryWriter(path) as telemetry:
-            run = ParallelRunner(
-                workers=1, backend="vector", metrics=True, telemetry=telemetry
-            ).run(plan)
-        counted = Counter(summarize_telemetry(path)["fallback_reasons"])
-    predicted = Counter(
-        reason
-        for reason in (unsupported_reason(spec) for spec in plan.trials)
-        if reason is not None
+    from .engine import ParallelRunner, clamp_workers, vector_unsupported_reason
+    from .obs import (
+        METRICS_SCHEMA,
+        TelemetryWriter,
+        summarize_telemetry,
+        write_metrics_artifact,
     )
-    return run, dict(counted - predicted)
-
-
-def _measure_real_setup(plan, workers: int) -> Optional[dict]:
-    """Time threshold-RSA dealing for a real-backend plan, two ways.
-
-    ``serial``: each distinct suite dealt one after another, fresh — the
-    per-process cost every pool worker used to pay on first touch.
-    ``parallel``: :func:`repro.engine.predeal_suites` — deal once in the
-    parent (fanning distinct keys across a dealing pool when several are
-    missing), then broadcast; what the runners now actually do.  The
-    suites stay cached afterwards, so the measured runs that follow
-    reuse them.  Returns ``None`` for plans with no real-backend trials.
-    """
-    import time
-
-    from .engine import clear_suite_cache, deal_suite, predeal_suites
-
-    keys = []
-    for spec in plan.trials:
-        if spec.backend == "real" and spec.suite_key not in keys:
-            keys.append(spec.suite_key)
-    if not keys:
-        return None
-    clear_suite_cache()
-    started = time.perf_counter()
-    for key in keys:
-        deal_suite(key)
-    serial_seconds = time.perf_counter() - started
-    clear_suite_cache()
-    started = time.perf_counter()
-    predeal_suites(plan, workers)
-    parallel_seconds = time.perf_counter() - started
-    return {
-        "suites": len(keys),
-        "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-    }
-
-
-def _measure_payloads(args: argparse.Namespace, workers: int) -> dict:
-    """Size both wire formats on a signature-heavy slice of the sweep.
-
-    The rate sweep itself runs with signature collection off (tallies
-    are dead weight there), so the payload comparison runs the max-κ
-    configs with ``collect_signatures=True`` — the metrics-dominated
-    payload shape the compact transport exists for — chunked exactly as
-    a pool at ``workers`` processes would ship them.
-    """
-    from .engine import ParallelRunner, measure_payload_bytes
-
-    plan = _build_sweep_plan(
-        args,
-        trials=min(args.trials, 100),
-        kappas=[max(args.kappas)],
-        collect_signatures=True,
-    )
-    results = ParallelRunner(workers=1).run(plan).results
-    chunk_size = max(1, len(plan) // (max(workers, 2) * 4))
-    full, compact = measure_payload_bytes(
-        list(enumerate(results)), chunk_size=chunk_size
-    )
-    return {
-        "plan": plan.describe(),
-        "chunk_size": chunk_size,
-        "payload_bytes_full": full,
-        "payload_bytes_compact": compact,
-        "payload_reduction": round(full / compact, 3),
-    }
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .engine import ParallelRunner, clamp_workers
 
     plan = _build_sweep_plan(args)
     per_config = args.trials
-    if not len(plan):
-        print("nothing to run: --kappas is empty")
-        return 2
-
-    requested = args.workers
-    workers = clamp_workers(requested)
-    clamped = requested is not None and workers != requested
-    if clamped:
+    workers = clamp_workers(args.workers)
+    if workers != args.workers:
         print(
-            f"workers: requested {requested}, clamped to {workers} "
+            f"workers: requested {args.workers}, clamped to {workers} "
             f"(cpu_count={os.cpu_count()})"
-            + ("; parallel leg skipped, serial path only" if workers == 1 else "")
         )
-    elif requested is None:
-        print(f"workers: auto -> {workers} (cpu_count={os.cpu_count()})")
+    backend = "vector" if args.vector else "object"
 
-    telemetry = None
-    telemetry_path = None
-    if args.telemetry:
-        from .obs import TelemetryWriter
-
-        os.makedirs(args.telemetry, exist_ok=True)
-        telemetry_path = os.path.join(args.telemetry, "telemetry.jsonl")
-        telemetry = TelemetryWriter(
-            telemetry_path,
-            meta={
-                "plan": plan.describe(),
-                "trials_per_config": per_config,
-                "workers": workers,
-                "backend": args.backend,
-            },
-        )
-
-    setup_timing = _measure_real_setup(plan, workers)
-    if telemetry is not None and setup_timing is not None:
-        telemetry.emit("real_setup", **setup_timing)
-    serial = ParallelRunner(workers=1, telemetry=telemetry).run(plan)
-    parallel = None
-    if workers > 1:
-        parallel = ParallelRunner(workers=workers, telemetry=telemetry).run(plan)
-        if parallel.results != serial.results:
-            print("DETERMINISM VIOLATION: parallel results differ from serial")
-            return 2
-    vector = None
-    if args.vector:
-        vector = ParallelRunner(
-            workers=1, backend="vector", telemetry=telemetry
-        ).run(plan)
-        if vector.results != serial.results:
-            print("DETERMINISM VIOLATION: vector results differ from object")
-            return 2
-
-    metrics_leg = None
-    if args.metrics:
-        # A collection leg of its own, on the backend the command
-        # selected: collection is not free, so it never runs inside the
-        # timed legs above — the serial/parallel/vector rates stay
-        # comparable across runs with and without --metrics.
-        from .obs import write_metrics_artifact
-
-        metrics_leg, demoted = _run_metrics_leg(
-            plan, "vector" if args.vector else "object"
-        )
-        if metrics_leg.results != serial.results:
-            print("DETERMINISM VIOLATION: metrics leg differs from serial")
-            return 2
-        if demoted:
-            for reason, count in sorted(demoted.items()):
-                print(f"METRICS LEG REGRESSION: {count} supported trials "
-                      f"fell back: {reason}")
-            return 2
-        write_metrics_artifact(args.metrics, metrics_leg.metrics_payload())
-
-    profile_leg = None
-    if args.profile:
-        # One extra profiled leg (pooled when workers allow, so the
-        # dumps cover the worker chunks), again outside the timed legs:
-        # cProfile overhead must not leak into --compare rates.
-        profile_leg = ParallelRunner(
-            workers=workers, profile_dir=args.profile, telemetry=telemetry
-        ).run(plan)
-        if profile_leg.results != serial.results:
-            print("DETERMINISM VIOLATION: profiled leg differs from serial")
-            return 2
-
-    rows = []
-    for start in range(0, len(plan), per_config):
-        specs = plan.trials[start : start + per_config]
-        results = serial.results[start : start + per_config]
-        kappa = specs[0].param_dict["kappa"]
-        failures = sum(1 for result in results if not result.honest_agree())
-        rows.append(
-            [
-                specs[0].protocol,
-                kappa,
-                f"{2.0 ** -kappa:.4f}",
-                f"{failures / len(results):.4f}",
-            ]
-        )
-    print(
-        f"error-probability sweep through the engine "
-        f"({len(plan)} trials, {per_config} per config)\n"
-    )
-    print(format_table(["protocol", "kappa", "bound 2^-k", "measured"], rows))
-
-    timings = [("engine serial (1 worker)", serial.wall_seconds)]
-    if parallel is not None:
-        timings.append(
-            (f"engine parallel ({workers} workers)", parallel.wall_seconds)
-        )
-    if vector is not None:
-        timings.append(("engine vector (1 worker)", vector.wall_seconds))
-    print()
-    for label, seconds in timings:
-        print(f"{label:32s}: {seconds:8.3f}s")
-    if parallel is not None:
-        print(
-            f"{'parallel vs serial':32s}: "
-            f"{serial.wall_seconds / parallel.wall_seconds:8.2f}x"
-        )
-    if vector is not None:
-        print(
-            f"{'vector vs object (per core)':32s}: "
-            f"{serial.wall_seconds / vector.wall_seconds:8.2f}x"
-        )
-        print(f"{'vector == object':32s}:       OK (bit-identical)")
-    if parallel is not None and parallel.results == serial.results:
-        print(f"{'serial == parallel':32s}:       OK (bit-identical)")
-    if setup_timing is not None:
-        print(
-            f"{'real setup serial':32s}: "
-            f"{setup_timing['serial_seconds']:8.3f}s "
-            f"({setup_timing['suites']} suites, dealt one by one)"
-        )
-        print(
-            f"{'real setup pre-dealt':32s}: "
-            f"{setup_timing['parallel_seconds']:8.3f}s "
-            f"(once per run, broadcast to workers)"
-        )
-
-    payloads = _measure_payloads(args, workers)
-    print(
-        f"{'payload full pickle':32s}: {payloads['payload_bytes_full']:8d} B"
-    )
-    print(
-        f"{'payload compact':32s}: {payloads['payload_bytes_compact']:8d} B "
-        f"({payloads['payload_reduction']:.2f}x smaller, "
-        f"signature-heavy k={max(args.kappas)} slice)"
-    )
-
-    if metrics_leg is not None:
-        from .obs import METRICS_SCHEMA
-
-        print(f"{'metrics artifact':32s}: {args.metrics} ({METRICS_SCHEMA})")
-    if profile_leg is not None:
-        print(
-            f"{'profile dumps':32s}: {args.profile} "
-            f"(profiled leg {profile_leg.wall_seconds:8.3f}s, "
-            f"{workers} worker{'s' if workers > 1 else ''})"
-        )
-
-    adaptive_payload = None
-    if args.adaptive:
-        adaptive_payload = _run_adaptive_leg(args, serial, workers, telemetry)
-
-    figures_payload = None
-    if args.figures:
-        figures_payload = _run_figures_leg(args)
-
-    telemetry_summary = None
-    if telemetry is not None:
-        from .obs import summarize_telemetry
-
-        telemetry.emit(
-            "bench_complete",
-            serial_seconds=round(serial.wall_seconds, 4),
-            parallel_seconds=(
-                round(parallel.wall_seconds, 4) if parallel else None
-            ),
-            vector_seconds=(
-                round(vector.wall_seconds, 4) if vector else None
-            ),
-        )
-        telemetry.close()
-        telemetry_summary = summarize_telemetry(telemetry_path)
-        print()
-        print(
-            f"{'telemetry':32s}: {telemetry_path} "
-            f"({telemetry_summary['records']} records, "
-            f"{telemetry_summary['chunks']} chunk spans)"
-        )
-        for run in telemetry_summary["runs"]:
-            if run.get("utilization") is not None:
-                print(
-                    f"{'  ' + run['label'][:28] + ' util':32s}: "
-                    f"{run['utilization']:8.0%} "
-                    f"({run['chunks']} chunks, "
-                    f"busy {run['busy_seconds']:.3f}s / "
-                    f"wall {run['wall_seconds']:.3f}s x "
-                    f"{run['workers']} workers)"
+    with contextlib.ExitStack() as stack:
+        # Every destination is created before the first trial runs: a bad
+        # path is a usage error, not a finished sweep with nowhere to go.
+        telemetry = telemetry_path = None
+        try:
+            for directory in (args.telemetry, args.profile):
+                if directory:
+                    os.makedirs(directory, exist_ok=True)
+            if args.metrics:
+                open(args.metrics, "w").close()
+                # The placeholder never outlives a run that failed.
+                stack.callback(_discard_if_empty, args.metrics)
+            # A --vector run audits its fallbacks from the batch spans,
+            # so it records them even when nobody asked to keep the file.
+            telemetry_dir = args.telemetry
+            if telemetry_dir is None and args.vector:
+                telemetry_dir = stack.enter_context(tempfile.TemporaryDirectory())
+            if telemetry_dir is not None:
+                telemetry_path = os.path.join(telemetry_dir, "telemetry.jsonl")
+                telemetry = stack.enter_context(
+                    TelemetryWriter(
+                        telemetry_path,
+                        meta={
+                            "plan": plan.describe(),
+                            "trials_per_config": per_config,
+                            "workers": workers,
+                            "backend": args.backend,
+                        },
+                    )
                 )
-        cache_hits = telemetry_summary.get("probe_cache_hits", 0)
-        cache_misses = telemetry_summary.get("probe_cache_misses", 0)
-        if cache_hits or cache_misses:
-            print(
-                f"{'probe cache (vector legs)':32s}: "
-                f"{cache_hits:8d} hits / {cache_misses} misses "
-                f"({cache_hits / (cache_hits + cache_misses):.0%} hit rate)"
+        except OSError as error:
+            args.usage_error(f"cannot write {error.filename}: {error.strerror}")
+
+        run = ParallelRunner(
+            workers=workers,
+            backend=backend,
+            metrics=bool(args.metrics),
+            telemetry=telemetry,
+            profile_dir=args.profile,
+        ).run(plan)
+
+        rows = []
+        for start in range(0, len(plan), per_config):
+            spec = plan.trials[start]
+            kappa = spec.param_dict["kappa"]
+            rate = disagreement_rate(run.results[start : start + per_config])
+            rows.append(
+                [spec.protocol, kappa, f"{2.0 ** -kappa:.4f}", f"{rate:.4f}"]
             )
-        if telemetry_summary.get("fallback_reasons"):
-            for reason, count in sorted(
-                telemetry_summary["fallback_reasons"].items()
-            ):
-                print(f"{'  vector fallback':32s}: {count:8d} x {reason}")
         print(
-            f"{'telemetry spans consistent':32s}: "
-            f"{'      OK' if telemetry_summary['consistent'] else '    MISMATCH'}"
+            f"disagreement under the worst-case straddle attack "
+            f"({len(plan)} trials, {per_config} per config)\n"
         )
+        print(format_table(["protocol", "kappa", "bound 2^-k", "measured"], rows))
 
-    if args.json or args.compare:
-        payload = {
-            "schema": "repro-bench/1",
-            "plan": plan.describe(),
-            "trials_per_config": per_config,
-            "kappas": list(args.kappas),
-            "backend": args.backend,
-            "rsa_bits": args.rsa_bits,
-            "workers": workers,
-            "workers_requested": requested,
-            "workers_clamped": clamped,
-            "cpu_count": os.cpu_count(),
-            "transport": "compact",
-            "chunk_size": parallel.chunk_size if parallel else None,
-            "serial_seconds": round(serial.wall_seconds, 4),
-            "parallel_seconds": (
-                round(parallel.wall_seconds, 4) if parallel else None
-            ),
-            "speedup_parallel_vs_serial": (
-                round(serial.wall_seconds / parallel.wall_seconds, 3)
-                if parallel
-                else None
-            ),
-            "vector_seconds": (
-                round(vector.wall_seconds, 4) if vector else None
-            ),
-            "speedup_vector_vs_object": (
-                round(serial.wall_seconds / vector.wall_seconds, 3)
-                if vector
-                else None
-            ),
-            "identical_vector_object": (
-                vector.results == serial.results if vector else None
-            ),
-            "identical_serial_parallel": (
-                parallel.results == serial.results if parallel else None
-            ),
-            "payload_bytes_full": payloads["payload_bytes_full"],
-            "payload_bytes_compact": payloads["payload_bytes_compact"],
-            "payload_reduction": payloads["payload_reduction"],
-            "payload_plan": payloads["plan"],
-            "payload_chunk_size": payloads["chunk_size"],
-            "real_setup_serial_seconds": (
-                setup_timing["serial_seconds"] if setup_timing else None
-            ),
-            "real_setup_parallel_seconds": (
-                setup_timing["parallel_seconds"] if setup_timing else None
-            ),
-            "real_setup_suites": (
-                setup_timing["suites"] if setup_timing else None
-            ),
-            "rates": [
-                {
-                    "protocol": row[0],
-                    "kappa": row[1],
-                    "bound": float(row[2]),
-                    "measured": float(row[3]),
+        problems = []
+        if args.adaptive and not _run_adaptive_leg(
+            args, run, workers, backend, telemetry
+        ):
+            problems.append("ADAPTIVE MISMATCH: verdicts differ from the fixed run")
+        if telemetry is not None:
+            telemetry.close()
+            summary = summarize_telemetry(telemetry_path)
+            if args.telemetry:
+                _print_telemetry_digest(telemetry_path, summary)
+            if not summary["consistent"]:
+                problems.append(
+                    "TELEMETRY MISMATCH: spans do not sum consistently with "
+                    "wall time"
+                )
+            if args.vector:
+                # A fallback is bit-identical, so only its span shows it;
+                # one whose reason the engine does not predict for any
+                # config means a supported spec left the vector path.
+                predicted = {
+                    vector_unsupported_reason(plan.trials[indices[0]])
+                    for indices in plan.configs().values()
                 }
-                for row in rows
-            ],
-            "adaptive": adaptive_payload,
-            "figures": (
-                figures_payload["figures"] if figures_payload else None
-            ),
-            "telemetry": (
-                {
-                    "path": telemetry_path,
-                    "records": telemetry_summary["records"],
-                    "chunks": telemetry_summary["chunks"],
-                    "busy_seconds": round(
-                        telemetry_summary["busy_seconds"], 4
-                    ),
-                    "payload_bytes": telemetry_summary["payload_bytes"],
-                    "consistent": telemetry_summary["consistent"],
-                    "probe_cache": {
-                        "hits": telemetry_summary.get("probe_cache_hits", 0),
-                        "misses": telemetry_summary.get(
-                            "probe_cache_misses", 0
-                        ),
-                        "hit_rate": (
-                            round(
-                                telemetry_summary["probe_cache_hits"]
-                                / (
-                                    telemetry_summary["probe_cache_hits"]
-                                    + telemetry_summary["probe_cache_misses"]
-                                ),
-                                4,
-                            )
-                            if telemetry_summary.get("probe_cache_hits", 0)
-                            + telemetry_summary.get("probe_cache_misses", 0)
-                            else None
-                        ),
-                    },
-                    "fallback_reasons": telemetry_summary.get(
-                        "fallback_reasons", {}
-                    ),
-                }
-                if telemetry_summary is not None
-                else None
-            ),
-        }
-        if args.json:
-            with open(args.json, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
-            print(f"\nwrote {args.json}")
-    regression = False
-    if args.compare:
-        from .analysis.benchdiff import (
-            compare_benchmarks,
-            format_bench_report,
-            load_bench,
-        )
-
-        report = compare_benchmarks(
-            load_bench(args.compare), payload, threshold=args.threshold
-        )
-        report["baseline_path"] = args.compare
-        report["candidate_path"] = "(this run)"
-        print()
-        print(format_bench_report(report))
-        regression = not report["ok"]
-    if adaptive_payload is not None and not adaptive_payload["verdicts_match_fixed"]:
-        return 2
-    if figures_payload is not None and figures_payload["failed"]:
-        return 2
-    if telemetry_summary is not None and not telemetry_summary["consistent"]:
-        print("TELEMETRY MISMATCH: spans do not sum consistently with wall time")
-        return 2
-    if regression:
-        return 3
+                for reason, count in sorted(summary["fallback_reasons"].items()):
+                    if reason not in predicted:
+                        problems.append(
+                            f"VECTOR REGRESSION: {count} supported trials "
+                            f"fell back: {reason}"
+                        )
+        if problems:
+            for problem in problems:
+                print(problem, file=sys.stderr)
+            return 2
+        if args.metrics:
+            write_metrics_artifact(args.metrics, run.metrics_payload())
+            print(f"\nwrote {args.metrics} ({METRICS_SCHEMA})")
+        if args.profile:
+            print(f"wrote {args.profile}/*.pstats")
     return 0
 
 
@@ -1219,10 +714,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         render_html,
     )
 
-    if not (args.metrics or args.telemetry or args.bench or args.profile):
+    if not (args.metrics or args.telemetry or args.profile):
         print(
             "repro report: nothing to report\nusage: pass at least one of "
-            "--metrics/--telemetry/--bench/--profile",
+            "--metrics/--telemetry/--profile",
             file=sys.stderr,
         )
         return 2
@@ -1230,7 +725,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         inputs = load_report_inputs(
             metrics_path=args.metrics,
             telemetry_path=args.telemetry,
-            bench_paths=args.bench or [],
             profile_dir=args.profile,
             top=args.top,
         )
@@ -1241,9 +735,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # Gate before rendering: a report built from malformed inputs
         # must not be published at all, not published-with-caveats.
         violations = check_report(
-            metrics=inputs["metrics"],
-            telemetry=inputs["telemetry"],
-            benches=inputs["benches"],
+            metrics=inputs["metrics"], telemetry=inputs["telemetry"]
         )
         if violations:
             for violation in violations:
@@ -1252,7 +744,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     markdown = build_report(
         metrics=inputs["metrics"],
         telemetry=inputs["telemetry"],
-        benches=inputs["benches"],
         profile=inputs["profile"],
     )
     if args.out:
@@ -1496,124 +987,88 @@ def build_parser() -> argparse.ArgumentParser:
         "error-sweep", help="Monte-Carlo failure rates vs 2^-kappa"
     )
     sweep_parser.add_argument(
-        "--protocol", choices=["one_third", "one_half"], default="one_third"
+        "--protocol", choices=["one_third", "one_half", "both"],
+        default="one_third",
     )
-    sweep_parser.add_argument("--kappas", type=_parse_int_list, default=[1, 2, 4])
-    sweep_parser.add_argument("--trials", type=int, default=100)
+    sweep_parser.add_argument("--kappas", type=_kappa_list, default=[1, 2, 4])
+    sweep_parser.add_argument("--trials", type=_positive_int, default=100)
     sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.set_defaults(handler=_cmd_error_sweep)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="error-probability sweep through the parallel experiment engine",
+    sweep_parser.add_argument(
+        "--workers", type=_positive_int, default=1,
+        help="process count (default 1 = inline; clamped to os.cpu_count())",
     )
-    bench_parser.add_argument(
-        "--protocol", choices=["one_third", "one_half", "both"], default="both"
+    sweep_parser.add_argument(
+        "--vector", action="store_true",
+        help="run on the batch-vectorized backend (numpy lockstep, "
+        "bit-identical to the object path); exit 2 if a spec the vector "
+        "models support falls back to the object simulator",
     )
-    bench_parser.add_argument(
-        "--kappas", type=_parse_int_list, default=[1, 2, 4, 6, 8]
-    )
-    bench_parser.add_argument("--trials", type=_positive_int, default=300)
-    bench_parser.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="process count for the parallel leg (1 = serial only; "
-        "default: auto, clamped to os.cpu_count())",
-    )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
         "--backend", choices=["ideal", "real"], default="ideal",
         help="crypto backend for the sweep: 'real' deals threshold-RSA "
         "keys (pre-dealt once and broadcast to workers)",
     )
-    bench_parser.add_argument(
-        "--rsa-bits", type=int, default=256, metavar="BITS",
+    sweep_parser.add_argument(
+        "--rsa-bits", type=_int_at_least(64), default=256, metavar="BITS",
         help="modulus size for --backend real (>= 64; small values keep "
         "smoke runs fast)",
     )
-    bench_parser.add_argument("--seed", type=int, default=0)
-    bench_parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write machine-readable timings/rates (BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
         "--adaptive", action="store_true",
         help="also run the sweep through AdaptiveRunner (early stopping + "
         "budget reallocation) and check its verdicts against the fixed run",
     )
-    bench_parser.add_argument(
-        "--bound", default="2**-k", metavar="EXPR",
-        help="per-config target bound: '2**-k' (Corollary 2, default) "
-        "or a literal float",
+    sweep_parser.add_argument(
+        "--bound", type=_sweep_bound, default="2**-k", metavar="EXPR",
+        help="adaptive per-config target bound: '2**-k' (Corollary 2, "
+        "default) or a literal float",
     )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
         "--max-trials", type=_positive_int, default=None, metavar="N",
         help="adaptive per-config trial cap (default: --trials); raise it "
         "to let freed budget deepen the noisiest configs",
     )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
         "--batch", type=_positive_int, default=25,
         help="adaptive allocation batch size per config per round",
     )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
+        "--metrics", default=None, metavar="PATH",
+        help="collect per-trial metrics and write the repro-metrics/1 "
+        "artifact to PATH (the same bytes on every executor); digest with "
+        "`repro report --metrics PATH`",
+    )
+    sweep_parser.add_argument(
         "--telemetry", default=None, metavar="DIR",
         help="write engine telemetry (chunk/worker/setup spans, adaptive "
         "decisions) to DIR/telemetry.jsonl and check span consistency",
     )
-    bench_parser.add_argument(
-        "--vector", action="store_true",
-        help="also time the batch-vectorized backend (serial, numpy "
-        "lockstep) and check it is bit-identical to the object path",
-    )
-    bench_parser.add_argument(
-        "--figures", action="store_true",
-        help="also time a representative vector-modeled plan per migrated "
-        "benchmark (object vs vector, bit-identity checked); exit 2 if a "
-        "vector-supported figure plan falls back to the object simulator",
-    )
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="PATH",
-        help="diff this run's per-core rates against a committed "
-        "BENCH_engine.json; exit 3 on a regression past --threshold",
-    )
-    bench_parser.add_argument(
-        "--threshold", type=float, default=0.25, metavar="FRAC",
-        help="--compare regression tolerance as a rate-loss fraction "
-        "(default 0.25 = fail when >25%% slower per core)",
-    )
-    bench_parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="run a metrics-collection leg (on the vector backend with "
-        "--vector; never timed into the rates) and write the "
-        "repro-metrics/1 artifact to PATH; digest with `repro report "
-        "--metrics PATH`",
-    )
-    bench_parser.add_argument(
+    sweep_parser.add_argument(
         "--profile", default=None, metavar="DIR",
-        help="run one extra cProfile-wrapped leg (pooled when --workers "
-        "allows) writing per-chunk .pstats dumps to DIR, outside the "
-        "timed legs; digest with `repro report --profile DIR`",
+        help="wrap the run in cProfile, one .pstats dump per chunk in DIR; "
+        "digest with `repro report --profile DIR`",
     )
-    bench_parser.set_defaults(handler=_cmd_bench)
+    sweep_parser.set_defaults(
+        handler=_cmd_error_sweep, usage_error=sweep_parser.error
+    )
 
     report_parser = subparsers.add_parser(
         "report",
-        help="fuse metrics/telemetry/bench/profile artifacts into one "
+        help="fuse metrics/telemetry/profile artifacts into one "
         "deterministic markdown report",
     )
     report_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
-        help="repro-metrics/1 JSON artifact (from `repro bench --metrics`)",
+        help="repro-metrics/1 JSON artifact (from `repro error-sweep "
+        "--metrics`)",
     )
     report_parser.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="telemetry JSONL file, or the directory holding telemetry.jsonl",
     )
     report_parser.add_argument(
-        "--bench", action="append", default=None, metavar="PATH",
-        help="BENCH_*.json timing payload (repeatable)",
-    )
-    report_parser.add_argument(
         "--profile", default=None, metavar="DIR",
-        help="directory of cProfile .pstats dumps (from `repro bench "
+        help="directory of cProfile .pstats dumps (from `repro error-sweep "
         "--profile`)",
     )
     report_parser.add_argument(
@@ -1709,8 +1164,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     Ergonomics contract (pinned by ``tests/test_cli.py``): a bare
     ``repro`` prints the subcommand overview and exits 2; an unknown
     subcommand exits 2 with the available set in the error message
-    (argparse's invalid-choice behavior, relied upon deliberately).
+    (argparse's invalid-choice behavior, relied upon deliberately); a
+    trial that raises inside any subcommand exits 2 with its
+    ``repro run --spec`` replay line instead of a traceback.
     """
+    from .engine import TrialExecutionError
+
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -1718,7 +1177,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except TrialExecutionError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -5,7 +5,7 @@ this package turns them from ad-hoc serial loops into declarative
 :class:`TrialPlan`s executed by a :class:`ParallelRunner` — serially or
 fanned out across worker processes, with byte-identical results either
 way.  See ``docs/performance.md`` for the architecture and determinism
-guarantees, and ``repro bench`` for the CLI entry point.
+guarantees, and ``repro error-sweep`` for the CLI entry point.
 """
 
 from .adaptive import AdaptiveResult, AdaptiveRunner, ConfigOutcome

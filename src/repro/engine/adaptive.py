@@ -173,7 +173,7 @@ class AdaptiveRunner:
         configs got batches, interval widths, remaining budget) plus
         per-batch chunk dispatch/complete spans, and the run closes with
         ``adaptive_complete`` — the scheduler's decisions become
-        auditable after the fact (``repro bench --telemetry``).
+        auditable after the fact (``repro error-sweep --telemetry``).
     min_trials / min_hits / precision / z:
         Forwarded to each config's :class:`SequentialEstimate`.  The
         defaults are deliberately more conservative than the reporting

@@ -39,7 +39,8 @@ per-task pickling/IPC overhead amortizes, with enough chunks per worker
 Observability is opt-in and off the results path: ``trace_dir`` streams
 one bounded-memory JSONL trace per trial (:mod:`repro.obs`) straight
 from whichever process runs it to disk, and ``telemetry`` records
-run/predeal/chunk scheduling spans for ``repro bench --telemetry``.
+run/predeal/chunk scheduling spans for ``repro error-sweep
+--telemetry``.
 Neither changes what the trials compute — trace files are a pure
 function of the spec, so serial and pooled runs write identical bytes.
 """
@@ -624,7 +625,7 @@ class ParallelRunner:
         # compact transport and land on PlanResult.trial_metrics.
         self.metrics = metrics
         # profile_dir wraps worker chunks (or the inline run) in cProfile
-        # and dumps one .pstats file per chunk there (repro bench
+        # and dumps one .pstats file per chunk there (repro error-sweep
         # --profile); profiling never touches what the trials compute.
         self.profile_dir = profile_dir
 
@@ -760,8 +761,8 @@ class ParallelRunner:
         """Inline (no-pool) execution, in plan order.
 
         The whole plan is one chunk — that is what lets a serial
-        ``repro bench --vector`` batch each configuration's trials in
-        lockstep.
+        ``repro error-sweep --vector`` batch each configuration's trials
+        in lockstep.
         """
         return _iter_chunk(
             list(enumerate(plan.trials)), self.trace_dir, self.backend,

@@ -320,9 +320,7 @@ def measure_payload_bytes(
     this module) versus the compact payload they ship (one
     :class:`ChunkSummary` per chunk).  ``chunk_size`` mirrors the
     runner's chunked dispatch (default: the whole batch as one chunk);
-    both encodings are summed over the same chunking.  Used by
-    ``repro bench`` to record ``payload_bytes_full`` /
-    ``payload_bytes_compact``.
+    both encodings are summed over the same chunking.
     """
     indexed = list(indexed_results)
     size = chunk_size or max(1, len(indexed))

@@ -431,8 +431,9 @@ def execute_chunk(
     fail) takes the object simulator.  Returns the results in chunk order
     plus batching stats for telemetry: ``{"batched", "fallback",
     "batches": [{"config", "size"}, ...], "cache_hits", "cache_misses",
-    "fallback_reasons": {reason: count}}`` — the reason audit is what
-    makes a silent fallback visible in ``repro bench --telemetry``.
+    "fallback_reasons": {reason: count}}`` — the reason tally is what
+    makes a silent fallback visible in ``repro error-sweep --telemetry``
+    and what its ``--vector`` exit audits.
 
     ``metrics`` (a mutable index → registry mapping, filled in place)
     requests per-trial metrics collection, and costs no fallback: every

@@ -16,7 +16,7 @@ Three pieces share one sink abstraction
   replay a streamed file back into the in-memory renderer
   (``repro trace``).
 * :class:`TelemetryWriter` / :func:`summarize_telemetry` record and
-  digest engine scheduling spans (``repro bench --telemetry``).
+  digest engine scheduling spans (``repro error-sweep --telemetry``).
 """
 
 from .metrics import (

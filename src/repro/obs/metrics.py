@@ -1,8 +1,8 @@
 """Deterministic protocol metrics: counters + fixed-bucket histograms.
 
 :class:`MetricsRegistry` is the aggregation substrate behind
-``repro bench --metrics`` and ``repro report``: cheap integer counters
-and fixed-bucket histograms with a **pinned name vocabulary**
+``repro error-sweep --metrics`` and ``repro report``: cheap integer
+counters and fixed-bucket histograms with a **pinned name vocabulary**
 (:data:`METRIC_NAMES`, enforced at runtime here and statically by the
 OBS603 check rule), an **order-independent merge** so per-trial
 registries collected by any number of workers in any completion order

@@ -1,11 +1,10 @@
 """Run analytics: fuse a run's observability artifacts into one report.
 
-``repro bench`` leaves several machine-readable artifacts behind — a
-``repro-metrics/1`` metrics document, a telemetry JSONL directory,
-``BENCH_*.json`` timing payloads and (opt-in) per-chunk ``cProfile``
-dumps.  Each is designed to be digested alone; this module is the one
-place that reads them *together* and renders a single markdown (or
-minimal HTML) report: round-to-decision percentiles, message/signature
+``repro error-sweep`` leaves several machine-readable artifacts behind —
+a ``repro-metrics/1`` metrics document, a telemetry JSONL directory and
+(opt-in) per-chunk ``cProfile`` dumps.  Each is designed to be digested
+alone; this module is the one place that reads them *together* and
+renders a single markdown (or minimal HTML) report: round-to-decision percentiles, message/signature
 complexity against the paper's per-round quadratic bound, probe-cache
 and vector-fallback rollups, fault attribution, and profile hot spots
 attributed back to telemetry busy time.
@@ -25,7 +24,6 @@ publish a report built from malformed or inconsistent artifacts.
 from __future__ import annotations
 
 import html
-import json
 import os
 import pstats
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -41,7 +39,6 @@ from .telemetry import TELEMETRY_SCHEMA, summarize_telemetry
 __all__ = [
     "build_report",
     "check_report",
-    "load_bench_payloads",
     "load_profile_summary",
     "load_report_inputs",
     "render_html",
@@ -78,25 +75,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
 
 
 # ── input loaders ─────────────────────────────────────────────────────
-
-
-def load_bench_payloads(paths: Sequence[str]) -> List[Tuple[str, Dict[str, Any]]]:
-    """Load ``BENCH_*.json`` payloads, keeping the given path order.
-
-    Deliberately not ``analysis.benchdiff.load_bench``: the layer map
-    keeps ``obs`` below ``analysis``, so the (three-line) loader is
-    duplicated here rather than importing upward.
-    """
-    payloads: List[Tuple[str, Dict[str, Any]]] = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if not isinstance(payload, dict):
-            raise ValueError(
-                f"{path}: benchmark artifact must be a JSON object"
-            )
-        payloads.append((path, payload))
-    return payloads
 
 
 def load_profile_summary(
@@ -362,53 +340,6 @@ def _telemetry_section(summary: Mapping[str, Any]) -> List[str]:
     return lines
 
 
-def _bench_section(benches: Sequence[Tuple[str, Mapping[str, Any]]]) -> List[str]:
-    lines = ["## Benchmark timings", ""]
-    for path, payload in benches:
-        schema = payload.get("schema", "(no schema field)")
-        lines.append(f"### `{os.path.basename(path)}` — `{schema}`")
-        lines.append("")
-        timing_rows = []
-        for key in (
-            "serial_seconds",
-            "parallel_seconds",
-            "vector_seconds",
-            "baseline_seconds",
-        ):
-            if payload.get(key) is not None:
-                timing_rows.append([key, payload[key]])
-        for key in (
-            "speedup_parallel_vs_serial",
-            "speedup_vector_vs_object",
-            "speedup_vs_baseline",
-        ):
-            if payload.get(key) is not None:
-                timing_rows.append([key, payload[key]])
-        if timing_rows:
-            lines.extend(_table(["metric", "value"], timing_rows))
-            lines.append("")
-        rates = payload.get("rates")
-        if isinstance(rates, list) and rates:
-            lines.append("Error-probability sweep:")
-            lines.append("")
-            lines.extend(
-                _table(
-                    ["protocol", "kappa", "bound 2^-k", "measured"],
-                    [
-                        [
-                            row.get("protocol"),
-                            row.get("kappa"),
-                            _fmt(row.get("bound"), 4),
-                            _fmt(row.get("measured"), 4),
-                        ]
-                        for row in rates
-                    ],
-                )
-            )
-            lines.append("")
-    return lines
-
-
 def _profile_section(
     profile: Mapping[str, Any], busy_seconds: Optional[float]
 ) -> List[str]:
@@ -455,14 +386,13 @@ def _profile_section(
 def build_report(
     metrics: Optional[Mapping[str, Any]] = None,
     telemetry: Optional[Mapping[str, Any]] = None,
-    benches: Sequence[Tuple[str, Mapping[str, Any]]] = (),
     profile: Optional[Mapping[str, Any]] = None,
 ) -> str:
     """Render the fused markdown report from pre-loaded inputs.
 
     Every argument is optional; sections render only for the inputs
     provided, so the same function backs ``repro report --metrics`` and
-    a full four-artifact fusion.  Pure and deterministic: equal inputs
+    a full three-artifact fusion.  Pure and deterministic: equal inputs
     render byte-equal markdown.
     """
     lines = ["# repro run report", ""]
@@ -471,8 +401,6 @@ def build_report(
         described.append(f"metrics `{metrics.get('schema', '?')}`")
     if telemetry is not None:
         described.append(f"telemetry `{telemetry.get('schema', '?')}`")
-    if benches:
-        described.append(f"{len(benches)} bench artifact(s)")
     if profile is not None:
         described.append(f"{profile['files']} profile dump(s)")
     lines.append(
@@ -483,8 +411,6 @@ def build_report(
         lines.extend(_metrics_section(metrics))
     if telemetry is not None:
         lines.extend(_telemetry_section(telemetry))
-    if benches:
-        lines.extend(_bench_section(benches))
     if profile is not None:
         busy = float(telemetry["busy_seconds"]) if telemetry else None
         lines.extend(_profile_section(profile, busy))
@@ -514,16 +440,12 @@ def render_html(markdown: str, title: str = "repro run report") -> str:
 def check_report(
     metrics: Optional[Mapping[str, Any]] = None,
     telemetry: Optional[Mapping[str, Any]] = None,
-    benches: Sequence[Tuple[str, Mapping[str, Any]]] = (),
 ) -> List[str]:
     """Schema gate for ``repro report --check``; returns violations.
 
     * the metrics document must validate as ``repro-metrics/1``;
     * the telemetry digest must declare ``repro-telemetry/1`` and its
-      spans must be mutually consistent;
-    * every bench payload carrying a ``schema`` field must declare a
-      ``repro-bench*`` schema (artifacts predating the field pass — the
-      gate must not fail on committed history).
+      spans must be mutually consistent.
     """
     violations: List[str] = []
     if metrics is not None:
@@ -540,22 +462,12 @@ def check_report(
             violations.append(
                 "telemetry: spans are not consistent with wall time"
             )
-    for path, payload in benches:
-        schema = payload.get("schema")
-        if schema is None:
-            continue
-        if not (isinstance(schema, str) and schema.startswith("repro-bench")):
-            violations.append(
-                f"bench {os.path.basename(path)}: schema {schema!r} is not a "
-                f"repro-bench schema"
-            )
     return violations
 
 
 def load_report_inputs(
     metrics_path: Optional[str] = None,
     telemetry_path: Optional[str] = None,
-    bench_paths: Sequence[str] = (),
     profile_dir: Optional[str] = None,
     top: int = 10,
 ) -> Dict[str, Any]:
@@ -569,7 +481,6 @@ def load_report_inputs(
         if os.path.isdir(resolved):
             resolved = os.path.join(resolved, "telemetry.jsonl")
         telemetry = summarize_telemetry(resolved)
-    benches = load_bench_payloads(list(bench_paths))
     profile = None
     if profile_dir:
         if not os.path.isdir(profile_dir):
@@ -578,6 +489,5 @@ def load_report_inputs(
     return {
         "metrics": metrics,
         "telemetry": telemetry,
-        "benches": benches,
         "profile": profile,
     }

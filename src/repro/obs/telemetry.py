@@ -14,7 +14,7 @@ line stamped with seconds since the writer was opened, and an ``end``
 footer with the record count.  :func:`summarize_telemetry` digests a
 file back into totals and checks the spans are mutually consistent —
 busy-time must fit inside pool capacity, no chunk span may exceed its
-run's wall time — which is what ``repro bench --telemetry`` asserts.
+run's wall time — which is what ``repro error-sweep --telemetry`` asserts.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ TELEMETRY_EVENT_TYPES = frozenset(
     {
         "telemetry", "run_start", "run_complete", "chunk_dispatch",
         "chunk_complete", "predeal", "adaptive_round", "adaptive_complete",
-        "probe_cache", "vector_batch", "real_setup", "bench_complete",
-        "profile", "end",
+        "probe_cache", "vector_batch", "profile", "end",
     }
 )
 

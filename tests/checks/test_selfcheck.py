@@ -5,10 +5,19 @@ tree has no violations (so any new finding fails the suite, not just
 the separate `make check` leg); the second asserts the pass actually
 *detects* — a copy of the real tree with one seeded `time.time()` in
 `core/` must fail, naming the rule, file and line.
+
+Every seeded case works on one module-scoped copy of the package and
+undoes its edit afterwards, and a case that is about one rule (or about
+an artifact or an error path, not about the rules) selects the rules it
+needs: a single rule over the whole tree costs a fifth of all of them.
+The clean-tree check and the two seeded cases at the top stay full-rule
+runs.
 """
 
 import shutil
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.checks import run_check
@@ -16,45 +25,75 @@ from repro.cli import main
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 
+#: What an artifact or error-path case runs: it needs a report, not rules.
+CHEAP_RULE = "SUP901"
 
-def _copy_tree(destination: Path) -> Path:
-    root = destination / "repro"
+
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("selfcheck") / "repro"
     shutil.copytree(
         PACKAGE_ROOT, root, ignore=shutil.ignore_patterns("__pycache__")
     )
     return root
 
 
+@pytest.fixture
+def seed(tree):
+    """Write one file of the shared tree; teardown puts it back."""
+    undo = []
+
+    def write(rel, source):
+        target = tree.joinpath(*rel.split("/"))
+        undo.append((target, target.read_text() if target.exists() else None))
+        target.write_text(source)
+
+    yield write
+    for target, original in reversed(undo):
+        if original is None:
+            target.unlink()
+        else:
+            target.write_text(original)
+
+
+@pytest.fixture(scope="module")
+def clean_report():
+    return run_check(PACKAGE_ROOT)
+
+
 class TestSelfCheck:
-    def test_repo_source_tree_is_clean(self):
-        report = run_check(PACKAGE_ROOT)
-        assert report.findings == []
-        assert report.files > 50  # the whole tree, not a stub scan
+    def test_repo_source_tree_is_clean(self, clean_report):
+        assert clean_report.findings == []
+        assert clean_report.files > 50  # the whole tree, not a stub scan
 
     def test_cli_default_path_exits_zero(self, capsys):
-        assert main(["check"]) == 0
+        assert main(["check", "--select", CHEAP_RULE]) == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_seeded_violation_fails_naming_rule_file_line(self, tmp_path, capsys):
-        root = _copy_tree(tmp_path)
-        seeded = root / "core" / "seeded.py"
-        seeded.write_text("import time\n\n\ndef now():\n    return time.time()\n")
-        assert main(["check", str(root)]) == 1
+    def test_seeded_violation_fails_naming_rule_file_line(
+        self, tree, seed, capsys
+    ):
+        seed(
+            "core/seeded.py",
+            "import time\n\n\ndef now():\n    return time.time()\n",
+        )
+        assert main(["check", str(tree)]) == 1
         out = capsys.readouterr().out
         assert "DET101" in out
         assert "core/seeded.py" in out
         assert ":5:" in out  # the offending line
 
-    def test_seeded_layering_leak_fails(self, tmp_path, capsys):
-        root = _copy_tree(tmp_path)
-        leak = root / "crypto" / "leak.py"
-        leak.write_text("from ..engine.runner import run_trial\n")
-        assert main(["check", str(root)]) == 1
+    def test_seeded_layering_leak_fails(self, tree, seed, capsys):
+        seed("crypto/leak.py", "from ..engine.runner import run_trial\n")
+        assert main(["check", str(tree)]) == 1
         assert "LAY201" in capsys.readouterr().out
 
     def test_json_artifact_round_trips(self, tmp_path, capsys):
         artifact = tmp_path / "check-report.json"
-        assert main(["check", str(PACKAGE_ROOT), "--json", str(artifact)]) == 0
+        assert main([
+            "check", str(PACKAGE_ROOT), "--select", CHEAP_RULE,
+            "--json", str(artifact),
+        ]) == 0
         import json
 
         payload = json.loads(artifact.read_text())
@@ -62,43 +101,46 @@ class TestSelfCheck:
         assert payload["findings"] == []
         assert payload["files_scanned"] > 50
 
-    def test_repo_tree_has_zero_suppressions_and_stale_comments(self):
+    def test_repo_tree_has_zero_suppressions_and_stale_comments(
+        self, clean_report
+    ):
         # The gate is stricter than "no findings": nothing in the shipped
         # tree is waived, and SUP901 confirms no waiver comment lingers.
-        report = run_check(PACKAGE_ROOT)
-        assert report.suppressed == 0
-        assert report.baselined == 0
+        assert clean_report.suppressed == 0
+        assert clean_report.baselined == 0
 
-    def test_fixer_is_a_noop_on_the_clean_tree(self, tmp_path):
+    def test_fixer_is_a_noop_on_the_clean_tree(self, tree):
         from repro.checks import fix_tree
 
-        root = _copy_tree(tmp_path)
-        result = fix_tree(root)
+        # The three rules that carry a rewrite.
+        result = fix_tree(tree, select=["DET104", "DET106", "SUP901"])
         assert result.applied == 0 and result.changed_files == []
 
 
 class TestSeededNewFamilies:
     """Each new rule id must catch its violation seeded into the real tree."""
 
-    def _seed(self, tmp_path, capsys, rel, source, rule):
-        root = _copy_tree(tmp_path)
-        target = root.joinpath(*rel.split("/"))
-        target.write_text(source)
-        assert main(["check", str(root)]) == 1
-        out = capsys.readouterr().out
-        assert rule in out
-        assert rel in out
+    @pytest.fixture
+    def seeded(self, tree, seed, capsys):
+        def check(rel, source, rule, select=None):
+            seed(rel, source)
+            assert main(["check", str(tree), "--select", select or rule]) == 1
+            out = capsys.readouterr().out
+            assert rule in out
+            assert rel in out
 
-    def test_det201_argless_rng(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "core/seeded.py",
+        return check
+
+    def test_det201_argless_rng(self, seeded):
+        seeded(
+            "core/seeded.py",
             "import random\n\n\ndef f():\n    return random.Random()\n",
             "DET201",
         )
 
-    def test_det202_silent_fallback(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "core/seeded.py",
+    def test_det202_silent_fallback(self, seeded):
+        seeded(
+            "core/seeded.py",
             "import random\n\n\ndef f(seed, rng=None):\n"
             "    rng = rng or random.Random(seed)\n"
             "    return rng\n\n\ndef g(rng=None):\n"
@@ -106,79 +148,79 @@ class TestSeededNewFamilies:
             "DET202",
         )
 
-    def test_det203_module_rng(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "network/seeded.py",
+    def test_det203_module_rng(self, seeded):
+        seeded(
+            "network/seeded.py",
             "import random\n\n_RNG = random.Random(0)\n",
             "DET203",
         )
 
-    def test_vec501_unknown_protocol(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "engine/seeded.py",
+    def test_vec501_unknown_protocol(self, seeded):
+        seeded(
+            "engine/seeded.py",
             "from .registry import register_vector_model\n\n\n"
             "class _M:\n    pass\n\n\n"
             'register_vector_model("ba_phantom", None, _M)\n',
             "VEC501",
         )
 
-    def test_vec502_impure_model(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "engine/seeded.py",
+    def test_vec502_impure_model(self, seeded):
+        seeded(
+            "engine/seeded.py",
             "import time\n\nfrom .registry import register_vector_model\n\n\n"
             "class _M:\n    def run(self):\n        return time.time()\n\n\n"
             'register_vector_model("ba_one_third", None, _M)\n',
             "VEC502",
         )
 
-    def test_vec503_novel_reason(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "engine/seeded.py",
+    def test_vec503_novel_reason(self, seeded):
+        seeded(
+            "engine/seeded.py",
             "def _novel_reason(spec):\n"
             '    return "a reason outside the vocabulary"\n',
             "VEC503",
         )
 
-    def test_vec504_leaky_batch_key(self, tmp_path, capsys):
-        root = _copy_tree(tmp_path)
-        vectorized = root / "engine" / "vectorized.py"
-        text = vectorized.read_text()
+    def test_vec504_leaky_batch_key(self, tree, seeded):
+        text = (tree / "engine" / "vectorized.py").read_text()
         assert '("seed", "session", "config")' in text
-        vectorized.write_text(
-            text.replace('("seed", "session", "config")', '("seed", "config")')
+        seeded(
+            "engine/vectorized.py",
+            text.replace('("seed", "session", "config")', '("seed", "config")'),
+            "VEC504",
         )
-        assert main(["check", str(root)]) == 1
-        assert "VEC504" in capsys.readouterr().out
 
-    def test_obs601_record_type_typo(self, tmp_path, capsys):
-        root = _copy_tree(tmp_path)
-        sinks = root / "obs" / "sinks.py"
-        text = sinks.read_text()
+    def test_obs601_record_type_typo(self, tree, seeded):
+        text = (tree / "obs" / "sinks.py").read_text()
         assert '{"t": "corr"' in text
-        sinks.write_text(text.replace('{"t": "corr"', '{"t": "corrr"'))
-        assert main(["check", str(root)]) == 1
-        assert "OBS601" in capsys.readouterr().out
+        seeded(
+            "obs/sinks.py",
+            text.replace('{"t": "corr"', '{"t": "corrr"'),
+            "OBS601",
+        )
 
-    def test_obs602_unknown_span(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "engine/seeded.py",
+    def test_obs602_unknown_span(self, seeded):
+        seeded(
+            "engine/seeded.py",
             "def run(tele):\n"
             '    tele.emit("run_strat", workers=1)\n',
             "OBS602",
         )
 
-    def test_sup901_stale_waiver(self, tmp_path, capsys):
-        self._seed(
-            tmp_path, capsys, "core/seeded.py",
+    def test_sup901_stale_waiver(self, seeded):
+        seeded(
+            "core/seeded.py",
             "X = 1  # repro: noqa[DET101] nothing here reads a clock\n",
             "SUP901",
+            # A waiver is only stale against a rule that ran.
+            select="DET101,SUP901",
         )
 
 
 class TestCliErrorPaths:
     def test_json_into_missing_directory_exits_two(self, capsys):
         code = main([
-            "check", str(PACKAGE_ROOT),
+            "check", str(PACKAGE_ROOT), "--select", CHEAP_RULE,
             "--json", "/nonexistent-dir/report.json",
         ])
         assert code == 2
@@ -187,19 +229,23 @@ class TestCliErrorPaths:
 
     def test_sarif_into_missing_directory_exits_two(self, capsys):
         code = main([
-            "check", str(PACKAGE_ROOT),
+            "check", str(PACKAGE_ROOT), "--select", CHEAP_RULE,
             "--sarif", "/nonexistent-dir/report.sarif",
         ])
         assert code == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_unreadable_source_path_exits_two(self, tmp_path, capsys):
+    def test_unreadable_source_path_exits_two(self, tree, capsys):
         # A directory named like a module defeats read_text() even as
         # root (chmod tricks don't); the walk must fail loudly, not
         # traceback.
-        root = _copy_tree(tmp_path)
-        (root / "core" / "evil.py").mkdir()
-        assert main(["check", str(root)]) == 2
+        evil = tree / "core" / "evil.py"
+        evil.mkdir()
+        try:
+            code = main(["check", str(tree), "--select", CHEAP_RULE])
+        finally:
+            evil.rmdir()
+        assert code == 2
         err = capsys.readouterr().err
         assert "cannot read" in err and "evil.py" in err
 
@@ -213,12 +259,10 @@ class TestCliErrorPaths:
 
 
 class TestBaselineAndSarif:
-    def test_baseline_demotes_known_findings(self, tmp_path, capsys):
+    def test_baseline_demotes_known_findings(self, tree, seed, tmp_path, capsys):
         import json
 
-        root = _copy_tree(tmp_path)
-        seeded = root / "core" / "seeded.py"
-        seeded.write_text("import time\nT = time.time()\n")
+        seed("core/seeded.py", "import time\nT = time.time()\n")
         baseline = tmp_path / "base.json"
         baseline.write_text(json.dumps({
             "schema": "repro-check-baseline/1",
@@ -228,7 +272,10 @@ class TestBaselineAndSarif:
                 "message": "call to time.time() reads the wall clock",
             }],
         }))
-        assert main(["check", str(root), "--baseline", str(baseline)]) == 0
+        assert main([
+            "check", str(tree), "--select", "DET101",
+            "--baseline", str(baseline),
+        ]) == 0
         out = capsys.readouterr().out
         assert "1 baselined" in out
 
@@ -236,16 +283,18 @@ class TestBaselineAndSarif:
         import json
 
         artifact = tmp_path / "report.sarif"
+        families = ["DET202", "VEC504", "OBS601", "SUP901"]
         assert main([
-            "check", str(PACKAGE_ROOT), "--sarif", str(artifact),
+            "check", str(PACKAGE_ROOT), "--select", ",".join(families),
+            "--sarif", str(artifact),
         ]) == 0
         payload = json.loads(artifact.read_text())
         assert payload["version"] == "2.1.0"
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-check"
         assert run["results"] == []  # the tree is clean
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"DET201", "VEC501", "OBS601", "SUP901"} <= rule_ids
+        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
+        assert sorted(rule_ids) == sorted(families)
 
     def test_empty_repo_baseline_file_is_valid_and_empty(self):
         import json

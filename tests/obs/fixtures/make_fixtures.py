@@ -6,10 +6,9 @@ Run from the repo root::
     PYTHONPATH=src python tests/obs/fixtures/make_fixtures.py
 
 ``metrics.json`` comes from a real (deterministic) engine run;
-``telemetry.jsonl`` and ``BENCH_sample.json`` are hand-shaped but
-schema-valid.  ``report.md`` is the golden rendering of all three —
-regenerate it only when the report format intentionally changes, and
-review the diff.
+``telemetry.jsonl`` is hand-shaped but schema-valid.  ``report.md`` is
+the golden rendering of both — regenerate it only when the report
+format intentionally changes, and review the diff.
 """
 
 import json
@@ -80,32 +79,9 @@ def main():
             handle.write(json.dumps(record) + "\n")
         handle.write(json.dumps({"t": "end", "records": len(records) - 1}) + "\n")
 
-    bench_path = os.path.join(HERE, "BENCH_sample.json")
-    bench = {
-        "schema": "repro-bench/1",
-        "plan": {"name": "fixture-plan", "trials": 12},
-        "workers": 2,
-        "serial_seconds": 1.2,
-        "parallel_seconds": 0.7,
-        "speedup_parallel_vs_serial": 1.714,
-        "vector_seconds": 0.2,
-        "speedup_vector_vs_object": 6.0,
-        "rates": [
-            {"protocol": "ba_one_third", "kappa": 2, "bound": 0.25,
-             "measured": 0.1667},
-            {"protocol": "ba_one_half", "kappa": 2, "bound": 0.25,
-             "measured": 0.1667},
-        ],
-        "a_future_key_this_reader_ignores": {"x": 1},
-    }
-    with open(bench_path, "w", encoding="utf-8") as handle:
-        json.dump(bench, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
     markdown = build_report(
         metrics=load_metrics_artifact(metrics_path),
         telemetry=summarize_telemetry(telemetry_path),
-        benches=[(bench_path, bench)],
     )
     with open(os.path.join(HERE, "report.md"), "w", encoding="utf-8") as handle:
         handle.write(markdown)

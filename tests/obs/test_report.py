@@ -1,7 +1,7 @@
 """The fused run report renders deterministically and gates schemas.
 
 The golden fixture under ``fixtures/`` pins the exact markdown for a
-committed (metrics, telemetry, bench) triple — regenerate via
+committed (metrics, telemetry) pair — regenerate via
 ``PYTHONPATH=src python tests/obs/fixtures/make_fixtures.py`` only when
 the report format intentionally changes, and review the diff.  Profile
 sections are exercised against freshly generated ``cProfile`` dumps
@@ -10,7 +10,6 @@ out of the golden).
 """
 
 import cProfile
-import json
 import os
 
 import pytest
@@ -32,34 +31,28 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 def _fixture_inputs():
     metrics = load_metrics_artifact(os.path.join(FIXTURES, "metrics.json"))
     telemetry = summarize_telemetry(os.path.join(FIXTURES, "telemetry.jsonl"))
-    bench_path = os.path.join(FIXTURES, "BENCH_sample.json")
-    with open(bench_path, encoding="utf-8") as handle:
-        bench = json.load(handle)
-    return metrics, telemetry, [(bench_path, bench)]
+    return metrics, telemetry
 
 
 class TestGoldenRendering:
     def test_matches_committed_golden_byte_for_byte(self):
-        metrics, telemetry, benches = _fixture_inputs()
-        rendered = build_report(
-            metrics=metrics, telemetry=telemetry, benches=benches
-        )
+        metrics, telemetry = _fixture_inputs()
+        rendered = build_report(metrics=metrics, telemetry=telemetry)
         with open(os.path.join(FIXTURES, "report.md"), encoding="utf-8") as handle:
             golden = handle.read()
         assert rendered == golden
 
     def test_rendering_is_deterministic(self):
-        metrics, telemetry, benches = _fixture_inputs()
-        first = build_report(metrics=metrics, telemetry=telemetry, benches=benches)
-        second = build_report(metrics=metrics, telemetry=telemetry, benches=benches)
+        metrics, telemetry = _fixture_inputs()
+        first = build_report(metrics=metrics, telemetry=telemetry)
+        second = build_report(metrics=metrics, telemetry=telemetry)
         assert first == second
 
     def test_sections_render_only_for_provided_inputs(self):
-        metrics, _, _ = _fixture_inputs()
+        metrics, _ = _fixture_inputs()
         report = build_report(metrics=metrics)
         assert "## Protocol metrics" in report
         assert "## Engine telemetry" not in report
-        assert "## Benchmark timings" not in report
 
     def test_empty_report_still_renders(self):
         report = build_report()
@@ -109,34 +102,23 @@ class TestProfileSection:
 
 class TestCheckReport:
     def test_clean_fixtures_pass(self):
-        metrics, telemetry, benches = _fixture_inputs()
-        assert check_report(
-            metrics=metrics, telemetry=telemetry, benches=benches
-        ) == []
+        metrics, telemetry = _fixture_inputs()
+        assert check_report(metrics=metrics, telemetry=telemetry) == []
 
     def test_bad_metrics_schema_is_a_violation(self):
-        metrics, _, _ = _fixture_inputs()
+        metrics, _ = _fixture_inputs()
         metrics = dict(metrics)
         metrics["schema"] = "repro-metrics/99"
         violations = check_report(metrics=metrics)
         assert any("schema" in v for v in violations)
 
     def test_inconsistent_telemetry_is_a_violation(self):
-        _, telemetry, _ = _fixture_inputs()
+        _, telemetry = _fixture_inputs()
         telemetry = dict(telemetry)
         telemetry["consistent"] = False
         assert any(
             "consistent" in v for v in check_report(telemetry=telemetry)
         )
-
-    def test_foreign_bench_schema_is_a_violation(self):
-        violations = check_report(
-            benches=[("BENCH_x.json", {"schema": "repro-telemetry/1"})]
-        )
-        assert any("repro-bench" in v for v in violations)
-
-    def test_bench_without_schema_field_passes(self):
-        assert check_report(benches=[("old.json", {"serial_seconds": 1.0})]) == []
 
 
 class TestHtml:
@@ -148,8 +130,8 @@ class TestHtml:
         assert "&lt;script&gt;" in page
 
     def test_html_is_deterministic(self):
-        metrics, telemetry, benches = _fixture_inputs()
-        markdown = build_report(metrics=metrics, telemetry=telemetry, benches=benches)
+        metrics, telemetry = _fixture_inputs()
+        markdown = build_report(metrics=metrics, telemetry=telemetry)
         assert render_html(markdown) == render_html(markdown)
 
 
@@ -161,9 +143,3 @@ class TestLoadReportInputs:
     def test_missing_profile_dir_raises(self, tmp_path):
         with pytest.raises(ObsFormatError, match="profile"):
             load_report_inputs(profile_dir=str(tmp_path / "nope"))
-
-    def test_non_object_bench_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[1, 2, 3]\n")
-        with pytest.raises(ValueError, match="JSON object"):
-            load_report_inputs(bench_paths=[str(path)])

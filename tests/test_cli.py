@@ -263,7 +263,51 @@ class TestTables:
         assert "table1" in out and "table2" in out and "fig3" in out
 
 
+def _measured(out):
+    """The `measured` column of the rate table `error-sweep` printed."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if "bound 2^-k" in line)
+    column = []
+    for line in lines[start + 2:]:
+        if not line.strip():
+            break
+        column.append(line.split()[-1])
+    return column
+
+
+def _reference_rates(protocol, kappas, trials, seed=0):
+    """The same sweep on the legacy `run_trials` harness."""
+    from repro.adversary.straddle import (
+        LinearHalfStraddleAdversary,
+        OneThirdStraddleAdversary,
+    )
+    from repro.analysis.experiments import (
+        ExperimentSetup,
+        disagreement_rate,
+        run_trials,
+    )
+    from repro.core.ba import ba_one_half_program, ba_one_third_program
+
+    if protocol == "one_third":
+        setup, inputs = ExperimentSetup(num_parties=4, max_faulty=1), [0, 0, 1, 1]
+        program, adversary = ba_one_third_program, lambda: OneThirdStraddleAdversary([3])
+    else:
+        setup, inputs = ExperimentSetup(num_parties=5, max_faulty=2), [0, 0, 1, 1, 1]
+        program, adversary = ba_one_half_program, lambda: LinearHalfStraddleAdversary([3, 4])
+    return [
+        "%.4f" % disagreement_rate(
+            run_trials(
+                setup, lambda c, b, k=kappa: program(c, b, k), inputs,
+                trials=trials, adversary_factory=adversary, seed=seed + kappa,
+            )
+        )
+        for kappa in kappas
+    ]
+
+
 class TestErrorSweep:
+    EXECUTORS = ([], ["--workers", "2"], ["--vector"])
+
     def test_sweep_prints_rates(self, capsys):
         assert main(
             ["error-sweep", "--protocol", "one_third",
@@ -272,149 +316,178 @@ class TestErrorSweep:
         out = capsys.readouterr().out
         assert "bound 2^-k" in out
 
-
-class TestBench:
-    def test_serial_matches_parallel_and_reports(self, capsys):
-        code = main(
-            ["bench", "--protocol", "one_third", "--kappas", "1",
-             "--trials", "8", "--workers", "2"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "engine serial" in out
-        if (os.cpu_count() or 1) >= 2:
-            assert "serial == parallel" in out and "OK" in out
-        else:
-            # Worker counts are clamped to the CPUs present; on a
-            # single-CPU box the parallel leg is skipped, and the CLI
-            # must say so rather than report a fake speedup.
-            assert "clamped to 1" in out
-            assert "serial path only" in out
-
-    def test_json_artifact_written(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        code = main(
-            ["bench", "--protocol", "one_half", "--kappas", "1",
-             "--trials", "6", "--workers", "2", "--json", str(path)]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(path.read_text())
-        effective = min(2, os.cpu_count() or 1)
-        assert payload["workers"] == effective
-        assert payload["workers_requested"] == 2
-        assert payload["workers_clamped"] == (effective != 2)
-        assert payload["trials_per_config"] == 6
-        if effective > 1:
-            assert payload["identical_serial_parallel"] is True
-        else:
-            assert payload["identical_serial_parallel"] is None
-            assert payload["parallel_seconds"] is None
-        assert payload["transport"] == "compact"
-        assert payload["payload_bytes_full"] > payload["payload_bytes_compact"] > 0
-        assert payload["rates"][0]["protocol"] == "ba_one_half"
-
-    def test_telemetry_artifact_written_and_consistent(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("protocol", ["one_third", "one_half"])
+    def test_measured_equals_reference_on_every_executor(
+        self, protocol, capsys
     ):
+        expected = _reference_rates(protocol, [1, 2], 40)
+        for executor in self.EXECUTORS:
+            assert main(
+                ["error-sweep", "--protocol", protocol, "--kappas", "1,2",
+                 "--trials", "40", *executor]
+            ) == 0
+            out = capsys.readouterr().out
+            assert _measured(out) == expected, executor
+            if executor == ["--workers", "2"] and (os.cpu_count() or 1) < 2:
+                # Worker counts are clamped to the CPUs present, and the
+                # CLI must say so rather than pretend it ran a pool.
+                assert "clamped to 1" in out
+
+    def test_telemetry_artifact_written_and_consistent(self, tmp_path, capsys):
         tele_dir = str(tmp_path / "tele")
-        json_path = tmp_path / "bench.json"
         code = main(
-            ["bench", "--protocol", "one_third", "--kappas", "1",
-             "--trials", "8", "--workers", "2",
-             "--telemetry", tele_dir, "--json", str(json_path)]
+            ["error-sweep", "--kappas", "1", "--trials", "8",
+             "--workers", "2", "--telemetry", tele_dir]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "telemetry" in out
         assert "telemetry spans consistent" in out and "OK" in out
         tele_path = os.path.join(tele_dir, "telemetry.jsonl")
-        assert os.path.exists(tele_path)
+        assert tele_path in out
 
         from repro.obs import summarize_telemetry
 
         summary = summarize_telemetry(tele_path)
         assert summary["consistent"] is True
         assert summary["records"] > 0
-
-        import json
-
-        payload = json.loads(json_path.read_text())
-        assert payload["telemetry"]["path"] == tele_path
-        assert payload["telemetry"]["consistent"] is True
+        assert len(summary["runs"]) == 1  # one plan execution, not one per leg
 
     def test_adaptive_telemetry_records_allocations(self, tmp_path, capsys):
-        tele_dir = str(tmp_path / "tele")
-        code = main(
-            ["bench", "--protocol", "one_third", "--kappas", "1,2",
-             "--trials", "8", "--workers", "1", "--adaptive",
-             "--batch", "4", "--telemetry", tele_dir]
-        )
-        assert code == 0, capsys.readouterr().out
+        import json
 
         from repro.obs import summarize_telemetry
 
-        summary = summarize_telemetry(
-            os.path.join(tele_dir, "telemetry.jsonl")
-        )
-        assert summary["consistent"] is True
-        assert summary["adaptive_rounds"] >= 1
+        for backend in ([], ["--vector"]):
+            tele_dir = str(tmp_path / ("tele" + "".join(backend)))
+            code = main(
+                ["error-sweep", "--kappas", "1,2", "--trials", "8",
+                 "--adaptive", "--batch", "4", "--telemetry", tele_dir,
+                 *backend]
+            )
+            captured = capsys.readouterr()
+            assert code == 0, captured.out + captured.err
+            assert "verdicts match fixed run" in captured.out
+            summary = summarize_telemetry(
+                os.path.join(tele_dir, "telemetry.jsonl")
+            )
+            assert summary["consistent"] is True
+            assert summary["adaptive_rounds"] >= 1
+            assert len(summary["runs"]) == 2  # the fixed run, then the adaptive
+            # Both runs are on the selected backend: the fixed run is
+            # one vector batch, each adaptive allocation another.
+            with open(os.path.join(tele_dir, "telemetry.jsonl")) as handle:
+                batches = sum(
+                    json.loads(line)["t"] == "vector_batch" for line in handle
+                )
+            assert batches > 1 if backend else batches == 0
 
     def test_metrics_and_profile_artifacts_written(self, tmp_path, capsys):
         metrics_path = tmp_path / "metrics.json"
         profile_dir = tmp_path / "prof"
+        tele_dir = tmp_path / "tele"
         code = main(
-            ["bench", "--protocol", "one_third", "--kappas", "1",
-             "--trials", "6", "--workers", "1",
-             "--metrics", str(metrics_path), "--profile", str(profile_dir)]
+            ["error-sweep", "--kappas", "1", "--trials", "6",
+             "--metrics", str(metrics_path), "--profile", str(profile_dir),
+             "--telemetry", str(tele_dir)]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "metrics artifact" in out and "profiled leg" in out
+        assert str(metrics_path) in out and str(profile_dir) in out
 
         import json
 
-        from repro.obs import validate_metrics_payload
+        from repro.obs import summarize_telemetry, validate_metrics_payload
 
         payload = json.loads(metrics_path.read_text())
         assert validate_metrics_payload(payload) == []
-        dumps = [
-            name for name in os.listdir(profile_dir)
-            if name.endswith(".pstats")
+        assert [
+            name for name in os.listdir(profile_dir) if name.endswith(".pstats")
         ]
-        assert dumps
+        # Metrics, profile and telemetry all ride one run.
+        summary = summarize_telemetry(str(tele_dir / "telemetry.jsonl"))
+        assert len(summary["runs"]) == 1 and summary["profiles"]
 
+    def test_metrics_artifact_bytes_equal_on_every_executor(
+        self, tmp_path, capsys
+    ):
+        artifacts = []
+        for number, executor in enumerate(self.EXECUTORS):
+            path = tmp_path / f"metrics-{number}.json"
+            assert main(
+                ["error-sweep", "--protocol", "both", "--kappas", "1,2",
+                 "--trials", "6", "--metrics", str(path), *executor]
+            ) == 0
+            artifacts.append(path.read_bytes())
+        assert artifacts[0] == artifacts[1] == artifacts[2]
 
-    def test_metrics_leg_runs_on_the_selected_backend(
+    def test_unpredicted_vector_fallback_exits_2_and_writes_no_artifact(
         self, tmp_path, capsys, monkeypatch
     ):
-        base = ["bench", "--kappas", "1,2", "--trials", "6", "--workers", "1"]
-        object_path = tmp_path / "object.json"
-        vector_path = tmp_path / "vector.json"
-        assert main(base + ["--metrics", str(object_path)]) == 0
-        assert main(base + ["--vector", "--metrics", str(vector_path)]) == 0
-        assert vector_path.read_bytes() == object_path.read_bytes()
-        capsys.readouterr()
-
-        # A supported spec that lands on the object path fails the leg.
+        """A supported spec that lands on the object path is bit-identical,
+        so the run audits its batch spans instead of its results."""
         from repro.engine.registry import vector_model_for
         from repro.engine.vectorized import VectorModelError
 
         def broken(specs):
             raise VectorModelError("injected")
 
-        # The timed vector leg only checks identity (the fallback is
-        # bit-identical); the metrics leg audits the fallback count.
         monkeypatch.setattr(
             vector_model_for("ba_one_half", None), "run_batch", broken
         )
-        broken_path = tmp_path / "broken.json"
-        code = main(base + ["--vector", "--metrics", str(broken_path)])
-        out = capsys.readouterr().out
+        path = tmp_path / "metrics.json"
+        code = main(
+            ["error-sweep", "--protocol", "both", "--kappas", "1,2",
+             "--trials", "6", "--vector", "--metrics", str(path)]
+        )
+        err = capsys.readouterr().err
         assert code == 2
-        assert "METRICS LEG REGRESSION" in out and "injected" in out
-        assert not broken_path.exists()
+        assert "12 supported trials fell back" in err and "injected" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "0"],
+        ["--kappas", "0"],
+        ["--adaptive", "--bound", "foo"],
+        ["--backend", "real", "--rsa-bits", "8"],
+        ["--telemetry", "/dev/null/x"],
+        ["--metrics", "/nonexistent/dir/m.json"],
+    ], ids=lambda flags: flags[-2])
+    def test_bad_flag_is_a_usage_error_before_any_trial(
+        self, flags, capsys, monkeypatch
+    ):
+        from repro.engine import ParallelRunner
+
+        def no_run(self, plan):
+            raise AssertionError("a trial ran before the flags were checked")
+
+        monkeypatch.setattr(ParallelRunner, "run", no_run)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["error-sweep", "--kappas", "1", "--trials", "4", *flags])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "repro error-sweep: error:" in err
+        assert "Traceback" not in err
+
+    def test_raising_trial_exits_2_with_its_replay_line(
+        self, capsys, monkeypatch
+    ):
+        from repro.engine.registry import vector_model_for
+
+        def buggy(specs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(
+            vector_model_for("ba_one_third", None), "run_batch", buggy
+        )
+        code = main(
+            ["error-sweep", "--kappas", "1", "--trials", "4", "--vector"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("repro error-sweep: trial 0 of")
+        assert "RuntimeError: boom" in err
+        assert "repro run --spec '{" in err
+        assert "Traceback" not in err
 
 
 class TestReport:
@@ -435,7 +508,6 @@ class TestReport:
             ["report",
              "--metrics", os.path.join(self.FIXTURES, "metrics.json"),
              "--telemetry", self.FIXTURES,
-             "--bench", os.path.join(self.FIXTURES, "BENCH_sample.json"),
              "--check", "--out", str(out_path), "--html", str(html_path)]
         )
         out = capsys.readouterr().out
@@ -462,15 +534,6 @@ class TestReport:
         )
         assert code == 2
         assert "repro report:" in capsys.readouterr().err
-
-    def test_check_rejects_foreign_bench_schema(self, tmp_path, capsys):
-        import json
-
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text(json.dumps({"schema": "repro-telemetry/1"}))
-        code = main(["report", "--bench", str(bad), "--check"])
-        assert code == 2
-        assert "repro-bench" in capsys.readouterr().err
 
 
 class TestLedger:
@@ -533,8 +596,8 @@ class TestErgonomics:
     """The CLI ergonomics contract (see `main`'s docstring)."""
 
     SUBCOMMANDS = (
-        "run", "trace", "compare", "tables", "error-sweep", "bench",
-        "report", "check", "ledger",
+        "run", "trace", "compare", "tables", "error-sweep", "report",
+        "check", "ledger",
     )
 
     def test_help_lists_every_subcommand_with_a_summary(self, capsys):
@@ -562,5 +625,5 @@ class TestErgonomics:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice: 'frobnicate'" in err
-        for name in ("run", "bench", "check"):
+        for name in ("run", "error-sweep", "check"):
             assert name in err
