@@ -85,13 +85,15 @@ perf-smoke:
 perf-pair:
 	scripts/perf_pair.sh $${REF:?set REF} $${WORKLOAD:?set WORKLOAD} $${PAIRS:-10}
 
-# The perf-regression gate: three pairs of the two sweep workloads
-# against REF (CI passes the PR's base commit).  perf_pair.sh exits 1,
-# naming each `REGRESSION <workload> <metric> x<ratio>`, when the tree's
+# The perf-regression gate: three pairs of the two sweep workloads and
+# of pooled-campaign — the only workload that runs the pool, the fault
+# layer and threshold RSA, so the only one that defends them — against
+# REF (CI passes the PR's base commit).  perf_pair.sh exits 1, naming
+# each `REGRESSION <workload> <metric> x<ratio>`, when the tree's
 # median is worse than REF's by more than the metric's bound in
 # BENCHMARK.json and the tree lost every pair.
 perf-gate:
-	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,object-sweep 3
+	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,object-sweep,pooled-campaign 3
 
 # Bounded chaos pass: hypothesis-drawn Byzantine schedules and network
 # fault plans at a few examples per property (the full depth runs in

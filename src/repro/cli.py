@@ -216,6 +216,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         try:
             faults = build_fault_plan(args.faults, fault_params)
+            faults.check_parties(n)
         except (KeyError, TypeError, ValueError) as error:
             print(
                 f"repro run: bad fault scenario: {error}\n"

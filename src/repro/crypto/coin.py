@@ -21,6 +21,7 @@ counts match the paper:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from typing import Callable
@@ -67,6 +68,12 @@ def _extract_coin(
     )
 
 
+# All n parties of a run extract the same coin from the same signature
+# bytes; the first pays the hash.  Keyed on canonical encodings, so
+# index 0 and index False stay two coins.
+_extract_coin_once = functools.lru_cache(maxsize=256)(_extract_coin)
+
+
 def coin_value_from_signature(
     scheme: ThresholdSignatureScheme,
     signature,
@@ -76,7 +83,7 @@ def coin_value_from_signature(
     high: int,
 ) -> int:
     """Hash the unique combined signature into ``[low, high]``."""
-    return _extract_coin(
+    return _extract_coin_once(
         encode_term(session),
         encode_term(index),
         scheme.signature_bytes(signature),

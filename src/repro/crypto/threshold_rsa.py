@@ -31,11 +31,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from .interfaces import CryptoError, ThresholdSignatureScheme
 from .primes import generate_safe_prime, is_probable_prime
-from .random_oracle import Term, hash_to_int
+from .random_oracle import Term, encode_term, hash_to_int
 
 __all__ = ["ThresholdRsaScheme", "generate_threshold_rsa"]
 
 _CHALLENGE_BITS = 128
+# Share verdicts held per scheme instance; cleared wholesale when full.
+_VERIFIED_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,21 @@ class ThresholdRsaScheme(ThresholdSignatureScheme):
         self._v = verification_base
         self._vks = verification_keys
         self._delta = math.factorial(n_parties)
+        # Verdicts of verify_share, by the canonical encoding of its
+        # arguments.  Verification is a pure function of (key material,
+        # signer, share, message) and a simulated run asks the same
+        # question once per party and again inside combine.
+        self._verified: Dict[bytes, bool] = {}
+
+    def __getstate__(self) -> dict:
+        """Key material only: the verdict memo never rides a pickle."""
+        state = self.__dict__.copy()
+        del state["_verified"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._verified = {}
 
     @property
     def num_parties(self) -> int:
@@ -148,7 +165,33 @@ class ThresholdRsaScheme(ThresholdSignatureScheme):
         )
 
     def verify_share(self, signer: int, share, message: Term) -> bool:
-        if not isinstance(share, _RsaShare) or share.signer != signer:
+        """Verify one share, answering a repeated question from the memo.
+
+        The key is :func:`encode_term` of everything the verdict depends
+        on, so it is as type-exact as the challenge hash (``1``/``True``
+        never alias).  A part that is not a ``Term`` has no encoding and
+        takes the full check every time.
+        """
+        if not isinstance(share, _RsaShare):
+            return False
+        try:
+            key = encode_term((
+                signer, share.signer, share.value, share.challenge,
+                share.response, message,
+            ))
+        except TypeError:
+            return self._check_share(signer, share, message)
+        verified = self._verified
+        verdict = verified.get(key)
+        if verdict is None:
+            if len(verified) >= _VERIFIED_LIMIT:
+                verified.clear()
+            verdict = verified[key] = self._check_share(signer, share, message)
+        return verdict
+
+    def _check_share(self, signer: int, share: _RsaShare, message: Term) -> bool:
+        """The Chaum–Pedersen verification itself; never raises on garbage."""
+        if share.signer != signer:
             return False
         if not isinstance(signer, int) or not (0 <= signer < self._n):
             return False

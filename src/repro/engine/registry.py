@@ -22,6 +22,7 @@ adversary names describe adversarial *parties*.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, List, Optional
 
 from ..adversary.base import Adversary
@@ -192,7 +193,12 @@ def build_adversary(
 def build_fault_plan(
     name: Optional[str], params: Dict[str, Any]
 ) -> Optional[FaultPlan]:
-    """Resolve a fault-scenario name (or ``None``) to a fresh plan."""
+    """Resolve a fault-scenario name (or ``None``) to a fresh plan.
+
+    ``KeyError`` for an unregistered name; ``ValueError`` naming the
+    scenario and the parameters it takes when the builder rejects
+    ``params`` (chained from what the builder raised).
+    """
     if name is None:
         return None
     try:
@@ -201,7 +207,20 @@ def build_fault_plan(
         raise KeyError(
             f"unknown fault scenario {name!r}; registered: {fault_plan_names()}"
         ) from None
-    return builder(**params)
+    try:
+        return builder(**params)
+    except (TypeError, ValueError) as error:
+        signature = inspect.signature(builder)
+        reason = str(error)
+        try:
+            signature.bind(**params)
+        except TypeError as mismatch:
+            # A bad keyword: say which, without the builder's own name.
+            reason = str(mismatch)
+        raise ValueError(
+            f"fault scenario {name!r} takes ({', '.join(signature.parameters)}): "
+            f"{reason}"
+        ) from error
 
 
 # ── Built-in protocols ───────────────────────────────────────────────────

@@ -1,6 +1,11 @@
 """Synchronous authenticated network simulator and party-program model."""
 
-from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
+from .errors import (
+    AdversaryBudgetError,
+    FaultPlanError,
+    RoundLimitError,
+    SimulationError,
+)
 from .faults import Crash, FaultEvent, FaultInjector, FaultPlan, Partition
 from .messages import (
     Broadcast,
@@ -26,6 +31,7 @@ __all__ = [
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
+    "FaultPlanError",
     "Inbox",
     "Partition",
     "Outbox",

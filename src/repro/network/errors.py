@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-__all__ = ["SimulationError", "AdversaryBudgetError", "RoundLimitError"]
+__all__ = [
+    "SimulationError",
+    "AdversaryBudgetError",
+    "FaultPlanError",
+    "RoundLimitError",
+]
 
 
 class SimulationError(RuntimeError):
@@ -18,4 +23,14 @@ class RoundLimitError(SimulationError):
 
     All protocols in this repository are fixed-round, so hitting the cap
     always indicates a protocol-logic bug, never legitimate slowness.
+    """
+
+
+class FaultPlanError(ValueError):
+    """A fault plan cannot apply to the run it was given to.
+
+    Raised when a plan names a party the run does not have: such a
+    crash window, partition group or disabled set would otherwise be
+    silently inert and the run would report clean numbers for a fault
+    that never happened.
     """

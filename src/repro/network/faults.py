@@ -35,6 +35,15 @@ execution — byte-identical across worker counts, serial vs pooled.  A
 simulator with ``faults=None`` never touches this module and is
 byte-identical to the pre-fault-layer code.
 
+Everything about a round's routing that the seed cannot change — who is
+offline, which pairs an active partition separates — is one
+:class:`RoundRouting` table per ``(plan, n, round)``, built by the pure
+:meth:`FaultPlan.routing` and shared by every trial in the process
+(:func:`routing_tables`).  The delivery loop reads a table row per
+sender and makes only the i.i.d. loss/delay draws per message, so the
+contract above is untouched: the draws happen in the same order whether
+a table was just built or came from the cache.
+
 Delivery semantics, explicitly: the synchronous inbox holds at most one
 message per ``(sender, recipient)`` per round.  Current-round deliveries
 claim their slot first; delayed copies drain afterwards, freshest send
@@ -49,11 +58,43 @@ send time.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Crash", "FaultEvent", "FaultInjector", "FaultPlan", "Partition"]
+from .errors import FaultPlanError
+
+__all__ = [
+    "Crash",
+    "FaultEvent",
+    "FaultInjector",
+    "FaultPlan",
+    "OFFLINE",
+    "PARTITION",
+    "Partition",
+    "RoundRouting",
+    "routing_tables",
+]
+
+#: Flags of one :class:`RoundRouting` cell; ``0`` means the message passes.
+OFFLINE = 1  # the sender or the recipient is offline this round
+PARTITION = 2  # an active partition separates the pair
+
+
+class RoundRouting(NamedTuple):
+    """One round's routing, as far as the plan alone decides it.
+
+    ``rows[sender][recipient]`` is ``OFFLINE | PARTITION`` flags, ``0``
+    on the diagonal (self-delivery is never network traffic).  A
+    current-round message with a non-zero cell is suppressed, ``offline``
+    before ``partition``; a delayed message arriving this round is lost
+    to an offline *recipient* (``offline``), else to the ``PARTITION``
+    flag — a sender that crashed after sending does not recall it.
+    """
+
+    offline: FrozenSet[int]
+    rows: Tuple[Tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -189,6 +230,64 @@ class FaultPlan:
             for partition in self.partitions
         )
 
+    def check_parties(self, num_parties: int) -> None:
+        """Raise :class:`FaultPlanError` if the plan names a party outside
+        ``0..num_parties-1`` — a fault on nobody is a silent no-op."""
+        named = [crash.pid for crash in self.crashes]
+        for partition in self.partitions:
+            named.extend(pid for group in partition.groups for pid in group)
+        named.extend(pid for group in self.disabled for pid in group)
+        for pid in named:
+            if not (isinstance(pid, int) and 0 <= pid < num_parties):
+                raise FaultPlanError(
+                    f"fault plan names party {pid!r}; this run has parties "
+                    f"0..{num_parties - 1}"
+                )
+
+    def routing(self, num_parties: int, round_index: int) -> RoundRouting:
+        """The routing table of one round (pure; see :func:`routing_tables`)."""
+        offline = self.offline(round_index)
+        rows = []
+        distinct: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for sender in range(num_parties):
+            row = []
+            for recipient in range(num_parties):
+                cell = 0
+                if sender != recipient:
+                    if sender in offline or recipient in offline:
+                        cell |= OFFLINE
+                    if self.partitioned(round_index, sender, recipient):
+                        cell |= PARTITION
+                row.append(cell)
+            # Senders on the same side of every split share one row
+            # object, so a table is about n pointers, not n * n cells.
+            shared = tuple(row)
+            rows.append(distinct.setdefault(shared, shared))
+        return RoundRouting(offline, tuple(rows))
+
+
+_PLANS_HELD = 64  # (plan, n) pairs whose tables are kept, least recent out
+_ROUNDS_HELD = 256  # tables kept per pair
+
+
+@functools.lru_cache(maxsize=_PLANS_HELD)
+def routing_tables(
+    plan: FaultPlan, num_parties: int
+) -> Callable[[int], RoundRouting]:
+    """``round -> plan.routing(num_parties, round)``, each table built once.
+
+    One entry per ``(plan, num_parties)`` — plans are frozen data, so an
+    equal plan built by another trial lands on the same entry — checked
+    with :meth:`FaultPlan.check_parties` when the entry is made (a plan
+    that fails is never held).  Both levels are bounded LRU caches of
+    immutable tables, so memory stays flat however many plans and rounds
+    a process sees.
+    """
+    plan.check_parties(num_parties)
+    return functools.lru_cache(maxsize=_ROUNDS_HELD)(
+        functools.partial(plan.routing, num_parties)
+    )
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -240,9 +339,11 @@ class FaultInjector:
 
     Created per execution by :class:`~repro.network.simulator.SyncSimulator`
     with an RNG derived from the master seed; holds the delay queue and
-    the per-run fault tallies.  All decisions are made in the simulator's
-    fixed delivery order, so the injected fault sequence is a pure
-    function of ``(plan, seed)``.
+    the per-run fault tallies.  ``routing(round)`` is the round's
+    :class:`RoundRouting`; the simulator draws loss and delay from
+    ``rng`` for the messages the table lets pass, in its fixed delivery
+    order, so the injected fault sequence is a pure function of
+    ``(plan, seed)``.
     """
 
     def __init__(
@@ -253,31 +354,7 @@ class FaultInjector:
         self.rng = rng
         self.counts = FaultCounts()
         self._deferred: Dict[int, List[_InFlight]] = {}
-
-    def offline(self, round_index: int) -> FrozenSet[int]:
-        return self.plan.offline(round_index)
-
-    def route(
-        self, round_index: int, sender: int, recipient: int,
-        offline: FrozenSet[int],
-    ) -> Tuple[str, int]:
-        """Decide one current-round message's fate.
-
-        Returns ``(kind, delay_rounds)`` where kind is ``deliver`` or a
-        :class:`FaultEvent` kind.  Self-delivery is always ``deliver``
-        and draws no randomness — it is party-internal state.
-        """
-        if sender == recipient:
-            return "deliver", 0
-        if sender in offline or recipient in offline:
-            return "offline", 0
-        if self.plan.partitioned(round_index, sender, recipient):
-            return "partition", 0
-        if self.plan.loss and self.rng.random() < self.plan.loss:
-            return "loss", 0
-        if self.plan.delay and self.rng.random() < self.plan.delay:
-            return "delay", self.rng.randint(1, self.plan.max_delay)
-        return "deliver", 0
+        self.routing = routing_tables(plan, num_parties)
 
     def defer(
         self, round_index: int, delay: int, sender: int, recipient: int,

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set
 from ..adversary.base import Adversary, AdversaryEnv, RoundDecision, RoundView
 from ..crypto.keys import CryptoSuite
 from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
-from .faults import FaultCounts, FaultInjector, FaultPlan
+from .faults import OFFLINE, PARTITION, FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
 from .metrics import RunMetrics, count_signatures
 from .party import Context, LazyRandom, ProgramFactory
@@ -331,14 +331,24 @@ class SyncSimulator:
         dedup, honesty split), restricted to messages that actually
         arrive: suppressed messages tally nothing, delayed messages
         tally in the round they arrive, with sender honesty frozen at
-        send time.  With a no-op plan every message routes ``deliver``
+        send time.  With a no-op plan every message is delivered
         without consuming randomness, so tallies match :meth:`_deliver`
         exactly — pinned by ``tests/chaos/test_faults.py``.
+
+        A message's fate is its cell of the round's routing table, then
+        — only for a cell that lets it pass, and never for self-delivery
+        — the plan's i.i.d. draws in a fixed order: the loss draw when
+        the plan has loss, the delay draw when it has delay and the
+        message survived, then the delay length.
         """
         observers = self.observers
         collect = self.collect_signatures
         counts = injector.counts
-        offline = injector.offline(round_index)
+        plan = injector.plan
+        loss, delay_rate, max_delay = plan.loss, plan.delay, plan.max_delay
+        rng = injector.rng
+        draw = rng.random
+        offline, rows = injector.routing(round_index)
         stats = None
         for sender in range(self.num_parties):
             outbox = normalized[sender]
@@ -350,39 +360,48 @@ class SyncSimulator:
             messages = 0
             signatures = 0
             walked: Dict[int, int] = {}
+            row = rows[sender]
             for recipient, payload in outbox.items():
-                kind, delay = injector.route(round_index, sender, recipient, offline)
-                if kind == "deliver":
-                    inboxes[recipient][sender] = payload
-                    messages += 1
-                    counts.delivered += 1
-                    if collect:
-                        key = id(payload)
-                        count = walked.get(key)
-                        if count is None:
-                            count = walked[key] = count_signatures(payload)
-                        signatures += count
+                cell = row[recipient]
+                kind = delay = None
+                if cell:
+                    if cell & OFFLINE:
+                        kind = "offline"
+                        counts.offline += 1
+                    else:
+                        kind = "partition"
+                        counts.partitioned += 1
+                elif recipient != sender:
+                    if loss and draw() < loss:
+                        kind = "loss"
+                        counts.lost += 1
+                    elif delay_rate and draw() < delay_rate:
+                        kind = "delay"
+                        delay = rng.randint(1, max_delay)
+                        injector.defer(
+                            round_index, delay, sender, recipient, payload,
+                            sender_honest,
+                        )
+                        counts.delayed += 1
+                if kind is not None:
                     for observer in observers:
-                        observer.on_message(
-                            round_index, sender, recipient, payload, sender_honest
+                        observer.on_fault(
+                            round_index, kind, sender, recipient, delay
                         )
                     continue
-                if kind == "delay":
-                    injector.defer(
-                        round_index, delay, sender, recipient, payload, sender_honest
-                    )
-                    counts.delayed += 1
-                elif kind == "loss":
-                    counts.lost += 1
-                elif kind == "partition":
-                    counts.partitioned += 1
-                else:
-                    counts.offline += 1
+                inboxes[recipient][sender] = payload
+                messages += 1
+                if collect:
+                    key = id(payload)
+                    count = walked.get(key)
+                    if count is None:
+                        count = walked[key] = count_signatures(payload)
+                    signatures += count
                 for observer in observers:
-                    observer.on_fault(
-                        round_index, kind, sender, recipient,
-                        delay if kind == "delay" else None,
+                    observer.on_message(
+                        round_index, sender, recipient, payload, sender_honest
                     )
+            counts.delivered += messages
             if sender_honest:
                 stats.honest_messages += messages
                 stats.honest_signatures += signatures
@@ -398,7 +417,7 @@ class SyncSimulator:
             kind = None
             if entry.recipient in offline:
                 kind = "offline"
-            elif self.faults.partitioned(round_index, entry.sender, entry.recipient):
+            elif rows[entry.sender][entry.recipient] & PARTITION:
                 kind = "partition"
             elif entry.sender in inboxes[entry.recipient]:
                 kind = "stale"

@@ -11,7 +11,9 @@ of them:
 * honest outputs stay in the protocol's domain,
 * the run is a pure function of ``(seed, plan)`` — replaying is
   byte-identical,
-* a no-op plan is indistinguishable from ``faults=None``.
+* a no-op plan is indistinguishable from ``faults=None``,
+* the per-round routing table the delivery loop reads says exactly what
+  the plan's ``offline`` / ``partitioned`` predicates say.
 
 Deliberately *not* asserted: agreement.  Faults break the synchrony
 assumption the paper's proofs live in; how much they break it is the
@@ -21,11 +23,20 @@ not an invariant.
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.ba import ba_one_third_program
-from repro.network.faults import Crash, FaultPlan, Partition
+from repro.network.faults import (
+    OFFLINE,
+    PARTITION,
+    Crash,
+    FaultPlan,
+    Partition,
+    routing_tables,
+)
 from repro.network.simulator import SyncSimulator
 
 from ..conftest import ideal_suite
@@ -167,3 +178,37 @@ class TestFaultChaos:
         noop, counts = _run(inputs, FaultPlan(), seed)
         assert noop == baseline
         assert counts.suppressed == 0 and counts.delayed == 0
+
+    @given(
+        data=st.data(),
+        num_parties=st.integers(min_value=3, max_value=10),
+        round_index=st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=examples(60), deadline=None)
+    def test_routing_table_equals_the_plan_predicates(
+        self, data, num_parties, round_index
+    ):
+        plan = data.draw(fault_plans(num_parties=num_parties))
+        if data.draw(st.booleans()):
+            # A second, two-group split overlapping the first in time.
+            pids = data.draw(st.permutations(range(num_parties)))
+            cut = data.draw(st.integers(1, num_parties - 2))
+            plan = dataclasses.replace(plan, partitions=plan.partitions + (
+                Partition(
+                    groups=(tuple(pids[:cut]), tuple(pids[cut:-1])),
+                    start=data.draw(st.integers(1, 6)),
+                ),
+            ))
+        table = routing_tables(plan, num_parties)(round_index)
+        offline = plan.offline(round_index)
+        assert table.offline == offline
+        assert table == plan.routing(num_parties, round_index)  # cache == pure
+        for sender in range(num_parties):
+            for recipient in range(num_parties):
+                expected = 0
+                if sender != recipient:
+                    if sender in offline or recipient in offline:
+                        expected |= OFFLINE
+                    if plan.partitioned(round_index, sender, recipient):
+                        expected |= PARTITION
+                assert table.rows[sender][recipient] == expected

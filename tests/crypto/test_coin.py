@@ -15,6 +15,8 @@ from repro.crypto.coin import (
     threshold_coin_program,
 )
 from repro.crypto.ideal import IdealThresholdScheme, set_tag_memoization
+from repro.crypto.random_oracle import hash_to_range
+from repro.crypto.threshold_rsa import generate_threshold_rsa
 
 from ..conftest import ideal_suite, run
 
@@ -92,6 +94,46 @@ class TestCoinHelpers:
         value = coin_value_from_signature(scheme, sig, "s", 3, 1, 10)
         assert 1 <= value <= 10
         assert value == coin_value_from_signature(scheme, sig, "s", 3, 1, 10)
+
+    @pytest.mark.parametrize("scheme", [
+        IdealThresholdScheme(4, 2, random.Random(5)),
+        generate_threshold_rsa(4, 2, 128, random.Random(13)),
+    ], ids=["ideal", "rsa"])
+    def test_value_from_signature_equals_the_hash_to_range_reference(self, scheme):
+        """First call and memo hit alike; 0 and False are two coins."""
+        values = {}
+        for session in ("s", "séance-Ω", ""):
+            for index in (0, False, 1, True, ("ba13", 2), None):
+                message = coin_message_tag(session, index)
+                signature = scheme.combine(
+                    [(i, scheme.sign_share(i, message)) for i in range(2)], message
+                )
+                for low, high in ((0, 1), (1, 16), (-3, 2 ** 130)):
+                    expected = hash_to_range(
+                        "coin-extract",
+                        (session, index, scheme.signature_bytes(signature)),
+                        low, high,
+                    )
+                    for _party in range(3):
+                        assert coin_value_from_signature(
+                            scheme, signature, session, index, low, high
+                        ) == expected
+                    values[session, repr(index), low, high] = expected
+        wide = [
+            (values[s, "0", -3, 2 ** 130], values[s, "False", -3, 2 ** 130])
+            for s in ("s", "séance-Ω", "")
+        ]
+        assert all(zero != false for zero, false in wide)
+
+    def test_empty_range_raises_every_time(self):
+        scheme = IdealThresholdScheme(4, 2, random.Random(5))
+        message = coin_message_tag("s", 3)
+        sig = scheme.combine(
+            [(i, scheme.sign_share(i, message)) for i in range(2)], message
+        )
+        for _party in range(2):
+            with pytest.raises(ValueError, match="empty range"):
+                coin_value_from_signature(scheme, sig, "s", 3, 5, 4)
 
 
 class TestIdealCoin:

@@ -4,10 +4,12 @@ Key generation needs safe primes, so one small scheme is dealt per module
 and shared; a couple of heavier checks are marked slow.
 """
 
+import pickle
 import random
 
 import pytest
 
+from repro.crypto import threshold_rsa
 from repro.crypto.interfaces import CryptoError
 from repro.crypto.threshold_rsa import ThresholdRsaScheme, generate_threshold_rsa
 
@@ -134,6 +136,118 @@ class TestCombine:
         )
         n, _ = scheme.public_key
         assert len(scheme.signature_bytes(sig)) == (n.bit_length() + 7) // 8
+
+
+def _share_questions(scheme):
+    """``(label, signer, share, message)``: honest and adversarial asks."""
+    message = ("coin-flip", "memo", 1)
+    share = scheme.sign_share(1, message)
+    n, _ = scheme.public_key
+
+    def forged(**fields):
+        return type(share)(**{
+            "signer": share.signer, "value": share.value,
+            "challenge": share.challenge, "response": share.response, **fields,
+        })
+
+    return [
+        ("honest", 1, share, message),
+        ("honest, signer 0", 0, scheme.sign_share(0, message), message),
+        ("wrong signer", 2, share, message),
+        ("wrong message", 1, share, ("coin-flip", "memo", 2)),
+        ("tampered value", 1, forged(value=share.value * 2 % n), message),
+        ("tampered challenge", 1, forged(challenge=share.challenge ^ 1), message),
+        ("tampered response", 1, forged(response=share.response + 1), message),
+        ("negative response", 1, forged(response=-share.response), message),
+        ("value out of range", 1, forged(value=share.value + n), message),
+        # bool is an int to isinstance and ==, but not to the challenge hash.
+        ("True as the signer asked", True, share, message),
+        ("True in share.signer", 1, forged(signer=True), message),
+        ("True in share.value", 1, forged(value=True), message),
+        ("True in share.challenge", 1, forged(challenge=True), message),
+        ("True in share.response", 1, forged(response=True), message),
+        ("True in the message", 1, share, ("coin-flip", "memo", True)),
+        ("non-int value", 1, forged(value="7"), message),
+        ("unhashable message", 1, share, ("coin-flip", ["memo"], 1)),
+        ("unhashable share field", 1, forged(value=[share.value]), message),
+        ("non-Term signer", 1.0, share, message),
+    ]
+
+
+class TestShareMemo:
+    """``verify_share`` through the memo == the verification run cold."""
+
+    def test_memo_answers_equal_cold_verification_over_the_grid(self, scheme):
+        cold = pickle.loads(pickle.dumps(scheme))  # same keys, empty memo
+        verdicts = {}
+        for label, signer, share, message in _share_questions(scheme):
+            expected = cold._check_share(signer, share, message)
+            assert scheme.verify_share(signer, share, message) is expected, label
+            assert scheme.verify_share(signer, share, message) is expected, label
+            verdicts[label] = expected
+        assert not cold._verified
+        # The grid reaches both outcomes, and 1/True never alias.
+        assert verdicts["honest"] and verdicts["honest, signer 0"]
+        assert not verdicts["True as the signer asked"]
+        assert not verdicts["True in the message"]
+        assert sum(verdicts.values()) <= 3
+
+    def test_a_part_that_is_no_term_bypasses_the_memo(self, scheme):
+        held = len(scheme._verified)
+        for label, signer, share, message in _share_questions(scheme):
+            if "unhashable" in label or "non-Term" in label:
+                assert scheme.verify_share(signer, share, message) is False
+        assert len(scheme._verified) == held
+
+    def test_each_distinct_question_is_checked_once(self, scheme, monkeypatch):
+        asked = []
+        cold = ThresholdRsaScheme._check_share
+        monkeypatch.setattr(
+            ThresholdRsaScheme, "_check_share",
+            lambda self, *question: asked.append(question) or cold(self, *question),
+        )
+        message = ("coin-flip", "once", 4)
+        shares = [(i, scheme.sign_share(i, message)) for i in range(4)]
+        for _party in range(scheme.num_parties):
+            assert scheme.try_combine(shares, message) is not None
+        # n parties x (4 verified + 3 re-verified inside combine) asks.
+        assert len(asked) == 4
+
+    def test_repeat_after_the_memo_was_cleared_at_its_bound(
+        self, scheme, monkeypatch
+    ):
+        monkeypatch.setattr(threshold_rsa, "_VERIFIED_LIMIT", 4)
+        scheme._verified.clear()
+        first = scheme.sign_share(0, ("bound", 0))
+        assert scheme.verify_share(0, first, ("bound", 0))
+        assert not scheme.verify_share(1, first, ("bound", 0))
+        for index in range(1, 9):
+            share = scheme.sign_share(0, ("bound", index))
+            assert scheme.verify_share(0, share, ("bound", index))
+            assert len(scheme._verified) <= 4
+        assert scheme.verify_share(0, first, ("bound", 0))
+        assert not scheme.verify_share(1, first, ("bound", 0))
+
+    def test_the_memo_never_rides_a_pickle(self, scheme):
+        scheme._verified.clear()
+        before = len(pickle.dumps(scheme))
+        share = scheme.sign_share(2, "pickled")
+        assert scheme.verify_share(2, share, "pickled")
+        assert scheme._verified
+        assert len(pickle.dumps(scheme)) == before
+        clone = pickle.loads(pickle.dumps(scheme))
+        assert clone._verified == {}
+        assert clone.public_key == scheme.public_key
+        assert clone.verify_share(2, share, "pickled")
+
+    def test_combine_still_checks_its_inputs_for_direct_callers(self, scheme):
+        message = ("coin-flip", "direct", 0)
+        shares = [(i, scheme.sign_share(i, message)) for i in range(3)]
+        bad = type(shares[0][1])(0, shares[0][1].value, 1, 1)
+        assert not scheme.verify_share(0, bad, message)  # now memoized False
+        with pytest.raises(CryptoError, match="invalid share from signer 0"):
+            scheme.combine([(0, bad)] + shares[1:], message)
+        assert scheme.verify(scheme.combine(shares, message), message)
 
 
 @pytest.mark.slow

@@ -1,4 +1,4 @@
-"""Protocol/adversary registries: resolution, errors, extensibility."""
+"""Protocol/adversary/fault registries: resolution, errors, extensibility."""
 
 import pytest
 
@@ -7,6 +7,7 @@ from repro.engine import TrialSpec, run_trial
 from repro.engine.registry import (
     adversary_names,
     build_adversary,
+    build_fault_plan,
     build_protocol_factory,
     protocol_names,
     register_adversary,
@@ -53,6 +54,33 @@ class TestResolution:
     def test_none_adversary_resolves_to_none(self):
         factory = build_protocol_factory("ba_one_third", {"kappa": 1})
         assert build_adversary(None, {}, factory) is None
+
+    def test_unknown_fault_scenario_raises_keyerror_listing_names(self):
+        assert build_fault_plan(None, {}) is None
+        with pytest.raises(KeyError, match="unknown fault scenario 'nope'.*lossy"):
+            build_fault_plan("nope", {})
+
+    @pytest.mark.parametrize("scenario, params, takes, reason, original", [
+        ("lossy", {"bogus": 2}, "(rate)",
+         "got an unexpected keyword argument 'bogus'", TypeError),
+        ("partitioned", {}, "(groups, start, heal)",
+         "missing a required argument: 'groups'", TypeError),
+        ("crash_recover", {"crashes": [["a", 1, 3]]}, "(crashes)",
+         "'<' not supported between instances of 'str' and 'int'", TypeError),
+        ("crash_recover", {"crashes": [[1, 3]]}, "(crashes)",
+         "not enough values to unpack (expected 3, got 2)", ValueError),
+        ("degraded", {"rate": 2}, "(rate, max_delay, split, heal)",
+         "loss must be in [0, 1], got 2", ValueError),
+    ])
+    def test_rejected_fault_params_name_the_scenario_and_what_it_takes(
+        self, scenario, params, takes, reason, original
+    ):
+        with pytest.raises(ValueError) as raised:
+            build_fault_plan(scenario, params)
+        message = str(raised.value)
+        assert message == f"fault scenario {scenario!r} takes {takes}: {reason}"
+        assert "<lambda>" not in message
+        assert type(raised.value.__cause__) is original
 
     def test_non_callable_builder_rejected(self):
         with pytest.raises(TypeError):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.ba import ba_one_third_program
+from repro.crypto.threshold_rsa import ThresholdRsaScheme
 from repro.engine import (
     AdaptiveRunner,
     ParallelRunner,
@@ -19,10 +20,12 @@ from repro.engine import (
     clear_suite_cache,
     default_workers,
     register_protocol,
+    run_trial,
     vectorized,
 )
 from repro.engine.registry import vector_model_for
 from repro.engine.runner import _SUITE_CACHE, _SUITE_CACHE_MAX, _suite_for
+from repro.engine.transport import ChunkSummary
 
 
 def _plan(trials=6, seed=5, kappa=2, collect_signatures=True):
@@ -37,6 +40,40 @@ def _plan(trials=6, seed=5, kappa=2, collect_signatures=True):
         adversary_params={"victims": (3,)},
         seed=seed,
         collect_signatures=collect_signatures,
+    )
+
+
+def _real_plan(trials=3, seed=5):
+    """perfbench's ``ba13-n4-real`` row, on a modulus small enough to deal
+    in a unit test."""
+    return TrialPlan.monte_carlo(
+        name="ba13-n4-real",
+        protocol="ba_one_third",
+        inputs=(0, 0, 1, 1),
+        max_faulty=1,
+        trials=trials,
+        params={"kappa": 4},
+        adversary="straddle13",
+        adversary_params={"victims": (3,)},
+        seed=seed,
+        backend="real",
+        rsa_bits=128,
+    )
+
+
+def _faulted_plan(faults, fault_params=None, trials=3, seed=8):
+    return TrialPlan.monte_carlo(
+        name=f"runner-{faults}",
+        protocol="ba_one_half",
+        inputs=(0, 0, 1, 1, 1),
+        max_faulty=2,
+        trials=trials,
+        params={"kappa": 2},
+        adversary="straddle12",
+        adversary_params={"victims": (3, 4)},
+        seed=seed,
+        faults=faults,
+        fault_params=fault_params,
     )
 
 
@@ -110,6 +147,60 @@ class TestParallelRun:
         runner = ParallelRunner(workers=2)
         assert runner._auto_chunk_size(80) == 10
         assert runner._auto_chunk_size(3) == 1  # never zero
+
+
+class TestCampaignLayers:
+    """Real-crypto and faulted specs: what only the object path runs."""
+
+    def test_serial_and_pooled_bytes_equal_on_a_real_and_faulted_mix(self):
+        plan = TrialPlan.concat("campaign", [
+            _faulted_plan("degraded", {"rate": 0.2, "split": (0, 1), "heal": 3}),
+            _real_plan(),
+            _faulted_plan("crash_recover", {"crashes": ((0, 2, 4),)}),
+            _faulted_plan("delaying", {"rate": 0.3}),
+        ])
+        serial = ParallelRunner(workers=1).run(plan)
+        # Again, now that every memo and routing table is warm.
+        assert ParallelRunner(workers=1).run(plan).results == serial.results
+        pooled = ParallelRunner(workers=2, chunk_size=2).run(plan)
+        assert pooled.results == serial.results
+        assert ChunkSummary.pack(
+            list(enumerate(pooled.results))
+        ) == ChunkSummary.pack(list(enumerate(serial.results)))
+
+    def test_real_backend_checks_each_distinct_share_once_per_trial(
+        self, monkeypatch
+    ):
+        asked, checked = [], []
+        verify, check = ThresholdRsaScheme.verify_share, ThresholdRsaScheme._check_share
+        monkeypatch.setattr(
+            ThresholdRsaScheme, "verify_share",
+            lambda self, *question: asked.append(question) or verify(self, *question),
+        )
+        monkeypatch.setattr(
+            ThresholdRsaScheme, "_check_share",
+            lambda self, *question: checked.append(question) or check(self, *question),
+        )
+        # A seed no other test runs: sessions, hence shares, are fresh.
+        for spec in _real_plan(trials=3, seed=20240601).trials:
+            del asked[:], checked[:]
+            run_trial(spec)
+            assert len(asked) >= 4 * len(set(asked))  # every party asks
+            assert sorted(map(repr, checked)) == sorted(map(repr, set(asked)))
+
+    def test_out_of_range_fault_party_is_a_trial_execution_error(self):
+        plan = _faulted_plan("crash_recover", {"crashes": ((99, 1, 3),)})
+        for runner in (ParallelRunner(workers=1), ParallelRunner(workers=2)):
+            with pytest.raises(TrialExecutionError) as raised:
+                runner.run(plan)
+            error = raised.value
+            assert error.cause == (
+                "FaultPlanError: fault plan names party 99; "
+                "this run has parties 0..4"
+            )
+            command = shlex.split(str(error).splitlines()[-1])
+            assert command[:3] == ["repro", "run", "--spec"]
+            assert TrialSpec.from_json(command[3]) == plan.trials[error.index]
 
 
 class TestSuiteCache:

@@ -226,6 +226,35 @@ class TestRunFaults:
         ) == 2
         assert "bad fault scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, params, names", [
+        ("crash_recover", '{"crashes": [[99,1,3]]}',
+         "fault plan names party 99; this run has parties 0..3"),
+        ("partitioned", '{"groups": [[0,7]]}',
+         "fault plan names party 7; this run has parties 0..3"),
+        ("rotating_membership", '{"epoch_length": 1, "disabled": [[9]]}',
+         "fault plan names party 9; this run has parties 0..3"),
+        ("lossy", '{"bogus": 2}',
+         "fault scenario 'lossy' takes (rate): got an unexpected keyword "
+         "argument 'bogus'"),
+        ("crash_recover", '{"crashes": [["a",1,3]]}',
+         "fault scenario 'crash_recover' takes (crashes): "),
+    ])
+    def test_inapplicable_fault_params_are_one_line_usage_errors(
+        self, capsys, scenario, params, names
+    ):
+        """A party the run lacks, or params the scenario rejects: exit 2,
+        never a silent no-op, a traceback or the builder's ``<lambda>``."""
+        assert main(
+            ["run", "--protocol", "one_third", "--inputs", "0,0,1,1", "--t", "1",
+             "--kappa", "2", "--faults", scenario, "--fault-params", params]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, usage = captured.err.splitlines()
+        assert first.startswith(f"repro run: bad fault scenario: {names}")
+        assert usage.startswith("usage: --faults takes one of")
+        assert "Traceback" not in captured.err and "<lambda>" not in captured.err
+
     def test_faulted_trace_jsonl_stats_report_faults(self, tmp_path, capsys):
         path = str(tmp_path / "faulty.trace.jsonl")
         code = main(
