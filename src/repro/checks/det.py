@@ -235,8 +235,8 @@ class NumpyGlobalRngRule(_CallRule):
     state every caller in the process shares, and module-level draws
     (``np.random.random()``, ``np.random.randint(...)``, …) consume from
     it, so results depend on what else ran first.  The vector engine
-    backend makes numpy part of the deterministic surface, so the rule
-    covers ``engine`` as well as the protocol layers.  Explicit generator
+    backend is part of the deterministic surface (and once ran on
+    numpy), so the rule covers ``engine`` as well.  Explicit generator
     construction — ``np.random.default_rng(seed)``, ``Generator``/
     ``SeedSequence``/bit-generator classes, seeded ``RandomState`` —
     passes: one owned stream per use site, like ``random.Random(seed)``.

@@ -1,6 +1,6 @@
 """VEC rules: vector-backend contract coherence, cross-module.
 
-The numpy lockstep backend (PR 6/8) rests on contracts the runtime can
+The vector backend (PR 6/8) rests on contracts the runtime can
 only fail *late*: a ``register_vector_model`` pair naming a protocol
 that was never registered silently demotes every matching spec to the
 object path; a model body that touches wall-clock or per-trial RNG

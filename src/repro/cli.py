@@ -19,7 +19,7 @@ Subcommands
 ``error-sweep``
     Monte-Carlo disagreement rates vs the 2^-κ bound under the worst-case
     straddle adversaries: one engine plan, run once on the executor the
-    flags select (``--workers`` processes, ``--vector`` for the numpy
+    flags select (``--workers`` processes, ``--vector`` for the batch
     backend) — every executor prints the same rates.
     ``--adaptive`` re-runs the sweep under
     :class:`repro.engine.AdaptiveRunner` with a total budget equal to the
@@ -1000,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--vector", action="store_true",
-        help="run on the batch-vectorized backend (numpy lockstep, "
+        help="run on the batch-vectorized backend (stdlib only, "
         "bit-identical to the object path); exit 2 if a spec the vector "
         "models support falls back to the object simulator",
     )

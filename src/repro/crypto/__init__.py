@@ -28,6 +28,7 @@ from .rsa import RsaSignatureScheme, generate_rsa_keypair
 from .shamir import Share, ShamirError, reconstruct_secret, split_secret
 from .threshold_rsa import ThresholdRsaScheme, generate_threshold_rsa
 from .vrf_coin import (
+    vrf_coin_extractor,
     vrf_coin_from_evaluations,
     vrf_coin_program,
     vrf_evaluate,
@@ -67,6 +68,7 @@ __all__ = [
     "reconstruct_secret",
     "split_secret",
     "threshold_coin_program",
+    "vrf_coin_extractor",
     "vrf_coin_from_evaluations",
     "vrf_coin_program",
     "vrf_evaluate",

@@ -10,7 +10,7 @@ hashing, which would be Python-version dependent).
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 __all__ = [
     "encode_str",
@@ -88,7 +88,10 @@ def _hash_to_int_encoded(domain: str, encoded: bytes, bits: int) -> int:
 
 
 def first_digest_parts(
-    domain: str, before: Sequence[bytes], after: Sequence[bytes]
+    domain: str,
+    before: Sequence[bytes],
+    after: Sequence[bytes],
+    trailing: Optional[int] = None,
 ) -> Tuple[bytes, bytes]:
     """``(head, tail)`` of the first SHA-256 input of :func:`hash_to_int`.
 
@@ -102,15 +105,19 @@ def first_digest_parts(
             sha256(head + middle + tail + tag).digest(), "big") % 2**bits
 
     An evaluator sweeping ``middle`` builds the two constants once.
+    With ``trailing`` the term ends in that many elements of varying
+    length instead of the tag, and the caller appends their full
+    encodings after ``tail``.
     """
-    slots = len(before) + len(after) + 2
+    slots = len(before) + len(after) + 1 + (1 if trailing is None else trailing)
     head = (
         domain.encode("utf-8")
         + b"\x00"
         + encode_tuple((encode_term(0), b""))
         + encode_tuple(tuple(before) + (b"",) * (slots - len(before)))
     )
-    return head, b"".join(after) + encode_term(bytes(32))[:-32]
+    tag_header = encode_term(bytes(32))[:-32] if trailing is None else b""
+    return head, b"".join(after) + tag_header
 
 
 def hash_to_int(domain: str, term: Term, bits: int = 256) -> int:

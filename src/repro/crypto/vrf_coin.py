@@ -38,12 +38,14 @@ from .random_oracle import (
     first_digest_parts,
     hash_to_int,
     hash_to_range,
+    hash_to_range_encoded,
 )
 
 __all__ = [
     "vrf_evaluate",
     "vrf_evaluator",
     "vrf_verify",
+    "vrf_coin_extractor",
     "vrf_coin_from_evaluations",
     "vrf_coin_program",
 ]
@@ -147,6 +149,47 @@ def vrf_coin_from_evaluations(
     return hash_to_range(
         "vrf-coin-extract", (session, index, winner[0], winner[1]), low, high
     )
+
+
+def vrf_coin_extractor(
+    index: Term, low: int, high: int
+) -> Callable[[Dict[int, int], str], Optional[int]]:
+    """``(evaluations, session) -> coin`` at coin ``index`` over ``[low, high]``.
+
+    Equal to ``vrf_coin_from_evaluations(evaluations, session, index,
+    low, high)`` on every input, for a caller — the vector engine
+    backend — that extracts one coin over many sessions: every constant
+    byte is joined once, here, so while the range fits one digest
+    (``span`` below ``2**128``) an extraction is the winner's search,
+    three short encodings and one SHA-256; wider ranges take the
+    counter-mode expansion, and an empty one raises on extraction, as
+    :func:`~repro.crypto.random_oracle.hash_to_range` does.
+    """
+    span = high - low + 1
+    bits = span.bit_length() + 128
+    # tail is the index's encoding: the term's second element of four.
+    head, tail = first_digest_parts(
+        "vrf-coin-extract", (), (encode_term(index),), trailing=2
+    )
+    mask = (1 << bits) - 1
+    sha256, from_bytes = hashlib.sha256, int.from_bytes
+
+    def extract(evaluations: Dict[int, int], session: str) -> Optional[int]:
+        if not evaluations:
+            return None
+        value = min(evaluations.values())
+        winner = min(pid for pid, held in evaluations.items() if held == value)
+        parts = (
+            encode_str(session), tail, encode_term(winner), encode_term(value)
+        )
+        if span < 1 or bits > 256:
+            return hash_to_range_encoded(
+                "vrf-coin-extract", encode_tuple(parts), low, high
+            )
+        digest = sha256(head + b"".join(parts)).digest()
+        return low + (from_bytes(digest, "big") & mask) % span
+
+    return extract
 
 
 def vrf_coin_program(ctx, index: Term, low: int, high: int):

@@ -98,10 +98,11 @@ def register_vector_model(protocol: str, adversary: Optional[str], model: Any) -
 
     ``model`` must expose ``unsupported_reason(spec) -> Optional[str]``
     (a class-level eligibility check) and ``run_batch(specs) ->
-    (results, paths)``: per spec an ``ExecutionResult`` bit-identical to
-    the object simulator's for every spec the eligibility check admits,
-    and the ``(probe delivery, round offset)`` path the trial walked,
-    from which the engine composes its metrics registry.
+    (results, paths, coins)``: per spec an ``ExecutionResult``
+    bit-identical to the object simulator's for every spec the
+    eligibility check admits, and the ``(probe delivery, round offset)``
+    path the trial walked, from which the engine composes its metrics
+    registry; ``coins`` is how many threshold coins the batch evaluated.
 
     Re-registering the *same* model object is a no-op (module re-imports
     must stay idempotent); registering a *different* model for an

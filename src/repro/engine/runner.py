@@ -422,7 +422,7 @@ def _iter_chunk(
             tele.emit(
                 "vector_batch", label=label,
                 batched=stats["batched"], fallback=stats["fallback"],
-                batches=len(stats["batches"]),
+                coins=stats["coins"], batches=len(stats["batches"]),
                 seconds=round(busy, 6),
                 fallback_reasons=stats["fallback_reasons"],
             )
@@ -435,11 +435,22 @@ def _iter_chunk(
         tele.emit("chunk_complete", chunk=number, seconds=round(busy, 6))
 
 
+class _BatchSpans(list):
+    """A pool worker's stand-in for the parent's telemetry writer: it
+    keeps the chunk's batching spans for the parent to emit, and drops
+    the dispatch/completion pair, which the parent times itself."""
+
+    def emit(self, event: str, **fields: Any) -> None:
+        if event in ("vector_batch", "probe_cache"):
+            self.append((event, fields))
+
+
 def _run_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
+    tele: Optional[_BatchSpans] = None,
 ) -> ChunkSummary:
     """Worker entry point: run a contiguous slice of the plan.
 
@@ -450,7 +461,7 @@ def _run_chunk(
     is packed into the summary's ``metrics`` field.
     """
     registries: Optional[Dict[int, MetricsRegistry]] = {} if metrics else None
-    pairs = list(_iter_chunk(chunk, trace_dir, backend, registries))
+    pairs = list(_iter_chunk(chunk, trace_dir, backend, registries, tele))
     return ChunkSummary.pack(pairs, metrics=registries)
 
 
@@ -460,11 +471,12 @@ def _run_chunk_timed(
     backend: str = "object",
     metrics: bool = False,
     profile_path: Optional[str] = None,
-) -> Tuple[float, ChunkSummary]:
-    """Worker entry point for telemetry runs: payload plus in-worker
-    execution seconds.  Timed *inside* the worker because the parent only
-    sees dispatch→completion spans, which include queue wait — summing
-    those would overstate busy-time whenever chunks outnumber workers.
+) -> Tuple[float, ChunkSummary, _BatchSpans]:
+    """Worker entry point for telemetry runs: payload, in-worker
+    execution seconds and the chunk's batching spans.  Timed *inside*
+    the worker because the parent only sees dispatch→completion spans,
+    which include queue wait — summing those would overstate busy-time
+    whenever chunks outnumber workers.
 
     With ``profile_path`` the chunk additionally runs under ``cProfile``
     and dumps its stats there — the profiled region is exactly the timed
@@ -475,15 +487,16 @@ def _run_chunk_timed(
         import cProfile
 
         profiler = cProfile.Profile()
+    spans = _BatchSpans()
     started = time.perf_counter()
     with profiler if profiler is not None else contextlib.nullcontext():
-        payload = _run_chunk(chunk, trace_dir, backend, metrics)
+        payload = _run_chunk(chunk, trace_dir, backend, metrics, spans)
     seconds = round(time.perf_counter() - started, 6)
     if profiler is not None:
         # Dumped outside the timed region, so profile seconds attribute
         # cleanly to the chunk's telemetry span.
         profiler.dump_stats(profile_path)
-    return seconds, payload
+    return seconds, payload, spans
 
 
 def _safe_label(name: str) -> str:
@@ -861,9 +874,11 @@ class ParallelRunner:
                 # the finally block then cancels everything still queued.
                 payload = future.result()
                 if timed:
-                    seconds, payload = payload
+                    seconds, payload, spans = payload
                     number, opened = dispatched[future]
                     if tele is not None:
+                        for event, fields in spans:
+                            tele.emit(event, **fields)
                         tele.emit(
                             "chunk_complete", chunk=number, seconds=seconds,
                             span=round(tele.elapsed() - opened, 6),

@@ -8,37 +8,56 @@ by the paper's protocols, and the session string only enters HMAC tag
 a supported protocol therefore evolves identically across the whole batch
 except for the coin values, and a coin value is a pure function of the
 dealt coin key and the trial session —
-:func:`repro.crypto.coin.coin_evaluator`, which a model builds once per
-batch and coin index and calls once per trial.  The crypto layer owns the
-formula and every encoded byte of it; this module only supplies sessions.
+:func:`repro.crypto.coin.coin_evaluator`, which a batch builds at most
+once per coin index.  The crypto layer owns the formula and every encoded
+byte of it; this module only supplies sessions.
 
-This module exploits that structure.  Per-party bits live in a ``(B, n)``
-numpy array; each iteration groups rows by bit configuration, resolves the
-iteration *transition* (per-party Proxcensus value/grade, per-round message
-and signature tallies, coin-combine success) **once per distinct
-configuration**, then applies the paper's extraction function as a
-vectorized array expression over the batch's coin column.  Signature counts
-come out of the per-configuration tallies arithmetically — no signature,
-share or message object is ever materialized per trial.
+This module exploits that structure as a **table of transitions**.  A
+*state* is what an iteration's probe is keyed on (the parties' bits; for
+the probabilistic-termination loop also who has halted or is about to).
+A state's *row* is derived once per batch: the iteration's outcome —
+per-party Proxcensus value/grade, per-round message and signature
+tallies, coin-combine success — comes from one cached probe, and the
+paper's extraction ``f(b, g, c) = 1 iff slot(b, g) ≥ c`` says the coin
+matters only through where its cut falls among the parties' slots, so
+the row lists, per *outcome of the cut* (at most n + 1, never one per
+coin value), the state that follows and the parties that return.
+:meth:`_WalkModel.run_batch` walks every trial from the root state:
+evaluate the iteration's coin, look the child up, stop at a leaf that
+holds the output template every trial on that path shares.  No
+signature, share or message object is ever materialized per trial, and
+coins are Python ints, so κ is unbounded.
 
-What a trial costs is therefore its coin, its row of array arithmetic
-and the result record it hands back.  Nothing per trial constructs a
-``TrialSpec``: the chunk executor keys each spec once with
+What a trial costs is therefore one table lookup per iteration, the
+coins it reads and the result record it hands back.  Nothing per trial
+constructs a ``TrialSpec``: the chunk executor keys each spec once with
 :func:`batch_key` — a plain tuple of the fields that are *not*
 per-trial identity — groups on it, and asks :func:`unsupported_reason`
 once per group.  Every model builds its results in one place,
-:func:`_materialize`, which derives each distinct path's round count and
-tally rows once per batch and stamps every trial on it with the same
-frozen rows.
+:func:`_materialize`, which copies each trial's leaf template; a leaf's
+round count and tally rows are derived once and every trial on it is
+stamped with the same frozen rows.
 
 The transition itself is not re-derived by hand: it is obtained by running
-the *object simulator* once per configuration on a single-iteration probe
+the *object simulator* once per state on a single-iteration probe
 program (the exact wire behavior of one ``Π_iter`` segment, including the
 real adversary instance).  That makes the vector backend bit-identical to
 the reference by construction — the only arithmetic this module trusts is
-the coin evaluator and :func:`repro.core.extraction.extract`'s
-closed form, both covered by the equivalence suite in
-``tests/engine/test_vectorized.py``.
+the coin evaluator, :func:`repro.core.extraction.extract`'s closed form
+and the slot positions it is property-tested against
+(:func:`repro.proxcensus.base.slot_index`), all covered by the
+equivalence suite in ``tests/engine/test_vectorized.py``.
+
+**A coin is evaluated only where a party reads it.**  Honest parties sit
+on two adjacent slots and pre-agreed ones on the extremal slot, where
+``f`` is constant in ``c``; a row whose parties all sit on extremal
+slots (or lack a coin, or — in the probabilistic-termination loop — keep
+their graded value) leads to one next state whatever the coin, so the
+walk skips the evaluator there, and a batch that never reads iteration
+*k*'s coin never builds it.  This is exact, not approximate: a coin's
+value enters a trial only through ``extract``, and no check consumes it.
+The object path still flips every coin — the protocol really sends those
+shares.
 
 Metrics are native to this path.  Every probe runs with a
 :class:`~repro.obs.metrics.MetricsRegistry` attached and keeps its frozen
@@ -61,23 +80,20 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from bisect import bisect_left
 from collections import Counter, OrderedDict
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-try:  # numpy is an engine-layer acceleration; protocol code never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.extraction import extract
 from ..core.probabilistic import ProbTermOutput
 from ..crypto.coin import coin_evaluator, threshold_coin_program
-from ..crypto.vrf_coin import vrf_coin_from_evaluations, vrf_evaluator
+from ..crypto.vrf_coin import vrf_coin_extractor, vrf_evaluator
 from ..network.messages import get_field
 from ..network.metrics import RunMetrics
 from ..network.party import resume_with, run_parallel
 from ..network.simulator import ExecutionResult, SyncSimulator
 from ..obs.metrics import DeliveryContribution, MetricsRegistry
+from ..proxcensus.base import slot_index
 from ..proxcensus.linear_half import prox_linear_half_program
 from ..proxcensus.one_third import prox_one_third_program
 from .plan import TrialSpec
@@ -179,58 +195,58 @@ def _freeze_delivery(result: ExecutionResult, registry: MetricsRegistry) -> _Del
     )
 
 
-def _materialize(
-    outputs: Any,
-    paths: Sequence[_Path],
-    inputs: Sequence[Any],
-    corrupted: frozenset = frozenset(),
-    finish: Optional[List[Dict[int, int]]] = None,
-) -> Tuple[List[ExecutionResult], Sequence[_Path]]:
-    """One ``ExecutionResult`` per trial of a batch, plus ``paths``.
+@dataclasses.dataclass(eq=False)
+class _Leaf:
+    """Where a walk ends: the result every trial on one path shares.
 
-    Every model's ``run_batch`` ends here.  ``outputs`` is the batch's
-    ``(B, n)`` array of output bits (converted with one ``tolist``) or a
-    list of ready ``{pid: output}`` dicts; ``finish`` lists each trial's
-    ready ``{pid: round}`` dict, ``None`` meaning every party returns in
-    its trial's last round.  A trial's round count and tally rows follow
-    from its path, so they are derived once per *distinct* path and
-    every trial on it is stamped with the same frozen rows, which
-    ``RunMetrics`` holds as given.
+    ``outputs`` and ``finish`` are templates in the simulator's recording
+    order (parties return in (round, pid) order), so results built from
+    them are bit-identical down to dict insertion order.  ``path`` is
+    one tuple shared by every trial that ends here; the round count and
+    tally rows follow from it and are derived once, here.  ``coins`` is
+    how many coins a trial evaluated on the way.
     """
-    if not isinstance(outputs, list):
-        outputs = [dict(enumerate(row)) for row in outputs.tolist()]
-    inputs_map = dict(enumerate(inputs))
-    stamps: Dict[_Path, Tuple[int, tuple]] = {}
-    path = None
-    results = []
-    for row, trial_outputs in enumerate(outputs):
-        if paths[row] is not path:
-            path = paths[row]
-            stamp = stamps.get(path)
-            if stamp is None:
-                stamp = stamps[path] = (
-                    max((at + step.rounds for step, at in path), default=0),
-                    tuple(
-                        (at + round_index, hm, cm, hs, cs)
-                        for step, at in path
-                        for round_index, hm, cm, hs, cs in step.tallies
-                    ),
-                )
-            rounds, tallies = stamp
-        results.append(
-            ExecutionResult(
-                outputs=trial_outputs,
-                corrupted=set(corrupted),
-                metrics=RunMetrics.from_round_tallies(rounds, tallies),
-                inputs=inputs_map.copy(),
-                finish_rounds=(
-                    dict.fromkeys(trial_outputs, rounds)
-                    if finish is None
-                    else finish[row]
-                ),
-            )
+
+    outputs: Dict[int, Any]
+    finish: Dict[int, int]
+    corrupted: frozenset
+    path: _Path
+    coins: int = 0
+
+    def __post_init__(self) -> None:
+        self.rounds = max((at + step.rounds for step, at in self.path), default=0)
+        self.tallies = tuple(
+            (at + round_index, hm, cm, hs, cs)
+            for step, at in self.path
+            for round_index, hm, cm, hs, cs in step.tallies
         )
-    return results, paths
+
+
+def _materialize(
+    leaves: Sequence[_Leaf],
+    inputs: Sequence[Any],
+    outputs: Optional[List[Dict[int, Any]]] = None,
+) -> Tuple[List[ExecutionResult], List[_Path], int]:
+    """One ``ExecutionResult`` per trial of a batch, its path, and the coins read.
+
+    Every model's ``run_batch`` ends here.  ``leaves[row]`` is where
+    trial ``row`` ended; every result owns fresh copies of its leaf's
+    templates — or, for the models whose output is the trial's own coin
+    value, the ready ``outputs[row]`` dict — and shares the leaf's
+    frozen tally rows, which ``RunMetrics`` holds as given.
+    """
+    inputs_map = dict(enumerate(inputs))
+    results = [
+        ExecutionResult(
+            outputs=leaf.outputs.copy() if outputs is None else outputs[row],
+            corrupted=set(leaf.corrupted),
+            metrics=RunMetrics.from_round_tallies(leaf.rounds, leaf.tallies),
+            inputs=inputs_map.copy(),
+            finish_rounds=leaf.finish.copy(),
+        )
+        for row, leaf in enumerate(leaves)
+    ]
+    return results, [leaf.path for leaf in leaves], sum(leaf.coins for leaf in leaves)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,15 +254,18 @@ class _IterationProbe:
     """The batch-invariant outcome of one iteration for one configuration.
 
     ``values``/``grades`` are the per-party Proxcensus outputs (already
-    passed through ``Π_iter``'s non-bit guard), ``coin_ok`` whether each
-    party's coin combine succeeds (a structural fact: share counts),
-    ``delivery`` what the iteration's rounds put on the wire, and
-    ``corrupted`` the corruption set after the iteration.
+    passed through ``Π_iter``'s non-bit guard; ``None`` for a party that
+    had returned before the iteration and sent nothing), ``coin_ok``
+    whether each party's coin combine succeeds (a structural fact: share
+    counts), ``candidates`` what a multivalued lift's probe returns
+    beside them, ``delivery`` what the iteration's rounds put on the
+    wire, and ``corrupted`` the corruption set after the iteration.
     """
 
-    values: Tuple[int, ...]
-    grades: Tuple[int, ...]
+    values: Tuple[Optional[int], ...]
+    grades: Tuple[Optional[int], ...]
     coin_ok: Tuple[bool, ...]
+    candidates: Tuple[Any, ...]
     delivery: _Delivery
     corrupted: frozenset
 
@@ -285,7 +304,6 @@ def batch_key(spec: TrialSpec) -> Tuple[Any, ...]:
 #: below instead.
 FALLBACK_REASONS = frozenset(
     {
-        "numpy unavailable",
         "spec opted out (vectorizable=False)",
         "real-RSA backend",
         "adversary victims missing or not a sequence",
@@ -326,13 +344,11 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     including ones where the object path would *raise* — is routed to the
     object simulator.
     """
-    if _np is None:
-        return "numpy unavailable"
     if not spec.vectorizable:
         return "spec opted out (vectorizable=False)"
     if spec.faults is not None:
         # Unreachable through TrialSpec (__post_init__ forces the flag
-        # off), kept as a guard: the lockstep models simulate the clean
+        # off), kept as a guard: the models simulate the clean
         # synchronous network only.
         return f"fault injection ({spec.faults!r}) is not vectorizable"
     if spec.backend != "ideal":
@@ -352,7 +368,7 @@ def supports(spec: TrialSpec) -> bool:
 
 
 def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
-    """Execute same-configuration supported specs in one lockstep batch.
+    """Execute same-configuration supported specs as one batch.
 
     All specs must share :func:`batch_key` and pass :func:`supports`;
     results come back in spec order and are bit-identical to
@@ -427,11 +443,13 @@ def execute_chunk(
 
     The vector entry point the runner uses for ``backend="vector"``:
     eligible specs are grouped by :func:`batch_key` and executed in
-    lockstep; everything else (plus whole batches whose probe invariants
-    fail) takes the object simulator.  Returns the results in chunk order
-    plus batching stats for telemetry: ``{"batched", "fallback",
-    "batches": [{"config", "size"}, ...], "cache_hits", "cache_misses",
-    "fallback_reasons": {reason: count}}`` — the reason tally is what
+    one batch each; everything else (plus whole batches whose probe
+    invariants fail) takes the object simulator.  Returns the results in
+    chunk order plus batching stats for telemetry: ``{"batched",
+    "fallback", "coins", "batches": [{"config", "size"}, ...],
+    "cache_hits", "cache_misses", "fallback_reasons": {reason: count}}``
+    — ``coins`` counts the ``coin_evaluator`` evaluations the batches
+    made, a pure function of the chunk's specs; the reason tally is what
     makes a silent fallback visible in ``repro error-sweep --telemetry``
     and what its ``--vector`` exit audits.
 
@@ -479,13 +497,14 @@ def execute_chunk(
         members.append(member)
 
     batches: List[Dict[str, Any]] = []
+    coins = 0
     for members in groups.values():
         specs = [spec for _, spec in members]
         first = specs[0]
         reason = unsupported_reason(first)
         if reason is None:
             try:
-                outcomes, paths = vector_model_for(
+                outcomes, paths, read = vector_model_for(
                     first.protocol, first.adversary
                 ).run_batch(specs)
             except VectorModelError as exc:
@@ -502,6 +521,7 @@ def execute_chunk(
             reasons[reason] += len(members)
             fallback.extend(members)
             continue
+        coins += read
         for (index, _), result in zip(members, outcomes):
             results[index] = result
         if metrics is not None:
@@ -513,6 +533,7 @@ def execute_chunk(
     stats = {
         "batched": len(chunk) - len(fallback),
         "fallback": len(fallback),
+        "coins": coins,
         "batches": batches,
         "cache_hits": cache_after["hits"] - cache_before["hits"],
         "cache_misses": cache_after["misses"] - cache_before["misses"],
@@ -530,13 +551,170 @@ def _suite(spec: TrialSpec):
     return _suite_for(spec)
 
 
-def _extract_array(values, grades_arr, coins, slots: int):
-    """Vectorized :func:`repro.core.extraction.extract` over ``(B, n)`` arrays."""
-    grades = (slots - 1) // 2
-    parity = slots % 2
-    hit_one = coins <= grades_arr + (grades + 1 - parity)
-    hit_zero = coins <= (grades - grades_arr)
-    return _np.where(values == 1, hit_one, hit_zero).astype(_np.int64)
+def _cut_row(
+    values: Sequence[Optional[int]],
+    grades: Sequence[Optional[int]],
+    coin_ok: Sequence[bool],
+    slots: int,
+) -> Tuple[List[int], List[Tuple[Optional[int], ...]]]:
+    """Where a coin's cut can fall among the parties, and the bits each
+    outcome leaves: ``(cuts, bits per outcome)``.
+
+    ``f(b, g, c) = 1 iff slot(b, g) ≥ c``, so the parties' bits change
+    only where ``c`` passes a held slot.  ``cuts`` lists, ascending, the
+    inner slots held by a party whose coin combines: coin ``c`` lands on
+    outcome ``bisect_left(cuts, c)`` and every coin of an outcome
+    extracts the same bits.  The extremal slots 0 and ``s − 1`` are
+    constant over the whole range ``[1, s − 1]`` and a party without a
+    coin extracts at the default 1, so neither makes a cut, and a row
+    without cuts reads no coin.  A ``None`` value marks a party that no
+    longer extracts; its bit is ``None``.
+    """
+    top = slots - 1
+    parties = list(zip(values, grades, coin_ok))
+    cuts = sorted(
+        {
+            slot_index(value, grade, slots)
+            for value, grade, ok in parties
+            if ok and value is not None
+        }
+        - {0, top}
+    )
+    return cuts, [
+        tuple(
+            None if value is None else extract(value, grade, coin if ok else 1, slots)
+            for value, grade, ok in parties
+        )
+        for coin in (*cuts, top)  # one coin of each outcome
+    ]
+
+
+#: What a branch of a row says: the state that follows (``None`` when
+#: every party has returned) and the ``(pid, output)`` of the parties
+#: that return at the end of this iteration, in pid order.
+_Branch = Tuple[Any, Tuple[Tuple[int, Any], ...]]
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Row:
+    """A state's transitions: what its probe put on the wire, whom it
+    left corrupted, and one :data:`_Branch` per outcome of the cut
+    (``len(cuts) + 1`` of them; see :func:`_cut_row`)."""
+
+    delivery: _Delivery
+    corrupted: frozenset
+    cuts: List[int]
+    branches: Sequence[_Branch]
+
+
+class _Node:
+    """A state reached along one path from the root, and the children
+    already visited from it, by outcome.  ``coin``/``suffix`` are set
+    only where the row reads its coin; ``rounds`` counts the trial's
+    rounds through this iteration, ``reads`` the coins it has read."""
+
+    __slots__ = (
+        "row", "path", "rounds", "outputs", "finish", "reads", "children",
+        "coin", "suffix",
+    )
+
+    def __init__(self, row: _Row, path: _Path, rounds: int, outputs, finish, reads):
+        self.row, self.path, self.rounds = row, path, rounds
+        self.outputs, self.finish, self.reads = outputs, finish, reads
+        self.children: List[Any] = [None] * len(row.branches)
+        self.coin, self.suffix = None, ""
+
+
+class _WalkModel:
+    """What the coin-consuming models share: ``run_batch`` walks every
+    trial down the model's transition table.
+
+    A model supplies ``root(first)`` — the state every trial starts in —
+    ``row(first, state)`` and ``coin(first, depth)``, the ``(evaluator,
+    session suffix)`` of the coin iteration ``depth`` flips.  The table
+    lives and dies with the batch and is filled as trials reach it:
+    ``row`` is asked once per distinct state, ``coin`` on the first
+    visit to a state of that depth that reads it.  A leaf carries the
+    corruption set of the last probe on its own path; corruptions never
+    heal, so a probe reporting fewer than its predecessor is a
+    :class:`VectorModelError`.
+    """
+
+    @classmethod
+    def run_batch(
+        cls, specs: Sequence[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
+        first = specs[0]
+        rows: Dict[Any, _Row] = {}
+        coins: Dict[int, Tuple[Callable[[str], int], str]] = {}
+
+        def grow(node: _Node, outcome: int) -> Any:
+            state, returning = node.row.branches[outcome]
+            outputs = {**node.outputs, **dict(returning)}
+            finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
+            if state is None:
+                child: Any = _Leaf(
+                    outputs, finish, node.row.corrupted, node.path, node.reads
+                )
+            else:
+                row = rows.get(state)
+                if row is None:
+                    row = rows[state] = cls.row(first, state)
+                if not row.corrupted >= node.row.corrupted:
+                    raise VectorModelError(
+                        f"probe of state {state!r} healed corruptions "
+                        f"{sorted(node.row.corrupted - row.corrupted)}"
+                    )
+                child = _Node(
+                    row,
+                    node.path + ((row.delivery, node.rounds),),
+                    node.rounds + row.delivery.rounds,
+                    outputs,
+                    finish,
+                    node.reads + bool(row.cuts),
+                )
+                if row.cuts:
+                    depth = len(node.path)
+                    if depth not in coins:
+                        coins[depth] = cls.coin(first, depth)
+                    child.coin, child.suffix = coins[depth]
+            node.children[outcome] = child
+            return child
+
+        # Before the first iteration: nothing walked, one way on.
+        origin = _Row(None, frozenset(), [], [(cls.root(first), ())])
+        top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
+        leaves = []
+        for spec in specs:
+            session, node = spec.session, top
+            while True:
+                cuts = node.row.cuts
+                outcome = (
+                    bisect_left(cuts, node.coin(session + node.suffix)) if cuts else 0
+                )
+                child = node.children[outcome]
+                if child is None:
+                    child = grow(node, outcome)
+                if child.__class__ is _Leaf:
+                    break
+                node = child
+            leaves.append(child)
+        return _materialize(leaves, first.inputs)
+
+
+def _all_return(bits: Tuple[int, ...]) -> _Branch:
+    """The branch of a protocol's last iteration: every party returns its bit."""
+    return None, tuple(enumerate(bits))
+
+
+def _extraction_row(
+    probe: Any, slots: int, then: Callable[[Tuple[int, ...]], _Branch]
+) -> _Row:
+    """The row of a ``Π_iter`` probe: ``then(bits)`` per outcome of the cut."""
+    cuts, outcomes = _cut_row(probe.values, probe.grades, probe.coin_ok, slots)
+    return _Row(
+        probe.delivery, probe.corrupted, cuts, [then(bits) for bits in outcomes]
+    )
 
 
 def _simulate_probe(
@@ -566,109 +744,79 @@ def _simulate_probe(
 
 def _run_probe(
     spec: TrialSpec,
-    bits: Tuple[int, ...],
+    token: Any,
+    inputs: Sequence[Any],
     factory,
-    iteration_rounds: int,
+    rounds: int,
+    returned: Sequence[int] = (),
 ) -> _IterationProbe:
     """One object-simulator execution of a single-iteration probe program.
 
-    Memoized on ``(batch_key(spec), bits)`` — the key tuple, so two specs
+    Memoized on ``(batch_key(spec), token)`` — the key tuple, so two specs
     differing only in per-trial identity share the probe.  The probe runs
     under a fixed session and seed — legitimate because supported
     protocols never consume party/adversary RNG streams and signature
     *structure* is session-independent; only coin values differ, and
     those are computed per trial by the batch's
     :func:`~repro.crypto.coin.coin_evaluator`.
+
+    ``factory`` programs return ``(prox_output, coin)`` or ``(prox_output,
+    coin, candidate)`` raw, after exactly ``rounds`` rounds; the parties
+    in ``returned`` are expected to return before the first instead.
     """
-    memo_key = (batch_key(spec), bits)
+    memo_key = (batch_key(spec), token)
     return _probe_cached(
-        memo_key, lambda: _execute_probe(spec, bits, factory, iteration_rounds)
+        memo_key, lambda: _execute_probe(spec, inputs, factory, rounds, returned)
     )
 
 
 def _execute_probe(
-    spec: TrialSpec,
-    bits: Tuple[int, ...],
-    factory,
-    iteration_rounds: int,
+    spec: TrialSpec, inputs: Sequence[Any], factory, rounds: int, returned: Sequence[int]
 ) -> _IterationProbe:
     adversary = build_adversary(spec.adversary, spec.adversary_param_dict, None)
-    result, delivery = _simulate_probe(spec, factory, bits, adversary)
-
-    n = spec.num_parties
-    values: List[int] = []
-    grades: List[int] = []
-    coin_ok: List[bool] = []
-    for pid in range(n):
-        if result.outputs.get(pid) is None or result.finish_rounds.get(
-            pid
-        ) != iteration_rounds:
+    result, delivery = _simulate_probe(spec, factory, inputs, adversary)
+    parties: List[Tuple[Any, ...]] = []  # (value, grade, coin_ok, candidate)
+    for pid in range(spec.num_parties):
+        if pid in returned:
+            if result.finish_rounds.get(pid) != 0:
+                raise VectorModelError(f"returned probe party {pid} sent messages")
+            parties.append((None, None, False, None))
+            continue
+        if result.outputs.get(pid) is None or result.finish_rounds.get(pid) != rounds:
             raise VectorModelError(
-                f"probe party {pid} did not finish in {iteration_rounds} rounds"
+                f"probe party {pid} did not finish in {rounds} rounds"
             )
-        prox_output, coin = result.outputs[pid]
-        value, grade = prox_output
+        (value, grade), coin, *rest = result.outputs[pid]
         if value not in (0, 1):  # Π_iter's defensive non-bit guard
             value, grade = 0, 0
-        values.append(int(value))
-        grades.append(int(grade))
-        coin_ok.append(coin is not None)
-    if result.metrics.rounds != iteration_rounds:
+        candidate = rest[0] if rest else None
+        parties.append((int(value), int(grade), coin is not None, candidate))
+    if result.metrics.rounds != rounds:
         raise VectorModelError("probe round count mismatch")
     return _IterationProbe(
-        values=tuple(values),
-        grades=tuple(grades),
-        coin_ok=tuple(coin_ok),
-        delivery=delivery,
-        corrupted=frozenset(result.corrupted),
+        *zip(*parties), delivery=delivery, corrupted=frozenset(result.corrupted)
     )
 
 
 # ── Replay probes: one full reference execution, replicated per trial ────
 
 
-@dataclasses.dataclass(frozen=True)
-class _ReplayProbe:
-    """A complete object-simulator execution, frozen for replication.
-
-    ``outputs`` and ``finish`` preserve the simulator's recording order
-    (parties return in (round, pid) order) so replicated results are
-    bit-identical down to dict insertion order.
-    """
-
-    outputs: Tuple[Tuple[int, Any], ...]
-    finish: Tuple[Tuple[int, int], ...]
-    corrupted: frozenset
-    delivery: _Delivery
-
-    def replicate(
-        self, outputs: List[Dict[int, Any]], inputs: Sequence[Any]
-    ) -> Tuple[List[ExecutionResult], Sequence[_Path]]:
-        """One result per ``outputs`` dict, each with this probe's wire outcome."""
-        return _materialize(
-            outputs,
-            [((self.delivery, 0),)] * len(outputs),
-            inputs,
-            self.corrupted,
-            [dict(self.finish) for _ in outputs],
-        )
-
-
-def _replay_trial(spec: TrialSpec) -> _ReplayProbe:
-    """One real ``run_trial`` on ``spec`` (metrics attached), frozen."""
+def _replay_trial(spec: TrialSpec) -> _Leaf:
+    """One real ``run_trial`` on ``spec`` (metrics attached), frozen as the
+    leaf every trial of the batch ends on."""
     from .runner import run_trial  # circular at import time
 
     registry = MetricsRegistry()
     result = run_trial(spec, (registry,))
-    return _ReplayProbe(
-        outputs=tuple(result.outputs.items()),
-        finish=tuple(result.finish_rounds.items()),
+    return _Leaf(
+        outputs=dict(result.outputs),
+        finish=dict(result.finish_rounds),
         corrupted=frozenset(result.corrupted),
-        delivery=_freeze_delivery(result, registry),
+        path=((_freeze_delivery(result, registry), 0),),
     )
 
 
-def _run_replay_probe(spec: TrialSpec, token: Any) -> _ReplayProbe:
+def _run_replay_probe(spec: TrialSpec, token: Any) -> _Leaf:
     """One real ``run_trial`` on ``spec``, frozen and LRU-cached.
 
     Unlike :func:`_run_probe` this runs the spec *as given* (its own seed
@@ -692,9 +840,11 @@ def _bit_input_reason(spec: TrialSpec) -> Optional[str]:
     return None
 
 
-def _kappa_reason(spec: TrialSpec) -> Optional[str]:
+def _kappa_reason(
+    spec: TrialSpec, allowed: frozenset = frozenset({"kappa"})
+) -> Optional[str]:
     params = spec.param_dict
-    if set(params) != {"kappa"}:
+    if not set(params) <= allowed or "kappa" not in params:
         return f"unsupported protocol params {sorted(params)}"
     kappa = params["kappa"]
     if type(kappa) is not int or kappa < 1:
@@ -720,12 +870,12 @@ def _victims_reason(spec: TrialSpec, allowed_params: frozenset) -> Optional[str]
 # ── ba_one_third: one Prox_{2^κ+1} iteration, coin in round κ+1 ─────────
 
 
-class _BaOneThirdModel:
+class _BaOneThirdModel(_WalkModel):
     """Vector model for ``ba_one_third`` × {no adversary, ``straddle13``}.
 
     The whole protocol is a single ``Π_iter``: the probe covers all κ+1
-    rounds, so the batch shares one transition and only the final
-    extraction varies per trial.
+    rounds, so the table is one row — the inputs' — and only which side
+    of the cut a trial's coin falls on varies.
     """
 
     @staticmethod
@@ -756,7 +906,7 @@ class _BaOneThirdModel:
     def _probe_factory(kappa: int):
         # Wire-identical to ba_one_third_program (Π_iter, overlap_coin
         # False), except it returns (prox_output, coin) instead of the
-        # extracted bit — extraction happens vectorized, per trial.
+        # extracted bit — extraction happens in the state's row.
         low, high = 1, 2 ** kappa
 
         def factory(ctx, bit):
@@ -768,46 +918,32 @@ class _BaOneThirdModel:
 
         return factory
 
+    @staticmethod
+    def root(first: TrialSpec) -> Tuple[int, ...]:
+        return tuple(first.inputs)
+
     @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
-        first = specs[0]
-        suite = _suite(first)
+    def row(cls, first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
         kappa = first.param_dict["kappa"]
-        slots = 2 ** kappa + 1
-        low, high = 1, slots - 1
+        probe = _run_probe(first, bits, bits, cls._probe_factory(kappa), kappa + 1)
+        return _extraction_row(probe, 2 ** kappa + 1, _all_return)
 
-        probe = _run_probe(
-            first, tuple(first.inputs), cls._probe_factory(kappa), kappa + 1
-        )
-
-        batch = len(specs)
-        coin = coin_evaluator(suite.coin, ("ba13", kappa), low, high)
-        coins = _np.fromiter(
-            (coin(spec.session) for spec in specs), dtype=_np.int64, count=batch
-        )
-        values = _np.array(probe.values, dtype=_np.int64)[None, :]
-        grades = _np.array(probe.grades, dtype=_np.int64)[None, :]
-        ok = _np.array(probe.coin_ok, dtype=bool)[None, :]
-        coin_matrix = _np.where(ok, coins[:, None], low)
-        out_bits = _extract_array(values, grades, coin_matrix, slots)
-
-        return _materialize(
-            out_bits, [((probe.delivery, 0),)] * batch, first.inputs, probe.corrupted
-        )
+    @staticmethod
+    def coin(first: TrialSpec, depth: int):
+        kappa = first.param_dict["kappa"]
+        return coin_evaluator(_suite(first).coin, ("ba13", kappa), 1, 2 ** kappa), ""
 
 
 # ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
 
 
-class _BaOneHalfModel:
+class _BaOneHalfModel(_WalkModel):
     """Vector model for ``ba_one_half`` × {no adversary, ``straddle12``}.
 
     Iterations are independent 3-round segments (the adversary's state is
-    per-iteration), so each is one probe per distinct bit configuration;
-    bit configurations are tracked lockstep in a ``(B, n)`` array and
-    re-grouped per iteration as coins split the batch.
+    per-iteration), so each is one probe per distinct bit configuration.
+    A state is ``(bits, iterations left)``; once the parties agree every
+    later row sits on the extremal slots and reads no coin.
     """
 
     ITERATION_ROUNDS = 3
@@ -838,88 +974,45 @@ class _BaOneHalfModel:
         return None
 
     @staticmethod
-    def _probe_factory():
+    def _probe_program(ctx, bit):
         # Wire-identical to one ba_one_half iteration: Π_iter^5 with the
         # 3-round Prox (rounds 1–2 driven directly, round 3 parallel with
         # the coin), under the iter0 subsession the fresh per-iteration
         # adversary also derives.  Returns (prox_output, coin) raw.
-        def factory(ctx, bit):
-            iteration_ctx = ctx.subsession("iter0")
-            prox = prox_linear_half_program(iteration_ctx, bit, rounds=3)
-            outbox = next(prox)
-            for _ in range(2):
-                inbox = yield outbox
-                outbox = prox.send(inbox)
-            results = yield from run_parallel(
-                iteration_ctx,
-                {
-                    "prox": resume_with(prox, outbox),
-                    "coin": threshold_coin_program(
-                        iteration_ctx, ("ba12", 0), 1, 4
-                    ),
-                },
-            )
-            return (results["prox"], results["coin"])
+        iteration_ctx = ctx.subsession("iter0")
+        prox = prox_linear_half_program(iteration_ctx, bit, rounds=3)
+        outbox = next(prox)
+        for _ in range(2):
+            inbox = yield outbox
+            outbox = prox.send(inbox)
+        results = yield from run_parallel(
+            iteration_ctx,
+            {
+                "prox": resume_with(prox, outbox),
+                "coin": threshold_coin_program(iteration_ctx, ("ba12", 0), 1, 4),
+            },
+        )
+        return (results["prox"], results["coin"])
 
-        return factory
+    @staticmethod
+    def root(first: TrialSpec) -> Tuple[Tuple[int, ...], int]:
+        return tuple(first.inputs), -(-first.param_dict["kappa"] // 2)
 
     @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
-        first = specs[0]
-        suite = _suite(first)
-        kappa = first.param_dict["kappa"]
-        iterations = -(-kappa // 2)
-        factory = cls._probe_factory()
+    def row(cls, first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
+        bits, left = state
+        probe = _run_probe(
+            first, bits, bits, cls._probe_program, cls.ITERATION_ROUNDS
+        )
+        if left == 1:
+            return _extraction_row(probe, 5, _all_return)
+        return _extraction_row(probe, 5, lambda after: ((after, left - 1), ()))
 
-        batch = len(specs)
-        bits = _np.tile(_np.array(first.inputs, dtype=_np.int64), (batch, 1))
-        walked: List[List[Tuple[_Delivery, int]]] = [[] for _ in range(batch)]
-        corrupted: frozenset = frozenset()
-
-        for iteration in range(iterations):
-            # Group batch rows by bit configuration; probe each once.
-            group_of: Dict[bytes, int] = {}
-            inverse = _np.empty(batch, dtype=_np.int64)
-            probes: List[_IterationProbe] = []
-            for row in range(batch):
-                config = bits[row].tobytes()
-                group = group_of.get(config)
-                if group is None:
-                    group = group_of[config] = len(probes)
-                    probes.append(
-                        _run_probe(
-                            first,
-                            tuple(int(b) for b in bits[row]),
-                            factory,
-                            cls.ITERATION_ROUNDS,
-                        )
-                    )
-                inverse[row] = group
-            corrupted = probes[0].corrupted
-
-            coin = coin_evaluator(suite.coin, ("ba12", iteration), 1, 4)
-            coins = _np.fromiter(
-                (coin(f"{spec.session}/iter{iteration}") for spec in specs),
-                dtype=_np.int64,
-                count=batch,
-            )
-            values = _np.array([p.values for p in probes], dtype=_np.int64)
-            grades = _np.array([p.grades for p in probes], dtype=_np.int64)
-            ok = _np.array([p.coin_ok for p in probes], dtype=bool)
-            coin_matrix = _np.where(ok[inverse], coins[:, None], 1)
-            bits = _extract_array(
-                values[inverse], grades[inverse], coin_matrix, 5
-            )
-
-            offset = cls.ITERATION_ROUNDS * iteration
-            steps = [(probe.delivery, offset) for probe in probes]
-            for row, group in enumerate(inverse.tolist()):
-                walked[row].append(steps[group])
-
-        return _materialize(
-            bits, [tuple(walk) for walk in walked], first.inputs, corrupted
+    @staticmethod
+    def coin(first: TrialSpec, depth: int):
+        return (
+            coin_evaluator(_suite(first).coin, ("ba12", depth), 1, 4),
+            f"/iter{depth}",
         )
 
 
@@ -930,93 +1023,33 @@ _FM_HALTED = "h"  # probe token for a party that has already returned
 _FM_MAX_ITERATIONS = 64  # fm_probabilistic_program's default cap
 
 
-@dataclasses.dataclass(frozen=True)
-class _FmIterationProbe:
-    """One fm iteration's transition for a (bit/halted) token configuration.
-
-    Halted parties hold ``None`` values/grades (they sent nothing); the
-    delivery covers the remaining active parties' three rounds.
-    """
-
-    values: Tuple[Optional[int], ...]
-    grades: Tuple[Optional[int], ...]
-    coin_ok: Tuple[bool, ...]
-    delivery: _Delivery
-
-
-def _fm_probe_factory():
+def _fm_probe_program(ctx, token):
     # Wire-identical to one fm_probabilistic iteration: the 2-round
     # Prox_5 followed by the coin, under the pt1 subsession (structure is
     # iteration-independent; only coin *values* differ, derived per
     # trial/iteration).  A halted token returns before the first yield —
     # exactly what a returned party contributes to later rounds: nothing.
-    def factory(ctx, token):
-        if token == _FM_HALTED:
-            return None
-        iteration_ctx = ctx.subsession("pt1")
-        value, grade = yield from prox_one_third_program(
-            iteration_ctx, token, rounds=2
-        )
-        coin = yield from threshold_coin_program(iteration_ctx, ("pt", 1), 1, 4)
-        return (value, grade, coin)
-
-    return factory
+    if token == _FM_HALTED:
+        return None
+    iteration_ctx = ctx.subsession("pt1")
+    prox_output = yield from prox_one_third_program(iteration_ctx, token, rounds=2)
+    coin = yield from threshold_coin_program(iteration_ctx, ("pt", 1), 1, 4)
+    return (prox_output, coin)
 
 
-def _run_fm_probe(spec: TrialSpec, tokens: Tuple[Any, ...]) -> _FmIterationProbe:
-    memo_key = (batch_key(spec), ("fm-state", tokens))
-    return _probe_cached(memo_key, lambda: _execute_fm_probe(spec, tokens))
-
-
-def _execute_fm_probe(spec: TrialSpec, tokens: Tuple[Any, ...]) -> _FmIterationProbe:
-    result, delivery = _simulate_probe(spec, _fm_probe_factory(), tokens)
-    rounds = 3
-    values: List[Optional[int]] = []
-    grades: List[Optional[int]] = []
-    coin_ok: List[bool] = []
-    for pid, token in enumerate(tokens):
-        if token == _FM_HALTED:
-            if result.finish_rounds.get(pid) != 0:
-                raise VectorModelError(f"halted probe party {pid} sent messages")
-            values.append(None)
-            grades.append(None)
-            coin_ok.append(False)
-            continue
-        if (
-            result.outputs.get(pid) is None
-            or result.finish_rounds.get(pid) != rounds
-        ):
-            raise VectorModelError(
-                f"fm probe party {pid} did not finish in {rounds} rounds"
-            )
-        value, grade, coin = result.outputs[pid]
-        values.append(value)
-        grades.append(grade)
-        coin_ok.append(coin is not None)
-    if result.metrics.rounds != rounds:
-        raise VectorModelError("fm probe round count mismatch")
-    return _FmIterationProbe(
-        values=tuple(values),
-        grades=tuple(grades),
-        coin_ok=tuple(coin_ok),
-        delivery=delivery,
-    )
-
-
-class _FmProbabilisticModel:
+class _FmProbabilisticModel(_WalkModel):
     """Vector model for ``fm_probabilistic`` × no adversary.
 
-    The probabilistic-termination loop is simulated iteration by
-    iteration: each iteration's wire dynamics come from one probe per
-    distinct (bit, halted) token configuration, the per-trial coin is the
-    usual pure function of (key material, session, iteration), and the
-    decide/adopt/coin-flip branching of
-    :func:`~repro.core.probabilistic.fm_probabilistic_program` is applied
-    in plain arithmetic.  Parties halt in *different* rounds — the model
+    A state is ``(iteration, tokens, deciding)``: each party's working
+    bit or the halted token, and the parties that decided in the previous
+    iteration and return at the end of this one.  An iteration's wire
+    dynamics come from one probe per token configuration, and the row
+    applies the decide/adopt/coin-flip branching of
+    :func:`~repro.core.probabilistic.fm_probabilistic_program`: only a
+    party left at grade 0 adopts the coin's bit, so a row reads its coin
+    only if one exists.  Parties halt in *different* rounds — the model
     reproduces the termination spread, per-party finish rounds included.
     """
-
-    ITERATION_ROUNDS = 3
 
     @staticmethod
     def unsupported_reason(spec: TrialSpec) -> Optional[str]:
@@ -1034,129 +1067,54 @@ class _FmProbabilisticModel:
             return "max_rounds below the iteration cap (object path may raise)"
         return None
 
-    @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
-        first = specs[0]
-        suite = _suite(first)
-        n = first.num_parties
-        coins: List[Any] = []  # coins[i]: iteration i + 1's evaluator
+    @staticmethod
+    def root(first: TrialSpec) -> Tuple[int, Tuple[Any, ...], Tuple[int, ...]]:
+        return 1, tuple(first.inputs), ()
 
-        outputs_of: List[Dict[int, ProbTermOutput]] = []
-        finish_of: List[Dict[int, int]] = []
-        paths: List[_Path] = []
-        for spec in specs:
-            bits = [int(b) for b in first.inputs]
-            decided: Dict[int, Tuple[int, int]] = {}  # pid -> (value, iteration)
-            halted: set = set()
-            outputs: Dict[int, ProbTermOutput] = {}
-            finish: Dict[int, int] = {}
-            walked: List[Tuple[_Delivery, int]] = []
-            for iteration in range(1, _FM_MAX_ITERATIONS + 1):
-                if len(halted) == n:
-                    break
-                tokens = tuple(
-                    _FM_HALTED if pid in halted else bits[pid] for pid in range(n)
-                )
-                probe = _run_fm_probe(first, tokens)
-                if iteration > len(coins):
-                    coins.append(coin_evaluator(suite.coin, ("pt", iteration), 1, 4))
-                coin = coins[iteration - 1](f"{spec.session}/pt{iteration}")
-                walked.append(
-                    (probe.delivery, cls.ITERATION_ROUNDS * (iteration - 1))
-                )
-                rounds_total = cls.ITERATION_ROUNDS * iteration
-                for pid in range(n):
-                    if pid in halted:
-                        continue
-                    value, grade = probe.values[pid], probe.grades[pid]
-                    trial_coin = coin if probe.coin_ok[pid] else 1
-                    if pid in decided and decided[pid][1] < iteration:
-                        # The post-decision helper iteration is done.
-                        outputs[pid] = ProbTermOutput(*decided[pid])
-                        finish[pid] = rounds_total
-                        halted.add(pid)
-                    elif value in (0, 1) and grade == 2:
-                        decided[pid] = (value, iteration)
-                        bits[pid] = value
-                    elif value in (0, 1) and grade >= 1:
-                        bits[pid] = value
-                    else:
-                        bits[pid] = extract(0, 0, trial_coin, 5)
-                if iteration == _FM_MAX_ITERATIONS:
-                    # The program's cap: still-running parties return the
-                    # working value with decided_iteration = the cap.
-                    for pid in range(n):
-                        if pid not in halted:
-                            outputs[pid] = ProbTermOutput(
-                                value=bits[pid],
-                                decided_iteration=_FM_MAX_ITERATIONS,
-                            )
-                            finish[pid] = rounds_total
-                            halted.add(pid)
-            order = sorted(range(n), key=lambda pid: (finish[pid], pid))
-            paths.append(tuple(walked))
-            outputs_of.append({pid: outputs[pid] for pid in order})
-            finish_of.append({pid: finish[pid] for pid in order})
-        return _materialize(outputs_of, paths, first.inputs, finish=finish_of)
+    @staticmethod
+    def row(first: TrialSpec, state) -> _Row:
+        iteration, tokens, deciding = state
+        halted = [pid for pid, token in enumerate(tokens) if token == _FM_HALTED]
+        probe = _run_probe(
+            first, ("fm-state", tokens), tokens, _fm_probe_program, 3, halted
+        )
+        idle = {*halted, *deciding}
+        running = [pid for pid in range(len(tokens)) if pid not in idle]
+        # A party keeping its graded value ignores the coin, as on the
+        # extremal slot; the others — the probe's non-bit guard put any
+        # non-bit value among them — extract from (0, 0).  Parties that
+        # have returned, or return now, extract nothing.
+        values: List[Optional[int]] = [None] * len(tokens)
+        grades = list(values)
+        for pid in running:
+            keeps = probe.grades[pid] >= 1
+            values[pid], grades[pid] = (probe.values[pid], 2) if keeps else (0, 0)
+        cuts, outcomes = _cut_row(values, grades, probe.coin_ok, 5)
+        decides = tuple(pid for pid in running if probe.grades[pid] == 2)
+        # The post-decision helper iteration is done for ``deciding``.
+        done = [(pid, ProbTermOutput(tokens[pid], iteration - 1)) for pid in deciding]
+        branches: List[_Branch] = []
+        for bits in outcomes:
+            if iteration == _FM_MAX_ITERATIONS:
+                # The program's cap: still-running parties return the
+                # working value with decided_iteration = the cap.
+                capped = [(pid, ProbTermOutput(bits[pid], iteration)) for pid in running]
+                branches.append((None, tuple(sorted(done + capped))))  # pids differ
+            else:
+                after = tuple(_FM_HALTED if bit is None else bit for bit in bits)
+                onward = (iteration + 1, after, decides) if running else None
+                branches.append((onward, tuple(done)))
+        return _Row(probe.delivery, probe.corrupted, cuts, branches)
+
+    @staticmethod
+    def coin(first: TrialSpec, depth: int):
+        return (
+            coin_evaluator(_suite(first).coin, ("pt", depth + 1), 1, 4),
+            f"/pt{depth + 1}",
+        )
 
 
 # ── turpin_coan_classic / multivalued_ba: deterministic + one inner coin ─
-
-
-@dataclasses.dataclass(frozen=True)
-class _LiftProbe:
-    """Per-party (candidate value, inner-BA prox value/grade, coin_ok)."""
-
-    candidates: Tuple[Any, ...]
-    values: Tuple[int, ...]
-    grades: Tuple[int, ...]
-    coin_ok: Tuple[bool, ...]
-    delivery: _Delivery
-    corrupted: frozenset
-
-
-def _run_lift_probe(
-    spec: TrialSpec, token: Any, factory, total_rounds: int
-) -> _LiftProbe:
-    memo_key = (batch_key(spec), token)
-    return _probe_cached(
-        memo_key, lambda: _execute_lift_probe(spec, factory, total_rounds)
-    )
-
-
-def _execute_lift_probe(spec: TrialSpec, factory, total_rounds: int) -> _LiftProbe:
-    result, delivery = _simulate_probe(spec, factory, spec.inputs)
-    candidates: List[Any] = []
-    values: List[int] = []
-    grades: List[int] = []
-    coin_ok: List[bool] = []
-    for pid in range(spec.num_parties):
-        if result.outputs.get(pid) is None or result.finish_rounds.get(
-            pid
-        ) != total_rounds:
-            raise VectorModelError(
-                f"lift probe party {pid} did not finish in {total_rounds} rounds"
-            )
-        candidate, prox_output, coin = result.outputs[pid]
-        value, grade = prox_output
-        if value not in (0, 1):  # Π_iter's defensive non-bit guard
-            value, grade = 0, 0
-        candidates.append(candidate)
-        values.append(int(value))
-        grades.append(int(grade))
-        coin_ok.append(coin is not None)
-    if result.metrics.rounds != total_rounds:
-        raise VectorModelError("lift probe round count mismatch")
-    return _LiftProbe(
-        candidates=tuple(candidates),
-        values=tuple(values),
-        grades=tuple(grades),
-        coin_ok=tuple(coin_ok),
-        delivery=delivery,
-        corrupted=frozenset(result.corrupted),
-    )
 
 
 def _hashable_inputs_reason(spec: TrialSpec) -> Optional[str]:
@@ -1167,35 +1125,31 @@ def _hashable_inputs_reason(spec: TrialSpec) -> Optional[str]:
     return None
 
 
-def _lift_params_reason(spec: TrialSpec, allowed: frozenset) -> Optional[str]:
-    params = spec.param_dict
-    if not set(params) <= allowed or "kappa" not in params:
-        return f"unsupported protocol params {sorted(params)}"
-    kappa = params["kappa"]
-    if type(kappa) is not int or kappa < 1:
-        return f"unsupported kappa {kappa!r}"
-    return None
+class _LiftModel(_WalkModel):
+    """What the two multivalued lifts share: one probe of the whole
+    protocol (cached under ``TOKEN``, the only state), one row, the
+    inner BA's coin under ``SUBSESSION``, protocol params within
+    ``PARAMS``.
 
-
-class _TurpinCoanModel:
-    """Vector model for ``turpin_coan_classic`` × no adversary.
-
-    The two echo rounds and the inner BA's Proxcensus are deterministic
-    and session-invariant; only the inner coin varies per trial.  The
-    probe mirrors the program but returns ``(candidate, prox_output,
-    coin)`` instead of extracting, so extraction (and the candidate vs
-    default choice) happens per trial from the derived coin value.
+    The probe mirrors the program but returns ``(prox_output, coin,
+    candidate)`` instead of extracting, so extraction — and with it each
+    party's choice between its candidate and the default — happens in
+    the row.  ``TALLY_IS_CANDIDATE`` distinguishes Turpin–Coan (a
+    ``None`` candidate means the echo tally was empty, so the *default*
+    is the candidate too) from the Proxcensus lift (the candidate is the
+    party's graded value, never substituted).
     """
 
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec) or _lift_params_reason(
-            spec, frozenset({"kappa", "default"})
-        )
+    @classmethod
+    def unsupported_reason(cls, spec: TrialSpec) -> Optional[str]:
+        reason = _hashable_inputs_reason(spec) or _kappa_reason(spec, cls.PARAMS)
         if reason is not None:
             return reason
+        regime = spec.param_dict.get("regime", "one_third")
+        if regime != "one_third":
+            return f"regime {regime!r} not modeled (multi-coin inner BA)"
         if spec.adversary is not None:
-            return f"no turpin_coan_classic vector model for {spec.adversary!r}"
+            return f"no {spec.protocol} vector model for {spec.adversary!r}"
         n, t = spec.num_parties, spec.max_faulty
         if 3 * t >= n:
             return "regime violation 3t >= n (object path raises)"
@@ -1203,6 +1157,50 @@ class _TurpinCoanModel:
         if spec.max_rounds < kappa + 3:
             return "max_rounds below protocol length (object path raises)"
         return None
+
+    @classmethod
+    def root(cls, first: TrialSpec) -> str:
+        return cls.TOKEN
+
+    @classmethod
+    def row(cls, first: TrialSpec, token: str) -> _Row:
+        kappa = first.param_dict["kappa"]
+        default = first.param_dict.get("default", "∅")
+        probe = _run_probe(
+            first, token, first.inputs, cls._probe_factory(kappa), kappa + 3
+        )
+        # Per party: what it outputs on decision 0 and on decision 1.
+        choices = [
+            (
+                default,
+                default if cls.TALLY_IS_CANDIDATE and candidate is None else candidate,
+            )
+            for candidate in probe.candidates
+        ]
+        return _extraction_row(
+            probe,
+            2 ** kappa + 1,
+            lambda bits: (
+                None,
+                tuple((pid, choices[pid][bit]) for pid, bit in enumerate(bits)),
+            ),
+        )
+
+    @classmethod
+    def coin(cls, first: TrialSpec, depth: int):
+        # The inner BA is ba_one_third, run under its own subsession.
+        return _BaOneThirdModel.coin(first, depth)[0], f"/{cls.SUBSESSION}"
+
+
+class _TurpinCoanModel(_LiftModel):
+    """Vector model for ``turpin_coan_classic`` × no adversary.
+
+    The two echo rounds and the inner BA's Proxcensus are deterministic
+    and session-invariant; only the inner coin varies per trial.
+    """
+
+    TOKEN, SUBSESSION, TALLY_IS_CANDIDATE = "tc", "tc-ba", True
+    PARAMS = frozenset({"kappa", "default"})
 
     @staticmethod
     def _probe_factory(kappa: int):
@@ -1247,23 +1245,12 @@ class _TurpinCoanModel:
             coin = yield from threshold_coin_program(
                 ba_ctx, ("ba13", kappa), 1, 2 ** kappa
             )
-            return (candidate, prox_output, coin)
+            return (prox_output, coin, candidate)
 
         return factory
 
-    @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
-        first = specs[0]
-        kappa = first.param_dict["kappa"]
-        probe = _run_lift_probe(
-            first, "tc", cls._probe_factory(kappa), kappa + 3
-        )
-        return _finish_lift_batch(specs, probe, "tc-ba", tally_is_candidate=True)
 
-
-class _MultivaluedBaModel:
+class _MultivaluedBaModel(_LiftModel):
     """Vector model for ``multivalued_ba`` × no adversary (t < n/3 regime).
 
     Same structure as the Turpin–Coan model: a deterministic multivalued
@@ -1272,25 +1259,8 @@ class _MultivaluedBaModel:
     inner BA runs ⌈κ/2⌉ coins; those sweeps fall back per spec).
     """
 
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec) or _lift_params_reason(
-            spec, frozenset({"kappa", "regime", "default"})
-        )
-        if reason is not None:
-            return reason
-        regime = spec.param_dict.get("regime", "one_third")
-        if regime != "one_third":
-            return f"regime {regime!r} not modeled (multi-coin inner BA)"
-        if spec.adversary is not None:
-            return f"no multivalued_ba vector model for {spec.adversary!r}"
-        n, t = spec.num_parties, spec.max_faulty
-        if 3 * t >= n:
-            return "regime violation 3t >= n (object path raises)"
-        kappa = spec.param_dict["kappa"]
-        if spec.max_rounds < kappa + 3:
-            return "max_rounds below protocol length (object path raises)"
-        return None
+    TOKEN, SUBSESSION, TALLY_IS_CANDIDATE = "mv", "mv-ba", False
+    PARAMS = frozenset({"kappa", "regime", "default"})
 
     @staticmethod
     def _probe_factory(kappa: int):
@@ -1305,63 +1275,9 @@ class _MultivaluedBaModel:
             coin = yield from threshold_coin_program(
                 ba_ctx, ("ba13", kappa), 1, 2 ** kappa
             )
-            return (output.value, prox_output, coin)
+            return (prox_output, coin, output.value)
 
         return factory
-
-    @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
-        first = specs[0]
-        kappa = first.param_dict["kappa"]
-        probe = _run_lift_probe(
-            first, "mv", cls._probe_factory(kappa), kappa + 3
-        )
-        return _finish_lift_batch(specs, probe, "mv-ba", tally_is_candidate=False)
-
-
-def _finish_lift_batch(
-    specs, probe: _LiftProbe, subsession: str, tally_is_candidate: bool
-) -> Tuple[List[ExecutionResult], List[_Path]]:
-    """Apply the per-trial coin + extraction to a multivalued-lift probe.
-
-    The inner BA runs under ``subsession``.  ``tally_is_candidate``
-    distinguishes Turpin–Coan (a ``None`` candidate means the echo tally
-    was empty, so the *default* is the candidate too) from the
-    Proxcensus lift (the candidate is the party's graded value, never
-    substituted).
-    """
-    first = specs[0]
-    kappa = first.param_dict["kappa"]
-    default = first.param_dict.get("default", "∅")
-    slots = 2 ** kappa + 1
-    low, high = 1, slots - 1
-    batch = len(specs)
-    coin = coin_evaluator(_suite(first).coin, ("ba13", kappa), low, high)
-    coins = _np.fromiter(
-        (coin(f"{spec.session}/{subsession}") for spec in specs),
-        dtype=_np.int64,
-        count=batch,
-    )
-    values = _np.array(probe.values, dtype=_np.int64)[None, :]
-    grades = _np.array(probe.grades, dtype=_np.int64)[None, :]
-    ok = _np.array(probe.coin_ok, dtype=bool)[None, :]
-    coin_matrix = _np.where(ok, coins[:, None], low)
-    decisions = _extract_array(values, grades, coin_matrix, slots)
-
-    # Per party: what it outputs on decision 0 and on decision 1.
-    choices = [
-        (default, default if tally_is_candidate and candidate is None else candidate)
-        for candidate in probe.candidates
-    ]
-    outputs = [
-        {pid: choices[pid][bit] for pid, bit in enumerate(row)}
-        for row in decisions.tolist()
-    ]
-    return _materialize(
-        outputs, [((probe.delivery, 0),)] * batch, first.inputs, probe.corrupted
-    )
 
 
 # ── coin protocols: one round, value is a pure function of the keys ─────
@@ -1415,33 +1331,33 @@ class _ThresholdCoinModel:
     @staticmethod
     def run_batch(
         specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
+    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
         first = specs[0]
-        suite = _suite(first)
-        coin = coin_evaluator(suite.coin, *_coin_protocol_params(first))
+        coin = coin_evaluator(_suite(first).coin, *_coin_protocol_params(first))
+        values = [coin(spec.session) for spec in specs]
 
-        def build() -> _ReplayProbe:
+        def build() -> _Leaf:
             frozen = _replay_trial(first)
-            expected = coin(first.session)
-            ok: List[Tuple[int, Any]] = []
-            for pid, output in frozen.outputs:
-                if output is not None and output != expected:
+            ok: Dict[int, bool] = {}
+            for pid, output in frozen.outputs.items():
+                if output is not None and output != values[0]:
                     raise VectorModelError(
                         f"threshold coin probe mismatch for party {pid}"
                     )
-                ok.append((pid, output is not None))
+                ok[pid] = output is not None
             # Replace the session-bound coin values with the ok mask so a
-            # cross-batch cache hit (different session) stays valid.
-            return dataclasses.replace(frozen, outputs=tuple(ok))
+            # cross-batch cache hit (different session) stays valid; every
+            # trial that ends here evaluated its one coin.
+            return dataclasses.replace(frozen, outputs=ok, coins=1)
 
         probe = _probe_cached((batch_key(first), "coin-ok"), build)
-        values = [coin(spec.session) for spec in specs]
-        return probe.replicate(
+        return _materialize(
+            [probe] * len(specs),
+            first.inputs,
             [
-                {pid: value if ok else None for pid, ok in probe.outputs}
+                {pid: value if ok else None for pid, ok in probe.outputs.items()}
                 for value in values
             ],
-            first.inputs,
         )
 
 
@@ -1486,43 +1402,48 @@ class _VrfCoinModel:
     @classmethod
     def run_batch(
         cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
+    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
         first = specs[0]
         n = first.num_parties
         index, low, high = _coin_protocol_params(first)
         adversary = first.adversary_param_dict if first.adversary else {}
         victims = tuple(dict.fromkeys(adversary.get("victims", ())))
         honest = [pid for pid in range(n) if pid not in victims]
-        # The reveal scan uses the adversary's own range and preference.
-        adv_range = adversary.get("low", 0), adversary.get("high", 1)
         preferred = adversary.get("preferred", 1)
         evaluate = vrf_evaluator(_suite(first).plain, index)
+        flip = scan = vrf_coin_extractor(index, low, high)
+        # The reveal scan uses the adversary's own range and preference.
+        adv_range = adversary.get("low", 0), adversary.get("high", 1)
+        if victims and adv_range != (low, high):
+            scan = vrf_coin_extractor(index, *adv_range)
 
         def outcome(session: str) -> Tuple[int, Optional[int]]:
-            """(victims revealed, coin value) for one trial's session."""
+            """(victims revealed, coin value) for one trial's session: one
+            extraction per distinct (winner, range)."""
             values = evaluate(session)  # every party's evaluation, once
             valid = {pid: values[pid] for pid in honest}
+            coin = scan(valid, session)
             revealed = 0
-            if victims and valid and preferred != vrf_coin_from_evaluations(
-                valid, session, index, *adv_range
-            ):
+            if victims and valid and coin != preferred:
                 # Mirror WithholdingCoinAdversary.decide: smallest
-                # evaluation first, reveal the first that steers.
+                # evaluation first, reveal the first that steers.  A
+                # victim above the honest minimum (ties go to the lower
+                # party id) leaves the winner, so the coin, as it is.
+                lead = min(zip(valid.values(), valid))
                 for pid in sorted(victims, key=values.__getitem__):
+                    if (values[pid], pid) > lead:
+                        continue
                     candidate = {**valid, pid: values[pid]}
-                    if preferred == vrf_coin_from_evaluations(
-                        candidate, session, index, *adv_range
-                    ):
-                        valid, revealed = candidate, 1
+                    steered = scan(candidate, session)
+                    if steered == preferred:
+                        valid, revealed, coin = candidate, 1, steered
                         break
-            return revealed, vrf_coin_from_evaluations(
-                valid, session, index, low, high
-            )
+            return revealed, coin if flip is scan else flip(valid, session)
 
-        def probe_for(spec: TrialSpec, revealed: int, predicted) -> _ReplayProbe:
-            def build() -> _ReplayProbe:
+        def probe_for(spec: TrialSpec, revealed: int, predicted) -> _Leaf:
+            def build() -> _Leaf:
                 frozen = _replay_trial(spec)
-                for pid, output in frozen.outputs:
+                for pid, output in frozen.outputs.items():
                     if output != predicted:
                         raise VectorModelError(
                             f"vrf coin probe mismatch for party {pid}: "
@@ -1531,31 +1452,23 @@ class _VrfCoinModel:
                 # Outputs are session-bound; keep only the recording order
                 # so cross-batch cache hits stay valid.
                 return dataclasses.replace(
-                    frozen,
-                    outputs=tuple((pid, None) for pid, _out in frozen.outputs),
+                    frozen, outputs=dict.fromkeys(frozen.outputs)
                 )
 
             memo_key = (batch_key(spec), ("vrf-reveal", revealed))
             return _probe_cached(memo_key, build)
 
-        # One probe per reveal count; each stamps its own trials.
-        rows_of: Dict[int, List[int]] = {}
-        coins = []
-        for row, spec in enumerate(specs):
+        # One probe per reveal count, checked against the first trial on it.
+        probes: Dict[int, _Leaf] = {}
+        leaves, outputs = [], []
+        for spec in specs:
             revealed, coin = outcome(spec.session)
-            rows_of.setdefault(revealed, []).append(row)
-            coins.append(coin)
-        results: List[Any] = [None] * len(specs)
-        paths: List[Any] = [None] * len(specs)
-        for revealed, rows in rows_of.items():
-            probe = probe_for(specs[rows[0]], revealed, coins[rows[0]])
-            pids = [pid for pid, _none in probe.outputs]
-            stamped = probe.replicate(
-                [dict.fromkeys(pids, coins[row]) for row in rows], first.inputs
-            )
-            for row, result, path in zip(rows, *stamped):
-                results[row], paths[row] = result, path
-        return results, paths
+            probe = probes.get(revealed)
+            if probe is None:
+                probe = probes[revealed] = probe_for(spec, revealed, coin)
+            leaves.append(probe)
+            outputs.append(dict.fromkeys(probe.outputs, coin))
+        return _materialize(leaves, first.inputs, outputs)
 
 
 # ── deterministic protocols: whole-run replay ───────────────────────────
@@ -1594,11 +1507,9 @@ class _StaticReplayModel:
     @staticmethod
     def run_batch(
         specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Path]]:
+    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
         probe = _run_replay_probe(specs[0], "replay")
-        return probe.replicate(
-            [dict(probe.outputs) for _ in specs], specs[0].inputs
-        )
+        return _materialize([probe] * len(specs), specs[0].inputs)
 
 
 register_vector_model("ba_one_third", None, _BaOneThirdModel)

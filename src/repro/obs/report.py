@@ -316,6 +316,14 @@ def _telemetry_section(summary: Mapping[str, Any]) -> List[str]:
             f"({hits / (hits + misses):.0%} hit rate)."
         )
         lines.append("")
+    batched = summary.get("vector_batched", 0)
+    fell_back = summary.get("vector_fallback", 0)
+    if batched or fell_back:
+        lines.append(
+            f"Vector batches: {batched} trials batched / {fell_back} fell "
+            f"back, {summary.get('coins', 0)} coins evaluated."
+        )
+        lines.append("")
     fallbacks = summary.get("fallback_reasons") or {}
     if fallbacks:
         lines.append("Vector fallbacks by reason:")

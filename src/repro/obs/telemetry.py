@@ -172,6 +172,9 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
         "adaptive_rounds": 0,
         "probe_cache_hits": 0,
         "probe_cache_misses": 0,
+        "vector_batched": 0,
+        "vector_fallback": 0,
+        "coins": 0,
         "profile_seconds": 0.0,
     }
     fallback_reasons: Dict[str, int] = {}
@@ -222,6 +225,9 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
             totals["probe_cache_hits"] += record.get("hits", 0)
             totals["probe_cache_misses"] += record.get("misses", 0)
         elif kind == "vector_batch":
+            totals["vector_batched"] += record.get("batched", 0)
+            totals["vector_fallback"] += record.get("fallback", 0)
+            totals["coins"] += record.get("coins", 0)
             for reason, count in (record.get("fallback_reasons") or {}).items():
                 fallback_reasons[reason] = fallback_reasons.get(reason, 0) + int(
                     count

@@ -136,6 +136,22 @@ class TestOracle:
         term = (*before, middle, *after, tag)
         assert hash_to_int("t", term, bits) == int.from_bytes(digest, "big") % 2 ** bits
 
+    @given(
+        middle=terms, after=st.lists(terms, max_size=2),
+        trailing=st.lists(terms, max_size=3), bits=st.integers(1, 256),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_first_digest_parts_with_trailing_elements(
+        self, middle, after, trailing, bits
+    ):
+        head, tail = first_digest_parts(
+            "t", [], [encode_term(t) for t in after], trailing=len(trailing)
+        )
+        rest = b"".join(encode_term(t) for t in trailing)
+        digest = hashlib.sha256(head + encode_term(middle) + tail + rest).digest()
+        term = (middle, *after, *trailing)
+        assert hash_to_int("t", term, bits) == int.from_bytes(digest, "big") % 2 ** bits
+
     def test_hash_to_range_empty_rejected(self):
         with pytest.raises(ValueError):
             hash_to_range("t", 1, 5, 4)

@@ -12,6 +12,7 @@ from repro.adversary.strategies import CrashAdversary
 from repro.crypto.ideal import set_tag_memoization
 from repro.crypto.rsa import RsaSignatureScheme
 from repro.crypto.vrf_coin import (
+    vrf_coin_extractor,
     vrf_coin_from_evaluations,
     vrf_coin_program,
     vrf_evaluate,
@@ -100,6 +101,56 @@ class TestVrfEvaluator:
             [vrf_evaluate(scheme, pid, session, ("round", 3))[0] for pid in range(4)]
             for session in sessions
         ]
+
+
+class TestVrfCoinExtractor:
+    """The closed form the vector backend extracts with == the reference."""
+
+    RANGES = [(0, 1), (1, 4), (-3, 2 ** 130), (7, 7)]
+
+    @given(
+        evaluations=st.dictionaries(
+            st.integers(0, 6),
+            st.one_of(st.integers(0, 2 ** 128 - 1), st.sampled_from([0, 5, 2 ** 127])),
+            max_size=5,
+        ),
+        session=st.text(max_size=24),
+        index=coin_indices,
+        bounds=st.sampled_from(RANGES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_coin_from_evaluations(self, evaluations, session, index, bounds):
+        # The sampled values make ties (broken by party id) common; the
+        # empty dict is drawn too.
+        extract = vrf_coin_extractor(index, *bounds)
+        assert extract(evaluations, session) == vrf_coin_from_evaluations(
+            evaluations, session, index, *bounds
+        )
+
+    def test_over_ideal_evaluations_ties_and_no_evaluation(self):
+        scheme = ideal_suite(5, 2).plain
+        evaluate = vrf_evaluator(scheme, 1)
+        for low, high in self.RANGES:
+            extract = vrf_coin_extractor(1, low, high)
+            for session in ["", "exp1/7", "séance-Ω/пт1"]:
+                held = dict(enumerate(evaluate(session)))
+                for valid in (held, {pid: held[pid] for pid in (4, 2)}):
+                    assert low <= extract(valid, session) <= high
+                    assert extract(valid, session) == vrf_coin_from_evaluations(
+                        valid, session, 1, low, high
+                    )
+        extract = vrf_coin_extractor(0, 0, 2 ** 64)  # wide: no chance collision
+        assert extract({}, "s") is None
+        assert extract({3: 9, 1: 9, 2: 11}, "s") == extract({1: 9}, "s")
+        assert extract({3: 9, 1: 9}, "s") != extract({3: 9}, "s")
+
+    def test_empty_range_raises_on_extraction_not_on_construction(self):
+        extract = vrf_coin_extractor(0, 3, 2)
+        assert extract({}, "s") is None
+        with pytest.raises(ValueError, match="empty range"):
+            extract({0: 1}, "s")
+        with pytest.raises(ValueError, match="empty range"):
+            vrf_coin_from_evaluations({0: 1}, "s", 0, 3, 2)
 
 
 class TestVrfCoinProtocol:

@@ -1,4 +1,4 @@
-"""Vector backend equivalence: lockstep batches vs the object simulator.
+"""Vector backend equivalence: table-walk batches vs the object simulator.
 
 The contract under test is absolute: for every spec, a runner with
 ``backend="vector"`` returns results *bit-identical* to the reference
@@ -12,7 +12,12 @@ mixed plans.
 import dataclasses
 import hashlib
 import hmac
+import itertools
+import os
 import random
+import subprocess
+import sys
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -31,14 +36,20 @@ from repro.engine import (
 )
 from repro.engine.registry import vector_model_for
 from repro.engine.runner import _suite_for
+from repro.core.extraction import extract
 from repro.engine.vectorized import (
     PER_TRIAL_FIELDS,
+    VectorModelError,
+    _cut_row,
+    _extraction_row,
+    _IterationProbe,
+    _WalkModel,
     batch_key,
     clear_probe_cache,
     execute_chunk,
     run_vector_batch,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, TelemetryWriter, summarize_telemetry
 from tests.conftest import PROTOCOL_SHAPES
 
 
@@ -185,7 +196,7 @@ class TestRegistry:
 class TestProtocolGrid:
     """Every registered protocol × the adversaries that apply to it.
 
-    Vector-supported pairs exercise the lockstep models; everything else
+    Vector-supported pairs exercise the vector models; everything else
     exercises the per-spec fallback — either way the runner's output
     must match the object path exactly.
     """
@@ -546,10 +557,29 @@ class TestHotPathCounts:
 
     def test_a_trial_costs_its_coin_bytes(self, monkeypatch):
         """Primitive calls per trial, probes warm: one HMAC and one
-        SHA-256 per coin, one of each per VRF evaluation plus the
-        extractions the reveal scan makes."""
+        SHA-256 per coin *read*, one of each per VRF evaluation plus one
+        extraction per distinct (winner, range)."""
+        configs = self.CONFIGS + (
+            # Pre-agreed: every party on the extremal slot, no coin read.
+            ("ba_one_half", (1, 1, 1, 1, 1), 2, {"kappa": 4}, None, None),
+            ("fm_probabilistic", (1, 0, 1, 0), 1, None, None, None),
+        )
+        trials = 70
+        plans = {
+            seed: [
+                TrialPlan.monte_carlo(
+                    f"hot-{at}", protocol, inputs, max_faulty, trials=trials,
+                    params=params, adversary=adversary,
+                    adversary_params=adversary_params, seed=seed,
+                )
+                for at, (protocol, inputs, max_faulty, params, adversary,
+                         adversary_params) in enumerate(configs)
+            ]
+            for seed in (3, 4)
+        }
         clear_probe_cache()
-        execute_chunk(list(enumerate(self._plan(seed=3).trials)))  # warm probes
+        for plan in plans[3]:  # warm probes
+            execute_chunk(list(enumerate(plan.trials)))
         calls = Counter()
         for module, name in ((hmac, "digest"), (hashlib, "sha256")):
             real = getattr(module, name)
@@ -559,26 +589,28 @@ class TestHotPathCounts:
                     calls.update([_name]), _real(*args)
                 )[1],
             )
-        trials = 70
-        plan = self._plan(seed=4, trials=trials)
-        per_config = {}
-        for at, config in enumerate(self.CONFIGS):
+        counted = []
+        for plan in plans[4]:
             calls.clear()
-            chunk = list(enumerate(plan.trials))[at * trials:(at + 1) * trials]
-            _, stats = execute_chunk(chunk)
+            _, stats = execute_chunk(list(enumerate(plan.trials)))
             assert (stats["batched"], stats["cache_misses"]) == (trials, 0)
-            per_config[config[0]] = (calls["digest"], calls["sha256"])
-        n, victims = 4, 1
-        assert per_config["ba_one_third"] == (trials, trials)
+            counted.append((calls["digest"], calls["sha256"], stats["coins"]))
+        third, half, threshold, vrf, agreed, fm = counted
+        # The straddle leaves the honest parties on two inner slots.
+        assert third == (trials, trials, trials)
         # ⌈κ/2⌉ coins per ba_one_half trial: one at κ = 2.
-        assert per_config["ba_one_half"] == (trials, trials)
-        assert per_config["threshold_coin"] == (trials, trials)
-        vrf_hmacs, vrf_hashes = per_config["vrf_coin"]
-        assert vrf_hmacs == n * trials
-        # n evaluations, then baseline, at most one candidate per
-        # victim, and the trial's coin.
-        assert (n + 2) * trials <= vrf_hashes <= (n + 2 + victims) * trials
-
+        assert half == (trials, trials, trials)
+        assert threshold == (trials, trials, trials)
+        assert agreed == (0, 0, 0)
+        # One coin per trial settles these inputs; the object path flips
+        # one per iteration, three iterations at least.
+        assert fm[0] == fm[1] == fm[2] and trials <= fm[0] < 3 * trials
+        n, victims = 4, 1
+        vrf_hmacs, vrf_hashes, vrf_coins = vrf
+        assert (vrf_hmacs, vrf_coins) == (n * trials, 0)  # evaluations are no coins
+        # n evaluations, then the honest winner's coin and at most one
+        # per victim that undercuts it.
+        assert (n + 1) * trials <= vrf_hashes <= (n + 2 + victims) * trials
 
     def _counted(self, monkeypatch, calls, owner, name, wrap=lambda f: f):
         real = getattr(owner, name)
@@ -665,6 +697,429 @@ class TestHotPathCounts:
         assert len(vectorized._CLASS_CACHE) == bound
         clear_probe_cache()
         assert len(vectorized._CLASS_CACHE) == 0
+
+
+def _party_states(slots):
+    """Every (value, grade, coin_ok) a party of an ``s``-slot row can hold."""
+    return [
+        (value, grade, ok)
+        for value in (0, 1)
+        for grade in range((slots - 1) // 2 + 1)
+        for ok in (True, False)
+    ]
+
+
+class TestCutRow:
+    """Soundness of the skip: a row's outcomes are ``extract``, coin by coin."""
+
+    @staticmethod
+    def check(parties, slots):
+        values, grades, coin_ok = zip(*parties)
+        cuts, outcomes = _cut_row(values, grades, coin_ok, slots)
+        assert len(outcomes) == len(cuts) + 1
+        by_coin = [
+            tuple(
+                extract(value, grade, coin if ok else 1, slots)
+                for value, grade, ok in parties
+            )
+            for coin in range(1, slots)
+        ]
+        # Outcome-keyed lookup == extract for every coin of the range.
+        assert by_coin == [
+            outcomes[bisect_left(cuts, coin)] for coin in range(1, slots)
+        ]
+        if cuts:  # the row reads its coin: the coin can change the state
+            assert len(set(by_coin)) == len(outcomes) >= 2
+        else:  # the row reads no coin: every coin leads to one state
+            assert len(set(by_coin)) == 1
+
+    @pytest.mark.parametrize("slots", [3, 5, 9, 17])
+    def test_exhaustive_for_up_to_two_parties(self, slots):
+        for n in (1, 2):
+            for parties in itertools.product(_party_states(slots), repeat=n):
+                self.check(parties, slots)
+
+    @given(data=st.data(), slots=st.sampled_from([3, 5, 9, 17]))
+    @settings(max_examples=400, deadline=None)
+    def test_random_rows_of_up_to_five_parties(self, data, slots):
+        one = st.sampled_from(_party_states(slots))
+        self.check(data.draw(st.lists(one, min_size=1, max_size=5)), slots)
+
+    def test_a_returned_party_extracts_nothing_and_makes_no_cut(self):
+        cuts, outcomes = _cut_row((None, 1), (None, 0), (False, True), 5)
+        assert (cuts, outcomes) == ([2], [(None, 1), (None, 0)])
+        assert _cut_row((None, 1), (None, 2), (False, True), 5) == ([], [(None, 1)])
+
+
+def _walk_plan(trials=24, **overrides):
+    shape = dict(
+        name="walk", protocol="ba_one_half", inputs=(0, 0, 1, 1, 1),
+        max_faulty=2, trials=trials, params={"kappa": 4},
+        adversary="straddle12", adversary_params={"victims": (3, 4)}, seed=77,
+    )
+    shape.update(overrides)
+    return TrialPlan.monte_carlo(**shape)
+
+
+class TestWalk:
+    def _driver(self, corrupted_after):
+        """A two-iteration model from two hand-built probes: the root
+        splits on its coin, and the branch where the coin is 1 walks on
+        to a second probe that reports ``corrupted_after``."""
+        from repro.crypto.coin import coin_evaluator
+        from repro.engine.vectorized import _Delivery
+
+        plan = _walk_plan(trials=40)
+
+        def delivery():
+            return _Delivery(
+                1, ((1, 5, 0, 0, 0),), MetricsRegistry().freeze_delivery()
+            )
+
+        first = _IterationProbe(
+            (0, 1), (0, 0), (True, True), (None, None), delivery(), frozenset({4}),
+        )
+        second = _IterationProbe(
+            (1, 1), (1, 1), (True, True), (None, None), delivery(), corrupted_after,
+        )
+        rows = {
+            "root": _extraction_row(
+                first, 4,
+                lambda bits: ("next", ()) if bits == (1, 1) else (
+                    None, tuple(enumerate(bits))
+                ),
+            ),
+            "next": _extraction_row(
+                second, 4, lambda bits: (None, tuple(enumerate(bits)))
+            ),
+        }
+        coin = coin_evaluator(_suite_for(plan.trials[0]).coin, "walk", 1, 3)
+
+        class Model(_WalkModel):
+            root = staticmethod(lambda first: "root")
+            row = staticmethod(lambda first, state: rows[state])
+            coin = staticmethod(lambda first, depth: (coin, ""))
+
+        return Model.run_batch(plan.trials)
+
+    def test_a_trial_carries_the_corruptions_of_its_own_path(self):
+        results, paths, coins = self._driver(frozenset({3, 4}))
+        by_depth = {len(path): result for result, path in zip(results, paths)}
+        assert sorted(by_depth) == [1, 2]
+        assert by_depth[1].corrupted == {4}
+        assert by_depth[2].corrupted == {3, 4}
+        assert (by_depth[1].metrics.rounds, by_depth[2].metrics.rounds) == (1, 2)
+        assert by_depth[2].finish_rounds == {0: 2, 1: 2}
+        # The second row sits on the extremal slot: nobody reads its coin.
+        assert coins == len(results)
+
+    def test_a_probe_that_heals_a_corruption_is_a_model_error(self):
+        with pytest.raises(VectorModelError, match=r"healed corruptions \[4\]"):
+            self._driver(frozenset({3}))
+
+    def test_mutating_one_result_never_shows_in_another(self):
+        plan = _walk_plan()
+        reference = [canon(r) for r in ParallelRunner(workers=1).run(plan).results]
+        for victim in range(len(plan)):
+            results = run_vector_batch(plan.trials)
+            result = results[victim]
+            result.outputs[0] = "mutated"
+            result.outputs[99] = "added"
+            result.finish_rounds[0] = -1
+            result.corrupted.add(99)
+            result.inputs[0] = "mutated"
+            result.metrics.round_stats(1).honest_messages = -1
+            others = [canon(r) for r in results]
+            del others[victim]
+            assert others == reference[:victim] + reference[victim + 1:]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_coins_are_a_function_of_the_plan(self, tmp_path, workers):
+        plan = TrialPlan.concat(
+            "coins",
+            [
+                _walk_plan(),  # one coin, a second in a quarter of the trials
+                _walk_plan(name="agreed", inputs=(1,) * 5, adversary=None,
+                           adversary_params=None),  # none
+                _walk_plan(name="third", protocol="ba_one_third",
+                           inputs=(0, 0, 1, 1), max_faulty=1,
+                           adversary="straddle13",
+                           adversary_params={"victims": (3,)}),  # one
+            ],
+        )
+        path = str(tmp_path / "telemetry.jsonl")
+        with TelemetryWriter(path) as telemetry:
+            ParallelRunner(
+                workers=workers, chunk_size=10, backend="vector",
+                telemetry=telemetry,
+            ).run(plan)
+        summary = summarize_telemetry(path)
+        assert summary["vector_batched"] == len(plan) == 72
+        assert summary["vector_fallback"] == 0
+        assert summary["coins"] == 54  # 24 + 6 second coins, 0, 24
+
+
+def coins_read(plan):
+    """Coins a fully batched run of ``plan`` evaluates (no fallback allowed)."""
+    _, stats = execute_chunk(list(enumerate(plan.trials)))
+    assert (stats["batched"], stats["fallback"]) == (len(plan), 0), stats
+    return stats["coins"]
+
+
+class TestWalkGrid:
+    """The walk's corners: no coin read, many iterations, staggered
+    halting, empty tallies, κ past a machine word."""
+
+    @pytest.mark.parametrize("protocol,inputs,max_faulty,params", [
+        ("ba_one_third", (1, 1, 1, 1), 1, {"kappa": 3}),
+        ("ba_one_half", (0, 0, 0, 0, 0), 2, {"kappa": 6}),
+        ("ba_one_half", (1, 0, 1, 0, 1), 2, {"kappa": 4}),  # clean: settles itself
+        ("turpin_coan_classic", ("a", "a", "a", "a"), 1, {"kappa": 2}),
+        ("multivalued_ba", ("a", "a", "a", "b"), 1, {"kappa": 2}),
+    ])
+    def test_pre_agreed_and_clean_configs_read_no_coin(
+        self, protocol, inputs, max_faulty, params
+    ):
+        plan = TrialPlan.monte_carlo(
+            "agreed", protocol, inputs, max_faulty, trials=8, params=params,
+            seed=31,
+        )
+        assert coins_read(plan) == 0
+        assert_equivalent(plan)
+
+    @pytest.mark.parametrize("kappa", range(1, 9))
+    @pytest.mark.parametrize("protocol", ["ba_one_third", "ba_one_half"])
+    def test_every_kappa_of_both_regimes(self, protocol, kappa):
+        inputs, max_faulty, _ = PROTOCOL_SHAPES[protocol]
+        adversary, adversary_params = VECTOR_ADVERSARIES[protocol][-1]
+        plan = TrialPlan.monte_carlo(
+            f"k{kappa}", protocol, inputs, max_faulty, trials=24,
+            params={"kappa": kappa}, adversary=adversary,
+            adversary_params=adversary_params, seed=400 + kappa,
+        )
+        # At least the first iteration's coin, never more than one each.
+        assert len(plan) <= coins_read(plan) <= len(plan) * -(-kappa // 2)
+        assert_equivalent(plan)
+
+    def test_fm_on_the_simulator_settles_in_two_or_three_iterations(self):
+        # Without an adversary every party sees the same messages, so the
+        # real probes only ever walk these two shapes; the tails and the
+        # staggered halting are driven through synthetic probes below.
+        plans = [
+            TrialPlan.monte_carlo(
+                f"fm-{seed}", "fm_probabilistic", inputs, 1, trials=40, seed=seed,
+            )
+            for seed, inputs in enumerate(
+                [(1, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 1)], start=50
+            )
+        ]
+        results = assert_equivalent(TrialPlan.concat("fm", plans))
+        finishes = Counter(
+            tuple(result.finish_rounds.values()) for result in results
+        )
+        assert finishes == {(9,) * 4: 80, (6,) * 4: 80}
+
+    @pytest.mark.parametrize("cap", [64, 4])
+    def test_fm_walk_matches_the_per_trial_loop_on_asymmetric_probes(
+        self, monkeypatch, cap
+    ):
+        """Probes no honest run produces — parties graded apart, coins
+        that fail to combine — against ``fm_probabilistic_program``'s
+        branching applied trial by trial: staggered halting, tails of
+        five iterations and more, and (with a low cap) the cap."""
+        from repro.core.probabilistic import ProbTermOutput
+        from repro.crypto.coin import coin_evaluator
+        from repro.engine import vectorized
+
+        halted, n, trials = vectorized._FM_HALTED, 4, 2000
+        monkeypatch.setattr(vectorized, "_FM_MAX_ITERATIONS", cap)
+        plans = [
+            TrialPlan.monte_carlo(
+                "fm-synthetic", "fm_probabilistic", inputs, 1,
+                trials=trials // 4, seed=seed,
+            )
+            for seed, inputs in enumerate(
+                [(1, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 0, 1)]
+            )
+        ]
+        probes = {}
+
+        def probe(_spec, token, tokens, _factory, rounds, returned):
+            assert token == ("fm-state", tokens) and rounds == 3
+            assert list(returned) == [
+                pid for pid, held in enumerate(tokens) if held == halted
+            ]
+            if tokens not in probes:
+                rng = random.Random(repr(tokens))
+                running = [held != halted for held in tokens]
+                probes[tokens] = _IterationProbe(
+                    tuple(held if on else None for held, on in zip(tokens, running)),
+                    tuple(rng.choice((0, 0, 1, 2)) if on else None for on in running),
+                    tuple(on and rng.random() < 0.8 for on in running),
+                    (None,) * n,
+                    vectorized._Delivery(
+                        3, ((1, 4, 0, 0, 0), (2, 4, 0, 4, 0), (3, 4, 0, 4, 0)),
+                        MetricsRegistry().freeze_delivery(),
+                    ),
+                    frozenset(),
+                )
+            return probes[tokens]
+
+        monkeypatch.setattr(vectorized, "_run_probe", probe)
+        suite = _suite_for(plans[0].trials[0])
+        coins = {}
+
+        def reference(spec):
+            """The loop the walk replaced, one trial at a time."""
+            bits, decided, outputs, finish = list(spec.inputs), {}, {}, {}
+            for iteration in range(1, cap + 1):
+                if len(outputs) == n:
+                    break
+                tokens = tuple(
+                    halted if pid in outputs else bits[pid] for pid in range(n)
+                )
+                shape = probe(
+                    spec, ("fm-state", tokens), tokens, None, 3,
+                    [pid for pid in range(n) if pid in outputs],
+                )
+                if iteration not in coins:
+                    coins[iteration] = coin_evaluator(
+                        suite.coin, ("pt", iteration), 1, 4
+                    )
+                coin = coins[iteration](f"{spec.session}/pt{iteration}")
+                for pid in range(n):
+                    if pid in outputs:
+                        continue
+                    value, grade = shape.values[pid], shape.grades[pid]
+                    if pid in decided and decided[pid][1] < iteration:
+                        outputs[pid], finish[pid] = decided[pid], 3 * iteration
+                    elif grade == 2:
+                        decided[pid], bits[pid] = (value, iteration), value
+                    elif grade >= 1:
+                        bits[pid] = value
+                    else:
+                        bits[pid] = extract(0, 0, coin if shape.coin_ok[pid] else 1, 5)
+                if iteration == cap:
+                    for pid in range(n):
+                        if pid not in outputs:
+                            outputs[pid], finish[pid] = (bits[pid], cap), 3 * cap
+            order = sorted(range(n), key=lambda pid: (finish[pid], pid))
+            return (
+                [(pid, *outputs[pid]) for pid in order],
+                [(pid, finish[pid]) for pid in order],
+            )
+
+        model = vector_model_for("fm_probabilistic", None)
+        batches = [model.run_batch(plan.trials) for plan in plans]
+        specs = [spec for plan in plans for spec in plan.trials]
+        results = [result for batch in batches for result in batch[0]]
+        paths = [path for batch in batches for path in batch[1]]
+        read = sum(batch[2] for batch in batches)
+        flipped = 0
+        for spec, result, path in zip(specs, results, paths):
+            expected_outputs, expected_finish = reference(spec)
+            assert [
+                (pid, out.value, out.decided_iteration)
+                for pid, out in result.outputs.items()
+            ] == expected_outputs
+            assert all(
+                isinstance(out, ProbTermOutput) for out in result.outputs.values()
+            )
+            assert list(result.finish_rounds.items()) == expected_finish
+            assert result.metrics.rounds == max(result.finish_rounds.values())
+            assert [at for _, at in path] == list(range(0, result.metrics.rounds, 3))
+            flipped += len(path)
+        finishes = [set(result.finish_rounds.values()) for result in results]
+        assert sum(len(rounds) > 1 for rounds in finishes) > trials // 10
+        if cap == 64:
+            assert max(max(rounds) for rounds in finishes) >= 3 * 5
+        else:
+            assert sum(max(rounds) == 3 * cap for rounds in finishes) > 10
+        # Fewer coins than the iterations walked: the skip is real here too.
+        assert 0 < read < flipped
+
+    @pytest.mark.parametrize("protocol", ["turpin_coan_classic", "multivalued_ba"])
+    @pytest.mark.parametrize("inputs", [
+        ("a", "b", "a", "a"),
+        ("a", "b", "c", "d"),  # no echo reaches n − t: every tally is empty
+        ("a", "a", "b", "b"),
+    ])
+    def test_lifts_with_and_without_an_empty_tally(self, protocol, inputs):
+        for params in ({"kappa": 2}, {"kappa": 3, "default": "fallback"}):
+            plan = TrialPlan.monte_carlo(
+                "lift", protocol, inputs, 1, trials=8, params=params, seed=61,
+            )
+            coins_read(plan)
+            assert_equivalent(plan)
+
+    def test_serial_and_pooled_pack_the_same_bytes(self):
+        plan = TrialPlan.concat(
+            "pack",
+            [
+                _walk_plan(trials=30, params={"kappa": 6}),
+                TrialPlan.monte_carlo(
+                    "pack-fm", "fm_probabilistic", (1, 0, 1, 0), 1, trials=30,
+                    seed=5,
+                ),
+            ],
+        )
+        runs = [
+            ParallelRunner(
+                workers=workers, chunk_size=7, backend=backend, metrics=True
+            ).run(plan)
+            for workers, backend in ((1, "vector"), (2, "vector"), (1, "object"))
+        ]
+        assert packed(runs[0]).blob == packed(runs[1]).blob == packed(runs[2]).blob
+        assert packed(runs[0]) == packed(runs[1]) == packed(runs[2])
+
+    @pytest.mark.parametrize("kappa", [63, 64, 70])
+    @pytest.mark.parametrize("protocol,inputs,adversary,adversary_params", [
+        ("ba_one_third", (0, 0, 1, 1), "straddle13", {"victims": (3,)}),
+        ("multivalued_ba", ("a", "b", "a", "a"), None, None),
+        ("turpin_coan_classic", ("a", "b", "a", "a"), None, None),
+    ])
+    def test_kappa_past_a_machine_word(
+        self, protocol, inputs, adversary, adversary_params, kappa
+    ):
+        plan = TrialPlan.monte_carlo(
+            "wide", protocol, inputs, 1, trials=4, params={"kappa": kappa},
+            adversary=adversary, adversary_params=adversary_params, seed=kappa,
+        )
+        coins_read(plan)
+        assert_equivalent(plan)
+
+
+_STDLIB_ONLY = """
+import sys
+import repro.cli, repro.engine
+assert "numpy" not in sys.modules, "importing the library imported numpy"
+sys.modules["numpy"] = None  # from here on, importing it raises ImportError
+from perfbench.configs import SWEEP21, config_plan
+from repro.engine import TrialPlan
+from repro.engine.vectorized import execute_chunk
+plan = TrialPlan.concat(
+    "sweep21", [config_plan(config, 4, at) for at, config in enumerate(SWEEP21)]
+)
+_, stats = execute_chunk(list(enumerate(plan.trials)))
+assert (stats["batched"], stats["fallback"]) == (4 * 21, 0), stats
+assert len(stats["batches"]) == 21, stats
+"""
+
+
+class TestStdlibOnly:
+    def test_library_never_imports_numpy_and_batches_without_it(self):
+        """The fast backend is stdlib only: a numpy-free install gets it,
+        not a silent fallback, and no process pays numpy's import."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        finished = subprocess.run(
+            [sys.executable, "-c", _STDLIB_ONLY], env=env, cwd=root,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert finished.returncode == 0, finished.stderr
 
 
 class TestProbeCache:

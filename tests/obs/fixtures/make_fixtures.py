@@ -70,8 +70,9 @@ def main():
         {"t": "chunk_complete", "at": 0.52, "chunk": 1, "seconds": 0.5,
          "payload_bytes": 498},
         {"t": "probe_cache", "at": 0.53, "hits": 3, "misses": 1},
-        {"t": "vector_batch", "at": 0.54,
-         "fallback_reasons": {"metrics collection requested": 12}},
+        {"t": "vector_batch", "at": 0.54, "batched": 6, "fallback": 6,
+         "coins": 6, "batches": 1,
+         "fallback_reasons": {"real-RSA backend": 6}},
         {"t": "run_complete", "at": 0.6, "label": "fixture-plan"},
     ]
     with open(telemetry_path, "w", encoding="utf-8") as handle:

@@ -175,6 +175,30 @@ class TestRunnerTelemetry:
         assert kinds.count("chunk_complete") == 4
         assert "run_complete" in kinds
 
+    def test_pooled_vector_run_relays_each_chunks_batching_spans(self, tmp_path):
+        """Workers hold no writer: a chunk's ``vector_batch`` and
+        ``probe_cache`` spans come back with its payload, so the
+        fallback audit and the coin count see pooled runs too."""
+        path = str(tmp_path / "pool-vector.jsonl")
+        plan = _plan()
+        with TelemetryWriter(path) as tele:
+            ParallelRunner(
+                workers=2, chunk_size=3, backend="vector", telemetry=tele
+            ).run(plan)
+        records = _records(path)
+        batches = [r for r in records if r["t"] == "vector_batch"]
+        assert [(r["batched"], r["fallback"], r["coins"]) for r in batches] == [
+            (3, 0, 3)
+        ] * 4
+        assert sum(r["t"] == "probe_cache" for r in records) == 4
+        summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert (summary["chunks"], summary["pooled_runs"]) == (4, 1)
+        assert (
+            summary["vector_batched"], summary["vector_fallback"], summary["coins"]
+        ) == (12, 0, 12)
+        assert summary["probe_cache_hits"] + summary["probe_cache_misses"] == 4
+
     def test_inline_run_emits_start_and_complete(self, tmp_path):
         path = str(tmp_path / "inline.jsonl")
         with TelemetryWriter(path) as tele:

@@ -362,6 +362,25 @@ class TestErrorSweep:
                 # CLI must say so rather than pretend it ran a pool.
                 assert "clamped to 1" in out
 
+    def test_kappa_64_runs_on_the_vector_backend(self, tmp_path, capsys):
+        """Coins are Python ints: κ past a machine word batches (it used
+        to die in an int64 column) and prints the object path's table."""
+        from repro.obs import summarize_telemetry
+
+        tables = []
+        for executor in ([], ["--vector", "--telemetry", str(tmp_path)]):
+            assert main(
+                ["error-sweep", "--protocol", "one_third", "--kappas", "64",
+                 "--trials", "8", *executor]
+            ) == 0
+            out = capsys.readouterr().out
+            tables.append(_measured(out))
+        assert tables[0] == tables[1] == ["0.0000"]
+        summary = summarize_telemetry(str(tmp_path / "telemetry.jsonl"))
+        assert (
+            summary["vector_batched"], summary["vector_fallback"], summary["coins"]
+        ) == (8, 0, 8)
+
     def test_telemetry_artifact_written_and_consistent(self, tmp_path, capsys):
         tele_dir = str(tmp_path / "tele")
         code = main(
