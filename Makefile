@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain pytest underneath.
 
-.PHONY: install test test-fast check check-fix-dry bench bench-quick perf-smoke perf-pair perf-gate chaos-quick examples experiments clean
+.PHONY: install test test-fast check bench bench-quick perf-smoke perf-pair perf-gate chaos-quick examples experiments clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -15,18 +15,11 @@ test-fast:
 # dataflow), layering (LAY), serialization (SER), API coherence (API),
 # vector-model contracts (VEC), obs schema vocabularies (OBS) and stale
 # suppressions (SUP) over src/repro, stdlib-only.  Exit 1 on findings;
-# the JSON and SARIF reports are the CI artifacts, and the (empty)
-# committed baseline keeps `--baseline` wiring honest.  See
-# docs/static-analysis.md for the rule catalogue and suppression syntax.
+# the JSON report is the CI artifact (CI also asserts it counts zero
+# suppressions).  See docs/static-analysis.md for the rule catalogue
+# and suppression syntax.
 check:
-	PYTHONPATH=src python -m repro check --baseline check-baseline.json \
-		--json check-report.json --sarif check-report.sarif
-
-# Preview what `repro check --fix` would rewrite (DET104 sorted()
-# wrapping, DET106 default_rng migration, stale-noqa deletion) as a
-# unified diff, without touching the tree.
-check-fix-dry:
-	PYTHONPATH=src python -m repro check --diff
+	PYTHONPATH=src python -m repro check --json check-report.json
 
 bench:
 	pytest benchmarks/ --benchmark-only -s

@@ -83,8 +83,8 @@ def legacy_setup_seed(num_parties: int, max_faulty: int) -> int:
 
     The historical serial harness dealt ideal key material from
     ``random.Random(0xBE7C4 + n * 31 + t)``; the engine deals from
-    ``random.Random(setup_seed + 0x5E7)`` (the ``ExperimentSetup``
-    convention).  This offset makes an engine trial see bit-identical
+    ``random.Random(setup_seed + 0x5E7)``
+    (:func:`repro.engine.deal_suite`).  This offset makes an engine trial see bit-identical
     key material to a legacy benchmark run at the same ``(n, t)`` —
     which is what lets benchmark modules migrate onto
     :class:`~repro.engine.plan.TrialPlan` without a single measured
@@ -114,8 +114,8 @@ def engine_spec(
     line up with the historical serial harness, so results are
     bit-identical — the only thing that changes is that a batch of specs
     can fan out across ``REPRO_BENCH_WORKERS`` processes.  Benchmarks
-    that historically dealt from an ``ExperimentSetup`` pass its seed as
-    ``setup_seed`` instead of the default legacy dealing seed.
+    that historically dealt from ``random.Random(seed + 0x5E7)`` pass
+    that seed as ``setup_seed`` instead of the default legacy dealing seed.
     """
     from repro.engine import TrialSpec
 
@@ -151,13 +151,12 @@ def monte_carlo_specs(
     seed=0,
     setup_seed=0,
 ):
-    """Specs matching :func:`repro.analysis.experiments.run_trials` exactly.
+    """Specs on :meth:`repro.engine.TrialPlan.monte_carlo`'s schedule.
 
-    The legacy Monte-Carlo harness ran trial ``i`` with seed
-    ``seed * 1_000_003 + i`` under session ``exp{seed}/{i}`` on an
-    ``ExperimentSetup``'s key material (``setup_seed=0`` by default) —
-    the same schedule the engine derives, so the migrated benchmarks
-    reproduce every historical number bit-for-bit.
+    Trial ``i`` runs with seed ``seed * 1_000_003 + i`` under session
+    ``exp{seed}/{i}`` on the key material of ``setup_seed`` (0 by
+    default) — the schedule the pre-engine Monte-Carlo loop used, so the
+    migrated benchmarks reproduce every historical number bit-for-bit.
     """
     from repro.engine import TrialSpec, derive_trial_seed, derive_trial_session
 

@@ -17,8 +17,7 @@ Run:  python examples/real_crypto_backend.py
 import random
 import time
 
-from repro import CryptoSuite, ba_one_half_program
-from repro.network.simulator import SyncSimulator
+from repro import CryptoSuite, ba_one_half_program, run_protocol
 
 N, T = 5, 2
 KAPPA = 4
@@ -34,13 +33,11 @@ def main() -> None:
           f"(quorum threshold {crypto.quorum.threshold}-of-{N}, "
           f"coin threshold {crypto.coin.threshold}-of-{N})")
 
-    simulator = SyncSimulator(
-        num_parties=N, max_faulty=T, crypto=crypto, seed=3, session="real"
-    )
     start = time.perf_counter()
-    result = simulator.run(
+    result = run_protocol(
         lambda ctx, bit: ba_one_half_program(ctx, bit, kappa=KAPPA),
         [1, 0, 1, 0, 1],
+        max_faulty=T, seed=3, session="real", crypto=crypto,
     )
     run_seconds = time.perf_counter() - start
 

@@ -13,7 +13,7 @@ Run:  python examples/traced_iteration.py
 from repro.core.extraction import extract
 from repro.core.iteration import pi_iter_program, threshold_coin_factory
 from repro.crypto.keys import CryptoSuite
-from repro.network.simulator import SyncSimulator
+from repro.network.simulator import run_protocol
 from repro.network.trace import Tracer
 from repro.proxcensus.linear_half import prox_linear_half_program
 
@@ -37,15 +37,15 @@ def iteration_program(ctx, bit):
 def main() -> None:
     inputs = [0, 1, 0, 1, 1]
     tracer = Tracer()
-    simulator = SyncSimulator(
-        num_parties=5,
+    result = run_protocol(
+        iteration_program,
+        inputs,
         max_faulty=2,
-        crypto=CryptoSuite.ideal(5, 2, random.Random(42)),
         seed=4,
         session="traced",
+        crypto=CryptoSuite.ideal(5, 2, random.Random(42)),
         observers=(tracer,),
     )
-    result = simulator.run(iteration_program, inputs)
 
     print("one generalized iteration: Prox_5 (3 rounds) + coin ∥ round 3\n")
     print(f"inputs : {inputs}")

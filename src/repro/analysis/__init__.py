@@ -1,16 +1,10 @@
-"""Analysis layer: theory closed forms, paper-table regeneration, drivers."""
+"""Analysis layer: theory closed forms, paper-table regeneration, estimators."""
 
-from .experiments import (
-    ExperimentSetup,
-    disagreement_rate,
-    measure_execution,
-    run_trials,
-    slot_occupancy,
-)
 from .curves import bar_chart, log_sparkline, sparkline
 from .report import format_matrix, format_table
 from .stats import (
     SequentialEstimate,
+    disagreement_rate,
     format_rate,
     wilson_interval,
     within_interval,
@@ -36,7 +30,6 @@ from .theory import (
 
 __all__ = [
     "PROTOCOLS",
-    "ExperimentSetup",
     "SequentialEstimate",
     "bar_chart",
     "log_sparkline",
@@ -51,7 +44,6 @@ __all__ = [
     "format_matrix",
     "format_rate",
     "format_table",
-    "measure_execution",
     "wilson_interval",
     "within_interval",
     "per_iteration_failure",
@@ -59,8 +51,6 @@ __all__ = [
     "render_table1",
     "render_table2",
     "rounds_for_error",
-    "run_trials",
-    "slot_occupancy",
     "table1_prox5_conditions",
     "table2_prox15_conditions",
 ]

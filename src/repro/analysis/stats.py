@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 __all__ = [
     "SequentialEstimate",
+    "disagreement_rate",
     "wilson_interval",
     "within_interval",
     "format_rate",
@@ -29,6 +30,15 @@ _Z95 = 1.959963984540054  # 95% two-sided normal quantile
 # sequential early stopping, where every batch is another look at the
 # data and 95% intervals would inflate the false-exclusion rate.
 _Z995 = 2.807033768343811
+
+
+def disagreement_rate(results: Sequence[Any]) -> float:
+    """Fraction of executions (``ExecutionResult``s) whose honest parties
+    did not all agree."""
+    if not results:
+        raise ValueError("no results")
+    failures = sum(1 for result in results if not result.honest_agree())
+    return failures / len(results)
 
 
 def wilson_interval(

@@ -27,15 +27,10 @@ check.  Rule families:
   vocabularies exported by ``repro.obs``.
 * **SUP** — meta: stale ``# repro: noqa[...]`` suppressions.
 
-``repro check --fix`` (:func:`fix_tree`) applies a whitelisted subset of
-mechanical rewrites; ``--baseline`` demotes known findings for
-incremental adoption; ``--sarif`` emits SARIF 2.1.0 for CI annotation.
-
 See ``docs/static-analysis.md`` for the rule catalogue and suppression
 syntax (``# repro: noqa[RULE]``).
 """
 
-from .fix import FixResult, fix_tree
 from .framework import (
     CheckError,
     Finding,
@@ -43,7 +38,6 @@ from .framework import (
     Rule,
     SourceModule,
     all_rule_classes,
-    load_baseline,
     register_rule,
     run_check,
 )
@@ -52,14 +46,11 @@ from .index import ProjectIndex
 __all__ = [
     "CheckError",
     "Finding",
-    "FixResult",
     "ProjectIndex",
     "Report",
     "Rule",
     "SourceModule",
     "all_rule_classes",
-    "fix_tree",
-    "load_baseline",
     "register_rule",
     "run_check",
 ]

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 
 from .framework import Finding, Rule, SourceModule, register_rule
 
-__all__ = ["PROTOCOL_SCOPE", "GENERATOR_COMPATIBLE_DRAWS"]
+__all__ = ["PROTOCOL_SCOPE"]
 
 #: The deterministic layers (see module docstring).
 PROTOCOL_SCOPE = frozenset({"core", "proxcensus", "crypto", "network"})
@@ -45,17 +45,6 @@ _NUMPY_RNG_CONSTRUCTORS = frozenset(
     {
         "default_rng", "Generator", "SeedSequence", "BitGenerator",
         "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState",
-    }
-)
-
-# Legacy module-level draws whose ``Generator`` method takes the same
-# arguments — the subset the DET106 autofix may mechanically rewrite to
-# ``default_rng(0).<fn>(...)`` (see ``repro.checks.fix``).
-GENERATOR_COMPATIBLE_DRAWS = frozenset(
-    {
-        "random", "choice", "shuffle", "permutation", "standard_normal",
-        "normal", "uniform", "beta", "binomial", "exponential", "gamma",
-        "poisson",
     }
 )
 
@@ -193,10 +182,7 @@ class SetIterationRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.For, ast.AsyncFor)) and _is_set_expr(node.iter):
                 yield self.finding(
-                    module,
-                    node.iter,
-                    "for-loop over an unordered set expression",
-                    fix_kind="wrap_sorted",
+                    module, node.iter, "for-loop over an unordered set expression"
                 )
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
                 for generator in node.generators:
@@ -205,7 +191,6 @@ class SetIterationRule(Rule):
                             module,
                             generator.iter,
                             "comprehension over an unordered set expression",
-                            fix_kind="wrap_sorted",
                         )
             elif isinstance(node, ast.Call) and node.args:
                 head = node.args[0]
@@ -216,14 +201,10 @@ class SetIterationRule(Rule):
                         module,
                         head,
                         f"{node.func.id}() over an unordered set expression",
-                        fix_kind="wrap_sorted",
                     )
                 elif isinstance(node.func, ast.Attribute) and node.func.attr == "join":
                     yield self.finding(
-                        module,
-                        head,
-                        "join() over an unordered set expression",
-                        fix_kind="wrap_sorted",
+                        module, head, "join() over an unordered set expression"
                     )
 
 
@@ -254,34 +235,6 @@ class NumpyGlobalRngRule(_CallRule):
                 return None
             return f"call to {target}() uses numpy's process-global RNG"
         return None
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        # Same walk as _CallRule, plus fix metadata: draws with a
-        # Generator-compatible signature get the mechanical
-        # `.default_rng(0)` rewrite (span = the `np.random` prefix).
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = module.resolve_call_target(node.func)
-            if target is None:
-                continue
-            message = self.match(target)
-            if message is None:
-                continue
-            draw = target.rsplit(".", 1)[-1]
-            if (
-                draw in GENERATOR_COMPATIBLE_DRAWS
-                and isinstance(node.func, ast.Attribute)
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    message,
-                    fix_kind="numpy_rng",
-                    fix_node=node.func.value,
-                )
-            else:
-                yield self.finding(module, node, message)
 
 
 def _is_keys_call(node: ast.AST) -> bool:

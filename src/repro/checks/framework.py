@@ -27,15 +27,11 @@ Architecture (two-phase)
   cross-module state never leaks between invocations.
 * :func:`run_check` — discovery, both phases, per-line
   ``# repro: noqa[RULE]`` suppression, stale-suppression detection
-  (SUP901), optional baseline demotion, and the :class:`Report`
-  (text, ``--json``, or SARIF 2.1.0 for CI annotation).
+  (SUP901) and the :class:`Report` (text or ``--json``).
 
 Every rule carries an ``id`` (``DET101`` …), a one-line ``title`` and a
 ``hint`` (how to fix); ``--json`` emits all three so CI artifacts are
-self-describing.  Findings from the mechanically-fixable rules also
-carry a ``fix_kind``/``fix_span`` pair that :mod:`repro.checks.fix`
-turns into source edits (``repro check --fix``).  See
-``docs/static-analysis.md`` for the catalogue.
+self-describing.  See ``docs/static-analysis.md`` for the catalogue.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -65,7 +60,6 @@ __all__ = [
     "Rule",
     "SourceModule",
     "all_rule_classes",
-    "load_baseline",
     "register_rule",
     "run_check",
 ]
@@ -77,13 +71,7 @@ class CheckError(Exception):
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``fix_kind``/``fix_span`` are set only by the mechanically-fixable
-    rules: the kind names a rewrite :mod:`repro.checks.fix` knows how to
-    apply, the span is raw AST coordinates ``(lineno, col_offset,
-    end_lineno, end_col_offset)`` of the text the rewrite touches.
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str  # posix path relative to the scanned root
@@ -91,8 +79,6 @@ class Finding:
     col: int
     message: str
     hint: str = ""
-    fix_kind: str = ""
-    fix_span: Optional[Tuple[int, int, int, int]] = None
 
     def render(self, root: str = "") -> str:
         where = f"{root}/{self.path}" if root else self.path
@@ -213,25 +199,7 @@ class Rule:
     def finalize(self) -> Iterator[Finding]:
         return iter(())
 
-    def finding(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        message: str,
-        fix_kind: str = "",
-        fix_node: Optional[ast.AST] = None,
-    ) -> Finding:
-        fix_span = None
-        if fix_kind:
-            span_node = fix_node if fix_node is not None else node
-            end_line = getattr(span_node, "end_lineno", None)
-            end_col = getattr(span_node, "end_col_offset", None)
-            if end_line is not None and end_col is not None:
-                fix_span = (
-                    span_node.lineno, span_node.col_offset, end_line, end_col
-                )
-            else:  # no span, no mechanical fix
-                fix_kind = ""
+    def finding(self, module: SourceModule, node: ast.AST, message: str) -> Finding:
         return Finding(
             rule=self.id,
             path=module.rel,
@@ -239,8 +207,6 @@ class Rule:
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
             hint=self.hint,
-            fix_kind=fix_kind,
-            fix_span=fix_span,
         )
 
 
@@ -393,65 +359,18 @@ def _stale_noqa_findings(
                 col=match.start() + 1,
                 message=f"stale suppression: {label} matched no finding",
                 hint=StaleSuppressionRule.hint,
-                fix_kind="drop_noqa",
-                fix_span=(lineno, match.start(), lineno, len(text)),
             )
-
-
-_BASELINE_SCHEMA = "repro-check-baseline/1"
-
-
-def load_baseline(path) -> List[Dict[str, Any]]:
-    """Read a baseline file: known findings demoted instead of reported.
-
-    The format is ``{"schema": "repro-check-baseline/1", "entries":
-    [{"rule", "path", "message"}, ...]}``.  Entries match findings by
-    (rule, path, message) — deliberately *not* by line number, so code
-    motion above a baselined finding does not resurrect it.
-    """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as error:
-        raise CheckError(f"cannot read baseline {path}: {error}")
-    except json.JSONDecodeError as error:
-        raise CheckError(f"baseline {path} is not valid JSON: {error}")
-    if (
-        not isinstance(payload, dict)
-        or payload.get("schema") != _BASELINE_SCHEMA
-        or not isinstance(payload.get("entries"), list)
-    ):
-        raise CheckError(
-            f"baseline {path} must be "
-            f'{{"schema": "{_BASELINE_SCHEMA}", "entries": [...]}}'
-        )
-    for entry in payload["entries"]:
-        if not isinstance(entry, dict) or not {"rule", "path"} <= set(entry):
-            raise CheckError(
-                f"baseline {path}: every entry needs rule/path keys"
-            )
-    return payload["entries"]
-
-
-def _baseline_key(entry: Mapping[str, Any]) -> Tuple[str, str, str]:
-    return (
-        str(entry.get("rule", "")),
-        str(entry.get("path", "")),
-        str(entry.get("message", "")),
-    )
 
 
 @dataclass
 class Report:
-    """Outcome of one check run, renderable as text, JSON, or SARIF."""
+    """Outcome of one check run, renderable as text or JSON."""
 
     root: str
     files: int
     findings: List[Finding]
     suppressed: int
     rules: List[str] = field(default_factory=list)
-    baselined: int = 0
-    baseline_entries: int = 0
 
     @property
     def ok(self) -> bool:
@@ -470,8 +389,6 @@ class Report:
             "rules": self.rules,
             "ok": self.ok,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
-            "baseline_entries": self.baseline_entries,
             "counts_by_rule": self.counts_by_rule(),
             "findings": [
                 {
@@ -487,65 +404,9 @@ class Report:
         }
         return json.dumps(payload, indent=2) + "\n"
 
-    def to_sarif(self) -> str:
-        """SARIF 2.1.0 — what CI uploads so PR diffs get inline annotations."""
-        by_id = {cls.id: cls for cls in all_rule_classes()}
-        rule_meta = []
-        for rule_id in self.rules:
-            cls = by_id.get(rule_id)
-            descriptor: Dict[str, Any] = {"id": rule_id}
-            if cls is not None:
-                descriptor["shortDescription"] = {"text": cls.title}
-                if cls.hint:
-                    descriptor["help"] = {"text": f"fix: {cls.hint}"}
-            rule_meta.append(descriptor)
-        results = [
-            {
-                "ruleId": f.rule,
-                "level": "error",
-                "message": {
-                    "text": f.message + (f" (fix: {f.hint})" if f.hint else "")
-                },
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": f.col,
-                            },
-                        }
-                    }
-                ],
-            }
-            for f in self.findings
-        ]
-        payload = {
-            "$schema": (
-                "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-                "master/Schemata/sarif-schema-2.1.0.json"
-            ),
-            "version": "2.1.0",
-            "runs": [
-                {
-                    "tool": {
-                        "driver": {
-                            "name": "repro-check",
-                            "informationUri": "docs/static-analysis.md",
-                            "rules": rule_meta,
-                        }
-                    },
-                    "results": results,
-                }
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
     def render(self) -> str:
         out = [finding.render(self.root) for finding in self.findings]
         noise = f", {self.suppressed} suppressed" if self.suppressed else ""
-        if self.baselined:
-            noise += f", {self.baselined} baselined"
         verdict = "clean" if self.ok else f"{len(self.findings)} finding(s)"
         out.append(f"repro check: {verdict} in {self.files} file(s){noise}")
         return "\n".join(out)
@@ -562,7 +423,6 @@ def run_check(
     root,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Sequence[Mapping[str, Any]]] = None,
 ) -> Report:
     """Walk every ``*.py`` under ``root`` once and apply all rules.
 
@@ -575,9 +435,7 @@ def run_check(
     to each rule and dispatches.  Findings come back sorted by (path,
     line, col, rule); per-line ``# repro: noqa[RULE]`` comments suppress
     matching findings and are tallied in ``Report.suppressed``; noqa
-    comments that matched *nothing* become SUP901 findings.  ``baseline``
-    entries (see :func:`load_baseline`) demote matching findings into
-    ``Report.baselined`` instead of failing the run.
+    comments that matched *nothing* become SUP901 findings.
     """
     given = str(root)
     root = Path(root)
@@ -655,22 +513,6 @@ def run_check(
             else:
                 kept.append(finding)
 
-    baselined = 0
-    if baseline:
-        budget: Dict[Tuple[str, str, str], int] = {}
-        for entry in baseline:
-            key = _baseline_key(entry)
-            budget[key] = budget.get(key, 0) + 1
-        remaining: List[Finding] = []
-        for finding in kept:
-            key = (finding.rule, finding.path, finding.message)
-            if budget.get(key, 0) > 0:
-                budget[key] -= 1
-                baselined += 1
-            else:
-                remaining.append(finding)
-        kept = remaining
-
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return Report(
         root=given,
@@ -678,6 +520,4 @@ def run_check(
         findings=kept,
         suppressed=suppressed,
         rules=[rule.id for rule in rules],
-        baselined=baselined,
-        baseline_entries=len(baseline or []),
     )

@@ -41,7 +41,7 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
     "obs": {"crypto", "network"},
     "engine": {
         "crypto", "network", "adversary", "proxcensus", "core", "analysis",
-        "obs",
+        "applications", "obs",
     },
     "checks": set(),  # the analyzer itself: stdlib only, imports nothing it checks
 }

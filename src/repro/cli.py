@@ -3,10 +3,12 @@
 Subcommands
 -----------
 ``run``
-    Execute one protocol on a simulated network and print the outcome
-    (optionally with a full message trace and an adversary attached;
-    ``--trace-jsonl`` additionally streams the trace to a
-    schema-versioned JSONL file).
+    Execute one engine trial — the ``TrialSpec`` the flags describe, or
+    the one ``--spec`` carries — and print the outcome (optionally with
+    a full message trace and an adversary attached; ``--trace-jsonl``
+    additionally streams the trace to a schema-versioned JSONL file).
+    Protocols, adversaries and fault scenarios are the engine
+    registry's; a trial that raises exits 2 with its replay line.
 ``trace``
     Replay a streamed JSONL trace file through the round-timeline
     renderer, with ``--round`` / ``--party`` / ``--corrupt-only``
@@ -32,11 +34,12 @@ Subcommands
     Two-phase whole-program static analysis enforcing the repo's
     determinism, layering, serialization and observability invariants
     (rule families DET/LAY/SER/API/VEC/OBS/SUP; see
-    ``docs/static-analysis.md``).  Exit 1 on findings; ``--json`` /
-    ``--sarif`` write CI artifacts, ``--baseline`` demotes known
-    findings, ``--fix`` applies the whitelisted mechanical rewrites
-    (``--diff`` previews them), and per-line ``# repro: noqa[RULE]``
+    ``docs/static-analysis.md``).  Exit 1 on findings; ``--json``
+    writes the CI artifact, and per-line ``# repro: noqa[RULE]``
     suppressions are themselves checked for staleness (SUP901).
+``ledger``
+    A replicated log over sequential multivalued BA: one engine trial of
+    the registered ``replicated_log`` protocol.
 
 Examples::
 
@@ -53,10 +56,8 @@ Examples::
     python -m repro error-sweep --protocol both --workers 4 --vector \\
         --metrics metrics.json --telemetry tele/
     python -m repro error-sweep --adaptive --max-trials 600 --trials 300
-    python -m repro check --json check-report.json --sarif check-report.sarif
+    python -m repro check --json check-report.json
     python -m repro check --select DET,LAY src/repro
-    python -m repro check --fix
-    python -m repro check --diff
 """
 
 from __future__ import annotations
@@ -65,35 +66,21 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from .adversary.base import Adversary
-from .adversary.straddle import (
-    LinearHalfStraddleAdversary,
-    OneThirdStraddleAdversary,
-)
-from .adversary.strategies import (
-    CrashAdversary,
-    MalformedAdversary,
-    TwoFaceAdversary,
-)
-from .analysis.experiments import disagreement_rate
 from .analysis.report import format_table
+from .analysis.stats import disagreement_rate
 from .analysis.tables import render_fig3, render_table1, render_table2
 from .analysis.theory import rounds_for_error
-from .core.ba import ba_one_half_program, ba_one_third_program
-from .core.dolev_strong import dolev_strong_ba_program
-from .core.feldman_micali import feldman_micali_program
-from .core.micali_vaikuntanathan import micali_vaikuntanathan_program
-from .crypto.keys import CryptoSuite
-from .network.simulator import SyncSimulator
 from .network.trace import Tracer
 
 __all__ = ["main"]
 
-PROTOCOLS = {
-    "one_third": (ba_one_third_program, "n/3"),
-    "one_half": (ba_one_half_program, "n/2"),
-    "feldman_micali": (feldman_micali_program, "n/3"),
-    "micali_vaikuntanathan": (micali_vaikuntanathan_program, "n/2"),
+# `repro run --protocol` choice → engine registry name.
+_REGISTERED_AS = {
+    "one_third": "ba_one_third",
+    "one_half": "ba_one_half",
+    "feldman_micali": "feldman_micali",
+    "micali_vaikuntanathan": "micali_vaikuntanathan",
+    "dolev_strong": "dolev_strong",
 }
 
 
@@ -141,93 +128,85 @@ def _sweep_bound(text: str) -> Optional[float]:
         )
 
 
-def _build_adversary(name: str, victims: List[int], factory) -> Optional[Adversary]:
-    if name == "none":
-        return None
-    if name == "crash":
-        return CrashAdversary(victims, crash_round=2)
-    if name == "malformed":
-        return MalformedAdversary(victims)
-    if name == "two_face":
-        return TwoFaceAdversary(victims, factory=factory)
-    if name == "straddle13":
-        return OneThirdStraddleAdversary(victims)
-    if name == "straddle12":
-        return LinearHalfStraddleAdversary(victims)
-    raise argparse.ArgumentTypeError(f"unknown adversary {name!r}")
+def _run_spec(spec, observers=()):
+    """One engine trial: ``(result, fault counts)``.
 
-
-def _replay_spec(text: str) -> int:
-    """``repro run --spec``: one engine trial, exactly as a sweep ran it."""
-    from .engine import TrialSpec, run_trial
+    A raise leaves as the :class:`TrialExecutionError` that :func:`main`
+    prints with the spec's replay line.
+    """
+    from .engine.runner import TrialExecutionError, _run_counted
 
     try:
-        spec = TrialSpec.from_json(text)
-    except (TypeError, ValueError) as error:
-        print(f"repro run: --spec is not a trial spec: {error}", file=sys.stderr)
-        return 2
-    result = run_trial(spec)
-    print(f"protocol   : {spec.protocol} {spec.param_dict or ''}".rstrip())
-    print(f"adversary  : {spec.adversary or '-'}")
-    print(f"session    : {spec.session} (seed {spec.seed}, {spec.backend})")
-    _print_outcome(spec.inputs, result)
-    return 0 if result.honest_agree() else 1
+        return _run_counted(spec, observers)
+    except Exception as error:
+        raise TrialExecutionError(
+            0, spec, f"{type(error).__name__}: {error}"
+        ) from error
 
 
-def _print_outcome(inputs, result) -> None:
-    print(f"inputs     : {list(inputs)}")
-    print(f"corrupted  : {sorted(result.corrupted) or '-'}")
-    print(f"outputs    : {result.outputs}")
-    print(f"agreement  : {result.honest_agree()}")
-    print(f"rounds     : {result.metrics.rounds}")
-    print(f"messages   : {result.metrics.total_messages}")
-    print(f"signatures : {result.metrics.total_signatures}")
+def _spec_from_flags(args: argparse.Namespace):
+    """The :class:`TrialSpec` ``repro run``'s flags describe.
+
+    ``ValueError`` (its message is the usage error) for flags that
+    describe no trial: ``--t`` out of range, a fault scenario or params
+    the registry rejects, a fault plan naming a party the run lacks.
+    """
+    import json
+
+    from .engine import TrialSpec, build_fault_plan, fault_plan_names
+
+    n, t = len(args.inputs), args.t
+    fault_params = {}
+    if args.faults:
+        try:
+            fault_params = json.loads(args.fault_params) if args.fault_params else {}
+        except ValueError as error:
+            raise ValueError(f"--fault-params is not valid JSON: {error}") from None
+        try:
+            build_fault_plan(args.faults, fault_params).check_parties(n)
+        except (KeyError, TypeError, ValueError) as error:
+            raise ValueError(
+                f"bad fault scenario: {error}\n"
+                f"usage: --faults takes one of {fault_plan_names()}"
+            ) from None
+    adversary_params = {}
+    if args.adversary != "none":
+        adversary_params["victims"] = args.victims or list(range(n - t, n))
+        if args.adversary == "crash":
+            adversary_params["crash_round"] = 2
+    return TrialSpec(
+        protocol=_REGISTERED_AS[args.protocol],
+        inputs=args.inputs,
+        max_faulty=t,
+        params={} if args.protocol == "dolev_strong" else {"kappa": args.kappa},
+        adversary=None if args.adversary == "none" else args.adversary,
+        adversary_params=adversary_params,
+        seed=args.seed,
+        session=f"cli{args.seed}",
+        setup_seed=args.seed,
+        faults=args.faults,
+        fault_params=fault_params,
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        return _replay_spec(args.spec)
-    if args.protocol == "dolev_strong":
-        factory = lambda ctx, v: dolev_strong_ba_program(ctx, v)
-    else:
-        program, _regime = PROTOCOLS[args.protocol]
-        factory = lambda ctx, b: program(ctx, b, args.kappa)
-    inputs = args.inputs
-    n, t = len(inputs), args.t
+    """One engine trial — the spec ``--spec`` carries, exactly as a sweep
+    ran it, or the one the other flags describe."""
+    from .engine import TrialSpec
+
+    replay = args.spec is not None
     if args.adversary == "straddle":
         args.adversary = "straddle13" if args.protocol == "one_third" else "straddle12"
-    victims = args.victims or list(range(n - t, n))
-    adversary = _build_adversary(args.adversary, victims, factory)
-    faults = None
-    if args.faults:
-        import json as _json
-
-        from .engine import build_fault_plan, fault_plan_names
-
-        try:
-            fault_params = (
-                _json.loads(args.fault_params) if args.fault_params else {}
-            )
-        except ValueError as error:
-            print(
-                f"repro run: --fault-params is not valid JSON: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            faults = build_fault_plan(args.faults, fault_params)
-            faults.check_parties(n)
-        except (KeyError, TypeError, ValueError) as error:
-            print(
-                f"repro run: bad fault scenario: {error}\n"
-                f"usage: --faults takes one of {fault_plan_names()}",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        spec = TrialSpec.from_json(args.spec) if replay else _spec_from_flags(args)
+    except (TypeError, ValueError) as error:
+        reason = f"--spec is not a trial spec: {error}" if replay else error
+        print(f"repro run: {reason}", file=sys.stderr)
+        return 2
     tracer = None
     memory_sink = None
     jsonl_sink = None
-    if args.trace or args.trace_jsonl:
+    if not replay and (args.trace or args.trace_jsonl):
         from .network.trace import MemoryTraceSink
 
         sinks = []
@@ -243,37 +222,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     "protocol": args.protocol,
                     "kappa": args.kappa,
                     "adversary": args.adversary,
-                    "n": n,
-                    "t": t,
-                    "seed": args.seed,
-                    "session": f"cli{args.seed}",
+                    "n": spec.num_parties,
+                    "t": spec.max_faulty,
+                    "seed": spec.seed,
+                    "session": spec.session,
                 },
             )
             sinks.append(jsonl_sink)
         tracer = Tracer(sinks[0] if len(sinks) == 1 else FanoutSink(sinks))
-    import random as _random
-
-    simulator = SyncSimulator(
-        num_parties=n,
-        max_faulty=t,
-        crypto=CryptoSuite.ideal(n, t, _random.Random(args.seed + 0x5E7)),
-        adversary=adversary,
-        seed=args.seed,
-        session=f"cli{args.seed}",
-        observers=() if tracer is None else (tracer,),
-        faults=faults,
-    )
     try:
-        result = simulator.run(factory, inputs)
+        result, counts = _run_spec(spec, () if tracer is None else (tracer,))
     finally:
         if tracer is not None:
             tracer.close()
-    print(f"protocol   : {args.protocol} (kappa={args.kappa})")
-    _print_outcome(inputs, result)
-    if faults is not None and simulator.last_fault_counts is not None:
-        counts = simulator.last_fault_counts
+    if replay:
+        print(f"protocol   : {spec.protocol} {spec.param_dict or ''}".rstrip())
+        print(f"adversary  : {spec.adversary or '-'}")
+        print(f"session    : {spec.session} (seed {spec.seed}, {spec.backend})")
+    else:
+        print(f"protocol   : {args.protocol} (kappa={args.kappa})")
+    print(f"inputs     : {list(spec.inputs)}")
+    print(f"corrupted  : {sorted(result.corrupted) or '-'}")
+    print(f"outputs    : {result.outputs}")
+    print(f"agreement  : {result.honest_agree()}")
+    print(f"rounds     : {result.metrics.rounds}")
+    print(f"messages   : {result.metrics.total_messages}")
+    print(f"signatures : {result.metrics.total_signatures}")
+    if counts is not None and not replay:
         print(
-            f"faults     : {args.faults} "
+            f"faults     : {spec.faults} "
             f"(lost={counts.lost} delayed={counts.delayed} "
             f"late={counts.delivered_late} partitioned={counts.partitioned} "
             f"offline={counts.offline} stale={counts.stale})"
@@ -773,24 +750,8 @@ def _default_check_root() -> str:
     return os.path.dirname(os.path.abspath(__file__))
 
 
-def _write_check_artifact(path: str, payload: str) -> Optional[str]:
-    """Write a report artifact; return an error message instead of raising."""
-    try:
-        with open(path, "w") as handle:
-            handle.write(payload)
-    except OSError as error:
-        return f"cannot write {path}: {error.strerror or error}"
-    return None
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .checks import (
-        CheckError,
-        all_rule_classes,
-        fix_tree,
-        load_baseline,
-        run_check,
-    )
+    from .checks import CheckError, all_rule_classes, run_check
 
     if args.list_rules:
         for cls in all_rule_classes():
@@ -800,81 +761,59 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     root = args.path or _default_check_root()
     try:
-        baseline = load_baseline(args.baseline) if args.baseline else None
-        if args.diff:
-            result = fix_tree(
-                root, select=args.select, ignore=args.ignore, write=False
-            )
-            for diff in result.diffs:
-                print(diff, end="")
-            print(
-                f"--diff: {result.applied} fix(es) in "
-                f"{len(result.changed_files)} file(s) would be applied "
-                "(tree untouched)"
-            )
-            return 0
-        if args.fix:
-            result = fix_tree(root, select=args.select, ignore=args.ignore)
-            print(
-                f"--fix: applied {result.applied} fix(es) in "
-                f"{len(result.changed_files)} file(s)"
-                + (
-                    ": " + ", ".join(result.changed_files)
-                    if result.changed_files
-                    else ""
-                )
-            )
-            report = run_check(
-                root, select=args.select, ignore=args.ignore, baseline=baseline
-            )
-        else:
-            report = run_check(
-                root, select=args.select, ignore=args.ignore, baseline=baseline
-            )
+        report = run_check(root, select=args.select, ignore=args.ignore)
     except CheckError as error:
         print(f"repro check: {error}", file=sys.stderr)
         return 2
     print(report.render())
-    for path, payload in (
-        (args.json, report.to_json()),
-        (args.sarif, report.to_sarif()),
-    ):
-        if not path:
-            continue
-        problem = _write_check_artifact(path, payload)
-        if problem is not None:
-            print(f"repro check: {problem}", file=sys.stderr)
+    if args.json:
+        try:
+            with open(args.json, "w") as handle:
+                handle.write(report.to_json())
+        except OSError as error:
+            print(
+                f"repro check: cannot write {args.json}: {error.strerror or error}",
+                file=sys.stderr,
+            )
             return 2
-        print(f"wrote {path}")
+        print(f"wrote {args.json}")
     return 0 if report.ok else 1
 
 
 def _cmd_ledger(args: argparse.Namespace) -> int:
-    from .applications.ledger import NO_OP, replicated_log_program, rounds_per_slot
+    from .applications.ledger import NO_OP, rounds_per_slot
+    from .engine import TrialSpec
 
-    queues = [queue.split("+") if queue else [] for queue in args.queues.split(";")]
-    n = len(queues)
-    program = lambda ctx, cmds: replicated_log_program(
-        ctx, cmds, num_slots=args.slots, kappa=args.kappa,
-        regime=args.regime, proposer=args.proposer,
-    )
-    import random as _random
-
-    simulator = SyncSimulator(
-        num_parties=n,
-        max_faulty=args.t,
-        crypto=CryptoSuite.ideal(n, args.t, _random.Random(args.seed + 0x1ED6)),
-        seed=args.seed,
-        session=f"ledger{args.seed}",
-    )
-    result = simulator.run(program, queues)
+    queues = [
+        tuple(queue.split("+")) if queue else () for queue in args.queues.split(";")
+    ]
+    try:
+        spec = TrialSpec(
+            protocol="replicated_log",
+            inputs=queues,
+            max_faulty=args.t,
+            params={
+                "num_slots": args.slots, "kappa": args.kappa,
+                "regime": args.regime, "proposer": args.proposer,
+            },
+            seed=args.seed,
+            session=f"ledger{args.seed}",
+            # The ledger has always dealt from seed + 0x1ED6; this is
+            # that suite in deal_suite's terms (setup_seed + 0x5E7).
+            setup_seed=args.seed + 0x1ED6 - 0x5E7,
+        )
+    except ValueError as error:
+        print(f"repro ledger: {error}", file=sys.stderr)
+        return 2
+    result, _ = _run_spec(spec)
     per_slot = rounds_per_slot(args.kappa, args.regime, args.proposer)
-    print(f"replicas : {n} (t = {args.t}), {args.slots} slots x {per_slot} rounds")
-    reference = None
+    print(
+        f"replicas : {spec.num_parties} (t = {args.t}), "
+        f"{args.slots} slots x {per_slot} rounds"
+    )
     for pid in sorted(result.outputs):
         log = [c if c != NO_OP else "<no-op>" for c in result.outputs[pid]]
         print(f"replica {pid}: {log}")
-        reference = reference if reference is not None else log
     forked = any(
         result.outputs[pid] != result.outputs[result.honest_parties[0]]
         for pid in result.honest_parties
@@ -895,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = subparsers.add_parser("run", help="execute one protocol")
     run_parser.add_argument(
         "--protocol",
-        choices=list(PROTOCOLS) + ["dolev_strong"],
+        choices=list(_REGISTERED_AS),
         default="one_third",
     )
     run_parser.add_argument("--kappa", type=int, default=8)
@@ -1110,25 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the machine-readable report (CI artifact)",
-    )
-    check_parser.add_argument(
-        "--sarif", default=None, metavar="PATH",
-        help="also write a SARIF 2.1.0 report (CI PR annotations)",
-    )
-    check_parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="demote findings listed in this baseline file to "
-        "non-failing (incremental adoption)",
-    )
-    check_parser.add_argument(
-        "--fix", action="store_true",
-        help="apply the whitelisted mechanical fixes (DET104/DET106/"
-        "SUP901) in place, then re-check",
-    )
-    check_parser.add_argument(
-        "--diff", action="store_true",
-        help="print the unified diff --fix would apply, without "
-        "writing anything",
     )
     check_parser.add_argument(
         "--list-rules", action="store_true",

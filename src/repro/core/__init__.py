@@ -15,6 +15,9 @@ from .ablation import (
 from .ba import (
     ba_one_half_program,
     ba_one_third_program,
+    iteration_one_half,
+    iteration_one_third,
+    iterations_one_half,
     rounds_one_half,
     rounds_one_third,
 )
@@ -23,7 +26,9 @@ from .extraction import coin_range, extract, extract_by_position, splitting_coin
 from .feldman_micali import feldman_micali_program, rounds_feldman_micali
 from .iteration import (
     CoinFactory,
+    Iteration,
     ideal_coin_factory,
+    pi_exchange_program,
     pi_iter_program,
     threshold_coin_factory,
 )
@@ -32,11 +37,21 @@ from .micali_vaikuntanathan import (
     mv_pki_program,
     rounds_mv,
 )
-from .probabilistic import ProbTermOutput, fm_probabilistic_program
-from .turpin_coan import multivalued_ba_program, turpin_coan_classic_program
+from .probabilistic import (
+    ProbTermOutput,
+    fm_probabilistic_program,
+    iteration_fm_probabilistic,
+)
+from .turpin_coan import (
+    multivalued_ba_program,
+    multivalued_prefix,
+    turpin_coan_classic_program,
+    turpin_coan_prefix,
+)
 
 __all__ = [
     "CoinFactory",
+    "Iteration",
     "ProbTermOutput",
     "fm_probabilistic_program",
     "ba_one_half_generalized",
@@ -54,9 +69,15 @@ __all__ = [
     "extract_by_position",
     "feldman_micali_program",
     "ideal_coin_factory",
+    "iteration_fm_probabilistic",
+    "iteration_one_half",
+    "iteration_one_third",
+    "iterations_one_half",
     "micali_vaikuntanathan_program",
     "multivalued_ba_program",
+    "multivalued_prefix",
     "mv_pki_program",
+    "pi_exchange_program",
     "pi_iter_program",
     "rounds_feldman_micali",
     "rounds_mv",
@@ -65,4 +86,5 @@ __all__ = [
     "splitting_coin",
     "threshold_coin_factory",
     "turpin_coan_classic_program",
+    "turpin_coan_prefix",
 ]

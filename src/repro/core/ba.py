@@ -28,14 +28,47 @@ from typing import Optional
 from ..network.party import Context
 from ..proxcensus.linear_half import prox_linear_half_program
 from ..proxcensus.one_third import prox_one_third_program
-from .iteration import CoinFactory, pi_iter_program, threshold_coin_factory
+from .iteration import CoinFactory, Iteration, threshold_coin_factory
 
 __all__ = [
     "ba_one_third_program",
     "ba_one_half_program",
+    "iteration_one_third",
+    "iteration_one_half",
+    "iterations_one_half",
     "rounds_one_third",
     "rounds_one_half",
 ]
+
+
+def iteration_one_third(kappa: int) -> Iteration:
+    """The t < n/3 protocol's single iteration: ``s = 2^κ + 1`` slots
+    expanded in ``κ`` rounds, then one coin in ``[1, 2^κ]``."""
+    return Iteration(
+        slots=2 ** kappa + 1,
+        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=kappa),
+        prox_rounds=kappa,
+        coin_index=("ba13", kappa),
+        overlap_coin=False,
+    )
+
+
+def iteration_one_half(index: int) -> Iteration:
+    """Iteration ``index`` of the t < n/2 protocol: ``Π_iter^5`` over the
+    3-round ``Prox_5``, the coin in ``[1, 4]`` riding round 3."""
+    return Iteration(
+        slots=5,
+        prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
+        prox_rounds=3,
+        coin_index=("ba12", index),
+        overlap_coin=True,
+        subsession=f"iter{index}",
+    )
+
+
+def iterations_one_half(kappa: int) -> int:
+    """Iterations of the t < n/2 protocol: ``⌈κ/2⌉`` (error 1/4 each)."""
+    return math.ceil(kappa / 2)
 
 
 def rounds_one_third(kappa: int) -> int:
@@ -45,7 +78,7 @@ def rounds_one_third(kappa: int) -> int:
 
 def rounds_one_half(kappa: int) -> int:
     """Round count of the t < n/2 protocol: ``3⌈κ/2⌉`` (= 3κ/2 for even κ)."""
-    return 3 * math.ceil(kappa / 2)
+    return 3 * iterations_one_half(kappa)
 
 
 def _check_bit(bit: int) -> int:
@@ -70,17 +103,7 @@ def ba_one_third_program(
             f"n={ctx.num_parties}"
         )
     coin_factory = coin_factory or threshold_coin_factory()
-    slots = 2 ** kappa + 1
-    result = yield from pi_iter_program(
-        ctx,
-        bit,
-        slots,
-        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=kappa),
-        prox_rounds=kappa,
-        coin_factory=coin_factory,
-        coin_index=("ba13", kappa),
-        overlap_coin=False,
-    )
+    result = yield from iteration_one_third(kappa).run(ctx, bit, coin_factory)
     return result
 
 
@@ -100,17 +123,6 @@ def ba_one_half_program(
             f"n={ctx.num_parties}"
         )
     coin_factory = coin_factory or threshold_coin_factory()
-    iterations = math.ceil(kappa / 2)
-    for index in range(iterations):
-        iteration_ctx = ctx.subsession(f"iter{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=5,
-            prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
-            prox_rounds=3,
-            coin_factory=coin_factory,
-            coin_index=("ba12", index),
-            overlap_coin=True,
-        )
+    for index in range(iterations_one_half(kappa)):
+        bit = yield from iteration_one_half(index).run(ctx, bit, coin_factory)
     return bit

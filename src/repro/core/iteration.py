@@ -14,7 +14,7 @@ protocols assemble iterations in :mod:`.ba`,
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple, Optional
 
 from ..crypto.coin import IdealCoin, ideal_coin_program, threshold_coin_program
 from ..network.party import Context, resume_with, run_parallel
@@ -25,6 +25,8 @@ __all__ = [
     "ideal_coin_factory",
     "threshold_coin_factory",
     "vrf_coin_factory",
+    "Iteration",
+    "pi_exchange_program",
     "pi_iter_program",
 ]
 
@@ -71,7 +73,7 @@ def vrf_coin_factory() -> CoinFactory:
     return factory
 
 
-def pi_iter_program(
+def pi_exchange_program(
     ctx: Context,
     bit: int,
     slots: int,
@@ -81,7 +83,11 @@ def pi_iter_program(
     coin_index: Any = 0,
     overlap_coin: bool = False,
 ):
-    """One generalized iteration ``Π_iter^s`` as a party program.
+    """Expand and coin-flip of ``Π_iter^s``, before extraction.
+
+    Returns ``(prox_output, coin)`` raw — no guard, no default — which is
+    what a caller that extracts elsewhere needs (the vector backend's
+    probes) and what :func:`pi_iter_program` finishes.
 
     ``prox_factory(ctx, bit)`` must be an ``s``-slot Proxcensus program
     taking exactly ``prox_rounds`` communication rounds.  With
@@ -89,11 +95,6 @@ def pi_iter_program(
     Proxcensus' *last* round (the paper does this for the t < n/2 protocol,
     where the honest slot pair is already fixed after round 2); otherwise
     the coin follows the Proxcensus, for ``prox_rounds + 1`` rounds total.
-
-    Defensive notes: a failed coin (``None``) degrades to coin value 1 —
-    the iteration then still satisfies validity, and consistency merely is
-    not helped this iteration; a non-binary Proxcensus value (impossible
-    for honest executions, but cheap to guard) degrades to the (0, 0) slot.
     """
     low, high = coin_range(slots)
     prox = prox_factory(ctx, bit)
@@ -109,14 +110,75 @@ def pi_iter_program(
                 "coin": coin_factory(ctx, coin_index, low, high),
             },
         )
-        prox_output = results["prox"]
-        coin = results["coin"]
-    else:
-        prox_output = yield from prox
-        coin = yield from coin_factory(ctx, coin_index, low, high)
-    value, grade = prox_output
+        return results["prox"], results["coin"]
+    prox_output = yield from prox
+    coin = yield from coin_factory(ctx, coin_index, low, high)
+    return prox_output, coin
+
+
+def pi_iter_program(
+    ctx: Context,
+    bit: int,
+    slots: int,
+    prox_factory: Callable[[Context, int], Generator],
+    prox_rounds: int,
+    coin_factory: CoinFactory,
+    coin_index: Any = 0,
+    overlap_coin: bool = False,
+):
+    """One generalized iteration ``Π_iter^s`` as a party program:
+    :func:`pi_exchange_program` (same arguments), then **extract**.
+
+    Defensive notes: a failed coin (``None``) degrades to coin value 1 —
+    the iteration then still satisfies validity, and consistency merely is
+    not helped this iteration; a non-binary Proxcensus value (impossible
+    for honest executions, but cheap to guard) degrades to the (0, 0) slot.
+    """
+    (value, grade), coin = yield from pi_exchange_program(
+        ctx, bit, slots, prox_factory, prox_rounds, coin_factory,
+        coin_index, overlap_coin,
+    )
     if value not in (0, 1):
         value, grade = 0, 0
     if coin is None:
-        coin = low
+        coin = coin_range(slots)[0]
     return extract(value, grade, coin, slots)
+
+
+class Iteration(NamedTuple):
+    """A protocol's one statement of its iteration: what the program runs
+    and what the vector backend probes, rows and flips coins from.
+
+    ``subsession`` names the sub-context the iteration runs under
+    (``None``: the caller's own); the remaining fields are
+    :func:`pi_exchange_program`'s arguments.
+    """
+
+    slots: int
+    prox_factory: Callable[[Context, int], Generator]
+    prox_rounds: int
+    coin_index: Any
+    overlap_coin: bool
+    subsession: Optional[str] = None
+
+    @property
+    def rounds(self) -> int:
+        """Communication rounds one iteration takes."""
+        overlapped = self.overlap_coin and self.prox_rounds >= 1
+        return self.prox_rounds + (0 if overlapped else 1)
+
+    def _arguments(self, ctx: Context, bit: int, coin_factory: CoinFactory):
+        if self.subsession is not None:
+            ctx = ctx.subsession(self.subsession)
+        return (
+            ctx, bit, self.slots, self.prox_factory, self.prox_rounds,
+            coin_factory, self.coin_index, self.overlap_coin,
+        )
+
+    def exchange(self, ctx: Context, bit: int, coin_factory: CoinFactory):
+        """:func:`pi_exchange_program` of this iteration."""
+        return pi_exchange_program(*self._arguments(ctx, bit, coin_factory))
+
+    def run(self, ctx: Context, bit: int, coin_factory: CoinFactory):
+        """:func:`pi_iter_program` of this iteration."""
+        return pi_iter_program(*self._arguments(ctx, bit, coin_factory))

@@ -35,9 +35,26 @@ from typing import Optional
 from ..network.party import Context
 from ..proxcensus.one_third import prox_one_third_program
 from .extraction import extract
-from .iteration import CoinFactory, threshold_coin_factory
+from .iteration import CoinFactory, Iteration, threshold_coin_factory
 
-__all__ = ["ProbTermOutput", "fm_probabilistic_program"]
+__all__ = [
+    "ProbTermOutput",
+    "fm_probabilistic_program",
+    "iteration_fm_probabilistic",
+]
+
+
+def iteration_fm_probabilistic(iteration: int) -> Iteration:
+    """Iteration ``iteration`` (1-based) of the loop: the 5-slot graded
+    consensus in 2 expansion rounds (Corollary 1, r = 2), then the coin."""
+    return Iteration(
+        slots=5,
+        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=2),
+        prox_rounds=2,
+        coin_index=("pt", iteration),
+        overlap_coin=False,
+        subsession=f"pt{iteration}",
+    )
 
 
 @dataclass(frozen=True)
@@ -75,10 +92,8 @@ def fm_probabilistic_program(
     coin_factory = coin_factory or threshold_coin_factory()
     decided: Optional[ProbTermOutput] = None
     for iteration in range(1, max_iterations + 1):
-        iteration_ctx = ctx.subsession(f"pt{iteration}")
-        # 5-slot graded consensus: 2 expansion rounds (Corollary 1, r=2).
-        value, grade = yield from prox_one_third_program(iteration_ctx, bit, rounds=2)
-        coin = yield from coin_factory(iteration_ctx, ("pt", iteration), 1, 4)
+        step = iteration_fm_probabilistic(iteration)
+        (value, grade), coin = yield from step.exchange(ctx, bit, coin_factory)
         if coin is None:
             coin = 1
         if decided is not None:
@@ -91,7 +106,7 @@ def fm_probabilistic_program(
         if value in (0, 1) and grade >= 1:
             bit = value
         else:
-            bit = extract(0, 0, coin, 5)  # adopt the coin's bit
+            bit = extract(0, 0, coin, step.slots)  # adopt the coin's bit
     # Statistically unreachable for honest-majority runs (failure prob
     # 2^-max_iterations); returning the working value keeps the simulator
     # total and the caller can detect non-decision via iteration count.

@@ -32,24 +32,30 @@ from ..network.party import Context
 from ..proxcensus.linear_half import prox_linear_half_program
 from ..proxcensus.one_third import prox_one_third_program
 
-__all__ = ["turpin_coan_classic_program", "multivalued_ba_program"]
+__all__ = [
+    "TURPIN_COAN_BA",
+    "MULTIVALUED_BA",
+    "turpin_coan_prefix",
+    "turpin_coan_classic_program",
+    "multivalued_prefix",
+    "multivalued_ba_program",
+]
+
+#: Subsessions the lifts run their binary BA under.
+TURPIN_COAN_BA = "tc-ba"
+MULTIVALUED_BA = "mv-ba"
 
 # A binary BA program factory: (ctx, bit) -> generator returning a bit.
 BinaryBA = Callable[[Context, int], Generator]
 
 
-def turpin_coan_classic_program(
-    ctx: Context,
-    value: Any,
-    binary_ba: BinaryBA,
-    default: Any = None,
-):
-    """The original Turpin–Coan reduction, t < n/3, +2 rounds.
+def turpin_coan_prefix(ctx: Context, value: Any, default: Any = None):
+    """The two echo rounds of Turpin–Coan: returns ``(candidate, bit)``.
 
     Round 1: broadcast the input.  Round 2: broadcast the value seen
-    ``n - t`` times (or ⊥).  Let ``w`` be the most frequent non-⊥ round-2
-    value and ``C`` its count; run binary BA on ``C ≥ n - t``; output ``w``
-    on 1, ``default`` on 0.
+    ``n - t`` times (or ⊥).  ``candidate`` is the most frequent non-⊥
+    round-2 value (``default`` if there is none) and ``bit`` whether its
+    count reached ``n - t`` — the binary BA's input.
     """
     n, t = ctx.num_parties, ctx.max_faulty
     if 3 * t >= n:
@@ -81,18 +87,28 @@ def turpin_coan_classic_program(
         candidate, count = max(tally.items(), key=lambda kv: (kv[1], repr(kv[0])))
     else:
         candidate, count = default, 0
-    decision = yield from binary_ba(ctx.subsession("tc-ba"), 1 if count >= n - t else 0)
-    return candidate if decision == 1 else default
+    return candidate, 1 if count >= n - t else 0
 
 
-def multivalued_ba_program(
+def turpin_coan_classic_program(
     ctx: Context,
     value: Any,
     binary_ba: BinaryBA,
-    regime: str = "one_third",
     default: Any = None,
 ):
-    """Multivalued BA at the paper's advertised extra round cost.
+    """The original Turpin–Coan reduction, t < n/3, +2 rounds.
+
+    :func:`turpin_coan_prefix`, then binary BA on its bit: output the
+    candidate ``w`` on 1, ``default`` on 0.
+    """
+    candidate, bit = yield from turpin_coan_prefix(ctx, value, default)
+    decision = yield from binary_ba(ctx.subsession(TURPIN_COAN_BA), bit)
+    return candidate if decision == 1 else default
+
+
+def multivalued_prefix(ctx: Context, value: Any, regime: str = "one_third"):
+    """The lift's multivalued Proxcensus: returns ``(candidate, bit)`` —
+    the graded value and "my grade is maximal", the binary BA's input.
 
     ``regime`` is ``"one_third"`` (t < n/3, +2 rounds via the 2-round
     5-slot Proxcensus of Corollary 1) or ``"one_half"`` (t < n/2, +3 rounds
@@ -111,11 +127,23 @@ def multivalued_ba_program(
         top = 2  # G of the 5-slot (2·3 - 1) Proxcensus
     else:
         raise ValueError(f"unknown regime {regime!r}")
-    decision = yield from binary_ba(
-        ctx.subsession("mv-ba"), 1 if output.grade == top else 0
-    )
+    return output.value, 1 if output.grade == top else 0
+
+
+def multivalued_ba_program(
+    ctx: Context,
+    value: Any,
+    binary_ba: BinaryBA,
+    regime: str = "one_third",
+    default: Any = None,
+):
+    """Multivalued BA at the paper's advertised extra round cost:
+    :func:`multivalued_prefix` (+2 or +3 rounds by ``regime``), then
+    binary BA on its bit."""
+    candidate, bit = yield from multivalued_prefix(ctx, value, regime)
+    decision = yield from binary_ba(ctx.subsession(MULTIVALUED_BA), bit)
     if decision == 1:
         # Some honest party had grade G, so every honest grade is >= 1 and
         # all graded values agree; our own value is that common value.
-        return output.value
+        return candidate
     return default

@@ -10,17 +10,18 @@ processes.
 Determinism is the load-bearing property:
 
 * Per-trial seeds come from :func:`derive_trial_seed` — a pure function of
-  ``(base seed, trial index)``, the same affine map
-  :func:`repro.analysis.experiments.run_trials` has always used, so
-  engine trials are bit-identical to the legacy serial harness.
+  ``(base seed, trial index)``, an affine map that has never changed, so
+  every committed experiment number stays reproducible bit for bit
+  (``tests/engine/test_determinism.py`` pins the whole schedule against
+  a hand-written serial loop).
 * Per-trial sessions come from :func:`derive_trial_session`.  Distinct
   sessions per trial are **mandatory**: coin values are deterministic in
   (key material, session, index), and session reuse would replay
   identical coins across trials.
 * Key material derives from ``setup_seed`` alone (dealt as
-  ``random.Random(setup_seed + 0x5E7)``, the ``ExperimentSetup``
-  convention), so every worker deals the same keys without shipping
-  key material across process boundaries.
+  ``random.Random(setup_seed + 0x5E7)`` by
+  :func:`repro.engine.runner.deal_suite`), so every worker deals the
+  same keys without shipping key material across process boundaries.
 
 Nothing here depends on the executing process: running a plan with 1
 worker or 16 yields byte-identical results (see
@@ -42,9 +43,9 @@ __all__ = [
     "derive_trial_session",
 ]
 
-# The affine seed schedule of the legacy serial harness (run_trials).
-# 1_000_003 is prime and far larger than any trial count in use, so
-# per-base-seed streams never collide for trials < 1_000_003.
+# The affine seed schedule.  1_000_003 is prime and far larger than any
+# trial count in use, so per-base-seed streams never collide for
+# trials < 1_000_003.
 _SEED_STRIDE = 1_000_003
 
 
@@ -295,9 +296,9 @@ class TrialPlan:
     ) -> "TrialPlan":
         """``trials`` independent repetitions of one configuration.
 
-        Seeds and sessions follow the legacy ``run_trials`` schedule (see
-        module docstring), so a monte-carlo plan executed serially
-        reproduces the historical experiment numbers exactly.
+        Trial ``i`` gets :func:`derive_trial_seed` / :func:`derive_trial_session`
+        of ``(seed, i)`` — the engine's one seed schedule (see module
+        docstring), on which the committed experiment numbers rest.
         """
         if trials < 1:
             raise ValueError("need at least one trial")

@@ -58,7 +58,10 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..adversary.base import Adversary
+from ..analysis.stats import disagreement_rate
 from ..crypto.keys import CryptoSuite
+from ..network.faults import FaultCounts
 from ..network.metrics import RunMetrics
 from ..network.simulator import ExecutionResult, SyncSimulator
 from ..network.trace import Tracer
@@ -230,9 +233,10 @@ class TrialExecutionError(RuntimeError):
     """A trial raised: which one, and the command that runs it again alone.
 
     Raised ``from`` the original exception by :func:`_run_indexed_trial`,
-    the one function every execution path runs a trial through, so
-    inline, pooled, adaptive and vector-fallback runs fail alike — and
-    by ``execute_chunk`` for a vector batch, named by its first member.
+    the one function every plan's execution path runs a trial through,
+    so inline, pooled, adaptive and vector-fallback runs fail alike — by
+    ``execute_chunk`` for a vector batch, named by its first member, and
+    by the CLI for the single trial of ``repro run`` / ``repro ledger``.
     ``index`` is the trial's place in its plan and ``cause`` the
     original's ``Type: message``; the spec's identifying fields are
     attributes too.  Picklable — it crosses the pool's result pipe
@@ -266,15 +270,16 @@ class TrialExecutionError(RuntimeError):
         )
 
 
-def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult:
-    """Execute one trial in this process (suite cached per-process).
+def _build_simulator(
+    spec: TrialSpec, adversary: Optional[Adversary], observers: Sequence[Any] = ()
+) -> SyncSimulator:
+    """The only engine function that constructs a simulator.
 
-    The only engine function that builds a trial's simulator;
-    ``observers`` go to :class:`SyncSimulator` unchanged.
+    Everything but the adversary instance is read off ``spec`` (suite
+    cached per-process); ``observers`` go to :class:`SyncSimulator`
+    unchanged.
     """
-    factory = build_protocol_factory(spec.protocol, spec.param_dict)
-    adversary = build_adversary(spec.adversary, spec.adversary_param_dict, factory)
-    simulator = SyncSimulator(
+    return SyncSimulator(
         num_parties=spec.num_parties,
         max_faulty=spec.max_faulty,
         crypto=_suite_for(spec),
@@ -286,7 +291,22 @@ def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult
         collect_signatures=spec.collect_signatures,
         faults=build_fault_plan(spec.faults, spec.fault_param_dict),
     )
-    return simulator.run(factory, list(spec.inputs))
+
+
+def _run_counted(
+    spec: TrialSpec, observers: Sequence[Any] = ()
+) -> Tuple[ExecutionResult, Optional[FaultCounts]]:
+    """:func:`run_trial`, plus the run's fault tallies (``None`` without
+    a fault plan) — what ``repro run`` prints beside the result."""
+    factory = build_protocol_factory(spec.protocol, spec.param_dict)
+    adversary = build_adversary(spec.adversary, spec.adversary_param_dict, factory)
+    simulator = _build_simulator(spec, adversary, observers)
+    return simulator.run(factory, list(spec.inputs)), simulator.last_fault_counts
+
+
+def run_trial(spec: TrialSpec, observers: Sequence[Any] = ()) -> ExecutionResult:
+    """Execute one trial in this process (suite cached per-process)."""
+    return _run_counted(spec, observers)[0]
 
 
 def _run_indexed_trial(
@@ -538,10 +558,7 @@ class PlanResult:
 
     def disagreement_rate(self) -> float:
         """Fraction of trials whose honest parties did not all agree."""
-        if not self.results:
-            raise ValueError("no results")
-        failures = sum(1 for result in self.results if not result.honest_agree())
-        return failures / len(self.results)
+        return disagreement_rate(self.results)
 
     def merged_metrics(self) -> RunMetrics:
         """Plan-wide aggregate of every trial's metrics."""

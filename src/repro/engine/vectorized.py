@@ -41,7 +41,12 @@ stamped with the same frozen rows.
 The transition itself is not re-derived by hand: it is obtained by running
 the *object simulator* once per state on a single-iteration probe
 program (the exact wire behavior of one ``Π_iter`` segment, including the
-real adversary instance).  That makes the vector backend bit-identical to
+real adversary instance).  Nor is the probe program: it is the
+protocol's own statement of its iteration
+(:class:`repro.core.iteration.Iteration` — slots, Proxcensus, coin index,
+subsession) run up to, but not through, extraction, and a model reads
+its row's slot count and its coin's index, range and session from that
+same statement.  That makes the vector backend bit-identical to
 the reference by construction — the only arithmetic this module trusts is
 the coin evaluator, :func:`repro.core.extraction.extract`'s closed form
 and the slot positions it is property-tested against
@@ -84,19 +89,28 @@ from bisect import bisect_left
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.extraction import extract
-from ..core.probabilistic import ProbTermOutput
-from ..crypto.coin import coin_evaluator, threshold_coin_program
+from ..core.ba import (
+    iteration_one_half,
+    iteration_one_third,
+    iterations_one_half,
+    rounds_one_half,
+)
+from ..core.extraction import coin_range, extract
+from ..core.iteration import Iteration, threshold_coin_factory
+from ..core.probabilistic import ProbTermOutput, iteration_fm_probabilistic
+from ..core.turpin_coan import (
+    MULTIVALUED_BA,
+    TURPIN_COAN_BA,
+    multivalued_prefix,
+    turpin_coan_prefix,
+)
+from ..crypto.coin import coin_evaluator
 from ..crypto.vrf_coin import vrf_coin_extractor, vrf_evaluator
-from ..network.messages import get_field
 from ..network.metrics import RunMetrics
-from ..network.party import resume_with, run_parallel
-from ..network.simulator import ExecutionResult, SyncSimulator
+from ..network.simulator import ExecutionResult
 from ..obs.metrics import DeliveryContribution, MetricsRegistry
 from ..proxcensus.base import slot_index
-from ..proxcensus.linear_half import prox_linear_half_program
-from ..proxcensus.one_third import prox_one_third_program
-from .plan import TrialSpec
+from .plan import TrialSpec, _stamp_trial
 from .registry import build_adversary, register_vector_model, vector_model_for
 
 __all__ = [
@@ -726,17 +740,11 @@ def _simulate_probe(
     a registry: probes are cached, so the collector's cost is paid once
     per configuration and metrics need no second kind of probe.
     """
+    from .runner import _build_simulator  # circular at import time
+
     registry = MetricsRegistry()
-    simulator = SyncSimulator(
-        num_parties=spec.num_parties,
-        max_faulty=spec.max_faulty,
-        crypto=_suite(spec),
-        adversary=adversary,
-        seed=0,
-        session=_PROBE_SESSION,
-        max_rounds=spec.max_rounds,
-        observers=(registry,),
-        collect_signatures=spec.collect_signatures,
+    simulator = _build_simulator(
+        _stamp_trial(spec, 0, _PROBE_SESSION), adversary, (registry,)
     )
     result = simulator.run(factory, list(inputs))
     return result, _freeze_delivery(result, registry)
@@ -796,6 +804,20 @@ def _execute_probe(
     return _IterationProbe(
         *zip(*parties), delivery=delivery, corrupted=frozenset(result.corrupted)
     )
+
+
+def _exchange(iteration: Iteration):
+    """The probe program of one iteration: ``core``'s own expand and
+    coin-flip, returning ``(prox_output, coin)`` raw — extraction happens
+    in the state's row."""
+    return lambda ctx, bit: iteration.exchange(ctx, bit, threshold_coin_factory())
+
+
+def _iteration_coin(first: TrialSpec, iteration: Iteration):
+    """``(evaluator, session suffix)`` of the coin ``iteration`` flips."""
+    suffix = "" if iteration.subsession is None else f"/{iteration.subsession}"
+    low, high = coin_range(iteration.slots)
+    return coin_evaluator(_suite(first).coin, iteration.coin_index, low, high), suffix
 
 
 # ── Replay probes: one full reference execution, replicated per trial ────
@@ -903,35 +925,18 @@ class _BaOneThirdModel(_WalkModel):
         return None
 
     @staticmethod
-    def _probe_factory(kappa: int):
-        # Wire-identical to ba_one_third_program (Π_iter, overlap_coin
-        # False), except it returns (prox_output, coin) instead of the
-        # extracted bit — extraction happens in the state's row.
-        low, high = 1, 2 ** kappa
-
-        def factory(ctx, bit):
-            prox_output = yield from prox_one_third_program(ctx, bit, rounds=kappa)
-            coin = yield from threshold_coin_program(
-                ctx, ("ba13", kappa), low, high
-            )
-            return (prox_output, coin)
-
-        return factory
-
-    @staticmethod
     def root(first: TrialSpec) -> Tuple[int, ...]:
         return tuple(first.inputs)
 
-    @classmethod
-    def row(cls, first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
-        kappa = first.param_dict["kappa"]
-        probe = _run_probe(first, bits, bits, cls._probe_factory(kappa), kappa + 1)
-        return _extraction_row(probe, 2 ** kappa + 1, _all_return)
+    @staticmethod
+    def row(first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
+        iteration = iteration_one_third(first.param_dict["kappa"])
+        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
+        return _extraction_row(probe, iteration.slots, _all_return)
 
     @staticmethod
     def coin(first: TrialSpec, depth: int):
-        kappa = first.param_dict["kappa"]
-        return coin_evaluator(_suite(first).coin, ("ba13", kappa), 1, 2 ** kappa), ""
+        return _iteration_coin(first, iteration_one_third(first.param_dict["kappa"]))
 
 
 # ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
@@ -946,8 +951,6 @@ class _BaOneHalfModel(_WalkModel):
     later row sits on the extremal slots and reads no coin.
     """
 
-    ITERATION_ROUNDS = 3
-
     @staticmethod
     def unsupported_reason(spec: TrialSpec) -> Optional[str]:
         reason = _bit_input_reason(spec) or _kappa_reason(spec)
@@ -956,9 +959,7 @@ class _BaOneHalfModel(_WalkModel):
         n, t = spec.num_parties, spec.max_faulty
         if 2 * t >= n:
             return "regime violation 2t >= n (object path raises)"
-        kappa = spec.param_dict["kappa"]
-        iterations = -(-kappa // 2)
-        if spec.max_rounds < 3 * iterations:
+        if spec.max_rounds < rounds_one_half(spec.param_dict["kappa"]):
             return "max_rounds below protocol length (object path raises)"
         if spec.adversary == "straddle12":
             reason = _victims_reason(
@@ -967,53 +968,32 @@ class _BaOneHalfModel(_WalkModel):
             if reason is not None:
                 return reason
             rounds = spec.adversary_param_dict.get("iteration_rounds", 3)
-            if rounds != _BaOneHalfModel.ITERATION_ROUNDS:
+            if rounds != iteration_one_half(0).rounds:
                 return "straddle12 with non-standard iteration_rounds"
         elif spec.adversary is not None:
             return f"no ba_one_half vector model for {spec.adversary!r}"
         return None
 
     @staticmethod
-    def _probe_program(ctx, bit):
-        # Wire-identical to one ba_one_half iteration: Π_iter^5 with the
-        # 3-round Prox (rounds 1–2 driven directly, round 3 parallel with
-        # the coin), under the iter0 subsession the fresh per-iteration
-        # adversary also derives.  Returns (prox_output, coin) raw.
-        iteration_ctx = ctx.subsession("iter0")
-        prox = prox_linear_half_program(iteration_ctx, bit, rounds=3)
-        outbox = next(prox)
-        for _ in range(2):
-            inbox = yield outbox
-            outbox = prox.send(inbox)
-        results = yield from run_parallel(
-            iteration_ctx,
-            {
-                "prox": resume_with(prox, outbox),
-                "coin": threshold_coin_program(iteration_ctx, ("ba12", 0), 1, 4),
-            },
-        )
-        return (results["prox"], results["coin"])
+    def root(first: TrialSpec) -> Tuple[Tuple[int, ...], int]:
+        return tuple(first.inputs), iterations_one_half(first.param_dict["kappa"])
 
     @staticmethod
-    def root(first: TrialSpec) -> Tuple[Tuple[int, ...], int]:
-        return tuple(first.inputs), -(-first.param_dict["kappa"] // 2)
-
-    @classmethod
-    def row(cls, first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
+    def row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
         bits, left = state
-        probe = _run_probe(
-            first, bits, bits, cls._probe_program, cls.ITERATION_ROUNDS
-        )
+        # Any iteration's wire behavior is the first's — the one whose
+        # subsession the fresh per-iteration adversary also derives.
+        iteration = iteration_one_half(0)
+        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
         if left == 1:
-            return _extraction_row(probe, 5, _all_return)
-        return _extraction_row(probe, 5, lambda after: ((after, left - 1), ()))
+            return _extraction_row(probe, iteration.slots, _all_return)
+        return _extraction_row(
+            probe, iteration.slots, lambda after: ((after, left - 1), ())
+        )
 
     @staticmethod
     def coin(first: TrialSpec, depth: int):
-        return (
-            coin_evaluator(_suite(first).coin, ("ba12", depth), 1, 4),
-            f"/iter{depth}",
-        )
+        return _iteration_coin(first, iteration_one_half(depth))
 
 
 # ── fm_probabilistic: per-iteration lockstep with halting parties ───────
@@ -1024,17 +1004,13 @@ _FM_MAX_ITERATIONS = 64  # fm_probabilistic_program's default cap
 
 
 def _fm_probe_program(ctx, token):
-    # Wire-identical to one fm_probabilistic iteration: the 2-round
-    # Prox_5 followed by the coin, under the pt1 subsession (structure is
+    # The loop's first iteration stands for all of them (structure is
     # iteration-independent; only coin *values* differ, derived per
     # trial/iteration).  A halted token returns before the first yield —
     # exactly what a returned party contributes to later rounds: nothing.
     if token == _FM_HALTED:
         return None
-    iteration_ctx = ctx.subsession("pt1")
-    prox_output = yield from prox_one_third_program(iteration_ctx, token, rounds=2)
-    coin = yield from threshold_coin_program(iteration_ctx, ("pt", 1), 1, 4)
-    return (prox_output, coin)
+    return (yield from _exchange(iteration_fm_probabilistic(1))(ctx, token))
 
 
 class _FmProbabilisticModel(_WalkModel):
@@ -1063,7 +1039,7 @@ class _FmProbabilisticModel(_WalkModel):
         n, t = spec.num_parties, spec.max_faulty
         if 3 * t >= n:
             return "regime violation 3t >= n (object path raises)"
-        if spec.max_rounds < 3 * _FM_MAX_ITERATIONS:
+        if spec.max_rounds < _FM_MAX_ITERATIONS * iteration_fm_probabilistic(1).rounds:
             return "max_rounds below the iteration cap (object path may raise)"
         return None
 
@@ -1074,9 +1050,10 @@ class _FmProbabilisticModel(_WalkModel):
     @staticmethod
     def row(first: TrialSpec, state) -> _Row:
         iteration, tokens, deciding = state
+        step = iteration_fm_probabilistic(iteration)
         halted = [pid for pid, token in enumerate(tokens) if token == _FM_HALTED]
         probe = _run_probe(
-            first, ("fm-state", tokens), tokens, _fm_probe_program, 3, halted
+            first, ("fm-state", tokens), tokens, _fm_probe_program, step.rounds, halted
         )
         idle = {*halted, *deciding}
         running = [pid for pid in range(len(tokens)) if pid not in idle]
@@ -1089,7 +1066,7 @@ class _FmProbabilisticModel(_WalkModel):
         for pid in running:
             keeps = probe.grades[pid] >= 1
             values[pid], grades[pid] = (probe.values[pid], 2) if keeps else (0, 0)
-        cuts, outcomes = _cut_row(values, grades, probe.coin_ok, 5)
+        cuts, outcomes = _cut_row(values, grades, probe.coin_ok, step.slots)
         decides = tuple(pid for pid in running if probe.grades[pid] == 2)
         # The post-decision helper iteration is done for ``deciding``.
         done = [(pid, ProbTermOutput(tokens[pid], iteration - 1)) for pid in deciding]
@@ -1108,10 +1085,7 @@ class _FmProbabilisticModel(_WalkModel):
 
     @staticmethod
     def coin(first: TrialSpec, depth: int):
-        return (
-            coin_evaluator(_suite(first).coin, ("pt", depth + 1), 1, 4),
-            f"/pt{depth + 1}",
-        )
+        return _iteration_coin(first, iteration_fm_probabilistic(depth + 1))
 
 
 # ── turpin_coan_classic / multivalued_ba: deterministic + one inner coin ─
@@ -1131,13 +1105,11 @@ class _LiftModel(_WalkModel):
     inner BA's coin under ``SUBSESSION``, protocol params within
     ``PARAMS``.
 
-    The probe mirrors the program but returns ``(prox_output, coin,
-    candidate)`` instead of extracting, so extraction — and with it each
-    party's choice between its candidate and the default — happens in
-    the row.  ``TALLY_IS_CANDIDATE`` distinguishes Turpin–Coan (a
-    ``None`` candidate means the echo tally was empty, so the *default*
-    is the candidate too) from the Proxcensus lift (the candidate is the
-    party's graded value, never substituted).
+    The probe runs the lift's own deterministic ``prefix`` — two rounds
+    that leave ``(candidate, bit)`` — and then the inner ``ba_one_third``'s
+    iteration on ``bit`` without extracting, returning ``(prox_output,
+    coin, candidate)``: extraction — and with it each party's choice
+    between its candidate and the default — happens in the row.
     """
 
     @classmethod
@@ -1153,8 +1125,7 @@ class _LiftModel(_WalkModel):
         n, t = spec.num_parties, spec.max_faulty
         if 3 * t >= n:
             return "regime violation 3t >= n (object path raises)"
-        kappa = spec.param_dict["kappa"]
-        if spec.max_rounds < kappa + 3:
+        if spec.max_rounds < 2 + iteration_one_third(spec.param_dict["kappa"]).rounds:
             return "max_rounds below protocol length (object path raises)"
         return None
 
@@ -1164,22 +1135,21 @@ class _LiftModel(_WalkModel):
 
     @classmethod
     def row(cls, first: TrialSpec, token: str) -> _Row:
-        kappa = first.param_dict["kappa"]
+        iteration = iteration_one_third(first.param_dict["kappa"])
         default = first.param_dict.get("default", "∅")
-        probe = _run_probe(
-            first, token, first.inputs, cls._probe_factory(kappa), kappa + 3
-        )
+        exchange = _exchange(iteration)
+
+        def program(ctx, value):
+            candidate, bit = yield from cls.prefix(ctx, value, default)
+            prox_output, coin = yield from exchange(ctx.subsession(cls.SUBSESSION), bit)
+            return prox_output, coin, candidate
+
+        probe = _run_probe(first, token, first.inputs, program, 2 + iteration.rounds)
         # Per party: what it outputs on decision 0 and on decision 1.
-        choices = [
-            (
-                default,
-                default if cls.TALLY_IS_CANDIDATE and candidate is None else candidate,
-            )
-            for candidate in probe.candidates
-        ]
+        choices = [(default, candidate) for candidate in probe.candidates]
         return _extraction_row(
             probe,
-            2 ** kappa + 1,
+            iteration.slots,
             lambda bits: (
                 None,
                 tuple((pid, choices[pid][bit]) for pid, bit in enumerate(bits)),
@@ -1199,55 +1169,9 @@ class _TurpinCoanModel(_LiftModel):
     and session-invariant; only the inner coin varies per trial.
     """
 
-    TOKEN, SUBSESSION, TALLY_IS_CANDIDATE = "tc", "tc-ba", True
+    TOKEN, SUBSESSION = "tc", TURPIN_COAN_BA
     PARAMS = frozenset({"kappa", "default"})
-
-    @staticmethod
-    def _probe_factory(kappa: int):
-        # Rounds 1–2 are copied from turpin_coan_classic_program; the
-        # inner ba_one_third is unrolled to its Π_iter components so the
-        # probe can return the pre-extraction state.
-        def factory(ctx, value):
-            n, t = ctx.num_parties, ctx.max_faulty
-            bottom = ("tc-bottom",)
-            inbox = yield ctx.broadcast({"tc1": value})
-            tally = Counter()
-            for payload in inbox.values():
-                v = get_field(payload, "tc1")
-                try:
-                    hash(v)
-                except TypeError:
-                    continue
-                tally[v] += 1
-            echo = next((v for v, c in tally.items() if c >= n - t), bottom)
-
-            inbox = yield ctx.broadcast({"tc2": echo})
-            tally = Counter()
-            for payload in inbox.values():
-                v = get_field(payload, "tc2")
-                try:
-                    hash(v)
-                except TypeError:
-                    continue
-                if v != bottom:
-                    tally[v] += 1
-            if tally:
-                candidate, count = max(
-                    tally.items(), key=lambda kv: (kv[1], repr(kv[0]))
-                )
-            else:
-                candidate, count = None, 0
-            bit = 1 if count >= n - t else 0
-            ba_ctx = ctx.subsession("tc-ba")
-            prox_output = yield from prox_one_third_program(
-                ba_ctx, bit, rounds=kappa
-            )
-            coin = yield from threshold_coin_program(
-                ba_ctx, ("ba13", kappa), 1, 2 ** kappa
-            )
-            return (prox_output, coin, candidate)
-
-        return factory
+    prefix = staticmethod(turpin_coan_prefix)
 
 
 class _MultivaluedBaModel(_LiftModel):
@@ -1259,25 +1183,12 @@ class _MultivaluedBaModel(_LiftModel):
     inner BA runs ⌈κ/2⌉ coins; those sweeps fall back per spec).
     """
 
-    TOKEN, SUBSESSION, TALLY_IS_CANDIDATE = "mv", "mv-ba", False
+    TOKEN, SUBSESSION = "mv", MULTIVALUED_BA
     PARAMS = frozenset({"kappa", "regime", "default"})
 
     @staticmethod
-    def _probe_factory(kappa: int):
-        def factory(ctx, value):
-            prox_ctx = ctx.subsession("mv-prox")
-            output = yield from prox_one_third_program(prox_ctx, value, rounds=2)
-            bit = 1 if output.grade == 2 else 0
-            ba_ctx = ctx.subsession("mv-ba")
-            prox_output = yield from prox_one_third_program(
-                ba_ctx, bit, rounds=kappa
-            )
-            coin = yield from threshold_coin_program(
-                ba_ctx, ("ba13", kappa), 1, 2 ** kappa
-            )
-            return (prox_output, coin, output.value)
-
-        return factory
+    def prefix(ctx, value, default):
+        return multivalued_prefix(ctx, value)
 
 
 # ── coin protocols: one round, value is a pure function of the keys ─────

@@ -10,7 +10,7 @@ fold to the same totals, and a canonical **varint pack/unpack** so
 packed registries ride the engine's compact ``ChunkSummary`` transport.
 
 Collection happens inside the simulator's delivery seam — a registry is
-one of ``SyncSimulator(observers=…)``, the interface ``Tracer`` shares:
+one of ``SyncSimulator``'s ``observers``, the interface ``Tracer`` shares:
 the simulator calls :meth:`MetricsRegistry.on_message` /
 :meth:`~MetricsRegistry.on_fault` per delivered message / injected fault,
 and with no observers delivery does nothing extra.  Everything a

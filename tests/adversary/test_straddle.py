@@ -6,12 +6,7 @@ from repro.adversary.straddle import (
     LinearHalfStraddleAdversary,
     OneThirdStraddleAdversary,
 )
-from repro.analysis.experiments import (
-    ExperimentSetup,
-    disagreement_rate,
-    run_trials,
-)
-from repro.core.ba import ba_one_half_program, ba_one_third_program
+from repro.engine import ParallelRunner, TrialPlan
 from repro.proxcensus.base import (
     check_proxcensus_consistency,
     slot_index,
@@ -20,6 +15,17 @@ from repro.proxcensus.linear_half import prox_linear_half_program
 from repro.proxcensus.one_third import prox_one_third_program
 
 from ..conftest import run
+
+
+def attacked(protocol, kappa, inputs, max_faulty, adversary, trials, seed=0):
+    """A Monte-Carlo run of a BA under its straddle (the last t corrupted)."""
+    n = len(inputs)
+    plan = TrialPlan.monte_carlo(
+        "straddle", protocol, inputs, max_faulty, trials,
+        params={"kappa": kappa}, adversary=adversary,
+        adversary_params={"victims": tuple(range(n - max_faulty, n))}, seed=seed,
+    )
+    return ParallelRunner().run(plan)
 
 
 class TestOneThirdStraddle:
@@ -64,15 +70,9 @@ class TestOneThirdStraddle:
         assert high - low == 1
 
     def test_achieves_theorem1_rate_on_full_ba(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        factory = lambda c, b: ba_one_third_program(c, b, kappa=2)
-        rate = disagreement_rate(
-            run_trials(
-                setup, factory, [0, 0, 1, 1], trials=150,
-                adversary_factory=lambda: OneThirdStraddleAdversary([3]),
-                seed=7,
-            )
-        )
+        rate = attacked(
+            "ba_one_third", 2, [0, 0, 1, 1], 1, "straddle13", trials=150, seed=7
+        ).disagreement_rate()
         assert 0.15 <= rate <= 0.35  # bound is 1/4; the attack realizes it
 
 
@@ -98,23 +98,14 @@ class TestLinearHalfStraddle:
         assert grades == [0, 0, 1], outputs
 
     def test_cannot_break_validity(self):
-        setup = ExperimentSetup(num_parties=5, max_faulty=2)
-        factory = lambda c, b: ba_one_half_program(c, b, kappa=4)
-        results = run_trials(
-            setup, factory, [1, 1, 1, 1, 1], trials=10,
-            adversary_factory=lambda: LinearHalfStraddleAdversary([3, 4]),
+        results = attacked(
+            "ba_one_half", 4, [1, 1, 1, 1, 1], 2, "straddle12", trials=10
         )
         for result in results:
             assert all(v == 1 for v in result.honest_outputs.values())
 
     def test_achieves_quarter_rate_per_iteration(self):
-        setup = ExperimentSetup(num_parties=5, max_faulty=2)
-        factory = lambda c, b: ba_one_half_program(c, b, kappa=2)  # 1 iteration
-        rate = disagreement_rate(
-            run_trials(
-                setup, factory, [0, 0, 1, 1, 1], trials=150,
-                adversary_factory=lambda: LinearHalfStraddleAdversary([3, 4]),
-                seed=9,
-            )
-        )
+        rate = attacked(  # kappa=2: one iteration
+            "ba_one_half", 2, [0, 0, 1, 1, 1], 2, "straddle12", trials=150, seed=9
+        ).disagreement_rate()
         assert 0.15 <= rate <= 0.35  # bound 1/4, realized

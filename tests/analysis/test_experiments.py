@@ -1,31 +1,37 @@
-"""Tests for the Monte-Carlo experiment drivers."""
+"""Monte-Carlo plans through the engine: what the experiments rest on."""
 
 import pytest
 
-from repro.adversary.strategies import TwoFaceAdversary
-from repro.analysis.experiments import (
-    ExperimentSetup,
-    disagreement_rate,
-    measure_execution,
-    run_trials,
-    slot_occupancy,
-)
-from repro.core.ba import ba_one_third_program
-from repro.proxcensus.one_third import prox_one_third_program
+from repro.analysis import disagreement_rate
+from repro.engine import ParallelRunner, TrialPlan
+from repro.proxcensus.base import slot_index
 
 
-def prox(ctx, x):
-    return prox_one_third_program(ctx, x, rounds=2)
+def monte_carlo(protocol, inputs, trials, seed=0, **config):
+    plan = TrialPlan.monte_carlo(
+        "experiment", protocol, inputs, 1, trials, seed=seed, **config
+    )
+    return ParallelRunner().run(plan).results
 
 
-def ba(ctx, b):
-    return ba_one_third_program(ctx, b, kappa=4)
+def ba(inputs, trials, seed=0):
+    return monte_carlo("ba_one_third", inputs, trials, seed, params={"kappa": 4})
+
+
+def prox5_positions(inputs, trials, **config):
+    """Honest slot positions of each 2-round ``Prox_5`` execution."""
+    results = monte_carlo(
+        "prox_one_third", inputs, trials, params={"rounds": 2}, **config
+    )
+    return [
+        [slot_index(o.value, o.grade, 5) for o in result.honest_outputs.values()]
+        for result in results
+    ]
 
 
 class TestRunTrials:
     def test_trials_are_distinct_executions(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        results = run_trials(setup, ba, [0, 1, 0, 1], trials=6)
+        results = ba([0, 1, 0, 1], trials=6)
         assert len(results) == 6
         # Coins differ across trials (distinct sessions), so outputs vary
         # across enough trials.
@@ -33,17 +39,14 @@ class TestRunTrials:
         assert len(outcomes) >= 2
 
     def test_deterministic_given_seed(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        a = run_trials(setup, ba, [0, 1, 0, 1], trials=3, seed=5)
-        b = run_trials(setup, ba, [0, 1, 0, 1], trials=3, seed=5)
+        a = ba([0, 1, 0, 1], trials=3, seed=5)
+        b = ba([0, 1, 0, 1], trials=3, seed=5)
         assert [r.outputs for r in a] == [r.outputs for r in b]
 
 
 class TestDisagreementRate:
     def test_zero_for_validity_runs(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        results = run_trials(setup, ba, [1, 1, 1, 1], trials=5)
-        assert disagreement_rate(results) == 0.0
+        assert disagreement_rate(ba([1, 1, 1, 1], trials=5)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -52,27 +55,21 @@ class TestDisagreementRate:
 
 class TestMeasureExecution:
     def test_reports_all_metrics(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        measured = measure_execution(setup, ba, [0, 1, 0, 1])
-        assert measured["rounds"] == 5  # kappa + 1
-        assert measured["honest_messages"] > 0
-        assert measured["total_signatures"] >= measured["honest_signatures"]
+        (result,) = ba([0, 1, 0, 1], trials=1)
+        assert result.metrics.rounds == 5  # kappa + 1
+        assert result.metrics.honest_messages > 0
+        assert result.metrics.total_signatures >= result.metrics.honest_signatures
 
 
 class TestSlotOccupancy:
     def test_pre_agreement_occupies_one_extremal_slot(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        occupancy = slot_occupancy(setup, prox, 5, [1, 1, 1, 1], trials=4)
-        assert set(occupancy) == {4}  # rightmost slot of Prox_5
+        positions = prox5_positions([1, 1, 1, 1], trials=4)
+        assert {p for trial in positions for p in trial} == {4}  # rightmost
 
     def test_adversarial_runs_stay_adjacent_per_execution(self):
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
-        occupancy = slot_occupancy(
-            setup,
-            prox,
-            5,
-            [0, 0, 1, 1],
-            trials=8,
-            adversary_factory=lambda: TwoFaceAdversary(victims=[3], factory=prox),
+        positions = prox5_positions(
+            [0, 0, 1, 1], trials=8,
+            adversary="two_face", adversary_params={"victims": (3,)},
         )
-        assert sum(occupancy.values()) == 8 * 3  # 3 honest parties per trial
+        assert [len(trial) for trial in positions] == [3] * 8  # 3 honest each
+        assert all(max(trial) - min(trial) <= 1 for trial in positions)

@@ -13,10 +13,19 @@ from repro.adversary.strategies import (
 from repro.core.ba import (
     ba_one_half_program,
     ba_one_third_program,
+    iteration_one_half,
+    iteration_one_third,
+    iterations_one_half,
     rounds_one_half,
     rounds_one_third,
 )
-from repro.core.iteration import ideal_coin_factory
+from repro.core.extraction import coin_range
+from repro.core.iteration import (
+    Iteration,
+    ideal_coin_factory,
+    threshold_coin_factory,
+)
+from repro.core.probabilistic import iteration_fm_probabilistic
 from repro.crypto.coin import IdealCoin
 from repro.crypto.keys import CryptoSuite
 
@@ -29,6 +38,48 @@ def ba13(kappa, coin_factory=None):
 
 def ba12(kappa, coin_factory=None):
     return lambda c, b: ba_one_half_program(c, b, kappa, coin_factory)
+
+
+class TestIterationStatements:
+    """The iteration constants, pinned to the paper by literals.
+
+    The programs *and* the vector models read these statements, so the
+    vector == object grid cannot notice one drifting; this table can.
+    """
+
+    # statement, s, Proxcensus rounds, rounds, coin ∥ last round, coin
+    # index, subsession — coin range is [1, s − 1] throughout.
+    PAPER = [
+        (iteration_one_third(1), 3, 1, 2, False, ("ba13", 1), None),
+        (iteration_one_third(5), 33, 5, 6, False, ("ba13", 5), None),
+        (iteration_one_third(8), 257, 8, 9, False, ("ba13", 8), None),
+        (iteration_one_half(0), 5, 3, 3, True, ("ba12", 0), "iter0"),
+        (iteration_one_half(7), 5, 3, 3, True, ("ba12", 7), "iter7"),
+        (iteration_fm_probabilistic(1), 5, 2, 3, False, ("pt", 1), "pt1"),
+        (iteration_fm_probabilistic(64), 5, 2, 3, False, ("pt", 64), "pt64"),
+    ]
+
+    @pytest.mark.parametrize(
+        "iteration, slots, prox_rounds, rounds, overlap, index, subsession", PAPER
+    )
+    def test_statement_matches_the_paper(
+        self, iteration, slots, prox_rounds, rounds, overlap, index, subsession
+    ):
+        assert iteration._replace(prox_factory=None) == Iteration(
+            slots, None, prox_rounds, index, overlap, subsession
+        )
+        assert iteration.rounds == rounds
+        assert coin_range(iteration.slots) == (1, slots - 1)
+        inputs = [0, 1, 1, 0, 1] if overlap else [0, 1, 1, 0]  # t < n/2 : t < n/3
+        program = lambda c, b: iteration.exchange(c, b, threshold_coin_factory())
+        wire = run(program, inputs, 2 if overlap else 1, session="statement")
+        assert wire.metrics.rounds == rounds
+
+    @pytest.mark.parametrize(
+        "kappa, iterations", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (8, 4), (9, 5)]
+    )
+    def test_one_half_runs_ceil_kappa_over_two_iterations(self, kappa, iterations):
+        assert iterations_one_half(kappa) == iterations
 
 
 class TestRoundFormulas:

@@ -1,8 +1,18 @@
-"""Edge-path tests for Π_iter: coin failure, non-binary clamps, overlap."""
+"""Edge-path tests for Π_iter: coin failure, non-binary clamps, overlap,
+and the seam between the exchange and the extraction."""
+
+import json
+import pathlib
 
 import pytest
 
-from repro.core.iteration import pi_iter_program, threshold_coin_factory
+from repro.core.extraction import extract
+from repro.core.iteration import (
+    pi_exchange_program,
+    pi_iter_program,
+    threshold_coin_factory,
+)
+from repro.engine import TrialSpec, run_trial
 from repro.proxcensus.base import ProxOutput
 from repro.proxcensus.one_third import prox_one_third_program
 
@@ -100,3 +110,67 @@ class TestOverlapEdge:
         res = run(program, [1, 1, 1, 1], 1, session="ov0")
         assert res.metrics.rounds == 1  # just the coin round
         assert all(v == 1 for v in res.outputs.values())
+
+
+class TestExchangeSeam:
+    """``pi_iter_program`` = ``pi_exchange_program`` + the non-bit guard +
+    the failed-coin default + ``extract``, on the wire and in the result."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["sequential", "overlapped"])
+    @pytest.mark.parametrize("coin", ["threshold", "failed"])
+    @pytest.mark.parametrize("prox", ["prox5", "non-bit"])
+    def test_iteration_is_guard_default_extract_over_the_exchange(
+        self, overlap, coin, prox
+    ):
+        arguments = dict(
+            slots=5,
+            prox_factory=(
+                (lambda c, b: prox_one_third_program(c, b, rounds=2))
+                if prox == "prox5"
+                else synthetic_prox(ProxOutput("weird", 2))
+            ),
+            prox_rounds=2 if prox == "prox5" else 1,
+            coin_factory=(
+                threshold_coin_factory() if coin == "threshold"
+                else failing_coin_factory()
+            ),
+            coin_index=("seam", 0),
+            overlap_coin=overlap,
+        )
+
+        def whole(ctx, bit):
+            return (yield from pi_iter_program(ctx, bit, **arguments))
+
+        def raw(ctx, bit):
+            return (yield from pi_exchange_program(ctx, bit, **arguments))
+
+        iterated = run(whole, [0, 1, 1, 1], 1, session="seam")
+        exchanged = run(raw, [0, 1, 1, 1], 1, session="seam")
+        assert iterated.metrics == exchanged.metrics  # wire-identical
+        for pid, ((value, grade), flipped) in exchanged.outputs.items():
+            assert (flipped is None) == (coin == "failed")
+            assert (value not in (0, 1)) == (prox == "non-bit")
+            if prox == "non-bit":
+                value, grade = 0, 0  # the guard: slot (0, 0)
+            if flipped is None:
+                flipped = 1  # the default: the range's low end
+            assert iterated.outputs[pid] == extract(value, grade, flipped, 5)
+
+    def test_the_six_iterating_programs_run_as_before_the_split(self):
+        """Outputs and ``RunMetrics`` rows of every registered program built
+        on ``pi_iter_program``, against ``run_trial`` at fe9062a (the last
+        commit where the iteration was one undivided generator)."""
+        table = pathlib.Path(__file__).with_name("pi_iter_golden.json")
+        rows = json.loads(table.read_text())
+        assert {row["spec"]["protocol"] for row in rows} == {
+            "ba_one_third", "ba_one_half", "feldman_micali",
+            "micali_vaikuntanathan", "ba_one_third_chunked",
+            "ba_one_half_generalized",
+        }
+        for row in rows:
+            result = run_trial(TrialSpec.from_json(json.dumps(row["spec"])))
+            assert sorted(result.outputs.items()) == [tuple(p) for p in row["outputs"]]
+            assert result.metrics.rounds == row["rounds"]
+            assert result.metrics.round_tallies() == tuple(
+                tuple(tally) for tally in row["tallies"]
+            ), row["spec"]

@@ -8,6 +8,7 @@ the deliberately *lenient* ``REPRO_BENCH_WORKERS`` parsing (a stray
 worker count must never abort collection of the whole suite).
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -18,7 +19,8 @@ from benchmarks.conftest import (
     bench_workers,
 )
 
-BENCHMARKS_DIR = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
+REPO = pathlib.Path(__file__).resolve().parents[2]
+BENCHMARKS_DIR = REPO / "benchmarks"
 
 
 class TestBenchBackend:
@@ -46,32 +48,63 @@ class TestBenchBackend:
 
 
 class TestEveryBenchmarkDrivesTheEngine:
-    """No benchmark may bypass the engine with a hand-built simulator.
+    """Nothing bypasses the engine with a hand-built simulator.
 
     ``REPRO_BENCH_WORKERS`` / ``REPRO_BENCH_BACKEND`` only apply to
-    executions routed through :func:`benchmarks.conftest.run_plan`; a
-    direct ``SyncSimulator`` (or a private ``ExperimentSetup`` loop)
-    would silently ignore both and publish serial-object numbers under
-    whatever label the environment selected.
+    executions routed through :func:`benchmarks.conftest.run_plan`, and a
+    replay line only exists for a trial the engine ran; a direct
+    ``SyncSimulator(...)`` would silently escape both.  So one is
+    constructed in exactly two functions — ``run_protocol`` for ad-hoc
+    programs, the engine's ``_build_simulator`` for everything a
+    ``TrialSpec`` names — and the pre-engine harness stays deleted.
     """
 
-    BANNED = ("SyncSimulator", "ExperimentSetup", "run_trials(")
+    TREES = ("src/repro", "examples", "benchmarks")
+    CONSTRUCTION_SITES = [
+        ("src/repro/engine/runner.py", "_build_simulator"),
+        ("src/repro/network/simulator.py", "run_protocol"),
+    ]
+    DELETED = ("ExperimentSetup", "run_trials")
+
+    def _sources(self):
+        for tree in self.TREES:
+            for path in sorted((REPO / tree).rglob("*.py")):
+                yield path.relative_to(REPO).as_posix(), path.read_text("utf-8")
+
+    def _constructions(self):
+        """``(file, enclosing function)`` of every ``SyncSimulator(...)`` call."""
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = getattr(callee, "id", getattr(callee, "attr", None))
+                if name == "SyncSimulator":
+                    yield function
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, function)
+
+        for relative, source in self._sources():
+            for function in visit(ast.parse(source), None):
+                yield relative, function
 
     def test_no_direct_simulator_construction_in_benchmarks(self):
-        offenders = []
-        for path in sorted(BENCHMARKS_DIR.glob("bench_*.py")):
-            source = path.read_text(encoding="utf-8")
-            for needle in self.BANNED:
-                if needle in source:
-                    offenders.append((path.name, needle))
-        assert not offenders, (
-            "benchmarks must execute through benchmarks.conftest.run_plan; "
-            f"found direct simulator/harness use: {offenders}"
-        )
+        assert sorted(self._constructions()) == self.CONSTRUCTION_SITES
+        offenders = [
+            (relative, name)
+            for relative, source in self._sources()
+            for name in self.DELETED
+            if name in source
+        ]
+        assert not offenders, f"the deleted serial harness is back: {offenders}"
 
     def test_benchmarks_dir_exists_and_is_nonempty(self):
-        # Guard the guard: if the glob ever matches nothing, the ban
-        # above would vacuously pass.
+        # Guard the guard: a tree whose glob matches nothing is vacuously
+        # free of simulators and deleted names.
+        scanned = [relative for relative, _ in self._sources()]
+        for tree in self.TREES:
+            assert sum(r.startswith(tree + "/") for r in scanned) >= 8, tree
         assert len(list(BENCHMARKS_DIR.glob("bench_*.py"))) >= 8
 
 

@@ -4,18 +4,19 @@ Two regression suites:
 
 * parallel (4 workers) == serial (1 worker), field for field, on a mixed
   plan covering both BA protocols and both straddle adversaries;
-* the engine reproduces the legacy ``run_trials`` harness bit-for-bit for
+* the engine reproduces the pre-engine serial harness bit-for-bit for
   the same (setup seed, base seed) — outputs, corrupted sets, finish
-  rounds and metrics — so historical experiment numbers survive the
-  migration.
+  rounds and metrics — so the seed / session / key-dealing schedule the
+  committed experiment numbers rest on cannot drift.
 """
 
-import pytest
+import random
 
-from repro.analysis.experiments import ExperimentSetup, run_trials
-from repro.core.ba import ba_one_third_program
 from repro.adversary.straddle import OneThirdStraddleAdversary
+from repro.core.ba import ba_one_third_program
+from repro.crypto.keys import CryptoSuite
 from repro.engine import ParallelRunner, TrialPlan
+from repro.network.simulator import run_protocol
 
 
 def _mixed_plan(trials=4):
@@ -82,13 +83,20 @@ class TestLegacyHarnessEquivalence:
         )
         engine_results = ParallelRunner(workers=1).run(plan).results
 
-        setup = ExperimentSetup(num_parties=4, max_faulty=1, seed=0)
-        legacy_results = run_trials(
-            setup,
-            lambda ctx, bit: ba_one_third_program(ctx, bit, kappa=3),
-            (0, 0, 1, 1),
-            trials=trials,
-            adversary_factory=lambda: OneThirdStraddleAdversary([3]),
-            seed=base_seed,
-        )
+        # The pre-engine loop, written out: keys dealt once from
+        # Random(setup seed + 0x5E7); trial i runs a fresh adversary at
+        # seed base * 1_000_003 + i under session "exp{base}/{i}".
+        crypto = CryptoSuite.ideal(4, 1, random.Random(0 + 0x5E7))
+        legacy_results = [
+            run_protocol(
+                lambda ctx, bit: ba_one_third_program(ctx, bit, kappa=3),
+                (0, 0, 1, 1),
+                max_faulty=1,
+                adversary=OneThirdStraddleAdversary([3]),
+                seed=base_seed * 1_000_003 + trial,
+                session=f"exp{base_seed}/{trial}",
+                crypto=crypto,
+            )
+            for trial in range(trials)
+        ]
         assert engine_results == legacy_results

@@ -14,7 +14,8 @@ from repro.engine import (
 
 class TestSeedSchedule:
     def test_matches_legacy_run_trials_schedule(self):
-        # run_trials has always used seed*1_000_003 + trial / f"exp{seed}/{trial}".
+        # The schedule every committed number rests on (it predates the
+        # engine): seed*1_000_003 + trial / f"exp{seed}/{trial}".
         assert derive_trial_seed(7, 0) == 7 * 1_000_003
         assert derive_trial_seed(7, 12) == 7 * 1_000_003 + 12
         assert derive_trial_session(7, 12) == "exp7/12"

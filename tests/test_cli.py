@@ -1,10 +1,77 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import shlex
 
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden")
+with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _handle:
+    GOLDEN_CASES = json.load(_handle)
+
+
+class TestGolden:
+    """`repro run` / `repro ledger` print what they printed at fe9062a,
+    before they went through the engine (tests/cli_golden/make_golden.py)."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN_CASES, ids=lambda case: " ".join(case["argv"])
+    )
+    def test_stdout_and_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a --trace-jsonl path is relative
+        assert main(case["argv"]) == case["code"]
+        assert capsys.readouterr().out == case["stdout"]
+        traced = "--trace-jsonl" in case["argv"]
+        assert os.listdir(tmp_path) == ["crash.trace.jsonl"] * traced
+        for written in os.listdir(tmp_path):
+            with open(os.path.join(GOLDEN, written), "rb") as golden:
+                assert (tmp_path / written).read_bytes() == golden.read()
+
+
+class TestNoTraceback:
+    """A trial that raises, or flags that describe none, exit 2 in one
+    message; a raising trial's message ends with a line that replays it."""
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["run", "--adversary", "crash", "--victims", "9"],
+         "SimulationError: adversary named nonexistent party 9"),
+        (["run", "--protocol", "one_half", "--inputs", "1,0,1,0", "--t", "2"],
+         "ValueError: ba_one_half requires t < n/2, got t=2, n=4"),
+        (["run", "--kappa", "0"], "ValueError: kappa must be at least 1"),
+        (["run", "--spec", '{"protocol":"ba_one_half","inputs":[1,0,1,0],'
+          '"max_faulty":2,"params":{"kappa":2}}'],
+         "ValueError: ba_one_half requires t < n/2, got t=2, n=4"),
+        (["ledger", "--queues", "a;b", "--t", "1"],
+         "ValueError: regime 'one_third' requires t < n/3"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_raising_trial_exits_2_and_its_replay_line_fails_alike(
+        self, argv, cause, capsys
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"repro {argv[0]}: trial 0 of")
+        assert f"): {cause}\nreplay it alone with:\n" in captured.err
+        replay = shlex.split(captured.err.splitlines()[-1])
+        assert replay[:3] == ["repro", "run", "--spec"]
+        assert main(replay[1:]) == 2
+        again = capsys.readouterr().err
+        assert f"): {cause}\n" in again and again.endswith(captured.err.splitlines()[-1] + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--inputs", "1,0", "--t", "5"],
+        ["ledger", "--queues", "a;b", "--t", "5"],
+    ], ids=" ".join)
+    def test_flags_that_describe_no_trial_are_a_one_line_usage_error(
+        self, argv, capsys
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro {argv[0]}: need 0 <= t < n, got t=5, n=2\n"
 
 
 class TestRun:
@@ -305,31 +372,22 @@ def _measured(out):
 
 
 def _reference_rates(protocol, kappas, trials, seed=0):
-    """The same sweep on the legacy `run_trials` harness."""
-    from repro.adversary.straddle import (
-        LinearHalfStraddleAdversary,
-        OneThirdStraddleAdversary,
-    )
-    from repro.analysis.experiments import (
-        ExperimentSetup,
-        disagreement_rate,
-        run_trials,
-    )
-    from repro.core.ba import ba_one_half_program, ba_one_third_program
+    """The same sweep, one engine plan per kappa."""
+    from repro.engine import ParallelRunner, TrialPlan
 
     if protocol == "one_third":
-        setup, inputs = ExperimentSetup(num_parties=4, max_faulty=1), [0, 0, 1, 1]
-        program, adversary = ba_one_third_program, lambda: OneThirdStraddleAdversary([3])
+        config = ("ba_one_third", (0, 0, 1, 1), 1)
+        attack = {"adversary": "straddle13", "adversary_params": {"victims": (3,)}}
     else:
-        setup, inputs = ExperimentSetup(num_parties=5, max_faulty=2), [0, 0, 1, 1, 1]
-        program, adversary = ba_one_half_program, lambda: LinearHalfStraddleAdversary([3, 4])
+        config = ("ba_one_half", (0, 0, 1, 1, 1), 2)
+        attack = {"adversary": "straddle12", "adversary_params": {"victims": (3, 4)}}
     return [
-        "%.4f" % disagreement_rate(
-            run_trials(
-                setup, lambda c, b, k=kappa: program(c, b, k), inputs,
-                trials=trials, adversary_factory=adversary, seed=seed + kappa,
+        "%.4f" % ParallelRunner().run(
+            TrialPlan.monte_carlo(
+                "reference", *config, trials, params={"kappa": kappa},
+                seed=seed + kappa, **attack,
             )
-        )
+        ).disagreement_rate()
         for kappa in kappas
     ]
 

@@ -22,7 +22,7 @@ from repro import (
     multivalued_ba_program,
     run_protocol,
 )
-from repro.analysis.experiments import ExperimentSetup, disagreement_rate, run_trials
+from repro.engine import ParallelRunner, TrialPlan
 
 from .conftest import run
 
@@ -109,21 +109,14 @@ class TestMonteCarloSanity:
     def test_error_probability_orders_of_magnitude(self):
         """kappa = 1 (error <= 1/2) must fail sometimes under attack while
         kappa = 10 (error <= 2^-10) must not, over the same 40 trials."""
-        setup = ExperimentSetup(num_parties=4, max_faulty=1)
 
         def runner(kappa):
-            factory = lambda c, b: ba_one_third_program(c, b, kappa=kappa)
-            return disagreement_rate(
-                run_trials(
-                    setup,
-                    factory,
-                    [0, 0, 1, 1],
-                    trials=40,
-                    adversary_factory=lambda: TwoFaceAdversary(
-                        victims=[3], factory=factory
-                    ),
-                )
+            plan = TrialPlan.monte_carlo(
+                f"two-face-k{kappa}", "ba_one_third", [0, 0, 1, 1], 1, trials=40,
+                params={"kappa": kappa},
+                adversary="two_face", adversary_params={"victims": (3,)},
             )
+            return ParallelRunner().run(plan).disagreement_rate()
 
         assert runner(1) > 0.0
         assert runner(10) == 0.0
