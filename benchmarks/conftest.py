@@ -151,29 +151,19 @@ def monte_carlo_specs(
     seed=0,
     setup_seed=0,
 ):
-    """Specs on :meth:`repro.engine.TrialPlan.monte_carlo`'s schedule.
+    """:meth:`repro.engine.TrialPlan.monte_carlo`'s specs, as a list.
 
     Trial ``i`` runs with seed ``seed * 1_000_003 + i`` under session
     ``exp{seed}/{i}`` on the key material of ``setup_seed`` (0 by
     default) — the schedule the pre-engine Monte-Carlo loop used, so the
     migrated benchmarks reproduce every historical number bit-for-bit.
     """
-    from repro.engine import TrialSpec, derive_trial_seed, derive_trial_session
+    from repro.engine import TrialPlan
 
-    return [
-        TrialSpec(
-            protocol=protocol,
-            inputs=tuple(inputs),
-            max_faulty=max_faulty,
-            params=params,
-            adversary=adversary,
-            adversary_params=adversary_params,
-            seed=derive_trial_seed(seed, trial),
-            session=derive_trial_session(seed, trial),
-            setup_seed=setup_seed,
-        )
-        for trial in range(trials)
-    ]
+    return list(TrialPlan.monte_carlo(
+        protocol, protocol, inputs, max_faulty, trials, params, adversary,
+        adversary_params, seed, setup_seed,
+    ).trials)
 
 
 def run_plan(name, specs):

@@ -1086,10 +1086,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ``repro`` prints the subcommand overview and exits 2; an unknown
     subcommand exits 2 with the available set in the error message
     (argparse's invalid-choice behavior, relied upon deliberately); a
-    trial that raises inside any subcommand exits 2 with its
-    ``repro run --spec`` replay line instead of a traceback.
+    trial that raises inside any subcommand, or a pool worker that dies,
+    exits 2 with a ``repro run --spec`` replay line, not a traceback.
     """
-    from .engine import TrialExecutionError
+    from .engine import TrialExecutionError, WorkerLostError
 
     parser = build_parser()
     if argv is None:
@@ -1100,7 +1100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TrialExecutionError as error:
+    except (TrialExecutionError, WorkerLostError) as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
 

@@ -26,6 +26,7 @@ from .runner import (
     ParallelRunner,
     PlanResult,
     TrialExecutionError,
+    WorkerLostError,
     clamp_workers,
     clear_suite_cache,
     deal_suite,
@@ -63,6 +64,7 @@ __all__ = [
     "TrialSpec",
     "TrialSummary",
     "VectorModelError",
+    "WorkerLostError",
     "adversary_names",
     "build_fault_plan",
     "clamp_workers",

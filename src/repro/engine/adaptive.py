@@ -20,11 +20,15 @@ batches and feeds each batch into a per-config
   first, so hard configs (tiny bounds, slow separation) can run past
   the fixed-mode trial count up to their per-config cap.
 
+The runner is allocation policy only: a run opens one
+``ParallelRunner.session`` and hands each round's batches to its
+``stream``, which owns pool, dispatch, telemetry spans and named errors.
+
 Determinism is preserved by construction.  Scheduling decisions are
 made only at round boundaries from the accumulated per-config counts —
 which are order-independent — while *within* a round batches stream
-through ``as_completed`` futures, so worker count and completion order
-never change which trials run or what they return.  With early stopping
+back as they complete, so worker count and completion order never
+change which trials run or what they return.  With early stopping
 disabled and a budget covering the plan, every trial runs and the
 reassembled results are byte-identical to ``ParallelRunner.run`` (pinned
 by ``tests/engine/test_adaptive.py``).
@@ -34,26 +38,15 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..analysis.stats import _Z995, SequentialEstimate
 from ..network.simulator import ExecutionResult
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import TelemetryWriter
-from .plan import TrialPlan, TrialSpec
-from .runner import ParallelRunner, _iter_chunk
+from .plan import TrialPlan
+from .runner import ParallelRunner
 
 __all__ = ["AdaptiveRunner", "AdaptiveResult", "ConfigOutcome"]
 
@@ -170,10 +163,11 @@ class AdaptiveRunner:
     telemetry:
         Optional :class:`~repro.obs.TelemetryWriter`.  When set, every
         allocation round emits an ``adaptive_round`` record (which
-        configs got batches, interval widths, remaining budget) plus
-        per-batch chunk dispatch/complete spans, and the run closes with
-        ``adaptive_complete`` — the scheduler's decisions become
-        auditable after the fact (``repro error-sweep --telemetry``).
+        configs got batches, interval widths, remaining budget) ahead of
+        the session's per-batch chunk spans (numbered from 0 in every
+        run), and the run closes with ``adaptive_complete`` — the
+        scheduler's decisions become auditable after the fact (``repro
+        error-sweep --telemetry``).
     min_trials / min_hits / precision / z:
         Forwarded to each config's :class:`SequentialEstimate`.  The
         defaults are deliberately more conservative than the reporting
@@ -201,9 +195,8 @@ class AdaptiveRunner:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        # Batches execute through ParallelRunner's chunk machinery (pool
-        # set-up, dispatch, telemetry spans, unpacking), which also
-        # validates workers and backend.
+        # Batches execute through one ParallelRunner.session per run; the
+        # runner also validates workers and backend.
         self._runner = ParallelRunner(
             workers=workers, telemetry=telemetry, backend=backend, metrics=metrics
         )
@@ -222,7 +215,6 @@ class AdaptiveRunner:
         # Same semantics as ParallelRunner: per-trial MetricsRegistry
         # collection, landing on AdaptiveResult.trial_metrics.
         self.metrics = metrics
-        self._chunk_seq = 0
 
     def run(
         self,
@@ -267,19 +259,10 @@ class AdaptiveRunner:
         spent = 0
         rounds = 0
         tele = self.telemetry
-        if tele is not None:
-            tele.emit(
-                "run_start", label=plan.name,
-                mode="pool" if self.workers > 1 else "inline",
-                workers=self.workers, trials=len(plan),
-                configs=len(groups), budget=budget,
-                batch_size=self.batch_size,
-            )
-
-        pool: Optional[ProcessPoolExecutor] = None
-        if self.workers > 1:
-            pool = self._runner._open_pool(plan)
-        try:
+        with self._runner.session(
+            plan, sink, configs=len(groups), budget=budget,
+            batch_size=self.batch_size,
+        ) as stream:
             while True:
                 allocations = self._allocate(
                     outcomes, cursors, order, budget - spent
@@ -305,31 +288,27 @@ class AdaptiveRunner:
                     [(index, plan.trials[index]) for index in indices]
                     for _name, indices in allocations
                 ]
-                for index, result in self._execute(plan, batches, pool, sink):
+                for index, result in stream(batches):
                     results[index] = result
                     outcomes[owner[index]].estimate.observe(event(result))
                 spent += sum(len(batch) for batch in batches)
                 rounds += 1
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True, cancel_futures=True)
 
-        for outcome in outcomes.values():
-            if (
-                self.early_stop
-                and outcome.estimate.decided
-                and outcome.executed < len(outcome.indices)
-            ):
-                outcome.stopped_early = True
-        if tele is not None:
-            tele.emit(
-                "adaptive_complete", spent=spent, budget=budget,
-                allocation_rounds=rounds,
-                stopped_early=sum(
-                    1 for o in outcomes.values() if o.stopped_early
-                ),
-            )
-            tele.emit("run_complete", label=plan.name, trials=spent)
+            for outcome in outcomes.values():
+                if (
+                    self.early_stop
+                    and outcome.estimate.decided
+                    and outcome.executed < len(outcome.indices)
+                ):
+                    outcome.stopped_early = True
+            if tele is not None:
+                tele.emit(
+                    "adaptive_complete", spent=spent, budget=budget,
+                    allocation_rounds=rounds,
+                    stopped_early=sum(
+                        1 for o in outcomes.values() if o.stopped_early
+                    ),
+                )
         return AdaptiveResult(
             plan=plan,
             results=results,
@@ -403,24 +382,3 @@ class AdaptiveRunner:
             cursors[outcome.name] = cursor + take
             remaining -= take
         return allocations
-
-    def _execute(
-        self,
-        plan: TrialPlan,
-        batches: Sequence[Sequence[Tuple[int, TrialSpec]]],
-        pool: Optional[ProcessPoolExecutor],
-        sink: Optional[Dict[int, MetricsRegistry]] = None,
-    ) -> Iterator[Tuple[int, ExecutionResult]]:
-        """Run one round's batches; stream results as batches complete."""
-        first_number = self._chunk_seq
-        self._chunk_seq += len(batches)
-        if pool is None:
-            for number, batch in enumerate(batches, start=first_number):
-                yield from _iter_chunk(
-                    batch, None, self.backend, sink, self.telemetry,
-                    plan.name, number,
-                )
-            return
-        yield from self._runner._stream_chunks(
-            pool, batches, plan.trials, sink, first_number
-        )

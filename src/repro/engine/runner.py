@@ -34,7 +34,13 @@ Dispatch is chunked: contiguous runs of trials ship as one task so the
 per-task pickling/IPC overhead amortizes, with enough chunks per worker
 (4 by default) to keep the pool load-balanced when trial durations vary.
 
-``workers=1`` (the default) executes inline — no pool, no pickling.
+There is one way to run a plan: :meth:`ParallelRunner.session` opens it
+(directories, ``run_start``, pre-deal, pool) and yields a ``stream``
+that runs chunks — in this process for ``workers=1`` (the default: no
+pool, no pickling), else through the one worker entry point
+:func:`_run_chunk` — and writes their telemetry.  ``run_iter`` streams
+the plan's chunks, ``run`` is ``run_iter`` collected, and the adaptive
+runner streams one list of batches per allocation round.
 
 Observability is opt-in and off the results path: ``trace_dir`` streams
 one bounded-memory JSONL trace per trial (:mod:`repro.obs`) straight
@@ -55,8 +61,19 @@ import shlex
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..adversary.base import Adversary
 from ..analysis.stats import disagreement_rate
@@ -77,6 +94,7 @@ __all__ = [
     "ParallelRunner",
     "PlanResult",
     "TrialExecutionError",
+    "WorkerLostError",
     "run_trial",
     "run_traced_trial",
     "run_measured_trial",
@@ -90,6 +108,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SuiteKey = Tuple[str, int, int, int, int]
+Chunk = Sequence[Tuple[int, TrialSpec]]
+# A chunk's batching spans as data: ``(event, fields)``, label added on emit.
+Spans = List[Tuple[str, Dict[str, Any]]]
+# ``stream(chunks)``, what :meth:`ParallelRunner.session` yields.
+Stream = Callable[[Sequence[Chunk]], Iterator[Tuple[int, ExecutionResult]]]
 
 
 def default_workers() -> int:
@@ -255,10 +278,7 @@ class TrialExecutionError(RuntimeError):
     @property
     def replay_command(self) -> str:
         """The shell line that replays this one trial."""
-        try:
-            return f"repro run --spec {shlex.quote(self.spec.to_json())}"
-        except TypeError as error:
-            return f"(no replay line: the spec is not JSON — {error})"
+        return _replay_command(self.spec)
 
     def __str__(self) -> str:
         return (
@@ -268,6 +288,56 @@ class TrialExecutionError(RuntimeError):
             f"backend={self.backend}): {self.cause}\n"
             f"replay it alone with:\n{self.replay_command}"
         )
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker process died: which chunks went with it, and how to
+    find the trial that killed it.
+
+    Raised ``from`` the executor's ``BrokenProcessPool`` by the one
+    chunk stream every pooled run shares (:meth:`ParallelRunner.session`),
+    so ``run``, ``run_iter`` and ``AdaptiveRunner`` fail alike.  A dead
+    process reports nothing, so the error names what can be known:
+    ``chunks`` holds ``(number, first_index, last_index)`` for every
+    chunk handed to the stream whose result had not come back (the dying
+    trial is in one of them) and ``spec`` is the first spec of the lowest.
+    Picklable; the message ends with that spec's ``repro run`` line.
+    """
+
+    def __init__(self, chunks: Sequence[Tuple[int, int, int]], spec: TrialSpec) -> None:
+        super().__init__(chunks, spec)
+        self.chunks = tuple(sorted(chunks))
+        self.spec = spec
+
+    def __str__(self) -> str:
+        numbers = _ranges((number, number) for number, _, _ in self.chunks)
+        indices = _ranges((first, last) for _, first, last in self.chunks)
+        return (
+            f"a pool worker died while chunks {numbers} (plan indices "
+            f"{indices}) were running or queued; none of them completed. "
+            f"Re-run with workers=1: the inline path runs the same trials "
+            f"in plan order in this process\n"
+            f"the first of them alone is:\n{_replay_command(self.spec)}"
+        )
+
+
+def _ranges(pairs: Iterator[Tuple[int, int]]) -> str:
+    """``1, 3–7``: inclusive ranges in order, adjacent ones fused — a fixed
+    run dispatches every chunk up front, so most of a plan can be lost."""
+    merged: List[List[int]] = []
+    for first, last in sorted(pairs):
+        if merged and first <= merged[-1][1] + 1:
+            merged[-1][1] = max(merged[-1][1], last)
+        else:
+            merged.append([first, last])
+    return ", ".join(str(a) if a == b else f"{a}–{b}" for a, b in merged)
+
+
+def _replay_command(spec: TrialSpec) -> str:
+    try:
+        return f"repro run --spec {shlex.quote(spec.to_json())}"
+    except TypeError as error:
+        return f"(no replay line: the spec is not JSON — {error})"
 
 
 def _build_simulator(
@@ -404,29 +474,21 @@ def run_measured_trial(
 
 
 def _iter_chunk(
-    chunk: Sequence[Tuple[int, TrialSpec]],
+    chunk: Chunk,
     trace_dir: Optional[str],
     backend: str,
     registries: Optional[Dict[int, MetricsRegistry]],
-    tele: Optional[TelemetryWriter] = None,
-    label: str = "",
-    number: int = 0,
-) -> Iterator[Tuple[int, ExecutionResult]]:
-    """Run ``(index, spec)`` pairs in this process, in order.
+    spans: Spans,
+) -> Generator[Tuple[int, ExecutionResult], None, float]:
+    """Run ``(index, spec)`` pairs in this process, in order; the
+    generator's return value is the seconds spent executing trials here.
 
     ``backend="vector"`` runs the chunk through the batch-vectorized
     executor in one go (unsupported specs fall back per-spec to the
-    object simulator inside it) and emits one ``vector_batch`` and one
-    ``probe_cache`` telemetry span describing the batching; results are
-    bit-identical either way.
-
-    With ``tele`` the chunk is also one ``chunk_dispatch`` /
-    ``chunk_complete`` pair numbered ``number`` (the pooled vocabulary;
-    ``seconds`` is the time spent executing trials here), so an inline
-    run reports its busy time like a pooled one.
+    object simulator inside it) and appends the fields of one
+    ``vector_batch`` and one ``probe_cache`` telemetry span describing
+    the batching to ``spans``; results are bit-identical either way.
     """
-    if tele is not None:
-        tele.emit("chunk_dispatch", chunk=number, trials=len(chunk))
     busy = 0.0
     if backend != "vector":
         for index, spec in chunk:
@@ -434,44 +496,45 @@ def _iter_chunk(
             result = _run_indexed_trial(index, spec, trace_dir, registries)
             busy += time.perf_counter() - started
             yield index, result
-    else:
-        started = time.perf_counter()
-        pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
-        busy = time.perf_counter() - started
-        if tele is not None:
-            tele.emit(
-                "vector_batch", label=label,
-                batched=stats["batched"], fallback=stats["fallback"],
-                coins=stats["coins"], batches=len(stats["batches"]),
-                seconds=round(busy, 6),
-                fallback_reasons=stats["fallback_reasons"],
-            )
-            tele.emit(
-                "probe_cache", label=label,
-                hits=stats["cache_hits"], misses=stats["cache_misses"],
-            )
-        yield from pairs
-    if tele is not None:
-        tele.emit("chunk_complete", chunk=number, seconds=round(busy, 6))
+        return busy
+    started = time.perf_counter()
+    pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
+    busy = time.perf_counter() - started
+    spans.append(("vector_batch", dict(
+        batched=stats["batched"], fallback=stats["fallback"],
+        coins=stats["coins"], batches=len(stats["batches"]),
+        seconds=round(busy, 6), fallback_reasons=stats["fallback_reasons"],
+    )))
+    spans.append(("probe_cache", dict(
+        hits=stats["cache_hits"], misses=stats["cache_misses"],
+    )))
+    yield from pairs
+    return busy
 
 
-class _BatchSpans(list):
-    """A pool worker's stand-in for the parent's telemetry writer: it
-    keeps the chunk's batching spans for the parent to emit, and drops
-    the dispatch/completion pair, which the parent times itself."""
+@contextlib.contextmanager
+def _profiled(path: Optional[str]) -> Iterator[None]:
+    """Run the body under ``cProfile`` and dump its stats to ``path``
+    (no-op for ``None``).  The dump happens after the body — outside
+    whatever the body timed — and a body that raises dumps nothing."""
+    if path is None:
+        yield
+        return
+    import cProfile
 
-    def emit(self, event: str, **fields: Any) -> None:
-        if event in ("vector_batch", "probe_cache"):
-            self.append((event, fields))
+    profiler = cProfile.Profile()
+    with profiler:
+        yield
+    profiler.dump_stats(path)
 
 
 def _run_chunk(
-    chunk: Sequence[Tuple[int, TrialSpec]],
+    chunk: Chunk,
     trace_dir: Optional[str] = None,
     backend: str = "object",
     metrics: bool = False,
-    tele: Optional[_BatchSpans] = None,
-) -> ChunkSummary:
+    profile_path: Optional[str] = None,
+) -> Tuple[float, ChunkSummary, Spans]:
     """Worker entry point: run a contiguous slice of the plan.
 
     The whole chunk returns as one packed :class:`ChunkSummary` — the
@@ -479,58 +542,23 @@ def _run_chunk(
     already holds, so only tallies and decisions cross the pipe (traces
     never ride the result pipe).  With ``metrics`` each trial's registry
     is packed into the summary's ``metrics`` field.
+
+    Beside the payload come the chunk's batching spans and its execution
+    seconds, timed *inside* the worker because the parent only sees
+    dispatch→completion spans, which include queue wait — summing those
+    would overstate busy-time whenever chunks outnumber workers.  The
+    profiled region (``profile_path``) is exactly the timed region, so
+    profile seconds attribute directly to the chunk's ``chunk_complete``
+    telemetry span.
     """
     registries: Optional[Dict[int, MetricsRegistry]] = {} if metrics else None
-    pairs = list(_iter_chunk(chunk, trace_dir, backend, registries, tele))
-    return ChunkSummary.pack(pairs, metrics=registries)
-
-
-def _run_chunk_timed(
-    chunk: Sequence[Tuple[int, TrialSpec]],
-    trace_dir: Optional[str] = None,
-    backend: str = "object",
-    metrics: bool = False,
-    profile_path: Optional[str] = None,
-) -> Tuple[float, ChunkSummary, _BatchSpans]:
-    """Worker entry point for telemetry runs: payload, in-worker
-    execution seconds and the chunk's batching spans.  Timed *inside*
-    the worker because the parent only sees dispatch→completion spans,
-    which include queue wait — summing those would overstate busy-time
-    whenever chunks outnumber workers.
-
-    With ``profile_path`` the chunk additionally runs under ``cProfile``
-    and dumps its stats there — the profiled region is exactly the timed
-    region, so profile seconds attribute directly to the chunk's
-    ``chunk_complete`` telemetry span."""
-    profiler = None
-    if profile_path is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-    spans = _BatchSpans()
-    started = time.perf_counter()
-    with profiler if profiler is not None else contextlib.nullcontext():
-        payload = _run_chunk(chunk, trace_dir, backend, metrics, spans)
-    seconds = round(time.perf_counter() - started, 6)
-    if profiler is not None:
-        # Dumped outside the timed region, so profile seconds attribute
-        # cleanly to the chunk's telemetry span.
-        profiler.dump_stats(profile_path)
+    spans: Spans = []
+    with _profiled(profile_path):
+        started = time.perf_counter()
+        pairs = list(_iter_chunk(chunk, trace_dir, backend, registries, spans))
+        payload = ChunkSummary.pack(pairs, metrics=registries)
+        seconds = round(time.perf_counter() - started, 6)
     return seconds, payload, spans
-
-
-def _safe_label(name: str) -> str:
-    """Plan name reduced to filename-safe characters for profile dumps."""
-    return "".join(c if c.isalnum() or c in "-_." else "-" for c in name) or "plan"
-
-
-def _fault_field(plan: TrialPlan) -> dict:
-    """``run_start`` telemetry extras: fault scenarios the plan sweeps.
-
-    Empty for fault-free plans, so their spans keep the historical shape.
-    """
-    names = sorted({spec.faults for spec in plan.trials if spec.faults is not None})
-    return {"faults": names} if names else {}
 
 
 @dataclass
@@ -620,7 +648,7 @@ class ParallelRunner:
     ``workers=1`` executes inline; ``workers>1`` fans chunks out over a
     ``ProcessPoolExecutor`` whose workers each ship one packed
     :class:`ChunkSummary` per chunk, rebuilt losslessly on the parent
-    side.
+    side.  :meth:`run`, :meth:`run_iter` and the adaptive runner share :meth:`session`.
     """
 
     def __init__(
@@ -654,89 +682,37 @@ class ParallelRunner:
         # deliveries on the vector path; registries ride back on the
         # compact transport and land on PlanResult.trial_metrics.
         self.metrics = metrics
-        # profile_dir wraps worker chunks (or the inline run) in cProfile
-        # and dumps one .pstats file per chunk there (repro error-sweep
-        # --profile); profiling never touches what the trials compute.
+        # profile_dir wraps every chunk — in a worker or inline — in
+        # cProfile and dumps one .pstats file per chunk there (repro
+        # error-sweep --profile); profiling never touches what the trials
+        # compute.
         self.profile_dir = profile_dir
 
-    def _prepare_trace_dir(self) -> None:
-        if self.trace_dir is not None:
-            os.makedirs(self.trace_dir, exist_ok=True)
-        if self.profile_dir is not None:
-            os.makedirs(self.profile_dir, exist_ok=True)
-
-    def _trial_metrics_list(
-        self, sink: Optional[Dict[int, MetricsRegistry]], total: int
-    ) -> Optional[List[MetricsRegistry]]:
-        if sink is None:
-            return None
-        missing = [index for index in range(total) if index not in sink]
-        if missing:  # pragma: no cover - would indicate a dropped chunk
-            raise RuntimeError(f"trials {missing} produced no metrics")
-        return [sink[index] for index in range(total)]
+    def _pooled(self, plan: TrialPlan) -> bool:
+        """Whether ``plan`` runs on a worker pool — decided here only."""
+        return self.workers > 1 and len(plan) > 1
 
     def run(self, plan: TrialPlan) -> PlanResult:
-        """Execute every trial; results return in plan order."""
+        """Execute every trial, results in plan order: :meth:`run_iter` collected."""
         started = time.perf_counter()
-        self._prepare_trace_dir()
-        tele = self.telemetry
         sink: Optional[Dict[int, MetricsRegistry]] = {} if self.metrics else None
-        if self.workers == 1 or len(plan) <= 1:
-            if tele is not None:
-                tele.emit(
-                    "run_start", label=plan.name, mode="inline",
-                    workers=1, trials=len(plan), backend=self.backend,
-                    **_fault_field(plan),
-                )
-            profiler = None
-            if self.profile_dir is not None:
-                import cProfile
-
-                profiler = cProfile.Profile()
-                profiler.enable()
-            try:
-                results = [
-                    result for _, result in self._run_inline(plan, sink)
-                ]
-            finally:
-                if profiler is not None:
-                    profiler.disable()
-            if profiler is not None:
-                path = os.path.join(
-                    self.profile_dir, f"inline-{_safe_label(plan.name)}.pstats"
-                )
-                profiler.dump_stats(path)
-                if tele is not None:
-                    tele.emit(
-                        "profile", label=plan.name, path=path,
-                        seconds=round(time.perf_counter() - started, 6),
-                    )
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(results))
-            return PlanResult(
-                plan=plan,
-                results=results,
-                workers=1,
-                wall_seconds=time.perf_counter() - started,
-                trace_dir=self.trace_dir,
-                trial_metrics=self._trial_metrics_list(sink, len(plan)),
-            )
-
-        chunk_size = self.chunk_size or self._auto_chunk_size(len(plan))
         collected: List[Optional[ExecutionResult]] = [None] * len(plan)
-        for index, result in self._iter_pooled(plan, chunk_size, sink):
+        for index, result in self.run_iter(plan, sink):
             collected[index] = result
         missing = [i for i, result in enumerate(collected) if result is None]
         if missing:  # pragma: no cover - pool misbehavior, not reachable normally
             raise RuntimeError(f"trials {missing} produced no result")
+        pooled = self._pooled(plan)
         return PlanResult(
             plan=plan,
             results=collected,  # type: ignore[arg-type]
-            workers=self.workers,
+            workers=self.workers if pooled else 1,
             wall_seconds=time.perf_counter() - started,
-            chunk_size=chunk_size,
+            chunk_size=self._chunk_size(len(plan)) if pooled else 1,
             trace_dir=self.trace_dir,
-            trial_metrics=self._trial_metrics_list(sink, len(plan)),
+            trial_metrics=(
+                None if sink is None else [sink[i] for i in range(len(plan))]
+            ),
         )
 
     def run_iter(
@@ -748,11 +724,14 @@ class ParallelRunner:
 
         The streaming form of :meth:`run`: chunks are yielded in
         *completion* order (plan order within a chunk), so a consumer —
-        the adaptive runner, a progress bar, an incremental estimator —
-        sees results as soon as any worker finishes rather than after
-        the whole plan.  Re-running the pairs through a plan-indexed
-        buffer reproduces :meth:`run` exactly; that is how :meth:`run`
-        is implemented.
+        a progress bar, an incremental estimator — sees results as soon
+        as any worker finishes rather than after the whole plan.
+        Re-running the pairs through a plan-indexed buffer reproduces
+        :meth:`run` exactly; that is how :meth:`run` is implemented.
+
+        One :meth:`session`, one stream: ``chunk_size`` slices when pooled,
+        the whole plan as one chunk inline — which lets a serial ``repro
+        error-sweep --vector`` batch each configuration's trials in lockstep.
 
         A failing trial surfaces as a :class:`TrialExecutionError` at
         the first completed failure and outstanding work is cancelled —
@@ -766,153 +745,154 @@ class ParallelRunner:
             raise ValueError(
                 "metrics=True streaming needs a metrics_sink (or use run())"
             )
-        sink = metrics_sink if self.metrics else None
-        self._prepare_trace_dir()
-        if self.workers == 1 or len(plan) <= 1:
-            tele = self.telemetry
-            if tele is not None:
-                tele.emit(
-                    "run_start", label=plan.name, mode="inline",
-                    workers=1, trials=len(plan), backend=self.backend,
-                    **_fault_field(plan),
-                )
-            yield from self._run_inline(plan, sink)
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(plan))
-            return
-        chunk_size = self.chunk_size or self._auto_chunk_size(len(plan))
-        yield from self._iter_pooled(plan, chunk_size, sink)
-
-    def _run_inline(
-        self,
-        plan: TrialPlan,
-        sink: Optional[Dict[int, MetricsRegistry]] = None,
-    ) -> Iterator[Tuple[int, ExecutionResult]]:
-        """Inline (no-pool) execution, in plan order.
-
-        The whole plan is one chunk — that is what lets a serial
-        ``repro error-sweep --vector`` batch each configuration's trials
-        in lockstep.
-        """
-        return _iter_chunk(
-            list(enumerate(plan.trials)), self.trace_dir, self.backend,
-            sink, self.telemetry, plan.name,
-        )
-
-    def _open_pool(self, plan: TrialPlan) -> ProcessPoolExecutor:
-        """A worker pool with the plan's real-backend suites pre-dealt
-        once and broadcast, so workers never repeat threshold-RSA setup."""
-        tele = self.telemetry
-        predeal_started = time.perf_counter()
-        dealt = predeal_suites(plan, self.workers)
-        if tele is not None and dealt:
-            tele.emit(
-                "predeal", suites=len(dealt),
-                seconds=round(time.perf_counter() - predeal_started, 6),
-            )
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_seed_suite_cache,
-            initargs=(dealt,),
-        )
-
-    def _iter_pooled(
-        self,
-        plan: TrialPlan,
-        chunk_size: int,
-        sink: Optional[Dict[int, MetricsRegistry]] = None,
-    ) -> Iterator[Tuple[int, ExecutionResult]]:
-        """Fan chunks across the pool; yield results as chunks complete."""
+        pooled = self._pooled(plan)
+        size = self._chunk_size(len(plan)) if pooled else max(1, len(plan))
         indexed = list(enumerate(plan.trials))
-        chunks = [
-            indexed[start : start + chunk_size]
-            for start in range(0, len(indexed), chunk_size)
-        ]
-        tele = self.telemetry
-        if tele is not None:
-            tele.emit(
-                "run_start", label=plan.name, mode="pool",
-                workers=self.workers, trials=len(plan),
-                chunks=len(chunks), chunk_size=chunk_size,
-                **_fault_field(plan),
-            )
-        pool = self._open_pool(plan)
-        try:
-            yield from self._stream_chunks(pool, chunks, plan.trials, sink)
-            if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=len(plan))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        chunks = [indexed[at : at + size] for at in range(0, len(indexed), size)]
+        extras = {"chunks": len(chunks), "chunk_size": size} if pooled else {}
+        with self.session(plan, metrics_sink, **extras) as stream:
+            yield from stream(chunks)
 
-    def _stream_chunks(
+    @contextlib.contextmanager
+    def session(
         self,
-        pool: ProcessPoolExecutor,
-        chunks: Sequence[Sequence[Tuple[int, TrialSpec]]],
-        specs: Sequence[TrialSpec],
-        sink: Optional[Dict[int, MetricsRegistry]],
-        first_number: int = 0,
-    ) -> Iterator[Tuple[int, ExecutionResult]]:
-        """Submit chunks to ``pool``; yield results as chunks complete.
+        plan: TrialPlan,
+        sink: Optional[Dict[int, MetricsRegistry]] = None,
+        **run_start_fields: Any,
+    ) -> Iterator[Stream]:
+        """Open ``plan`` for execution — the one place a plan is opened.
 
-        ``specs`` is the plan's trial list the summaries are rebuilt
-        against; telemetry numbers the chunks from ``first_number``.
+        Entering makes the trace / profile directories, decides pooled
+        or inline, emits ``run_start`` (``label, mode, workers, trials,
+        backend``, a faulted plan's ``faults``, the caller's
+        ``run_start_fields``) and, when pooled, opens a worker pool with
+        the plan's real-backend suites pre-dealt once and broadcast, so
+        workers never repeat threshold-RSA setup.  Leaving emits
+        ``run_complete`` (not after an exception) and shuts the pool
+        down with outstanding chunks cancelled.
+
+        The value is ``stream(chunks)``: run these chunks of ``(index,
+        spec)`` pairs — in this process without a pool, on it otherwise —
+        and yield ``(index, result)`` pairs as chunks complete (plan
+        order within a chunk).  It may be called repeatedly (the adaptive
+        runner: once per allocation round); chunks number from 0 per
+        session, and the telemetry of each — ``chunk_dispatch``, batching
+        spans, ``chunk_complete``, ``profile`` — is emitted here for both
+        modes.  With ``metrics=True`` per-trial registries land in
+        ``sink`` by plan index.  A dead worker is a :class:`WorkerLostError`.
         """
+        for directory in (self.trace_dir, self.profile_dir):
+            if directory is not None:
+                os.makedirs(directory, exist_ok=True)
         tele = self.telemetry
-        timed = tele is not None or self.profile_dir is not None
-        futures = []
-        dispatched = {}
-        profile_paths = {}
-        for number, chunk in enumerate(chunks, start=first_number):
-            if timed:
-                profile_path = None
-                if self.profile_dir is not None:
-                    profile_path = os.path.join(
-                        self.profile_dir, f"chunk-{number:05d}.pstats"
-                    )
-                future = pool.submit(
-                    _run_chunk_timed, chunk, self.trace_dir, self.backend,
-                    self.metrics, profile_path,
-                )
-                profile_paths[future] = profile_path
-            else:
-                future = pool.submit(
-                    _run_chunk, chunk, self.trace_dir, self.backend, self.metrics
-                )
-            futures.append(future)
-            dispatched[future] = (number, tele.elapsed() if tele else 0.0)
-            if tele is not None:
+        pooled = self._pooled(plan)
+        registries = sink if self.metrics else None
+        if tele is not None:
+            # ``faults`` only on faulted plans: the others keep their shape.
+            faults = sorted({s.faults for s in plan.trials if s.faults is not None})
+            tele.emit(
+                "run_start", label=plan.name,
+                mode="pool" if pooled else "inline",
+                workers=self.workers if pooled else 1, trials=len(plan),
+                backend=self.backend, **run_start_fields,
+                **({"faults": faults} if faults else {}),
+            )
+        pool: Optional[ProcessPoolExecutor] = None
+        if pooled:
+            predeal_started = time.perf_counter()
+            dealt = predeal_suites(plan, self.workers)
+            if tele is not None and dealt:
                 tele.emit(
-                    "chunk_dispatch", chunk=number, trials=len(chunk),
-                    first_index=chunk[0][0],
+                    "predeal", suites=len(dealt),
+                    seconds=round(time.perf_counter() - predeal_started, 6),
                 )
-        try:
-            for future in as_completed(futures):
-                # .result() re-raises the first worker failure promptly;
-                # the finally block then cancels everything still queued.
-                payload = future.result()
-                if timed:
-                    seconds, payload, spans = payload
-                    number, opened = dispatched[future]
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_seed_suite_cache,
+                initargs=(dealt,),
+            )
+        dispatched_chunks = streamed = 0
+
+        def profile_path(number: int) -> Optional[str]:
+            if self.profile_dir is None:
+                return None
+            return os.path.join(self.profile_dir, f"chunk-{number:05d}.pstats")
+
+        def complete(number: int, spans: Spans, seconds: float, **pipe: Any) -> None:
+            for event, fields in spans:
+                tele.emit(event, label=plan.name, **fields)
+            tele.emit("chunk_complete", chunk=number, seconds=seconds, **pipe)
+            path = profile_path(number)
+            if path is not None:
+                tele.emit("profile", chunk=number, path=path, seconds=seconds)
+
+        def stream(chunks: Sequence[Chunk]) -> Iterator[Tuple[int, ExecutionResult]]:
+            nonlocal dispatched_chunks, streamed
+            numbered = list(enumerate(chunks, start=dispatched_chunks))
+            dispatched_chunks += len(numbered)
+            streamed += sum(len(chunk) for chunk in chunks)
+            if pool is None:
+                for number, chunk in numbered:
                     if tele is not None:
-                        for event, fields in spans:
-                            tele.emit(event, **fields)
+                        tele.emit("chunk_dispatch", chunk=number, trials=len(chunk))
+                    spans: Spans = []
+                    with _profiled(profile_path(number)):
+                        busy = yield from _iter_chunk(
+                            chunk, self.trace_dir, self.backend, registries, spans
+                        )
+                    if tele is not None:
+                        complete(number, spans, round(busy, 6))
+                return
+            in_flight: Dict[int, Chunk] = dict(numbered)
+            dispatched: Dict[Any, Tuple[int, float]] = {}
+            try:
+                for number, chunk in numbered:
+                    future = pool.submit(
+                        _run_chunk, chunk, self.trace_dir, self.backend,
+                        self.metrics, profile_path(number),
+                    )
+                    opened = tele.elapsed() if tele is not None else 0.0
+                    dispatched[future] = (number, opened)
+                    if tele is not None:
                         tele.emit(
-                            "chunk_complete", chunk=number, seconds=seconds,
+                            "chunk_dispatch", chunk=number, trials=len(chunk),
+                            first_index=chunk[0][0],
+                        )
+                for future in as_completed(dispatched):
+                    # .result() re-raises the first worker failure promptly;
+                    # the finally block then cancels everything still queued.
+                    seconds, payload, spans = future.result()
+                    number, opened = dispatched[future]
+                    del in_flight[number]
+                    if tele is not None:
+                        complete(
+                            number, spans, seconds,
                             span=round(tele.elapsed() - opened, 6),
                             payload_bytes=len(pickle.dumps(payload)),
                         )
-                        profile_path = profile_paths.get(future)
-                        if profile_path is not None:
-                            tele.emit(
-                                "profile", chunk=number, path=profile_path,
-                                seconds=seconds,
-                            )
-                if sink is not None:
-                    sink.update(payload.unpack_metrics())
-                yield from payload.unpack(specs)
+                    if registries is not None:
+                        registries.update(payload.unpack_metrics())
+                    yield from payload.unpack(plan.trials)
+            except BrokenProcessPool as error:
+                raise WorkerLostError(
+                    [(n, chunk[0][0], chunk[-1][0]) for n, chunk in in_flight.items()],
+                    in_flight[min(in_flight)][0][1],
+                ) from error
+            finally:
+                for future in dispatched:
+                    future.cancel()
+
+        try:
+            yield stream
+            if tele is not None:
+                tele.emit("run_complete", label=plan.name, trials=streamed)
         finally:
-            for future in futures:
-                future.cancel()
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+    def _chunk_size(self, total: int) -> int:
+        """Trials per pool task of a fixed run: as asked, else automatic."""
+        return self.chunk_size or self._auto_chunk_size(total)
 
     def _auto_chunk_size(self, total: int) -> int:
         """~4 chunks per worker: amortizes IPC, keeps the pool balanced."""

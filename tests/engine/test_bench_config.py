@@ -99,6 +99,42 @@ class TestEveryBenchmarkDrivesTheEngine:
         ]
         assert not offenders, f"the deleted serial harness is back: {offenders}"
 
+    def _engine_counts(self):
+        """How often the engine package does each thing that must have
+        one home: opens a pool, submits to one, imports the profiler."""
+        counts = {"ProcessPoolExecutor(": 0, ".submit(": 0, "cProfile": 0}
+        private_imports = []
+        for relative, source in self._sources():
+            if not relative.startswith("src/repro/engine/"):
+                continue
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Call):
+                    callee = node.func
+                    if getattr(callee, "id", None) == "ProcessPoolExecutor":
+                        counts["ProcessPoolExecutor("] += 1
+                    if getattr(callee, "attr", None) == "submit":
+                        counts[".submit("] += 1
+                elif isinstance(node, ast.Import):
+                    counts["cProfile"] += sum(
+                        alias.name == "cProfile" for alias in node.names
+                    )
+                elif isinstance(node, ast.ImportFrom):
+                    counts["cProfile"] += node.module == "cProfile"
+                    if relative.endswith("/adaptive.py") and node.module == "runner":
+                        private_imports += [
+                            alias.name for alias in node.names
+                            if alias.name.startswith("_")
+                        ]
+        return counts, private_imports
+
+    def test_a_plan_is_dispatched_from_one_place(self):
+        """Two pools (the dealing pool in ``predeal_suites``, the
+        session's), one ``submit``, one profiler, and an adaptive runner
+        that sees only the runner's public names."""
+        counts, private_imports = self._engine_counts()
+        assert counts == {"ProcessPoolExecutor(": 2, ".submit(": 1, "cProfile": 1}
+        assert private_imports == []
+
     def test_benchmarks_dir_exists_and_is_nonempty(self):
         # Guard the guard: a tree whose glob matches nothing is vacuously
         # free of simulators and deleted names.
@@ -106,6 +142,8 @@ class TestEveryBenchmarkDrivesTheEngine:
         for tree in self.TREES:
             assert sum(r.startswith(tree + "/") for r in scanned) >= 8, tree
         assert len(list(BENCHMARKS_DIR.glob("bench_*.py"))) >= 8
+        # ... and a walker that sees no call sees no second pool either.
+        assert all(self._engine_counts()[0].values())
 
 
 class TestBenchWorkers:

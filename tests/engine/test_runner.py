@@ -1,8 +1,11 @@
 """ParallelRunner mechanics: chunking, streaming, aggregation, suite reuse."""
 
+import multiprocessing
+import os
 import pickle
 import re
 import shlex
+import time
 from dataclasses import replace
 
 import pytest
@@ -16,6 +19,7 @@ from repro.engine import (
     TrialExecutionError,
     TrialPlan,
     TrialSpec,
+    WorkerLostError,
     clear_probe_cache,
     clear_suite_cache,
     default_workers,
@@ -26,6 +30,7 @@ from repro.engine import (
 from repro.engine.registry import vector_model_for
 from repro.engine.runner import _SUITE_CACHE, _SUITE_CACHE_MAX, _suite_for
 from repro.engine.transport import ChunkSummary
+from repro.obs import load_trace, trace_filename
 
 
 def _plan(trials=6, seed=5, kappa=2, collect_signatures=True):
@@ -411,6 +416,100 @@ class TestStreamingAndFailures:
         # ran; the other ~40 were cancelled on the spot.
         markers = list(tmp_path.iterdir())
         assert len(markers) < 20, f"{len(markers)} slow chunks ran after failure"
+
+
+def _dying_builder(victim):
+    """Builder for a protocol whose process exits, uncaught and unreported,
+    in the trial whose session is ``victim`` (registry inherited via fork)."""
+
+    def program(ctx, bit):
+        if ctx.session == victim:
+            time.sleep(0.3)  # the chunks before it finish and report first
+            os._exit(17)
+        return (yield from ba_one_third_program(ctx, bit, 1))
+
+    return program
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the dying protocol is registered in this process: workers see "
+    "it only when they fork from it",
+)
+class TestDeadWorker:
+    """A pool worker that dies is a named error that says what was lost
+    and how to find the trial — from every runner, and through the CLI."""
+
+    DYING = 6
+
+    def _plan(self):
+        register_protocol("test_dying", _dying_builder)
+        specs = _plan(trials=8).trials
+        params = {"victim": specs[self.DYING].session}
+        return TrialPlan(name="dying", trials=tuple(
+            replace(spec, protocol="test_dying", params=params) for spec in specs
+        ))
+
+    @pytest.mark.parametrize("kind", ["run", "run_iter", "adaptive"])
+    def test_names_the_lost_chunks_and_a_way_to_reproduce(self, tmp_path, kind):
+        plan = self._plan()
+        fixed = ParallelRunner(workers=2, chunk_size=2, trace_dir=str(tmp_path))
+        with pytest.raises(WorkerLostError) as raised:
+            if kind == "run":
+                fixed.run(plan)
+            elif kind == "run_iter":
+                list(fixed.run_iter(plan))
+            else:  # one batch per round, so the victim's is the only one out
+                AdaptiveRunner(workers=2, batch_size=2, early_stop=False).run(
+                    plan, 0.5
+                )
+        error = raised.value
+        assert type(error.__cause__).__name__ == "BrokenProcessPool"
+        # Two-trial chunks in plan order: chunk k holds trials 2k, 2k+1.
+        assert 1 <= len(error.chunks) <= 2
+        for number, first, last in error.chunks:
+            assert (first, last) == (2 * number, 2 * number + 1)
+        assert any(first <= self.DYING <= last for _, first, last in error.chunks)
+        assert error.spec == plan.trials[error.chunks[0][1]]
+        message = str(error)
+        # The victim's chunk is the plan's last; the CLI test pins the format.
+        assert message.startswith("a pool worker died while chunks ")
+        assert "–7) were running or queued; none of them completed" in message
+        assert "Re-run with workers=1" in message
+        command = shlex.split(message.splitlines()[-1])
+        assert command[:3] == ["repro", "run", "--spec"]
+        assert TrialSpec.from_json(command[3]) == error.spec
+        copy = pickle.loads(pickle.dumps(error))
+        assert (str(copy), copy.chunks, copy.spec) == (
+            message, error.chunks, error.spec
+        )
+        if kind != "adaptive":  # which takes no trace_dir
+            # Chunks that completed before the worker died left whole traces.
+            lost = {number for number, _, _ in error.chunks}
+            for index in range(len(plan)):
+                if index // 2 not in lost:
+                    load_trace(os.path.join(tmp_path, trace_filename(index)))
+
+    def test_cli_prints_one_message_and_exits_2(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        spec = _plan(trials=1).trials[0]
+        error = WorkerLostError([(2, 4, 5), (1, 2, 3), (7, 14, 15)], spec)
+
+        def lost(self, plan):
+            raise error
+
+        monkeypatch.setattr(ParallelRunner, "run", lost)
+        assert main(["error-sweep", "--kappas", "1", "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err == (
+            "repro error-sweep: a pool worker died while chunks 1–2, 7 (plan "
+            "indices 2–5, 14–15) were running or queued; none of them completed. "
+            "Re-run with workers=1: the inline path runs the same trials in "
+            "plan order in this process\nthe first of them alone is:\n"
+            f"repro run --spec {shlex.quote(spec.to_json())}\n"
+        )
 
 
 def _slow_marker_builder(marker_dir, delay):

@@ -1,17 +1,19 @@
 """Engine telemetry: writer format, span consistency, runner plumbing.
 
 The span-consistency invariant is the load-bearing part: chunk busy-time
-is measured *inside* the worker (``_run_chunk_timed``), so summed busy
+is measured *inside* the worker (``_run_chunk``), so summed busy
 seconds can never exceed a pooled run's ``wall × workers`` capacity —
 ``summarize_telemetry`` flags any file where they do, and ``repro
 error-sweep --telemetry`` turns that flag into a nonzero exit.
 """
 
 import json
+import os
+import re
 
 import pytest
 
-from repro.engine import AdaptiveRunner, ParallelRunner, TrialPlan
+from repro.engine import AdaptiveRunner, ParallelRunner, PlanResult, TrialPlan
 from repro.obs import (
     TELEMETRY_SCHEMA,
     ObsFormatError,
@@ -362,3 +364,194 @@ class TestProfileSpans:
         assert summary["profiles"] == [
             "prof/chunk-00000.pstats", "prof/chunk-00001.pstats",
         ]
+
+
+def _grid_plan(faults=None):
+    """Two configurations, so an adaptive round dispatches two batches."""
+    return TrialPlan.concat(
+        "grid",
+        [
+            TrialPlan.monte_carlo(
+                name=f"grid-k{kappa}",
+                protocol="ba_one_third",
+                inputs=(0, 0, 1, 1),
+                max_faulty=1,
+                trials=6,
+                params={"kappa": kappa},
+                adversary="straddle13",
+                adversary_params={"victims": (3,)},
+                seed=kappa,
+                faults=faults,
+            )
+            for kappa in (1, 2)
+        ],
+    )
+
+
+def _drive(kind, workers, backend, tele, plan, trace_dir=None):
+    """One run of ``plan`` by ``kind``; ``(results, trial_metrics)`` in
+    plan order.  Three-trial chunks throughout: four per run."""
+    if kind == "adaptive":
+        outcome = AdaptiveRunner(
+            workers=workers, batch_size=3, early_stop=False, backend=backend,
+            metrics=True, telemetry=tele,
+        ).run(plan, 0.5)
+        return outcome.results, outcome.trial_metrics
+    runner = ParallelRunner(
+        workers=workers, chunk_size=3, backend=backend, metrics=True,
+        telemetry=tele, trace_dir=trace_dir,
+    )
+    if kind == "run":
+        outcome = runner.run(plan)
+        return outcome.results, outcome.trial_metrics
+    sink = {}
+    collected = dict(runner.run_iter(plan, sink))
+    indices = range(len(plan))
+    return [collected[i] for i in indices], [sink[i] for i in indices]
+
+
+def _metrics_bytes(plan, results, trial_metrics):
+    return json.dumps(
+        PlanResult(
+            plan=plan, results=results, workers=1, wall_seconds=0.0,
+            trial_metrics=trial_metrics,
+        ).metrics_payload(),
+        sort_keys=True,
+    ).encode()
+
+
+_CODES = {
+    "run_start": "S", "run_complete": "E", "chunk_dispatch": "D",
+    "chunk_complete": "C", "vector_batch": "V", "probe_cache": "P",
+    "adaptive_round": "R", "adaptive_complete": "A",
+}
+_RUN_START = {"t", "at", "label", "mode", "workers", "trials", "backend"}
+_EXTRAS = {
+    "fixed": {"chunks", "chunk_size"},
+    "adaptive": {"configs", "budget", "batch_size"},
+}
+_KINDS = ["run", "run_iter", "adaptive"]
+
+
+class TestOneShapeOnEveryPath:
+    """``run``, ``run_iter`` and ``AdaptiveRunner`` share one session and
+    one chunk stream, so they write one span vocabulary — and compute
+    one set of results."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        plan = _grid_plan()
+        trace_dir = str(tmp_path_factory.mktemp("reference-traces"))
+        result = ParallelRunner(
+            workers=1, metrics=True, trace_dir=trace_dir
+        ).run(plan)
+        return plan, result, trace_dir
+
+    @pytest.mark.parametrize("backend", ["object", "vector"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_grid(self, tmp_path, reference, kind, workers, backend):
+        plan, serial, serial_traces = reference
+        pooled = workers > 1
+        fixed = kind != "adaptive"
+        # Tracing makes the vector backend fall back, which would change
+        # its batching spans; AdaptiveRunner takes no trace_dir.
+        trace_dir = None
+        if fixed and backend == "object":
+            trace_dir = str(tmp_path / "traces")
+        path = str(tmp_path / "grid.jsonl")
+        with TelemetryWriter(path) as tele:
+            results, trial_metrics = _drive(
+                kind, workers, backend, tele, plan, trace_dir
+            )
+
+        # Equal results, registries, artifact bytes and trace bytes.
+        assert results == serial.results
+        assert trial_metrics == serial.trial_metrics
+        assert _metrics_bytes(plan, results, trial_metrics) == _metrics_bytes(
+            plan, serial.results, serial.trial_metrics
+        )
+        if trace_dir is not None:
+            names = sorted(os.listdir(serial_traces))
+            assert sorted(os.listdir(trace_dir)) == names and len(names) == 12
+            for name in names:
+                with open(os.path.join(trace_dir, name), "rb") as ours, open(
+                    os.path.join(serial_traces, name), "rb"
+                ) as theirs:
+                    assert ours.read() == theirs.read(), name
+
+        # The order of event types.
+        records = _records(path)[1:-1]
+        group = "VPC" if backend == "vector" else "C"
+        if fixed and not pooled:  # the whole plan is one chunk
+            shape = f"SD{group}E"
+        elif fixed:
+            shape = f"SD{{4}}({group}){{4}}E"
+        elif not pooled:
+            shape = f"S(R(D{group}){{2}}){{2}}AE"
+        else:
+            shape = f"S(RDD({group}){{2}}){{2}}AE"
+        order = "".join(_CODES[r["t"]] for r in records)
+        assert re.fullmatch(shape, order), order
+
+        # One field set per event type.
+        fields = {}
+        for record in records:
+            assert fields.setdefault(record["t"], set(record)) == set(record)
+        extras = set()
+        if not fixed:
+            extras = _EXTRAS["adaptive"]
+        elif pooled:
+            extras = _EXTRAS["fixed"]
+        assert fields["run_start"] == _RUN_START | extras
+        assert fields["run_complete"] == {"t", "at", "label", "trials"}
+        pipe = {"first_index"} if pooled else set()
+        assert fields["chunk_dispatch"] == {"t", "at", "chunk", "trials"} | pipe
+        pipe = {"span", "payload_bytes"} if pooled else set()
+        assert fields["chunk_complete"] == {"t", "at", "chunk", "seconds"} | pipe
+        if backend == "vector":
+            assert fields["vector_batch"] == {
+                "t", "at", "label", "batched", "fallback", "coins",
+                "batches", "seconds", "fallback_reasons",
+            }
+            assert fields["probe_cache"] == {"t", "at", "label", "hits", "misses"}
+        start = records[0]
+        assert (start["mode"], start["workers"], start["backend"]) == (
+            "pool" if pooled else "inline", workers, backend
+        )
+        labelled = ("run_start", "run_complete", "vector_batch", "probe_cache")
+        assert {r["label"] for r in records if r["t"] in labelled} == {"grid"}
+
+        # Every dispatch is closed; chunks number 0..k-1 within the run.
+        dispatched = [r["chunk"] for r in records if r["t"] == "chunk_dispatch"]
+        completed = [r["chunk"] for r in records if r["t"] == "chunk_complete"]
+        chunks = 1 if fixed and not pooled else 4
+        assert dispatched == list(range(chunks))
+        assert sorted(completed) == dispatched
+        summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert (summary["chunks"], summary["trials"]) == (chunks, 12)
+        assert records[-1]["trials"] == 12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_run_start_names_the_fault_scenarios(self, tmp_path, kind, workers):
+        path = str(tmp_path / "faulted.jsonl")
+        with TelemetryWriter(path) as tele:
+            _drive(kind, workers, "object", tele, _grid_plan(faults="lossy"))
+        start = _records(path)[1]
+        assert (start["t"], start["faults"]) == ("run_start", ["lossy"])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_adaptive_runner_numbers_every_run_from_zero(self, tmp_path, workers):
+        path = str(tmp_path / "twice.jsonl")
+        plan = _grid_plan()
+        with TelemetryWriter(path) as tele:
+            runner = AdaptiveRunner(
+                workers=workers, batch_size=3, early_stop=False, telemetry=tele
+            )
+            first = runner.run(plan, 0.5)
+            second = runner.run(plan, 0.5)
+        assert first.results == second.results
+        numbers = [r["chunk"] for r in _records(path) if r["t"] == "chunk_dispatch"]
+        assert numbers == [0, 1, 2, 3, 0, 1, 2, 3]
