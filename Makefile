@@ -78,15 +78,16 @@ perf-smoke:
 perf-pair:
 	scripts/perf_pair.sh $${REF:?set REF} $${WORKLOAD:?set WORKLOAD} $${PAIRS:-10}
 
-# The perf-regression gate: three pairs of the two sweep workloads and
-# of pooled-campaign — the only workload that runs the pool, the fault
-# layer and threshold RSA, so the only one that defends them — against
-# REF (CI passes the PR's base commit).  perf_pair.sh exits 1, naming
-# each `REGRESSION <workload> <metric> x<ratio>`, when the tree's
-# median is worse than REF's by more than the metric's bound in
-# BENCHMARK.json and the tree lost every pair.
+# The perf-regression gate: three pairs of every workload against REF
+# (CI passes the PR's base commit) — the three sweeps (object, vector,
+# and observed: the vector path with metrics and telemetry on, the only
+# one that defends the obs layer) and pooled-campaign, the only workload
+# that runs the pool, the fault layer and threshold RSA.  perf_pair.sh
+# exits 1, naming each `REGRESSION <workload> <metric> x<ratio>`, when
+# the tree's median is worse than REF's by more than the metric's bound
+# in BENCHMARK.json and the tree lost every pair.
 perf-gate:
-	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,object-sweep,pooled-campaign 3
+	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,observed-sweep,object-sweep,pooled-campaign 3
 
 # Bounded chaos pass: hypothesis-drawn Byzantine schedules and network
 # fault plans at a few examples per property (the full depth runs in

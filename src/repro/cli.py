@@ -546,7 +546,7 @@ def _print_telemetry_digest(path: str, summary: dict) -> None:
     if hits or misses:
         print(
             f"{'probe cache':32s}: {hits:8d} hits / {misses} misses "
-            f"({hits / (hits + misses):.0%} hit rate)"
+            "(batches on a warm table / probes run)"
         )
     for reason, count in sorted(summary["fallback_reasons"].items()):
         print(f"{'  vector fallback':32s}: {count:8d} x {reason}")

@@ -300,12 +300,22 @@ class ChunkSummary(NamedTuple):
         """Rebuild the chunk's plan index → ``MetricsRegistry`` mapping.
 
         Each distinct blob is decoded once and its trials stamped from
-        it, so the parent merges a pooled run by outcome class too.
+        it, so the parent merges a pooled run by outcome class too.  A
+        corrupt blob raises :class:`TransportError` naming the first plan
+        index that carries it.
         """
         from ..obs.metrics import MetricsRegistry
+        from ..obs.sinks import ObsFormatError
 
-        distinct = {blob for _, blob in self.metrics}
-        decoded = {blob: MetricsRegistry.unpack(blob) for blob in distinct}
+        decoded = {}
+        for index, blob in self.metrics:
+            if blob not in decoded:
+                try:
+                    decoded[blob] = MetricsRegistry.unpack(blob)
+                except ObsFormatError as error:
+                    raise TransportError(
+                        f"metrics blob of plan index {index}: {error}"
+                    ) from error
         return {index: decoded[blob].stamp() for index, blob in self.metrics}
 
 

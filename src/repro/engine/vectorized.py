@@ -8,28 +8,33 @@ by the paper's protocols, and the session string only enters HMAC tag
 a supported protocol therefore evolves identically across the whole batch
 except for the coin values, and a coin value is a pure function of the
 dealt coin key and the trial session —
-:func:`repro.crypto.coin.coin_evaluator`, which a batch builds at most
-once per coin index.  The crypto layer owns the formula and every encoded
-byte of it; this module only supplies sessions.
+:func:`repro.crypto.coin.coin_evaluator`, built at most once per coin
+index per configuration.  The crypto layer owns the formula and every
+encoded byte of it; this module only supplies sessions.
 
 This module exploits that structure as a **table of transitions**.  A
 *state* is what an iteration's probe is keyed on (the parties' bits; for
 the probabilistic-termination loop also who has halted or is about to).
-A state's *row* is derived once per batch: the iteration's outcome —
-per-party Proxcensus value/grade, per-round message and signature
-tallies, coin-combine success — comes from one cached probe, and the
-paper's extraction ``f(b, g, c) = 1 iff slot(b, g) ≥ c`` says the coin
-matters only through where its cut falls among the parties' slots, so
-the row lists, per *outcome of the cut* (at most n + 1, never one per
-coin value), the state that follows and the parties that return.
+A state's *row* is derived once: the iteration's outcome — per-party
+Proxcensus value/grade, per-round message and signature tallies,
+coin-combine success — comes from one probe, and the paper's extraction
+``f(b, g, c) = 1 iff slot(b, g) ≥ c`` says the coin matters only through
+where its cut falls among the parties' slots, so the row lists, per
+*outcome of the cut* (at most n + 1, never one per coin value), the
+state that follows and the parties that return.
 :meth:`_WalkModel.run_batch` walks every trial from the root state:
 evaluate the iteration's coin, look the child up, stop at a leaf that
 holds the output template every trial on that path shares.  No
 signature, share or message object is ever materialized per trial, and
 coins are Python ints, so κ is unbounded.
 
-What a trial costs is therefore one table lookup per iteration, the
-coins it reads and the result record it hands back.  Nothing per trial
+The seed only picks which cut a trial's coin lands on, so the table is
+seed-free and outlives the batch that filled it: one :class:`_Table` per
+configuration — probes, rows, coin evaluators, the walked tree and its
+leaves' registries — in one LRU keyed by :func:`batch_key`.  What a
+trial costs is therefore one table lookup per iteration, the coins it
+reads and the result record it hands back; nothing per trial or per
+batch rebuilds the table, and nothing per trial
 constructs a ``TrialSpec``: the chunk executor keys each spec once with
 :func:`batch_key` — a plain tuple of the fields that are *not*
 per-trial identity — groups on it, and asks :func:`unsupported_reason`
@@ -66,12 +71,13 @@ shares.
 
 Metrics are native to this path.  Every probe runs with a
 :class:`~repro.obs.metrics.MetricsRegistry` attached and keeps its frozen
-delivery contribution beside its tallies; each model reports the
-``(probe delivery, round offset)`` path every trial walked, and a
-trial's registry is the round-shifted sum of the contributions on its
-path plus ``finalize_trial`` of its result — equal, counter for counter,
-to a registry observing the object simulator.  All label arithmetic stays
-in ``repro.obs.metrics``; this module only names which probes ran when.
+delivery contribution beside its tallies; each model reports the leaf
+every trial ended on, and a trial's registry is the round-shifted sum of
+the contributions on the leaf's path plus ``finalize_trial`` of its
+result — equal, counter for counter, to a registry observing the object
+simulator.  The leaf keeps that registry, so each outcome class is
+composed once per process.  All label arithmetic stays in
+``repro.obs.metrics``; this module only names which probes ran when.
 
 Anything the model cannot express — the real-RSA backend, trace
 collection, protocols or adversaries without a registered vector model,
@@ -132,50 +138,69 @@ class VectorModelError(RuntimeError):
 # session-independent (see module docstring), so any tag works.
 _PROBE_SESSION = "vector-probe"
 
-# (batch_key(spec), probe token) → probe.  A bounded LRU, shared across
-# chunks and batches: AdaptiveRunner streams many small batches of the
-# same configurations, so evicting least-recently-used entries (rather
-# than clearing wholesale) keeps the per-config probes hot across the
-# whole run.  Hit/miss counters feed the ``probe_cache`` telemetry spans.
-_PROBE_CACHE: "OrderedDict[Any, Any]" = OrderedDict()
-_PROBE_CACHE_LIMIT = 1024
-_PROBE_CACHE_HITS = 0
-_PROBE_CACHE_MISSES = 0
+
+@dataclasses.dataclass(eq=False)
+class _Table:
+    """One configuration's table — everything its batches derive from its
+    probes: ``probes`` by token, ``rows`` by state, ``coins`` (evaluators)
+    by depth and ``top``, the walk's first node with every child visited
+    so far, whose leaves own their finalized registries.  A configuration
+    has one model, so tokens and states are that model's own."""
+
+    probes: Dict[Any, Any] = dataclasses.field(default_factory=dict)
+    rows: Dict[Any, "_Row"] = dataclasses.field(default_factory=dict)
+    coins: Dict[int, Any] = dataclasses.field(default_factory=dict)
+    top: Optional["_Node"] = None
 
 
-def _probe_cached(key: Any, build) -> Any:
-    """LRU-memoized probe lookup; ``build()`` runs on a miss."""
-    global _PROBE_CACHE_HITS, _PROBE_CACHE_MISSES
-    entry = _PROBE_CACHE.get(key)
-    if entry is not None:
-        _PROBE_CACHE.move_to_end(key)
-        _PROBE_CACHE_HITS += 1
-        return entry
-    _PROBE_CACHE_MISSES += 1
-    entry = build()
-    _PROBE_CACHE[key] = entry
-    while len(_PROBE_CACHE) > _PROBE_CACHE_LIMIT:
-        _PROBE_CACHE.popitem(last=False)
-    return entry
+# batch_key(spec) → that configuration's table: the one cross-batch
+# cache, a bounded LRU, so AdaptiveRunner rounds and pooled chunks — many
+# small batches of the same configurations — find their tables warm.
+# Hits count batches that found their table, misses probes run on the
+# object simulator; both feed the ``probe_cache`` telemetry spans.
+_TABLES: "OrderedDict[Any, _Table]" = OrderedDict()
+_TABLE_LIMIT = 256
+_HITS = _MISSES = 0
+
+
+def _table(spec: TrialSpec) -> _Table:
+    """The table of ``spec``'s configuration — a new, empty one on a miss."""
+    global _HITS
+    key = batch_key(spec)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Table()
+        while len(_TABLES) > _TABLE_LIMIT:
+            _TABLES.popitem(last=False)
+    else:
+        _TABLES.move_to_end(key)
+        _HITS += 1
+    return table
+
+
+def _probed(table: _Table, token: Any, build: Callable[[], Any]) -> Any:
+    """The table's probe ``token``; ``build()`` runs it on a miss."""
+    global _MISSES
+    probe = table.probes.get(token)
+    if probe is None:
+        _MISSES += 1
+        probe = table.probes[token] = build()
+    return probe
 
 
 def probe_cache_stats() -> Dict[str, int]:
-    """Lifetime probe-cache counters for this process."""
-    return {
-        "hits": _PROBE_CACHE_HITS,
-        "misses": _PROBE_CACHE_MISSES,
-        "size": len(_PROBE_CACHE),
-        "limit": _PROBE_CACHE_LIMIT,
-    }
+    """Lifetime counters of the configuration cache for this process:
+    ``hits`` (batches whose table was cached), ``misses`` (probes run on
+    the object simulator), ``size`` / ``limit`` (configurations held)."""
+    return dict(hits=_HITS, misses=_MISSES, size=len(_TABLES), limit=_TABLE_LIMIT)
 
 
 def clear_probe_cache() -> None:
-    """Drop all cached probes and registry classes; reset the hit/miss counters."""
-    global _PROBE_CACHE_HITS, _PROBE_CACHE_MISSES
-    _PROBE_CACHE.clear()
-    _CLASS_CACHE.clear()
-    _PROBE_CACHE_HITS = 0
-    _PROBE_CACHE_MISSES = 0
+    """Drop every configuration's table — probes, rows, coin evaluators
+    and the registries its leaves own — and reset the hit/miss counters."""
+    global _HITS, _MISSES
+    _TABLES.clear()
+    _HITS = _MISSES = 0
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -184,10 +209,7 @@ class _Delivery:
 
     ``tallies`` are the ``RunMetrics`` rows of its ``rounds`` rounds in
     execution order; ``contribution`` is the un-finalised
-    ``MetricsRegistry`` snapshot of the same deliveries.  Compared and
-    hashed by identity, because a trial's *path* — the ``(delivery,
-    round_offset)`` sequence its model walked — keys the registry
-    classes in :func:`_compose_registries`.
+    ``MetricsRegistry`` snapshot of the same deliveries.
     """
 
     rounds: int
@@ -218,7 +240,10 @@ class _Leaf:
     them are bit-identical down to dict insertion order.  ``path`` is
     one tuple shared by every trial that ends here; the round count and
     tally rows follow from it and are derived once, here.  ``coins`` is
-    how many coins a trial evaluated on the way.
+    how many coins a trial evaluated on the way.  A coin model's leaf is
+    ``valued``: its trials output their own coin, ``outputs`` says which
+    parties hold it, and the coin keys ``classes`` — the finalized
+    registry of each outcome class that ended here (else one, at ``None``).
     """
 
     outputs: Dict[int, Any]
@@ -226,6 +251,7 @@ class _Leaf:
     corrupted: frozenset
     path: _Path
     coins: int = 0
+    valued: bool = False
 
     def __post_init__(self) -> None:
         self.rounds = max((at + step.rounds for step, at in self.path), default=0)
@@ -234,25 +260,34 @@ class _Leaf:
             for step, at in self.path
             for round_index, hm, cm, hs, cs in step.tallies
         )
+        self.classes: Dict[Any, MetricsRegistry] = {}
+
+
+#: A valued leaf keeps this many classes — one per coin value it has
+#: seen; a trial of any further class composes its own registry.
+_VALUED_CLASSES = 256
 
 
 def _materialize(
-    leaves: Sequence[_Leaf],
+    leaves: List[_Leaf],
     inputs: Sequence[Any],
-    outputs: Optional[List[Dict[int, Any]]] = None,
-) -> Tuple[List[ExecutionResult], List[_Path], int]:
-    """One ``ExecutionResult`` per trial of a batch, its path, and the coins read.
+    values: Optional[List[Any]] = None,
+) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
+    """One ``ExecutionResult`` per trial of a batch, its leaf, and the coins read.
 
     Every model's ``run_batch`` ends here.  ``leaves[row]`` is where
     trial ``row`` ended; every result owns fresh copies of its leaf's
-    templates — or, for the models whose output is the trial's own coin
-    value, the ready ``outputs[row]`` dict — and shares the leaf's
-    frozen tally rows, which ``RunMetrics`` holds as given.
+    templates — on a valued leaf, its parties hold trial ``row``'s coin
+    ``values[row]`` — and shares the leaf's frozen tally rows, which
+    ``RunMetrics`` holds as given.
     """
     inputs_map = dict(enumerate(inputs))
     results = [
         ExecutionResult(
-            outputs=leaf.outputs.copy() if outputs is None else outputs[row],
+            outputs=leaf.outputs.copy() if values is None else {
+                pid: values[row] if held else None
+                for pid, held in leaf.outputs.items()
+            },
             corrupted=set(leaf.corrupted),
             metrics=RunMetrics.from_round_tallies(leaf.rounds, leaf.tallies),
             inputs=inputs_map.copy(),
@@ -260,7 +295,7 @@ def _materialize(
         )
         for row, leaf in enumerate(leaves)
     ]
-    return results, [leaf.path for leaf in leaves], sum(leaf.coins for leaf in leaves)
+    return results, leaves, sum(leaf.coins for leaf in leaves)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -401,50 +436,31 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     return vector_model_for(first.protocol, first.adversary).run_batch(specs)[0]
 
 
-# (path, outputs, finish rounds, corrupted set) → the finalized registry
-# of that outcome class.  An LRU beside the probe cache and cleared with
-# it; a key holds its path's ``_Delivery`` objects, so a probe evicted
-# and re-run gets a new key and can only miss, never alias.
-_CLASS_CACHE: "OrderedDict[Any, MetricsRegistry]" = OrderedDict()
-_CLASS_CACHE_LIMIT = 1024
-
-
 def _compose_registries(
     members: Sequence[Tuple[int, TrialSpec]],
     outcomes: Sequence[ExecutionResult],
-    paths: Sequence[_Path],
+    leaves: Sequence[_Leaf],
     metrics: Dict[int, Any],
 ) -> None:
     """Fill ``metrics`` with one registry per batched trial.
 
     A trial's registry is the round-shifted sum of the probe deliveries
-    on its path, finalized with its own result — exactly what a registry
-    observing the object simulator would hold.  Trials sharing a path
-    and an outcome share that registry's *value*, so each such class is
-    composed once per process and every trial is stamped from it: a
-    pointer to the shared snapshot, copied only if someone touches it.
+    on its leaf's path, finalized with its own result — exactly what a
+    registry observing the object simulator would hold.  Trials of one
+    outcome class share that registry's *value*, so each class is
+    composed once, kept by its leaf, and every trial is stamped from it:
+    a pointer to the shared snapshot, copied only if someone touches it.
     """
-    classes: Dict[Any, MetricsRegistry] = {}  # this batch's: one LRU touch each
-    for (index, _), result, path in zip(members, outcomes, paths):
-        key = (
-            path,
-            tuple(result.outputs.items()),
-            tuple(result.finish_rounds.items()),
-            frozenset(result.corrupted),
-        )
-        registry = classes.get(key)
+    for (index, _), result, leaf in zip(members, outcomes, leaves):
+        key = tuple(result.outputs.values()) if leaf.valued else None
+        registry = leaf.classes.get(key)
         if registry is None:
-            registry = _CLASS_CACHE.get(key)
-            if registry is None:
-                registry = _CLASS_CACHE[key] = MetricsRegistry.from_deliveries(
-                    (delivery.contribution, offset) for delivery, offset in path
-                )
-                registry.finalize_trial(result)
-                while len(_CLASS_CACHE) > _CLASS_CACHE_LIMIT:
-                    _CLASS_CACHE.popitem(last=False)
-            else:
-                _CLASS_CACHE.move_to_end(key)
-            classes[key] = registry
+            registry = MetricsRegistry.from_deliveries(
+                (delivery.contribution, offset) for delivery, offset in leaf.path
+            )
+            registry.finalize_trial(result)
+            if len(leaf.classes) < _VALUED_CLASSES:
+                leaf.classes[key] = registry
         metrics[index] = registry.stamp()
 
 
@@ -518,7 +534,7 @@ def execute_chunk(
         reason = unsupported_reason(first)
         if reason is None:
             try:
-                outcomes, paths, read = vector_model_for(
+                outcomes, leaves, read = vector_model_for(
                     first.protocol, first.adversary
                 ).run_batch(specs)
             except VectorModelError as exc:
@@ -539,7 +555,7 @@ def execute_chunk(
         for (index, _), result in zip(members, outcomes):
             results[index] = result
         if metrics is not None:
-            _compose_registries(members, outcomes, paths, metrics)
+            _compose_registries(members, outcomes, leaves, metrics)
         batches.append({"config": first.config_key, "size": len(members)})
     for index, spec in fallback:
         results[index] = _run_indexed_trial(index, spec, trace_dir, metrics)
@@ -646,21 +662,21 @@ class _WalkModel:
     A model supplies ``root(first)`` — the state every trial starts in —
     ``row(first, state)`` and ``coin(first, depth)``, the ``(evaluator,
     session suffix)`` of the coin iteration ``depth`` flips.  The table
-    lives and dies with the batch and is filled as trials reach it:
-    ``row`` is asked once per distinct state, ``coin`` on the first
-    visit to a state of that depth that reads it.  A leaf carries the
-    corruption set of the last probe on its own path; corruptions never
-    heal, so a probe reporting fewer than its predecessor is a
-    :class:`VectorModelError`.
+    is the configuration's :class:`_Table`, kept across batches and
+    filled as trials reach it: ``row`` is asked once per distinct state,
+    ``coin`` on the first visit to a state of that depth that reads it.
+    A leaf carries the corruption set of the last probe on its own path;
+    corruptions never heal, so a probe reporting fewer than its
+    predecessor is a :class:`VectorModelError`.
     """
 
     @classmethod
     def run_batch(
         cls, specs: Sequence[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
+    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
         first = specs[0]
-        rows: Dict[Any, _Row] = {}
-        coins: Dict[int, Tuple[Callable[[str], int], str]] = {}
+        table = _table(first)
+        rows, coins = table.rows, table.coins
 
         def grow(node: _Node, outcome: int) -> Any:
             state, returning = node.row.branches[outcome]
@@ -695,9 +711,11 @@ class _WalkModel:
             node.children[outcome] = child
             return child
 
-        # Before the first iteration: nothing walked, one way on.
-        origin = _Row(None, frozenset(), [], [(cls.root(first), ())])
-        top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
+        top = table.top
+        if top is None:
+            # Before the first iteration: nothing walked, one way on.
+            origin = _Row(None, frozenset(), [], [(cls.root(first), ())])
+            top = table.top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
         leaves = []
         for spec in specs:
             session, node = spec.session, top
@@ -760,50 +778,47 @@ def _run_probe(
 ) -> _IterationProbe:
     """One object-simulator execution of a single-iteration probe program.
 
-    Memoized on ``(batch_key(spec), token)`` — the key tuple, so two specs
-    differing only in per-trial identity share the probe.  The probe runs
-    under a fixed session and seed — legitimate because supported
-    protocols never consume party/adversary RNG streams and signature
-    *structure* is session-independent; only coin values differ, and
-    those are computed per trial by the batch's
+    Memoized under ``token`` in the table of the spec's configuration —
+    which the batch asking has fetched — so two specs differing only in
+    per-trial identity share the probe.  The probe runs under a fixed
+    session and seed — legitimate because supported protocols never
+    consume party/adversary RNG streams and signature *structure* is
+    session-independent; only coin values differ, and those are computed
+    per trial by the configuration's
     :func:`~repro.crypto.coin.coin_evaluator`.
 
     ``factory`` programs return ``(prox_output, coin)`` or ``(prox_output,
     coin, candidate)`` raw, after exactly ``rounds`` rounds; the parties
     in ``returned`` are expected to return before the first instead.
     """
-    memo_key = (batch_key(spec), token)
-    return _probe_cached(
-        memo_key, lambda: _execute_probe(spec, inputs, factory, rounds, returned)
-    )
 
+    def execute() -> _IterationProbe:
+        adversary = build_adversary(spec.adversary, spec.adversary_param_dict, None)
+        result, delivery = _simulate_probe(spec, factory, inputs, adversary)
+        parties: List[Tuple[Any, ...]] = []  # (value, grade, coin_ok, candidate)
+        for pid in range(spec.num_parties):
+            if pid in returned:
+                if result.finish_rounds.get(pid) != 0:
+                    raise VectorModelError(f"returned probe party {pid} sent messages")
+                parties.append((None, None, False, None))
+                continue
+            output = result.outputs.get(pid)
+            if output is None or result.finish_rounds.get(pid) != rounds:
+                raise VectorModelError(
+                    f"probe party {pid} did not finish in {rounds} rounds"
+                )
+            (value, grade), coin, *rest = output
+            if value not in (0, 1):  # Π_iter's defensive non-bit guard
+                value, grade = 0, 0
+            candidate = rest[0] if rest else None
+            parties.append((int(value), int(grade), coin is not None, candidate))
+        if result.metrics.rounds != rounds:
+            raise VectorModelError("probe round count mismatch")
+        return _IterationProbe(
+            *zip(*parties), delivery=delivery, corrupted=frozenset(result.corrupted)
+        )
 
-def _execute_probe(
-    spec: TrialSpec, inputs: Sequence[Any], factory, rounds: int, returned: Sequence[int]
-) -> _IterationProbe:
-    adversary = build_adversary(spec.adversary, spec.adversary_param_dict, None)
-    result, delivery = _simulate_probe(spec, factory, inputs, adversary)
-    parties: List[Tuple[Any, ...]] = []  # (value, grade, coin_ok, candidate)
-    for pid in range(spec.num_parties):
-        if pid in returned:
-            if result.finish_rounds.get(pid) != 0:
-                raise VectorModelError(f"returned probe party {pid} sent messages")
-            parties.append((None, None, False, None))
-            continue
-        if result.outputs.get(pid) is None or result.finish_rounds.get(pid) != rounds:
-            raise VectorModelError(
-                f"probe party {pid} did not finish in {rounds} rounds"
-            )
-        (value, grade), coin, *rest = result.outputs[pid]
-        if value not in (0, 1):  # Π_iter's defensive non-bit guard
-            value, grade = 0, 0
-        candidate = rest[0] if rest else None
-        parties.append((int(value), int(grade), coin is not None, candidate))
-    if result.metrics.rounds != rounds:
-        raise VectorModelError("probe round count mismatch")
-    return _IterationProbe(
-        *zip(*parties), delivery=delivery, corrupted=frozenset(result.corrupted)
-    )
+    return _probed(_TABLES[batch_key(spec)], token, execute)
 
 
 def _exchange(iteration: Iteration):
@@ -825,7 +840,15 @@ def _iteration_coin(first: TrialSpec, iteration: Iteration):
 
 def _replay_trial(spec: TrialSpec) -> _Leaf:
     """One real ``run_trial`` on ``spec`` (metrics attached), frozen as the
-    leaf every trial of the batch ends on."""
+    leaf the configuration's trials end on.
+
+    Unlike :func:`_run_probe` this runs the spec *as given* (its own seed
+    and session) through the full object path — registry-resolved factory
+    and adversary included — so the probe trial's result is correct by
+    definition; replication to other trials rests on the
+    session-invariance argument of the module docstring, pinned by the
+    equivalence grid.
+    """
     from .runner import run_trial  # circular at import time
 
     registry = MetricsRegistry()
@@ -836,20 +859,6 @@ def _replay_trial(spec: TrialSpec) -> _Leaf:
         corrupted=frozenset(result.corrupted),
         path=((_freeze_delivery(result, registry), 0),),
     )
-
-
-def _run_replay_probe(spec: TrialSpec, token: Any) -> _Leaf:
-    """One real ``run_trial`` on ``spec``, frozen and LRU-cached.
-
-    Unlike :func:`_run_probe` this runs the spec *as given* (its own seed
-    and session) through the full object path — registry-resolved factory
-    and adversary included — so the probe trial's result is correct by
-    definition; replication to the rest of the batch rests on the
-    session-invariance argument of the module docstring, pinned by the
-    equivalence grid.
-    """
-    memo_key = (batch_key(spec), token)
-    return _probe_cached(memo_key, lambda: _replay_trial(spec))
 
 
 def _bit_input_reason(spec: TrialSpec) -> Optional[str]:
@@ -1216,6 +1225,20 @@ def _coin_protocol_params(spec: TrialSpec) -> Tuple[Any, int, int]:
     return params.get("index", 0), params.get("low", 0), params.get("high", 1)
 
 
+def _coin_leaf(spec: TrialSpec, predicted: Any, coins: int) -> _Leaf:
+    """``spec``'s trial, checked against its ``predicted`` coin, as a
+    valued leaf: its outputs — session-bound coin values — become which
+    parties hold the coin, so the leaf serves every session."""
+    frozen = _replay_trial(spec)
+    for pid, output in frozen.outputs.items():
+        if output is not None and output != predicted:
+            raise VectorModelError(
+                f"coin probe mismatch for party {pid}: {output!r} != {predicted!r}"
+            )
+    held = {pid: output is not None for pid, output in frozen.outputs.items()}
+    return dataclasses.replace(frozen, outputs=held, coins=coins, valued=True)
+
+
 class _ThresholdCoinModel:
     """Vector model for ``threshold_coin`` × {no adversary, ``withhold_coin``}.
 
@@ -1242,34 +1265,18 @@ class _ThresholdCoinModel:
     @staticmethod
     def run_batch(
         specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
+    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
         first = specs[0]
-        coin = coin_evaluator(_suite(first).coin, *_coin_protocol_params(first))
+        table = _table(first)
+        coin = table.coins.get(0)
+        if coin is None:
+            coin = table.coins[0] = coin_evaluator(
+                _suite(first).coin, *_coin_protocol_params(first)
+            )
         values = [coin(spec.session) for spec in specs]
-
-        def build() -> _Leaf:
-            frozen = _replay_trial(first)
-            ok: Dict[int, bool] = {}
-            for pid, output in frozen.outputs.items():
-                if output is not None and output != values[0]:
-                    raise VectorModelError(
-                        f"threshold coin probe mismatch for party {pid}"
-                    )
-                ok[pid] = output is not None
-            # Replace the session-bound coin values with the ok mask so a
-            # cross-batch cache hit (different session) stays valid; every
-            # trial that ends here evaluated its one coin.
-            return dataclasses.replace(frozen, outputs=ok, coins=1)
-
-        probe = _probe_cached((batch_key(first), "coin-ok"), build)
-        return _materialize(
-            [probe] * len(specs),
-            first.inputs,
-            [
-                {pid: value if ok else None for pid, ok in probe.outputs.items()}
-                for value in values
-            ],
-        )
+        # Every trial that ends here evaluated its one coin.
+        probe = _probed(table, "coin-ok", lambda: _coin_leaf(first, values[0], 1))
+        return _materialize([probe] * len(specs), first.inputs, values)
 
 
 class _VrfCoinModel:
@@ -1310,11 +1317,9 @@ class _VrfCoinModel:
             return "invalid adversary coin range (object path raises)"
         return None
 
-    @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
-        first = specs[0]
+    @staticmethod
+    def _outcome(first: TrialSpec) -> Callable[[str], Tuple[int, Optional[int]]]:
+        """The configuration's coin: ``session → (victims revealed, value)``."""
         n = first.num_parties
         index, low, high = _coin_protocol_params(first)
         adversary = first.adversary_param_dict if first.adversary else {}
@@ -1351,35 +1356,28 @@ class _VrfCoinModel:
                         break
             return revealed, coin if flip is scan else flip(valid, session)
 
-        def probe_for(spec: TrialSpec, revealed: int, predicted) -> _Leaf:
-            def build() -> _Leaf:
-                frozen = _replay_trial(spec)
-                for pid, output in frozen.outputs.items():
-                    if output != predicted:
-                        raise VectorModelError(
-                            f"vrf coin probe mismatch for party {pid}: "
-                            f"{output!r} != {predicted!r}"
-                        )
-                # Outputs are session-bound; keep only the recording order
-                # so cross-batch cache hits stay valid.
-                return dataclasses.replace(
-                    frozen, outputs=dict.fromkeys(frozen.outputs)
-                )
+        return outcome
 
-            memo_key = (batch_key(spec), ("vrf-reveal", revealed))
-            return _probe_cached(memo_key, build)
-
-        # One probe per reveal count, checked against the first trial on it.
-        probes: Dict[int, _Leaf] = {}
-        leaves, outputs = [], []
+    @classmethod
+    def run_batch(
+        cls, specs: List[TrialSpec]
+    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
+        first = specs[0]
+        table = _table(first)
+        outcome = table.coins.get(0)
+        if outcome is None:
+            outcome = table.coins[0] = cls._outcome(first)
+        # One probe per reveal count, checked against the first trial on
+        # it; VRF evaluations are no coins.
+        leaves, values = [], []
         for spec in specs:
             revealed, coin = outcome(spec.session)
-            probe = probes.get(revealed)
+            probe = table.probes.get(revealed)
             if probe is None:
-                probe = probes[revealed] = probe_for(spec, revealed, coin)
+                probe = _probed(table, revealed, lambda: _coin_leaf(spec, coin, 0))
             leaves.append(probe)
-            outputs.append(dict.fromkeys(probe.outputs, coin))
-        return _materialize(leaves, first.inputs, outputs)
+            values.append(coin)
+        return _materialize(leaves, first.inputs, values)
 
 
 # ── deterministic protocols: whole-run replay ───────────────────────────
@@ -1418,9 +1416,10 @@ class _StaticReplayModel:
     @staticmethod
     def run_batch(
         specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Path], int]:
-        probe = _run_replay_probe(specs[0], "replay")
-        return _materialize([probe] * len(specs), specs[0].inputs)
+    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
+        first = specs[0]
+        probe = _probed(_table(first), "replay", lambda: _replay_trial(first))
+        return _materialize([probe] * len(specs), first.inputs)
 
 
 register_vector_model("ba_one_third", None, _BaOneThirdModel)

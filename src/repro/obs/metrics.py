@@ -228,7 +228,13 @@ def _read_str(blob: bytes, at: int) -> Tuple[str, int]:
     end = at + length
     if end > len(blob):
         raise ObsFormatError("truncated metrics blob: string runs past end")
-    return blob[at:end].decode("utf-8"), end
+    try:
+        return blob[at:end].decode("utf-8"), end
+    except UnicodeDecodeError as error:
+        raise ObsFormatError(
+            f"corrupt metrics blob: string at offset {at} is not UTF-8 "
+            f"({error.reason} at offset {at + error.start})"
+        ) from None
 
 
 _PACK_VERSION = 1
@@ -776,6 +782,8 @@ class MetricsRegistry:
 
     @classmethod
     def unpack(cls, blob: bytes) -> "MetricsRegistry":
+        """Inverse of :meth:`pack`.  A truncated or corrupt blob raises
+        :class:`~repro.obs.sinks.ObsFormatError` naming where it broke."""
         registry = cls()
         state = registry._state
         version, at = _read_varint(blob, 0)
@@ -790,12 +798,19 @@ class MetricsRegistry:
         n_hists, at = _read_varint(blob, at)
         for _ in range(n_hists):
             name, at = _read_str(blob, at)
+            start = at
             n_buckets, at = _read_varint(blob, at)
             buckets = []
             for _ in range(n_buckets):
                 bound, at = _read_varint(blob, at)
                 buckets.append(bound)
-            hist = Histogram(buckets)
+            try:
+                hist = Histogram(buckets)
+            except ValueError as error:
+                raise ObsFormatError(
+                    f"corrupt metrics blob: histogram {name!r} at offset "
+                    f"{start}: {error}"
+                ) from None
             counts = []
             for _ in range(n_buckets + 1):
                 count, at = _read_varint(blob, at)

@@ -313,7 +313,7 @@ def _telemetry_section(summary: Mapping[str, Any]) -> List[str]:
     if hits or misses:
         lines.append(
             f"Probe cache: {hits} hits / {misses} misses "
-            f"({hits / (hits + misses):.0%} hit rate)."
+            "(batches on a warm table / probes run)."
         )
         lines.append("")
     batched = summary.get("vector_batched", 0)

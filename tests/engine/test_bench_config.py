@@ -135,6 +135,25 @@ class TestEveryBenchmarkDrivesTheEngine:
         assert counts == {"ProcessPoolExecutor(": 2, ".submit(": 1, "cProfile": 1}
         assert private_imports == []
 
+    def test_the_vector_backend_keeps_one_cache(self):
+        """One cross-batch cache in ``engine/vectorized.py`` — the
+        configuration LRU — assigned at module level; no second LRU
+        beside it and none rebuilt inside a function."""
+        tree = ast.parse((REPO / "src/repro/engine/vectorized.py").read_text("utf-8"))
+        calls = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "OrderedDict"
+        ]
+        module_level = [
+            node.value for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and isinstance(node.value, ast.Call)
+        ]
+        assert len(calls) == 1
+        assert calls[0] in module_level
+
     def test_benchmarks_dir_exists_and_is_nonempty(self):
         # Guard the guard: a tree whose glob matches nothing is vacuously
         # free of simulators and deleted names.

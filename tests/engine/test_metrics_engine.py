@@ -132,7 +132,7 @@ class TestVectorNativeMetrics:
     def test_trial_registries_are_independent_copies(self):
         """The reference is the object path, never another vector run:
         comparing against one lets a registry aliased through a trial,
-        through the class cache or through blob interning — the same
+        through the class its leaf keeps or through blob interning — the same
         corrupted object on both sides — pass."""
         clear_probe_cache()
         plan = _plan(trials=6)
@@ -196,6 +196,9 @@ class TestVectorNativeMetrics:
             assert sink[index] == run_measured_trial(spec)[1]
 
     def test_evicted_probe_reruns_to_the_same_contribution(self, monkeypatch):
+        """Evicting a configuration drops its probes, rows and registries
+        together; coming back re-runs its probe to an equal contribution
+        and recomposes equal registries."""
         from repro.engine import vectorized
 
         plan = _plan(trials=3)
@@ -204,23 +207,28 @@ class TestVectorNativeMetrics:
         def contributions():
             return [
                 probe.delivery.contribution
-                for probe in vectorized._PROBE_CACHE.values()
+                for table in vectorized._TABLES.values()
+                for probe in table.probes.values()
             ]
 
         clear_probe_cache()
         first = {}
         execute_chunk(chunk, metrics=first)
         before = contributions()
-        # A one-entry LRU: a different configuration evicts the probe.
-        monkeypatch.setattr(vectorized, "_PROBE_CACHE_LIMIT", 1)
+        (table,) = vectorized._TABLES.values()
+        assert table.rows and table.top is not None
+        # A one-entry LRU: a different configuration evicts the whole table.
+        monkeypatch.setattr(vectorized, "_TABLE_LIMIT", 1)
         execute_chunk(list(enumerate(_plan(trials=2, kappa=3).trials)))
         assert contributions() != before
+        assert table not in vectorized._TABLES.values()
         misses = probe_cache_stats()["misses"]
         second = {}
         execute_chunk(chunk, metrics=second)
         assert probe_cache_stats()["misses"] == misses + 1
         assert contributions() == before
         assert second == first
+        assert [r.pack() for r in second.values()] == [r.pack() for r in first.values()]
         clear_probe_cache()
 
 

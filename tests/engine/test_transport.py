@@ -350,3 +350,22 @@ class TestTruncatedPayloads:
             )
             with pytest.raises(TransportError):
                 truncated.unpack({0: spec})
+
+    def test_a_corrupt_metrics_blob_names_its_plan_index(self):
+        """A registry blob that cannot decode — cut short, or a byte that
+        breaks a label's UTF-8 — is a ``TransportError`` naming the plan
+        index carrying it and chaining the codec's own named error."""
+        from repro.engine import TransportError, run_measured_trial
+        from repro.obs import ObsFormatError
+
+        spec = _spec("ba_one_third", "straddle13")
+        result, registry = run_measured_trial(spec)
+        chunk = ChunkSummary.pack([(7, result)], metrics={7: registry})
+        ((index, blob),) = chunk.metrics
+        assert chunk.unpack_metrics() == {7: registry}
+        label = blob.index(b"messages")  # a counter name's first byte
+        for corrupt in (blob[:-1], blob[:label] + b"\xff" + blob[label + 1:]):
+            broken = chunk._replace(metrics=((index, corrupt),))
+            with pytest.raises(TransportError, match="plan index 7") as raised:
+                broken.unpack_metrics()
+            assert isinstance(raised.value.__cause__, ObsFormatError)

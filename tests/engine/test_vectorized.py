@@ -43,6 +43,7 @@ from repro.engine.vectorized import (
     _cut_row,
     _extraction_row,
     _IterationProbe,
+    _Leaf,
     _WalkModel,
     batch_key,
     clear_probe_cache,
@@ -78,6 +79,16 @@ def canon(result):
             for index, stats in result.metrics.per_round.items()
         ],
     )
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empty configuration cache before and after a test whose tables
+    must not outlive it — built from synthetic probes, or around patched
+    primitives — nor meet the tables other tests left."""
+    clear_probe_cache()
+    yield
+    clear_probe_cache()
 
 
 def packed(run):
@@ -555,10 +566,12 @@ class TestHotPathCounts:
         for index, got in pairs:
             assert canon(got) == canon(reference[index])
 
-    def test_a_trial_costs_its_coin_bytes(self, monkeypatch):
-        """Primitive calls per trial, probes warm: one HMAC and one
+    def test_a_trial_costs_its_coin_bytes(self, monkeypatch, fresh_tables):
+        """Primitive calls per trial, tables warm: one HMAC and one
         SHA-256 per coin *read*, one of each per VRF evaluation plus one
-        extraction per distinct (winner, range)."""
+        extraction per distinct (winner, range).  The coin evaluators
+        capture both primitives when a configuration's table is built,
+        so the counters go in before the warm-up builds it."""
         configs = self.CONFIGS + (
             # Pre-agreed: every party on the extremal slot, no coin read.
             ("ba_one_half", (1, 1, 1, 1, 1), 2, {"kappa": 4}, None, None),
@@ -577,9 +590,6 @@ class TestHotPathCounts:
             ]
             for seed in (3, 4)
         }
-        clear_probe_cache()
-        for plan in plans[3]:  # warm probes
-            execute_chunk(list(enumerate(plan.trials)))
         calls = Counter()
         for module, name in ((hmac, "digest"), (hashlib, "sha256")):
             real = getattr(module, name)
@@ -589,6 +599,9 @@ class TestHotPathCounts:
                     calls.update([_name]), _real(*args)
                 )[1],
             )
+        clear_probe_cache()
+        for plan in plans[3]:  # build the tables, counted primitives inside
+            execute_chunk(list(enumerate(plan.trials)))
         counted = []
         for plan in plans[4]:
             calls.clear()
@@ -676,27 +689,36 @@ class TestHotPathCounts:
                 plans[1].trials[index]
             )[1]
 
-    def test_class_cache_is_bounded_evicts_to_a_miss_and_clears(self, monkeypatch):
-        from repro.engine import vectorized
+    def test_config_lru_is_bounded_and_evicts_to_a_miss(self, monkeypatch):
+        """The one cache holds whole configurations: past its bound the
+        least recently used one goes — probes, rows and registries at
+        once — and comes back by re-running its probes, to equal bytes."""
+        from repro.engine import probe_cache_stats, vectorized
 
         bound = 3
-        monkeypatch.setattr(vectorized, "_CLASS_CACHE_LIMIT", bound)
+        monkeypatch.setattr(vectorized, "_TABLE_LIMIT", bound)
         clear_probe_cache()
-        seen = set()
-        for seed in (1, 2):  # the second sweep recomposes what the first evicted
+        packs, misses = [], []
+        for seed in (1, 2):  # the second sweep rebuilds what the first evicted
             plan = self._plan(seed=seed, trials=40)
             for at in range(len(self.CONFIGS)):
                 chunk = list(enumerate(plan.trials))[at * 40:(at + 1) * 40]
                 sink = {}
+                before = probe_cache_stats()["misses"]
                 execute_chunk(chunk, metrics=sink)
-                assert len(vectorized._CLASS_CACHE) <= bound
-                seen.update(registry.pack() for registry in sink.values())
+                misses.append(probe_cache_stats()["misses"] - before)
+                assert len(vectorized._TABLES) == probe_cache_stats()["size"]
+                assert probe_cache_stats()["size"] <= bound
+                packs.append({registry.pack() for registry in sink.values()})
                 for index, spec in chunk[:3]:
                     assert sink[index] == run_measured_trial(spec)[1]
-        assert len(seen) > bound
-        assert len(vectorized._CLASS_CACHE) == bound
+        # Four configurations through three places: every batch is cold.
+        assert all(misses) and misses[:4] == misses[4:]
+        # Fresh seeds, same outcome classes, rebuilt to the same bytes.
+        assert all(packs[at] & packs[at + 4] for at in range(4))
+        assert probe_cache_stats()["size"] == bound
         clear_probe_cache()
-        assert len(vectorized._CLASS_CACHE) == 0
+        assert probe_cache_stats()["size"] == len(vectorized._TABLES) == 0
 
 
 def _party_states(slots):
@@ -765,7 +787,9 @@ class TestWalk:
     def _driver(self, corrupted_after):
         """A two-iteration model from two hand-built probes: the root
         splits on its coin, and the branch where the coin is 1 walks on
-        to a second probe that reports ``corrupted_after``."""
+        to a second probe that reports ``corrupted_after``.  Its table
+        sits under the real ``ba_one_half`` configuration's key, so
+        callers take ``fresh_tables``."""
         from repro.crypto.coin import coin_evaluator
         from repro.engine.vectorized import _Delivery
 
@@ -802,9 +826,9 @@ class TestWalk:
 
         return Model.run_batch(plan.trials)
 
-    def test_a_trial_carries_the_corruptions_of_its_own_path(self):
-        results, paths, coins = self._driver(frozenset({3, 4}))
-        by_depth = {len(path): result for result, path in zip(results, paths)}
+    def test_a_trial_carries_the_corruptions_of_its_own_path(self, fresh_tables):
+        results, leaves, coins = self._driver(frozenset({3, 4}))
+        by_depth = {len(leaf.path): result for result, leaf in zip(results, leaves)}
         assert sorted(by_depth) == [1, 2]
         assert by_depth[1].corrupted == {4}
         assert by_depth[2].corrupted == {3, 4}
@@ -813,7 +837,7 @@ class TestWalk:
         # The second row sits on the extremal slot: nobody reads its coin.
         assert coins == len(results)
 
-    def test_a_probe_that_heals_a_corruption_is_a_model_error(self):
+    def test_a_probe_that_heals_a_corruption_is_a_model_error(self, fresh_tables):
         with pytest.raises(VectorModelError, match=r"healed corruptions \[4\]"):
             self._driver(frozenset({3}))
 
@@ -921,12 +945,14 @@ class TestWalkGrid:
 
     @pytest.mark.parametrize("cap", [64, 4])
     def test_fm_walk_matches_the_per_trial_loop_on_asymmetric_probes(
-        self, monkeypatch, cap
+        self, monkeypatch, cap, fresh_tables
     ):
         """Probes no honest run produces — parties graded apart, coins
         that fail to combine — against ``fm_probabilistic_program``'s
         branching applied trial by trial: staggered halting, tails of
-        five iterations and more, and (with a low cap) the cap."""
+        five iterations and more, and (with a low cap) the cap.  The
+        synthetic tables live under the real configurations' keys, hence
+        ``fresh_tables``."""
         from repro.core.probabilistic import ProbTermOutput
         from repro.crypto.coin import coin_evaluator
         from repro.engine import vectorized
@@ -1013,7 +1039,7 @@ class TestWalkGrid:
         batches = [model.run_batch(plan.trials) for plan in plans]
         specs = [spec for plan in plans for spec in plan.trials]
         results = [result for batch in batches for result in batch[0]]
-        paths = [path for batch in batches for path in batch[1]]
+        paths = [leaf.path for batch in batches for leaf in batch[1]]
         read = sum(batch[2] for batch in batches)
         flipped = 0
         for spec, result, path in zip(specs, results, paths):
@@ -1204,6 +1230,165 @@ class TestProbeCache:
         ]
         assert len(spans) == 2
         assert all("hits" in span and "misses" in span for span in spans)
+
+
+def table_leaves(table):
+    """Every leaf a configuration's table holds: under its walk's first
+    node, or — for the replay and coin models — among its probes."""
+    leaves = [probe for probe in table.probes.values() if isinstance(probe, _Leaf)]
+    stack = [table.top] if table.top is not None else []
+    while stack:
+        for child in stack.pop().children:
+            if isinstance(child, _Leaf):
+                leaves.append(child)
+            elif child is not None:
+                stack.append(child)
+    return leaves
+
+
+class TestWarmTables:
+    """A configuration's table is kept across batches, and nothing about
+    a trial may depend on whether it was: one batch, one batch per trial,
+    pooled chunks and adaptive rounds read bit-identical results,
+    registries and coin counts, with the table warm or cold."""
+
+    #: One configuration of each of the eight model classes.
+    CONFIGS = (
+        ("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 3},
+         "straddle13", {"victims": (3,)}),
+        ("ba_one_half", (0, 0, 1, 1, 1), 2, {"kappa": 6},
+         "straddle12", {"victims": (3, 4)}),
+        ("fm_probabilistic", (1, 0, 1, 0), 1, None, None, None),
+        ("turpin_coan_classic", ("a", "b", "a", "a"), 1, {"kappa": 2}, None, None),
+        ("multivalued_ba", ("a", "b", "a", "a"), 1, {"kappa": 2}, None, None),
+        ("threshold_coin", (None,) * 4, 1, {"low": 1, "high": 8},
+         "withhold_coin", {"victims": (3,)}),
+        ("vrf_coin", (None,) * 4, 1, {"index": 1}, "withhold_coin",
+         {"victims": (3,), "index": 1, "preferred": 1}),
+        ("prox_one_third", (0, 0, 1, 1), 1, {"rounds": 3},
+         "straddle13", {"victims": (3,)}),
+    )
+    TRIALS = 12
+
+    def _plan(self):
+        return TrialPlan.concat(
+            "warm",
+            [
+                TrialPlan.monte_carlo(
+                    f"warm-{protocol}", protocol, inputs, max_faulty,
+                    trials=self.TRIALS, params=params, adversary=adversary,
+                    adversary_params=adversary_params, seed=71,
+                )
+                for protocol, inputs, max_faulty, params, adversary,
+                adversary_params in self.CONFIGS
+            ],
+        )
+
+    @staticmethod
+    def _run(chunks):
+        """Results, registry bytes and coins of ``execute_chunk`` over
+        ``chunks``, in plan order."""
+        pairs, sink, coins = {}, {}, 0
+        for chunk in chunks:
+            got, stats = execute_chunk(chunk, metrics=sink)
+            assert stats["fallback"] == 0, stats
+            pairs.update(got)
+            coins += stats["coins"]
+        return (
+            [canon(pairs[index]) for index in sorted(pairs)],
+            [sink[index].pack() for index in sorted(sink)],
+            coins,
+        )
+
+    @staticmethod
+    def _observed(runner_run, tmp_path, name):
+        """Results, registry bytes and telemetry coins of a runner's run."""
+        path = str(tmp_path / f"{name}.jsonl")
+        with TelemetryWriter(path) as telemetry:
+            run = runner_run(telemetry)
+        summary = summarize_telemetry(path)
+        assert summary["vector_fallback"] == 0
+        return (
+            [canon(result) for result in run.results],
+            [registry.pack() for registry in run.trial_metrics],
+            summary["coins"],
+        )
+
+    def test_one_batch_batches_of_one_pooled_and_adaptive_agree(
+        self, tmp_path, fresh_tables
+    ):
+        from repro.engine import AdaptiveRunner, probe_cache_stats
+
+        plan = self._plan()
+        indexed = list(enumerate(plan.trials))
+        assert len({vector_model_for(c[0], c[4]) for c in self.CONFIGS}) == 8
+        cold = self._run([indexed])
+        assert cold[2] > 0
+        assert self._run([[member] for member in indexed]) == cold
+        pooled = self._observed(
+            lambda telemetry: ParallelRunner(
+                workers=2, chunk_size=5, backend="vector", metrics=True,
+                telemetry=telemetry,
+            ).run(plan),
+            tmp_path, "pooled",
+        )
+        assert pooled == cold
+        adaptive = self._observed(
+            lambda telemetry: AdaptiveRunner(
+                workers=1, batch_size=3, early_stop=False, backend="vector",
+                metrics=True, telemetry=telemetry,
+            ).run(plan, bounds=0.5),
+            tmp_path, "adaptive",
+        )
+        assert adaptive == cold
+        # The object simulator is the reference, not another vector run.
+        reference = [run_measured_trial(spec) for spec in plan.trials]
+        assert cold[0] == [canon(result) for result, _ in reference]
+        assert cold[1] == [registry.pack() for _, registry in reference]
+
+        assert probe_cache_stats()["size"] == len(self.CONFIGS)
+        clear_probe_cache()
+        assert probe_cache_stats()["size"] == 0
+        assert self._run([indexed]) == cold
+
+    def test_rows_and_classes_are_built_once_per_process(
+        self, monkeypatch, fresh_tables
+    ):
+        """``row`` once per distinct state and ``from_deliveries`` once per
+        outcome class, however many batches — every class is the one its
+        leaf keeps, and a second, third and fourth pass build nothing."""
+        from repro.engine import AdaptiveRunner, vectorized
+
+        rows, composed = Counter(), []
+        for protocol, *_, adversary, _ in self.CONFIGS:
+            model = vector_model_for(protocol, adversary)
+            if issubclass(model, _WalkModel):
+                monkeypatch.setattr(model, "row", staticmethod(
+                    lambda first, state, _row=model.row, _model=model: (
+                        rows.update([(_model, state)]), _row(first, state)
+                    )[1]
+                ))
+        compose = MetricsRegistry.from_deliveries
+        monkeypatch.setattr(MetricsRegistry, "from_deliveries", staticmethod(
+            lambda parts: (composed.append(1), compose(parts))[1]
+        ))
+        plan = self._plan()
+        indexed = list(enumerate(plan.trials))
+        first = self._run([indexed])
+        built = (dict(rows), len(composed))
+        assert set(built[0].values()) == {1}
+        tables = list(vectorized._TABLES.values())
+        assert sum(len(table.rows) for table in tables) == len(rows)
+        assert len(composed) == sum(
+            len(leaf.classes) for table in tables for leaf in table_leaves(table)
+        )
+        assert self._run([[member] for member in indexed]) == first
+        AdaptiveRunner(
+            workers=1, batch_size=2, early_stop=False, backend="vector",
+            metrics=True,
+        ).run(plan, bounds=0.5)
+        assert self._run([indexed[::2], indexed[1::2]]) == first
+        assert (dict(rows), len(composed)) == built
 
 
 class TestRunnerIntegration:

@@ -16,6 +16,7 @@ Three layers of guarantees:
 import copy
 import json
 import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,54 @@ class TestWireForm:
              [("rounds_to_decision", 3)])
         )
         assert MetricsRegistry.from_payload(registry.as_payload()) == registry
+
+
+def _trial_blob() -> bytes:
+    """A real registry's wire form: one ``ba_one_half`` κ=4 straddle trial."""
+    plan = TrialPlan.monte_carlo(
+        "fuzz", "ba_one_half", (0, 0, 1, 1, 1), 2, trials=1,
+        params={"kappa": 4}, adversary="straddle12",
+        adversary_params={"victims": (3, 4)}, seed=1,
+    )
+    return run_measured_trial(plan.trials[0])[1].pack()
+
+
+class TestCorruptBlobs:
+    """A damaged registry blob decodes or raises ``ObsFormatError`` —
+    never a codec's or a constructor's own exception."""
+
+    def test_every_prefix_is_a_named_truncation(self):
+        blob = _trial_blob()
+        assert MetricsRegistry.unpack(blob).pack() == blob
+        for end in range(len(blob)):
+            with pytest.raises(ObsFormatError, match="truncated"):
+                MetricsRegistry.unpack(blob[:end])
+
+    def test_every_single_byte_corruption_decodes_or_is_named(self):
+        blob = _trial_blob()
+        outcomes = Counter()
+        for at in range(len(blob)):
+            for value in (0x00, 0x01, 0x7F, 0x80, 0xFF):
+                if value == blob[at]:
+                    continue
+                corrupt = blob[:at] + bytes([value]) + blob[at + 1:]
+                try:
+                    MetricsRegistry.unpack(corrupt)
+                except ObsFormatError as error:
+                    message = str(error)
+                    if "not UTF-8" in message:
+                        outcomes["label"] += 1
+                    elif "strictly increasing" in message:
+                        outcomes["buckets"] += 1
+                    else:
+                        outcomes["other"] += 1
+                        continue
+                    assert "offset" in message, message
+                else:
+                    outcomes["decoded"] += 1
+        # The two failures that used to escape as UnicodeDecodeError and
+        # ValueError both occur on this blob, named.
+        assert outcomes["label"] > 0 and outcomes["buckets"] > 0, outcomes
 
 
 # One small plan per protocol × adversary × fault configuration the
