@@ -85,7 +85,9 @@ perf-pair:
 # that runs the pool, the fault layer and threshold RSA.  perf_pair.sh
 # exits 1, naming each `REGRESSION <workload> <metric> x<ratio>`, when
 # the tree's median is worse than REF's by more than the metric's bound
-# in BENCHMARK.json and the tree lost every pair.
+# in BENCHMARK.json and the tree lost every pair, and naming each
+# `DIGEST <workload> pair N <ref> != <tree>` when the two sides of a pair
+# (same workload, same seed) report different `result_digest`s.
 perf-gate:
 	scripts/perf_pair.sh $${REF:?set REF} vector-sweep,observed-sweep,object-sweep,pooled-campaign 3
 

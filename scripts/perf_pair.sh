@@ -15,11 +15,17 @@
 # more than the distance between REF's own quartiles.  Each side runs
 # the perfbench/ of its own checkout.
 #
+# Every run also writes its full result document (`--detail`), and the
+# two sides of a pair — same workload, same seed — must report the same
+# `result_digest`: a perf change must not change a single result.
+#
 # The exit status is the regression gate (`make perf-gate`): 1, after one
 # `REGRESSION <workload> <metric> x<ratio>` line each, when the tree's
 # median is worse than REF's by more than the metric's `bound` in
 # BENCHMARK.json and the tree loses at least nine tenths of the pairs,
-# or when more of the tree's operations failed than REF's; 0 otherwise.
+# or when more of the tree's operations failed than REF's; 1, after one
+# `DIGEST <workload> pair N <ref digest> != <tree digest>` line each, when
+# a pair's digests differ; 0 otherwise.
 set -euo pipefail
 
 usage="usage: scripts/perf_pair.sh REF WORKLOAD[,WORKLOAD...|all] [PAIRS=10]"
@@ -49,9 +55,9 @@ else
     refdir=$tmp/ref
 fi
 
-measure() {  # checkout workload seed -> the run's result line
+measure() {  # checkout workload seed detail -> the run's result line
     python3 "$1/perfbench/run.py" --workload "$2" --seed "$3" \
-        --seconds 8 --trace 0 | tail -n 1
+        --seconds 8 --trace 0 --detail "$4" | tail -n 1
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -59,7 +65,8 @@ for pair in $(seq 1 "$pairs"); do
     for workload in "${names[@]}"; do
         for side in $order; do
             if [[ $side == ref ]]; then checkout=$refdir; else checkout=$tree; fi
-            measure "$checkout" "$workload" "$pair" >> "$tmp/$workload.$side.jsonl"
+            measure "$checkout" "$workload" "$pair" "$tmp/$workload.$side.$pair.json" \
+                >> "$tmp/$workload.$side.jsonl"
         done
     done
     echo "pair $pair/$pairs done (seed $pair, $order)" >&2
@@ -80,6 +87,11 @@ def load(path):
         return [json.loads(line) for line in handle]
 
 
+def digest(workload, side, pair):
+    with open(f"{tmp}/{workload}.{side}.{pair}.json") as handle:
+        return json.load(handle)["result_digest"]
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -88,6 +100,7 @@ def quartiles(values):
 
 summary = []
 regressions = []
+mismatches = []
 for workload in workloads:
     ref_runs = load(f"{tmp}/{workload}.ref.jsonl")
     tree_runs = load(f"{tmp}/{workload}.tree.jsonl")
@@ -99,6 +112,13 @@ for workload in workloads:
           f"{failed[0]}/{attempted[0]}, tree {failed[1]}/{attempted[1]}")
     if failed[1] > failed[0]:
         regressions.append(f"{workload} failed {failed[0]} -> {failed[1]}")
+    differing = 0
+    for pair in range(1, len(ref_runs) + 1):
+        ref_digest, tree_digest = (digest(workload, side, pair) for side in ("ref", "tree"))
+        if ref_digest != tree_digest:
+            differing += 1
+            mismatches.append(f"{workload} pair {pair} {ref_digest} != {tree_digest}")
+    print(f"   result_digest differs on {differing}/{len(ref_runs)} pairs")
     for metric in end_to_end:
         name, direction = metric["name"], metric["better"]
         ref = [run["metrics"][name]["value"] for run in ref_runs]
@@ -137,5 +157,7 @@ for workload, name, ref, tree, ratio, wins, gap, spread in summary:
           f"x{ratio:<6.3f} {wins:>6s} {gap:10.4f} {spread:10.4f}")
 for regression in regressions:
     print(f"REGRESSION {regression}")
-sys.exit(1 if regressions else 0)
+for mismatch in mismatches:
+    print(f"DIGEST {mismatch}")
+sys.exit(1 if regressions or mismatches else 0)
 EOF

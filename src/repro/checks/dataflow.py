@@ -17,7 +17,7 @@ assignments and calls) and *RNG* values (constructor results and
 pass; the DET1xx rules still catch the raw call sites.
 
 Scope: the four protocol layers plus ``engine`` — the vector backend
-made the engine part of the deterministic replay surface (see DET106).
+made the engine part of the deterministic replay surface.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ class RngNonSeedConstructionRule(Rule):
 
     id = "DET201"
     title = "RNG constructed from a non-seed expression"
-    hint = "seed it: random.Random(derived_seed) / default_rng(seed) — never argless or clock-fed"
+    hint = "seed it: random.Random(derived_seed) — never argless or clock-fed"
     scope = _DATAFLOW_SCOPE
 
     def check(self, module: SourceModule) -> Iterator[Finding]:

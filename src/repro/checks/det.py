@@ -38,9 +38,9 @@ _GLOBAL_RNG_FUNCS = frozenset(
 )
 
 # numpy.random names that construct *explicit* generator state instead
-# of drawing from (or reseeding) the module-level legacy RNG.  These are
-# the sanctioned spellings: a seeded object per use site, like
-# `random.Random(seed)` on the stdlib side.
+# of drawing from (or reseeding) the module-level legacy RNG: what the
+# RNG dataflow (DET2xx) and the vector-model purity rule (VEC502) accept
+# as an owned stream, like `random.Random(seed)` on the stdlib side.
 _NUMPY_RNG_CONSTRUCTORS = frozenset(
     {
         "default_rng", "Generator", "SeedSequence", "BitGenerator",
@@ -206,35 +206,6 @@ class SetIterationRule(Rule):
                     yield self.finding(
                         module, head, "join() over an unordered set expression"
                     )
-
-
-@register_rule
-class NumpyGlobalRngRule(_CallRule):
-    """``numpy.random`` module-level calls share one process-global RNG.
-
-    The numpy counterpart of DET103: ``np.random.seed(...)`` reseeds
-    state every caller in the process shares, and module-level draws
-    (``np.random.random()``, ``np.random.randint(...)``, …) consume from
-    it, so results depend on what else ran first.  The vector engine
-    backend is part of the deterministic surface (and once ran on
-    numpy), so the rule covers ``engine`` as well.  Explicit generator
-    construction — ``np.random.default_rng(seed)``, ``Generator``/
-    ``SeedSequence``/bit-generator classes, seeded ``RandomState`` —
-    passes: one owned stream per use site, like ``random.Random(seed)``.
-    """
-
-    id = "DET106"
-    title = "numpy.random global-state call (shared legacy RNG)"
-    hint = "use numpy.random.default_rng(seed) — an explicit Generator per use site"
-    scope = PROTOCOL_SCOPE | frozenset({"engine"})
-
-    def match(self, target: str) -> Optional[str]:
-        parts = target.split(".")
-        if len(parts) == 3 and parts[:2] == ["numpy", "random"]:
-            if parts[2] in _NUMPY_RNG_CONSTRUCTORS:
-                return None
-            return f"call to {target}() uses numpy's process-global RNG"
-        return None
 
 
 def _is_keys_call(node: ast.AST) -> bool:

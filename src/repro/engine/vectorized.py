@@ -39,9 +39,11 @@ constructs a ``TrialSpec``: the chunk executor keys each spec once with
 :func:`batch_key` — a plain tuple of the fields that are *not*
 per-trial identity — groups on it, and asks :func:`unsupported_reason`
 once per group.  Every model builds its results in one place,
-:func:`_materialize`, which copies each trial's leaf template; a leaf's
-round count and tally rows are derived once and every trial on it is
-stamped with the same frozen rows.
+:func:`_materialize`: a trial is a pointer to its outcome class — one
+template per leaf (per coin value on a valued leaf) per batch, verdict
+included, copied into a result only where someone reads it — and a
+leaf's round count and tally rows are derived once and every trial on
+it is stamped with the same frozen rows.
 
 The transition itself is not re-derived by hand: it is obtained by running
 the *object simulator* once per state on a single-iteration probe
@@ -276,24 +278,29 @@ def _materialize(
     """One ``ExecutionResult`` per trial of a batch, its leaf, and the coins read.
 
     Every model's ``run_batch`` ends here.  ``leaves[row]`` is where
-    trial ``row`` ended; every result owns fresh copies of its leaf's
-    templates — on a valued leaf, its parties hold trial ``row``'s coin
-    ``values[row]`` — and shares the leaf's frozen tally rows, which
-    ``RunMetrics`` holds as given.
+    trial ``row`` ended.  Every trial on one leaf — on a valued leaf,
+    every trial whose coin ``values[row]`` its parties hold — is one
+    outcome class, so the batch builds one template per class
+    (:meth:`ExecutionResult.template`, verdict included) and stamps each
+    trial from it: a result copies the template's outputs, corruption
+    set, inputs or finish rounds only when first read, and shares the
+    leaf's frozen tally rows, which ``RunMetrics`` holds as given.
     """
     inputs_map = dict(enumerate(inputs))
-    results = [
-        ExecutionResult(
-            outputs=leaf.outputs.copy() if values is None else {
-                pid: values[row] if held else None
-                for pid, held in leaf.outputs.items()
-            },
-            corrupted=set(leaf.corrupted),
-            metrics=RunMetrics.from_round_tallies(leaf.rounds, leaf.tallies),
-            inputs=inputs_map.copy(),
-            finish_rounds=leaf.finish.copy(),
+    classes = leaves if values is None else list(zip(leaves, values))
+    templates = {}
+    for key in dict.fromkeys(classes):
+        leaf, value = (key, None) if values is None else key
+        outputs = leaf.outputs if values is None else {
+            pid: value if held else None for pid, held in leaf.outputs.items()
+        }
+        templates[key] = ExecutionResult.template(
+            outputs, leaf.corrupted, inputs_map, leaf.finish
         )
-        for row, leaf in enumerate(leaves)
+    stamp, tallied = ExecutionResult.stamp, RunMetrics.from_round_tallies
+    results = [
+        stamp(templates[key], tallied(leaf.rounds, leaf.tallies))
+        for key, leaf in zip(classes, leaves)
     ]
     return results, leaves, sum(leaf.coins for leaf in leaves)
 

@@ -14,8 +14,8 @@ bit-for-bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass, field, fields
+from typing import AbstractSet, Any, Dict, List, NamedTuple, Optional, Sequence, Set
 
 from ..adversary.base import Adversary, AdversaryEnv, RoundDecision, RoundView
 from ..crypto.keys import CryptoSuite
@@ -26,6 +26,31 @@ from .metrics import RunMetrics, count_signatures
 from .party import Context, LazyRandom, ProgramFactory
 
 __all__ = ["ExecutionResult", "SyncSimulator", "run_protocol"]
+
+
+def _agree(outputs: Dict[int, Any], inputs: Dict[int, Any], corrupted) -> bool:
+    """Did every honest party (in ``inputs``, not ``corrupted``) output
+    the same value?  One pass: nothing sorted, hashed or copied."""
+    first = unset = object()
+    for pid, value in outputs.items():
+        if pid in inputs and pid not in corrupted:
+            if first is unset:
+                first = value
+            if not value == first:
+                return False
+    return True
+
+
+class _Template(NamedTuple):
+    """What every stamp of one outcome class reads (see
+    :meth:`ExecutionResult.stamp`): four containers no stamp hands out —
+    each copies one on first read — and their ``honest_agree`` verdict."""
+
+    outputs: Dict[int, Any]
+    corrupted: AbstractSet[int]
+    inputs: Dict[int, Any]
+    finish_rounds: Dict[int, int]
+    agree: bool
 
 
 @dataclass
@@ -40,6 +65,14 @@ class ExecutionResult:
     corrupted program running past every honest finish) is simply
     **absent** from both dicts, never mapped to ``None``.  ``inputs`` is
     exactly ``dict(enumerate(inputs))`` for the inputs the run was given.
+
+    A result is built by the constructor or, on the vector backend, by
+    :meth:`stamp`: a stamp holds its eager ``metrics`` and a pointer to
+    its outcome class's frozen template, and copies each of the other
+    four fields from the template the first time it is read (assigning
+    one just replaces it).  Equality, ``repr``, pickling, ``copy`` and
+    ``dataclasses.replace`` / ``asdict`` read every field, so none of them
+    tells a stamp from the result the constructor would have built.
     """
 
     outputs: Dict[int, Any]
@@ -70,17 +103,77 @@ class ExecutionResult:
         """Did all honest parties produce the same output?
 
         One pass over ``outputs``: nothing is sorted, hashed or copied
-        (outputs may be unhashable).
+        (outputs may be unhashable).  A stamp that has read or assigned
+        none of its containers yet returns its template's verdict,
+        computed once per outcome class.
         """
-        inputs, corrupted = self.inputs, self.corrupted
-        first = unset = object()
-        for pid, value in self.outputs.items():
-            if pid in inputs and pid not in corrupted:
-                if first is unset:
-                    first = value
-                if not value == first:
-                    return False
-        return True
+        state = self.__dict__
+        if len(state) == 2:  # metrics and the template: an untouched stamp
+            return state["_template"].agree
+        return _agree(self.outputs, self.inputs, self.corrupted)
+
+    @staticmethod
+    def template(
+        outputs: Dict[int, Any],
+        corrupted: AbstractSet[int],
+        inputs: Dict[int, Any],
+        finish_rounds: Dict[int, int],
+    ) -> _Template:
+        """The frozen template of one outcome class, for :meth:`stamp`.
+
+        The caller hands over the four containers and must not change
+        them afterwards; the class's verdict is computed here, once.
+        """
+        return _Template(
+            outputs, corrupted, inputs, finish_rounds,
+            _agree(outputs, inputs, corrupted),
+        )
+
+    @classmethod
+    def stamp(cls, template: _Template, metrics: RunMetrics) -> "ExecutionResult":
+        """A result equal to ``cls(**template fields, metrics=metrics)``,
+        at the cost of two stores: each container field is copied from
+        ``template`` on first read, so a change to one stamp never shows
+        in another or in the template."""
+        result = cls.__new__(cls)
+        result.metrics = metrics
+        result._template = template
+        return result
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A stamp pickles and copies as the plain result it reads as.
+        state = self.__dict__
+        if "_template" in state:
+            state = {name: getattr(self, name) for name in _FIELD_NAMES}
+        return state
+
+
+class _Copied:
+    """One container field of a stamp, copied from its template on first
+    read.  A non-data descriptor: a result that holds the field — every
+    result the constructor built, and a stamp once it has read or
+    assigned it — finds it in its own ``__dict__`` and never gets here."""
+
+    __slots__ = ("name", "copy")
+
+    def __init__(self, name: str, copy: Any) -> None:
+        self.name, self.copy = name, copy
+
+    def __get__(self, result: Any, owner: Any = None) -> Any:
+        if result is None:
+            return self
+        value = result.__dict__[self.name] = self.copy(
+            getattr(result._template, self.name)
+        )
+        return value
+
+
+# Set after the decorator ran, so the dataclass sees no defaults.
+ExecutionResult.outputs = _Copied("outputs", dict)  # type: ignore[assignment]
+ExecutionResult.corrupted = _Copied("corrupted", set)  # type: ignore[assignment]
+ExecutionResult.inputs = _Copied("inputs", dict)  # type: ignore[assignment]
+ExecutionResult.finish_rounds = _Copied("finish_rounds", dict)  # type: ignore[assignment]
+_FIELD_NAMES = tuple(result_field.name for result_field in fields(ExecutionResult))
 
 
 class SyncSimulator:

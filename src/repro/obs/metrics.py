@@ -363,6 +363,10 @@ class Histogram:
         hist.total = int(payload["total"])
         hist.minimum = payload.get("min")
         hist.maximum = payload.get("max")
+        if hist.count and not (type(hist.minimum) is type(hist.maximum) is int):
+            raise ObsFormatError(
+                f"histogram of {hist.count} observations needs integer min and max"
+            )
         return hist
 
 

@@ -20,9 +20,10 @@ run's wall time — which is what ``repro error-sweep --telemetry`` asserts.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
-from typing import IO, Any, Dict, List, Mapping, Optional
+from typing import IO, Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .sinks import ObsFormatError, _dump
 
@@ -52,6 +53,65 @@ TELEMETRY_EVENT_TYPES = frozenset(
 #: jitter, so sums compare with 5% headroom plus a small absolute floor.
 _SLACK = 1.05
 _FLOOR = 0.05
+
+
+def _number(value: Any) -> bool:
+    """A JSON number the digest can do float arithmetic on."""
+    if value.__class__ not in (int, float):
+        return False  # bools, strings, containers, null
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+def _count(value: Any) -> bool:
+    return value.__class__ is int and value >= 0 and _number(value)
+
+
+#: What a field of each kind must hold, in words and as a test.
+_KINDS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "number": ("a finite number", _number),
+    "count": ("a count", _count),
+    "text": ("a string", lambda value: value.__class__ is str),
+    "chunk": ("a chunk id", lambda value: value.__class__ is str or _number(value)),
+    "reasons": (
+        "an object of counts",
+        lambda value: value.__class__ is dict and all(map(_count, value.values())),
+    ),
+}
+
+#: Every field :func:`summarize_telemetry` reads, per record type, and
+#: its kind.  Each is optional but ``at`` on the four spans that time a
+#: run or a chunk; a record breaking this is an ``ObsFormatError``.
+_RECORD_FIELDS: Dict[str, Dict[str, str]] = {
+    "run_start": {"at": "number", "label": "text", "mode": "text", "workers": "count"},
+    "run_complete": {"at": "number"},
+    "chunk_dispatch": {"at": "number", "chunk": "chunk", "trials": "count"},
+    "chunk_complete": {
+        "at": "number", "chunk": "chunk", "seconds": "number", "payload_bytes": "count",
+    },
+    "predeal": {"seconds": "number"},
+    "probe_cache": {"hits": "count", "misses": "count"},
+    "vector_batch": {
+        "batched": "count", "fallback": "count", "coins": "count",
+        "fallback_reasons": "reasons",
+    },
+    "profile": {"seconds": "number", "path": "text"},
+}
+_TIMED = frozenset({"run_start", "run_complete", "chunk_dispatch", "chunk_complete"})
+
+
+def _record_problem(record: Dict[str, Any]) -> Optional[str]:
+    """What is wrong with the fields of one record (``None``: nothing)."""
+    kind = record["t"]
+    if kind in _TIMED and "at" not in record:
+        return f"{kind!r} record has no 'at' field"
+    for name, field_kind in _RECORD_FIELDS.get(kind, {}).items():
+        expected, valid = _KINDS[field_kind]
+        if name in record and not valid(record[name]):
+            return f"{kind!r} record field {name!r} must be {expected}"
+    return None
 
 
 class TelemetryWriter:
@@ -110,9 +170,9 @@ def _load_records(path: str) -> List[Dict[str, Any]]:
                 raise ObsFormatError(
                     f"{path}:{lineno}: not valid JSON ({error.msg})"
                 ) from None
-            if not isinstance(record, dict) or "t" not in record:
+            if not isinstance(record, dict) or not isinstance(record.get("t"), str):
                 raise ObsFormatError(
-                    f"{path}:{lineno}: expected an object with a 't' field"
+                    f"{path}:{lineno}: expected an object with a string 't' field"
                 )
             if not saw_header:
                 if record["t"] != "telemetry":
@@ -140,6 +200,9 @@ def _load_records(path: str) -> List[Dict[str, Any]]:
                     )
                 saw_footer = True
                 continue
+            problem = _record_problem(record)
+            if problem is not None:
+                raise ObsFormatError(f"{path}:{lineno}: {problem}")
             records.append(record)
     if not saw_header:
         raise ObsFormatError(f"{path}: empty file (no telemetry header)")

@@ -199,59 +199,6 @@ class TestDET105IdOrdering:
         assert report.ok and report.suppressed == 1
 
 
-class TestDET106NumpyGlobalRng:
-    def test_hit_seed_and_module_level_draw(self, tree):
-        root = tree({"engine/bad.py": """
-            import numpy as np
-
-            def shuffle(values):
-                np.random.seed(0)
-                return np.random.permutation(values)
-        """})
-        report = check(root)
-        assert rule_ids(report) == ["DET106"]
-        assert len(report.findings) == 2
-
-    def test_hit_through_from_import_alias(self, tree):
-        root = tree({"core/bad.py": """
-            from numpy import random as nr
-
-            def draw():
-                return nr.randint(0, 2)
-        """})
-        assert rule_ids(check(root)) == ["DET106"]
-
-    def test_pass_explicit_generator(self, tree):
-        root = tree({"engine/ok.py": """
-            import numpy as np
-
-            def draw(seed):
-                rng = np.random.default_rng(np.random.SeedSequence(seed))
-                return rng.integers(0, 2)
-        """})
-        assert check(root).ok
-
-    def test_pass_outside_scope(self, tree):
-        # The analysis layer reports; it may randomize freely.
-        root = tree({"analysis/ok.py": """
-            import numpy as np
-
-            def jitter(values):
-                return values + np.random.normal(size=len(values))
-        """})
-        assert check(root).ok
-
-    def test_noqa_suppresses(self, tree):
-        root = tree({"engine/waived.py": """
-            import numpy as np
-
-            def draw():
-                return np.random.random()  # repro: noqa[DET106] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
-
-
 class TestDET107DictOrdering:
     def test_hit_next_iter_over_keys(self, tree):
         root = tree({"core/bad.py": """

@@ -50,6 +50,8 @@ from repro.engine.vectorized import (
     execute_chunk,
     run_vector_batch,
 )
+from repro.network.metrics import RunMetrics
+from repro.network.simulator import ExecutionResult
 from repro.obs import MetricsRegistry, TelemetryWriter, summarize_telemetry
 from tests.conftest import PROTOCOL_SHAPES
 
@@ -1389,6 +1391,147 @@ class TestWarmTables:
         ).run(plan, bounds=0.5)
         assert self._run([indexed[::2], indexed[1::2]]) == first
         assert (dict(rows), len(composed)) == built
+
+
+FIELDS = ("outputs", "corrupted", "metrics", "inputs", "finish_rounds")
+
+
+def _config_plan(config, trials):
+    protocol, inputs, max_faulty, params, adversary, adversary_params = config
+    return TrialPlan.monte_carlo(
+        f"stamp-{protocol}", protocol, inputs, max_faulty, trials=trials,
+        params=params, adversary=adversary, adversary_params=adversary_params,
+        seed=29,
+    )
+
+
+class TestStampedResults:
+    """A vector result is a stamp of its outcome class's template, and
+    nothing may tell it from the result the constructor would build:
+    each field is private to its result, ``honest_agree`` follows every
+    change, and ``==`` / ``repr`` / pickling / ``copy`` / ``dataclasses``
+    match the object path — one config of each of the eight model
+    classes, the two valued coin models among them."""
+
+    TRIALS = 16
+
+    @pytest.fixture(
+        scope="class", params=TestWarmTables.CONFIGS, ids=lambda config: config[0]
+    )
+    def batch(self, request):
+        """``(config, specs, references)``: one config's batch and the
+        object simulator's results for it, trial for trial.
+        ``run_vector_batch(specs)`` stamps a fresh batch each call."""
+        from repro.engine import run_trial
+
+        specs = _config_plan(request.param, self.TRIALS).trials
+        return request.param, specs, [run_trial(spec) for spec in specs]
+
+    @staticmethod
+    def _change(result, field, assign):
+        """Change ``field`` of ``result``: mutate what a read returns, or
+        assign a new value without reading the old one."""
+        if assign:
+            value = RunMetrics(rounds=-1) if field == "metrics" else {-1: "assigned"}
+            setattr(result, field, set(value) if field == "corrupted" else value)
+        elif field == "metrics":
+            result.metrics.round_stats(1).honest_messages = -1
+        elif field == "corrupted":
+            result.corrupted.add(99)
+        else:
+            getattr(result, field)[99] = "added"
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("assign", [False, True], ids=["read-mutate", "assign"])
+    def test_a_change_to_one_stamp_never_shows_in_another(self, batch, field, assign):
+        _, specs, references = batch
+        reference = [canon(result) for result in references]
+        for victim in (0, len(specs) - 1):
+            results = run_vector_batch(specs)
+            assert all("_template" in vars(result) for result in results)
+            self._change(results[victim], field, assign)
+            assert canon(results[victim]) != reference[victim]
+            del results[victim]
+            assert [canon(r) for r in results] == reference[:victim] + reference[
+                victim + 1:
+            ]
+            # Nor in the template: a fresh batch of the same classes.
+            assert [canon(r) for r in run_vector_batch(specs)] == reference
+
+    def test_honest_agree_follows_a_flipped_output_and_new_corruptions(self, batch):
+        _, specs, references = batch
+        for index, reference in enumerate(references):
+            assert run_vector_batch(specs)[index].honest_agree() is (
+                reference.honest_agree()
+            )
+            honest = [pid for pid in reference.honest_parties if pid in reference.outputs]
+            if len(honest) >= 2:
+                flipped = run_vector_batch(specs)[index]
+                flipped.outputs[honest[0]] = object()  # equal to nothing
+                assert flipped.honest_agree() is False
+                flipped.corrupted = flipped.corrupted | {honest[0]}
+                expected = dataclasses.replace(
+                    reference, corrupted=reference.corrupted | {honest[0]}
+                )
+                assert flipped.honest_agree() is expected.honest_agree()
+            # Assigned, never read: the stamp must not answer from its template.
+            for corrupted in (set(), set(reference.inputs) - {0}):
+                assigned = run_vector_batch(specs)[index]
+                assigned.corrupted = corrupted
+                expected = dataclasses.replace(reference, corrupted=corrupted)
+                assert assigned.honest_agree() is expected.honest_agree()
+
+    def test_eq_repr_pickle_copy_and_dataclasses_match_the_object_path(self, batch):
+        import copy
+        import inspect
+        import pickle
+
+        _, specs, references = batch
+        assert [field.name for field in dataclasses.fields(ExecutionResult)] == list(
+            FIELDS
+        )
+        assert list(inspect.signature(ExecutionResult).parameters) == list(FIELDS)
+        views = (
+            lambda result: result,
+            repr,
+            dataclasses.asdict,
+            lambda result: dataclasses.replace(result),
+            lambda result: pickle.loads(pickle.dumps(result)),
+            copy.copy,
+            copy.deepcopy,
+        )
+        for index, reference in enumerate(references):
+            for view in views:
+                stamp = run_vector_batch(specs)[index]
+                assert dataclasses.is_dataclass(stamp)
+                assert view(stamp) == view(reference)
+            stamp = run_vector_batch(specs)[index]
+            assert list(stamp.__getstate__()) == list(FIELDS)
+            assert b"_template" not in pickle.dumps(stamp)
+            for twin in (copy.copy(stamp), pickle.loads(pickle.dumps(stamp))):
+                assert "_template" not in vars(twin)
+
+    def test_templates_are_built_once_per_class_per_batch(self, batch, monkeypatch):
+        """One template per distinct leaf — on a valued leaf, per (leaf,
+        coin) — per batch, however many trials land on it."""
+        config = batch[0]
+        built = []
+        template = ExecutionResult.template
+        monkeypatch.setattr(ExecutionResult, "template", staticmethod(
+            lambda *fields: (built.append(fields), template(*fields))[1]
+        ))
+        for size in (1, self.TRIALS, 4 * self.TRIALS):
+            specs = _config_plan(config, size).trials
+            built.clear()
+            results, leaves, _ = vector_model_for(
+                specs[0].protocol, specs[0].adversary
+            ).run_batch(specs)
+            classes = {
+                (id(leaf), tuple(result.outputs.values()) if leaf.valued else None)
+                for result, leaf in zip(results, leaves)
+            }
+            assert len(built) == len(classes)
+        assert len(built) < size
 
 
 class TestRunnerIntegration:

@@ -557,6 +557,15 @@ class TestArtifact:
     def test_non_object_payload_flagged(self):
         assert validate_metrics_payload([]) != []
 
+    @pytest.mark.parametrize("bound", ["min", "max"])
+    def test_histogram_with_observations_but_no_bound_flagged(self, bound):
+        # Its percentiles would clamp to a bound that is not there.
+        payload = self._payload()
+        del payload["totals"]["histograms"]["rounds_to_decision"][bound]
+        assert any(
+            "needs integer min and max" in v for v in validate_metrics_payload(payload)
+        )
+
     def test_write_load_roundtrip_and_deterministic_bytes(self, tmp_path):
         payload = self._payload()
         first = tmp_path / "a.json"

@@ -143,3 +143,74 @@ class TestLoadReportInputs:
     def test_missing_profile_dir_raises(self, tmp_path):
         with pytest.raises(ObsFormatError, match="profile"):
             load_report_inputs(profile_dir=str(tmp_path / "nope"))
+
+
+def _variants(data, substitutes):
+    """``(what, blob)``: every proper prefix of ``data``, then ``data``
+    with each byte in turn replaced by each of ``substitutes`` that
+    differs from it."""
+    for end in range(len(data)):
+        yield f"the first {end} bytes", data[:end]
+    for at, byte in enumerate(data):
+        for substitute in substitutes:
+            if substitute != byte:
+                blob = data[:at] + bytes([substitute]) + data[at + 1:]
+                yield f"byte {at} set to {substitute:#04x}", blob
+
+
+class TestReportFuzz:
+    """``repro report --check`` over every prefix and every single-byte
+    corruption of the committed fixtures exits 0 or 2, never raises.
+
+    The telemetry fixture is corrupted with five bytes: NUL, a quote, a
+    brace, a byte that is never UTF-8 (0xFF) and a digit.  The metrics
+    fixture is 15x larger and gets only the two that can leave it valid
+    JSON — the digit (a number stays one, a key or name is renamed) and
+    the brace (inside a string) — because NUL and 0xFF can never decode
+    and a quote could only land on a whitespace byte, which the telemetry
+    pass already covers."""
+
+    CASES = {
+        "telemetry.jsonl": ("--telemetry", b"\x00\x22\x7b\xff\x39"),
+        "metrics.json": ("--metrics", b"\x39\x7b"),
+    }
+
+    # A renamed span type is skipped with a warning, by design.
+    @pytest.mark.filterwarnings("ignore:.*unknown telemetry type")
+    @pytest.mark.parametrize("fixture", sorted(CASES))
+    def test_every_prefix_and_corruption_exits_0_or_2(
+        self, fixture, tmp_path, monkeypatch
+    ):
+        import io
+        import sys
+
+        from repro import cli
+
+        flag, substitutes = self.CASES[fixture]
+        with open(os.path.join(FIXTURES, fixture), "rb") as handle:
+            data = handle.read()
+        path = str(tmp_path / fixture)
+        # What `cli.main` does after parsing, without re-building the
+        # parser for every one of ~35k variants.
+        args = cli.build_parser().parse_args(["report", flag, path, "--check"])
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", sink)
+        exits = {0: 0, 2: 0}
+        with open(path, "wb") as handle:
+            for what, blob in _variants(data, substitutes):
+                handle.seek(0)
+                handle.write(blob)
+                handle.truncate()
+                handle.flush()
+                try:
+                    code = args.handler(args)
+                except Exception as error:  # pragma: no cover - the failure
+                    pytest.fail(f"{type(error).__name__}: {error} on {what}")
+                assert code in exits, f"exit {code} on {what}"
+                exits[code] += 1
+                sink.seek(0)
+                sink.truncate()
+        # Both outcomes happen: the loop reached the renderer, not only
+        # the JSON parser.
+        assert exits[0] and exits[2], exits

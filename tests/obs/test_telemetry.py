@@ -135,6 +135,39 @@ class TestSummarize:
         with pytest.raises(ObsFormatError, match="disagrees"):
             summarize_telemetry(path)
 
+    @pytest.mark.parametrize("record, problem", [
+        ({"t": "run_start"}, "'run_start' record has no 'at' field"),
+        ({"t": "run_complete", "label": "r"}, "'run_complete' record has no 'at'"),
+        ({"t": "chunk_dispatch", "chunk": 0}, "'chunk_dispatch' record has no 'at'"),
+        ({"t": "chunk_complete", "seconds": 1}, "'chunk_complete' record has no 'at'"),
+        ({"t": "run_start", "at": "0.0"}, "field 'at' must be a finite number"),
+        ({"t": "chunk_complete", "at": 1, "seconds": "1"},
+         "field 'seconds' must be a finite number"),
+        ({"t": "run_start", "at": 0, "workers": True}, "'workers' must be a count"),
+        ({"t": "chunk_dispatch", "at": 0, "chunk": [0]}, "'chunk' must be a chunk id"),
+        ({"t": "chunk_dispatch", "at": 10 ** 400}, "'at' must be a finite number"),
+        ({"t": "vector_batch", "fallback_reasons": {"r": "6"}},
+         "'fallback_reasons' must be an object of counts"),
+        ({"t": 7}, "string 't' field"),
+    ])
+    def test_a_malformed_record_names_its_file_and_line(
+        self, tmp_path, record, problem
+    ):
+        path = _write_file(tmp_path, "bad.jsonl", [
+            {"t": "run_start", "at": 0.0, "label": "r"}, record,
+        ])
+        with pytest.raises(ObsFormatError) as caught:
+            summarize_telemetry(path)
+        assert str(caught.value).startswith(f"{path}:3: ")
+        assert problem in str(caught.value)
+
+    def test_a_malformed_record_is_exit_2_from_report(self, tmp_path, capsys):
+        from repro import cli
+
+        path = _write_file(tmp_path, "bad.jsonl", [{"t": "run_complete"}])
+        assert cli.main(["report", "--telemetry", path, "--check"]) == 2
+        assert "bad.jsonl:2: 'run_complete' record has no 'at'" in capsys.readouterr().err
+
 
 def _plan(trials=12, seed=7):
     return TrialPlan.monte_carlo(

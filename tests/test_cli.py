@@ -685,6 +685,10 @@ class TestCheck:
         out = capsys.readouterr().out
         for rule_id in ("DET101", "LAY201", "SER301", "API401"):
             assert rule_id in out
+        # One line per rule plus its fix; DET106 (numpy's global RNG)
+        # went with numpy.
+        assert len([line for line in out.splitlines() if line[:1].isalpha()]) == 25
+        assert "DET106" not in out
 
 
 class TestParser:
