@@ -13,8 +13,8 @@ test-fast:
 
 # Static-analysis gate: determinism (DET1xx call sites + DET2xx RNG
 # dataflow), layering (LAY), serialization (SER), API coherence (API),
-# vector-model contracts (VEC), obs schema vocabularies (OBS) and stale
-# suppressions (SUP) over src/repro, stdlib-only.  Exit 1 on findings;
+# obs schema vocabularies (OBS) and stale suppressions (SUP) over
+# src/repro, stdlib-only.  Exit 1 on findings;
 # the JSON report is the CI artifact (CI also asserts it counts zero
 # suppressions).  See docs/static-analysis.md for the rule catalogue
 # and suppression syntax.

@@ -2,11 +2,10 @@
 invariants (``python -m repro check``).
 
 Dependency-free, stdlib-``ast`` only, and now *whole-program*: phase 1
-parses every module and builds a :class:`ProjectIndex` (definitions,
-classes, constant assignments, registry-registration calls); phase 2
-binds the index to every rule and dispatches per module, so rules can
-resolve names across module boundaries without importing anything they
-check.  Rule families:
+parses every module and builds a :class:`ProjectIndex` (every module's
+constant assignments); phase 2 binds the index to every rule and
+dispatches per module, so rules can resolve constants across module
+boundaries without importing anything they check.  Rule families:
 
 * **DET1xx** — nondeterminism sources banned from protocol code
   (``core``/``proxcensus``/``crypto``/``network``): wall clocks, ambient
@@ -19,10 +18,6 @@ check.  Rule families:
 * **SER** — pickle/deep-freeze safety of everything crossing a process
   boundary (TrialSpec params, pool submissions).
 * **API** — registry and adversary-hook contract coherence.
-* **VEC** — vector-model contracts: registrations resolve to real
-  registry entries, model bodies stay pure, fallback reasons stay in
-  the engine vocabulary, ``batch_key`` leaves out the fields named in
-  ``PER_TRIAL_FIELDS``, ``seed`` and ``session`` among them.
 * **OBS** — trace/telemetry string literals pinned to the schema
   vocabularies exported by ``repro.obs``.
 * **SUP** — meta: stale ``# repro: noqa[...]`` suppressions.

@@ -39,8 +39,8 @@ _GLOBAL_RNG_FUNCS = frozenset(
 
 # numpy.random names that construct *explicit* generator state instead
 # of drawing from (or reseeding) the module-level legacy RNG: what the
-# RNG dataflow (DET2xx) and the vector-model purity rule (VEC502) accept
-# as an owned stream, like `random.Random(seed)` on the stdlib side.
+# RNG dataflow (DET2xx) accepts as an owned stream, like
+# `random.Random(seed)` on the stdlib side.
 _NUMPY_RNG_CONSTRUCTORS = frozenset(
     {
         "default_rng", "Generator", "SeedSequence", "BitGenerator",

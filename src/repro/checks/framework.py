@@ -17,8 +17,7 @@ Architecture (two-phase)
   and parsed exactly once into a :class:`SourceModule` (path, dotted
   module name, AST, source lines, lazily-built import-origin map), then
   the whole list is folded into a :class:`repro.checks.index.ProjectIndex`
-  — the project-wide symbol table (top-level defs, literal constants,
-  ``register_*`` call sites) cross-module rules read.
+  — the project-wide table of literal constants cross-module rules read.
 * **Phase 2 — dispatch.**  Each rule is ``bind``-ed to the index, then
   ``check(module)`` yields :class:`Finding`\\ s per module and
   ``finalize()`` yields whole-tree findings (import cycles, registry
@@ -232,7 +231,7 @@ def all_rule_classes() -> List[Type[Rule]]:
 def _load_builtin_rules() -> None:
     # Imported for their @register_rule side effects; local to avoid a
     # circular import at package-load time.
-    from . import api, dataflow, det, lay, obs_rules, ser, vec  # noqa: F401
+    from . import api, dataflow, det, lay, obs_rules, ser  # noqa: F401
 
 
 def _matches(rule_id: str, selectors: Sequence[str]) -> bool:

@@ -1,14 +1,11 @@
 """Phase-1 project index: the whole-tree symbol model cross-module rules read.
 
 ``run_check`` used to parse one file, dispatch it, and forget it.  The
-cross-module rule families (DET2xx RNG taint across helper calls, VEC
-registry coherence, OBS schema-constant pinning) need to *see the whole
-tree at once*: which names ``register_protocol`` actually registered,
-what value ``TRACE_RECORD_TYPES`` holds, where a class passed to
-``register_vector_model`` is defined.  :class:`ProjectIndex` is that
-view — built once per run from the already-parsed :class:`SourceModule`
-list (phase 1), then handed to every rule via ``Rule.bind`` before
-dispatch (phase 2).
+cross-module OBS rules need to *see the whole tree at once*: what value
+``TRACE_RECORD_TYPES`` holds in ``obs/`` while a writer in ``engine/``
+spells a record type.  :class:`ProjectIndex` is that view — built once
+per run from the already-parsed :class:`SourceModule` list (phase 1),
+then handed to every rule via ``Rule.bind`` before dispatch (phase 2).
 
 Everything here is AST-only.  The checks layer never imports the code it
 checks (see the LAY map: ``"checks": set()``), so constants like the obs
@@ -19,50 +16,11 @@ importing ``repro.obs``.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
 from .framework import SourceModule
 
-__all__ = ["ProjectIndex", "RegistrationCall", "NON_LITERAL"]
-
-#: Sentinel for a registration argument that is not a string literal
-#: (a variable, an f-string, a call …).  Distinct from ``None``, which
-#: is the *literal* ``None`` (a real value for the adversary slot).
-NON_LITERAL = object()
-
-#: Registry entry points collected into :attr:`ProjectIndex.registrations`.
-_REGISTRY_FUNCS = frozenset(
-    {
-        "register_protocol",
-        "register_adversary",
-        "register_fault_plan",
-        "register_vector_model",
-    }
-)
-
-
-@dataclass(frozen=True)
-class RegistrationCall:
-    """One ``register_*`` call site, with its literal arguments decoded."""
-
-    func: str  # bare function name ("register_protocol", …)
-    module: SourceModule
-    node: ast.Call
-    #: Positional args decoded: a ``str`` for a string literal, ``None``
-    #: for a literal ``None``, :data:`NON_LITERAL` otherwise.
-    args: Tuple[Any, ...]
-
-    def arg(self, position: int) -> Any:
-        return self.args[position] if position < len(self.args) else NON_LITERAL
-
-
-def _decode_arg(node: ast.AST) -> Any:
-    if isinstance(node, ast.Constant) and (
-        node.value is None or isinstance(node.value, str)
-    ):
-        return node.value
-    return NON_LITERAL
+__all__ = ["ProjectIndex"]
 
 
 def _literal_value(node: ast.AST) -> Any:
@@ -93,88 +51,31 @@ def _literal_value(node: ast.AST) -> Any:
     return ast.literal_eval(node)
 
 
-class ModuleSymbols:
-    """Top-level defs of one module: functions, classes, constant values."""
-
-    def __init__(self, module: SourceModule) -> None:
-        self.module = module
-        self.functions: Dict[str, ast.AST] = {}
-        self.classes: Dict[str, ast.ClassDef] = {}
-        self.constants: Dict[str, Any] = {}
-        self.assignments: Dict[str, ast.AST] = {}
-        for stmt in module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions[stmt.name] = stmt
-            elif isinstance(stmt, ast.ClassDef):
-                self.classes[stmt.name] = stmt
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                )
-                value = stmt.value
-                if value is None:
-                    continue
-                for target in targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    self.assignments[target.id] = value
-                    try:
-                        self.constants[target.id] = _literal_value(value)
-                    except (ValueError, TypeError, SyntaxError, KeyError):
-                        pass
+def _module_constants(module: SourceModule) -> Dict[str, Any]:
+    """The values of ``module``'s top-level literal assignments."""
+    constants: Dict[str, Any] = {}
+    for stmt in module.tree.body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for target in targets:
+            if not isinstance(target, ast.Name):
+                continue
+            try:
+                constants[target.id] = _literal_value(stmt.value)
+            except (ValueError, TypeError, SyntaxError, KeyError):
+                pass
+    return constants
 
 
 class ProjectIndex:
     """Whole-tree symbol table built in phase 1, read by rules in phase 2."""
 
     def __init__(self, modules: Sequence[SourceModule]) -> None:
-        self.modules: Tuple[SourceModule, ...] = tuple(modules)
         self.by_name: Dict[str, SourceModule] = {m.name: m for m in modules}
-        self.symbols: Dict[str, ModuleSymbols] = {
-            m.name: ModuleSymbols(m) for m in modules
+        self.constants: Dict[str, Dict[str, Any]] = {
+            m.name: _module_constants(m) for m in modules
         }
-        self._registrations: Optional[Dict[str, List[RegistrationCall]]] = None
-
-    # -- registrations ---------------------------------------------------
-
-    @property
-    def registrations(self) -> Dict[str, List[RegistrationCall]]:
-        """``register_*`` name → every call site in the tree, decoded."""
-        if self._registrations is None:
-            table: Dict[str, List[RegistrationCall]] = {
-                name: [] for name in _REGISTRY_FUNCS
-            }
-            for module in self.modules:
-                for node in ast.walk(module.tree):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    target = module.resolve_call_target(node.func)
-                    if target is None:
-                        continue
-                    bare = target.rsplit(".", 1)[-1]
-                    if bare in _REGISTRY_FUNCS:
-                        table[bare].append(
-                            RegistrationCall(
-                                func=bare,
-                                module=module,
-                                node=node,
-                                args=tuple(
-                                    _decode_arg(arg) for arg in node.args
-                                ),
-                            )
-                        )
-            self._registrations = table
-        return self._registrations
-
-    def registered_names(self, func: str) -> set:
-        """The literal-string names a registry function was called with."""
-        return {
-            call.arg(0)
-            for call in self.registrations.get(func, [])
-            if isinstance(call.arg(0), str)
-        }
-
-    # -- constants and defs ----------------------------------------------
 
     def constant(self, top: str, name: str) -> Any:
         """First module-level constant ``name`` in layer ``top``, else None.
@@ -183,40 +84,9 @@ class ProjectIndex:
         is deterministic when a name is (wrongly) defined twice.
         """
         for module_name in sorted(self.by_name):
-            module = self.by_name[module_name]
-            if module.top != top:
+            if self.by_name[module_name].top != top:
                 continue
-            value = self.symbols[module_name].constants.get(name)
+            value = self.constants[module_name].get(name)
             if value is not None:
                 return value
-        return None
-
-    def iter_functions(self, top: Optional[str] = None) -> Iterator[
-        Tuple[SourceModule, ast.AST]
-    ]:
-        """Every function def (at any nesting depth) in the given layer."""
-        for module in self.modules:
-            if top is not None and module.top != top:
-                continue
-            for node in ast.walk(module.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield module, node
-
-    def resolve_class(
-        self, module: SourceModule, name: str
-    ) -> Optional[Tuple[SourceModule, ast.ClassDef]]:
-        """Find the ClassDef a (possibly imported) name refers to.
-
-        Checks the module's own top-level classes first, then chases one
-        import hop via the origin map (``from .models import Foo``).
-        """
-        symbols = self.symbols.get(module.name)
-        if symbols and name in symbols.classes:
-            return module, symbols.classes[name]
-        origin = module.origins.get(name)
-        if origin and "." in origin:
-            source_name, attr = origin.rsplit(".", 1)
-            other = self.symbols.get(source_name)
-            if other and attr in other.classes:
-                return self.by_name[source_name], other.classes[attr]
         return None

@@ -33,7 +33,7 @@ Subcommands
 ``check``
     Two-phase whole-program static analysis enforcing the repo's
     determinism, layering, serialization and observability invariants
-    (rule families DET/LAY/SER/API/VEC/OBS/SUP; see
+    (rule families DET/LAY/SER/API/OBS/SUP; see
     ``docs/static-analysis.md``).  Exit 1 on findings; ``--json``
     writes the CI artifact, and per-line ``# repro: noqa[RULE]``
     suppressions are themselves checked for staleness (SUP901).

@@ -38,10 +38,15 @@ from .extraction import extract
 from .iteration import CoinFactory, Iteration, threshold_coin_factory
 
 __all__ = [
+    "FM_MAX_ITERATIONS",
     "ProbTermOutput",
     "fm_probabilistic_program",
     "iteration_fm_probabilistic",
 ]
+
+#: The loop's default iteration cap: a run still undecided after it
+#: (probability 2^-64 for honest-majority runs) returns its working bit.
+FM_MAX_ITERATIONS = 64
 
 
 def iteration_fm_probabilistic(iteration: int) -> Iteration:
@@ -79,7 +84,7 @@ def fm_probabilistic_program(
     ctx: Context,
     bit: int,
     coin_factory: Optional[CoinFactory] = None,
-    max_iterations: int = 64,
+    max_iterations: int = FM_MAX_ITERATIONS,
 ):
     """Expected-constant-round FM BA with probabilistic termination."""
     if bit not in (0, 1):

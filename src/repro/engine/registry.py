@@ -87,7 +87,7 @@ FaultPlanBuilder = Callable[..., FaultPlan]
 _PROTOCOLS: Dict[str, ProtocolBuilder] = {}
 _ADVERSARIES: Dict[str, AdversaryBuilder] = {}
 _FAULT_PLANS: Dict[str, FaultPlanBuilder] = {}
-# (protocol name, adversary name or None) → vector batch-model class.
+# (protocol name, adversary name or None) → vector model record.
 # Populated by repro.engine.vectorized at import time; the runner's
 # backend="vector" path consults it per spec and falls back to the
 # object simulator for unregistered pairs.
@@ -97,19 +97,33 @@ _VECTOR_MODELS: Dict[tuple, Any] = {}
 def register_vector_model(protocol: str, adversary: Optional[str], model: Any) -> None:
     """Register a vector batch model for one (protocol, adversary) pair.
 
-    ``model`` must expose ``unsupported_reason(spec) -> Optional[str]``
-    (a class-level eligibility check) and ``run_batch(specs) ->
-    (results, paths, coins)``: per spec an ``ExecutionResult``
-    bit-identical to the object simulator's for every spec the
-    eligibility check admits, and the ``(probe delivery, round offset)``
-    path the trial walked, from which the engine composes its metrics
-    registry; ``coins`` is how many threshold coins the batch evaluated.
+    ``model`` is a record :func:`repro.engine.vectorized.unsupported_reason`
+    reads to decide which specs it admits, and exposes
+    ``run_batch(specs) -> (results, leaves, coins)``: per spec an
+    ``ExecutionResult`` bit-identical to the object simulator's for
+    every admitted spec, and the leaf the trial's walk ended on — whose
+    path of probe deliveries the engine composes its metrics registry
+    from; ``coins`` is how many threshold coins the batch evaluated.
 
+    Both names must already be registered (``adversary`` may be
+    ``None``): a typo'd name would never match a spec, and every spec
+    of the pair would fall back to the object simulator — correct, and
+    silently slower — so it raises ``ValueError`` here instead.
     Re-registering the *same* model object is a no-op (module re-imports
     must stay idempotent); registering a *different* model for an
     already-claimed pair raises — a silent overwrite would let one
     import order quietly change which batch executor a sweep runs on.
     """
+    if protocol not in _PROTOCOLS:
+        raise ValueError(
+            f"vector model for unregistered protocol {protocol!r}; "
+            f"registered: {protocol_names()}"
+        )
+    if adversary is not None and adversary not in _ADVERSARIES:
+        raise ValueError(
+            f"vector model for unregistered adversary {adversary!r}; "
+            f"registered: {adversary_names()}"
+        )
     existing = _VECTOR_MODELS.get((protocol, adversary))
     if existing is not None and existing is not model:
         raise ValueError(
@@ -336,9 +350,13 @@ def _binary_for(regime: str, kappa: int) -> ProgramFactory:
     return lambda ctx, bit: ba_one_third_program(ctx, bit, kappa)
 
 
+#: What a multivalued lift outputs when its binary BA decides 0, unless
+#: the spec's ``default`` param names another value.
+LIFT_DEFAULT = "∅"
+
 register_protocol(
     "turpin_coan_classic",
-    lambda kappa, default="∅": (
+    lambda kappa, default=LIFT_DEFAULT: (
         lambda ctx, value: turpin_coan_classic_program(
             ctx, value, _binary_for("one_third", kappa), default=default
         )
@@ -346,7 +364,7 @@ register_protocol(
 )
 register_protocol(
     "multivalued_ba",
-    lambda kappa, regime="one_third", default="∅": (
+    lambda kappa, regime="one_third", default=LIFT_DEFAULT: (
         lambda ctx, value: multivalued_ba_program(
             ctx, value, _binary_for(regime, kappa), regime=regime, default=default
         )

@@ -22,7 +22,7 @@ coin-combine success — comes from one probe, and the paper's extraction
 where its cut falls among the parties' slots, so the row lists, per
 *outcome of the cut* (at most n + 1, never one per coin value), the
 state that follows and the parties that return.
-:meth:`_WalkModel.run_batch` walks every trial from the root state:
+:func:`_walk` runs every trial from the root state:
 evaluate the iteration's coin, look the child up, stop at a leaf that
 holds the output template every trial on that path shares.  No
 signature, share or message object is ever materialized per trial, and
@@ -102,10 +102,15 @@ from ..core.ba import (
     iteration_one_third,
     iterations_one_half,
     rounds_one_half,
+    rounds_one_third,
 )
 from ..core.extraction import coin_range, extract
 from ..core.iteration import Iteration, threshold_coin_factory
-from ..core.probabilistic import ProbTermOutput, iteration_fm_probabilistic
+from ..core.probabilistic import (
+    FM_MAX_ITERATIONS,
+    ProbTermOutput,
+    iteration_fm_probabilistic,
+)
 from ..core.turpin_coan import (
     MULTIVALUED_BA,
     TURPIN_COAN_BA,
@@ -119,7 +124,12 @@ from ..network.simulator import ExecutionResult
 from ..obs.metrics import DeliveryContribution, MetricsRegistry
 from ..proxcensus.base import slot_index
 from .plan import TrialSpec, _stamp_trial
-from .registry import build_adversary, register_vector_model, vector_model_for
+from .registry import (
+    LIFT_DEFAULT,
+    build_adversary,
+    register_vector_model,
+    vector_model_for,
+)
 
 __all__ = [
     "VectorModelError",
@@ -269,12 +279,14 @@ class _Leaf:
 #: seen; a trial of any further class composes its own registry.
 _VALUED_CLASSES = 256
 
+#: What a batch returns: per spec its result and the leaf it ended on,
+#: and how many coins the batch read.
+_Batch = Tuple[List[ExecutionResult], List[_Leaf], int]
+
 
 def _materialize(
-    leaves: List[_Leaf],
-    inputs: Sequence[Any],
-    values: Optional[List[Any]] = None,
-) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
+    leaves: List[_Leaf], inputs: Sequence[Any], values: Optional[List[Any]] = None
+) -> _Batch:
     """One ``ExecutionResult`` per trial of a batch, its leaf, and the coins read.
 
     Every model's ``run_batch`` ends here.  ``leaves[row]`` is where
@@ -328,8 +340,7 @@ class _IterationProbe:
 
 #: The fields that tell one trial of a configuration from the next.
 #: Every other ``TrialSpec`` field — including any added later — is part
-#: of the batch key.  ``repro check`` (VEC504) pins ``seed`` and
-#: ``session`` to this literal.
+#: of the batch key; ``TestBatchKey`` pins both this tuple and the key.
 PER_TRIAL_FIELDS = ("seed", "session", "config")
 
 _batch_fields = operator.attrgetter(
@@ -352,44 +363,10 @@ def batch_key(spec: TrialSpec) -> Tuple[Any, ...]:
     return _batch_fields(spec)
 
 
-#: The complete vocabulary of exact fallback-reason strings the
-#: ``*_reason`` helpers may return.  ``repro check`` (VEC503) pins every
-#: constant return in this module to this set, so a reworded reason
-#: cannot silently fork from the strings that dashboards and tests
-#: aggregate on.  Parameterized reasons are covered by the prefix tuple
-#: below instead.
-FALLBACK_REASONS = frozenset(
-    {
-        "spec opted out (vectorizable=False)",
-        "real-RSA backend",
-        "adversary victims missing or not a sequence",
-        "corruption budget exceeded (object path raises)",
-        "regime violation 3t >= n (object path raises)",
-        "regime violation 2t >= n (object path raises)",
-        "max_rounds below protocol length (object path raises)",
-        "max_rounds below the iteration cap (object path may raise)",
-        "unsupported down_group value",
-        "straddle12 with non-standard iteration_rounds",
-        "unhashable inputs",
-        "invalid coin range (object path raises)",
-        "invalid adversary coin range (object path raises)",
-        "session-pinned withhold_coin not modeled",
-        "adversary coin index differs from protocol (not modeled)",
-    }
-)
-
-#: Allowed heads for parameterized (f-string) fallback reasons.  A
-#: reason that interpolates spec details must start with one of these.
-FALLBACK_REASON_PREFIXES = (
-    "fault injection",
-    "no ",
-    "non-bit input",
-    "unsupported ",
-    "victim ",
-    "regime ",
-    "invalid ",
-    "vector model error:",
-)
+def _bad_range(params: Dict[str, Any]) -> bool:
+    """Whether ``params``' coin range ``[low, high]`` makes a coin raise."""
+    low, high = params.get("low", 0), params.get("high", 1)
+    return type(low) is not int or type(high) is not int or low > high
 
 
 def unsupported_reason(spec: TrialSpec) -> Optional[str]:
@@ -398,7 +375,8 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     The checks are deliberately conservative: any configuration whose
     object-path behavior the vector models have not proven to reproduce —
     including ones where the object path would *raise* — is routed to the
-    object simulator.
+    object simulator.  It reads the spec's :class:`_Model` record and
+    builds each reason here, once: the strings telemetry tallies.
     """
     if not spec.vectorizable:
         return "spec opted out (vectorizable=False)"
@@ -411,11 +389,62 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
         return "real-RSA backend"
     model = vector_model_for(spec.protocol, spec.adversary)
     if model is None:
-        return (
-            f"no vector model registered for "
-            f"({spec.protocol!r}, {spec.adversary!r})"
-        )
-    return model.unsupported_reason(spec)
+        return f"no vector model registered for ({spec.protocol!r}, {spec.adversary!r})"
+    if model.bits:
+        for value in spec.inputs:
+            # Strict ints only: bool inputs pass the protocols' `bit in
+            # (0, 1)` check but tangle value identity in repr-keyed
+            # tallies — the object path handles them, so they simply are
+            # not vectorized.
+            if type(value) is not int or value not in (0, 1):
+                return f"non-bit input {value!r}"
+    else:
+        try:
+            hash(spec.inputs)
+        except TypeError:
+            return "unhashable inputs"
+    params = spec.param_dict
+    if model.params is not None:
+        # κ, where accepted, is required: its builders have no default.
+        if not model.params & _KAPPA <= set(params) <= model.params:
+            return f"unsupported protocol params {sorted(params)}"
+        kappa = params.get("kappa", 1)
+        if type(kappa) is not int or kappa < 1:
+            return f"unsupported kappa {kappa!r}"
+        if _bad_range(params):
+            return "invalid coin range (object path raises)"
+        regime = params.get("regime", "one_third")
+        if regime != "one_third":
+            return f"regime {regime!r} not modeled (multi-coin inner BA)"
+    k = model.regime
+    if k is not None and k * spec.max_faulty >= spec.num_parties:
+        return f"regime violation {k}t >= n (object path raises)"
+    if model.length is not None and spec.max_rounds < model.length(params):
+        if model.capped:
+            return "max_rounds below the iteration cap (object path may raise)"
+        return "max_rounds below protocol length (object path raises)"
+    if spec.adversary is None:
+        return None
+    adversary = spec.adversary_param_dict
+    if not set(adversary) <= model.adversaries[spec.adversary]:
+        return f"unsupported adversary params {sorted(adversary)}"
+    victims = adversary.get("victims")
+    if not isinstance(victims, tuple) or not victims:
+        return "adversary victims missing or not a sequence"
+    for victim in victims:
+        if type(victim) is not int or not (0 <= victim < spec.num_parties):
+            return f"victim {victim!r} out of range"
+    if len(set(victims)) > spec.max_faulty:
+        return "corruption budget exceeded (object path raises)"
+    if model.row is not None:
+        # A walk rebuilds the adversary for each single-iteration probe:
+        # proven for tuple down_groups and the standard iteration only.
+        down_group = adversary.get("down_group")
+        if down_group is not None and not isinstance(down_group, tuple):
+            return "unsupported down_group value"
+        if adversary.get("iteration_rounds", 3) != iteration_one_half(0).rounds:
+            return "straddle12 with non-standard iteration_rounds"
+    return model.adversary_check(spec)
 
 
 def supports(spec: TrialSpec) -> bool:
@@ -579,7 +608,65 @@ def execute_chunk(
     return [(index, results[index]) for index, _ in chunk], stats
 
 
-# ── Shared model machinery ───────────────────────────────────────────────
+# ── Models as records ────────────────────────────────────────────────────
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Model:
+    """One vector model, as data: what it serves and how it runs.
+
+    Every model is the paper's one construction — a Proxcensus
+    expansion, a threshold coin, the extraction ``f(b, g, c)`` — run
+    once, ⌈κ/2⌉ times or until parties halt, or a whole run no coin
+    steers, so models differ only in these fields.
+    :func:`unsupported_reason` reads ``adversaries`` (each served, the
+    honest ``None`` among them, with the params it accepts), ``bits``
+    (strict-bit inputs, else hashable ones), ``params`` (the protocol
+    params accepted; ``None`` takes the protocol's own as given),
+    ``regime`` (the ``k`` of ``t < n/k``), ``length(params)`` (the
+    fewest rounds ``max_rounds`` must allow: the protocol's length, or
+    where ``capped`` its iteration cap) and ``adversary_check(spec)``
+    (what the model adds for a named adversary whose victims pass).
+
+    A walk model supplies ``root(first)`` — the state every trial starts
+    in — ``row(first, state)`` and ``coin(first, depth)``, the
+    ``(evaluator, session suffix)`` of the coin iteration ``depth``
+    flips (see :func:`_walk`); any other supplies ``batch(specs)``.
+    :meth:`run_batch` runs either.
+    """
+
+    adversaries: Dict[Optional[str], frozenset]
+    bits: bool = False
+    params: Optional[frozenset] = None
+    regime: Optional[int] = None
+    length: Optional[Callable[[Dict[str, Any]], int]] = None
+    capped: bool = False
+    adversary_check: Callable[[TrialSpec], Optional[str]] = lambda spec: None
+    root: Optional[Callable[[TrialSpec], Any]] = None
+    row: Optional[Callable[[TrialSpec, Any], "_Row"]] = None
+    coin: Optional[Callable[[TrialSpec, int], Any]] = None
+    batch: Optional[Callable[[Sequence[TrialSpec]], Any]] = None
+
+    def run_batch(self, specs: Sequence[TrialSpec]) -> _Batch:
+        return _walk(self, specs) if self.batch is None else self.batch(specs)
+
+
+#: The params each adversary's builder takes: all a model can accept.
+_ADVERSARY_PARAMS = {
+    None: frozenset(),
+    "straddle13": frozenset({"victims", "down_group"}),
+    "straddle12": frozenset({"victims", "iteration_rounds"}),
+    "bare_straddle12": frozenset({"victims", "iteration_rounds"}),
+    "two_face": frozenset({"victims"}),
+    "withhold_coin": frozenset({"victims", "index", "low", "high", "preferred", "session"}),
+}
+_KAPPA = frozenset({"kappa"})
+_COIN_PARAMS = frozenset({"index", "low", "high"})
+
+
+def _serving(*adversaries: str) -> Dict[Optional[str], frozenset]:
+    """The honest run and ``adversaries``, each with the params it takes."""
+    return {name: _ADVERSARY_PARAMS[name] for name in (None, *adversaries)}
 
 
 def _suite(spec: TrialSpec):
@@ -662,83 +749,74 @@ class _Node:
         self.coin, self.suffix = None, ""
 
 
-class _WalkModel:
-    """What the coin-consuming models share: ``run_batch`` walks every
-    trial down the model's transition table.
+def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
+    """Walk every trial down ``model``'s transition table.
 
-    A model supplies ``root(first)`` — the state every trial starts in —
-    ``row(first, state)`` and ``coin(first, depth)``, the ``(evaluator,
-    session suffix)`` of the coin iteration ``depth`` flips.  The table
-    is the configuration's :class:`_Table`, kept across batches and
-    filled as trials reach it: ``row`` is asked once per distinct state,
-    ``coin`` on the first visit to a state of that depth that reads it.
-    A leaf carries the corruption set of the last probe on its own path;
-    corruptions never heal, so a probe reporting fewer than its
-    predecessor is a :class:`VectorModelError`.
+    The table is the configuration's :class:`_Table`, kept across
+    batches and filled as trials reach it: ``row`` is asked once per
+    distinct state, ``coin`` on the first visit to a state of that depth
+    that reads it.  A leaf carries the corruption set of the last probe
+    on its own path; corruptions never heal, so a probe reporting fewer
+    than its predecessor is a :class:`VectorModelError`.
     """
+    first = specs[0]
+    table = _table(first)
+    rows, coins = table.rows, table.coins
 
-    @classmethod
-    def run_batch(
-        cls, specs: Sequence[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
-        first = specs[0]
-        table = _table(first)
-        rows, coins = table.rows, table.coins
+    def grow(node: _Node, outcome: int) -> Any:
+        state, returning = node.row.branches[outcome]
+        outputs = {**node.outputs, **dict(returning)}
+        finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
+        if state is None:
+            child: Any = _Leaf(
+                outputs, finish, node.row.corrupted, node.path, node.reads
+            )
+        else:
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = model.row(first, state)
+            if not row.corrupted >= node.row.corrupted:
+                raise VectorModelError(
+                    f"probe of state {state!r} healed corruptions "
+                    f"{sorted(node.row.corrupted - row.corrupted)}"
+                )
+            child = _Node(
+                row,
+                node.path + ((row.delivery, node.rounds),),
+                node.rounds + row.delivery.rounds,
+                outputs,
+                finish,
+                node.reads + bool(row.cuts),
+            )
+            if row.cuts:
+                depth = len(node.path)
+                if depth not in coins:
+                    coins[depth] = model.coin(first, depth)
+                child.coin, child.suffix = coins[depth]
+        node.children[outcome] = child
+        return child
 
-        def grow(node: _Node, outcome: int) -> Any:
-            state, returning = node.row.branches[outcome]
-            outputs = {**node.outputs, **dict(returning)}
-            finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
-            if state is None:
-                child: Any = _Leaf(
-                    outputs, finish, node.row.corrupted, node.path, node.reads
-                )
-            else:
-                row = rows.get(state)
-                if row is None:
-                    row = rows[state] = cls.row(first, state)
-                if not row.corrupted >= node.row.corrupted:
-                    raise VectorModelError(
-                        f"probe of state {state!r} healed corruptions "
-                        f"{sorted(node.row.corrupted - row.corrupted)}"
-                    )
-                child = _Node(
-                    row,
-                    node.path + ((row.delivery, node.rounds),),
-                    node.rounds + row.delivery.rounds,
-                    outputs,
-                    finish,
-                    node.reads + bool(row.cuts),
-                )
-                if row.cuts:
-                    depth = len(node.path)
-                    if depth not in coins:
-                        coins[depth] = cls.coin(first, depth)
-                    child.coin, child.suffix = coins[depth]
-            node.children[outcome] = child
-            return child
-
-        top = table.top
-        if top is None:
-            # Before the first iteration: nothing walked, one way on.
-            origin = _Row(None, frozenset(), [], [(cls.root(first), ())])
-            top = table.top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
-        leaves = []
-        for spec in specs:
-            session, node = spec.session, top
-            while True:
-                cuts = node.row.cuts
-                outcome = (
-                    bisect_left(cuts, node.coin(session + node.suffix)) if cuts else 0
-                )
-                child = node.children[outcome]
-                if child is None:
-                    child = grow(node, outcome)
-                if child.__class__ is _Leaf:
-                    break
-                node = child
-            leaves.append(child)
-        return _materialize(leaves, first.inputs)
+    top = table.top
+    if top is None:
+        # Before the first iteration: nothing walked, one way on.
+        origin = _Row(None, frozenset(), [], [(model.root(first), ())])
+        top = table.top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
+    leaves = []
+    for spec in specs:
+        session, node = spec.session, top
+        while True:
+            cuts = node.row.cuts
+            outcome = (
+                bisect_left(cuts, node.coin(session + node.suffix)) if cuts else 0
+            )
+            child = node.children[outcome]
+            if child is None:
+                child = grow(node, outcome)
+            if child.__class__ is _Leaf:
+                break
+            node = child
+        leaves.append(child)
+    return _materialize(leaves, first.inputs)
 
 
 def _all_return(bits: Tuple[int, ...]) -> _Branch:
@@ -868,155 +946,83 @@ def _replay_trial(spec: TrialSpec) -> _Leaf:
     )
 
 
-def _bit_input_reason(spec: TrialSpec) -> Optional[str]:
-    for value in spec.inputs:
-        # Strict ints only: bool inputs pass the protocols' `bit in (0, 1)`
-        # check but tangle value identity in repr-keyed tallies — the
-        # object path handles them, so they simply are not vectorized.
-        if type(value) is not int or value not in (0, 1):
-            return f"non-bit input {value!r}"
-    return None
+# Deterministic, coin-free protocol runs.  The Proxcensus family (and the
+# other replayed protocols in the table below) consume no coins and no
+# party randomness: the entire execution — outputs included — is a pure
+# function of the inputs, the corruption schedule and the key material,
+# none of which vary inside a batch.  One real trial (full registry
+# resolution, real seed/session — correct by definition) is frozen and
+# replicated across the batch; bit-identity across sessions is what the
+# equivalence grid pins.  The trial runs the spec as given, so its
+# protocol params are the protocol's own to accept or reject.
 
 
-def _kappa_reason(
-    spec: TrialSpec, allowed: frozenset = frozenset({"kappa"})
-) -> Optional[str]:
-    params = spec.param_dict
-    if not set(params) <= allowed or "kappa" not in params:
-        return f"unsupported protocol params {sorted(params)}"
-    kappa = params["kappa"]
-    if type(kappa) is not int or kappa < 1:
-        return f"unsupported kappa {kappa!r}"
-    return None
+def _replay_batch(specs: Sequence[TrialSpec]) -> _Batch:
+    first = specs[0]
+    probe = _probed(_table(first), "replay", lambda: _replay_trial(first))
+    return _materialize([probe] * len(specs), first.inputs)
 
 
-def _victims_reason(spec: TrialSpec, allowed_params: frozenset) -> Optional[str]:
-    params = spec.adversary_param_dict
-    if not set(params) <= allowed_params:
-        return f"unsupported adversary params {sorted(params)}"
-    victims = params.get("victims")
-    if not isinstance(victims, tuple) or not victims:
-        return "adversary victims missing or not a sequence"
-    for victim in victims:
-        if type(victim) is not int or not (0 <= victim < spec.num_parties):
-            return f"victim {victim!r} out of range"
-    if len(set(victims)) > spec.max_faulty:
-        return "corruption budget exceeded (object path raises)"
-    return None
+def _replay(*adversaries: str) -> _Model:
+    return _Model(adversaries=_serving(*adversaries), batch=_replay_batch)
 
 
 # ── ba_one_third: one Prox_{2^κ+1} iteration, coin in round κ+1 ─────────
+# ``ba_one_third`` × {no adversary, ``straddle13``}.  The whole protocol
+# is a single ``Π_iter``: the probe covers all κ+1 rounds, so the table
+# is one row — the inputs' — and only which side of the cut a trial's
+# coin falls on varies.
 
 
-class _BaOneThirdModel(_WalkModel):
-    """Vector model for ``ba_one_third`` × {no adversary, ``straddle13``}.
+def _one_third_row(first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
+    iteration = iteration_one_third(first.param_dict["kappa"])
+    probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
+    return _extraction_row(probe, iteration.slots, _all_return)
 
-    The whole protocol is a single ``Π_iter``: the probe covers all κ+1
-    rounds, so the table is one row — the inputs' — and only which side
-    of the cut a trial's coin falls on varies.
-    """
 
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _bit_input_reason(spec) or _kappa_reason(spec)
-        if reason is not None:
-            return reason
-        n, t = spec.num_parties, spec.max_faulty
-        if 3 * t >= n:
-            return "regime violation 3t >= n (object path raises)"
-        kappa = spec.param_dict["kappa"]
-        if spec.max_rounds < kappa + 1:
-            return "max_rounds below protocol length (object path raises)"
-        if spec.adversary == "straddle13":
-            reason = _victims_reason(
-                spec, frozenset({"victims", "down_group"})
-            )
-            if reason is not None:
-                return reason
-            down_group = spec.adversary_param_dict.get("down_group")
-            if down_group is not None and not isinstance(down_group, tuple):
-                return "unsupported down_group value"
-        elif spec.adversary is not None:
-            return f"no ba_one_third vector model for {spec.adversary!r}"
-        return None
-
-    @staticmethod
-    def root(first: TrialSpec) -> Tuple[int, ...]:
-        return tuple(first.inputs)
-
-    @staticmethod
-    def row(first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
-        iteration = iteration_one_third(first.param_dict["kappa"])
-        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
-        return _extraction_row(probe, iteration.slots, _all_return)
-
-    @staticmethod
-    def coin(first: TrialSpec, depth: int):
-        return _iteration_coin(first, iteration_one_third(first.param_dict["kappa"]))
+_BA_ONE_THIRD = _Model(
+    adversaries=_serving("straddle13"), bits=True, params=_KAPPA, regime=3,
+    length=lambda params: rounds_one_third(params["kappa"]),
+    root=lambda first: tuple(first.inputs), row=_one_third_row,
+    coin=lambda first, depth: _iteration_coin(
+        first, iteration_one_third(first.param_dict["kappa"])
+    ),
+)
 
 
 # ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
+# ``ba_one_half`` × {no adversary, ``straddle12``}.  Iterations are
+# independent 3-round segments (the adversary's state is per-iteration),
+# so each is one probe per distinct bit configuration.  A state is
+# ``(bits, iterations left)``; once the parties agree every later row
+# sits on the extremal slots and reads no coin.
 
 
-class _BaOneHalfModel(_WalkModel):
-    """Vector model for ``ba_one_half`` × {no adversary, ``straddle12``}.
+def _one_half_row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
+    bits, left = state
+    # Any iteration's wire behavior is the first's — the one whose
+    # subsession the fresh per-iteration adversary also derives.
+    iteration = iteration_one_half(0)
+    probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
+    then = _all_return if left == 1 else lambda after: ((after, left - 1), ())
+    return _extraction_row(probe, iteration.slots, then)
 
-    Iterations are independent 3-round segments (the adversary's state is
-    per-iteration), so each is one probe per distinct bit configuration.
-    A state is ``(bits, iterations left)``; once the parties agree every
-    later row sits on the extremal slots and reads no coin.
-    """
 
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _bit_input_reason(spec) or _kappa_reason(spec)
-        if reason is not None:
-            return reason
-        n, t = spec.num_parties, spec.max_faulty
-        if 2 * t >= n:
-            return "regime violation 2t >= n (object path raises)"
-        if spec.max_rounds < rounds_one_half(spec.param_dict["kappa"]):
-            return "max_rounds below protocol length (object path raises)"
-        if spec.adversary == "straddle12":
-            reason = _victims_reason(
-                spec, frozenset({"victims", "iteration_rounds"})
-            )
-            if reason is not None:
-                return reason
-            rounds = spec.adversary_param_dict.get("iteration_rounds", 3)
-            if rounds != iteration_one_half(0).rounds:
-                return "straddle12 with non-standard iteration_rounds"
-        elif spec.adversary is not None:
-            return f"no ba_one_half vector model for {spec.adversary!r}"
-        return None
-
-    @staticmethod
-    def root(first: TrialSpec) -> Tuple[Tuple[int, ...], int]:
-        return tuple(first.inputs), iterations_one_half(first.param_dict["kappa"])
-
-    @staticmethod
-    def row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
-        bits, left = state
-        # Any iteration's wire behavior is the first's — the one whose
-        # subsession the fresh per-iteration adversary also derives.
-        iteration = iteration_one_half(0)
-        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
-        if left == 1:
-            return _extraction_row(probe, iteration.slots, _all_return)
-        return _extraction_row(
-            probe, iteration.slots, lambda after: ((after, left - 1), ())
-        )
-
-    @staticmethod
-    def coin(first: TrialSpec, depth: int):
-        return _iteration_coin(first, iteration_one_half(depth))
+_BA_ONE_HALF = _Model(
+    adversaries=_serving("straddle12"), bits=True, params=_KAPPA, regime=2,
+    length=lambda params: rounds_one_half(params["kappa"]),
+    root=lambda first: (
+        tuple(first.inputs), iterations_one_half(first.param_dict["kappa"])
+    ),
+    row=_one_half_row,
+    coin=lambda first, depth: _iteration_coin(first, iteration_one_half(depth)),
+)
 
 
 # ── fm_probabilistic: per-iteration lockstep with halting parties ───────
 
 
 _FM_HALTED = "h"  # probe token for a party that has already returned
-_FM_MAX_ITERATIONS = 64  # fm_probabilistic_program's default cap
 
 
 def _fm_probe_program(ctx, token):
@@ -1029,202 +1035,119 @@ def _fm_probe_program(ctx, token):
     return (yield from _exchange(iteration_fm_probabilistic(1))(ctx, token))
 
 
-class _FmProbabilisticModel(_WalkModel):
-    """Vector model for ``fm_probabilistic`` × no adversary.
+# ``fm_probabilistic`` × no adversary.  A state is ``(iteration, tokens,
+# deciding)``: each party's working bit or the halted token, and the
+# parties that decided in the previous iteration and return at the end
+# of this one.  An iteration's wire dynamics come from one probe per
+# token configuration, and the row applies the decide/adopt/coin-flip
+# branching of :func:`~repro.core.probabilistic.fm_probabilistic_program`:
+# only a party left at grade 0 adopts the coin's bit, so a row reads its
+# coin only if one exists.  Parties halt in *different* rounds — the
+# model reproduces the termination spread, per-party finish rounds
+# included.
 
-    A state is ``(iteration, tokens, deciding)``: each party's working
-    bit or the halted token, and the parties that decided in the previous
-    iteration and return at the end of this one.  An iteration's wire
-    dynamics come from one probe per token configuration, and the row
-    applies the decide/adopt/coin-flip branching of
-    :func:`~repro.core.probabilistic.fm_probabilistic_program`: only a
-    party left at grade 0 adopts the coin's bit, so a row reads its coin
-    only if one exists.  Parties halt in *different* rounds — the model
-    reproduces the termination spread, per-party finish rounds included.
-    """
 
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _bit_input_reason(spec)
-        if reason is not None:
-            return reason
-        if spec.param_dict:
-            return f"unsupported protocol params {sorted(spec.param_dict)}"
-        if spec.adversary is not None:
-            return f"no fm_probabilistic vector model for {spec.adversary!r}"
-        n, t = spec.num_parties, spec.max_faulty
-        if 3 * t >= n:
-            return "regime violation 3t >= n (object path raises)"
-        if spec.max_rounds < _FM_MAX_ITERATIONS * iteration_fm_probabilistic(1).rounds:
-            return "max_rounds below the iteration cap (object path may raise)"
-        return None
+def _fm_row(first: TrialSpec, state) -> _Row:
+    iteration, tokens, deciding = state
+    step = iteration_fm_probabilistic(iteration)
+    halted = [pid for pid, token in enumerate(tokens) if token == _FM_HALTED]
+    probe = _run_probe(
+        first, ("fm-state", tokens), tokens, _fm_probe_program, step.rounds, halted
+    )
+    idle = {*halted, *deciding}
+    running = [pid for pid in range(len(tokens)) if pid not in idle]
+    # A party keeping its graded value ignores the coin, as on the
+    # extremal slot; the others — the probe's non-bit guard put any
+    # non-bit value among them — extract from (0, 0).  Parties that
+    # have returned, or return now, extract nothing.
+    values: List[Optional[int]] = [None] * len(tokens)
+    grades = list(values)
+    for pid in running:
+        keeps = probe.grades[pid] >= 1
+        values[pid], grades[pid] = (probe.values[pid], 2) if keeps else (0, 0)
+    cuts, outcomes = _cut_row(values, grades, probe.coin_ok, step.slots)
+    decides = tuple(pid for pid in running if probe.grades[pid] == 2)
+    # The post-decision helper iteration is done for ``deciding``.
+    done = [(pid, ProbTermOutput(tokens[pid], iteration - 1)) for pid in deciding]
+    branches: List[_Branch] = []
+    for bits in outcomes:
+        if iteration == FM_MAX_ITERATIONS:
+            # The program's cap: still-running parties return the
+            # working value with decided_iteration = the cap.
+            capped = [(pid, ProbTermOutput(bits[pid], iteration)) for pid in running]
+            branches.append((None, tuple(sorted(done + capped))))  # pids differ
+        else:
+            after = tuple(_FM_HALTED if bit is None else bit for bit in bits)
+            onward = (iteration + 1, after, decides) if running else None
+            branches.append((onward, tuple(done)))
+    return _Row(probe.delivery, probe.corrupted, cuts, branches)
 
-    @staticmethod
-    def root(first: TrialSpec) -> Tuple[int, Tuple[Any, ...], Tuple[int, ...]]:
-        return 1, tuple(first.inputs), ()
 
-    @staticmethod
-    def row(first: TrialSpec, state) -> _Row:
-        iteration, tokens, deciding = state
-        step = iteration_fm_probabilistic(iteration)
-        halted = [pid for pid, token in enumerate(tokens) if token == _FM_HALTED]
-        probe = _run_probe(
-            first, ("fm-state", tokens), tokens, _fm_probe_program, step.rounds, halted
-        )
-        idle = {*halted, *deciding}
-        running = [pid for pid in range(len(tokens)) if pid not in idle]
-        # A party keeping its graded value ignores the coin, as on the
-        # extremal slot; the others — the probe's non-bit guard put any
-        # non-bit value among them — extract from (0, 0).  Parties that
-        # have returned, or return now, extract nothing.
-        values: List[Optional[int]] = [None] * len(tokens)
-        grades = list(values)
-        for pid in running:
-            keeps = probe.grades[pid] >= 1
-            values[pid], grades[pid] = (probe.values[pid], 2) if keeps else (0, 0)
-        cuts, outcomes = _cut_row(values, grades, probe.coin_ok, step.slots)
-        decides = tuple(pid for pid in running if probe.grades[pid] == 2)
-        # The post-decision helper iteration is done for ``deciding``.
-        done = [(pid, ProbTermOutput(tokens[pid], iteration - 1)) for pid in deciding]
-        branches: List[_Branch] = []
-        for bits in outcomes:
-            if iteration == _FM_MAX_ITERATIONS:
-                # The program's cap: still-running parties return the
-                # working value with decided_iteration = the cap.
-                capped = [(pid, ProbTermOutput(bits[pid], iteration)) for pid in running]
-                branches.append((None, tuple(sorted(done + capped))))  # pids differ
-            else:
-                after = tuple(_FM_HALTED if bit is None else bit for bit in bits)
-                onward = (iteration + 1, after, decides) if running else None
-                branches.append((onward, tuple(done)))
-        return _Row(probe.delivery, probe.corrupted, cuts, branches)
-
-    @staticmethod
-    def coin(first: TrialSpec, depth: int):
-        return _iteration_coin(first, iteration_fm_probabilistic(depth + 1))
+_FM_PROBABILISTIC = _Model(
+    adversaries=_serving(), bits=True, params=frozenset(), regime=3, capped=True,
+    length=lambda params: FM_MAX_ITERATIONS * iteration_fm_probabilistic(1).rounds,
+    root=lambda first: (1, tuple(first.inputs), ()), row=_fm_row,
+    coin=lambda first, depth: _iteration_coin(first, iteration_fm_probabilistic(depth + 1)),
+)
 
 
 # ── turpin_coan_classic / multivalued_ba: deterministic + one inner coin ─
 
 
-def _hashable_inputs_reason(spec: TrialSpec) -> Optional[str]:
-    try:
-        hash(spec.inputs)
-    except TypeError:
-        return "unhashable inputs"
-    return None
-
-
-class _LiftModel(_WalkModel):
-    """What the two multivalued lifts share: one probe of the whole
-    protocol (cached under ``TOKEN``, the only state), one row, the
-    inner BA's coin under ``SUBSESSION``, protocol params within
-    ``PARAMS``.
+def _lift(subsession: str, prefix, accepted: frozenset) -> _Model:
+    """A multivalued lift × no adversary: one state, ``subsession``, and
+    one probe of the whole protocol, whose row reads the inner BA's coin.
 
     The probe runs the lift's own deterministic ``prefix`` — two rounds
     that leave ``(candidate, bit)`` — and then the inner ``ba_one_third``'s
     iteration on ``bit`` without extracting, returning ``(prox_output,
     coin, candidate)``: extraction — and with it each party's choice
-    between its candidate and the default — happens in the row.
+    between its candidate and the default — happens in the row.  The
+    prefix and the inner BA's Proxcensus are deterministic and
+    session-invariant; only the inner coin varies per trial.
     """
 
-    @classmethod
-    def unsupported_reason(cls, spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec) or _kappa_reason(spec, cls.PARAMS)
-        if reason is not None:
-            return reason
-        regime = spec.param_dict.get("regime", "one_third")
-        if regime != "one_third":
-            return f"regime {regime!r} not modeled (multi-coin inner BA)"
-        if spec.adversary is not None:
-            return f"no {spec.protocol} vector model for {spec.adversary!r}"
-        n, t = spec.num_parties, spec.max_faulty
-        if 3 * t >= n:
-            return "regime violation 3t >= n (object path raises)"
-        if spec.max_rounds < 2 + iteration_one_third(spec.param_dict["kappa"]).rounds:
-            return "max_rounds below protocol length (object path raises)"
-        return None
-
-    @classmethod
-    def root(cls, first: TrialSpec) -> str:
-        return cls.TOKEN
-
-    @classmethod
-    def row(cls, first: TrialSpec, token: str) -> _Row:
+    def row(first: TrialSpec, token: str) -> _Row:
         iteration = iteration_one_third(first.param_dict["kappa"])
-        default = first.param_dict.get("default", "∅")
+        default = first.param_dict.get("default", LIFT_DEFAULT)
         exchange = _exchange(iteration)
 
         def program(ctx, value):
-            candidate, bit = yield from cls.prefix(ctx, value, default)
-            prox_output, coin = yield from exchange(ctx.subsession(cls.SUBSESSION), bit)
+            candidate, bit = yield from prefix(ctx, value, default)
+            prox_output, coin = yield from exchange(ctx.subsession(subsession), bit)
             return prox_output, coin, candidate
 
         probe = _run_probe(first, token, first.inputs, program, 2 + iteration.rounds)
         # Per party: what it outputs on decision 0 and on decision 1.
         choices = [(default, candidate) for candidate in probe.candidates]
-        return _extraction_row(
-            probe,
-            iteration.slots,
-            lambda bits: (
-                None,
-                tuple((pid, choices[pid][bit]) for pid, bit in enumerate(bits)),
-            ),
-        )
 
-    @classmethod
-    def coin(cls, first: TrialSpec, depth: int):
+        def branch(bits: Tuple[int, ...]) -> _Branch:
+            return None, tuple((pid, choices[pid][bit]) for pid, bit in enumerate(bits))
+
+        return _extraction_row(probe, iteration.slots, branch)
+
+    return _Model(
+        adversaries=_serving(), params=accepted, regime=3,
+        length=lambda params: 2 + rounds_one_third(params["kappa"]),
+        root=lambda first: subsession, row=row,
         # The inner BA is ba_one_third, run under its own subsession.
-        return _BaOneThirdModel.coin(first, depth)[0], f"/{cls.SUBSESSION}"
+        coin=lambda first, depth: (
+            _BA_ONE_THIRD.coin(first, depth)[0], f"/{subsession}"
+        ),
+    )
 
 
-class _TurpinCoanModel(_LiftModel):
-    """Vector model for ``turpin_coan_classic`` × no adversary.
-
-    The two echo rounds and the inner BA's Proxcensus are deterministic
-    and session-invariant; only the inner coin varies per trial.
-    """
-
-    TOKEN, SUBSESSION = "tc", TURPIN_COAN_BA
-    PARAMS = frozenset({"kappa", "default"})
-    prefix = staticmethod(turpin_coan_prefix)
-
-
-class _MultivaluedBaModel(_LiftModel):
-    """Vector model for ``multivalued_ba`` × no adversary (t < n/3 regime).
-
-    Same structure as the Turpin–Coan model: a deterministic multivalued
-    Proxcensus, then the inner binary BA whose single coin is the only
-    per-trial variation.  The ``one_half`` regime is not modeled (its
-    inner BA runs ⌈κ/2⌉ coins; those sweeps fall back per spec).
-    """
-
-    TOKEN, SUBSESSION = "mv", MULTIVALUED_BA
-    PARAMS = frozenset({"kappa", "regime", "default"})
-
-    @staticmethod
-    def prefix(ctx, value, default):
-        return multivalued_prefix(ctx, value)
-
-
-# ── coin protocols: one round, value is a pure function of the keys ─────
-
-
-_COIN_PARAMS = frozenset({"index", "low", "high"})
-_WITHHOLD_PARAMS = frozenset(
-    {"victims", "index", "low", "high", "preferred", "session"}
+_TURPIN_COAN = _lift(TURPIN_COAN_BA, turpin_coan_prefix, _KAPPA | {"default"})
+# The t < n/3 regime only: the ``one_half`` regime's inner BA runs ⌈κ/2⌉
+# coins, and those sweeps fall back per spec.
+_MULTIVALUED = _lift(
+    MULTIVALUED_BA,
+    lambda ctx, value, default: multivalued_prefix(ctx, value),
+    _KAPPA | {"regime", "default"},
 )
 
 
-def _coin_params_reason(spec: TrialSpec) -> Optional[str]:
-    params = spec.param_dict
-    if not set(params) <= _COIN_PARAMS:
-        return f"unsupported protocol params {sorted(params)}"
-    low = params.get("low", 0)
-    high = params.get("high", 1)
-    if type(low) is not int or type(high) is not int or low > high:
-        return "invalid coin range (object path raises)"
-    return None
+# ── coin protocols: one round, value is a pure function of the keys ─────
 
 
 def _coin_protocol_params(spec: TrialSpec) -> Tuple[Any, int, int]:
@@ -1246,208 +1169,143 @@ def _coin_leaf(spec: TrialSpec, predicted: Any, coins: int) -> _Leaf:
     return dataclasses.replace(frozen, outputs=held, coins=coins, valued=True)
 
 
-class _ThresholdCoinModel:
-    """Vector model for ``threshold_coin`` × {no adversary, ``withhold_coin``}.
+def _coin_batch(
+    outcome: Callable[[TrialSpec], Callable[[str], Tuple[Any, Any]]], read: int
+) -> Callable[[Sequence[TrialSpec]], _Batch]:
+    """The batch of a coin model: ``outcome(first)`` is the configuration's
+    ``session → (probe token, coin)``, kept in its table; each token's
+    probe is checked against the first trial on it, and every trial reads
+    ``read`` coins."""
 
-    The threshold coin's value is a deterministic function of the key
-    material, the session and the index — withholding shares can fail a
-    flip but never steer it.  One probe trial pins *which* parties reach
-    the threshold (session-invariant share delivery); the per-trial value
-    is derived arithmetically.  ``withhold_coin`` never sees a ``"vrf"``
-    payload here, so it degenerates to silencing its victims — covered by
-    the same probe.
-    """
-
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec) or _coin_params_reason(spec)
-        if reason is not None:
-            return reason
-        if spec.adversary is None:
-            return None
-        if spec.adversary != "withhold_coin":
-            return f"no threshold_coin vector model for {spec.adversary!r}"
-        return _victims_reason(spec, _WITHHOLD_PARAMS)
-
-    @staticmethod
-    def run_batch(
-        specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
+    def batch(specs: Sequence[TrialSpec]) -> _Batch:
         first = specs[0]
         table = _table(first)
-        coin = table.coins.get(0)
-        if coin is None:
-            coin = table.coins[0] = coin_evaluator(
-                _suite(first).coin, *_coin_protocol_params(first)
-            )
-        values = [coin(spec.session) for spec in specs]
-        # Every trial that ends here evaluated its one coin.
-        probe = _probed(table, "coin-ok", lambda: _coin_leaf(first, values[0], 1))
-        return _materialize([probe] * len(specs), first.inputs, values)
-
-
-class _VrfCoinModel:
-    """Vector model for ``vrf_coin`` × {no adversary, ``withhold_coin``}.
-
-    The VRF coin is pure arithmetic per trial: every party's evaluation
-    is the hash of its unique signature on the coin tag, and the coin is
-    derived from the minimum.  The withholding adversary's reveal scan is
-    replicated exactly (same reference outcomes, same stable sort), so
-    the model reproduces the *biased* coin, not the honest one.  One
-    probe per reveal-count pins the wire dynamics and cross-checks the
-    prediction against the object simulator.
-    """
-
-    @staticmethod
-    def unsupported_reason(spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec) or _coin_params_reason(spec)
-        if reason is not None:
-            return reason
-        if spec.adversary is None:
-            return None
-        if spec.adversary != "withhold_coin":
-            return f"no vrf_coin vector model for {spec.adversary!r}"
-        reason = _victims_reason(spec, _WITHHOLD_PARAMS)
-        if reason is not None:
-            return reason
-        adversary = spec.adversary_param_dict
-        if adversary.get("session") is not None:
-            return "session-pinned withhold_coin not modeled"
-        index, _low, _high = _coin_protocol_params(spec)
-        if adversary.get("index", 0) != index:
-            return "adversary coin index differs from protocol (not modeled)"
-        adv_low = adversary.get("low", 0)
-        adv_high = adversary.get("high", 1)
-        if type(adv_low) is not int or type(adv_high) is not int or (
-            adv_low > adv_high
-        ):
-            return "invalid adversary coin range (object path raises)"
-        return None
-
-    @staticmethod
-    def _outcome(first: TrialSpec) -> Callable[[str], Tuple[int, Optional[int]]]:
-        """The configuration's coin: ``session → (victims revealed, value)``."""
-        n = first.num_parties
-        index, low, high = _coin_protocol_params(first)
-        adversary = first.adversary_param_dict if first.adversary else {}
-        victims = tuple(dict.fromkeys(adversary.get("victims", ())))
-        honest = [pid for pid in range(n) if pid not in victims]
-        preferred = adversary.get("preferred", 1)
-        evaluate = vrf_evaluator(_suite(first).plain, index)
-        flip = scan = vrf_coin_extractor(index, low, high)
-        # The reveal scan uses the adversary's own range and preference.
-        adv_range = adversary.get("low", 0), adversary.get("high", 1)
-        if victims and adv_range != (low, high):
-            scan = vrf_coin_extractor(index, *adv_range)
-
-        def outcome(session: str) -> Tuple[int, Optional[int]]:
-            """(victims revealed, coin value) for one trial's session: one
-            extraction per distinct (winner, range)."""
-            values = evaluate(session)  # every party's evaluation, once
-            valid = {pid: values[pid] for pid in honest}
-            coin = scan(valid, session)
-            revealed = 0
-            if victims and valid and coin != preferred:
-                # Mirror WithholdingCoinAdversary.decide: smallest
-                # evaluation first, reveal the first that steers.  A
-                # victim above the honest minimum (ties go to the lower
-                # party id) leaves the winner, so the coin, as it is.
-                lead = min(zip(valid.values(), valid))
-                for pid in sorted(victims, key=values.__getitem__):
-                    if (values[pid], pid) > lead:
-                        continue
-                    candidate = {**valid, pid: values[pid]}
-                    steered = scan(candidate, session)
-                    if steered == preferred:
-                        valid, revealed, coin = candidate, 1, steered
-                        break
-            return revealed, coin if flip is scan else flip(valid, session)
-
-        return outcome
-
-    @classmethod
-    def run_batch(
-        cls, specs: List[TrialSpec]
-    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
-        first = specs[0]
-        table = _table(first)
-        outcome = table.coins.get(0)
-        if outcome is None:
-            outcome = table.coins[0] = cls._outcome(first)
-        # One probe per reveal count, checked against the first trial on
-        # it; VRF evaluations are no coins.
+        coin_of = table.coins.get(0)
+        if coin_of is None:
+            coin_of = table.coins[0] = outcome(first)
         leaves, values = [], []
         for spec in specs:
-            revealed, coin = outcome(spec.session)
-            probe = table.probes.get(revealed)
+            token, coin = coin_of(spec.session)
+            probe = table.probes.get(token)
             if probe is None:
-                probe = _probed(table, revealed, lambda: _coin_leaf(spec, coin, 0))
+                probe = _probed(table, token, lambda: _coin_leaf(spec, coin, read))
             leaves.append(probe)
             values.append(coin)
         return _materialize(leaves, first.inputs, values)
 
-
-# ── deterministic protocols: whole-run replay ───────────────────────────
-
-
-class _StaticReplayModel:
-    """Vector model for deterministic, coin-free protocol runs.
-
-    The Proxcensus family (and the other registered pairs below) consume
-    no coins and no party randomness: the entire execution — outputs
-    included — is a pure function of the inputs, the corruption schedule
-    and the key material, none of which vary inside a batch.  One real
-    trial (full registry resolution, real seed/session — correct by
-    definition) is frozen and replicated across the batch; bit-identity
-    across sessions is what the equivalence grid pins.
-    """
-
-    _ADVERSARY_PARAMS = {
-        "straddle13": frozenset({"victims", "down_group"}),
-        "bare_straddle12": frozenset({"victims", "iteration_rounds"}),
-        "two_face": frozenset({"victims"}),
-    }
-
-    @classmethod
-    def unsupported_reason(cls, spec: TrialSpec) -> Optional[str]:
-        reason = _hashable_inputs_reason(spec)
-        if reason is not None:
-            return reason
-        if spec.adversary is None:
-            return None
-        allowed = cls._ADVERSARY_PARAMS.get(spec.adversary)
-        if allowed is None:
-            return f"no replay model for adversary {spec.adversary!r}"
-        return _victims_reason(spec, allowed)
-
-    @staticmethod
-    def run_batch(
-        specs: List[TrialSpec],
-    ) -> Tuple[List[ExecutionResult], List[_Leaf], int]:
-        first = specs[0]
-        probe = _probed(_table(first), "replay", lambda: _replay_trial(first))
-        return _materialize([probe] * len(specs), first.inputs)
+    return batch
 
 
-register_vector_model("ba_one_third", None, _BaOneThirdModel)
-register_vector_model("ba_one_third", "straddle13", _BaOneThirdModel)
-register_vector_model("ba_one_half", None, _BaOneHalfModel)
-register_vector_model("ba_one_half", "straddle12", _BaOneHalfModel)
-register_vector_model("fm_probabilistic", None, _FmProbabilisticModel)
-register_vector_model("turpin_coan_classic", None, _TurpinCoanModel)
-register_vector_model("multivalued_ba", None, _MultivaluedBaModel)
-register_vector_model("threshold_coin", None, _ThresholdCoinModel)
-register_vector_model("threshold_coin", "withhold_coin", _ThresholdCoinModel)
-register_vector_model("vrf_coin", None, _VrfCoinModel)
-register_vector_model("vrf_coin", "withhold_coin", _VrfCoinModel)
-register_vector_model("prox_one_third", None, _StaticReplayModel)
-register_vector_model("prox_one_third", "straddle13", _StaticReplayModel)
-register_vector_model("prox_one_third", "two_face", _StaticReplayModel)
-register_vector_model("prox_linear_half", None, _StaticReplayModel)
-register_vector_model("prox_linear_half", "two_face", _StaticReplayModel)
-register_vector_model("prox_linear_half", "bare_straddle12", _StaticReplayModel)
-register_vector_model("prox_quadratic_half", None, _StaticReplayModel)
-register_vector_model("dolev_strong", None, _StaticReplayModel)
-register_vector_model("prox_expand_once", None, _StaticReplayModel)
-register_vector_model("proxcast", None, _StaticReplayModel)
-register_vector_model("certificate_gradecast", None, _StaticReplayModel)
+# ``threshold_coin`` × {no adversary, ``withhold_coin``}.  The threshold
+# coin's value is a deterministic function of the key material, the
+# session and the index — withholding shares can fail a flip but never
+# steer it.  One probe trial pins *which* parties reach the threshold
+# (session-invariant share delivery), so every session is on one token;
+# the per-trial value is derived arithmetically, and is the one coin its
+# trial reads.  ``withhold_coin`` never sees a ``"vrf"`` payload here, so
+# it degenerates to silencing its victims — covered by the same probe.
+
+
+def _threshold_outcome(first: TrialSpec) -> Callable[[str], Tuple[str, Any]]:
+    coin = coin_evaluator(_suite(first).coin, *_coin_protocol_params(first))
+    return lambda session: ("coin-ok", coin(session))
+
+
+_THRESHOLD_COIN = _Model(
+    adversaries=_serving("withhold_coin"), params=_COIN_PARAMS,
+    batch=_coin_batch(_threshold_outcome, 1),
+)
+
+
+# ``vrf_coin`` × {no adversary, ``withhold_coin``}.  The VRF coin is pure
+# arithmetic per trial: every party's evaluation is the hash of its
+# unique signature on the coin tag, and the coin is derived from the
+# minimum.  The withholding adversary's reveal scan is replicated exactly
+# (same reference outcomes, same stable sort), so the model reproduces
+# the *biased* coin, not the honest one.  One probe per reveal-count pins
+# the wire dynamics and cross-checks the prediction against the object
+# simulator.
+
+
+def _vrf_withhold_check(spec: TrialSpec) -> Optional[str]:
+    """What the reveal-scan replica does not cover: a pinned session,
+    another coin's index, a range the adversary's own scan rejects."""
+    adversary = spec.adversary_param_dict
+    if adversary.get("session") is not None:
+        return "session-pinned withhold_coin not modeled"
+    if adversary.get("index", 0) != _coin_protocol_params(spec)[0]:
+        return "adversary coin index differs from protocol (not modeled)"
+    if _bad_range(adversary):
+        return "invalid adversary coin range (object path raises)"
+    return None
+
+
+def _vrf_outcome(first: TrialSpec) -> Callable[[str], Tuple[int, Optional[int]]]:
+    """The configuration's coin: ``session → (victims revealed, value)``."""
+    n = first.num_parties
+    index, low, high = _coin_protocol_params(first)
+    adversary = first.adversary_param_dict if first.adversary else {}
+    victims = tuple(dict.fromkeys(adversary.get("victims", ())))
+    honest = [pid for pid in range(n) if pid not in victims]
+    preferred = adversary.get("preferred", 1)
+    evaluate = vrf_evaluator(_suite(first).plain, index)
+    flip = scan = vrf_coin_extractor(index, low, high)
+    # The reveal scan uses the adversary's own range and preference.
+    adv_range = adversary.get("low", 0), adversary.get("high", 1)
+    if victims and adv_range != (low, high):
+        scan = vrf_coin_extractor(index, *adv_range)
+
+    def outcome(session: str) -> Tuple[int, Optional[int]]:
+        """(victims revealed, coin value) for one trial's session: one
+        extraction per distinct (winner, range)."""
+        values = evaluate(session)  # every party's evaluation, once
+        valid = {pid: values[pid] for pid in honest}
+        coin = scan(valid, session)
+        revealed = 0
+        if victims and valid and coin != preferred:
+            # Mirror WithholdingCoinAdversary.decide: smallest
+            # evaluation first, reveal the first that steers.  A
+            # victim above the honest minimum (ties go to the lower
+            # party id) leaves the winner, so the coin, as it is.
+            lead = min(zip(valid.values(), valid))
+            for pid in sorted(victims, key=values.__getitem__):
+                if (values[pid], pid) > lead:
+                    continue
+                candidate = {**valid, pid: values[pid]}
+                steered = scan(candidate, session)
+                if steered == preferred:
+                    valid, revealed, coin = candidate, 1, steered
+                    break
+        return revealed, coin if flip is scan else flip(valid, session)
+
+    return outcome
+
+
+# One probe per reveal count; VRF evaluations are no coins.
+_VRF_COIN = _Model(
+    adversaries=_serving("withhold_coin"), params=_COIN_PARAMS,
+    adversary_check=_vrf_withhold_check, batch=_coin_batch(_vrf_outcome, 0),
+)
+
+
+#: Every protocol the vector backend batches, and its model: the pairs
+#: registered are the protocol with each adversary its model serves.
+_MODELS = {
+    "ba_one_third": _BA_ONE_THIRD,
+    "ba_one_half": _BA_ONE_HALF,
+    "fm_probabilistic": _FM_PROBABILISTIC,
+    "turpin_coan_classic": _TURPIN_COAN,
+    "multivalued_ba": _MULTIVALUED,
+    "threshold_coin": _THRESHOLD_COIN,
+    "vrf_coin": _VRF_COIN,
+    "prox_one_third": _replay("straddle13", "two_face"),
+    "prox_linear_half": _replay("two_face", "bare_straddle12"),
+    **dict.fromkeys(
+        ("prox_quadratic_half", "dolev_strong", "prox_expand_once", "proxcast",
+         "certificate_gradecast"),
+        _replay(),
+    ),
+}
+for _protocol, _model in _MODELS.items():
+    for _adversary in _model.adversaries:
+        register_vector_model(_protocol, _adversary, _model)

@@ -4,7 +4,7 @@ import ast
 
 from repro.checks import run_check
 from repro.checks.framework import SourceModule
-from repro.checks.index import NON_LITERAL, ProjectIndex
+from repro.checks.index import ProjectIndex
 
 
 def _index(tree, files):
@@ -17,42 +17,6 @@ def _index(tree, files):
             SourceModule(path, rel, ast.parse(text), text.splitlines())
         )
     return ProjectIndex(modules)
-
-
-class TestRegistrations:
-    def test_collects_and_decodes_register_calls(self, tree):
-        index = _index(tree, {
-            "engine/registry.py": """
-                def register_protocol(name, factory):
-                    pass
-            """,
-            "core/protos.py": """
-                from ..engine.registry import register_protocol
-
-                register_protocol("ba_one_third", lambda: None)
-                register_protocol("ba_one_half", lambda: None)
-            """,
-        })
-        calls = index.registrations["register_protocol"]
-        # The def site is not a call; only the two core/ call sites count.
-        assert [c.arg(0) for c in calls] == ["ba_one_third", "ba_one_half"]
-        assert index.registered_names("register_protocol") == {
-            "ba_one_third", "ba_one_half",
-        }
-
-    def test_non_literal_args_are_sentinel_not_none(self, tree):
-        index = _index(tree, {
-            "core/protos.py": """
-                from ..engine.registry import register_vector_model
-
-                NAME = "computed"
-                register_vector_model(NAME, None, object)
-            """,
-        })
-        call = index.registrations["register_vector_model"][0]
-        assert call.arg(0) is NON_LITERAL
-        assert call.arg(1) is None  # literal None is a real value
-        assert call.arg(9) is NON_LITERAL  # out of range
 
 
 class TestConstants:
@@ -84,56 +48,21 @@ class TestConstants:
         assert index.constant("core", "Y") is None
 
 
-class TestResolveClass:
-    def test_own_module_and_one_import_hop(self, tree):
-        index = _index(tree, {
-            "engine/models.py": """
-                class CrashModel:
-                    pass
-            """,
-            "engine/vectorized.py": """
-                from .models import CrashModel
-
-                class LocalModel:
-                    pass
-            """,
-        })
-        vec = index.by_name["engine.vectorized"]
-        local = index.resolve_class(vec, "LocalModel")
-        assert local is not None and local[1].name == "LocalModel"
-        imported = index.resolve_class(vec, "CrashModel")
-        assert imported is not None
-        assert imported[0].name == "engine.models"
-        assert imported[1].name == "CrashModel"
-        assert index.resolve_class(vec, "Ghost") is None
-
-
 class TestRunCheckIntegration:
     def test_rules_see_across_modules(self, tree):
-        # VEC501 requires the index: the registration lives in engine/,
-        # the protocol name is registered (or not) in core/.
+        # OBS602 requires the index: the span vocabulary lives in obs/,
+        # the span is emitted (or misspelled) in engine/.
         root = tree({
-            "core/protos.py": """
-                from ..engine.registry import register_protocol
-
-                register_protocol("ba_real", lambda: None)
+            "obs/telemetry.py": """
+                TELEMETRY_EVENT_TYPES = frozenset({"telemetry", "run_start"})
             """,
-            "engine/registry.py": """
-                def register_protocol(name, factory):
-                    pass
-
-                def register_vector_model(protocol, adversary, model):
-                    pass
-            """,
-            "engine/vectorized.py": """
-                from .registry import register_vector_model
-
-                class M:
-                    pass
-
-                register_vector_model("ba_phantom", None, M)
+            "engine/runner.py": """
+                def start(tele):
+                    tele.emit("run_start", workers=1)
+                    tele.emit("run_strat", workers=1)
             """,
         })
-        report = run_check(root, select=["VEC501"])
-        assert [f.rule for f in report.findings] == ["VEC501"]
-        assert "ba_phantom" in report.findings[0].message
+        report = run_check(root, select=["OBS602"])
+        assert [f.rule for f in report.findings] == ["OBS602"]
+        assert report.findings[0].path == "engine/runner.py"
+        assert "run_strat" in report.findings[0].message

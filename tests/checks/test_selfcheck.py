@@ -147,41 +147,6 @@ class TestSeededNewFamilies:
             "DET203",
         )
 
-    def test_vec501_unknown_protocol(self, seeded):
-        seeded(
-            "engine/seeded.py",
-            "from .registry import register_vector_model\n\n\n"
-            "class _M:\n    pass\n\n\n"
-            'register_vector_model("ba_phantom", None, _M)\n',
-            "VEC501",
-        )
-
-    def test_vec502_impure_model(self, seeded):
-        seeded(
-            "engine/seeded.py",
-            "import time\n\nfrom .registry import register_vector_model\n\n\n"
-            "class _M:\n    def run(self):\n        return time.time()\n\n\n"
-            'register_vector_model("ba_one_third", None, _M)\n',
-            "VEC502",
-        )
-
-    def test_vec503_novel_reason(self, seeded):
-        seeded(
-            "engine/seeded.py",
-            "def _novel_reason(spec):\n"
-            '    return "a reason outside the vocabulary"\n',
-            "VEC503",
-        )
-
-    def test_vec504_leaky_batch_key(self, tree, seeded):
-        text = (tree / "engine" / "vectorized.py").read_text()
-        assert '("seed", "session", "config")' in text
-        seeded(
-            "engine/vectorized.py",
-            text.replace('("seed", "session", "config")', '("seed", "config")'),
-            "VEC504",
-        )
-
     def test_obs601_record_type_typo(self, tree, seeded):
         text = (tree / "obs" / "sinks.py").read_text()
         assert '{"t": "corr"' in text

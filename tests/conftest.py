@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -40,6 +41,19 @@ def run(factory, inputs, max_faulty, adversary=None, seed=0, session="t", crypto
 @pytest.fixture
 def rng():
     return random.Random(0xDEC0DE)
+
+
+def swap_vector_model(monkeypatch, protocol, adversary, **fields):
+    """For one test, serve every pair the vector model of ``(protocol,
+    adversary)`` serves from a copy of its record with ``fields``
+    replaced — e.g. ``batch=broken`` makes each batch run ``broken(specs)``."""
+    from repro.engine import registry
+
+    model = registry.vector_model_for(protocol, adversary)
+    swapped = dataclasses.replace(model, **fields)
+    for pair, served in list(registry._VECTOR_MODELS.items()):
+        if served is model:
+            monkeypatch.setitem(registry._VECTOR_MODELS, pair, swapped)
 
 
 # Per-protocol sweep shapes for every *stock* registered protocol:

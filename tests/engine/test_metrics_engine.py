@@ -161,16 +161,15 @@ class TestVectorNativeMetrics:
         ]
 
     def test_vector_model_error_collects_on_the_object_path(self, monkeypatch):
-        from repro.engine.registry import vector_model_for
         from repro.engine.vectorized import VectorModelError
+        from tests.conftest import swap_vector_model
 
         plan = _plan(trials=4)
-        model = vector_model_for("ba_one_third", "straddle13")
 
         def broken(specs):
             raise VectorModelError("probe invariant failed")
 
-        monkeypatch.setattr(model, "run_batch", broken)
+        swap_vector_model(monkeypatch, "ba_one_third", "straddle13", batch=broken)
         chunk = list(enumerate(plan.trials))
         sink = {}
         results, stats = execute_chunk(chunk, metrics=sink)

@@ -27,10 +27,10 @@ from repro.engine import (
     run_trial,
     vectorized,
 )
-from repro.engine.registry import vector_model_for
 from repro.engine.runner import _SUITE_CACHE, _SUITE_CACHE_MAX, _suite_for
 from repro.engine.transport import ChunkSummary
 from repro.obs import load_trace, trace_filename
+from tests.conftest import swap_vector_model
 
 
 def _plan(trials=6, seed=5, kappa=2, collect_signatures=True):
@@ -356,8 +356,7 @@ class TestStreamingAndFailures:
         if where == "probe":
             monkeypatch.setattr(vectorized, "_simulate_probe", broken)
         else:
-            model = vector_model_for("ba_one_third", "straddle13")
-            monkeypatch.setattr(model, "run_batch", broken)
+            swap_vector_model(monkeypatch, "ba_one_third", "straddle13", batch=broken)
         clear_probe_cache()  # pool workers fork with the patch and no probes
         plan = _plan(trials=6)
         with pytest.raises(TrialExecutionError) as raised:
@@ -381,8 +380,7 @@ class TestStreamingAndFailures:
         def interrupt(_specs):
             raise KeyboardInterrupt
 
-        model = vector_model_for("ba_one_third", "straddle13")
-        monkeypatch.setattr(model, "run_batch", interrupt)
+        swap_vector_model(monkeypatch, "ba_one_third", "straddle13", batch=interrupt)
         with pytest.raises(KeyboardInterrupt):
             ParallelRunner(workers=1, backend="vector").run(_plan(trials=2))
 

@@ -44,7 +44,7 @@ from repro.engine.vectorized import (
     _extraction_row,
     _IterationProbe,
     _Leaf,
-    _WalkModel,
+    _Model,
     batch_key,
     clear_probe_cache,
     execute_chunk,
@@ -53,7 +53,7 @@ from repro.engine.vectorized import (
 from repro.network.metrics import RunMetrics
 from repro.network.simulator import ExecutionResult
 from repro.obs import MetricsRegistry, TelemetryWriter, summarize_telemetry
-from tests.conftest import PROTOCOL_SHAPES
+from tests.conftest import PROTOCOL_SHAPES, swap_vector_model
 
 
 def canon(result):
@@ -204,6 +204,32 @@ class TestRegistry:
         assert repr(existing) in message
         # The claim is unchanged after the failed overwrite.
         assert _VECTOR_MODELS[("ba_one_third", None)] is existing
+
+    @pytest.mark.parametrize("protocol,adversary,phantom", [
+        ("ba_phantom", None, "ba_phantom"),
+        ("ba_one_third", "ghost", "ghost"),
+    ], ids=["protocol", "adversary"])
+    def test_phantom_names_raise_at_registration(self, protocol, adversary, phantom):
+        from repro.engine import register_vector_model
+
+        model = vector_model_for("ba_one_third", None)
+        with pytest.raises(ValueError, match=repr(phantom)):
+            register_vector_model(protocol, adversary, model)
+        assert (protocol, adversary) not in vector_model_pairs()
+
+    def test_the_table_registers_these_pairs_and_no_others(self):
+        honest_only = (
+            "prox_quadratic_half", "dolev_strong", "prox_expand_once",
+            "proxcast", "certificate_gradecast", "fm_probabilistic",
+            "turpin_coan_classic", "multivalued_ba",
+        )
+        expected = {(protocol, None) for protocol in honest_only} | {
+            (protocol, adversary)
+            for protocol, combos in VECTOR_ADVERSARIES.items()
+            for adversary, _ in combos
+        }
+        assert sorted(vector_model_pairs(), key=repr) == sorted(expected, key=repr)
+        assert len(expected) == 22
 
 
 class TestProtocolGrid:
@@ -424,6 +450,200 @@ class TestFallback:
             assert canon(got) == canon(expected)
 
 
+def _forced(spec):
+    """``spec`` with the vector flag back on — what no ``TrialSpec``
+    constructor leaves on a faulted spec — to reach the faults guard."""
+    object.__setattr__(spec, "vectorizable", True)
+    return spec
+
+
+_BITS, _HALF, _WORDS, _COINS = (0, 0, 1, 1), (0, 0, 1, 1, 1), ("a", "b", "a", "a"), (None,) * 4
+_STRADDLE13 = dict(adversary="straddle13")
+_STRADDLE12 = dict(adversary="straddle12")
+_WITHHOLD = dict(adversary="withhold_coin")
+
+#: ``(spec, the exact reason vector_unsupported_reason gives)``, one row
+#: per branch of the eligibility check — ``None`` where the spec batches.
+#: Dashboards, telemetry and the ``--vector`` audit tally these strings,
+#: so a reworded reason is a failing row here, not a silent new bucket.
+FALLBACK_REASON_TABLE = [
+    # Spec-level guards, before any model is consulted.
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, vectorizable=False),
+     "spec opted out (vectorizable=False)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="lossy"),
+     "spec opted out (vectorizable=False)"),
+    (_forced(TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="lossy")),
+     "fault injection ('lossy') is not vectorizable"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, backend="real"),
+     "real-RSA backend"),
+    (TrialSpec("feldman_micali", _BITS, 1, {"kappa": 2}),
+     "no vector model registered for ('feldman_micali', None)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, adversary="crash",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('ba_one_third', 'crash')"),
+    (TrialSpec("fm_probabilistic", _BITS, 1, adversary="straddle13",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('fm_probabilistic', 'straddle13')"),
+    (TrialSpec("multivalued_ba", _WORDS, 1, {"kappa": 2}, adversary="two_face",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('multivalued_ba', 'two_face')"),
+    (TrialSpec("vrf_coin", _COINS, 1, adversary="crash",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('vrf_coin', 'crash')"),
+    (TrialSpec("dolev_strong", _BITS, 1, adversary="two_face",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('dolev_strong', 'two_face')"),
+    # Inputs: strict bits for the binary walks, hashable for the rest.
+    (TrialSpec("ba_one_third", (0, 2, 1, 1), 1, {"kappa": 2}), "non-bit input 2"),
+    (TrialSpec("ba_one_half", (0, True, 1, 1, 1), 2, {"kappa": 2}),
+     "non-bit input True"),
+    (TrialSpec("fm_probabilistic", ("a", 0, 1, 1), 1), "non-bit input 'a'"),
+    (TrialSpec("turpin_coan_classic", ([1], [1], [1], [1]), 1, {"kappa": 2}),
+     "unhashable inputs"),
+    (TrialSpec("threshold_coin", ([1],) * 4, 1), "unhashable inputs"),
+    (TrialSpec("prox_one_third", ([0], [0], [1], [1]), 1, {"rounds": 3}),
+     "unhashable inputs"),
+    # Protocol params.
+    (TrialSpec("ba_one_third", _BITS, 1), "unsupported protocol params []"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2, "extra": 1}),
+     "unsupported protocol params ['extra', 'kappa']"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 0}), "unsupported kappa 0"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": True}), "unsupported kappa True"),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": "2"}), "unsupported kappa '2'"),
+    (TrialSpec("fm_probabilistic", _BITS, 1, {"kappa": 2}),
+     "unsupported protocol params ['kappa']"),
+    (TrialSpec("turpin_coan_classic", _WORDS, 1),
+     "unsupported protocol params []"),
+    (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2, "regime": "one_third"}),
+     "unsupported protocol params ['kappa', 'regime']"),
+    (TrialSpec("multivalued_ba", _WORDS, 1, {"kappa": -1}), "unsupported kappa -1"),
+    (TrialSpec("multivalued_ba", _WORDS, 1, {"kappa": 2, "regime": "one_half"}),
+     "regime 'one_half' not modeled (multi-coin inner BA)"),
+    (TrialSpec("threshold_coin", _COINS, 1, {"index": 0, "extra": 1}),
+     "unsupported protocol params ['extra', 'index']"),
+    (TrialSpec("threshold_coin", _COINS, 1, {"low": 2, "high": 1}),
+     "invalid coin range (object path raises)"),
+    (TrialSpec("threshold_coin", _COINS, 1, {"low": "0"}),
+     "invalid coin range (object path raises)"),
+    (TrialSpec("vrf_coin", _COINS, 1, {"high": 1.5}),
+     "invalid coin range (object path raises)"),
+    # Regime and protocol length.
+    (TrialSpec("ba_one_third", (0, 0, 1), 1, {"kappa": 2}),
+     "regime violation 3t >= n (object path raises)"),
+    (TrialSpec("ba_one_half", _BITS, 2, {"kappa": 2}),
+     "regime violation 2t >= n (object path raises)"),
+    (TrialSpec("fm_probabilistic", (0, 0, 1), 1),
+     "regime violation 3t >= n (object path raises)"),
+    (TrialSpec("multivalued_ba", ("a", "b", "c"), 1, {"kappa": 2}),
+     "regime violation 3t >= n (object path raises)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 3}, max_rounds=3),
+     "max_rounds below protocol length (object path raises)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 3}, max_rounds=4), None),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 3}, max_rounds=5),
+     "max_rounds below protocol length (object path raises)"),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 3}, max_rounds=6), None),
+    (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2}, max_rounds=4),
+     "max_rounds below protocol length (object path raises)"),
+    (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2}, max_rounds=5), None),
+    (TrialSpec("fm_probabilistic", _BITS, 1, max_rounds=191),
+     "max_rounds below the iteration cap (object path may raise)"),
+    (TrialSpec("fm_probabilistic", _BITS, 1, max_rounds=192), None),
+    # Adversary params and victims.
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3,), "extra": 1}),
+     "unsupported adversary params ['extra', 'victims']"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13),
+     "adversary victims missing or not a sequence"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": ()}),
+     "adversary victims missing or not a sequence"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": 3}),
+     "adversary victims missing or not a sequence"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (4,)}),
+     "victim 4 out of range"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": ("3",)}),
+     "victim '3' out of range"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (2, 3)}),
+     "corruption budget exceeded (object path raises)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3, 3)}), None),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3,), "down_group": 0}),
+     "unsupported down_group value"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3,), "down_group": (0,)}), None),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 2}, **_STRADDLE12,
+               adversary_params={"victims": (3, 4), "down_group": (0,)}),
+     "unsupported adversary params ['down_group', 'victims']"),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 2}, **_STRADDLE12,
+               adversary_params={"victims": (3, 4), "iteration_rounds": 2}),
+     "straddle12 with non-standard iteration_rounds"),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 2}, **_STRADDLE12,
+               adversary_params={"victims": (3, 4), "iteration_rounds": 3}), None),
+    (TrialSpec("threshold_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (3,), "extra": 1}),
+     "unsupported adversary params ['extra', 'victims']"),
+    (TrialSpec("threshold_coin", _COINS, 1, {"index": 1}, **_WITHHOLD,
+               adversary_params={"victims": (3,), "session": "s", "index": 2}),
+     None),
+    (TrialSpec("vrf_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (5,)}),
+     "victim 5 out of range"),
+    (TrialSpec("vrf_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (3,), "session": "s"}),
+     "session-pinned withhold_coin not modeled"),
+    (TrialSpec("vrf_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (3,), "index": 1}),
+     "adversary coin index differs from protocol (not modeled)"),
+    (TrialSpec("vrf_coin", _COINS, 1, {"index": 1}, **_WITHHOLD,
+               adversary_params={"victims": (3,), "index": 1}), None),
+    (TrialSpec("vrf_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (3,), "low": 2, "high": 1}),
+     "invalid adversary coin range (object path raises)"),
+    (TrialSpec("vrf_coin", _COINS, 1, **_WITHHOLD,
+               adversary_params={"victims": (3,), "high": "1"}),
+     "invalid adversary coin range (object path raises)"),
+    (TrialSpec("prox_one_third", _BITS, 1, {"rounds": 3}, **_STRADDLE13,
+               adversary_params={"victims": (3,), "down_group": 0}), None),
+    (TrialSpec("prox_one_third", _BITS, 1, {"rounds": 3}, adversary="two_face",
+               adversary_params={"victims": (2, 3)}),
+     "corruption budget exceeded (object path raises)"),
+    (TrialSpec("prox_linear_half", _HALF, 2, {"rounds": 3}, adversary="two_face",
+               adversary_params={"victims": (3, 4), "iteration_rounds": 3}),
+     "unsupported adversary params ['iteration_rounds', 'victims']"),
+    (TrialSpec("prox_linear_half", _HALF, 2, {"rounds": 3},
+               adversary="bare_straddle12",
+               adversary_params={"victims": (3, 4), "iteration_rounds": 2}), None),
+    # What batches: one spec of each of the eight models.
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3,)}), None),
+    (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 2}), None),
+    (TrialSpec("fm_probabilistic", _BITS, 1), None),
+    (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2, "default": "x"}), None),
+    (TrialSpec("multivalued_ba", _WORDS, 1, {"kappa": 2, "regime": "one_third"}),
+     None),
+    (TrialSpec("threshold_coin", _COINS, 1, {"low": 1, "high": 8}), None),
+    (TrialSpec("vrf_coin", _COINS, 1, {"index": 1}), None),
+    (TrialSpec("prox_one_third", _BITS, 1, {"rounds": 3, "unchecked": 1}), None),
+]
+
+
+class TestFallbackReasons:
+    @pytest.mark.parametrize(
+        "spec,reason", FALLBACK_REASON_TABLE,
+        ids=[f"{at:02d}-{spec.protocol}" for at, (spec, _) in enumerate(
+            FALLBACK_REASON_TABLE
+        )],
+    )
+    def test_each_branch_gives_its_exact_reason(self, spec, reason):
+        assert vector_unsupported_reason(spec) == reason
+        assert vector_supports(spec) is (reason is None)
+
+
 #: One strategy per TrialSpec field, over domains small enough that two
 #: draws often agree.  A new field must be added here — the exhaustive
 #: test below fails until it is.
@@ -536,15 +756,13 @@ class TestHotPathCounts:
             TrialSpec, "__post_init__",
             lambda spec: (built.append(spec), post_init(spec))[1],
         )
-        for protocol, _, _, _, adversary, _ in self.CONFIGS:
-            model = vector_model_for(protocol, adversary)
-            reason = model.unsupported_reason
-            monkeypatch.setattr(
-                model, "unsupported_reason",
-                staticmethod(
-                    lambda spec, reason=reason: (asked.append(spec), reason(spec))[1]
-                ),
-            )
+        from repro.engine import vectorized
+
+        reason = vectorized.unsupported_reason
+        monkeypatch.setattr(
+            vectorized, "unsupported_reason",
+            lambda spec: (asked.append(spec), reason(spec))[1],
+        )
         # The coin evaluators leave the threshold scheme's memo alone,
         # the VRF evaluator the plain scheme's.
         memos = [
@@ -821,12 +1039,13 @@ class TestWalk:
         }
         coin = coin_evaluator(_suite_for(plan.trials[0]).coin, "walk", 1, 3)
 
-        class Model(_WalkModel):
-            root = staticmethod(lambda first: "root")
-            row = staticmethod(lambda first, state: rows[state])
-            coin = staticmethod(lambda first, depth: (coin, ""))
-
-        return Model.run_batch(plan.trials)
+        model = _Model(
+            adversaries={None: frozenset()},
+            root=lambda first: "root",
+            row=lambda first, state: rows[state],
+            coin=lambda first, depth: (coin, ""),
+        )
+        return model.run_batch(plan.trials)
 
     def test_a_trial_carries_the_corruptions_of_its_own_path(self, fresh_tables):
         results, leaves, coins = self._driver(frozenset({3, 4}))
@@ -960,7 +1179,7 @@ class TestWalkGrid:
         from repro.engine import vectorized
 
         halted, n, trials = vectorized._FM_HALTED, 4, 2000
-        monkeypatch.setattr(vectorized, "_FM_MAX_ITERATIONS", cap)
+        monkeypatch.setattr(vectorized, "FM_MAX_ITERATIONS", cap)
         plans = [
             TrialPlan.monte_carlo(
                 "fm-synthetic", "fm_probabilistic", inputs, 1,
@@ -1364,12 +1583,13 @@ class TestWarmTables:
         rows, composed = Counter(), []
         for protocol, *_, adversary, _ in self.CONFIGS:
             model = vector_model_for(protocol, adversary)
-            if issubclass(model, _WalkModel):
-                monkeypatch.setattr(model, "row", staticmethod(
-                    lambda first, state, _row=model.row, _model=model: (
+            if model.row is not None:
+                swap_vector_model(
+                    monkeypatch, protocol, adversary,
+                    row=lambda first, state, _row=model.row, _model=model: (
                         rows.update([(_model, state)]), _row(first, state)
-                    )[1]
-                ))
+                    )[1],
+                )
         compose = MetricsRegistry.from_deliveries
         monkeypatch.setattr(MetricsRegistry, "from_deliveries", staticmethod(
             lambda parts: (composed.append(1), compose(parts))[1]

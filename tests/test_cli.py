@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 
 import pytest
@@ -531,15 +532,13 @@ class TestErrorSweep:
     ):
         """A supported spec that lands on the object path is bit-identical,
         so the run audits its batch spans instead of its results."""
-        from repro.engine.registry import vector_model_for
         from repro.engine.vectorized import VectorModelError
+        from tests.conftest import swap_vector_model
 
         def broken(specs):
             raise VectorModelError("injected")
 
-        monkeypatch.setattr(
-            vector_model_for("ba_one_half", None), "run_batch", broken
-        )
+        swap_vector_model(monkeypatch, "ba_one_half", None, batch=broken)
         path = tmp_path / "metrics.json"
         code = main(
             ["error-sweep", "--protocol", "both", "--kappas", "1,2",
@@ -577,14 +576,12 @@ class TestErrorSweep:
     def test_raising_trial_exits_2_with_its_replay_line(
         self, capsys, monkeypatch
     ):
-        from repro.engine.registry import vector_model_for
+        from tests.conftest import swap_vector_model
 
         def buggy(specs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(
-            vector_model_for("ba_one_third", None), "run_batch", buggy
-        )
+        swap_vector_model(monkeypatch, "ba_one_third", None, batch=buggy)
         code = main(
             ["error-sweep", "--kappas", "1", "--trials", "4", "--vector"]
         )
@@ -686,9 +683,28 @@ class TestCheck:
         for rule_id in ("DET101", "LAY201", "SER301", "API401"):
             assert rule_id in out
         # One line per rule plus its fix; DET106 (numpy's global RNG)
-        # went with numpy.
-        assert len([line for line in out.splitlines() if line[:1].isalpha()]) == 25
-        assert "DET106" not in out
+        # went with numpy, VEC501–504 became runtime checks.
+        assert len([line for line in out.splitlines() if line[:1].isalpha()]) == 21
+        assert "DET106" not in out and "VEC" not in out
+
+    def test_docs_catalogue_lists_exactly_the_rules(self, capsys):
+        """docs/static-analysis.md's rule tables and ``--list-rules``
+        name the same ids: a rule added, renamed or deleted on one side
+        only fails here."""
+        assert main(["check", "--list-rules"]) == 0
+        listed = {
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line[:1].isalpha()
+        }
+        docs = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "docs", "static-analysis.md",
+        )
+        with open(docs, encoding="utf-8") as handle:
+            documented = set(re.findall(r"^\| ([A-Z]{3}\d{3}) \|", handle.read(), re.M))
+        assert documented == listed
+        assert len(listed) == 21
 
 
 class TestParser:
