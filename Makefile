@@ -12,9 +12,8 @@ test-fast:
 	pytest tests/ -m "not slow"
 
 # Static-analysis gate: determinism (DET1xx call sites + DET2xx RNG
-# dataflow), layering (LAY), serialization (SER), API coherence (API),
-# obs schema vocabularies (OBS) and stale suppressions (SUP) over
-# src/repro, stdlib-only.  Exit 1 on findings;
+# dataflow), layering (LAY) and stale suppressions (SUP) over
+# src/repro, stdlib-only — 12 rules.  Exit 1 on findings;
 # the JSON report is the CI artifact (CI also asserts it counts zero
 # suppressions).  See docs/static-analysis.md for the rule catalogue
 # and suppression syntax.

@@ -1,11 +1,12 @@
-"""Static analysis enforcing the repo's determinism/layering/serialization
+"""Static analysis enforcing the repo's determinism and layering
 invariants (``python -m repro check``).
 
-Dependency-free, stdlib-``ast`` only, and now *whole-program*: phase 1
-parses every module and builds a :class:`ProjectIndex` (every module's
-constant assignments); phase 2 binds the index to every rule and
-dispatches per module, so rules can resolve constants across module
-boundaries without importing anything they check.  Rule families:
+Dependency-free, stdlib-``ast`` only, one pass: every module is parsed
+once and dispatched to every rule, and whole-tree rules report in
+``finalize``.  These are the invariants a test can only sample; the
+contracts the runtime checks on every call (registries, telemetry and
+metric vocabularies, picklable params) are enforced where they live.
+Rule families:
 
 * **DET1xx** — nondeterminism sources banned from protocol code
   (``core``/``proxcensus``/``crypto``/``network``): wall clocks, ambient
@@ -15,11 +16,6 @@ boundaries without importing anything they check.  Rule families:
   fall back to ambient state, RNG values must not be parked in
   module-level state.
 * **LAY** — the import layer map and module-level cycle detection.
-* **SER** — pickle/deep-freeze safety of everything crossing a process
-  boundary (TrialSpec params, pool submissions).
-* **API** — registry and adversary-hook contract coherence.
-* **OBS** — trace/telemetry string literals pinned to the schema
-  vocabularies exported by ``repro.obs``.
 * **SUP** — meta: stale ``# repro: noqa[...]`` suppressions.
 
 See ``docs/static-analysis.md`` for the rule catalogue and suppression
@@ -36,12 +32,10 @@ from .framework import (
     register_rule,
     run_check,
 )
-from .index import ProjectIndex
 
 __all__ = [
     "CheckError",
     "Finding",
-    "ProjectIndex",
     "Report",
     "Rule",
     "SourceModule",

@@ -3,28 +3,24 @@
 The engine's headline guarantee is that serial, parallel and adaptive
 runs are *byte-identical* for any worker count.  That property is easy
 to destroy silently — iterate a ``set`` into a message payload, call
-``time.time()`` in protocol code, pass a lambda where a spec must
-pickle — and nothing at runtime complains until the numbers drift.
-This package is the static safety net: a dependency-free ``ast`` pass
-(``python -m repro check``) that walks the source tree once and
-dispatches every parsed module to a set of rules enforcing the
-determinism, layering and serialization invariants the engine's
+``time.time()`` in protocol code — and nothing at runtime complains
+until the numbers drift.  This package is the static safety net: a
+dependency-free ``ast`` pass (``python -m repro check``) that walks the
+source tree once and dispatches every parsed module to a set of rules
+enforcing the determinism and layering invariants the engine's
 guarantees rest on.
 
-Architecture (two-phase)
-------------------------
-* **Phase 1 — parse and index.**  Every ``*.py`` under the root is read
-  and parsed exactly once into a :class:`SourceModule` (path, dotted
-  module name, AST, source lines, lazily-built import-origin map), then
-  the whole list is folded into a :class:`repro.checks.index.ProjectIndex`
-  — the project-wide table of literal constants cross-module rules read.
-* **Phase 2 — dispatch.**  Each rule is ``bind``-ed to the index, then
-  ``check(module)`` yields :class:`Finding`\\ s per module and
-  ``finalize()`` yields whole-tree findings (import cycles, registry
-  coherence) after every module has been visited.  Rules are registered
-  with :func:`register_rule` and instantiated fresh per run, so
-  cross-module state never leaks between invocations.
-* :func:`run_check` — discovery, both phases, per-line
+Architecture (one pass)
+-----------------------
+* Every ``*.py`` under the root is read and parsed exactly once into a
+  :class:`SourceModule` (path, dotted module name, AST, source lines,
+  lazily-built import-origin map).
+* Each rule's ``check(module)`` yields :class:`Finding`\\ s per module,
+  and ``finalize()`` yields whole-tree findings (import cycles) after
+  every module has been visited.  Rules are registered with
+  :func:`register_rule` and instantiated fresh per run, so cross-module
+  state never leaks between invocations.
+* :func:`run_check` — discovery, dispatch, per-line
   ``# repro: noqa[RULE]`` suppression, stale-suppression detection
   (SUP901) and the :class:`Report` (text or ``--json``).
 
@@ -41,7 +37,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Any,
     Dict,
     Iterable,
     Iterator,
@@ -184,14 +179,6 @@ class Rule:
     def applies(self, module: SourceModule) -> bool:
         return self.scope is None or module.top in self.scope
 
-    def bind(self, index: Any) -> None:
-        """Receive the phase-1 :class:`~repro.checks.index.ProjectIndex`.
-
-        Called once per run, before any ``check``/``finalize``.  The
-        default is a no-op so purely-local rules stay oblivious;
-        cross-module rules stash the index here.
-        """
-
     def check(self, module: SourceModule) -> Iterator[Finding]:
         return iter(())
 
@@ -231,7 +218,7 @@ def all_rule_classes() -> List[Type[Rule]]:
 def _load_builtin_rules() -> None:
     # Imported for their @register_rule side effects; local to avoid a
     # circular import at package-load time.
-    from . import api, dataflow, det, lay, obs_rules, ser  # noqa: F401
+    from . import dataflow, det, lay  # noqa: F401
 
 
 def _matches(rule_id: str, selectors: Sequence[str]) -> bool:
@@ -302,9 +289,9 @@ class StaleSuppressionRule(Rule):
     comment silently outlives its reason — and a stale blanket waiver on
     a line is exactly where the *next* violation hides.  The framework
     tracks which noqa comments actually matched a finding this run; any
-    comment that matched none is reported here (and ``--fix`` deletes
-    it).  A comment naming only rules outside the active ``--select``
-    set is left alone — a narrowed run cannot judge it.
+    comment that matched none is reported here.  A comment naming only
+    rules outside the active ``--select`` set is left alone — a narrowed
+    run cannot judge it.
 
     The rule is implemented inside :func:`run_check` (it needs the
     post-suppression ledger), not via ``check``/``finalize``; this class
@@ -429,9 +416,8 @@ def run_check(
     ``crypto/`` …): layer scoping and relative-import resolution are
     computed from paths relative to it.
 
-    Phase 1 parses every file and builds the
-    :class:`~repro.checks.index.ProjectIndex`; phase 2 binds the index
-    to each rule and dispatches.  Findings come back sorted by (path,
+    Each file is parsed and dispatched to every rule that applies to it,
+    then every rule is finalized.  Findings come back sorted by (path,
     line, col, rule); per-line ``# repro: noqa[RULE]`` comments suppress
     matching findings and are tallied in ``Report.suppressed``; noqa
     comments that matched *nothing* become SUP901 findings.
@@ -442,10 +428,8 @@ def run_check(
         raise CheckError(f"not a directory: {given}")
     rules = build_rules(select, ignore)
 
-    # Phase 1: parse everything, then index the whole tree.
     findings: List[Finding] = []
     lines_by_path: Dict[str, List[str]] = {}
-    modules: List[SourceModule] = []
     files = 0
     for path in _iter_source_files(root):
         files += 1
@@ -470,16 +454,7 @@ def run_check(
                 )
             )
             continue
-        modules.append(SourceModule(path, rel, tree, lines))
-
-    from .index import ProjectIndex  # deferred: index imports SourceModule
-
-    index = ProjectIndex(modules)
-
-    # Phase 2: bind the index, dispatch per module, then finalize.
-    for rule in rules:
-        rule.bind(index)
-    for module in modules:
+        module = SourceModule(path, rel, tree, lines)
         for rule in rules:
             if rule.applies(module):
                 findings.extend(rule.check(module))

@@ -31,9 +31,8 @@ Subcommands
     (``DIR/telemetry.jsonl``, checked for consistency) and per-chunk
     ``cProfile`` dumps from that same run; ``repro report`` fuses them.
 ``check``
-    Two-phase whole-program static analysis enforcing the repo's
-    determinism, layering, serialization and observability invariants
-    (rule families DET/LAY/SER/API/OBS/SUP; see
+    One-pass static analysis enforcing the repo's determinism and
+    layering invariants (rule families DET/LAY/SUP; see
     ``docs/static-analysis.md``).  Exit 1 on findings; ``--json``
     writes the CI artifact, and per-line ``# repro: noqa[RULE]``
     suppressions are themselves checked for staleness (SUP901).
@@ -1032,7 +1031,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = subparsers.add_parser(
         "check",
-        help="static analysis: determinism/layering/serialization invariants",
+        help="static analysis: determinism and layering invariants",
     )
     check_parser.add_argument(
         "path", nargs="?", default=None,

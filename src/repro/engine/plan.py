@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -59,14 +60,30 @@ def derive_trial_session(base_seed: int, index: int) -> str:
     return f"exp{base_seed}/{index}"
 
 
-def _freeze_value(value: Any) -> Any:
-    """Hashable form of one param value (lists/dicts become tuples)."""
+#: Behaviour, not data: a function does not pickle to a worker unless it
+#: is importable, a generator or coroutine is spent by its first reader,
+#: and none of them means the same thing in a replayed spec.
+_NOT_DATA = (types.FunctionType, types.GeneratorType, types.CoroutineType)
+
+
+def _freeze_value(value: Any, key: str = "") -> Any:
+    """Hashable form of one param value (lists/dicts become tuples).
+
+    ``TypeError`` naming ``key`` if the value holds a function,
+    generator or coroutine anywhere inside it.
+    """
     if isinstance(value, Mapping):
-        return tuple(sorted((k, _freeze_value(v)) for k, v in value.items()))
+        return tuple(sorted((k, _freeze_value(v, key)) for k, v in value.items()))
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze_value(item) for item in value)
+        return tuple(_freeze_value(item, key) for item in value)
     if isinstance(value, set):
-        return tuple(sorted(_freeze_value(item) for item in value))
+        return tuple(sorted(_freeze_value(item, key) for item in value))
+    if isinstance(value, _NOT_DATA):
+        raise TypeError(
+            f"param {key!r} holds a {type(value).__name__}: params must be "
+            "plain data (ints, strings, tuples); register the behaviour "
+            "under a name and pass the name"
+        )
     return value
 
 
@@ -74,7 +91,9 @@ def _freeze_params(params: Optional[Dict[str, Any]]) -> Tuple[Tuple[str, Any], .
     """Canonical, hashable form of a params dict (sorted key/value pairs)."""
     if not params:
         return ()
-    return tuple(sorted((key, _freeze_value(value)) for key, value in params.items()))
+    return tuple(
+        sorted((key, _freeze_value(value, key)) for key, value in params.items())
+    )
 
 
 def _coerce_params(value: Any, label: str) -> Tuple[Tuple[str, Any], ...]:
@@ -83,7 +102,8 @@ def _coerce_params(value: Any, label: str) -> Tuple[Tuple[str, Any], ...]:
     Accepts ``None``, a mapping, or an iterable of ``(key, value)``
     pairs (the already-frozen form); anything else is rejected loudly —
     a spec that silently carried dict params would be unhashable and
-    break the frozen/picklable contract the runner depends on.
+    break the frozen/picklable contract the runner depends on.  So is a
+    value that is behaviour rather than data (see :func:`_freeze_value`).
     """
     if value is None:
         return ()

@@ -144,25 +144,38 @@ def vector_model_pairs() -> List[tuple]:
     return sorted(_VECTOR_MODELS, key=repr)
 
 
+def _claim(table: Dict[str, Any], kind: str, name: str, builder: Any) -> None:
+    """Bind ``name`` to ``builder`` in ``table``, at most once.
+
+    Re-registering the *same* builder is a no-op (module re-imports
+    must stay idempotent); a *different* builder for a claimed name
+    raises ``ValueError`` — a silent overwrite would let import order
+    decide which code a plan naming ``name`` runs.
+    """
+    if not callable(builder):
+        raise TypeError(f"{kind} builder for {name!r} is not callable")
+    existing = table.get(name)
+    if existing is not None and existing is not builder:
+        raise ValueError(
+            f"{kind} {name!r} is already registered as {existing!r}; "
+            f"register {builder!r} under another name"
+        )
+    table[name] = builder
+
+
 def register_protocol(name: str, builder: ProtocolBuilder) -> None:
     """Register ``builder(**params) -> factory(ctx, value)`` under ``name``."""
-    if not callable(builder):
-        raise TypeError(f"protocol builder for {name!r} is not callable")
-    _PROTOCOLS[name] = builder
+    _claim(_PROTOCOLS, "protocol", name, builder)
 
 
 def register_adversary(name: str, builder: AdversaryBuilder) -> None:
     """Register ``builder(factory, **params) -> Adversary`` under ``name``."""
-    if not callable(builder):
-        raise TypeError(f"adversary builder for {name!r} is not callable")
-    _ADVERSARIES[name] = builder
+    _claim(_ADVERSARIES, "adversary", name, builder)
 
 
 def register_fault_plan(name: str, builder: FaultPlanBuilder) -> None:
     """Register ``builder(**params) -> FaultPlan`` under ``name``."""
-    if not callable(builder):
-        raise TypeError(f"fault-plan builder for {name!r} is not callable")
-    _FAULT_PLANS[name] = builder
+    _claim(_FAULT_PLANS, "fault-plan", name, builder)
 
 
 def protocol_names() -> List[str]:

@@ -3,8 +3,8 @@
 :class:`MetricsRegistry` is the aggregation substrate behind
 ``repro error-sweep --metrics`` and ``repro report``: cheap integer
 counters and fixed-bucket histograms with a **pinned name vocabulary**
-(:data:`METRIC_NAMES`, enforced at runtime here and statically by the
-OBS603 check rule), an **order-independent merge** so per-trial
+(:data:`METRIC_NAMES`, enforced at runtime on every ``inc`` /
+``observe``), an **order-independent merge** so per-trial
 registries collected by any number of workers in any completion order
 fold to the same totals, and a canonical **varint pack/unpack** so
 packed registries ride the engine's compact ``ChunkSummary`` transport.
@@ -73,11 +73,7 @@ __all__ = [
 METRICS_SCHEMA = "repro-metrics/1"
 
 #: The complete metric-name vocabulary.  Every ``inc``/``observe`` call
-#: must name one of these — enforced at runtime by the registry and
-#: statically by the OBS603 rule, which pins string-literal call sites
-#: across obs/engine/cli/analysis to this frozenset.  Kept as a single
-#: literal so the checks-layer AST index can recover the value without
-#: importing this module.
+#: must name one of these; the registry raises ``ValueError`` otherwise.
 METRIC_NAMES = frozenset(
     {
         "agreements",

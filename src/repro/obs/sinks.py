@@ -48,8 +48,8 @@ __all__ = [
 TRACE_SCHEMA = "repro-trace/1"
 
 #: Every legal ``"t"`` discriminator in a ``repro-trace/1`` stream.
-#: Writers and readers are both pinned to this set by ``repro check``
-#: (OBS601) — a typo on either side silently drops records otherwise.
+#: ``load_trace`` rejects any other; the trace round-trip tests pin
+#: every writer against it.
 TRACE_RECORD_TYPES = frozenset({"trace", "msg", "corr", "fault", "end"})
 
 

@@ -37,9 +37,9 @@ __all__ = [
 TELEMETRY_SCHEMA = "repro-telemetry/1"
 
 #: Every span name the engine may ``emit()`` plus the header/footer
-#: discriminators.  ``summarize_telemetry`` switches on these; ``repro
-#: check`` (OBS602) pins every ``.emit("<name>", ...)`` literal to this
-#: set so unknown spans cannot silently vanish from digests.
+#: discriminators.  ``summarize_telemetry`` switches on these, and
+#: :meth:`TelemetryWriter.emit` refuses any other name, so a misspelled
+#: span fails where it is written instead of vanishing from digests.
 TELEMETRY_EVENT_TYPES = frozenset(
     {
         "telemetry", "run_start", "run_complete", "chunk_dispatch",
@@ -128,9 +128,19 @@ class TelemetryWriter:
         self._handle.write(_dump(header) + "\n")
 
     def emit(self, event: str, **fields: Any) -> None:
-        """Write one event record; ``at`` is seconds since writer open."""
+        """Write one event record; ``at`` is seconds since writer open.
+
+        ``ValueError`` for a closed writer or an ``event`` outside
+        :data:`TELEMETRY_EVENT_TYPES`.
+        """
         if self._handle is None:
             raise ValueError(f"telemetry writer {self.path!r} is closed")
+        if event not in TELEMETRY_EVENT_TYPES:
+            raise ValueError(
+                f"unknown telemetry span {event!r}; known: "
+                f"{sorted(TELEMETRY_EVENT_TYPES)} (add it there and teach "
+                "summarize_telemetry about it)"
+            )
         record = {"t": event, "at": self.elapsed(), **fields}
         self._handle.write(_dump(record) + "\n")
         self.records_written += 1

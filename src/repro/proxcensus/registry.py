@@ -30,39 +30,43 @@ class ProxFamily:
         return (self.slots_for_rounds(rounds) - 1) // 2
 
 
+#: Keyed by each entry's own ``name``, so a key cannot disagree with it.
 FAMILIES: Dict[str, ProxFamily] = {
-    "one_third": ProxFamily(
-        name="one_third",
-        paper_ref="§3.3, Corollary 1 (perfect security, t < n/3)",
-        resilience="n/3",
-        min_rounds=0,
-        slots_for_rounds=one_third.slots_after_rounds,
-        multi_sender=True,
-    ),
-    "linear_half": ProxFamily(
-        name="linear_half",
-        paper_ref="§3.3, Lemma 3 (threshold signatures, t < n/2)",
-        resilience="n/2",
-        min_rounds=2,
-        slots_for_rounds=linear_half.slots_after_rounds,
-        multi_sender=True,
-    ),
-    "quadratic_half": ProxFamily(
-        name="quadratic_half",
-        paper_ref="Appendix B, Lemma 7 (threshold signatures, t < n/2)",
-        resilience="n/2",
-        min_rounds=3,
-        slots_for_rounds=quadratic_half.slots_after_rounds,
-        multi_sender=True,
-    ),
-    "proxcast": ProxFamily(
-        name="proxcast",
-        paper_ref="Appendix A, Lemma 6 (dealer PKI, t < n)",
-        resilience="n",
-        min_rounds=1,
-        slots_for_rounds=lambda rounds: rounds + 1,  # s slots in s-1 rounds
-        multi_sender=False,
-    ),
+    entry.name: entry
+    for entry in (
+        ProxFamily(
+            name="one_third",
+            paper_ref="§3.3, Corollary 1 (perfect security, t < n/3)",
+            resilience="n/3",
+            min_rounds=0,
+            slots_for_rounds=one_third.slots_after_rounds,
+            multi_sender=True,
+        ),
+        ProxFamily(
+            name="linear_half",
+            paper_ref="§3.3, Lemma 3 (threshold signatures, t < n/2)",
+            resilience="n/2",
+            min_rounds=2,
+            slots_for_rounds=linear_half.slots_after_rounds,
+            multi_sender=True,
+        ),
+        ProxFamily(
+            name="quadratic_half",
+            paper_ref="Appendix B, Lemma 7 (threshold signatures, t < n/2)",
+            resilience="n/2",
+            min_rounds=3,
+            slots_for_rounds=quadratic_half.slots_after_rounds,
+            multi_sender=True,
+        ),
+        ProxFamily(
+            name="proxcast",
+            paper_ref="Appendix A, Lemma 6 (dealer PKI, t < n)",
+            resilience="n",
+            min_rounds=1,
+            slots_for_rounds=lambda rounds: rounds + 1,  # s slots in s-1 rounds
+            multi_sender=False,
+        ),
+    )
 }
 
 

@@ -93,9 +93,9 @@ class TestReport:
 
 
 class TestRuleCatalogue:
-    def test_four_families_present(self):
+    def test_three_families_present(self):
         families = {cls.id.rstrip("0123456789") for cls in all_rule_classes()}
-        assert {"DET", "LAY", "SER", "API"} <= families
+        assert families == {"DET", "LAY", "SUP"}
 
     def test_every_rule_has_metadata(self):
         for cls in all_rule_classes():

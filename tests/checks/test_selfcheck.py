@@ -147,23 +147,6 @@ class TestSeededNewFamilies:
             "DET203",
         )
 
-    def test_obs601_record_type_typo(self, tree, seeded):
-        text = (tree / "obs" / "sinks.py").read_text()
-        assert '{"t": "corr"' in text
-        seeded(
-            "obs/sinks.py",
-            text.replace('{"t": "corr"', '{"t": "corrr"'),
-            "OBS601",
-        )
-
-    def test_obs602_unknown_span(self, seeded):
-        seeded(
-            "engine/seeded.py",
-            "def run(tele):\n"
-            '    tele.emit("run_strat", workers=1)\n',
-            "OBS602",
-        )
-
     def test_sup901_stale_waiver(self, seeded):
         seeded(
             "core/seeded.py",

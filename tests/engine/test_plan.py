@@ -110,6 +110,26 @@ class TestTrialSpec:
         with pytest.raises(TypeError, match="adversary_params"):
             self._spec(adversary_params=("victims", (3,)))  # not pairs
 
+    @pytest.mark.parametrize("field, value", [
+        ("params", {"kappa": lambda: 2}),
+        ("adversary_params", {"victims": (v for v in (3,))}),
+        ("adversary_params", [("victims", (3, lambda: 4))]),
+        ("fault_params", {"rate": {"nested": [derive_trial_seed]}}),
+    ])
+    def test_behaviour_in_params_is_rejected_naming_the_key(self, field, value):
+        """A function, generator or coroutine in any params field, at any
+        depth, is a ``TypeError`` naming its key — where the spec is
+        built, not when a worker tries to unpickle it."""
+        key = next(iter(dict(value)))
+        faults = {"faults": "lossy"} if field == "fault_params" else {}
+        with pytest.raises(TypeError, match=f"param {key!r} holds a "):
+            self._spec(**{field: value}, **faults)
+        with pytest.raises(TypeError, match=f"param {key!r} holds a "):
+            TrialPlan.monte_carlo(
+                "p", "ba_one_third", (0, 0, 1, 1), 1, trials=2,
+                **{field: dict(value)}, **faults,
+            )
+
 
 class TestTrialPlan:
     def _plan(self, trials=5, seed=3, **overrides):

@@ -11,8 +11,24 @@ from repro.engine.registry import (
     build_protocol_factory,
     protocol_names,
     register_adversary,
+    register_fault_plan,
     register_protocol,
 )
+
+
+def _constant_program(ctx, value):
+    return value
+    yield  # pragma: no cover - makes this a generator program
+
+
+def _constant_builder():
+    return _constant_program
+
+
+def _capture_builder(factory, victims):
+    adversary = Adversary()
+    adversary.factory = factory
+    return adversary
 
 
 class TestResolution:
@@ -90,14 +106,10 @@ class TestResolution:
 
 
 class TestExtensibility:
+    # Builders live at module level: registering the same object again
+    # is a no-op, so these tests can run twice in one process.
     def test_registered_protocol_runs_through_engine(self):
-        def constant_program(ctx, value):
-            return value
-            yield  # pragma: no cover - makes this a generator program
-
-        register_protocol(
-            "test_constant", lambda: (lambda ctx, value: constant_program(ctx, value))
-        )
+        register_protocol("test_constant", _constant_builder)
         spec = TrialSpec(
             protocol="test_constant", inputs=(7, 7, 7), max_faulty=0, session="reg"
         )
@@ -106,13 +118,22 @@ class TestExtensibility:
         assert result.finish_rounds == {0: 0, 1: 0, 2: 0}
 
     def test_registered_adversary_receives_factory(self):
-        captured = {}
-
-        def builder(factory, victims):
-            captured["factory"] = factory
-            return Adversary()
-
-        register_adversary("test_capture", builder)
+        register_adversary("test_capture", _capture_builder)
         factory = build_protocol_factory("ba_one_third", {"kappa": 1})
-        build_adversary("test_capture", {"victims": (0,)}, factory)
-        assert captured["factory"] is factory
+        adversary = build_adversary("test_capture", {"victims": (0,)}, factory)
+        assert adversary.factory is factory
+
+    @pytest.mark.parametrize("register, name", [
+        (register_protocol, "ba_one_third"),
+        (register_adversary, "straddle13"),
+        (register_fault_plan, "lossy"),
+    ])
+    def test_a_claimed_name_refuses_a_different_builder(self, register, name):
+        with pytest.raises(ValueError, match=f"{name!r} is already registered"):
+            register(name, _constant_builder)
+
+    def test_registering_the_same_builder_again_is_a_no_op(self):
+        register_protocol("test_constant", _constant_builder)
+        register_protocol("test_constant", _constant_builder)
+        with pytest.raises(ValueError, match="'test_constant' is already"):
+            register_protocol("test_constant", lambda: _constant_program)

@@ -385,10 +385,7 @@ class TestStreamingAndFailures:
             ParallelRunner(workers=1, backend="vector").run(_plan(trials=2))
 
     def test_interrupts_are_not_wrapped(self):
-        def interrupt(**_params):
-            raise KeyboardInterrupt
-
-        register_protocol("test_interrupting", interrupt)
+        register_protocol("test_interrupting", _interrupting_builder)
         spec = replace(_plan(trials=1).trials[0], protocol="test_interrupting")
         with pytest.raises(KeyboardInterrupt):
             ParallelRunner(workers=1).run(TrialPlan(name="stop", trials=(spec,)))
@@ -414,6 +411,10 @@ class TestStreamingAndFailures:
         # ran; the other ~40 were cancelled on the spot.
         markers = list(tmp_path.iterdir())
         assert len(markers) < 20, f"{len(markers)} slow chunks ran after failure"
+
+
+def _interrupting_builder(**_params):
+    raise KeyboardInterrupt
 
 
 def _dying_builder(victim):

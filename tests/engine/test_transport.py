@@ -50,9 +50,11 @@ def _stubborn_program(ctx, value):
     return value
 
 
-register_protocol(
-    "_test_stubborn", lambda: (lambda ctx, v: _stubborn_program(ctx, v))
-)
+def _stubborn_builder():
+    return _stubborn_program
+
+
+register_protocol("_test_stubborn", _stubborn_builder)
 
 # Per-protocol sweep shapes: (inputs, max_faulty, params) — shared with
 # the trace round-trip property in tests/obs/test_replay.py.

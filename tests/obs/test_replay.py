@@ -61,9 +61,10 @@ class TestRoundTripProperty:
     def test_every_pair_replays_byte_identically(self, tmp_path):
         """One traced execution per compatible protocol × adversary pair;
         the streamed file must replay to the exact in-memory timeline."""
-        survived = 0
+        survived = set()
+        adversaries = adversary_names()
         for protocol in PROTOCOL_SHAPES:
-            for adversary in [None] + adversary_names():
+            for adversary in [None] + adversaries:
                 spec = _spec(protocol, adversary)
                 path = str(tmp_path / f"{protocol}-{adversary}.jsonl")
                 memory = MemoryTraceSink()
@@ -82,9 +83,13 @@ class TestRoundTripProperty:
                 assert loaded.events == len(memory.events)
                 assert loaded.corruptions == len(memory.corruptions)
                 assert loaded.tracer.rounds == memory.rounds
-                survived += 1
-        # Every shaped protocol must at least run adversary-free.
-        assert survived >= len(PROTOCOL_SHAPES)
+                survived.add((protocol, adversary))
+        # Every shaped protocol runs adversary-free, and every registered
+        # adversary against at least one protocol: a builder or hook that
+        # always raises is a finding, not an incompatible combo.
+        assert {(p, None) for p in PROTOCOL_SHAPES} <= survived
+        idle = set(adversaries) - {a for _, a in survived}
+        assert not idle, f"ran against no protocol: {sorted(idle)}"
 
     def test_stats_cross_check_against_run_metrics(self, tmp_path):
         """Replayed per-round tallies equal the simulator's RunMetrics."""

@@ -41,9 +41,11 @@ def _echo_program(ctx, value):
     return value
 
 
-register_protocol(
-    "_test_obs_echo", lambda: (lambda ctx, v: _echo_program(ctx, v))
-)
+def _echo_builder():
+    return _echo_program
+
+
+register_protocol("_test_obs_echo", _echo_builder)
 
 
 def _event(round_index=1, sender=0, recipient=1, summary="{v=1}",

@@ -43,11 +43,18 @@ class TestWriter:
     def test_at_stamps_are_monotone(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with TelemetryWriter(path) as tele:
-            for _ in range(20):
-                tele.emit("tick")
+            for chunk in range(20):
+                tele.emit("chunk_dispatch", chunk=chunk)
         stamps = [r["at"] for r in _records(path)[1:-1]]
         assert stamps == sorted(stamps)
         assert all(at >= 0 for at in stamps)
+
+    def test_an_unknown_span_name_raises_and_writes_nothing(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
+        with TelemetryWriter(path) as tele:
+            with pytest.raises(ValueError, match="unknown telemetry span 'run_strat'"):
+                tele.emit("run_strat", workers=1)
+        assert [r["t"] for r in _records(path)] == ["telemetry", "end"]
 
     def test_emit_after_close_raises(self, tmp_path):
         tele = TelemetryWriter(str(tmp_path / "t.jsonl"))
@@ -209,6 +216,29 @@ class TestRunnerTelemetry:
         assert kinds.count("chunk_dispatch") == 4
         assert kinds.count("chunk_complete") == 4
         assert "run_complete" in kinds
+
+    def test_pooled_real_backend_run_emits_one_predeal_span(self, tmp_path):
+        """Two trials on two cold threshold-RSA suites: the parent deals
+        both once, on a dealing pool, before the worker pool opens."""
+        plan = TrialPlan.concat("predeal", [
+            TrialPlan.monte_carlo(
+                name="predeal", protocol="ba_one_third", inputs=(0, 0, 1, 1),
+                max_faulty=1, trials=1, params={"kappa": 1}, seed=seed,
+                setup_seed=seed, backend="real", rsa_bits=64,
+            )
+            # Setup seeds no other test deals, so both suites start cold.
+            for seed in (28_001, 28_002)
+        ])
+        path = str(tmp_path / "predeal.jsonl")
+        with TelemetryWriter(path) as tele:
+            observed = ParallelRunner(workers=2, telemetry=tele).run(plan)
+        assert observed.results == ParallelRunner(workers=1).run(plan).results
+        predeals = [r for r in _records(path) if r["t"] == "predeal"]
+        assert len(predeals) == 1
+        assert predeals[0]["suites"] >= 1
+        summary = summarize_telemetry(path)
+        assert summary["consistent"] is True
+        assert summary["setup_seconds"] == predeals[0]["seconds"]
 
     def test_pooled_vector_run_relays_each_chunks_batching_spans(self, tmp_path):
         """Workers hold no writer: a chunk's ``vector_batch`` and
