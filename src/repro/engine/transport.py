@@ -111,6 +111,15 @@ def _read_varint(blob: bytes, at: int) -> Tuple[int, int]:
         shift += 7
 
 
+def _check_consumed(blob: bytes, at: int, what: str) -> None:
+    """A decoded payload must end exactly where its blob does."""
+    if at != len(blob):
+        raise TransportError(
+            f"{what} has {len(blob) - at} trailing bytes at offset {at}, "
+            f"blob is {len(blob)} bytes"
+        )
+
+
 class TrialSummary(NamedTuple):
     """One trial's outcome, packed for the trip back through the pool.
 
@@ -206,6 +215,7 @@ class TrialSummary(NamedTuple):
                 outputs[out_pid] = value
         else:
             outputs = dict(self.outputs or ())
+        _check_consumed(blob, at, "trial summary")
 
         return ExecutionResult(
             outputs=outputs,
@@ -274,7 +284,9 @@ class ChunkSummary(NamedTuple):
 
         ``specs`` is anything indexable by plan index — ``plan.trials``
         for the fixed runner, the per-round spec dict for the adaptive
-        runner.
+        runner.  A plan index ``specs`` does not hold, a cut blob and
+        bytes left unread — after the last trial or inside one trial's
+        summary — raise :class:`TransportError`.
         """
         fallback = dict(self.fallbacks)
         blob = self.blob
@@ -293,7 +305,15 @@ class ChunkSummary(NamedTuple):
                 blob=blob[at : at + length], outputs=fallback.get(index)
             )
             at += length
-            pairs.append((index, summary.unpack(specs[index])))
+            try:
+                spec = specs[index]
+            except (IndexError, KeyError):
+                raise TransportError(
+                    f"chunk payload names plan index {index}, which the "
+                    f"plan does not hold"
+                ) from None
+            pairs.append((index, summary.unpack(spec)))
+        _check_consumed(blob, at, "chunk payload")
         return pairs
 
     def unpack_metrics(self) -> Dict[int, Any]:

@@ -61,7 +61,11 @@ def _parse_line(path: str, lineno: int, line: str) -> Dict[str, Any]:
 
 
 def load_trace(path: str) -> LoadedTrace:
-    """Parse one JSONL trace file, strictly, into a replayable tracer."""
+    """Parse one JSONL trace file, strictly, into a replayable tracer.
+
+    Anything that is not a well-formed trace — a byte that is not UTF-8
+    included — raises :class:`ObsFormatError` naming the file and line.
+    """
     tracer = Tracer(MemoryTraceSink())
     meta: Dict[str, Any] = {}
     events = 0
@@ -69,9 +73,15 @@ def load_trace(path: str) -> LoadedTrace:
     faults = 0
     saw_header = False
     saw_footer = False
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as error:
+                raise ObsFormatError(
+                    f"{path}:{lineno}: not valid UTF-8 (byte "
+                    f"{raw[error.start]:#04x} at column {error.start + 1})"
+                ) from None
             if not line:
                 continue
             record = _parse_line(path, lineno, line)

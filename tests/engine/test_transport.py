@@ -371,3 +371,45 @@ class TestTruncatedPayloads:
             with pytest.raises(TransportError, match="plan index 7") as raised:
                 broken.unpack_metrics()
             assert isinstance(raised.value.__cause__, ObsFormatError)
+
+    def test_a_plan_index_the_lookup_lacks_is_a_transport_error(self):
+        from repro.engine import TransportError
+
+        chunk, spec = self._packed_chunk()
+        for specs in ({1: spec}, []):
+            with pytest.raises(TransportError, match="plan index 0"):
+                chunk.unpack(specs)
+
+    def test_trailing_bytes_are_a_transport_error(self):
+        from repro.engine import TransportError
+
+        chunk, spec = self._packed_chunk()
+        with pytest.raises(TransportError, match="chunk payload has 1 trailing"):
+            chunk._replace(blob=chunk.blob + b"\x00").unpack({0: spec})
+        summary = TrialSummary.pack(run_trial(spec))
+        with pytest.raises(TransportError, match="trial summary has 1 trailing"):
+            TrialSummary(blob=summary.blob + b"\x00").unpack(spec)
+
+    def test_every_corruption_unpacks_or_raises_transport_error(self):
+        """Every prefix and every single-byte corruption of a six-trial
+        chunk — bytes 0x00, 0x7F, 0x80, 0xFF and one flipped bit at each
+        offset — yields results or raises ``TransportError``, through a
+        list lookup and a dict lookup alike."""
+        from repro.engine import TransportError
+
+        specs = [_spec("ba_one_third", "straddle13", seed=seed) for seed in range(6)]
+        chunk = ChunkSummary.pack(
+            [(index, run_trial(spec)) for index, spec in enumerate(specs)]
+        )
+        blob = chunk.blob
+        corruptions = [blob[:cut] for cut in range(len(blob))]
+        for at, byte in enumerate(blob):
+            for value in (0x00, 0x7F, 0x80, 0xFF, byte ^ (1 << at % 8)):
+                corruptions.append(blob[:at] + bytes([value]) + blob[at + 1:])
+        lookups = (specs, dict(enumerate(specs)))
+        for corrupt in corruptions:
+            for lookup in lookups:
+                try:
+                    chunk._replace(blob=corrupt).unpack(lookup)
+                except TransportError:
+                    pass

@@ -6,7 +6,8 @@ Run from the repo root::
     PYTHONPATH=src python tests/obs/fixtures/make_fixtures.py
 
 ``metrics.json`` comes from a real (deterministic) engine run;
-``telemetry.jsonl`` is hand-shaped but schema-valid.  ``report.md`` is
+``telemetry.jsonl`` is hand-shaped but schema-valid; ``crash-k2.trace.jsonl``
+is ``repro run``'s streamed trace of one small crash execution.  ``report.md`` is
 the golden rendering of both — regenerate it only when the report
 format intentionally changes, and review the diff.
 """
@@ -14,6 +15,7 @@ format intentionally changes, and review the diff.
 import json
 import os
 
+from repro.cli import main as cli_main
 from repro.engine import ParallelRunner, TrialPlan
 from repro.obs import (
     build_report,
@@ -79,6 +81,12 @@ def main():
         for record in records:
             handle.write(json.dumps(record) + "\n")
         handle.write(json.dumps({"t": "end", "records": len(records) - 1}) + "\n")
+
+    cli_main([
+        "run", "--protocol", "one_third", "--kappa", "2", "--inputs", "1,0,1,0",
+        "--t", "1", "--adversary", "crash",
+        "--trace-jsonl", os.path.join(HERE, "crash-k2.trace.jsonl"),
+    ])
 
     markdown = build_report(
         metrics=load_metrics_artifact(metrics_path),

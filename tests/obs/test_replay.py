@@ -11,7 +11,10 @@ wrong schema versions, truncated files, lying footers and unknown record
 types are all rejected with :class:`ObsFormatError`, never misparsed.
 """
 
+import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.obs import (
 )
 
 from ..conftest import PROTOCOL_SHAPES
+from .test_report import FIXTURES, _variants
 
 
 def _adversary_params(adversary, max_faulty, num_parties):
@@ -120,6 +124,81 @@ def _header(schema=TRACE_SCHEMA):
 _MSG = json.dumps(
     {"t": "msg", "r": 1, "s": 0, "d": 1, "h": 1, "g": 0, "p": "{v=1}"}
 )
+
+
+class TestTraceFuzz:
+    """``repro trace`` over every prefix and every single-byte corruption
+    of a committed trace exits 0, 1 or 2, and never raises.
+
+    Each byte is replaced by 0xFF (never UTF-8) and by a digit (a number
+    stays one, a payload string stays a string).  A variant ``load_trace`` rejects with
+    ``ObsFormatError`` exits 2 — that is the CLI's one reader — so only
+    the variants that load run the command itself, ``--stats`` and a
+    ``--diff`` against the intact trace.
+    """
+
+    FIXTURE = os.path.join(FIXTURES, "crash-k2.trace.jsonl")
+
+    def test_every_prefix_and_corruption_exits_0_1_or_2(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import cli
+
+        with open(self.FIXTURE, "rb") as handle:
+            data = handle.read()
+        path = str(tmp_path / "variant.trace.jsonl")
+        parser = cli.build_parser()
+        commands = [
+            parser.parse_args(["trace", path, "--stats"]),
+            parser.parse_args(["trace", self.FIXTURE, "--diff", path]),
+        ]
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", sink)
+        exits = {0: 0, 1: 0, 2: 0}
+        with open(path, "wb") as handle:
+            for what, blob in _variants(data, b"\xff\x39"):
+                handle.seek(0)
+                handle.write(blob)
+                handle.truncate()
+                handle.flush()
+                try:
+                    load_trace(path)
+                except ObsFormatError:
+                    exits[2] += 1
+                    continue
+                for args in commands:
+                    try:
+                        code = args.handler(args)
+                    except Exception as error:  # pragma: no cover - the failure
+                        pytest.fail(f"{type(error).__name__}: {error} on {what}")
+                    assert code in exits, f"exit {code} on {what}"
+                    exits[code] += 1
+                sink.seek(0)
+                sink.truncate()
+        # Every outcome happens: the loop reached the renderer and the
+        # differ, not only the parser.
+        assert all(exits.values()), exits
+
+    @pytest.mark.parametrize("flag", ["--stats", "--diff"])
+    def test_a_byte_that_is_not_utf8_exits_2_naming_the_line(
+        self, flag, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        with open(self.FIXTURE, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        lines[4] = b"\xff" + lines[4][1:]
+        path = str(tmp_path / "bad.trace.jsonl")
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        argv = ["trace", path, "--stats"]
+        if flag == "--diff":
+            argv = ["trace", self.FIXTURE, "--diff", path]
+        assert main(argv) == 2
+        assert f"{path}:5: not valid UTF-8 (byte 0xff at column 1)" in (
+            capsys.readouterr().err
+        )
 
 
 class TestStrictRejection:
