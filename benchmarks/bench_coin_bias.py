@@ -14,18 +14,16 @@ deterministic function of key material and index; withholding shares can
 only make the flip fail (and it cannot, while n - t ≥ t + 1 honest shares
 arrive).
 
-Runs through the parallel experiment engine: all 4 × TRIALS flips are one
-:class:`TrialPlan` batch, fanned out by ``REPRO_BENCH_WORKERS``.  The
-adversary now lives in the worker process, so instead of reading its
-``steered`` counter the steering count is derived from the *paired*
-outputs — sessions depend only on ``(kind, trial)``, never on the attack,
-so the coin material in the passive and withheld series is identical and
-every flip difference is attributable to the attack alone.
+Runs through the experiment engine: all 4 × TRIALS flips are one
+:class:`TrialPlan` batch.  The adversary lives inside the engine's
+trial, so instead of reading its ``steered`` counter the steering count
+is derived from the *paired* outputs — sessions depend only on
+``(kind, trial)``, never on the attack, so the coin material in the
+passive and withheld series is identical and every flip difference is
+attributable to the attack alone.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.analysis.stats import wilson_interval
@@ -69,60 +67,54 @@ def _flips(results):
     return [next(iter(res.honest_outputs.values())) for res in results]
 
 
-def test_vrf_coin_is_biased_threshold_coin_is_not(benchmark, report_sink):
+def test_vrf_coin_is_biased_threshold_coin_is_not(report_sink):
+    cells = [
+        (kind, attack)
+        for kind in ("vrf", "threshold")
+        for attack in ("passive", "withhold")
+    ]
+    specs = [
+        spec for kind, attack in cells for spec in _series_specs(kind, attack)
+    ]
+    results = run_plan("bench-coin-bias", specs)
+    flips = {
+        cell: _flips(results[at:at + TRIALS])
+        for cell, at in zip(cells, range(0, len(results), TRIALS))
+    }
+
+    # Paired exactness: the withheld VRF series may flip a paired
+    # miss into a hit (a *steered* flip) but never the reverse.
+    steered = sum(
+        passive == 0 and withheld == 1
+        for passive, withheld in zip(
+            flips[("vrf", "passive")], flips[("vrf", "withhold")]
+        )
+    )
+    unsteered = sum(
+        passive == 1 and withheld == 0
+        for passive, withheld in zip(
+            flips[("vrf", "passive")], flips[("vrf", "withhold")]
+        )
+    )
+    assert unsteered == 0, "withholding must never steer away from 1"
+
+    hits = {cell: sum(flips[cell]) for cell in cells}
     rows = []
-
-    def sweep():
-        rows.clear()
-        cells = [
-            (kind, attack)
-            for kind in ("vrf", "threshold")
-            for attack in ("passive", "withhold")
-        ]
-        specs = [
-            spec for kind, attack in cells for spec in _series_specs(kind, attack)
-        ]
-        results = run_plan("bench-coin-bias", specs)
-        flips = {
-            cell: _flips(results[at:at + TRIALS])
-            for cell, at in zip(cells, range(0, len(results), TRIALS))
-        }
-
-        # Paired exactness: the withheld VRF series may flip a paired
-        # miss into a hit (a *steered* flip) but never the reverse.
-        steered = sum(
-            passive == 0 and withheld == 1
-            for passive, withheld in zip(
-                flips[("vrf", "passive")], flips[("vrf", "withhold")]
-            )
+    for kind, attack in cells:
+        count = hits[(kind, attack)]
+        low, high = wilson_interval(count, TRIALS)
+        rows.append(
+            [kind, attack, f"{count / TRIALS:.4f}",
+             f"[{low:.4f}, {high:.4f}]",
+             steered if (kind, attack) == ("vrf", "withhold") else 0]
         )
-        unsteered = sum(
-            passive == 1 and withheld == 0
-            for passive, withheld in zip(
-                flips[("vrf", "passive")], flips[("vrf", "withhold")]
-            )
-        )
-        assert unsteered == 0, "withholding must never steer away from 1"
 
-        hits = {cell: sum(flips[cell]) for cell in cells}
-        for kind, attack in cells:
-            count = hits[(kind, attack)]
-            low, high = wilson_interval(count, TRIALS)
-            rows.append(
-                [kind, attack, f"{count / TRIALS:.4f}",
-                 f"[{low:.4f}, {high:.4f}]",
-                 steered if (kind, attack) == ("vrf", "withhold") else 0]
-            )
-
-        assert steered > 0, "the attack must find steerable flips (~T/16)"
-        assert hits[("vrf", "withhold")] == hits[("vrf", "passive")] + steered
-        # Expected steering rate t/(4n) = 1/16: allow wide slack.
-        assert TRIALS / 40 <= steered <= TRIALS / 8
-        # The threshold coin cannot move: withholding = share loss only.
-        assert hits[("threshold", "withhold")] == hits[("threshold", "passive")]
-        return True
-
-    assert benchmark(sweep)
+    assert steered > 0, "the attack must find steerable flips (~T/16)"
+    assert hits[("vrf", "withhold")] == hits[("vrf", "passive")] + steered
+    # Expected steering rate t/(4n) = 1/16: allow wide slack.
+    assert TRIALS / 40 <= steered <= TRIALS / 8
+    # The threshold coin cannot move: withholding = share loss only.
+    assert hits[("threshold", "withhold")] == hits[("threshold", "passive")]
     report_sink.append(
         "\nCOIN-BIAS  P(coin = adversary's preferred bit), paired flips "
         f"({TRIALS} per cell; n=4, t=1; theory for biased VRF: "

@@ -49,43 +49,37 @@ def run_backend(backend):
     return result, elapsed
 
 
-def test_backends_agree_on_everything_but_speed(benchmark, report_sink):
+def test_backends_agree_on_everything_but_speed(report_sink):
     rows = []
-
-    def sweep():
-        rows.clear()
-        outcomes = {}
-        for backend in ("ideal", "real"):
-            started = time.perf_counter()
-            if backend == "ideal":
-                CryptoSuite.ideal(N, T, random.Random(41))
-            else:
-                CryptoSuite.real(N, T, random.Random(41), bits=RSA_BITS)
-            keygen = time.perf_counter() - started
-            result, elapsed = run_backend(backend)
-            assert result.honest_agree()
-            assert result.metrics.rounds == rounds_one_half(KAPPA)
-            outcomes[backend] = (
-                result.outputs,
+    outcomes = {}
+    for backend in ("ideal", "real"):
+        started = time.perf_counter()
+        if backend == "ideal":
+            CryptoSuite.ideal(N, T, random.Random(41))
+        else:
+            CryptoSuite.real(N, T, random.Random(41), bits=RSA_BITS)
+        keygen = time.perf_counter() - started
+        result, elapsed = run_backend(backend)
+        assert result.honest_agree()
+        assert result.metrics.rounds == rounds_one_half(KAPPA)
+        outcomes[backend] = (
+            result.outputs,
+            result.metrics.rounds,
+            result.metrics.honest_messages,
+        )
+        rows.append(
+            [
+                backend,
+                f"{keygen * 1e3:.1f}ms",
+                f"{elapsed * 1e3:.1f}ms",
                 result.metrics.rounds,
                 result.metrics.honest_messages,
-            )
-            rows.append(
-                [
-                    backend,
-                    f"{keygen * 1e3:.1f}ms",
-                    f"{elapsed * 1e3:.1f}ms",
-                    result.metrics.rounds,
-                    result.metrics.honest_messages,
-                ]
-            )
-        # Identical protocol-level behaviour (outputs may differ: the coin
-        # values are functions of the key material — but rounds/messages
-        # must match exactly).
-        assert outcomes["ideal"][1:] == outcomes["real"][1:]
-        return True
-
-    assert benchmark(sweep)
+            ]
+        )
+    # Identical protocol-level behaviour (outputs may differ: the coin
+    # values are functions of the key material — but rounds/messages
+    # must match exactly).
+    assert outcomes["ideal"][1:] == outcomes["real"][1:]
     report_sink.append(
         f"\nBACKENDS  BA t<n/2 (kappa={KAPPA}, n={N}) over both crypto "
         "backends\n"

@@ -11,13 +11,10 @@ deterministic Dolev–Strong yardstick (t+1 rounds) is printed alongside.
 
 Execution goes through the experiment engine (hand-built
 :class:`~repro.engine.plan.TrialSpec`s with the legacy seeds/sessions, so
-every measured number is bit-identical to the old serial loop) — set
-``REPRO_BENCH_WORKERS`` to fan the κ-sweep across processes.
+every measured number is bit-identical to the old serial loop).
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.analysis.report import format_table
 from repro.analysis.theory import rounds_for_error
@@ -55,13 +52,8 @@ def _rounds(results):
     return {"ours13": ours13, "fm": fm, "ours12": ours12, "mv": mv}
 
 
-def measured_rounds(kappa):
-    return _rounds(run_plan(f"eff-k{kappa}", _specs_for(kappa)))
-
-
-def test_efficiency_table(benchmark, report_sink):
-    # One plan for the whole κ-sweep: 4 protocols × len(KAPPAS) specs,
-    # fanned across REPRO_BENCH_WORKERS processes when set.
+def test_efficiency_table(report_sink):
+    # One plan for the whole κ-sweep: 4 protocols × len(KAPPAS) specs.
     results = run_plan(
         "eff-sweep", [spec for kappa in KAPPAS for spec in _specs_for(kappa)]
     )
@@ -109,4 +101,3 @@ def test_efficiency_table(benchmark, report_sink):
         + f"\n(deterministic Dolev-Strong yardstick at n=4, t=1: "
         f"{dolev_strong} rounds regardless of kappa; error 0)"
     )
-    benchmark(lambda: measured_rounds(8))

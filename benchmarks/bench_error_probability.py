@@ -10,21 +10,18 @@ Paper claims reproduced here:
    failure of the t<n/3 protocol halves per extra round; the t<n/2
    protocol gains 2 bits per 3-round iteration.  Both track ``2^-κ``.
 
-The Monte-Carlo loops run through the parallel experiment engine
-(:mod:`repro.engine`) with the historical seed schedule, so the measured
-rates are identical to the legacy serial harness; set
-``REPRO_BENCH_WORKERS=<n>`` to fan trials across processes (results are
-bit-identical regardless — see ``tests/engine/test_determinism.py``).
-The adaptive test at the bottom re-runs one sweep through
-:class:`repro.engine.AdaptiveRunner` and reports the trials early
-stopping saved while reaching the same verdicts.
+The Monte-Carlo loops run through the experiment engine
+(:mod:`repro.engine`) on the vector backend with the historical seed
+schedule, so the measured rates are identical to the legacy serial
+harness (and to every worker count and backend — see
+``tests/engine/test_determinism.py``).  The adaptive test at the bottom
+re-runs one sweep through :class:`repro.engine.AdaptiveRunner` and
+reports the trials early stopping saved while reaching the same
+verdicts.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from benchmarks.conftest import bench_workers
 from repro.analysis.curves import log_sparkline
 from repro.analysis.report import format_table
 from repro.analysis.theory import per_iteration_failure
@@ -32,7 +29,7 @@ from repro.engine import AdaptiveRunner, ParallelRunner, TrialPlan
 
 TRIALS = 300
 
-_RUNNER = ParallelRunner(workers=bench_workers())
+_RUNNER = ParallelRunner(backend="vector")
 
 
 def _failure_rate(
@@ -73,7 +70,7 @@ def _sigma(bound: float, trials: int) -> float:
     return max((bound * (1 - bound) / trials) ** 0.5, 1e-6)
 
 
-def test_theorem1_bound_is_met_and_tight_one_third(benchmark, report_sink):
+def test_theorem1_bound_is_met_and_tight_one_third(report_sink):
     """t<n/3: single iteration with s = 2^κ+1 slots — the κ-round case of
     the protocol IS one iteration, so end-to-end failure equals the
     per-iteration failure 1/(s-1) = 2^-κ."""
@@ -93,10 +90,9 @@ def test_theorem1_bound_is_met_and_tight_one_third(benchmark, report_sink):
         "adversary (Theorem 1 tight)\n"
         + format_table(["slots s", "bound 1/(s-1)", "measured", "trials"], rows)
     )
-    benchmark(lambda: one_third_failure(2, trials=20))
 
 
-def test_theorem1_bound_is_met_and_tight_one_half(benchmark, report_sink):
+def test_theorem1_bound_is_met_and_tight_one_half(report_sink):
     """t<n/2: one 3-round Prox_5 iteration fails with probability 1/4."""
     bound = float(per_iteration_failure(5))
     rate = one_half_failure(2)
@@ -105,10 +101,9 @@ def test_theorem1_bound_is_met_and_tight_one_half(benchmark, report_sink):
         f"FIG-ERR (b)  t<n/2 single Prox_5 iteration vs straddle adversary: "
         f"measured {rate:.4f}, bound {bound:.4f}"
     )
-    benchmark(lambda: one_half_failure(2, trials=20))
 
 
-def test_end_to_end_error_decays_exponentially(benchmark, report_sink):
+def test_end_to_end_error_decays_exponentially(report_sink):
     rows = []
     curves = {}
     for protocol, runner in (
@@ -135,7 +130,6 @@ def test_end_to_end_error_decays_exponentially(benchmark, report_sink):
             for name, series in curves.items()
         )
     )
-    benchmark(lambda: one_third_failure(2, trials=20))
 
 
 def _kappa_sweep_plan(kappas, trials):
@@ -159,7 +153,7 @@ def _kappa_sweep_plan(kappas, trials):
     )
 
 
-def test_adaptive_allocation_saves_trials_same_verdicts(benchmark, report_sink):
+def test_adaptive_allocation_saves_trials_same_verdicts(report_sink):
     """FIG-ERR (e): adaptive early stopping spends measurably fewer trials
     on the κ-sweep yet reaches the same accept/reject verdict per config
     — the property that makes backend="real" sweeps affordable."""
@@ -168,7 +162,7 @@ def test_adaptive_allocation_saves_trials_same_verdicts(benchmark, report_sink):
     bounds = {f"one_third-k{kappa}": 2.0 ** -kappa for kappa in kappas}
 
     fixed = _RUNNER.run(plan)
-    runner = AdaptiveRunner(workers=bench_workers(), batch_size=25)
+    runner = AdaptiveRunner(batch_size=25, backend="vector")
     adaptive = runner.run(plan, bounds)
 
     rows = []
@@ -203,15 +197,9 @@ def test_adaptive_allocation_saves_trials_same_verdicts(benchmark, report_sink):
             rows,
         )
     )
-    benchmark(
-        lambda: AdaptiveRunner(batch_size=10).run(
-            _kappa_sweep_plan((1, 2), 40),
-            {"one_third-k1": 0.5, "one_third-k2": 0.25},
-        )
-    )
 
 
-def test_generic_equivocation_stays_below_bound(benchmark, report_sink):
+def test_generic_equivocation_stays_below_bound(report_sink):
     """A protocol-agnostic equivocator must do no better than Theorem 1
     allows — and in fact does far worse for s > 3 (context for why the
     dedicated straddle adversaries exist)."""
@@ -226,7 +214,4 @@ def test_generic_equivocation_stays_below_bound(benchmark, report_sink):
     report_sink.append(
         "FIG-ERR (d)  generic two-face equivocation (non-optimal attack)\n"
         + format_table(["kappa", "bound", "measured"], rows)
-    )
-    benchmark(
-        lambda: one_third_failure(1, adversary="two_face", trials=20, seed=32)
     )

@@ -16,11 +16,9 @@ protocols —
   missing.
 
 Every cell runs through ``engine_spec``/``run_plan`` (the legacy-seeded
-engine path), so results are bit-identical across worker counts; the
-full sweep writes the committed ``BENCH_faults.json`` degradation
-curves.  ``REPRO_BENCH_FAULT_TRIALS`` bounds per-cell trials for the
-``make bench-quick`` smoke (which skips the artifact — a 6-trial grid
-must never overwrite the committed curves).
+engine path), so results are bit-identical on every run; the sweep
+rewrites the committed ``BENCH_faults.json`` degradation curves, and CI
+fails if the rewrite differs from the committed file.
 """
 
 from __future__ import annotations
@@ -31,22 +29,12 @@ import os
 from benchmarks.conftest import engine_spec, run_plan
 from repro.analysis.report import format_table
 
-FULL_TRIALS = 120
+TRIALS = 120
 LOSS_RATES = (0.0, 0.05, 0.1, 0.2)
 SPLIT_ROUNDS = (0, 2, 4)
 KAPPA = 3
 
 _ARTIFACT = os.path.join(os.path.dirname(__file__), "..", "BENCH_faults.json")
-
-
-def _trials() -> int:
-    raw = os.environ.get("REPRO_BENCH_FAULT_TRIALS", "").strip()
-    if not raw:
-        return FULL_TRIALS
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return FULL_TRIALS
 
 
 def _fault_args(rate, split_rounds):
@@ -59,7 +47,7 @@ def _fault_args(rate, split_rounds):
     return "degraded", params
 
 
-def _cell(protocol, inputs, params, rate, split_rounds, trials, seed_base):
+def _cell(protocol, inputs, params, rate, split_rounds, seed_base):
     faults, fault_params = _fault_args(rate, split_rounds)
     specs = [
         engine_spec(
@@ -72,22 +60,22 @@ def _cell(protocol, inputs, params, rate, split_rounds, trials, seed_base):
             faults=faults,
             fault_params=fault_params,
         )
-        for index in range(trials)
+        for index in range(TRIALS)
     ]
     results = run_plan(f"fault-{protocol}-{rate}-{split_rounds}", specs)
     agreed = sum(1 for result in results if result.honest_agree())
     return {
         "loss": rate,
         "partition_rounds": split_rounds,
-        "agreement_rate": agreed / trials,
-        "mean_rounds": sum(r.metrics.rounds for r in results) / trials,
-        "mean_messages": sum(r.metrics.total_messages for r in results) / trials,
+        "agreement_rate": agreed / TRIALS,
+        "mean_rounds": sum(r.metrics.rounds for r in results) / TRIALS,
+        "mean_messages": sum(r.metrics.total_messages for r in results) / TRIALS,
     }
 
 
-def _sweep(protocol, inputs, params, trials, seed_base):
+def _sweep(protocol, inputs, params, seed_base):
     return [
-        _cell(protocol, inputs, params, rate, split_rounds, trials,
+        _cell(protocol, inputs, params, rate, split_rounds,
               seed_base + 10_000 * cell_index)
         for cell_index, (rate, split_rounds) in enumerate(
             (rate, split_rounds)
@@ -104,13 +92,9 @@ def _rows(cells, value_key, fmt):
     ]
 
 
-def test_fault_tolerance_degradation_curves(benchmark, report_sink):
-    trials = _trials()
-
-    ba_cells = _sweep(
-        "ba_one_third", (1, 0, 1, 0, 1), {"kappa": KAPPA}, trials, 0
-    )
-    fm_cells = _sweep("fm_probabilistic", (1, 0, 1, 0), {}, trials, 500_000)
+def test_fault_tolerance_degradation_curves(report_sink):
+    ba_cells = _sweep("ba_one_third", (1, 0, 1, 0, 1), {"kappa": KAPPA}, 0)
+    fm_cells = _sweep("fm_probabilistic", (1, 0, 1, 0), {}, 500_000)
 
     by_key = {
         (cell["loss"], cell["partition_rounds"]): cell for cell in ba_cells
@@ -138,45 +122,32 @@ def test_fault_tolerance_degradation_curves(benchmark, report_sink):
 
     report_sink.append(
         "\nFIG-FAULT (a)  ba_one_third (kappa=3, fixed-round): agreement "
-        f"rate vs loss x partition ({trials} trials/cell)\n"
+        f"rate vs loss x partition ({TRIALS} trials/cell)\n"
         + format_table(
             ["loss", "split rounds", "agreement"],
             _rows(ba_cells, "agreement_rate", "%.4f"),
         )
         + "\n\nFIG-FAULT (b)  fm_probabilistic: mean rounds to terminate "
-        f"vs loss x partition ({trials} trials/cell)\n"
+        f"vs loss x partition ({TRIALS} trials/cell)\n"
         + format_table(
             ["loss", "split rounds", "mean rounds"],
             _rows(fm_cells, "mean_rounds", "%.2f"),
         )
     )
 
-    if trials >= FULL_TRIALS:
-        artifact = {
-            "schema": "repro-bench-faults/1",
-            "scenario": "degraded",
-            "kappa": KAPPA,
-            "trials": trials,
-            "loss_rates": list(LOSS_RATES),
-            "partition_rounds": list(SPLIT_ROUNDS),
-            "protocols": {
-                "ba_one_third": ba_cells,
-                "fm_probabilistic": fm_cells,
-            },
-        }
-        with open(_ARTIFACT, "w", encoding="utf-8") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report_sink.append(f"\nwrote {os.path.normpath(_ARTIFACT)}")
-    else:
-        report_sink.append(
-            f"\nsmoke run ({trials} trials/cell < {FULL_TRIALS}): "
-            "BENCH_faults.json not rewritten"
-        )
-
-    benchmark(
-        lambda: _cell(
-            "ba_one_third", (1, 0, 1, 0, 1), {"kappa": KAPPA},
-            LOSS_RATES[-1], SPLIT_ROUNDS[-1], min(trials, 10), 0,
-        )
-    )
+    artifact = {
+        "schema": "repro-bench-faults/1",
+        "scenario": "degraded",
+        "kappa": KAPPA,
+        "trials": TRIALS,
+        "loss_rates": list(LOSS_RATES),
+        "partition_rounds": list(SPLIT_ROUNDS),
+        "protocols": {
+            "ba_one_third": ba_cells,
+            "fm_probabilistic": fm_cells,
+        },
+    }
+    with open(_ARTIFACT, "w", encoding="utf-8") as handle:
+        json.dump(artifact, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    report_sink.append(f"\nwrote {os.path.normpath(_ARTIFACT)}")

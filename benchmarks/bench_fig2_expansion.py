@@ -23,7 +23,7 @@ from repro.proxcensus.one_third import slots_after_rounds
 from .conftest import engine_spec, run_plan
 
 
-def test_fig2_condition_rows(benchmark, report_sink):
+def test_fig2_condition_rows(report_sink):
     """The condition table for both of the figure's examples."""
     for inner, outer in ((4, 7), (5, 9)):
         rows = fig2_expansion_conditions(inner)
@@ -40,71 +40,61 @@ def test_fig2_condition_rows(benchmark, report_sink):
             ],
         )
     )
-    benchmark(lambda: fig2_expansion_conditions(5))
 
 
-def test_expansion_doubles_slots_and_preserves_invariants(benchmark, report_sink):
+def test_expansion_doubles_slots_and_preserves_invariants(report_sink):
     """Behavioural check over the iterated expansion chain 2->3->5->9->17."""
-    def chain():
-        specs = []
-        for rounds in (1, 2, 3, 4):
-            specs.append(
-                engine_spec(
-                    "prox_one_third", [1] * 4, 1,
-                    params={"rounds": rounds}, session=f"f2v{rounds}",
-                )
+    specs = []
+    for rounds in (1, 2, 3, 4):
+        specs.append(
+            engine_spec(
+                "prox_one_third", [1] * 4, 1,
+                params={"rounds": rounds}, session=f"f2v{rounds}",
             )
-            specs.append(
-                engine_spec(
-                    "prox_one_third", [0, 0, 1, 1], 1,
-                    params={"rounds": rounds},
-                    adversary="two_face",
-                    adversary_params={"victims": (3,)},
-                    session=f"f2c{rounds}",
-                )
+        )
+        specs.append(
+            engine_spec(
+                "prox_one_third", [0, 0, 1, 1], 1,
+                params={"rounds": rounds},
+                adversary="two_face",
+                adversary_params={"victims": (3,)},
+                session=f"f2c{rounds}",
             )
-        results = run_plan("fig2-expansion-chain", specs)
-        for position, rounds in enumerate((1, 2, 3, 4)):
-            slots = slots_after_rounds(rounds)
-            assert slots == 2 * slots_after_rounds(rounds - 1) - 1
-            valid, attacked = results[2 * position], results[2 * position + 1]
-            check_proxcensus_validity(valid.outputs.values(), slots, 1)
-            check_proxcensus_consistency(attacked.honest_outputs.values(), slots)
-        return True
-
-    assert benchmark(chain)
+        )
+    results = run_plan("fig2-expansion-chain", specs)
+    for position, rounds in enumerate((1, 2, 3, 4)):
+        slots = slots_after_rounds(rounds)
+        assert slots == 2 * slots_after_rounds(rounds - 1) - 1
+        valid, attacked = results[2 * position], results[2 * position + 1]
+        check_proxcensus_validity(valid.outputs.values(), slots, 1)
+        check_proxcensus_consistency(attacked.honest_outputs.values(), slots)
     report_sink.append(
         "FIG2  executed expansion chain Prox_2 -> Prox_3 -> Prox_5 -> "
         "Prox_9 -> Prox_17: validity and consistency hold at every stage"
     )
 
 
-def test_fig2_prox4_example_executed(benchmark, report_sink):
+def test_fig2_prox4_example_executed(report_sink):
     """The figure's even-s example, executed from synthetic Prox_4 states
     (the iterated chain only produces odd s, so this path needs the
     standalone expansion API)."""
-
-    def check():
-        extremal, adjacent = run_plan(
-            "fig2-prox4-example",
-            [
-                # extremal Prox_4 slot -> extremal Prox_7 slot
-                engine_spec(
-                    "prox_expand_once", [(1, 1)] * 4, 1,
-                    params={"slots": 4}, session="f2p4a",
-                ),
-                # adjacent Prox_4 slots -> adjacent Prox_7 slots
-                engine_spec(
-                    "prox_expand_once", [(1, 0), (1, 1), (1, 1), (1, 0)], 1,
-                    params={"slots": 4}, session="f2p4b",
-                ),
-            ],
-        )
-        check_proxcensus_validity(extremal.outputs.values(), 7, 1)
-        check_proxcensus_consistency(adjacent.outputs.values(), 7)
-        return True
-
-    assert benchmark(check)
+    extremal, adjacent = run_plan(
+        "fig2-prox4-example",
+        [
+            # extremal Prox_4 slot -> extremal Prox_7 slot
+            engine_spec(
+                "prox_expand_once", [(1, 1)] * 4, 1,
+                params={"slots": 4}, session="f2p4a",
+            ),
+            # adjacent Prox_4 slots -> adjacent Prox_7 slots
+            engine_spec(
+                "prox_expand_once", [(1, 0), (1, 1), (1, 1), (1, 0)], 1,
+                params={"slots": 4}, session="f2p4b",
+            ),
+        ],
+    )
+    check_proxcensus_validity(extremal.outputs.values(), 7, 1)
+    check_proxcensus_consistency(adjacent.outputs.values(), 7)
     report_sink.append(
         "FIG2  executed Prox_4 -> Prox_7 (the figure's even-s example) "
         "from synthetic inner states: extremal -> extremal, adjacent -> "

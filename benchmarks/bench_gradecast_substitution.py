@@ -21,40 +21,34 @@ from .conftest import engine_spec, run_plan
 SWEEP_N = (5, 9, 13, 17)
 
 
-def test_prox4_substitution_saves_factor_n(benchmark, report_sink):
+def test_prox4_substitution_saves_factor_n(report_sink):
+    specs = []
+    for n in SWEEP_N:
+        t = (n - 1) // 2
+        specs.append(
+            engine_spec(
+                "certificate_gradecast", ["v"] * n, t,
+                params={"dealer": 0}, session=f"gc{n}",
+            )
+        )
+        specs.append(
+            engine_spec(
+                "proxcast", ["v"] * n, t,
+                params={"slots": 4, "dealer": 0}, session=f"px{n}",
+            )
+        )
+    results = run_plan("gradecast-substitution", specs)
     rows = []
-
-    def sweep():
-        rows.clear()
-        specs = []
-        for n in SWEEP_N:
-            t = (n - 1) // 2
-            specs.append(
-                engine_spec(
-                    "certificate_gradecast", ["v"] * n, t,
-                    params={"dealer": 0}, session=f"gc{n}",
-                )
-            )
-            specs.append(
-                engine_spec(
-                    "proxcast", ["v"] * n, t,
-                    params={"slots": 4, "dealer": 0}, session=f"px{n}",
-                )
-            )
-        results = run_plan("gradecast-substitution", specs)
-        ratios = []
-        for position, n in enumerate(SWEEP_N):
-            cert = results[2 * position].metrics.honest_signatures
-            prox4 = results[2 * position + 1].metrics.honest_signatures
-            ratio = cert / prox4
-            ratios.append(ratio)
-            rows.append([n, cert, prox4, f"{ratio:.2f}"])
-        # factor-n shape: the ratio grows (roughly linearly) with n.
-        assert ratios == sorted(ratios)
-        assert ratios[-1] / ratios[0] > 2.0
-        return True
-
-    assert benchmark(sweep)
+    ratios = []
+    for position, n in enumerate(SWEEP_N):
+        cert = results[2 * position].metrics.honest_signatures
+        prox4 = results[2 * position + 1].metrics.honest_signatures
+        ratio = cert / prox4
+        ratios.append(ratio)
+        rows.append([n, cert, prox4, f"{ratio:.2f}"])
+    # factor-n shape: the ratio grows (roughly linearly) with n.
+    assert ratios == sorted(ratios)
+    assert ratios[-1] / ratios[0] > 2.0
     report_sink.append(
         "\nGC-SUB  3-round single-sender gradecast: certificate echo vs "
         "Prox_4 proxcast (honest signatures)\n"
@@ -62,22 +56,18 @@ def test_prox4_substitution_saves_factor_n(benchmark, report_sink):
     )
 
 
-def test_both_primitives_run_in_three_rounds(benchmark):
-    def check():
-        res_cert, res_prox = run_plan(
-            "gradecast-three-rounds",
-            [
-                engine_spec(
-                    "certificate_gradecast", ["v"] * 5, 2,
-                    params={"dealer": 0}, session="gr3a",
-                ),
-                engine_spec(
-                    "proxcast", ["v"] * 5, 2,
-                    params={"slots": 4, "dealer": 0}, session="gr3b",
-                ),
-            ],
-        )
-        assert res_cert.metrics.rounds == res_prox.metrics.rounds == 3
-        return True
-
-    assert benchmark(check)
+def test_both_primitives_run_in_three_rounds():
+    res_cert, res_prox = run_plan(
+        "gradecast-three-rounds",
+        [
+            engine_spec(
+                "certificate_gradecast", ["v"] * 5, 2,
+                params={"dealer": 0}, session="gr3a",
+            ),
+            engine_spec(
+                "proxcast", ["v"] * 5, 2,
+                params={"slots": 4, "dealer": 0}, session="gr3b",
+            ),
+        ],
+    )
+    assert res_cert.metrics.rounds == res_prox.metrics.rounds == 3

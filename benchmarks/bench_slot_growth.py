@@ -55,30 +55,24 @@ def _spec(family, rounds):
     raise AssertionError(family)
 
 
-def test_slot_growth_formulas_and_executions(benchmark, report_sink):
+def test_slot_growth_formulas_and_executions(report_sink):
     points = [
         (name, rounds)
         for name, rounds_list in SWEEP_ROUNDS.items()
         for rounds in rounds_list
     ]
+    results = run_plan(
+        "slot-growth", [_spec(name, rounds) for name, rounds in points]
+    )
     rows = []
-
-    def sweep():
-        rows.clear()  # benchmark() re-runs this callable
-        results = run_plan(
-            "slot-growth", [_spec(name, rounds) for name, rounds in points]
-        )
-        for (name, rounds), res in zip(points, results):
-            slots = FAMILIES[name].slots_for_rounds(rounds)
-            grades = {o.grade for o in res.outputs.values()}
-            assert len(grades) == 1
-            grade = grades.pop()
-            assert res.metrics.rounds == rounds, (name, rounds, res.metrics.rounds)
-            assert grade == max_grade(slots), (name, rounds, grade, slots)
-            rows.append([name, rounds, slots, grade])
-        return True
-
-    assert benchmark(sweep)
+    for (name, rounds), res in zip(points, results):
+        slots = FAMILIES[name].slots_for_rounds(rounds)
+        grades = {o.grade for o in res.outputs.values()}
+        assert len(grades) == 1
+        grade = grades.pop()
+        assert res.metrics.rounds == rounds, (name, rounds, res.metrics.rounds)
+        assert grade == max_grade(slots), (name, rounds, grade, slots)
+        rows.append([name, rounds, slots, grade])
     report_sink.append(
         "\nFIG-SLOTS  slots per round, formula == execution "
         "(grade = max grade reached under pre-agreement)\n"
@@ -86,17 +80,13 @@ def test_slot_growth_formulas_and_executions(benchmark, report_sink):
     )
 
 
-def test_exponential_beats_quadratic_beats_linear(benchmark, report_sink):
-    def ordering():
-        for rounds in (6, 10, 20, 40):
-            exp = FAMILIES["one_third"].slots_for_rounds(rounds)
-            quad = FAMILIES["quadratic_half"].slots_for_rounds(rounds)
-            lin = FAMILIES["linear_half"].slots_for_rounds(rounds)
-            cast = FAMILIES["proxcast"].slots_for_rounds(rounds)
-            assert exp > quad > lin > cast
-        return True
-
-    assert benchmark(ordering)
+def test_exponential_beats_quadratic_beats_linear(report_sink):
+    for rounds in (6, 10, 20, 40):
+        exp = FAMILIES["one_third"].slots_for_rounds(rounds)
+        quad = FAMILIES["quadratic_half"].slots_for_rounds(rounds)
+        lin = FAMILIES["linear_half"].slots_for_rounds(rounds)
+        cast = FAMILIES["proxcast"].slots_for_rounds(rounds)
+        assert exp > quad > lin > cast
     report_sink.append(
         "FIG-SLOTS  asymptotic ordering holds: 2^r+1 > 3+(r-3)(r-2) > 2r-1 "
         "> r+1 for r >= 6"

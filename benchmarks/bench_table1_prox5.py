@@ -22,7 +22,7 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_conditions_match_paper(benchmark, report_sink):
+def test_table1_conditions_match_paper(report_sink):
     table = table1_prox5_conditions(3)
     for slot, (sigma_by, no_other_by, omega_by) in PAPER_TABLE1.items():
         assert table[slot] == {
@@ -31,36 +31,31 @@ def test_table1_conditions_match_paper(benchmark, report_sink):
             "omega_by": omega_by,
         }, slot
     report_sink.append("\nTAB1  Prox_5 slot conditions (regenerated)\n" + render_table1(3))
-    benchmark(lambda: table1_prox5_conditions(3))
 
 
-def test_executed_traces_land_on_predicted_slots(benchmark, report_sink):
-    def trace():
-        pre, attacked = run_plan(
-            "table1-traces",
-            [
-                engine_spec(
-                    "prox_linear_half", [1] * 5, 2,
-                    params={"rounds": 3}, session="t1a",
-                ),
-                # The straddle attack: exactly the (v,1) / (⊥,0)
-                # adjacency of Table 1's middle columns.
-                engine_spec(
-                    "prox_linear_half", [0, 0, 1, 1, 1], 2,
-                    params={"rounds": 3},
-                    adversary="bare_straddle12",
-                    adversary_params={"victims": (3, 4)},
-                    session="t1b",
-                ),
-            ],
-        )
-        # Pre-agreement on 1: everybody must hit the (1, 2) slot.
-        assert all(tuple(o) == (1, 2) for o in pre.outputs.values())
-        grades = sorted(o.grade for o in attacked.honest_outputs.values())
-        assert grades == [0, 0, 1]
-        return attacked
-
-    benchmark(trace)
+def test_executed_traces_land_on_predicted_slots(report_sink):
+    pre, attacked = run_plan(
+        "table1-traces",
+        [
+            engine_spec(
+                "prox_linear_half", [1] * 5, 2,
+                params={"rounds": 3}, session="t1a",
+            ),
+            # The straddle attack: exactly the (v,1) / (⊥,0)
+            # adjacency of Table 1's middle columns.
+            engine_spec(
+                "prox_linear_half", [0, 0, 1, 1, 1], 2,
+                params={"rounds": 3},
+                adversary="bare_straddle12",
+                adversary_params={"victims": (3, 4)},
+                session="t1b",
+            ),
+        ],
+    )
+    # Pre-agreement on 1: everybody must hit the (1, 2) slot.
+    assert all(tuple(o) == (1, 2) for o in pre.outputs.values())
+    grades = sorted(o.grade for o in attacked.honest_outputs.values())
+    assert grades == [0, 0, 1]
     report_sink.append(
         "TAB1  executed traces: pre-agreement -> (v,2); straddle attack -> "
         "{(v,1), (⊥,0)} as per the table's middle columns"

@@ -8,8 +8,6 @@ checks it cell-for-cell against the table printed in the paper (r = 6,
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.tables import render_table2
 from repro.proxcensus.quadratic_half import (
     condition_table,
@@ -31,7 +29,7 @@ PAPER_TABLE2 = {
 }
 
 
-def test_condition_table_matches_paper(benchmark, report_sink):
+def test_condition_table_matches_paper(report_sink):
     assert condition_table(6) == PAPER_TABLE2
     assert slots_after_rounds(6) == 15
     assert top_grade(6) == 7
@@ -39,36 +37,27 @@ def test_condition_table_matches_paper(benchmark, report_sink):
         "\nTAB2  quadratic Prox_15 conditions (derived inductively; "
         "matches the paper cell-for-cell)\n" + render_table2(6)
     )
-    benchmark(lambda: condition_table(6))
 
 
-def test_omega3_appears_in_every_positive_grade(benchmark):
+def test_omega3_appears_in_every_positive_grade():
     """The disjointness anchor the paper's consistency proof leans on."""
-    def check():
-        for rounds in range(4, 10):
-            for grade, per_round in condition_table(rounds).items():
-                assert any(v >= 3 for v in per_round.values()), (rounds, grade)
-        return True
-
-    assert benchmark(check)
+    for rounds in range(4, 10):
+        for grade, per_round in condition_table(rounds).items():
+            assert any(v >= 3 for v in per_round.values()), (rounds, grade)
 
 
-def test_executed_prox15_obeys_the_table(benchmark, report_sink):
-    def trace():
-        (res,) = run_plan(
-            "table2-traces",
-            [
-                engine_spec(
-                    "prox_quadratic_half", [1] * 5, 2,
-                    params={"rounds": 6}, session="t2a",
-                )
-            ],
-        )
-        # Pre-agreement: all conditions satisfiable every round -> grade 7.
-        assert all(tuple(o) == (1, 7) for o in res.outputs.values())
-        return res
-
-    benchmark(trace)
+def test_executed_prox15_obeys_the_table(report_sink):
+    (res,) = run_plan(
+        "table2-traces",
+        [
+            engine_spec(
+                "prox_quadratic_half", [1] * 5, 2,
+                params={"rounds": 6}, session="t2a",
+            )
+        ],
+    )
+    # Pre-agreement: all conditions satisfiable every round -> grade 7.
+    assert all(tuple(o) == (1, 7) for o in res.outputs.values())
     report_sink.append(
         "TAB2  executed trace: pre-agreement -> (v,7), the table's edge column"
     )

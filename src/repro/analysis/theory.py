@@ -106,6 +106,8 @@ def per_iteration_failure(slots: int) -> Fraction:
 
 def rounds_for_error(protocol: str, kappa: int) -> int:
     """Rounds ``protocol`` needs for target error ``2^-kappa``."""
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
     return PROTOCOLS[protocol].rounds(kappa)
 
 

@@ -115,6 +115,15 @@ def _kappa_list(text: str) -> List[int]:
     return kappas
 
 
+def _round_list(text: str) -> List[int]:
+    rounds = _parse_int_list(text)
+    if not rounds:
+        raise argparse.ArgumentTypeError(
+            f"need at least one round index, got {text!r}"
+        )
+    return rounds
+
+
 def _sweep_bound(text: str) -> Optional[float]:
     """``--bound``: ``None`` for the paper's per-config ``2**-k``, or a float."""
     if text.replace("^", "**") in ("2**-k", "2**-kappa"):
@@ -880,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("file", help="a .trace.jsonl file to replay")
     trace_parser.add_argument(
-        "--round", type=_parse_int_list, default=None, metavar="R[,R...]",
+        "--round", type=_round_list, default=None, metavar="R[,R...]",
         help="show only these round indices",
     )
     trace_parser.add_argument(
@@ -910,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="the §3.5 efficiency comparison"
     )
     compare_parser.add_argument(
-        "--kappas", type=_parse_int_list, default=[4, 8, 16, 32]
+        "--kappas", type=_kappa_list, default=[4, 8, 16, 32]
     )
     compare_parser.set_defaults(handler=_cmd_compare)
 

@@ -39,6 +39,12 @@ class TestRoundFormulas:
             assert rounds_for_error("feldman_micali", kappa) == rounds_feldman_micali(kappa)
             assert rounds_for_error("micali_vaikuntanathan", kappa) == rounds_mv(kappa)
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("kappa", [0, -3])
+    def test_kappa_below_one_is_rejected(self, protocol, kappa):
+        with pytest.raises(ValueError, match="kappa must be at least 1"):
+            rounds_for_error(protocol, kappa)
+
     def test_error_for_rounds_inverts(self):
         for protocol in PROTOCOLS:
             for kappa in (2, 8, 16):

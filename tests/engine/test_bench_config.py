@@ -1,58 +1,21 @@
-"""Benchmark-suite configuration parsing is strict where it must be.
-
-``REPRO_BENCH_BACKEND`` selects which executor produces published
-numbers; a typo silently falling back to the object simulator would
-label one backend's results with another's name.  Unknown values are
-therefore a hard error naming the valid set — pinned here, alongside
-the deliberately *lenient* ``REPRO_BENCH_WORKERS`` parsing (a stray
-worker count must never abort collection of the whole suite).
+"""Every benchmark drives the engine, and the engine keeps one home for
+each thing it must do once: AST guards over ``src/repro``, ``examples/``
+and ``benchmarks/``.
 """
 
 import ast
 import pathlib
 
-import pytest
-
-from benchmarks.conftest import (
-    VALID_BENCH_BACKENDS,
-    bench_backend,
-    bench_workers,
-)
-
 REPO = pathlib.Path(__file__).resolve().parents[2]
 BENCHMARKS_DIR = REPO / "benchmarks"
-
-
-class TestBenchBackend:
-    def test_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        assert bench_backend() == "object"
-        assert bench_backend(default="vector") == "vector"
-
-    @pytest.mark.parametrize("value", VALID_BENCH_BACKENDS)
-    def test_valid_values_pass_through(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", value)
-        assert bench_backend() == value
-
-    @pytest.mark.parametrize("value", ["vectro", "OBJECT", "numpy", "1"])
-    def test_unknown_value_errors_and_lists_valid_backends(
-        self, monkeypatch, value
-    ):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", value)
-        with pytest.raises(ValueError) as excinfo:
-            bench_backend()
-        message = str(excinfo.value)
-        assert repr(value) in message
-        for backend in VALID_BENCH_BACKENDS:
-            assert backend in message
 
 
 class TestEveryBenchmarkDrivesTheEngine:
     """Nothing bypasses the engine with a hand-built simulator.
 
-    ``REPRO_BENCH_WORKERS`` / ``REPRO_BENCH_BACKEND`` only apply to
-    executions routed through :func:`benchmarks.conftest.run_plan`, and a
-    replay line only exists for a trial the engine ran; a direct
+    A replay line only exists for a trial the engine ran, and every
+    benchmark reaches the engine through
+    :func:`benchmarks.conftest.run_plan` or ``run_trial``; a direct
     ``SyncSimulator(...)`` would silently escape both.  So one is
     constructed in exactly two functions — ``run_protocol`` for ad-hoc
     programs, the engine's ``_build_simulator`` for everything a
@@ -164,14 +127,3 @@ class TestEveryBenchmarkDrivesTheEngine:
         # ... and a walker that sees no call sees no second pool either.
         assert all(self._engine_counts()[0].values())
 
-
-class TestBenchWorkers:
-    def test_non_integer_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "many")
-        with pytest.warns(UserWarning, match="REPRO_BENCH_WORKERS"):
-            assert bench_workers(default=1) == 1
-
-    def test_non_positive_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WORKERS", "0")
-        with pytest.warns(UserWarning, match="must be >= 1"):
-            assert bench_workers(default=2) == 2

@@ -250,6 +250,13 @@ class TestTrace:
             assert main(["trace", path, "--round", bad]) == 2
             err = capsys.readouterr().err
             assert "out of range" in err and "usage:" in err
+        # An empty list would render an empty timeline: a usage error.
+        for bad in ("", ","):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["trace", path, "--round", bad])
+            err = capsys.readouterr().err
+            assert excinfo.value.code == 2
+            assert "usage:" in err and "at least one round" in err
 
     def test_party_out_of_range_exits_2(self, tmp_path, capsys):
         path, _ = self._stream(tmp_path, capsys)
@@ -342,6 +349,15 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "ours t<n/3" in out
         assert " 5" in out and " 9" in out  # kappa+1 column
+
+    @pytest.mark.parametrize("kappas", ["-3", "0", "", "4,0"])
+    def test_kappa_below_one_is_a_usage_error(self, kappas, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--kappas", kappas])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "repro compare: error:" in captured.err
+        assert "rounds to reach" not in captured.out
 
 
 class TestTables:
