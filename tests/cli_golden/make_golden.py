@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate the golden ``repro run`` / ``repro ledger`` outputs.
+"""Regenerate the golden ``repro run`` / ``repro trace`` / ``repro ledger`` outputs.
 
 Run from the repo root::
 
@@ -8,7 +8,8 @@ Run from the repo root::
 ``cases.json`` and ``crash.trace.jsonl`` were captured at ``fe9062a``,
 the last commit where ``repro run`` built its own simulator; the CLI has
 gone through the engine since and ``tests/test_cli.py::TestGolden``
-holds it to these bytes.  Regenerate only when the output format
+holds it to these bytes.  The ``trace crash.trace.jsonl --stats`` case
+(the per-round tally table) was added at ``34b7dad``.  Regenerate only when the output format
 intentionally changes, and review the diff.
 """
 
@@ -45,6 +46,7 @@ def argvs():
            "1,1,1,1", "--t", "1", "--faults", "lossy", "--fault-params",
            '{"rate": 0.3}', "--seed", "7"]
     yield TRACE_ARGV
+    yield ["trace", "crash.trace.jsonl", "--stats"]
     yield ["ledger"]
 
 

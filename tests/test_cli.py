@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 
 import pytest
 
@@ -16,16 +17,20 @@ with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _handle:
 
 class TestGolden:
     """`repro run` / `repro ledger` print what they printed at fe9062a,
-    before they went through the engine (tests/cli_golden/make_golden.py)."""
+    before they went through the engine, and `repro trace --stats` the
+    per-round table it printed at 34b7dad (tests/cli_golden/make_golden.py)."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=lambda case: " ".join(case["argv"])
     )
     def test_stdout_and_exit_code(self, case, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # a --trace-jsonl path is relative
+        replayed = case["argv"][0] == "trace"
+        if replayed:  # `repro trace` reads the committed trace
+            shutil.copy(os.path.join(GOLDEN, case["argv"][1]), tmp_path)
         assert main(case["argv"]) == case["code"]
         assert capsys.readouterr().out == case["stdout"]
-        traced = "--trace-jsonl" in case["argv"]
+        traced = "--trace-jsonl" in case["argv"] or replayed
         assert os.listdir(tmp_path) == ["crash.trace.jsonl"] * traced
         for written in os.listdir(tmp_path):
             with open(os.path.join(GOLDEN, written), "rb") as golden:
@@ -329,6 +334,30 @@ class TestRunFaults:
         assert first.startswith(f"repro run: bad fault scenario: {names}")
         assert usage.startswith("usage: --faults takes one of")
         assert "Traceback" not in captured.err and "<lambda>" not in captured.err
+
+    @pytest.mark.parametrize("flags, qualified", [
+        (["--victims", "3"], "--adversary"),
+        (["--adversary", "none", "--victims", "3"], "--adversary"),
+        (["--fault-params", '{"rate": 0.3}'], "--faults"),
+    ], ids=["victims", "victims-adversary-none", "fault-params"])
+    def test_a_qualifier_without_its_flag_is_a_usage_error(
+        self, flags, qualified, capsys, monkeypatch
+    ):
+        """``--victims`` with no adversary and ``--fault-params`` with no
+        scenario describe nothing: exit 2 before any trial runs, never a
+        silently ignored flag."""
+        import repro.cli
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(repro.cli, "_run_spec", no_trial)
+        assert main(self.BASE + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        first, usage = captured.err.splitlines()
+        assert first.startswith(f"repro run: {flags[-2]} without")
+        assert usage.startswith(f"usage: {flags[-2]} qualifies {qualified}")
 
     def test_faulted_trace_jsonl_stats_report_faults(self, tmp_path, capsys):
         path = str(tmp_path / "faulty.trace.jsonl")
