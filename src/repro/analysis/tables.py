@@ -94,8 +94,8 @@ def table2_prox15_conditions(rounds: int = 6) -> Dict[Tuple[int, int], Dict[int,
     per_grade = condition_table(rounds)
     table = {}
     for value in (0, 1):
-        for grade, per_round in per_grade.items():
-            table[(value, grade)] = dict(per_round)
+        for grade, required in per_grade.items():
+            table[(value, grade)] = dict(required)
     return table
 
 

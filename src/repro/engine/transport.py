@@ -1,8 +1,8 @@
 """Compact result transport: what workers send back through the pool.
 
 A worker that pickles whole :class:`~repro.network.simulator.ExecutionResult`
-trees pays for every ``RoundStats`` dataclass, every dict entry and every
-class reference in the payload — for signature-heavy plans the metrics
+trees pays for every tally row, every dict entry and every class
+reference in the payload — for signature-heavy plans the metrics
 dominate the IPC bytes, not the decisions.  This module defines the wire
 format that replaces that: a :class:`TrialSummary` packs everything the
 parent cannot rederive into one varint-encoded ``bytes`` blob (plus a
@@ -14,8 +14,8 @@ What makes the format small:
 
 * ``inputs`` are never shipped — the parent rebuilds them from
   ``spec.inputs`` (the simulator defines them as exactly that);
-* per-round tallies travel as LEB128 varints (~1–2 bytes per count)
-  instead of pickled ``RoundStats`` instances (tens of bytes each);
+* per-round tally rows travel as LEB128 varints (~1–2 bytes per count)
+  instead of pickled tuples of ints (tens of bytes per row);
 * ``corrupted`` is a party-id bitmask in one varint;
 * ``outputs``/``finish_rounds`` share one packed id sequence — the
   simulator always records them together — with insertion order
@@ -124,9 +124,9 @@ class TrialSummary(NamedTuple):
     """One trial's outcome, packed for the trip back through the pool.
 
     ``blob`` holds (in order): rounds; the finished-party count and its
-    ``(pid, finish_round)`` pairs; the corrupted-set bitmask; the tally
-    count and per-round tallies (see :meth:`RunMetrics.as_tallies`); and
-    an outputs tag.  Tag ``1`` means every output value was a plain
+    ``(pid, finish_round)`` pairs; the corrupted-set bitmask; the number
+    of :attr:`RunMetrics.rows` and each row's five counts; and an outputs
+    tag.  Tag ``1`` means every output value was a plain
     non-negative ``int`` and the values follow in the blob (aligned with
     the finished-party id sequence); tag ``0`` means at least one output
     was something richer — a dataclass, a list, a negative int, a bool —
@@ -153,10 +153,11 @@ class TrialSummary(NamedTuple):
             mask |= 1 << pid
         _write_varint(buf, mask)
 
-        tallies = result.metrics.as_tallies()
-        _write_varint(buf, len(tallies) // 5)
-        for value in tallies:
-            _write_varint(buf, value)
+        rows = result.metrics.rows
+        _write_varint(buf, len(rows))
+        for row in rows:
+            for value in row:
+                _write_varint(buf, value)
 
         # The simulator records outputs and finish_rounds together, so
         # their key sequences coincide; when they do and every value is a
@@ -201,11 +202,14 @@ class TrialSummary(NamedTuple):
             mask >>= 1
             pid += 1
 
-        tally_rounds, at = _read_varint(blob, at)
-        tallies: List[int] = []
-        for _ in range(tally_rounds * 5):
-            value, at = _read_varint(blob, at)
-            tallies.append(value)
+        row_count, at = _read_varint(blob, at)
+        rows = []
+        for _ in range(row_count):
+            row = []
+            for _ in range(5):
+                value, at = _read_varint(blob, at)
+                row.append(value)
+            rows.append(tuple(row))
 
         packed_outputs, at = _read_varint(blob, at)
         if packed_outputs:
@@ -220,7 +224,7 @@ class TrialSummary(NamedTuple):
         return ExecutionResult(
             outputs=outputs,
             corrupted=corrupted,
-            metrics=RunMetrics.from_tallies(rounds, tallies),
+            metrics=RunMetrics(rounds, tuple(rows)),
             inputs=dict(enumerate(spec.inputs)),
             finish_rounds=dict(finish_pairs),
         )

@@ -219,14 +219,16 @@ def clear_probe_cache() -> None:
 class _Delivery:
     """What one probe execution put on the wire, in both metric vocabularies.
 
-    ``tallies`` are the ``RunMetrics`` rows of its ``rounds`` rounds in
-    execution order; ``contribution`` is the un-finalised
-    ``MetricsRegistry`` snapshot of the same deliveries.
+    ``metrics`` is the probe's ``RunMetrics``; ``contribution`` is the
+    un-finalised ``MetricsRegistry`` snapshot of the same deliveries.
     """
 
-    rounds: int
-    tallies: Tuple[Tuple[int, int, int, int, int], ...]
+    metrics: RunMetrics
     contribution: DeliveryContribution
+
+    @property
+    def rounds(self) -> int:
+        return self.metrics.rounds
 
 
 #: One trial's walk through cached probes: each delivery replayed
@@ -236,11 +238,7 @@ _Path = Tuple[Tuple[_Delivery, int], ...]
 
 def _freeze_delivery(result: ExecutionResult, registry: MetricsRegistry) -> _Delivery:
     """Freeze what ``registry`` and ``result.metrics`` saw of one probe run."""
-    return _Delivery(
-        rounds=result.metrics.rounds,
-        tallies=result.metrics.round_tallies(),
-        contribution=registry.freeze_delivery(),
-    )
+    return _Delivery(result.metrics, registry.freeze_delivery())
 
 
 @dataclasses.dataclass(eq=False)
@@ -250,8 +248,9 @@ class _Leaf:
     ``outputs`` and ``finish`` are templates in the simulator's recording
     order (parties return in (round, pid) order), so results built from
     them are bit-identical down to dict insertion order.  ``path`` is
-    one tuple shared by every trial that ends here; the round count and
-    tally rows follow from it and are derived once, here.  ``coins`` is
+    one tuple shared by every trial that ends here; its ``metrics`` —
+    each delivery's rows shifted by its offset — follow from it and are
+    built once, here.  ``coins`` is
     how many coins a trial evaluated on the way.  A coin model's leaf is
     ``valued``: its trials output their own coin, ``outputs`` says which
     parties hold it, and the coin keys ``classes`` — the finalized
@@ -266,11 +265,13 @@ class _Leaf:
     valued: bool = False
 
     def __post_init__(self) -> None:
-        self.rounds = max((at + step.rounds for step, at in self.path), default=0)
-        self.tallies = tuple(
-            (at + round_index, hm, cm, hs, cs)
-            for step, at in self.path
-            for round_index, hm, cm, hs, cs in step.tallies
+        self.metrics = RunMetrics(
+            max((at + step.rounds for step, at in self.path), default=0),
+            tuple(
+                (at + round_index, hm, cm, hs, cs)
+                for step, at in self.path
+                for round_index, hm, cm, hs, cs in step.metrics.rows
+            ),
         )
         self.classes: Dict[Any, MetricsRegistry] = {}
 
@@ -296,7 +297,7 @@ def _materialize(
     (:meth:`ExecutionResult.template`, verdict included) and stamps each
     trial from it: a result copies the template's outputs, corruption
     set, inputs or finish rounds only when first read, and shares the
-    leaf's frozen tally rows, which ``RunMetrics`` holds as given.
+    leaf's one immutable ``RunMetrics``.
     """
     inputs_map = dict(enumerate(inputs))
     classes = leaves if values is None else list(zip(leaves, values))
@@ -309,10 +310,9 @@ def _materialize(
         templates[key] = ExecutionResult.template(
             outputs, leaf.corrupted, inputs_map, leaf.finish
         )
-    stamp, tallied = ExecutionResult.stamp, RunMetrics.from_round_tallies
+    stamp = ExecutionResult.stamp
     results = [
-        stamp(templates[key], tallied(leaf.rounds, leaf.tallies))
-        for key, leaf in zip(classes, leaves)
+        stamp(templates[key], leaf.metrics) for key, leaf in zip(classes, leaves)
     ]
     return results, leaves, sum(leaf.coins for leaf in leaves)
 

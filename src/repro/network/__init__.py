@@ -17,7 +17,7 @@ from .messages import (
     get_pair,
     normalize_outbox,
 )
-from .metrics import RoundStats, RunMetrics, count_signatures
+from .metrics import RunMetrics, count_signatures
 from .party import Context, ProgramFactory, resume_with, run_parallel
 from .simulator import ExecutionResult, SyncSimulator, run_protocol
 from .trace import TraceEvent, Tracer, summarize_payload
@@ -37,7 +37,6 @@ __all__ = [
     "Outbox",
     "ProgramFactory",
     "RoundLimitError",
-    "RoundStats",
     "RunMetrics",
     "SimulationError",
     "SyncSimulator",

@@ -22,7 +22,7 @@ from ..crypto.keys import CryptoSuite
 from .errors import AdversaryBudgetError, RoundLimitError, SimulationError
 from .faults import OFFLINE, PARTITION, FaultCounts, FaultInjector, FaultPlan
 from .messages import Outbox, normalize_outbox
-from .metrics import RunMetrics, count_signatures
+from .metrics import RunMetrics, _Row, count_signatures
 from .party import Context, LazyRandom, ProgramFactory
 
 __all__ = ["ExecutionResult", "SyncSimulator", "run_protocol"]
@@ -289,7 +289,7 @@ class SyncSimulator:
                 else:
                     raise
 
-        metrics = RunMetrics()
+        rows = []
         round_index = 0
         while self._honest_unfinished(outputs, corrupted):
             round_index += 1
@@ -316,11 +316,13 @@ class SyncSimulator:
 
             inboxes: Dict[int, Dict[int, Any]] = {pid: {} for pid in range(n)}
             if injector is not None:
-                self._deliver_faulty(
-                    round_index, normalized, corrupted, inboxes, metrics, injector
+                row = self._deliver_faulty(
+                    round_index, normalized, corrupted, inboxes, injector
                 )
             else:
-                self._deliver(round_index, normalized, corrupted, inboxes, metrics)
+                row = self._deliver(round_index, normalized, corrupted, inboxes)
+            if row is not None:
+                rows.append(row)
 
             self.adversary.observe(
                 round_index, {pid: inboxes[pid] for pid in corrupted}
@@ -342,11 +344,10 @@ class SyncSimulator:
                         programs[pid] = None  # broken shadow: silent hereafter
                     else:
                         raise
-        metrics.rounds = round_index
         return ExecutionResult(
             outputs=outputs,
             corrupted=corrupted,
-            metrics=metrics,
+            metrics=RunMetrics(round_index, tuple(rows)),
             inputs=input_map,
             finish_rounds=finish_rounds,
         )
@@ -357,12 +358,12 @@ class SyncSimulator:
         normalized: Dict[int, Dict[int, Any]],
         corrupted: Set[int],
         inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
-    ) -> None:
-        """Deliver one round's messages and tally metrics (the hot loop).
+    ) -> Optional[_Row]:
+        """Deliver one round's messages; return the round's tally row,
+        or ``None`` when no party had anything to send (the hot loop).
 
-        Structured for throughput: the round's tally object is fetched
-        once, observers run outside the per-message tally loop, and
+        Structured for throughput: the round totals are local ints,
+        observers run outside the per-message tally loop, and
         the signature walk runs once per distinct payload *object* per
         sender — a sender multicasting one payload to n recipients costs
         one walk, not n.  Tallies equal a per-message
@@ -371,13 +372,14 @@ class SyncSimulator:
         """
         observers = self.observers
         collect = self.collect_signatures
-        stats = None
+        sent = False
+        honest_messages = corrupt_messages = 0
+        honest_signatures = corrupt_signatures = 0
         for sender in range(self.num_parties):
             outbox = normalized[sender]
             if not outbox:
                 continue
-            if stats is None:
-                stats = metrics.round_stats(round_index)
+            sent = True
             sender_honest = sender not in corrupted
             messages = 0
             signatures = 0
@@ -398,16 +400,22 @@ class SyncSimulator:
                     inboxes[recipient][sender] = payload
                     messages += 1
             if sender_honest:
-                stats.honest_messages += messages
-                stats.honest_signatures += signatures
+                honest_messages += messages
+                honest_signatures += signatures
             else:
-                stats.corrupt_messages += messages
-                stats.corrupt_signatures += signatures
+                corrupt_messages += messages
+                corrupt_signatures += signatures
             for observer in observers:
                 for recipient, payload in outbox.items():
                     observer.on_message(
                         round_index, sender, recipient, payload, sender_honest
                     )
+        if not sent:
+            return None
+        return (
+            round_index, honest_messages, corrupt_messages,
+            honest_signatures, corrupt_signatures,
+        )
 
     def _deliver_faulty(
         self,
@@ -415,18 +423,20 @@ class SyncSimulator:
         normalized: Dict[int, Dict[int, Any]],
         corrupted: Set[int],
         inboxes: Dict[int, Dict[int, Any]],
-        metrics: RunMetrics,
         injector: FaultInjector,
-    ) -> None:
-        """Deliver one round's messages through the fault injector.
+    ) -> Optional[_Row]:
+        """Deliver one round's messages through the fault injector and
+        return the round's tally row, or ``None``.
 
         Same tally structure as :meth:`_deliver` (per-sender signature
         dedup, honesty split), restricted to messages that actually
         arrive: suppressed messages tally nothing, delayed messages
         tally in the round they arrive, with sender honesty frozen at
-        send time.  With a no-op plan every message is delivered
-        without consuming randomness, so tallies match :meth:`_deliver`
-        exactly — pinned by ``tests/chaos/test_faults.py``.
+        send time.  A round has a row when some party sent or a delayed
+        message arrived, even if every message was suppressed.  With a
+        no-op plan every message is delivered without consuming
+        randomness, so rows match :meth:`_deliver` exactly — pinned by
+        ``tests/chaos/test_faults.py``.
 
         A message's fate is its cell of the round's routing table, then
         — only for a cell that lets it pass, and never for self-delivery
@@ -442,13 +452,14 @@ class SyncSimulator:
         rng = injector.rng
         draw = rng.random
         offline, rows = injector.routing(round_index)
-        stats = None
+        sent = False
+        honest_messages = corrupt_messages = 0
+        honest_signatures = corrupt_signatures = 0
         for sender in range(self.num_parties):
             outbox = normalized[sender]
             if not outbox:
                 continue
-            if stats is None:
-                stats = metrics.round_stats(round_index)
+            sent = True
             sender_honest = sender not in corrupted
             messages = 0
             signatures = 0
@@ -496,11 +507,11 @@ class SyncSimulator:
                     )
             counts.delivered += messages
             if sender_honest:
-                stats.honest_messages += messages
-                stats.honest_signatures += signatures
+                honest_messages += messages
+                honest_signatures += signatures
             else:
-                stats.corrupt_messages += messages
-                stats.corrupt_signatures += signatures
+                corrupt_messages += messages
+                corrupt_signatures += signatures
         # Drain delayed messages due this round, freshest send first.  A
         # copy whose (sender, recipient) inbox slot is already taken —
         # by a current-round delivery or a fresher delayed copy — is
@@ -528,22 +539,27 @@ class SyncSimulator:
                 continue
             inboxes[entry.recipient][entry.sender] = entry.payload
             counts.delivered_late += 1
-            if stats is None:
-                stats = metrics.round_stats(round_index)
+            sent = True
             signature_count = (
                 count_signatures(entry.payload) if collect else 0
             )
             if entry.sender_honest:
-                stats.honest_messages += 1
-                stats.honest_signatures += signature_count
+                honest_messages += 1
+                honest_signatures += signature_count
             else:
-                stats.corrupt_messages += 1
-                stats.corrupt_signatures += signature_count
+                corrupt_messages += 1
+                corrupt_signatures += signature_count
             for observer in observers:
                 observer.on_message(
                     round_index, entry.sender, entry.recipient, entry.payload,
                     entry.sender_honest,
                 )
+        if not sent:
+            return None
+        return (
+            round_index, honest_messages, corrupt_messages,
+            honest_signatures, corrupt_signatures,
+        )
 
     def _honest_unfinished(self, outputs: Dict[int, Any], corrupted: Set[int]) -> bool:
         return any(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..network.faults import FaultEvent
 from ..network.metrics import RunMetrics
@@ -332,11 +332,17 @@ def trace_metrics(tracer: Tracer) -> RunMetrics:
     """Rebuild per-round message/signature tallies from trace events.
 
     For a fully traced execution this reproduces the simulator's
-    :class:`RunMetrics` tallies exactly (``rounds`` here counts traced
-    rounds — rounds that delivered no message are invisible to a trace),
-    which is the ``repro trace --stats`` cross-check.
+    :class:`RunMetrics` rows exactly, except that a round that delivered
+    no message is invisible to a trace: it has no row, and ``rounds``
+    here counts traced rounds.  This is the ``repro trace --stats``
+    cross-check.
     """
-    metrics = RunMetrics(rounds=tracer.rounds)
+    totals: Dict[int, List[int]] = {}
     for event in tracer.events:
-        metrics.record(event.round_index, event.sender_honest, event.signatures)
-    return metrics
+        total = totals.setdefault(event.round_index, [0, 0, 0, 0])
+        split = 0 if event.sender_honest else 1
+        total[split] += 1
+        total[2 + split] += event.signatures
+    return RunMetrics(
+        tracer.rounds, tuple((index, *totals[index]) for index in sorted(totals))
+    )

@@ -204,13 +204,13 @@ def _metrics_section(payload: Mapping[str, Any]) -> List[str]:
         rounds_hist = registry.histograms.get("rounds_to_decision")
         mean_rounds = rounds_hist.mean if rounds_hist is not None else None
         messages = registry.counter_total("messages")
-        per_round: Dict[str, int] = {}
+        round_messages: Dict[str, int] = {}
         for label, count in registry.labels("round_messages").items():
             round_key = label.split("/", 1)[0]
-            per_round[round_key] = per_round.get(round_key, 0) + count
+            round_messages[round_key] = round_messages.get(round_key, 0) + count
         peak = (
-            max(per_round.values()) / config_trials
-            if per_round and config_trials
+            max(round_messages.values()) / config_trials
+            if round_messages and config_trials
             else None
         )
         num_parties = config_meta.get("num_parties")

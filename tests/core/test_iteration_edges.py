@@ -171,6 +171,6 @@ class TestExchangeSeam:
             result = run_trial(TrialSpec.from_json(json.dumps(row["spec"])))
             assert sorted(result.outputs.items()) == [tuple(p) for p in row["outputs"]]
             assert result.metrics.rounds == row["rounds"]
-            assert result.metrics.round_tallies() == tuple(
+            assert result.metrics.rows == tuple(
                 tuple(tally) for tally in row["tallies"]
             ), row["spec"]

@@ -59,10 +59,9 @@ from tests.conftest import PROTOCOL_SHAPES, swap_vector_model
 def canon(result):
     """Everything an ExecutionResult holds, as comparable plain data.
 
-    ``per_round`` is canonicalized as an *ordered list*, not a dict —
-    insertion order is part of the object simulator's observable output
-    (``RunMetrics.as_tallies`` packs in that order) and the vector
-    backend must reproduce it.
+    ``RunMetrics.rows`` is an ordered tuple — row order is part of the
+    object simulator's observable output (the transport packs in that
+    order) and the vector backend must reproduce it.
     """
     return (
         dict(result.outputs),
@@ -70,16 +69,7 @@ def canon(result):
         dict(result.inputs),
         dict(result.finish_rounds),
         result.metrics.rounds,
-        [
-            (
-                index,
-                stats.honest_messages,
-                stats.corrupt_messages,
-                stats.honest_signatures,
-                stats.corrupt_signatures,
-            )
-            for index, stats in result.metrics.per_round.items()
-        ],
+        result.metrics.rows,
     )
 
 
@@ -1017,7 +1007,7 @@ class TestWalk:
 
         def delivery():
             return _Delivery(
-                1, ((1, 5, 0, 0, 0),), MetricsRegistry().freeze_delivery()
+                RunMetrics(1, ((1, 5, 0, 0, 0),)), MetricsRegistry().freeze_delivery()
             )
 
         first = _IterationProbe(
@@ -1073,7 +1063,9 @@ class TestWalk:
             result.finish_rounds[0] = -1
             result.corrupted.add(99)
             result.inputs[0] = "mutated"
-            result.metrics.round_stats(1).honest_messages = -1
+            with pytest.raises(AttributeError):  # one leaf's stamps share it
+                result.metrics.rounds = -1
+            result.metrics = result.metrics._replace(rows=())
             others = [canon(r) for r in results]
             del others[victim]
             assert others == reference[:victim] + reference[victim + 1:]
@@ -1205,7 +1197,9 @@ class TestWalkGrid:
                     tuple(on and rng.random() < 0.8 for on in running),
                     (None,) * n,
                     vectorized._Delivery(
-                        3, ((1, 4, 0, 0, 0), (2, 4, 0, 4, 0), (3, 4, 0, 4, 0)),
+                        RunMetrics(
+                            3, ((1, 4, 0, 0, 0), (2, 4, 0, 4, 0), (3, 4, 0, 4, 0))
+                        ),
                         MetricsRegistry().freeze_delivery(),
                     ),
                     frozenset(),
@@ -1655,7 +1649,9 @@ class TestStampedResults:
             value = RunMetrics(rounds=-1) if field == "metrics" else {-1: "assigned"}
             setattr(result, field, set(value) if field == "corrupted" else value)
         elif field == "metrics":
-            result.metrics.round_stats(1).honest_messages = -1
+            with pytest.raises(AttributeError):  # one leaf's stamps share it
+                result.metrics.rounds = -1
+            result.metrics = result.metrics._replace(rounds=-1)
         elif field == "corrupted":
             result.corrupted.add(99)
         else:

@@ -38,7 +38,6 @@ from repro.network.faults import (
     Partition,
     routing_tables,
 )
-from repro.network.metrics import RunMetrics
 from repro.network.simulator import SyncSimulator
 
 from ..conftest import ideal_suite
@@ -162,7 +161,7 @@ def _deliver_round(plan, num_parties, rng, round_index, outboxes, injector=None)
     injector = injector or FaultInjector(plan, num_parties, rng)
     simulator._deliver_faulty(
         round_index, outboxes, set(),
-        {pid: {} for pid in range(num_parties)}, RunMetrics(), injector,
+        {pid: {} for pid in range(num_parties)}, injector,
     )
     return fates.events, injector
 

@@ -1,15 +1,14 @@
 """Tests for execution metrics and signature counting."""
 
-import pickle
 import random
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.ideal import IdealSignatureScheme, IdealThresholdScheme
 from repro.network.metrics import (
-    RoundStats,
     RunMetrics,
     count_signatures,
     count_signatures_reference,
@@ -133,10 +132,7 @@ class TestCachedMatchesReference:
 
 class TestRunMetrics:
     def test_honest_corrupt_split(self):
-        metrics = RunMetrics()
-        metrics.record(1, honest=True, signature_count=2)
-        metrics.record(1, honest=False, signature_count=3)
-        metrics.record(2, honest=True, signature_count=0)
+        metrics = RunMetrics(2, ((1, 1, 1, 2, 3), (2, 1, 0, 0, 0)))
         assert metrics.honest_messages == 2
         assert metrics.corrupt_messages == 1
         assert metrics.total_messages == 3
@@ -144,220 +140,142 @@ class TestRunMetrics:
         assert metrics.total_signatures == 5
 
     def test_per_round_breakdown(self):
-        metrics = RunMetrics()
-        metrics.record(1, True, 1)
-        metrics.record(2, True, 1)
-        metrics.record(2, True, 1)
-        assert metrics.per_round[1].honest_messages == 1
-        assert metrics.per_round[2].honest_messages == 2
+        """The simulator's rows are one per round that sent, ascending."""
+        from repro.engine import TrialSpec, run_trial
 
-    def test_round_stats_returns_live_tally(self):
-        metrics = RunMetrics()
-        stats = metrics.round_stats(3)
-        stats.honest_messages += 2
-        stats.honest_signatures += 5
-        assert metrics.per_round[3].honest_messages == 2
-        assert metrics.honest_signatures == 5
-        assert metrics.round_stats(3) is stats
+        result = run_trial(TrialSpec(
+            protocol="ba_one_third", inputs=(0, 0, 1, 1), max_faulty=1,
+            params={"kappa": 2},
+        ))
+        rows = result.metrics.rows
+        assert [row[0] for row in rows] == list(range(1, result.metrics.rounds + 1))
+        assert all(len(row) == 5 for row in rows)
+        assert result.metrics.total_messages == sum(row[1] + row[2] for row in rows)
+
+    def test_fields_cannot_be_assigned(self):
+        """One ``RunMetrics`` is shared by every vector result stamped
+        from a leaf, so no result can change what another reads."""
+        rows = ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
+        shared = RunMetrics(2, rows)
+        for name, value in (("rounds", 3), ("rows", ())):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, value)
+        assert shared == RunMetrics(2, ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2)))
+        assert shared.rows is rows
 
     def test_merge_accumulates_rounds_and_per_round(self):
-        a = RunMetrics()
-        a.record(1, True, 2)
-        a.rounds = 3
-        b = RunMetrics()
-        b.record(1, False, 1)
-        b.record(2, True, 0)
-        b.rounds = 2
-        a.merge(b)
-        assert a.rounds == 5
-        assert a.per_round[1].honest_messages == 1
-        assert a.per_round[1].corrupt_messages == 1
-        assert a.per_round[2].honest_messages == 1
-        assert a.total_signatures == 3
+        a = RunMetrics(3, ((1, 1, 0, 2, 0),))
+        b = RunMetrics(2, ((1, 0, 1, 0, 1), (2, 1, 0, 0, 0)))
+        merged = RunMetrics.merged([b, a])
+        assert merged == RunMetrics(5, ((1, 1, 1, 2, 1), (2, 1, 0, 0, 0)))
+        assert merged.total_signatures == 3
 
     def test_merged_of_empty_iterable_is_zero(self):
         merged = RunMetrics.merged([])
-        assert merged.rounds == 0
+        assert merged == RunMetrics() == (0, ())
         assert merged.total_messages == 0
 
 
-# Randomized metrics shapes for the tally round-trip properties: up to a
-# dozen rounds with arbitrary (possibly non-contiguous, unsorted) round
-# indices and arbitrary tallies, plus a free-standing rounds total.
+# Randomized rows for the properties below: up to a dozen rounds with
+# arbitrary (possibly non-contiguous) ascending round indices and
+# arbitrary tallies, plus a free-standing rounds total.
 _count = st.integers(min_value=0, max_value=1 << 20)
 _round_entry = st.tuples(
     st.integers(min_value=0, max_value=4096), _count, _count, _count, _count
 )
-_metrics_shape = st.tuples(
+_metrics = st.builds(
+    lambda entries, rounds: RunMetrics(rounds, tuple(sorted(entries))),
     st.lists(_round_entry, max_size=12, unique_by=lambda entry: entry[0]),
     st.integers(min_value=0, max_value=4096),
 )
 
 
-def _build(shape) -> RunMetrics:
-    entries, rounds = shape
-    metrics = RunMetrics(rounds=rounds)
-    for round_index, hm, cm, hs, cs in entries:
-        metrics.per_round[round_index] = RoundStats(
-            honest_messages=hm,
-            corrupt_messages=cm,
-            honest_signatures=hs,
-            corrupt_signatures=cs,
-        )
-    return metrics
+def _wire(metrics: RunMetrics) -> RunMetrics:
+    """``metrics`` through the pool's wire form and back."""
+    from types import SimpleNamespace
+
+    from repro.engine import TrialSummary
+    from repro.network.simulator import ExecutionResult
+
+    result = ExecutionResult(
+        outputs={}, corrupted=set(), metrics=metrics, inputs={}, finish_rounds={}
+    )
+    return TrialSummary.pack(result).unpack(SimpleNamespace(inputs=())).metrics
+
+
+def _fold(metrics_list) -> RunMetrics:
+    """The specification ``merged`` must meet: add round by round."""
+    rounds, totals = 0, {}
+    for metrics in metrics_list:
+        rounds += metrics.rounds
+        for index, *counts in metrics.rows:
+            total = totals.setdefault(index, [0, 0, 0, 0])
+            for at, count in enumerate(counts):
+                total[at] += count
+    return RunMetrics(rounds, tuple((i, *totals[i]) for i in sorted(totals)))
 
 
 class TestTallyRoundTrip:
-    """``from_tallies(rounds, as_tallies())`` is the exact inverse, and
-    merging commutes with the round trip — the properties the engine's
-    compact result transport stands on."""
+    """``TrialSummary`` ships ``rows`` as varints and rebuilds them
+    exactly, and merging commutes with the round trip — the properties
+    the engine's compact result transport stands on."""
 
-    @given(_metrics_shape)
-    def test_pack_unpack_is_identity(self, shape):
-        metrics = _build(shape)
-        rebuilt = RunMetrics.from_tallies(metrics.rounds, metrics.as_tallies())
-        assert rebuilt == metrics
-        # Equality ignores dict order; transport fidelity must not.
-        assert list(rebuilt.per_round) == list(metrics.per_round)
+    @given(_metrics)
+    def test_pack_unpack_is_identity(self, metrics):
+        assert _wire(metrics) == metrics
 
-    @given(_metrics_shape, _metrics_shape)
-    def test_merge_after_roundtrip_equals_direct_merge(self, a_shape, b_shape):
-        direct = _build(a_shape)
-        direct.merge(_build(b_shape))
-        via_wire = RunMetrics.merged(
-            RunMetrics.from_tallies(m.rounds, m.as_tallies())
-            for m in (_build(a_shape), _build(b_shape))
-        )
-        assert via_wire == direct
+    @given(_metrics, _metrics)
+    def test_merge_after_roundtrip_equals_direct_merge(self, a, b):
+        assert RunMetrics.merged(map(_wire, (a, b))) == RunMetrics.merged((a, b))
 
     def test_empty_metrics_roundtrip(self):
-        empty = RunMetrics()
-        assert RunMetrics.from_tallies(empty.rounds, empty.as_tallies()) == empty
-        assert empty.as_tallies() == ()
+        assert _wire(RunMetrics()) == RunMetrics()
 
     def test_single_round_roundtrip(self):
-        metrics = RunMetrics()
-        metrics.record(1, honest=True, signature_count=3)
-        metrics.rounds = 1
-        rebuilt = RunMetrics.from_tallies(metrics.rounds, metrics.as_tallies())
+        metrics = RunMetrics(1, ((1, 1, 0, 3, 0),))
+        rebuilt = _wire(metrics)
         assert rebuilt == metrics
         assert rebuilt.total_signatures == 3
 
     def test_ragged_tallies_rejected(self):
-        import pytest
+        """A row cut short of its five counts is a ``TransportError``."""
+        from repro.engine import TransportError, TrialSummary
 
-        with pytest.raises(ValueError, match="multiple of 5"):
-            RunMetrics.from_tallies(1, (1, 2, 3))
-
-
-def _view(shape) -> RunMetrics:
-    """``_build(shape)``, row-held: stamped from a frozen row tuple."""
-    entries, rounds = shape
-    return RunMetrics.from_round_tallies(rounds, tuple(entries))
+        # rounds 1, no finishers, no corruptions, one row of four counts.
+        ragged = TrialSummary(blob=bytes([1, 0, 0, 1, 1, 4, 0, 8]))
+        with pytest.raises(TransportError):
+            ragged.unpack(None)
 
 
-class TestRowsOrDict:
-    """``from_round_tallies`` keeps its rows until ``per_round`` is first
-    touched; nothing observable tells the two states apart, and no two
-    objects stamped from one tuple share mutable state."""
-
-    @given(_metrics_shape)
-    def test_view_equals_the_eagerly_built_object(self, shape):
-        eager = _build(shape)
-        assert _view(shape) == eager and eager == _view(shape)
-        assert repr(_view(shape)) == repr(eager)
-        assert pickle.dumps(_view(shape)) == pickle.dumps(eager)
-        assert pickle.loads(pickle.dumps(_view(shape))) == eager
-        assert _view(shape).as_tallies() == eager.as_tallies()
-        assert _view(shape).round_tallies() == eager.round_tallies()
-        assert list(_view(shape).per_round) == list(eager.per_round)
-        for name in (
-            "honest_messages", "corrupt_messages", "total_messages",
-            "honest_signatures", "total_signatures",
-        ):
-            assert getattr(_view(shape), name) == getattr(eager, name)
-        assert _view(shape) != RunMetrics(rounds=eager.rounds + 1)
-
-    def test_rows_are_held_as_given_until_per_round_is_touched(self):
-        rows = ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
-        metrics = RunMetrics.from_round_tallies(2, rows)
-        assert metrics.round_tallies() is rows  # reading copies nothing
-        assert metrics.as_tallies() == (1, 4, 0, 8, 0, 2, 3, 1, 6, 2)
-        assert metrics.round_tallies() is rows
-        metrics.per_round  # first touch: rows become the dict ...
-        assert metrics.round_tallies() == rows
-        assert metrics.round_tallies() is not rows  # ... and are dropped
-        # Any iterable of rows is accepted; a non-tuple is frozen once.
-        assert RunMetrics.from_round_tallies(2, iter(rows)) == metrics
-
-    def test_two_results_stamped_from_one_path_stay_independent(self):
-        rows = ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
-        first = RunMetrics.from_round_tallies(2, rows)
-        second = RunMetrics.from_round_tallies(2, rows)
-        first.round_stats(2).honest_messages += 1
-        first.record(3, honest=False, signature_count=5)
-        assert first.as_tallies() == (1, 4, 0, 8, 0, 2, 4, 1, 6, 2, 3, 0, 1, 0, 5)
-        assert second.as_tallies() == (1, 4, 0, 8, 0, 2, 3, 1, 6, 2)
-        assert second == RunMetrics.from_round_tallies(2, rows) != first
-        assert rows == ((1, 4, 0, 8, 0), (2, 3, 1, 6, 2))
-
-    @given(st.lists(st.tuples(_metrics_shape, st.booleans()), max_size=5))
-    def test_merged_over_mixed_row_held_and_dict_held_inputs(self, shapes):
-        mixed = [_view(shape) if held else _build(shape) for shape, held in shapes]
-        merged = RunMetrics.merged(mixed)
-        assert merged == RunMetrics.merged(_build(shape) for shape, _ in shapes)
-        # Merging reads; it must not change (or materialise) its inputs.
-        for metrics, (shape, held) in zip(mixed, shapes):
-            assert metrics == _build(shape)
-        # A row-held aggregate target materialises and accumulates.
-        for shape, _ in shapes[:1]:
-            target = _view(shape)
-            target.merge(_view(shape))
-            doubled = _build(shape)
-            doubled.merge(_build(shape))
-            assert target == doubled
-
-    #: Few round indices, so drawn inputs overlap in differing orders.
+class TestMerged:
+    #: Few round indices, so drawn inputs overlap.
     _rows = st.lists(
         st.tuples(st.integers(0, 5), _count, _count, _count, _count),
         max_size=5, unique_by=lambda row: row[0],
-    ).map(tuple)
+    ).map(lambda rows: tuple(sorted(rows)))
 
     @given(
         st.lists(_rows, min_size=1, max_size=4),
         st.lists(
             st.tuples(
-                st.integers(0, 3),
-                st.sampled_from(["shared", "equal", "touched", "dict"]),
+                st.integers(0, 3), st.sampled_from(["shared", "equal"]),
                 st.integers(0, 64),
             ),
             max_size=12,
         ),
     )
     def test_merged_adds_each_shared_row_tuple_once_scaled(self, bases, picks):
-        """``merged`` equals the left fold of ``merge`` — value, ``rounds``
-        and first-seen round order — however its inputs hold their rows."""
+        """``merged`` equals the round-by-round sum — value, ``rounds``
+        and ascending round order — whether its inputs share one row
+        tuple (a vector leaf's stamps) or hold equal copies."""
         inputs = []
         for at, kind, rounds in picks:
             rows = bases[at % len(bases)]
-            if kind == "dict":
-                inputs.append(RunMetrics.from_tallies(rounds, sum(rows, ())))
-                continue
             # "equal" rows are a distinct tuple object: nothing is shared.
-            metrics = RunMetrics.from_round_tallies(
-                rounds, rows if kind != "equal" else tuple(list(rows))
-            )
-            if kind == "touched":
-                metrics.per_round
-            inputs.append(metrics)
-        before = [(metrics.rounds, metrics.as_tallies()) for metrics in inputs]
-        fold = RunMetrics()
-        for metrics in inputs:
-            fold.merge(metrics)
+            shared = rows if kind == "shared" else tuple(list(rows))
+            inputs.append(RunMetrics(rounds, shared))
         for merged in (RunMetrics.merged(inputs), RunMetrics.merged(iter(inputs))):
-            assert merged == fold
-            assert merged.rounds == fold.rounds
-            assert merged.as_tallies() == fold.as_tallies()
-            assert list(merged.per_round) == list(fold.per_round)
-        assert [(m.rounds, m.as_tallies()) for m in inputs] == before
-
+            assert merged == _fold(inputs)
+            assert [row[0] for row in merged.rows] == sorted(
+                {row[0] for metrics in inputs for row in metrics.rows}
+            )

@@ -4,8 +4,7 @@ Three layers of guarantees:
 
 * algebra — ``merge`` is commutative and associative over finalized
   registries, and the canonical ``pack``/``unpack`` wire form is
-  lossless and commutes with merging (hypothesis properties, mirroring
-  the ``RunMetrics`` tally round-trip suite);
+  lossless and commutes with merging (hypothesis properties);
 * collection — a registry attached to the simulator's delivery seam
   recomputes exactly from a replayed trace (``delivery_view`` equals
   ``metrics_from_trace``) across protocol × adversary × fault configs;

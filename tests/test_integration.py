@@ -101,7 +101,7 @@ class TestWholeStackScenarios:
             for _ in range(2)
         ]
         assert runs[0].outputs == runs[1].outputs
-        assert runs[0].metrics.per_round.keys() == runs[1].metrics.per_round.keys()
+        assert runs[0].metrics.rows == runs[1].metrics.rows
         assert runs[0].metrics.total_messages == runs[1].metrics.total_messages
 
 

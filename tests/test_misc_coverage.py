@@ -52,7 +52,8 @@ class TestIdealCoinInsideOverlappedBA:
         assert res.honest_agree()
         assert res.metrics.rounds == 6
         # the ideal coin sends no payload: round-3 messages carry only prox
-        assert res.metrics.per_round[3].honest_signatures > 0
+        round3 = {row[0]: row for row in res.metrics.rows}[3]
+        assert round3[3] > 0  # honest signatures
 
 
 class TestCliBranches:
