@@ -323,10 +323,11 @@ class ChunkSummary(NamedTuple):
     def unpack_metrics(self) -> Dict[int, Any]:
         """Rebuild the chunk's plan index → ``MetricsRegistry`` mapping.
 
-        Each distinct blob is decoded once and its trials stamped from
-        it, so the parent merges a pooled run by outcome class too.  A
-        corrupt blob raises :class:`TransportError` naming the first plan
-        index that carries it.
+        Each distinct blob is decoded once, to a read-only registry that
+        every plan index carrying the blob gets, so the parent merges a
+        pooled run by outcome class too.  A corrupt blob raises
+        :class:`TransportError` naming the first plan index that carries
+        it.
         """
         from ..obs.metrics import MetricsRegistry
         from ..obs.sinks import ObsFormatError
@@ -340,7 +341,7 @@ class ChunkSummary(NamedTuple):
                     raise TransportError(
                         f"metrics blob of plan index {index}: {error}"
                     ) from error
-        return {index: decoded[blob].stamp() for index, blob in self.metrics}
+        return {index: decoded[blob] for index, blob in self.metrics}
 
 
 def measure_payload_bytes(

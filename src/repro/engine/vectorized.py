@@ -482,10 +482,9 @@ def _compose_registries(
 
     A trial's registry is the round-shifted sum of the probe deliveries
     on its leaf's path, finalized with its own result — exactly what a
-    registry observing the object simulator would hold.  Trials of one
-    outcome class share that registry's *value*, so each class is
-    composed once, kept by its leaf, and every trial is stamped from it:
-    a pointer to the shared snapshot, copied only if someone touches it.
+    registry observing the object simulator would hold.  A finalized
+    registry is read-only, so each outcome class is composed once, kept
+    by its leaf, and every trial of the class gets that one object.
     """
     for (index, _), result, leaf in zip(members, outcomes, leaves):
         key = tuple(result.outputs.values()) if leaf.valued else None
@@ -497,7 +496,7 @@ def _compose_registries(
             registry.finalize_trial(result)
             if len(leaf.classes) < _VALUED_CLASSES:
                 leaf.classes[key] = registry
-        metrics[index] = registry.stamp()
+        metrics[index] = registry
 
 
 def execute_chunk(

@@ -36,6 +36,7 @@ import dataclasses
 import json
 import operator
 from bisect import bisect_left
+from types import MappingProxyType
 from typing import (
     Any,
     Dict,
@@ -213,6 +214,14 @@ def _read_varint(blob: bytes, at: int) -> Tuple[int, int]:
         shift += 7
 
 
+def _read_varints(blob: bytes, at: int, n: int) -> Tuple[List[int], int]:
+    values = []
+    for _ in range(n):
+        value, at = _read_varint(blob, at)
+        values.append(value)
+    return values, at
+
+
 def _write_str(buf: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
     _write_varint(buf, len(raw))
@@ -346,24 +355,45 @@ class Histogram:
         }
 
     @classmethod
-    def from_payload(cls, payload: Mapping[str, Any]) -> "Histogram":
-        hist = cls(payload["buckets"])
-        counts = list(payload["counts"])
-        if len(counts) != len(hist.buckets) + 1:
-            raise ObsFormatError(
-                f"histogram counts length {len(counts)} does not match "
-                f"{len(hist.buckets)} buckets + overflow"
-            )
-        hist.counts = counts
-        hist.count = int(payload["count"])
-        hist.total = int(payload["total"])
+    def from_payload(cls, payload: Any) -> "Histogram":
+        """The histogram of an artifact entry; ``ValueError`` unless it
+        is one :meth:`observe` could have built (see :meth:`check`)."""
+        if not isinstance(payload, dict):
+            raise _malformed("the entry", payload, "an object")
+        buckets = payload.get("buckets")
+        counts = payload.get("counts")
+        for field, value in (("buckets", buckets), ("counts", counts)):
+            if not (isinstance(value, list) and _are_counts(value)):
+                raise _malformed(field, value, "a list of ints >= 0")
+        hist = cls(buckets)
+        hist.counts = list(counts)
+        hist.count = payload.get("count")
+        hist.total = payload.get("total")
         hist.minimum = payload.get("min")
         hist.maximum = payload.get("max")
-        if hist.count and not (type(hist.minimum) is type(hist.maximum) is int):
-            raise ObsFormatError(
-                f"histogram of {hist.count} observations needs integer min and max"
-            )
+        hist.check()
         return hist
+
+    def check(self) -> None:
+        """Raise :class:`~repro.obs.sinks.ObsFormatError` unless
+        :meth:`observe` could have built these fields: one count per
+        bucket plus overflow, summing to ``count``; ``total`` an int
+        >= 0; ``0 <= min <= max`` if ``count``, else both null."""
+        low, high, counts = self.minimum, self.maximum, self.counts
+        if len(counts) != len(self.buckets) + 1:
+            problem = f"{len(counts)} counts for {len(self.buckets)} buckets + overflow"
+        elif not (_is_count(self.count) and self.count == sum(counts)):
+            problem = f"count is {self.count!r}, not the sum {sum(counts)} of counts"
+        elif not _is_count(self.total):
+            problem = f"total is {self.total!r}, not an int >= 0"
+        elif self.count and not (_is_count(low) and _is_count(high) and low <= high):
+            problem = (f"histogram of {self.count} observations needs integer min "
+                       f"and max with 0 <= min <= max, got {low!r} and {high!r}")
+        elif not self.count and (low, high) != (None, None):
+            problem = f"min {low!r} and max {high!r} of no observations are not null"
+        else:
+            return
+        raise ObsFormatError(problem)
 
 
 def _round_label(round_index: int, kind: str) -> str:
@@ -398,22 +428,16 @@ class DeliveryContribution:
     signatures: int
 
 
-@dataclasses.dataclass(eq=False)
-class _State:
-    """A registry's counters and histograms.  Once ``shared`` (see
-    :meth:`MetricsRegistry.stamp`) a state is never mutated again, which
-    is what lets ``blob`` cache its canonical packing."""
+def _refuse(*_: Any) -> None:
+    raise TypeError("a finalized MetricsRegistry is read-only; copy() it to change it")
 
-    counters: Dict[Tuple[str, str], int]
-    histograms: Dict[str, Histogram]
-    shared: bool = False
-    blob: Optional[bytes] = None
 
-    def copy(self) -> "_State":
-        return _State(
-            dict(self.counters),
-            {name: hist.copy() for name, hist in self.histograms.items()},
-        )
+class _ReadOnlyHistogram(Histogram):
+    """A finalized registry's histogram: it reads as any other, and
+    refuses to change."""
+
+    __slots__ = ()
+    observe = merge = _refuse
 
 
 class MetricsRegistry:
@@ -429,19 +453,23 @@ class MetricsRegistry:
     ``pack``/``unpack`` round-trip losslessly — both pinned by
     hypothesis property tests.
 
-    The state is either this registry's own ``counters`` / ``histograms``
-    or a snapshot shared with the registries :meth:`stamp` made from it
-    — **never both**, and a shared snapshot is never mutated: the first
-    mutation, or the first outside touch of ``counters`` /
-    ``histograms``, copies it into private dicts and lets go of it.
-    Trials of one outcome class therefore cost a pointer each,
-    :meth:`merged` adds each snapshot once, scaled by how many inputs
-    still share it, and ``==``, ``repr``, :meth:`pack` bytes,
-    :meth:`copy` and pickling do not tell the two apart.
+    :meth:`finalize_trial` ends by making the registry a **read-only
+    value**, and :meth:`unpack` returns one (a blob is a finalized
+    registry): ``counters`` and ``histograms`` become read-only
+    mappings, and ``inc``, ``observe``, the delivery hooks, a ``merge``
+    into it and a second ``finalize_trial`` all raise ``TypeError``.
+    The engine therefore gives every trial of one outcome class the
+    class's one registry object; :meth:`merged` adds each distinct
+    object once, scaled by how many inputs are that object, and
+    :meth:`pack` encodes it once.  :meth:`copy`, :meth:`merged`,
+    :meth:`delivery_view`, :meth:`from_payload` and
+    :meth:`from_deliveries` return writable registries.
     """
 
     __slots__ = (
-        "_state",
+        "counters",
+        "histograms",
+        "_blob",
         "_coin_rounds",
         "_trial_messages",
         "_trial_signatures",
@@ -450,50 +478,33 @@ class MetricsRegistry:
     )
 
     def __init__(self) -> None:
-        self._state = _State({}, {})
+        #: (name, label) → count.  Labels refine a metric (message kind,
+        #: fault kind, crypto class, decided value); unlabelled metrics
+        #: use the empty string.
+        self.counters: Dict[Tuple[str, str], int] = {}
+        #: Histogram name → :class:`Histogram`.
+        self.histograms: Dict[str, Histogram] = {}
+        self._blob: Optional[bytes] = None  # pack(), once read-only
         self._reset_trial()
 
     def _reset_trial(self) -> None:
-        # Allocates nothing: a stamped twin pays five stores for these.
         self._coin_rounds: frozenset = frozenset()
         self._trial_messages = 0
         self._trial_signatures = 0
         self._memo_round = -1  # no round yet: the first message makes the memo
         self._memo: Optional[Dict[int, tuple]] = None
 
-    # ── snapshot-or-own state ─────────────────────────────────────────
-
     @property
-    def counters(self) -> Dict[Tuple[str, str], int]:
-        """(name, label) → count, private to this registry.  Labels
-        refine a metric (message kind, fault kind, crypto class, decided
-        value); unlabelled metrics use the empty string."""
-        return self._own().counters
+    def read_only(self) -> bool:
+        """Whether this is a finalized registry (see the class docstring)."""
+        return type(self.counters) is MappingProxyType
 
-    @property
-    def histograms(self) -> Dict[str, Histogram]:
-        """Histogram name → :class:`Histogram`, private to this registry."""
-        return self._own().histograms
-
-    def _own(self) -> _State:
-        """This registry's private state — a copy, if it was shared."""
-        state = self._state
-        if state.shared:
-            state = self._state = state.copy()
-        return state
-
-    def stamp(self) -> "MetricsRegistry":
-        """A registry equal to this finalized one, at pointer cost.
-
-        Both hold this registry's state, from now on a shared snapshot;
-        either copies it on its first touch, so a change to one can
-        never show in the other.
-        """
-        self._state.shared = True
-        twin = MetricsRegistry.__new__(MetricsRegistry)
-        twin._state = self._state
-        twin._reset_trial()
-        return twin
+    def _freeze(self) -> "MetricsRegistry":
+        for hist in self.histograms.values():
+            hist.__class__ = _ReadOnlyHistogram  # same slots: a retag, not a copy
+        self.counters = MappingProxyType(self.counters)  # type: ignore[assignment]
+        self.histograms = MappingProxyType(self.histograms)  # type: ignore[assignment]
+        return self
 
     # ── core mutation API (name vocabulary enforced) ──────────────────
 
@@ -504,8 +515,8 @@ class MetricsRegistry:
             raise ValueError(f"counter increments must be >= 0, got {by}")
         if not by:
             return
-        # _own(), inlined: every delivered message comes through here.
-        counters = (self._own() if self._state.shared else self._state).counters
+        # A read-only registry's mapping proxy raises TypeError here.
+        counters = self.counters
         key = (name, label)
         counters[key] = counters.get(key, 0) + by
 
@@ -513,7 +524,7 @@ class MetricsRegistry:
         buckets = HISTOGRAM_BUCKETS.get(name)
         if buckets is None:
             raise ValueError(f"unknown histogram metric {name!r}")
-        histograms = (self._own() if self._state.shared else self._state).histograms
+        histograms = self.histograms
         hist = histograms.get(name)
         if hist is None:
             hist = histograms[name] = Histogram(buckets)
@@ -590,6 +601,8 @@ class MetricsRegistry:
 
     def finalize_delivery(self) -> None:
         """Fold per-trial delivery transients; call once per execution."""
+        if self.read_only:
+            _refuse()
         self.inc("coin_flip_rounds", "", len(self._coin_rounds))
         self.observe("trial_messages", self._trial_messages)
         self.observe("trial_signatures", self._trial_signatures)
@@ -607,6 +620,7 @@ class MetricsRegistry:
         outputs = result.honest_outputs
         for pid in sorted(outputs):
             self.inc("decisions", summarize_payload(outputs[pid]))
+        self._freeze()
 
     # ── frozen delivery segments (the vector backend's probes) ────────
 
@@ -645,7 +659,7 @@ class MetricsRegistry:
         disjoint rounds.
         """
         registry = cls()
-        counters = registry._state.counters
+        counters = registry.counters
         for part, offset in parts:
             for key, value in part.counters:
                 counters[key] = counters.get(key, 0) + value
@@ -663,68 +677,72 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold ``other`` into this registry (element-wise addition)."""
-        self._add(other._state)
+        if self.read_only:
+            _refuse()
+        self._add(other)
 
-    def _add(self, state: _State, times: int = 1) -> None:
-        counters = self._own().counters
-        for key, value in state.counters.items():
+    def _add(self, other: "MetricsRegistry", times: int = 1) -> None:
+        counters = self.counters
+        for key, value in other.counters.items():
             counters[key] = counters.get(key, 0) + value * times
-        for name, hist in state.histograms.items():
+        for name, hist in other.histograms.items():
             self._add_histogram(name, hist, times)
 
     def _add_histogram(self, name: str, hist: Histogram, times: int = 1) -> None:
-        mine = self._state.histograms.get(name)
+        mine = self.histograms.get(name)
         if mine is None:
-            mine = self._state.histograms[name] = hist.copy()
+            mine = self.histograms[name] = hist.copy()
             times -= 1
         if times:
             mine.merge(hist, times)
 
     @classmethod
     def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """The left fold of :meth:`merge`, priced by distinct snapshots.
+        """The left fold of :meth:`merge`, priced by distinct objects.
 
-        Inputs still on a shared snapshot are counted and the snapshot
-        is added once, scaled: every field is an integer sum or an
-        idempotent min/max, so the result is exactly the fold's.
+        An input seen again (by identity: the trials of one outcome
+        class share their registry) is added once, scaled by how often
+        it was seen: every field is an integer sum or an idempotent
+        min/max, so the result is exactly the fold's.
         """
-        total = cls()
-        shared: Dict[_State, int] = {}
+        seen: Dict[int, list] = {}  # id(registry) → [registry, sightings]
         for registry in registries:
-            state = registry._state
-            if state.shared:
-                shared[state] = shared.get(state, 0) + 1
+            entry = seen.get(id(registry))
+            if entry is None:
+                seen[id(registry)] = [registry, 1]
             else:
-                total._add(state)
-        for state, times in shared.items():
-            total._add(state, times)
+                entry[1] += 1
+        total = cls()
+        for registry, times in seen.values():
+            total._add(registry, times)
         return total
 
     def copy(self) -> "MetricsRegistry":
-        """An independent registry with the same counters and histograms."""
+        """A writable registry with equal counters and histograms, deep."""
         twin = MetricsRegistry()
-        twin._state = self._state.copy()
+        twin.counters = dict(self.counters)
+        twin.histograms = {name: hist.copy() for name, hist in self.histograms.items()}
         return twin
 
     def delivery_view(self) -> "MetricsRegistry":
         """Restrict to :data:`DELIVERY_METRIC_NAMES` (the trace-recoverable
         subset used by the live-vs-replayed equivalence tests)."""
         view = MetricsRegistry()
-        for key, value in self._state.counters.items():
+        for key, value in self.counters.items():
             if key[0] in DELIVERY_METRIC_NAMES:
-                view._state.counters[key] = value
-        for name, hist in self._state.histograms.items():
+                view.counters[key] = value
+        for name, hist in self.histograms.items():
             if name in DELIVERY_METRIC_NAMES:
-                view._state.histograms[name] = hist.copy()
+                view.histograms[name] = hist.copy()
         return view
 
     def counter_total(self, name: str) -> int:
-        counters = self._state.counters
+        counters = self.counters
         return sum(value for (metric, _), value in counters.items() if metric == name)
 
     def labels(self, name: str) -> Dict[str, int]:
         """Sorted label → count mapping for one counter metric."""
-        counters = self._state.counters
+        counters = self.counters
         return {
             label: counters[(metric, label)]
             for metric, label in sorted(counters)
@@ -734,36 +752,37 @@ class MetricsRegistry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsRegistry):
             return NotImplemented
-        mine, theirs = self._state, other._state
-        return mine.counters == theirs.counters and mine.histograms == theirs.histograms
+        return self.counters == other.counters and self.histograms == other.histograms
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(counters={len(self._state.counters)}, "
-            f"histograms={len(self._state.histograms)})"
+            f"MetricsRegistry(counters={len(self.counters)}, "
+            f"histograms={len(self.histograms)})"
         )
 
     def __reduce__(self):
-        # The finalized state as its canonical bytes, shared or own.
-        return type(self).unpack, (self.pack(),)
+        # The counters and histograms as their canonical bytes; a
+        # read-only registry comes back read-only, a writable one writable.
+        restore = type(self).unpack if self.read_only else type(self)._decode
+        return restore, (self.pack(),)
 
     # ── canonical wire form (ChunkSummary transport) ──────────────────
 
     def pack(self) -> bytes:
         """Canonical varint encoding: equal registries pack identically."""
-        state = self._state
-        if state.blob is not None:
-            return state.blob
+        if self._blob is not None:
+            return self._blob
+        counters, histograms = self.counters, self.histograms
         buf = bytearray()
         _write_varint(buf, _PACK_VERSION)
-        _write_varint(buf, len(state.counters))
-        for (name, label) in sorted(state.counters):
+        _write_varint(buf, len(counters))
+        for (name, label) in sorted(counters):
             _write_str(buf, name)
             _write_str(buf, label)
-            _write_varint(buf, state.counters[(name, label)])
-        _write_varint(buf, len(state.histograms))
-        for name in sorted(state.histograms):
-            hist = state.histograms[name]
+            _write_varint(buf, counters[(name, label)])
+        _write_varint(buf, len(histograms))
+        for name in sorted(histograms):
+            hist = histograms[name]
             _write_str(buf, name)
             _write_varint(buf, len(hist.buckets))
             for bound in hist.buckets:
@@ -776,16 +795,20 @@ class MetricsRegistry:
                 _write_varint(buf, hist.minimum or 0)
                 _write_varint(buf, hist.maximum or 0)
         blob = bytes(buf)
-        if state.shared:
-            state.blob = blob
+        if self.read_only:
+            self._blob = blob
         return blob
 
     @classmethod
     def unpack(cls, blob: bytes) -> "MetricsRegistry":
-        """Inverse of :meth:`pack`.  A truncated or corrupt blob raises
+        """Inverse of :meth:`pack`: the read-only registry of ``blob``.
+        A truncated or corrupt blob raises
         :class:`~repro.obs.sinks.ObsFormatError` naming where it broke."""
+        return cls._decode(blob)._freeze()
+
+    @classmethod
+    def _decode(cls, blob: bytes) -> "MetricsRegistry":
         registry = cls()
-        state = registry._state
         version, at = _read_varint(blob, 0)
         if version != _PACK_VERSION:
             raise ObsFormatError(f"unknown metrics pack version {version}")
@@ -794,34 +817,29 @@ class MetricsRegistry:
             name, at = _read_str(blob, at)
             label, at = _read_str(blob, at)
             value, at = _read_varint(blob, at)
-            state.counters[(name, label)] = value
+            registry.counters[(name, label)] = value
         n_hists, at = _read_varint(blob, at)
         for _ in range(n_hists):
             name, at = _read_str(blob, at)
             start = at
             n_buckets, at = _read_varint(blob, at)
-            buckets = []
-            for _ in range(n_buckets):
-                bound, at = _read_varint(blob, at)
-                buckets.append(bound)
+            buckets, at = _read_varints(blob, at, n_buckets)
+            counts, at = _read_varints(blob, at, n_buckets + 1)
+            (count, total), at = _read_varints(blob, at, 2)
+            low = high = None
+            if count:
+                (low, high), at = _read_varints(blob, at, 2)
             try:
                 hist = Histogram(buckets)
+                hist.counts, hist.count, hist.total = counts, count, total
+                hist.minimum, hist.maximum = low, high
+                hist.check()
             except ValueError as error:
                 raise ObsFormatError(
                     f"corrupt metrics blob: histogram {name!r} at offset "
                     f"{start}: {error}"
                 ) from None
-            counts = []
-            for _ in range(n_buckets + 1):
-                count, at = _read_varint(blob, at)
-                counts.append(count)
-            hist.counts = counts
-            hist.count, at = _read_varint(blob, at)
-            hist.total, at = _read_varint(blob, at)
-            if hist.count:
-                hist.minimum, at = _read_varint(blob, at)
-                hist.maximum, at = _read_varint(blob, at)
-            state.histograms[name] = hist
+            registry.histograms[name] = hist
         if at != len(blob):
             raise ObsFormatError(
                 f"metrics blob has {len(blob) - at} trailing bytes"
@@ -831,27 +849,65 @@ class MetricsRegistry:
     # ── JSON artifact form ────────────────────────────────────────────
 
     def as_payload(self) -> Dict[str, Any]:
-        state = self._state
         counters: Dict[str, Dict[str, int]] = {}
-        for (name, label) in sorted(state.counters):
-            counters.setdefault(name, {})[label] = state.counters[(name, label)]
+        for (name, label) in sorted(self.counters):
+            counters.setdefault(name, {})[label] = self.counters[(name, label)]
         return {
             "counters": counters,
             "histograms": {
-                name: state.histograms[name].as_payload()
-                for name in sorted(state.histograms)
+                name: self.histograms[name].as_payload()
+                for name in sorted(self.histograms)
             },
         }
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "MetricsRegistry":
+        """The registry of one artifact metrics section.  A malformed
+        section, or one naming a metric or buckets outside the pinned
+        vocabulary, raises :class:`~repro.obs.sinks.ObsFormatError`
+        naming the path inside it."""
         registry = cls()
-        for name, labels in payload.get("counters", {}).items():
+        counters = registry.counters
+        section = payload.get("counters", {})
+        if not isinstance(section, dict):
+            raise _malformed("counters", section, "an object")
+        for name, labels in section.items():
+            if name not in _COUNTER_NAMES:
+                raise ObsFormatError(f"counters[{name}]: unknown counter metric")
+            if not isinstance(labels, dict):
+                raise _malformed(f"counters[{name}]", labels, "an object")
             for label, value in labels.items():
-                registry.counters[(name, label)] = int(value)
-        for name, hist_payload in payload.get("histograms", {}).items():
-            registry.histograms[name] = Histogram.from_payload(hist_payload)
+                if type(value) is not int or value < 0:
+                    where = f"counters[{name}][{label}]"
+                    raise _malformed(where, value, "an int >= 0")
+                counters[(name, label)] = value
+        histograms = payload.get("histograms", {})
+        if not isinstance(histograms, dict):
+            raise _malformed("histograms", histograms, "an object")
+        for name, entry in histograms.items():
+            try:
+                if name not in HISTOGRAM_BUCKETS:
+                    raise ObsFormatError("unknown histogram metric")
+                hist = registry.histograms[name] = Histogram.from_payload(entry)
+                if hist.buckets != HISTOGRAM_BUCKETS[name]:
+                    raise ObsFormatError("buckets diverge from the pinned vocabulary")
+            except ValueError as error:
+                raise ObsFormatError(f"histograms[{name}]: {error}") from None
         return registry
+
+
+def _malformed(where: str, value: Any, expected: str) -> ObsFormatError:
+    return ObsFormatError(f"{where} is {value!r}, not {expected}")
+
+
+def _is_count(value: Any) -> bool:
+    """An int >= 0 that is not a bool: what a counter or a bucket holds."""
+    return type(value) is int and value >= 0
+
+
+def _are_counts(values: List[Any]) -> bool:
+    """:func:`_is_count` of every value, in two C-level passes."""
+    return set(map(type, values)) <= {int} and min(values, default=0) >= 0
 
 
 def _crypto_class_counts(payload: Any) -> Tuple[Tuple[str, int], ...]:
@@ -939,36 +995,27 @@ def validate_metrics_payload(payload: Any) -> List[str]:
     schema = payload.get("schema")
     if schema != METRICS_SCHEMA:
         violations.append(f"schema is {schema!r}, expected {METRICS_SCHEMA!r}")
+    if not isinstance(payload.get("meta", {}), dict):
+        violations.append("meta is not an object")
     sections: List[Tuple[str, Any]] = [("totals", payload.get("totals"))]
     configs = payload.get("configs", {})
     if not isinstance(configs, dict):
         violations.append("configs section is not an object")
         configs = {}
     for name, entry in configs.items():
-        sections.append(
-            (f"configs[{name}]", entry.get("metrics") if isinstance(entry, dict) else None)
-        )
+        if not isinstance(entry, dict):
+            entry = {}
+        elif not isinstance(entry.get("meta", {}), dict):
+            violations.append(f"configs[{name}]: meta is not an object")
+        sections.append((f"configs[{name}]", entry.get("metrics")))
     for where, section in sections:
         if not isinstance(section, dict):
             violations.append(f"{where}: missing metrics object")
             continue
         try:
-            registry = MetricsRegistry.from_payload(section)
-        except (ObsFormatError, KeyError, TypeError, ValueError) as error:
+            MetricsRegistry.from_payload(section)
+        except ObsFormatError as error:
             violations.append(f"{where}: malformed metrics ({error})")
-            continue
-        for metric, _ in registry.counters:
-            if metric not in _COUNTER_NAMES:
-                violations.append(f"{where}: unknown counter metric {metric!r}")
-        for metric, hist in registry.histograms.items():
-            expected = HISTOGRAM_BUCKETS.get(metric)
-            if expected is None:
-                violations.append(f"{where}: unknown histogram metric {metric!r}")
-            elif hist.buckets != expected:
-                violations.append(
-                    f"{where}: histogram {metric!r} buckets diverge from the "
-                    "pinned vocabulary"
-                )
     return violations
 
 

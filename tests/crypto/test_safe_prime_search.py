@@ -2,9 +2,11 @@
 
 ``generate_safe_prime`` exponentiates only the random Miller–Rabin rounds
 that decide a candidate (see :mod:`repro.crypto.primes`).  These tests pin
-it against the search it replaced, kept here verbatim: the same primes,
-and the RNG left in the same state, so everything dealt after a prime —
-shares, verification keys, the next prime — is unchanged too.
+it against the search it replaced, kept verbatim in ``make_prime_golden.py``
+beside this file: the same primes, and the RNG left in the same state, so
+everything dealt after a prime — shares, verification keys, the next
+prime — is unchanged too.  The reference search wrote the committed
+``safe_prime_golden.json``; CI re-runs it with ``--check``.
 """
 
 import random
@@ -13,85 +15,39 @@ import pytest
 
 from repro.crypto import primes
 from repro.crypto.primes import generate_safe_prime, is_probable_prime
-
-# -- the search before deferral, verbatim ------------------------------------
-
-_SMALL_PRIMES = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
-    227, 229, 233, 239, 241, 251,
-]
-
-
-def reference_is_probable_prime(n, rounds=40, rng=None):
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    rng = rng or random.Random(0xC0FFEE ^ n)
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = (x * x) % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def reference_generate_prime(bits, rng):
-    if bits < 3:
-        raise ValueError("need at least 3 bits for a random prime")
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if reference_is_probable_prime(candidate, rng=rng):
-            return candidate
-
-
-def reference_generate_safe_prime(bits, rng):
-    if bits < 5:
-        raise ValueError("need at least 5 bits for a safe prime")
-    while True:
-        q = reference_generate_prime(bits - 1, rng)
-        p = 2 * q + 1
-        if p.bit_length() == bits and reference_is_probable_prime(p, rng=rng):
-            return p
-
+from tests.crypto.make_prime_golden import (
+    CASES,
+    digest,
+    load_golden,
+    reference_generate_safe_prime,
+)
 
 # -- equivalence ---------------------------------------------------------------
 
+GOLDEN = load_golden()
 
-def _both(bits, seed):
-    ours, theirs = random.Random(seed), random.Random(seed)
-    assert generate_safe_prime(bits, ours) == reference_generate_safe_prime(
-        bits, theirs
-    ), (bits, seed)
-    assert ours.getstate() == theirs.getstate(), (bits, seed)
+
+def _matches_the_reference(bits):
+    assert digest(generate_safe_prime, bits) == GOLDEN[bits], (
+        f"safe primes or RNG draws at bits={bits} differ from the reference "
+        "search's golden (tests/crypto/make_prime_golden.py)"
+    )
+
+
+def test_the_golden_covers_every_case():
+    assert sorted(GOLDEN) == sorted(CASES)
 
 
 @pytest.mark.parametrize("bits", range(5, 41))
 def test_small_safe_primes_and_draws_match_the_reference(bits):
-    for seed in range(100):
-        _both(bits, seed)
+    assert CASES[bits] == 100
+    _matches_the_reference(bits)
 
 
 @pytest.mark.parametrize("bits", [64, 128])
 def test_key_size_safe_primes_and_draws_match_the_reference(bits):
-    for seed in range(10):
-        _both(bits, seed)
+    assert CASES[bits] == 10
+    _matches_the_reference(bits)
 
 
 def test_the_benchmark_suite_deals_in_at_most_8000_modexps(monkeypatch):

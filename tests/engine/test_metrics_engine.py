@@ -52,6 +52,26 @@ def _artifact_bytes(result):
     return json.dumps(result.metrics_payload(), sort_keys=True).encode()
 
 
+def _set_counter(registry, _):
+    registry.counters["trials", ""] = 5
+
+
+#: Every way to change a registry; each raises on a finalized one.
+_MUTATIONS = (
+    lambda registry, _: registry.inc("trials"),
+    lambda registry, _: registry.inc("messages", "bool", 1000),
+    lambda registry, _: registry.observe("rounds_to_decision", 99),
+    lambda registry, _: registry.observe("slot_occupancy", 7),
+    lambda registry, _: registry.on_message(1, 0, 1, True, sender_honest=True),
+    lambda registry, _: registry.observe_delivery(1, "True", 0, True),
+    lambda registry, _: registry.merge(MetricsRegistry()),
+    lambda registry, _: registry.merge(registry.copy()),
+    _set_counter,
+    lambda registry, _: registry.histograms["rounds_to_decision"].observe(1),
+    lambda registry, result: registry.finalize_trial(result),  # last: it freezes
+)
+
+
 class TestBackendIdentity:
     def test_serial_pooled_vector_artifacts_identical(self):
         plan = _plan()
@@ -129,11 +149,12 @@ class TestVectorNativeMetrics:
         assert _artifact_bytes(pooled) == _artifact_bytes(serial)
         assert pooled.trial_metrics == serial.trial_metrics
 
-    def test_trial_registries_are_independent_copies(self):
+    def test_trial_registries_are_read_only_and_shared_by_class(self):
         """The reference is the object path, never another vector run:
-        comparing against one lets a registry aliased through a trial,
-        through the class its leaf keeps or through blob interning — the same
-        corrupted object on both sides — pass."""
+        comparing against one lets a registry corrupted through a trial,
+        through the class its leaf keeps or through blob interning — the
+        same corrupted object on both sides — pass.  Each such mutation
+        raises instead."""
         clear_probe_cache()
         plan = _plan(trials=6)
         chunk = list(enumerate(plan.trials))
@@ -141,17 +162,17 @@ class TestVectorNativeMetrics:
         sink = {}
         pairs, _ = execute_chunk(chunk, metrics=sink)
         pooled = ChunkSummary.pack(pairs, metrics=sink).unpack_metrics()
-        # Same (path, outcome) class ⇒ equal registries, never shared.
-        for twins in (sink, pooled):
-            assert sum(twins[i] == twins[0] for i in twins) > 1
-            twins[0].inc("messages", "bool", 1000)
-            twins[0].observe("slot_occupancy", 7)
-            twins[0].observe("rounds_to_decision", 99)
-            twins[0].counters["trials", ""] += 1
-            assert twins[0] != reference[0]
-            for index in range(1, len(chunk)):
-                assert twins[index] == reference[index]
-        # ...and neither the cached probes nor the cached classes saw it.
+        # Trials of one class share one object; a blob decodes to one object.
+        assert len({id(registry) for registry in sink.values()}) < len(chunk)
+        assert len({id(registry) for registry in pooled.values()}) == len(
+            {registry.pack() for registry in pooled.values()}
+        )
+        for shared in (sink, pooled):
+            for mutate in _MUTATIONS:
+                with pytest.raises(TypeError):
+                    mutate(shared[0], pairs[0][1])
+            assert [shared[index] for index in range(len(chunk))] == reference
+        # ...and neither the cached probes nor the cached classes changed.
         again = {}
         execute_chunk(chunk, metrics=again)
         assert [again[index] for index in range(len(chunk))] == reference
@@ -355,3 +376,44 @@ class TestProfiling:
             ]
             for span in (s for s in spans if s["t"] == "profile"):
                 assert set(span) == {"t", "at", "chunk", "path", "seconds"}
+
+
+class TestReadOnlyRegistries:
+    """A finalized registry, wherever it comes from, refuses every
+    mutation; its ``copy()`` is writable and deep."""
+
+    @staticmethod
+    def _finalized(source):
+        plan = _plan(trials=3)
+        chunk = list(enumerate(plan.trials))
+        if source == "finalize_trial":
+            result, registry = run_measured_trial(plan.trials[0])
+            return registry, result
+        sink = {}
+        pairs, stats = execute_chunk(chunk, metrics=sink)
+        assert stats["fallback"] == 0  # composed, not collected
+        result = pairs[0][1]
+        if source == "unpack_metrics":
+            return ChunkSummary.pack(pairs, metrics=sink).unpack_metrics()[0], result
+        if source == "unpack":
+            return MetricsRegistry.unpack(sink[0].pack()), result
+        return sink[0], result
+
+    @pytest.mark.parametrize(
+        "source", ["_compose_registries", "unpack_metrics", "finalize_trial", "unpack"]
+    )
+    def test_every_mutation_raises_and_copy_is_writable(self, source):
+        registry, result = self._finalized(source)
+        reference = run_measured_trial(_plan(trials=3).trials[0])[1]
+        assert registry.read_only and registry == reference
+        blob = registry.pack()
+        for mutate in _MUTATIONS:
+            with pytest.raises(TypeError):
+                mutate(registry, result)
+            assert registry.pack() == blob and registry == reference
+        dup = registry.copy()
+        assert not dup.read_only and dup == registry
+        for mutate in _MUTATIONS:
+            mutate(dup, result)
+        assert dup != registry and dup.read_only  # finalize_trial froze it
+        assert registry.pack() == blob and registry == reference

@@ -163,8 +163,9 @@ def _apply(registry: MetricsRegistry, shape) -> MetricsRegistry:
 
 
 class TestSharedSnapshots:
-    """Snapshot-or-own state: a stamped registry is a pointer to a shared
-    snapshot until touched, and nothing observable says which."""
+    """A finalized registry is a read-only value the engine shares by
+    identity: it reads like its writable source, ``merged`` adds each
+    object once however often it recurs, and ``copy()`` is writable."""
 
     @settings(deadline=None)
     @given(
@@ -172,28 +173,31 @@ class TestSharedSnapshots:
         st.lists(
             st.tuples(
                 st.integers(0, 3),
-                st.sampled_from(["same", "stamped", "touched", "mutated", "own"]),
+                st.sampled_from(["same", "read-only", "copied", "mutated", "own"]),
             ),
             max_size=12,
         ),
     )
     def test_merged_equals_the_left_fold_of_merge(self, shapes, picks):
         bases = [_build(shape) for shape in shapes]
+        # One read-only registry per base, picked again and again as the
+        # engine hands one class registry to many trials.
+        shared = [MetricsRegistry.unpack(base.pack()) for base in bases]
         inputs = []
         for at, kind in picks:
             at %= len(bases)
-            if kind == "same":  # the very object again, however it holds
+            if kind == "same":  # the very writable object again
                 inputs.append(bases[at])
+            elif kind == "read-only":
+                inputs.append(shared[at])
             elif kind == "own":
                 inputs.append(_build(shapes[at]))
             else:
-                twin = bases[at].stamp()
-                if kind == "touched":
-                    twin.histograms
-                elif kind == "mutated":
-                    twin.inc("trials")
-                    twin.observe("slot_occupancy", 5)
-                inputs.append(twin)
+                dup = shared[at].copy()
+                if kind == "mutated":
+                    dup.inc("trials")
+                    dup.observe("slot_occupancy", 5)
+                inputs.append(dup)
         before = [registry.as_payload() for registry in inputs]
         fold = MetricsRegistry()
         for registry in inputs:
@@ -204,61 +208,72 @@ class TestSharedSnapshots:
             assert merged == fold
             assert merged.pack() == fold.pack()
             assert merged.as_payload() == fold.as_payload()
-            # The total is private: growing it reaches no snapshot.
+            # The total is writable and private: growing it reaches no input.
             merged.inc("trials", by=3)
             merged.observe("trial_messages", 1)
+            merged.observe("slot_occupancy", 2)
         assert [registry.as_payload() for registry in inputs] == before
 
     @settings(deadline=None)
-    @given(_registry_shape, _registry_shape, st.booleans())
-    def test_stamped_twin_is_a_copy_until_touched_and_independent_after(
-        self, shape, bump, touch_source
-    ):
+    @given(_registry_shape, _registry_shape)
+    def test_a_read_only_registry_reads_like_its_writable_source(self, shape, bump):
         source = _build(shape)
-        reference = source.copy()
-        twin = source.stamp()
-        for held in (source, twin, twin.stamp()):
-            assert held == reference and reference == held
-            assert repr(held) == repr(reference)
-            assert held.pack() == reference.pack()
-            assert held.as_payload() == reference.as_payload()
-            assert pickle.dumps(held) == pickle.dumps(reference)
-            assert pickle.loads(pickle.dumps(held)) == reference
-            assert held.copy() == reference
-            assert held.delivery_view() == reference.delivery_view()
-            assert held.labels("messages") == reference.labels("messages")
-            assert held.counter_total("trials") == reference.counter_total("trials")
-        touched, other = (source, twin) if touch_source else (twin, source)
-        _apply(touched, bump)
-        touched.counters["trials", "direct"] = 1
-        touched.histograms["rounds_to_decision"] = Histogram((1, 2))
+        shared = MetricsRegistry.unpack(source.pack())
+        assert shared.read_only and not source.read_only
+        for held in (shared, pickle.loads(pickle.dumps(shared))):
+            assert held == source and source == held
+            assert repr(held) == repr(source)
+            assert held.pack() == source.pack()
+            assert held.as_payload() == source.as_payload()
+            assert pickle.dumps(held.copy()) == pickle.dumps(source)
+            assert held.copy() == source
+            assert held.delivery_view() == source.delivery_view()
+            assert held.labels("messages") == source.labels("messages")
+            assert held.counter_total("trials") == source.counter_total("trials")
+        dup = shared.copy()
+        _apply(dup, bump)
+        dup.counters["trials", "direct"] = 1
+        dup.histograms["rounds_to_decision"] = Histogram((1, 2))
         expected = _apply(_build(shape), bump)
         expected.counters["trials", "direct"] = 1
         expected.histograms["rounds_to_decision"] = Histogram((1, 2))
-        assert touched == expected and touched.pack() == expected.pack()
-        for held in (other, other.stamp(), pickle.loads(pickle.dumps(other))):
-            assert held == reference and held.pack() == reference.pack()
+        assert dup == expected and dup.pack() == expected.pack()
+        assert shared == source and shared.pack() == source.pack()
 
-    def test_a_stamped_twin_collects_like_a_copy(self):
-        """Made to observe, a twin collects exactly as a fresh copy would
-        (its per-trial transients start out empty, like a new registry's)."""
+    def test_a_copy_of_a_read_only_registry_collects_like_a_fresh_one(self):
+        """A read-only registry refuses to collect; its copy collects
+        exactly as a fresh registry would (its per-trial transients start
+        out empty)."""
         source = _build(([("messages", "", 7)], [("slot_occupancy", 3)]))
-        reference, twin = source.copy(), source.stamp()
-        for registry in (reference, twin):
+        shared = MetricsRegistry.unpack(source.pack())
+        with pytest.raises(TypeError):
+            shared.observe_delivery(2, "<coin_share 1>", 3, sender_honest=True)
+        reference, dup = source.copy(), shared.copy()
+        for registry in (reference, dup):
             registry.observe_delivery(2, "<coin_share 1>", 3, sender_honest=True)
             registry.on_message(3, 0, 1, {"slot": 1}, sender_honest=False)
             registry.finalize_delivery()
-        assert twin == reference and twin.pack() == reference.pack()
-        assert twin.counter_total("coin_flip_rounds") == 1
-        assert source == _build(([("messages", "", 7)], [("slot_occupancy", 3)]))
+        assert dup == reference and dup.pack() == reference.pack()
+        assert dup.counter_total("coin_flip_rounds") == 1
+        assert shared == source
 
-    def test_copies_of_a_stamped_registry_are_deep(self):
-        twin = _build(([("messages", "", 7)], [("slot_occupancy", 3)])).stamp()
-        reference = twin.copy()
-        for dup in (twin.copy(), copy.copy(twin), copy.deepcopy(twin)):
+    def test_copies_of_a_read_only_registry_are_deep(self):
+        """``copy()`` is writable and deep; the ``copy`` module and pickle
+        keep a registry's kind: an equal read-only value, or an
+        independent writable one."""
+        source = _build(([("messages", "", 7)], [("slot_occupancy", 3)]))
+        shared = MetricsRegistry.unpack(source.pack())
+        for dup in (shared.copy(), copy.copy(source), copy.deepcopy(source)):
+            assert not dup.read_only
             dup.inc("messages", by=1)
             dup.histograms["slot_occupancy"].observe(9)
-            assert twin == reference
+            assert shared == source == _build(
+                ([("messages", "", 7)], [("slot_occupancy", 3)])
+            )
+        for dup in (copy.copy(shared), copy.deepcopy(shared)):
+            assert dup == shared and dup.read_only
+            with pytest.raises(TypeError):
+                dup.histograms["slot_occupancy"].observe(9)
 
 
 class TestWireForm:
@@ -294,6 +309,17 @@ class TestWireForm:
         blob = _build(([("messages", "", 3)], [])).pack()
         with pytest.raises(ObsFormatError, match="trailing"):
             MetricsRegistry.unpack(blob + b"\x00")
+
+    def test_an_inconsistent_histogram_blob_raises(self):
+        """``unpack`` runs the artifact's histogram check on every blob."""
+        registry = _build(([], [("slot_occupancy", 3), ("slot_occupancy", 9)]))
+        hist = registry.histograms["slot_occupancy"]
+        hist.count = 3
+        with pytest.raises(ObsFormatError, match="not the sum 2 of counts"):
+            MetricsRegistry.unpack(registry.pack())
+        hist.count, hist.minimum = 2, 10
+        with pytest.raises(ObsFormatError, match="min <= max"):
+            MetricsRegistry.unpack(registry.pack())
 
     def test_unknown_version_raises(self):
         with pytest.raises(ObsFormatError, match="version"):
@@ -564,6 +590,67 @@ class TestArtifact:
         assert any(
             "needs integer min and max" in v for v in validate_metrics_payload(payload)
         )
+
+    @pytest.mark.parametrize(
+        "where, value, path",
+        [
+            (("totals", "counters", "trials", ""), -5, "totals: malformed metrics "
+             "(counters[trials][] is -5, not an int >= 0)"),
+            (("totals", "counters", "trials", ""), True, "counters[trials][] is True"),
+            (("totals", "counters", "trials", ""), 2.0, "counters[trials][] is 2.0"),
+            (("totals", "counters", "messages"), [9], "counters[messages] is [9]"),
+            (("totals", "counters"), [], "totals: malformed metrics (counters is []"),
+            (("totals", "histograms"), 3, "histograms is 3"),
+            (("configs", "cfg", "metrics", "histograms", "rounds_to_decision"), [],
+             "configs[cfg]: malformed metrics (histograms[rounds_to_decision]: "
+             "the entry is []"),
+            (("meta",), "unit", "meta is not an object"),
+            (("configs", "cfg", "meta"), [4], "configs[cfg]: meta is not an object"),
+        ],
+    )
+    def test_a_wrong_type_or_sign_is_a_violation_naming_its_path(
+        self, where, value, path
+    ):
+        payload = self._payload()
+        node = payload
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        violations = validate_metrics_payload(payload)
+        assert any(path in violation for violation in violations), violations
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("counts", [1, 0, "x"], "counts is [1, 0, 'x']"),
+            ("counts", [1, -1, 2], "not a list of ints >= 0"),
+            ("counts", [2, 0, 0], "3 counts for 16 buckets"),
+            ("count", 3, "count is 3, not the sum 2 of counts"),
+            ("count", True, "count is True"),
+            ("total", -6, "total is -6, not an int >= 0"),
+            ("total", 6.0, "total is 6.0"),
+            ("min", 5, "needs integer min and max with 0 <= min <= max"),
+            ("max", 1.5, "needs integer min and max"),
+            ("buckets", [4, 2], "strictly increasing"),
+        ],
+    )
+    def test_an_inconsistent_histogram_is_a_violation(self, field, value, message):
+        payload = self._payload()
+        hist = payload["totals"]["histograms"]["rounds_to_decision"]
+        hist[field] = value
+        violations = validate_metrics_payload(payload)
+        assert any(message in violation for violation in violations), violations
+
+    def test_an_empty_histogram_has_null_bounds(self):
+        payload = self._payload()
+        hist = payload["totals"]["histograms"]["rounds_to_decision"]
+        hist.update(counts=[0] * len(hist["counts"]), count=0, total=0)
+        assert any(
+            "of no observations are not null" in violation
+            for violation in validate_metrics_payload(payload)
+        )
+        hist.update(min=None, max=None)
+        assert validate_metrics_payload(payload) == []
 
     def test_write_load_roundtrip_and_deterministic_bytes(self, tmp_path):
         payload = self._payload()

@@ -10,6 +10,7 @@ out of the golden).
 """
 
 import cProfile
+import json
 import os
 
 import pytest
@@ -214,3 +215,65 @@ class TestReportFuzz:
         # Both outcomes happen: the loop reached the renderer, not only
         # the JSON parser.
         assert exits[0] and exits[2], exits
+
+    def test_every_leaf_substitution_exits_0_or_2_and_bad_counts_exit_2(
+        self, tmp_path, monkeypatch
+    ):
+        """Each leaf of the metrics fixture, in turn, set to each of
+        ``-1, "x", 1.5, true, null, [], {}``: ``repro report --check``
+        never raises, and exits 2 on every change under ``counters`` or
+        ``histograms`` — none of the substitutes is an int >= 0 that
+        keeps a histogram whole."""
+        import io
+        import sys
+
+        from repro import cli
+
+        with open(os.path.join(FIXTURES, "metrics.json"), encoding="utf-8") as handle:
+            document = json.load(handle)
+        spans = []
+        text = _encode(document, (), 0, spans)
+        assert json.loads(text) == document and len(spans) == 450
+        path = str(tmp_path / "metrics.json")
+        args = cli.build_parser().parse_args(["report", "--metrics", path, "--check"])
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", sink)
+        exits = {0: 0, 2: 0}
+        with open(path, "w", encoding="utf-8") as handle:
+            for where, start, end in spans:
+                for substitute in ('-1', '"x"', '1.5', 'true', 'null', '[]', '{}'):
+                    if substitute == text[start:end]:
+                        continue
+                    handle.seek(0)
+                    handle.write(text[:start] + substitute + text[end:])
+                    handle.truncate()
+                    handle.flush()
+                    try:
+                        code = args.handler(args)
+                    except Exception as error:  # pragma: no cover - the failure
+                        pytest.fail(f"{type(error).__name__}: {error} at {where}")
+                    sink.seek(0)
+                    sink.truncate()
+                    if "counters" in where or "histograms" in where:
+                        assert code == 2, (where, substitute)
+                    assert code in exits, (code, where, substitute)
+                    exits[code] += 1
+        assert exits[0] and exits[2], exits
+
+
+def _encode(node, where, at, spans):
+    """``node`` as compact JSON that starts at offset ``at`` of the
+    document, appending ``(key path, start, end)`` of every leaf to
+    ``spans``."""
+    if not isinstance(node, (dict, list)):
+        text = json.dumps(node)
+        spans.append((where, at, at + len(text)))
+        return text
+    is_object = isinstance(node, dict)
+    text = "{" if is_object else "["
+    children = node.items() if is_object else enumerate(node)
+    for index, (key, child) in enumerate(children):
+        text += ("," if index else "") + (json.dumps(key) + ":" if is_object else "")
+        text += _encode(child, (*where, key), at + len(text), spans)
+    return text + ("}" if is_object else "]")
