@@ -11,7 +11,7 @@ Run:  python examples/traced_iteration.py
 """
 
 from repro.core.extraction import extract
-from repro.core.iteration import pi_iter_program, threshold_coin_factory
+from repro.core.iteration import Iteration, threshold_coin_factory
 from repro.crypto.keys import CryptoSuite
 from repro.network.simulator import run_protocol
 from repro.network.trace import Tracer
@@ -20,17 +20,17 @@ from repro.proxcensus.linear_half import prox_linear_half_program
 import random
 
 
+ITERATION = Iteration(
+    slots=5,
+    prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
+    prox_rounds=3,
+    coin_index=("demo", 0),
+    overlap_coin=True,
+)
+
+
 def iteration_program(ctx, bit):
-    result = yield from pi_iter_program(
-        ctx,
-        bit,
-        slots=5,
-        prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
-        prox_rounds=3,
-        coin_factory=threshold_coin_factory(),
-        coin_index=("demo", 0),
-        overlap_coin=True,
-    )
+    result = yield from ITERATION.run(ctx, bit, threshold_coin_factory())
     return result
 
 

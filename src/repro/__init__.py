@@ -49,8 +49,6 @@ from .core import (
     micali_vaikuntanathan_program,
     multivalued_ba_program,
     mv_pki_program,
-    pi_exchange_program,
-    pi_iter_program,
     threshold_coin_factory,
     turpin_coan_classic_program,
 )
@@ -115,8 +113,6 @@ __all__ = [
     "micali_vaikuntanathan_program",
     "multivalued_ba_program",
     "mv_pki_program",
-    "pi_exchange_program",
-    "pi_iter_program",
     "prox_linear_half_program",
     "prox_one_third_program",
     "prox_quadratic_half_program",

@@ -113,6 +113,8 @@ def rounds_for_error(protocol: str, kappa: int) -> int:
 
 def error_for_rounds(protocol: str, rounds: int) -> int:
     """Error exponent (bits) ``protocol`` reaches within ``rounds``."""
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     return PROTOCOLS[protocol].error_bits(rounds)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-from ..core.ba import ba_one_half_program, ba_one_third_program
+from ..core.ba import ba_for_regime
 from ..core.turpin_coan import multivalued_ba_program
 from ..network.party import Context
 from ..proxcensus.proxcast import proxcast_program
@@ -41,14 +41,9 @@ NO_OP = ("no-op",)
 
 def rounds_per_slot(kappa: int, regime: str, proposer: str = "local") -> int:
     """Rounds one log slot costs: (proposal proxcast +) lift + binary BA."""
-    from ..core.ba import rounds_one_half, rounds_one_third
-
-    if regime == "one_third":
-        base = 2 + rounds_one_third(kappa)
-    elif regime == "one_half":
-        base = 3 + rounds_one_half(kappa)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    binary = ba_for_regime(regime).rounds(kappa)
+    # The lift's 5-slot Proxcensus: 2 rounds for t < n/3, 3 for t < n/2.
+    base = (2 if regime == "one_third" else 3) + binary
     if proposer == "rotating":
         base += 2  # the 3-slot proxcast of the slot leader's command
     elif proposer != "local":
@@ -82,16 +77,8 @@ def replicated_log_program(
     """
     if num_slots < 1:
         raise ValueError("need at least one slot")
-    if regime == "one_third":
-        if 3 * ctx.max_faulty >= ctx.num_parties:
-            raise ValueError("regime 'one_third' requires t < n/3")
-        binary_ba = lambda c, b: ba_one_third_program(c, b, kappa)
-    elif regime == "one_half":
-        if 2 * ctx.max_faulty >= ctx.num_parties:
-            raise ValueError("regime 'one_half' requires t < n/2")
-        binary_ba = lambda c, b: ba_one_half_program(c, b, kappa)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    ba = ba_for_regime(regime, ctx)
+    binary_ba = lambda c, b: ba.program(c, b, kappa)
 
     if proposer not in ("local", "rotating"):
         raise ValueError(f"unknown proposer policy {proposer!r}")

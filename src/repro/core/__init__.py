@@ -28,8 +28,6 @@ from .iteration import (
     CoinFactory,
     Iteration,
     ideal_coin_factory,
-    pi_exchange_program,
-    pi_iter_program,
     threshold_coin_factory,
 )
 from .micali_vaikuntanathan import (
@@ -77,8 +75,6 @@ __all__ = [
     "multivalued_ba_program",
     "multivalued_prefix",
     "mv_pki_program",
-    "pi_exchange_program",
-    "pi_iter_program",
     "rounds_feldman_micali",
     "rounds_mv",
     "rounds_one_half",

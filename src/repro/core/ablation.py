@@ -34,9 +34,12 @@ from ..proxcensus.linear_half import slots_after_rounds as linear_slots
 from ..proxcensus.one_third import prox_one_third_program
 from ..proxcensus.quadratic_half import prox_quadratic_half_program
 from ..proxcensus.quadratic_half import slots_after_rounds as quadratic_slots
-from .iteration import CoinFactory, pi_iter_program, threshold_coin_factory
+from .ba import FixedRoundBA
+from .iteration import CoinFactory, Iteration
 
 __all__ = [
+    "BA_ONE_HALF_GENERALIZED",
+    "BA_ONE_THIRD_CHUNKED",
     "ba_one_third_chunked",
     "rounds_one_third_chunked",
     "bits_per_round_one_third",
@@ -46,10 +49,29 @@ __all__ = [
 ]
 
 
+def _chunks(kappa: int, chunk: int) -> int:
+    if not (1 <= chunk <= kappa):
+        raise ValueError("need 1 <= chunk <= kappa")
+    return math.ceil(kappa / chunk)
+
+
+#: ``⌈κ/m⌉`` iterations of ``Π_iter`` over ``Prox_{2^m+1}`` (chunk ``m``).
+BA_ONE_THIRD_CHUNKED = FixedRoundBA(
+    "ba_one_third_chunked",
+    3,
+    lambda index, kappa, chunk: Iteration(
+        slots=2 ** chunk + 1,
+        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=chunk),
+        prox_rounds=chunk, coin_index=("chunked", index), overlap_coin=False,
+        subsession=f"chunk{index}",
+    ),
+    _chunks,
+)
+
+
 def rounds_one_third_chunked(kappa: int, chunk: int) -> int:
     """Rounds of the chunked t<n/3 family: ``⌈κ/m⌉·(m+1)`` for chunk m."""
-    iterations = math.ceil(kappa / chunk)
-    return iterations * (chunk + 1)
+    return BA_ONE_THIRD_CHUNKED.rounds(kappa, chunk=chunk)
 
 
 def bits_per_round_one_third(chunk: int) -> float:
@@ -69,48 +91,52 @@ def ba_one_third_chunked(
     ``chunk = kappa`` is the paper's Corollary 2 protocol; ``chunk = 1``
     is fixed-round Feldman–Micali.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"binary BA needs a bit input, got {bit!r}")
-    if not (1 <= chunk <= kappa):
-        raise ValueError("need 1 <= chunk <= kappa")
-    if 3 * ctx.max_faulty >= ctx.num_parties:
-        raise ValueError("ba_one_third_chunked requires t < n/3")
-    coin_factory = coin_factory or threshold_coin_factory()
-    iterations = math.ceil(kappa / chunk)
-    for index in range(iterations):
-        iteration_ctx = ctx.subsession(f"chunk{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=2 ** chunk + 1,
-            prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=chunk),
-            prox_rounds=chunk,
-            coin_factory=coin_factory,
-            coin_index=("chunked", index),
-            overlap_coin=False,
-        )
-    return bit
+    return BA_ONE_THIRD_CHUNKED.program(ctx, bit, kappa, coin_factory, chunk=chunk)
+
+
+#: Each family's Proxcensus program and its slot count after ``r`` rounds.
+_FAMILIES = {
+    "linear": (prox_linear_half_program, linear_slots),
+    "quadratic": (prox_quadratic_half_program, quadratic_slots),
+}
+
+
+def _bits_per_iteration_one_half(prox_rounds: int, family: str) -> float:
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return math.log2(_FAMILIES[family][1](prox_rounds) - 1)
+
+
+def _generalized_iteration(index: int, kappa: int, prox_rounds: int, family: str):
+    prox, slots = _FAMILIES[family]
+    return Iteration(
+        slots=slots(prox_rounds),
+        prox_factory=lambda c, b: prox(c, b, rounds=prox_rounds),
+        prox_rounds=prox_rounds, coin_index=("gen12", index), overlap_coin=True,
+        subsession=f"gen{index}",
+    )
+
+
+#: ``⌈κ / log2(s-1)⌉`` iterations over ``Prox_{2r-1}`` (or the quadratic
+#: family), the coin overlapped with the last round.
+BA_ONE_HALF_GENERALIZED = FixedRoundBA(
+    "ba_one_half_generalized",
+    2,
+    _generalized_iteration,
+    lambda kappa, prox_rounds, family: math.ceil(
+        kappa / _bits_per_iteration_one_half(prox_rounds, family)
+    ),
+)
 
 
 def rounds_one_half_generalized(kappa: int, prox_rounds: int, family: str = "linear") -> int:
     """Rounds of the generalized t<n/2 family (coin overlapped)."""
-    bits = _bits_per_iteration_one_half(prox_rounds, family)
-    iterations = math.ceil(kappa / bits)
-    return iterations * prox_rounds
+    return BA_ONE_HALF_GENERALIZED.rounds(kappa, prox_rounds=prox_rounds, family=family)
 
 
 def bits_per_round_one_half(prox_rounds: int, family: str = "linear") -> float:
     """Bits of error exponent per communication round."""
     return _bits_per_iteration_one_half(prox_rounds, family) / prox_rounds
-
-
-def _bits_per_iteration_one_half(prox_rounds: int, family: str) -> float:
-    slots = (
-        linear_slots(prox_rounds)
-        if family == "linear"
-        else quadratic_slots(prox_rounds)
-    )
-    return math.log2(slots - 1)
 
 
 def ba_one_half_generalized(
@@ -128,32 +154,6 @@ def ba_one_half_generalized(
     failure is ``1/(s-1)``, so that many independent iterations push the
     product below ``2^-κ``.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"binary BA needs a bit input, got {bit!r}")
-    if 2 * ctx.max_faulty >= ctx.num_parties:
-        raise ValueError("ba_one_half_generalized requires t < n/2")
-    if family == "linear":
-        slots = linear_slots(prox_rounds)
-        prox_factory = lambda c, b: prox_linear_half_program(c, b, rounds=prox_rounds)
-    elif family == "quadratic":
-        slots = quadratic_slots(prox_rounds)
-        prox_factory = lambda c, b: prox_quadratic_half_program(
-            c, b, rounds=prox_rounds
-        )
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    coin_factory = coin_factory or threshold_coin_factory()
-    iterations = math.ceil(kappa / math.log2(slots - 1))
-    for index in range(iterations):
-        iteration_ctx = ctx.subsession(f"gen{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=slots,
-            prox_factory=prox_factory,
-            prox_rounds=prox_rounds,
-            coin_factory=coin_factory,
-            coin_index=("gen12", index),
-            overlap_coin=True,
-        )
-    return bit
+    return BA_ONE_HALF_GENERALIZED.program(
+        ctx, bit, kappa, coin_factory, prox_rounds=prox_rounds, family=family
+    )

@@ -17,14 +17,28 @@ from typing import Optional
 
 from ..network.party import Context
 from ..proxcensus.one_third import prox_one_third_program
-from .iteration import CoinFactory, pi_iter_program, threshold_coin_factory
+from .ba import FixedRoundBA
+from .iteration import CoinFactory, Iteration
 
-__all__ = ["feldman_micali_program", "rounds_feldman_micali"]
+__all__ = ["FELDMAN_MICALI", "feldman_micali_program", "rounds_feldman_micali"]
+
+#: ``κ`` iterations of ``Π_iter^3``: 1-round ``Prox_3``, then the coin.
+FELDMAN_MICALI = FixedRoundBA(
+    "feldman_micali",
+    3,
+    lambda index, kappa: Iteration(
+        slots=3,
+        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=1),
+        prox_rounds=1, coin_index=("fm", index), overlap_coin=False,
+        subsession=f"fm{index}",
+    ),
+    lambda kappa: kappa,
+)
 
 
 def rounds_feldman_micali(kappa: int) -> int:
     """Round count: ``2κ`` (one GC round + one coin round per iteration)."""
-    return 2 * kappa
+    return FELDMAN_MICALI.rounds(kappa)
 
 
 def feldman_micali_program(
@@ -34,26 +48,4 @@ def feldman_micali_program(
     coin_factory: Optional[CoinFactory] = None,
 ):
     """Binary fixed-round FM Byzantine Agreement, t < n/3, 2κ rounds."""
-    if bit not in (0, 1):
-        raise ValueError(f"binary BA needs a bit input, got {bit!r}")
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    if 3 * ctx.max_faulty >= ctx.num_parties:
-        raise ValueError(
-            f"feldman_micali requires t < n/3, got t={ctx.max_faulty}, "
-            f"n={ctx.num_parties}"
-        )
-    coin_factory = coin_factory or threshold_coin_factory()
-    for index in range(kappa):
-        iteration_ctx = ctx.subsession(f"fm{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=3,
-            prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=1),
-            prox_rounds=1,
-            coin_factory=coin_factory,
-            coin_index=("fm", index),
-            overlap_coin=False,
-        )
-    return bit
+    return FELDMAN_MICALI.program(ctx, bit, kappa, coin_factory)

@@ -6,10 +6,12 @@ One iteration = **expand** (an ``s``-slot Proxcensus), **coin-flip** (a
 except with probability ``1/(s-1)``, against a strongly rushing adaptive
 adversary, for any ``t < n`` for which the underlying Proxcensus is secure.
 
-This module provides the iteration as a composable party program, plus the
-two coin-factory flavours (ideal and threshold-signature based).  BA
-protocols assemble iterations in :mod:`.ba`,
-:mod:`.feldman_micali` and :mod:`.micali_vaikuntanathan`.
+This module states one iteration as a record, :class:`Iteration`, whose
+:meth:`~Iteration.exchange` (expand and coin-flip) and :meth:`~Iteration.run`
+(the whole iteration) are its party programs, plus the coin-factory
+flavours (ideal, threshold-signature and VRF based).  A fixed-round BA is
+a :class:`~.ba.FixedRoundBA` statement that names its iterations;
+:meth:`.ba.FixedRoundBA.program` runs them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "threshold_coin_factory",
     "vrf_coin_factory",
     "Iteration",
-    "pi_exchange_program",
-    "pi_iter_program",
 ]
 
 # A coin factory builds the 1-round coin subprotocol for iteration `index`,
@@ -73,85 +73,13 @@ def vrf_coin_factory() -> CoinFactory:
     return factory
 
 
-def pi_exchange_program(
-    ctx: Context,
-    bit: int,
-    slots: int,
-    prox_factory: Callable[[Context, int], Generator],
-    prox_rounds: int,
-    coin_factory: CoinFactory,
-    coin_index: Any = 0,
-    overlap_coin: bool = False,
-):
-    """Expand and coin-flip of ``Π_iter^s``, before extraction.
-
-    Returns ``(prox_output, coin)`` raw — no guard, no default — which is
-    what a caller that extracts elsewhere needs (the vector backend's
-    probes) and what :func:`pi_iter_program` finishes.
-
-    ``prox_factory(ctx, bit)`` must be an ``s``-slot Proxcensus program
-    taking exactly ``prox_rounds`` communication rounds.  With
-    ``overlap_coin`` the coin's single round is multiplexed into the
-    Proxcensus' *last* round (the paper does this for the t < n/2 protocol,
-    where the honest slot pair is already fixed after round 2); otherwise
-    the coin follows the Proxcensus, for ``prox_rounds + 1`` rounds total.
-    """
-    low, high = coin_range(slots)
-    prox = prox_factory(ctx, bit)
-    if overlap_coin and prox_rounds >= 1:
-        outbox = next(prox)
-        for _ in range(prox_rounds - 1):
-            inbox = yield outbox
-            outbox = prox.send(inbox)
-        results = yield from run_parallel(
-            ctx,
-            {
-                "prox": resume_with(prox, outbox),
-                "coin": coin_factory(ctx, coin_index, low, high),
-            },
-        )
-        return results["prox"], results["coin"]
-    prox_output = yield from prox
-    coin = yield from coin_factory(ctx, coin_index, low, high)
-    return prox_output, coin
-
-
-def pi_iter_program(
-    ctx: Context,
-    bit: int,
-    slots: int,
-    prox_factory: Callable[[Context, int], Generator],
-    prox_rounds: int,
-    coin_factory: CoinFactory,
-    coin_index: Any = 0,
-    overlap_coin: bool = False,
-):
-    """One generalized iteration ``Π_iter^s`` as a party program:
-    :func:`pi_exchange_program` (same arguments), then **extract**.
-
-    Defensive notes: a failed coin (``None``) degrades to coin value 1 —
-    the iteration then still satisfies validity, and consistency merely is
-    not helped this iteration; a non-binary Proxcensus value (impossible
-    for honest executions, but cheap to guard) degrades to the (0, 0) slot.
-    """
-    (value, grade), coin = yield from pi_exchange_program(
-        ctx, bit, slots, prox_factory, prox_rounds, coin_factory,
-        coin_index, overlap_coin,
-    )
-    if value not in (0, 1):
-        value, grade = 0, 0
-    if coin is None:
-        coin = coin_range(slots)[0]
-    return extract(value, grade, coin, slots)
-
-
 class Iteration(NamedTuple):
     """A protocol's one statement of its iteration: what the program runs
     and what the vector backend probes, rows and flips coins from.
 
     ``subsession`` names the sub-context the iteration runs under
-    (``None``: the caller's own); the remaining fields are
-    :func:`pi_exchange_program`'s arguments.
+    (``None``: the caller's own); :meth:`exchange` says what the
+    remaining fields mean.
     """
 
     slots: int
@@ -167,18 +95,56 @@ class Iteration(NamedTuple):
         overlapped = self.overlap_coin and self.prox_rounds >= 1
         return self.prox_rounds + (0 if overlapped else 1)
 
-    def _arguments(self, ctx: Context, bit: int, coin_factory: CoinFactory):
+    def exchange(self, ctx: Context, bit: int, coin_factory: CoinFactory):
+        """Expand and coin-flip, before extraction.
+
+        Returns ``(prox_output, coin)`` raw — no guard, no default — which
+        is what a caller that extracts elsewhere needs (the vector
+        backend's probes) and what :meth:`run` finishes.
+
+        ``prox_factory(ctx, bit)`` must be a ``slots``-slot Proxcensus
+        program taking exactly ``prox_rounds`` communication rounds; the
+        coin is ``coin_index``'s, in ``coin_range(slots)``.  With
+        ``overlap_coin`` the coin's single round is multiplexed into the
+        Proxcensus' *last* round (the paper does this for the t < n/2
+        protocol, where the honest slot pair is already fixed after
+        round 2); otherwise the coin follows the Proxcensus, for
+        ``prox_rounds + 1`` rounds total.
+        """
         if self.subsession is not None:
             ctx = ctx.subsession(self.subsession)
-        return (
-            ctx, bit, self.slots, self.prox_factory, self.prox_rounds,
-            coin_factory, self.coin_index, self.overlap_coin,
-        )
-
-    def exchange(self, ctx: Context, bit: int, coin_factory: CoinFactory):
-        """:func:`pi_exchange_program` of this iteration."""
-        return pi_exchange_program(*self._arguments(ctx, bit, coin_factory))
+        low, high = coin_range(self.slots)
+        prox = self.prox_factory(ctx, bit)
+        if self.overlap_coin and self.prox_rounds >= 1:
+            outbox = next(prox)
+            for _ in range(self.prox_rounds - 1):
+                inbox = yield outbox
+                outbox = prox.send(inbox)
+            results = yield from run_parallel(
+                ctx,
+                {
+                    "prox": resume_with(prox, outbox),
+                    "coin": coin_factory(ctx, self.coin_index, low, high),
+                },
+            )
+            return results["prox"], results["coin"]
+        prox_output = yield from prox
+        coin = yield from coin_factory(ctx, self.coin_index, low, high)
+        return prox_output, coin
 
     def run(self, ctx: Context, bit: int, coin_factory: CoinFactory):
-        """:func:`pi_iter_program` of this iteration."""
-        return pi_iter_program(*self._arguments(ctx, bit, coin_factory))
+        """One generalized iteration ``Π_iter^s`` as a party program:
+        :meth:`exchange`, then **extract**.
+
+        Defensive notes: a failed coin (``None``) degrades to coin value 1
+        — the iteration then still satisfies validity, and consistency
+        merely is not helped this iteration; a non-binary Proxcensus value
+        (impossible for honest executions, but cheap to guard) degrades to
+        the (0, 0) slot.
+        """
+        (value, grade), coin = yield from self.exchange(ctx, bit, coin_factory)
+        if value not in (0, 1):
+            value, grade = 0, 0
+        if coin is None:
+            coin = coin_range(self.slots)[0]
+        return extract(value, grade, coin, self.slots)

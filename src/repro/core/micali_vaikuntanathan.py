@@ -24,14 +24,36 @@ from ..network.messages import get_field
 from ..network.party import Context
 from ..proxcensus.base import ProxOutput
 from ..proxcensus.linear_half import prox_linear_half_program
-from .iteration import CoinFactory, pi_iter_program, threshold_coin_factory
+from .ba import FixedRoundBA
+from .iteration import CoinFactory, Iteration
 
-__all__ = ["micali_vaikuntanathan_program", "mv_pki_program", "rounds_mv"]
+__all__ = [
+    "MICALI_VAIKUNTANATHAN", "MV_PKI", "micali_vaikuntanathan_program",
+    "mv_pki_program", "rounds_mv",
+]
+
+
+def _crusader_iteration(prox_factory, name: str):
+    """Iteration ``index`` of an MV-style BA over the 2-round crusader
+    agreement ``prox_factory``, the coin riding its second round."""
+    return lambda index, kappa: Iteration(
+        slots=3, prox_factory=prox_factory, prox_rounds=2,
+        coin_index=(name, index), overlap_coin=True, subsession=f"{name}{index}",
+    )
+
+
+#: ``κ`` iterations of the threshold-signature 2-round ``Prox_3``.
+MICALI_VAIKUNTANATHAN = FixedRoundBA(
+    "micali_vaikuntanathan",
+    2,
+    _crusader_iteration(lambda c, b: prox_linear_half_program(c, b, rounds=2), "mv"),
+    lambda kappa: kappa,
+)
 
 
 def rounds_mv(kappa: int) -> int:
     """Round count: ``2κ`` (2-round GC with the coin in its second round)."""
-    return 2 * kappa
+    return MICALI_VAIKUNTANATHAN.rounds(kappa)
 
 
 def micali_vaikuntanathan_program(
@@ -41,29 +63,7 @@ def micali_vaikuntanathan_program(
     coin_factory: Optional[CoinFactory] = None,
 ):
     """Binary fixed-round MV-style Byzantine Agreement, t < n/2, 2κ rounds."""
-    if bit not in (0, 1):
-        raise ValueError(f"binary BA needs a bit input, got {bit!r}")
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    if 2 * ctx.max_faulty >= ctx.num_parties:
-        raise ValueError(
-            f"micali_vaikuntanathan requires t < n/2, got t={ctx.max_faulty}, "
-            f"n={ctx.num_parties}"
-        )
-    coin_factory = coin_factory or threshold_coin_factory()
-    for index in range(kappa):
-        iteration_ctx = ctx.subsession(f"mv{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=3,
-            prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=2),
-            prox_rounds=2,
-            coin_factory=coin_factory,
-            coin_index=("mv", index),
-            overlap_coin=True,
-        )
-    return bit
+    return MICALI_VAIKUNTANATHAN.program(ctx, bit, kappa, coin_factory)
 
 
 def _crusader_pki_program(ctx: Context, value: Any):
@@ -131,6 +131,12 @@ def _crusader_pki_program(ctx: Context, value: Any):
     return ProxOutput(0, 0)
 
 
+#: ``κ`` iterations of :func:`_crusader_pki_program`.
+MV_PKI = FixedRoundBA(
+    "mv_pki", 2, _crusader_iteration(_crusader_pki_program, "mvp"), lambda kappa: kappa
+)
+
+
 def mv_pki_program(
     ctx: Context,
     bit: int,
@@ -138,21 +144,4 @@ def mv_pki_program(
     coin_factory: Optional[CoinFactory] = None,
 ):
     """MV in PKI mode (plain signatures): same 2κ rounds, O(κ n³) comm."""
-    if bit not in (0, 1):
-        raise ValueError(f"binary BA needs a bit input, got {bit!r}")
-    if 2 * ctx.max_faulty >= ctx.num_parties:
-        raise ValueError("mv_pki requires t < n/2")
-    coin_factory = coin_factory or threshold_coin_factory()
-    for index in range(kappa):
-        iteration_ctx = ctx.subsession(f"mvp{index}")
-        bit = yield from pi_iter_program(
-            iteration_ctx,
-            bit,
-            slots=3,
-            prox_factory=_crusader_pki_program,
-            prox_rounds=2,
-            coin_factory=coin_factory,
-            coin_index=("mvp", index),
-            overlap_coin=True,
-        )
-    return bit
+    return MV_PKI.program(ctx, bit, kappa, coin_factory)

@@ -31,6 +31,7 @@ from ..network.messages import get_field
 from ..network.party import Context
 from ..proxcensus.linear_half import prox_linear_half_program
 from ..proxcensus.one_third import prox_one_third_program
+from .ba import ba_for_regime
 
 __all__ = [
     "TURPIN_COAN_BA",
@@ -114,20 +115,14 @@ def multivalued_prefix(ctx: Context, value: Any, regime: str = "one_third"):
     5-slot Proxcensus of Corollary 1) or ``"one_half"`` (t < n/2, +3 rounds
     via the 3-round 5-slot Proxcensus of Lemma 3).
     """
+    ba_for_regime(regime, ctx)  # an unknown regime, or t >= n/r, raises
     prox_ctx = ctx.subsession("mv-prox")
     if regime == "one_third":
-        if 3 * ctx.max_faulty >= ctx.num_parties:
-            raise ValueError("regime 'one_third' requires t < n/3")
         output = yield from prox_one_third_program(prox_ctx, value, rounds=2)
-        top = 2  # G of the 5-slot Proxcensus
-    elif regime == "one_half":
-        if 2 * ctx.max_faulty >= ctx.num_parties:
-            raise ValueError("regime 'one_half' requires t < n/2")
-        output = yield from prox_linear_half_program(prox_ctx, value, rounds=3)
-        top = 2  # G of the 5-slot (2·3 - 1) Proxcensus
     else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return output.value, 1 if output.grade == top else 0
+        output = yield from prox_linear_half_program(prox_ctx, value, rounds=3)
+    # G = 2 of the 5-slot Proxcensus (2·3 - 1 slots for t < n/2).
+    return output.value, 1 if output.grade == 2 else 0
 
 
 def multivalued_ba_program(

@@ -40,7 +40,7 @@ from ..adversary.strategies import (
 from ..adversary.termination import GradeSplitAdversary
 from ..applications.ledger import replicated_log_program
 from ..core.ablation import ba_one_half_generalized, ba_one_third_chunked
-from ..core.ba import ba_one_half_program, ba_one_third_program
+from ..core.ba import BA_BY_REGIME, ba_one_half_program, ba_one_third_program
 from ..core.dolev_strong import dolev_strong_ba_program
 from ..core.feldman_micali import feldman_micali_program
 from ..core.micali_vaikuntanathan import (
@@ -357,10 +357,9 @@ register_protocol(
 
 
 def _binary_for(regime: str, kappa: int) -> ProgramFactory:
-    """The binary BA matching a multivalued lift's corruption regime."""
-    if regime == "one_half":
-        return lambda ctx, bit: ba_one_half_program(ctx, bit, kappa)
-    return lambda ctx, bit: ba_one_third_program(ctx, bit, kappa)
+    """The binary BA matching a multivalued lift's corruption regime (the
+    lift's prefix rejects an unknown regime before it runs)."""
+    return lambda ctx, bit: BA_BY_REGIME[regime].program(ctx, bit, kappa)
 
 
 #: What a multivalued lift outputs when its binary BA decides 0, unless

@@ -53,8 +53,11 @@ protocol's own statement of its iteration
 (:class:`repro.core.iteration.Iteration` — slots, Proxcensus, coin index,
 subsession) run up to, but not through, extraction, and a model reads
 its row's slot count and its coin's index, range and session from that
-same statement.  That makes the vector backend bit-identical to
-the reference by construction — the only arithmetic this module trusts is
+same statement.  A fixed-round BA's model is one :func:`_fixed_round`
+over its :class:`~repro.core.ba.FixedRoundBA` statement — iterations,
+length and every iteration read off the record the program runs.  That
+makes the vector backend bit-identical to the reference by
+construction — the only arithmetic this module trusts is
 the coin evaluator, :func:`repro.core.extraction.extract`'s closed form
 and the slot positions it is property-tested against
 (:func:`repro.proxcensus.base.slot_index`), all covered by the
@@ -97,13 +100,7 @@ from bisect import bisect_left
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.ba import (
-    iteration_one_half,
-    iteration_one_third,
-    iterations_one_half,
-    rounds_one_half,
-    rounds_one_third,
-)
+from ..core.ba import BA_ONE_HALF, BA_ONE_THIRD, FixedRoundBA, iteration_one_half
 from ..core.extraction import coin_range, extract
 from ..core.iteration import Iteration, threshold_coin_factory
 from ..core.probabilistic import (
@@ -966,56 +963,43 @@ def _replay(*adversaries: str) -> _Model:
     return _Model(adversaries=_serving(*adversaries), batch=_replay_batch)
 
 
-# ── ba_one_third: one Prox_{2^κ+1} iteration, coin in round κ+1 ─────────
-# ``ba_one_third`` × {no adversary, ``straddle13``}.  The whole protocol
-# is a single ``Π_iter``: the probe covers all κ+1 rounds, so the table
-# is one row — the inputs' — and only which side of the cut a trial's
-# coin falls on varies.
+# ── ba_one_third / ba_one_half: a FixedRoundBA's iterations ─────────────
 
 
-def _one_third_row(first: TrialSpec, bits: Tuple[int, ...]) -> _Row:
-    iteration = iteration_one_third(first.param_dict["kappa"])
-    probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
-    return _extraction_row(probe, iteration.slots, _all_return)
+def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
+    """The walk model of ``ba`` × {no adversary, ``adversary``}.
+
+    Iterations are independent segments (the adversary's state is
+    per-iteration), so each is one probe per distinct bit configuration:
+    a state is ``(bits, iterations left)``.  ``ba_one_third`` is a single
+    iteration, its table one row; in ``ba_one_half``, once the parties
+    agree every later row sits on the extremal slots and reads no coin.
+    """
+
+    def row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
+        bits, left = state
+        # Any iteration's wire behavior is the first's — the one whose
+        # subsession the fresh per-iteration adversary also derives.
+        iteration = ba.iteration(0, first.param_dict["kappa"])
+        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
+        then = _all_return if left == 1 else lambda after: ((after, left - 1), ())
+        return _extraction_row(probe, iteration.slots, then)
+
+    return _Model(
+        adversaries=_serving(adversary), bits=True, params=_KAPPA, regime=ba.regime,
+        length=lambda params: ba.rounds(params["kappa"]),
+        root=lambda first: (
+            tuple(first.inputs), ba.iterations(first.param_dict["kappa"])
+        ),
+        row=row,
+        coin=lambda first, depth: _iteration_coin(
+            first, ba.iteration(depth, first.param_dict["kappa"])
+        ),
+    )
 
 
-_BA_ONE_THIRD = _Model(
-    adversaries=_serving("straddle13"), bits=True, params=_KAPPA, regime=3,
-    length=lambda params: rounds_one_third(params["kappa"]),
-    root=lambda first: tuple(first.inputs), row=_one_third_row,
-    coin=lambda first, depth: _iteration_coin(
-        first, iteration_one_third(first.param_dict["kappa"])
-    ),
-)
-
-
-# ── ba_one_half: ⌈κ/2⌉ iterations of Π_iter^5, coin ∥ Prox round 3 ──────
-# ``ba_one_half`` × {no adversary, ``straddle12``}.  Iterations are
-# independent 3-round segments (the adversary's state is per-iteration),
-# so each is one probe per distinct bit configuration.  A state is
-# ``(bits, iterations left)``; once the parties agree every later row
-# sits on the extremal slots and reads no coin.
-
-
-def _one_half_row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
-    bits, left = state
-    # Any iteration's wire behavior is the first's — the one whose
-    # subsession the fresh per-iteration adversary also derives.
-    iteration = iteration_one_half(0)
-    probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
-    then = _all_return if left == 1 else lambda after: ((after, left - 1), ())
-    return _extraction_row(probe, iteration.slots, then)
-
-
-_BA_ONE_HALF = _Model(
-    adversaries=_serving("straddle12"), bits=True, params=_KAPPA, regime=2,
-    length=lambda params: rounds_one_half(params["kappa"]),
-    root=lambda first: (
-        tuple(first.inputs), iterations_one_half(first.param_dict["kappa"])
-    ),
-    row=_one_half_row,
-    coin=lambda first, depth: _iteration_coin(first, iteration_one_half(depth)),
-)
+_BA_ONE_THIRD = _fixed_round(BA_ONE_THIRD, "straddle13")
+_BA_ONE_HALF = _fixed_round(BA_ONE_HALF, "straddle12")
 
 
 # ── fm_probabilistic: per-iteration lockstep with halting parties ───────
@@ -1107,7 +1091,7 @@ def _lift(subsession: str, prefix, accepted: frozenset) -> _Model:
     """
 
     def row(first: TrialSpec, token: str) -> _Row:
-        iteration = iteration_one_third(first.param_dict["kappa"])
+        iteration = BA_ONE_THIRD.iteration(0, first.param_dict["kappa"])
         default = first.param_dict.get("default", LIFT_DEFAULT)
         exchange = _exchange(iteration)
 
@@ -1127,7 +1111,7 @@ def _lift(subsession: str, prefix, accepted: frozenset) -> _Model:
 
     return _Model(
         adversaries=_serving(), params=accepted, regime=3,
-        length=lambda params: 2 + rounds_one_third(params["kappa"]),
+        length=lambda params: 2 + BA_ONE_THIRD.rounds(params["kappa"]),
         root=lambda first: subsession, row=row,
         # The inner BA is ba_one_third, run under its own subsession.
         coin=lambda first, depth: (

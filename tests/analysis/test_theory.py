@@ -45,6 +45,16 @@ class TestRoundFormulas:
         with pytest.raises(ValueError, match="kappa must be at least 1"):
             rounds_for_error(protocol, kappa)
 
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    @pytest.mark.parametrize("rounds", [-1, -4])
+    def test_negative_rounds_are_rejected(self, protocol, rounds):
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            error_for_rounds(protocol, rounds)
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_zero_rounds_reach_no_error_bits(self, protocol):
+        assert error_for_rounds(protocol, 0) == 0
+
     def test_error_for_rounds_inverts(self):
         for protocol in PROTOCOLS:
             for kappa in (2, 8, 16):

@@ -10,7 +10,17 @@ from repro.adversary.strategies import (
     MalformedAdversary,
     TwoFaceAdversary,
 )
+from repro.core.ablation import (
+    BA_ONE_HALF_GENERALIZED,
+    BA_ONE_THIRD_CHUNKED,
+    ba_one_half_generalized,
+    ba_one_third_chunked,
+    rounds_one_half_generalized,
+    rounds_one_third_chunked,
+)
 from repro.core.ba import (
+    BA_ONE_HALF,
+    BA_ONE_THIRD,
     ba_one_half_program,
     ba_one_third_program,
     iteration_one_half,
@@ -20,10 +30,22 @@ from repro.core.ba import (
     rounds_one_third,
 )
 from repro.core.extraction import coin_range
+from repro.core.feldman_micali import (
+    FELDMAN_MICALI,
+    feldman_micali_program,
+    rounds_feldman_micali,
+)
 from repro.core.iteration import (
     Iteration,
     ideal_coin_factory,
     threshold_coin_factory,
+)
+from repro.core.micali_vaikuntanathan import (
+    MICALI_VAIKUNTANATHAN,
+    MV_PKI,
+    micali_vaikuntanathan_program,
+    mv_pki_program,
+    rounds_mv,
 )
 from repro.core.probabilistic import iteration_fm_probabilistic
 from repro.crypto.coin import IdealCoin
@@ -57,6 +79,21 @@ class TestIterationStatements:
         (iteration_one_half(7), 5, 3, 3, True, ("ba12", 7), "iter7"),
         (iteration_fm_probabilistic(1), 5, 2, 3, False, ("pt", 1), "pt1"),
         (iteration_fm_probabilistic(64), 5, 2, 3, False, ("pt", 64), "pt64"),
+        (FELDMAN_MICALI.iteration(2, 3), 3, 1, 2, False, ("fm", 2), "fm2"),
+        (MICALI_VAIKUNTANATHAN.iteration(1, 2), 3, 2, 2, True, ("mv", 1), "mv1"),
+        (MV_PKI.iteration(1, 2), 3, 2, 2, True, ("mvp", 1), "mvp1"),
+        (
+            BA_ONE_THIRD_CHUNKED.iteration(1, 4, chunk=2),
+            5, 2, 3, False, ("chunked", 1), "chunk1",
+        ),
+        (
+            BA_ONE_HALF_GENERALIZED.iteration(2, 6, prox_rounds=4, family="linear"),
+            7, 4, 4, True, ("gen12", 2), "gen2",
+        ),
+        (
+            BA_ONE_HALF_GENERALIZED.iteration(0, 6, prox_rounds=4, family="quadratic"),
+            5, 4, 4, True, ("gen12", 0), "gen0",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -80,6 +117,77 @@ class TestIterationStatements:
     )
     def test_one_half_runs_ceil_kappa_over_two_iterations(self, kappa, iterations):
         assert iterations_one_half(kappa) == iterations
+
+    # statement, κ, its params, iterations
+    ITERATIONS = [
+        (BA_ONE_THIRD, 1, {}, 1),
+        (BA_ONE_THIRD, 9, {}, 1),
+        (BA_ONE_HALF, 5, {}, 3),
+        (FELDMAN_MICALI, 3, {}, 3),
+        (MICALI_VAIKUNTANATHAN, 4, {}, 4),
+        (MV_PKI, 2, {}, 2),
+        (BA_ONE_THIRD_CHUNKED, 5, {"chunk": 2}, 3),
+        (BA_ONE_THIRD_CHUNKED, 4, {"chunk": 4}, 1),
+        (BA_ONE_HALF_GENERALIZED, 6, {"prox_rounds": 3, "family": "linear"}, 3),
+        (BA_ONE_HALF_GENERALIZED, 6, {"prox_rounds": 4, "family": "linear"}, 3),
+        (BA_ONE_HALF_GENERALIZED, 7, {"prox_rounds": 4, "family": "quadratic"}, 4),
+        (BA_ONE_HALF_GENERALIZED, 4, {"prox_rounds": 5, "family": "quadratic"}, 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "statement, kappa, params, iterations", ITERATIONS,
+        ids=lambda value: getattr(value, "name", None),
+    )
+    def test_each_statement_runs_its_iterations(
+        self, statement, kappa, params, iterations
+    ):
+        assert statement.iterations(kappa, **params) == iterations
+
+
+#: Every fixed-round BA: its program on (ctx, bit, κ), its round count
+#: at κ and the (n, t) it runs with.
+FIXED_ROUND = {
+    "ba_one_third": (ba_one_third_program, rounds_one_third, 4, 1),
+    "ba_one_half": (ba_one_half_program, rounds_one_half, 5, 2),
+    "feldman_micali": (feldman_micali_program, rounds_feldman_micali, 4, 1),
+    "micali_vaikuntanathan": (micali_vaikuntanathan_program, rounds_mv, 5, 2),
+    "mv_pki": (mv_pki_program, rounds_mv, 5, 2),
+    "ba_one_third_chunked": (
+        lambda c, b, kappa: ba_one_third_chunked(c, b, kappa, 1),
+        lambda kappa: rounds_one_third_chunked(kappa, 1), 4, 1,
+    ),
+    "ba_one_half_generalized": (
+        ba_one_half_generalized, lambda kappa: rounds_one_half_generalized(kappa, 3),
+        5, 2,
+    ),
+}
+
+
+class TestKappaIsAtLeastOne:
+    """κ ≤ 0 is a usage error for every fixed-round BA — never a 0-round
+    "agreement" that hands back the inputs."""
+
+    @pytest.mark.parametrize("kappa", [0, -3])
+    @pytest.mark.parametrize("name", sorted(FIXED_ROUND))
+    def test_program_rejects_kappa_below_one(self, name, kappa):
+        program, _, n, t = FIXED_ROUND[name]
+        with pytest.raises(ValueError, match="kappa must be at least 1"):
+            run(lambda c, b: program(c, b, kappa), [0, 1] * (n // 2) + [1] * (n % 2),
+                max_faulty=t, session="k0")
+
+    @pytest.mark.parametrize("kappa", [0, -3])
+    @pytest.mark.parametrize("name", sorted(FIXED_ROUND))
+    def test_round_count_rejects_kappa_below_one(self, name, kappa):
+        rounds = FIXED_ROUND[name][1]
+        with pytest.raises(ValueError, match="kappa must be at least 1"):
+            rounds(kappa)
+
+    @pytest.mark.parametrize("name", sorted(FIXED_ROUND))
+    def test_kappa_one_runs_its_round_count(self, name):
+        program, rounds, n, t = FIXED_ROUND[name]
+        res = run(lambda c, b: program(c, b, 1), [1] * n, max_faulty=t, session="k1")
+        assert res.metrics.rounds == rounds(1)
+        assert set(res.outputs.values()) == {1}
 
 
 class TestRoundFormulas:

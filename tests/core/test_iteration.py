@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.core.iteration import (
+    Iteration,
     ideal_coin_factory,
-    pi_iter_program,
     threshold_coin_factory,
 )
 from repro.crypto.coin import IdealCoin
@@ -19,18 +19,16 @@ from ..conftest import run
 def iter13(slots_rounds, coin_factory=None, overlap=False):
     coin_factory = coin_factory or threshold_coin_factory()
 
+    iteration = Iteration(
+        slots=2 ** slots_rounds + 1,
+        prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=slots_rounds),
+        prox_rounds=slots_rounds,
+        coin_index=0,
+        overlap_coin=overlap,
+    )
+
     def factory(ctx, bit):
-        result = yield from pi_iter_program(
-            ctx,
-            bit,
-            slots=2 ** slots_rounds + 1,
-            prox_factory=lambda c, b: prox_one_third_program(
-                c, b, rounds=slots_rounds
-            ),
-            prox_rounds=slots_rounds,
-            coin_factory=coin_factory,
-            overlap_coin=overlap,
-        )
+        result = yield from iteration.run(ctx, bit, coin_factory)
         return result
 
     return factory
@@ -76,16 +74,16 @@ class TestSemantics:
         assert res.metrics.rounds == 4
 
     def test_linear_half_prox_with_overlap(self):
+        iteration = Iteration(
+            slots=5,
+            prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
+            prox_rounds=3,
+            coin_index=0,
+            overlap_coin=True,
+        )
+
         def factory(ctx, bit):
-            result = yield from pi_iter_program(
-                ctx,
-                bit,
-                slots=5,
-                prox_factory=lambda c, b: prox_linear_half_program(c, b, rounds=3),
-                prox_rounds=3,
-                coin_factory=threshold_coin_factory(),
-                overlap_coin=True,
-            )
+            result = yield from iteration.run(ctx, bit, threshold_coin_factory())
             return result
 
         res = run(factory, [1, 0, 1, 0, 1], max_faulty=2, session="it7")

@@ -7,11 +7,7 @@ import pathlib
 import pytest
 
 from repro.core.extraction import extract
-from repro.core.iteration import (
-    pi_exchange_program,
-    pi_iter_program,
-    threshold_coin_factory,
-)
+from repro.core.iteration import Iteration, threshold_coin_factory
 from repro.engine import TrialSpec, run_trial
 from repro.proxcensus.base import ProxOutput
 from repro.proxcensus.one_third import prox_one_third_program
@@ -44,13 +40,16 @@ class TestCoinFailure:
         """With coin=None every party falls back to coin=1 — identical at
         all parties, so agreement still holds; validity is untouched."""
 
+        iteration = Iteration(
+            slots=9,
+            prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=3),
+            prox_rounds=3,
+            coin_index=0,
+            overlap_coin=False,
+        )
+
         def program(ctx, bit):
-            result = yield from pi_iter_program(
-                ctx, bit, slots=9,
-                prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=3),
-                prox_rounds=3,
-                coin_factory=failing_coin_factory(),
-            )
+            result = yield from iteration.run(ctx, bit, failing_coin_factory())
             return result
 
         res = run(program, [1, 1, 1, 1], 1, session="cf1")
@@ -59,13 +58,16 @@ class TestCoinFailure:
         assert res.honest_agree()
 
     def test_failed_coin_still_spends_one_round(self):
+        iteration = Iteration(
+            slots=3,
+            prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=1),
+            prox_rounds=1,
+            coin_index=0,
+            overlap_coin=False,
+        )
+
         def program(ctx, bit):
-            result = yield from pi_iter_program(
-                ctx, bit, slots=3,
-                prox_factory=lambda c, b: prox_one_third_program(c, b, rounds=1),
-                prox_rounds=1,
-                coin_factory=failing_coin_factory(),
-            )
+            result = yield from iteration.run(ctx, bit, failing_coin_factory())
             return result
 
         res = run(program, [1, 1, 1, 1], 1, session="cf3")
@@ -77,13 +79,16 @@ class TestNonBinaryClamp:
         """A (impossible-for-honest) non-binary Proxcensus value is clamped
         to the (0, 0) slot rather than crashing extraction."""
 
+        iteration = Iteration(
+            slots=5,
+            prox_factory=synthetic_prox(ProxOutput("weird", 2)),
+            prox_rounds=1,
+            coin_index=0,
+            overlap_coin=False,
+        )
+
         def program(ctx, bit):
-            result = yield from pi_iter_program(
-                ctx, bit, slots=5,
-                prox_factory=synthetic_prox(ProxOutput("weird", 2)),
-                prox_rounds=1,
-                coin_factory=threshold_coin_factory(),
-            )
+            result = yield from iteration.run(ctx, bit, threshold_coin_factory())
             return result
 
         res = run(program, [1, 1, 1, 1], 1, session="nb1")
@@ -97,14 +102,16 @@ class TestOverlapEdge:
             return ProxOutput(1, 1)
             yield  # pragma: no cover
 
+        iteration = Iteration(
+            slots=3,
+            prox_factory=instant_prox,
+            prox_rounds=0,
+            coin_index=0,
+            overlap_coin=True,
+        )
+
         def program(ctx, bit):
-            result = yield from pi_iter_program(
-                ctx, bit, slots=3,
-                prox_factory=instant_prox,
-                prox_rounds=0,
-                coin_factory=threshold_coin_factory(),
-                overlap_coin=True,
-            )
+            result = yield from iteration.run(ctx, bit, threshold_coin_factory())
             return result
 
         res = run(program, [1, 1, 1, 1], 1, session="ov0")
@@ -113,7 +120,7 @@ class TestOverlapEdge:
 
 
 class TestExchangeSeam:
-    """``pi_iter_program`` = ``pi_exchange_program`` + the non-bit guard +
+    """``Iteration.run`` = ``Iteration.exchange`` + the non-bit guard +
     the failed-coin default + ``extract``, on the wire and in the result."""
 
     @pytest.mark.parametrize("overlap", [False, True], ids=["sequential", "overlapped"])
@@ -122,7 +129,7 @@ class TestExchangeSeam:
     def test_iteration_is_guard_default_extract_over_the_exchange(
         self, overlap, coin, prox
     ):
-        arguments = dict(
+        iteration = Iteration(
             slots=5,
             prox_factory=(
                 (lambda c, b: prox_one_third_program(c, b, rounds=2))
@@ -130,19 +137,19 @@ class TestExchangeSeam:
                 else synthetic_prox(ProxOutput("weird", 2))
             ),
             prox_rounds=2 if prox == "prox5" else 1,
-            coin_factory=(
-                threshold_coin_factory() if coin == "threshold"
-                else failing_coin_factory()
-            ),
             coin_index=("seam", 0),
             overlap_coin=overlap,
         )
+        coin_factory = (
+            threshold_coin_factory() if coin == "threshold"
+            else failing_coin_factory()
+        )
 
         def whole(ctx, bit):
-            return (yield from pi_iter_program(ctx, bit, **arguments))
+            return (yield from iteration.run(ctx, bit, coin_factory))
 
         def raw(ctx, bit):
-            return (yield from pi_exchange_program(ctx, bit, **arguments))
+            return (yield from iteration.exchange(ctx, bit, coin_factory))
 
         iterated = run(whole, [0, 1, 1, 1], 1, session="seam")
         exchanged = run(raw, [0, 1, 1, 1], 1, session="seam")
@@ -156,16 +163,18 @@ class TestExchangeSeam:
                 flipped = 1  # the default: the range's low end
             assert iterated.outputs[pid] == extract(value, grade, flipped, 5)
 
-    def test_the_six_iterating_programs_run_as_before_the_split(self):
+    def test_the_seven_fixed_round_programs_run_as_before_the_split(self):
         """Outputs and ``RunMetrics`` rows of every registered program built
-        on ``pi_iter_program``, against ``run_trial`` at fe9062a (the last
-        commit where the iteration was one undivided generator)."""
+        on ``Iteration.run``, against ``run_trial`` at fe9062a (the last
+        commit where the iteration was one undivided generator; ``mv_pki``
+        at 87b1e41, before the fixed-round BAs shared one driver).
+        ``make_pi_iter_golden.py`` beside this file writes the table."""
         table = pathlib.Path(__file__).with_name("pi_iter_golden.json")
         rows = json.loads(table.read_text())
         assert {row["spec"]["protocol"] for row in rows} == {
             "ba_one_third", "ba_one_half", "feldman_micali",
             "micali_vaikuntanathan", "ba_one_third_chunked",
-            "ba_one_half_generalized",
+            "ba_one_half_generalized", "mv_pki",
         }
         for row in rows:
             result = run_trial(TrialSpec.from_json(json.dumps(row["spec"])))
