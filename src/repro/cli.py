@@ -69,7 +69,7 @@ from .analysis.report import format_table
 from .analysis.stats import disagreement_rate
 from .analysis.tables import render_fig3, render_table1, render_table2
 from .analysis.theory import rounds_for_error
-from .network.trace import Tracer
+from .network.trace import MemoryTraceSink, Tracer
 
 __all__ = ["main"]
 
@@ -222,37 +222,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
         reason = f"--spec is not a trial spec: {error}" if replay else error
         print(f"repro run: {reason}", file=sys.stderr)
         return 2
-    tracer = None
-    memory_sink = None
+    memory_sink = MemoryTraceSink() if args.trace and not replay else None
     jsonl_sink = None
-    if not replay and (args.trace or args.trace_jsonl):
-        from .network.trace import MemoryTraceSink
+    if args.trace_jsonl and not replay:
+        from .obs import JsonlTraceSink
 
-        sinks = []
-        if args.trace:
-            memory_sink = MemoryTraceSink()
-            sinks.append(memory_sink)
-        if args.trace_jsonl:
-            from .obs import FanoutSink, JsonlTraceSink
-
-            jsonl_sink = JsonlTraceSink(
-                args.trace_jsonl,
-                meta={
-                    "protocol": args.protocol,
-                    "kappa": args.kappa,
-                    "adversary": args.adversary,
-                    "n": spec.num_parties,
-                    "t": spec.max_faulty,
-                    "seed": spec.seed,
-                    "session": spec.session,
-                },
-            )
-            sinks.append(jsonl_sink)
-        tracer = Tracer(sinks[0] if len(sinks) == 1 else FanoutSink(sinks))
+        jsonl_sink = JsonlTraceSink(
+            args.trace_jsonl,
+            meta={
+                "protocol": args.protocol,
+                "kappa": args.kappa,
+                "adversary": args.adversary,
+                "n": spec.num_parties,
+                "t": spec.max_faulty,
+                "seed": spec.seed,
+                "session": spec.session,
+            },
+        )
+    # One Tracer per sink: the simulator's observers already fan out.
+    tracers = [Tracer(sink) for sink in (memory_sink, jsonl_sink) if sink is not None]
     try:
-        result, counts = _run_spec(spec, () if tracer is None else (tracer,))
+        result, counts = _run_spec(spec, tuple(tracers))
     finally:
-        if tracer is not None:
+        for tracer in tracers:
             tracer.close()
     if replay:
         print(f"protocol   : {spec.protocol} {spec.param_dict or ''}".rstrip())
@@ -298,15 +290,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     try:
         loaded = load_trace(args.file)
+        other = None if args.diff is None else load_trace(args.diff)
     except (ObsFormatError, OSError) as error:
         print(f"repro trace: {error}", file=sys.stderr)
         return 2
-    if args.diff is not None:
-        try:
-            other = load_trace(args.diff)
-        except (ObsFormatError, OSError) as error:
-            print(f"repro trace: {error}", file=sys.stderr)
-            return 2
+    if other is not None:
         divergence = diff_traces(loaded, other)
         if divergence is None:
             print(

@@ -113,13 +113,13 @@ class TraceEvent:
 
 
 class TraceSink:
-    """Where trace records go.  Subclasses override the three hooks.
+    """Where trace records go.  Subclasses implement the three hooks.
 
     The simulator-facing :class:`Tracer` reduces payloads to
     :class:`TraceEvent` records and corruption pairs, then hands them
-    here one at a time.  A sink may accumulate them (``MemoryTraceSink``),
-    stream them to disk (:class:`repro.obs.JsonlTraceSink`), or fan them
-    out to several sinks at once (:class:`repro.obs.FanoutSink`).
+    here one at a time.  A sink may accumulate them (``MemoryTraceSink``)
+    or stream them to disk (:class:`repro.obs.JsonlTraceSink`); to feed
+    several sinks, give the simulator one ``Tracer`` per sink.
     """
 
     def record_event(self, event: TraceEvent) -> None:
@@ -129,8 +129,7 @@ class TraceSink:
         raise NotImplementedError
 
     def record_fault(self, event: FaultEvent) -> None:
-        """Default is a no-op: sinks that predate fault injection keep
-        working unchanged, and fault-free executions never call this."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Flush/finalize; default is a no-op for unbuffered sinks."""
@@ -191,11 +190,12 @@ class MemoryTraceSink(TraceSink):
         corrupted_at: Dict[int, List[int]] = {}
         for round_index, pid in self.corruptions:
             corrupted_at.setdefault(round_index, []).append(pid)
-        for round_index in range(0, self.rounds + 1):
+        # Only the rounds that hold a record: a replayed round index comes
+        # from a file, and a loop up to the largest would take as long.
+        rounds = {*self._by_round, *self._faults_by_round, *corrupted_at}
+        for round_index in sorted(rounds):
             events = self.events_in_round(round_index)
             faults = self.faults_in_round(round_index)
-            if not events and not faults and round_index not in corrupted_at:
-                continue
             lines.append(f"── round {round_index} " + "─" * 40)
             if round_index in corrupted_at:
                 pids = ", ".join(f"P{p}" for p in corrupted_at[round_index])

@@ -7,11 +7,14 @@ free to read wall clocks and touch the filesystem.  ``repro check``
 enforces the boundary (see the LAY layer map) and
 ``docs/observability.md`` documents the schemas.
 
-Three pieces share one sink abstraction
-(:class:`repro.network.trace.TraceSink`):
+Trace and telemetry files share one JSONL framing — schema header,
+``t``-tagged records, counted ``end`` footer — written and strictly read
+back by one private writer and one private reader in
+:mod:`repro.obs.sinks`.  Three pieces build on it and on the sink
+abstraction (:class:`repro.network.trace.TraceSink`):
 
 * :class:`JsonlTraceSink` streams trace records to disk in bounded
-  memory; :class:`FanoutSink` tees records to several sinks at once.
+  memory (one ``Tracer`` per sink feeds several sinks at once).
 * :func:`load_trace` / :func:`filter_trace` / :func:`trace_metrics`
   replay a streamed file back into the in-memory renderer
   (``repro trace``).
@@ -51,9 +54,7 @@ from .replay import (
     trace_metrics,
 )
 from .sinks import (
-    TRACE_RECORD_TYPES,
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     ObsFormatError,
     trace_filename,
@@ -74,9 +75,7 @@ __all__ = [
     "METRIC_NAMES",
     "TELEMETRY_EVENT_TYPES",
     "TELEMETRY_SCHEMA",
-    "TRACE_RECORD_TYPES",
     "TRACE_SCHEMA",
-    "FanoutSink",
     "Histogram",
     "JsonlTraceSink",
     "LoadedTrace",

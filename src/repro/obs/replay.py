@@ -9,21 +9,28 @@ replayed file, byte-identically (pinned by ``tests/obs/test_replay.py``
 across every registered protocol × adversary pair).
 
 Strictness is the feature: wrong schema version, malformed JSON, unknown
-record types, a missing footer (truncated file) or a footer whose counts
-disagree with the records all raise :class:`ObsFormatError` — a trace
-that cannot be trusted end to end should not render at all.
+record types, a field of the wrong type, a missing footer (truncated
+file) or a footer whose counts disagree with the records all raise
+:class:`~repro.obs.sinks.ObsFormatError` (the framing and the field kinds are
+:mod:`repro.obs.sinks`'s) — a trace that cannot be trusted end to end
+should not render at all.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..network.faults import FaultEvent
 from ..network.metrics import RunMetrics
 from ..network.trace import MemoryTraceSink, TraceEvent, Tracer
-from .sinks import TRACE_SCHEMA, ObsFormatError
+from .sinks import (
+    _TRACE_FIELDS,
+    _TRACE_REQUIRED,
+    TRACE_SCHEMA,
+    _field_problem,
+    _read_jsonl,
+)
 
 __all__ = [
     "LoadedTrace",
@@ -46,136 +53,59 @@ class LoadedTrace:
     faults: int = 0
 
 
-def _parse_line(path: str, lineno: int, line: str) -> Dict[str, Any]:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as error:
-        raise ObsFormatError(
-            f"{path}:{lineno}: not valid JSON ({error.msg})"
-        ) from None
-    if not isinstance(record, dict) or "t" not in record:
-        raise ObsFormatError(
-            f"{path}:{lineno}: expected an object with a 't' field"
-        )
-    return record
-
-
 def load_trace(path: str) -> LoadedTrace:
     """Parse one JSONL trace file, strictly, into a replayable tracer.
 
     Anything that is not a well-formed trace — a byte that is not UTF-8
-    included — raises :class:`ObsFormatError` naming the file and line.
+    or a field of the wrong type included — raises
+    :class:`~repro.obs.sinks.ObsFormatError` naming the file and line.
     """
-    tracer = Tracer(MemoryTraceSink())
-    meta: Dict[str, Any] = {}
-    events = 0
-    corruptions = 0
-    faults = 0
-    saw_header = False
-    saw_footer = False
-    with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as error:
-                raise ObsFormatError(
-                    f"{path}:{lineno}: not valid UTF-8 (byte "
-                    f"{raw[error.start]:#04x} at column {error.start + 1})"
-                ) from None
-            if not line:
-                continue
-            record = _parse_line(path, lineno, line)
-            kind = record["t"]
-            if saw_footer:
-                raise ObsFormatError(
-                    f"{path}:{lineno}: record after the end footer"
+    sink = MemoryTraceSink()
+
+    def take(record: Dict[str, Any]) -> Optional[str]:
+        kind = record["t"]
+        fields = _TRACE_FIELDS.get(kind)
+        if fields is None:
+            return f"unknown record type {kind!r}"
+        problem = _field_problem(record, fields, _TRACE_REQUIRED[kind])
+        if problem is not None:
+            return problem
+        if kind == "msg":
+            sink.record_event(
+                TraceEvent(
+                    round_index=record["r"],
+                    sender=record["s"],
+                    recipient=record["d"],
+                    summary=record["p"],
+                    sender_honest=bool(record["h"]),
+                    signatures=record.get("g", 0),
                 )
-            if not saw_header:
-                if kind != "trace":
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: first record must be the "
-                        f"'trace' header, got {kind!r}"
-                    )
-                schema = record.get("schema")
-                if schema != TRACE_SCHEMA:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: schema {schema!r} is not "
-                        f"{TRACE_SCHEMA!r} (wrong version or not a trace)"
-                    )
-                meta = dict(record.get("meta") or {})
-                saw_header = True
-                continue
-            if kind == "msg":
-                try:
-                    tracer.sink.record_event(
-                        TraceEvent(
-                            round_index=record["r"],
-                            sender=record["s"],
-                            recipient=record["d"],
-                            summary=record["p"],
-                            sender_honest=bool(record["h"]),
-                            signatures=record.get("g", 0),
-                        )
-                    )
-                except KeyError as error:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: msg record missing {error}"
-                    ) from None
-                events += 1
-            elif kind == "corr":
-                try:
-                    tracer.sink.record_corruption(record["r"], record["pid"])
-                except KeyError as error:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: corr record missing {error}"
-                    ) from None
-                corruptions += 1
-            elif kind == "fault":
-                try:
-                    tracer.sink.record_fault(
-                        FaultEvent(
-                            round_index=record["r"],
-                            kind=record["k"],
-                            sender=record["s"],
-                            recipient=record["d"],
-                            detail=record.get("x"),
-                        )
-                    )
-                except KeyError as error:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: fault record missing {error}"
-                    ) from None
-                faults += 1
-            elif kind == "end":
-                # Fault-free producers omit the "faults" key entirely
-                # (byte-compat with pre-fault-layer traces) — absent
-                # means zero, and the count must still agree.
-                if (
-                    record.get("events") != events
-                    or record.get("corruptions") != corruptions
-                    or record.get("faults", 0) != faults
-                ):
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: footer counts "
-                        f"({record.get('events')}, {record.get('corruptions')}, "
-                        f"{record.get('faults', 0)}) "
-                        f"disagree with the records read "
-                        f"({events}, {corruptions}, {faults})"
-                    )
-                saw_footer = True
-            else:
-                raise ObsFormatError(
-                    f"{path}:{lineno}: unknown record type {kind!r}"
+            )
+        elif kind == "corr":
+            sink.record_corruption(record["r"], record["pid"])
+        elif kind == "fault":
+            sink.record_fault(
+                FaultEvent(
+                    round_index=record["r"],
+                    kind=record["k"],
+                    sender=record["s"],
+                    recipient=record["d"],
+                    detail=record.get("x"),
                 )
-    if not saw_header:
-        raise ObsFormatError(f"{path}: empty file (no trace header)")
-    if not saw_footer:
-        raise ObsFormatError(
-            f"{path}: no end footer — the trace was truncated mid-run"
-        )
+            )
+        else:  # the end footer; fault-free producers omit "faults"
+            read = (len(sink.events), len(sink.corruptions), len(sink.faults))
+            counts = (record["events"], record["corruptions"], record.get("faults", 0))
+            if counts != read:
+                return (
+                    f"footer counts {counts} disagree with the records read {read}"
+                )
+        return None
+
+    meta = _read_jsonl(path, "trace", TRACE_SCHEMA, take)
     return LoadedTrace(
-        tracer=tracer, meta=meta, events=events, corruptions=corruptions,
-        faults=faults,
+        tracer=Tracer(sink), meta=meta, events=len(sink.events),
+        corruptions=len(sink.corruptions), faults=len(sink.faults),
     )
 
 
@@ -222,21 +152,20 @@ def filter_trace(
 class TraceDivergence:
     """The first point at which two traces disagree.
 
-    ``round_index`` is 0 for header-metadata divergence, otherwise the
-    1-based simulator round.  ``left``/``right`` render the conflicting
-    records (``None`` when one trace is missing a record the other has).
+    ``round_index`` is the round of the diverging records (0 for
+    header-metadata divergence, ``kind`` ``"meta"``).  ``left``/``right``
+    render the conflicting records (``None`` when one trace is missing a
+    record the other has).
     """
 
     round_index: int
-    kind: str  # "meta" | "event" | "corruption" | "fault" | "rounds"
+    kind: str  # "meta" | "event" | "corruption" | "fault"
     detail: str
     left: Optional[str] = None
     right: Optional[str] = None
 
     def render(self) -> str:
-        where = (
-            "header" if self.round_index == 0 else f"round {self.round_index}"
-        )
+        where = "header" if self.kind == "meta" else f"round {self.round_index}"
         lines = [f"traces diverge at {where} ({self.kind}): {self.detail}"]
         lines.append(f"  - {self.left if self.left is not None else '(absent)'}")
         lines.append(
@@ -256,6 +185,25 @@ def _event_line(event: TraceEvent) -> str:
 def _fault_line(fault: FaultEvent) -> str:
     detail = f" {fault.detail}" if fault.detail is not None else ""
     return f"{fault.kind} {fault.sender}->{fault.recipient}{detail}"
+
+
+def _first_mismatch(
+    round_index: int, kind: str, noun: str, left: Sequence[Any],
+    right: Sequence[Any], line: Callable[[Any], str],
+) -> Optional[TraceDivergence]:
+    """Where one round's ``kind`` records first differ, if they do."""
+    for position in range(max(len(left), len(right))):
+        a = left[position] if position < len(left) else None
+        b = right[position] if position < len(right) else None
+        if a != b:
+            return TraceDivergence(
+                round_index=round_index,
+                kind=kind,
+                detail=f"{noun} #{position + 1} of the round differs",
+                left=None if a is None else line(a),
+                right=None if b is None else line(b),
+            )
+    return None
 
 
 def diff_traces(left: LoadedTrace, right: LoadedTrace) -> Optional[TraceDivergence]:
@@ -280,52 +228,43 @@ def diff_traces(left: LoadedTrace, right: LoadedTrace) -> Optional[TraceDivergen
             right=f"{key}={right.meta.get(key)!r}",
         )
     a, b = left.tracer, right.tracer
-    for round_index in range(1, max(a.rounds, b.rounds) + 1):
-        events_a = [e for e in a.events if e.round_index == round_index]
-        events_b = [e for e in b.events if e.round_index == round_index]
-        for position in range(max(len(events_a), len(events_b))):
-            ea = events_a[position] if position < len(events_a) else None
-            eb = events_b[position] if position < len(events_b) else None
-            if ea != eb:
-                return TraceDivergence(
-                    round_index=round_index,
-                    kind="event",
-                    detail=f"message #{position + 1} of the round differs",
-                    left=_event_line(ea) if ea is not None else None,
-                    right=_event_line(eb) if eb is not None else None,
-                )
-        corr_a = [pid for r, pid in a.corruptions if r == round_index]
-        corr_b = [pid for r, pid in b.corruptions if r == round_index]
-        if corr_a != corr_b:
+    corr_a, corr_b = _corruptions_by_round(a), _corruptions_by_round(b)
+    rounds = {event.round_index for event in (*a.events, *b.events)}
+    rounds.update(fault.round_index for fault in (*a.faults, *b.faults))
+    rounds.update(corr_a, corr_b)
+    # Only the rounds that hold a record: a round index is read from the
+    # file, and a loop up to the largest would take as long as it says.
+    for round_index in sorted(rounds):
+        divergence = _first_mismatch(
+            round_index, "event", "message", a.events_in_round(round_index),
+            b.events_in_round(round_index), _event_line,
+        )
+        if divergence is not None:
+            return divergence
+        pids_a = corr_a.get(round_index, [])
+        pids_b = corr_b.get(round_index, [])
+        if pids_a != pids_b:
             return TraceDivergence(
                 round_index=round_index,
                 kind="corruption",
                 detail="corrupted-party sets differ",
-                left=f"corrupt {corr_a}",
-                right=f"corrupt {corr_b}",
+                left=f"corrupt {pids_a}",
+                right=f"corrupt {pids_b}",
             )
-        faults_a = [f for f in a.faults if f.round_index == round_index]
-        faults_b = [f for f in b.faults if f.round_index == round_index]
-        for position in range(max(len(faults_a), len(faults_b))):
-            fa = faults_a[position] if position < len(faults_a) else None
-            fb = faults_b[position] if position < len(faults_b) else None
-            if fa != fb:
-                return TraceDivergence(
-                    round_index=round_index,
-                    kind="fault",
-                    detail=f"fault #{position + 1} of the round differs",
-                    left=_fault_line(fa) if fa is not None else None,
-                    right=_fault_line(fb) if fb is not None else None,
-                )
-    if a.rounds != b.rounds:
-        return TraceDivergence(
-            round_index=min(a.rounds, b.rounds) + 1,
-            kind="rounds",
-            detail="one trace ends early",
-            left=f"{a.rounds} rounds",
-            right=f"{b.rounds} rounds",
+        divergence = _first_mismatch(
+            round_index, "fault", "fault", a.faults_in_round(round_index),
+            b.faults_in_round(round_index), _fault_line,
         )
+        if divergence is not None:
+            return divergence
     return None
+
+
+def _corruptions_by_round(tracer: Tracer) -> Dict[int, List[int]]:
+    by_round: Dict[int, List[int]] = {}
+    for round_index, pid in tracer.corruptions:
+        by_round.setdefault(round_index, []).append(pid)
+    return by_round
 
 
 def trace_metrics(tracer: Tracer) -> RunMetrics:

@@ -82,7 +82,8 @@ def load_profile_summary(
 ) -> Optional[Dict[str, Any]]:
     """Digest every ``*.pstats`` dump under ``profile_dir``.
 
-    Returns ``None`` when the directory holds no profiles.  The summary
+    Returns ``None`` when the directory holds no profiles, and raises
+    :class:`ObsFormatError` naming a dump that does not load.  The summary
     is deterministic for a fixed set of dump files: chunks merge in
     sorted filename order, functions sort by own-time (descending) with
     a full location tie-break, and paths reduce to basenames so the
@@ -95,9 +96,14 @@ def load_profile_summary(
     )
     if not paths:
         return None
-    stats = pstats.Stats(paths[0])
-    for path in paths[1:]:
-        stats.add(path)
+    stats: Optional[pstats.Stats] = None
+    for path in paths:
+        try:
+            stats = pstats.Stats(path) if stats is None else stats.add(path)
+        except (EOFError, ValueError, TypeError, AttributeError) as error:
+            # marshal on an empty, cut or foreign file; pstats on bad shapes
+            message = f"{path}: not a cProfile dump ({type(error).__name__}: {error})"
+            raise ObsFormatError(message) from None
     functions = []
     for (filename, lineno, name), row in stats.stats.items():  # type: ignore[attr-defined]
         calls, _primitive, own, cumulative = row[0], row[1], row[2], row[3]

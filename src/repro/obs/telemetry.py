@@ -8,8 +8,8 @@ the repository allowed to read wall clocks during a run — it lives in
 the ``obs`` layer precisely so DET101 keeps banning ``time`` from the
 protocol layers.
 
-File shape mirrors the trace format (see ``docs/observability.md``):
-a schema header, one ``{"t": "<event>", "at": seconds, ...}`` object per
+The file has the framing traces have (:mod:`repro.obs.sinks`): a
+schema header, one ``{"t": "<event>", "at": seconds, ...}`` object per
 line stamped with seconds since the writer was opened, and an ``end``
 footer with the record count.  :func:`summarize_telemetry` digests a
 file back into totals and checks the spans are mutually consistent —
@@ -19,13 +19,11 @@ run's wall time — which is what ``repro error-sweep --telemetry`` asserts.
 
 from __future__ import annotations
 
-import json
-import math
 import time
 import warnings
-from typing import IO, Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
-from .sinks import ObsFormatError, _dump
+from .sinks import _JsonlWriter, _field_problem, _read_jsonl
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -54,36 +52,10 @@ TELEMETRY_EVENT_TYPES = frozenset(
 _SLACK = 1.05
 _FLOOR = 0.05
 
-
-def _number(value: Any) -> bool:
-    """A JSON number the digest can do float arithmetic on."""
-    if value.__class__ not in (int, float):
-        return False  # bools, strings, containers, null
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
-
-
-def _count(value: Any) -> bool:
-    return value.__class__ is int and value >= 0 and _number(value)
-
-
-#: What a field of each kind must hold, in words and as a test.
-_KINDS: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
-    "number": ("a finite number", _number),
-    "count": ("a count", _count),
-    "text": ("a string", lambda value: value.__class__ is str),
-    "chunk": ("a chunk id", lambda value: value.__class__ is str or _number(value)),
-    "reasons": (
-        "an object of counts",
-        lambda value: value.__class__ is dict and all(map(_count, value.values())),
-    ),
-}
-
 #: Every field :func:`summarize_telemetry` reads, per record type, and
-#: its kind.  Each is optional but ``at`` on the four spans that time a
-#: run or a chunk; a record breaking this is an ``ObsFormatError``.
+#: its kind (see :data:`repro.obs.sinks._KINDS`).  Each is optional but
+#: ``at`` on the four spans that time a run or a chunk; a record
+#: breaking this is an ``ObsFormatError``.
 _RECORD_FIELDS: Dict[str, Dict[str, str]] = {
     "run_start": {"at": "number", "label": "text", "mode": "text", "workers": "count"},
     "run_complete": {"at": "number"},
@@ -102,30 +74,16 @@ _RECORD_FIELDS: Dict[str, Dict[str, str]] = {
 _TIMED = frozenset({"run_start", "run_complete", "chunk_dispatch", "chunk_complete"})
 
 
-def _record_problem(record: Dict[str, Any]) -> Optional[str]:
-    """What is wrong with the fields of one record (``None``: nothing)."""
-    kind = record["t"]
-    if kind in _TIMED and "at" not in record:
-        return f"{kind!r} record has no 'at' field"
-    for name, field_kind in _RECORD_FIELDS.get(kind, {}).items():
-        expected, valid = _KINDS[field_kind]
-        if name in record and not valid(record[name]):
-            return f"{kind!r} record field {name!r} must be {expected}"
-    return None
-
-
-class TelemetryWriter:
+class TelemetryWriter(_JsonlWriter):
     """Append engine events to a JSONL file, stamped with elapsed time."""
 
+    _format = "telemetry"
+    _schema = TELEMETRY_SCHEMA
+
     def __init__(self, path: str, meta: Optional[Mapping[str, Any]] = None) -> None:
-        self.path = path
         self.records_written = 0
         self._origin = time.perf_counter()
-        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
-        header: dict = {"t": "telemetry", "schema": TELEMETRY_SCHEMA}
-        if meta:
-            header["meta"] = dict(meta)
-        self._handle.write(_dump(header) + "\n")
+        super().__init__(path, meta)
 
     def emit(self, event: str, **fields: Any) -> None:
         """Write one event record; ``at`` is seconds since writer open.
@@ -133,92 +91,21 @@ class TelemetryWriter:
         ``ValueError`` for a closed writer or an ``event`` outside
         :data:`TELEMETRY_EVENT_TYPES`.
         """
-        if self._handle is None:
-            raise ValueError(f"telemetry writer {self.path!r} is closed")
-        if event not in TELEMETRY_EVENT_TYPES:
+        # A closed writer refuses every span as closed, known or not.
+        if self._handle is not None and event not in TELEMETRY_EVENT_TYPES:
             raise ValueError(
                 f"unknown telemetry span {event!r}; known: "
                 f"{sorted(TELEMETRY_EVENT_TYPES)} (add it there and teach "
                 "summarize_telemetry about it)"
             )
-        record = {"t": event, "at": self.elapsed(), **fields}
-        self._handle.write(_dump(record) + "\n")
+        self._write({"t": event, "at": self.elapsed(), **fields})
         self.records_written += 1
 
     def elapsed(self) -> float:
         return round(time.perf_counter() - self._origin, 6)
 
-    def close(self) -> None:
-        if self._handle is None:
-            return
-        self._handle.write(
-            _dump({"t": "end", "records": self.records_written}) + "\n"
-        )
-        self._handle.close()
-        self._handle = None
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def _load_records(path: str) -> List[Dict[str, Any]]:
-    """Read one telemetry file, strictly (header, schema, footer)."""
-    records: List[Dict[str, Any]] = []
-    saw_header = False
-    saw_footer = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ObsFormatError(
-                    f"{path}:{lineno}: not valid JSON ({error.msg})"
-                ) from None
-            if not isinstance(record, dict) or not isinstance(record.get("t"), str):
-                raise ObsFormatError(
-                    f"{path}:{lineno}: expected an object with a string 't' field"
-                )
-            if not saw_header:
-                if record["t"] != "telemetry":
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: first record must be the "
-                        f"'telemetry' header, got {record['t']!r}"
-                    )
-                if record.get("schema") != TELEMETRY_SCHEMA:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: schema {record.get('schema')!r} "
-                        f"is not {TELEMETRY_SCHEMA!r}"
-                    )
-                records.append(record)
-                saw_header = True
-                continue
-            if saw_footer:
-                raise ObsFormatError(
-                    f"{path}:{lineno}: record after the end footer"
-                )
-            if record["t"] == "end":
-                if record.get("records") != len(records) - 1:
-                    raise ObsFormatError(
-                        f"{path}:{lineno}: footer count {record.get('records')} "
-                        f"disagrees with {len(records) - 1} records read"
-                    )
-                saw_footer = True
-                continue
-            problem = _record_problem(record)
-            if problem is not None:
-                raise ObsFormatError(f"{path}:{lineno}: {problem}")
-            records.append(record)
-    if not saw_header:
-        raise ObsFormatError(f"{path}: empty file (no telemetry header)")
-    if not saw_footer:
-        raise ObsFormatError(f"{path}: no end footer — telemetry truncated")
-    return records
+    def _footer(self) -> Dict[str, int]:
+        return {"records": self.records_written}
 
 
 def summarize_telemetry(path: str) -> Dict[str, Any]:
@@ -232,7 +119,26 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
     * no single chunk span exceeds its run's wall time;
     * utilization is therefore a meaningful 0..1 fraction.
     """
-    records = _load_records(path)
+    records: List[Dict[str, Any]] = []
+
+    def take(record: Dict[str, Any]) -> Optional[str]:
+        kind = record["t"]
+        if kind == "end":
+            if record.get("records") != len(records):
+                return (
+                    f"footer count {record.get('records')} "
+                    f"disagrees with {len(records)} records read"
+                )
+            return None
+        problem = _field_problem(
+            record, _RECORD_FIELDS.get(kind, {}), ("at",) if kind in _TIMED else ()
+        )
+        if problem is None:
+            records.append(record)
+        return problem
+
+    _read_jsonl(path, "telemetry", TELEMETRY_SCHEMA, take)
+
     runs: List[Dict[str, Any]] = []
     chunk_opened: Dict[Any, float] = {}
     current: Optional[Dict[str, Any]] = None
@@ -253,7 +159,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
     fallback_reasons: Dict[str, int] = {}
     unknown_types: Dict[str, int] = {}
     profiles: List[str] = []
-    for record in records[1:]:
+    for record in records:
         kind = record["t"]
         if kind not in TELEMETRY_EVENT_TYPES:
             # A file written by a newer engine may carry span types this
@@ -301,10 +207,8 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
             totals["vector_batched"] += record.get("batched", 0)
             totals["vector_fallback"] += record.get("fallback", 0)
             totals["coins"] += record.get("coins", 0)
-            for reason, count in (record.get("fallback_reasons") or {}).items():
-                fallback_reasons[reason] = fallback_reasons.get(reason, 0) + int(
-                    count
-                )
+            for reason, count in record.get("fallback_reasons", {}).items():
+                fallback_reasons[reason] = fallback_reasons.get(reason, 0) + count
         elif kind == "profile":
             totals["profile_seconds"] += record.get("seconds", 0.0)
             path_field = record.get("path")
@@ -335,7 +239,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
     pooled = [run for run in runs if run["mode"] == "pool" and run["chunks"]]
     return {
         "schema": TELEMETRY_SCHEMA,
-        "records": len(records) - 1,
+        "records": len(records),
         "runs": runs,
         "pooled_runs": len(pooled),
         "consistent": consistent,

@@ -2,9 +2,10 @@
 
 The tentpole property: for **every** registered protocol × adversary
 pair (the same sweep matrix as the transport losslessness tests), one
-execution teed to a memory sink and a JSONL sink renders byte-identically
-through both paths — stream → :func:`load_trace` → ``render()`` equals
-``MemoryTraceSink.render()`` with no exceptions.
+execution observed by two tracers, one over a memory sink and one over a
+JSONL sink, renders byte-identically through both paths — stream →
+:func:`load_trace` → ``render()`` equals ``MemoryTraceSink.render()``
+with no exceptions.
 
 Plus the strictness contract: malformed JSON, missing/wrong headers,
 wrong schema versions, truncated files, lying footers and unknown record
@@ -23,7 +24,6 @@ from repro.engine.plan import TrialSpec
 from repro.network.trace import MemoryTraceSink, Tracer
 from repro.obs import (
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     ObsFormatError,
     filter_trace,
@@ -73,13 +73,13 @@ class TestRoundTripProperty:
                 path = str(tmp_path / f"{protocol}-{adversary}.jsonl")
                 memory = MemoryTraceSink()
                 jsonl = JsonlTraceSink(path)
-                tracer = Tracer(FanoutSink([memory, jsonl]))
+                tracers = (Tracer(memory), Tracer(jsonl))
                 try:
-                    run_trial(spec, observers=(tracer,))
+                    run_trial(spec, observers=tracers)
                 except Exception:
-                    tracer.close()
+                    jsonl.close()
                     continue  # incompatible combo — nothing to compare
-                tracer.close()
+                jsonl.close()
                 loaded = load_trace(path)
                 assert loaded.tracer.render() == memory.render(), (
                     protocol, adversary,
@@ -200,6 +200,118 @@ class TestTraceFuzz:
         )
 
 
+class TestTraceLeafFuzz:
+    """Every leaf of the committed trace, the header's ``meta`` included,
+    set in turn to each of ``"x", -1, 1.5, null, [], {}, true``:
+    :func:`load_trace` raises nothing but :class:`ObsFormatError`, and
+    ``repro trace --stats`` / ``--diff`` exit 0, 1 or 2 and never raise.
+    """
+
+    SUBSTITUTES = ("x", -1, 1.5, None, [], {}, True)
+
+    def _variants(self, lines):
+        """``(what, lines)`` for every substitution of every leaf."""
+        for number, line in enumerate(lines):
+            for path in _leaf_paths(json.loads(line)):
+                for substitute in self.SUBSTITUTES:
+                    record = json.loads(line)
+                    if json.dumps(_get(record, path)) == json.dumps(substitute):
+                        continue
+                    _set(record, path, substitute)
+                    changed = [*lines[:number], json.dumps(record), *lines[number + 1:]]
+                    yield f"line {number + 1} {path} = {substitute!r}", changed
+
+    def test_every_leaf_substitution_exits_0_1_or_2(self, tmp_path, monkeypatch):
+        from repro import cli
+
+        fixture = TestTraceFuzz.FIXTURE
+        with open(fixture, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        path = str(tmp_path / "variant.trace.jsonl")
+        parser = cli.build_parser()
+        commands = [
+            parser.parse_args(["trace", path, "--stats"]),
+            parser.parse_args(["trace", fixture, "--diff", path]),
+        ]
+        sink = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(sys, "stderr", sink)
+        exits = {0: 0, 1: 0, 2: 0}
+        for what, changed in self._variants(lines):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("\n".join(changed) + "\n")
+            try:
+                load_trace(path)
+            except ObsFormatError:
+                exits[2] += 1
+                continue
+            except Exception as error:  # pragma: no cover - the failure
+                pytest.fail(f"load_trace: {type(error).__name__}: {error} on {what}")
+            for args in commands:
+                try:
+                    code = args.handler(args)
+                except Exception as error:  # pragma: no cover - the failure
+                    pytest.fail(f"{type(error).__name__}: {error} on {what}")
+                assert code in exits, f"exit {code} on {what}"
+                exits[code] += 1
+            sink.seek(0)
+            sink.truncate()
+        # A changed meta or payload string still loads, renders and
+        # diverges; a mistyped count, flag or footer is exit 2.
+        assert all(exits.values()), exits
+
+    def test_a_huge_round_index_renders_and_diffs_promptly(self, tmp_path):
+        """A round index is read from the file: rendering and diffing a
+        trace walk the rounds that hold records, never every index up to
+        the largest one."""
+        import subprocess
+
+        fixture = TestTraceFuzz.FIXTURE
+        with open(fixture, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        last_msg = max(i for i, r in enumerate(records) if r["t"] == "msg")
+        records[last_msg]["r"] = 2 ** 40
+        path = str(tmp_path / "far.trace.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("".join(json.dumps(r) + "\n" for r in records))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+        def repro(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv], env=env,
+                capture_output=True, text=True, timeout=60,
+            )
+
+        rendered = repro("trace", path, "--stats")
+        assert rendered.returncode == 0, rendered.stderr
+        assert f"── round {2 ** 40} " in rendered.stdout
+        diffed = repro("trace", fixture, "--diff", path)
+        assert diffed.returncode == 1, diffed.stderr
+        assert "traces diverge at round 3 (event)" in diffed.stdout
+
+
+def _leaf_paths(node, path=()):
+    """The key/index path of every scalar inside ``node``."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _leaf_paths(child, (*path, key))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _leaf_paths(child, (*path, index))
+    else:
+        yield path
+
+
+def _get(node, path):
+    for step in path:
+        node = node[step]
+    return node
+
+
+def _set(node, path, value):
+    _get(node, path[:-1])[path[-1]] = value
+
+
 class TestStrictRejection:
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
@@ -279,7 +391,7 @@ class TestStrictRejection:
             tmp_path, "short.jsonl",
             [_header(), json.dumps({"t": "msg", "r": 1, "s": 0})],
         )
-        with pytest.raises(ObsFormatError, match="msg record missing"):
+        with pytest.raises(ObsFormatError, match="'msg' record has no 'd' field"):
             load_trace(path)
 
     def test_telemetry_file_is_not_a_trace(self, tmp_path):
@@ -338,21 +450,21 @@ class TestFaultRecords:
 
         path = str(tmp_path / "faulty.jsonl")
         memory = MemoryTraceSink()
-        tracer = Tracer(FanoutSink([memory, JsonlTraceSink(path)]))
+        jsonl = JsonlTraceSink(path)
         simulator = SyncSimulator(
             num_parties=5,
             max_faulty=1,
             crypto=ideal_suite(5, 1),
             seed=9,
             session="fault-trace",
-            observers=(tracer,),
+            observers=(Tracer(memory), Tracer(jsonl)),
             faults=FaultPlan(loss=0.25, delay=0.25, max_delay=2),
         )
         simulator.run(
             lambda ctx, value: ba_one_third_program(ctx, value, kappa=3),
             (1, 0, 1, 0, 1),
         )
-        tracer.close()
+        jsonl.close()
         return path, memory
 
     def test_fault_records_replay_byte_identically(self, tmp_path):

@@ -100,6 +100,30 @@ class TestProfileSection:
         assert "## Profile" in report
         assert "of telemetry busy time attributed" in report
 
+    @pytest.mark.parametrize("damage", ["empty", "garbage", "truncated"])
+    def test_a_dump_that_does_not_load_exits_2_naming_it(
+        self, tmp_path, capsys, damage
+    ):
+        from repro.cli import main
+
+        path = self._profile_dir(tmp_path)
+        dump = os.path.join(path, "chunk-00000.pstats")
+        with open(dump, "rb") as handle:
+            data = handle.read()
+        blobs = {
+            "empty": b"",
+            "garbage": b"not a profile\n",
+            "truncated": data[: len(data) // 2],
+        }
+        bad = os.path.join(path, "chunk-00001.pstats")
+        with open(bad, "wb") as handle:
+            handle.write(blobs[damage])
+        with pytest.raises(ObsFormatError, match="00001.pstats: not a cProfile dump"):
+            load_profile_summary(path)
+        assert main(["report", "--profile", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: not a cProfile dump" in err and "Traceback" not in err
+
 
 class TestCheckReport:
     def test_clean_fixtures_pass(self):

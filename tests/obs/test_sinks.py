@@ -26,10 +26,9 @@ from repro.engine import (
     register_protocol,
     run_traced_trial,
 )
-from repro.network.trace import MemoryTraceSink, TraceEvent, Tracer
+from repro.network.trace import TraceEvent, Tracer
 from repro.obs import (
     TRACE_SCHEMA,
-    FanoutSink,
     JsonlTraceSink,
     load_trace,
     trace_filename,
@@ -108,24 +107,6 @@ class TestJsonlFormat:
         assert sorted([trace_filename(10), trace_filename(2)]) == [
             trace_filename(2), trace_filename(10),
         ]
-
-
-class TestFanout:
-    def test_fanout_tees_to_all_sinks(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        memory = MemoryTraceSink()
-        jsonl = JsonlTraceSink(path)
-        tracer = Tracer(FanoutSink([memory, jsonl]))
-        tracer.on_message(1, 0, 1, {"v": 1}, True)
-        tracer.on_message(1, 0, 2, {"v": 1}, True)
-        tracer.on_corruptions(1, {3})
-        tracer.close()
-
-        assert len(memory.events) == 2 and memory.corruptions == [(1, 3)]
-        assert jsonl.events_written == 2 and jsonl.corruptions_written == 1
-        # The streamed file replays to the same transcript the memory
-        # sink holds.
-        assert load_trace(path).tracer.render() == memory.render()
 
 
 class TestBoundedMemory:

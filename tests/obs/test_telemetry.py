@@ -168,6 +168,25 @@ class TestSummarize:
         assert str(caught.value).startswith(f"{path}:3: ")
         assert problem in str(caught.value)
 
+    def test_a_byte_that_is_not_utf8_is_exit_2_naming_the_line(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+
+        path = _write_file(tmp_path, "bad.jsonl", [
+            {"t": "run_start", "at": 0.0, "label": "r"},
+            {"t": "run_complete", "at": 0.1, "label": "r"},
+        ])
+        with open(path, "rb") as handle:
+            data = handle.read()
+        at = data.index(b'"r"}')
+        with open(path, "wb") as handle:
+            handle.write(data[:at + 1] + b"\xff" + data[at + 2:])
+        assert cli.main(["report", "--telemetry", path]) == 2
+        assert f"{path}:2: not valid UTF-8 (byte 0xff at column " in (
+            capsys.readouterr().err
+        )
+
     def test_a_malformed_record_is_exit_2_from_report(self, tmp_path, capsys):
         from repro import cli
 
