@@ -31,7 +31,6 @@ from .adversary import (
     LinearHalfStraddleAdversary,
     MalformedAdversary,
     OneThirdStraddleAdversary,
-    PassiveAdversary,
     TwoFaceAdversary,
 )
 from .applications import NO_OP, replicated_log_program
@@ -88,7 +87,6 @@ __all__ = [
     "NO_OP",
     "OneThirdStraddleAdversary",
     "ParallelRunner",
-    "PassiveAdversary",
     "PlanResult",
     "ProxOutput",
     "RunMetrics",

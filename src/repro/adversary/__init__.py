@@ -3,7 +3,6 @@
 from .base import (
     Adversary,
     AdversaryEnv,
-    PassiveAdversary,
     RoundDecision,
     RoundView,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "LinearHalfStraddleAdversary",
     "MalformedAdversary",
     "OneThirdStraddleAdversary",
-    "PassiveAdversary",
     "RoundDecision",
     "RoundView",
     "TwoFaceAdversary",

@@ -33,7 +33,7 @@ from ..crypto.keys import CryptoSuite
 # would be circular).
 Outbox = Any
 
-__all__ = ["AdversaryEnv", "RoundView", "RoundDecision", "Adversary", "PassiveAdversary"]
+__all__ = ["AdversaryEnv", "RoundView", "RoundDecision", "Adversary"]
 
 
 @dataclass
@@ -99,7 +99,3 @@ class Adversary:
         their own shadow executions (e.g. the two-face equivocator) advance
         them here.
         """
-
-
-class PassiveAdversary(Adversary):
-    """Explicit alias for the do-nothing adversary (readability in tests)."""

@@ -1,13 +1,11 @@
 """Analysis layer: theory closed forms, paper-table regeneration, estimators."""
 
-from .curves import bar_chart, log_sparkline, sparkline
+from .curves import log_sparkline, sparkline
 from .report import format_matrix, format_table
 from .stats import (
     SequentialEstimate,
     disagreement_rate,
-    format_rate,
     wilson_interval,
-    within_interval,
 )
 from .tables import (
     binary_slot_labels,
@@ -17,7 +15,6 @@ from .tables import (
     render_table1,
     render_table2,
     table1_prox5_conditions,
-    table2_prox15_conditions,
 )
 from .theory import (
     PROTOCOLS,
@@ -31,7 +28,6 @@ from .theory import (
 __all__ = [
     "PROTOCOLS",
     "SequentialEstimate",
-    "bar_chart",
     "log_sparkline",
     "sparkline",
     "ProtocolTheory",
@@ -42,15 +38,12 @@ __all__ = [
     "fig2_expansion_conditions",
     "fig3_extraction_matrix",
     "format_matrix",
-    "format_rate",
     "format_table",
     "wilson_interval",
-    "within_interval",
     "per_iteration_failure",
     "render_fig3",
     "render_table1",
     "render_table2",
     "rounds_for_error",
     "table1_prox5_conditions",
-    "table2_prox15_conditions",
 ]

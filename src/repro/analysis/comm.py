@@ -4,9 +4,9 @@ The big-O claims of TAB-COMM have exact constants in this implementation:
 every multi-party protocol round is a full broadcast (n messages from each
 of the n parties), the coin adds one broadcast round, and parallel
 composition merges channels into single messages.  These predictors state
-the exact honest message counts; the test suite and the communication
-benchmark assert measured == predicted, which pins down the constant in
-``O(r n²)`` instead of hand-waving it.
+the exact honest message counts; ``tests/analysis/test_comm.py`` asserts
+measured == predicted, which pins down the constant in ``O(r n²)``
+instead of hand-waving it.
 """
 
 from __future__ import annotations

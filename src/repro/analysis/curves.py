@@ -2,16 +2,16 @@
 
 The benchmarks print tables; for decay curves (error vs κ) a tiny visual
 helps the "shape" claims land.  No plotting library exists offline, so
-this renders log-scale sparklines and bar charts with block characters —
+this renders log-scale sparklines with block characters —
 deterministic, terminal-safe, snapshot-friendly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["sparkline", "log_sparkline", "bar_chart"]
+__all__ = ["sparkline", "log_sparkline"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -37,22 +37,3 @@ def log_sparkline(values: Sequence[float], floor: float = 1e-6) -> str:
     """
     return sparkline([math.log10(max(value, floor)) for value in values])
 
-
-def bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bars with labels, scaled to the max value."""
-    if not rows:
-        return ""
-    peak = max(value for _label, value in rows) or 1.0
-    label_width = max(len(label) for label, _value in rows)
-    lines = []
-    for label, value in rows:
-        filled = int(round(value / peak * width))
-        lines.append(
-            f"{label.rjust(label_width)}  "
-            f"{'█' * filled}{'·' * (width - filled)}  {value:g}{unit}"
-        )
-    return "\n".join(lines)

@@ -21,8 +21,6 @@ __all__ = [
     "SequentialEstimate",
     "disagreement_rate",
     "wilson_interval",
-    "within_interval",
-    "format_rate",
 ]
 
 _Z95 = 1.959963984540054  # 95% two-sided normal quantile
@@ -62,18 +60,6 @@ def wilson_interval(
         / denominator
     )
     return (max(0.0, center - margin), min(1.0, center + margin))
-
-
-def within_interval(bound: float, successes: int, trials: int) -> bool:
-    """Is ``bound`` inside the 95% Wilson interval of the estimate?"""
-    low, high = wilson_interval(successes, trials)
-    return low <= bound <= high
-
-
-def format_rate(successes: int, trials: int) -> str:
-    """``"0.2500 [0.2031, 0.3034]"`` — estimate with 95% interval."""
-    low, high = wilson_interval(successes, trials)
-    return f"{successes / trials:.4f} [{low:.4f}, {high:.4f}]"
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Programmatic regeneration of the paper's tables and figures.
 
-Each function returns structured data *derived from the implementation*
+Each function derives its table or figure *from the implementation*
 (not hard-coded copies of the paper), so that the benchmarks genuinely
 check the implementation against the paper:
 
 * :func:`table1_prox5_conditions` — Table 1 (slot conditions of the
   3-round ``Prox_5`` for t < n/2), from
   :func:`repro.proxcensus.linear_half.grade_conditions`.
-* :func:`table2_prox15_conditions` — Table 2 (slot conditions of the
-  quadratic ``Prox_15``), from
-  :func:`repro.proxcensus.quadratic_half.condition_table`.
+* :func:`render_table2` — Table 2 (slot conditions of the quadratic
+  ``Prox_15``), from
+  :func:`repro.proxcensus.quadratic_half.condition_table`, whose
+  per-grade map holds for both values.
 * :func:`fig2_expansion_conditions` — Fig. 2 (one-round expansion
   ``Prox_s → Prox_{2s-1}`` slot conditions), from the expansion rule.
 * :func:`fig3_extraction_matrix` — Fig. 3 (the extraction cut), from
@@ -32,7 +33,6 @@ from .report import format_matrix
 __all__ = [
     "binary_slot_labels",
     "table1_prox5_conditions",
-    "table2_prox15_conditions",
     "fig2_expansion_conditions",
     "fig3_extraction_matrix",
     "render_table1",
@@ -86,17 +86,6 @@ def render_table1(rounds: int = 3) -> str:
         cells,
         corner="deadline",
     )
-
-
-def table2_prox15_conditions(rounds: int = 6) -> Dict[Tuple[int, int], Dict[int, int]]:
-    """Table 2: per binary slot ``(v, g)``, the map round → required Ω-index
-    for the quadratic Proxcensus."""
-    per_grade = condition_table(rounds)
-    table = {}
-    for value in (0, 1):
-        for grade, required in per_grade.items():
-            table[(value, grade)] = dict(required)
-    return table
 
 
 def render_table2(rounds: int = 6) -> str:

@@ -68,7 +68,7 @@ from typing import List, Optional, Sequence
 from .analysis.report import format_table
 from .analysis.stats import disagreement_rate
 from .analysis.tables import render_fig3, render_table1, render_table2
-from .analysis.theory import rounds_for_error
+from .analysis.theory import efficiency_comparison_rows
 from .network.trace import MemoryTraceSink, Tracer
 
 __all__ = ["main"]
@@ -156,9 +156,11 @@ def _spec_from_flags(args: argparse.Namespace):
     """The :class:`TrialSpec` ``repro run``'s flags describe.
 
     ``ValueError`` (its message is the usage error) for flags that
-    describe no trial: ``--t`` out of range, a fault scenario or params
-    the registry rejects, a fault plan naming a party the run lacks, and
-    ``--victims`` / ``--fault-params`` without the flag they qualify.
+    describe no trial: ``--t`` out of range, ``--victims`` naming a party
+    the run lacks or more than ``--t`` parties, a fault scenario or
+    params the registry rejects, a fault plan naming a party the run
+    lacks, and ``--victims`` / ``--fault-params`` without the flag they
+    qualify.
     """
     import json
 
@@ -175,6 +177,18 @@ def _spec_from_flags(args: argparse.Namespace):
             "usage: --fault-params qualifies --faults SCENARIO"
         )
     n, t = len(args.inputs), args.t
+    if args.victims is not None:
+        victims = set(args.victims)
+        outside = sorted(pid for pid in victims if not 0 <= pid < n)
+        if outside or len(victims) > t:
+            problem = (
+                f"names party {outside[0]}, outside 0..{n - 1}" if outside
+                else f"names {len(victims)} parties, more than --t {t}"
+            )
+            raise ValueError(
+                f"--victims {problem}\n"
+                "usage: --victims takes at most --t distinct parties in 0..n-1"
+            )
     fault_params = {}
     if args.faults:
         try:
@@ -376,17 +390,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    for kappa in args.kappas:
-        rows.append(
-            [
-                kappa,
-                rounds_for_error("ours_one_third", kappa),
-                rounds_for_error("feldman_micali", kappa),
-                rounds_for_error("ours_one_half", kappa),
-                rounds_for_error("micali_vaikuntanathan", kappa),
-            ]
-        )
+    columns = ("kappa", "ours_one_third", "feldman_micali", "ours_one_half",
+               "micali_vaikuntanathan")
+    rows = [
+        [row[column] for column in columns]
+        for row in efficiency_comparison_rows(args.kappas)
+    ]
     print("rounds to reach error 2^-kappa\n")
     print(
         format_table(

@@ -1,4 +1,4 @@
-"""Cryptographic substrate: fields, sharing, signatures, coins.
+"""Cryptographic substrate: signatures, threshold signatures, coins.
 
 Public surface re-exported here; see module docstrings for construction
 details and the DESIGN.md substitution notes (ideal vs real backends).
@@ -12,7 +12,6 @@ from .coin import (
     ideal_coin_program,
     threshold_coin_program,
 )
-from .field import FieldElement, PrimeField, lagrange_interpolate_at
 from .ideal import IdealSignatureScheme, IdealThresholdScheme
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .keys import CryptoSuite
@@ -25,7 +24,6 @@ from .random_oracle import (
     oracle_digest,
 )
 from .rsa import RsaSignatureScheme, generate_rsa_keypair
-from .shamir import Share, ShamirError, reconstruct_secret, split_secret
 from .threshold_rsa import ThresholdRsaScheme, generate_threshold_rsa
 from .vrf_coin import (
     vrf_coin_extractor,
@@ -39,14 +37,10 @@ from .vrf_coin import (
 __all__ = [
     "CryptoError",
     "CryptoSuite",
-    "FieldElement",
     "IdealCoin",
     "IdealSignatureScheme",
     "IdealThresholdScheme",
-    "PrimeField",
     "RsaSignatureScheme",
-    "ShamirError",
-    "Share",
     "SignatureScheme",
     "ThresholdRsaScheme",
     "ThresholdSignatureScheme",
@@ -63,10 +57,7 @@ __all__ = [
     "hash_to_range",
     "ideal_coin_program",
     "is_probable_prime",
-    "lagrange_interpolate_at",
     "oracle_digest",
-    "reconstruct_secret",
-    "split_secret",
     "threshold_coin_program",
     "vrf_coin_extractor",
     "vrf_coin_from_evaluations",

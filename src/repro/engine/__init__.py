@@ -30,7 +30,6 @@ from .runner import (
     clamp_workers,
     clear_suite_cache,
     deal_suite,
-    default_workers,
     predeal_suites,
     run_measured_trial,
     run_traced_trial,
@@ -71,7 +70,6 @@ __all__ = [
     "clear_probe_cache",
     "clear_suite_cache",
     "deal_suite",
-    "default_workers",
     "derive_trial_seed",
     "derive_trial_session",
     "fault_plan_names",

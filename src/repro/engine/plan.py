@@ -96,6 +96,33 @@ def _freeze_params(params: Optional[Dict[str, Any]]) -> Tuple[Tuple[str, Any], .
     )
 
 
+#: The JSON types :meth:`TrialSpec.to_json` writes for each field, which
+#: are the only ones :meth:`TrialSpec.from_json` reads (``bool`` is no
+#: int there, and ``None`` is ``null``).
+_JSON_TYPES: Dict[str, Tuple[type, ...]] = {
+    "protocol": (str,),
+    "inputs": (list,),
+    "max_faulty": (int,),
+    "params": (dict,),
+    "adversary": (str, type(None)),
+    "adversary_params": (dict,),
+    "seed": (int,),
+    "session": (str,),
+    "setup_seed": (int,),
+    "backend": (str,),
+    "max_rounds": (int,),
+    "collect_signatures": (bool,),
+    "config": (str,),
+    "rsa_bits": (int,),
+    "faults": (str, type(None)),
+    "fault_params": (dict,),
+}
+_JSON_WORDS = {
+    str: "a string", int: "an int", bool: "a bool", list: "a list",
+    dict: "an object", type(None): "null",
+}
+
+
 def _coerce_params(value: Any, label: str) -> Tuple[Tuple[str, Any], ...]:
     """Normalize a params field to the canonical frozen tuple form.
 
@@ -145,17 +172,12 @@ class TrialSpec:
     # Modulus size for backend="real" threshold-RSA dealing.  Part of
     # suite_key: suites dealt at different sizes are different keys.
     rsa_bits: int = 256
-    # Opt-out for the batch-vectorized executor: a runner with
-    # backend="vector" only batches specs with this flag set (and whose
-    # configuration the vector models support); everything else takes
-    # the object simulator.  Results are bit-identical either way.
-    vectorizable: bool = True
     # Fault-injection scenario: a registry name
     # (repro.engine.registry.fault_plan_names) resolved by workers to a
     # repro.network.faults.FaultPlan, like protocol/adversary names.
     # None = the clean synchronous network.  Vector models simulate the
-    # fault-free lockstep dynamics only, so a faulted spec is never
-    # vectorizable — forced off in __post_init__.
+    # fault-free lockstep dynamics only, so the vector backend runs a
+    # faulted spec on the object simulator.
     faults: Optional[str] = None
     fault_params: Tuple[Tuple[str, Any], ...] = ()
 
@@ -175,8 +197,6 @@ class TrialSpec:
         )
         if self.fault_params and self.faults is None:
             raise ValueError("fault_params given without a faults scenario name")
-        if self.faults is not None and self.vectorizable:
-            object.__setattr__(self, "vectorizable", False)
         if self.backend not in ("ideal", "real"):
             raise ValueError(f"unknown crypto backend {self.backend!r}")
         if self.backend == "real" and self.rsa_bits < 64:
@@ -255,10 +275,20 @@ class TrialSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "TrialSpec":
-        """The spec :meth:`to_json` wrote (JSON lists become tuples)."""
+        """The spec :meth:`to_json` wrote (JSON lists become tuples).
+
+        ``ValueError`` naming the field for an unknown field or a value
+        of a JSON type ``to_json`` never writes there.
+        """
         document = json.loads(text)
         if not isinstance(document, dict):
             raise ValueError("a trial spec is a JSON object")
+        for name, value in document.items():
+            if name not in _JSON_TYPES:
+                raise ValueError(f"unknown field {name!r}")
+            if type(value) not in _JSON_TYPES[name]:
+                expected = " or ".join(_JSON_WORDS[kind] for kind in _JSON_TYPES[name])
+                raise ValueError(f"field {name!r} is {value!r}, not {expected}")
         if "inputs" in document:
             document["inputs"] = _freeze_value(document["inputs"])
         return cls(**document)
@@ -310,7 +340,6 @@ class TrialPlan:
         max_rounds: int = 4096,
         collect_signatures: bool = True,
         rsa_bits: int = 256,
-        vectorizable: bool = True,
         faults: Optional[str] = None,
         fault_params: Optional[Dict[str, Any]] = None,
     ) -> "TrialPlan":
@@ -335,7 +364,6 @@ class TrialPlan:
             collect_signatures=collect_signatures,
             config=name,
             rsa_bits=rsa_bits,
-            vectorizable=vectorizable,
             faults=faults,
             fault_params=_freeze_params(fault_params),
         )

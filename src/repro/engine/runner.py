@@ -100,7 +100,6 @@ __all__ = [
     "run_measured_trial",
     "clamp_workers",
     "deal_suite",
-    "default_workers",
     "predeal_suites",
     "clear_suite_cache",
 ]
@@ -115,15 +114,10 @@ Spans = List[Tuple[str, Dict[str, Any]]]
 Stream = Callable[[Sequence[Chunk]], Iterator[Tuple[int, ExecutionResult]]]
 
 
-def default_workers() -> int:
-    """A sensible worker count for this machine (never more than trials need)."""
-    return max(1, os.cpu_count() or 1)
-
-
-def clamp_workers(requested: Optional[int] = None) -> int:
+def clamp_workers(requested: int) -> int:
     """Clamp a requested worker count to the CPUs actually present.
 
-    ``None`` means "auto": use :func:`default_workers`.  A request above
+    A request below 1 is a ``ValueError``.  A request above
     ``os.cpu_count()`` is clamped down — extra processes on a saturated
     machine are pure scheduling overhead (the committed 1-CPU benchmark
     artifact measured a 0.79x "speedup" from a 4-process pool) — and the
@@ -132,8 +126,6 @@ def clamp_workers(requested: Optional[int] = None) -> int:
     path: no pool, no IPC, no overhead.
     """
     cpus = os.cpu_count() or 1
-    if requested is None:
-        return cpus
     if requested < 1:
         raise ValueError("need at least one worker")
     if requested > cpus:

@@ -375,12 +375,8 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     object simulator.  It reads the spec's :class:`_Model` record and
     builds each reason here, once: the strings telemetry tallies.
     """
-    if not spec.vectorizable:
-        return "spec opted out (vectorizable=False)"
     if spec.faults is not None:
-        # Unreachable through TrialSpec (__post_init__ forces the flag
-        # off), kept as a guard: the models simulate the clean
-        # synchronous network only.
+        # The models simulate the clean synchronous network only.
         return f"fault injection ({spec.faults!r}) is not vectorizable"
     if spec.backend != "ideal":
         return "real-RSA backend"

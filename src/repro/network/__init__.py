@@ -12,9 +12,6 @@ from .messages import (
     Inbox,
     Outbox,
     get_field,
-    get_int,
-    get_int_in_range,
-    get_pair,
     normalize_outbox,
 )
 from .metrics import RunMetrics, count_signatures
@@ -45,9 +42,6 @@ __all__ = [
     "count_signatures",
     "summarize_payload",
     "get_field",
-    "get_int",
-    "get_int_in_range",
-    "get_pair",
     "normalize_outbox",
     "resume_with",
     "run_parallel",

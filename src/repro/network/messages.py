@@ -12,8 +12,8 @@ A party program's per-round *outbox* is one of:
 The per-round *inbox* is a ``dict`` mapping sender id to the payload that
 sender addressed to us.  Channels are authenticated: sender ids are
 simulator-assigned and unforgeable.  Payload *contents*, however, may be
-arbitrary Byzantine garbage, which is why honest code goes through the
-``get_*`` accessors below instead of trusting shapes.
+arbitrary Byzantine garbage, which is why honest code goes through
+:func:`get_field` below instead of trusting shapes.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ __all__ = [
     "Inbox",
     "normalize_outbox",
     "get_field",
-    "get_int",
-    "get_int_in_range",
-    "get_pair",
 ]
 
 
@@ -65,28 +62,4 @@ def get_field(payload: Any, key: str) -> Optional[Any]:
     """``payload[key]`` if payload is a dict holding it, else ``None``."""
     if isinstance(payload, dict):
         return payload.get(key)
-    return None
-
-
-def get_int(payload: Any, key: str) -> Optional[int]:
-    """Integer field accessor (rejects bools: True is not a protocol int)."""
-    value = get_field(payload, key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        return None
-    return value
-
-
-def get_int_in_range(payload: Any, key: str, low: int, high: int) -> Optional[int]:
-    """Integer field accessor restricted to an inclusive range."""
-    value = get_int(payload, key)
-    if value is None or not (low <= value <= high):
-        return None
-    return value
-
-
-def get_pair(payload: Any, key: str) -> Optional[tuple]:
-    """Two-element tuple/list field accessor."""
-    value = get_field(payload, key)
-    if isinstance(value, (tuple, list)) and len(value) == 2:
-        return tuple(value)
     return None

@@ -6,7 +6,6 @@ from .base import (
     check_proxcensus_consistency,
     check_proxcensus_validity,
     max_grade,
-    slot_count_with_grades,
     slot_index,
     slot_label,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "proxcast_player_replaceable_program",
     "proxcast_program",
     "rounds_for_slots",
-    "slot_count_with_grades",
     "slot_index",
     "slot_label",
     "top_grade",

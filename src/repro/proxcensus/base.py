@@ -25,7 +25,6 @@ from typing import Any, Iterable, Optional, Tuple
 __all__ = [
     "ProxOutput",
     "max_grade",
-    "slot_count_with_grades",
     "slot_index",
     "slot_label",
     "check_proxcensus_consistency",
@@ -54,11 +53,6 @@ def max_grade(slots: int) -> int:
     if slots < 2:
         raise ValueError(f"Proxcensus needs at least 2 slots, got {slots}")
     return (slots - 1) // 2
-
-
-def slot_count_with_grades(grades: int, parity_even: bool) -> int:
-    """Inverse of :func:`max_grade` for binary domains."""
-    return 2 * grades + (2 if parity_even else 1)
 
 
 def slot_index(value: int, grade: int, slots: int) -> int:

@@ -1,8 +1,6 @@
 """Tests for the ASCII curve renderers."""
 
-import pytest
-
-from repro.analysis.curves import bar_chart, log_sparkline, sparkline
+from repro.analysis.curves import log_sparkline, sparkline
 
 
 class TestSparkline:
@@ -33,18 +31,3 @@ class TestLogSparkline:
         assert len(line) == 2
         assert line[1] == "▁"
 
-
-class TestBarChart:
-    def test_empty(self):
-        assert bar_chart([]) == ""
-
-    def test_labels_and_values_present(self):
-        chart = bar_chart([("ours", 9.0), ("fm", 16.0)], width=10, unit=" rounds")
-        assert "ours" in chart and "fm" in chart
-        assert "16 rounds" in chart
-        lines = chart.splitlines()
-        assert lines[1].count("█") == 10      # the max fills the width
-        assert 4 <= lines[0].count("█") <= 7  # 9/16 of the width
-
-    def test_zero_peak_does_not_divide_by_zero(self):
-        assert bar_chart([("a", 0.0)]) != ""

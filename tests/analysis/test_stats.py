@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     SequentialEstimate,
-    format_rate,
     wilson_interval,
-    within_interval,
 )
 
 
@@ -45,17 +43,6 @@ class TestWilsonInterval:
             wilson_interval(1, 0)
         with pytest.raises(ValueError):
             wilson_interval(5, 3)
-
-
-class TestHelpers:
-    def test_within_interval(self):
-        assert within_interval(0.25, 25, 100)
-        assert not within_interval(0.9, 25, 100)
-
-    def test_format_rate(self):
-        text = format_rate(25, 100)
-        assert text.startswith("0.2500 [")
-        assert text.endswith("]")
 
 
 class TestSequentialEstimate:

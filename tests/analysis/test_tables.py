@@ -10,8 +10,8 @@ from repro.analysis.tables import (
     render_table1,
     render_table2,
     table1_prox5_conditions,
-    table2_prox15_conditions,
 )
+from repro.proxcensus.quadratic_half import condition_table
 
 
 class TestTable1:
@@ -30,9 +30,9 @@ class TestTable1:
 
 class TestTable2:
     def test_matches_paper_exactly(self):
-        """Both value columns of the paper's Table 2 (r = 6)."""
-        table = table2_prox15_conditions(6)
-        paper_column = {
+        """Every cell of the paper's Table 2 (r = 6): one column per grade,
+        shared by both values, as ``render_table2`` reads it."""
+        assert condition_table(6) == {
             7: {1: 1, 2: 2, 3: 3, 4: 4, 5: 5, 6: 6},
             6: {2: 1, 3: 2, 4: 3, 5: 4, 6: 5},
             5: {2: 1, 3: 2, 4: 3, 5: 4, 6: 4},
@@ -41,9 +41,6 @@ class TestTable2:
             2: {2: 1, 3: 2, 4: 2, 5: 3, 6: 3},
             1: {2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
         }
-        for value in (0, 1):
-            for grade, expected in paper_column.items():
-                assert table[(value, grade)] == expected
 
     def test_render_has_fifteen_slots(self):
         text = render_table2(6)

@@ -45,18 +45,16 @@ class TestCrashRecoverDeterminism:
 
     def test_vector_backend_falls_back_per_spec_identically(self):
         plan = _crash_plan(trials=6)
-        # __post_init__ forces vectorizable=False for faulted specs, so
-        # the eligibility probe reports the opt-out (the explicit fault
-        # guard behind it is belt-and-suspenders).
-        reason = vector_unsupported_reason(plan.trials[0])
-        assert reason is not None
+        assert vector_unsupported_reason(plan.trials[0]) is not None
         vector = ParallelRunner(workers=1, backend="vector").run(plan)
         obj = ParallelRunner(workers=1).run(plan)
         assert vector.results == obj.results
 
     def test_faulted_spec_is_never_vectorizable(self):
         spec = _crash_plan(trials=1).trials[0]
-        assert spec.vectorizable is False
+        assert vector_unsupported_reason(spec) == (
+            "fault injection ('crash_recover') is not vectorizable"
+        )
 
     def test_crash_actually_bites(self):
         # Guard against a silently inert scenario: the plan must change

@@ -1,22 +1,29 @@
 #!/usr/bin/env python
-"""Regenerate the golden ``repro run`` / ``repro trace`` / ``repro ledger`` outputs.
+"""Regenerate (or ``--check``) the golden CLI outputs.
 
 Run from the repo root::
 
-    PYTHONPATH=src python tests/cli_golden/make_golden.py
+    PYTHONPATH=src python tests/cli_golden/make_golden.py          # rewrite
+    PYTHONPATH=src python tests/cli_golden/make_golden.py --check  # exit 1 on a diff
 
 ``cases.json`` and ``crash.trace.jsonl`` were captured at ``fe9062a``,
 the last commit where ``repro run`` built its own simulator; the CLI has
 gone through the engine since and ``tests/test_cli.py::TestGolden``
 holds it to these bytes.  The ``trace crash.trace.jsonl --stats`` case
-(the per-round tally table) was added at ``34b7dad``.  Regenerate only when the output format
-intentionally changes, and review the diff.
+(the per-round tally table) was added at ``34b7dad``, and the ``compare``
+and ``tables`` cases at ``08dd4fa``.  Regenerate only when the output
+format intentionally changes, and review the diff.  ``--check`` writes
+both files into a temporary directory and compares them byte for byte
+with the committed ones, rewriting nothing.
 """
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import sys
+import tempfile
 
 from repro.cli import main
 
@@ -48,6 +55,8 @@ def argvs():
     yield TRACE_ARGV
     yield ["trace", "crash.trace.jsonl", "--stats"]
     yield ["ledger"]
+    yield ["compare", "--kappas", "4,8,16,32"]
+    yield ["tables"]
 
 
 def capture(argv):
@@ -57,14 +66,52 @@ def capture(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue()}
 
 
-def main_():
-    os.chdir(HERE)  # the trace lands beside this script under its bare name
+FILES = ("cases.json", "crash.trace.jsonl")
+
+
+def write(out_dir):
+    os.chdir(out_dir)  # the trace lands in out_dir under its bare name
     cases = [capture(argv) for argv in argvs()]
     with open("cases.json", "w", encoding="utf-8") as handle:
         json.dump(cases, handle, indent=1, ensure_ascii=False)
         handle.write("\n")
-    print(f"wrote {len(cases)} cases and crash.trace.jsonl to {HERE}")
+    return len(cases)
+
+
+def _read(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def main_(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="compare with the committed goldens instead of rewriting them",
+    )
+    args = parser.parse_args(argv)
+    if not args.check:
+        count = write(HERE)
+        print(f"wrote {count} cases and crash.trace.jsonl to {HERE}")
+        return 0
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out_dir:
+        try:
+            write(out_dir)
+        finally:
+            os.chdir(cwd)
+        stale = [
+            name for name in FILES
+            if _read(os.path.join(out_dir, name)) != _read(os.path.join(HERE, name))
+        ]
+    for name in stale:
+        print(f"{os.path.join(HERE, name)} differs from its regeneration",
+              file=sys.stderr)
+    if stale:
+        return 1
+    print(f"{len(FILES)} goldens in {HERE} match")
+    return 0
 
 
 if __name__ == "__main__":
-    main_()
+    sys.exit(main_())

@@ -209,13 +209,13 @@ class TestVectorFallbackTelemetry:
 
         from repro.obs import TelemetryWriter, summarize_telemetry
 
-        opted_out = TrialPlan.monte_carlo(
-            name="opted-out", protocol="ba_one_third", inputs=(0, 0, 1, 1),
+        faulted = TrialPlan.monte_carlo(
+            name="faulted", protocol="ba_one_third", inputs=(0, 0, 1, 1),
             max_faulty=1, trials=4, params={"kappa": 1}, seed=9,
-            vectorizable=False,
+            faults="lossy",
         )
         supported = _sweep_plan(kappas=(1,), trials=12)
-        plan = TrialPlan.concat("adaptive-vector", [supported, opted_out])
+        plan = TrialPlan.concat("adaptive-vector", [supported, faulted])
         path = str(tmp_path / "adaptive-vector.jsonl")
         with TelemetryWriter(path) as telemetry:
             adaptive = AdaptiveRunner(
@@ -225,7 +225,7 @@ class TestVectorFallbackTelemetry:
         assert adaptive.spent == len(plan)
         summary = summarize_telemetry(path)
         assert summary["fallback_reasons"] == {
-            "spec opted out (vectorizable=False)": len(opted_out)
+            "fault injection ('lossy') is not vectorizable": len(faulted)
         }
         spans = [
             json.loads(line)
@@ -233,4 +233,4 @@ class TestVectorFallbackTelemetry:
             if '"vector_batch"' in line
         ]
         assert sum(span["batched"] for span in spans) == len(supported)
-        assert sum(span["fallback"] for span in spans) == len(opted_out)
+        assert sum(span["fallback"] for span in spans) == len(faulted)

@@ -1,5 +1,6 @@
 """TrialSpec / TrialPlan: validation, seed schedule, immutability."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -48,6 +49,12 @@ class TestTrialSpec:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
             self._spec(backend="quantum")
+
+    def test_from_json_knows_the_json_type_of_every_field(self):
+        from repro.engine.plan import _JSON_TYPES
+
+        names = [field.name for field in dataclasses.fields(TrialSpec)]
+        assert sorted(_JSON_TYPES) == sorted(names)
 
     def test_coerces_inputs_to_tuple(self):
         spec = self._spec(inputs=[1, 0, 1, 0])
@@ -180,7 +187,6 @@ class TestTrialPlan:
             )
             assert spec == direct and hash(spec) == hash(direct)
             assert pickle.dumps(spec) == pickle.dumps(direct)
-            assert not spec.vectorizable  # __post_init__'s doing, inherited
 
     def test_monte_carlo_validates_user_values_once(self, monkeypatch):
         calls = []

@@ -22,7 +22,6 @@ from repro.engine import (
     WorkerLostError,
     clear_probe_cache,
     clear_suite_cache,
-    default_workers,
     register_protocol,
     run_trial,
     vectorized,
@@ -90,9 +89,6 @@ class TestValidation:
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError, match="chunk_size"):
             ParallelRunner(workers=2, chunk_size=0)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
 
 
 class TestSerialRun:

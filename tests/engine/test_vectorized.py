@@ -360,16 +360,6 @@ class TestRandomizedSweep:
 
 
 class TestFallback:
-    def test_vectorizable_false_opts_out_but_matches(self):
-        plan = TrialPlan.monte_carlo(
-            "optout", "ba_one_third", (0, 0, 1, 1), 1,
-            trials=4, params={"kappa": 2}, seed=3, vectorizable=False,
-        )
-        spec = plan.trials[0]
-        assert not vector_supports(spec)
-        assert "vectorizable" in vector_unsupported_reason(spec)
-        assert_equivalent(plan)
-
     def test_unsupported_adversary_falls_back(self):
         plan = TrialPlan.monte_carlo(
             "crash", "ba_one_third", (0, 0, 1, 1), 1,
@@ -440,13 +430,6 @@ class TestFallback:
             assert canon(got) == canon(expected)
 
 
-def _forced(spec):
-    """``spec`` with the vector flag back on — what no ``TrialSpec``
-    constructor leaves on a faulted spec — to reach the faults guard."""
-    object.__setattr__(spec, "vectorizable", True)
-    return spec
-
-
 _BITS, _HALF, _WORDS, _COINS = (0, 0, 1, 1), (0, 0, 1, 1, 1), ("a", "b", "a", "a"), (None,) * 4
 _STRADDLE13 = dict(adversary="straddle13")
 _STRADDLE12 = dict(adversary="straddle12")
@@ -458,11 +441,14 @@ _WITHHOLD = dict(adversary="withhold_coin")
 #: so a reworded reason is a failing row here, not a silent new bucket.
 FALLBACK_REASON_TABLE = [
     # Spec-level guards, before any model is consulted.
-    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, vectorizable=False),
-     "spec opted out (vectorizable=False)"),
     (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="lossy"),
-     "spec opted out (vectorizable=False)"),
-    (_forced(TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="lossy")),
+     "fault injection ('lossy') is not vectorizable"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="crash_recover",
+               fault_params={"crashes": [(3, 1, 2)]}),
+     "fault injection ('crash_recover') is not vectorizable"),
+    # The faults guard runs first: a faulted real-RSA spec names its faults.
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, faults="lossy",
+               backend="real"),
      "fault injection ('lossy') is not vectorizable"),
     (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, backend="real"),
      "real-RSA backend"),
@@ -652,7 +638,6 @@ SPEC_FIELDS = {
     "collect_signatures": st.booleans(),
     "config": st.text(max_size=3),
     "rsa_bits": st.sampled_from([128, 256]),
-    "vectorizable": st.booleans(),
     "faults": st.sampled_from([None, "lossy", "crash_recover"]),
     "fault_params": st.sampled_from([(), {"drop": 0.5}]),
 }

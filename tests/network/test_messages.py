@@ -1,13 +1,10 @@
-"""Tests for message envelopes and defensive accessors."""
+"""Tests for message envelopes and the defensive accessor."""
 
 import pytest
 
 from repro.network.messages import (
     Broadcast,
     get_field,
-    get_int,
-    get_int_in_range,
-    get_pair,
     normalize_outbox,
 )
 
@@ -37,21 +34,3 @@ class TestAccessors:
         assert get_field({"k": 5}, "missing") is None
         assert get_field("not a dict", "k") is None
         assert get_field(None, "k") is None
-
-    def test_get_int_rejects_bool_and_nonints(self):
-        assert get_int({"k": 5}, "k") == 5
-        assert get_int({"k": True}, "k") is None
-        assert get_int({"k": 5.0}, "k") is None
-        assert get_int({"k": "5"}, "k") is None
-        assert get_int(7, "k") is None
-
-    def test_get_int_in_range(self):
-        assert get_int_in_range({"k": 5}, "k", 0, 10) == 5
-        assert get_int_in_range({"k": 11}, "k", 0, 10) is None
-        assert get_int_in_range({"k": -1}, "k", 0, 10) is None
-
-    def test_get_pair(self):
-        assert get_pair({"k": (1, 2)}, "k") == (1, 2)
-        assert get_pair({"k": [1, 2]}, "k") == (1, 2)
-        assert get_pair({"k": (1, 2, 3)}, "k") is None
-        assert get_pair({"k": 5}, "k") is None

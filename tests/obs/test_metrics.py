@@ -410,7 +410,6 @@ def _grid_specs(entry, trials=3):
         seed=29,
         faults=faults,
         fault_params=fparams,
-        vectorizable=faults is None,
     )
     return plan.trials
 

@@ -10,7 +10,6 @@ from repro.proxcensus.base import (
     check_proxcensus_consistency,
     check_proxcensus_validity,
     max_grade,
-    slot_count_with_grades,
     slot_index,
     slot_label,
 )
@@ -26,15 +25,6 @@ class TestMaxGrade:
     def test_rejects_one_slot(self):
         with pytest.raises(ValueError):
             max_grade(1)
-
-    @given(grades=st.integers(min_value=0, max_value=50), even=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_inverse(self, grades, even):
-        if grades == 0 and not even:
-            return  # a 1-slot "Proxcensus" does not exist (s >= 2)
-        slots = slot_count_with_grades(grades, even)
-        assert max_grade(slots) == grades
-        assert (slots % 2 == 0) == even
 
 
 class TestSlotGeometry:

@@ -42,7 +42,12 @@ class TestNoTraceback:
     message; a raising trial's message ends with a line that replays it."""
 
     @pytest.mark.parametrize("argv, cause", [
-        (["run", "--adversary", "crash", "--victims", "9"],
+        (["run", "--adversary", "straddle12", "--inputs", "1,0,1,0,1,0,1",
+          "--t", "3"],
+         "ValueError: ba_one_third requires t < n/3, got t=3, n=7"),
+        (["run", "--spec", '{"protocol":"ba_one_third","inputs":[1,0,1,0],'
+          '"max_faulty":1,"params":{"kappa":2},"adversary":"crash",'
+          '"adversary_params":{"victims":[9]}}'],
          "SimulationError: adversary named nonexistent party 9"),
         (["run", "--protocol", "one_half", "--inputs", "1,0,1,0", "--t", "2"],
          "ValueError: ba_one_half requires t < n/2, got t=2, n=4"),
@@ -78,6 +83,50 @@ class TestNoTraceback:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro {argv[0]}: need 0 <= t < n, got t=5, n=2\n"
+
+    @pytest.mark.parametrize("victims, problem", [
+        ("9", "names party 9, outside 0..3"),
+        ("0,4", "names party 4, outside 0..3"),
+        ("2,3", "names 2 parties, more than --t 1"),
+    ])
+    def test_victims_the_run_cannot_corrupt_are_a_usage_error(
+        self, victims, problem, capsys
+    ):
+        """A party outside 0..n-1, or more than --t distinct parties:
+        exit 2 naming the flag, with no trial run and no replay line."""
+        argv = ["run", "--inputs", "1,0,1,0", "--t", "1",
+                "--adversary", "crash", "--victims", victims]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro run: --victims {problem}\n"
+            "usage: --victims takes at most --t distinct parties in 0..n-1\n"
+        )
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("collect_signatures", '"no"', "field 'collect_signatures' is 'no', not a bool"),
+        ("session", "1", "field 'session' is 1, not a string"),
+        ("seed", "1.5", "field 'seed' is 1.5, not an int"),
+        ("seed", "true", "field 'seed' is True, not an int"),
+        ("max_rounds", '"a"', "field 'max_rounds' is 'a', not an int"),
+        ("inputs", '"1010"', "field 'inputs' is '1010', not a list"),
+        ("params", "[]", "field 'params' is [], not an object"),
+        ("adversary", "0", "field 'adversary' is 0, not a string or null"),
+        ("vectorizable", "false", "unknown field 'vectorizable'"),
+    ])
+    def test_spec_fields_of_a_type_to_json_never_writes_are_a_usage_error(
+        self, field, value, problem, capsys
+    ):
+        """``to_json`` writes each field as one JSON type; anything else
+        (or a field it never writes) exits 2 instead of running."""
+        document = {"protocol": "ba_one_third", "inputs": [1, 0, 1, 0],
+                    "max_faulty": 1, "params": {"kappa": 2}}
+        document[field] = json.loads(value)
+        assert main(["run", "--spec", json.dumps(document)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro run: --spec is not a trial spec: {problem}\n"
 
 
 class TestRun:
