@@ -112,6 +112,9 @@ def _kappa_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(
             f"need at least one kappa, each >= 1, got {text!r}"
         )
+    for at, kappa in enumerate(kappas):
+        if kappa in kappas[:at]:
+            raise argparse.ArgumentTypeError(f"kappa {kappa} is repeated in {text!r}")
     return kappas
 
 

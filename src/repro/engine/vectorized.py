@@ -51,11 +51,12 @@ program (the exact wire behavior of one ``Π_iter`` segment, including the
 real adversary instance).  Nor is the probe program: it is the
 protocol's own statement of its iteration
 (:class:`repro.core.iteration.Iteration` — slots, Proxcensus, coin index,
-subsession) run up to, but not through, extraction, and a model reads
-its row's slot count and its coin's index, range and session from that
-same statement.  A fixed-round BA's model is one :func:`_fixed_round`
-over its :class:`~repro.core.ba.FixedRoundBA` statement — iterations,
-length and every iteration read off the record the program runs.  That
+subsession) run up to, but not through, extraction, and each row names
+the statement it extracts from, so the walk reads the slot count and
+the coin's index, range and session off the row.  A fixed-round BA's
+model is one :func:`_fixed_round` over its
+:class:`~repro.core.ba.FixedRoundBA` statement — iterations, length and
+every iteration read off the record the program runs.  That
 makes the vector backend bit-identical to the reference by
 construction — the only arithmetic this module trusts is
 the coin evaluator, :func:`repro.core.extraction.extract`'s closed form
@@ -152,13 +153,14 @@ _PROBE_SESSION = "vector-probe"
 class _Table:
     """One configuration's table — everything its batches derive from its
     probes: ``probes`` by token, ``rows`` by state, ``coins`` (evaluators)
-    by depth and ``top``, the walk's first node with every child visited
-    so far, whose leaves own their finalized registries.  A configuration
-    has one model, so tokens and states are that model's own."""
+    by the coin index a row names and ``top``, the walk's first node with
+    every child visited so far, whose leaves own their finalized
+    registries.  A configuration has one model, so tokens, states and
+    coins are that model's own."""
 
     probes: Dict[Any, Any] = dataclasses.field(default_factory=dict)
     rows: Dict[Any, "_Row"] = dataclasses.field(default_factory=dict)
-    coins: Dict[int, Any] = dataclasses.field(default_factory=dict)
+    coins: Dict[Any, Any] = dataclasses.field(default_factory=dict)
     top: Optional["_Node"] = None
 
 
@@ -621,10 +623,9 @@ class _Model:
     (what the model adds for a named adversary whose victims pass).
 
     A walk model supplies ``root(first)`` — the state every trial starts
-    in — ``row(first, state)`` and ``coin(first, depth)``, the
-    ``(evaluator, session suffix)`` of the coin iteration ``depth``
-    flips (see :func:`_walk`); any other supplies ``batch(specs)``.
-    :meth:`run_batch` runs either.
+    in — and ``row(first, state)``, whose :class:`_Row` names the
+    iteration, and so the coin, it extracts from (see :func:`_walk`);
+    any other supplies ``batch(specs)``.  :meth:`run_batch` runs either.
     """
 
     adversaries: Dict[Optional[str], frozenset]
@@ -636,7 +637,6 @@ class _Model:
     adversary_check: Callable[[TrialSpec], Optional[str]] = lambda spec: None
     root: Optional[Callable[[TrialSpec], Any]] = None
     row: Optional[Callable[[TrialSpec, Any], "_Row"]] = None
-    coin: Optional[Callable[[TrialSpec, int], Any]] = None
     batch: Optional[Callable[[Sequence[TrialSpec]], Any]] = None
 
     def run_batch(self, specs: Sequence[TrialSpec]) -> _Batch:
@@ -713,10 +713,14 @@ _Branch = Tuple[Any, Tuple[Tuple[int, Any], ...]]
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Row:
-    """A state's transitions: what its probe put on the wire, whom it
-    left corrupted, and one :data:`_Branch` per outcome of the cut
-    (``len(cuts) + 1`` of them; see :func:`_cut_row`)."""
+    """A state's transitions: the :class:`Iteration` it extracts from —
+    its coin's index, subsession and range ``coin_range(slots)`` — what
+    its probe put on the wire, whom it left corrupted, and one
+    :data:`_Branch` per outcome of the cut (``len(cuts) + 1`` of them;
+    see :func:`_cut_row`).  Only the origin row, before the first
+    iteration, has no ``iteration``."""
 
+    iteration: Optional[Iteration]
     delivery: _Delivery
     corrupted: frozenset
     cuts: List[int]
@@ -741,58 +745,66 @@ class _Node:
         self.coin, self.suffix = None, ""
 
 
+def _grow(model: _Model, first: TrialSpec, node: _Node, outcome: int) -> Any:
+    """Visit ``node``'s child on ``outcome``: the one step that turns a
+    row's branch into a :class:`_Node` or, once every party has
+    returned, a :class:`_Leaf`.
+
+    It fills ``first``'s table: ``row`` is asked once per distinct
+    state, and the evaluator of the coin a row's iteration names is
+    built on the first visit to a row that reads it.  A leaf carries the
+    corruption set of the last probe on its own path; corruptions never
+    heal, so a probe reporting fewer than its predecessor is a
+    :class:`VectorModelError`.
+    """
+    table = _TABLES[batch_key(first)]
+    state, returning = node.row.branches[outcome]
+    outputs = {**node.outputs, **dict(returning)}
+    finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
+    if state is None:
+        child: Any = _Leaf(outputs, finish, node.row.corrupted, node.path, node.reads)
+    else:
+        row = table.rows.get(state)
+        if row is None:
+            row = table.rows[state] = model.row(first, state)
+        if not row.corrupted >= node.row.corrupted:
+            raise VectorModelError(
+                f"probe of state {state!r} healed corruptions "
+                f"{sorted(node.row.corrupted - row.corrupted)}"
+            )
+        child = _Node(
+            row,
+            node.path + ((row.delivery, node.rounds),),
+            node.rounds + row.delivery.rounds,
+            outputs,
+            finish,
+            node.reads + bool(row.cuts),
+        )
+        if row.cuts:
+            index = row.iteration.coin_index
+            if index not in table.coins:
+                table.coins[index] = _iteration_coin(first, row.iteration)
+            child.coin, child.suffix = table.coins[index]
+    node.children[outcome] = child
+    return child
+
+
 def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
     """Walk every trial down ``model``'s transition table.
 
     The table is the configuration's :class:`_Table`, kept across
-    batches and filled as trials reach it: ``row`` is asked once per
-    distinct state, ``coin`` on the first visit to a state of that depth
-    that reads it.  A leaf carries the corruption set of the last probe
-    on its own path; corruptions never heal, so a probe reporting fewer
-    than its predecessor is a :class:`VectorModelError`.
+    batches: from its ``top`` a trial evaluates the coin of each row that
+    reads one, ``bisect``s it into the row's cuts and follows that
+    child — :func:`_grow` visits it the first time — until it reaches a
+    leaf.
     """
     first = specs[0]
     table = _table(first)
-    rows, coins = table.rows, table.coins
-
-    def grow(node: _Node, outcome: int) -> Any:
-        state, returning = node.row.branches[outcome]
-        outputs = {**node.outputs, **dict(returning)}
-        finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
-        if state is None:
-            child: Any = _Leaf(
-                outputs, finish, node.row.corrupted, node.path, node.reads
-            )
-        else:
-            row = rows.get(state)
-            if row is None:
-                row = rows[state] = model.row(first, state)
-            if not row.corrupted >= node.row.corrupted:
-                raise VectorModelError(
-                    f"probe of state {state!r} healed corruptions "
-                    f"{sorted(node.row.corrupted - row.corrupted)}"
-                )
-            child = _Node(
-                row,
-                node.path + ((row.delivery, node.rounds),),
-                node.rounds + row.delivery.rounds,
-                outputs,
-                finish,
-                node.reads + bool(row.cuts),
-            )
-            if row.cuts:
-                depth = len(node.path)
-                if depth not in coins:
-                    coins[depth] = model.coin(first, depth)
-                child.coin, child.suffix = coins[depth]
-        node.children[outcome] = child
-        return child
-
     top = table.top
     if top is None:
         # Before the first iteration: nothing walked, one way on.
-        origin = _Row(None, frozenset(), [], [(model.root(first), ())])
-        top = table.top = grow(_Node(origin, (), 0, {}, {}, 0), 0)
+        origin = _Row(None, None, frozenset(), [], [(model.root(first), ())])
+        top = table.top = _grow(model, first, _Node(origin, (), 0, {}, {}, 0), 0)
     leaves = []
     for spec in specs:
         session, node = spec.session, top
@@ -803,7 +815,7 @@ def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
             )
             child = node.children[outcome]
             if child is None:
-                child = grow(node, outcome)
+                child = _grow(model, first, node, outcome)
             if child.__class__ is _Leaf:
                 break
             node = child
@@ -817,12 +829,16 @@ def _all_return(bits: Tuple[int, ...]) -> _Branch:
 
 
 def _extraction_row(
-    probe: Any, slots: int, then: Callable[[Tuple[int, ...]], _Branch]
+    probe: Any, iteration: Iteration, then: Callable[[Tuple[int, ...]], _Branch]
 ) -> _Row:
-    """The row of a ``Π_iter`` probe: ``then(bits)`` per outcome of the cut."""
-    cuts, outcomes = _cut_row(probe.values, probe.grades, probe.coin_ok, slots)
+    """The row of a ``Π_iter`` probe that extracts from ``iteration``'s
+    coin: ``then(bits)`` per outcome of the cut."""
+    cuts, outcomes = _cut_row(
+        probe.values, probe.grades, probe.coin_ok, iteration.slots
+    )
     return _Row(
-        probe.delivery, probe.corrupted, cuts, [then(bits) for bits in outcomes]
+        iteration, probe.delivery, probe.corrupted, cuts,
+        [then(bits) for bits in outcomes],
     )
 
 
@@ -967,19 +983,22 @@ def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
 
     Iterations are independent segments (the adversary's state is
     per-iteration), so each is one probe per distinct bit configuration:
-    a state is ``(bits, iterations left)``.  ``ba_one_third`` is a single
+    a state is ``(bits, iterations left)``, and its row extracts from
+    iteration ``iterations(κ) − left``.  ``ba_one_third`` is a single
     iteration, its table one row; in ``ba_one_half``, once the parties
     agree every later row sits on the extremal slots and reads no coin.
     """
 
     def row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
         bits, left = state
+        kappa = first.param_dict["kappa"]
         # Any iteration's wire behavior is the first's — the one whose
         # subsession the fresh per-iteration adversary also derives.
-        iteration = ba.iteration(0, first.param_dict["kappa"])
-        probe = _run_probe(first, bits, bits, _exchange(iteration), iteration.rounds)
+        probed = ba.iteration(0, kappa)
+        probe = _run_probe(first, bits, bits, _exchange(probed), probed.rounds)
         then = _all_return if left == 1 else lambda after: ((after, left - 1), ())
-        return _extraction_row(probe, iteration.slots, then)
+        iteration = ba.iteration(ba.iterations(kappa) - left, kappa)
+        return _extraction_row(probe, iteration, then)
 
     return _Model(
         adversaries=_serving(adversary), bits=True, params=_KAPPA, regime=ba.regime,
@@ -988,9 +1007,6 @@ def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
             tuple(first.inputs), ba.iterations(first.param_dict["kappa"])
         ),
         row=row,
-        coin=lambda first, depth: _iteration_coin(
-            first, ba.iteration(depth, first.param_dict["kappa"])
-        ),
     )
 
 
@@ -1044,29 +1060,27 @@ def _fm_row(first: TrialSpec, state) -> _Row:
     for pid in running:
         keeps = probe.grades[pid] >= 1
         values[pid], grades[pid] = (probe.values[pid], 2) if keeps else (0, 0)
-    cuts, outcomes = _cut_row(values, grades, probe.coin_ok, step.slots)
     decides = tuple(pid for pid in running if probe.grades[pid] == 2)
     # The post-decision helper iteration is done for ``deciding``.
     done = [(pid, ProbTermOutput(tokens[pid], iteration - 1)) for pid in deciding]
-    branches: List[_Branch] = []
-    for bits in outcomes:
+
+    def then(bits: Tuple[Optional[int], ...]) -> _Branch:
         if iteration == FM_MAX_ITERATIONS:
             # The program's cap: still-running parties return the
             # working value with decided_iteration = the cap.
             capped = [(pid, ProbTermOutput(bits[pid], iteration)) for pid in running]
-            branches.append((None, tuple(sorted(done + capped))))  # pids differ
-        else:
-            after = tuple(_FM_HALTED if bit is None else bit for bit in bits)
-            onward = (iteration + 1, after, decides) if running else None
-            branches.append((onward, tuple(done)))
-    return _Row(probe.delivery, probe.corrupted, cuts, branches)
+            return None, tuple(sorted(done + capped))  # pids differ
+        after = tuple(_FM_HALTED if bit is None else bit for bit in bits)
+        return (iteration + 1, after, decides) if running else None, tuple(done)
+
+    kept = dataclasses.replace(probe, values=tuple(values), grades=tuple(grades))
+    return _extraction_row(kept, step, then)
 
 
 _FM_PROBABILISTIC = _Model(
     adversaries=_serving(), bits=True, params=frozenset(), regime=3, capped=True,
     length=lambda params: FM_MAX_ITERATIONS * iteration_fm_probabilistic(1).rounds,
     root=lambda first: (1, tuple(first.inputs), ()), row=_fm_row,
-    coin=lambda first, depth: _iteration_coin(first, iteration_fm_probabilistic(depth + 1)),
 )
 
 
@@ -1087,13 +1101,16 @@ def _lift(subsession: str, prefix, accepted: frozenset) -> _Model:
     """
 
     def row(first: TrialSpec, token: str) -> _Row:
-        iteration = BA_ONE_THIRD.iteration(0, first.param_dict["kappa"])
+        # The inner BA is ba_one_third, run under its own subsession.
+        iteration = BA_ONE_THIRD.iteration(0, first.param_dict["kappa"])._replace(
+            subsession=subsession
+        )
         default = first.param_dict.get("default", LIFT_DEFAULT)
         exchange = _exchange(iteration)
 
         def program(ctx, value):
             candidate, bit = yield from prefix(ctx, value, default)
-            prox_output, coin = yield from exchange(ctx.subsession(subsession), bit)
+            prox_output, coin = yield from exchange(ctx, bit)
             return prox_output, coin, candidate
 
         probe = _run_probe(first, token, first.inputs, program, 2 + iteration.rounds)
@@ -1103,16 +1120,12 @@ def _lift(subsession: str, prefix, accepted: frozenset) -> _Model:
         def branch(bits: Tuple[int, ...]) -> _Branch:
             return None, tuple((pid, choices[pid][bit]) for pid, bit in enumerate(bits))
 
-        return _extraction_row(probe, iteration.slots, branch)
+        return _extraction_row(probe, iteration, branch)
 
     return _Model(
         adversaries=_serving(), params=accepted, regime=3,
         length=lambda params: 2 + BA_ONE_THIRD.rounds(params["kappa"]),
         root=lambda first: subsession, row=row,
-        # The inner BA is ba_one_third, run under its own subsession.
-        coin=lambda first, depth: (
-            _BA_ONE_THIRD.coin(first, depth)[0], f"/{subsession}"
-        ),
     )
 
 

@@ -985,10 +985,12 @@ class TestWalk:
         to a second probe that reports ``corrupted_after``.  Its table
         sits under the real ``ba_one_half`` configuration's key, so
         callers take ``fresh_tables``."""
-        from repro.crypto.coin import coin_evaluator
+        from repro.core.iteration import Iteration
         from repro.engine.vectorized import _Delivery
 
         plan = _walk_plan(trials=40)
+        # Four slots: the coin "walk" in [1, 3], read where a row cuts.
+        iteration = Iteration(4, None, 0, "walk", False)
 
         def delivery():
             return _Delivery(
@@ -1003,22 +1005,20 @@ class TestWalk:
         )
         rows = {
             "root": _extraction_row(
-                first, 4,
+                first, iteration,
                 lambda bits: ("next", ()) if bits == (1, 1) else (
                     None, tuple(enumerate(bits))
                 ),
             ),
             "next": _extraction_row(
-                second, 4, lambda bits: (None, tuple(enumerate(bits)))
+                second, iteration, lambda bits: (None, tuple(enumerate(bits)))
             ),
         }
-        coin = coin_evaluator(_suite_for(plan.trials[0]).coin, "walk", 1, 3)
 
         model = _Model(
             adversaries={None: frozenset()},
             root=lambda first: "root",
             row=lambda first, state: rows[state],
-            coin=lambda first, depth: (coin, ""),
         )
         return model.run_batch(plan.trials)
 
@@ -1079,6 +1079,34 @@ class TestWalk:
         assert summary["vector_batched"] == len(plan) == 72
         assert summary["vector_fallback"] == 0
         assert summary["coins"] == 54  # 24 + 6 second coins, 0, 24
+
+    def test_coin_evaluators_are_built_only_where_read(
+        self, monkeypatch, fresh_tables
+    ):
+        """A table builds the evaluator of a coin its rows name on the
+        first read and keeps it: none where the parties agree, at most
+        one per iteration under attack, none for a warm batch."""
+        from repro.engine import vectorized
+
+        built = []
+        evaluator = vectorized.coin_evaluator
+
+        def counted(scheme, index, low, high):
+            built.append(index)
+            return evaluator(scheme, index, low, high)
+
+        monkeypatch.setattr(vectorized, "coin_evaluator", counted)
+        run_vector_batch(_walk_plan(inputs=(1,) * 5, params={"kappa": 6}).trials)
+        assert built == []
+        attacked = _walk_plan(trials=40, params={"kappa": 6}).trials
+        run_vector_batch(attacked)
+        assert 1 <= len(built) <= 3
+        assert built == [("ba12", index) for index in range(len(built))]
+        # Kept by the coin index the row names, not by path depth.
+        assert list(vectorized._TABLES[batch_key(attacked[0])].coins) == built
+        reads = list(built)
+        run_vector_batch(_walk_plan(trials=40, params={"kappa": 6}, seed=78).trials)
+        assert built == reads
 
 
 def coins_read(plan):

@@ -84,6 +84,20 @@ class TestNoTraceback:
         assert captured.out == ""
         assert captured.err == f"repro {argv[0]}: need 0 <= t < n, got t=5, n=2\n"
 
+    @pytest.mark.parametrize("command", ["error-sweep", "compare"])
+    def test_a_repeated_kappa_is_a_usage_error_naming_it(self, command, capsys):
+        """A κ given twice would run (or print) its configuration twice:
+        exit 2 at parse time, naming the value."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kappas", "2,1,2"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"repro {command}: error: argument --kappas: "
+            "kappa 2 is repeated in '2,1,2'\n"
+        )
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("victims, problem", [
         ("9", "names party 9, outside 0..3"),
         ("0,4", "names party 4, outside 0..3"),
