@@ -132,11 +132,16 @@ def _sweep_bound(text: str) -> Optional[float]:
     if text.replace("^", "**") in ("2**-k", "2**-kappa"):
         return None
     try:
-        return float(text)
+        bound = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be '2**-k' or a float, got {text!r}"
         )
+    if not 0 <= bound <= 1:  # nan too
+        raise argparse.ArgumentTypeError(
+            f"must be a probability in [0, 1], got {text!r}"
+        )
+    return bound
 
 
 def _run_spec(spec, observers=()):
@@ -572,10 +577,16 @@ def _discard_if_empty(path: str) -> None:
 
 def _cmd_error_sweep(args: argparse.Namespace) -> int:
     import contextlib
+    import dataclasses
     import os
     import tempfile
 
-    from .engine import ParallelRunner, clamp_workers, vector_unsupported_reason
+    from .engine import (
+        ParallelRunner,
+        clamp_workers,
+        exact_law,
+        vector_unsupported_reason,
+    )
     from .obs import (
         METRICS_SCHEMA,
         TelemetryWriter,
@@ -639,14 +650,19 @@ def _cmd_error_sweep(args: argparse.Namespace) -> int:
             spec = plan.trials[start]
             kappa = spec.param_dict["kappa"]
             rate = disagreement_rate(run.results[start : start + per_config])
+            # The law counts coin values, whichever backend hashes them.
+            law, _ = exact_law(dataclasses.replace(spec, backend="ideal"))
+            exact = "-" if law is None else f"{float(law[0]):.4f}"
             rows.append(
-                [spec.protocol, kappa, f"{2.0 ** -kappa:.4f}", f"{rate:.4f}"]
+                [spec.protocol, kappa, f"{2.0 ** -kappa:.4f}", exact, f"{rate:.4f}"]
             )
         print(
             f"disagreement under the worst-case straddle attack "
             f"({len(plan)} trials, {per_config} per config)\n"
         )
-        print(format_table(["protocol", "kappa", "bound 2^-k", "measured"], rows))
+        print(format_table(
+            ["protocol", "kappa", "bound 2^-k", "exact", "measured"], rows
+        ))
 
         problems = []
         if args.adaptive and not _run_adaptive_leg(

@@ -21,6 +21,7 @@ signatures without ``threshold`` distinct shares.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 import random
 from dataclasses import dataclass
@@ -32,11 +33,44 @@ from .random_oracle import Term, encode_term, encode_tuple
 __all__ = ["IdealSignatureScheme", "IdealThresholdScheme", "set_tag_memoization"]
 
 
-def _tag(key: bytes, *parts: Term) -> bytes:
-    """HMAC tag over the tuple ``parts``."""
-    return hmac.digest(
-        key, encode_tuple([encode_term(part) for part in parts]), "sha256"
-    )
+_sha256 = hashlib.sha256
+_BLOCK = 64  # SHA-256's block size, the width of an HMAC pad
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+def _keyed_mac(
+    key: bytes, head: bytes = b"", tail: bytes = b""
+) -> Callable[[bytes], bytes]:
+    """``data ->`` HMAC-SHA256 under ``key`` of ``head + data + tail``.
+
+    HMAC (RFC 2104) hashes the key's inner and outer pad blocks before
+    any message byte, and a one-shot ``hmac.digest`` hashes them again
+    on every call.  Here they are hashed once, with the constant
+    ``head`` absorbed into the inner state, and a call copies the two
+    states: the one place an ideal tag is computed.
+    """
+    if len(key) > _BLOCK:
+        key = _sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    inner = _sha256(key.translate(_INNER_PAD))
+    inner.update(head)
+    copy_inner = inner.copy
+    copy_outer = _sha256(key.translate(_OUTER_PAD)).copy
+
+    def mac(data: bytes) -> bytes:
+        state = copy_inner()
+        state.update(data + tail)
+        outer = copy_outer()
+        outer.update(state.digest())
+        return outer.digest()
+
+    return mac
+
+
+def _tag(mac: Callable[[bytes], bytes], *parts: Term) -> bytes:
+    """``mac``'s tag over the tuple ``parts``."""
+    return mac(encode_tuple([encode_term(part) for part in parts]))
 
 
 def _message_prefix(before: Sequence[Term]) -> bytes:
@@ -48,20 +82,14 @@ def _message_prefix(before: Sequence[Term]) -> bytes:
 def _fresh_tagger(
     key: bytes, before: Sequence[Term], head: bytes, tail: bytes
 ) -> Callable[[bytes], bytes]:
-    """``middle -> _tag(key, *before, message)``, computed afresh each call.
+    """``middle ->`` the tag over ``(*before, message)``, computed afresh.
 
     ``message`` is the term encoding to ``head + middle + tail``.  For
-    evaluators that sweep one message shape over many sessions: they
-    encode what the messages share once, their one-off tags never touch
-    a :class:`_TagMemo`, and the key stays in this closure.
+    evaluators that sweep one message shape over many sessions: what the
+    messages share is folded into the MAC once, their one-off tags never
+    touch a :class:`_TagMemo`, and the key stays in this module.
     """
-    head = _message_prefix(before) + head
-    digest = hmac.digest
-
-    def tag(middle: bytes) -> bytes:
-        return digest(key, head + middle + tail, "sha256")
-
-    return tag
+    return _keyed_mac(key, _message_prefix(before) + head, tail)
 
 
 # Tag memoization.  Signing and verifying are pure functions of
@@ -103,7 +131,8 @@ def _memo_key(term):
 
 
 class _TagMemo:
-    """Bounded memo of HMAC tags for one registry key.
+    """Bounded memo of HMAC tags for one registry key, computed by one
+    :func:`_keyed_mac`.
 
     One record per signed message: ``(encoded message, {slot: tag})``.
     The encoding is computed once, when the record is made; a slot is
@@ -123,12 +152,12 @@ class _TagMemo:
     by: at ``_MEMO_LIMIT`` both layers are dropped wholesale.
     """
 
-    __slots__ = ("_key", "_records", "_by_id", "_prefixes", "_held")
+    __slots__ = ("_mac", "_records", "_by_id", "_prefixes", "_held")
 
     _IDENTITY_LIMIT = 512
 
     def __init__(self, key: bytes) -> None:
-        self._key = key
+        self._mac = _keyed_mac(key)
         self._records: dict = {}
         self._by_id: dict = {}
         # slot → encoding of everything a tag's input puts before the
@@ -174,7 +203,7 @@ class _TagMemo:
         prefix = self._prefixes.get(slot)
         if prefix is None:
             prefix = self._prefixes[slot] = _message_prefix(before)
-        tag = hmac.digest(self._key, prefix + record[0], "sha256")
+        tag = self._mac(prefix + record[0])
         if self._held >= _MEMO_LIMIT:
             self._clear()  # ``record`` goes with the rest
         else:
@@ -197,7 +226,7 @@ class _TagMemo:
                 if tag is None:
                     tag = self._derive(record, slot, domain, signer)
                 return tag
-        return _tag(self._key, domain, signer, message)
+        return _tag(self._mac, domain, signer, message)
 
     def combined_tag(self, domain: str, message: Term) -> bytes:
         """Tag over (domain, message) — combined threshold signatures."""
@@ -208,7 +237,7 @@ class _TagMemo:
                 if tag is None:
                     tag = self._derive(record, domain, domain)
                 return tag
-        return _tag(self._key, domain, message)
+        return _tag(self._mac, domain, message)
 
 
 @dataclass(frozen=True)
@@ -222,7 +251,24 @@ class _IdealSignature:
     tag: bytes
 
 
-class IdealSignatureScheme(SignatureScheme):
+class _KeyedScheme:
+    """A scheme whose tags are MACs under one secret registry key.
+
+    Key material only rides a pickle (or a deep copy): the tag memo and
+    its MAC's pad states are rebuilt from the key on arrival.
+    """
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_tags"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._tags = _TagMemo(self._key)
+
+
+class IdealSignatureScheme(_KeyedScheme, SignatureScheme):
     """Per-party idealized plain signatures."""
 
     def __init__(self, num_parties: int, rng: random.Random) -> None:
@@ -265,7 +311,7 @@ class IdealSignatureScheme(SignatureScheme):
             raise CryptoError(f"no such signer {signer}")
 
 
-class IdealThresholdScheme(ThresholdSignatureScheme):
+class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
     """Idealized ``threshold``-of-``n`` unique threshold signatures."""
 
     def __init__(self, num_parties: int, threshold: int, rng: random.Random) -> None:

@@ -44,6 +44,7 @@ from .transport import (
 from .vectorized import (
     VectorModelError,
     clear_probe_cache,
+    exact_law,
     probe_cache_stats,
     run_vector_batch,
     supports as vector_supports,
@@ -72,6 +73,7 @@ __all__ = [
     "deal_suite",
     "derive_trial_seed",
     "derive_trial_session",
+    "exact_law",
     "fault_plan_names",
     "measure_payload_bytes",
     "predeal_suites",

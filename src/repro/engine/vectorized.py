@@ -99,6 +99,7 @@ import dataclasses
 import operator
 from bisect import bisect_left
 from collections import Counter, OrderedDict
+from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ba import BA_ONE_HALF, BA_ONE_THIRD, FixedRoundBA, iteration_one_half
@@ -133,6 +134,7 @@ __all__ = [
     "VectorModelError",
     "batch_key",
     "clear_probe_cache",
+    "exact_law",
     "execute_chunk",
     "probe_cache_stats",
     "run_vector_batch",
@@ -621,6 +623,7 @@ class _Model:
     fewest rounds ``max_rounds`` must allow: the protocol's length, or
     where ``capped`` its iteration cap) and ``adversary_check(spec)``
     (what the model adds for a named adversary whose victims pass).
+    ``exact`` marks a model :func:`exact_law` can expand.
 
     A walk model supplies ``root(first)`` — the state every trial starts
     in — and ``row(first, state)``, whose :class:`_Row` names the
@@ -638,6 +641,7 @@ class _Model:
     root: Optional[Callable[[TrialSpec], Any]] = None
     row: Optional[Callable[[TrialSpec, Any], "_Row"]] = None
     batch: Optional[Callable[[Sequence[TrialSpec]], Any]] = None
+    exact: bool = False
 
     def run_batch(self, specs: Sequence[TrialSpec]) -> _Batch:
         return _walk(self, specs) if self.batch is None else self.batch(specs)
@@ -789,6 +793,68 @@ def _grow(model: _Model, first: TrialSpec, node: _Node, outcome: int) -> Any:
     return child
 
 
+def _top(model: _Model, first: TrialSpec) -> _Node:
+    """The node every trial of ``first``'s configuration starts from."""
+    table = _table(first)
+    if table.top is None:
+        # Before the first iteration: nothing walked, one way on.
+        origin = _Row(None, None, frozenset(), [], [(model.root(first), ())])
+        table.top = _grow(model, first, _Node(origin, (), 0, {}, {}, 0), 0)
+    return table.top
+
+
+def exact_law(spec: TrialSpec):
+    """``spec``'s configuration as exact laws: ``((P(disagree),
+    E[rounds], E[coins read]), None)`` as ``Fraction``s, or ``(None,
+    reason)`` where there is none.
+
+    At a row, coin ``c`` in ``coin_range(slots) = [low, high]`` lands on
+    outcome ``bisect_left(cuts, c)``, so outcome ``k`` covers the coins
+    of ``(bounds[k], bounds[k + 1]]``, ``bounds = [low − 1, *cuts,
+    high]``.  Every child of every row is visited with :func:`_grow` —
+    the step the sampled walk takes — and weighted by its width over
+    ``high − low + 1``.  Only a fixed-round model's tree is finite and
+    its leaves' outcomes coin-free.  The expansion fills a table of its
+    own, so the configuration's cached table — and what later batches
+    probe — is as it was.
+    """
+    reason = unsupported_reason(spec)
+    model = vector_model_for(spec.protocol, spec.adversary)
+    if reason is None and not model.exact:
+        reason = f"no exact law for {spec.protocol!r}"
+    if reason is not None:
+        return None, reason
+    key = batch_key(spec)
+    cached = _TABLES.pop(key, None)
+    inputs = dict(enumerate(spec.inputs))
+    disagree = rounds = coins = Fraction(0)
+    try:
+        pending = [(_top(model, spec), Fraction(1))]
+        while pending:
+            node, weight = pending.pop()
+            low, high = coin_range(node.row.iteration.slots)
+            bounds = [low - 1, *node.row.cuts, high]
+            for outcome, child in enumerate(node.children):
+                if child is None:
+                    child = _grow(model, spec, node, outcome)
+                width = bounds[outcome + 1] - bounds[outcome]
+                reach = weight * Fraction(width, high - low + 1)
+                if child.__class__ is not _Leaf:
+                    pending.append((child, reach))
+                    continue
+                verdict = ExecutionResult.template(
+                    child.outputs, child.corrupted, inputs, child.finish
+                )
+                disagree += reach * (not verdict.agree)
+                rounds += reach * child.metrics.rounds
+                coins += reach * child.coins
+    finally:
+        _TABLES.pop(key, None)
+        if cached is not None:
+            _TABLES[key] = cached
+    return (disagree, rounds, coins), None
+
+
 def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
     """Walk every trial down ``model``'s transition table.
 
@@ -799,12 +865,7 @@ def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
     leaf.
     """
     first = specs[0]
-    table = _table(first)
-    top = table.top
-    if top is None:
-        # Before the first iteration: nothing walked, one way on.
-        origin = _Row(None, None, frozenset(), [], [(model.root(first), ())])
-        top = table.top = _grow(model, first, _Node(origin, (), 0, {}, {}, 0), 0)
+    top = _top(model, first)
     leaves = []
     for spec in specs:
         session, node = spec.session, top
@@ -1006,7 +1067,7 @@ def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
         root=lambda first: (
             tuple(first.inputs), ba.iterations(first.param_dict["kappa"])
         ),
-        row=row,
+        row=row, exact=True,
     )
 
 

@@ -1,10 +1,7 @@
 """The walk's table is the distribution: exact laws through ``_grow``.
 
-At a row, coin ``c`` in ``coin_range(slots) = [low, high]`` lands on
-outcome ``bisect_left(cuts, c)``, so outcome ``k`` covers the coins in
-``(bounds[k], bounds[k + 1]]`` of ``bounds = [low − 1, *cuts, high]``.
-Expanding *every* child with :func:`_grow` — the step the sampled walk
-takes — and weighting each by its width over ``high − low + 1`` gives
+:func:`repro.engine.vectorized.exact_law` expands *every* child of
+every row and weights each by its share of the coin's range, which gives
 the configuration's exact law as ``Fraction``s: the paper's Theorem 1
 count (one coin value in ``s − 1`` separates two adjacent slots) and
 Corollary 2's bounds, asserted as equalities.  An attack that regresses
@@ -22,17 +19,15 @@ from fractions import Fraction
 import pytest
 
 from repro.core.extraction import coin_range
-from repro.engine import TrialPlan
-from repro.engine.registry import vector_model_for
+from repro.engine import TrialPlan, TrialSpec
 from repro.engine.runner import run_trial
 from repro.engine.vectorized import (
     _TABLES,
-    _Leaf,
-    _grow,
     batch_key,
+    clear_probe_cache,
+    exact_law,
     run_vector_batch,
 )
-from repro.network.simulator import ExecutionResult
 
 #: name → (protocol, inputs, max_faulty, adversary, adversary params).
 CONFIGS = {
@@ -52,45 +47,16 @@ def _spec(name, kappa):
     ).trials[0]
 
 
-def exact_law(spec):
-    """``(P(disagree), E[rounds], E[coins read])`` of ``spec``'s
-    configuration, every outcome of every row expanded by ``_grow``."""
-    model = vector_model_for(spec.protocol, spec.adversary)
-    run_vector_batch([spec])  # the table and its top
-    inputs = dict(enumerate(spec.inputs))
-    disagree = rounds = coins = Fraction(0)
-    pending = [(_TABLES[batch_key(spec)].top, Fraction(1))]
-    while pending:
-        node, weight = pending.pop()
-        low, high = coin_range(node.row.iteration.slots)
-        bounds = [low - 1, *node.row.cuts, high]
-        for outcome, child in enumerate(node.children):
-            if child is None:
-                child = _grow(model, spec, node, outcome)
-            width = bounds[outcome + 1] - bounds[outcome]
-            reach = weight * Fraction(width, high - low + 1)
-            if child.__class__ is not _Leaf:
-                pending.append((child, reach))
-                continue
-            verdict = ExecutionResult.template(
-                child.outputs, child.corrupted, inputs, child.finish
-            )
-            disagree += reach * (not verdict.agree)
-            rounds += reach * child.metrics.rounds
-            coins += reach * child.coins
-    return disagree, rounds, coins
-
-
 class TestExactLaw:
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_straddle13_errs_with_exactly_two_to_the_minus_kappa(self, kappa):
-        disagree, rounds, coins = exact_law(_spec("straddle13", kappa))
+        (disagree, rounds, coins), _ = exact_law(_spec("straddle13", kappa))
         assert (disagree, rounds, coins) == (Fraction(1, 2 ** kappa), kappa + 1, 1)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
     def test_straddle12_errs_with_exactly_a_quarter_per_iteration(self, kappa):
         iterations = math.ceil(kappa / 2)
-        disagree, rounds, coins = exact_law(_spec("straddle12", kappa))
+        (disagree, rounds, coins), _ = exact_law(_spec("straddle12", kappa))
         assert disagree == Fraction(1, 4 ** iterations)
         assert rounds == 3 * iterations
         # The coin of iteration i+1 is read only while the parties still
@@ -100,7 +66,33 @@ class TestExactLaw:
     @pytest.mark.parametrize("kappa", KAPPAS)
     @pytest.mark.parametrize("name", ["honest13", "honest12"])
     def test_honest_runs_never_disagree(self, name, kappa):
-        assert exact_law(_spec(name, kappa))[0] == 0
+        assert exact_law(_spec(name, kappa))[0][0] == 0
+
+    @pytest.mark.parametrize("spec, reason", [
+        (TrialSpec("fm_probabilistic", (1, 0, 1, 0), 1),
+         "no exact law for 'fm_probabilistic'"),
+        (TrialSpec("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 2}, backend="real"),
+         "real-RSA backend"),
+        (TrialSpec("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 2}, adversary="crash"),
+         "no vector model registered for ('ba_one_third', 'crash')"),
+    ], ids=["no-fixed-round-walk", "real-backend", "no-vector-model"])
+    def test_other_configurations_have_none_and_say_why(self, spec, reason):
+        assert exact_law(spec) == (None, reason)
+
+    def test_the_cached_table_is_left_as_it_was(self):
+        """The expansion visits every branch on a table of its own: the
+        sampled walk's table keeps its rows, and a configuration with
+        none gets none."""
+        spec = _spec("straddle12", 6)
+        key = batch_key(spec)
+        clear_probe_cache()
+        exact_law(spec)
+        assert key not in _TABLES
+        run_vector_batch([spec])
+        table = _TABLES[key]
+        rows = dict(table.rows)
+        assert exact_law(spec)[0] == exact_law(spec)[0]
+        assert _TABLES[key] is table and table.rows == rows
 
 
 class TestObjectPathPin:
@@ -127,7 +119,7 @@ class TestObjectPathPin:
     @pytest.mark.parametrize("kappa", range(1, 5))
     def test_one_third(self, monkeypatch, kappa):
         spec = _spec("straddle13", kappa)
-        law = exact_law(spec)[0]  # before the coin hash is patched
+        law = exact_law(spec)[0][0]  # before the coin hash is patched
         low, high = coin_range(2 ** kappa + 1)
         values = range(low, high + 1)
         count = self.disagreeing(
@@ -138,7 +130,7 @@ class TestObjectPathPin:
     @pytest.mark.parametrize("kappa", range(1, 5))
     def test_one_half(self, monkeypatch, kappa):
         spec = _spec("straddle12", kappa)
-        law = exact_law(spec)[0]
+        law = exact_law(spec)[0][0]
         low, high = coin_range(5)
         sequences = list(
             itertools.product(range(low, high + 1), repeat=math.ceil(kappa / 2))

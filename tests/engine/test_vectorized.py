@@ -11,7 +11,6 @@ mixed plans.
 
 import dataclasses
 import hashlib
-import hmac
 import itertools
 import os
 import random
@@ -24,6 +23,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ideal
 from repro.engine import (
     ChunkSummary,
     ParallelRunner,
@@ -762,11 +762,14 @@ class TestHotPathCounts:
             assert canon(got) == canon(reference[index])
 
     def test_a_trial_costs_its_coin_bytes(self, monkeypatch, fresh_tables):
-        """Primitive calls per trial, tables warm: one HMAC and one
+        """Primitive calls per trial, tables warm: one MAC and one
         SHA-256 per coin *read*, one of each per VRF evaluation plus one
         extraction per distinct (winner, range).  The coin evaluators
         capture both primitives when a configuration's table is built,
-        so the counters go in before the warm-up builds it."""
+        so the counters go in before the warm-up builds it: every MAC
+        ``_keyed_mac`` returns from then on counts its calls.  A MAC
+        copies its pad states rather than calling ``hashlib.sha256``, so
+        the SHA-256 count is extractions only."""
         configs = self.CONFIGS + (
             # Pre-agreed: every party on the extremal slot, no coin read.
             ("ba_one_half", (1, 1, 1, 1, 1), 2, {"kappa": 4}, None, None),
@@ -786,14 +789,16 @@ class TestHotPathCounts:
             for seed in (3, 4)
         }
         calls = Counter()
-        for module, name in ((hmac, "digest"), (hashlib, "sha256")):
-            real = getattr(module, name)
-            monkeypatch.setattr(
-                module, name,
-                lambda *args, _real=real, _name=name: (
-                    calls.update([_name]), _real(*args)
-                )[1],
-            )
+
+        def counting(name, real):
+            return lambda *args: (calls.update([name]), real(*args))[1]
+
+        keyed_mac = ideal._keyed_mac
+        monkeypatch.setattr(
+            ideal, "_keyed_mac",
+            lambda *args: counting("mac", keyed_mac(*args)),
+        )
+        monkeypatch.setattr(hashlib, "sha256", counting("sha256", hashlib.sha256))
         clear_probe_cache()
         for plan in plans[3]:  # build the tables, counted primitives inside
             execute_chunk(list(enumerate(plan.trials)))
@@ -802,7 +807,7 @@ class TestHotPathCounts:
             calls.clear()
             _, stats = execute_chunk(list(enumerate(plan.trials)))
             assert (stats["batched"], stats["cache_misses"]) == (trials, 0)
-            counted.append((calls["digest"], calls["sha256"], stats["coins"]))
+            counted.append((calls["mac"], calls["sha256"], stats["coins"]))
         third, half, threshold, vrf, agreed, fm = counted
         # The straddle leaves the honest parties on two inner slots.
         assert third == (trials, trials, trials)
@@ -814,8 +819,8 @@ class TestHotPathCounts:
         # one per iteration, three iterations at least.
         assert fm[0] == fm[1] == fm[2] and trials <= fm[0] < 3 * trials
         n, victims = 4, 1
-        vrf_hmacs, vrf_hashes, vrf_coins = vrf
-        assert (vrf_hmacs, vrf_coins) == (n * trials, 0)  # evaluations are no coins
+        vrf_macs, vrf_hashes, vrf_coins = vrf
+        assert (vrf_macs, vrf_coins) == (n * trials, 0)  # evaluations are no coins
         # n evaluations, then the honest winner's coin and at most one
         # per victim that undercuts it.
         assert (n + 1) * trials <= vrf_hashes <= (n + 2 + victims) * trials

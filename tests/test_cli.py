@@ -98,6 +98,27 @@ class TestNoTraceback:
         )
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("bound", ["2", "-0.5", "nan", "inf"])
+    def test_a_bound_outside_zero_one_is_a_usage_error_naming_it(
+        self, bound, monkeypatch, capsys
+    ):
+        """No probability lies outside [0, 1]: exit 2 at parse time,
+        before the fixed sweep runs a trial."""
+        from repro.engine import ParallelRunner
+
+        monkeypatch.setattr(
+            ParallelRunner, "run", lambda *args, **kw: pytest.fail("a trial ran")
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["error-sweep", "--adaptive", f"--bound={bound}"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            "repro error-sweep: error: argument --bound: must be a "
+            f"probability in [0, 1], got '{bound}'\n"
+        )
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("victims, problem", [
         ("9", "names party 9, outside 0..3"),
         ("0,4", "names party 4, outside 0..3"),
@@ -468,15 +489,16 @@ class TestTables:
         assert "table1" in out and "table2" in out and "fig3" in out
 
 
-def _measured(out):
-    """The `measured` column of the rate table `error-sweep` printed."""
+def _measured(out, column_index=-1):
+    """The `measured` column of the rate table `error-sweep` printed
+    (the `exact` column at ``column_index=-2``)."""
     lines = out.splitlines()
     start = next(i for i, line in enumerate(lines) if "bound 2^-k" in line)
     column = []
     for line in lines[start + 2:]:
         if not line.strip():
             break
-        column.append(line.split()[-1])
+        column.append(line.split()[column_index])
     return column
 
 
@@ -511,6 +533,18 @@ class TestErrorSweep:
         ) == 0
         out = capsys.readouterr().out
         assert "bound 2^-k" in out
+
+    def test_exact_column_is_each_configurations_law(self, capsys):
+        """2^-κ at t < n/3, (1/4)^⌈κ/2⌉ at t < n/2, whatever the backend."""
+        # one_third at κ = 1, 2, then one_half at κ = 1, 2.
+        expected = ["0.5000", "0.2500", "0.2500", "0.2500"]
+        for executor in (["--vector"], ["--backend", "real", "--rsa-bits", "64"]):
+            assert main(
+                ["error-sweep", "--protocol", "both", "--kappas", "1,2",
+                 "--trials", "3", *executor]
+            ) == 0
+            out = capsys.readouterr().out
+            assert _measured(out, -2) == expected, executor
 
     @pytest.mark.parametrize("protocol", ["one_third", "one_half"])
     def test_measured_equals_reference_on_every_executor(
