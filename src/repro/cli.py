@@ -84,8 +84,15 @@ _REGISTERED_AS = {
 
 
 def _parse_int_list(text: str) -> List[int]:
+    parts = text.split(",")
+    if "" in parts and any(parts):
+        # Dropping it would run another trial than the one written:
+        # "1,0,,1" is four parties, not three.
+        raise argparse.ArgumentTypeError(
+            f"empty element in comma-separated int list {text!r}"
+        )
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in parts if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 

@@ -31,7 +31,9 @@ worker or 16 yields byte-identical results (see
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import operator
 import types
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -224,6 +226,28 @@ class TrialSpec:
     def fault_param_dict(self) -> Dict[str, Any]:
         return dict(self.fault_params)
 
+    @functools.cached_property
+    def batch_key(self) -> Tuple[Any, ...]:
+        """The spec's fields minus per-trial identity: equal keys ⇒ one batch.
+
+        Trials agreeing on everything but :data:`PER_TRIAL_FIELDS` share
+        dynamics, so the vector backend groups a chunk by this key and
+        keys its configuration tables by it.  A plain tuple, read off the
+        spec once and kept: derived data, so ``__getstate__`` drops it
+        and a copy, ``dataclasses.replace`` or an unpickled spec reads
+        it afresh, while every spec :meth:`TrialPlan.monte_carlo` stamps
+        shares its template's one key object.
+        """
+        return _batch_fields(self)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Fields only: a pickle or copy reads the cached key afresh.
+        state = vars(self)
+        if "batch_key" in state:
+            state = dict(state)
+            del state["batch_key"]
+        return state
+
     @property
     def suite_key(self) -> Tuple[str, int, int, int, int]:
         """Cache key for dealt key material — all trials sharing it reuse
@@ -294,12 +318,28 @@ class TrialSpec:
         return cls(**document)
 
 
+#: The fields that tell one trial of a configuration from the next.
+#: Every other ``TrialSpec`` field — including any added later — is part
+#: of :attr:`TrialSpec.batch_key`; ``TestBatchKey`` pins both.
+PER_TRIAL_FIELDS = ("seed", "session", "config")
+
+_batch_fields = operator.attrgetter(
+    *(
+        field.name
+        for field in dataclasses.fields(TrialSpec)
+        if field.name not in PER_TRIAL_FIELDS
+    )
+)
+
+
 def _stamp_trial(template: TrialSpec, seed: int, session: str) -> TrialSpec:
     """``replace(template, seed=seed, session=session)`` without re-validating.
 
     ``__post_init__`` inspects neither field, so a copy of the
     already-validated template with the two stamped on equals (and
     hashes and pickles like) the spec ``TrialSpec(...)`` would build.
+    Neither field is in the batch key, so the copy keeps the template's
+    cached one, if it has read it.
     """
     spec = object.__new__(TrialSpec)
     vars(spec).update(vars(template), seed=seed, session=session)
@@ -367,6 +407,7 @@ class TrialPlan:
             faults=faults,
             fault_params=_freeze_params(fault_params),
         )
+        template.batch_key  # read once: every stamped copy shares it
         return cls(
             name=name,
             trials=tuple(
@@ -395,8 +436,13 @@ class TrialPlan:
         allocates and stops trials per configuration.
         """
         groups: "OrderedDict[str, list]" = OrderedDict()
+        last = current = None
         for index, spec in enumerate(self.trials):
-            groups.setdefault(spec.config_key, []).append(index)
+            key = spec.config_key
+            if key != last:  # once per run of one configuration
+                current = groups.setdefault(key, [])
+                last = key
+            current.append(index)
         return OrderedDict(
             (name, tuple(indices)) for name, indices in groups.items()
         )

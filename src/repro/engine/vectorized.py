@@ -22,23 +22,27 @@ coin-combine success — comes from one probe, and the paper's extraction
 where its cut falls among the parties' slots, so the row lists, per
 *outcome of the cut* (at most n + 1, never one per coin value), the
 state that follows and the parties that return.
-:func:`_walk` runs every trial from the root state:
-evaluate the iteration's coin, look the child up, stop at a leaf that
-holds the output template every trial on that path shares.  No
-signature, share or message object is ever materialized per trial, and
-coins are Python ints, so κ is unbounded.
+:func:`_walk` runs every trial from the root state, breadth-first: at
+each node, evaluate its trials' coins for the iteration, bucket them by
+the child they lead to, stop at a leaf that holds the output template
+every trial on that path shares.  No signature, share or message object
+is ever materialized per trial, and coins are Python ints, so κ is
+unbounded.
 
 The seed only picks which cut a trial's coin lands on, so the table is
 seed-free and outlives the batch that filled it: one :class:`_Table` per
 configuration — probes, rows, coin evaluators, the walked tree and its
-leaves' registries — in one LRU keyed by :func:`batch_key`.  What a
-trial costs is therefore one table lookup per iteration, the coins it
-reads and the result record it hands back; nothing per trial or per
-batch rebuilds the table, and nothing per trial
-constructs a ``TrialSpec``: the chunk executor keys each spec once with
-:func:`batch_key` — a plain tuple of the fields that are *not*
-per-trial identity — groups on it, and asks :func:`unsupported_reason`
-once per group.  Every model builds its results in one place,
+leaves' registries — in one LRU keyed by ``TrialSpec.batch_key``, a
+plain tuple of the fields that are *not* per-trial identity, read off a
+spec once and cached on it (the specs a ``monte_carlo`` plan stamps
+share their template's key object).  What a trial costs is therefore
+the coins it reads and the result record it hands back; the rest is
+paid per run of same-configuration specs: nothing rebuilds the table,
+nothing per trial constructs a ``TrialSpec`` or a key, the chunk
+executor consults its group dict once per run of specs whose key is
+(or equals) the previous one and asks :func:`unsupported_reason` once
+per group, and the walk looks each node up once for all the trials
+that reach it.  Every model builds its results in one place,
 :func:`_materialize`: a trial is a pointer to its outcome class — one
 template per leaf (per coin value on a valued leaf) per batch, verdict
 included, copied into a result only where someone reads it — and a
@@ -96,7 +100,6 @@ either way.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from fractions import Fraction
@@ -132,7 +135,6 @@ from .registry import (
 
 __all__ = [
     "VectorModelError",
-    "batch_key",
     "clear_probe_cache",
     "exact_law",
     "execute_chunk",
@@ -166,7 +168,7 @@ class _Table:
     top: Optional["_Node"] = None
 
 
-# batch_key(spec) → that configuration's table: the one cross-batch
+# spec.batch_key → that configuration's table: the one cross-batch
 # cache, a bounded LRU, so AdaptiveRunner rounds and pooled chunks — many
 # small batches of the same configurations — find their tables warm.
 # Hits count batches that found their table, misses probes run on the
@@ -179,7 +181,7 @@ _HITS = _MISSES = 0
 def _table(spec: TrialSpec) -> _Table:
     """The table of ``spec``'s configuration — a new, empty one on a miss."""
     global _HITS
-    key = batch_key(spec)
+    key = spec.batch_key
     table = _TABLES.get(key)
     if table is None:
         table = _TABLES[key] = _Table()
@@ -339,31 +341,6 @@ class _IterationProbe:
     corrupted: frozenset
 
 
-#: The fields that tell one trial of a configuration from the next.
-#: Every other ``TrialSpec`` field — including any added later — is part
-#: of the batch key; ``TestBatchKey`` pins both this tuple and the key.
-PER_TRIAL_FIELDS = ("seed", "session", "config")
-
-_batch_fields = operator.attrgetter(
-    *(
-        field.name
-        for field in dataclasses.fields(TrialSpec)
-        if field.name not in PER_TRIAL_FIELDS
-    )
-)
-
-
-def batch_key(spec: TrialSpec) -> Tuple[Any, ...]:
-    """The spec's fields minus per-trial identity: equal keys ⇒ one batch.
-
-    Trials agreeing on everything but :data:`PER_TRIAL_FIELDS` share
-    dynamics (the module-docstring invariant), so the chunk executor
-    groups by this key and the probe memo is keyed by it.  A plain
-    tuple, read off the spec — building one constructs no ``TrialSpec``.
-    """
-    return _batch_fields(spec)
-
-
 def _bad_range(params: Dict[str, Any]) -> bool:
     """Whether ``params``' coin range ``[low, high]`` makes a coin raise."""
     low, high = params.get("low", 0), params.get("high", 1)
@@ -452,7 +429,7 @@ def supports(spec: TrialSpec) -> bool:
 def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     """Execute same-configuration supported specs as one batch.
 
-    All specs must share :func:`batch_key` and pass :func:`supports`;
+    All specs must share a ``batch_key`` and pass :func:`supports`;
     results come back in spec order and are bit-identical to
     ``run_trial`` on each spec.
     """
@@ -460,8 +437,8 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     if not specs:
         return []
     first = specs[0]
-    key = batch_key(first)
-    if any(batch_key(spec) != key for spec in specs):
+    key = first.batch_key
+    if any(spec.batch_key != key for spec in specs):
         raise VectorModelError("batch mixes configurations")
     reason = unsupported_reason(first)
     if reason is not None:
@@ -504,8 +481,8 @@ def execute_chunk(
     """Run a chunk of (index, spec) pairs, batching what the models support.
 
     The vector entry point the runner uses for ``backend="vector"``:
-    eligible specs are grouped by :func:`batch_key` and executed in
-    one batch each; everything else (plus whole batches whose probe
+    eligible specs are grouped by ``TrialSpec.batch_key`` and executed
+    in one batch each; everything else (plus whole batches whose probe
     invariants fail) takes the object simulator.  Returns the results in
     chunk order plus batching stats for telemetry: ``{"batched",
     "fallback", "coins", "batches": [{"config", "size"}, ...],
@@ -534,28 +511,32 @@ def execute_chunk(
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     # Grouping by key is the proof that no batch mixes configurations,
-    # and unsupported_reason reads no per-trial field: one key per spec,
-    # one reason per group.
+    # and unsupported_reason reads no per-trial field: one reason per
+    # group.  A run of specs with one key — a monte_carlo plan's specs
+    # share the key object — joins its group with one dict lookup.
+    last: Any = None
+    members: List[Tuple[int, TrialSpec]] = []
     for member in chunk:
         spec = member[1]
         if trace_dir is not None:
             reasons["trace collection requested"] += 1
             fallback.append(member)
             continue
-        key = batch_key(spec)
+        key = spec.batch_key
         try:
-            members = groups.get(key)
-        except TypeError:
-            # An unhashable field value cannot key a group; such a spec
-            # keeps its named per-spec fallback.
+            if key is not last and key != last:
+                members = groups.setdefault(key, [])
+                last = key
+        except (TypeError, ValueError):
+            # A field value that cannot be hashed (or compared, like an
+            # array) cannot key a group; such a spec keeps its named
+            # per-spec fallback, and the run it interrupts goes on.
             reason = unsupported_reason(spec)
             if reason is None:
                 raise
             reasons[reason] += 1
             fallback.append(member)
             continue
-        if members is None:
-            members = groups[key] = []
         members.append(member)
 
     batches: List[Dict[str, Any]] = []
@@ -761,7 +742,7 @@ def _grow(model: _Model, first: TrialSpec, node: _Node, outcome: int) -> Any:
     heal, so a probe reporting fewer than its predecessor is a
     :class:`VectorModelError`.
     """
-    table = _TABLES[batch_key(first)]
+    table = _TABLES[first.batch_key]
     state, returning = node.row.branches[outcome]
     outputs = {**node.outputs, **dict(returning)}
     finish = {**node.finish, **{pid: node.rounds for pid, _ in returning}}
@@ -824,7 +805,7 @@ def exact_law(spec: TrialSpec):
         reason = f"no exact law for {spec.protocol!r}"
     if reason is not None:
         return None, reason
-    key = batch_key(spec)
+    key = spec.batch_key
     cached = _TABLES.pop(key, None)
     inputs = dict(enumerate(spec.inputs))
     disagree = rounds = coins = Fraction(0)
@@ -856,31 +837,44 @@ def exact_law(spec: TrialSpec):
 
 
 def _walk(model: _Model, specs: Sequence[TrialSpec]) -> _Batch:
-    """Walk every trial down ``model``'s transition table.
+    """Walk every trial down ``model``'s transition table, breadth-first.
 
     The table is the configuration's :class:`_Table`, kept across
-    batches: from its ``top`` a trial evaluates the coin of each row that
-    reads one, ``bisect``s it into the row's cuts and follows that
-    child — :func:`_grow` visits it the first time — until it reaches a
-    leaf.
+    batches.  The trials at a node move on together: where its row reads
+    a coin, each trial's coin is evaluated and ``bisect``ed into the
+    row's cuts, and each outcome's trials follow that child —
+    :func:`_grow` visits it the first time — until they reach a leaf.
+    A level is one iteration, so coin evaluators are built in iteration
+    order.
     """
     first = specs[0]
-    top = _top(model, first)
-    leaves = []
-    for spec in specs:
-        session, node = spec.session, top
-        while True:
+    sessions = [spec.session for spec in specs]
+    leaves: List[Any] = [None] * len(specs)
+    level = [(_top(model, first), range(len(specs)))]  # (node, trials at it)
+    while level:
+        deeper = []
+        for node, trials in level:
             cuts = node.row.cuts
-            outcome = (
-                bisect_left(cuts, node.coin(session + node.suffix)) if cuts else 0
-            )
-            child = node.children[outcome]
-            if child is None:
-                child = _grow(model, first, node, outcome)
-            if child.__class__ is _Leaf:
-                break
-            node = child
-        leaves.append(child)
+            if cuts:
+                coin, suffix = node.coin, node.suffix
+                outcomes: List[Any] = [[] for _ in range(len(cuts) + 1)]
+                for trial in trials:
+                    outcome = bisect_left(cuts, coin(sessions[trial] + suffix))
+                    outcomes[outcome].append(trial)
+            else:
+                outcomes = [trials]
+            for outcome, reached in enumerate(outcomes):
+                if not reached:
+                    continue
+                child = node.children[outcome]
+                if child is None:
+                    child = _grow(model, first, node, outcome)
+                if child.__class__ is _Leaf:
+                    for trial in reached:
+                        leaves[trial] = child
+                else:
+                    deeper.append((child, reached))
+        level = deeper
     return _materialize(leaves, first.inputs)
 
 
@@ -972,7 +966,7 @@ def _run_probe(
             *zip(*parties), delivery=delivery, corrupted=frozenset(result.corrupted)
         )
 
-    return _probed(_TABLES[batch_key(spec)], token, execute)
+    return _probed(_TABLES[spec.batch_key], token, execute)
 
 
 def _exchange(iteration: Iteration):

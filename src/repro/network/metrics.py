@@ -141,17 +141,20 @@ class RunMetrics(NamedTuple):
         rows add up round-wise, so merged per-round shapes stay
         meaningful for same-protocol trials.  Inputs sharing one row
         tuple (by identity: the results of one vector leaf) are added
-        once and scaled by how often they were seen.
+        once and scaled by how often they were seen; a run of them is
+        looked up once.
         """
         rounds = 0
         seen: Dict[int, list] = {}  # id(rows) → [rows, sightings]
-        for metrics in metrics_list:
-            rounds += metrics.rounds
-            entry = seen.get(id(metrics.rows))
-            if entry is None:
-                seen[id(metrics.rows)] = [metrics.rows, 1]
-            else:
-                entry[1] += 1
+        last = entry = None
+        for count, rows in metrics_list:
+            rounds += count
+            if rows is not last:
+                entry = seen.get(id(rows))
+                if entry is None:
+                    entry = seen[id(rows)] = [rows, 0]
+                last = rows
+            entry[1] += 1
         totals: Dict[int, List[int]] = {}
         for rows, times in seen.values():
             for index, hm, cm, hs, cs in rows:

@@ -23,7 +23,6 @@ from repro.engine import TrialPlan, TrialSpec
 from repro.engine.runner import run_trial
 from repro.engine.vectorized import (
     _TABLES,
-    batch_key,
     clear_probe_cache,
     exact_law,
     run_vector_batch,
@@ -84,7 +83,7 @@ class TestExactLaw:
         sampled walk's table keeps its rows, and a configuration with
         none gets none."""
         spec = _spec("straddle12", 6)
-        key = batch_key(spec)
+        key = spec.batch_key
         clear_probe_cache()
         exact_law(spec)
         assert key not in _TABLES

@@ -1,9 +1,12 @@
 """TrialSpec / TrialPlan: validation, seed schedule, immutability."""
 
+import copy
 import dataclasses
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine import (
     TrialPlan,
@@ -11,6 +14,7 @@ from repro.engine import (
     derive_trial_seed,
     derive_trial_session,
 )
+from repro.engine import plan as plan_module
 
 
 class TestSeedSchedule:
@@ -275,3 +279,93 @@ class TestTrialPlan:
         groups = plan.configs()
         assert len(groups) == 2  # seeds/sessions don't split configs
         assert list(groups.values()) == [(0, 1), (2,)]
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=12))
+    def test_configs_equal_the_per_trial_fold(self, picks):
+        """Runs of one configuration, repeats and interleavings — stamped
+        specs sharing a name, hand-built ones sharing only a derived key
+        — group exactly as one dict lookup per trial groups them."""
+        stamped = self._plan(trials=2).trials + self._plan(trials=2, name="q").trials
+        hand = [
+            TrialSpec("ba_one_third", (0, 1, 1, 0), 1, {"kappa": kappa}, seed=seed)
+            for kappa, seed in ((2, 1), (2, 2), (3, 1))
+        ]
+        pool = (*stamped, *hand, dataclasses.replace(stamped[0], config=""))
+        trials = [pool[at] for at, repeat in picks for _ in range(repeat)]
+        fold = {}
+        for index, spec in enumerate(trials):
+            fold.setdefault(spec.config_key, []).append(index)
+        groups = TrialPlan("mixed", trials).configs()
+        assert list(groups.items()) == [(key, tuple(got)) for key, got in fold.items()]
+
+
+class TestBatchKeyCache:
+    """``TrialSpec.batch_key`` is read off a spec once and is derived
+    data: a monte_carlo plan reads it once per template, and nothing that
+    compares, prints, serializes or copies a spec sees the cache."""
+
+    def _plan(self, trials=6, name="k", **overrides):
+        fields = dict(
+            protocol="ba_one_half", inputs=(0, 0, 1, 1, 1), max_faulty=2,
+            params={"kappa": 2}, adversary="straddle12",
+            adversary_params={"victims": [3, 4]}, seed=5,
+        )
+        fields.update(overrides)
+        return TrialPlan.monte_carlo(name, trials=trials, **fields)
+
+    def _counted(self, monkeypatch):
+        calls = []
+        read = plan_module._batch_fields
+        monkeypatch.setattr(
+            plan_module, "_batch_fields", lambda spec: (calls.append(1), read(spec))[1]
+        )
+        return calls
+
+    def test_every_monte_carlo_spec_holds_its_templates_key(self):
+        plan = self._plan()
+        key = plan.trials[0].batch_key
+        assert all("batch_key" in vars(spec) for spec in plan)
+        assert all(spec.batch_key is key for spec in plan)
+
+    def test_a_plan_reads_its_key_once_per_template(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        plan = TrialPlan.concat(
+            "two", [self._plan(trials=50), self._plan(trials=30, name="j", seed=6)]
+        )
+        assert len(calls) == 2
+        assert len({id(spec.batch_key) for spec in plan}) == 2
+        assert len(calls) == 2
+
+    def test_copies_read_the_key_afresh(self, monkeypatch):
+        spec = self._plan().trials[3]
+        key = spec.batch_key
+        calls = self._counted(monkeypatch)
+        for other in (
+            pickle.loads(pickle.dumps(spec)),
+            copy.copy(spec),
+            copy.deepcopy(spec),
+            dataclasses.replace(spec),
+            dataclasses.replace(spec, seed=1, session="other", config="other"),
+        ):
+            assert "batch_key" not in vars(other)
+            assert other.batch_key == key and other.batch_key is not key
+        assert len(calls) == 5
+        for changes in ({"params": {"kappa": 3}}, {"max_rounds": 99}, {"inputs": (1,) * 5}):
+            assert dataclasses.replace(spec, **changes).batch_key != key
+
+    def test_the_cache_is_invisible_to_what_reads_fields(self):
+        """Equality, hash, repr, JSON and pickle bytes of a spec whose key
+        is cached equal those of the same spec built by hand, unread."""
+        spec = self._plan().trials[2]
+        assert "batch_key" in vars(spec)
+        direct = TrialSpec(
+            "ba_one_half", (0, 0, 1, 1, 1), 2, {"kappa": 2}, adversary="straddle12",
+            adversary_params={"victims": [3, 4]}, seed=spec.seed,
+            session=spec.session, config="k",
+        )
+        assert "batch_key" not in vars(direct)
+        assert spec == direct and hash(spec) == hash(direct)
+        assert repr(spec) == repr(direct) and "batch_key" not in repr(spec)
+        assert spec.to_json() == direct.to_json()
+        assert pickle.dumps(spec) == pickle.dumps(direct)
+        assert "batch_key" in vars(spec)  # pickling leaves the cache in place

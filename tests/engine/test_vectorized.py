@@ -37,15 +37,14 @@ from repro.engine import (
 from repro.engine.registry import vector_model_for
 from repro.engine.runner import _suite_for
 from repro.core.extraction import extract
+from repro.engine.plan import PER_TRIAL_FIELDS
 from repro.engine.vectorized import (
-    PER_TRIAL_FIELDS,
     VectorModelError,
     _cut_row,
     _extraction_row,
     _IterationProbe,
     _Leaf,
     _Model,
-    batch_key,
     clear_probe_cache,
     execute_chunk,
     run_vector_batch,
@@ -654,7 +653,7 @@ class TestBatchKey:
         assert set(PER_TRIAL_FIELDS) == {"seed", "session", "config"}
         spec = TrialSpec("ba_one_third", (0, 0, 1, 1), 1)
         keyed = [name for name in names if name not in PER_TRIAL_FIELDS]
-        assert batch_key(spec) == tuple(getattr(spec, name) for name in keyed)
+        assert spec.batch_key == tuple(getattr(spec, name) for name in keyed)
 
     @given(
         fields=st.fixed_dictionaries(SPEC_FIELDS),
@@ -667,11 +666,11 @@ class TestBatchKey:
             b = dataclasses.replace(a, **changes)
         except ValueError:  # fault_params without a faults scenario
             reject()
-        assert (batch_key(a) == batch_key(b)) == (
+        assert (a.batch_key == b.batch_key) == (
             _identity_erased(a) == _identity_erased(b)
         )
-        assert batch_key(a) == batch_key(_identity_erased(a))
-        assert hash(batch_key(a)) == hash(batch_key(_identity_erased(a)))
+        assert a.batch_key == _identity_erased(a).batch_key
+        assert hash(a.batch_key) == hash(_identity_erased(a).batch_key)
 
     def test_public_batch_entry_still_rejects_a_mixed_batch(self):
         from repro.engine.vectorized import VectorModelError
@@ -685,6 +684,96 @@ class TestBatchKey:
         assert len(run_vector_batch(one.trials)) == 2
         with pytest.raises(VectorModelError, match="mixes configurations"):
             run_vector_batch(one.trials + other.trials)
+
+
+class _Hashed(int):
+    """An int that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        _Hashed.hashes += 1
+        return int.__hash__(self)
+
+
+class TestRunGrouping:
+    """``execute_chunk`` groups runs of one batch key: a run joins its
+    group with one dict lookup, and interleaved runs of a configuration
+    still make one batch."""
+
+    def _plans(self, trials, max_rounds=4096):
+        return (
+            TrialPlan.monte_carlo(
+                "A", "ba_one_half", (0, 0, 1, 1, 1), 2, trials=trials,
+                params={"kappa": 4}, adversary="straddle12",
+                adversary_params={"victims": (3, 4)}, seed=3, max_rounds=max_rounds,
+            ).trials,
+            TrialPlan.monte_carlo(
+                "B", "ba_one_third", (0, 0, 1, 1), 1, trials=trials,
+                params={"kappa": 3}, adversary="straddle13",
+                adversary_params={"victims": (3,)}, seed=5, max_rounds=max_rounds,
+            ).trials,
+        )
+
+    def test_interleaved_hand_built_and_replaced_specs_batch_once(self, fresh_tables):
+        """A, B, A runs; a hand-built spec equal to a stamped one; a
+        ``replace``d spec of A's configuration and one of a new
+        configuration that keeps B's name.  The stats are the ones the
+        per-spec grouping gave."""
+        a, b = self._plans(6)
+        hand = TrialSpec(
+            "ba_one_third", (0, 0, 1, 1), 1, {"kappa": 3}, adversary="straddle13",
+            adversary_params={"victims": (3,)}, seed=b[3].seed,
+            session=b[3].session, config="B",
+        )
+        assert hand == b[3] and hand.batch_key is not b[3].batch_key
+        moved = dataclasses.replace(a[0], seed=77, session="moved")
+        renamed = dataclasses.replace(b[0], params={"kappa": 5})
+        specs = [*a[:3], *b[:3], *a[3:], hand, moved, renamed]
+        pairs, stats = execute_chunk(list(enumerate(specs)))
+        assert stats == {
+            "batched": 12, "fallback": 0, "coins": 15,
+            "batches": [
+                {"config": "A", "size": 7}, {"config": "B", "size": 4},
+                {"config": "B", "size": 1},
+            ],
+            "cache_hits": 0, "cache_misses": 6, "fallback_reasons": {},
+        }
+        assert [index for index, _ in pairs] == list(range(len(specs)))
+        from repro.engine import run_trial
+
+        for (_, got), spec in zip(pairs, specs):
+            assert canon(got) == canon(run_trial(spec))
+
+    def test_an_unhashable_spec_inside_a_run_keeps_its_named_fallback(self):
+        a, _ = self._plans(3)
+        odd = TrialSpec("turpin_coan_classic", ([1], [1], [1], [1]), 1, {"kappa": 2})
+        specs = [a[0], a[1], odd, a[2]]
+        pairs, stats = execute_chunk(list(enumerate(specs)))
+        assert stats["batches"] == [{"config": "A", "size": 3}]
+        assert stats["fallback_reasons"] == {"unhashable inputs": 1}
+        assert [index for index, _ in pairs] == [0, 1, 2, 3]
+        batched = run_vector_batch([a[0], a[1], a[2]])
+        assert [canon(got) for _, got in pairs[:2]] == [canon(r) for r in batched[:2]]
+        assert canon(pairs[3][1]) == canon(batched[2])
+
+    def test_a_run_consults_the_group_dict_once(self):
+        """Hashing the key is the lookup: an A, B, A chunk hashes its
+        keys as often with 20 trials a run as with 1."""
+        max_rounds = _Hashed(4096)
+
+        def chunk(trials):
+            a, b = self._plans(2 * trials, max_rounds)
+            return list(enumerate([*a[:trials], *b, *a[trials:]]))
+
+        execute_chunk(chunk(20))  # every node of the smaller chunk grown
+        counts = []
+        for trials in (1, 20):
+            _Hashed.hashes = 0
+            _, stats = execute_chunk(chunk(trials))
+            assert [batch["size"] for batch in stats["batches"]] == [2 * trials] * 2
+            counts.append(_Hashed.hashes)
+        assert counts[0] == counts[1] < 20
 
 
 class TestHotPathCounts:
@@ -984,6 +1073,27 @@ def _walk_plan(trials=24, **overrides):
 
 
 class TestWalk:
+    @pytest.mark.parametrize("plan", [
+        _walk_plan(trials=24, params={"kappa": 6}),
+        _walk_plan(
+            trials=24, protocol="fm_probabilistic", inputs=(0, 1, 0, 1), max_faulty=1,
+            params={}, adversary=None, adversary_params={},
+        ),
+    ], ids=["ba_one_half", "fm_probabilistic"])
+    @given(order=st.permutations(range(24)))
+    @settings(max_examples=20, deadline=None)
+    def test_the_walk_does_not_depend_on_trial_order(self, plan, order):
+        """The trials at a node move on together: any order of the same
+        specs ends each on the same leaf with the same result, and the
+        batch reads as many coins."""
+        specs = plan.trials
+        model = vector_model_for(specs[0].protocol, specs[0].adversary)
+        results, leaves, coins = model.run_batch(specs)
+        got, got_leaves, got_coins = model.run_batch([specs[at] for at in order])
+        assert got_coins == coins
+        for at, result, leaf in zip(order, got, got_leaves):
+            assert leaf is leaves[at] and canon(result) == canon(results[at])
+
     def _driver(self, corrupted_after):
         """A two-iteration model from two hand-built probes: the root
         splits on its coin, and the branch where the coin is 1 walks on
@@ -1108,7 +1218,7 @@ class TestWalk:
         assert 1 <= len(built) <= 3
         assert built == [("ba12", index) for index in range(len(built))]
         # Kept by the coin index the row names, not by path depth.
-        assert list(vectorized._TABLES[batch_key(attacked[0])].coins) == built
+        assert list(vectorized._TABLES[attacked[0].batch_key].coins) == built
         reads = list(built)
         run_vector_batch(_walk_plan(trials=40, params={"kappa": 6}, seed=78).trials)
         assert built == reads
@@ -1409,7 +1519,7 @@ class TestProbeCache:
     def test_cache_hits_across_distinct_sessions(self):
         """Same frozen config under different seeds/sessions shares probes.
 
-        ``batch_key`` strips seed/session/config, so a second Monte-Carlo
+        ``TrialSpec.batch_key`` strips seed/session/config, so a second Monte-Carlo
         sweep of the same configuration hits the cache even though every
         trial's session string differs — and stays bit-identical to the
         object path either way.

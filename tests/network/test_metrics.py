@@ -259,7 +259,7 @@ class TestMerged:
         st.lists(
             st.tuples(
                 st.integers(0, 3), st.sampled_from(["shared", "equal"]),
-                st.integers(0, 64),
+                st.integers(0, 64), st.integers(1, 4),
             ),
             max_size=12,
         ),
@@ -267,13 +267,15 @@ class TestMerged:
     def test_merged_adds_each_shared_row_tuple_once_scaled(self, bases, picks):
         """``merged`` equals the round-by-round sum — value, ``rounds``
         and ascending round order — whether its inputs share one row
-        tuple (a vector leaf's stamps) or hold equal copies."""
+        tuple (a vector leaf's stamps, in runs or interleaved) or hold
+        equal copies."""
         inputs = []
-        for at, kind, rounds in picks:
+        for at, kind, rounds, repeat in picks:
             rows = bases[at % len(bases)]
-            # "equal" rows are a distinct tuple object: nothing is shared.
-            shared = rows if kind == "shared" else tuple(list(rows))
-            inputs.append(RunMetrics(rounds, shared))
+            for _ in range(repeat):
+                # "equal" rows are a distinct tuple object: nothing is shared.
+                shared = rows if kind == "shared" else tuple(list(rows))
+                inputs.append(RunMetrics(rounds, shared))
         for merged in (RunMetrics.merged(inputs), RunMetrics.merged(iter(inputs))):
             assert merged == _fold(inputs)
             assert [row[0] for row in merged.rows] == sorted(

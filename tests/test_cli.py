@@ -98,6 +98,29 @@ class TestNoTraceback:
         )
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--protocol", "one_third", "--kappa", "2", "--inputs", "1,0,,1",
+          "--t", "0"], "--inputs"),
+        (["error-sweep", "--kappas", "1,,2,"], "--kappas"),
+        (["run", "--adversary", "crash", "--victims", ",3"], "--victims"),
+        (["trace", "run.trace.jsonl", "--round", "1,,2"], "--round"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_an_empty_list_element_is_a_usage_error_naming_the_value(
+        self, argv, flag, capsys
+    ):
+        """``1,0,,1`` dropping its empty element would run three parties
+        where four were written: exit 2 at parse time, naming the value."""
+        value = argv[argv.index(flag) + 1]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"repro {argv[0]}: error: argument {flag}: "
+            f"empty element in comma-separated int list {value!r}\n"
+        )
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("bound", ["2", "-0.5", "nan", "inf"])
     def test_a_bound_outside_zero_one_is_a_usage_error_naming_it(
         self, bound, monkeypatch, capsys
