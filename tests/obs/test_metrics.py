@@ -214,6 +214,41 @@ class TestSharedSnapshots:
             merged.observe("slot_occupancy", 2)
         assert [registry.as_payload() for registry in inputs] == before
 
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(_registry_shape, min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=8),
+        st.sampled_from(_HIST_NAMES),
+        st.integers(0, 9),
+    )
+    def test_merged_is_the_fold_and_refuses_mismatched_buckets(
+        self, shapes, picks, name, where
+    ):
+        """Inputs picked again and again, each the writable registry or
+        a read-only one: ``merged`` is the left fold of ``merge`` — and
+        once one input holds ``name`` on other buckets, both raise."""
+        bases = [_build(shape) for shape in shapes]
+        bases[0].observe(name, 3)
+        shared = [MetricsRegistry.unpack(base.pack()) for base in bases]
+        inputs = [bases[0]] + [
+            (shared if frozen else bases)[at % len(bases)] for at, frozen in picks
+        ]
+        fold = MetricsRegistry()
+        for registry in inputs:
+            fold.merge(registry)
+        assert MetricsRegistry.merged(inputs) == fold
+
+        odd = MetricsRegistry()
+        odd.histograms[name] = Histogram(HISTOGRAM_BUCKETS[name] + (1 << 30,))
+        odd.histograms[name].observe(1)
+        inputs.insert(where % (len(inputs) + 1), odd)
+        with pytest.raises(ValueError, match="different buckets"):
+            fold = MetricsRegistry()
+            for registry in inputs:
+                fold.merge(registry)
+        with pytest.raises(ValueError, match="different buckets"):
+            MetricsRegistry.merged(inputs)
+
     @settings(deadline=None)
     @given(_registry_shape, _registry_shape)
     def test_a_read_only_registry_reads_like_its_writable_source(self, shape, bump):
