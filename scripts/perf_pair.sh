@@ -12,8 +12,9 @@
 # every pair, the wins, and each side's median and quartiles, then one
 # row per workload x end-to-end metric: a gain is claimed only when the
 # tree wins at least nine tenths of the pairs and the medians differ by
-# more than the distance between REF's own quartiles.  Each side runs
-# the perfbench/ of its own checkout.
+# more than the distance between REF's own quartiles.  Each row ends in
+# its verdict: `gain` by that rule, `REGRESSION` by the one below, `—`
+# otherwise.  Each side runs the perfbench/ of its own checkout.
 #
 # Every run also writes its full result document (`--detail`), and the
 # two sides of a pair — same workload, same seed — must report the same
@@ -142,19 +143,26 @@ for workload in workloads:
               f"(x{tree_median / ref_median:.3f}); {ref_name} quartile distance "
               f"{ref_q3 - ref_q1:.4f}")
         ratio = tree_median / ref_median
-        summary.append((
-            workload, name, ref_median, tree_median, ratio,
-            f"{wins}/{len(ref)}", abs(tree_median - ref_median), ref_q3 - ref_q1,
-        ))
         worse = 1.0 - ratio if direction == "higher" else ratio - 1.0
         if worse > metric["bound"] and 10 * losses >= 9 * len(ref):
             regressions.append(f"{workload} {name} x{ratio:.3f}")
+            verdict = "REGRESSION"
+        elif (10 * wins >= 9 * len(ref)
+              and sign * (tree_median - ref_median) > ref_q3 - ref_q1):
+            verdict = "gain"
+        else:
+            verdict = "—"
+        summary.append((
+            workload, name, ref_median, tree_median, ratio,
+            f"{wins}/{len(ref)}", abs(tree_median - ref_median), ref_q3 - ref_q1,
+            verdict,
+        ))
 
 print(f"\n{'workload':<16s} {'metric':<17s} {ref_name:>10s} {'tree':>10s} "
-      f"{'ratio':>7s} {'wins':>6s} {'|gap|':>10s} {'ref q3-q1':>10s}")
-for workload, name, ref, tree, ratio, wins, gap, spread in summary:
+      f"{'ratio':>7s} {'wins':>6s} {'|gap|':>10s} {'ref q3-q1':>10s} verdict")
+for workload, name, ref, tree, ratio, wins, gap, spread, verdict in summary:
     print(f"{workload:<16s} {name:<17s} {ref:10.4f} {tree:10.4f} "
-          f"x{ratio:<6.3f} {wins:>6s} {gap:10.4f} {spread:10.4f}")
+          f"x{ratio:<6.3f} {wins:>6s} {gap:10.4f} {spread:10.4f} {verdict}")
 for regression in regressions:
     print(f"REGRESSION {regression}")
 for mismatch in mismatches:

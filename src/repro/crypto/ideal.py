@@ -96,12 +96,16 @@ def _fresh_tagger(
 # (registry key, domain, signer, message); in a simulated run the same
 # few tags are recomputed constantly — every share is verified by all n
 # parties, all n signers sign the same message — so each scheme instance
-# keeps one record per message it has seen: the message's encoding and
-# every tag derived from it.  The memo is an implementation detail:
+# keeps one record per message it has seen in the current execution: the
+# message's encoding and every tag derived from it.  Every execution has
+# a session of its own, so `SyncSimulator.run` drops the records first
+# (`CryptoSuite.forget`).  The memo is an implementation detail:
 # results are bit-identical with it disabled
 # (`set_tag_memoization(False)`, pinned by `tests/crypto/test_tag_memo.py`).
 _MEMO_ENABLED = True
-_MEMO_LIMIT = 1 << 14  # tags held per scheme instance; cleared wholesale when full
+_MEMO_LIMIT = 1 << 14  # tags held per scheme in one run; cleared wholesale when full
+# Exact types of a tuple's parts that let the tuple key itself.
+_PLAIN = frozenset((str, int, bytes, type(None)))
 
 
 def set_tag_memoization(enabled: bool) -> bool:
@@ -121,10 +125,19 @@ def _memo_key(term):
     compare equal to any other builtin — and tuples map to bare tuples of
     mapped children (a mapped node is never a bare type object, so the
     2-tuple wrappers cannot collide with mapped 2-element terms).
+
+    A tuple whose parts are all exactly ``str``, ``int``, ``bytes`` or
+    ``None`` — every protocol message — is its own key, with no walk:
+    among those types only equal values of one type compare equal, and a
+    mirrored tuple holds a tuple wherever its term holds a part of any
+    other type, which a plain key never does: the two kinds never collide.
     """
     tp = term.__class__
     if tp is tuple:
-        return tuple([_memo_key(part) for part in term])
+        for part in term:
+            if type(part) not in _PLAIN:
+                return tuple([_memo_key(part) for part in term])
+        return term
     if tp is str or tp is bytes:
         return term
     return (tp, term)
@@ -148,8 +161,11 @@ class _TagMemo:
     identity cache holds strong references to its messages, which is
     what keeps the ``id()`` keys valid.
 
-    The bound is on tags held (``len(memo)``), the thing a record grows
-    by: at ``_MEMO_LIMIT`` both layers are dropped wholesale.
+    A memo lives for one execution: :meth:`forget` drops both layers at
+    the start of every run, keeping only what the key fixes (the MAC's
+    pad states and the slot prefixes).  Within a run the bound is on
+    tags held (``len(memo)``), the thing a record grows by: at
+    ``_MEMO_LIMIT`` both layers are dropped wholesale.
     """
 
     __slots__ = ("_mac", "_records", "_by_id", "_prefixes", "_held")
@@ -191,7 +207,7 @@ class _TagMemo:
             # never outnumber tags — unless the signer turns out not to
             # be a Term, which is the misuse this check bounds.
             if len(self._records) >= _MEMO_LIMIT:
-                self._clear()
+                self.forget()
             record = self._records[key] = (encoded, {})
         if len(by_id) >= self._IDENTITY_LIMIT:
             by_id.clear()
@@ -205,13 +221,14 @@ class _TagMemo:
             prefix = self._prefixes[slot] = _message_prefix(before)
         tag = self._mac(prefix + record[0])
         if self._held >= _MEMO_LIMIT:
-            self._clear()  # ``record`` goes with the rest
+            self.forget()  # ``record`` goes with the rest
         else:
             record[1][slot] = tag
             self._held += 1
         return tag
 
-    def _clear(self) -> None:
+    def forget(self) -> None:
+        """Drop every record and the tags they hold."""
         self._records.clear()
         self._by_id.clear()
         self._held = 0
@@ -257,6 +274,9 @@ class _KeyedScheme:
     Key material only rides a pickle (or a deep copy): the tag memo and
     its MAC's pad states are rebuilt from the key on arrival.
     """
+
+    def forget(self) -> None:
+        self._tags.forget()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

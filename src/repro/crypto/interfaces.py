@@ -42,6 +42,9 @@ class SignatureScheme(abc.ABC):
     def verify(self, signer: int, signature, message: Term) -> bool:
         """Publicly verify a signature; never raises on garbage input."""
 
+    def forget(self) -> None:
+        """Drop whatever was memoized for earlier executions (none here)."""
+
 
 class ThresholdSignatureScheme(abc.ABC):
     """A ``threshold``-out-of-``n`` unique threshold signature scheme.
@@ -89,6 +92,9 @@ class ThresholdSignatureScheme(abc.ABC):
         Uniqueness of the scheme makes these bytes a deterministic function
         of (public key, message); the common coin hashes them.
         """
+
+    def forget(self) -> None:
+        """Drop whatever was memoized for earlier executions (none here)."""
 
     def try_combine(self, indexed_shares: Iterable, message: Term):
         """Best-effort combine: filter invalid shares, return the signature

@@ -77,6 +77,13 @@ class CryptoSuite:
             coin=generate_threshold_rsa(num_parties, max_faulty + 1, bits, rng),
         )
 
+    def forget(self) -> None:
+        """Drop every scheme's memo: a new execution, with a session of
+        its own, can meet none of an earlier one's messages."""
+        self.plain.forget()
+        self.quorum.forget()
+        self.coin.forget()
+
     @staticmethod
     def _check(num_parties: int, max_faulty: int) -> None:
         if num_parties < 1:

@@ -36,7 +36,7 @@ from .random_oracle import Term, encode_term, hash_to_int
 __all__ = ["ThresholdRsaScheme", "generate_threshold_rsa"]
 
 _CHALLENGE_BITS = 128
-# Share verdicts held per scheme instance; cleared wholesale when full.
+# Share verdicts held per scheme instance in one run; cleared wholesale when full.
 _VERIFIED_LIMIT = 1 << 10
 
 
@@ -95,7 +95,8 @@ class ThresholdRsaScheme(ThresholdSignatureScheme):
         # Verdicts of verify_share, by the canonical encoding of its
         # arguments.  Verification is a pure function of (key material,
         # signer, share, message) and a simulated run asks the same
-        # question once per party and again inside combine.
+        # question once per party and again inside combine; `forget`
+        # drops them when the next run starts.
         self._verified: Dict[bytes, bool] = {}
 
     def __getstate__(self) -> dict:
@@ -107,6 +108,9 @@ class ThresholdRsaScheme(ThresholdSignatureScheme):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._verified = {}
+
+    def forget(self) -> None:
+        self._verified.clear()
 
     @property
     def num_parties(self) -> int:

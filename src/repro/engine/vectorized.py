@@ -104,6 +104,7 @@ import dataclasses
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ba import BA_ONE_HALF, BA_ONE_THIRD, FixedRoundBA, iteration_one_half
@@ -508,7 +509,9 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
         return []
     first = specs[0]
     key = first.batch_key
-    if any(spec.batch_key != key for spec in specs):
+    if any(
+        spec.batch_key != key or not _exact(spec.batch_key, key) for spec in specs
+    ):
         raise VectorModelError("batch mixes configurations")
     reason = _verdict(first)
     if reason is not None:
@@ -550,6 +553,17 @@ def _compose_registries(
         metrics[index] = registry
 
 
+def _group(twins: List[Tuple[Any, List[Any]]], key: Any) -> List[Any]:
+    """The members of exactly ``key``'s group among its equal ``twins``,
+    a new group if none matches ``key`` in type."""
+    for held, members in twins:
+        if _exact(held, key):
+            return members
+    members: List[Any] = []
+    twins.append((key, members))
+    return members
+
+
 def execute_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
     trace_dir: Optional[str] = None,
@@ -584,7 +598,9 @@ def execute_chunk(
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
-    groups: Dict[Tuple[Any, ...], List[Tuple[int, TrialSpec]]] = {}
+    # key → [(key, members)]: one group per type-exact key among the
+    # equal ones (``False`` equals ``0`` but has a verdict of its own).
+    groups: Dict[Tuple[Any, ...], List[Tuple[Any, List[Tuple[int, TrialSpec]]]]] = {}
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     # Grouping by key is the proof that no batch mixes configurations,
@@ -602,8 +618,8 @@ def execute_chunk(
             continue
         key = spec.batch_key
         try:
-            if key is not last and key != last:
-                members = groups.setdefault(key, [])
+            if key is not last and (key != last or not _exact(key, last)):
+                members = _group(groups.setdefault(key, []), key)
                 last = key
         except (TypeError, ValueError):
             # A field value that cannot be hashed (or compared, like an
@@ -619,7 +635,7 @@ def execute_chunk(
 
     batches: List[Dict[str, Any]] = []
     coins = 0
-    for members in groups.values():
+    for _, members in chain.from_iterable(groups.values()):
         specs = [spec for _, spec in members]
         first = specs[0]
         reason = _verdict(first)

@@ -228,6 +228,7 @@ class SyncSimulator:
 
     def run(self, factory: ProgramFactory, inputs: Sequence[Any]) -> ExecutionResult:
         """Execute ``factory(ctx_i, inputs[i])`` for every party to completion."""
+        self.crypto.forget()
         n = self.num_parties
         if len(inputs) != n:
             raise SimulationError(f"need {n} inputs, got {len(inputs)}")

@@ -6,9 +6,13 @@ particular the key-injectivity hazards of Python dict keys (``0 == False
 distinguishes them).
 """
 
+import copy
+import enum
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.ideal import (
     IdealSignatureScheme,
@@ -18,7 +22,10 @@ from repro.crypto.ideal import (
 from repro.crypto import ideal
 from repro.crypto.ideal import _memo_key
 from repro.crypto.interfaces import ThresholdSignatureScheme
+from repro.crypto.keys import CryptoSuite
 from repro.crypto.random_oracle import encode_term
+from repro.engine.registry import build_protocol_factory
+from repro.network.simulator import run_protocol
 
 
 @pytest.fixture
@@ -119,6 +126,111 @@ class TestKeyInjectivity:
 
     def test_str_and_bytes_stay_distinct(self, plain):
         assert plain.sign(0, "m").tag != plain.sign(0, b"m").tag
+
+
+class _Name(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 0
+    HIGH = 1
+
+
+# Each leaf with the leaves it equals as a dict key: ``0 == False ==
+# _Level.LOW``, ``"a" == _Name("a")``.  A term's twin draws every leaf
+# from its row, so equal-looking terms of other types come up often.
+_TWINS = [
+    (None,), (0, False, _Level.LOW), (1, True, _Level.HIGH), (-2,),
+    ("", _Name("")), ("a", _Name("a")), (b"",), (b"a",),
+]
+_TERMS = st.recursive(
+    st.sampled_from([leaf for row in _TWINS for leaf in row]),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+def _twin(term, data):
+    if type(term) is tuple:
+        return tuple(_twin(part, data) for part in term)
+    row = next(row for row in _TWINS if term in row and type(term) in map(type, row))
+    return data.draw(st.sampled_from(row))
+
+
+class TestPlainKeys:
+    """A tuple of exactly-``str``/``int``/``bytes``/``None`` parts is its
+    own memo key; the mirror keys everything else."""
+
+    def test_a_plain_message_is_its_own_key(self):
+        for message in [("vote", "s", 3, None, b"x"), (), ("x", 1)]:
+            assert _memo_key(message) is message
+        for message in [("vote", True), ("vote", ("s", 1)), (_Name("a"),),
+                        (_Level.LOW,)]:
+            assert _memo_key(message) is not message
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), _TERMS)
+    def test_equal_keys_have_equal_encodings(self, data, term):
+        for other in (_twin(term, data), data.draw(_TERMS)):
+            if _memo_key(term) == _memo_key(other):
+                assert hash(_memo_key(term)) == hash(_memo_key(other))
+                assert encode_term(term) == encode_term(other)
+
+
+_MV_PKI = build_protocol_factory("mv_pki", {"kappa": 2})
+_BA12 = build_protocol_factory("ba_one_half", {"kappa": 2})
+
+
+def _every_scheme(ctx, bit):
+    """``mv_pki`` (plain signatures and the coin), then ``ba_one_half``
+    (the quorum scheme and the coin) on a subsession."""
+    first = yield from _MV_PKI(ctx, bit)
+    second = yield from _BA12(ctx.subsession("ba12"), bit)
+    return first, second
+
+
+class TestExecutionLifetime:
+    """A run starts from empty memos: it neither pays for nor carries an
+    earlier run's tags."""
+
+    @staticmethod
+    def _run(suite, session):
+        return run_protocol(
+            _every_scheme, [0, 1, 0, 0], 1, seed=5, session=session, crypto=suite
+        )
+
+    def _second_run_alone(self, suite):
+        alone = copy.deepcopy(suite)  # same keys, empty memos
+        self._run(suite, "first")
+        assert self._run(suite, "second") == self._run(alone, "second")
+        return alone
+
+    def test_ideal_memos_hold_only_the_last_runs_tags(self):
+        suite = CryptoSuite.ideal(4, 1, random.Random(40))
+        alone = self._second_run_alone(suite)
+        for name in ("plain", "quorum", "coin"):
+            memo, reference = getattr(suite, name)._tags, getattr(alone, name)._tags
+            assert len(reference) > 0
+            assert len(memo) == len(reference)
+            assert memo._records.keys() == reference._records.keys()
+            # What the key fixes stays.
+            assert memo._prefixes
+
+    def test_threshold_rsa_holds_only_the_last_runs_verdicts(self):
+        suite = CryptoSuite.real(4, 1, random.Random(2), bits=128)
+        alone = self._second_run_alone(suite)
+        for name in ("quorum", "coin"):
+            reference = getattr(alone, name)._verified
+            assert reference
+            assert getattr(suite, name)._verified == reference
+
+    def test_forget_drops_records_and_keeps_tags_equal(self, threshold):
+        tag = threshold.sign_share(1, ("m", 1)).tag
+        threshold.forget()
+        assert len(threshold._tags) == 0
+        assert not threshold._tags._records and not threshold._tags._by_id
+        assert threshold.sign_share(1, ("m", 1)).tag == tag
 
 
 class TestCombinedMemo:

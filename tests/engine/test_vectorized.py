@@ -879,6 +879,54 @@ class TestVerdictCache:
             assert [repr(result) for _, result in pairs] == expected
         assert probe_cache_stats()["size"] == 1
 
+    @pytest.mark.parametrize("twin_first", [False, True], ids=["int", "twin"])
+    @pytest.mark.parametrize(
+        "twin", TWINS, ids=lambda twin: next(iter(twin[6].values())).__repr__()
+    )
+    def test_twins_in_one_chunk_are_grouped_apart(
+        self, twin, twin_first, fresh_tables
+    ):
+        """One chunk, and one ``run_vector_batch`` call, holding both
+        twins: grouping is as type-exact as the tables, so the twin never
+        runs under the int's admission or stamps the int's inputs — it
+        falls back with its own reason and its own inputs, or raises as
+        ``run_trial`` does."""
+        from repro.engine import run_trial
+        from repro.engine.runner import TrialExecutionError
+
+        protocol, inputs, max_faulty, params, adversary, adversary_params = twin[:6]
+        changes, reason = twin[6:]
+        fields = dict(
+            inputs=inputs, params=params, adversary_params=adversary_params
+        )
+        plans = {
+            name: TrialPlan.monte_carlo(
+                name, protocol, max_faulty=max_faulty, trials=2,
+                adversary=adversary, seed=3, **{**fields, **extra},
+            )
+            for name, extra in (("int", {}), ("twin", changes))
+        }
+        order = ("twin", "int") if twin_first else ("int", "twin")
+        specs = [spec for name in order for spec in plans[name].trials]
+        with pytest.raises(VectorModelError, match="batch mixes configurations"):
+            run_vector_batch(specs)
+        chunk = list(enumerate(specs))
+        try:
+            expected = [repr(run_trial(spec)) for spec in specs]
+        except Exception as exc:
+            with pytest.raises(TrialExecutionError, match=type(exc).__name__):
+                execute_chunk(chunk)
+            return
+        pairs, stats = execute_chunk(chunk)
+        assert (stats["batched"], stats["fallback"]) == (2, 2)
+        assert stats["fallback_reasons"] == {reason: 2}
+        assert [repr(result) for _, result in pairs] == expected
+        at = order.index("twin") * 2
+        for spec, (_, result) in zip(specs[at:at + 2], pairs[at:at + 2]):
+            assert [type(value) for value in result.inputs.values()] == [
+                type(value) for value in spec.inputs
+            ]
+
     def test_a_key_that_cannot_be_hashed_caches_nothing(self, fresh_tables):
         from repro.engine import probe_cache_stats
 
