@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
-from .random_oracle import Term, encode_term, encode_tuple
+from .random_oracle import Term, encode_term, encode_tuple, exact_key
 
 __all__ = ["IdealSignatureScheme", "IdealThresholdScheme", "set_tag_memoization"]
 
@@ -96,16 +96,14 @@ def _fresh_tagger(
 # (registry key, domain, signer, message); in a simulated run the same
 # few tags are recomputed constantly — every share is verified by all n
 # parties, all n signers sign the same message — so each scheme instance
-# keeps one record per message it has seen in the current execution: the
-# message's encoding and every tag derived from it.  Every execution has
-# a session of its own, so `SyncSimulator.run` drops the records first
-# (`CryptoSuite.forget`).  The memo is an implementation detail:
-# results are bit-identical with it disabled
+# keeps one record per message it has seen in the current execution,
+# keyed by `exact_key(message)`: its encoding and every tag derived from
+# it.  Every execution has a session of its own, so `SyncSimulator.run`
+# drops the records first (`CryptoSuite.forget`).  The memo is an
+# implementation detail: results are bit-identical with it disabled
 # (`set_tag_memoization(False)`, pinned by `tests/crypto/test_tag_memo.py`).
 _MEMO_ENABLED = True
 _MEMO_LIMIT = 1 << 14  # tags held per scheme in one run; cleared wholesale when full
-# Exact types of a tuple's parts that let the tuple key itself.
-_PLAIN = frozenset((str, int, bytes, type(None)))
 
 
 def set_tag_memoization(enabled: bool) -> bool:
@@ -116,33 +114,6 @@ def set_tag_memoization(enabled: bool) -> bool:
     return previous
 
 
-def _memo_key(term):
-    """Type-tagged mirror of a term, equal iff the canonical encodings are.
-
-    Plain tuple keys would conflate ``0``/``False`` (equal as dict keys,
-    distinct under :func:`encode_term`); tagging nodes with their exact
-    type restores injectivity.  ``str``/``bytes`` stay bare — they never
-    compare equal to any other builtin — and tuples map to bare tuples of
-    mapped children (a mapped node is never a bare type object, so the
-    2-tuple wrappers cannot collide with mapped 2-element terms).
-
-    A tuple whose parts are all exactly ``str``, ``int``, ``bytes`` or
-    ``None`` — every protocol message — is its own key, with no walk:
-    among those types only equal values of one type compare equal, and a
-    mirrored tuple holds a tuple wherever its term holds a part of any
-    other type, which a plain key never does: the two kinds never collide.
-    """
-    tp = term.__class__
-    if tp is tuple:
-        for part in term:
-            if type(part) not in _PLAIN:
-                return tuple([_memo_key(part) for part in term])
-        return term
-    if tp is str or tp is bytes:
-        return term
-    return (tp, term)
-
-
 class _TagMemo:
     """Bounded memo of HMAC tags for one registry key, computed by one
     :func:`_keyed_mac`.
@@ -151,13 +122,13 @@ class _TagMemo:
     The encoding is computed once, when the record is made; a slot is
     ``(domain, signer, signer.__class__)`` for shares and plain
     signatures and the bare ``domain`` for combined signatures, so the
-    signer is keyed as type-exactly as :func:`_memo_key` keys the
+    signer is keyed as type-exactly as :func:`exact_key` keys the
     message (``1``/``True`` sign different bytes).
 
     Two layers resolve a message to its record: an identity cache (id
     of a live message object → ``(message, record)``) for call sites
     that reuse one message object across many sign/verify calls, and
-    the structural table (:func:`_memo_key` → record) behind it.  The
+    the structural table (:func:`exact_key` → record) behind it.  The
     identity cache holds strong references to its messages, which is
     what keeps the ``id()`` keys valid.
 
@@ -196,7 +167,7 @@ class _TagMemo:
         entry = by_id.get(id(message))
         if entry is not None and entry[0] is message:
             return entry[1]
-        key = _memo_key(message)
+        key = exact_key(message)
         try:
             record = self._records.get(key)
         except TypeError:

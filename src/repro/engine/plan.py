@@ -39,6 +39,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
+from ..crypto.random_oracle import exact_key
+
 __all__ = [
     "TrialPlan",
     "TrialSpec",
@@ -232,13 +234,15 @@ class TrialSpec:
 
         Trials agreeing on everything but :data:`PER_TRIAL_FIELDS` share
         dynamics, so the vector backend groups a chunk by this key and
-        keys its configuration tables by it.  A plain tuple, read off the
-        spec once and kept: derived data, so ``__getstate__`` drops it
-        and a copy, ``dataclasses.replace`` or an unpickled spec reads
-        it afresh, while every spec :meth:`TrialPlan.monte_carlo` stamps
-        shares its template's one key object.
+        keys its configuration tables by it.  The fields' type-exact
+        :func:`~repro.crypto.random_oracle.exact_key` (``kappa=True`` is
+        not ``kappa=1``), read off the spec once and kept: derived data,
+        so ``__getstate__`` drops it and a copy, ``dataclasses.replace``
+        or an unpickled spec reads it afresh, while every spec
+        :meth:`TrialPlan.monte_carlo` stamps shares its template's one
+        key object.
         """
-        return _batch_fields(self)
+        return exact_key(_batch_fields(self))
 
     def __getstate__(self) -> Dict[str, Any]:
         # Fields only: a pickle or copy reads the cached key afresh.

@@ -33,10 +33,10 @@ The seed only picks which cut a trial's coin lands on, so the table is
 seed-free and outlives the batch that filled it: one :class:`_Table` per
 configuration — whether :func:`unsupported_reason` admitted it, probes,
 rows, coin evaluators, the walked tree and its leaves' templates and
-registries — in one LRU keyed by ``TrialSpec.batch_key``, a plain tuple
-of the fields that are *not* per-trial identity, read off a spec once
-and cached on it (the specs a ``monte_carlo`` plan stamps share their
-template's key object), serving only keys of its key's types too.  What
+registries — in one LRU keyed by ``TrialSpec.batch_key``, a type-exact
+key of the fields that are *not* per-trial identity (``kappa=True`` is
+not ``kappa=1``), read off a spec once and cached on it (the specs a
+``monte_carlo`` plan stamps share their template's key object).  What
 a configuration fixes is paid once per process: its admission (a refusal
 is asked again), an outcome class's template.  A trial costs the coins
 it reads and the result record it hands back; the rest is paid per run
@@ -104,7 +104,6 @@ import dataclasses
 from bisect import bisect_left
 from collections import Counter, OrderedDict
 from fractions import Fraction
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.ba import BA_ONE_HALF, BA_ONE_THIRD, FixedRoundBA, iteration_one_half
@@ -161,12 +160,11 @@ class _Table:
     probes: ``probes`` by token, ``rows`` by state, ``coins`` (evaluators)
     by the coin index a row names and ``top``, the walk's first node with
     every child visited so far, whose leaves own their templates and
-    finalized registries.  ``key`` is the batch key it was made for,
-    ``admitted`` whether :func:`unsupported_reason` admitted that key and
-    ``batched`` whether a batch ran on it.  A configuration has one
-    model, so tokens, states and coins are that model's own."""
+    finalized registries, ``admitted`` whether :func:`unsupported_reason`
+    admitted its configuration and ``batched`` whether a batch ran on it.
+    A configuration has one model, so tokens, states and coins are that
+    model's own."""
 
-    key: Tuple[Any, ...]
     probes: Dict[Any, Any] = dataclasses.field(default_factory=dict)
     rows: Dict[Any, "_Row"] = dataclasses.field(default_factory=dict)
     coins: Dict[Any, Any] = dataclasses.field(default_factory=dict)
@@ -185,38 +183,12 @@ _TABLE_LIMIT = 256
 _HITS = _MISSES = 0
 
 
-def _exact(a: Any, b: Any) -> bool:
-    """Whether equal keys ``a`` and ``b`` also match in type, through
-    every nested tuple: ``1``, ``1.0`` and ``True`` are equal, yet
-    :func:`unsupported_reason` tells them apart and a template keeps its
-    inputs."""
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    return type(a) is not tuple or all(map(_exact, a, b))
-
-
-def _held(key: Tuple[Any, ...]) -> Optional[_Table]:
-    """The table kept for exactly ``key`` — none for an equal key of other
-    types."""
-    table = _TABLES.get(key)
-    if table is None or table.key is key:
-        return table
-    if not _exact(table.key, key):
-        return None
-    table.key = key  # the specs of one plan share this object
-    return table
-
-
 def _entry(spec: TrialSpec) -> _Table:
-    """``spec``'s configuration's table, now most recent; new on a miss,
-    replacing an equal key's of other types."""
+    """``spec``'s configuration's table, now most recent; new on a miss."""
     key = spec.batch_key
-    table = _held(key)
+    table = _TABLES.get(key)
     if table is None:
-        _TABLES.pop(key, None)
-        table = _TABLES[key] = _Table(key)
+        table = _TABLES[key] = _Table()
         while len(_TABLES) > _TABLE_LIMIT:
             _TABLES.popitem(last=False)
     else:
@@ -240,7 +212,7 @@ def _verdict(spec: TrialSpec) -> Optional[str]:
     verdict on a key that cannot hash, is asked afresh and takes no
     table."""
     try:
-        table = _held(spec.batch_key)
+        table = _TABLES.get(spec.batch_key)
     except (TypeError, ValueError):
         return unsupported_reason(spec)
     if table is not None and table.admitted:
@@ -509,9 +481,7 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
         return []
     first = specs[0]
     key = first.batch_key
-    if any(
-        spec.batch_key != key or not _exact(spec.batch_key, key) for spec in specs
-    ):
+    if any(spec.batch_key != key for spec in specs):
         raise VectorModelError("batch mixes configurations")
     reason = _verdict(first)
     if reason is not None:
@@ -553,17 +523,6 @@ def _compose_registries(
         metrics[index] = registry
 
 
-def _group(twins: List[Tuple[Any, List[Any]]], key: Any) -> List[Any]:
-    """The members of exactly ``key``'s group among its equal ``twins``,
-    a new group if none matches ``key`` in type."""
-    for held, members in twins:
-        if _exact(held, key):
-            return members
-    members: List[Any] = []
-    twins.append((key, members))
-    return members
-
-
 def execute_chunk(
     chunk: Sequence[Tuple[int, TrialSpec]],
     trace_dir: Optional[str] = None,
@@ -598,9 +557,7 @@ def execute_chunk(
 
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
-    # key → [(key, members)]: one group per type-exact key among the
-    # equal ones (``False`` equals ``0`` but has a verdict of its own).
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, List[Tuple[int, TrialSpec]]]]] = {}
+    groups: Dict[Tuple[Any, ...], List[Tuple[int, TrialSpec]]] = {}
     fallback: List[Tuple[int, TrialSpec]] = []
     reasons: Counter = Counter()
     # Grouping by key is the proof that no batch mixes configurations,
@@ -618,8 +575,8 @@ def execute_chunk(
             continue
         key = spec.batch_key
         try:
-            if key is not last and (key != last or not _exact(key, last)):
-                members = _group(groups.setdefault(key, []), key)
+            if key is not last and key != last:
+                members = groups.setdefault(key, [])
                 last = key
         except (TypeError, ValueError):
             # A field value that cannot be hashed (or compared, like an
@@ -635,7 +592,7 @@ def execute_chunk(
 
     batches: List[Dict[str, Any]] = []
     coins = 0
-    for _, members in chain.from_iterable(groups.values()):
+    for members in groups.values():
         specs = [spec for _, spec in members]
         first = specs[0]
         reason = _verdict(first)

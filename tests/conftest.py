@@ -43,6 +43,17 @@ def rng():
     return random.Random(0xDEC0DE)
 
 
+def type_exact_equal(a, b):
+    """``a == b`` with the types matching through every nested tuple:
+    ``1``, ``1.0`` and ``True`` are equal but not type-exact.  The
+    reference :func:`repro.crypto.random_oracle.exact_key` is held to."""
+    if a is b:
+        return True
+    if a != b or type(a) is not type(b):
+        return False
+    return type(a) is not tuple or all(map(type_exact_equal, a, b))
+
+
 def swap_vector_model(monkeypatch, protocol, adversary, **fields):
     """For one test, serve every pair the vector model of ``(protocol,
     adversary)`` serves from a copy of its record with ``fields``

@@ -7,12 +7,9 @@ distinguishes them).
 """
 
 import copy
-import enum
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.crypto.ideal import (
     IdealSignatureScheme,
@@ -20,12 +17,12 @@ from repro.crypto.ideal import (
     set_tag_memoization,
 )
 from repro.crypto import ideal
-from repro.crypto.ideal import _memo_key
 from repro.crypto.interfaces import ThresholdSignatureScheme
 from repro.crypto.keys import CryptoSuite
-from repro.crypto.random_oracle import encode_term
+from repro.crypto.random_oracle import encode_term, exact_key
 from repro.engine.registry import build_protocol_factory
 from repro.network.simulator import run_protocol
+from tests.crypto.test_exact_key import _Level, _Name
 
 
 @pytest.fixture
@@ -100,10 +97,10 @@ class TestKeyInjectivity:
     not be."""
 
     def test_zero_false_zero_float_map_to_distinct_keys(self):
-        assert _memo_key(0) != _memo_key(False)
-        assert _memo_key(0) != _memo_key(0.0)
-        assert _memo_key((0,)) != _memo_key((False,))
-        assert _memo_key(1) != _memo_key(True)
+        assert exact_key(0) != exact_key(False)
+        assert exact_key(0) != exact_key(0.0)
+        assert exact_key((0,)) != exact_key((False,))
+        assert exact_key(1) != exact_key(True)
 
     def test_signature_on_zero_does_not_verify_false(self, plain):
         # Warm the memo with the 0-message tag first, then probe False.
@@ -128,54 +125,17 @@ class TestKeyInjectivity:
         assert plain.sign(0, "m").tag != plain.sign(0, b"m").tag
 
 
-class _Name(str):
-    pass
-
-
-class _Level(enum.IntEnum):
-    LOW = 0
-    HIGH = 1
-
-
-# Each leaf with the leaves it equals as a dict key: ``0 == False ==
-# _Level.LOW``, ``"a" == _Name("a")``.  A term's twin draws every leaf
-# from its row, so equal-looking terms of other types come up often.
-_TWINS = [
-    (None,), (0, False, _Level.LOW), (1, True, _Level.HIGH), (-2,),
-    ("", _Name("")), ("a", _Name("a")), (b"",), (b"a",),
-]
-_TERMS = st.recursive(
-    st.sampled_from([leaf for row in _TWINS for leaf in row]),
-    lambda children: st.lists(children, max_size=3).map(tuple),
-    max_leaves=8,
-)
-
-
-def _twin(term, data):
-    if type(term) is tuple:
-        return tuple(_twin(part, data) for part in term)
-    row = next(row for row in _TWINS if term in row and type(term) in map(type, row))
-    return data.draw(st.sampled_from(row))
-
-
 class TestPlainKeys:
     """A tuple of exactly-``str``/``int``/``bytes``/``None`` parts is its
-    own memo key; the mirror keys everything else."""
+    own memo key; the mirror keys everything else (whose injectivity
+    ``tests/crypto/test_exact_key.py`` checks for both of its callers)."""
 
     def test_a_plain_message_is_its_own_key(self):
         for message in [("vote", "s", 3, None, b"x"), (), ("x", 1)]:
-            assert _memo_key(message) is message
+            assert exact_key(message) is message
         for message in [("vote", True), ("vote", ("s", 1)), (_Name("a"),),
                         (_Level.LOW,)]:
-            assert _memo_key(message) is not message
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data(), _TERMS)
-    def test_equal_keys_have_equal_encodings(self, data, term):
-        for other in (_twin(term, data), data.draw(_TERMS)):
-            if _memo_key(term) == _memo_key(other):
-                assert hash(_memo_key(term)) == hash(_memo_key(other))
-                assert encode_term(term) == encode_term(other)
+            assert exact_key(message) is not message
 
 
 _MV_PKI = build_protocol_factory("mv_pki", {"kappa": 2})

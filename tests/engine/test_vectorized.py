@@ -25,6 +25,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ideal
+from repro.crypto.random_oracle import exact_key
 from repro.engine import (
     ChunkSummary,
     ParallelRunner,
@@ -55,7 +56,7 @@ from repro.engine.vectorized import (
 from repro.network.metrics import RunMetrics
 from repro.network.simulator import ExecutionResult
 from repro.obs import MetricsRegistry, TelemetryWriter, summarize_telemetry
-from tests.conftest import PROTOCOL_SHAPES, swap_vector_model
+from tests.conftest import PROTOCOL_SHAPES, swap_vector_model, type_exact_equal
 
 
 def canon(result):
@@ -623,13 +624,16 @@ class TestFallbackReasons:
 
 
 #: One strategy per TrialSpec field, over domains small enough that two
-#: draws often agree.  A new field must be added here — the exhaustive
-#: test below fails until it is.
+#: draws often agree, with equal values of other types (``True`` beside
+#: ``1``) where a field's check reads types.  A new field must be added
+#: here — the exhaustive test below fails until it is.
 SPEC_FIELDS = {
     "protocol": st.sampled_from(["ba_one_third", "ba_one_half"]),
     "inputs": st.sampled_from([(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1, 1)]),
-    "max_faulty": st.integers(0, 1),
-    "params": st.sampled_from([(), {"kappa": 1}, {"kappa": 2}]),
+    "max_faulty": st.sampled_from([0, 1, True]),
+    "params": st.sampled_from(
+        [(), {"kappa": 1}, {"kappa": 2}, {"kappa": True}, {"kappa": 1.0}]
+    ),
     "adversary": st.sampled_from([None, "straddle13"]),
     "adversary_params": st.sampled_from([(), {"victims": (3,)}]),
     "seed": st.integers(0, 3),
@@ -637,7 +641,7 @@ SPEC_FIELDS = {
     "setup_seed": st.integers(0, 1),
     "backend": st.sampled_from(["ideal", "real"]),
     "max_rounds": st.sampled_from([12, 4096]),
-    "collect_signatures": st.booleans(),
+    "collect_signatures": st.sampled_from([True, False, 1, 0]),
     "config": st.text(max_size=3),
     "rsa_bits": st.sampled_from([128, 256]),
     "faults": st.sampled_from([None, "lossy", "crash_recover"]),
@@ -656,7 +660,8 @@ class TestBatchKey:
         assert set(PER_TRIAL_FIELDS) == {"seed", "session", "config"}
         spec = TrialSpec("ba_one_third", (0, 0, 1, 1), 1)
         keyed = [name for name in names if name not in PER_TRIAL_FIELDS]
-        assert spec.batch_key == tuple(getattr(spec, name) for name in keyed)
+        fields = tuple(getattr(spec, name) for name in keyed)
+        assert spec.batch_key == exact_key(fields)
 
     @given(
         fields=st.fixed_dictionaries(SPEC_FIELDS),
@@ -669,9 +674,8 @@ class TestBatchKey:
             b = dataclasses.replace(a, **changes)
         except ValueError:  # fault_params without a faults scenario
             reject()
-        assert (a.batch_key == b.batch_key) == (
-            _identity_erased(a) == _identity_erased(b)
-        )
+        erased = [dataclasses.astuple(_identity_erased(spec)) for spec in (a, b)]
+        assert (a.batch_key == b.batch_key) == type_exact_equal(*erased)
         assert a.batch_key == _identity_erased(a).batch_key
         assert hash(a.batch_key) == hash(_identity_erased(a).batch_key)
 
@@ -817,7 +821,7 @@ class TestVerdictCache:
         ]
 
     # (protocol, inputs, t, params, adversary, adversary params, twin's
-    # changes, twin's reason): the twin's key equals the admitted one's.
+    # changes, twin's reason): the twin's spec equals the admitted one's.
     TWINS = [
         ("ba_one_third", (0, 0, 1, 1), 1, {"kappa": 1}, None, None,
          {"params": {"kappa": True}}, "unsupported kappa True"),
@@ -858,7 +862,9 @@ class TestVerdictCache:
             )
             for name, extra in (("int", {}), ("twin", changes))
         }
-        assert plans["int"].trials[0].batch_key == plans["twin"].trials[0].batch_key
+        int_spec, twin_spec = plans["int"].trials[0], plans["twin"].trials[0]
+        assert _identity_erased(int_spec) == _identity_erased(twin_spec)
+        assert int_spec.batch_key != twin_spec.batch_key
         for name in ("twin", "int") if twin_first else ("int", "twin"):
             specs = plans[name].trials
             chunk = list(enumerate(specs))
