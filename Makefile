@@ -12,11 +12,9 @@ test-fast:
 	pytest tests/ -m "not slow"
 
 # Static-analysis gate: determinism (DET1xx call sites + DET2xx RNG
-# dataflow), layering (LAY) and stale suppressions (SUP) over
-# src/repro, stdlib-only — 12 rules.  Exit 1 on findings;
-# the JSON report is the CI artifact (CI also asserts it counts zero
-# suppressions).  See docs/static-analysis.md for the rule catalogue
-# and suppression syntax.
+# dataflow) and layering (LAY) over src/repro, stdlib-only — 11 rules,
+# no waivers.  Exit 1 on findings; the JSON report is the CI artifact.
+# See docs/static-analysis.md for the rule catalogue.
 check:
 	PYTHONPATH=src python -m repro check --json check-report.json
 

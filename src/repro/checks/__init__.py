@@ -16,10 +16,9 @@ Rule families:
   fall back to ambient state, RNG values must not be parked in
   module-level state.
 * **LAY** — the import layer map and module-level cycle detection.
-* **SUP** — meta: stale ``# repro: noqa[...]`` suppressions.
 
-See ``docs/static-analysis.md`` for the rule catalogue and suppression
-syntax (``# repro: noqa[RULE]``).
+There are no waivers: a finding is fixed, or the rule's scope changes.
+See ``docs/static-analysis.md`` for the rule catalogue.
 """
 
 from .framework import (

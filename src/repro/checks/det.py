@@ -9,9 +9,8 @@ layers may time and randomize freely (they report, they don't decide).
 
 Every rule here is syntactic and conservative: instance RNGs
 (``self.rng.random()``), seeded ``random.Random(seed)`` construction and
-``sorted(...)``-wrapped set iteration all pass.  Known-safe exceptions
-are annotated in-source with ``# repro: noqa[DETxxx]`` plus a
-justification, so each suppression documents itself.
+``sorted(...)``-wrapped set iteration all pass.  Nothing waives a
+finding: code that must time or randomize lives outside the scope.
 """
 
 from __future__ import annotations

@@ -13,16 +13,16 @@ guarantees rest on.
 Architecture (one pass)
 -----------------------
 * Every ``*.py`` under the root is read and parsed exactly once into a
-  :class:`SourceModule` (path, dotted module name, AST, source lines,
-  lazily-built import-origin map).
+  :class:`SourceModule` (path, dotted module name, AST, lazily-built
+  import-origin map).
 * Each rule's ``check(module)`` yields :class:`Finding`\\ s per module,
   and ``finalize()`` yields whole-tree findings (import cycles) after
   every module has been visited.  Rules are registered with
   :func:`register_rule` and instantiated fresh per run, so cross-module
   state never leaks between invocations.
-* :func:`run_check` — discovery, dispatch, per-line
-  ``# repro: noqa[RULE]`` suppression, stale-suppression detection
-  (SUP901) and the :class:`Report` (text or ``--json``).
+* :func:`run_check` — discovery, dispatch and the :class:`Report`
+  (text or ``--json``).  Nothing waives a finding: it is fixed, or the
+  rule's scope changes.
 
 Every rule carries an ``id`` (``DET101`` …), a one-line ``title`` and a
 ``hint`` (how to fix); ``--json`` emits all three so CI artifacts are
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import ast
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -85,11 +84,10 @@ class Finding:
 class SourceModule:
     """One parsed source file plus everything rules need to inspect it."""
 
-    def __init__(self, path: Path, rel: Path, tree: ast.Module, lines: List[str]):
+    def __init__(self, path: Path, rel: Path, tree: ast.Module):
         self.path = path
         self.rel = rel.as_posix()
         self.tree = tree
-        self.lines = lines
         parts = list(rel.with_suffix("").parts)
         self.is_package = bool(parts) and parts[-1] == "__init__"
         if self.is_package:
@@ -225,11 +223,8 @@ def _matches(rule_id: str, selectors: Sequence[str]) -> bool:
     return any(rule_id == s or rule_id.startswith(s) for s in selectors)
 
 
-def build_rules(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[Rule]:
-    """Fresh rule instances honoring ``--select`` / ``--ignore``.
+def build_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
+    """Fresh rule instances honoring ``--select``.
 
     Selectors are full ids (``DET104``) or family prefixes (``DET``).
     Unknown selectors raise :class:`CheckError` — a typo'd ``--select``
@@ -238,114 +233,13 @@ def build_rules(
     classes = all_rule_classes()
     known = {cls.id for cls in classes}
     families = {cls.id.rstrip("0123456789") for cls in classes}
-    for selector in list(select or []) + list(ignore or []):
+    for selector in select or []:
         if selector not in known and selector not in families:
             raise CheckError(
                 f"unknown rule selector {selector!r}; "
                 f"known: {sorted(families)} + {sorted(known)}"
             )
-    chosen = [
-        cls
-        for cls in classes
-        if (not select or _matches(cls.id, select))
-        and not (ignore and _matches(cls.id, ignore))
-    ]
-    return [cls() for cls in chosen]
-
-
-_NOQA = re.compile(r"#\s*repro:\s*noqa(?:\[([^\]]*)\])?", re.IGNORECASE)
-
-
-def _suppressed(lines: Optional[List[str]], finding: Finding) -> bool:
-    """True if the finding's physical line carries a matching noqa."""
-    if lines is None or not (1 <= finding.line <= len(lines)):
-        return False
-    match = _NOQA.search(lines[finding.line - 1])
-    if match is None:
-        return False
-    if match.group(1) is None:
-        return True  # a bare (selector-less) waiver silences every rule
-    wanted = [part.strip() for part in match.group(1).split(",") if part.strip()]
-    return _matches(finding.rule, wanted)
-
-
-def _explicitly_waives_sup901(lines: Optional[List[str]], lineno: int) -> bool:
-    """True if the line's noqa names SUP901/SUP among its selectors."""
-    if lines is None or not (1 <= lineno <= len(lines)):
-        return False
-    match = _NOQA.search(lines[lineno - 1])
-    if match is None or match.group(1) is None:
-        return False
-    wanted = [part.strip() for part in match.group(1).split(",") if part.strip()]
-    return _matches("SUP901", wanted)
-
-
-@register_rule
-class StaleSuppressionRule(Rule):
-    """A ``# repro: noqa[RULE]`` comment that no longer suppresses anything.
-
-    Suppressions are debt: each one pins a rule to a line with a
-    justification.  When the offending code is later fixed or moved, the
-    comment silently outlives its reason — and a stale blanket waiver on
-    a line is exactly where the *next* violation hides.  The framework
-    tracks which noqa comments actually matched a finding this run; any
-    comment that matched none is reported here.  A comment naming only
-    rules outside the active ``--select`` set is left alone — a narrowed
-    run cannot judge it.
-
-    The rule is implemented inside :func:`run_check` (it needs the
-    post-suppression ledger), not via ``check``/``finalize``; this class
-    exists so SUP901 shows up in ``--list-rules``, selectors and the
-    catalogue like any other rule.
-    """
-
-    id = "SUP901"
-    title = "stale noqa suppression (matched no finding)"
-    hint = "delete the comment, or re-justify it against a rule that still fires"
-
-
-def _stale_noqa_findings(
-    lines_by_path: Dict[str, List[str]],
-    used_noqa_lines: set,
-    active_ids: set,
-) -> Iterator[Finding]:
-    """SUP901: every noqa comment that suppressed nothing this run.
-
-    ``used_noqa_lines`` is the ledger of ``(path, line)`` pairs whose
-    noqa matched at least one finding.  A comment with explicit
-    selectors is only judged when every selector names at least one
-    *active* rule — otherwise the narrowed run has no standing to call
-    it stale.
-    """
-    families = {rule_id.rstrip("0123456789") for rule_id in active_ids}
-    judgeable = active_ids | families
-    for path in sorted(lines_by_path):
-        for lineno, text in enumerate(lines_by_path[path], start=1):
-            match = _NOQA.search(text)
-            if match is None or (path, lineno) in used_noqa_lines:
-                continue
-            if match.group(1) is not None:
-                wanted = [
-                    part.strip()
-                    for part in match.group(1).split(",")
-                    if part.strip()
-                ]
-                if not all(
-                    any(_matches(rule_id, [sel]) for rule_id in judgeable)
-                    for sel in wanted
-                ):
-                    continue
-                label = "noqa[" + ", ".join(wanted) + "]"
-            else:
-                label = "bare noqa"
-            yield Finding(
-                rule="SUP901",
-                path=path,
-                line=lineno,
-                col=match.start() + 1,
-                message=f"stale suppression: {label} matched no finding",
-                hint=StaleSuppressionRule.hint,
-            )
+    return [cls() for cls in classes if not select or _matches(cls.id, select)]
 
 
 @dataclass
@@ -355,7 +249,6 @@ class Report:
     root: str
     files: int
     findings: List[Finding]
-    suppressed: int
     rules: List[str] = field(default_factory=list)
 
     @property
@@ -374,7 +267,6 @@ class Report:
             "files_scanned": self.files,
             "rules": self.rules,
             "ok": self.ok,
-            "suppressed": self.suppressed,
             "counts_by_rule": self.counts_by_rule(),
             "findings": [
                 {
@@ -392,9 +284,8 @@ class Report:
 
     def render(self) -> str:
         out = [finding.render(self.root) for finding in self.findings]
-        noise = f", {self.suppressed} suppressed" if self.suppressed else ""
         verdict = "clean" if self.ok else f"{len(self.findings)} finding(s)"
-        out.append(f"repro check: {verdict} in {self.files} file(s){noise}")
+        out.append(f"repro check: {verdict} in {self.files} file(s)")
         return "\n".join(out)
 
 
@@ -405,11 +296,7 @@ def _iter_source_files(root: Path) -> Iterable[Path]:
         yield path
 
 
-def run_check(
-    root,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> Report:
+def run_check(root, select: Optional[Sequence[str]] = None) -> Report:
     """Walk every ``*.py`` under ``root`` once and apply all rules.
 
     ``root`` must be the *package root* (the directory holding ``core/``,
@@ -418,18 +305,15 @@ def run_check(
 
     Each file is parsed and dispatched to every rule that applies to it,
     then every rule is finalized.  Findings come back sorted by (path,
-    line, col, rule); per-line ``# repro: noqa[RULE]`` comments suppress
-    matching findings and are tallied in ``Report.suppressed``; noqa
-    comments that matched *nothing* become SUP901 findings.
+    line, col, rule).
     """
     given = str(root)
     root = Path(root)
     if not root.is_dir():
         raise CheckError(f"not a directory: {given}")
-    rules = build_rules(select, ignore)
+    rules = build_rules(select)
 
     findings: List[Finding] = []
-    lines_by_path: Dict[str, List[str]] = {}
     files = 0
     for path in _iter_source_files(root):
         files += 1
@@ -438,8 +322,6 @@ def run_check(
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as error:
             raise CheckError(f"cannot read {path}: {error}")
-        lines = text.splitlines()
-        lines_by_path[rel.as_posix()] = lines
         try:
             tree = ast.parse(text, filename=str(path))
         except SyntaxError as error:
@@ -454,44 +336,17 @@ def run_check(
                 )
             )
             continue
-        module = SourceModule(path, rel, tree, lines)
+        module = SourceModule(path, rel, tree)
         for rule in rules:
             if rule.applies(module):
                 findings.extend(rule.check(module))
     for rule in rules:
         findings.extend(rule.finalize())
 
-    kept: List[Finding] = []
-    suppressed = 0
-    used_noqa_lines: set = set()
-    for finding in findings:
-        if _suppressed(lines_by_path.get(finding.path), finding):
-            suppressed += 1
-            used_noqa_lines.add((finding.path, finding.line))
-        else:
-            kept.append(finding)
-
-    active_ids = {rule.id for rule in rules}
-    if "SUP901" in active_ids:
-        for finding in _stale_noqa_findings(
-            lines_by_path, used_noqa_lines, active_ids
-        ):
-            # A stale-noqa finding is itself suppressible, but only by
-            # an *explicit* SUP selector (a deliberate placeholder).
-            # The stale comment's own bare waiver doesn't count — that
-            # would make every stale blanket waiver self-concealing.
-            if _explicitly_waives_sup901(
-                lines_by_path.get(finding.path), finding.line
-            ):
-                suppressed += 1
-            else:
-                kept.append(finding)
-
-    kept.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return Report(
         root=given,
         files=files,
-        findings=kept,
-        suppressed=suppressed,
+        findings=findings,
         rules=[rule.id for rule in rules],
     )

@@ -32,10 +32,9 @@ Subcommands
     ``cProfile`` dumps from that same run; ``repro report`` fuses them.
 ``check``
     One-pass static analysis enforcing the repo's determinism and
-    layering invariants (rule families DET/LAY/SUP; see
-    ``docs/static-analysis.md``).  Exit 1 on findings; ``--json``
-    writes the CI artifact, and per-line ``# repro: noqa[RULE]``
-    suppressions are themselves checked for staleness (SUP901).
+    layering invariants (rule families DET/LAY; see
+    ``docs/static-analysis.md``).  Exit 1 on findings, none of which
+    can be waived; ``--json`` writes the CI artifact.
 ``ledger``
     A replicated log over sequential multivalued BA: one engine trial of
     the registered ``replicated_log`` protocol.
@@ -791,7 +790,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 0
     root = args.path or _default_check_root()
     try:
-        report = run_check(root, select=args.select, ignore=args.ignore)
+        report = run_check(root, select=args.select)
     except CheckError as error:
         print(f"repro check: {error}", file=sys.stderr)
         return 2
@@ -1071,10 +1070,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument(
         "--select", type=_parse_rule_list, default=None, metavar="RULES",
         help="run only these rule ids or families (e.g. DET,LAY201)",
-    )
-    check_parser.add_argument(
-        "--ignore", type=_parse_rule_list, default=None, metavar="RULES",
-        help="skip these rule ids or families",
     )
     check_parser.add_argument(
         "--json", default=None, metavar="PATH",

@@ -52,6 +52,10 @@ __all__ = ["AdaptiveRunner", "AdaptiveResult", "ConfigOutcome"]
 
 BoundSpec = Union[float, Mapping[str, float]]
 
+#: Every config's stopping rule (see :class:`AdaptiveRunner`).
+_MIN_TRIALS = 32
+_MIN_HITS = 5
+
 
 def _disagreement(result: ExecutionResult) -> bool:
     """Default event: the trial's honest parties failed to agree."""
@@ -168,16 +172,16 @@ class AdaptiveRunner:
         run), and the run closes with ``adaptive_complete`` — the
         scheduler's decisions become auditable after the fact (``repro
         error-sweep --telemetry``).
-    min_trials / min_hits / precision / z:
-        Forwarded to each config's :class:`SequentialEstimate`.  The
-        defaults are deliberately more conservative than the reporting
-        intervals: every batch is another look at the data, so stopping
-        decisions use 99.5% intervals (``z≈2.807``) after at least 32
-        trials — and a violation verdict needs at least ``min_hits``
-        observed failures, so a rare-event config is never rejected on
-        a couple of occurrences that clustered early in its sample.
-        Together these keep the sequential false-exclusion rate low
-        enough that early-stopped verdicts match fixed-budget verdicts.
+
+    Every config's :class:`SequentialEstimate` is deliberately more
+    conservative than the reporting intervals: every batch is another
+    look at the data, so stopping decisions use 99.5% intervals
+    (``z≈2.807``, ``_Z995``) after at least ``_MIN_TRIALS`` = 32 trials,
+    with no precision target — and a violation verdict needs at least
+    ``_MIN_HITS`` = 5 observed failures, so a rare-event config is never
+    rejected on a couple of occurrences that clustered early in its
+    sample.  Together these keep the sequential false-exclusion rate low
+    enough that early-stopped verdicts match fixed-budget verdicts.
     """
 
     def __init__(
@@ -185,10 +189,6 @@ class AdaptiveRunner:
         workers: int = 1,
         batch_size: int = 25,
         early_stop: bool = True,
-        min_trials: int = 32,
-        min_hits: int = 5,
-        precision: Optional[float] = None,
-        z: float = _Z995,
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
         metrics: bool = False,
@@ -203,10 +203,6 @@ class AdaptiveRunner:
         self.workers = workers
         self.batch_size = batch_size
         self.early_stop = early_stop
-        self.min_trials = min_trials
-        self.min_hits = min_hits
-        self.precision = precision
-        self.z = z
         self.telemetry = telemetry
         # Same semantics as ParallelRunner: "vector" batches each
         # allocation-round batch through the lockstep executor (per-spec
@@ -339,11 +335,7 @@ class AdaptiveRunner:
         else:
             bound = float(bounds)
         return SequentialEstimate(
-            bound=bound,
-            z=self.z,
-            min_trials=self.min_trials,
-            min_hits=self.min_hits,
-            precision=self.precision,
+            bound=bound, z=_Z995, min_trials=_MIN_TRIALS, min_hits=_MIN_HITS
         )
 
     def _allocate(

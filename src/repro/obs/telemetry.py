@@ -140,6 +140,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
     _read_jsonl(path, "telemetry", TELEMETRY_SCHEMA, take)
 
     runs: List[Dict[str, Any]] = []
+    longest_chunk: List[float] = []  # per run, beside ``runs``
     chunk_opened: Dict[Any, float] = {}
     current: Optional[Dict[str, Any]] = None
     totals = {
@@ -180,6 +181,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
                 "busy_seconds": 0.0,
             }
             runs.append(current)
+            longest_chunk.append(0.0)
         elif kind == "run_complete" and current is not None:
             current["wall_seconds"] = round(record["at"] - current["started"], 6)
         elif kind == "chunk_dispatch":
@@ -196,6 +198,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
             if current is not None:
                 current["chunks"] += 1
                 current["busy_seconds"] += seconds
+                longest_chunk[-1] = max(longest_chunk[-1], seconds)
         elif kind == "predeal":
             totals["setup_seconds"] += record.get("seconds", 0.0)
         elif kind == "adaptive_round":
@@ -224,11 +227,13 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
         )
 
     consistent = True
-    for run in runs:
+    for run, longest in zip(runs, longest_chunk):
         wall = run["wall_seconds"]
         if wall is None:
             consistent = False  # run_start without run_complete
             continue
+        if longest > wall * _SLACK + _FLOOR:
+            consistent = False
         if run["mode"] == "pool" and run["chunks"]:
             capacity = wall * run["workers"]
             if run["busy_seconds"] > capacity * _SLACK + _FLOOR:

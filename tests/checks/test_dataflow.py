@@ -1,4 +1,4 @@
-"""DET2xx: intraprocedural RNG taint tracking (hit / pass / noqa per rule)."""
+"""DET2xx: intraprocedural RNG taint tracking (hit / pass per rule)."""
 
 from .conftest import check, rule_ids
 
@@ -62,17 +62,6 @@ class TestDet201Construction:
         })
         assert rule_ids(report) == ["DET201"]
 
-    def test_noqa_suppresses(self, tree):
-        report = _only(tree, {
-            "core/party.py": """
-                import random
-
-                def f():
-                    return random.Random()  # repro: noqa[DET201] fixture
-            """,
-        })
-        assert report.findings == [] and report.suppressed == 1
-
 
 class TestDet202SilentFallback:
     def test_none_fallback_to_argless_constructor_is_flagged(self, tree):
@@ -112,18 +101,6 @@ class TestDet202SilentFallback:
             """,
         })
         assert report.findings == []
-
-    def test_noqa_suppresses(self, tree):
-        report = _only(tree, {
-            "core/party.py": """
-                import random
-
-                def f(rng=None):
-                    rng = rng or random.Random()  # repro: noqa[DET202] fixture
-                    return rng
-            """,
-        })
-        assert "DET202" not in rule_ids(report)
 
 
 class TestDet203ModuleState:
@@ -175,16 +152,6 @@ class TestDet203ModuleState:
             """,
         })
         assert report.findings == []
-
-    def test_noqa_suppresses(self, tree):
-        report = _only(tree, {
-            "network/jitter.py": """
-                import random
-
-                _RNG = random.Random(0)  # repro: noqa[DET203] fixture
-            """,
-        })
-        assert report.findings == [] and report.suppressed == 1
 
 
 class TestScope:

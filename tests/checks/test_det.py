@@ -1,4 +1,4 @@
-"""DET rules: hit, clean-pass and noqa-suppressed cases for every id."""
+"""DET rules: hit and clean-pass cases for every id."""
 
 from .conftest import check, rule_ids
 
@@ -43,16 +43,6 @@ class TestDET101WallClock:
         """})
         assert check(root).ok
 
-    def test_noqa_suppresses(self, tree):
-        root = tree({"core/waived.py": """
-            import time
-
-            def now():
-                return time.time()  # repro: noqa[DET101] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
-
 
 class TestDET102AmbientEntropy:
     def test_hit_urandom_and_uuid(self, tree):
@@ -76,16 +66,6 @@ class TestDET102AmbientEntropy:
         """})
         assert check(root).ok
 
-    def test_noqa_suppresses(self, tree):
-        root = tree({"crypto/waived.py": """
-            import os
-
-            def nonce():
-                return os.urandom(8)  # repro: noqa[DET102] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
-
 
 class TestDET103GlobalRng:
     def test_hit_module_level_random(self, tree):
@@ -107,16 +87,6 @@ class TestDET103GlobalRng:
                 return rng.randint(0, 1)
         """})
         assert check(root).ok
-
-    def test_noqa_suppresses(self, tree):
-        root = tree({"proxcensus/waived.py": """
-            import random
-
-            def flip():
-                return random.random()  # repro: noqa[DET103] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
 
 
 class TestDET104SetIteration:
@@ -154,15 +124,6 @@ class TestDET104SetIteration:
         """})
         assert check(root).ok
 
-    def test_noqa_suppresses(self, tree):
-        root = tree({"network/waived.py": """
-            def anyone(pids):
-                for pid in set(pids):  # repro: noqa[DET104] test fixture
-                    return pid
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
-
 
 class TestDET105IdOrdering:
     def test_hit_sort_key_and_comparison(self, tree):
@@ -189,14 +150,6 @@ class TestDET105IdOrdering:
                 return sorted(parties, key=lambda p: p.pid)
         """})
         assert check(root).ok
-
-    def test_noqa_suppresses(self, tree):
-        root = tree({"core/waived.py": """
-            def order(parties):
-                return sorted(parties, key=id)  # repro: noqa[DET105] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
 
 
 class TestDET107DictOrdering:
@@ -250,11 +203,3 @@ class TestDET107DictOrdering:
                 return next(iter(tally.keys()))
         """})
         assert check(root).ok
-
-    def test_noqa_suppresses(self, tree):
-        root = tree({"core/waived.py": """
-            def pick(tally):
-                return next(iter(tally.keys()))  # repro: noqa[DET107] test fixture
-        """})
-        report = check(root)
-        assert report.ok and report.suppressed == 1

@@ -1,10 +1,11 @@
-"""Framework behavior: suppression, selection, reports, parse failures."""
+"""Framework behavior: no waivers, selection, reports, parse failures."""
 
 import json
 
 import pytest
 
 from repro.checks import CheckError, all_rule_classes, run_check
+from repro.cli import main
 
 from .conftest import check, rule_ids
 
@@ -18,27 +19,67 @@ BAD_CORE = {
 }
 
 
-class TestNoqa:
-    def test_bare_noqa_silences_every_rule_on_the_line(self, tree):
-        root = tree({"core/waived.py": "import time\nT = time.time()  # repro: noqa\n"})
-        report = check(root)
-        assert report.ok and report.suppressed == 1
+#: One hit per rule: ``{rule: (offending file, line, {path: source})}``
+#: with ``{waiver}`` at the end of the offending line.
+HITS = {
+    "DET101": ("core/m.py", 5,
+               {"core/m.py": "import time\n\n\ndef now():\n"
+                             "    return time.time(){waiver}\n"}),
+    "DET102": ("crypto/m.py", 5,
+               {"crypto/m.py": "import os\n\n\ndef nonce():\n"
+                               "    return os.urandom(8){waiver}\n"}),
+    "DET103": ("proxcensus/m.py", 5,
+               {"proxcensus/m.py": "import random\n\n\ndef flip():\n"
+                                   "    return random.random(){waiver}\n"}),
+    "DET104": ("network/m.py", 2,
+               {"network/m.py": "def anyone(pids):\n"
+                                "    for pid in set(pids):{waiver}\n"
+                                "        return pid\n"}),
+    "DET105": ("core/m.py", 2,
+               {"core/m.py": "def order(parties):\n"
+                             "    return sorted(parties, key=id){waiver}\n"}),
+    "DET107": ("core/m.py", 2,
+               {"core/m.py": "def pick(tally):\n"
+                             "    return next(iter(tally.keys())){waiver}\n"}),
+    "DET201": ("core/m.py", 5,
+               {"core/m.py": "import random\n\n\ndef f():\n"
+                             "    return random.Random(){waiver}\n"}),
+    "DET202": ("core/m.py", 5,
+               {"core/m.py": "import random\n\n\ndef f(rng=None):\n"
+                             "    rng = rng or random.Random(){waiver}\n"
+                             "    return rng\n"}),
+    "DET203": ("network/m.py", 3,
+               {"network/m.py": "import random\n\n"
+                                "_RNG = random.Random(0){waiver}\n"}),
+    "LAY201": ("crypto/m.py", 1,
+               {"crypto/m.py": "from ..engine import runner{waiver}\n"}),
+    "LAY202": ("util/a.py", 1,
+               {"util/a.py": "from .b import f{waiver}\n\n\ndef g():\n"
+                             "    return f\n",
+                "util/b.py": "from .a import g\n\n\ndef f():\n"
+                             "    return g\n"}),
+}
 
-    def test_noqa_family_prefix_matches(self, tree):
-        root = tree({
-            "core/waived.py": "import time\nT = time.time()  # repro: noqa[DET]\n"
-        })
-        assert check(root).ok
 
-    def test_noqa_for_a_different_rule_does_not_match(self, tree):
+class TestNoWaivers:
+    """A comment waives nothing: every rule's finding survives one."""
+
+    @pytest.mark.parametrize("waiver", [
+        "  # repro: noqa[{rule}] justified", "  # repro: noqa",
+    ], ids=["selector", "bare"])
+    @pytest.mark.parametrize("rule", [cls.id for cls in all_rule_classes()])
+    def test_a_noqa_comment_is_still_reported(
+        self, tree, capsys, rule, waiver
+    ):
+        path, line, files = HITS[rule]
+        comment = waiver.replace("{rule}", rule)
         root = tree({
-            "core/bad.py": "import time\nT = time.time()  # repro: noqa[DET104]\n"
+            rel: source.replace("{waiver}", comment)
+            for rel, source in files.items()
         })
-        report = check(root)
-        # The DET101 finding survives, and the useless DET104 waiver is
-        # itself flagged stale (SUP901).
-        assert rule_ids(report) == ["DET101", "SUP901"]
-        assert report.suppressed == 0
+        assert main(["check", str(root), "--select", rule]) == 1
+        out = capsys.readouterr().out
+        assert f"{path}:{line}:" in out and rule in out
 
 
 class TestSelection:
@@ -46,10 +87,6 @@ class TestSelection:
         report = check(tree(BAD_CORE), select=["DET101"])
         assert rule_ids(report) == ["DET101"]
         assert report.rules == ["DET101"]
-
-    def test_ignore_drops_family(self, tree):
-        report = check(tree(BAD_CORE), ignore=["DET101"])
-        assert rule_ids(report) == ["DET103"]
 
     def test_unknown_selector_is_loud(self, tree):
         with pytest.raises(CheckError, match="unknown rule selector"):
@@ -69,6 +106,7 @@ class TestReport:
         assert payload["ok"] is False
         assert payload["files_scanned"] == 1
         assert payload["counts_by_rule"] == {"DET101": 1, "DET103": 1}
+        assert "suppressed" not in payload
         first = payload["findings"][0]
         assert first["rule"] == "DET101"
         assert first["path"] == "core/bad.py"
@@ -93,9 +131,9 @@ class TestReport:
 
 
 class TestRuleCatalogue:
-    def test_three_families_present(self):
+    def test_two_families_present(self):
         families = {cls.id.rstrip("0123456789") for cls in all_rule_classes()}
-        assert families == {"DET", "LAY", "SUP"}
+        assert families == {"DET", "LAY"}
 
     def test_every_rule_has_metadata(self):
         for cls in all_rule_classes():

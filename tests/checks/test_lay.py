@@ -43,14 +43,6 @@ class TestLAY201Layering:
         root = tree({"cli.py": "from .engine import runner  # app layer\n"})
         assert check(root, select=["LAY201"]).ok
 
-    def test_noqa_suppresses(self, tree):
-        root = tree({
-            "crypto/waived.py":
-                "from ..engine import runner  # repro: noqa[LAY201] fixture\n",
-        })
-        report = check(root, select=["LAY201"])
-        assert report.ok and report.suppressed == 1
-
 
 class TestLAY202Cycles:
     def test_hit_two_module_cycle(self, tree):
@@ -79,12 +71,3 @@ class TestLAY202Cycles:
             "util/b.py": "from .a import g\n\ndef f():\n    return g\n",
         })
         assert check(root, select=["LAY202"]).ok
-
-    def test_noqa_suppresses(self, tree):
-        root = tree({
-            "util/a.py":
-                "from .b import f  # repro: noqa[LAY202] fixture\n\ndef g():\n    return f\n",
-            "util/b.py": "from .a import g\n\ndef f():\n    return g\n",
-        })
-        report = check(root, select=["LAY202"])
-        assert report.ok and report.suppressed == 1

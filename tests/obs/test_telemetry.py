@@ -110,6 +110,17 @@ class TestSummarize:
         ])
         assert summarize_telemetry(path)["consistent"] is False
 
+    def test_chunk_longer_than_its_run_is_inconsistent(self, tmp_path):
+        # 2 workers, 1s wall: 1.5s of busy time fits the pool's 2s
+        # capacity, but no single chunk can outlast the run it is in.
+        path = _write_file(tmp_path, "long.jsonl", [
+            {"t": "run_start", "at": 0.0, "label": "r", "mode": "pool",
+             "workers": 2},
+            {"t": "chunk_complete", "at": 1.0, "chunk": 0, "seconds": 1.5},
+            {"t": "run_complete", "at": 1.0, "label": "r"},
+        ])
+        assert summarize_telemetry(path)["consistent"] is False
+
     def test_run_start_without_complete_is_inconsistent(self, tmp_path):
         path = _write_file(tmp_path, "dangling.jsonl", [
             {"t": "run_start", "at": 0.0, "label": "r", "mode": "pool",

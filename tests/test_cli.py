@@ -840,22 +840,31 @@ class TestCheck:
 
     def test_unknown_selector_exits_2(self, capsys):
         # API, SER and OBS were families once; their contracts are
-        # runtime checks now, so selecting them is a typo like any other.
-        for selector in ("NOPE", "API", "SER", "OBS"):
+        # runtime checks now, and SUP (stale waivers) went with the
+        # waivers, so selecting them is a typo like any other.
+        for selector in ("NOPE", "API", "SER", "OBS", "SUP"):
             assert main(["check", "--select", selector]) == 2
             assert "unknown rule selector" in capsys.readouterr().err
+
+    def test_ignore_is_a_usage_error(self, capsys):
+        """No run may skip a rule: ``--ignore`` is not an option."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--ignore", "DET"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --ignore" in capsys.readouterr().err
 
     def test_list_rules_catalogue(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET101", "DET201", "LAY201", "SUP901"):
+        for rule_id in ("DET101", "DET201", "LAY201"):
             assert rule_id in out
         # One line per rule plus its fix; DET106 (numpy's global RNG)
-        # went with numpy; VEC501–504, SER301–302, API401–404 and
-        # OBS601–603 became runtime checks.
+        # went with numpy, SUP901 (stale waivers) with the waivers;
+        # VEC501–504, SER301–302, API401–404 and OBS601–603 became
+        # runtime checks.
         ids = [line.split()[0] for line in out.splitlines() if line[:1].isalpha()]
-        assert len(ids) == 12
-        assert {rule_id[:3] for rule_id in ids} == {"DET", "LAY", "SUP"}
+        assert len(ids) == 11
+        assert {rule_id[:3] for rule_id in ids} == {"DET", "LAY"}
 
     def test_docs_catalogue_lists_exactly_the_rules(self, capsys):
         """docs/static-analysis.md's rule tables and ``--list-rules``
@@ -874,7 +883,7 @@ class TestCheck:
         with open(docs, encoding="utf-8") as handle:
             documented = set(re.findall(r"^\| ([A-Z]{3}\d{3}) \|", handle.read(), re.M))
         assert documented == listed
-        assert len(listed) == 12
+        assert len(listed) == 11
 
 
 class TestParser:
