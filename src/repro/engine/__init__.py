@@ -18,9 +18,6 @@ from .registry import (
     register_adversary,
     register_fault_plan,
     register_protocol,
-    register_vector_model,
-    vector_model_for,
-    vector_model_pairs,
 )
 from .runner import (
     ParallelRunner,
@@ -47,7 +44,6 @@ from .vectorized import (
     exact_law,
     probe_cache_stats,
     run_vector_batch,
-    supports as vector_supports,
     unsupported_reason as vector_unsupported_reason,
 )
 
@@ -82,13 +78,9 @@ __all__ = [
     "register_adversary",
     "register_fault_plan",
     "register_protocol",
-    "register_vector_model",
     "run_measured_trial",
     "run_traced_trial",
     "run_trial",
     "run_vector_batch",
-    "vector_model_for",
-    "vector_model_pairs",
-    "vector_supports",
     "vector_unsupported_reason",
 ]

@@ -5,8 +5,9 @@ it cannot carry closures.  Instead it names its protocol and adversary;
 worker processes resolve the names through these registries and build the
 actual program factory / adversary instance locally.
 
-Both registries are extensible: library users register their own programs
-with :func:`register_protocol` / :func:`register_adversary` before
+All three registries are extensible: library users register their own
+programs, adversaries and fault scenarios with :func:`register_protocol`
+/ :func:`register_adversary` / :func:`register_fault_plan` before
 building a plan.  (With ``fork``-start process pools the registrations are
 inherited by workers; under ``spawn``, register at module import time.)
 
@@ -75,9 +76,6 @@ __all__ = [
     "register_adversary",
     "register_fault_plan",
     "register_protocol",
-    "register_vector_model",
-    "vector_model_for",
-    "vector_model_pairs",
 ]
 
 ProtocolBuilder = Callable[..., ProgramFactory]
@@ -87,62 +85,6 @@ FaultPlanBuilder = Callable[..., FaultPlan]
 _PROTOCOLS: Dict[str, ProtocolBuilder] = {}
 _ADVERSARIES: Dict[str, AdversaryBuilder] = {}
 _FAULT_PLANS: Dict[str, FaultPlanBuilder] = {}
-# (protocol name, adversary name or None) → vector model record.
-# Populated by repro.engine.vectorized at import time; the runner's
-# backend="vector" path consults it per spec and falls back to the
-# object simulator for unregistered pairs.
-_VECTOR_MODELS: Dict[tuple, Any] = {}
-
-
-def register_vector_model(protocol: str, adversary: Optional[str], model: Any) -> None:
-    """Register a vector batch model for one (protocol, adversary) pair.
-
-    ``model`` is a record :func:`repro.engine.vectorized.unsupported_reason`
-    reads to decide which specs it admits, and exposes
-    ``run_batch(specs) -> (results, leaves, values, coins)``: per spec an
-    ``ExecutionResult`` bit-identical to the object simulator's for
-    every admitted spec, the leaf the trial's walk ended on — whose
-    path of probe deliveries the engine composes its metrics registry
-    from — and, read where that leaf is valued, the coin it output;
-    ``coins`` is how many threshold coins the batch evaluated.
-
-    Both names must already be registered (``adversary`` may be
-    ``None``): a typo'd name would never match a spec, and every spec
-    of the pair would fall back to the object simulator — correct, and
-    silently slower — so it raises ``ValueError`` here instead.
-    Re-registering the *same* model object is a no-op (module re-imports
-    must stay idempotent); registering a *different* model for an
-    already-claimed pair raises — a silent overwrite would let one
-    import order quietly change which batch executor a sweep runs on.
-    """
-    if protocol not in _PROTOCOLS:
-        raise ValueError(
-            f"vector model for unregistered protocol {protocol!r}; "
-            f"registered: {protocol_names()}"
-        )
-    if adversary is not None and adversary not in _ADVERSARIES:
-        raise ValueError(
-            f"vector model for unregistered adversary {adversary!r}; "
-            f"registered: {adversary_names()}"
-        )
-    existing = _VECTOR_MODELS.get((protocol, adversary))
-    if existing is not None and existing is not model:
-        raise ValueError(
-            f"vector model for ({protocol!r}, {adversary!r}) is already "
-            f"registered as {existing!r}; unregister or rename before "
-            f"registering {model!r}"
-        )
-    _VECTOR_MODELS[(protocol, adversary)] = model
-
-
-def vector_model_for(protocol: str, adversary: Optional[str]) -> Optional[Any]:
-    """The registered vector model for a pair, or ``None``."""
-    return _VECTOR_MODELS.get((protocol, adversary))
-
-
-def vector_model_pairs() -> List[tuple]:
-    """Registered (protocol, adversary) vector-model pairs, sorted."""
-    return sorted(_VECTOR_MODELS, key=repr)
 
 
 def _claim(table: Dict[str, Any], kind: str, name: str, builder: Any) -> None:

@@ -79,7 +79,6 @@ from ..adversary.base import Adversary
 from ..analysis.stats import disagreement_rate
 from ..crypto.keys import CryptoSuite
 from ..network.faults import FaultCounts
-from ..network.metrics import RunMetrics
 from ..network.simulator import ExecutionResult, SyncSimulator
 from ..network.trace import Tracer
 from ..obs.metrics import MetricsRegistry, build_metrics_payload
@@ -581,18 +580,6 @@ class PlanResult:
     def disagreement_rate(self) -> float:
         """Fraction of trials whose honest parties did not all agree."""
         return disagreement_rate(self.results)
-
-    def merged_metrics(self) -> RunMetrics:
-        """Plan-wide aggregate of every trial's metrics."""
-        return RunMetrics.merged(result.metrics for result in self.results)
-
-    def mean_rounds(self) -> float:
-        """Average simulated rounds per trial."""
-        if not self.results:
-            raise ValueError("no results")
-        return sum(result.metrics.rounds for result in self.results) / len(
-            self.results
-        )
 
     def metrics_registry(self) -> MetricsRegistry:
         """Plan-wide merge of every trial's metrics registry."""

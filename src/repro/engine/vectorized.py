@@ -91,7 +91,7 @@ composed once per process.  All label arithmetic stays in
 ``repro.obs.metrics``; this module only names which probes ran when.
 
 Anything the model cannot express — the real-RSA backend, trace
-collection, protocols or adversaries without a registered vector model,
+collection, (protocol, adversary) pairs no model in :data:`_MODELS` serves,
 non-bit inputs, exotic adversary parameters — falls back per-spec to
 :func:`repro.engine.runner.run_trial`, which is the same code path
 ``backend="object"`` uses, so results (and registries) are identical
@@ -127,12 +127,7 @@ from ..network.simulator import ExecutionResult
 from ..obs.metrics import DeliveryContribution, MetricsRegistry
 from ..proxcensus.base import slot_index
 from .plan import TrialSpec, _stamp_trial
-from .registry import (
-    LIFT_DEFAULT,
-    build_adversary,
-    register_vector_model,
-    vector_model_for,
-)
+from .registry import LIFT_DEFAULT, build_adversary
 
 __all__ = [
     "VectorModelError",
@@ -390,6 +385,15 @@ def _bad_range(params: Dict[str, Any]) -> bool:
     return type(low) is not int or type(high) is not int or low > high
 
 
+def _model_for(spec: TrialSpec) -> Optional[_Model]:
+    """The model in :data:`_MODELS` that serves ``spec``'s (protocol,
+    adversary) pair, or ``None``."""
+    model = _MODELS.get(spec.protocol)
+    if model is None or spec.adversary not in model.adversaries:
+        return None
+    return model
+
+
 def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     """Why this spec cannot take the vector path (``None`` = it can).
 
@@ -404,7 +408,7 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
         return f"fault injection ({spec.faults!r}) is not vectorizable"
     if spec.backend != "ideal":
         return "real-RSA backend"
-    model = vector_model_for(spec.protocol, spec.adversary)
+    model = _model_for(spec)
     if model is None:
         return f"no vector model registered for ({spec.protocol!r}, {spec.adversary!r})"
     if model.bits:
@@ -464,17 +468,12 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     return model.adversary_check(spec)
 
 
-def supports(spec: TrialSpec) -> bool:
-    """``True`` iff the vector backend would batch this spec."""
-    return unsupported_reason(spec) is None
-
-
 def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     """Execute same-configuration supported specs as one batch.
 
-    All specs must share a ``batch_key`` and pass :func:`supports`;
-    results come back in spec order and are bit-identical to
-    ``run_trial`` on each spec.
+    All specs must share a ``batch_key`` and be admitted by
+    :func:`unsupported_reason`; results come back in spec order and are
+    bit-identical to ``run_trial`` on each spec.
     """
     specs = list(specs)
     if not specs:
@@ -486,7 +485,7 @@ def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     reason = _verdict(first)
     if reason is not None:
         raise VectorModelError(f"unsupported spec in vector batch: {reason}")
-    return vector_model_for(first.protocol, first.adversary).run_batch(specs)[0]
+    return _model_for(first).run_batch(specs)[0]
 
 
 def _compose_registries(
@@ -598,9 +597,7 @@ def execute_chunk(
         reason = _verdict(first)
         if reason is None:
             try:
-                outcomes, leaves, values, read = vector_model_for(
-                    first.protocol, first.adversary
-                ).run_batch(specs)
+                outcomes, leaves, values, read = _model_for(first).run_batch(specs)
             except VectorModelError as exc:
                 # A probe invariant failed — the conservative answer is
                 # the reference simulator, which is always correct.
@@ -851,7 +848,7 @@ def exact_law(spec: TrialSpec):
     probe — is as it was.
     """
     reason = unsupported_reason(spec)
-    model = vector_model_for(spec.protocol, spec.adversary)
+    model = _model_for(spec)
     if reason is None and not model.exact:
         reason = f"no exact law for {spec.protocol!r}"
     if reason is not None:
@@ -1385,7 +1382,7 @@ _VRF_COIN = _Model(
 
 
 #: Every protocol the vector backend batches, and its model: the pairs
-#: registered are the protocol with each adversary its model serves.
+#: it serves are the protocol with each adversary its model serves.
 _MODELS = {
     "ba_one_third": _BA_ONE_THIRD,
     "ba_one_half": _BA_ONE_HALF,
@@ -1402,6 +1399,3 @@ _MODELS = {
         _replay(),
     ),
 }
-for _protocol, _model in _MODELS.items():
-    for _adversary in _model.adversaries:
-        register_vector_model(_protocol, _adversary, _model)

@@ -55,16 +55,15 @@ def type_exact_equal(a, b):
 
 
 def swap_vector_model(monkeypatch, protocol, adversary, **fields):
-    """For one test, serve every pair the vector model of ``(protocol,
-    adversary)`` serves from a copy of its record with ``fields``
-    replaced — e.g. ``batch=broken`` makes each batch run ``broken(specs)``."""
-    from repro.engine import registry
+    """For one test, serve ``protocol`` (whose vector model serves
+    ``adversary``) from a copy of its record with ``fields`` replaced —
+    e.g. ``batch=broken`` makes each batch run ``broken(specs)``."""
+    from repro.engine import vectorized
 
-    model = registry.vector_model_for(protocol, adversary)
+    model = vectorized._MODELS[protocol]
+    assert adversary in model.adversaries, (protocol, adversary)
     swapped = dataclasses.replace(model, **fields)
-    for pair, served in list(registry._VECTOR_MODELS.items()):
-        if served is model:
-            monkeypatch.setitem(registry._VECTOR_MODELS, pair, swapped)
+    monkeypatch.setitem(vectorized._MODELS, protocol, swapped)
 
 
 # Per-protocol sweep shapes for every *stock* registered protocol:

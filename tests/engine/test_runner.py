@@ -106,21 +106,6 @@ class TestSerialRun:
         result = ParallelRunner(workers=1).run(_plan(trials=8))
         rate = result.disagreement_rate()
         assert 0.0 <= rate <= 1.0
-        assert result.mean_rounds() >= 1
-
-    def test_merged_metrics_sums_trials(self):
-        result = ParallelRunner(workers=1).run(_plan(trials=3))
-        merged = result.merged_metrics()
-        assert merged.total_messages == sum(
-            execution.metrics.total_messages for execution in result
-        )
-        assert merged.total_signatures == sum(
-            execution.metrics.total_signatures for execution in result
-        )
-        # merge() accumulates rounds: total simulated rounds across trials.
-        assert merged.rounds == sum(
-            execution.metrics.rounds for execution in result
-        )
 
     def test_empty_result_helpers_raise(self):
         empty = PlanResult(
@@ -128,8 +113,6 @@ class TestSerialRun:
         )
         with pytest.raises(ValueError):
             empty.disagreement_rate()
-        with pytest.raises(ValueError):
-            empty.mean_rounds()
 
 
 class TestParallelRun:

@@ -31,24 +31,23 @@ from repro.engine import (
     ParallelRunner,
     TrialPlan,
     TrialSpec,
+    adversary_names,
+    protocol_names,
     run_measured_trial,
-    vector_model_pairs,
-    vector_supports,
     vector_unsupported_reason,
 )
-from repro.engine.registry import vector_model_for
 from repro.engine.runner import _suite_for
 from repro.core.extraction import extract
-from repro.core.feldman_micali import FELDMAN_MICALI
 from repro.engine.plan import PER_TRIAL_FIELDS
 from repro.engine.vectorized import (
     VectorModelError,
     _cut_row,
     _extraction_row,
-    _fixed_round,
     _IterationProbe,
     _Leaf,
     _Model,
+    _model_for,
+    _MODELS,
     clear_probe_cache,
     execute_chunk,
     run_vector_batch,
@@ -169,46 +168,37 @@ NEW_PAIRS = (
 )
 
 
+def served_pairs():
+    """Every (protocol, adversary) pair ``_MODELS`` serves, sorted."""
+    return sorted(
+        ((protocol, adversary)
+         for protocol, model in _MODELS.items()
+         for adversary in model.adversaries),
+        key=repr,
+    )
+
+
 class TestRegistry:
     def test_both_protocols_registered_with_and_without_adversary(self):
-        pairs = set(vector_model_pairs())
+        pairs = set(served_pairs())
         assert ("ba_one_third", None) in pairs
         assert ("ba_one_third", "straddle13") in pairs
         assert ("ba_one_half", None) in pairs
         assert ("ba_one_half", "straddle12") in pairs
 
     def test_every_newly_modeled_pair_is_registered(self):
-        pairs = set(vector_model_pairs())
+        pairs = set(served_pairs())
         missing = [pair for pair in NEW_PAIRS if pair not in pairs]
         assert not missing, missing
 
-    def test_duplicate_registration_names_the_existing_model(self):
-        from repro.engine import register_vector_model
-        from repro.engine.registry import _VECTOR_MODELS
-
-        existing = _VECTOR_MODELS[("ba_one_third", None)]
-        # Same object again: idempotent (module re-imports must not blow up).
-        register_vector_model("ba_one_third", None, existing)
-        impostor = object()
-        with pytest.raises(ValueError) as excinfo:
-            register_vector_model("ba_one_third", None, impostor)
-        message = str(excinfo.value)
-        assert "ba_one_third" in message
-        assert repr(existing) in message
-        # The claim is unchanged after the failed overwrite.
-        assert _VECTOR_MODELS[("ba_one_third", None)] is existing
-
-    @pytest.mark.parametrize("protocol,adversary,phantom", [
-        ("ba_phantom", None, "ba_phantom"),
-        ("ba_one_third", "ghost", "ghost"),
-    ], ids=["protocol", "adversary"])
-    def test_phantom_names_raise_at_registration(self, protocol, adversary, phantom):
-        from repro.engine import register_vector_model
-
-        model = vector_model_for("ba_one_third", None)
-        with pytest.raises(ValueError, match=repr(phantom)):
-            register_vector_model(protocol, adversary, model)
-        assert (protocol, adversary) not in vector_model_pairs()
+    def test_every_model_names_registered_protocols_and_adversaries(self):
+        """A misspelt name would match no spec, and every spec of the
+        pair would fall back to the object simulator: correct, and
+        silently slower."""
+        protocols, adversaries = set(protocol_names()), set(adversary_names())
+        assert set(_MODELS) <= protocols, sorted(set(_MODELS) - protocols)
+        served = {name for model in _MODELS.values() for name in model.adversaries}
+        assert served - {None} <= adversaries, sorted(served - {None} - adversaries)
 
     def test_the_table_registers_these_pairs_and_no_others(self):
         honest_only = (
@@ -221,7 +211,7 @@ class TestRegistry:
             for protocol, combos in VECTOR_ADVERSARIES.items()
             for adversary, _ in combos
         }
-        assert sorted(vector_model_pairs(), key=repr) == sorted(expected, key=repr)
+        assert served_pairs() == sorted(expected, key=repr)
         assert len(expected) == 22
 
 
@@ -259,7 +249,7 @@ class TestProtocolGrid:
             adversary_params=adversary_params, seed=23,
         )
         spec = plan.trials[0]
-        assert vector_supports(spec), vector_unsupported_reason(spec)
+        assert vector_unsupported_reason(spec) is None
         assert_equivalent(plan)
 
 
@@ -295,7 +285,7 @@ class TestRandomizedSweep:
             adversary=adversary, adversary_params=adversary_params,
             seed=rng.randint(0, 10_000), setup_seed=rng.randint(0, 100),
         )
-        assert vector_supports(plan.trials[0])
+        assert vector_unsupported_reason(plan.trials[0]) is None
         assert_equivalent(plan)
 
     @pytest.mark.parametrize("draw", range(10))
@@ -348,7 +338,7 @@ class TestRandomizedSweep:
             seed=rng.randint(0, 10_000), setup_seed=rng.randint(0, 100),
         )
         spec = plan.trials[0]
-        assert vector_supports(spec), vector_unsupported_reason(spec)
+        assert vector_unsupported_reason(spec) is None
         assert_equivalent(plan)
 
     def test_collect_signatures_off_still_matches(self):
@@ -358,7 +348,7 @@ class TestRandomizedSweep:
             adversary_params={"victims": (3, 4)}, seed=5,
             collect_signatures=False,
         )
-        assert vector_supports(plan.trials[0])
+        assert vector_unsupported_reason(plan.trials[0]) is None
         assert_equivalent(plan)
 
 
@@ -369,7 +359,7 @@ class TestFallback:
             trials=4, params={"kappa": 2},
             adversary="crash", adversary_params={"victims": (3,)}, seed=3,
         )
-        assert not vector_supports(plan.trials[0])
+        assert vector_unsupported_reason(plan.trials[0]) is not None
         assert_equivalent(plan)
 
     def test_unregistered_protocol_falls_back(self):
@@ -377,7 +367,7 @@ class TestFallback:
             "fm", "feldman_micali", (0, 0, 1, 1), 1,
             trials=3, params={"kappa": 2}, seed=3,
         )
-        assert not vector_supports(plan.trials[0])
+        assert vector_unsupported_reason(plan.trials[0]) is not None
         assert_equivalent(plan)
 
     def test_non_bit_inputs_fall_back(self):
@@ -620,7 +610,6 @@ class TestFallbackReasons:
     )
     def test_each_branch_gives_its_exact_reason(self, spec, reason):
         assert vector_unsupported_reason(spec) == reason
-        assert vector_supports(spec) is (reason is None)
 
 
 #: One strategy per TrialSpec field, over domains small enough that two
@@ -783,21 +772,12 @@ class TestRunGrouping:
         assert counts[0] == counts[1] < 20
 
 
-#: A model for a pair the table does not register: Feldman–Micali is a
-#: ``FixedRoundBA`` like ours, so the one walk model carries it.
-_FM_HONEST = _fixed_round(FELDMAN_MICALI, "straddle13")
-
-
 class TestVerdictCache:
-    """A configuration's :func:`unsupported_reason` is kept in its table
-    and never outlives the registry it read."""
+    """A configuration's admission by :func:`unsupported_reason` is kept
+    in its table; a refusal is asked again and kept nowhere."""
 
-    def test_a_model_registered_later_admits_a_refused_configuration(
-        self, fresh_tables
-    ):
-        from repro.engine import (
-            probe_cache_stats, register_vector_model, registry, run_trial,
-        )
+    def test_a_refusal_is_asked_each_time_and_takes_no_table(self, fresh_tables):
+        from repro.engine import probe_cache_stats
 
         inputs, max_faulty, params = PROTOCOL_SHAPES["feldman_micali"]
         plan = TrialPlan.monte_carlo(
@@ -810,15 +790,6 @@ class TestVerdictCache:
             _, stats = execute_chunk(chunk)
             assert stats["fallback_reasons"] == {refused: 6}
         assert probe_cache_stats()["size"] == 0
-        try:
-            register_vector_model("feldman_micali", None, _FM_HONEST)
-            pairs, stats = execute_chunk(chunk)
-        finally:
-            del registry._VECTOR_MODELS[("feldman_micali", None)]
-        assert (stats["batched"], stats["fallback"]) == (6, 0)
-        assert [canon(result) for _, result in pairs] == [
-            canon(run_trial(spec)) for spec in plan.trials
-        ]
 
     # (protocol, inputs, t, params, adversary, adversary params, twin's
     # changes, twin's reason): the twin's spec equals the admitted one's.
@@ -1273,7 +1244,7 @@ class TestWalk:
         specs ends each on the same leaf with the same result, and the
         batch reads as many coins."""
         specs = plan.trials
-        model = vector_model_for(specs[0].protocol, specs[0].adversary)
+        model = _model_for(specs[0])
         results, leaves, _, coins = model.run_batch(specs)
         got, got_leaves, _, got_coins = model.run_batch([specs[at] for at in order])
         assert got_coins == coins
@@ -1564,7 +1535,7 @@ class TestWalkGrid:
                 [(pid, finish[pid]) for pid in order],
             )
 
-        model = vector_model_for("fm_probabilistic", None)
+        model = _MODELS["fm_probabilistic"]
         batches = [model.run_batch(plan.trials) for plan in plans]
         specs = [spec for plan in plans for spec in plan.trials]
         results = [result for batch in batches for result in batch[0]]
@@ -1850,7 +1821,7 @@ class TestWarmTables:
 
         plan = self._plan()
         indexed = list(enumerate(plan.trials))
-        assert len({vector_model_for(c[0], c[4]) for c in self.CONFIGS}) == 8
+        assert len({_MODELS[c[0]] for c in self.CONFIGS}) == 8
         cold = self._run([indexed])
         assert cold[2] > 0
         assert self._run([[member] for member in indexed]) == cold
@@ -1890,7 +1861,7 @@ class TestWarmTables:
 
         rows, composed = Counter(), []
         for protocol, *_, adversary, _ in self.CONFIGS:
-            model = vector_model_for(protocol, adversary)
+            model = _MODELS[protocol]
             if model.row is not None:
                 swap_vector_model(
                     monkeypatch, protocol, adversary,
@@ -2057,7 +2028,7 @@ class TestStampedResults:
         met = set()
         for size in (1, self.TRIALS, 4 * self.TRIALS):
             specs = _config_plan(config, size).trials
-            model = vector_model_for(specs[0].protocol, specs[0].adversary)
+            model = _model_for(specs[0])
             built.clear()
             results, leaves, _, _ = model.run_batch(specs)
             classes = {
@@ -2085,7 +2056,7 @@ class TestStampedResults:
             "wide", "threshold_coin", (None,) * 4, 1, trials=1200,
             params={"low": 0, "high": 999}, seed=8,
         )
-        model = vector_model_for("threshold_coin", None)
+        model = _MODELS["threshold_coin"]
         built = []
         template = ExecutionResult.template
         monkeypatch.setattr(ExecutionResult, "template", staticmethod(

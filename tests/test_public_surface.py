@@ -34,8 +34,6 @@ ALLOWED = {
     "messages_mv": "analysis.comm closed form the tests compare against",
     "extract_by_position": "the reference extract is tested against",
     "clear_suite_cache": "test hook: drops the memoised benchmark suites",
-    "vector_model_pairs": "test hook: the vector/object model equivalence sweep",
-    "vector_supports": "test hook: which specs the vector backend batches",
     "measure_payload_bytes": "test hook behind the >=5x payload pin",
     "ideal_coin_factory": "protocol variant with its own tests",
     "vrf_coin_factory": "protocol variant with its own tests",
