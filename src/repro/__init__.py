@@ -33,7 +33,6 @@ from .adversary import (
     OneThirdStraddleAdversary,
     TwoFaceAdversary,
 )
-from .applications import NO_OP, replicated_log_program
 from .core import (
     ba_one_half_generalized,
     ba_one_half_program,
@@ -84,7 +83,6 @@ __all__ = [
     "LastRoundCorruptionAdversary",
     "LinearHalfStraddleAdversary",
     "MalformedAdversary",
-    "NO_OP",
     "OneThirdStraddleAdversary",
     "ParallelRunner",
     "PlanResult",
@@ -100,7 +98,6 @@ __all__ = [
     "ba_one_third_chunked",
     "ba_one_third_program",
     "fm_probabilistic_program",
-    "replicated_log_program",
     "check_proxcensus_consistency",
     "check_proxcensus_validity",
     "dolev_strong_ba_program",

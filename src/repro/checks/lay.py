@@ -2,10 +2,9 @@
 
 The repository layers bottom-up — ``crypto`` (pure math, stdlib only),
 ``adversary``/``network`` (the simulated world), ``proxcensus``/``core``
-(the paper's protocols), ``analysis``/``applications`` (reporting and
-demos), ``obs`` (streaming trace sinks and telemetry — the one layer
-allowed wall clocks), ``engine`` (parallel execution) and the CLI on
-top.  Determinism
+(the paper's protocols), ``analysis`` (reporting), ``obs`` (streaming
+trace sinks and telemetry — the one layer allowed wall clocks),
+``engine`` (parallel execution) and the CLI on top.  Determinism
 audits depend on this: the DET rules can scope to the four protocol
 layers only because nothing below them reaches up into code that may
 time, randomize or fork.
@@ -35,13 +34,11 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
     "proxcensus": {"crypto", "network"},
     "core": {"crypto", "network", "proxcensus"},
     "analysis": {"crypto", "network", "adversary", "proxcensus", "core"},
-    "applications": {"crypto", "network", "adversary", "proxcensus", "core"},
     # Observability: wall clocks and filesystem live here, above the
     # DET-scoped protocol layers — which must never import it back.
     "obs": {"crypto", "network"},
     "engine": {
-        "crypto", "network", "adversary", "proxcensus", "core", "analysis",
-        "applications", "obs",
+        "crypto", "network", "adversary", "proxcensus", "core", "analysis", "obs",
     },
     "checks": set(),  # the analyzer itself: stdlib only, imports nothing it checks
 }

@@ -35,9 +35,6 @@ Subcommands
     layering invariants (rule families DET/LAY; see
     ``docs/static-analysis.md``).  Exit 1 on findings, none of which
     can be waived; ``--json`` writes the CI artifact.
-``ledger``
-    A replicated log over sequential multivalued BA: one engine trial of
-    the registered ``replicated_log`` protocol.
 
 Examples::
 
@@ -809,48 +806,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_ledger(args: argparse.Namespace) -> int:
-    from .applications.ledger import NO_OP, rounds_per_slot
-    from .engine import TrialSpec
-
-    queues = [
-        tuple(queue.split("+")) if queue else () for queue in args.queues.split(";")
-    ]
-    try:
-        spec = TrialSpec(
-            protocol="replicated_log",
-            inputs=queues,
-            max_faulty=args.t,
-            params={
-                "num_slots": args.slots, "kappa": args.kappa,
-                "regime": args.regime, "proposer": args.proposer,
-            },
-            seed=args.seed,
-            session=f"ledger{args.seed}",
-            # The ledger has always dealt from seed + 0x1ED6; this is
-            # that suite in deal_suite's terms (setup_seed + 0x5E7).
-            setup_seed=args.seed + 0x1ED6 - 0x5E7,
-        )
-    except ValueError as error:
-        print(f"repro ledger: {error}", file=sys.stderr)
-        return 2
-    result, _ = _run_spec(spec)
-    per_slot = rounds_per_slot(args.kappa, args.regime, args.proposer)
-    print(
-        f"replicas : {spec.num_parties} (t = {args.t}), "
-        f"{args.slots} slots x {per_slot} rounds"
-    )
-    for pid in sorted(result.outputs):
-        log = [c if c != NO_OP else "<no-op>" for c in result.outputs[pid]]
-        print(f"replica {pid}: {log}")
-    forked = any(
-        result.outputs[pid] != result.outputs[result.honest_parties[0]]
-        for pid in result.honest_parties
-    )
-    print(f"forked   : {forked}")
-    return 1 if forked else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -1080,26 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue and exit",
     )
     check_parser.set_defaults(handler=_cmd_check)
-
-    ledger_parser = subparsers.add_parser(
-        "ledger", help="replicated log over sequential multivalued BA"
-    )
-    ledger_parser.add_argument(
-        "--queues", default="a+b;a+c;a+b;a+c",
-        help="per-replica command queues: ';' separates replicas, "
-        "'+' separates commands",
-    )
-    ledger_parser.add_argument("--slots", type=int, default=2)
-    ledger_parser.add_argument("--kappa", type=int, default=8)
-    ledger_parser.add_argument(
-        "--regime", choices=["one_third", "one_half"], default="one_third"
-    )
-    ledger_parser.add_argument(
-        "--proposer", choices=["local", "rotating"], default="rotating"
-    )
-    ledger_parser.add_argument("--t", type=int, default=1)
-    ledger_parser.add_argument("--seed", type=int, default=0)
-    ledger_parser.set_defaults(handler=_cmd_ledger)
 
     return parser
 

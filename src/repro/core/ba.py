@@ -146,13 +146,13 @@ BA_ONE_HALF = FixedRoundBA(
 BA_BY_REGIME = {"one_third": BA_ONE_THIRD, "one_half": BA_ONE_HALF}
 
 
-def ba_for_regime(regime: str, ctx: Optional[Context] = None) -> FixedRoundBA:
-    """:data:`BA_BY_REGIME`'s BA for ``regime``; given ``ctx``, checked
-    against its ``t < n/r`` first."""
+def ba_for_regime(regime: str, ctx: Context) -> FixedRoundBA:
+    """:data:`BA_BY_REGIME`'s BA for ``regime``, checked against
+    ``ctx``'s ``t < n/r`` first."""
     if regime not in BA_BY_REGIME:
         raise ValueError(f"unknown regime {regime!r}")
     ba = BA_BY_REGIME[regime]
-    if ctx is not None and ba.regime * ctx.max_faulty >= ctx.num_parties:
+    if ba.regime * ctx.max_faulty >= ctx.num_parties:
         raise ValueError(f"regime {regime!r} requires t < n/{ba.regime}")
     return ba
 

@@ -39,7 +39,6 @@ from ..adversary.strategies import (
     TwoFaceAdversary,
 )
 from ..adversary.termination import GradeSplitAdversary
-from ..applications.ledger import replicated_log_program
 from ..core.ablation import ba_one_half_generalized, ba_one_third_chunked
 from ..core.ba import BA_BY_REGIME, ba_one_half_program, ba_one_third_program
 from ..core.dolev_strong import dolev_strong_ba_program
@@ -284,16 +283,6 @@ register_protocol(
     lambda kappa, prox_rounds=3, family="linear": (
         lambda ctx, bit: ba_one_half_generalized(
             ctx, bit, kappa, prox_rounds, family
-        )
-    ),
-)
-register_protocol(
-    # The replicated log `repro ledger` runs: inputs are the replicas'
-    # command queues, the output each replica's ordered log.
-    "replicated_log",
-    lambda num_slots, kappa=8, regime="one_third", proposer="local": (
-        lambda ctx, commands: replicated_log_program(
-            ctx, commands, num_slots, kappa, regime, proposer
         )
     ),
 )

@@ -252,7 +252,7 @@ class TrialExecutionError(RuntimeError):
     the one function every plan's execution path runs a trial through,
     so inline, pooled, adaptive and vector-fallback runs fail alike — by
     ``execute_chunk`` for a vector batch, named by its first member, and
-    by the CLI for the single trial of ``repro run`` / ``repro ledger``.
+    by the CLI for the single trial of ``repro run``.
     ``index`` is the trial's place in its plan and ``cause`` the
     original's ``Type: message``; the spec's identifying fields are
     attributes too.  Picklable — it crosses the pool's result pipe

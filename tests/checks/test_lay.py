@@ -1,6 +1,21 @@
 """LAY rules: layer-map violations and module-level import cycles."""
 
+from pathlib import Path
+
+import repro
+from repro.checks import det, lay
+
 from .conftest import check, rule_ids
+
+
+def test_layer_maps_name_only_real_packages():
+    """Every layer the LAY map or the DET scope names is a package of
+    ``repro``, so a deleted layer cannot outlive its code in either map."""
+    root = Path(repro.__file__).parent
+    named = set(lay.ALLOWED_IMPORTS).union(*lay.ALLOWED_IMPORTS.values())
+    named |= det.PROTOCOL_SCOPE
+    missing = sorted(n for n in named if not (root / n / "__init__.py").is_file())
+    assert missing == []
 
 
 class TestLAY201Layering:

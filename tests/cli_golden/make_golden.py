@@ -54,7 +54,6 @@ def argvs():
            '{"rate": 0.3}', "--seed", "7"]
     yield TRACE_ARGV
     yield ["trace", "crash.trace.jsonl", "--stats"]
-    yield ["ledger"]
     yield ["compare", "--kappas", "4,8,16,32"]
     yield ["tables"]
 

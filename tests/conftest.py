@@ -91,5 +91,4 @@ PROTOCOL_SHAPES = {
     "certificate_gradecast": (("v",) * 5, 2, {"dealer": 0}),
     "ba_one_third_chunked": ((0, 0, 1, 1), 1, {"kappa": 4, "chunk": 2}),
     "ba_one_half_generalized": ((0, 0, 1, 1, 1), 2, {"kappa": 3}),
-    "replicated_log": ((("a",), ("a",), ("a",), ("b",)), 1, {"num_slots": 1, "kappa": 2}),
 }

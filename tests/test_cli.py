@@ -16,9 +16,9 @@ with open(os.path.join(GOLDEN, "cases.json"), encoding="utf-8") as _handle:
 
 
 class TestGolden:
-    """`repro run` / `repro ledger` print what they printed at fe9062a,
-    before they went through the engine, and `repro trace --stats` the
-    per-round table it printed at 34b7dad (tests/cli_golden/make_golden.py)."""
+    """`repro run` prints what it printed at fe9062a, before it went
+    through the engine, and `repro trace --stats` the per-round table it
+    printed at 34b7dad (tests/cli_golden/make_golden.py)."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN_CASES, ids=lambda case: " ".join(case["argv"])
@@ -55,8 +55,6 @@ class TestNoTraceback:
         (["run", "--spec", '{"protocol":"ba_one_half","inputs":[1,0,1,0],'
           '"max_faulty":2,"params":{"kappa":2}}'],
          "ValueError: ba_one_half requires t < n/2, got t=2, n=4"),
-        (["ledger", "--queues", "a;b", "--t", "1"],
-         "ValueError: regime 'one_third' requires t < n/3"),
     ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
     def test_raising_trial_exits_2_and_its_replay_line_fails_alike(
         self, argv, cause, capsys
@@ -74,7 +72,6 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--inputs", "1,0", "--t", "5"],
-        ["ledger", "--queues", "a;b", "--t", "5"],
     ], ids=" ".join)
     def test_flags_that_describe_no_trial_are_a_one_line_usage_error(
         self, argv, capsys
@@ -804,26 +801,6 @@ class TestReport:
         assert "repro report:" in capsys.readouterr().err
 
 
-class TestLedger:
-    def test_identical_logs_and_exit_zero(self, capsys):
-        code = main(
-            ["ledger", "--queues", "a+b;a;a+b;a", "--slots", "2",
-             "--kappa", "4"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "forked   : False" in out
-        assert out.count("'a'") >= 4  # committed at every replica
-
-    def test_local_proposer_policy(self, capsys):
-        code = main(
-            ["ledger", "--queues", "x;x;x;x", "--slots", "1",
-             "--proposer", "local", "--kappa", "4"]
-        )
-        assert code == 0
-        assert "'x'" in capsys.readouterr().out
-
-
 class TestCheck:
     def test_clean_tree_exits_zero(self, capsys):
         assert main(["check"]) == 0
@@ -901,8 +878,7 @@ class TestErgonomics:
     """The CLI ergonomics contract (see `main`'s docstring)."""
 
     SUBCOMMANDS = (
-        "run", "trace", "compare", "tables", "error-sweep", "report",
-        "check", "ledger",
+        "run", "trace", "compare", "tables", "error-sweep", "report", "check",
     )
 
     def test_help_lists_every_subcommand_with_a_summary(self, capsys):

@@ -18,7 +18,6 @@ SLOW = [
     "adversary_lab.py",
     "coin_flavors.py",
     "real_crypto_backend.py",
-    "replicated_ledger.py",
     "round_complexity_comparison.py",
 ]
 
