@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from repro.analysis.curves import log_sparkline
 from repro.analysis.report import format_table
+from repro.analysis.stats import SequentialEstimate
 from repro.analysis.theory import per_iteration_failure
 from repro.engine import AdaptiveRunner, ParallelRunner, TrialPlan
 
@@ -162,25 +163,25 @@ def test_adaptive_allocation_saves_trials_same_verdicts(report_sink):
     bounds = {f"one_third-k{kappa}": 2.0 ** -kappa for kappa in kappas}
 
     fixed = _RUNNER.run(plan)
-    runner = AdaptiveRunner(batch_size=25, backend="vector")
-    adaptive = runner.run(plan, bounds)
+    adaptive = AdaptiveRunner(backend="vector").run(plan, bounds)
 
     rows = []
     for name, indices in plan.configs().items():
         outcome = adaptive.configs[name]
-        fixed_estimate = runner.estimate_for(name, bounds)
+        estimate = outcome.estimate
+        fixed_estimate = SequentialEstimate(bounds[name])
         fixed_hits = sum(
             1 for index in indices if not fixed.results[index].honest_agree()
         )
         fixed_estimate.update(fixed_hits, len(indices))
-        assert outcome.accepted == fixed_estimate.accepted, name
+        assert estimate.accepted == fixed_estimate.accepted, name
         rows.append(
             [
                 name,
-                f"{outcome.bound:.4f}",
+                f"{estimate.bound:.4f}",
                 len(indices),
-                outcome.executed,
-                outcome.status,
+                estimate.trials,
+                estimate.status,
                 "yes" if outcome.stopped_early else "-",
             ]
         )

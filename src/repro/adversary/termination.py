@@ -17,12 +17,15 @@ decision spread, reliably.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..network.messages import Outbox
 from .base import Adversary, AdversaryEnv, RoundDecision, RoundView
 
 __all__ = ["GradeSplitAdversary"]
+
+# Rounds per FM iteration: 2 Proxcensus rounds + 1 coin round.
+_ITERATION_ROUNDS = 3
 
 
 class GradeSplitAdversary(Adversary):
@@ -30,38 +33,28 @@ class GradeSplitAdversary(Adversary):
 
     ``victims`` — the corrupted parties; ``target`` — the honest party to
     be pushed to grade 2 first; ``boost_value`` — the value to amplify
-    (should be the honest majority input); ``iteration_rounds`` — rounds
-    per protocol iteration (2 Proxcensus rounds + 1 coin round = 3).
+    (should be the honest majority input).  The round-1 helper is the
+    first honest party other than the target, derived in :meth:`setup`.
     """
 
-    def __init__(
-        self,
-        victims,
-        target: int = 0,
-        helper: Optional[int] = None,
-        boost_value: int = 0,
-        iteration_rounds: int = 3,
-    ) -> None:
+    def __init__(self, victims, target: int = 0, boost_value: int = 0) -> None:
         self.victims = list(victims)
         self.target = target
-        self.helper = helper
         self.boost_value = boost_value
-        self.iteration_rounds = iteration_rounds
 
     def setup(self, env: AdversaryEnv) -> None:
         super().setup(env)
-        if self.helper is None:
-            honest = [
-                p for p in range(env.num_parties)
-                if p not in self.victims and p != self.target
-            ]
-            self.helper = honest[0] if honest else self.target
+        honest = [
+            p for p in range(env.num_parties)
+            if p not in self.victims and p != self.target
+        ]
+        self.helper = honest[0] if honest else self.target
 
     def initial_corruptions(self) -> Set[int]:
         return set(self.victims)
 
     def decide(self, view: RoundView) -> RoundDecision:
-        phase = (view.round_index - 1) % self.iteration_rounds + 1
+        phase = (view.round_index - 1) % _ITERATION_ROUNDS + 1
         replace: Dict[int, Outbox] = {}
         for pid in self.victims:
             if phase == 1:

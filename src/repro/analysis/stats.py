@@ -14,8 +14,8 @@ statistics are decided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Sequence, Tuple
 
 __all__ = [
     "SequentialEstimate",
@@ -24,10 +24,12 @@ __all__ = [
 ]
 
 _Z95 = 1.959963984540054  # 95% two-sided normal quantile
-# 99.5% two-sided quantile: the default *decision* interval for
-# sequential early stopping, where every batch is another look at the
-# data and 95% intervals would inflate the false-exclusion rate.
+# SequentialEstimate's decision rule.  99.5% two-sided quantile: every
+# batch is another look at the data, and 95% intervals would inflate the
+# false-exclusion rate of sequential early stopping.
 _Z995 = 2.807033768343811
+_MIN_TRIALS = 32
+_MIN_HITS = 5
 
 
 def disagreement_rate(results: Sequence[Any]) -> float:
@@ -68,23 +70,26 @@ class SequentialEstimate:
 
     Feed hit/trial counts in with :meth:`update` (batches) or
     :meth:`observe` (single trials); :attr:`status` classifies the
-    running Wilson interval against the bound:
+    running Wilson interval against the bound under one decision rule.
+    Every batch is another look at the data, so the intervals are 99.5 %
+    ones (``z ≈ 2.807``), not the 95 % ones the reports print, and
+    nothing is decided before ``_MIN_TRIALS`` = 32 trials:
 
     ``"below"``
         the whole interval lies strictly under the bound — the measured
         rate is significantly better than the bound;
     ``"above"``
         the whole interval lies strictly over the bound — the bound is
-        violated (requires at least ``min_hits`` observed hits, so a
-        violation claim for a rare event never rests on one or two
+        violated (requires at least ``_MIN_HITS`` = 5 observed hits, so
+        a violation claim for a rare event never rests on one or two
         occurrences that happened to cluster early in the sample);
     ``"contained"``
-        the bound sits inside the interval *and* the interval has
-        narrowed to at most ``precision`` — the estimate confidently
-        matches the bound (the tight-adversary case, where the bound is
-        realized exactly and exclusion never happens);
+        the bound sits inside the interval *and* the interval is at most
+        the bound wide — the estimate confidently matches the bound (the
+        tight-adversary case, where the bound is realized exactly and
+        exclusion never happens);
     ``"undecided"``
-        none of the above yet (always the case below ``min_trials``).
+        none of the above yet (always the case below 32 trials).
 
     :attr:`decided` is the early-stopping predicate: any status other
     than ``"undecided"``.  :attr:`accepted` is the accept/reject verdict
@@ -99,35 +104,12 @@ class SequentialEstimate:
     """
 
     bound: float
-    z: float = _Z95
-    min_trials: int = 16
-    min_hits: int = 5
-    precision: Optional[float] = None
-    hits: int = 0
-    trials: int = 0
+    hits: int = field(default=0, init=False)
+    trials: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.bound <= 1.0):
             raise ValueError(f"bound must lie in [0, 1], got {self.bound}")
-        if self.min_trials < 1:
-            raise ValueError("min_trials must be positive")
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be positive")
-        if self.precision is None:
-            # Width at most the bound itself: the rate is pinned to
-            # ±bound/2 around the interval center with the bound inside
-            # — a real statement about tightness, yet reachable in a
-            # few dozen to a few hundred trials for the bounds the
-            # sweeps test (width shrinks as 1/sqrt(n), so demanding
-            # much less than the bound costs quadratically more trials).
-            self.precision = self.bound
-        if self.precision < 0:
-            raise ValueError("precision must be non-negative")
-        if self.trials < 0 or not (0 <= self.hits <= self.trials):
-            raise ValueError(
-                f"need 0 <= hits <= trials, got hits={self.hits}, "
-                f"trials={self.trials}"
-            )
 
     def observe(self, hit: bool) -> None:
         """Record a single trial."""
@@ -143,16 +125,11 @@ class SequentialEstimate:
         self.trials += trials
 
     @property
-    def rate(self) -> float:
-        """Point estimate (0.0 before any trial)."""
-        return self.hits / self.trials if self.trials else 0.0
-
-    @property
     def interval(self) -> Tuple[float, float]:
         """Running Wilson interval; vacuous ``(0, 1)`` before any trial."""
         if self.trials == 0:
             return (0.0, 1.0)
-        return wilson_interval(self.hits, self.trials, self.z)
+        return wilson_interval(self.hits, self.trials, _Z995)
 
     @property
     def width(self) -> float:
@@ -162,20 +139,26 @@ class SequentialEstimate:
 
     @property
     def status(self) -> str:
-        if self.trials < self.min_trials:
+        if self.trials < _MIN_TRIALS:
             return "undecided"
         low, high = self.interval
         if high < self.bound:
             return "below"
-        # Exclusion *above* additionally requires ``min_hits`` observed
+        # Exclusion *above* additionally requires ``_MIN_HITS`` observed
         # hits: for small bounds a handful of rare events clustered in
         # an early prefix of the sample can push the Wilson low end over
         # the bound even though the long-run rate respects it, and a
         # claim of violation should rest on more than a couple of
         # occurrences (the classic np >= 5 evidence floor).
-        if low > self.bound and self.hits >= self.min_hits:
+        if low > self.bound and self.hits >= _MIN_HITS:
             return "above"
-        if low <= self.bound and high - low <= self.precision:
+        # Width at most the bound itself: the rate is pinned to ±bound/2
+        # around the interval center with the bound inside — a real
+        # statement about tightness, yet reachable in a few dozen to a
+        # few hundred trials for the bounds the sweeps test (width
+        # shrinks as 1/sqrt(n), so demanding much less than the bound
+        # costs quadratically more trials).
+        if low <= self.bound and high - low <= self.bound:
             return "contained"
         return "undecided"
 
@@ -189,7 +172,7 @@ class SequentialEstimate:
         """Accept/reject vs the bound: reject only on proven violation."""
         low, _high = self.interval
         return not (
-            self.trials >= self.min_trials
-            and self.hits >= self.min_hits
+            self.trials >= _MIN_TRIALS
+            and self.hits >= _MIN_HITS
             and low > self.bound
         )

@@ -50,7 +50,7 @@ Examples::
     python -m repro error-sweep --protocol one_half --kappas 1,2,4 --trials 200
     python -m repro error-sweep --protocol both --workers 4 --vector \\
         --metrics metrics.json --telemetry tele/
-    python -m repro error-sweep --adaptive --max-trials 600 --trials 300
+    python -m repro error-sweep --adaptive --trials 300
     python -m repro check --json check-report.json
     python -m repro check --select DET,LAY src/repro
 """
@@ -372,7 +372,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{key}={value}" for key, value in sorted(loaded.meta.items())
         )
         print(f"trace: {args.file} ({described})\n")
-    print(tracer.render(max_payload_width=args.width))
+    print(tracer.render())
     if args.stats:
         from .obs import metrics_from_trace
 
@@ -430,7 +430,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_sweep_plan(args: argparse.Namespace, trials: Optional[int] = None):
+def _build_sweep_plan(args: argparse.Namespace):
     """The error-probability sweep as one engine plan, κ-major per protocol.
 
     Signature collection stays off: disagreement rates don't need the
@@ -456,7 +456,7 @@ def _build_sweep_plan(args: argparse.Namespace, trials: Optional[int] = None):
                     protocol=protocol,
                     inputs=inputs,
                     max_faulty=max_faulty,
-                    trials=trials if trials is not None else args.trials,
+                    trials=args.trials,
                     params={"kappa": kappa},
                     adversary=adversary,
                     adversary_params=adversary_params,
@@ -474,15 +474,17 @@ def _run_adaptive_leg(
 ) -> bool:
     """``error-sweep --adaptive``: early stopping vs the fixed budget.
 
-    Runs the same sweep through :class:`AdaptiveRunner` with a total
-    budget equal to the fixed run's trial count (per-config cap
-    ``--max-trials``), prints the allocation, and returns whether the
-    accept/reject verdicts agree with the fixed run config for config.
+    Runs the fixed run's plan through :class:`AdaptiveRunner` with a
+    total budget equal to its trial count (per-config cap ``--trials``),
+    prints the allocation, and returns whether the accept/reject verdicts
+    agree with the fixed run config for config.
     """
+    from .analysis.stats import SequentialEstimate
     from .engine import AdaptiveRunner
+    from .engine.adaptive import BATCH_SIZE
 
-    cap = args.max_trials or args.trials
-    plan = _build_sweep_plan(args, trials=cap)
+    plan = fixed.plan
+    groups = plan.configs()
     # --bound parses to None for the paper's Corollary 2 bound, which
     # each config evaluates from its own κ.
     bounds = {
@@ -491,41 +493,38 @@ def _run_adaptive_leg(
             if args.bound is not None
             else 2.0 ** -plan.trials[indices[0]].param_dict["kappa"]
         )
-        for name, indices in plan.configs().items()
+        for name, indices in groups.items()
     }
     budget = args.trials * len(bounds)
-    runner = AdaptiveRunner(
-        workers=workers, batch_size=args.batch, telemetry=telemetry,
-        backend=backend,
-    )
+    runner = AdaptiveRunner(workers=workers, telemetry=telemetry, backend=backend)
     adaptive = runner.run(plan, bounds, budget=budget)
 
     # Fixed-budget verdicts: the same classifier fed the full counts.
-    fixed_groups = fixed.plan.configs()
     rows = []
     matches = True
     for name, outcome in adaptive.configs.items():
-        indices = fixed_groups[name]
-        estimate = runner.estimate_for(name, bounds)
-        estimate.update(
+        indices = groups[name]
+        fixed_estimate = SequentialEstimate(bounds[name])
+        fixed_estimate.update(
             sum(1 for index in indices if not fixed.results[index].honest_agree()),
             len(indices),
         )
-        matches = matches and outcome.accepted == estimate.accepted
+        estimate = outcome.estimate
+        matches = matches and estimate.accepted == fixed_estimate.accepted
         rows.append(
             [
                 name,
-                f"{outcome.bound:.4f}",
+                f"{estimate.bound:.4f}",
                 len(indices),
-                outcome.executed,
-                outcome.status,
+                estimate.trials,
+                estimate.status,
                 "yes" if outcome.stopped_early else "-",
             ]
         )
 
     print(
-        f"\nadaptive allocation (budget {budget}, per-config cap {cap}, "
-        f"batch {args.batch})\n"
+        f"\nadaptive allocation (budget {budget}, per-config cap "
+        f"{args.trials}, batch {BATCH_SIZE})\n"
     )
     print(
         format_table(
@@ -730,7 +729,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             metrics_path=args.metrics,
             telemetry_path=args.telemetry,
             profile_dir=args.profile,
-            top=args.top,
         )
     except (ObsFormatError, OSError, ValueError) as error:
         print(f"repro report: {error}", file=sys.stderr)
@@ -881,10 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append per-round message/signature tallies",
     )
     trace_parser.add_argument(
-        "--width", type=_positive_int, default=60, metavar="COLS",
-        help="max payload summary width in the timeline",
-    )
-    trace_parser.add_argument(
         "--diff", default=None, metavar="OTHER",
         help="compare against a second trace file round by round; "
         "exit 1 at the first divergence",
@@ -948,15 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         "default) or a literal float",
     )
     sweep_parser.add_argument(
-        "--max-trials", type=_positive_int, default=None, metavar="N",
-        help="adaptive per-config trial cap (default: --trials); raise it "
-        "to let freed budget deepen the noisiest configs",
-    )
-    sweep_parser.add_argument(
-        "--batch", type=_positive_int, default=25,
-        help="adaptive allocation batch size per config per round",
-    )
-    sweep_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="collect per-trial metrics and write the repro-metrics/1 "
         "artifact to PATH (the same bytes on every executor); digest with "
@@ -1002,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "--html", default=None, metavar="PATH",
         help="also write a minimal self-contained HTML rendering",
-    )
-    report_parser.add_argument(
-        "--top", type=_positive_int, default=10, metavar="N",
-        help="hot functions listed from the profile (default 10)",
     )
     report_parser.add_argument(
         "--check", action="store_true",

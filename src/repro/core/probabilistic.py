@@ -84,7 +84,6 @@ def fm_probabilistic_program(
     ctx: Context,
     bit: int,
     coin_factory: Optional[CoinFactory] = None,
-    max_iterations: int = FM_MAX_ITERATIONS,
 ):
     """Expected-constant-round FM BA with probabilistic termination."""
     if bit not in (0, 1):
@@ -96,7 +95,7 @@ def fm_probabilistic_program(
         )
     coin_factory = coin_factory or threshold_coin_factory()
     decided: Optional[ProbTermOutput] = None
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, FM_MAX_ITERATIONS + 1):
         step = iteration_fm_probabilistic(iteration)
         (value, grade), coin = yield from step.exchange(ctx, bit, coin_factory)
         if coin is None:
@@ -113,6 +112,7 @@ def fm_probabilistic_program(
         else:
             bit = extract(0, 0, coin, step.slots)  # adopt the coin's bit
     # Statistically unreachable for honest-majority runs (failure prob
-    # 2^-max_iterations); returning the working value keeps the simulator
-    # total and the caller can detect non-decision via iteration count.
-    return ProbTermOutput(value=bit, decided_iteration=max_iterations)
+    # 2^-FM_MAX_ITERATIONS); returning the working value keeps the
+    # simulator total and the caller can detect non-decision via iteration
+    # count.
+    return ProbTermOutput(value=bit, decided_iteration=FM_MAX_ITERATIONS)

@@ -28,10 +28,10 @@ Determinism is preserved by construction.  Scheduling decisions are
 made only at round boundaries from the accumulated per-config counts —
 which are order-independent — while *within* a round batches stream
 back as they complete, so worker count and completion order never
-change which trials run or what they return.  With early stopping
-disabled and a budget covering the plan, every trial runs and the
-reassembled results are byte-identical to ``ParallelRunner.run`` (pinned
-by ``tests/engine/test_adaptive.py``).
+change which trials run or what they return.  Against a bound of 0 on a
+plan with no disagreement no config ever decides, so every trial runs
+and the reassembled results are byte-identical to ``ParallelRunner.run``
+(pinned by ``tests/engine/test_adaptive.py``).
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from ..analysis.stats import _Z995, SequentialEstimate
+from ..analysis.stats import SequentialEstimate
 from ..network.simulator import ExecutionResult
-from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import TelemetryWriter
 from .plan import TrialPlan
 from .runner import ParallelRunner
@@ -52,14 +51,8 @@ __all__ = ["AdaptiveRunner", "AdaptiveResult", "ConfigOutcome"]
 
 BoundSpec = Union[float, Mapping[str, float]]
 
-#: Every config's stopping rule (see :class:`AdaptiveRunner`).
-_MIN_TRIALS = 32
-_MIN_HITS = 5
-
-
-def _disagreement(result: ExecutionResult) -> bool:
-    """Default event: the trial's honest parties failed to agree."""
-    return not result.honest_agree()
+#: Trials handed to one config per allocation round.
+BATCH_SIZE = 25
 
 
 @dataclass
@@ -69,36 +62,11 @@ class ConfigOutcome:
     name: str
     indices: Tuple[int, ...]
     estimate: SequentialEstimate
-    stopped_early: bool = False
 
     @property
-    def bound(self) -> float:
-        return self.estimate.bound
-
-    @property
-    def executed(self) -> int:
-        """Trials actually run (≤ the per-config cap ``len(indices)``)."""
-        return self.estimate.trials
-
-    @property
-    def hits(self) -> int:
-        return self.estimate.hits
-
-    @property
-    def rate(self) -> float:
-        return self.estimate.rate
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        return self.estimate.interval
-
-    @property
-    def status(self) -> str:
-        return self.estimate.status
-
-    @property
-    def accepted(self) -> bool:
-        return self.estimate.accepted
+    def stopped_early(self) -> bool:
+        """Decided before its per-config cap ``len(indices)`` ran out."""
+        return self.estimate.decided and self.estimate.trials < len(self.indices)
 
 
 @dataclass
@@ -117,36 +85,6 @@ class AdaptiveResult:
     wall_seconds: float
     budget: int
     spent: int
-    # Per-trial metrics registries, plan-ordered with None for trials
-    # the allocator never ran; present iff the runner was built with
-    # metrics=True.
-    trial_metrics: Optional[List[Optional[MetricsRegistry]]] = None
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    @property
-    def saved(self) -> int:
-        """Trials the budget allowed but the statistics made unnecessary."""
-        return self.budget - self.spent
-
-    def verdicts(self) -> Dict[str, bool]:
-        """Per-config accept/reject against its bound."""
-        return {name: outcome.accepted for name, outcome in self.configs.items()}
-
-    def executed_results(self) -> List[ExecutionResult]:
-        """The results that exist, still in plan order."""
-        return [result for result in self.results if result is not None]
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """Merge of every executed trial's metrics registry."""
-        if self.trial_metrics is None:
-            raise ValueError(
-                "run was not collected with metrics=True; no registries"
-            )
-        return MetricsRegistry.merged(
-            registry for registry in self.trial_metrics if registry is not None
-        )
 
 
 class AdaptiveRunner:
@@ -156,14 +94,6 @@ class AdaptiveRunner:
     ----------
     workers:
         Process count; ``1`` executes inline like ``ParallelRunner``.
-    batch_size:
-        Trials handed to one config per allocation round.  Smaller
-        batches stop sooner after the statistics are decided but pay
-        more scheduling overhead.
-    early_stop:
-        ``False`` disables the separation predicate entirely: every
-        config runs until its cap or the budget, which (budget
-        permitting) reproduces ``ParallelRunner`` byte-for-byte.
     telemetry:
         Optional :class:`~repro.obs.TelemetryWriter`.  When set, every
         allocation round emits an ``adaptive_round`` record (which
@@ -172,52 +102,38 @@ class AdaptiveRunner:
         run), and the run closes with ``adaptive_complete`` — the
         scheduler's decisions become auditable after the fact (``repro
         error-sweep --telemetry``).
+    backend:
+        As for ``ParallelRunner``: ``"vector"`` batches each allocation
+        round's batches through the lockstep executor (per-spec fallback
+        inside), with bit-identical results either way.
 
-    Every config's :class:`SequentialEstimate` is deliberately more
-    conservative than the reporting intervals: every batch is another
-    look at the data, so stopping decisions use 99.5% intervals
-    (``z≈2.807``, ``_Z995``) after at least ``_MIN_TRIALS`` = 32 trials,
-    with no precision target — and a violation verdict needs at least
-    ``_MIN_HITS`` = 5 observed failures, so a rare-event config is never
-    rejected on a couple of occurrences that clustered early in its
-    sample.  Together these keep the sequential false-exclusion rate low
-    enough that early-stopped verdicts match fixed-budget verdicts.
+    Each allocation round hands ``BATCH_SIZE`` = 25 trials to each
+    config it picks, and every config is judged by one rule, the one
+    :class:`SequentialEstimate` states: 99.5 % Wilson intervals
+    (``z ≈ 2.807``), no verdict before 32 trials, and no violation
+    claimed on fewer than 5 hits.  The rule is deliberately more
+    conservative than the reporting intervals, because every batch is
+    another look at the data; it keeps the sequential false-exclusion
+    rate low enough that early-stopped verdicts match fixed-budget
+    verdicts.  A config stops once its estimate is decided.
     """
 
     def __init__(
         self,
         workers: int = 1,
-        batch_size: int = 25,
-        early_stop: bool = True,
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
-        metrics: bool = False,
     ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
         # Batches execute through one ParallelRunner.session per run; the
         # runner also validates workers and backend.
         self._runner = ParallelRunner(
-            workers=workers, telemetry=telemetry, backend=backend, metrics=metrics
+            workers=workers, telemetry=telemetry, backend=backend
         )
         self.workers = workers
-        self.batch_size = batch_size
-        self.early_stop = early_stop
         self.telemetry = telemetry
-        # Same semantics as ParallelRunner: "vector" batches each
-        # allocation-round batch through the lockstep executor (per-spec
-        # fallback inside), with bit-identical results either way.
-        self.backend = backend
-        # Same semantics as ParallelRunner: per-trial MetricsRegistry
-        # collection, landing on AdaptiveResult.trial_metrics.
-        self.metrics = metrics
 
     def run(
-        self,
-        plan: TrialPlan,
-        bounds: BoundSpec,
-        budget: Optional[int] = None,
-        event: Callable[[ExecutionResult], bool] = _disagreement,
+        self, plan: TrialPlan, bounds: BoundSpec, budget: Optional[int] = None
     ) -> AdaptiveResult:
         """Execute ``plan`` adaptively against per-config ``bounds``.
 
@@ -226,9 +142,8 @@ class AdaptiveRunner:
         cap is its spec count in the plan.  ``budget`` caps the *total*
         trials across configs (default: the whole plan) — budget freed
         by early-stopped configs is what lets wide-interval configs run
-        past ``budget / num_configs``.  ``event`` maps a trial result to
-        the Bernoulli outcome being estimated (default: honest
-        disagreement).
+        past ``budget / num_configs``.  The estimated event is honest
+        disagreement.
         """
         started = time.perf_counter()
         groups = plan.configs()
@@ -243,7 +158,7 @@ class AdaptiveRunner:
             outcomes[name] = ConfigOutcome(
                 name=name,
                 indices=indices,
-                estimate=self.estimate_for(name, bounds),
+                estimate=SequentialEstimate(_bound_for(name, bounds)),
             )
         order = {name: position for position, name in enumerate(groups)}
         cursors = {name: 0 for name in groups}
@@ -251,18 +166,14 @@ class AdaptiveRunner:
             index: name for name, indices in groups.items() for index in indices
         }
         results: List[Optional[ExecutionResult]] = [None] * len(plan)
-        sink: Optional[Dict[int, MetricsRegistry]] = {} if self.metrics else None
         spent = 0
         rounds = 0
         tele = self.telemetry
         with self._runner.session(
-            plan, sink, configs=len(groups), budget=budget,
-            batch_size=self.batch_size,
+            plan, configs=len(groups), budget=budget, batch_size=BATCH_SIZE
         ) as stream:
             while True:
-                allocations = self._allocate(
-                    outcomes, cursors, order, budget - spent
-                )
+                allocations = _allocate(outcomes, cursors, order, budget - spent)
                 if not allocations:
                     break
                 if tele is not None:
@@ -286,17 +197,12 @@ class AdaptiveRunner:
                 ]
                 for index, result in stream(batches):
                     results[index] = result
-                    outcomes[owner[index]].estimate.observe(event(result))
+                    outcomes[owner[index]].estimate.observe(
+                        not result.honest_agree()
+                    )
                 spent += sum(len(batch) for batch in batches)
                 rounds += 1
 
-            for outcome in outcomes.values():
-                if (
-                    self.early_stop
-                    and outcome.estimate.decided
-                    and outcome.executed < len(outcome.indices)
-                ):
-                    outcome.stopped_early = True
             if tele is not None:
                 tele.emit(
                     "adaptive_complete", spent=spent, budget=budget,
@@ -313,64 +219,52 @@ class AdaptiveRunner:
             wall_seconds=time.perf_counter() - started,
             budget=budget,
             spent=spent,
-            trial_metrics=(
-                [sink.get(index) for index in range(len(plan))]
-                if sink is not None
-                else None
-            ),
         )
 
-    # ── scheduling ───────────────────────────────────────────────────
 
-    def estimate_for(self, name: str, bounds: BoundSpec) -> SequentialEstimate:
-        """A fresh estimate configured like this runner's (shared classifier)."""
-        if isinstance(bounds, Mapping):
-            try:
-                bound = bounds[name]
-            except KeyError:
-                raise KeyError(
-                    f"no bound for config {name!r}; "
-                    f"bounds cover {sorted(bounds)}"
-                ) from None
-        else:
-            bound = float(bounds)
-        return SequentialEstimate(
-            bound=bound, z=_Z995, min_trials=_MIN_TRIALS, min_hits=_MIN_HITS
-        )
+# ── scheduling ───────────────────────────────────────────────────────
 
-    def _allocate(
-        self,
-        outcomes: "OrderedDict[str, ConfigOutcome]",
-        cursors: Dict[str, int],
-        order: Dict[str, int],
-        remaining: int,
-    ) -> List[Tuple[str, Tuple[int, ...]]]:
-        """Pick this round's batches: widest undecided intervals first.
 
-        Purely a function of the accumulated counts (plus plan order as
-        the tie-break), so the schedule is identical for every worker
-        count and completion order.
-        """
+def _bound_for(name: str, bounds: BoundSpec) -> float:
+    """Config ``name``'s bound: its entry in a mapping, else ``bounds``."""
+    if not isinstance(bounds, Mapping):
+        return float(bounds)
+    try:
+        return bounds[name]
+    except KeyError:
+        raise KeyError(
+            f"no bound for config {name!r}; bounds cover {sorted(bounds)}"
+        ) from None
+
+
+def _allocate(
+    outcomes: "OrderedDict[str, ConfigOutcome]",
+    cursors: Dict[str, int],
+    order: Dict[str, int],
+    remaining: int,
+) -> List[Tuple[str, Tuple[int, ...]]]:
+    """Pick this round's batches: widest undecided intervals first.
+
+    Purely a function of the accumulated counts (plus plan order as the
+    tie-break), so the schedule is identical for every worker count and
+    completion order.
+    """
+    if remaining <= 0:
+        return []
+    active = [
+        outcome
+        for outcome in outcomes.values()
+        if cursors[outcome.name] < len(outcome.indices)
+        and not outcome.estimate.decided
+    ]
+    active.sort(key=lambda o: (-o.estimate.width, order[o.name]))
+    allocations: List[Tuple[str, Tuple[int, ...]]] = []
+    for outcome in active:
         if remaining <= 0:
-            return []
-        active = [
-            outcome
-            for outcome in outcomes.values()
-            if cursors[outcome.name] < len(outcome.indices)
-            and not (self.early_stop and outcome.estimate.decided)
-        ]
-        active.sort(key=lambda o: (-o.estimate.width, order[o.name]))
-        allocations: List[Tuple[str, Tuple[int, ...]]] = []
-        for outcome in active:
-            if remaining <= 0:
-                break
-            cursor = cursors[outcome.name]
-            take = min(
-                self.batch_size, len(outcome.indices) - cursor, remaining
-            )
-            allocations.append(
-                (outcome.name, outcome.indices[cursor : cursor + take])
-            )
-            cursors[outcome.name] = cursor + take
-            remaining -= take
-        return allocations
+            break
+        cursor = cursors[outcome.name]
+        take = min(BATCH_SIZE, len(outcome.indices) - cursor, remaining)
+        allocations.append((outcome.name, outcome.indices[cursor : cursor + take]))
+        cursors[outcome.name] = cursor + take
+        remaining -= take
+    return allocations

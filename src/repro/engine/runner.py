@@ -31,8 +31,8 @@ Two overheads are kept off the critical path:
   repeats per worker process.
 
 Dispatch is chunked: contiguous runs of trials ship as one task so the
-per-task pickling/IPC overhead amortizes, with enough chunks per worker
-(4 by default) to keep the pool load-balanced when trial durations vary.
+per-task pickling/IPC overhead amortizes, with four chunks per worker to
+keep the pool load-balanced when trial durations vary.
 
 There is one way to run a plan: :meth:`ParallelRunner.session` opens it
 (directories, ``run_start``, pre-deal, pool) and yields a ``stream``
@@ -451,9 +451,7 @@ def run_traced_trial(spec: TrialSpec, trace_dir: str, index: int) -> ExecutionRe
     return _run_indexed_trial(index, spec, trace_dir, None)
 
 
-def run_measured_trial(
-    spec: TrialSpec, trace_dir: Optional[str] = None, index: int = 0
-) -> Tuple[ExecutionResult, MetricsRegistry]:
+def run_measured_trial(spec: TrialSpec) -> Tuple[ExecutionResult, MetricsRegistry]:
     """Run one trial with a fresh metrics registry attached.
 
     Returns the execution result plus its finalized per-trial
@@ -462,8 +460,8 @@ def run_measured_trial(
     :func:`run_trial` for the same spec.
     """
     registries: Dict[int, MetricsRegistry] = {}
-    result = _run_indexed_trial(index, spec, trace_dir, registries)
-    return result, registries[index]
+    result = _run_indexed_trial(0, spec, None, registries)
+    return result, registries[0]
 
 
 def _iter_chunk(
@@ -581,14 +579,6 @@ class PlanResult:
         """Fraction of trials whose honest parties did not all agree."""
         return disagreement_rate(self.results)
 
-    def metrics_registry(self) -> MetricsRegistry:
-        """Plan-wide merge of every trial's metrics registry."""
-        if self.trial_metrics is None:
-            raise ValueError(
-                "run was not collected with metrics=True; no registries"
-            )
-        return MetricsRegistry.merged(self.trial_metrics)
-
     def metrics_payload(self) -> Dict[str, Any]:
         """The ``repro-metrics/1`` artifact document for this run.
 
@@ -635,7 +625,6 @@ class ParallelRunner:
     def __init__(
         self,
         workers: int = 1,
-        chunk_size: Optional[int] = None,
         trace_dir: Optional[str] = None,
         telemetry: Optional[TelemetryWriter] = None,
         backend: str = "object",
@@ -644,14 +633,11 @@ class ParallelRunner:
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if backend not in ("object", "vector"):
             raise ValueError(
                 f"backend must be 'object' or 'vector', got {backend!r}"
             )
         self.workers = workers
-        self.chunk_size = chunk_size
         self.trace_dir = trace_dir
         self.telemetry = telemetry
         # backend="vector" batches same-config supported trials through
@@ -710,7 +696,7 @@ class ParallelRunner:
         Re-running the pairs through a plan-indexed buffer reproduces
         :meth:`run` exactly; that is how :meth:`run` is implemented.
 
-        One :meth:`session`, one stream: ``chunk_size`` slices when pooled,
+        One :meth:`session`, one stream: ``_chunk_size`` slices when pooled,
         the whole plan as one chunk inline — which lets a serial ``repro
         error-sweep --vector`` batch each configuration's trials in lockstep.
 
@@ -872,9 +858,6 @@ class ParallelRunner:
                 pool.shutdown(wait=True, cancel_futures=True)
 
     def _chunk_size(self, total: int) -> int:
-        """Trials per pool task of a fixed run: as asked, else automatic."""
-        return self.chunk_size or self._auto_chunk_size(total)
-
-    def _auto_chunk_size(self, total: int) -> int:
-        """~4 chunks per worker: amortizes IPC, keeps the pool balanced."""
+        """Trials per pool task of a fixed run: ~4 chunks per worker
+        amortize IPC and keep the pool balanced."""
         return max(1, total // (self.workers * 4))

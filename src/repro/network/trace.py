@@ -40,6 +40,9 @@ __all__ = [
     "summarize_payload",
 ]
 
+#: Widest payload summary a rendered timeline line shows.
+_PAYLOAD_WIDTH = 60
+
 
 def summarize_payload(payload: Any, depth: int = 0) -> str:
     """A short, bounded structural description of a message payload.
@@ -184,7 +187,7 @@ class MemoryTraceSink(TraceSink):
         """All faults injected in one round (shared list — don't mutate)."""
         return self._faults_by_round.get(round_index, [])
 
-    def render(self, max_payload_width: int = 60) -> str:
+    def render(self) -> str:
         """Round-by-round ASCII timeline of the execution."""
         lines: List[str] = []
         corrupted_at: Dict[int, List[int]] = {}
@@ -219,7 +222,7 @@ class MemoryTraceSink(TraceSink):
                     target = "→ all" if len(set(recipients)) >= self._population(events) else f"→ {sorted(set(recipients))}"
                 else:
                     target = f"→ {sorted(set(recipients))}"
-                clipped = summary if len(summary) <= max_payload_width else summary[: max_payload_width - 1] + "…"
+                clipped = summary if len(summary) <= _PAYLOAD_WIDTH else summary[: _PAYLOAD_WIDTH - 1] + "…"
                 lines.append(f" {marker} P{sender} {target}: {clipped}")
         return "\n".join(lines)
 
@@ -306,5 +309,5 @@ class Tracer:
     def faults_in_round(self, round_index: int) -> List[FaultEvent]:
         return self.sink.faults_in_round(round_index)
 
-    def render(self, max_payload_width: int = 60) -> str:
-        return self.sink.render(max_payload_width)
+    def render(self) -> str:
+        return self.sink.render()

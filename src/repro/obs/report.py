@@ -51,6 +51,9 @@ _QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p99", 0.99),
 )
 
+#: Hot functions a profile summary keeps, by own time.
+_TOP_FUNCTIONS = 10
+
 
 def _fmt(value: Any, digits: int = 2) -> str:
     """Fixed-precision cell rendering; ``-`` for missing values."""
@@ -77,17 +80,16 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> List[str]:
 # ── input loaders ─────────────────────────────────────────────────────
 
 
-def load_profile_summary(
-    profile_dir: str, top: int = 10
-) -> Optional[Dict[str, Any]]:
+def load_profile_summary(profile_dir: str) -> Optional[Dict[str, Any]]:
     """Digest every ``*.pstats`` dump under ``profile_dir``.
 
     Returns ``None`` when the directory holds no profiles, and raises
     :class:`ObsFormatError` naming a dump that does not load.  The summary
     is deterministic for a fixed set of dump files: chunks merge in
     sorted filename order, functions sort by own-time (descending) with
-    a full location tie-break, and paths reduce to basenames so the
-    rendering does not depend on where the repo is checked out.
+    a full location tie-break, the top ``_TOP_FUNCTIONS`` = 10 are kept,
+    and paths reduce to basenames so the rendering does not depend on
+    where the repo is checked out.
     """
     paths = sorted(
         os.path.join(profile_dir, name)
@@ -119,7 +121,7 @@ def load_profile_summary(
     return {
         "files": len(paths),
         "total_seconds": round(stats.total_tt, 4),  # type: ignore[attr-defined]
-        "functions": functions[:top],
+        "functions": functions[:_TOP_FUNCTIONS],
     }
 
 
@@ -433,7 +435,7 @@ def build_report(
     return "\n".join(lines) + "\n"
 
 
-def render_html(markdown: str, title: str = "repro run report") -> str:
+def render_html(markdown: str) -> str:
     """Wrap the markdown report in a minimal self-contained HTML page.
 
     Deliberately not a markdown-to-HTML converter — the report stays
@@ -444,7 +446,7 @@ def render_html(markdown: str, title: str = "repro run report") -> str:
     return (
         "<!doctype html>\n"
         "<html><head><meta charset=\"utf-8\">"
-        f"<title>{html.escape(title)}</title></head>\n"
+        "<title>repro run report</title></head>\n"
         "<body><pre>\n"
         f"{html.escape(markdown)}"
         "</pre></body></html>\n"
@@ -483,7 +485,6 @@ def load_report_inputs(
     metrics_path: Optional[str] = None,
     telemetry_path: Optional[str] = None,
     profile_dir: Optional[str] = None,
-    top: int = 10,
 ) -> Dict[str, Any]:
     """Load every requested artifact from disk; raises ``ObsFormatError``
     / ``OSError`` / ``ValueError`` on malformed inputs (the CLI maps
@@ -499,7 +500,7 @@ def load_report_inputs(
     if profile_dir:
         if not os.path.isdir(profile_dir):
             raise ObsFormatError(f"{profile_dir}: not a profile directory")
-        profile = load_profile_summary(profile_dir, top=top)
+        profile = load_profile_summary(profile_dir)
     return {
         "metrics": metrics,
         "telemetry": telemetry,

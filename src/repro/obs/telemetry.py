@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .sinks import _JsonlWriter, _field_problem, _read_jsonl
 
@@ -54,8 +54,8 @@ _FLOOR = 0.05
 
 #: Every field :func:`summarize_telemetry` reads, per record type, and
 #: its kind (see :data:`repro.obs.sinks._KINDS`).  Each is optional but
-#: ``at`` on the four spans that time a run or a chunk; a record
-#: breaking this is an ``ObsFormatError``.
+#: those :data:`_REQUIRED` names; a record breaking this is an
+#: ``ObsFormatError``.
 _RECORD_FIELDS: Dict[str, Dict[str, str]] = {
     "run_start": {"at": "number", "label": "text", "mode": "text", "workers": "count"},
     "run_complete": {"at": "number"},
@@ -71,7 +71,15 @@ _RECORD_FIELDS: Dict[str, Dict[str, str]] = {
     },
     "profile": {"seconds": "number", "path": "text"},
 }
-_TIMED = frozenset({"run_start", "run_complete", "chunk_dispatch", "chunk_complete"})
+#: The fields a record must carry: ``at`` on the four spans that time a
+#: run or a chunk, and a chunk's own ``seconds``, which every engine
+#: path writes.
+_REQUIRED: Dict[str, Tuple[str, ...]] = {
+    "run_start": ("at",),
+    "run_complete": ("at",),
+    "chunk_dispatch": ("at",),
+    "chunk_complete": ("at", "seconds"),
+}
 
 
 class TelemetryWriter(_JsonlWriter):
@@ -131,7 +139,7 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
                 )
             return None
         problem = _field_problem(
-            record, _RECORD_FIELDS.get(kind, {}), ("at",) if kind in _TIMED else ()
+            record, _RECORD_FIELDS.get(kind, {}), _REQUIRED.get(kind, ())
         )
         if problem is None:
             records.append(record)
@@ -141,7 +149,6 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
 
     runs: List[Dict[str, Any]] = []
     longest_chunk: List[float] = []  # per run, beside ``runs``
-    chunk_opened: Dict[Any, float] = {}
     current: Optional[Dict[str, Any]] = None
     totals = {
         "chunks": 0,
@@ -185,13 +192,9 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
         elif kind == "run_complete" and current is not None:
             current["wall_seconds"] = round(record["at"] - current["started"], 6)
         elif kind == "chunk_dispatch":
-            chunk_opened[record.get("chunk")] = record["at"]
             totals["trials"] += record.get("trials", 0)
         elif kind == "chunk_complete":
-            seconds = record.get("seconds")
-            if seconds is None:
-                opened = chunk_opened.get(record.get("chunk"), record["at"])
-                seconds = record["at"] - opened
+            seconds = record["seconds"]
             totals["chunks"] += 1
             totals["busy_seconds"] += seconds
             totals["payload_bytes"] += record.get("payload_bytes", 0)

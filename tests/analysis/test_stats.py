@@ -76,14 +76,17 @@ class TestSequentialEstimate:
         estimate.update(50, 200)
         low, high = estimate.interval
         assert low <= 0.25 <= high
-        assert high - low <= estimate.precision
+        assert high - low <= estimate.bound  # the width the rule asks for
         assert estimate.status == "contained"
         assert estimate.accepted
 
     def test_min_trials_gates_every_decision(self):
-        estimate = SequentialEstimate(bound=0.5, min_trials=64)
-        estimate.update(0, 63)  # would be a clear "below" otherwise
+        estimate = SequentialEstimate(bound=0.5)
+        estimate.update(0, 31)  # would be a clear "below" otherwise
+        _low, high = estimate.interval
+        assert high < estimate.bound
         assert estimate.status == "undecided"
+        assert estimate.accepted
         estimate.observe(False)
         assert estimate.status == "below"
 
@@ -101,10 +104,10 @@ class TestSequentialEstimate:
     def test_min_hits_gates_rare_event_violation_claims(self):
         # Three failures clustered in the first 50 trials of a
         # bound=2^-8 config push the Wilson low end over the bound, but
-        # with fewer than min_hits occurrences that must not read as a
+        # with fewer than five occurrences that must not read as a
         # proven violation (the prefix-clustering artifact: the same
         # config at 3/300 is comfortably accepted).
-        estimate = SequentialEstimate(bound=2.0 ** -8, min_trials=32)
+        estimate = SequentialEstimate(bound=2.0 ** -8)
         estimate.update(3, 50)
         low, _high = estimate.interval
         assert low > estimate.bound  # interval alone would exclude
@@ -112,11 +115,9 @@ class TestSequentialEstimate:
         assert estimate.accepted
         # More evidence at the same rate does cross the floor.
         estimate.update(3, 50)
-        assert estimate.hits >= estimate.min_hits
+        assert estimate.hits >= 5
         assert estimate.status == "above"
         assert not estimate.accepted
-        with pytest.raises(ValueError, match="min_hits"):
-            SequentialEstimate(bound=0.5, min_hits=0)
 
     def test_width_is_the_noise_ranking_key(self):
         noisy = SequentialEstimate(bound=0.25)
@@ -128,10 +129,6 @@ class TestSequentialEstimate:
     def test_validation(self):
         with pytest.raises(ValueError, match="bound"):
             SequentialEstimate(bound=1.5)
-        with pytest.raises(ValueError, match="min_trials"):
-            SequentialEstimate(bound=0.5, min_trials=0)
-        with pytest.raises(ValueError, match="precision"):
-            SequentialEstimate(bound=0.5, precision=-0.1)
         estimate = SequentialEstimate(bound=0.5)
         with pytest.raises(ValueError, match="hits"):
             estimate.update(5, 3)

@@ -34,7 +34,7 @@ class TestCrashRecoverDeterminism:
     def test_serial_and_pooled_results_are_byte_identical(self):
         plan = _crash_plan()
         serial = ParallelRunner(workers=1).run(plan)
-        pooled = ParallelRunner(workers=2, chunk_size=5).run(plan)
+        pooled = ParallelRunner(workers=2).run(plan)
         assert serial.results == pooled.results
         for mine, theirs in zip(serial.results, pooled.results):
             # RunMetrics equality is row for row, in round order: the
@@ -100,5 +100,5 @@ class TestCrashRecoverDeterminism:
         spec = plan.trials[0]
         assert run_trial(spec) == run_trial(spec)
         serial = ParallelRunner(workers=1).run(plan)
-        pooled = ParallelRunner(workers=2, chunk_size=2).run(plan)
+        pooled = ParallelRunner(workers=2).run(plan)
         assert serial.results == pooled.results

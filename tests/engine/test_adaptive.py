@@ -2,19 +2,21 @@
 
 The two pinned guarantees:
 
-* with a fixed budget and early stopping disabled, the adaptive runner
-  is **byte-identical** to ``ParallelRunner`` on the same plan, for any
+* against a bound of 0 on a plan with no disagreement no config ever
+  decides, so every trial runs, and the adaptive runner is
+  **byte-identical** to ``ParallelRunner`` on the same plan, for any
   worker count;
-* with early stopping enabled it reaches the same accept/reject verdict
-  per config while spending measurably fewer trials.
+* otherwise it reaches the same accept/reject verdict per config while
+  spending measurably fewer trials.
 """
 
 import pytest
 
+from repro.analysis.stats import SequentialEstimate
 from repro.engine import AdaptiveRunner, ParallelRunner, TrialPlan
 
 
-def _sweep_plan(kappas=(1, 2), trials=60):
+def _sweep_plan(kappas=(1, 2), trials=60, adversary="straddle13"):
     return TrialPlan.concat(
         "adaptive-test",
         [
@@ -25,14 +27,22 @@ def _sweep_plan(kappas=(1, 2), trials=60):
                 max_faulty=1,
                 trials=trials,
                 params={"kappa": kappa},
-                adversary="straddle13",
-                adversary_params={"victims": (3,)},
+                adversary=adversary,
+                adversary_params={"victims": (3,)} if adversary else None,
                 seed=kappa,
                 collect_signatures=False,
             )
             for kappa in kappas
         ],
     )
+
+
+def _undecidable_plan():
+    """Honest runs never disagree, and against a bound of 0 an estimate
+    with no hits stays undecided however many trials it sees: every
+    trial runs, two 25-trial allocation rounds and a 10-trial one per
+    config."""
+    return _sweep_plan(adversary=None)
 
 
 def _bounds(kappas=(1, 2)):
@@ -43,10 +53,6 @@ class TestValidation:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="worker"):
             AdaptiveRunner(workers=0)
-
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            AdaptiveRunner(batch_size=0)
 
     def test_rejects_missing_bound(self):
         plan = _sweep_plan()
@@ -60,21 +66,18 @@ class TestValidation:
 
 class TestFixedBudgetDeterminism:
     def test_byte_identical_to_parallel_runner_serial(self):
-        plan = _sweep_plan()
+        plan = _undecidable_plan()
         fixed = ParallelRunner(workers=1).run(plan)
-        adaptive = AdaptiveRunner(
-            workers=1, early_stop=False, batch_size=7
-        ).run(plan, _bounds())
+        adaptive = AdaptiveRunner(workers=1).run(plan, 0.0)
         assert adaptive.spent == len(plan)
+        assert not any(o.stopped_early for o in adaptive.configs.values())
         assert adaptive.results == fixed.results  # byte-identical, no Nones
 
     def test_byte_identical_across_worker_counts(self):
-        plan = _sweep_plan()
+        plan = _undecidable_plan()
         fixed = ParallelRunner(workers=1).run(plan)
         for workers in (2, 3):
-            adaptive = AdaptiveRunner(
-                workers=workers, early_stop=False, batch_size=7
-            ).run(plan, _bounds())
+            adaptive = AdaptiveRunner(workers=workers).run(plan, 0.0)
             assert adaptive.results == fixed.results
 
     def test_early_stopped_results_are_a_prefix_subset(self):
@@ -83,7 +86,7 @@ class TestFixedBudgetDeterminism:
         # indices — early stopping skips work, never changes it.
         plan = _sweep_plan()
         fixed = ParallelRunner(workers=1).run(plan)
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(plan, _bounds())
+        adaptive = AdaptiveRunner(workers=1).run(plan, _bounds())
         ran = 0
         for index, result in enumerate(adaptive.results):
             if result is not None:
@@ -93,13 +96,13 @@ class TestFixedBudgetDeterminism:
 
     def test_adaptive_rerun_is_bit_identical(self):
         plan = _sweep_plan()
-        runner = AdaptiveRunner(workers=1, batch_size=10)
+        runner = AdaptiveRunner(workers=1)
         first = runner.run(plan, _bounds())
         second = runner.run(plan, _bounds())
         assert first.results == second.results
         assert first.spent == second.spent
-        assert [o.status for o in first.configs.values()] == [
-            o.status for o in second.configs.values()
+        assert [o.estimate.status for o in first.configs.values()] == [
+            o.estimate.status for o in second.configs.values()
         ]
 
 
@@ -108,35 +111,28 @@ class TestEarlyStopping:
         # k=1 vs an absurd bound 0.999: the measured rate (~0.5) is
         # proven below it almost immediately.
         plan = _sweep_plan(kappas=(1,), trials=60)
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(
-            plan, {"one_third-k1": 0.999}
-        )
+        adaptive = AdaptiveRunner(workers=1).run(plan, {"one_third-k1": 0.999})
         outcome = adaptive.configs["one_third-k1"]
-        assert outcome.status == "below"
+        assert outcome.estimate.status == "below"
         assert outcome.stopped_early
-        assert outcome.executed < len(plan)
-        assert adaptive.spent == outcome.executed
-        assert adaptive.saved > 0
+        assert outcome.estimate.trials < len(plan)
+        assert adaptive.spent == outcome.estimate.trials < adaptive.budget
 
     def test_violated_bound_is_rejected(self):
         # k=1 (rate ~0.5) against a bound of 0.01: proven above.
         plan = _sweep_plan(kappas=(1,), trials=60)
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(
-            plan, {"one_third-k1": 0.01}
-        )
+        adaptive = AdaptiveRunner(workers=1).run(plan, {"one_third-k1": 0.01})
         outcome = adaptive.configs["one_third-k1"]
-        assert outcome.status == "above"
-        assert not outcome.accepted
-        assert adaptive.verdicts() == {"one_third-k1": False}
+        assert outcome.estimate.status == "above"
+        assert not outcome.estimate.accepted
 
     def test_same_verdicts_as_fixed_budget_with_fewer_trials(self):
         plan = _sweep_plan(kappas=(1, 2), trials=200)
         fixed = ParallelRunner(workers=1).run(plan)
-        runner = AdaptiveRunner(workers=1, batch_size=25)
-        adaptive = runner.run(plan, _bounds())
+        adaptive = AdaptiveRunner(workers=1).run(plan, _bounds())
         assert adaptive.spent < len(plan)
         for name, indices in plan.configs().items():
-            fixed_estimate = runner.estimate_for(name, _bounds())
+            fixed_estimate = SequentialEstimate(_bounds()[name])
             fixed_estimate.update(
                 sum(
                     1
@@ -145,66 +141,49 @@ class TestEarlyStopping:
                 ),
                 len(indices),
             )
-            assert adaptive.configs[name].accepted == fixed_estimate.accepted
+            estimate = adaptive.configs[name].estimate
+            assert estimate.accepted == fixed_estimate.accepted
 
     def test_freed_budget_reallocates_to_widest_interval(self):
         # Give the sweep less budget than the plan: after k=1 settles
-        # (vs a generous bound), the remainder must flow to k=2 — the
-        # one with the wider interval — rather than being split evenly.
-        plan = _sweep_plan(kappas=(1, 2), trials=100)
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(
-            plan, {"one_third-k1": 0.999, "one_third-k2": 0.25}, budget=100
+        # (vs a generous bound), the remainder must flow to k=4 — the
+        # one still undecided — rather than being split evenly.
+        plan = _sweep_plan(kappas=(1, 4), trials=100)
+        adaptive = AdaptiveRunner(workers=1).run(
+            plan, {"one_third-k1": 0.999, "one_third-k4": 0.0625}, budget=150
         )
-        k1, k2 = (
+        k1, k4 = (
             adaptive.configs["one_third-k1"],
-            adaptive.configs["one_third-k2"],
+            adaptive.configs["one_third-k4"],
         )
         assert k1.stopped_early
-        assert k2.executed > 50  # got more than an even split
-        assert adaptive.spent <= 100
+        assert k4.estimate.trials > 75  # got more than an even split
+        assert adaptive.spent <= 150
 
     def test_budget_caps_total_trials(self):
         plan = _sweep_plan(kappas=(4,), trials=100)  # stays undecided
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(
+        adaptive = AdaptiveRunner(workers=1).run(
             plan, _bounds(kappas=(4,)), budget=30
         )
-        assert adaptive.spent == 30
-        assert adaptive.configs["one_third-k4"].executed == 30
-
-    def test_disable_early_stop_runs_everything(self):
-        plan = _sweep_plan(kappas=(1,), trials=50)
-        adaptive = AdaptiveRunner(workers=1, early_stop=False).run(
-            plan, {"one_third-k1": 0.999}
-        )
-        assert adaptive.spent == len(plan)
-        assert not adaptive.configs["one_third-k1"].stopped_early
-        assert all(result is not None for result in adaptive.results)
+        assert adaptive.spent == 30  # a 25-trial round, then the last 5
+        assert adaptive.configs["one_third-k4"].estimate.trials == 30
 
 
 class TestResultSurface:
-    def test_executed_results_preserve_plan_order(self):
-        plan = _sweep_plan()
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(plan, _bounds())
-        executed = adaptive.executed_results()
-        assert len(executed) == adaptive.spent
-        indexed = [
-            result for result in adaptive.results if result is not None
-        ]
-        assert executed == indexed
-
     def test_scalar_bound_applies_to_every_config(self):
         plan = _sweep_plan(kappas=(1, 2), trials=40)
-        adaptive = AdaptiveRunner(workers=1, batch_size=10).run(plan, 0.999)
+        adaptive = AdaptiveRunner(workers=1).run(plan, 0.999)
         assert all(
-            outcome.bound == 0.999 for outcome in adaptive.configs.values()
+            outcome.estimate.bound == 0.999
+            for outcome in adaptive.configs.values()
         )
 
 
 class TestVectorFallbackTelemetry:
     def test_inline_vector_fallbacks_reach_the_rollup(self, tmp_path):
-        """adaptive + vector + metrics batches every supported trial —
-        metrics are no fallback reason — and the ``vector_batch`` spans
-        carry the genuine fallbacks into ``fallback_reasons``."""
+        """adaptive + vector batches every supported trial, and the
+        ``vector_batch`` spans carry the genuine fallbacks into
+        ``fallback_reasons``."""
         import json
 
         from repro.obs import TelemetryWriter, summarize_telemetry
@@ -218,9 +197,9 @@ class TestVectorFallbackTelemetry:
         plan = TrialPlan.concat("adaptive-vector", [supported, faulted])
         path = str(tmp_path / "adaptive-vector.jsonl")
         with TelemetryWriter(path) as telemetry:
+            # Neither config reaches the 32 trials a verdict needs.
             adaptive = AdaptiveRunner(
-                workers=1, batch_size=4, early_stop=False, backend="vector",
-                metrics=True, telemetry=telemetry,
+                workers=1, backend="vector", telemetry=telemetry
             ).run(plan, 0.5)
         assert adaptive.spent == len(plan)
         summary = summarize_telemetry(path)

@@ -53,7 +53,7 @@ class TestWorkerCountInvariance:
     def test_parallel_results_identical_to_serial(self):
         plan = _mixed_plan()
         serial = ParallelRunner(workers=1).run(plan)
-        parallel = ParallelRunner(workers=4, chunk_size=2).run(plan)
+        parallel = ParallelRunner(workers=4).run(plan)
         assert len(serial) == len(parallel) == len(plan)
         # ExecutionResult is a plain dataclass: == compares outputs,
         # corrupted, metrics (incl. per-round tallies), inputs and

@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.engine import (
-    AdaptiveRunner,
     ChunkSummary,
     ParallelRunner,
     TrialPlan,
@@ -76,11 +75,9 @@ class TestBackendIdentity:
     def test_serial_pooled_vector_artifacts_identical(self):
         plan = _plan()
         serial = ParallelRunner(workers=1, metrics=True).run(plan)
-        pooled = ParallelRunner(workers=2, chunk_size=3, metrics=True).run(plan)
+        pooled = ParallelRunner(workers=2, metrics=True).run(plan)
         vector = ParallelRunner(workers=1, backend="vector", metrics=True).run(plan)
-        vecpool = ParallelRunner(
-            workers=2, chunk_size=3, backend="vector", metrics=True
-        ).run(plan)
+        vecpool = ParallelRunner(workers=2, backend="vector", metrics=True).run(plan)
         reference = _artifact_bytes(serial)
         assert _artifact_bytes(pooled) == reference
         assert _artifact_bytes(vector) == reference
@@ -107,7 +104,7 @@ class TestBackendIdentity:
     def test_metrics_registry_raises_without_collection(self):
         result = ParallelRunner(workers=1).run(_plan(trials=2))
         with pytest.raises(ValueError, match="metrics"):
-            result.metrics_registry()
+            result.metrics_payload()
 
 
 class TestRunnerValidation:
@@ -143,9 +140,7 @@ class TestVectorNativeMetrics:
             ],
         )
         serial = ParallelRunner(workers=1, metrics=True).run(plan)
-        pooled = ParallelRunner(
-            workers=2, chunk_size=4, backend="vector", metrics=True
-        ).run(plan)
+        pooled = ParallelRunner(workers=2, backend="vector", metrics=True).run(plan)
         assert _artifact_bytes(pooled) == _artifact_bytes(serial)
         assert pooled.trial_metrics == serial.trial_metrics
 
@@ -258,7 +253,7 @@ class TestChunkSummaryTransport:
         pairs = []
         registries = {}
         for index, spec in enumerate(specs):
-            result, registry = run_measured_trial(spec, index=index)
+            result, registry = run_measured_trial(spec)
             pairs.append((index, result))
             registries[index] = registry
         summary = ChunkSummary.pack(pairs, metrics=registries)
@@ -267,31 +262,10 @@ class TestChunkSummaryTransport:
 
     def test_metrics_field_defaults_empty(self):
         specs = _plan(trials=2).trials
-        pairs = [
-            (i, run_measured_trial(s, index=i)[0]) for i, s in enumerate(specs)
-        ]
+        pairs = [(i, run_measured_trial(s)[0]) for i, s in enumerate(specs)]
         summary = ChunkSummary.pack(pairs)
         assert summary.metrics == ()
         assert summary.unpack_metrics() == {}
-
-
-class TestAdaptiveMetrics:
-    def test_serial_and_pooled_merges_match_fixed_runner(self):
-        plan = _plan(trials=8, name="adaptive-metrics")
-        serial = AdaptiveRunner(
-            workers=1, metrics=True, batch_size=4, early_stop=False
-        ).run(plan, 0.25)
-        pooled = AdaptiveRunner(
-            workers=2, metrics=True, batch_size=4, early_stop=False
-        ).run(plan, 0.25)
-        assert serial.trial_metrics is not None
-        merged_serial = serial.metrics_registry()
-        merged_pooled = pooled.metrics_registry()
-        assert merged_serial == merged_pooled
-        # With early stopping off the adaptive run executes every trial,
-        # so its merge must equal the fixed runner's.
-        fixed = ParallelRunner(workers=1, metrics=True).run(plan)
-        assert merged_serial == fixed.metrics_registry()
 
 
 class TestProfiling:
@@ -313,9 +287,7 @@ class TestProfiling:
         profile_dir = str(tmp_path / "prof")
         tele_path = str(tmp_path / "telemetry.jsonl")
         tele = TelemetryWriter(tele_path)
-        runner = ParallelRunner(
-            workers=2, chunk_size=10, profile_dir=profile_dir, telemetry=tele
-        )
+        runner = ParallelRunner(workers=2, profile_dir=profile_dir, telemetry=tele)
         result = runner.run(plan)
         tele.close()
         assert len(result) == len(plan)
@@ -357,8 +329,7 @@ class TestProfiling:
             tele_path = str(tmp_path / f"{drive.__name__}.jsonl")
             with TelemetryWriter(tele_path) as tele:
                 runner = ParallelRunner(
-                    workers=workers, chunk_size=1, profile_dir=profile_dir,
-                    telemetry=tele,
+                    workers=workers, profile_dir=profile_dir, telemetry=tele
                 )
                 assert sorted(drive(runner)) == list(
                     enumerate(ParallelRunner(workers=1).run(plan).results)

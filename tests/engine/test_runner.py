@@ -86,10 +86,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least one worker"):
             ParallelRunner(workers=0)
 
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelRunner(workers=2, chunk_size=0)
-
 
 class TestSerialRun:
     def test_runs_all_trials_in_plan_order(self):
@@ -121,16 +117,16 @@ class TestParallelRun:
         assert result.workers == 1  # pool skipped, nothing to parallelize
 
     def test_chunked_dispatch_covers_every_trial(self):
-        plan = _plan(trials=7)
-        result = ParallelRunner(workers=2, chunk_size=2).run(plan)
-        assert len(result) == 7
+        plan = _plan(trials=17)  # two-trial chunks, the last one short
+        result = ParallelRunner(workers=2).run(plan)
+        assert len(result) == 17
         assert result.chunk_size == 2
         assert all(execution is not None for execution in result)
 
     def test_auto_chunk_size_targets_four_chunks_per_worker(self):
         runner = ParallelRunner(workers=2)
-        assert runner._auto_chunk_size(80) == 10
-        assert runner._auto_chunk_size(3) == 1  # never zero
+        assert runner._chunk_size(80) == 10
+        assert runner._chunk_size(3) == 1  # never zero
 
 
 class TestCampaignLayers:
@@ -146,7 +142,7 @@ class TestCampaignLayers:
         serial = ParallelRunner(workers=1).run(plan)
         # Again, now that every memo and routing table is warm.
         assert ParallelRunner(workers=1).run(plan).results == serial.results
-        pooled = ParallelRunner(workers=2, chunk_size=2).run(plan)
+        pooled = ParallelRunner(workers=2).run(plan)
         assert pooled.results == serial.results
         assert ChunkSummary.pack(
             list(enumerate(pooled.results))
@@ -258,7 +254,7 @@ class TestStreamingAndFailures:
 
     def test_run_iter_parallel_covers_plan_reassembles_to_run(self):
         plan = _plan(trials=7)
-        runner = ParallelRunner(workers=2, chunk_size=2)
+        runner = ParallelRunner(workers=2)
         collected = {}
         for index, result in runner.run_iter(plan):
             collected[index] = result
@@ -271,13 +267,13 @@ class TestStreamingAndFailures:
         bad = replace(_plan(trials=1).trials[0], protocol="no_such_protocol")
         plan = TrialPlan(name="poisoned", trials=(bad,) * 4)
         with pytest.raises(TrialExecutionError, match="no_such_protocol"):
-            ParallelRunner(workers=2, chunk_size=1).run(plan)
+            ParallelRunner(workers=2).run(plan)
 
     @pytest.mark.parametrize(
         "runner",
         [
             ParallelRunner(workers=1),
-            ParallelRunner(workers=2, chunk_size=1),
+            ParallelRunner(workers=2),
             ParallelRunner(workers=1, backend="vector"),
             ParallelRunner(workers=1, backend="vector", metrics=True),
         ],
@@ -313,19 +309,28 @@ class TestStreamingAndFailures:
 
     @pytest.mark.parametrize("where", ["probe", "run_batch"])
     @pytest.mark.parametrize(
-        "run",
+        "run, trials",
         [
-            lambda plan: ParallelRunner(workers=1, backend="vector").run(plan),
-            lambda plan: ParallelRunner(
-                workers=2, chunk_size=2, backend="vector", metrics=True
-            ).run(plan),
-            lambda plan: AdaptiveRunner(
-                workers=1, backend="vector", batch_size=4
-            ).run(plan, 0.25),
+            (lambda plan: ParallelRunner(workers=1, backend="vector").run(plan), 6),
+            # 16 trials on 2 workers: two-trial chunks.
+            (
+                lambda plan: ParallelRunner(
+                    workers=2, backend="vector", metrics=True
+                ).run(plan),
+                16,
+            ),
+            (
+                lambda plan: AdaptiveRunner(workers=1, backend="vector").run(
+                    plan, 0.25
+                ),
+                6,
+            ),
         ],
         ids=["inline", "pooled", "adaptive"],
     )
-    def test_vector_model_failure_names_its_batch(self, monkeypatch, run, where):
+    def test_vector_model_failure_names_its_batch(
+        self, monkeypatch, run, trials, where
+    ):
         """A bug inside a vector model — not the audited VectorModelError
         fallback — ends like any failing trial: named, chained, replayable."""
 
@@ -337,7 +342,7 @@ class TestStreamingAndFailures:
         else:
             swap_vector_model(monkeypatch, "ba_one_third", "straddle13", batch=broken)
         clear_probe_cache()  # pool workers fork with the patch and no probes
-        plan = _plan(trials=6)
+        plan = _plan(trials=trials)
         with pytest.raises(TrialExecutionError) as raised:
             run(plan)
         error = raised.value
@@ -382,14 +387,15 @@ class TestStreamingAndFailures:
             params={"marker_dir": str(tmp_path), "delay": 0.05},
         )
         bad = replace(good, protocol="no_such_protocol", params={})
-        plan = TrialPlan(name="fail-fast", trials=(bad,) + (good,) * 40)
+        # 31 trials on 2 workers: eleven chunks of (at most) three trials.
+        plan = TrialPlan(name="fail-fast", trials=(bad,) + (good,) * 30)
         with pytest.raises(TrialExecutionError, match="no_such_protocol") as raised:
-            ParallelRunner(workers=2, chunk_size=1).run(plan)
+            ParallelRunner(workers=2).run(plan)
         assert (raised.value.index, raised.value.spec) == (0, bad)
         # At most the chunks already in flight when the failure landed
-        # ran; the other ~40 were cancelled on the spot.
+        # ran; the others were cancelled on the spot.
         markers = list(tmp_path.iterdir())
-        assert len(markers) < 20, f"{len(markers)} slow chunks ran after failure"
+        assert len(markers) < 20, f"{len(markers)} slow trials ran after failure"
 
 
 def _interrupting_builder(**_params):
@@ -418,29 +424,33 @@ class TestDeadWorker:
     """A pool worker that dies is a named error that says what was lost
     and how to find the trial — from every runner, and through the CLI."""
 
-    DYING = 6
+    DYING = 14
 
     def _plan(self):
+        """16 trials in eight two-trial configs: two-trial chunks on 2
+        workers, and one two-trial batch per config in an adaptive round."""
         register_protocol("test_dying", _dying_builder)
-        specs = _plan(trials=8).trials
+        specs = _plan(trials=16).trials
         params = {"victim": specs[self.DYING].session}
         return TrialPlan(name="dying", trials=tuple(
-            replace(spec, protocol="test_dying", params=params) for spec in specs
+            replace(
+                spec, protocol="test_dying", params=params,
+                config=f"dying-{index // 2}",
+            )
+            for index, spec in enumerate(specs)
         ))
 
     @pytest.mark.parametrize("kind", ["run", "run_iter", "adaptive"])
     def test_names_the_lost_chunks_and_a_way_to_reproduce(self, tmp_path, kind):
         plan = self._plan()
-        fixed = ParallelRunner(workers=2, chunk_size=2, trace_dir=str(tmp_path))
+        fixed = ParallelRunner(workers=2, trace_dir=str(tmp_path))
         with pytest.raises(WorkerLostError) as raised:
             if kind == "run":
                 fixed.run(plan)
             elif kind == "run_iter":
                 list(fixed.run_iter(plan))
-            else:  # one batch per round, so the victim's is the only one out
-                AdaptiveRunner(workers=2, batch_size=2, early_stop=False).run(
-                    plan, 0.5
-                )
+            else:  # no config decides on two trials: one round runs them all
+                AdaptiveRunner(workers=2).run(plan, 0.5)
         error = raised.value
         assert type(error.__cause__).__name__ == "BrokenProcessPool"
         # Two-trial chunks in plan order: chunk k holds trials 2k, 2k+1.
@@ -452,7 +462,7 @@ class TestDeadWorker:
         message = str(error)
         # The victim's chunk is the plan's last; the CLI test pins the format.
         assert message.startswith("a pool worker died while chunks ")
-        assert "–7) were running or queued; none of them completed" in message
+        assert "–15) were running or queued; none of them completed" in message
         assert "Re-run with workers=1" in message
         command = shlex.split(message.splitlines()[-1])
         assert command[:3] == ["repro", "run", "--spec"]

@@ -1106,7 +1106,9 @@ class TestHotPathCounts:
         assert calls["unpack"] == classes
         assert [rebuilt[index] for index in range(trials)] == cold.trial_metrics
         calls.clear()
-        assert MetricsRegistry.merged(rebuilt.values()) == cold.metrics_registry()
+        assert MetricsRegistry.merged(rebuilt.values()) == MetricsRegistry.merged(
+            cold.trial_metrics
+        )
         assert calls["_add"] == 2 * classes
 
         # Fresh seeds, classes warm: nothing is composed, encoded or copied.
@@ -1344,8 +1346,7 @@ class TestWalk:
         path = str(tmp_path / "telemetry.jsonl")
         with TelemetryWriter(path) as telemetry:
             ParallelRunner(
-                workers=workers, chunk_size=10, backend="vector",
-                telemetry=telemetry,
+                workers=workers, backend="vector", telemetry=telemetry
             ).run(plan)
         summary = summarize_telemetry(path)
         assert summary["vector_batched"] == len(plan) == 72
@@ -1590,9 +1591,7 @@ class TestWalkGrid:
             ],
         )
         runs = [
-            ParallelRunner(
-                workers=workers, chunk_size=7, backend=backend, metrics=True
-            ).run(plan)
+            ParallelRunner(workers=workers, backend=backend, metrics=True).run(plan)
             for workers, backend in ((1, "vector"), (2, "vector"), (1, "object"))
         ]
         assert packed(runs[0]).blob == packed(runs[1]).blob == packed(runs[2]).blob
@@ -1802,17 +1801,13 @@ class TestWarmTables:
 
     @staticmethod
     def _observed(runner_run, tmp_path, name):
-        """Results, registry bytes and telemetry coins of a runner's run."""
+        """A runner's run, with its results and telemetry coins."""
         path = str(tmp_path / f"{name}.jsonl")
         with TelemetryWriter(path) as telemetry:
             run = runner_run(telemetry)
         summary = summarize_telemetry(path)
         assert summary["vector_fallback"] == 0
-        return (
-            [canon(result) for result in run.results],
-            [registry.pack() for registry in run.trial_metrics],
-            summary["coins"],
-        )
+        return run, ([canon(result) for result in run.results], summary["coins"])
 
     def test_one_batch_batches_of_one_pooled_and_adaptive_agree(
         self, tmp_path, fresh_tables
@@ -1825,22 +1820,23 @@ class TestWarmTables:
         cold = self._run([indexed])
         assert cold[2] > 0
         assert self._run([[member] for member in indexed]) == cold
-        pooled = self._observed(
+        # Three workers: eight-trial chunks, which straddle configurations.
+        pooled_run, pooled = self._observed(
             lambda telemetry: ParallelRunner(
-                workers=2, chunk_size=5, backend="vector", metrics=True,
-                telemetry=telemetry,
+                workers=3, backend="vector", metrics=True, telemetry=telemetry
             ).run(plan),
             tmp_path, "pooled",
         )
-        assert pooled == cold
-        adaptive = self._observed(
+        assert pooled == (cold[0], cold[2])
+        assert [registry.pack() for registry in pooled_run.trial_metrics] == cold[1]
+        # No config reaches the 32 trials a verdict needs: one round runs all.
+        _adaptive_run, adaptive = self._observed(
             lambda telemetry: AdaptiveRunner(
-                workers=1, batch_size=3, early_stop=False, backend="vector",
-                metrics=True, telemetry=telemetry,
+                workers=1, backend="vector", telemetry=telemetry
             ).run(plan, bounds=0.5),
             tmp_path, "adaptive",
         )
-        assert adaptive == cold
+        assert adaptive == (cold[0], cold[2])
         # The object simulator is the reference, not another vector run.
         reference = [run_measured_trial(spec) for spec in plan.trials]
         assert cold[0] == [canon(result) for result, _ in reference]
@@ -1884,10 +1880,7 @@ class TestWarmTables:
             len(leaf.classes) for table in tables for leaf in table_leaves(table)
         )
         assert self._run([[member] for member in indexed]) == first
-        AdaptiveRunner(
-            workers=1, batch_size=2, early_stop=False, backend="vector",
-            metrics=True,
-        ).run(plan, bounds=0.5)
+        AdaptiveRunner(workers=1, backend="vector").run(plan, bounds=0.5)
         assert self._run([indexed[::2], indexed[1::2]]) == first
         assert (dict(rows), len(composed)) == built
 
@@ -2108,9 +2101,7 @@ class TestRunnerIntegration:
             adversary_params={"victims": (3, 4)}, seed=9,
         )
         obj = ParallelRunner(workers=1).run(plan).results
-        vec = ParallelRunner(
-            workers=2, backend="vector", chunk_size=5
-        ).run(plan).results
+        vec = ParallelRunner(workers=2, backend="vector").run(plan).results
         assert [canon(a) for a in obj] == [canon(b) for b in vec]
 
     def test_rejects_unknown_backend(self):
@@ -2125,13 +2116,15 @@ class TestRunnerIntegration:
             trials=20, params={"kappa": 2}, adversary="straddle13",
             adversary_params={"victims": (3,)}, seed=13,
         )
-        kwargs = dict(workers=1, batch_size=7, early_stop=False)
-        obj = AdaptiveRunner(**kwargs).run(plan, bounds=0.25)
-        vec = AdaptiveRunner(backend="vector", **kwargs).run(plan, bounds=0.25)
-        assert [canon(r) for r in obj.executed_results()] == [
-            canon(r) for r in vec.executed_results()
+        obj = AdaptiveRunner(workers=1).run(plan, bounds=0.25)
+        vec = AdaptiveRunner(workers=1, backend="vector").run(plan, bounds=0.25)
+        assert obj.spent == vec.spent
+        assert [canon(r) for r in obj.results if r is not None] == [
+            canon(r) for r in vec.results if r is not None
         ]
-        assert obj.verdicts() == vec.verdicts()
+        assert [o.estimate for o in obj.configs.values()] == [
+            o.estimate for o in vec.configs.values()
+        ]
 
     def test_vector_batch_telemetry_span(self, tmp_path):
         from repro.obs import TelemetryWriter, summarize_telemetry

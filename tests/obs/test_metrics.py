@@ -21,7 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import TrialPlan, run_measured_trial, run_traced_trial, run_trial
+from repro.engine import (
+    ParallelRunner,
+    TrialPlan,
+    run_measured_trial,
+    run_traced_trial,
+    run_trial,
+)
 from repro.network.trace import Tracer
 from repro.obs import (
     DELIVERY_METRIC_NAMES,
@@ -481,10 +487,12 @@ class TestLiveEqualsReplayed:
         both.mkdir()
         run_traced_trial(spec, str(alone), 0)
         _, registry_alone = run_measured_trial(spec)
-        _, registry_both = run_measured_trial(spec, str(both), 0)
+        run = ParallelRunner(workers=1, trace_dir=str(both), metrics=True).run(
+            TrialPlan(name="both", trials=(spec,))
+        )
         name = trace_filename(0)
         assert (both / name).read_bytes() == (alone / name).read_bytes()
-        assert registry_both.pack() == registry_alone.pack()
+        assert run.trial_metrics[0].pack() == registry_alone.pack()
 
     def test_round_message_labels_use_known_kinds(self):
         collector = MetricsRegistry()

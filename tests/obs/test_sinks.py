@@ -171,9 +171,7 @@ class TestEngineStreaming:
         dir_serial = str(tmp_path / "serial")
         dir_pooled = str(tmp_path / "pooled")
         serial = ParallelRunner(workers=1, trace_dir=dir_serial).run(plan)
-        pooled = ParallelRunner(
-            workers=2, chunk_size=7, trace_dir=dir_pooled
-        ).run(plan)
+        pooled = ParallelRunner(workers=2, trace_dir=dir_pooled).run(plan)
         assert serial.results == pooled.results
         assert sorted(os.listdir(dir_serial)) == sorted(os.listdir(dir_pooled))
         for name in sorted(os.listdir(dir_serial)):
@@ -203,17 +201,15 @@ class TestEngineStreaming:
     ):
         import dataclasses
 
-        # Trial 2 of 6 dies mid-plan: trials that completed before the
+        # Trial 2 of 24 dies mid-plan: trials that completed before the
         # failure keep their (footer-terminated) traces, and the failed
         # trial leaves nothing behind — every surviving file replays.
-        plan = _echo_plan(6)
+        plan = _echo_plan(24)  # three-trial chunks on 2 workers
         trials = list(plan.trials)
         trials[2] = dataclasses.replace(trials[2], protocol="_no_such_protocol")
         broken = dataclasses.replace(plan, trials=tuple(trials))
         trace_dir = str(tmp_path / "run")
-        runner = ParallelRunner(
-            workers=workers, chunk_size=3, trace_dir=trace_dir
-        )
+        runner = ParallelRunner(workers=workers, trace_dir=trace_dir)
         with pytest.raises(TrialExecutionError) as raised:
             runner.run(broken)
         assert (raised.value.index, raised.value.spec) == (2, trials[2])

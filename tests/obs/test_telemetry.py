@@ -167,6 +167,7 @@ class TestSummarize:
         ({"t": "vector_batch", "fallback_reasons": {"r": "6"}},
          "'fallback_reasons' must be an object of counts"),
         ({"t": 7}, "string 't' field"),
+        ({"t": "chunk_complete", "at": 1}, "'chunk_complete' record has no 'seconds'"),
     ])
     def test_a_malformed_record_names_its_file_and_line(
         self, tmp_path, record, problem
@@ -223,28 +224,26 @@ def _plan(trials=12, seed=7):
 class TestRunnerTelemetry:
     def test_pooled_run_emits_consistent_spans(self, tmp_path):
         path = str(tmp_path / "pool.jsonl")
-        plan = _plan()
+        plan = _plan(trials=24)  # three-trial chunks on 2 workers
         with TelemetryWriter(path) as tele:
-            observed = ParallelRunner(
-                workers=2, chunk_size=3, telemetry=tele
-            ).run(plan)
-        plain = ParallelRunner(workers=2, chunk_size=3).run(plan)
+            observed = ParallelRunner(workers=2, telemetry=tele).run(plan)
+        plain = ParallelRunner(workers=2).run(plan)
         # Observability is off the results path: identical output.
         assert observed.results == plain.results
 
         summary = summarize_telemetry(path)
         assert summary["consistent"] is True
         assert summary["pooled_runs"] == 1
-        assert summary["chunks"] == 4  # 12 trials / chunk_size 3
-        assert summary["trials"] == 12
+        assert summary["chunks"] == 8  # 24 trials / 3 per chunk
+        assert summary["trials"] == 24
         assert summary["payload_bytes"] > 0
         kinds = [r["t"] for r in _records(path)]
         assert kinds[:2] == ["telemetry", "run_start"]
         # Ideal-backend suites are dealt in the workers, so no predeal
         # span is emitted (it only covers the threshold-RSA bottleneck).
         assert "predeal" not in kinds
-        assert kinds.count("chunk_dispatch") == 4
-        assert kinds.count("chunk_complete") == 4
+        assert kinds.count("chunk_dispatch") == 8
+        assert kinds.count("chunk_complete") == 8
         assert "run_complete" in kinds
 
     def test_pooled_real_backend_run_emits_one_predeal_span(self, tmp_path):
@@ -275,24 +274,22 @@ class TestRunnerTelemetry:
         ``probe_cache`` spans come back with its payload, so the
         fallback audit and the coin count see pooled runs too."""
         path = str(tmp_path / "pool-vector.jsonl")
-        plan = _plan()
+        plan = _plan(trials=24)  # three-trial chunks on 2 workers
         with TelemetryWriter(path) as tele:
-            ParallelRunner(
-                workers=2, chunk_size=3, backend="vector", telemetry=tele
-            ).run(plan)
+            ParallelRunner(workers=2, backend="vector", telemetry=tele).run(plan)
         records = _records(path)
         batches = [r for r in records if r["t"] == "vector_batch"]
         assert [(r["batched"], r["fallback"], r["coins"]) for r in batches] == [
             (3, 0, 3)
-        ] * 4
-        assert sum(r["t"] == "probe_cache" for r in records) == 4
+        ] * 8
+        assert sum(r["t"] == "probe_cache" for r in records) == 8
         summary = summarize_telemetry(path)
         assert summary["consistent"] is True
-        assert (summary["chunks"], summary["pooled_runs"]) == (4, 1)
+        assert (summary["chunks"], summary["pooled_runs"]) == (8, 1)
         assert (
             summary["vector_batched"], summary["vector_fallback"], summary["coins"]
-        ) == (12, 0, 12)
-        assert summary["probe_cache_hits"] + summary["probe_cache_misses"] == 4
+        ) == (24, 0, 24)
+        assert summary["probe_cache_hits"] + summary["probe_cache_misses"] == 8
 
     def test_inline_run_emits_start_and_complete(self, tmp_path):
         path = str(tmp_path / "inline.jsonl")
@@ -339,32 +336,28 @@ class TestRunnerTelemetry:
 
     def test_adaptive_inline_batches_are_numbered_chunk_spans(self, tmp_path):
         path = str(tmp_path / "adaptive-inline.jsonl")
-        plan = _plan(trials=12)
+        plan = _plan(trials=60)
         with TelemetryWriter(path) as tele:
-            AdaptiveRunner(
-                workers=1, batch_size=4, early_stop=False, telemetry=tele
-            ).run(plan, 0.5)
+            # Two 25-trial rounds, after which the rate (~1/4) is proven
+            # below the bound and the last 10 trials never run.
+            AdaptiveRunner(workers=1, telemetry=tele).run(plan, 0.5)
         records = _records(path)
         dispatched = [r for r in records if r["t"] == "chunk_dispatch"]
         completed = [r for r in records if r["t"] == "chunk_complete"]
-        assert [r["chunk"] for r in dispatched] == [0, 1, 2]
-        assert [r["chunk"] for r in completed] == [0, 1, 2]
-        assert [r["trials"] for r in dispatched] == [4, 4, 4]
+        assert [r["chunk"] for r in dispatched] == [0, 1]
+        assert [r["chunk"] for r in completed] == [0, 1]
+        assert [r["trials"] for r in dispatched] == [25, 25]
         summary = summarize_telemetry(path)
         assert summary["consistent"] is True
-        assert (summary["chunks"], summary["trials"]) == (3, 12)
+        assert (summary["chunks"], summary["trials"]) == (2, 50)
         assert summary["busy_seconds"] > 0
 
     def test_adaptive_run_emits_allocation_audit_trail(self, tmp_path):
         path = str(tmp_path / "adaptive.jsonl")
         plan = _plan(trials=12)
         with TelemetryWriter(path) as tele:
-            observed = AdaptiveRunner(
-                workers=2, batch_size=4, early_stop=False, telemetry=tele
-            ).run(plan, 0.5)
-        plain = AdaptiveRunner(workers=2, batch_size=4, early_stop=False).run(
-            plan, 0.5
-        )
+            observed = AdaptiveRunner(workers=2, telemetry=tele).run(plan, 0.5)
+        plain = AdaptiveRunner(workers=2).run(plan, 0.5)
         assert observed.results == plain.results
 
         summary = summarize_telemetry(path)
@@ -460,7 +453,9 @@ class TestProfileSpans:
 
 
 def _grid_plan(faults=None):
-    """Two configurations, so an adaptive round dispatches two batches."""
+    """Two 30-trial configurations: an adaptive run is two rounds of two
+    batches (25 trials each, then 5), and a pooled fixed run nine chunks
+    of (at most) seven trials."""
     return TrialPlan.concat(
         "grid",
         [
@@ -469,7 +464,7 @@ def _grid_plan(faults=None):
                 protocol="ba_one_third",
                 inputs=(0, 0, 1, 1),
                 max_faulty=1,
-                trials=6,
+                trials=30,
                 params={"kappa": kappa},
                 adversary="straddle13",
                 adversary_params={"victims": (3,)},
@@ -483,16 +478,16 @@ def _grid_plan(faults=None):
 
 def _drive(kind, workers, backend, tele, plan, trace_dir=None):
     """One run of ``plan`` by ``kind``; ``(results, trial_metrics)`` in
-    plan order.  Three-trial chunks throughout: four per run."""
+    plan order, with no registries from the adaptive runner."""
     if kind == "adaptive":
+        # No config reaches the 32 trials a verdict needs: every trial runs.
         outcome = AdaptiveRunner(
-            workers=workers, batch_size=3, early_stop=False, backend=backend,
-            metrics=True, telemetry=tele,
+            workers=workers, backend=backend, telemetry=tele
         ).run(plan, 0.5)
-        return outcome.results, outcome.trial_metrics
+        return outcome.results, None
     runner = ParallelRunner(
-        workers=workers, chunk_size=3, backend=backend, metrics=True,
-        telemetry=tele, trace_dir=trace_dir,
+        workers=workers, backend=backend, metrics=True, telemetry=tele,
+        trace_dir=trace_dir,
     )
     if kind == "run":
         outcome = runner.run(plan)
@@ -560,13 +555,14 @@ class TestOneShapeOnEveryPath:
 
         # Equal results, registries, artifact bytes and trace bytes.
         assert results == serial.results
-        assert trial_metrics == serial.trial_metrics
-        assert _metrics_bytes(plan, results, trial_metrics) == _metrics_bytes(
-            plan, serial.results, serial.trial_metrics
-        )
+        if fixed:
+            assert trial_metrics == serial.trial_metrics
+            assert _metrics_bytes(plan, results, trial_metrics) == _metrics_bytes(
+                plan, serial.results, serial.trial_metrics
+            )
         if trace_dir is not None:
             names = sorted(os.listdir(serial_traces))
-            assert sorted(os.listdir(trace_dir)) == names and len(names) == 12
+            assert sorted(os.listdir(trace_dir)) == names and len(names) == 60
             for name in names:
                 with open(os.path.join(trace_dir, name), "rb") as ours, open(
                     os.path.join(serial_traces, name), "rb"
@@ -579,7 +575,7 @@ class TestOneShapeOnEveryPath:
         if fixed and not pooled:  # the whole plan is one chunk
             shape = f"SD{group}E"
         elif fixed:
-            shape = f"SD{{4}}({group}){{4}}E"
+            shape = f"SD{{9}}({group}){{9}}E"
         elif not pooled:
             shape = f"S(R(D{group}){{2}}){{2}}AE"
         else:
@@ -618,13 +614,13 @@ class TestOneShapeOnEveryPath:
         # Every dispatch is closed; chunks number 0..k-1 within the run.
         dispatched = [r["chunk"] for r in records if r["t"] == "chunk_dispatch"]
         completed = [r["chunk"] for r in records if r["t"] == "chunk_complete"]
-        chunks = 1 if fixed and not pooled else 4
+        chunks = 1 if fixed and not pooled else 9 if fixed else 4
         assert dispatched == list(range(chunks))
         assert sorted(completed) == dispatched
         summary = summarize_telemetry(path)
         assert summary["consistent"] is True
-        assert (summary["chunks"], summary["trials"]) == (chunks, 12)
-        assert records[-1]["trials"] == 12
+        assert (summary["chunks"], summary["trials"]) == (chunks, 60)
+        assert records[-1]["trials"] == 60
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", _KINDS)
@@ -640,9 +636,7 @@ class TestOneShapeOnEveryPath:
         path = str(tmp_path / "twice.jsonl")
         plan = _grid_plan()
         with TelemetryWriter(path) as tele:
-            runner = AdaptiveRunner(
-                workers=workers, batch_size=3, early_stop=False, telemetry=tele
-            )
+            runner = AdaptiveRunner(workers=workers, telemetry=tele)
             first = runner.run(plan, 0.5)
             second = runner.run(plan, 0.5)
         assert first.results == second.results

@@ -630,7 +630,7 @@ class TestErrorSweep:
             tele_dir = str(tmp_path / ("tele" + "".join(backend)))
             code = main(
                 ["error-sweep", "--kappas", "1,2", "--trials", "8",
-                 "--adaptive", "--batch", "4", "--telemetry", tele_dir,
+                 "--adaptive", "--telemetry", tele_dir,
                  *backend]
             )
             captured = capsys.readouterr()
@@ -872,6 +872,22 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["error-sweep", "--max-trials", "5"], "--max-trials"),
+        (["error-sweep", "--batch", "5"], "--batch"),
+        (["report", "--metrics", "metrics.json", "--top", "3"], "--top"),
+        (["trace", "run.trace.jsonl", "--width", "40"], "--width"),
+    ])
+    def test_a_removed_tuning_flag_is_a_usage_error(self, capsys, argv, flag):
+        """The adaptive rule, its batch, the profile's hot-function count
+        and the timeline width are constants: no flag sets them."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
 
 
 class TestErgonomics:
