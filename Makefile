@@ -27,9 +27,8 @@ bench:
 # speeds are perfbench's job, see perf-pair / perf-gate below).  The
 # first line runs the error sweep on a 2-worker pool (clamped to the
 # CPUs present) on the vector backend — exit 2 if a supported spec falls
-# back to the object simulator — then again under AdaptiveRunner
-# (early-stopping verdicts checked against the fixed run), with
-# telemetry streamed to bench-telemetry/telemetry.jsonl and
+# back to the object simulator, or if an exact law exceeds its bound —
+# with telemetry streamed to bench-telemetry/telemetry.jsonl and
 # cross-checked against wall time, the repro-metrics/1 artifact and
 # per-chunk profiles all collected from that one run.  The second line
 # is the real-backend smoke: one tiny threshold-RSA sweep (small
@@ -44,7 +43,7 @@ bench:
 bench-quick: check
 	PYTHONPATH=src python -m repro error-sweep --protocol both \
 		--kappas 1,2 --trials 40 \
-		--workers 2 --adaptive --vector \
+		--workers 2 --vector \
 		--telemetry bench-telemetry --metrics bench-metrics.json \
 		--profile bench-profile
 	PYTHONPATH=src python -m repro error-sweep --backend real --rsa-bits 64 \

@@ -14,19 +14,15 @@ The Monte-Carlo loops run through the experiment engine
 (:mod:`repro.engine`) on the vector backend with the historical seed
 schedule, so the measured rates are identical to the legacy serial
 harness (and to every worker count and backend — see
-``tests/engine/test_determinism.py``).  The adaptive test at the bottom
-re-runs one sweep through :class:`repro.engine.AdaptiveRunner` and
-reports the trials early stopping saved while reaching the same
-verdicts.
+``tests/engine/test_determinism.py``).
 """
 
 from __future__ import annotations
 
 from repro.analysis.curves import log_sparkline
 from repro.analysis.report import format_table
-from repro.analysis.stats import SequentialEstimate
 from repro.analysis.theory import per_iteration_failure
-from repro.engine import AdaptiveRunner, ParallelRunner, TrialPlan
+from repro.engine import ParallelRunner, TrialPlan
 
 TRIALS = 300
 
@@ -129,73 +125,6 @@ def test_end_to_end_error_decays_exponentially(report_sink):
         + "   ".join(
             f"{name} {log_sparkline(series, floor=1 / (2 * TRIALS))}"
             for name, series in curves.items()
-        )
-    )
-
-
-def _kappa_sweep_plan(kappas, trials):
-    return TrialPlan.concat(
-        "adaptive-sweep",
-        [
-            TrialPlan.monte_carlo(
-                name=f"one_third-k{kappa}",
-                protocol="ba_one_third",
-                inputs=(0, 0, 1, 1),
-                max_faulty=1,
-                trials=trials,
-                params={"kappa": kappa},
-                adversary="straddle13",
-                adversary_params={"victims": (3,)},
-                seed=kappa,
-                collect_signatures=False,
-            )
-            for kappa in kappas
-        ],
-    )
-
-
-def test_adaptive_allocation_saves_trials_same_verdicts(report_sink):
-    """FIG-ERR (e): adaptive early stopping spends measurably fewer trials
-    on the κ-sweep yet reaches the same accept/reject verdict per config
-    — the property that makes backend="real" sweeps affordable."""
-    kappas = (1, 2, 4)
-    plan = _kappa_sweep_plan(kappas, TRIALS)
-    bounds = {f"one_third-k{kappa}": 2.0 ** -kappa for kappa in kappas}
-
-    fixed = _RUNNER.run(plan)
-    adaptive = AdaptiveRunner(backend="vector").run(plan, bounds)
-
-    rows = []
-    for name, indices in plan.configs().items():
-        outcome = adaptive.configs[name]
-        estimate = outcome.estimate
-        fixed_estimate = SequentialEstimate(bounds[name])
-        fixed_hits = sum(
-            1 for index in indices if not fixed.results[index].honest_agree()
-        )
-        fixed_estimate.update(fixed_hits, len(indices))
-        assert estimate.accepted == fixed_estimate.accepted, name
-        rows.append(
-            [
-                name,
-                f"{estimate.bound:.4f}",
-                len(indices),
-                estimate.trials,
-                estimate.status,
-                "yes" if outcome.stopped_early else "-",
-            ]
-        )
-    assert adaptive.spent < len(plan), (
-        "early stopping should save trials on this sweep",
-        adaptive.spent,
-        len(plan),
-    )
-    report_sink.append(
-        "FIG-ERR (e)  adaptive allocation vs fixed budget "
-        f"(spent {adaptive.spent}/{len(plan)} trials, verdicts identical)\n"
-        + format_table(
-            ["config", "bound", "fixed n", "adaptive n", "status", "early"],
-            rows,
         )
     )
 

@@ -2,11 +2,7 @@
 
 from .curves import log_sparkline, sparkline
 from .report import format_matrix, format_table
-from .stats import (
-    SequentialEstimate,
-    disagreement_rate,
-    wilson_interval,
-)
+from .stats import disagreement_rate, wilson_interval
 from .tables import (
     binary_slot_labels,
     fig2_expansion_conditions,
@@ -27,7 +23,6 @@ from .theory import (
 
 __all__ = [
     "PROTOCOLS",
-    "SequentialEstimate",
     "log_sparkline",
     "sparkline",
     "ProtocolTheory",

@@ -1,6 +1,6 @@
 """Static-analysis framework: one AST walk, pluggable invariant rules.
 
-The engine's headline guarantee is that serial, parallel and adaptive
+The engine's headline guarantee is that serial, parallel and vector
 runs are *byte-identical* for any worker count.  That property is easy
 to destroy silently — iterate a ``set`` into a message payload, call
 ``time.time()`` in protocol code — and nothing at runtime complains

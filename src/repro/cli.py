@@ -22,10 +22,10 @@ Subcommands
     Monte-Carlo disagreement rates vs the 2^-κ bound under the worst-case
     straddle adversaries: one engine plan, run once on the executor the
     flags select (``--workers`` processes, ``--vector`` for the batch
-    backend) — every executor prints the same rates.
-    ``--adaptive`` re-runs the sweep under
-    :class:`repro.engine.AdaptiveRunner` with a total budget equal to the
-    fixed run, verdict-checked against it config for config.
+    backend) — every executor prints the same rates.  Beside them each
+    configuration's exact rate and its verdict against the bound:
+    ``tight`` where the two are equal, ``≤ bound`` below it, and a
+    ``BOUND VIOLATED`` exit 2 above it.
     ``--metrics PATH`` / ``--telemetry DIR`` / ``--profile DIR`` collect
     the ``repro-metrics/1`` artifact, engine scheduling spans
     (``DIR/telemetry.jsonl``, checked for consistency) and per-chunk
@@ -50,7 +50,6 @@ Examples::
     python -m repro error-sweep --protocol one_half --kappas 1,2,4 --trials 200
     python -m repro error-sweep --protocol both --workers 4 --vector \\
         --metrics metrics.json --telemetry tele/
-    python -m repro error-sweep --adaptive --trials 300
     python -m repro check --json check-report.json
     python -m repro check --select DET,LAY src/repro
 """
@@ -128,23 +127,6 @@ def _round_list(text: str) -> List[int]:
             f"need at least one round index, got {text!r}"
         )
     return rounds
-
-
-def _sweep_bound(text: str) -> Optional[float]:
-    """``--bound``: ``None`` for the paper's per-config ``2**-k``, or a float."""
-    if text.replace("^", "**") in ("2**-k", "2**-kappa"):
-        return None
-    try:
-        bound = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be '2**-k' or a float, got {text!r}"
-        )
-    if not 0 <= bound <= 1:  # nan too
-        raise argparse.ArgumentTypeError(
-            f"must be a probability in [0, 1], got {text!r}"
-        )
-    return bound
 
 
 def _run_spec(spec, observers=()):
@@ -469,77 +451,18 @@ def _build_sweep_plan(args: argparse.Namespace):
     return TrialPlan.concat(f"error-sweep-{args.protocol}", plans)
 
 
-def _run_adaptive_leg(
-    args: argparse.Namespace, fixed, workers: int, backend: str, telemetry
-) -> bool:
-    """``error-sweep --adaptive``: early stopping vs the fixed budget.
+def _verdict(law, kappa: int) -> str:
+    """An exact disagreement law against its ``2^-κ`` bound, compared as
+    ``Fraction``s: ``tight`` at the bound, ``≤ bound`` below it, ``>
+    bound`` above it, ``-`` without a law."""
+    from fractions import Fraction
 
-    Runs the fixed run's plan through :class:`AdaptiveRunner` with a
-    total budget equal to its trial count (per-config cap ``--trials``),
-    prints the allocation, and returns whether the accept/reject verdicts
-    agree with the fixed run config for config.
-    """
-    from .analysis.stats import SequentialEstimate
-    from .engine import AdaptiveRunner
-    from .engine.adaptive import BATCH_SIZE
-
-    plan = fixed.plan
-    groups = plan.configs()
-    # --bound parses to None for the paper's Corollary 2 bound, which
-    # each config evaluates from its own κ.
-    bounds = {
-        name: (
-            args.bound
-            if args.bound is not None
-            else 2.0 ** -plan.trials[indices[0]].param_dict["kappa"]
-        )
-        for name, indices in groups.items()
-    }
-    budget = args.trials * len(bounds)
-    runner = AdaptiveRunner(workers=workers, telemetry=telemetry, backend=backend)
-    adaptive = runner.run(plan, bounds, budget=budget)
-
-    # Fixed-budget verdicts: the same classifier fed the full counts.
-    rows = []
-    matches = True
-    for name, outcome in adaptive.configs.items():
-        indices = groups[name]
-        fixed_estimate = SequentialEstimate(bounds[name])
-        fixed_estimate.update(
-            sum(1 for index in indices if not fixed.results[index].honest_agree()),
-            len(indices),
-        )
-        estimate = outcome.estimate
-        matches = matches and estimate.accepted == fixed_estimate.accepted
-        rows.append(
-            [
-                name,
-                f"{estimate.bound:.4f}",
-                len(indices),
-                estimate.trials,
-                estimate.status,
-                "yes" if outcome.stopped_early else "-",
-            ]
-        )
-
-    print(
-        f"\nadaptive allocation (budget {budget}, per-config cap "
-        f"{args.trials}, batch {BATCH_SIZE})\n"
-    )
-    print(
-        format_table(
-            ["config", "bound", "fixed n", "adaptive n", "status", "early"], rows
-        )
-    )
-    saved = len(fixed.plan) - adaptive.spent
-    print()
-    print(f"{'adaptive trials spent':32s}: {adaptive.spent:8d} / {len(fixed.plan)}")
-    print(f"{'trials saved':32s}: {saved:8d} ({saved / len(fixed.plan):.1%})")
-    print(
-        f"{'verdicts match fixed run':32s}: "
-        f"{'      OK' if matches else '    MISMATCH'}"
-    )
-    return matches
+    if law is None:
+        return "-"
+    bound = Fraction(1, 2**kappa)
+    if law == bound:
+        return "tight"
+    return "≤ bound" if law < bound else "> bound"
 
 
 def _print_telemetry_digest(path: str, summary: dict) -> None:
@@ -604,7 +527,6 @@ def _cmd_error_sweep(args: argparse.Namespace) -> int:
             f"workers: requested {args.workers}, clamped to {workers} "
             f"(cpu_count={os.cpu_count()})"
         )
-    backend = "vector" if args.vector else "object"
 
     with contextlib.ExitStack() as stack:
         # Every destination is created before the first trial runs: a bad
@@ -641,36 +563,40 @@ def _cmd_error_sweep(args: argparse.Namespace) -> int:
 
         run = ParallelRunner(
             workers=workers,
-            backend=backend,
+            backend="vector" if args.vector else "object",
             metrics=bool(args.metrics),
             telemetry=telemetry,
             profile_dir=args.profile,
         ).run(plan)
 
         rows = []
+        problems = []
         for start in range(0, len(plan), per_config):
             spec = plan.trials[start]
             kappa = spec.param_dict["kappa"]
             rate = disagreement_rate(run.results[start : start + per_config])
             # The law counts coin values, whichever backend hashes them.
-            law, _ = exact_law(dataclasses.replace(spec, backend="ideal"))
-            exact = "-" if law is None else f"{float(law[0]):.4f}"
-            rows.append(
-                [spec.protocol, kappa, f"{2.0 ** -kappa:.4f}", exact, f"{rate:.4f}"]
-            )
+            laws, _ = exact_law(dataclasses.replace(spec, backend="ideal"))
+            law = None if laws is None else laws[0]
+            exact = "-" if law is None else f"{float(law):.4f}"
+            verdict = _verdict(law, kappa)
+            if verdict == "> bound":
+                problems.append(
+                    f"BOUND VIOLATED: {spec.config_key} exact {law} > 2^-{kappa}"
+                )
+            rows.append([
+                spec.protocol, kappa, f"{2.0 ** -kappa:.4f}", exact,
+                f"{rate:.4f}", verdict,
+            ])
         print(
             f"disagreement under the worst-case straddle attack "
             f"({len(plan)} trials, {per_config} per config)\n"
         )
         print(format_table(
-            ["protocol", "kappa", "bound 2^-k", "exact", "measured"], rows
+            ["protocol", "kappa", "bound 2^-k", "exact", "measured", "verdict"],
+            rows,
         ))
 
-        problems = []
-        if args.adaptive and not _run_adaptive_leg(
-            args, run, workers, backend, telemetry
-        ):
-            problems.append("ADAPTIVE MISMATCH: verdicts differ from the fixed run")
         if telemetry is not None:
             telemetry.close()
             summary = summarize_telemetry(telemetry_path)
@@ -932,16 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
         "smoke runs fast)",
     )
     sweep_parser.add_argument(
-        "--adaptive", action="store_true",
-        help="also run the sweep through AdaptiveRunner (early stopping + "
-        "budget reallocation) and check its verdicts against the fixed run",
-    )
-    sweep_parser.add_argument(
-        "--bound", type=_sweep_bound, default="2**-k", metavar="EXPR",
-        help="adaptive per-config target bound: '2**-k' (Corollary 2, "
-        "default) or a literal float",
-    )
-    sweep_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
         help="collect per-trial metrics and write the repro-metrics/1 "
         "artifact to PATH (the same bytes on every executor); digest with "
@@ -949,8 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--telemetry", default=None, metavar="DIR",
-        help="write engine telemetry (chunk/worker/setup spans, adaptive "
-        "decisions) to DIR/telemetry.jsonl and check span consistency",
+        help="write engine telemetry (chunk/worker/setup spans) to "
+        "DIR/telemetry.jsonl and check span consistency",
     )
     sweep_parser.add_argument(
         "--profile", default=None, metavar="DIR",

@@ -8,7 +8,6 @@ way.  See ``docs/performance.md`` for the architecture and determinism
 guarantees, and ``repro error-sweep`` for the CLI entry point.
 """
 
-from .adaptive import AdaptiveResult, AdaptiveRunner, ConfigOutcome
 from .plan import TrialPlan, TrialSpec, derive_trial_seed, derive_trial_session
 from .registry import (
     adversary_names,
@@ -48,10 +47,7 @@ from .vectorized import (
 )
 
 __all__ = [
-    "AdaptiveResult",
-    "AdaptiveRunner",
     "ChunkSummary",
-    "ConfigOutcome",
     "ParallelRunner",
     "PlanResult",
     "TransportError",

@@ -436,8 +436,8 @@ class TrialPlan:
         """Plan indices grouped by configuration, in first-seen order.
 
         A configuration is a set of repetitions of one experimental
-        setting (see :attr:`TrialSpec.config_key`); the adaptive runner
-        allocates and stops trials per configuration.
+        setting (see :attr:`TrialSpec.config_key`); the metrics artifact
+        merges its registries per configuration.
         """
         groups: "OrderedDict[str, list]" = OrderedDict()
         last = current = None

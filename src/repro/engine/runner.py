@@ -34,13 +34,11 @@ Dispatch is chunked: contiguous runs of trials ship as one task so the
 per-task pickling/IPC overhead amortizes, with four chunks per worker to
 keep the pool load-balanced when trial durations vary.
 
-There is one way to run a plan: :meth:`ParallelRunner.session` opens it
-(directories, ``run_start``, pre-deal, pool) and yields a ``stream``
-that runs chunks — in this process for ``workers=1`` (the default: no
-pool, no pickling), else through the one worker entry point
-:func:`_run_chunk` — and writes their telemetry.  ``run_iter`` streams
-the plan's chunks, ``run`` is ``run_iter`` collected, and the adaptive
-runner streams one list of batches per allocation round.
+There is one way to run a plan: :meth:`ParallelRunner.run_iter` opens
+it (directories, ``run_start``, pre-deal, pool) and streams its chunks —
+in this process for ``workers=1`` (the default: no pool, no pickling),
+else through the one worker entry point :func:`_run_chunk` — writing
+their telemetry; ``run`` is ``run_iter`` collected.
 
 Observability is opt-in and off the results path: ``trace_dir`` streams
 one bounded-memory JSONL trace per trial (:mod:`repro.obs`) straight
@@ -65,7 +63,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Generator,
     Iterator,
@@ -109,8 +106,6 @@ SuiteKey = Tuple[str, int, int, int, int]
 Chunk = Sequence[Tuple[int, TrialSpec]]
 # A chunk's batching spans as data: ``(event, fields)``, label added on emit.
 Spans = List[Tuple[str, Dict[str, Any]]]
-# ``stream(chunks)``, what :meth:`ParallelRunner.session` yields.
-Stream = Callable[[Sequence[Chunk]], Iterator[Tuple[int, ExecutionResult]]]
 
 
 def clamp_workers(requested: int) -> int:
@@ -250,7 +245,7 @@ class TrialExecutionError(RuntimeError):
 
     Raised ``from`` the original exception by :func:`_run_indexed_trial`,
     the one function every plan's execution path runs a trial through,
-    so inline, pooled, adaptive and vector-fallback runs fail alike — by
+    so inline, pooled and vector-fallback runs fail alike — by
     ``execute_chunk`` for a vector batch, named by its first member, and
     by the CLI for the single trial of ``repro run``.
     ``index`` is the trial's place in its plan and ``cause`` the
@@ -288,12 +283,12 @@ class WorkerLostError(RuntimeError):
     find the trial that killed it.
 
     Raised ``from`` the executor's ``BrokenProcessPool`` by the one
-    chunk stream every pooled run shares (:meth:`ParallelRunner.session`),
-    so ``run``, ``run_iter`` and ``AdaptiveRunner`` fail alike.  A dead
-    process reports nothing, so the error names what can be known:
-    ``chunks`` holds ``(number, first_index, last_index)`` for every
-    chunk handed to the stream whose result had not come back (the dying
-    trial is in one of them) and ``spec`` is the first spec of the lowest.
+    chunk stream every pooled run shares (:meth:`ParallelRunner.run_iter`),
+    so ``run`` and ``run_iter`` fail alike.  A dead process reports
+    nothing, so the error names what can be known: ``chunks`` holds
+    ``(number, first_index, last_index)`` for every chunk dispatched
+    whose result had not come back (the dying trial is in one of them)
+    and ``spec`` is the first spec of the lowest.
     Picklable; the message ends with that spec's ``repro run`` line.
     """
 
@@ -381,7 +376,7 @@ def _run_indexed_trial(
     """Run plan trial ``index`` with the observers the run asked for.
 
     The one place that decides which observers a trial gets — every
-    execution path (pool worker, inline, adaptive, vector fallback)
+    execution path (pool worker, inline, vector fallback)
     comes through here.
 
     ``trace_dir`` streams a per-trial JSONL trace there under
@@ -560,8 +555,6 @@ class PlanResult:
     results: List[ExecutionResult]
     workers: int
     wall_seconds: float
-    chunk_size: int = 1
-    trace_dir: Optional[str] = None
     # Per-trial metrics registries in plan order, present iff the runner
     # was built with metrics=True.  Deterministic for a given (seed,
     # plan): serial, pooled and vector runs all produce equal registries
@@ -619,7 +612,7 @@ class ParallelRunner:
     ``workers=1`` executes inline; ``workers>1`` fans chunks out over a
     ``ProcessPoolExecutor`` whose workers each ship one packed
     :class:`ChunkSummary` per chunk, rebuilt losslessly on the parent
-    side.  :meth:`run`, :meth:`run_iter` and the adaptive runner share :meth:`session`.
+    side.  :meth:`run` is :meth:`run_iter` collected.
     """
 
     def __init__(
@@ -669,14 +662,11 @@ class ParallelRunner:
         missing = [i for i, result in enumerate(collected) if result is None]
         if missing:  # pragma: no cover - pool misbehavior, not reachable normally
             raise RuntimeError(f"trials {missing} produced no result")
-        pooled = self._pooled(plan)
         return PlanResult(
             plan=plan,
             results=collected,  # type: ignore[arg-type]
-            workers=self.workers if pooled else 1,
+            workers=self.workers if self._pooled(plan) else 1,
             wall_seconds=time.perf_counter() - started,
-            chunk_size=self._chunk_size(len(plan)) if pooled else 1,
-            trace_dir=self.trace_dir,
             trial_metrics=(
                 None if sink is None else [sink[i] for i in range(len(plan))]
             ),
@@ -696,14 +686,25 @@ class ParallelRunner:
         Re-running the pairs through a plan-indexed buffer reproduces
         :meth:`run` exactly; that is how :meth:`run` is implemented.
 
-        One :meth:`session`, one stream: ``_chunk_size`` slices when pooled,
-        the whole plan as one chunk inline — which lets a serial ``repro
-        error-sweep --vector`` batch each configuration's trials in lockstep.
+        The one place a plan is opened.  Before the first pair it makes
+        the trace / profile directories, decides pooled or inline, emits
+        ``run_start`` (``label, mode, workers, trials, backend``, a
+        pooled run's ``chunks`` and ``chunk_size``, a faulted plan's
+        ``faults``) and, when pooled, opens a worker pool with the plan's
+        real-backend suites pre-dealt once and broadcast, so workers
+        never repeat threshold-RSA setup.  The plan runs as
+        ``_chunk_size`` slices when pooled, as one chunk inline — which
+        lets a serial ``repro error-sweep --vector`` batch each
+        configuration's trials in lockstep.  Chunks number from 0, and
+        the telemetry of each — ``chunk_dispatch``, batching spans,
+        ``chunk_complete``, ``profile`` — is emitted here for both modes;
+        ``run_complete`` follows the last chunk (not an exception), and
+        the pool shuts down with outstanding chunks cancelled.
 
         A failing trial surfaces as a :class:`TrialExecutionError` at
         the first completed failure and outstanding work is cancelled —
         late chunks cannot hide an early crash behind hours of
-        remaining work.
+        remaining work.  A dead worker is a :class:`WorkerLostError`.
 
         With ``metrics=True`` pass ``metrics_sink``: per-trial registries
         land there keyed by plan index as their chunks complete.
@@ -712,48 +713,15 @@ class ParallelRunner:
             raise ValueError(
                 "metrics=True streaming needs a metrics_sink (or use run())"
             )
-        pooled = self._pooled(plan)
-        size = self._chunk_size(len(plan)) if pooled else max(1, len(plan))
-        indexed = list(enumerate(plan.trials))
-        chunks = [indexed[at : at + size] for at in range(0, len(indexed), size)]
-        extras = {"chunks": len(chunks), "chunk_size": size} if pooled else {}
-        with self.session(plan, metrics_sink, **extras) as stream:
-            yield from stream(chunks)
-
-    @contextlib.contextmanager
-    def session(
-        self,
-        plan: TrialPlan,
-        sink: Optional[Dict[int, MetricsRegistry]] = None,
-        **run_start_fields: Any,
-    ) -> Iterator[Stream]:
-        """Open ``plan`` for execution — the one place a plan is opened.
-
-        Entering makes the trace / profile directories, decides pooled
-        or inline, emits ``run_start`` (``label, mode, workers, trials,
-        backend``, a faulted plan's ``faults``, the caller's
-        ``run_start_fields``) and, when pooled, opens a worker pool with
-        the plan's real-backend suites pre-dealt once and broadcast, so
-        workers never repeat threshold-RSA setup.  Leaving emits
-        ``run_complete`` (not after an exception) and shuts the pool
-        down with outstanding chunks cancelled.
-
-        The value is ``stream(chunks)``: run these chunks of ``(index,
-        spec)`` pairs — in this process without a pool, on it otherwise —
-        and yield ``(index, result)`` pairs as chunks complete (plan
-        order within a chunk).  It may be called repeatedly (the adaptive
-        runner: once per allocation round); chunks number from 0 per
-        session, and the telemetry of each — ``chunk_dispatch``, batching
-        spans, ``chunk_complete``, ``profile`` — is emitted here for both
-        modes.  With ``metrics=True`` per-trial registries land in
-        ``sink`` by plan index.  A dead worker is a :class:`WorkerLostError`.
-        """
         for directory in (self.trace_dir, self.profile_dir):
             if directory is not None:
                 os.makedirs(directory, exist_ok=True)
         tele = self.telemetry
         pooled = self._pooled(plan)
-        registries = sink if self.metrics else None
+        registries = metrics_sink if self.metrics else None
+        size = self._chunk_size(len(plan)) if pooled else max(1, len(plan))
+        indexed = list(enumerate(plan.trials))
+        chunks = [indexed[at : at + size] for at in range(0, len(indexed), size)]
         if tele is not None:
             # ``faults`` only on faulted plans: the others keep their shape.
             faults = sorted({s.faults for s in plan.trials if s.faults is not None})
@@ -761,7 +729,8 @@ class ParallelRunner:
                 "run_start", label=plan.name,
                 mode="pool" if pooled else "inline",
                 workers=self.workers if pooled else 1, trials=len(plan),
-                backend=self.backend, **run_start_fields,
+                backend=self.backend,
+                **({"chunks": len(chunks), "chunk_size": size} if pooled else {}),
                 **({"faults": faults} if faults else {}),
             )
         pool: Optional[ProcessPoolExecutor] = None
@@ -778,7 +747,6 @@ class ParallelRunner:
                 initializer=_seed_suite_cache,
                 initargs=(dealt,),
             )
-        dispatched_chunks = streamed = 0
 
         def profile_path(number: int) -> Optional[str]:
             if self.profile_dir is None:
@@ -793,13 +761,9 @@ class ParallelRunner:
             if path is not None:
                 tele.emit("profile", chunk=number, path=path, seconds=seconds)
 
-        def stream(chunks: Sequence[Chunk]) -> Iterator[Tuple[int, ExecutionResult]]:
-            nonlocal dispatched_chunks, streamed
-            numbered = list(enumerate(chunks, start=dispatched_chunks))
-            dispatched_chunks += len(numbered)
-            streamed += sum(len(chunk) for chunk in chunks)
+        try:
             if pool is None:
-                for number, chunk in numbered:
+                for number, chunk in enumerate(chunks):
                     if tele is not None:
                         tele.emit("chunk_dispatch", chunk=number, trials=len(chunk))
                     spans: Spans = []
@@ -809,55 +773,50 @@ class ParallelRunner:
                         )
                     if tele is not None:
                         complete(number, spans, round(busy, 6))
-                return
-            in_flight: Dict[int, Chunk] = dict(numbered)
-            dispatched: Dict[Any, Tuple[int, float]] = {}
-            try:
-                for number, chunk in numbered:
-                    future = pool.submit(
-                        _run_chunk, chunk, self.trace_dir, self.backend,
-                        self.metrics, profile_path(number),
-                    )
-                    opened = tele.elapsed() if tele is not None else 0.0
-                    dispatched[future] = (number, opened)
-                    if tele is not None:
-                        tele.emit(
-                            "chunk_dispatch", chunk=number, trials=len(chunk),
-                            first_index=chunk[0][0],
+            else:
+                in_flight: Dict[int, Chunk] = dict(enumerate(chunks))
+                dispatched: Dict[Any, Tuple[int, float]] = {}
+                try:
+                    for number, chunk in enumerate(chunks):
+                        future = pool.submit(
+                            _run_chunk, chunk, self.trace_dir, self.backend,
+                            self.metrics, profile_path(number),
                         )
-                for future in as_completed(dispatched):
-                    # .result() re-raises the first worker failure promptly;
-                    # the finally block then cancels everything still queued.
-                    seconds, payload, spans = future.result()
-                    number, opened = dispatched[future]
-                    del in_flight[number]
-                    if tele is not None:
-                        complete(
-                            number, spans, seconds,
-                            span=round(tele.elapsed() - opened, 6),
-                            payload_bytes=len(pickle.dumps(payload)),
-                        )
-                    if registries is not None:
-                        registries.update(payload.unpack_metrics())
-                    yield from payload.unpack(plan.trials)
-            except BrokenProcessPool as error:
-                raise WorkerLostError(
-                    [(n, chunk[0][0], chunk[-1][0]) for n, chunk in in_flight.items()],
-                    in_flight[min(in_flight)][0][1],
-                ) from error
-            finally:
-                for future in dispatched:
-                    future.cancel()
-
-        try:
-            yield stream
+                        opened = tele.elapsed() if tele is not None else 0.0
+                        dispatched[future] = (number, opened)
+                        if tele is not None:
+                            tele.emit(
+                                "chunk_dispatch", chunk=number, trials=len(chunk),
+                                first_index=chunk[0][0],
+                            )
+                    for future in as_completed(dispatched):
+                        # .result() re-raises the first worker failure
+                        # promptly; the shutdown below then cancels
+                        # everything still queued.
+                        seconds, payload, spans = future.result()
+                        number, opened = dispatched[future]
+                        del in_flight[number]
+                        if tele is not None:
+                            complete(
+                                number, spans, seconds,
+                                span=round(tele.elapsed() - opened, 6),
+                                payload_bytes=len(pickle.dumps(payload)),
+                            )
+                        if registries is not None:
+                            registries.update(payload.unpack_metrics())
+                        yield from payload.unpack(plan.trials)
+                except BrokenProcessPool as error:
+                    raise WorkerLostError(
+                        [(n, chunk[0][0], chunk[-1][0]) for n, chunk in in_flight.items()],
+                        in_flight[min(in_flight)][0][1],
+                    ) from error
             if tele is not None:
-                tele.emit("run_complete", label=plan.name, trials=streamed)
+                tele.emit("run_complete", label=plan.name, trials=len(plan))
         finally:
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
 
     def _chunk_size(self, total: int) -> int:
-        """Trials per pool task of a fixed run: ~4 chunks per worker
-        amortize IPC and keep the pool balanced."""
+        """Trials per pool task: ~4 chunks per worker amortize IPC and
+        keep the pool balanced."""
         return max(1, total // (self.workers * 4))

@@ -25,8 +25,7 @@ Losslessness is the load-bearing property: ``unpack(pack(result), spec)``
 compares equal to ``result`` field for field, for every registered
 protocol × adversary combination (pinned by
 ``tests/engine/test_transport.py``), which is what lets pooled
-``ParallelRunner`` and ``AdaptiveRunner`` runs equal inline ones
-number for number.
+``ParallelRunner`` runs equal inline ones number for number.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..network.metrics import RunMetrics
@@ -50,7 +48,6 @@ from .plan import TrialSpec
 
 __all__ = [
     "ChunkSummary",
-    "SpecLookup",
     "TransportError",
     "TrialSummary",
     "measure_payload_bytes",
@@ -65,10 +62,6 @@ class TransportError(ValueError):
     artifact — surfaces as one well-named failure at the transport
     boundary, not an arbitrary exception deep in varint decoding.
     """
-
-#: Anything indexable by plan index — ``plan.trials`` for the fixed
-#: runner, the per-round ``{index: spec}`` dict for the adaptive runner.
-SpecLookup = Union[Sequence["TrialSpec"], Mapping[int, "TrialSpec"]]
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -283,14 +276,13 @@ class ChunkSummary(NamedTuple):
             blob=bytes(buf), fallbacks=tuple(fallbacks), metrics=packed_metrics
         )
 
-    def unpack(self, specs: SpecLookup) -> List[Tuple[int, ExecutionResult]]:
+    def unpack(self, specs: Sequence[TrialSpec]) -> List[Tuple[int, ExecutionResult]]:
         """Rebuild the chunk's ``(plan_index, result)`` pairs.
 
-        ``specs`` is anything indexable by plan index — ``plan.trials``
-        for the fixed runner, the per-round spec dict for the adaptive
-        runner.  A plan index ``specs`` does not hold, a cut blob and
-        bytes left unread — after the last trial or inside one trial's
-        summary — raise :class:`TransportError`.
+        ``specs`` is the plan's trials, indexed by plan index.  A plan
+        index ``specs`` does not hold, a cut blob and bytes left unread —
+        after the last trial or inside one trial's summary — raise
+        :class:`TransportError`.
         """
         fallback = dict(self.fallbacks)
         blob = self.blob
@@ -311,7 +303,7 @@ class ChunkSummary(NamedTuple):
             at += length
             try:
                 spec = specs[index]
-            except (IndexError, KeyError):
+            except IndexError:
                 raise TransportError(
                     f"chunk payload names plan index {index}, which the "
                     f"plan does not hold"

@@ -169,8 +169,8 @@ class _Table:
 
 
 # spec.batch_key → that configuration's table: the one cross-batch
-# cache, a bounded LRU, so AdaptiveRunner rounds and pooled chunks — many
-# small batches of the same configurations — find their tables warm.
+# cache, a bounded LRU, so pooled chunks — many small batches of the same
+# configurations — find their tables warm.
 # Hits count batches that found their table, misses probes run on the
 # object simulator; both feed the ``probe_cache`` telemetry spans.
 _TABLES: "OrderedDict[Any, _Table]" = OrderedDict()

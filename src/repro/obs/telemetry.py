@@ -3,7 +3,7 @@
 Where trace sinks record what the *protocol* did, telemetry records what
 the *engine* did: chunk dispatch/complete spans with wall time, worker
 utilization, transport payload bytes, threshold-RSA setup timings and
-the adaptive allocator's per-round decisions.  This is the one place in
+vector batching.  This is the one place in
 the repository allowed to read wall clocks during a run — it lives in
 the ``obs`` layer precisely so DET101 keeps banning ``time`` from the
 protocol layers.
@@ -41,8 +41,8 @@ TELEMETRY_SCHEMA = "repro-telemetry/1"
 TELEMETRY_EVENT_TYPES = frozenset(
     {
         "telemetry", "run_start", "run_complete", "chunk_dispatch",
-        "chunk_complete", "predeal", "adaptive_round", "adaptive_complete",
-        "probe_cache", "vector_batch", "profile", "end",
+        "chunk_complete", "predeal", "probe_cache", "vector_batch",
+        "profile", "end",
     }
 )
 
@@ -156,7 +156,6 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
         "payload_bytes": 0,
         "trials": 0,
         "setup_seconds": 0.0,
-        "adaptive_rounds": 0,
         "probe_cache_hits": 0,
         "probe_cache_misses": 0,
         "vector_batched": 0,
@@ -204,8 +203,6 @@ def summarize_telemetry(path: str) -> Dict[str, Any]:
                 longest_chunk[-1] = max(longest_chunk[-1], seconds)
         elif kind == "predeal":
             totals["setup_seconds"] += record.get("seconds", 0.0)
-        elif kind == "adaptive_round":
-            totals["adaptive_rounds"] += 1
         elif kind == "probe_cache":
             totals["probe_cache_hits"] += record.get("hits", 0)
             totals["probe_cache_misses"] += record.get("misses", 0)

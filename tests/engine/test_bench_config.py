@@ -66,7 +66,6 @@ class TestEveryBenchmarkDrivesTheEngine:
         """How often the engine package does each thing that must have
         one home: opens a pool, submits to one, imports the profiler."""
         counts = {"ProcessPoolExecutor(": 0, ".submit(": 0, "cProfile": 0}
-        private_imports = []
         for relative, source in self._sources():
             if not relative.startswith("src/repro/engine/"):
                 continue
@@ -83,20 +82,13 @@ class TestEveryBenchmarkDrivesTheEngine:
                     )
                 elif isinstance(node, ast.ImportFrom):
                     counts["cProfile"] += node.module == "cProfile"
-                    if relative.endswith("/adaptive.py") and node.module == "runner":
-                        private_imports += [
-                            alias.name for alias in node.names
-                            if alias.name.startswith("_")
-                        ]
-        return counts, private_imports
+        return counts
 
     def test_a_plan_is_dispatched_from_one_place(self):
-        """Two pools (the dealing pool in ``predeal_suites``, the
-        session's), one ``submit``, one profiler, and an adaptive runner
-        that sees only the runner's public names."""
-        counts, private_imports = self._engine_counts()
+        """Two pools (the dealing pool in ``predeal_suites``, the one
+        ``run_iter`` opens), one ``submit`` and one profiler."""
+        counts = self._engine_counts()
         assert counts == {"ProcessPoolExecutor(": 2, ".submit(": 1, "cProfile": 1}
-        assert private_imports == []
 
     def test_the_vector_backend_keeps_one_cache(self):
         """One cross-batch cache in ``engine/vectorized.py`` — the
@@ -125,5 +117,5 @@ class TestEveryBenchmarkDrivesTheEngine:
             assert sum(r.startswith(tree + "/") for r in scanned) >= 8, tree
         assert len(list(BENCHMARKS_DIR.glob("bench_*.py"))) >= 8
         # ... and a walker that sees no call sees no second pool either.
-        assert all(self._engine_counts()[0].values())
+        assert all(self._engine_counts().values())
 

@@ -312,41 +312,29 @@ class TestProfiling:
     def test_every_path_writes_one_dump_and_one_span_per_chunk(
         self, tmp_path, workers
     ):
-        """``run_iter`` and a session streamed batch by batch — what
-        ``AdaptiveRunner`` does — profile like ``run``, inline too."""
+        """``run_iter`` profiles like ``run``, pooled and inline."""
         plan = _plan(trials=4, name="prof-paths")
-        indexed = list(enumerate(plan.trials))
-
-        def streamed(runner):
-            return list(runner.run_iter(plan))
-
-        def batched(runner):
-            with runner.session(plan) as stream:
-                return list(stream([indexed[:2]])) + list(stream([indexed[2:]]))
-
-        for drive, expected in [(streamed, 1 if workers == 1 else 4), (batched, 2)]:
-            profile_dir = str(tmp_path / f"prof-{drive.__name__}")
-            tele_path = str(tmp_path / f"{drive.__name__}.jsonl")
-            with TelemetryWriter(tele_path) as tele:
-                runner = ParallelRunner(
-                    workers=workers, profile_dir=profile_dir, telemetry=tele
-                )
-                assert sorted(drive(runner)) == list(
-                    enumerate(ParallelRunner(workers=1).run(plan).results)
-                )
-            names = [f"chunk-{number:05d}.pstats" for number in range(expected)]
-            assert sorted(os.listdir(profile_dir)) == names
-            assert load_profile_summary(profile_dir)["files"] == expected
-            summary = summarize_telemetry(tele_path)
-            assert summary["consistent"] is True
-            assert sorted(summary["profiles"]) == [
-                os.path.join(profile_dir, name) for name in names
-            ]
-            spans = [
-                json.loads(line) for line in open(tele_path, encoding="utf-8")
-            ]
-            for span in (s for s in spans if s["t"] == "profile"):
-                assert set(span) == {"t", "at", "chunk", "path", "seconds"}
+        expected = 1 if workers == 1 else 4
+        profile_dir = str(tmp_path / "prof")
+        tele_path = str(tmp_path / "streamed.jsonl")
+        with TelemetryWriter(tele_path) as tele:
+            runner = ParallelRunner(
+                workers=workers, profile_dir=profile_dir, telemetry=tele
+            )
+            assert sorted(runner.run_iter(plan)) == list(
+                enumerate(ParallelRunner(workers=1).run(plan).results)
+            )
+        names = [f"chunk-{number:05d}.pstats" for number in range(expected)]
+        assert sorted(os.listdir(profile_dir)) == names
+        assert load_profile_summary(profile_dir)["files"] == expected
+        summary = summarize_telemetry(tele_path)
+        assert summary["consistent"] is True
+        assert sorted(summary["profiles"]) == [
+            os.path.join(profile_dir, name) for name in names
+        ]
+        spans = [json.loads(line) for line in open(tele_path, encoding="utf-8")]
+        for span in (s for s in spans if s["t"] == "profile"):
+            assert set(span) == {"t", "at", "chunk", "path", "seconds"}
 
 
 class TestReadOnlyRegistries:

@@ -1748,7 +1748,7 @@ def table_leaves(table):
 class TestWarmTables:
     """A configuration's table is kept across batches, and nothing about
     a trial may depend on whether it was: one batch, one batch per trial,
-    pooled chunks and adaptive rounds read bit-identical results,
+    pooled chunks and an inline run read bit-identical results,
     registries and coin counts, with the table warm or cold."""
 
     #: One configuration of each of the eight model classes.
@@ -1809,10 +1809,10 @@ class TestWarmTables:
         assert summary["vector_fallback"] == 0
         return run, ([canon(result) for result in run.results], summary["coins"])
 
-    def test_one_batch_batches_of_one_pooled_and_adaptive_agree(
+    def test_one_batch_batches_of_one_pooled_and_inline_agree(
         self, tmp_path, fresh_tables
     ):
-        from repro.engine import AdaptiveRunner, probe_cache_stats
+        from repro.engine import probe_cache_stats
 
         plan = self._plan()
         indexed = list(enumerate(plan.trials))
@@ -1829,14 +1829,13 @@ class TestWarmTables:
         )
         assert pooled == (cold[0], cold[2])
         assert [registry.pack() for registry in pooled_run.trial_metrics] == cold[1]
-        # No config reaches the 32 trials a verdict needs: one round runs all.
-        _adaptive_run, adaptive = self._observed(
-            lambda telemetry: AdaptiveRunner(
+        _inline_run, inline = self._observed(
+            lambda telemetry: ParallelRunner(
                 workers=1, backend="vector", telemetry=telemetry
-            ).run(plan, bounds=0.5),
-            tmp_path, "adaptive",
+            ).run(plan),
+            tmp_path, "inline",
         )
-        assert adaptive == (cold[0], cold[2])
+        assert inline == (cold[0], cold[2])
         # The object simulator is the reference, not another vector run.
         reference = [run_measured_trial(spec) for spec in plan.trials]
         assert cold[0] == [canon(result) for result, _ in reference]
@@ -1853,7 +1852,7 @@ class TestWarmTables:
         """``row`` once per distinct state and ``from_deliveries`` once per
         outcome class, however many batches — every class is the one its
         leaf keeps, and a second, third and fourth pass build nothing."""
-        from repro.engine import AdaptiveRunner, vectorized
+        from repro.engine import vectorized
 
         rows, composed = Counter(), []
         for protocol, *_, adversary, _ in self.CONFIGS:
@@ -1880,7 +1879,7 @@ class TestWarmTables:
             len(leaf.classes) for table in tables for leaf in table_leaves(table)
         )
         assert self._run([[member] for member in indexed]) == first
-        AdaptiveRunner(workers=1, backend="vector").run(plan, bounds=0.5)
+        ParallelRunner(workers=1, backend="vector").run(plan)
         assert self._run([indexed[::2], indexed[1::2]]) == first
         assert (dict(rows), len(composed)) == built
 
@@ -2108,23 +2107,40 @@ class TestRunnerIntegration:
         with pytest.raises(ValueError, match="backend"):
             ParallelRunner(backend="gpu")
 
-    def test_adaptive_runner_vector_matches_object(self):
-        from repro.engine import AdaptiveRunner
+    def test_inline_vector_fallbacks_reach_the_rollup(self, tmp_path):
+        """An inline vector run batches every supported trial, and the
+        ``vector_batch`` spans carry the genuine fallbacks into
+        ``fallback_reasons``."""
+        import json
 
-        plan = TrialPlan.monte_carlo(
-            "adaptive-vec", "ba_one_third", (0, 0, 1, 1), 1,
-            trials=20, params={"kappa": 2}, adversary="straddle13",
-            adversary_params={"victims": (3,)}, seed=13,
+        from repro.obs import TelemetryWriter, summarize_telemetry
+
+        supported = TrialPlan.monte_carlo(
+            "supported", "ba_one_third", (0, 0, 1, 1), 1,
+            trials=12, params={"kappa": 1}, adversary="straddle13",
+            adversary_params={"victims": (3,)}, seed=1,
         )
-        obj = AdaptiveRunner(workers=1).run(plan, bounds=0.25)
-        vec = AdaptiveRunner(workers=1, backend="vector").run(plan, bounds=0.25)
-        assert obj.spent == vec.spent
-        assert [canon(r) for r in obj.results if r is not None] == [
-            canon(r) for r in vec.results if r is not None
+        faulted = TrialPlan.monte_carlo(
+            "faulted", "ba_one_third", (0, 0, 1, 1), 1,
+            trials=4, params={"kappa": 1}, seed=9, faults="lossy",
+        )
+        plan = TrialPlan.concat("inline-vector", [supported, faulted])
+        path = str(tmp_path / "inline-vector.jsonl")
+        with TelemetryWriter(path) as telemetry:
+            ParallelRunner(
+                workers=1, backend="vector", telemetry=telemetry
+            ).run(plan)
+        summary = summarize_telemetry(path)
+        assert summary["fallback_reasons"] == {
+            "fault injection ('lossy') is not vectorizable": len(faulted)
+        }
+        spans = [
+            json.loads(line)
+            for line in open(path, encoding="utf-8")
+            if '"vector_batch"' in line
         ]
-        assert [o.estimate for o in obj.configs.values()] == [
-            o.estimate for o in vec.configs.values()
-        ]
+        assert sum(span["batched"] for span in spans) == len(supported)
+        assert sum(span["fallback"] for span in spans) == len(faulted)
 
     def test_vector_batch_telemetry_span(self, tmp_path):
         from repro.obs import TelemetryWriter, summarize_telemetry

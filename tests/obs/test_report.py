@@ -93,7 +93,7 @@ class TestProfileSection:
             "unknown_types": {}, "profiles": [], "chunks": 1,
             "busy_seconds": max(profile["total_seconds"], 1e-6),
             "payload_bytes": 0, "trials": 1, "setup_seconds": 0.0,
-            "adaptive_rounds": 0, "probe_cache_hits": 0,
+            "probe_cache_hits": 0,
             "probe_cache_misses": 0, "profile_seconds": 0.0,
         }
         report = build_report(telemetry=telemetry, profile=profile)
