@@ -64,7 +64,7 @@ class CryptoSuite:
         Most of it is the search for the four safe primes of the two
         threshold schemes, which tests in full only the candidates it
         keeps (:mod:`repro.crypto.primes`): a 4-party suite at 256 bits
-        costs 7 470 modular exponentiations.
+        costs 3 714 modular exponentiations.
         """
         cls._check(num_parties, max_faulty)
         return cls(

@@ -206,7 +206,7 @@ def predeal_suites(
 
     Ideal-backend suites are microseconds to deal and are left to the
     workers.  Real (threshold-RSA) suites are the setup bottleneck: a
-    256-bit 4-party suite costs 7 470 modular exponentiations, most of
+    256-bit 4-party suite costs 3 714 modular exponentiations, most of
     them in the safe-prime search.  So each distinct ``suite_key`` is
     dealt exactly once here — reusing the parent's cache when warm,
     fanning *distinct keys* across a dealing pool when there are several
