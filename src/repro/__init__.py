@@ -22,53 +22,8 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .adversary import (
-    Adversary,
-    CrashAdversary,
-    EavesdropCoinAdversary,
-    GradeSplitAdversary,
-    LastRoundCorruptionAdversary,
-    LinearHalfStraddleAdversary,
-    MalformedAdversary,
-    OneThirdStraddleAdversary,
-    TwoFaceAdversary,
-)
-from .core import (
-    ba_one_half_generalized,
-    ba_one_half_program,
-    ba_one_third_chunked,
-    ba_one_third_program,
-    fm_probabilistic_program,
-    dolev_strong_ba_program,
-    dolev_strong_broadcast_program,
-    extract,
-    feldman_micali_program,
-    ideal_coin_factory,
-    micali_vaikuntanathan_program,
-    multivalued_ba_program,
-    mv_pki_program,
-    threshold_coin_factory,
-    turpin_coan_classic_program,
-)
-from .crypto import CryptoSuite, IdealCoin
-from .engine import ParallelRunner, PlanResult, TrialPlan, TrialSpec
-from .network import (
-    ExecutionResult,
-    RunMetrics,
-    SyncSimulator,
-    Tracer,
-    run_protocol,
-)
-from .proxcensus import (
-    ProxOutput,
-    check_proxcensus_consistency,
-    check_proxcensus_validity,
-    prox_linear_half_program,
-    prox_one_third_program,
-    prox_quadratic_half_program,
-    proxcast_player_replaceable_program,
-    proxcast_program,
-)
+import importlib
+from typing import Any
 
 __version__ = "1.0.0"
 
@@ -117,3 +72,42 @@ __all__ = [
     "threshold_coin_factory",
     "turpin_coan_classic_program",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".adversary": (
+        "Adversary", "CrashAdversary", "EavesdropCoinAdversary",
+        "GradeSplitAdversary", "LastRoundCorruptionAdversary",
+        "LinearHalfStraddleAdversary", "MalformedAdversary",
+        "OneThirdStraddleAdversary", "TwoFaceAdversary",
+    ),
+    ".core": (
+        "ba_one_half_generalized", "ba_one_half_program",
+        "ba_one_third_chunked", "ba_one_third_program",
+        "fm_probabilistic_program", "dolev_strong_ba_program",
+        "dolev_strong_broadcast_program", "extract", "feldman_micali_program",
+        "ideal_coin_factory", "micali_vaikuntanathan_program",
+        "multivalued_ba_program", "mv_pki_program", "threshold_coin_factory",
+        "turpin_coan_classic_program",
+    ),
+    ".crypto": ("CryptoSuite", "IdealCoin"),
+    ".engine": ("ParallelRunner", "PlanResult", "TrialPlan", "TrialSpec"),
+    ".network": (
+        "ExecutionResult", "RunMetrics", "SyncSimulator", "Tracer",
+        "run_protocol",
+    ),
+    ".proxcensus": (
+        "ProxOutput", "check_proxcensus_consistency",
+        "check_proxcensus_validity", "prox_linear_half_program",
+        "prox_one_third_program", "prox_quadratic_half_program",
+        "proxcast_player_replaceable_program", "proxcast_program",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,6 +18,7 @@ because the module graph stays acyclic.
 from __future__ import annotations
 
 import ast
+import re
 from typing import Dict, Iterator, List, Set, Tuple
 
 from .framework import Finding, Rule, SourceModule, register_rule
@@ -45,6 +46,9 @@ ALLOWED_IMPORTS: Dict[str, Set[str]] = {
 
 #: Absolute-import prefixes treated as package-internal.
 _INTERNAL_ROOTS = ("repro",)
+
+#: Calls that import a module named at run time: no edge the AST shows.
+_DYNAMIC_IMPORTS = {"importlib.import_module", "importlib.__import__", "__import__"}
 
 
 def _walk_imports(tree: ast.Module, include_deferred: bool) -> Iterator[ast.stmt]:
@@ -97,6 +101,50 @@ def _iter_import_edges(
                     yield f"{base}.{alias.name}", node
 
 
+def _export_resolutions(function: ast.FunctionDef) -> Iterator[ast.Call]:
+    """Calls ``f(key, __name__)`` in ``function`` whose ``key`` is the loop
+    variable of a ``for key, ... in _EXPORTS.items()``."""
+    keys = set()
+    for loop in ast.walk(function):
+        if isinstance(loop, ast.For) and ast.unparse(loop.iter) == "_EXPORTS.items()":
+            target = loop.target.elts[0] if isinstance(loop.target, ast.Tuple) else loop.target
+            keys.add(ast.unparse(target))
+    for call in ast.walk(function):
+        if isinstance(call, ast.Call) and len(call.args) == 2:
+            key, package = (ast.unparse(arg) for arg in call.args)
+            if key in keys and package == "__name__":
+                yield call
+
+
+def _hidden_imports(module: SourceModule) -> Iterator[Tuple[ast.AST, str]]:
+    """Imports no import statement shows, as ``(node, message)`` pairs.
+
+    One dynamic import is allowed: a package ``__init__``'s module-level
+    ``__getattr__`` calling ``import_module(key, __name__)`` with ``key``
+    drawn from its ``_EXPORTS`` table, whose every key must be a direct
+    submodule (``".plan"``), so an intra-layer edge.
+    """
+    resolver: Set[ast.AST] = set()
+    for node in module.tree.body if module.is_package else ():
+        if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            resolver.update(_export_resolutions(node))
+        elif isinstance(node, ast.Assign) and "_EXPORTS" in {
+            getattr(target, "id", None) for target in node.targets
+        }:
+            for key in getattr(node.value, "keys", [node.value]):
+                text = getattr(key, "value", None)
+                if not (isinstance(text, str) and re.fullmatch(r"\.[A-Za-z_]\w*", text)):
+                    yield key or node, "export table key is not a direct submodule"
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = module.resolve_call_target(node.func)
+        if called in _DYNAMIC_IMPORTS and not (
+            node in resolver and called == "importlib.import_module"
+        ):
+            yield node, "dynamic import hides its target from the layer map"
+
+
 @register_rule
 class LayeringRule(Rule):
     """Cross-layer import that reaches outside the importer's allowance.
@@ -104,7 +152,9 @@ class LayeringRule(Rule):
     The allowance table is the architecture (see module docstring):
     e.g. ``crypto`` imports nothing internal, ``core``/``proxcensus``
     never import ``engine``/``analysis``/``cli``.  Intra-layer imports
-    are always fine.
+    are always fine.  An import the edge walk cannot see — a dynamic
+    import call, an export-table key past the package's own submodules —
+    is flagged in every module (see :func:`_hidden_imports`).
     """
 
     id = "LAY201"
@@ -112,6 +162,8 @@ class LayeringRule(Rule):
     hint = "depend downward only; move shared code into the lower layer"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
+        for node, message in _hidden_imports(module):
+            yield self.finding(module, node, message)
         allowed = ALLOWED_IMPORTS.get(module.top)
         if allowed is None:
             return

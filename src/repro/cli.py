@@ -62,9 +62,6 @@ from typing import List, Optional, Sequence
 
 from .analysis.report import format_table
 from .analysis.stats import disagreement_rate
-from .analysis.tables import render_fig3, render_table1, render_table2
-from .analysis.theory import efficiency_comparison_rows
-from .network.trace import MemoryTraceSink, Tracer
 
 __all__ = ["main"]
 
@@ -219,6 +216,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """One engine trial — the spec ``--spec`` carries, exactly as a sweep
     ran it, or the one the other flags describe."""
     from .engine import TrialSpec
+    from .network.trace import MemoryTraceSink, Tracer
 
     replay = args.spec is not None
     if args.adversary == "straddle":
@@ -383,6 +381,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .analysis.theory import efficiency_comparison_rows
+
     columns = ("kappa", "ours_one_third", "feldman_micali", "ours_one_half",
                "micali_vaikuntanathan")
     rows = [
@@ -399,6 +399,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .analysis.tables import render_fig3, render_table1, render_table2
+
     renderers = {
         "table1": lambda: render_table1(3),
         "table2": lambda: render_table2(6),

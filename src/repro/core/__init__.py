@@ -4,48 +4,8 @@ Also hosts the executable baselines (fixed-round Feldman–Micali,
 Micali–Vaikuntanathan-style, Dolev–Strong) and the multivalued lifts.
 """
 
-from .ablation import (
-    ba_one_half_generalized,
-    ba_one_third_chunked,
-    bits_per_round_one_half,
-    bits_per_round_one_third,
-    rounds_one_half_generalized,
-    rounds_one_third_chunked,
-)
-from .ba import (
-    ba_one_half_program,
-    ba_one_third_program,
-    iteration_one_half,
-    iteration_one_third,
-    iterations_one_half,
-    rounds_one_half,
-    rounds_one_third,
-)
-from .dolev_strong import dolev_strong_ba_program, dolev_strong_broadcast_program
-from .extraction import coin_range, extract, extract_by_position, splitting_coin
-from .feldman_micali import feldman_micali_program, rounds_feldman_micali
-from .iteration import (
-    CoinFactory,
-    Iteration,
-    ideal_coin_factory,
-    threshold_coin_factory,
-)
-from .micali_vaikuntanathan import (
-    micali_vaikuntanathan_program,
-    mv_pki_program,
-    rounds_mv,
-)
-from .probabilistic import (
-    ProbTermOutput,
-    fm_probabilistic_program,
-    iteration_fm_probabilistic,
-)
-from .turpin_coan import (
-    multivalued_ba_program,
-    multivalued_prefix,
-    turpin_coan_classic_program,
-    turpin_coan_prefix,
-)
+import importlib
+from typing import Any
 
 __all__ = [
     "CoinFactory",
@@ -84,3 +44,47 @@ __all__ = [
     "turpin_coan_classic_program",
     "turpin_coan_prefix",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".ablation": (
+        "ba_one_half_generalized", "ba_one_third_chunked",
+        "bits_per_round_one_half", "bits_per_round_one_third",
+        "rounds_one_half_generalized", "rounds_one_third_chunked",
+    ),
+    ".ba": (
+        "ba_one_half_program", "ba_one_third_program", "iteration_one_half",
+        "iteration_one_third", "iterations_one_half", "rounds_one_half",
+        "rounds_one_third",
+    ),
+    ".dolev_strong": (
+        "dolev_strong_ba_program", "dolev_strong_broadcast_program",
+    ),
+    ".extraction": (
+        "coin_range", "extract", "extract_by_position", "splitting_coin",
+    ),
+    ".feldman_micali": ("feldman_micali_program", "rounds_feldman_micali"),
+    ".iteration": (
+        "CoinFactory", "Iteration", "ideal_coin_factory",
+        "threshold_coin_factory",
+    ),
+    ".micali_vaikuntanathan": (
+        "micali_vaikuntanathan_program", "mv_pki_program", "rounds_mv",
+    ),
+    ".probabilistic": (
+        "ProbTermOutput", "fm_probabilistic_program",
+        "iteration_fm_probabilistic",
+    ),
+    ".turpin_coan": (
+        "multivalued_ba_program", "multivalued_prefix",
+        "turpin_coan_classic_program", "turpin_coan_prefix",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 from .ideal import IdealSignatureScheme, IdealThresholdScheme
 from .interfaces import SignatureScheme, ThresholdSignatureScheme
-from .rsa import RsaSignatureScheme
-from .threshold_rsa import generate_threshold_rsa
 
 __all__ = ["CryptoSuite"]
 
@@ -66,6 +64,9 @@ class CryptoSuite:
         keeps (:mod:`repro.crypto.primes`): a 4-party suite at 256 bits
         costs 3 714 modular exponentiations.
         """
+        from .rsa import RsaSignatureScheme
+        from .threshold_rsa import generate_threshold_rsa
+
         cls._check(num_parties, max_faulty)
         return cls(
             num_parties=num_parties,

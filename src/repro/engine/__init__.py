@@ -8,43 +8,8 @@ way.  See ``docs/performance.md`` for the architecture and determinism
 guarantees, and ``repro error-sweep`` for the CLI entry point.
 """
 
-from .plan import TrialPlan, TrialSpec, derive_trial_seed, derive_trial_session
-from .registry import (
-    adversary_names,
-    build_fault_plan,
-    fault_plan_names,
-    protocol_names,
-    register_adversary,
-    register_fault_plan,
-    register_protocol,
-)
-from .runner import (
-    ParallelRunner,
-    PlanResult,
-    TrialExecutionError,
-    WorkerLostError,
-    clamp_workers,
-    clear_suite_cache,
-    deal_suite,
-    predeal_suites,
-    run_measured_trial,
-    run_traced_trial,
-    run_trial,
-)
-from .transport import (
-    ChunkSummary,
-    TransportError,
-    TrialSummary,
-    measure_payload_bytes,
-)
-from .vectorized import (
-    VectorModelError,
-    clear_probe_cache,
-    exact_law,
-    probe_cache_stats,
-    run_vector_batch,
-    unsupported_reason as vector_unsupported_reason,
-)
+import importlib
+from typing import Any
 
 __all__ = [
     "ChunkSummary",
@@ -80,3 +45,37 @@ __all__ = [
     "run_vector_batch",
     "vector_unsupported_reason",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".plan": (
+        "TrialPlan", "TrialSpec", "derive_trial_seed", "derive_trial_session",
+    ),
+    ".registry": (
+        "adversary_names", "build_fault_plan", "fault_plan_names",
+        "protocol_names", "register_adversary", "register_fault_plan",
+        "register_protocol",
+    ),
+    ".runner": (
+        "ParallelRunner", "PlanResult", "TrialExecutionError",
+        "WorkerLostError", "clamp_workers", "clear_suite_cache", "deal_suite",
+        "predeal_suites", "run_measured_trial", "run_traced_trial",
+        "run_trial",
+    ),
+    ".transport": (
+        "ChunkSummary", "TransportError", "TrialSummary",
+        "measure_payload_bytes",
+    ),
+    ".vectorized": (
+        "VectorModelError", "clear_probe_cache", "exact_law",
+        "probe_cache_stats", "run_vector_batch", "vector_unsupported_reason",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

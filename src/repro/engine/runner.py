@@ -52,16 +52,12 @@ function of the spec, so serial and pooled runs write identical bytes.
 from __future__ import annotations
 
 import contextlib
-import logging
 import os
-import pickle
-import shlex
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Generator,
@@ -72,19 +68,21 @@ from typing import (
     Tuple,
 )
 
-from ..adversary.base import Adversary
-from ..analysis.stats import disagreement_rate
+from .. import obs
 from ..crypto.keys import CryptoSuite
-from ..network.faults import FaultCounts
 from ..network.simulator import ExecutionResult, SyncSimulator
 from ..network.trace import Tracer
-from ..obs.metrics import MetricsRegistry, build_metrics_payload
-from ..obs.sinks import JsonlTraceSink, trace_filename
-from ..obs.telemetry import TelemetryWriter
 from .plan import TrialPlan, TrialSpec
 from .registry import build_adversary, build_fault_plan, build_protocol_factory
-from .transport import ChunkSummary
-from .vectorized import execute_chunk
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..adversary.base import Adversary
+    from ..network.faults import FaultCounts
+    from ..obs.metrics import MetricsRegistry
+    from ..obs.telemetry import TelemetryWriter
+    from .transport import ChunkSummary
 
 __all__ = [
     "ParallelRunner",
@@ -99,8 +97,6 @@ __all__ = [
     "predeal_suites",
     "clear_suite_cache",
 ]
-
-logger = logging.getLogger(__name__)
 
 SuiteKey = Tuple[str, int, int, int, int]
 Chunk = Sequence[Tuple[int, TrialSpec]]
@@ -123,7 +119,9 @@ def clamp_workers(requested: int) -> int:
     if requested < 1:
         raise ValueError("need at least one worker")
     if requested > cpus:
-        logger.info(
+        import logging
+
+        logging.getLogger(__name__).info(
             "clamping workers %d -> %d (cpu_count=%d): processes beyond the "
             "CPU count are pure overhead%s",
             requested,
@@ -227,6 +225,8 @@ def predeal_suites(
         dealt[key] = _SUITE_CACHE.get(key)
     missing = [key for key, suite in dealt.items() if suite is None]
     if len(missing) > 1 and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(workers, len(missing))
         ) as dealing_pool:
@@ -322,6 +322,8 @@ def _ranges(pairs: Iterator[Tuple[int, int]]) -> str:
 
 
 def _replay_command(spec: TrialSpec) -> str:
+    import shlex
+
     try:
         return f"repro run --spec {shlex.quote(spec.to_json())}"
     except TypeError as error:
@@ -412,12 +414,11 @@ def _run_indexed_trial(
         }
         if spec.faults is not None:
             meta["faults"] = spec.faults
-        tracer = Tracer(
-            JsonlTraceSink(os.path.join(trace_dir, trace_filename(index)), meta=meta)
-        )
+        path = os.path.join(trace_dir, obs.trace_filename(index))
+        tracer = Tracer(obs.JsonlTraceSink(path, meta=meta))
         observers.append(tracer)
     if registries is not None:
-        registry = MetricsRegistry()
+        registry = obs.MetricsRegistry()
         observers.append(registry)
     try:
         result = run_trial(spec, observers)
@@ -483,6 +484,8 @@ def _iter_chunk(
             busy += time.perf_counter() - started
             yield index, result
         return busy
+    from .vectorized import execute_chunk
+
     started = time.perf_counter()
     pairs, stats = execute_chunk(chunk, trace_dir, metrics=registries)
     busy = time.perf_counter() - started
@@ -537,6 +540,8 @@ def _run_chunk(
     profile seconds attribute directly to the chunk's ``chunk_complete``
     telemetry span.
     """
+    from .transport import ChunkSummary
+
     registries: Optional[Dict[int, MetricsRegistry]] = {} if metrics else None
     spans: Spans = []
     with _profiled(profile_path):
@@ -570,6 +575,8 @@ class PlanResult:
 
     def disagreement_rate(self) -> float:
         """Fraction of trials whose honest parties did not all agree."""
+        from ..analysis.stats import disagreement_rate
+
         return disagreement_rate(self.results)
 
     def metrics_payload(self) -> Dict[str, Any]:
@@ -598,12 +605,12 @@ class PlanResult:
             }
             configs[name] = (
                 config_meta,
-                MetricsRegistry.merged(
+                obs.MetricsRegistry.merged(
                     self.trial_metrics[index] for index in indices
                 ),
             )
         meta = {"plan": self.plan.name, "trials": len(self.plan)}
-        return build_metrics_payload(meta, configs)
+        return obs.build_metrics_payload(meta, configs)
 
 
 class ParallelRunner:
@@ -735,6 +742,20 @@ class ParallelRunner:
             )
         pool: Optional[ProcessPoolExecutor] = None
         if pooled:
+            import pickle
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+            from concurrent.futures.process import BrokenProcessPool
+
+            # What the workers run loads here, before they fork, so each
+            # pool inherits it instead of compiling it again.
+            from . import transport  # noqa: F401
+            if self.backend == "vector":
+                from . import vectorized  # noqa: F401
+            if self.metrics:
+                from ..obs import metrics  # noqa: F401
+            if self.trace_dir is not None:
+                from ..obs import sinks  # noqa: F401
+
             predeal_started = time.perf_counter()
             dealt = predeal_suites(plan, self.workers)
             if tele is not None and dealt:

@@ -128,6 +128,13 @@ from ..obs.metrics import DeliveryContribution, MetricsRegistry
 from ..proxcensus.base import slot_index
 from .plan import TrialSpec, _stamp_trial
 from .registry import LIFT_DEFAULT, build_adversary
+from .runner import (
+    TrialExecutionError,
+    _build_simulator,
+    _run_indexed_trial,
+    _suite_for,
+    run_trial,
+)
 
 __all__ = [
     "VectorModelError",
@@ -468,6 +475,10 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     return model.adversary_check(spec)
 
 
+# The name ``repro.engine`` exports it under.
+vector_unsupported_reason = unsupported_reason
+
+
 def run_vector_batch(specs: Sequence[TrialSpec]) -> List[ExecutionResult]:
     """Execute same-configuration supported specs as one batch.
 
@@ -552,8 +563,6 @@ def execute_chunk(
     needs the per-message deliveries themselves, so ``trace_dir`` still
     sends every spec to the object simulator.
     """
-    from .runner import TrialExecutionError, _run_indexed_trial  # circular
-
     cache_before = probe_cache_stats()
     results: Dict[int, ExecutionResult] = {}
     groups: Dict[Tuple[Any, ...], List[Tuple[int, TrialSpec]]] = {}
@@ -692,12 +701,6 @@ _COIN_PARAMS = frozenset({"index", "low", "high"})
 def _serving(*adversaries: str) -> Dict[Optional[str], frozenset]:
     """The honest run and ``adversaries``, each with the params it takes."""
     return {name: _ADVERSARY_PARAMS[name] for name in (None, *adversaries)}
-
-
-def _suite(spec: TrialSpec):
-    from .runner import _suite_for  # circular at import time
-
-    return _suite_for(spec)
 
 
 def _cut_row(
@@ -950,8 +953,6 @@ def _simulate_probe(
     a registry: probes are cached, so the collector's cost is paid once
     per configuration and metrics need no second kind of probe.
     """
-    from .runner import _build_simulator  # circular at import time
-
     registry = MetricsRegistry()
     simulator = _build_simulator(
         _stamp_trial(spec, 0, _PROBE_SESSION), adversary, (registry,)
@@ -1024,7 +1025,7 @@ def _iteration_coin(first: TrialSpec, iteration: Iteration):
     """``(evaluator, session suffix)`` of the coin ``iteration`` flips."""
     suffix = "" if iteration.subsession is None else f"/{iteration.subsession}"
     low, high = coin_range(iteration.slots)
-    return coin_evaluator(_suite(first).coin, iteration.coin_index, low, high), suffix
+    return coin_evaluator(_suite_for(first).coin, iteration.coin_index, low, high), suffix
 
 
 # ── Replay probes: one full reference execution, replicated per trial ────
@@ -1041,8 +1042,6 @@ def _replay_trial(spec: TrialSpec) -> _Leaf:
     session-invariance argument of the module docstring, pinned by the
     equivalence grid.
     """
-    from .runner import run_trial  # circular at import time
-
     registry = MetricsRegistry()
     result = run_trial(spec, (registry,))
     return _Leaf(
@@ -1300,7 +1299,7 @@ def _coin_batch(
 
 
 def _threshold_outcome(first: TrialSpec) -> Callable[[str], Tuple[str, Any]]:
-    coin = coin_evaluator(_suite(first).coin, *_coin_protocol_params(first))
+    coin = coin_evaluator(_suite_for(first).coin, *_coin_protocol_params(first))
     return lambda session: ("coin-ok", coin(session))
 
 
@@ -1341,7 +1340,7 @@ def _vrf_outcome(first: TrialSpec) -> Callable[[str], Tuple[int, Optional[int]]]
     victims = tuple(dict.fromkeys(adversary.get("victims", ())))
     honest = [pid for pid in range(n) if pid not in victims]
     preferred = adversary.get("preferred", 1)
-    evaluate = vrf_evaluator(_suite(first).plain, index)
+    evaluate = vrf_evaluator(_suite_for(first).plain, index)
     flip = scan = vrf_coin_extractor(index, low, high)
     # The reveal scan uses the adversary's own range and preference.
     adv_range = adversary.get("low", 0), adversary.get("high", 1)

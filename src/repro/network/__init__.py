@@ -1,23 +1,7 @@
 """Synchronous authenticated network simulator and party-program model."""
 
-from .errors import (
-    AdversaryBudgetError,
-    FaultPlanError,
-    RoundLimitError,
-    SimulationError,
-)
-from .faults import Crash, FaultEvent, FaultInjector, FaultPlan, Partition
-from .messages import (
-    Broadcast,
-    Inbox,
-    Outbox,
-    get_field,
-    normalize_outbox,
-)
-from .metrics import RunMetrics, count_signatures
-from .party import Context, ProgramFactory, resume_with, run_parallel
-from .simulator import ExecutionResult, SyncSimulator, run_protocol
-from .trace import TraceEvent, Tracer, summarize_payload
+import importlib
+from typing import Any
 
 __all__ = [
     "AdversaryBudgetError",
@@ -47,3 +31,29 @@ __all__ = [
     "run_parallel",
     "run_protocol",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".errors": (
+        "AdversaryBudgetError", "FaultPlanError", "RoundLimitError",
+        "SimulationError",
+    ),
+    ".faults": (
+        "Crash", "FaultEvent", "FaultInjector", "FaultPlan", "Partition",
+    ),
+    ".messages": (
+        "Broadcast", "Inbox", "Outbox", "get_field", "normalize_outbox",
+    ),
+    ".metrics": ("RunMetrics", "count_signatures"),
+    ".party": ("Context", "ProgramFactory", "resume_with", "run_parallel"),
+    ".simulator": ("ExecutionResult", "SyncSimulator", "run_protocol"),
+    ".trace": ("TraceEvent", "Tracer", "summarize_payload"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,49 +22,8 @@ abstraction (:class:`repro.network.trace.TraceSink`):
   digest engine scheduling spans (``repro error-sweep --telemetry``).
 """
 
-from .metrics import (
-    DELIVERY_METRIC_NAMES,
-    HISTOGRAM_BUCKETS,
-    MESSAGE_KINDS,
-    METRIC_NAMES,
-    METRICS_SCHEMA,
-    DeliveryContribution,
-    Histogram,
-    MetricsRegistry,
-    build_metrics_payload,
-    load_metrics_artifact,
-    metrics_from_trace,
-    summary_kind,
-    validate_metrics_payload,
-    write_metrics_artifact,
-)
-from .report import (
-    build_report,
-    check_report,
-    load_profile_summary,
-    load_report_inputs,
-    render_html,
-)
-from .replay import (
-    LoadedTrace,
-    TraceDivergence,
-    diff_traces,
-    filter_trace,
-    load_trace,
-    trace_metrics,
-)
-from .sinks import (
-    TRACE_SCHEMA,
-    JsonlTraceSink,
-    ObsFormatError,
-    trace_filename,
-)
-from .telemetry import (
-    TELEMETRY_EVENT_TYPES,
-    TELEMETRY_SCHEMA,
-    TelemetryWriter,
-    summarize_telemetry,
-)
+import importlib
+from typing import Any
 
 __all__ = [
     "DELIVERY_METRIC_NAMES",
@@ -101,3 +60,37 @@ __all__ = [
     "validate_metrics_payload",
     "write_metrics_artifact",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".metrics": (
+        "DELIVERY_METRIC_NAMES", "HISTOGRAM_BUCKETS", "MESSAGE_KINDS",
+        "METRIC_NAMES", "METRICS_SCHEMA", "DeliveryContribution", "Histogram",
+        "MetricsRegistry", "build_metrics_payload", "load_metrics_artifact",
+        "metrics_from_trace", "summary_kind", "validate_metrics_payload",
+        "write_metrics_artifact",
+    ),
+    ".report": (
+        "build_report", "check_report", "load_profile_summary",
+        "load_report_inputs", "render_html",
+    ),
+    ".replay": (
+        "LoadedTrace", "TraceDivergence", "diff_traces", "filter_trace",
+        "load_trace", "trace_metrics",
+    ),
+    ".sinks": (
+        "TRACE_SCHEMA", "JsonlTraceSink", "ObsFormatError", "trace_filename",
+    ),
+    ".telemetry": (
+        "TELEMETRY_EVENT_TYPES", "TELEMETRY_SCHEMA", "TelemetryWriter",
+        "summarize_telemetry",
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,28 +1,7 @@
 """The Proxcensus protocol family (paper §3.3 and Appendices A–B)."""
 
-from .base import (
-    ProxOutput,
-    ProxcensusViolation,
-    check_proxcensus_consistency,
-    check_proxcensus_validity,
-    max_grade,
-    slot_index,
-    slot_label,
-)
-from .gradecast_cert import certificate_gradecast_program
-from .linear_half import grade_conditions, prox_linear_half_program
-from .one_third import prox_expand_once_program, prox_one_third_program
-from .proxcast import (
-    proxcast_player_replaceable_program,
-    proxcast_program,
-    rounds_for_slots,
-)
-from .quadratic_half import (
-    condition_table,
-    prox_quadratic_half_program,
-    top_grade,
-)
-from .registry import FAMILIES, ProxFamily, family
+import importlib
+from typing import Any
 
 __all__ = [
     "FAMILIES",
@@ -47,3 +26,30 @@ __all__ = [
     "slot_label",
     "top_grade",
 ]
+
+# PEP 562: the first read of an export imports its submodule and keeps the name.
+_EXPORTS = {
+    ".base": (
+        "ProxOutput", "ProxcensusViolation", "check_proxcensus_consistency",
+        "check_proxcensus_validity", "max_grade", "slot_index", "slot_label",
+    ),
+    ".gradecast_cert": ("certificate_gradecast_program",),
+    ".linear_half": ("grade_conditions", "prox_linear_half_program"),
+    ".one_third": ("prox_expand_once_program", "prox_one_third_program"),
+    ".proxcast": (
+        "proxcast_player_replaceable_program", "proxcast_program",
+        "rounds_for_slots",
+    ),
+    ".quadratic_half": (
+        "condition_table", "prox_quadratic_half_program", "top_grade",
+    ),
+    ".registry": ("FAMILIES", "ProxFamily", "family"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _EXPORTS.items():
+        if name in names:
+            globals()[name] = getattr(importlib.import_module(module, __name__), name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.checks import det, lay
 
@@ -43,6 +45,82 @@ class TestLAY201Layering:
                 return stats
         """})
         assert rule_ids(check(root, select=["LAY201"])) == ["LAY201"]
+
+    @pytest.mark.parametrize("call", [
+        "importlib.import_module('repro.analysis.stats')",
+        "import_module('..analysis.stats', __package__)",
+        "__import__('repro.analysis.stats')",
+    ])
+    def test_hit_dynamic_import_hides_its_edge(self, tree, call):
+        # Even an unmapped layer's: no import statement shows the target.
+        root = tree({"cli.py": f"""
+            import importlib
+            from importlib import import_module
+
+            def sneaky():
+                return {call}
+        """})
+        report = check(root, select=["LAY201"])
+        assert rule_ids(report) == ["LAY201"]
+        assert "dynamic import" in report.findings[0].message
+        assert report.findings[0].line == 6
+
+    def test_hit_dynamic_import_outside_the_package_resolver(self, tree):
+        root = tree({"crypto/__init__.py": """
+            import importlib
+
+            TABLES = importlib.import_module(".tables", __name__)
+        """})
+        assert rule_ids(check(root, select=["LAY201"])) == ["LAY201"]
+
+    @pytest.mark.parametrize("call", [
+        "importlib.import_module('repro.cli')",
+        "importlib.import_module(name, __name__)",
+        "importlib.import_module(module)",
+        "__import__(module, __name__)",
+    ])
+    def test_hit_resolver_import_not_drawn_from_the_export_table(self, tree, call):
+        root = tree({"crypto/__init__.py": f"""
+            import importlib
+
+            _EXPORTS = {{".keys": ("CryptoSuite",)}}
+
+
+            def __getattr__(name):
+                for module, names in _EXPORTS.items():
+                    if name in names:
+                        return getattr({call}, name)
+                raise AttributeError(name)
+        """})
+        report = check(root, select=["LAY201"])
+        assert rule_ids(report) == ["LAY201"]
+        assert "dynamic import" in report.findings[0].message
+
+    @pytest.mark.parametrize("key", ["'..analysis.stats'", "'.keys.rsa'", "KEYS"])
+    def test_hit_export_key_past_own_submodules(self, tree, key):
+        root = tree({"crypto/__init__.py": f"""
+            _EXPORTS = {{{key}: ("CryptoSuite",)}}
+        """})
+        report = check(root, select=["LAY201"])
+        assert rule_ids(report) == ["LAY201"]
+        assert "export table key" in report.findings[0].message
+
+    def test_pass_lazy_package_resolver(self, tree):
+        root = tree({"crypto/__init__.py": """
+            import importlib
+
+            __all__ = ["CryptoSuite"]
+
+            _EXPORTS = {".keys": ("CryptoSuite",)}
+
+
+            def __getattr__(name):
+                for module, names in _EXPORTS.items():
+                    if name in names:
+                        return getattr(importlib.import_module(module, __name__), name)
+                raise AttributeError(name)
+        """})
+        assert check(root, select=["LAY201"]).ok
 
     def test_pass_downward_and_intra_layer(self, tree):
         root = tree({

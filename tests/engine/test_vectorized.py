@@ -1616,15 +1616,29 @@ class TestWalkGrid:
 
 _STDLIB_ONLY = """
 import sys
-import repro.cli, repro.engine
-assert "numpy" not in sys.modules, "importing the library imported numpy"
-sys.modules["numpy"] = None  # from here on, importing it raises ImportError
+import repro.engine
 from perfbench.configs import SWEEP21, config_plan
-from repro.engine import TrialPlan
-from repro.engine.vectorized import execute_chunk
+from repro.engine import ParallelRunner, TrialPlan
 plan = TrialPlan.concat(
     "sweep21", [config_plan(config, 4, at) for at, config in enumerate(SWEEP21)]
 )
+ParallelRunner().run(plan)
+loaded = [name for name in (
+    "repro.engine.vectorized", "repro.engine.transport", "repro.obs.metrics",
+    "repro.obs.report", "repro.obs.replay", "repro.analysis.tables",
+    "repro.analysis.theory", "repro.crypto.threshold_rsa", "multiprocessing",
+    "concurrent.futures.process",
+) if name in sys.modules]
+assert loaded == [], f"an inline object sweep imported {loaded}"
+ParallelRunner(workers=2, backend="vector").run(plan)
+assert "repro.engine.vectorized" in sys.modules, "each pool compiles the backend"
+import importlib, pkgutil, repro  # now load every library module, as eager exports did
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if module.name != "repro.__main__":
+        importlib.import_module(module.name)
+assert "numpy" not in sys.modules, "importing the library imported numpy"
+sys.modules["numpy"] = None  # from here on, importing it raises ImportError
+from repro.engine.vectorized import execute_chunk
 _, stats = execute_chunk(list(enumerate(plan.trials)))
 assert (stats["batched"], stats["fallback"]) == (4 * 21, 0), stats
 assert len(stats["batches"]) == 21, stats
@@ -1634,7 +1648,11 @@ assert len(stats["batches"]) == 21, stats
 class TestStdlibOnly:
     def test_library_never_imports_numpy_and_batches_without_it(self):
         """The fast backend is stdlib only: a numpy-free install gets it,
-        not a silent fallback, and no process pays numpy's import."""
+        not a silent fallback, and no process pays numpy's import.  A
+        process also loads only what its run executes: an inline object
+        sweep imports no vector backend, transport, pool, metrics, report
+        or threshold RSA, and a pooled vector run loads the backend in
+        the parent, before its workers fork."""
         root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env = dict(
             os.environ,

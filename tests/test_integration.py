@@ -6,7 +6,10 @@ backends, multivalued agreement feeding application data, adversaries
 attacking complete stacks, and determinism of whole executions.
 """
 
+import importlib
+import importlib.util
 import random
+import re
 
 import pytest
 
@@ -37,11 +40,25 @@ class TestPublicApiSurface:
         )
         assert result.honest_agree()
 
-    def test_all_public_names_importable(self):
-        import repro
-
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+    @pytest.mark.parametrize("package", [
+        "repro", "repro.adversary", "repro.analysis", "repro.core",
+        "repro.crypto", "repro.engine", "repro.network", "repro.obs",
+        "repro.proxcensus",
+    ])
+    def test_all_public_names_importable(self, package):
+        """Each lazy package resolves every ``__all__`` name from its
+        export table, whose keys are its own direct submodules."""
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name) is not None
+        table = module._EXPORTS
+        exported = [name for names in table.values() for name in names]
+        assert sorted(exported) == sorted(module.__all__)
+        for key in table:
+            assert re.fullmatch(r"\.[a-z_]+", key), key
+            assert importlib.util.find_spec(key, package) is not None, key
+        with pytest.raises(AttributeError, match=re.escape(repr(package))):
+            module.no_such_name
 
 
 class TestWholeStackScenarios:
