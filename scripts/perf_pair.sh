@@ -27,7 +27,12 @@
 # or when more of the tree's operations failed than REF's; 1, after one
 # `DIGEST <workload> pair N <ref digest> != <tree digest>` line each, when
 # a pair's digests differ; 0 otherwise.
+#
+# Runs write no bytecode, as in the benchmark's environment: every run
+# compiles what it imports, so no run's `setup_s` times bytecode an
+# earlier run of the pair wrote.
 set -euo pipefail
+export PYTHONDONTWRITEBYTECODE=1
 
 usage="usage: scripts/perf_pair.sh REF WORKLOAD[,WORKLOAD...|all] [PAIRS=10]"
 ref=${1:?$usage}

@@ -115,15 +115,15 @@ def dolev_strong_broadcast_program(
     return default
 
 
-def dolev_strong_ba_program(ctx: Context, value: Any, default: Any = 0):
+def dolev_strong_ba_program(ctx: Context, value: Any):
     """Deterministic BA from ``n`` parallel Dolev–Strong broadcasts.
 
     ``t + 1`` rounds; output is the majority of broadcast outcomes (ties
-    and absent majorities fall to ``default``).
+    and absent majorities fall to 0, as does a broadcast without one).
     """
     programs = {
         f"bc{dealer}": dolev_strong_broadcast_program(
-            ctx.subsession(f"ds{dealer}"), value, dealer, default
+            ctx.subsession(f"ds{dealer}"), value, dealer
         )
         for dealer in range(ctx.num_parties)
     }
@@ -132,4 +132,4 @@ def dolev_strong_ba_program(ctx: Context, value: Any, default: Any = 0):
     winner, count = max(tally.items(), key=lambda kv: (kv[1], repr(kv[0])))
     if count > ctx.num_parties // 2:
         return winner
-    return default
+    return 0

@@ -99,22 +99,19 @@ def _passes(a: int, n: int, d: int, r: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = _ROUNDS, rng: Optional[random.Random] = None) -> bool:
+def is_probable_prime(n: int, rng: Optional[random.Random] = None) -> bool:
     """Miller–Rabin primality test.
 
-    With ``rounds=40`` the error probability is below ``4^-40``, far beyond
+    With its 40 rounds the error probability is below ``4^-40``, far beyond
     anything the simulation can observe.  A deterministic small-prime sieve
-    runs first so that tiny candidates are cheap.  ``rounds`` must be at
-    least 1: with none, every sieve survivor would pass.
+    runs first so that tiny candidates are cheap.
     """
-    if rounds < 1:
-        raise ValueError(f"need at least one Miller–Rabin round, got {rounds}")
     verdict = _sieve(n)
     if verdict is not None:
         return verdict
     rng = rng or random.Random(0xC0FFEE ^ n)
     d, r = _odd_part(n)
-    return all(_passes(rng.randrange(2, n - 1), n, d, r) for _ in range(rounds))
+    return all(_passes(rng.randrange(2, n - 1), n, d, r) for _ in range(_ROUNDS))
 
 
 #: Random bases drawn for a candidate but not yet tested, and the RNG

@@ -81,13 +81,15 @@ The object path still flips every coin — the protocol really sends those
 shares.
 
 Metrics are native to this path.  Every probe runs with a
-:class:`~repro.obs.metrics.MetricsRegistry` attached and keeps its frozen
-delivery contribution beside its tallies; each model reports the leaf
-every trial ended on, and a trial's registry is the round-shifted sum of
-the contributions on the leaf's path plus ``finalize_trial`` of its
-result — equal, counter for counter, to a registry observing the object
+:class:`~repro.obs.metrics.MetricsRegistry` attached and keeps an
+un-finalised copy of it beside its tallies: a delivery tally keyed by
+round, not yet turned into counters.  Each model reports the leaf every
+trial ended on, and a trial's registry is the sum of the copies on the
+leaf's path, each tally shifted to the rounds its probe stood for, plus
+``finalize_trial`` of its result — whose ``finalize_delivery`` derives
+the counters, exactly as it does for a registry observing the object
 simulator.  The leaf keeps that registry, so each outcome class is
-composed once per process.  All label arithmetic stays in
+composed once per process.  All metric names stay in
 ``repro.obs.metrics``; this module only names which probes ran when.
 
 Anything the model cannot express — the real-RSA backend, trace
@@ -124,7 +126,7 @@ from ..crypto.coin import coin_evaluator
 from ..crypto.vrf_coin import vrf_coin_extractor, vrf_evaluator
 from ..network.metrics import RunMetrics
 from ..network.simulator import ExecutionResult
-from ..obs.metrics import DeliveryContribution, MetricsRegistry
+from ..obs.metrics import MetricsRegistry
 from ..proxcensus.base import slot_index
 from .plan import TrialSpec, _stamp_trial
 from .registry import LIFT_DEFAULT, build_adversary
@@ -255,12 +257,14 @@ def clear_probe_cache() -> None:
 class _Delivery:
     """What one probe execution put on the wire, in both metric vocabularies.
 
-    ``metrics`` is the probe's ``RunMetrics``; ``contribution`` is the
-    un-finalised ``MetricsRegistry`` snapshot of the same deliveries.
+    ``metrics`` is the probe's ``RunMetrics``; ``contribution`` is an
+    un-finalised copy of the ``MetricsRegistry`` that observed the same
+    deliveries: its delivery tally not yet turned into counters, so
+    :meth:`MetricsRegistry.from_deliveries` can shift it by rounds.
     """
 
     metrics: RunMetrics
-    contribution: DeliveryContribution
+    contribution: MetricsRegistry
 
     @property
     def rounds(self) -> int:
@@ -274,7 +278,7 @@ _Path = Tuple[Tuple[_Delivery, int], ...]
 
 def _freeze_delivery(result: ExecutionResult, registry: MetricsRegistry) -> _Delivery:
     """Freeze what ``registry`` and ``result.metrics`` saw of one probe run."""
-    return _Delivery(result.metrics, registry.freeze_delivery())
+    return _Delivery(result.metrics, registry.copy())
 
 
 @dataclasses.dataclass(eq=False)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .errors import FaultPlanError
@@ -318,15 +318,15 @@ class _InFlight:
 
 @dataclass
 class FaultCounts:
-    """Injection tallies for one execution (telemetry/benchmark summary)."""
+    """Injection tallies of one execution, counted from zero by the injector."""
 
-    delivered: int = 0
-    delivered_late: int = 0
-    lost: int = 0
-    delayed: int = 0
-    partitioned: int = 0
-    offline: int = 0
-    stale: int = 0
+    delivered: int = field(default=0, init=False)
+    delivered_late: int = field(default=0, init=False)
+    lost: int = field(default=0, init=False)
+    delayed: int = field(default=0, init=False)
+    partitioned: int = field(default=0, init=False)
+    offline: int = field(default=0, init=False)
+    stale: int = field(default=0, init=False)
 
     @property
     def suppressed(self) -> int:

@@ -611,15 +611,14 @@ def run_protocol(
     seed: int = 0,
     session: str = "run",
     crypto: Optional[CryptoSuite] = None,
-    max_rounds: int = 4096,
-    faults: Optional[FaultPlan] = None,
     observers: Sequence[Any] = (),
 ) -> ExecutionResult:
     """One-call convenience wrapper: deal ideal keys, build a simulator, run.
 
     ``crypto`` may be supplied to reuse key material across executions (key
     dealing dominates runtime for the real backend) or to select the real
-    backend explicitly.
+    backend explicitly.  The run has the simulator's round cap and no
+    fault plan; for either, build a ``SyncSimulator`` or a ``TrialSpec``.
     """
     num_parties = len(inputs)
     if crypto is None:
@@ -633,8 +632,6 @@ def run_protocol(
         adversary=adversary,
         seed=seed,
         session=session,
-        max_rounds=max_rounds,
-        faults=faults,
         observers=observers,
     )
     return simulator.run(factory, inputs)

@@ -27,7 +27,6 @@ from typing import Any
 
 __all__ = [
     "DELIVERY_METRIC_NAMES",
-    "DeliveryContribution",
     "HISTOGRAM_BUCKETS",
     "MESSAGE_KINDS",
     "METRICS_SCHEMA",
@@ -65,10 +64,9 @@ __all__ = [
 _EXPORTS = {
     ".metrics": (
         "DELIVERY_METRIC_NAMES", "HISTOGRAM_BUCKETS", "MESSAGE_KINDS",
-        "METRIC_NAMES", "METRICS_SCHEMA", "DeliveryContribution", "Histogram",
-        "MetricsRegistry", "build_metrics_payload", "load_metrics_artifact",
-        "metrics_from_trace", "summary_kind", "validate_metrics_payload",
-        "write_metrics_artifact",
+        "METRIC_NAMES", "METRICS_SCHEMA", "Histogram", "MetricsRegistry",
+        "build_metrics_payload", "load_metrics_artifact", "metrics_from_trace",
+        "summary_kind", "validate_metrics_payload", "write_metrics_artifact",
     ),
     ".report": (
         "build_report", "check_report", "load_profile_summary",

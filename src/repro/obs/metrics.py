@@ -13,11 +13,15 @@ Collection happens inside the simulator's delivery seam — a registry is
 one of ``SyncSimulator``'s ``observers``, the interface ``Tracer`` shares:
 the simulator calls :meth:`MetricsRegistry.on_message` /
 :meth:`~MetricsRegistry.on_fault` per delivered message / injected fault,
-and with no observers delivery does nothing extra.  Everything a
-delivered message contributes is derived from its *trace summary* (the
-``summarize_payload`` string and ``count_signatures`` tally already
-stamped on every :class:`~repro.network.trace.TraceEvent`), so the same
-metrics can be recomputed from a replayed JSONL trace —
+and with no observers delivery does nothing extra.  A delivered message
+is one update of the execution's *tally*, ``(round, message kind, sender
+honest, carries a coin share)`` → ``[messages, signatures]``, read off
+its *trace summary* (the ``summarize_payload`` string and
+``count_signatures`` tally already stamped on every
+:class:`~repro.network.trace.TraceEvent`);
+:meth:`MetricsRegistry.finalize_delivery`, the one place that names the
+delivery metrics, derives them from the tally once per execution.  So the
+same metrics can be recomputed from a replayed JSONL trace —
 :func:`metrics_from_trace` — and ``repro trace --stats`` and live
 collection agree name-for-name, count-for-count.  The only additions the
 live path can see that a trace cannot are payload internals: slot
@@ -59,7 +63,6 @@ __all__ = [
     "MESSAGE_KINDS",
     "METRICS_SCHEMA",
     "METRIC_NAMES",
-    "DeliveryContribution",
     "Histogram",
     "MetricsRegistry",
     "build_metrics_payload",
@@ -396,38 +399,6 @@ class Histogram:
         raise ObsFormatError(problem)
 
 
-def _round_label(round_index: int, kind: str) -> str:
-    """The ``round_messages`` label: zero-padded so labels sort by round."""
-    return f"{round_index:04d}/{kind}"
-
-
-def _split_round_label(label: str) -> Tuple[int, str]:
-    """Inverse of :func:`_round_label`."""
-    round_text, kind = label.split("/", 1)
-    return int(round_text), kind
-
-
-@dataclasses.dataclass(frozen=True)
-class DeliveryContribution:
-    """What one execution segment delivered, frozen before finalization.
-
-    The vector backend runs each cached probe with a registry attached
-    and keeps this snapshot of it (:meth:`MetricsRegistry.freeze_delivery`);
-    a trial's registry is then the round-shifted sum of the segments it
-    walked (:meth:`MetricsRegistry.from_deliveries`) plus the usual
-    :meth:`~MetricsRegistry.finalize_trial`.  ``round_messages`` and
-    ``coin_rounds`` keep their round indices as integers so a segment can
-    be replayed at any round offset; everything else is round-free.
-    """
-
-    counters: Tuple[Tuple[Tuple[str, str], int], ...]
-    round_messages: Tuple[Tuple[int, str, int], ...]
-    histograms: Tuple[Tuple[str, Histogram], ...]
-    coin_rounds: Tuple[int, ...]
-    messages: int
-    signatures: int
-
-
 def _refuse(*_: Any) -> None:
     raise TypeError("a finalized MetricsRegistry is read-only; copy() it to change it")
 
@@ -445,37 +416,31 @@ class MetricsRegistry:
 
     The simulator-facing hooks (:meth:`on_corruptions`,
     :meth:`on_message`, :meth:`on_fault`) are the observer interface
-    ``Tracer`` also implements; the engine calls :meth:`finalize_trial`
-    once per execution to fold per-trial transients (coin rounds,
-    message/signature totals) and run-level outcomes (rounds to
-    decision, agreement, decided values) into the registry.  ``merge``
-    is commutative and associative over finalized registries, and
-    ``pack``/``unpack`` round-trip losslessly — both pinned by
-    hypothesis property tests.
+    ``Tracer`` also implements.  A delivered message is one update of
+    the execution's *tally*, keyed ``(round, message kind, sender
+    honest, carries a coin share)`` → ``[messages, signatures]``;
+    :meth:`finalize_delivery` derives every delivery metric from it, and
+    is the one place that names them.  The engine calls
+    :meth:`finalize_trial` once per execution to fold the tally and
+    run-level outcomes (rounds to decision, agreement, decided values)
+    into the registry.  ``merge`` is commutative and associative over
+    finalized registries, and ``pack``/``unpack`` round-trip losslessly
+    — both pinned by hypothesis property tests.
 
     :meth:`finalize_trial` ends by making the registry a **read-only
     value**, and :meth:`unpack` returns one (a blob is a finalized
-    registry): ``counters`` and ``histograms`` become read-only
-    mappings, and ``inc``, ``observe``, the delivery hooks, a ``merge``
-    into it and a second ``finalize_trial`` all raise ``TypeError``.
-    The engine therefore gives every trial of one outcome class the
-    class's one registry object; :meth:`merged` adds each distinct
-    object once, scaled by how many inputs are that object, and
-    :meth:`pack` encodes it once.  :meth:`copy`, :meth:`merged`,
-    :meth:`delivery_view`, :meth:`from_payload` and
+    registry): ``counters``, ``histograms`` and the tally become
+    read-only mappings, and ``inc``, ``observe``, the delivery hooks, a
+    ``merge`` into it and a second ``finalize_trial`` all raise
+    ``TypeError``.  The engine therefore gives every trial of one
+    outcome class the class's one registry object; :meth:`merged` adds
+    each distinct object once, scaled by how many inputs are that
+    object, and :meth:`pack` encodes it once.  :meth:`copy`,
+    :meth:`merged`, :meth:`delivery_view`, :meth:`from_payload` and
     :meth:`from_deliveries` return writable registries.
     """
 
-    __slots__ = (
-        "counters",
-        "histograms",
-        "_blob",
-        "_coin_rounds",
-        "_trial_messages",
-        "_trial_signatures",
-        "_memo_round",
-        "_memo",
-    )
+    __slots__ = ("counters", "histograms", "_blob", "_tally", "_memo_round", "_memo")
 
     def __init__(self) -> None:
         #: (name, label) → count.  Labels refine a metric (message kind,
@@ -488,9 +453,7 @@ class MetricsRegistry:
         self._reset_trial()
 
     def _reset_trial(self) -> None:
-        self._coin_rounds: frozenset = frozenset()
-        self._trial_messages = 0
-        self._trial_signatures = 0
+        self._tally: Dict[Tuple[int, str, bool, bool], List[int]] = {}
         self._memo_round = -1  # no round yet: the first message makes the memo
         self._memo: Optional[Dict[int, tuple]] = None
 
@@ -504,6 +467,7 @@ class MetricsRegistry:
             hist.__class__ = _ReadOnlyHistogram  # same slots: a retag, not a copy
         self.counters = MappingProxyType(self.counters)  # type: ignore[assignment]
         self.histograms = MappingProxyType(self.histograms)  # type: ignore[assignment]
+        self._tally = MappingProxyType(self._tally)  # type: ignore[assignment]
         return self
 
     # ── core mutation API (name vocabulary enforced) ──────────────────
@@ -583,29 +547,46 @@ class MetricsRegistry:
         self, round_index: int, summary: str, signatures: int, sender_honest: bool
     ) -> None:
         """Tally one delivery from its trace summary (shared live/replay path)."""
-        kind = summary_kind(summary)
-        self.inc("messages", kind)
-        self.inc("round_messages", _round_label(round_index, kind))
-        if sender_honest:
-            self.inc("messages_honest", kind)
-            self.inc("signatures_honest", "", signatures)
+        coin = "coin_share" in summary
+        key = (round_index, summary_kind(summary), sender_honest, coin)
+        cell = self._tally.get(key)
+        if cell is None:
+            # A read-only registry's mapping proxy raises TypeError here.
+            self._tally[key] = [1, signatures]
         else:
-            self.inc("messages_corrupt", kind)
-            self.inc("signatures_corrupt", "", signatures)
-        self.inc("sig_verify_ops", "", signatures)
-        if "coin_share" in summary:
-            self.inc("coin_share_msgs")
-            self._coin_rounds |= {round_index}
-        self._trial_messages += 1
-        self._trial_signatures += signatures
+            cell[0] += 1
+            cell[1] += signatures
 
     def finalize_delivery(self) -> None:
-        """Fold per-trial delivery transients; call once per execution."""
+        """Derive the delivery metrics from the tally; call once per execution.
+
+        The only code that names them: a zero increment is skipped, as
+        :meth:`inc` skips it, so the counters are exactly those a
+        per-message ``inc`` would have left.
+        """
         if self.read_only:
             _refuse()
-        self.inc("coin_flip_rounds", "", len(self._coin_rounds))
-        self.observe("trial_messages", self._trial_messages)
-        self.observe("trial_signatures", self._trial_signatures)
+        inc = self.inc
+        messages = signatures = 0
+        coin_rounds = set()
+        for (round_index, kind, honest, coin), (count, signed) in self._tally.items():
+            inc("messages", kind, count)
+            inc("round_messages", f"{round_index:04d}/{kind}", count)  # sorts by round
+            if honest:
+                inc("messages_honest", kind, count)
+                inc("signatures_honest", "", signed)
+            else:
+                inc("messages_corrupt", kind, count)
+                inc("signatures_corrupt", "", signed)
+            inc("sig_verify_ops", "", signed)
+            if coin:
+                inc("coin_share_msgs", "", count)
+                coin_rounds.add(round_index)
+            messages += count
+            signatures += signed
+        inc("coin_flip_rounds", "", len(coin_rounds))
+        self.observe("trial_messages", messages)
+        self.observe("trial_signatures", signatures)
         self._reset_trial()
 
     def finalize_trial(self, result: Any) -> None:
@@ -622,55 +603,31 @@ class MetricsRegistry:
             self.inc("decisions", summarize_payload(outputs[pid]))
         self._freeze()
 
-    # ── frozen delivery segments (the vector backend's probes) ────────
-
-    def freeze_delivery(self) -> DeliveryContribution:
-        """Snapshot this *un-finalised* registry's delivery tallies."""
-        counters = []
-        round_messages = []
-        for (name, label) in sorted(self.counters):
-            value = self.counters[(name, label)]
-            if name == "round_messages":
-                round_messages.append((*_split_round_label(label), value))
-            else:
-                counters.append(((name, label), value))
-        return DeliveryContribution(
-            counters=tuple(counters),
-            round_messages=tuple(round_messages),
-            histograms=tuple(
-                (name, self.histograms[name].copy())
-                for name in sorted(self.histograms)
-            ),
-            coin_rounds=tuple(sorted(self._coin_rounds)),
-            messages=self._trial_messages,
-            signatures=self._trial_signatures,
-        )
+    # ── delivery segments (the vector backend's probes) ───────────────
 
     @classmethod
     def from_deliveries(
-        cls, parts: Iterable[Tuple[DeliveryContribution, int]]
+        cls, parts: Iterable[Tuple["MetricsRegistry", int]]
     ) -> "MetricsRegistry":
         """The un-finalised registry of an execution made of ``parts``.
 
-        Each part is ``(contribution, round_offset)``: a frozen segment
-        replayed ``round_offset`` rounds later.  Equal to what one
-        registry observing the whole execution would hold before
-        :meth:`finalize_trial`, provided the shifted segments cover
-        disjoint rounds.
+        Each part is ``(segment, round_offset)``: an un-finalised
+        registry of one segment, replayed ``round_offset`` rounds later.
+        Its counters and histograms are added as they are, its tally at
+        the shifted rounds, so the result is what one registry observing
+        the whole execution would hold before :meth:`finalize_trial`.
         """
         registry = cls()
-        counters = registry.counters
+        counters, tally = registry.counters, registry._tally
         for part, offset in parts:
-            for key, value in part.counters:
+            for key, value in part.counters.items():
                 counters[key] = counters.get(key, 0) + value
-            for round_index, kind, value in part.round_messages:
-                key = ("round_messages", _round_label(round_index + offset, kind))
-                counters[key] = counters.get(key, 0) + value
-            for name, hist in part.histograms:
+            for name, hist in part.histograms.items():
                 registry._add_histogram(name, hist)
-            registry._coin_rounds |= {r + offset for r in part.coin_rounds}
-            registry._trial_messages += part.messages
-            registry._trial_signatures += part.signatures
+            for (round_index, *rest), (count, signed) in part._tally.items():
+                cell = tally.setdefault((round_index + offset, *rest), [0, 0])
+                cell[0] += count
+                cell[1] += signed
         return registry
 
     # ── merge / views ─────────────────────────────────────────────────
@@ -718,10 +675,11 @@ class MetricsRegistry:
         return total
 
     def copy(self) -> "MetricsRegistry":
-        """A writable registry with equal counters and histograms, deep."""
+        """A writable registry with equal counters, histograms and tally, deep."""
         twin = MetricsRegistry()
         twin.counters = dict(self.counters)
         twin.histograms = {name: hist.copy() for name, hist in self.histograms.items()}
+        twin._tally = {key: list(cell) for key, cell in self._tally.items()}
         return twin
 
     def delivery_view(self) -> "MetricsRegistry":
@@ -752,7 +710,11 @@ class MetricsRegistry:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MetricsRegistry):
             return NotImplemented
-        return self.counters == other.counters and self.histograms == other.histograms
+        return (
+            self.counters == other.counters
+            and self.histograms == other.histograms
+            and self._tally == other._tally
+        )
 
     def __repr__(self) -> str:
         return (

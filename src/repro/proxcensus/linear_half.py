@@ -65,11 +65,11 @@ def _omega_message(ctx: Context, value: Any):
     return (_KEY, ctx.session, "omega", value)
 
 
-def prox_linear_half_program(ctx: Context, value: Any, rounds: int, default: Any = 0):
+def prox_linear_half_program(ctx: Context, value: Any, rounds: int):
     """Party program for ``Prox_{2·rounds - 1}``, t < n/2.
 
-    Returns a :class:`ProxOutput`; ``default`` is the value reported with
-    grade 0 (the ``⊥`` slot of Table 1 — the paper uses 0).
+    Returns a :class:`ProxOutput`; grade 0 reports value 0 (the ``⊥``
+    slot of Table 1 — the paper uses 0).
     """
     if 2 * ctx.max_faulty >= ctx.num_parties:
         raise ValueError(
@@ -172,7 +172,7 @@ def prox_linear_half_program(ctx: Context, value: Any, rounds: int, default: Any
             if others:
                 continue
             return ProxOutput(v, grade)
-    return ProxOutput(default, 0)
+    return ProxOutput(0, 0)
 
 
 def _pairs(obj: Any):

@@ -84,8 +84,8 @@ def _omega_message(ctx: Context, level: int, value: Any):
     return (_KEY, ctx.session, level, value)
 
 
-def prox_quadratic_half_program(ctx: Context, value: Any, rounds: int, default: Any = 0):
-    """Party program for the quadratic Proxcensus, t < n/2."""
+def prox_quadratic_half_program(ctx: Context, value: Any, rounds: int):
+    """Party program for the quadratic Proxcensus, t < n/2; grade 0 reports 0."""
     if 2 * ctx.max_faulty >= ctx.num_parties:
         raise ValueError(
             f"prox_quadratic_half requires t < n/2, got t={ctx.max_faulty}, "
@@ -198,7 +198,7 @@ def prox_quadratic_half_program(ctx: Context, value: Any, rounds: int, default: 
                 for by_round, omega_index in deadlines.items()
             ):
                 return ProxOutput(v, grade)
-    return ProxOutput(default, 0)
+    return ProxOutput(0, 0)
 
 
 def _univalent_value(

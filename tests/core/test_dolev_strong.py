@@ -77,7 +77,7 @@ class TestBA:
 
     def test_consistency_split_inputs(self):
         res = run(
-            lambda c, v: dolev_strong_ba_program(c, v, default="D"),
+            lambda c, v: dolev_strong_ba_program(c, v),
             ["a", "b", "a", "b"], max_faulty=1,
         )
         assert res.honest_agree()

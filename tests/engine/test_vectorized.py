@@ -1268,7 +1268,7 @@ class TestWalk:
 
         def delivery():
             return _Delivery(
-                RunMetrics(1, ((1, 5, 0, 0, 0),)), MetricsRegistry().freeze_delivery()
+                RunMetrics(1, ((1, 5, 0, 0, 0),)), MetricsRegistry()
             )
 
         first = _IterationProbe(
@@ -1486,7 +1486,7 @@ class TestWalkGrid:
                         RunMetrics(
                             3, ((1, 4, 0, 0, 0), (2, 4, 0, 4, 0), (3, 4, 0, 4, 0))
                         ),
-                        MetricsRegistry().freeze_delivery(),
+                        MetricsRegistry(),
                     ),
                     frozenset(),
                 )

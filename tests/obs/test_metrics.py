@@ -18,7 +18,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
@@ -41,6 +41,7 @@ from repro.obs import (
     build_metrics_payload,
     load_metrics_artifact,
     metrics_from_trace,
+    summary_kind,
     trace_filename,
     validate_metrics_payload,
     write_metrics_artifact,
@@ -474,6 +475,7 @@ class TestLiveEqualsReplayed:
         collector = MetricsRegistry()
         observed = run_trial(spec, observers=(collector,))
         assert observed == bare
+        collector.finalize_delivery()
         assert collector.counter_total("messages") > 0
 
     @pytest.mark.parametrize("entry", [_GRID[0], _GRID[-1]], ids=["clean", "faulted"])
@@ -532,8 +534,108 @@ class TestLiveEqualsReplayed:
         assert all(kind for kind in total.labels("fault_hits"))
 
 
+#: Summaries of every message kind; each kind whose spelling can carry
+#: text also appears with a coin share in it.
+_SUMMARIES = (
+    "∅", "True", "False", "∥2", "∥{coin_share: <Share>}", "bytes[4]",
+    "bytes[coin_share]", "{v: 1}", "{coin_share: <Share>}", "(1, 2)",
+    "(coin_share,)", "'a'", "'coin_share'", "<Sig>", "<coin_share 1>",
+    "int(3)", "-7", "int(coin_share)", "obj", "obj coin_share",
+)
+_delivery = st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from(_SUMMARIES),
+    st.integers(min_value=0, max_value=9),
+    st.booleans(),
+)
+
+
+def _per_message_reference(deliveries) -> MetricsRegistry:
+    """The delivery metrics as one ``inc`` per message per metric left
+    them, before deliveries were tallied: the specification the tally's
+    ``finalize_delivery`` must meet."""
+    registry = MetricsRegistry()
+    coin_rounds, messages, signatures = set(), 0, 0
+    for round_index, summary, signed, honest in deliveries:
+        kind = summary_kind(summary)
+        registry.inc("messages", kind)
+        registry.inc("round_messages", f"{round_index:04d}/{kind}")
+        if honest:
+            registry.inc("messages_honest", kind)
+            registry.inc("signatures_honest", "", signed)
+        else:
+            registry.inc("messages_corrupt", kind)
+            registry.inc("signatures_corrupt", "", signed)
+        registry.inc("sig_verify_ops", "", signed)
+        if "coin_share" in summary:
+            registry.inc("coin_share_msgs")
+            coin_rounds.add(round_index)
+        messages += 1
+        signatures += signed
+    registry.inc("coin_flip_rounds", "", len(coin_rounds))
+    registry.observe("trial_messages", messages)
+    registry.observe("trial_signatures", signatures)
+    return registry
+
+
+def _observed(deliveries) -> MetricsRegistry:
+    registry = MetricsRegistry()
+    for delivery in deliveries:
+        registry.observe_delivery(*delivery)
+    return registry
+
+
+class TestOneTally:
+    """Each delivery is one tally update; ``finalize_delivery`` derives
+    the same counters, histograms and bytes as one ``inc`` per message
+    per metric, whole or composed from round-shifted segments."""
+
+    def test_the_summaries_cover_every_kind_with_and_without_a_coin(self):
+        kinds = {summary_kind(summary) for summary in _SUMMARIES}
+        coin = {summary_kind(s) for s in _SUMMARIES if "coin_share" in s}
+        assert kinds == MESSAGE_KINDS
+        assert coin == MESSAGE_KINDS - {"none", "bool"}  # fixed spellings
+
+    @settings(deadline=None)
+    @given(st.lists(_delivery, max_size=40))
+    def test_the_tally_finalizes_to_the_per_message_counters(self, deliveries):
+        registry = _observed(deliveries)
+        registry.finalize_delivery()
+        reference = _per_message_reference(deliveries)
+        assert registry == reference
+        assert registry.pack() == reference.pack()
+
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=8), st.lists(_delivery, max_size=12)
+            ),
+            max_size=5,
+        )
+    )
+    # Two segments on one round, once at equal offsets and once not.
+    @example([(0, [(1, "<coin_share 1>", 2, True)]), (0, [(1, "<coin>", 1, False)])])
+    @example([(3, [(0, "int(3)", 0, True)]), (1, [(2, "int(3)", 4, True)])])
+    def test_shifted_segments_finalize_to_the_whole(self, segments):
+        whole = [
+            (round_index + offset, summary, signed, honest)
+            for offset, deliveries in segments
+            for round_index, summary, signed, honest in deliveries
+        ]
+        parts = [(_observed(deliveries), offset) for offset, deliveries in segments]
+        before = [part.copy() for part, _ in parts]
+        composed = MetricsRegistry.from_deliveries(parts)
+        composed.finalize_delivery()
+        reference = _per_message_reference(whole)
+        assert composed == reference
+        assert composed.pack() == reference.pack()
+        # The segments are read, never changed.
+        assert [part for part, _ in parts] == before
+
+
 class TestFrozenDeliveries:
-    """freeze_delivery / from_deliveries: the vector backend's composition."""
+    """copy / from_deliveries: the vector backend's composition."""
 
     @pytest.mark.parametrize(
         "entry", _GRID, ids=[f"{e[0]}-{e[4]}-{e[6]}" for e in _GRID]
@@ -542,7 +644,7 @@ class TestFrozenDeliveries:
         spec = _grid_specs(entry, trials=1)[0]
         live = MetricsRegistry()
         result = run_trial(spec, observers=(live,))
-        rebuilt = MetricsRegistry.from_deliveries([(live.freeze_delivery(), 0)])
+        rebuilt = MetricsRegistry.from_deliveries([(live.copy(), 0)])
         live.finalize_trial(result)
         rebuilt.finalize_trial(result)
         assert rebuilt == live
@@ -564,7 +666,7 @@ class TestFrozenDeliveries:
         with_coin, without = MetricsRegistry(), MetricsRegistry()
         segment(with_coin, 1, coin=True)
         segment(without, 1, coin=False)
-        a, b = with_coin.freeze_delivery(), without.freeze_delivery()
+        a, b = with_coin.copy(), without.copy()
         composed = MetricsRegistry.from_deliveries([(a, 0), (b, 3), (a, 6)])
         for registry in (whole, composed):
             registry.finalize_delivery()
@@ -576,12 +678,16 @@ class TestFrozenDeliveries:
         source = MetricsRegistry()
         source.observe_delivery(1, "int(1)", 0, True)
         source.observe("slot_occupancy", 2)
-        frozen = source.freeze_delivery()
-        source.observe("slot_occupancy", 9)  # after the freeze: not seen
+        frozen = source.copy()
+        source.observe("slot_occupancy", 9)  # after the copy: not seen
+        source.observe_delivery(1, "int(1)", 0, True)
         first = MetricsRegistry.from_deliveries([(frozen, 0)])
         first.observe("slot_occupancy", 5)
         first.inc("messages", "int", 10)
+        first.observe_delivery(1, "int(1)", 0, True)
+        first.finalize_delivery()
         second = MetricsRegistry.from_deliveries([(frozen, 0)])
+        second.finalize_delivery()
         assert second.histograms["slot_occupancy"].count == 1
         assert second.labels("messages") == {"int": 1}
         twin = second.copy()

@@ -2,10 +2,11 @@
 
 A sibling of ``tests/test_public_surface.py``, one level down: that guard
 asks whether a name is used, this one whether each *option* of a public
-function is.  It walks every module of ``repro.engine``, ``repro.obs``
-and ``repro.analysis`` and collects the public functions, the public
-methods of public classes and their ``__init__`` (a dataclass's
-defaulted fields are its ``__init__``'s parameters).  Each parameter
+function is.  It walks every module of the library's packages
+(``repro.adversary`` … ``repro.proxcensus``) and collects the public
+functions, the public methods of public classes and their ``__init__``
+(a dataclass's defaulted ``init`` fields are its ``__init__``'s
+parameters).  Each parameter
 that has a default must be passed — by keyword, or at its position —
 by some call in ``src/``, ``examples/``, ``benchmarks/``, ``perfbench/``
 or ``scripts/`` whose callee name matches: the function's name, or for
@@ -23,7 +24,10 @@ import ast
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PACKAGES = ("engine", "obs", "analysis")
+PACKAGES = (
+    "adversary", "analysis", "checks", "core", "crypto", "engine", "network",
+    "obs", "proxcensus",
+)
 CALLERS = ("src", "examples", "benchmarks", "perfbench", "scripts")
 
 # (callee, parameter) -> why it stays without a non-test caller
@@ -41,7 +45,28 @@ ALLOWED = {
     ("measure_payload_bytes", "chunk_size"): (
         "test hook behind the >=5x payload pin (see test_public_surface.ALLOWED)"
     ),
+    ("TwoFaceAdversary", "low_group"): (
+        "which recipients see the low face; tests aim an equivocation at one "
+        "quorum, the stock attacks split the parties in half"
+    ),
+    ("LastRoundCorruptionAdversary", "replacement"): (
+        "§2.1's seized messages may be replaced, not only dropped; tests "
+        "exercise the replacing half of that capability"
+    ),
 }
+# The coin is the model's oracle: every BA entry point takes its factory
+# (threshold coin by default), and tests substitute the ideal or VRF coin.
+ALLOWED.update(
+    {
+        (program, "coin_factory"): "the coin oracle, a model seam tests substitute"
+        for program in (
+            "ba_one_half_generalized", "ba_one_half_program",
+            "ba_one_third_chunked", "ba_one_third_program",
+            "feldman_micali_program", "fm_probabilistic_program",
+            "micali_vaikuntanathan_program", "mv_pki_program",
+        )
+    }
+)
 
 
 def _python_files(top):

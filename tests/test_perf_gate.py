@@ -4,7 +4,9 @@ The gate runs `perf_pair.sh REF WORKLOADS 3` and reruns each workload a
 `REGRESSION <workload> <metric>` line names, alone, for ten pairs.  These
 tests copy the gate into a temporary `scripts/` beside a scripted
 `perf_pair.sh`, so nothing is measured: each call prints the lines and
-exits with the status scripted for its workload argument.
+exits with the status scripted for its workload argument.  The last test
+runs `perf_pair.sh` itself, on two checkouts whose `perfbench/run.py` is
+a stub.
 """
 
 import json
@@ -16,7 +18,8 @@ import textwrap
 
 import pytest
 
-GATE = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "perf_gate.sh")
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+GATE = os.path.join(SCRIPTS, "perf_gate.sh")
 
 STUB = textwrap.dedent(
     """\
@@ -112,3 +115,43 @@ def test_a_run_that_breaks_fails_with_its_status(tmp_path):
 def test_a_rerun_that_breaks_fails_with_its_status(tmp_path):
     script = {ALL: [1, [SLOW]], "observed-sweep": [2, []]}
     assert gate(tmp_path, script)[0] == 2
+
+
+#: A `perfbench/run.py` that records whether it may write bytecode and
+#: reports one equal result.
+RUN_STUB = textwrap.dedent(
+    """\
+    import json, os, sys
+    with open(os.environ["STUB_CALLS"], "a") as calls:
+        calls.write(f"{sys.flags.dont_write_bytecode}\\n")
+    with open(sys.argv[sys.argv.index("--detail") + 1], "w") as detail:
+        json.dump({"result_digest": "equal"}, detail)
+    rate = {"value": 1.0, "unit": "trials/s"}
+    print(json.dumps({"failed": 0, "attempted": 1, "metrics": {"rate": rate}}))
+    """
+)
+
+
+def test_no_pair_run_starts_where_it_could_write_bytecode(tmp_path):
+    """Each `run.py` starts with `PYTHONDONTWRITEBYTECODE` set, as in the
+    benchmark's environment, even when the caller's environment lacks it."""
+    tree, ref = tmp_path / "tree", tmp_path / "ref"
+    for checkout in (tree, ref):
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(RUN_STUB)
+    (tree / "scripts").mkdir()
+    shutil.copy(os.path.join(SCRIPTS, "perf_pair.sh"), tree / "scripts")
+    (tree / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "rate", "better": "higher", "bound": 0.1}],
+    }))
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    calls = tmp_path / "calls"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["STUB_CALLS"] = str(calls)
+    done = subprocess.run(
+        ["bash", str(tree / "scripts" / "perf_pair.sh"), str(ref), "w", "2"],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert calls.read_text().splitlines() == ["1"] * 4  # 2 pairs x 2 sides
