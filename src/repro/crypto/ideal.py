@@ -68,11 +68,6 @@ def _keyed_mac(
     return mac
 
 
-def _tag(mac: Callable[[bytes], bytes], *parts: Term) -> bytes:
-    """``mac``'s tag over the tuple ``parts``."""
-    return mac(encode_tuple([encode_term(part) for part in parts]))
-
-
 def _message_prefix(before: Sequence[Term]) -> bytes:
     """What the encoding of ``(*before, message)`` puts before the
     message's own: ``encode_tuple`` is a header plus the joined parts."""
@@ -186,11 +181,13 @@ class _TagMemo:
         return record
 
     def _derive(self, record, slot, *before: Term) -> bytes:
-        """Compute, and hold, the tag over ``(*before, message)``."""
+        """Compute the tag over ``(*before, message)``; hold it unless one-off."""
         prefix = self._prefixes.get(slot)
         if prefix is None:
             prefix = self._prefixes[slot] = _message_prefix(before)
         tag = self._mac(prefix + record[0])
+        if record[1] is None:
+            return tag
         if self._held >= _MEMO_LIMIT:
             self.forget()  # ``record`` goes with the rest
         else:
@@ -204,17 +201,24 @@ class _TagMemo:
         self._by_id.clear()
         self._held = 0
 
+    def resolve(self, message: Term):
+        """:meth:`_record`, or a one-off ``(encoding, None)`` holding no
+        tag where that is ``None`` or the memo is off.  A record a clear
+        drops while held still takes tags, counted until the next clear."""
+        record = self._record(message) if _MEMO_ENABLED else None
+        return (encode_term(message), None) if record is None else record
+
     def signer_tag(self, domain: str, signer, message: Term) -> bytes:
         """Tag over (domain, signer, message) — plain signatures and shares."""
+        slot = (domain, signer, signer.__class__)
         if _MEMO_ENABLED:
             record = self._record(message)
             if record is not None:
-                slot = (domain, signer, signer.__class__)
                 tag = record[1].get(slot)
                 if tag is None:
                     tag = self._derive(record, slot, domain, signer)
                 return tag
-        return _tag(self._mac, domain, signer, message)
+        return self._derive((encode_term(message), None), slot, domain, signer)
 
     def combined_tag(self, domain: str, message: Term) -> bytes:
         """Tag over (domain, message) — combined threshold signatures."""
@@ -225,7 +229,7 @@ class _TagMemo:
                 if tag is None:
                     tag = self._derive(record, domain, domain)
                 return tag
-        return _tag(self._mac, domain, message)
+        return self._derive((encode_term(message), None), domain, domain)
 
 
 @dataclass(frozen=True)
@@ -361,19 +365,30 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         once ``threshold`` distinct signers have verified there is
         nothing left to decide: no quorum to re-verify in
         :meth:`combine`, no fresh signature to check with
-        :meth:`verify`.  Same rejections, same result as
-        :meth:`ThresholdSignatureScheme.try_combine`.
+        :meth:`verify`.  ``message`` is resolved once: same rejections
+        and result as :meth:`ThresholdSignatureScheme.try_combine`.
         """
+        tags = self._tags
+        try:
+            record = tags.resolve(message)
+        except TypeError:
+            return None  # verify_share rejects every share of a non-Term
+        held, n = record[1], self._n
         valid = set()
         for signer, share in indexed_shares:
-            if not isinstance(signer, int) or not (0 <= signer < self._n):
+            if not isinstance(signer, int) or not (0 <= signer < n):
                 continue
-            if signer not in valid and self.verify_share(signer, share, message):
+            if (signer in valid or not isinstance(share, _IdealShare)
+                    or share.signer != signer):
+                continue
+            slot = ("share", signer, signer.__class__)
+            tag = held and held.get(slot) or tags._derive(record, slot, "share", signer)
+            if hmac.compare_digest(share.tag, tag):
                 valid.add(signer)
         if len(valid) < self._threshold:
             return None
-        # A share verified, so every part of ``message`` is a Term.
-        return _IdealSignature(self._tags.combined_tag("combined", message))
+        tag = held and held.get("combined") or tags._derive(record, "combined", "combined")
+        return _IdealSignature(tag)
 
     def verify(self, signature, message: Term) -> bool:
         if not isinstance(signature, _IdealSignature):

@@ -108,7 +108,10 @@ from collections import Counter, OrderedDict
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.ablation import BA_ONE_HALF_GENERALIZED, BA_ONE_THIRD_CHUNKED
 from ..core.ba import BA_ONE_HALF, BA_ONE_THIRD, FixedRoundBA, iteration_one_half
+from ..core.feldman_micali import FELDMAN_MICALI
+from ..core.micali_vaikuntanathan import MICALI_VAIKUNTANATHAN, MV_PKI
 from ..core.extraction import coin_range, extract
 from ..core.iteration import Iteration, threshold_coin_factory
 from ..core.probabilistic import (
@@ -451,10 +454,15 @@ def unsupported_reason(spec: TrialSpec) -> Optional[str]:
     k = model.regime
     if k is not None and k * spec.max_faulty >= spec.num_parties:
         return f"regime violation {k}t >= n (object path raises)"
-    if model.length is not None and spec.max_rounds < model.length(params):
-        if model.capped:
-            return "max_rounds below the iteration cap (object path may raise)"
-        return "max_rounds below protocol length (object path raises)"
+    if model.length is not None:
+        try:
+            length = model.length(params)
+        except (TypeError, ValueError):
+            return f"protocol params {params!r} rejected (object path raises)"
+        if spec.max_rounds < length:
+            if model.capped:
+                return "max_rounds below the iteration cap (object path may raise)"
+            return "max_rounds below protocol length (object path raises)"
     if spec.adversary is None:
         return None
     adversary = spec.adversary_param_dict
@@ -1080,7 +1088,7 @@ def _replay(*adversaries: str) -> _Model:
 # ── ba_one_third / ba_one_half: a FixedRoundBA's iterations ─────────────
 
 
-def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
+def _fixed_round(ba: FixedRoundBA, adversary: str, *names: str, **defaults: Any) -> _Model:
     """The walk model of ``ba`` × {no adversary, ``adversary``}.
 
     Iterations are independent segments (the adversary's state is
@@ -1089,24 +1097,26 @@ def _fixed_round(ba: FixedRoundBA, adversary: str) -> _Model:
     iteration ``iterations(κ) − left``.  ``ba_one_third`` is a single
     iteration, its table one row; in ``ba_one_half``, once the parties
     agree every later row sits on the extremal slots and reads no coin.
+    It passes κ, ``names`` and ``defaults`` (the protocol's) as the spec sets them.
     """
 
     def row(first: TrialSpec, state: Tuple[Tuple[int, ...], int]) -> _Row:
         bits, left = state
-        kappa = first.param_dict["kappa"]
+        params = {**defaults, **first.param_dict}
         # Any iteration's wire behavior is the first's — the one whose
         # subsession the fresh per-iteration adversary also derives.
-        probed = ba.iteration(0, kappa)
+        probed = ba.iteration(0, **params)
         probe = _run_probe(first, bits, bits, _exchange(probed), probed.rounds)
         then = _all_return if left == 1 else lambda after: ((after, left - 1), ())
-        iteration = ba.iteration(ba.iterations(kappa) - left, kappa)
+        iteration = ba.iteration(ba.iterations(**params) - left, **params)
         return _extraction_row(probe, iteration, then)
 
     return _Model(
-        adversaries=_serving(adversary), bits=True, params=_KAPPA, regime=ba.regime,
-        length=lambda params: ba.rounds(params["kappa"]),
+        adversaries=_serving(adversary), bits=True,
+        params=_KAPPA.union(names, defaults), regime=ba.regime,
+        length=lambda params: ba.rounds(**{**defaults, **params}),
         root=lambda first: (
-            tuple(first.inputs), ba.iterations(first.param_dict["kappa"])
+            tuple(first.inputs), ba.iterations(**{**defaults, **first.param_dict})
         ),
         row=row, exact=True,
     )
@@ -1389,6 +1399,13 @@ _VRF_COIN = _Model(
 _MODELS = {
     "ba_one_third": _BA_ONE_THIRD,
     "ba_one_half": _BA_ONE_HALF,
+    "feldman_micali": _fixed_round(FELDMAN_MICALI, "straddle13"),
+    "micali_vaikuntanathan": _fixed_round(MICALI_VAIKUNTANATHAN, "straddle12"),
+    "mv_pki": _fixed_round(MV_PKI, "straddle12"),
+    "ba_one_third_chunked": _fixed_round(BA_ONE_THIRD_CHUNKED, "straddle13", "chunk"),
+    "ba_one_half_generalized": _fixed_round(
+        BA_ONE_HALF_GENERALIZED, "straddle12", prox_rounds=3, family="linear"
+    ),
     "fm_probabilistic": _FM_PROBABILISTIC,
     "turpin_coan_classic": _TURPIN_COAN,
     "multivalued_ba": _MULTIVALUED,

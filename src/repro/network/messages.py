@@ -45,10 +45,10 @@ PARALLEL_KEY = "__par__"
 
 def normalize_outbox(outbox: Outbox, num_parties: int) -> Dict[int, Any]:
     """Expand an outbox into an explicit recipient → payload map."""
+    if isinstance(outbox, Broadcast):
+        return dict.fromkeys(range(num_parties), outbox.payload)
     if outbox is None:
         return {}
-    if isinstance(outbox, Broadcast):
-        return {recipient: outbox.payload for recipient in range(num_parties)}
     if isinstance(outbox, dict):
         return {
             recipient: payload

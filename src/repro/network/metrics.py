@@ -13,7 +13,12 @@ dispatch cache: the dataclass-reflection questions (is this a dataclass?
 which module defines it? what are its fields?) are answered once per
 distinct payload type, not once per payload.  The uncached reference walk
 is kept as :func:`count_signatures_reference`; the regression tests in
-``tests/network/test_metrics.py`` prove the two always agree.
+``tests/network/test_metrics.py`` prove the two always agree.  A
+sequence or set, and a dict's keys, of exact ``int``/``str``/``bytes``/
+``bool``/``float``/``None`` items count 0 after one C-level
+``frozenset.issuperset(map(type, …))`` screen, with no call per item; a
+scalar subclass takes the walk.  A dict's values are walked unscreened:
+they usually hold the signatures, where a screen only adds a pass.
 
 Scope of the count, explicitly: containers recognized as traversable are
 dataclasses, ``dict`` and ``list``/``tuple``/``set``/``frozenset``
@@ -67,6 +72,8 @@ _KIND_DATACLASS = 2  # other dataclasses: recurse into fields
 _KIND_DICT = 3
 _KIND_SEQUENCE = 4
 
+_SCALARS = frozenset((int, str, bytes, bool, float, type(None)))
+
 _TYPE_KINDS: Dict[type, int] = {}
 _DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
@@ -109,9 +116,13 @@ def count_signatures(payload: Any) -> int:
             for name in _DATACLASS_FIELDS[tp]
         )
     if kind == _KIND_DICT:
-        return sum(map(count_signatures, payload.values())) + sum(
-            map(count_signatures, payload.keys())
-        )
+        total = sum(map(count_signatures, payload.values()))
+        keys = payload.keys()
+        if _SCALARS.issuperset(map(type, keys)):
+            return total
+        return total + sum(map(count_signatures, keys))
+    if _SCALARS.issuperset(map(type, payload)):
+        return 0
     return sum(map(count_signatures, payload))
 
 

@@ -257,7 +257,8 @@ class SyncSimulator:
                 inputs=dict(input_map),
             )
         )
-        corrupted: Set[int] = set(self.adversary.initial_corruptions())
+        # One frozen set serves every round until a corruption replaces it.
+        corrupted: AbstractSet[int] = frozenset(self.adversary.initial_corruptions())
         self._check_budget(corrupted)
 
         contexts = [
@@ -292,7 +293,9 @@ class SyncSimulator:
 
         rows = []
         round_index = 0
-        while self._honest_unfinished(outputs, corrupted):
+        # Honest parties still running: kept where one finishes or is corrupted.
+        unfinished = n - len(corrupted.union(outputs))
+        while unfinished:
             round_index += 1
             if round_index > self.max_rounds:
                 raise RoundLimitError(
@@ -302,16 +305,20 @@ class SyncSimulator:
             normalized = {
                 pid: normalize_outbox(outbox, n) for pid, outbox in pending.items()
             }
-            for pid in range(n):
-                normalized.setdefault(pid, {})
+            if len(normalized) < n:
+                for pid in range(n):
+                    normalized.setdefault(pid, {})
             decision = self.adversary.decide(
                 RoundView(
                     round_index=round_index,
                     outboxes=normalized,
-                    corrupted=frozenset(corrupted),
+                    corrupted=corrupted,
                 )
             )
-            corrupted = self._apply_decision(decision, corrupted, normalized)
+            if decision.replace or decision.corrupt:
+                before = corrupted
+                corrupted = self._apply_decision(decision, corrupted, normalized)
+                unfinished -= len(corrupted.difference(before, outputs))
             for observer in self.observers:
                 observer.on_corruptions(round_index, corrupted)
 
@@ -340,6 +347,8 @@ class SyncSimulator:
                     outputs[pid] = stop.value
                     finish_rounds[pid] = round_index
                     programs[pid] = None
+                    if pid not in corrupted:
+                        unfinished -= 1
                 except Exception:
                     if pid in corrupted:
                         programs[pid] = None  # broken shadow: silent hereafter
@@ -347,7 +356,7 @@ class SyncSimulator:
                         raise
         return ExecutionResult(
             outputs=outputs,
-            corrupted=corrupted,
+            corrupted=set(corrupted),
             metrics=RunMetrics(round_index, tuple(rows)),
             inputs=input_map,
             finish_rounds=finish_rounds,
@@ -357,19 +366,21 @@ class SyncSimulator:
         self,
         round_index: int,
         normalized: Dict[int, Dict[int, Any]],
-        corrupted: Set[int],
+        corrupted: AbstractSet[int],
         inboxes: Dict[int, Dict[int, Any]],
     ) -> Optional[_Row]:
         """Deliver one round's messages; return the round's tally row,
         or ``None`` when no party had anything to send (the hot loop).
 
-        Structured for throughput: the round totals are local ints,
-        observers run outside the per-message tally loop, and
-        the signature walk runs once per distinct payload *object* per
-        sender — a sender multicasting one payload to n recipients costs
-        one walk, not n.  Tallies equal a per-message
-        ``count_signatures_reference`` walk (pinned by
-        ``tests/engine/test_transport.py``).
+        Structured for throughput: the round totals are local ints, a
+        sender's messages count as its outbox's length, observers run
+        outside the per-message tally loop, and the signature walk runs
+        once per *run* of one payload object in a sender's outbox — a
+        broadcast of one payload to n recipients costs one walk, not n;
+        an outbox alternating two objects walks each message.  Tallies
+        equal a per-message ``count_signatures_reference`` walk (pinned
+        by ``tests/engine/test_transport.py`` and
+        ``tests/network/test_round_path.py``).
         """
         observers = self.observers
         collect = self.collect_signatures
@@ -382,24 +393,19 @@ class SyncSimulator:
                 continue
             sent = True
             sender_honest = sender not in corrupted
-            messages = 0
+            messages = len(outbox)
             signatures = 0
             if collect:
-                # Payloads are alive for the whole round, so id() keys
-                # are stable here.
-                walked: Dict[int, int] = {}
+                last, count = None, 0  # the run so far: None walks to 0
                 for recipient, payload in outbox.items():
                     inboxes[recipient][sender] = payload
-                    key = id(payload)
-                    count = walked.get(key)
-                    if count is None:
-                        count = walked[key] = count_signatures(payload)
+                    if payload is not last:
+                        last = payload
+                        count = count_signatures(payload)
                     signatures += count
-                    messages += 1
             else:
                 for recipient, payload in outbox.items():
                     inboxes[recipient][sender] = payload
-                    messages += 1
             if sender_honest:
                 honest_messages += messages
                 honest_signatures += signatures
@@ -422,15 +428,15 @@ class SyncSimulator:
         self,
         round_index: int,
         normalized: Dict[int, Dict[int, Any]],
-        corrupted: Set[int],
+        corrupted: AbstractSet[int],
         inboxes: Dict[int, Dict[int, Any]],
         injector: FaultInjector,
     ) -> Optional[_Row]:
         """Deliver one round's messages through the fault injector and
         return the round's tally row, or ``None``.
 
-        Same tally structure as :meth:`_deliver` (per-sender signature
-        dedup, honesty split), restricted to messages that actually
+        Same tally structure as :meth:`_deliver` (one walk per run of a
+        payload object, honesty split), restricted to messages that actually
         arrive: suppressed messages tally nothing, delayed messages
         tally in the round they arrive, with sender honesty frozen at
         send time.  A round has a row when some party sent or a delayed
@@ -464,7 +470,7 @@ class SyncSimulator:
             sender_honest = sender not in corrupted
             messages = 0
             signatures = 0
-            walked: Dict[int, int] = {}
+            last, count = None, 0  # the run so far: None walks to 0
             row = rows[sender]
             for recipient, payload in outbox.items():
                 cell = row[recipient]
@@ -497,10 +503,9 @@ class SyncSimulator:
                 inboxes[recipient][sender] = payload
                 messages += 1
                 if collect:
-                    key = id(payload)
-                    count = walked.get(key)
-                    if count is None:
-                        count = walked[key] = count_signatures(payload)
+                    if payload is not last:
+                        last = payload
+                        count = count_signatures(payload)
                     signatures += count
                 for observer in observers:
                     observer.on_message(
@@ -562,18 +567,12 @@ class SyncSimulator:
             honest_signatures, corrupt_signatures,
         )
 
-    def _honest_unfinished(self, outputs: Dict[int, Any], corrupted: Set[int]) -> bool:
-        return any(
-            pid not in outputs and pid not in corrupted
-            for pid in range(self.num_parties)
-        )
-
     def _apply_decision(
         self,
         decision: RoundDecision,
-        corrupted: Set[int],
+        corrupted: AbstractSet[int],
         normalized: Dict[int, Dict[int, Any]],
-    ) -> Set[int]:
+    ) -> AbstractSet[int]:
         for pid, outbox in decision.replace.items():
             if pid not in corrupted:
                 raise SimulationError(
@@ -581,6 +580,8 @@ class SyncSimulator:
                     "without corrupting it"
                 )
             normalized[pid] = normalize_outbox(outbox, self.num_parties)
+        if not decision.corrupt:
+            return corrupted
         new_corrupted = set(corrupted)
         for pid, outbox in decision.corrupt.items():
             if not (0 <= pid < self.num_parties):
@@ -590,9 +591,9 @@ class SyncSimulator:
             # round-r messages of the freshly corrupted party.
             normalized[pid] = normalize_outbox(outbox, self.num_parties)
         self._check_budget(new_corrupted)
-        return new_corrupted
+        return frozenset(new_corrupted)
 
-    def _check_budget(self, corrupted: Set[int]) -> None:
+    def _check_budget(self, corrupted: AbstractSet[int]) -> None:
         if len(corrupted) > self.max_faulty:
             raise AdversaryBudgetError(
                 f"adversary corrupted {len(corrupted)} parties, budget is "

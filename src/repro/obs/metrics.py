@@ -437,7 +437,9 @@ class MetricsRegistry:
     each distinct object once, scaled by how many inputs are that
     object, and :meth:`pack` encodes it once.  :meth:`copy`,
     :meth:`merged`, :meth:`delivery_view`, :meth:`from_payload` and
-    :meth:`from_deliveries` return writable registries.
+    :meth:`from_deliveries` return writable registries; the first and
+    last carry a pending tally, which ``pack`` (so pickling), ``merge``,
+    :meth:`merged` and :meth:`delivery_view` refuse with ``ValueError``.
     """
 
     __slots__ = ("counters", "histograms", "_blob", "_tally", "_memo_round", "_memo")
@@ -469,6 +471,11 @@ class MetricsRegistry:
         self.histograms = MappingProxyType(self.histograms)  # type: ignore[assignment]
         self._tally = MappingProxyType(self._tally)  # type: ignore[assignment]
         return self
+
+    def _check_settled(self) -> None:
+        """Refuse a read that would silently drop a pending tally."""
+        if self._tally:
+            raise ValueError("pending delivery tally: call finalize_delivery() first")
 
     # ── core mutation API (name vocabulary enforced) ──────────────────
 
@@ -639,6 +646,7 @@ class MetricsRegistry:
         self._add(other)
 
     def _add(self, other: "MetricsRegistry", times: int = 1) -> None:
+        other._check_settled()
         counters = self.counters
         for key, value in other.counters.items():
             counters[key] = counters.get(key, 0) + value * times
@@ -685,6 +693,7 @@ class MetricsRegistry:
     def delivery_view(self) -> "MetricsRegistry":
         """Restrict to :data:`DELIVERY_METRIC_NAMES` (the trace-recoverable
         subset used by the live-vs-replayed equivalence tests)."""
+        self._check_settled()
         view = MetricsRegistry()
         for key, value in self.counters.items():
             if key[0] in DELIVERY_METRIC_NAMES:
@@ -734,6 +743,7 @@ class MetricsRegistry:
         """Canonical varint encoding: equal registries pack identically."""
         if self._blob is not None:
             return self._blob
+        self._check_settled()
         counters, histograms = self.counters, self.histograms
         buf = bytearray()
         _write_varint(buf, _PACK_VERSION)

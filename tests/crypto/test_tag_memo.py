@@ -320,6 +320,10 @@ def garbage_grid(scheme, foreign):
         ("garbage share types", [(0, b"tag"), (1, "share"), (2, 3)] + good[3:], message),
         ("unhashable message", good, ("grid", ["session"], 7)),
         ("non-Term message", good, ("grid", 7.5)),
+        ("float message", good, 7.5),
+        ("False minted for False",
+         [(False, scheme.sign_share(False, message))] + good[1:], message),
+        ("False claims 0's share", [(False, good[0][1])] + good[1:], message),
     ]
 
 

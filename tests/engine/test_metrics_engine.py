@@ -55,16 +55,18 @@ def _set_counter(registry, _):
     registry.counters["trials", ""] = 5
 
 
-#: Every way to change a registry; each raises on a finalized one.
+#: Every way to change a registry; each raises on a finalized one.  The
+#: merges precede the deliveries: a registry whose tally holds deliveries
+#: refuses to be merged until it is finalized.
 _MUTATIONS = (
     lambda registry, _: registry.inc("trials"),
     lambda registry, _: registry.inc("messages", "bool", 1000),
     lambda registry, _: registry.observe("rounds_to_decision", 99),
     lambda registry, _: registry.observe("slot_occupancy", 7),
-    lambda registry, _: registry.on_message(1, 0, 1, True, sender_honest=True),
-    lambda registry, _: registry.observe_delivery(1, "True", 0, True),
     lambda registry, _: registry.merge(MetricsRegistry()),
     lambda registry, _: registry.merge(registry.copy()),
+    lambda registry, _: registry.on_message(1, 0, 1, True, sender_honest=True),
+    lambda registry, _: registry.observe_delivery(1, "True", 0, True),
     _set_counter,
     lambda registry, _: registry.histograms["rounds_to_decision"].observe(1),
     lambda registry, result: registry.finalize_trial(result),  # last: it freezes

@@ -128,6 +128,26 @@ VECTOR_ADVERSARIES = {
         (None, None),
         ("straddle12", {"victims": (3, 4)}),
     ],
+    "feldman_micali": [
+        (None, None),
+        ("straddle13", {"victims": (3,)}),
+    ],
+    "micali_vaikuntanathan": [
+        (None, None),
+        ("straddle12", {"victims": (3, 4)}),
+    ],
+    "mv_pki": [
+        (None, None),
+        ("straddle12", {"victims": (3, 4)}),
+    ],
+    "ba_one_third_chunked": [
+        (None, None),
+        ("straddle13", {"victims": (3,)}),
+    ],
+    "ba_one_half_generalized": [
+        (None, None),
+        ("straddle12", {"victims": (3, 4)}),
+    ],
     "prox_one_third": [
         (None, None),
         ("straddle13", {"victims": (3,)}),
@@ -212,7 +232,7 @@ class TestRegistry:
             for adversary, _ in combos
         }
         assert served_pairs() == sorted(expected, key=repr)
-        assert len(expected) == 22
+        assert len(expected) == 32
 
 
 class TestProtocolGrid:
@@ -250,6 +270,36 @@ class TestProtocolGrid:
         )
         spec = plan.trials[0]
         assert vector_unsupported_reason(spec) is None
+        assert_equivalent(plan)
+
+
+class TestStatementParams:
+    """``_fixed_round`` passes a statement's own params through: the
+    chunked and generalized families off their defaults, straddled."""
+
+    @pytest.mark.parametrize(
+        "protocol,inputs,max_faulty,params,adversary,victims",
+        [
+            ("ba_one_third_chunked", (0, 0, 1, 1), 1, {"kappa": 3, "chunk": 1},
+             "straddle13", (3,)),
+            ("ba_one_third_chunked", (0, 0, 1, 1), 1, {"kappa": 5, "chunk": 3},
+             "straddle13", (3,)),
+            ("ba_one_half_generalized", (0, 0, 1, 1, 1), 2,
+             {"kappa": 3, "prox_rounds": 2}, "straddle12", (3, 4)),
+            ("ba_one_half_generalized", (0, 0, 1, 1, 1), 2,
+             {"kappa": 4, "prox_rounds": 3, "family": "quadratic"},
+             "straddle12", (3, 4)),
+        ],
+    )
+    def test_off_default_params_match_the_object_path(
+        self, protocol, inputs, max_faulty, params, adversary, victims
+    ):
+        plan = TrialPlan.monte_carlo(
+            f"params-{protocol}", protocol, inputs, max_faulty, trials=6,
+            params=params, adversary=adversary,
+            adversary_params={"victims": victims}, seed=29,
+        )
+        assert vector_unsupported_reason(plan.trials[0]) is None
         assert_equivalent(plan)
 
 
@@ -364,8 +414,9 @@ class TestFallback:
 
     def test_unregistered_protocol_falls_back(self):
         plan = TrialPlan.monte_carlo(
-            "fm", "feldman_micali", (0, 0, 1, 1), 1,
-            trials=3, params={"kappa": 2}, seed=3,
+            "two-face", "ba_one_third", (0, 0, 1, 1), 1,
+            trials=3, params={"kappa": 2}, adversary="two_face",
+            adversary_params={"victims": (3,)}, seed=3,
         )
         assert vector_unsupported_reason(plan.trials[0]) is not None
         assert_equivalent(plan)
@@ -405,8 +456,9 @@ class TestFallback:
             trials=3, params={"kappa": 2}, seed=1,
         )
         obj_plan = TrialPlan.monte_carlo(
-            "mix-obj", "feldman_micali", (0, 0, 1, 1), 1,
-            trials=2, params={"kappa": 2}, seed=1,
+            "mix-obj", "ba_one_third", (0, 0, 1, 1), 1,
+            trials=2, params={"kappa": 2}, adversary="two_face",
+            adversary_params={"victims": (3,)}, seed=1,
         )
         plan = TrialPlan.concat("mix", [vec_plan, obj_plan])
         chunk = list(enumerate(plan.trials))
@@ -445,8 +497,9 @@ FALLBACK_REASON_TABLE = [
      "fault injection ('lossy') is not vectorizable"),
     (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, backend="real"),
      "real-RSA backend"),
-    (TrialSpec("feldman_micali", _BITS, 1, {"kappa": 2}),
-     "no vector model registered for ('feldman_micali', None)"),
+    (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, adversary="two_face",
+               adversary_params={"victims": (3,)}),
+     "no vector model registered for ('ba_one_third', 'two_face')"),
     (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, adversary="crash",
                adversary_params={"victims": (3,)}),
      "no vector model registered for ('ba_one_third', 'crash')"),
@@ -514,6 +567,18 @@ FALLBACK_REASON_TABLE = [
     (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2}, max_rounds=4),
      "max_rounds below protocol length (object path raises)"),
     (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2}, max_rounds=5), None),
+    (TrialSpec("ba_one_third_chunked", _BITS, 1, {"kappa": 2}),
+     "protocol params {'kappa': 2} rejected (object path raises)"),
+    (TrialSpec("ba_one_third_chunked", _BITS, 1, {"kappa": 2, "chunk": 3}),
+     "protocol params {'chunk': 3, 'kappa': 2} rejected (object path raises)"),
+    (TrialSpec("ba_one_half_generalized", _HALF, 2, {"kappa": 2, "family": "cubic"}),
+     "protocol params {'family': 'cubic', 'kappa': 2} rejected (object path raises)"),
+    (TrialSpec("ba_one_half_generalized", _HALF, 2,
+               {"kappa": 3, "family": "quadratic", "prox_rounds": 3}, max_rounds=8),
+     "max_rounds below protocol length (object path raises)"),
+    (TrialSpec("ba_one_half_generalized", _HALF, 2,
+               {"kappa": 3, "family": "quadratic", "prox_rounds": 3}, max_rounds=9),
+     None),
     (TrialSpec("fm_probabilistic", _BITS, 1, max_rounds=191),
      "max_rounds below the iteration cap (object path may raise)"),
     (TrialSpec("fm_probabilistic", _BITS, 1, max_rounds=192), None),
@@ -587,10 +652,17 @@ FALLBACK_REASON_TABLE = [
     (TrialSpec("prox_linear_half", _HALF, 2, {"rounds": 3},
                adversary="bare_straddle12",
                adversary_params={"victims": (3, 4), "iteration_rounds": 2}), None),
-    # What batches: one spec of each of the eight models.
+    # What batches: one spec of each model.
     (TrialSpec("ba_one_third", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
                adversary_params={"victims": (3,)}), None),
     (TrialSpec("ba_one_half", _HALF, 2, {"kappa": 2}), None),
+    (TrialSpec("feldman_micali", _BITS, 1, {"kappa": 2}, **_STRADDLE13,
+               adversary_params={"victims": (3,)}), None),
+    (TrialSpec("micali_vaikuntanathan", _HALF, 2, {"kappa": 2}), None),
+    (TrialSpec("mv_pki", _HALF, 2, {"kappa": 2}, **_STRADDLE12,
+               adversary_params={"victims": (3, 4)}), None),
+    (TrialSpec("ba_one_third_chunked", _BITS, 1, {"kappa": 4, "chunk": 2}), None),
+    (TrialSpec("ba_one_half_generalized", _HALF, 2, {"kappa": 3}), None),
     (TrialSpec("fm_probabilistic", _BITS, 1), None),
     (TrialSpec("turpin_coan_classic", _WORDS, 1, {"kappa": 2, "default": "x"}), None),
     (TrialSpec("multivalued_ba", _WORDS, 1, {"kappa": 2, "regime": "one_third"}),
@@ -779,13 +851,14 @@ class TestVerdictCache:
     def test_a_refusal_is_asked_each_time_and_takes_no_table(self, fresh_tables):
         from repro.engine import probe_cache_stats
 
-        inputs, max_faulty, params = PROTOCOL_SHAPES["feldman_micali"]
+        inputs, max_faulty, params = PROTOCOL_SHAPES["ba_one_third"]
         plan = TrialPlan.monte_carlo(
-            "fm", "feldman_micali", inputs, max_faulty, trials=6, params=params,
-            seed=5,
+            "two-face", "ba_one_third", inputs, max_faulty, trials=6,
+            params=params, adversary="two_face",
+            adversary_params={"victims": (3,)}, seed=5,
         )
         chunk = list(enumerate(plan.trials))
-        refused = "no vector model registered for ('feldman_micali', None)"
+        refused = "no vector model registered for ('ba_one_third', 'two_face')"
         for _ in range(2):  # asked each time, and kept nowhere
             _, stats = execute_chunk(chunk)
             assert stats["fallback_reasons"] == {refused: 6}

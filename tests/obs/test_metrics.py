@@ -695,6 +695,67 @@ class TestFrozenDeliveries:
         assert second.histograms["slot_occupancy"].count == 1
 
 
+def _pending():
+    """A registry that observed one ``int(1)`` delivery, not yet finalized."""
+    registry = MetricsRegistry()
+    registry.observe_delivery(1, "int(1)", 0, True)
+    return registry
+
+
+class TestPendingTally:
+    """Reads that carry counters and histograms only refuse a registry
+    whose tally still holds deliveries, rather than dropping them; each
+    works once :meth:`finalize_delivery` has derived the tally."""
+
+    REFUSED = "call finalize_delivery"
+
+    @staticmethod
+    def _finalized():
+        registry = _pending()
+        registry.finalize_delivery()
+        return registry
+
+    def test_pack_and_what_goes_through_it(self):
+        for read in (
+            MetricsRegistry.pack,
+            lambda registry: pickle.dumps(registry),
+            copy.copy,
+        ):
+            with pytest.raises(ValueError, match=self.REFUSED):
+                read(_pending())
+        registry = self._finalized()
+        assert MetricsRegistry._decode(registry.pack()) == registry
+        assert pickle.loads(pickle.dumps(registry)) == registry
+        assert copy.copy(registry) == registry
+        assert registry.labels("messages") == {"int": 1}
+
+    def test_merge_and_merged(self):
+        with pytest.raises(ValueError, match=self.REFUSED):
+            MetricsRegistry().merge(_pending())
+        with pytest.raises(ValueError, match=self.REFUSED):
+            MetricsRegistry.merged([self._finalized(), _pending()])
+        total = MetricsRegistry()
+        total.merge(self._finalized())
+        assert total == self._finalized()
+        merged = MetricsRegistry.merged([self._finalized(), self._finalized()])
+        assert merged.labels("messages") == {"int": 2}
+
+    def test_delivery_view(self):
+        with pytest.raises(ValueError, match=self.REFUSED):
+            _pending().delivery_view()
+        assert self._finalized().delivery_view().labels("messages") == {"int": 1}
+
+    def test_copy_and_from_deliveries_carry_the_tally(self):
+        for carried in (
+            _pending().copy(),
+            MetricsRegistry.from_deliveries([(_pending(), 0)]),
+        ):
+            with pytest.raises(ValueError, match=self.REFUSED):
+                carried.pack()
+            carried.finalize_delivery()
+            assert carried == self._finalized()
+
+
 class TestArtifact:
     def _payload(self):
         registry = _build(
