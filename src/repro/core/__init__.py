@@ -24,7 +24,6 @@ __all__ = [
     "dolev_strong_ba_program",
     "dolev_strong_broadcast_program",
     "extract",
-    "extract_by_position",
     "feldman_micali_program",
     "ideal_coin_factory",
     "iteration_fm_probabilistic",
@@ -61,7 +60,7 @@ _EXPORTS = {
         "dolev_strong_ba_program", "dolev_strong_broadcast_program",
     ),
     ".extraction": (
-        "coin_range", "extract", "extract_by_position", "splitting_coin",
+        "coin_range", "extract", "splitting_coin",
     ),
     ".feldman_micali": ("feldman_micali_program", "rounds_feldman_micali"),
     ".iteration": (

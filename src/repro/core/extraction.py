@@ -10,8 +10,8 @@ The paper's closed form, with ``G = ⌊(s-1)/2⌋`` and ``r = s mod 2``::
     f(b, g, c) = 1  iff  (b = 1 ∧ c ≤ g + G + 1 - r) ∨ (b = 0 ∧ c ≤ G - g)
 
 which is equivalent to the geometric statement ``f = 1 iff slot ≥ c`` over
-slot positions (:func:`repro.proxcensus.base.slot_index`); both forms are
-implemented and property-tested against each other.
+slot positions (:func:`repro.proxcensus.base.slot_index`); the tests hold
+:func:`extract` to that geometric form (``tests/oracles.py``).
 
 Because honest parties occupy two *adjacent* slots, exactly one coin value
 splits them — hence the per-iteration disagreement probability ``1/(s-1)``
@@ -21,9 +21,9 @@ splits them — hence the per-iteration disagreement probability ``1/(s-1)``
 
 from __future__ import annotations
 
-from ..proxcensus.base import max_grade, slot_index
+from ..proxcensus.base import max_grade
 
-__all__ = ["extract", "extract_by_position", "splitting_coin", "coin_range"]
+__all__ = ["extract", "splitting_coin", "coin_range"]
 
 
 def coin_range(slots: int) -> tuple:
@@ -47,19 +47,6 @@ def extract(value: int, grade: int, coin: int, slots: int) -> int:
     if value == 1:
         return 1 if coin <= grade + grades + 1 - parity else 0
     return 1 if coin <= grades - grade else 0
-
-
-def extract_by_position(value: int, grade: int, coin: int, slots: int) -> int:
-    """Geometric form: output 1 iff the slot position is right of the cut.
-
-    Provably identical to :func:`extract`; kept because the position form
-    makes the "one coin value splits each adjacent pair" argument obvious.
-    """
-    position = slot_index(value, grade, slots)
-    low, high = coin_range(slots)
-    if not (low <= coin <= high):
-        raise ValueError(f"coin {coin} outside [{low}, {high}]")
-    return 1 if position >= coin else 0
 
 
 def splitting_coin(left_position: int, slots: int) -> int:

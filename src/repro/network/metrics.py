@@ -12,8 +12,8 @@ The walk is the hottest non-protocol code in every simulated execution
 dispatch cache: the dataclass-reflection questions (is this a dataclass?
 which module defines it? what are its fields?) are answered once per
 distinct payload type, not once per payload.  The uncached reference walk
-is kept as :func:`count_signatures_reference`; the regression tests in
-``tests/network/test_metrics.py`` prove the two always agree.  A
+lives with the tests (``tests/oracles.py``), and
+``tests/network/test_metrics.py`` proves the two always agree.  A
 sequence or set, and a dict's keys, of exact ``int``/``str``/``bytes``/
 ``bool``/``float``/``None`` items count 0 after one C-level
 ``frozenset.issuperset(map(type, …))`` screen, with no call per item; a
@@ -38,34 +38,12 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Tuple
 __all__ = [
     "RunMetrics",
     "count_signatures",
-    "count_signatures_reference",
 ]
 
 
-def count_signatures_reference(payload: Any) -> int:
-    """Uncached reference walk — the specification ``count_signatures``
-    must match.  Kept for regression tests and baseline benchmarking."""
-    if payload is None or isinstance(payload, (int, str, bytes, bool, float)):
-        return 0
-    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        if type(payload).__module__.startswith("repro.crypto"):
-            return 1
-        return sum(
-            count_signatures_reference(getattr(payload, f.name))
-            for f in dataclasses.fields(payload)
-        )
-    if isinstance(payload, dict):
-        return sum(count_signatures_reference(v) for v in payload.values()) + sum(
-            count_signatures_reference(k) for k in payload.keys()
-        )
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return sum(count_signatures_reference(item) for item in payload)
-    return 0
-
-
-# Per-type dispatch kinds.  Classification mirrors the reference walk's
-# check order exactly (scalars before dataclasses: a dataclass subclassing
-# int is a scalar there too).
+# Per-type dispatch kinds.  Classification mirrors the check order of the
+# reference walk (tests/oracles.py) exactly (scalars before dataclasses: a
+# dataclass subclassing int is a scalar there too).
 _KIND_ZERO = 0  # scalars, None, and unrecognized types
 _KIND_SIGNATURE = 1  # dataclasses defined in repro.crypto.*
 _KIND_DATACLASS = 2  # other dataclasses: recurse into fields
@@ -96,7 +74,7 @@ def _classify(tp: type) -> int:
 def count_signatures(payload: Any) -> int:
     """Count signature objects (shares, combined, plain) inside a payload.
 
-    Equivalent to :func:`count_signatures_reference`, but dataclass
+    Equivalent to the uncached reference walk, but dataclass
     reflection runs once per distinct payload *type* instead of once per
     payload.  Unrecognized container types count as 0 — see the module
     docstring for the exact traversal scope.

@@ -378,7 +378,7 @@ class SyncSimulator:
         once per *run* of one payload object in a sender's outbox — a
         broadcast of one payload to n recipients costs one walk, not n;
         an outbox alternating two objects walks each message.  Tallies
-        equal a per-message ``count_signatures_reference`` walk (pinned
+        equal a per-message reference walk (``tests/oracles.py``, pinned
         by ``tests/engine/test_transport.py`` and
         ``tests/network/test_round_path.py``).
         """

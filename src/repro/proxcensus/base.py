@@ -20,10 +20,12 @@ even ``s``.  Honest parties always land on two *adjacent* slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Tuple
+from itertools import chain
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 __all__ = [
     "ProxOutput",
+    "decide_once",
     "max_grade",
     "slot_index",
     "slot_label",
@@ -46,6 +48,37 @@ class ProxOutput:
 
     def __iter__(self):
         return iter((self.value, self.grade))
+
+
+# Decision memo.  Every family's output rule is a pure function of a
+# small *view* — a tuple of rows of scalars holding exactly what the rule
+# reads — and honest views repeat across parties, rounds and trials, so
+# each distinct view is decided once.  The key is exact: among int, str,
+# bytes and None, equal values have equal types, so a view of those is
+# its own key; ``1 == True`` and ``0 == False``, so a view holding a bool
+# is keyed with the exact type of every scalar too (a rule may return
+# either).  A view holding any other type (a float, a Byzantine object
+# with its own ``__eq__``) is decided afresh and never stored.  Like the
+# tag memo, the table is dropped wholesale when full.
+_DECISION_LIMIT = 1 << 10  # views held; ≈ 0.5 KB each
+_EXACT_TYPES = frozenset({int, bool, str, bytes, type(None)})
+_decisions: dict = {}
+
+
+def decide_once(rule: Callable[..., Any], view: Tuple[tuple, ...], *params: Any):
+    """``rule(view, *params)``, memoised on the rule, params and view."""
+    kinds = set(map(type, chain.from_iterable(view)))
+    if not kinds <= _EXACT_TYPES:
+        return rule(view, *params)
+    key = (rule, params, view)
+    if bool in kinds:
+        key += (tuple(map(type, chain.from_iterable(view))),)
+    decision = _decisions.get(key)
+    if decision is None:
+        if len(_decisions) >= _DECISION_LIMIT:
+            _decisions.clear()
+        decision = _decisions[key] = rule(view, *params)
+    return decision
 
 
 def max_grade(slots: int) -> int:

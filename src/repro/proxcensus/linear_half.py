@@ -27,9 +27,11 @@ from typing import Any, Dict, List, Tuple
 
 from ..network.messages import get_field
 from ..network.party import Context
-from .base import ProxOutput
+from .base import ProxOutput, decide_once
 
-__all__ = ["prox_linear_half_program", "slots_after_rounds", "grade_conditions"]
+__all__ = [
+    "decide", "prox_linear_half_program", "slots_after_rounds", "grade_conditions",
+]
 
 _KEY = "plh"
 
@@ -157,19 +159,30 @@ def prox_linear_half_program(ctx: Context, value: Any, rounds: int):
                     omega_sigs[v] = signature
 
     # --- Output determination. -------------------------------------------
-    for grade in range(rounds - 1, 0, -1):
-        deadline = grade_conditions(rounds)[grade]
-        for v in sorted(sigma_first, key=repr):
-            if sigma_first[v] > deadline["sigma_by"]:
+    view = tuple(
+        [(v, first, omega_first.get(v, rounds + 1)) for v, first in sigma_first.items()]
+    )
+    return decide_once(decide, view, rounds)
+
+
+def decide(view, rounds: int) -> ProxOutput:
+    """Table 1's output rule, a pure function of when Σ and Ω were known.
+
+    ``view`` holds one ``(y, Σ round, Ω round)`` row per value with a
+    known ``Σ``, in the order they were learned; ``Ω round`` is
+    ``rounds + 1`` if no ``Ω`` on ``y`` was known.  Memoised by
+    :func:`~.base.decide_once`.
+    """
+    ordered = sorted(view, key=lambda row: repr(row[0]))
+    for grade, deadline in sorted(grade_conditions(rounds).items(), reverse=True):
+        for v, sigma_round, omega_round in ordered:
+            if sigma_round > deadline["sigma_by"]:
                 continue
-            if omega_first.get(v, rounds + 1) > deadline["omega_by"]:
+            if omega_round > deadline["omega_by"]:
                 continue
-            others = [
-                v2
-                for v2 in sigma_first
-                if v2 != v and sigma_first[v2] <= deadline["no_other_by"]
-            ]
-            if others:
+            if any(
+                v2 != v and first <= deadline["no_other_by"] for v2, first, _ in view
+            ):
                 continue
             return ProxOutput(v, grade)
     return ProxOutput(0, 0)

@@ -24,9 +24,10 @@ from typing import Any, Dict, Tuple
 
 from ..network.messages import get_field
 from ..network.party import Context
-from .base import ProxOutput, max_grade
+from .base import ProxOutput, decide_once, max_grade
 
 __all__ = [
+    "decide",
     "prox_one_third_program",
     "prox_expand_once_program",
     "slots_after_rounds",
@@ -85,14 +86,13 @@ def prox_expand_once_program(ctx: Context, value: Any, grade: int, slots: int):
 
 def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
     """One expansion round: ``Prox_s`` output ``(value, grade)`` → ``Prox_{2s-1}``."""
-    n, t = ctx.num_parties, ctx.max_faulty
     grades = max_grade(slots)          # G of the *inner* Proxcensus
-    parity = slots % 2                 # b with s = 2k + b
     inbox = yield ctx.broadcast({_MESSAGE_KEY: (value, grade)})
 
     # Tally echoes defensively: one (z, h) pair per sender, h in [0, G].
-    tally: Dict[Tuple[int, Any], int] = {}  # (grade, value key) → echoes
-    grade_zero = 0
+    # A value is tagged "v"; an unhashable (Byzantine) one is tallied,
+    # and decided, by its repr under the tag "unhashable".
+    tally: Dict[Tuple[int, str, Any], int] = {}  # (grade, tag, value) → echoes
     for payload in inbox.values():
         pair = get_field(payload, _MESSAGE_KEY)
         if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -100,15 +100,36 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
         z, h = pair
         if isinstance(h, bool) or not isinstance(h, int) or not (0 <= h <= grades):
             continue
-        if h == 0:
-            grade_zero += 1
-        echoed = (h, _key(z))
+        try:
+            hash(z)
+        except TypeError:
+            echoed = (h, "unhashable", repr(z))
+        else:
+            echoed = (h, "v", z)
         tally[echoed] = tally.get(echoed, 0) + 1
+    view = (*tally, tuple(tally.values()))
+    return decide_once(decide, view, ctx.num_parties, ctx.max_faulty, slots)
+
+
+def decide(tally, n: int, t: int, slots: int) -> Tuple[Any, int]:
+    """Fig. 2's output rule: one round's echoes of a ``Prox_s`` → ``Prox_{2s-1}``.
+
+    ``tally`` holds one ``(h, tag, z)`` row per distinct echo ``(z, h)``
+    with ``h`` in ``[0, G]`` (``tag`` is ``"v"``, or ``"unhashable"`` with
+    ``z`` the repr of an unhashable value), then one row of their echo
+    counts in the same order.  A pure function of its arguments, which
+    :func:`~.base.decide_once` memoises.
+    """
+    grades = max_grade(slots)          # G of the *inner* Proxcensus
+    parity = slots % 2                 # b with s = 2k + b
+    *echoed, echoes = tally
+    counts = dict(zip(echoed, echoes))
+    grade_zero = sum(number for (h, _, _), number in zip(echoed, echoes) if h == 0)
 
     def votes(z_key, h: int) -> int:
-        return tally.get((h, z_key), 0)
+        return counts.get((h, *z_key), 0)
 
-    candidates = sorted({z_key for _, z_key in tally}, key=repr)
+    candidates = sorted({(tag, z) for _, tag, z in echoed}, key=repr)
 
     new_value: Any = 0
     new_grade = 0
@@ -120,14 +141,14 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
                 grade_zero + votes(z_key, 1) >= n - t
                 and votes(z_key, 1) >= n - 2 * t
             ):
-                new_value, new_grade = _unkey(z_key), 1
+                new_value, new_grade = z_key[1], 1
                 break
     # Only bands that actually received votes can assemble an n - t quorum;
     # the grade range is up to 2^{kappa-1}, so iterating all bands would be
     # exponential — iterate the (at most 2 honest + t Byzantine) observed ones.
     observed_bands = sorted(
         band
-        for h, _ in tally
+        for h, _, _ in echoed
         for band in (h - 1, h)
         if parity <= band < grades
     )
@@ -137,25 +158,13 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
             if pair_total < n - t:
                 continue
             if votes(z_key, band + 1) >= n - 2 * t:
-                new_value, new_grade = _unkey(z_key), 2 * band + 2 - parity
+                new_value, new_grade = z_key[1], 2 * band + 2 - parity
             elif votes(z_key, band) >= n - 2 * t:
-                new_value, new_grade = _unkey(z_key), 2 * band + 1 - parity
+                new_value, new_grade = z_key[1], 2 * band + 1 - parity
             break  # quorums for two distinct z cannot coexist (n > 3t)
     for z_key in candidates:
         if votes(z_key, grades) >= n - t:
-            new_value, new_grade = _unkey(z_key), 2 * grades + 1 - parity
+            new_value, new_grade = z_key[1], 2 * grades + 1 - parity
             break
     return new_value, new_grade
 
-
-def _key(value: Any):
-    """Hashable tally key for a domain value (Byzantine values included)."""
-    try:
-        hash(value)
-    except TypeError:
-        return ("unhashable", repr(value))
-    return ("v", value)
-
-
-def _unkey(key) -> Any:
-    return key[1]

@@ -25,9 +25,10 @@ from typing import Any, Dict, List, Set, Tuple
 
 from ..network.messages import get_field
 from ..network.party import Context
-from .base import ProxOutput
+from .base import ProxOutput, decide_once
 
 __all__ = [
+    "decide",
     "proxcast_program",
     "proxcast_player_replaceable_program",
     "rounds_for_slots",
@@ -143,6 +144,20 @@ def _proxcast_common(
             quorum_ok.append(False)
 
     # --- Grade: longest stable-singleton window of snapshots. -------------
+    view = ((default,), tuple(quorum_ok), *snapshots)
+    return decide_once(decide, view, slots, require_quorum)
+
+
+def decide(view, slots: int, require_quorum: bool) -> ProxOutput:
+    """The grade rule: the longest stable-singleton window of snapshots.
+
+    ``view`` is ``((default,), quorum_ok, *snapshots)``: the value output
+    at grade 0, whether each round's singleton had an ``n - t`` quorum of
+    forwarders, and each round's sorted known values.  Memoised by
+    :func:`~.base.decide_once`.
+    """
+    (default,), quorum_ok, *snapshots = view
+    rounds = len(snapshots)
     parity = slots % 2
     grades = (slots - 1) // 2
     best_value: Any = default

@@ -34,9 +34,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..network.messages import get_field
 from ..network.party import Context
-from .base import ProxOutput
+from .base import ProxOutput, decide_once
 
 __all__ = [
+    "decide",
     "prox_quadratic_half_program",
     "slots_after_rounds",
     "top_grade",
@@ -188,8 +189,19 @@ def prox_quadratic_half_program(ctx: Context, value: Any, rounds: int):
                 formed_last.append((v, round_index))
 
     # --- Output determination (Table 2 conditions, highest grade first). --
+    view = tuple([(v, level, first) for (v, level), first in first_known.items()])
+    return decide_once(decide, view, rounds)
+
+
+def decide(view, rounds: int) -> ProxOutput:
+    """Table 2's output rule, a pure function of when each ``Ω_k`` was known.
+
+    ``view`` holds one ``(v, k, round)`` row per known pair ``(v, Ω_k)``,
+    in the order they were learned.  Memoised by :func:`~.base.decide_once`.
+    """
+    first_known = {(v, level): first for v, level, first in view}
+    values = sorted({v for v, _level, _first in view}, key=repr)
     table = condition_table(rounds)
-    values = sorted({v for (v, _k) in first_known}, key=repr)
     for grade in range(top_grade(rounds), 0, -1):
         deadlines = table[grade]
         for v in values:

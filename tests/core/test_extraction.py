@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.extraction import (
-    coin_range,
-    extract,
-    extract_by_position,
-    splitting_coin,
-)
-from repro.proxcensus.base import max_grade, slot_index, slot_label
+from repro.core.extraction import coin_range, extract, splitting_coin
+from repro.proxcensus.base import max_grade, slot_label
+from tests.oracles import extract_by_position
 
 
 @st.composite

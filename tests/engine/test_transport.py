@@ -19,7 +19,8 @@ Four regression suites:
 import pytest
 
 from ..conftest import PROTOCOL_SHAPES
-from repro.network.metrics import RunMetrics, count_signatures_reference
+from ..oracles import count_signatures_reference
+from repro.network.metrics import RunMetrics
 from repro.engine import (
     ChunkSummary,
     ParallelRunner,

@@ -8,11 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.ideal import IdealSignatureScheme, IdealThresholdScheme
-from repro.network.metrics import (
-    RunMetrics,
-    count_signatures,
-    count_signatures_reference,
-)
+from repro.network.metrics import RunMetrics, count_signatures
+from tests.oracles import count_signatures_reference
 
 
 class TestCountSignatures:

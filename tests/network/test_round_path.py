@@ -20,8 +20,9 @@ from repro.crypto.ideal import (
 from repro.crypto.keys import CryptoSuite
 from repro.network import FaultPlan, SyncSimulator
 from repro.network import simulator as simulator_module
-from repro.network.metrics import count_signatures, count_signatures_reference
+from repro.network.metrics import count_signatures
 from tests.crypto.test_tag_memo import garbage_grid
+from tests.oracles import count_signatures_reference
 
 
 class _Level(IntEnum):

@@ -32,7 +32,6 @@ ALLOWED = {
     "messages_ba_one_half": "analysis.comm closed form the tests compare against",
     "messages_feldman_micali": "analysis.comm closed form the tests compare against",
     "messages_mv": "analysis.comm closed form the tests compare against",
-    "extract_by_position": "the reference extract is tested against",
     "clear_suite_cache": "test hook: drops the memoised benchmark suites",
     "measure_payload_bytes": "test hook behind the >=5x payload pin",
     "ideal_coin_factory": "protocol variant with its own tests",
