@@ -33,6 +33,7 @@ from .random_oracle import (
     encode_str,
     encode_term,
     encode_tuple,
+    exact_key,
     first_digest_parts,
     hash_to_range,
     hash_to_range_encoded,
@@ -68,10 +69,17 @@ def _extract_coin(
     )
 
 
-# All n parties of a run extract the same coin from the same signature
-# bytes; the first pays the hash.  Keyed on canonical encodings, so
-# index 0 and index False stay two coins.
-_extract_coin_once = functools.lru_cache(maxsize=256)(_extract_coin)
+# All n parties of a run extract the same coin from the one combined
+# signature object the run minted: the first pays the encodings and the
+# hash.  Keyed on that object (signatures compare type-exactly), its
+# scheme, the session and the index's exact key, so index 0 and index
+# False stay two coins.
+@functools.lru_cache(maxsize=256)
+def _coin_once(scheme, signature, session, index_key, index, low, high) -> int:
+    return _extract_coin(
+        encode_term(session), encode_term(index),
+        scheme.signature_bytes(signature), low, high,
+    )
 
 
 def coin_value_from_signature(
@@ -83,13 +91,9 @@ def coin_value_from_signature(
     high: int,
 ) -> int:
     """Hash the unique combined signature into ``[low, high]``."""
-    return _extract_coin_once(
-        encode_term(session),
-        encode_term(index),
-        scheme.signature_bytes(signature),
-        low,
-        high,
-    )
+    if session.__class__ is not str:  # 1 and True encode apart: not cached
+        return _coin_once.__wrapped__(scheme, signature, session, None, index, low, high)
+    return _coin_once(scheme, signature, session, exact_key(index), index, low, high)
 
 
 def coin_evaluator(

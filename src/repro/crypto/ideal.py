@@ -25,7 +25,7 @@ import hashlib
 import hmac
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .interfaces import CryptoError, SignatureScheme, ThresholdSignatureScheme
 from .random_oracle import Term, encode_term, encode_tuple, exact_key
@@ -97,6 +97,13 @@ def _fresh_tagger(
 # drops the records first (`CryptoSuite.forget`).  The memo is an
 # implementation detail: results are bit-identical with it disabled
 # (`set_tag_memoization(False)`, pinned by `tests/crypto/test_tag_memo.py`).
+#
+# A record also keeps what the run minted on its message: one share or
+# signature per exact-`int` signer, one combined signature (under
+# `None`).  Signatures are unique (§2.2), so a check accepts the minted
+# object by identity; every other object (an equal copy, a forgery, a
+# bool signer's, one from before a `forget()` or another scheme) is
+# checked by its tag, as before.
 _MEMO_ENABLED = True
 _MEMO_LIMIT = 1 << 14  # tags held per scheme in one run; cleared wholesale when full
 
@@ -113,7 +120,9 @@ class _TagMemo:
     """Bounded memo of HMAC tags for one registry key, computed by one
     :func:`_keyed_mac`.
 
-    One record per signed message: ``(encoded message, {slot: tag})``.
+    One record per signed message: ``(encoded message, {slot: tag})``,
+    whose dict also keeps the objects :meth:`mint` made on the message,
+    under the exact-``int`` signer or ``None`` (at most one per tag).
     The encoding is computed once, when the record is made; a slot is
     ``(domain, signer, signer.__class__)`` for shares and plain
     signatures and the bare ``domain`` for combined signatures, so the
@@ -208,28 +217,39 @@ class _TagMemo:
         record = self._record(message) if _MEMO_ENABLED else None
         return (encode_term(message), None) if record is None else record
 
-    def signer_tag(self, domain: str, signer, message: Term) -> bytes:
-        """Tag over (domain, signer, message) — plain signatures and shares."""
-        slot = (domain, signer, signer.__class__)
-        if _MEMO_ENABLED:
-            record = self._record(message)
-            if record is not None:
-                tag = record[1].get(slot)
-                if tag is None:
-                    tag = self._derive(record, slot, domain, signer)
-                return tag
-        return self._derive((encode_term(message), None), slot, domain, signer)
+    def tag(self, domain: str, signer, message: Term, record=None) -> bytes:
+        """Tag over ``(domain, signer, message)`` — shares and plain
+        signatures — or over ``(domain, message)`` if ``signer`` is
+        ``None``, a combined signature.  ``record``: ``message``'s, resolved."""
+        if signer is None:
+            slot, before = domain, (domain,)
+        else:
+            slot, before = (domain, signer, signer.__class__), (domain, signer)
+        if record is None:
+            record = self.resolve(message)
+        held = record[1]
+        return held and held.get(slot) or self._derive(record, slot, *before)
 
-    def combined_tag(self, domain: str, message: Term) -> bytes:
-        """Tag over (domain, message) — combined threshold signatures."""
-        if _MEMO_ENABLED:
-            record = self._record(message)
-            if record is not None:
-                tag = record[1].get(domain)
-                if tag is None:
-                    tag = self._derive(record, domain, domain)
-                return tag
-        return self._derive((encode_term(message), None), domain, domain)
+    def mint(self, make: Callable[[Any, bytes], Any], domain: str, signer,
+             message: Term, record=None):
+        """``make(signer, tag)`` on :meth:`tag`'s arguments; for ``None``
+        and exact-``int`` signers the record keeps it: one object per run."""
+        if record is None:
+            record = self.resolve(message)
+        held = record[1]
+        if held is None or not (signer is None or signer.__class__ is int):
+            return make(signer, self.tag(domain, signer, message, record))
+        made = held.get(signer)
+        if made is None:
+            made = held[signer] = make(signer, self.tag(domain, signer, message, record))
+        return made
+
+    def is_minted(self, key, made, message: Term) -> bool:
+        """Whether ``made`` is the object :meth:`mint` keeps under ``key``."""
+        if not _MEMO_ENABLED or not (key is None or key.__class__ is int):
+            return False
+        record = self._record(message)
+        return record is not None and record[1].get(key) is made
 
 
 @dataclass(frozen=True)
@@ -241,6 +261,10 @@ class _IdealShare:
 @dataclass(frozen=True)
 class _IdealSignature:
     tag: bytes
+
+
+def _signature(signer, tag: bytes) -> _IdealSignature:
+    return _IdealSignature(tag)
 
 
 class _KeyedScheme:
@@ -279,7 +303,7 @@ class IdealSignatureScheme(_KeyedScheme, SignatureScheme):
 
     def sign(self, signer: int, message: Term) -> _IdealSignature:
         self._check_signer(signer)
-        return _IdealSignature(self._tags.signer_tag("plain", signer, message))
+        return self._tags.mint(_signature, "plain", signer, message)
 
     def verify(self, signer: int, signature, message: Term) -> bool:
         if not isinstance(signature, _IdealSignature):
@@ -287,7 +311,9 @@ class IdealSignatureScheme(_KeyedScheme, SignatureScheme):
         if not isinstance(signer, int) or not (0 <= signer < self._n):
             return False
         try:
-            expected = self._tags.signer_tag("plain", signer, message)
+            if self._tags.is_minted(signer, signature, message):
+                return True
+            expected = self._tags.tag("plain", signer, message)
         except TypeError:
             return False
         return hmac.compare_digest(signature.tag, expected)
@@ -330,7 +356,7 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
     def sign_share(self, signer: int, message: Term) -> _IdealShare:
         if not (0 <= signer < self._n):
             raise CryptoError(f"no such signer {signer}")
-        return _IdealShare(signer, self._tags.signer_tag("share", signer, message))
+        return self._tags.mint(_IdealShare, "share", signer, message)
 
     def verify_share(self, signer: int, share, message: Term) -> bool:
         if not isinstance(share, _IdealShare) or share.signer != signer:
@@ -338,7 +364,9 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         if not isinstance(signer, int) or not (0 <= signer < self._n):
             return False
         try:
-            expected = self._tags.signer_tag("share", signer, message)
+            if self._tags.is_minted(signer, share, message):
+                return True
+            expected = self._tags.tag("share", signer, message)
         except TypeError:
             return False
         return hmac.compare_digest(share.tag, expected)
@@ -356,7 +384,7 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
             raise CryptoError(
                 f"need {self._threshold} distinct valid shares, got {len(distinct)}"
             )
-        return _IdealSignature(self._tags.combined_tag("combined", message))
+        return self._tags.mint(_signature, "combined", None, message)
 
     def try_combine(self, indexed_shares: Iterable, message: Term):
         """The inherited best-effort combine in one pass over the shares.
@@ -365,8 +393,9 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         once ``threshold`` distinct signers have verified there is
         nothing left to decide: no quorum to re-verify in
         :meth:`combine`, no fresh signature to check with
-        :meth:`verify`.  ``message`` is resolved once: same rejections
-        and result as :meth:`ThresholdSignatureScheme.try_combine`.
+        :meth:`verify`.  ``message`` is resolved once, and a share that
+        is the minted one needs no tag: same rejections and result as
+        :meth:`ThresholdSignatureScheme.try_combine`.
         """
         tags = self._tags
         try:
@@ -381,20 +410,20 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
             if (signer in valid or not isinstance(share, _IdealShare)
                     or share.signer != signer):
                 continue
-            slot = ("share", signer, signer.__class__)
-            tag = held and held.get(slot) or tags._derive(record, slot, "share", signer)
-            if hmac.compare_digest(share.tag, tag):
+            if ((held and signer.__class__ is int and held.get(signer) is share)
+                    or hmac.compare_digest(share.tag, tags.tag("share", signer, message, record))):
                 valid.add(signer)
         if len(valid) < self._threshold:
             return None
-        tag = held and held.get("combined") or tags._derive(record, "combined", "combined")
-        return _IdealSignature(tag)
+        return tags.mint(_signature, "combined", None, message, record)
 
     def verify(self, signature, message: Term) -> bool:
         if not isinstance(signature, _IdealSignature):
             return False
         try:
-            expected = self._tags.combined_tag("combined", message)
+            if self._tags.is_minted(None, signature, message):
+                return True
+            expected = self._tags.tag("combined", None, message)
         except TypeError:
             return False
         return hmac.compare_digest(signature.tag, expected)
@@ -415,7 +444,7 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         ``signature_bytes(combine(shares, message))`` for any valid
         quorum of shares.
         """
-        return self._tags.combined_tag("combined", message)
+        return self._tags.tag("combined", None, message)
 
     def fresh_combined_tagger(
         self, head: bytes, tail: bytes

@@ -19,6 +19,7 @@ __all__ = [
     "exact_key",
     "first_digest_parts",
     "oracle_digest",
+    "PLAIN_TYPES",
     "hash_to_int",
     "hash_to_range",
     "hash_to_range_encoded",
@@ -50,8 +51,9 @@ def encode_term(term: Term) -> bytes:
     raise TypeError(f"cannot canonically encode {type(term).__name__}")
 
 
-# Exact types of the values that are their own key.
-_PLAIN = frozenset((str, int, bytes, type(None)))
+#: Exact types of the values that are their own key — and of the values
+#: honest payloads carry, which parsers accept type-exactly.
+PLAIN_TYPES = frozenset((str, int, bytes, type(None)))
 
 
 def exact_key(term):
@@ -74,12 +76,12 @@ def exact_key(term):
     tp = term.__class__
     if tp is tuple:
         for part in term:
-            if type(part) not in _PLAIN:
+            if type(part) not in PLAIN_TYPES:
                 return tuple(
-                    [part if type(part) in _PLAIN else exact_key(part) for part in term]
+                    [part if type(part) in PLAIN_TYPES else exact_key(part) for part in term]
                 )
         return term
-    if tp in _PLAIN:
+    if tp in PLAIN_TYPES:
         return term
     return (tp, term)
 

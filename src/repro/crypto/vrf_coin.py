@@ -25,6 +25,7 @@ steer it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,6 +36,7 @@ from .random_oracle import (
     encode_str,
     encode_term,
     encode_tuple,
+    exact_key,
     first_digest_parts,
     hash_to_int,
     hash_to_range,
@@ -69,9 +71,7 @@ def vrf_evaluate(
     uniqueness holds by construction.)
     """
     proof = scheme.sign(signer, vrf_message(session, index))
-    value = hash_to_int("vrf-value", ("out", session, index, _proof_term(proof)),
-                        _EVALUATION_BITS)
-    return value, proof
+    return _evaluation(session, index, proof), proof
 
 
 def vrf_evaluator(
@@ -118,11 +118,26 @@ def vrf_verify(
         return False
     if not scheme.verify(signer, proof, vrf_message(session, index)):
         return False
-    expected = hash_to_int(
-        "vrf-value", ("out", session, index, _proof_term(proof)),
-        _EVALUATION_BITS,
-    )
-    return value == expected
+    return value == _evaluation(session, index, proof)
+
+
+def _evaluation(session: str, index: Term, proof: Any) -> int:
+    """The value ``proof`` evaluates to.
+
+    Every recipient checks every sender's evaluation, so where the
+    session is an exact ``str`` and the proof's term an exact ``bytes``
+    tag or ``int``, the hash is paid once: cached on those and the
+    index's exact key.
+    """
+    term = _proof_term(proof)
+    if session.__class__ is str and (term.__class__ is bytes or term.__class__ is int):
+        return _hash_once(session, exact_key(index), index, term)
+    return _hash_once.__wrapped__(session, None, index, term)
+
+
+@functools.lru_cache(maxsize=256)
+def _hash_once(session: str, index_key, index: Term, term: Term) -> int:
+    return hash_to_int("vrf-value", ("out", session, index, term), _EVALUATION_BITS)
 
 
 def _proof_term(proof: Any) -> Term:

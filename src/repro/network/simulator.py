@@ -235,7 +235,7 @@ class SyncSimulator:
         input_map = dict(enumerate(inputs))
         master = random.Random(self.seed)
         party_seeds = [master.getrandbits(64) for _ in range(n)]
-        adversary_rng = random.Random(master.getrandbits(64))
+        adversary_rng = LazyRandom(master.getrandbits(64))
         # The fault RNG is drawn from the master strictly after the party
         # seeds and adversary seed, and only when a plan is present —
         # with faults=None the seed→randomness mapping is untouched and

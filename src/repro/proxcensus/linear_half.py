@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+from ..crypto.random_oracle import PLAIN_TYPES
 from ..network.messages import get_field
 from ..network.party import Context
 from .base import ProxOutput, decide_once
@@ -128,15 +129,13 @@ def prox_linear_half_program(ctx: Context, value: Any, rounds: int):
             body = get_field(payload, _KEY)
             if not isinstance(body, dict):
                 continue
-            for item in _pairs(body.get("sigmas")):
-                v, signature = item
+            for v, signature in _pairs(body.get("sigmas")):
                 if v not in sigma_first and scheme.verify(
                     signature, _sigma_message(ctx, v)
                 ):
                     sigma_first[v] = round_index
                     sigma_sigs[v] = signature
-            for item in _pairs(body.get("omegas")):
-                v, signature = item
+            for v, signature in _pairs(body.get("omegas")):
                 if v not in omega_first and scheme.verify(
                     signature, _omega_message(ctx, v)
                 ):
@@ -189,9 +188,20 @@ def decide(view, rounds: int) -> ProxOutput:
 
 
 def _pairs(obj: Any):
-    """Yield well-formed ``(value, signature)`` pairs from a Byzantine list."""
+    """The well-formed ``(value, signature)`` pairs of a Byzantine list:
+    the honest shape, a list of exact 2-tuples led by plain values, is
+    its own answer after one type-exact pass; anything else is parsed
+    defensively."""
+    if obj.__class__ is list:
+        for item in obj:
+            if (item.__class__ is not tuple or len(item) != 2
+                    or item[0].__class__ not in PLAIN_TYPES):
+                break
+        else:
+            return obj
     if not isinstance(obj, (list, tuple)):
-        return
+        return ()
+    pairs = []
     for item in obj:
         if isinstance(item, (list, tuple)) and len(item) == 2:
             v = item[0]
@@ -199,4 +209,5 @@ def _pairs(obj: Any):
                 hash(v)
             except TypeError:
                 continue
-            yield (v, item[1])
+            pairs.append((v, item[1]))
+    return pairs

@@ -20,8 +20,9 @@ up); a full quorum on the top grade ``G`` gives the new maximal grade.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from ..crypto.random_oracle import PLAIN_TYPES
 from ..network.messages import get_field
 from ..network.party import Context
 from .base import ProxOutput, decide_once, max_grade
@@ -89,26 +90,41 @@ def _expand_once(ctx: Context, value: Any, grade: int, slots: int):
     grades = max_grade(slots)          # G of the *inner* Proxcensus
     inbox = yield ctx.broadcast({_MESSAGE_KEY: (value, grade)})
 
-    # Tally echoes defensively: one (z, h) pair per sender, h in [0, G].
-    # A value is tagged "v"; an unhashable (Byzantine) one is tallied,
-    # and decided, by its repr under the tag "unhashable".
+    # One echo per sender: an honest payload, a plain dict holding an
+    # exact (plain value, int grade) tuple, is read in one type-exact
+    # pass; anything else goes through `_echo`, which it equals there.
     tally: Dict[Tuple[int, str, Any], int] = {}  # (grade, tag, value) → echoes
     for payload in inbox.values():
-        pair = get_field(payload, _MESSAGE_KEY)
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            continue
-        z, h = pair
-        if isinstance(h, bool) or not isinstance(h, int) or not (0 <= h <= grades):
-            continue
-        try:
-            hash(z)
-        except TypeError:
-            echoed = (h, "unhashable", repr(z))
+        pair = payload.get(_MESSAGE_KEY) if payload.__class__ is dict else None
+        if (pair.__class__ is tuple and len(pair) == 2
+                and pair[0].__class__ in PLAIN_TYPES and pair[1].__class__ is int
+                and 0 <= pair[1] <= grades):
+            echoed = (pair[1], "v", pair[0])
         else:
-            echoed = (h, "v", z)
+            echoed = _echo(payload, grades)
+            if echoed is None:
+                continue
         tally[echoed] = tally.get(echoed, 0) + 1
     view = (*tally, tuple(tally.values()))
     return decide_once(decide, view, ctx.num_parties, ctx.max_faulty, slots)
+
+
+def _echo(payload: Any, grades: int) -> Optional[Tuple[int, str, Any]]:
+    """A sender's echo as a tally row ``(h, tag, z)``, parsed defensively:
+    one ``(z, h)`` pair, ``h`` a non-bool int in ``[0, G]``.  A value is
+    tagged ``"v"``; an unhashable (Byzantine) one is tallied, and decided,
+    by its repr under ``"unhashable"``.  ``None``: no echo."""
+    pair = get_field(payload, _MESSAGE_KEY)
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        return None
+    z, h = pair
+    if isinstance(h, bool) or not isinstance(h, int) or not (0 <= h <= grades):
+        return None
+    try:
+        hash(z)
+    except TypeError:
+        return (h, "unhashable", repr(z))
+    return (h, "v", z)
 
 
 def decide(tally, n: int, t: int, slots: int) -> Tuple[Any, int]:

@@ -125,6 +125,24 @@ class TestCoinHelpers:
         ]
         assert all(zero != false for zero, false in wide)
 
+    def test_one_and_true_stay_two_coins_on_one_signature(self):
+        """The cache is type-exact in the session and in the index."""
+        scheme = IdealThresholdScheme(4, 2, random.Random(5))
+        message = coin_message_tag("s", 0)
+        signature = scheme.combine(
+            [(i, scheme.sign_share(i, message)) for i in range(2)], message
+        )
+        keys = [("s", 0), ("s", False), ("s", (0,)), ("s", (False,)), (1, 0), (True, 0)]
+        coins = [
+            coin_value_from_signature(scheme, signature, session, index, 0, 2 ** 130)
+            for session, index in keys + keys
+        ]
+        assert coins == [
+            hash_to_range("coin-extract", (session, index, signature.tag), 0, 2 ** 130)
+            for session, index in keys + keys
+        ]
+        assert len(set(coins)) == len(keys)
+
     def test_empty_range_raises_every_time(self):
         scheme = IdealThresholdScheme(4, 2, random.Random(5))
         message = coin_message_tag("s", 3)

@@ -292,7 +292,11 @@ def garbage_grid(scheme, foreign):
     """(label, indexed shares, message) cases for ``try_combine``."""
     message = ("grid", "session", 7)
     n, threshold = scheme.num_parties, scheme.threshold
+    before_forget = [(i, scheme.sign_share(i, message)) for i in range(n)]
+    scheme.forget()
     good = [(i, scheme.sign_share(i, message)) for i in range(n)]
+    copies = [(i, ideal._IdealShare(share.signer, share.tag)) for i, share in good]
+    forged = [(i, ideal._IdealShare(i, bytes(len(share.tag)))) for i, share in good]
     other_message = [(i, scheme.sign_share(i, ("grid", "session", 8))) for i in range(n)]
     foreign_shares = [(i, foreign.sign_share(i, message)) for i in range(n)]
     bool_share = (True, scheme.sign_share(True, message))
@@ -324,6 +328,12 @@ def garbage_grid(scheme, foreign):
         ("False minted for False",
          [(False, scheme.sign_share(False, message))] + good[1:], message),
         ("False claims 0's share", [(False, good[0][1])] + good[1:], message),
+        ("equal copies", copies, message),
+        ("equal copies mixed", copies[:1] + good[1:], message),
+        ("forged tags", forged, message),
+        ("forged tags mixed", forged[:1] + good[1:], message),
+        ("minted before forget", before_forget, message),
+        ("minted before forget mixed", before_forget[:1] + good[1:], message),
     ]
 
 
@@ -340,12 +350,13 @@ class TestSinglePassCombine:
             for label, indexed, message in garbage_grid(scheme, foreign):
                 own = scheme.try_combine(indexed, message)
                 generic = ThresholdSignatureScheme.try_combine(scheme, indexed, message)
+                reference = unmemoized(lambda: scheme.try_combine(indexed, message))
                 if generic is None:
-                    assert own is None, label
+                    assert own is None and reference is None, label
                 else:
                     assert scheme.signature_bytes(own) == scheme.signature_bytes(
                         generic
-                    ), label
+                    ) == scheme.signature_bytes(reference), label
                     assert scheme.verify(own, message), label
         finally:
             set_tag_memoization(previous)
@@ -363,6 +374,8 @@ class TestSinglePassCombine:
         assert not outcomes["duplicates of one signer"]
         assert not outcomes["unhashable message"]
         assert not outcomes["foreign scheme"]
+        assert outcomes["equal copies"] and outcomes["minted before forget"]
+        assert not outcomes["forged tags"]
 
     def test_accepts_any_iterable_of_pairs(self, threshold):
         message = ("iter", 1)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.adversary.coin_bias import WithholdingCoinAdversary
 from repro.adversary.strategies import CrashAdversary
 from repro.crypto.ideal import set_tag_memoization
+from repro.crypto import vrf_coin
+from repro.crypto.random_oracle import hash_to_int
 from repro.crypto.rsa import RsaSignatureScheme
 from repro.crypto.vrf_coin import (
     vrf_coin_extractor,
@@ -55,6 +57,27 @@ class TestVrfPrimitive:
         scheme = RsaSignatureScheme.setup(2, 128, random.Random(5))
         value, proof = vrf_evaluate(scheme, 0, "s", 3)
         assert vrf_verify(scheme, 0, value, proof, "s", 3)
+
+    def test_a_cached_evaluation_is_the_hash_type_for_type(self):
+        """Every recipient checks every evaluation; the first pays the
+        hash.  Index 0 and False, session 1 and True stay apart, and a
+        proof that is no minted object (an RSA one, a copy) agrees."""
+        scheme = ideal_suite(4, 1).plain
+        rsa = RsaSignatureScheme.setup(2, 128, random.Random(5))
+        proofs = [scheme.sign(0, "p"), type(scheme.sign(0, "p"))(b"copy"),
+                  rsa.sign(1, "p"), "garbage"]
+        for proof in proofs:
+            term = getattr(proof, "tag", getattr(proof, "value", None))
+            term = repr(proof) if term is None else term
+            for session in ("s", 1, True, "s"):
+                for index in (0, False, (0,), (False,), 0):
+                    assert vrf_coin._evaluation(session, index, proof) == hash_to_int(
+                        "vrf-value", ("out", session, index, term), 128
+                    ), (proof, session, index)
+        value, proof = vrf_evaluate(scheme, 2, "s", 7)
+        copy = type(proof)(proof.tag)
+        assert vrf_verify(scheme, 2, value, copy, "s", 7)
+        assert not vrf_verify(scheme, 2, value, type(proof)(bytes(32)), "s", 7)
 
     def test_coin_from_evaluations(self):
         assert vrf_coin_from_evaluations({}, "s", 0, 0, 1) is None

@@ -2,6 +2,7 @@
 
 import random
 
+from repro.adversary.base import Adversary, AdversaryEnv, RoundDecision
 from repro.network.messages import PARALLEL_KEY
 from repro.network.party import Context, LazyRandom, run_parallel
 
@@ -156,10 +157,33 @@ class TestPartyRandom:
         drawer_seed = party_seeds(9, 4)[2]
         monkeypatch.setattr(random, "Random", Counting)
         run(silent, [None] * 4, 1, seed=9)
-        assert len(seeded) == 2  # the master stream and the adversary's
+        assert len(seeded) == 1  # the master stream; the adversary never drew
         del seeded[:]
         run(one_draws, [None] * 4, 1, seed=9)
-        assert seeded[2:] == [drawer_seed]
+        assert seeded[1:] == [drawer_seed]
+
+    def test_the_adversary_draws_the_stream_it_drew_before_it_went_lazy(self):
+        drawn = []
+
+        class Drawing(Adversary):
+            def decide(self, view):
+                assert isinstance(self.env.rng, random.Random)
+                assert self.env.rng is self.env.rng
+                drawn.append(self.env.rng.random())
+                return RoundDecision()
+
+        def two_rounds(ctx, _):
+            yield ctx.broadcast({"x": 1})
+            yield ctx.broadcast({"x": 2})
+
+        run(two_rounds, [None] * 4, 1, adversary=Drawing(), seed=9)
+        master = random.Random(9)
+        for _ in range(4):
+            master.getrandbits(64)
+        expected = random.Random(master.getrandbits(64))
+        assert drawn == [expected.random(), expected.random()]
+        given = random.Random(3)
+        assert AdversaryEnv(4, 1, "s", ideal_suite(4, 1), given, {}).rng is given
 
     def test_a_context_built_directly_takes_a_generator_or_a_lazy_one(self):
         suite = ideal_suite(3, 1)
