@@ -36,34 +36,25 @@ Outbox = Any
 __all__ = ["AdversaryEnv", "RoundView", "RoundDecision", "Adversary"]
 
 
+@dataclass
 class AdversaryEnv:
     """Static facts the adversary learns at setup time.
 
-    ``rng`` is taken as a ``random.Random`` or as anything whose ``get()``
-    builds one (the simulator's ``LazyRandom``: most strategies never
-    draw); the attribute is always the generator.
+    ``lazy_rng`` is the simulator's ``LazyRandom``; ``rng`` builds the
+    adversary's generator from it on first read (most strategies never
+    draw).
     """
 
-    def __init__(
-        self,
-        num_parties: int,
-        max_faulty: int,
-        session: str,
-        crypto: CryptoSuite,
-        rng: Any,
-        inputs: Dict[int, Any],
-    ) -> None:
-        self.num_parties = num_parties
-        self.max_faulty = max_faulty
-        self.session = session
-        self.crypto = crypto
-        self._rng = rng
-        self.inputs = inputs
+    num_parties: int
+    max_faulty: int
+    session: str
+    crypto: CryptoSuite
+    lazy_rng: Any
+    inputs: Dict[int, Any]
 
     @property
     def rng(self) -> random.Random:
-        rng = self._rng
-        return rng if isinstance(rng, random.Random) else rng.get()
+        return self.lazy_rng.get()
 
 
 @dataclass

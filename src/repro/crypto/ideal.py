@@ -237,19 +237,28 @@ class _TagMemo:
         if record is None:
             record = self.resolve(message)
         held = record[1]
-        if held is None or not (signer is None or signer.__class__ is int):
+        if held is None or not _kept(signer):
             return make(signer, self.tag(domain, signer, message, record))
         made = held.get(signer)
         if made is None:
             made = held[signer] = make(signer, self.tag(domain, signer, message, record))
         return made
 
-    def is_minted(self, key, made, message: Term) -> bool:
-        """Whether ``made`` is the object :meth:`mint` keeps under ``key``."""
-        if not _MEMO_ENABLED or not (key is None or key.__class__ is int):
-            return False
-        record = self._record(message)
-        return record is not None and record[1].get(key) is made
+    def accepts(self, domain: str, signer, made, message: Term, record=None) -> bool:
+        """Whether ``made.tag`` is :meth:`tag`'s: by identity if ``made``
+        is the object :meth:`mint` keeps, else by comparing tags."""
+        if record is None:
+            record = self.resolve(message)
+        held = record[1]
+        if held and _kept(signer) and held.get(signer) is made:
+            return True
+        return hmac.compare_digest(made.tag, self.tag(domain, signer, message, record))
+
+
+def _kept(signer) -> bool:
+    """Whether a record keeps what is minted for ``signer``: ``None`` (the
+    combined signature) or an exact ``int``, never a ``bool`` equal to one."""
+    return signer is None or signer.__class__ is int
 
 
 @dataclass(frozen=True)
@@ -311,12 +320,10 @@ class IdealSignatureScheme(_KeyedScheme, SignatureScheme):
         if not isinstance(signer, int) or not (0 <= signer < self._n):
             return False
         try:
-            if self._tags.is_minted(signer, signature, message):
-                return True
-            expected = self._tags.tag("plain", signer, message)
+            record = self._tags.resolve(message)
         except TypeError:
             return False
-        return hmac.compare_digest(signature.tag, expected)
+        return self._tags.accepts("plain", signer, signature, message, record)
 
     def fresh_tagger(
         self, signer: int, head: bytes, tail: bytes
@@ -364,12 +371,10 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         if not isinstance(signer, int) or not (0 <= signer < self._n):
             return False
         try:
-            if self._tags.is_minted(signer, share, message):
-                return True
-            expected = self._tags.tag("share", signer, message)
+            record = self._tags.resolve(message)
         except TypeError:
             return False
-        return hmac.compare_digest(share.tag, expected)
+        return self._tags.accepts("share", signer, share, message, record)
 
     def combine(self, shares: Sequence, message: Term) -> _IdealSignature:
         distinct = {}
@@ -402,7 +407,7 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
             record = tags.resolve(message)
         except TypeError:
             return None  # verify_share rejects every share of a non-Term
-        held, n = record[1], self._n
+        n = self._n
         valid = set()
         for signer, share in indexed_shares:
             if not isinstance(signer, int) or not (0 <= signer < n):
@@ -410,8 +415,7 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
             if (signer in valid or not isinstance(share, _IdealShare)
                     or share.signer != signer):
                 continue
-            if ((held and signer.__class__ is int and held.get(signer) is share)
-                    or hmac.compare_digest(share.tag, tags.tag("share", signer, message, record))):
+            if tags.accepts("share", signer, share, message, record):
                 valid.add(signer)
         if len(valid) < self._threshold:
             return None
@@ -421,12 +425,10 @@ class IdealThresholdScheme(_KeyedScheme, ThresholdSignatureScheme):
         if not isinstance(signature, _IdealSignature):
             return False
         try:
-            if self._tags.is_minted(None, signature, message):
-                return True
-            expected = self._tags.tag("combined", None, message)
+            record = self._tags.resolve(message)
         except TypeError:
             return False
-        return hmac.compare_digest(signature.tag, expected)
+        return self._tags.accepts("combined", None, signature, message, record)
 
     def signature_bytes(self, signature) -> bytes:
         """Canonical bytes of a combined signature (coin input)."""

@@ -253,7 +253,7 @@ class SyncSimulator:
                 max_faulty=self.max_faulty,
                 session=self.session,
                 crypto=self.crypto,
-                rng=adversary_rng,
+                lazy_rng=adversary_rng,
                 inputs=dict(input_map),
             )
         )

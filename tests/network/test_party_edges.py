@@ -2,7 +2,7 @@
 
 import random
 
-from repro.adversary.base import Adversary, AdversaryEnv, RoundDecision
+from repro.adversary.base import Adversary, RoundDecision
 from repro.network.messages import PARALLEL_KEY
 from repro.network.party import Context, LazyRandom, run_parallel
 
@@ -182,8 +182,6 @@ class TestPartyRandom:
             master.getrandbits(64)
         expected = random.Random(master.getrandbits(64))
         assert drawn == [expected.random(), expected.random()]
-        given = random.Random(3)
-        assert AdversaryEnv(4, 1, "s", ideal_suite(4, 1), given, {}).rng is given
 
     def test_a_context_built_directly_takes_a_generator_or_a_lazy_one(self):
         suite = ideal_suite(3, 1)
